@@ -55,6 +55,9 @@ race:
 # per line, so they stay honest even on smaller hosts. The
 # solver-ablation pair (SolverAblationDirect / SolverAblationCG) times
 # the direct-vs-iterative backend grid from internal/bench/solver.go.
+# The covariance-generation pair (CovTileMatern / MaternBound, root
+# bench_test.go) times the Matérn tile fill and the bound kernel alone at
+# four θ of the end-to-end benchmark's fit_matern trajectory.
 # BENCHTIME=1x gives a CI smoke run; the committed
 # artifact uses 5x against the seed baseline in results/bench_seed.txt.
 BENCHTIME ?= 5x
@@ -65,6 +68,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'Fig12WeakStep|PlanAblationMLE' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/bench/ >> results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'SweepParallel|DESParallel' -benchmem -benchtime $(BENCHTIME) -cpu 4 ./internal/bench/ >> results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'SolverAblation' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/bench/ >> results/bench_after.txt
+	$(GO) test -run '^$$' -bench 'CovTileMatern|MaternBound' -benchmem -benchtime $(BENCHTIME) -cpu 1 . >> results/bench_after.txt
 	$(GO) run ./cmd/benchjson -seed results/bench_seed.txt < results/bench_after.txt > BENCH_kernels.json
 
 bench-all:

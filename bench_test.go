@@ -12,8 +12,11 @@ import (
 	"testing"
 
 	"geompc/internal/bench"
+	"geompc/internal/geo"
 	"geompc/internal/hw"
 	"geompc/internal/prec"
+	"geompc/internal/stats"
+	"geompc/internal/tile"
 )
 
 // BenchmarkTable1Peaks prints Table I: peak Tflop/s per precision per GPU.
@@ -228,6 +231,69 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	nt := 131072 / 2048
 	tasks := nt * (nt + 1) * (nt + 2) / 6
 	b.ReportMetric(float64(tasks*b.N)/b.Elapsed().Seconds(), "tasks/s")
+}
+
+// maternTrajectory is four θ = (σ², β, ν) the optimizer asks for on the
+// end-to-end benchmark's fit_matern workload (seed 101, evaluations 1, 28,
+// 48 and 66): the lower-bound start, two points along the valley and one
+// near the budget's end. One operation of the two benchmarks below visits
+// all four, so ns/op does not depend on b.N.
+var maternTrajectory = [][]float64{
+	{0.01, 0.01, 0.01},
+	{0.8576, 0.06649, 0.01878},
+	{0.9814, 0.3271, 0.1118},
+	{0.9814, 0.04486, 0.8153},
+}
+
+// BenchmarkCovTileMatern is the covariance generation of four likelihood
+// evaluations as a caller without a bound kernel does it: every lower tile
+// of the 400-point, ts = 64 matrix through geo.CovTile, one θ after the
+// other.
+func BenchmarkCovTileMatern(b *testing.B) {
+	locs := geo.GenerateLocations(400, 2, stats.NewRNG(101, 0))
+	desc, err := tile.NewDesc(len(locs), 64, 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mat := tile.NewMatrix(desc, false)
+	k := geo.Matern{Dimension: 2}
+	entries := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, theta := range maternTrajectory {
+			mat.Fill(func(t *tile.Tile, r0, c0 int) {
+				geo.CovTile(locs, r0, c0, t.M, t.N, k, theta, 1e-8, t.Data, t.N)
+				entries += t.M * t.N
+			})
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(entries), "ns/entry")
+}
+
+var maternBoundSink float64
+
+// BenchmarkMaternBound is the bound Matérn kernel alone: bind each θ once
+// and evaluate it at the n(n−1)/2 pair distances of the same 400 locations
+// — no distance computation, no tile stores.
+func BenchmarkMaternBound(b *testing.B) {
+	locs := geo.GenerateLocations(400, 2, stats.NewRNG(101, 0))
+	var hs []float64
+	for i := range locs {
+		for j := 0; j < i; j++ {
+			hs = append(hs, locs[i].Dist(locs[j]))
+		}
+	}
+	k := geo.Matern{Dimension: 2}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, theta := range maternTrajectory {
+			bk := k.Bind(theta)
+			for _, h := range hs {
+				maternBoundSink += bk.Cov(h)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(maternTrajectory)*len(hs)), "ns/entry")
 }
 
 // --- rendering helpers ---

@@ -21,7 +21,18 @@ const (
 // order ν ≥ 0, for x > 0. It returns +Inf for x == 0 (K diverges at the
 // origin), NaN for x < 0 or ν < 0 outside the reflection K_{-ν} = K_ν
 // (negative ν is mapped through that symmetry).
-func K(nu, x float64) float64 {
+func K(nu, x float64) float64 { return besselK(nu, x, false) }
+
+// KScaled returns e^x · K_ν(x), which stays finite and accurate where K
+// itself underflows (x ≳ 700). The scaled value is evaluated directly, not
+// as exp(x)·K: CF2 yields it when its e^{−x} factor is left out, and below
+// the crossover Temme's sum is multiplied by e^x ≤ e². Arguments outside
+// x > 0, ν ≥ 0 are treated as in K.
+func KScaled(nu, x float64) float64 { return besselK(nu, x, true) }
+
+// besselK evaluates K_ν(x), or e^x·K_ν(x) when scaled is set. The unscaled
+// path performs exactly the operations K always has, in the same order.
+func besselK(nu, x float64, scaled bool) float64 {
 	if math.IsNaN(nu) || math.IsNaN(x) {
 		return math.NaN()
 	}
@@ -37,6 +48,9 @@ func K(nu, x float64) float64 {
 	// Half-integer orders have closed forms; handle the common Matérn
 	// smoothness ν = 0.5 (exponential kernel) exactly and cheaply.
 	if nu == 0.5 {
+		if scaled {
+			return math.Sqrt(math.Pi / (2 * x))
+		}
 		return math.Sqrt(math.Pi/(2*x)) * math.Exp(-x)
 	}
 
@@ -47,8 +61,12 @@ func K(nu, x float64) float64 {
 	var kmu, knu1 float64 // K_μ(x), K_{μ+1}(x)
 	if x <= xCrossover {
 		kmu, knu1 = temmeSeries(mu, x)
+		if scaled {
+			ex := math.Exp(x)
+			kmu, knu1 = kmu*ex, knu1*ex
+		}
 	} else {
-		kmu, knu1 = steedCF2(mu, x)
+		kmu, knu1 = steedCF2(mu, x, scaled)
 	}
 
 	// Upward recurrence K_{ν+1} = K_{ν-1} + (2ν/x)·K_ν, forward-stable for K.
@@ -118,7 +136,9 @@ func temmeGammas(mu float64) (gam1, gam2, gampl, gammi float64) {
 
 // steedCF2 evaluates K_μ(x) and K_{μ+1}(x) for |μ| ≤ 1/2 and x > 2 via
 // Steed's continued fraction CF2 (Thompson–Barnett; cf. Numerical Recipes).
-func steedCF2(mu, x float64) (kmu, kmu1 float64) {
+// The fraction itself yields e^x·K; scaled asks for that, otherwise the
+// e^{−x} factor is applied.
+func steedCF2(mu, x float64, scaled bool) (kmu, kmu1 float64) {
 	b := 2 * (1 + x)
 	d := 1 / b
 	h := d
@@ -146,28 +166,11 @@ func steedCF2(mu, x float64) (kmu, kmu1 float64) {
 		}
 	}
 	h = a1 * h
-	kmu = math.Sqrt(math.Pi/(2*x)) * math.Exp(-x) / s
+	kmu = math.Sqrt(math.Pi / (2 * x))
+	if !scaled {
+		kmu *= math.Exp(-x)
+	}
+	kmu /= s
 	kmu1 = kmu * (mu + x + 0.5 - h) / x
 	return kmu, kmu1
-}
-
-// KScaled returns e^x · K_ν(x), useful to postpone underflow for large x.
-func KScaled(nu, x float64) float64 {
-	if x <= 0 {
-		if x == 0 {
-			return math.Inf(1)
-		}
-		return math.NaN()
-	}
-	if nu < 0 {
-		nu = -nu
-	}
-	if x > 700 {
-		// Direct K underflows; use the uniform asymptotic expansion
-		// e^x K_ν(x) ≈ sqrt(π/(2x))·(1 + (4ν²-1)/(8x) + ...).
-		m := 4 * nu * nu
-		s := 1 + (m-1)/(8*x) + (m-1)*(m-9)/(128*x*x) + (m-1)*(m-9)*(m-25)/(3072*x*x*x)
-		return math.Sqrt(math.Pi/(2*x)) * s
-	}
-	return math.Exp(x) * K(nu, x)
 }

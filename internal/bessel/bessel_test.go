@@ -149,6 +149,56 @@ func TestKScaled(t *testing.T) {
 	}
 }
 
+// TestKScaledReference pins e^x·K_ν(x) against 20-digit values (mpmath) on
+// both sides of the Temme/CF2 crossover and of x = 700, where exp(x)·K(ν,x)
+// stops being computable.
+func TestKScaledReference(t *testing.T) {
+	for _, c := range []struct{ nu, x, want float64 }{
+		{0, 0.1, 2.6823261022628943831},
+		{0, 1.9999, 0.84158740659860283202},
+		{0, 2.0001, 0.84154902487215160133},
+		{0, 50, 0.17680715585742933811},
+		{0, 700, 0.047362369454613572112},
+		{0, 701, 0.047328587433553187814},
+		{0, 5000, 0.017724095445432316158},
+		{0.3, 0.1, 3.1000668397536310002},
+		{0.3, 1.9999, 0.85742394632846498735},
+		{0.3, 2.0001, 0.85738348113343983011},
+		{0.3, 50, 0.17696479422357449434},
+		{0.3, 700, 0.047365412104601832295},
+		{0.3, 701, 0.047331623578920389561},
+		{0.3, 5000, 0.017724254947060730895},
+		{1, 0.1, 10.890182683049696574},
+		{1, 1.9999, 1.0335093314872252548},
+		{1, 2.0001, 1.0334443655287813781},
+		{1, 50, 0.1785665585588155746},
+		{1, 700, 0.047396187653494544137},
+		{1, 701, 0.04736233331979019718},
+		{1, 5000, 0.017725867766374100722},
+		{1.5, 0.1, 43.596600273666121147},
+		{1.5, 2.0001, 1.3292850019040725485},
+		{1.5, 701, 0.047404549499667414854},
+		{2.5, 0.1, 1311.8613355075896454},
+		{2.5, 1.9999, 2.8804424620308689612},
+		{2.5, 2.0001, 2.8800325820759603665},
+		{2.5, 50, 0.18809280265809336082},
+		{2.5, 700, 0.047574129575454027646},
+		{2.5, 701, 0.047539894188465738612},
+		{2.5, 5000, 0.017735175359105214456},
+	} {
+		if got := KScaled(c.nu, c.x); math.Abs(got-c.want) > 4e-15*c.want {
+			t.Errorf("KScaled(%g,%g) = %.17g, want %.17g (rel %.2g)", c.nu, c.x, got, c.want, math.Abs(got-c.want)/c.want)
+		}
+	}
+	// Out-of-domain arguments are treated as K treats them.
+	if !math.IsInf(KScaled(1, 0), 1) || !math.IsNaN(KScaled(1, -1)) || !math.IsNaN(KScaled(math.NaN(), 1)) {
+		t.Error("KScaled out-of-domain handling differs from K")
+	}
+	if KScaled(-1.3, 2) != KScaled(1.3, 2) {
+		t.Error("KScaled(-ν,x) != KScaled(ν,x)")
+	}
+}
+
 func BenchmarkKSmallX(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = K(1.0, 0.5)

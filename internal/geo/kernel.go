@@ -9,7 +9,8 @@ import (
 )
 
 // BoundKernel is a covariance function bound to a fixed θ, allowing
-// per-θ constants to be hoisted out of matrix assembly.
+// per-θ constants and tables to be hoisted out of matrix assembly. A bound
+// kernel may keep mutable per-θ state: use one from a single goroutine.
 type BoundKernel interface {
 	// Cov returns C(h) at the bound parameters.
 	Cov(h float64) float64
@@ -20,6 +21,22 @@ type Binder interface {
 	// Bind returns a single-θ evaluator.
 	Bind(theta []float64) BoundKernel
 }
+
+// Bind returns k bound to θ: k's own evaluator when it is a Binder,
+// otherwise an adapter that calls k.Cov(h, θ).
+func Bind(k Kernel, theta []float64) BoundKernel {
+	if b, ok := k.(Binder); ok {
+		return b.Bind(theta)
+	}
+	return unbound{k, theta}
+}
+
+type unbound struct {
+	k     Kernel
+	theta []float64
+}
+
+func (u unbound) Cov(h float64) float64 { return u.k.Cov(h, u.theta) }
 
 // Kernel is an isotropic, stationary covariance function C(h; θ) of the
 // distance h between two locations (§III-A).
@@ -87,38 +104,157 @@ func (k Matern) Cov(h float64, theta []float64) float64 {
 	return v
 }
 
-// maternBound is a Matérn evaluation bound to one θ, hoisting the
-// normalization 2^{1-ν}/Γ(ν) out of the per-entry path. Matrix assembly
-// evaluates the kernel n²/2 times per likelihood evaluation, so this saves
-// a Gamma call per entry.
+// maternBound is a Matérn evaluation bound to one θ. It hoists the
+// normalization 2^{1-ν}/Γ(ν) out of the per-entry path and, for ν ≠ 0.5,
+// replaces the per-entry Bessel evaluation by a lazily built table of
+//
+//	g(r) = norm·r^ν·e^r·K_ν(r),   C(h) = g(r)·e^{−r},   r = h/β,
+//
+// which is smooth in r, where K_ν itself spans hundreds of decades. Matrix
+// assembly evaluates the kernel n²/2 times per likelihood evaluation at
+// one θ; the table costs a few hundred Bessel evaluations instead.
+//
+// Contract: within 1e-14 relative of the direct evaluator (Matern.Cov) on
+// the grid of TestMaternTableMatchesDirect, the residue being the direct
+// routine's own rounding (DESIGN.md §3.1). A panel's coefficients depend
+// only on (θ, panel index), so the bits returned for an h do not depend on
+// which entries, tiles or bound kernels were evaluated before it.
+//
+// The table is filled on use: a maternBound must not be shared between
+// goroutines.
 type maternBound struct {
-	sigma2, invBeta, nu, norm float64
-	exponential               bool
+	sigma2, beta, nu, norm float64
+	tab                    *maternTable // nil: every h takes the direct path
 }
 
-func (b maternBound) Cov(h float64) float64 {
+// The table covers r ∈ (2^tabMinExp, 2^tabMaxExp] with four panels per
+// binade, so a panel is named by the exponent and the top two mantissa
+// bits of r, i.e. by Float64bits(r)>>50. Outside the range the direct
+// evaluator is used: below it (h/β < 1e-6), and above it (h/β > 512), where
+// K_ν itself is about to underflow and the direct product defines the value.
+const (
+	tabCoefs  = 13 // Chebyshev coefficients per panel
+	tabMaxNu  = 8  // truncation stays below rounding up to ν ≈ 14
+	tabMinExp = -20
+	tabMaxExp = 9
+	tabPanels = 4 * (tabMaxExp - tabMinExp)
+	tabFirst  = (1023 + tabMinExp) << 2 // Float64bits(2^tabMinExp) >> 50
+)
+
+const (
+	panelUnbuilt = iota
+	panelReady
+	panelDirect // g is not finite at some node: no table for this panel
+)
+
+type maternTable struct {
+	state [tabPanels]uint8
+	coef  [tabPanels][tabCoefs]float64
+}
+
+// chebNodes are the roots of T_N on [−1, 1]; chebWeights[k][j] takes the
+// values at those roots to the k-th Chebyshev coefficient (c_0 already
+// halved), N = tabCoefs.
+var chebNodes, chebWeights = func() (x [tabCoefs]float64, w [tabCoefs][tabCoefs]float64) {
+	for j := range x {
+		x[j] = math.Cos(math.Pi * (float64(j) + 0.5) / tabCoefs)
+		for k := range w {
+			w[k][j] = 2 * math.Cos(math.Pi*float64(k)*(float64(j)+0.5)/tabCoefs) / tabCoefs
+		}
+		w[0][j] /= 2
+	}
+	return x, w
+}()
+
+func (b *maternBound) Cov(h float64) float64 {
 	if h == 0 {
 		return b.sigma2
 	}
-	r := h * b.invBeta
-	if b.exponential {
+	r := h / b.beta
+	if b.nu == 0.5 {
 		return b.sigma2 * math.Exp(-r)
 	}
-	v := b.norm * math.Pow(r, b.nu) * bessel.K(b.nu, r)
+	if b.tab == nil {
+		return b.direct(r)
+	}
+	// Panels are right-closed, (lo, hi], as the direct routine's switch of
+	// series is (Temme up to and including r = 2): hence the −1.
+	u := math.Float64bits(r) - 1
+	p := u>>50 - tabFirst
+	if p >= tabPanels { // also r ≤ 0, ±Inf and NaN
+		return b.direct(r)
+	}
+	if s := b.tab.state[p]; s != panelReady {
+		if s == panelDirect || !b.build(p) {
+			return b.direct(r)
+		}
+	}
+	// The low 50 mantissa bits are r's position within the panel.
+	t := float64(u&(1<<50-1)+1)*(1.0/(1<<49)) - 1
+	c := &b.tab.coef[p]
+	t2 := 2 * t
+	var b1, b2 float64
+	for k := tabCoefs - 1; k > 0; k-- {
+		b1, b2 = t2*b1-b2+c[k], b1
+	}
+	v := (t*b1 - b2 + c[0]) * math.Exp(-r)
 	if math.IsNaN(v) || v < 0 {
 		return 0
 	}
 	return v
 }
 
-// Bind returns a single-θ evaluator with precomputed constants.
+// direct is Matern.Cov for ν ≠ 0.5 at r = h/β > 0, with the normalization
+// hoisted.
+func (b *maternBound) direct(r float64) float64 {
+	v := b.norm * math.Pow(r, b.nu) * bessel.K(b.nu, r)
+	if math.IsNaN(v) || v < 0 {
+		return 0 // deep tail underflow
+	}
+	return v
+}
+
+// build samples g at panel p's Chebyshev nodes with the direct routines
+// and stores its coefficients. It reports whether the panel is now ready;
+// if g is not finite at some node the panel is marked for the direct path.
+func (b *maternBound) build(p uint64) bool {
+	lo := math.Float64frombits((p + tabFirst) << 50)
+	hi := math.Float64frombits((p + tabFirst + 1) << 50)
+	mid, half := 0.5*(lo+hi), 0.5*(hi-lo)
+	var g [tabCoefs]float64
+	for j, x := range chebNodes {
+		r := mid + half*x
+		g[j] = b.norm * math.Pow(r, b.nu) * bessel.KScaled(b.nu, r)
+		if math.IsNaN(g[j]) || math.IsInf(g[j], 0) {
+			b.tab.state[p] = panelDirect
+			return false
+		}
+	}
+	c := &b.tab.coef[p]
+	for k := range c {
+		var s float64
+		for j, gj := range g {
+			s += chebWeights[k][j] * gj
+		}
+		c[k] = s
+	}
+	b.tab.state[p] = panelReady
+	return true
+}
+
+// Bind returns a single-θ evaluator with precomputed constants. It is for
+// one goroutine; see maternBound. At a θ outside the model (ν ≤ 0, β ≤ 0,
+// anything NaN) it returns what Cov returns.
 func (k Matern) Bind(theta []float64) BoundKernel {
 	sigma2, beta, nu := theta[0], theta[1], theta[2]
-	return maternBound{
-		sigma2: sigma2, invBeta: 1 / beta, nu: nu,
-		norm:        sigma2 * math.Exp2(1-nu) / math.Gamma(nu),
-		exponential: nu == 0.5,
+	b := &maternBound{
+		sigma2: sigma2, beta: beta, nu: nu,
+		norm: sigma2 * math.Exp2(1-nu) / math.Gamma(nu),
 	}
+	if nu > 0 && nu <= tabMaxNu && nu != 0.5 && beta > 0 {
+		b.tab = new(maternTable)
+	}
+	return b
 }
 
 // NumParams implements Kernel.
@@ -155,36 +291,44 @@ func CovMatrix(locs []Point, k Kernel, theta []float64, nugget float64) []float6
 // whose rows are locs[rowStart:rowStart+m] and columns
 // locs[colStart:colStart+n]. Diagonal entries receive the nugget. This is
 // the tile-generation kernel of the tiled framework: each tile is built
-// independently, in parallel, on demand. Kernels implementing Binder get
-// their per-θ constants hoisted out of the inner loop.
+// independently, on demand. A caller filling many tiles at one θ should
+// Bind once and call FillTile; the entries are the same bits either way.
 func CovTile(locs []Point, rowStart, colStart, m, n int, k Kernel, theta []float64, nugget float64, dst []float64, ldd int) {
-	if b, ok := k.(Binder); ok {
-		bk := b.Bind(theta)
-		diag := bk.Cov(0) + nugget
-		for i := 0; i < m; i++ {
-			pi := locs[rowStart+i]
-			row := dst[i*ldd : i*ldd+n]
-			for j := 0; j < n; j++ {
-				gj := colStart + j
-				if rowStart+i == gj {
-					row[j] = diag
-				} else {
-					row[j] = bk.Cov(pi.Dist(locs[gj]))
-				}
-			}
-		}
-		return
+	FillTile(Bind(k, theta), locs, rowStart, colStart, m, n, nugget, dst, ldd)
+}
+
+// FillTile is CovTile for an already bound kernel.
+func FillTile(bk BoundKernel, locs []Point, rowStart, colStart, m, n int, nugget float64, dst []float64, ldd int) {
+	diag := bk.Cov(0) + nugget
+	// A tile on the diagonal holds (i,j) and (j,i) for all i, j < sq.
+	// Dist is symmetric to the bit, so only the lower one is evaluated.
+	sq := 0
+	if rowStart == colStart {
+		sq = min(m, n)
 	}
 	for i := 0; i < m; i++ {
 		pi := locs[rowStart+i]
 		row := dst[i*ldd : i*ldd+n]
-		for j := 0; j < n; j++ {
-			gj := colStart + j
-			if rowStart+i == gj {
-				row[j] = k.Cov(0, theta) + nugget
-			} else {
-				row[j] = k.Cov(pi.Dist(locs[gj]), theta)
+		// Distances first, kernel second. Fused, each SQRTSD merges into
+		// the register holding the previous kernel value, which chains the
+		// entries one behind the other (3× slower on sqexp).
+		for j := range row {
+			row[j] = pi.Dist(locs[colStart+j])
+		}
+		for j := range row {
+			switch {
+			case rowStart+i == colStart+j:
+				row[j] = diag
+			case i < j && j < sq:
+				// mirrored below
+			default:
+				row[j] = bk.Cov(row[j])
 			}
+		}
+	}
+	for i := 0; i < sq; i++ {
+		for j := i + 1; j < sq; j++ {
+			dst[i*ldd+j] = dst[j*ldd+i]
 		}
 	}
 }

@@ -49,10 +49,11 @@ func PrecisionImpact(p *Problem, theta []float64, ureqs []float64, replicas int,
 		return nil, err
 	}
 
+	bk := geo.Bind(p.Kernel, theta)
 	buildMatrix := func() *tile.Matrix {
 		m := tile.NewMatrix(desc, false)
 		m.Fill(func(t *tile.Tile, r0, c0 int) {
-			geo.CovTile(p.Locs, r0, c0, t.M, t.N, p.Kernel, theta, p.Nugget, t.Data, t.N)
+			geo.FillTile(bk, p.Locs, r0, c0, t.M, t.N, p.Nugget, t.Data, t.N)
 		})
 		return m
 	}

@@ -145,8 +145,11 @@ func (p *Problem) NegLogLik(theta []float64, rs *RunStats) (float64, error) {
 		return 0, err
 	}
 	mat := tile.NewMatrix(desc, false)
+	// One bound kernel per evaluation: its per-θ state is shared by every
+	// tile, and it is this goroutine's alone.
+	bk := geo.Bind(p.Kernel, theta)
 	mat.Fill(func(t *tile.Tile, r0, c0 int) {
-		geo.CovTile(p.Locs, r0, c0, t.M, t.N, p.Kernel, theta, p.Nugget, t.Data, t.N)
+		geo.FillTile(bk, p.Locs, r0, c0, t.M, t.N, p.Nugget, t.Data, t.N)
 	})
 
 	var km [][]prec.Precision
