@@ -50,9 +50,9 @@ race:
 # Fig 12 weak-scaling step, the plan-cache ablation pair (fresh
 # simulation vs compiled-plan replay on the MLE-shaped loop), and the
 # parallel-sweep pair (serial reference vs 4-worker pool) and the
-# parallel-DES pair (serial event loop vs 4 rank loops on a multi-rank
-# phantom run); both pairs run at -cpu 4 — benchjson records GOMAXPROCS
-# per line, so they stay honest even on smaller hosts. The
+# event loop on a multi-rank phantom run (EngineMultiRank); both run at
+# -cpu 4 — benchjson records GOMAXPROCS per line, so they stay honest
+# even on smaller hosts. The
 # solver-ablation pair (SolverAblationDirect / SolverAblationCG) times
 # the direct-vs-iterative backend grid from internal/bench/solver.go.
 # The covariance-generation pair (CovTileMatern / MaternBound, root
@@ -66,7 +66,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'GemmNT256|SyrkTrsm256' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/linalg/ > results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'PhantomNT64$$' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/cholesky/ >> results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'Fig12WeakStep|PlanAblationMLE' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/bench/ >> results/bench_after.txt
-	$(GO) test -run '^$$' -bench 'SweepParallel|DESParallel' -benchmem -benchtime $(BENCHTIME) -cpu 4 ./internal/bench/ >> results/bench_after.txt
+	$(GO) test -run '^$$' -bench 'SweepParallel|EngineMultiRank' -benchmem -benchtime $(BENCHTIME) -cpu 4 ./internal/bench/ >> results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'SolverAblation' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/bench/ >> results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'CovTileMatern|MaternBound' -benchmem -benchtime $(BENCHTIME) -cpu 1 . >> results/bench_after.txt
 	$(GO) run ./cmd/benchjson -seed results/bench_seed.txt < results/bench_after.txt > BENCH_kernels.json

@@ -54,7 +54,7 @@ func run(args []string, out io.Writer) error {
 	chaosFaults := fs.String("chaos-faults", "", "fault plan for -chaos (default: derived kill+flaky+slow, scaled per config)")
 	schedRanks := fs.Int("sched-ranks", 4, "ranks for the -sched broadcast-topology sweep")
 	planEvals := fs.Int("plan-evals", 8, "evaluations in the -plan repeated loop")
-	v := cliflags.Register(fs, cliflags.Workers|cliflags.EngineWorkers|cliflags.Solver)
+	v := cliflags.Register(fs, cliflags.Workers|cliflags.Solver)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

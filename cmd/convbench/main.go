@@ -40,7 +40,7 @@ func run(args []string, out io.Writer) error {
 	node := fs.Bool("node", false, "use every GPU of the node (Fig 11)")
 	sizesFlag := fs.String("sizes", "", "comma-separated matrix sizes (default: per-machine sweep)")
 	ts := fs.Int("ts", 2048, "tile size")
-	v := cliflags.Register(fs, cliflags.Sched|cliflags.Faults|cliflags.PlanCache|cliflags.Workers|cliflags.EngineWorkers|cliflags.Solver)
+	v := cliflags.Register(fs, cliflags.Sched|cliflags.Faults|cliflags.PlanCache|cliflags.Workers|cliflags.Solver)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

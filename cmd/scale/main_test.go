@@ -44,19 +44,3 @@ func TestRunWorkersMatchesSerial(t *testing.T) {
 		t.Errorf("missing sweep summary:\n%s", par.String())
 	}
 }
-
-func TestRunEngineWorkersMatchesSerial(t *testing.T) {
-	// Two nodes = two ranks: the second grid point actually runs the
-	// parallel engine rather than falling back to the serial loop.
-	args := []string{"-weak", "-nodes", "1,2", "-base-n", "8192"}
-	var serial, par bytes.Buffer
-	if err := run(args, &serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(append(args, "-engine-workers", "2"), &par); err != nil {
-		t.Fatal(err)
-	}
-	if par.String() != serial.String() {
-		t.Errorf("-engine-workers 2 changed the table:\nserial:\n%s\nparallel:\n%s", serial.String(), par.String())
-	}
-}

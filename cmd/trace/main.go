@@ -47,7 +47,7 @@ func run(args []string, out io.Writer) error {
 	chrome := fs.String("chrome", "", "write the timeline as Chrome trace-event JSON to this file")
 	audit := fs.Bool("audit", false, "run the engine's invariant auditor; violations are fatal")
 	metrics := fs.Bool("metrics", false, "dump the run's metrics registry after the schedule")
-	v := cliflags.Register(fs, cliflags.Sched|cliflags.Faults|cliflags.PlanCache|cliflags.EngineWorkers|cliflags.Solver)
+	v := cliflags.Register(fs, cliflags.Sched|cliflags.Faults|cliflags.PlanCache|cliflags.Solver)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -85,13 +85,13 @@ func run(args []string, out io.Writer) error {
 		}
 		scfg := solverpkg.Config{
 			Desc: d, Maps: maps, Platform: plat, Trace: true, Audit: *audit,
-			Faults: injector, Sched: pol, Bcast: topo, EngineWorkers: v.EngineWorkers,
+			Faults: injector, Sched: pol, Bcast: topo,
 		}
 		return traceSolver(be, scfg, v.PlanCache, *iters, *metrics, out)
 	}
 	cfg := cholesky.Config{
 		Desc: d, Maps: maps, Platform: plat, Trace: true, Audit: *audit, Faults: injector,
-		Sched: pol, Bcast: topo, EngineWorkers: v.EngineWorkers,
+		Sched: pol, Bcast: topo,
 	}
 	var cache *planpkg.Cache
 	if v.PlanCache {

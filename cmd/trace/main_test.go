@@ -66,20 +66,6 @@ func TestRunPlanCacheRefusesChrome(t *testing.T) {
 	}
 }
 
-func TestRunEngineWorkersMatchesSerial(t *testing.T) {
-	args := []string{"-nt", "4", "-gpus", "2"}
-	var serial, par bytes.Buffer
-	if err := run(args, &serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(append(args, "-engine-workers", "2"), &par); err != nil {
-		t.Fatal(err)
-	}
-	if par.String() != serial.String() {
-		t.Errorf("-engine-workers 2 changed the output:\nserial:\n%s\nparallel:\n%s", serial.String(), par.String())
-	}
-}
-
 func TestRunSolverDirectByteIdentical(t *testing.T) {
 	// -solver direct must be a no-op: the default path's bytes, unchanged.
 	args := []string{"-nt", "4", "-gpus", "2"}

@@ -82,7 +82,6 @@ func ChaosAblationOpts(node *hw.NodeSpec, gpus, n, ts int, spec string, so Sweep
 		maps := precmap.New(cfg.KernelMap(desc.NT), 1e-2)
 		base, err := cholesky.Run(cholesky.Config{
 			Desc: desc, Maps: maps, Platform: plat, Strategy: cholesky.Auto,
-			EngineWorkers: so.EnginePerPoint(len(cfgs)),
 		})
 		if err != nil {
 			return [2]ChaosRow{}, fmt.Errorf("bench: chaos baseline %s: %w", cfg.Name, err)
@@ -95,7 +94,6 @@ func ChaosAblationOpts(node *hw.NodeSpec, gpus, n, ts int, spec string, so Sweep
 		chaos, err := cholesky.Run(cholesky.Config{
 			Desc: desc, Maps: maps, Platform: plat, Strategy: cholesky.Auto,
 			Faults: plan, Audit: true,
-			EngineWorkers: so.EnginePerPoint(len(cfgs)),
 		})
 		if err != nil {
 			return [2]ChaosRow{}, fmt.Errorf("bench: chaos run %s: %w", cfg.Name, err)

@@ -150,7 +150,6 @@ func convSweep(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts int, f
 		res, err := be.SolveCached(solver.Config{
 			Desc: desc, Maps: maps, Platform: plat, Strategy: p.strat,
 			Faults: faults, Sched: pol, Bcast: topo,
-			EngineWorkers: so.EnginePerPoint(len(pts)),
 		}, ctx.Cache)
 		if err != nil {
 			return ConvRow{}, fmt.Errorf("bench: %s %v n=%d: %w", p.cfg.Name, p.strat, p.n, err)

@@ -1,14 +1,11 @@
 package bench
 
-// The DESParallel pair measures the conservative parallel DES engine
-// against the serial event loop on one multi-rank phantom factorization
-// (N=196608, NT=96, 4 ranks × 2 GPUs — a Fig 12-scale shape; set
-// GEOMPC_BENCH_FULL for the paper's strong-scaling N=798720, minutes per
-// run). Schedules are bit-identical by contract — the pair's digest
-// cross-check enforces it — so the only difference is wall-clock time.
-// Run with -cpu 4 (see the Makefile bench target); on a single-core host
-// the rank loops cannot overlap and the pair simply documents the
-// coordinator's overhead.
+// EngineMultiRank times the event loop on one multi-rank phantom
+// factorization (N=196608, NT=96, 4 ranks × 2 GPUs — a Fig 12-scale shape;
+// set GEOMPC_BENCH_FULL for the paper's strong-scaling N=798720, minutes
+// per run) and cross-checks that every iteration reproduces the first
+// run's digest. The committed series was recorded at -cpu 4 (see the
+// Makefile bench target).
 
 import (
 	"os"
@@ -22,7 +19,7 @@ import (
 	"geompc/internal/tile"
 )
 
-func desParallelRun(b *testing.B, workers int) {
+func BenchmarkEngineMultiRank(b *testing.B) {
 	n, ts, ranks := 196608, 2048, 4
 	if os.Getenv("GEOMPC_BENCH_FULL") != "" {
 		n = 798720
@@ -39,7 +36,6 @@ func desParallelRun(b *testing.B, workers int) {
 	maps := precmap.New(precmap.Uniform(desc.NT, prec.FP16x32), 1e-2)
 	cfg := cholesky.Config{
 		Desc: desc, Maps: maps, Platform: plat, Strategy: cholesky.Auto,
-		EngineWorkers: workers,
 	}
 	var digest uint64
 	var tasks int
@@ -60,7 +56,3 @@ func desParallelRun(b *testing.B, workers int) {
 		b.ReportMetric(float64(tasks*b.N)/sec, "tasks/s")
 	}
 }
-
-func BenchmarkDESParallelSerial(b *testing.B) { desParallelRun(b, 0) }
-
-func BenchmarkDESParallelW4(b *testing.B) { desParallelRun(b, 4) }

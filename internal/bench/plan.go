@@ -75,7 +75,6 @@ func PlanAblationBackend(n, ts, k int, node *hw.NodeSpec, backend string, so Swe
 	maps := precmap.New(ConvConfig{OffDiag: prec.FP16x32}.KernelMap(desc.NT), 1e-4)
 	cfg := solver.Config{
 		Desc: desc, Maps: maps, Platform: plat, Strategy: solver.Auto,
-		EngineWorkers: so.EnginePerPoint(2),
 	}
 
 	type variant struct {

@@ -93,7 +93,6 @@ func runScale(cfg scaleConfig, nodes, n, ts int, seed uint64, faultSpec string, 
 	res, err := cholesky.Run(cholesky.Config{
 		Desc: desc, Maps: maps, Platform: plat, Strategy: cholesky.Auto,
 		Faults: faults, Sched: pol, Bcast: topo,
-		EngineWorkers: so.EngineWorkers,
 	})
 	if err != nil {
 		return ScaleRow{}, fmt.Errorf("bench: scale %s nodes=%d n=%d: %w", cfg.name, nodes, n, err)
@@ -129,7 +128,6 @@ func WeakScalingFaults(nodeCounts []int, baseN, ts int, faultSpec string) ([]Sca
 // point per node count (parallel when so.Workers > 0).
 func WeakScalingOpts(nodeCounts []int, baseN, ts int, faultSpec string, so SchedOpts) ([]ScaleRow, error) {
 	base := float64(nodeCounts[0])
-	so.EngineWorkers = so.EnginePerPoint(len(nodeCounts))
 	return sweep.Run(len(nodeCounts), so.sweepOptions(), func(i int, ctx *sweep.Context) (ScaleRow, error) {
 		nodes := nodeCounts[i]
 		n := int(float64(baseN) * math.Sqrt(float64(nodes)/base))
@@ -154,7 +152,6 @@ func StrongScalingFaults(nodeCounts []int, n, ts int, faultSpec string) ([]Scale
 // fault plan plus a named scheduling policy and broadcast topology, one
 // sweep point per node count (parallel when so.Workers > 0).
 func StrongScalingOpts(nodeCounts []int, n, ts int, faultSpec string, so SchedOpts) ([]ScaleRow, error) {
-	so.EngineWorkers = so.EnginePerPoint(len(nodeCounts))
 	return sweep.Run(len(nodeCounts), so.sweepOptions(), func(i int, ctx *sweep.Context) (ScaleRow, error) {
 		return runScale(scaleConfig{name: "FP64", uniform: prec.FP64}, nodeCounts[i], n, ts, 1, faultSpec, so, ctx.Reg)
 	})

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	gort "runtime"
 
 	"geompc/internal/cholesky"
 	"geompc/internal/comm"
@@ -25,44 +24,11 @@ type SweepOpts struct {
 	// Workers is the executor pool size: 0 = serial, n > 0 = n workers,
 	// negative = GOMAXPROCS.
 	Workers int
-	// EngineWorkers selects each grid point's engine mode
-	// (cholesky.Config.EngineWorkers): 0 = the serial event loop, n > 0 =
-	// the conservative parallel DES engine with n rank loops, -1 = auto.
-	// Every setting produces bit-identical rows; the knob only changes
-	// wall-clock time. Auto composes the two pools under one core budget —
-	// see EnginePerPoint.
-	EngineWorkers int
 	// Metrics, when non-nil, receives every run's engine metrics merged in
 	// grid order plus the sweep/* throughput gauges.
 	Metrics *obs.Registry
 	// Summary, when non-nil, is filled with the sweep's throughput report.
 	Summary *sweep.Summary
-}
-
-// EnginePerPoint resolves EngineWorkers for a sweep over gridSize points.
-// Explicit settings (0 or positive) pass through; auto (-1) divides the
-// machine between the two levels of parallelism so a parallel sweep of
-// parallel engines never oversubscribes: each point's engine gets
-// GOMAXPROCS divided by the sweep pool size, floored at 1.
-func (o SweepOpts) EnginePerPoint(gridSize int) int {
-	if o.EngineWorkers >= 0 {
-		return o.EngineWorkers
-	}
-	pool := o.Workers
-	if pool < 0 {
-		pool = gort.GOMAXPROCS(0)
-	}
-	if pool > gridSize {
-		pool = gridSize
-	}
-	if pool <= 0 {
-		pool = 1
-	}
-	per := gort.GOMAXPROCS(0) / pool
-	if per < 1 {
-		per = 1
-	}
-	return per
 }
 
 // sweepOptions translates the bench-level knobs into executor options.
@@ -145,7 +111,7 @@ func SchedAblationOpts(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, t
 		maps := precmap.New(precmap.Uniform(desc.NT, prec.FP16x32), 1e-2)
 		res, err := cholesky.Run(cholesky.Config{
 			Desc: desc, Maps: maps, Platform: plat, Strategy: cholesky.Auto,
-			Sched: p.pol, EngineWorkers: so.EnginePerPoint(len(pts)),
+			Sched: p.pol,
 		})
 		if err != nil {
 			return SchedRow{}, fmt.Errorf("bench: sched %s n=%d: %w", p.pol.Name(), p.n, err)
@@ -207,7 +173,7 @@ func BcastAblationOpts(node *hw.NodeSpec, ranks int, sizes []int, ts int, so Swe
 		maps := precmap.New(precmap.Uniform(desc.NT, prec.FP16x32), 1e-2)
 		res, err := cholesky.Run(cholesky.Config{
 			Desc: desc, Maps: maps, Platform: plat, Strategy: cholesky.Auto,
-			Bcast: p.topo, EngineWorkers: so.EnginePerPoint(len(pts)),
+			Bcast: p.topo,
 		})
 		if err != nil {
 			return BcastRow{}, fmt.Errorf("bench: bcast %s n=%d: %w", p.topo.Name(), p.n, err)

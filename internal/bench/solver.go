@@ -28,7 +28,7 @@ type SolverRow struct {
 	// Iterations is the CG iteration count (0 for direct).
 	Iterations int
 	// Digest is the run's folded FNV-1a schedule digest — bit-identical
-	// across sweep worker counts and engine modes.
+	// across sweep worker counts.
 	Digest uint64
 }
 
@@ -92,7 +92,6 @@ func solverAblation(node *hw.NodeSpec, ranks, gpusPerRank int, backends []string
 		res, err := b.SolveCached(solver.Config{
 			Desc: desc, Maps: maps, Platform: plat, Strategy: p.strat,
 			Sched: pol, Bcast: topo,
-			EngineWorkers: so.EnginePerPoint(len(pts)),
 		}, ctx.Cache)
 		if err != nil {
 			return SolverRow{}, fmt.Errorf("bench: solver %s %v n=%d: %w", p.backend, p.strat, p.n, err)

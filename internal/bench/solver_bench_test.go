@@ -57,7 +57,7 @@ func TestSolverAblationDeterministic(t *testing.T) {
 		t.Fatalf("grid has %d rows, want 4", len(serial))
 	}
 	par, err := SolverAblation(hw.SummitNode, 2, 2, sizes, 2048,
-		SchedOpts{SweepOpts: SweepOpts{Workers: 4, EngineWorkers: 2}})
+		SchedOpts{SweepOpts: SweepOpts{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,7 @@ type chunkOut struct {
 }
 
 func planOpts(cfg solver.Config) plan.Options {
-	return plan.Options{Policy: cfg.Sched, Bcast: cfg.Bcast, Lookahead: cfg.Lookahead, Audit: cfg.Audit, Workers: cfg.EngineWorkers}
+	return plan.Options{Policy: cfg.Sched, Bcast: cfg.Bcast, Lookahead: cfg.Lookahead, Audit: cfg.Audit}
 }
 
 // runChunk executes one chunk live or through the plan cache. Chunks with
@@ -180,7 +180,6 @@ func runChunk(cfg solver.Config, cp chunkParams, st *state, errv *atomic.Value, 
 	eng.Inject(cfg.Faults)
 	eng.Policy = cfg.Sched
 	eng.Bcast = cfg.Bcast
-	eng.EngineWorkers = cfg.EngineWorkers
 	if cfg.Lookahead > 0 {
 		eng.Lookahead = cfg.Lookahead
 	}

@@ -3,10 +3,10 @@
 // per-iteration precision switching. Every iteration is emitted as engine
 // tasks — a tile-parallel SpMV chain per segment, FP64 dot-product
 // reductions, and the vector updates — so communication links, scheduling
-// policies, broadcast topologies, fault injection, the auditor and the
-// parallel DES engine all apply to it unchanged. Iterations are grouped
-// into fixed-size chunks; each chunk is one engine run, and convergence is
-// checked deterministically at chunk boundaries on the virtual clock.
+// policies, broadcast topologies, fault injection and the auditor all
+// apply to it unchanged. Iterations are grouped into fixed-size chunks;
+// each chunk is one engine run, and convergence is checked
+// deterministically at chunk boundaries on the virtual clock.
 // See DESIGN.md §6i for the DAG shape and the precision-switch rule.
 package cg
 
@@ -100,22 +100,12 @@ type graph struct {
 
 	st *state // nil in phantom mode
 
-	// err is shared (by pointer) across shard views: any rank's numeric
-	// failure (CG breakdown) is the run's failure.
+	// err is shared (by pointer) across a solve's chunk graphs: any chunk's
+	// numeric failure (CG breakdown) is the solve's failure.
 	err *atomic.Value
 
 	rankSeen []int64 // scratch: per-rank visit stamps for RemoteRanks dedupe
 	stamp    int64
-}
-
-// ShardView implements runtime.ShardableGraph: Spec mutates the
-// rankSeen/stamp dedupe scratch, so each rank shard clones it; everything
-// else is immutable or internally synchronized and shared.
-func (g *graph) ShardView() runtime.Graph {
-	v := *g
-	v.rankSeen = make([]int64, g.plat.Ranks)
-	v.stamp = 0
-	return &v
 }
 
 func (g *graph) NumTasks() int { return g.total }
@@ -542,10 +532,7 @@ func (g *graph) Err() error {
 	return nil
 }
 
-var (
-	_ runtime.Graph          = (*graph)(nil)
-	_ runtime.ShardableGraph = (*graph)(nil)
-)
+var _ runtime.Graph = (*graph)(nil)
 
 // newGraph validates the chunk configuration and builds its task graph.
 func newGraph(cfg solver.Config, cp chunkParams, st *state, err *atomic.Value) (*graph, error) {

@@ -19,7 +19,7 @@ var ErrNotSPD = errors.New("matrix not SPD")
 // chunk. Vector segments are written by exactly one task per iteration and
 // the reduction chain orders iterations transitively (the engine joins a
 // task's body before its successors commit), so the single-buffer layout
-// is race-free at every EngineWorkers setting.
+// is race-free.
 type state struct {
 	desc tile.Desc
 	mat  *tile.Matrix

@@ -37,7 +37,7 @@ func directConfig(sc solver.Config) Config {
 		Desc: sc.Desc, Maps: sc.Maps, Platform: sc.Platform, Matrix: sc.Matrix,
 		Strategy: sc.Strategy, Trace: sc.Trace, Audit: sc.Audit,
 		Lookahead: sc.Lookahead, Faults: sc.Faults, Sched: sc.Sched,
-		Bcast: sc.Bcast, EngineWorkers: sc.EngineWorkers,
+		Bcast: sc.Bcast,
 	}
 }
 

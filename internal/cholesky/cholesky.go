@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync/atomic"
 
 	"geompc/internal/comm"
 	"geompc/internal/obs"
@@ -49,11 +48,9 @@ type Config struct {
 	// Bcast selects the inter-rank broadcast topology. Nil means
 	// comm.Binomial{}, the historical arithmetic.
 	Bcast comm.Topology
-	// EngineWorkers selects the engine's execution mode: 0 runs the classic
-	// serial event loop, a positive value runs the conservative parallel DES
-	// engine with at most that many rank loops executing concurrently, and
-	// -1 means GOMAXPROCS. Statistics, schedule digests and the numeric
-	// factor are bit-identical at every setting (see runtime.Engine).
+	// Deprecated: has no effect, the engine is serial. Nothing reads it;
+	// the field remains only until the end-to-end benchmark stops assigning
+	// it.
 	EngineWorkers int
 }
 
@@ -130,7 +127,6 @@ func Run(cfg Config) (*Result, error) {
 	eng.Inject(cfg.Faults)
 	eng.Policy = cfg.Sched
 	eng.Bcast = cfg.Bcast
-	eng.EngineWorkers = cfg.EngineWorkers
 	if cfg.Lookahead > 0 {
 		eng.Lookahead = cfg.Lookahead
 	}
@@ -164,7 +160,6 @@ func newGraph(cfg Config) (*graph, error) {
 		plat:     cfg.Platform,
 		strat:    cfg.Strategy,
 		mat:      cfg.Matrix,
-		err:      new(atomic.Value),
 		rankSeen: make([]int64, cfg.Platform.Ranks),
 	}
 	if err := g.validate(); err != nil {

@@ -24,7 +24,6 @@ func RunDTD(cfg Config) (*Result, error) {
 	eng.Inject(cfg.Faults)
 	eng.Policy = cfg.Sched
 	eng.Bcast = cfg.Bcast
-	eng.EngineWorkers = cfg.EngineWorkers
 	if cfg.Lookahead > 0 {
 		eng.Lookahead = cfg.Lookahead
 	}

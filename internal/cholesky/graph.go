@@ -41,23 +41,10 @@ type graph struct {
 	// TTC). Indexed like the packed lower triangle.
 	wire [][]float64
 
-	// err is shared (by pointer) across shard views: any rank's numeric
-	// failure is the run's failure.
-	err *atomic.Value // first numeric error (POTRF failure)
+	err atomic.Value // first numeric error (POTRF failure)
 
 	rankSeen []int64 // scratch: per-rank visit stamps for RemoteRanks dedupe
 	stamp    int64
-}
-
-// ShardView implements runtime.ShardableGraph. Spec mutates the
-// rankSeen/stamp dedupe scratch, so each rank shard gets a clone with its
-// own scratch; everything else (descriptor, maps, matrix, wire buffers, the
-// error slot) is immutable or internally synchronized and is shared.
-func (g *graph) ShardView() runtime.Graph {
-	v := *g
-	v.rankSeen = make([]int64, g.plat.Ranks)
-	v.stamp = 0
-	return &v
 }
 
 func (g *graph) NumTasks() int { return g.numTasks }
@@ -394,10 +381,7 @@ func (g *graph) Err() error {
 	return nil
 }
 
-var (
-	_ runtime.Graph          = (*graph)(nil)
-	_ runtime.ShardableGraph = (*graph)(nil)
-)
+var _ runtime.Graph = (*graph)(nil)
 
 func (g *graph) validate() error {
 	if g.maps.NT != g.desc.NT {

@@ -69,7 +69,7 @@ func armedFaults(cfg Config) bool {
 
 // planOpts converts a Config into plan compile options.
 func planOpts(cfg Config) plan.Options {
-	return plan.Options{Policy: cfg.Sched, Bcast: cfg.Bcast, Lookahead: cfg.Lookahead, Audit: cfg.Audit, Workers: cfg.EngineWorkers}
+	return plan.Options{Policy: cfg.Sched, Bcast: cfg.Bcast, Lookahead: cfg.Lookahead, Audit: cfg.Audit}
 }
 
 // buildFront constructs the task system for the chosen front-end: the

@@ -28,8 +28,6 @@ const (
 	PlanCache
 	// Workers registers -workers.
 	Workers
-	// EngineWorkers registers -engine-workers.
-	EngineWorkers
 	// Solver registers -solver.
 	Solver
 )
@@ -50,11 +48,6 @@ type Values struct {
 	// Workers is the -workers count: 0 = serial, n > 0 = n-worker pool,
 	// negative = GOMAXPROCS.
 	Workers int
-	// EngineWorkers is the -engine-workers count: 0 = the serial event
-	// loop, n > 0 = the conservative parallel DES engine with n rank
-	// loops, negative = auto (composed with -workers under one core
-	// budget; see bench.SweepOpts.EnginePerPoint).
-	EngineWorkers int
 	// Solver is the -solver backend name (solver.ByName spelling;
 	// "direct" unless overridden).
 	Solver string
@@ -77,9 +70,6 @@ func Register(fs *flag.FlagSet, set Set) *Values {
 	if set&Workers != 0 {
 		fs.IntVar(&v.Workers, "workers", 0, "parallel sweep workers: 0 = serial, -1 = one per core; results are bit-identical at any setting")
 	}
-	if set&EngineWorkers != 0 {
-		fs.IntVar(&v.EngineWorkers, "engine-workers", 0, "parallel DES engine rank loops per run: 0 = serial event loop, -1 = auto; schedules and factors are bit-identical at any setting")
-	}
 	if set&Solver != 0 {
 		fs.StringVar(&v.Solver, "solver", "direct", "solver backend: direct (tile Cholesky) or cg (mixed-precision conjugate gradient)")
 	}
@@ -99,7 +89,7 @@ func (v *Values) SchedOpts() bench.SchedOpts {
 
 // SweepOpts returns just the sweep-execution knobs.
 func (v *Values) SweepOpts() bench.SweepOpts {
-	return bench.SweepOpts{Workers: v.Workers, EngineWorkers: v.EngineWorkers}
+	return bench.SweepOpts{Workers: v.Workers}
 }
 
 // Injector parses the -faults value against the platform's device count;

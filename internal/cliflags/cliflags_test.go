@@ -36,36 +36,10 @@ func TestRegisterSelectsGroups(t *testing.T) {
 	}
 }
 
-func TestRegisterEngineWorkers(t *testing.T) {
-	fs := newFS()
-	v := Register(fs, Workers|EngineWorkers)
-	if err := fs.Parse([]string{"-workers", "2", "-engine-workers", "3"}); err != nil {
-		t.Fatal(err)
-	}
-	if v.EngineWorkers != 3 {
-		t.Errorf("EngineWorkers = %d, want 3", v.EngineWorkers)
-	}
-	if sw := v.SweepOpts(); sw.Workers != 2 || sw.EngineWorkers != 3 {
-		t.Errorf("SweepOpts() = %+v, want Workers 2 EngineWorkers 3", sw)
-	}
-	if so := v.SchedOpts(); so.EngineWorkers != 3 {
-		t.Errorf("SchedOpts() dropped EngineWorkers: %+v", so)
-	}
-	// Auto spelling parses too.
-	fs2 := newFS()
-	v2 := Register(fs2, EngineWorkers)
-	if err := fs2.Parse([]string{"-engine-workers", "-1"}); err != nil {
-		t.Fatal(err)
-	}
-	if v2.EngineWorkers != -1 {
-		t.Errorf("EngineWorkers = %d, want -1", v2.EngineWorkers)
-	}
-}
-
 func TestRegisterOmitsUnselectedGroups(t *testing.T) {
 	fs := newFS()
 	Register(fs, Workers)
-	for _, name := range []string{"sched", "bcast", "faults", "plan-cache", "engine-workers"} {
+	for _, name := range []string{"sched", "bcast", "faults", "plan-cache", "solver"} {
 		if fs.Lookup(name) != nil {
 			t.Errorf("flag -%s registered without its group", name)
 		}

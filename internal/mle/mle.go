@@ -20,7 +20,6 @@ import (
 	"geompc/internal/geo"
 	"geompc/internal/linalg"
 	"geompc/internal/optimize"
-	"geompc/internal/plan"
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
@@ -49,13 +48,6 @@ type Problem struct {
 	Platform *runtime.Platform
 	// Strategy for communication conversion (Auto = the paper's approach).
 	Strategy cholesky.Strategy
-	// PlanCache, when non-nil, shares one compiled schedule across all the
-	// likelihood evaluations of this problem: every evaluation factorizes
-	// the same tile DAG on the same platform, so after the first compile
-	// each evaluation pays only the numeric bodies (see internal/plan).
-	// Fit additionally memoizes the objective when a cache is set — the
-	// optimizer's restart loop re-evaluates incumbents bit-exactly.
-	PlanCache *plan.Cache
 	// Solver selects the solve path of each likelihood evaluation: "" or
 	// "direct" factorizes Σ with the adaptive mixed-precision Cholesky;
 	// "cg" solves Σ⁻¹Z iteratively (internal/cg) and estimates log|Σ| by
@@ -102,6 +94,19 @@ type RunStats struct {
 	Iterations int
 	// Rejected counts evaluations where the covariance was not SPD.
 	Rejected int
+}
+
+// Merge adds every field of o into s.
+func (s *RunStats) Merge(o RunStats) {
+	s.Evaluations += o.Evaluations
+	s.Time += o.Time
+	s.Energy += o.Energy
+	s.Flops += o.Flops
+	s.BytesH2D += o.BytesH2D
+	s.BytesD2H += o.BytesD2H
+	s.BytesNet += o.BytesNet
+	s.Iterations += o.Iterations
+	s.Rejected += o.Rejected
 }
 
 func (s *RunStats) accumulate(st runtime.Stats) {
@@ -170,9 +175,9 @@ func (p *Problem) NegLogLik(theta []float64, rs *RunStats) (float64, error) {
 		return 0, fmt.Errorf("mle: unknown solver %q (have direct, cg)", p.Solver)
 	}
 
-	res, err := cholesky.RunCached(cholesky.Config{
+	res, err := cholesky.Run(cholesky.Config{
 		Desc: desc, Maps: maps, Platform: p.Platform, Matrix: mat, Strategy: p.Strategy,
-	}, p.PlanCache)
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -273,12 +278,6 @@ func Fit(p *Problem, start, lo, hi []float64, opt optimize.Options) (*FitResult,
 		}
 		return out
 	}
-	if p.PlanCache != nil {
-		// A plan cache signals a repeated-evaluation workload; memoizing the
-		// objective removes the optimizer's bit-exact repeat evaluations too
-		// (the restart loop re-probes incumbents at identical coordinates).
-		opt.Memoize = true
-	}
 	res, err := optimize.Minimize(obj, logOf(start), logOf(lo), logOf(hi), opt)
 	if err != nil {
 		return nil, err
@@ -353,12 +352,6 @@ type MCConfig struct {
 	Platform  *runtime.Platform
 	// MaxEvals bounds optimizer evaluations per fit (default 600).
 	MaxEvals int
-	// PlanCache gives each replica its own compiled-plan cache: within a
-	// replica every likelihood evaluation shares one schedule, while
-	// replicas stay isolated (their data — and so their precision maps —
-	// differ, and sharing one cache across workers would thrash the single
-	// per-shape slot).
-	PlanCache bool
 	// Solver selects each replica's solve path (see Problem.Solver).
 	Solver string
 }
@@ -423,11 +416,7 @@ func MonteCarlo(cfg MCConfig) ([]MCResult, error) {
 			for i := 0; i < np; i++ {
 				mc.Estimates[i] = append(mc.Estimates[i], fit.Theta[i])
 			}
-			mc.Stats.Evaluations += fit.Stats.Evaluations
-			mc.Stats.Time += fit.Stats.Time
-			mc.Stats.Energy += fit.Stats.Energy
-			mc.Stats.Flops += fit.Stats.Flops
-			mc.Stats.Rejected += fit.Stats.Rejected
+			mc.Stats.Merge(fit.Stats)
 		}
 		results = append(results, mc)
 	}
@@ -455,9 +444,6 @@ func runReplica(cfg MCConfig, ureq float64, r, np int) (o mcOutcome) {
 		Locs: locs, Z: z, Kernel: cfg.Kernel, Nugget: cfg.Nugget,
 		TileSize: cfg.TileSize, UReq: ureq, Platform: cfg.Platform,
 		Solver: cfg.Solver,
-	}
-	if cfg.PlanCache {
-		p.PlanCache = plan.NewCache(nil)
 	}
 	start, lo, hi := DefaultBounds(np)
 	fit, err := Fit(p, start, lo, hi, optimize.Options{Tol: 1e-9, MaxEvals: cfg.MaxEvals})

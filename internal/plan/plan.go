@@ -78,11 +78,6 @@ type Options struct {
 	Bcast     comm.Topology
 	Lookahead int
 	Audit     bool
-	// Workers selects the compile run's engine mode (runtime.Engine's
-	// EngineWorkers). It is deliberately absent from plan shape signatures:
-	// the parallel engine's schedules are bit-identical to serial, so a plan
-	// compiled under either mode replays configs of both.
-	Workers int
 }
 
 // recorder accumulates the engine's commit/completion stream into a plan.
@@ -104,7 +99,6 @@ func Compile(plat *runtime.Platform, g runtime.Graph, sig, precSig uint64, opts 
 	eng.Audit = opts.Audit
 	eng.Policy = opts.Policy
 	eng.Bcast = opts.Bcast
-	eng.EngineWorkers = opts.Workers
 	if opts.Lookahead > 0 {
 		eng.Lookahead = opts.Lookahead
 	}

@@ -152,8 +152,7 @@ func (g *DTDGraph) Insert(spec TaskSpec, accesses ...Access) (int, error) {
 func (g *DTDGraph) NumTasks() int { return len(g.tasks) }
 
 // Spec implements Graph. It is a pure read: sealing against further Inserts
-// happens in Seal (called once by the engine at Run start), so concurrent
-// Spec calls from parallel-mode rank shards are race-free.
+// happens in Seal, called once by the engine at Run start.
 func (g *DTDGraph) Spec(id int, s *TaskSpec) {
 	*s = g.tasks[id].spec
 }
@@ -161,11 +160,6 @@ func (g *DTDGraph) Spec(id int, s *TaskSpec) {
 // Seal marks the graph as executing: further Inserts fail. The engine calls
 // this at the start of every Run.
 func (g *DTDGraph) Seal() { g.sealed = true }
-
-// ShardView implements ShardableGraph. The built graph is immutable once
-// sealed and every accessor is a pure read, so all rank shards can share the
-// receiver directly.
-func (g *DTDGraph) ShardView() Graph { return g }
 
 // NumPredecessors implements Graph.
 func (g *DTDGraph) NumPredecessors(id int) int { return len(g.tasks[id].preds) }

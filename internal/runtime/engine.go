@@ -51,15 +51,6 @@ type Engine struct {
 	// what a compiled plan replays.
 	Recorder PlanRecorder
 
-	// EngineWorkers selects the execution mode. 0 (the default) runs the
-	// classic single-threaded event loop. A positive value runs the
-	// conservative parallel DES mode — one event loop per rank, at most
-	// EngineWorkers rank loops executing concurrently — and -1 means
-	// GOMAXPROCS. Parallel mode needs a multi-rank platform and a graph
-	// implementing ShardableGraph; anything else falls back to the serial
-	// loop. Results are bit-identical at every worker count (parallel.go).
-	EngineWorkers int
-
 	devices []*device
 	// nics holds one comm.Link per rank: the send side of its broadcasts.
 	nics []*comm.Link
@@ -79,7 +70,6 @@ type Engine struct {
 	hostDense    []float64
 	hostDenseBuf []float64 // retained across runs to avoid regrowth
 	hostBound    int
-	hostStride   int // dense index row stride: hostBound serial, 0 on a shard
 	pending      []int32
 	events       []event
 	specFree     []*TaskSpec
@@ -120,12 +110,6 @@ type Engine struct {
 
 	workers *workerPool
 
-	// shard is non-nil only on a parallel-mode rank engine: commit /
-	// complete / publish reroute their cross-rank effects and observability
-	// writes through it instead of acting globally. Serial runs never touch
-	// it, so the classic path stays bit- and branch-identical.
-	shard *desShard
-
 	schedule []ScheduledTask
 
 	// observability: per-wire-precision byte totals, the schedule digest,
@@ -164,32 +148,17 @@ func (e *Engine) Inject(fi FaultInjector) { e.injector = fi }
 // error. With Audit enabled, invariant violations are reported as an error
 // after the run.
 func (e *Engine) Run() (Stats, error) {
-	if e.EngineWorkers != 0 {
-		if st, err, handled := e.runParallel(); handled {
-			return st, err
-		}
-	}
-	return e.runSerial()
-}
-
-// sealGraph invokes the graph's optional Seal hook before the first Spec
-// call, so graphs that forbid mutation during execution can latch that flag
-// once, outside any concurrent read path.
-func (e *Engine) sealGraph() {
-	if s, ok := e.g.(interface{ Seal() }); ok {
-		s.Seal()
-	}
-}
-
-// runSerial is the classic single-threaded event loop.
-func (e *Engine) runSerial() (Stats, error) {
 	if e.Audit {
 		e.Trace = true // the energy-conservation check needs the intervals
 	}
-	e.sealGraph()
+	// Graphs that forbid mutation during execution latch that here, before
+	// the first Spec call.
+	if s, ok := e.g.(interface{ Seal() }); ok {
+		s.Seal()
+	}
 	n := e.g.NumTasks()
 	e.resolveSched()
-	e.hostAvail, e.hostDense, e.hostBound, e.hostStride = nil, nil, 0, 0
+	e.hostAvail, e.hostDense, e.hostBound = nil, nil, 0
 	if b, ok := e.g.(DataBounder); ok {
 		// Cap the dense tables' footprint; graphs with huge sparse id
 		// spaces fall back to the maps.
@@ -204,7 +173,6 @@ func (e *Engine) runSerial() (Stats, error) {
 			for i := range e.hostDense {
 				e.hostDense[i] = hostAbsent
 			}
-			e.hostStride = e.hostBound
 		}
 	}
 	if e.hostDense == nil {
@@ -323,9 +291,6 @@ func (e *Engine) enqueueReady(id int) int {
 	if d.ready.Len() > d.maxReady {
 		d.maxReady = d.ready.Len()
 	}
-	if e.shard != nil {
-		e.shard.recEnqueue(id, d.id)
-	}
 	return d.id
 }
 
@@ -381,11 +346,7 @@ func (e *Engine) commit(d *device, spec *TaskSpec) {
 		d.stats.BytesH2D += bytes
 		e.bytesH2D[wp] += bytes
 		d.stats.TransferTime += dur
-		if e.shard != nil {
-			e.shard.recH2D(d.id, float64(bytes))
-		} else {
-			e.hH2DBytes.Observe(float64(bytes))
-		}
+		e.hH2DBytes.Observe(float64(bytes))
 		d.stats.DynEnergy += d.spec.TransferW * dur
 		if end > stagingEnd {
 			stagingEnd = end
@@ -448,26 +409,17 @@ func (e *Engine) commit(d *device, spec *TaskSpec) {
 		if end > start+convDur {
 			d.busyIntervals = append(d.busyIntervals, Interval{Start: start + convDur, End: end, Power: dynW})
 		}
-		if e.shard == nil {
-			e.schedule = append(e.schedule, ScheduledTask{
-				ID: spec.ID, Kind: spec.Kind, Device: spec.Device, Prec: spec.Prec, Start: start, End: end,
-				Recovery: e.inRecovery,
-			})
-		}
+		e.schedule = append(e.schedule, ScheduledTask{
+			ID: spec.ID, Kind: spec.Kind, Device: spec.Device, Prec: spec.Prec, Start: start, End: end,
+			Recovery: e.inRecovery,
+		})
 	}
-	if e.shard != nil {
-		// A rank shard does not write observability state directly: the
-		// coordinator's spine re-emits this commit in exact serial order
-		// (histogram, digest, schedule, recorder) from the record.
-		e.shard.recCommit(spec, start, end, stagedBytes, e.inRecovery)
-	} else {
-		e.hTaskSec.Observe(end - start)
-		e.digest.WriteString(string(spec.Kind))
-		e.digest.WriteInt64(int64(spec.Device))
-		e.digest.WriteFloat64(start)
-		e.digest.WriteFloat64(end)
-		e.digest.WriteInt64(stagedBytes)
-	}
+	e.hTaskSec.Observe(end - start)
+	e.digest.WriteString(string(spec.Kind))
+	e.digest.WriteInt64(int64(spec.Device))
+	e.digest.WriteFloat64(start)
+	e.digest.WriteFloat64(end)
+	e.digest.WriteInt64(stagedBytes)
 
 	var result chan struct{}
 	if body := spec.Body; body != nil && !e.inRecovery {
@@ -493,11 +445,7 @@ func (e *Engine) commit(d *device, spec *TaskSpec) {
 		}
 	}
 	e.seq++
-	ev := event{at: end, seq: e.seq, spec: spec, result: result, start: start, replay: e.inRecovery}
-	if e.shard != nil && !e.inRecovery {
-		ev.cross = e.shard.isCross(spec)
-	}
-	e.pushEvent(ev)
+	e.pushEvent(event{at: end, seq: e.seq, spec: spec, result: result, start: start, replay: e.inRecovery})
 	e.inflight++
 	if e.Recorder != nil && !e.inRecovery {
 		e.Recorder.RecordCommit(spec.ID)
@@ -567,13 +515,7 @@ func (e *Engine) complete(ev *event) {
 		e.stats.ReplayedTasks++
 		e.specFree = append(e.specFree, spec)
 		e.tryCommit(d)
-		if e.shard != nil {
-			e.shard.recComplete(ev.spec.ID, true)
-		}
 		return
-	}
-	if ev.cross {
-		e.shard.crossLeft--
 	}
 
 	// The body is joined and successors have not committed yet: a recorder
@@ -605,13 +547,6 @@ func (e *Engine) complete(ev *event) {
 	e.dirtyDevs = append(e.dirtyDevs, d.id)
 	d.dirty = true
 	for _, s := range e.succBuf {
-		if e.shard != nil && e.shard.owner[s] != e.shard.rank16 {
-			// A remote rank owns this successor; its shard's pending slot is
-			// authoritative, ours is uninitialized. Ship the release as a
-			// message applied at this completion's processing instant.
-			e.shard.sendDec(s)
-			continue
-		}
 		e.pending[s]--
 		switch {
 		case e.pending[s] == 0:
@@ -634,9 +569,6 @@ func (e *Engine) complete(ev *event) {
 		dd := e.devices[di]
 		dd.dirty = false
 		e.tryCommit(dd)
-	}
-	if e.shard != nil {
-		e.shard.recComplete(spec.ID, false)
 	}
 }
 
@@ -685,15 +617,7 @@ func (e *Engine) publish(d *device, spec *TaskSpec, p *PublishSpec) {
 		nstart := nic.StartAfter(hostAt)
 		nic.Occupy(nstart, hop*e.topo.SenderHops(n), p.WireBytes)
 		for i, rr := range p.RemoteRanks {
-			if e.shard != nil && rr != e.shard.rank {
-				// Cross-rank availability: the receiver shard owns that
-				// rank's host index. The write travels as a message applied
-				// at this completion's processing instant; byte accounting
-				// stays sender-side, exactly like the serial loop.
-				e.shard.sendAvail(rr, spec.Output.Data, nstart+hop*e.topo.ArrivalHops(i, n))
-			} else {
-				e.setHostAvail(rr, spec.Output.Data, nstart+hop*e.topo.ArrivalHops(i, n))
-			}
+			e.setHostAvail(rr, spec.Output.Data, nstart+hop*e.topo.ArrivalHops(i, n))
 			e.stats.BytesNet += p.WireBytes
 			e.bytesNet[p.WirePrec] += p.WireBytes
 		}

@@ -9,30 +9,26 @@ import (
 	"geompc/internal/prec"
 )
 
-// FuzzLookahead is the property test of the conservative parallel engine's
-// lookahead bound: arbitrary rank partitions (task→device assignments drawn
-// from the fuzz bytes) and arbitrary communication latencies (scaled NIC and
-// host-link specs) must never let a shard execute an event ahead of its
-// cross-rank dependency horizon. The property is asserted observationally —
-// the parallel run must reproduce the serial digest, Stats and traced
-// schedule exactly, at several worker counts — and internally: the spine
-// carries divergence checks that turn any horizon violation into a run
-// error ("parallel engine diverged") instead of silent reordering. Trace
-// equality is also the merge-order witness: the spine's re-sequenced stream
-// must be the stable (at, seq)-sort the serial heap produces.
-func FuzzLookahead(f *testing.F) {
+// FuzzMultiRank is the property test of the event loop on multi-rank
+// graphs: arbitrary rank partitions (task→device assignments drawn from the
+// fuzz bytes) and arbitrary communication latencies (scaled NIC and
+// host-link specs) must run to completion under the auditor with every task
+// executed exactly once, no task starting before its predecessors end, and
+// a second run of a freshly built graph reproducing digest, Stats and traced
+// schedule exactly.
+func FuzzMultiRank(f *testing.F) {
 	f.Add(uint8(2), uint8(1), uint8(0), []byte{0x00, 0x81, 0x3c})
 	f.Add(uint8(3), uint8(2), uint8(7), []byte{0x12, 0x34, 0x56, 0x78, 0x9a})
 	f.Add(uint8(4), uint8(1), uint8(15), []byte("cross-rank-chains"))
 	f.Add(uint8(4), uint8(2), uint8(3), []byte{0xff, 0x00, 0xff, 0x00, 0x7e, 0x81, 0x42})
 
 	f.Fuzz(func(t *testing.T, ranksB, gprB, latB uint8, data []byte) {
-		ranks := 2 + int(ranksB%3) // 2..4: parallel path needs multiple ranks
+		ranks := 2 + int(ranksB%3) // 2..4: cross-rank edges need multiple ranks
 		gpr := 1 + int(gprB%2)
 		ndev := ranks * gpr
 
-		// Scale the communication latencies and bandwidths: the lookahead
-		// bound must be safe for fast and slow interconnects alike.
+		// Scale the communication latencies and bandwidths: the properties
+		// must hold for fast and slow interconnects alike.
 		node := *hw.SummitNode
 		gpu := *node.GPU
 		gpu.LinkLatency *= float64(1 + latB%16)
@@ -128,31 +124,45 @@ func FuzzLookahead(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func(workers int) (Stats, []ScheduledTask, *Engine) {
-			eng := New(plat, build())
-			eng.Trace = true
-			eng.Audit = true
-			eng.EngineWorkers = workers
+		run := func() (Stats, []ScheduledTask, *DTDGraph) {
+			g := build()
+			eng := New(plat, g)
+			eng.Audit = true // implies Trace
 			st, err := eng.Run()
 			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
+				t.Fatal(err)
 			}
-			return st, eng.ScheduleTrace(), eng
+			return st, eng.ScheduleTrace(), g
 		}
 
-		refStats, refTrace, _ := run(0)
-		for _, w := range []int{1, 2, ranks + 1} {
-			st, trace, _ := run(w)
-			if st.ScheduleDigest != refStats.ScheduleDigest {
-				t.Errorf("workers=%d: digest %#016x, serial %#016x", w, st.ScheduleDigest, refStats.ScheduleDigest)
+		st, trace, g := run()
+		if st.Tasks != n || len(trace) != n {
+			t.Fatalf("%d tasks: Stats.Tasks=%d, %d schedule entries", n, st.Tasks, len(trace))
+		}
+		at := make([]*ScheduledTask, n)
+		for i := range trace {
+			e := &trace[i]
+			if e.Recovery || at[e.ID] != nil {
+				t.Fatalf("task %d scheduled twice or as recovery work: %+v", e.ID, *e)
 			}
-			if !reflect.DeepEqual(st, refStats) {
-				t.Errorf("workers=%d: stats diverged\nserial: %+v\npar:    %+v", w, refStats, st)
+			at[e.ID] = e
+		}
+		var succ []int
+		for id := 0; id < n; id++ {
+			succ = g.Successors(id, succ[:0])
+			for _, s := range succ {
+				if at[s].Start < at[id].End {
+					t.Errorf("task %d starts at %g, before predecessor %d ends at %g", s, at[s].Start, id, at[id].End)
+				}
 			}
-			if !reflect.DeepEqual(trace, refTrace) {
-				t.Errorf("workers=%d: merged schedule is not the serial stream (%d vs %d entries)",
-					w, len(trace), len(refTrace))
-			}
+		}
+
+		st2, trace2, _ := run()
+		if !reflect.DeepEqual(st2, st) { // ScheduleDigest included
+			t.Errorf("rerun stats diverged\nfirst:  %+v\nrerun:  %+v", st, st2)
+		}
+		if !reflect.DeepEqual(trace2, trace) {
+			t.Errorf("rerun schedule differs from the first run's (%d vs %d entries)", len(trace2), len(trace))
 		}
 	})
 }

@@ -13,16 +13,13 @@ type hostKey struct {
 // copy; availability times are always ≥ 0.
 const hostAbsent = -1.0
 
-// The dense index is addressed as rank*hostStride + data. The serial engine
-// sets hostStride = hostBound (one segment per rank); a parallel-mode rank
-// shard holds only its own rank's segment and sets hostStride = 0, so the
-// same arithmetic collapses every (own-rank, data) access onto a
-// bound-sized table without a branch on the hot path.
+// The dense index is addressed as rank*hostBound + data: one bound-sized
+// segment per rank.
 //
 //geompc:hot
 func (e *Engine) setHostAvail(rank int, d DataID, at float64) {
 	if e.hostDense != nil {
-		e.hostDense[rank*e.hostStride+int(d)] = at
+		e.hostDense[rank*e.hostBound+int(d)] = at
 		return
 	}
 	e.hostAvail[hostKey{rank, d}] = at
@@ -31,7 +28,7 @@ func (e *Engine) setHostAvail(rank int, d DataID, at float64) {
 //geompc:hot
 func (e *Engine) lookupHostAvail(rank int, d DataID) (float64, bool) {
 	if e.hostDense != nil {
-		v := e.hostDense[rank*e.hostStride+int(d)]
+		v := e.hostDense[rank*e.hostBound+int(d)]
 		return v, v != hostAbsent
 	}
 	v, ok := e.hostAvail[hostKey{rank, d}]

@@ -20,10 +20,6 @@ type event struct {
 	// replay marks a recovery re-execution: complete() releases no
 	// successors and counts it separately.
 	replay bool
-	// cross marks a completion whose processing sends cross-rank messages
-	// (remote publish or remote successors). Only set in parallel mode; the
-	// serial engine leaves it false. See parallel.go (frontier computation).
-	cross bool
 }
 
 func eventBefore(a, b *event) bool {

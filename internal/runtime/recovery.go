@@ -151,11 +151,9 @@ func (e *Engine) killDevice(f *FaultEvent) {
 	d.deadAt = e.now
 	e.stats.DeviceFailures++
 	e.faultLog = append(e.faultLog, faultMark{kind: FaultKill, device: d.id, at: e.now})
-	if e.shard == nil {
-		e.digest.WriteString("kill")
-		e.digest.WriteInt64(int64(d.id))
-		e.digest.WriteFloat64(e.now)
-	}
+	e.digest.WriteString("kill")
+	e.digest.WriteInt64(int64(d.id))
+	e.digest.WriteFloat64(e.now)
 
 	// 1. Abort the device's in-flight tasks: remove their completion events
 	// from the heap, release their pins, and stash their already-running
@@ -250,9 +248,6 @@ func (e *Engine) killDevice(f *FaultEvent) {
 	// 5. Refill the survivors' pipelines with the migrated work.
 	if e.fatalErr == nil {
 		for _, dd := range e.devices {
-			if dd == nil {
-				continue // parallel mode: remote ranks' slots are empty
-			}
 			e.tryCommit(dd)
 		}
 	}
@@ -331,23 +326,17 @@ func (e *Engine) transientFault(f *FaultEvent) {
 		if retryDur > 0 {
 			d.busyIntervals = append(d.busyIntervals, Interval{Start: retryStart, End: ev.at, Power: dynW})
 		}
-		if e.shard == nil {
-			e.schedule = append(e.schedule, ScheduledTask{
-				ID: ev.spec.ID, Kind: ev.spec.Kind, Device: d.id, Prec: ev.spec.Prec,
-				Start: retryStart, End: ev.at, Recovery: true,
-			})
-		}
+		e.schedule = append(e.schedule, ScheduledTask{
+			ID: ev.spec.ID, Kind: ev.spec.Kind, Device: d.id, Prec: ev.spec.Prec,
+			Start: retryStart, End: ev.at, Recovery: true,
+		})
 	}
 	if d.computeFree < ev.at {
 		d.computeFree = ev.at
 	}
 	e.stats.RetriedTasks++
-	if e.shard != nil {
-		e.shard.retryAt = ev.at
-	} else {
-		e.digest.WriteString("retry")
-		e.digest.WriteInt64(int64(d.id))
-		e.digest.WriteFloat64(ev.at)
-	}
+	e.digest.WriteString("retry")
+	e.digest.WriteInt64(int64(d.id))
+	e.digest.WriteFloat64(ev.at)
 	e.heapifyEvents()
 }

@@ -53,44 +53,29 @@ func (e *Engine) placeTask(spec *TaskSpec) int {
 	}
 	e.refsBuf = refs
 	dev := e.policy.Place(home, refs, machineView{e})
-	if dev < 0 || dev >= len(e.devices) || e.devices[dev] == nil || e.devices[dev].rank != e.devices[home].rank {
+	if dev < 0 || dev >= len(e.devices) || e.devices[dev].rank != e.devices[home].rank {
 		return home
 	}
 	return dev
 }
 
 // machineView adapts the engine to sched.Machine without allocating: it is
-// a one-word value wrapping the engine pointer. In parallel mode a rank
-// shard populates only its own rank's device slots; remote slots are nil and
-// read as dead/empty, which matches what the per-rank Locality scan needs.
+// a one-word value wrapping the engine pointer.
 type machineView struct{ e *Engine }
 
 func (m machineView) NumDevices() int  { return len(m.e.devices) }
 func (m machineView) DevPerRank() int  { return m.e.plat.DevPerRank }
 func (m machineView) RankOf(d int) int { return m.e.plat.RankOfDevice(d) }
-func (m machineView) Alive(d int) bool {
-	dd := m.e.devices[d]
-	return dd != nil && dd.deadAt < 0
-}
+func (m machineView) Alive(d int) bool { return m.e.devices[d].deadAt < 0 }
 
 func (m machineView) ResidentBytes(dev int, data int64) int64 {
-	dd := m.e.devices[dev]
-	if dd == nil {
-		return 0
-	}
-	if ent := dd.entry(DataID(data)); ent != nil {
+	if ent := m.e.devices[dev].entry(DataID(data)); ent != nil {
 		return ent.bytes
 	}
 	return 0
 }
 
-func (m machineView) QueueLen(dev int) int {
-	dd := m.e.devices[dev]
-	if dd == nil {
-		return 0
-	}
-	return dd.ready.Len()
-}
+func (m machineView) QueueLen(dev int) int { return m.e.devices[dev].ready.Len() }
 
 // criticalPathLengths computes, for every task, the length (in tasks,
 // including itself) of the longest dependency chain below it: a Kahn

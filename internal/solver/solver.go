@@ -111,9 +111,6 @@ type Config struct {
 	Sched sched.Policy
 	// Bcast selects the inter-rank broadcast topology (nil = binomial).
 	Bcast comm.Topology
-	// EngineWorkers selects the engine's execution mode: 0 serial event
-	// loop, n > 0 conservative parallel DES, -1 GOMAXPROCS.
-	EngineWorkers int
 	// Iter tunes iterative backends (ignored by direct ones).
 	Iter IterParams
 }
@@ -168,7 +165,7 @@ func (r *Result) Metrics() *obs.Registry {
 
 // Backend is one pluggable solve path. Implementations must be
 // deterministic: equal Configs produce bit-identical Stats, digests and
-// Solutions at every EngineWorkers setting.
+// Solutions.
 type Backend interface {
 	// Name is the registered CLI spelling ("direct", "cg").
 	Name() string
