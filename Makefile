@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-suppressions bench race fuzz experiments clean
+.PHONY: all build test vet lint lint-suppressions loc bench race fuzz experiments clean
 
 all: build test
 
@@ -41,6 +41,11 @@ lint-suppressions:
 
 test: vet
 	$(GO) test ./...
+
+# The ROADMAP scoreboard: non-test Go lines outside the frozen benchmark/
+# tree. CI prints it so the number quoted in ROADMAP.md is never hand-counted.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 
 race:
 	$(GO) test -race ./internal/runtime/ ./internal/cholesky/ ./internal/plan/ ./internal/sweep/ ./internal/cg/ ./internal/solver/

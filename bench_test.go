@@ -70,7 +70,7 @@ func BenchmarkTable2Motion(b *testing.B) {
 func BenchmarkFig5Accuracy2D(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := bench.Fig5Cases()[0] // 2D-sqexp weak
-		res, err := bench.AccuracyStudy(c, []float64{0, 1e-9, 1e-4}, 4, 144, 48, 7)
+		res, err := bench.AccuracyStudyEvals(c, []float64{0, 1e-9, 1e-4}, 4, 144, 48, 7, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func BenchmarkFig5Accuracy2D(b *testing.B) {
 func BenchmarkFig6Accuracy3D(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := bench.Fig6Cases()[1] // 3D-sqexp strong
-		res, err := bench.AccuracyStudy(c, []float64{0, 1e-8}, 4, 125, 48, 7)
+		res, err := bench.AccuracyStudyEvals(c, []float64{0, 1e-8}, 4, 125, 48, 7, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func BenchmarkFig7PrecisionMap(b *testing.B) {
 // the V100 model.
 func BenchmarkFig8STCvsTTC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.ConvSweep(hw.SummitNode, 1, 1, []int{32768, 65536}, 2048)
+		rows, err := bench.ConvSweepOpts(hw.SummitNode, 1, 1, []int{32768, 65536}, 2048, "", bench.SchedOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func BenchmarkFig10Energy(b *testing.B) {
 // BenchmarkFig11Node runs the full-node (6×V100) conversion sweep.
 func BenchmarkFig11Node(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.ConvSweep(hw.SummitNode, 1, 6, []int{65536}, 2048)
+		rows, err := bench.ConvSweepOpts(hw.SummitNode, 1, 6, []int{65536}, 2048, "", bench.SchedOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func BenchmarkFig11Node(b *testing.B) {
 // BenchmarkFig12Weak runs weak scaling over 1..16 Summit nodes.
 func BenchmarkFig12Weak(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.WeakScaling([]int{1, 4, 16}, 49152, 2048)
+		rows, err := bench.WeakScalingOpts([]int{1, 4, 16}, 49152, 2048, "", bench.SchedOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func BenchmarkFig12Weak(b *testing.B) {
 // BenchmarkFig12Strong runs strong scaling at fixed N.
 func BenchmarkFig12Strong(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.StrongScaling([]int{1, 4, 16}, 131072, 2048)
+		rows, err := bench.StrongScalingOpts([]int{1, 4, 16}, 131072, 2048, "", bench.SchedOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func BenchmarkFig12MP(b *testing.B) {
 // the figure that bounds full-scale Fig 12 reproduction time.
 func BenchmarkEngineThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.StrongScaling([]int{4}, 131072, 2048); err != nil {
+		if _, err := bench.StrongScalingOpts([]int{4}, 131072, 2048, "", bench.SchedOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}

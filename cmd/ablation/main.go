@@ -42,7 +42,6 @@ func run(args []string, out io.Writer) error {
 	banded := fs.Bool("banded", false, "adaptive vs banded precision maps")
 	lookahead := fs.Bool("lookahead", false, "stream pipeline depth sweep")
 	probe := fs.Bool("probe", false, "Monte-Carlo arithmetic u_req probe")
-	tlrFlag := fs.Bool("tlr", false, "tile low-rank + mixed precision storage study (§VIII future work)")
 	chaos := fs.Bool("chaos", false, "resilience overhead of each precision configuration under an identical fault plan")
 	schedFlag := fs.Bool("sched", false, "scheduling-policy and broadcast-topology sweep on the Fig 11 workload")
 	planFlag := fs.Bool("plan", false, "compiled-plan cache vs fresh simulation on a repeated (MLE-shaped) loop")
@@ -63,8 +62,8 @@ func run(args []string, out io.Writer) error {
 		return err // bad -solver name: fail before any family runs
 	}
 
-	if !*banded && !*lookahead && !*probe && !*tlrFlag && !*chaos && !*schedFlag && !*planFlag && !*solversFlag {
-		*banded, *lookahead, *probe, *tlrFlag, *chaos, *schedFlag, *planFlag, *solversFlag = true, true, true, true, true, true, true, true
+	if !*banded && !*lookahead && !*probe && !*chaos && !*schedFlag && !*planFlag && !*solversFlag {
+		*banded, *lookahead, *probe, *chaos, *schedFlag, *planFlag, *solversFlag = true, true, true, true, true, true, true
 	}
 
 	if *banded {
@@ -93,21 +92,6 @@ func run(args []string, out io.Writer) error {
 			"variant", "Tflop/s", "time(s)")
 		for _, r := range rows {
 			t.Add(r.Variant, r.Tflops, r.Time)
-		}
-		t.Write(out)
-	}
-
-	if *tlrFlag {
-		t := bench.NewTable("MP + tile low-rank storage (N=8192, tile 512, ACA tol = each app's u_req)",
-			"app", "mean rank", "max rank", "dense FP64", "MP dense", "MP+TLR", "total saving")
-		for _, app := range bench.Apps() {
-			rep, err := bench.TLRAnalysis(app, 8192, 512, app.UReq, 7)
-			if err != nil {
-				return err
-			}
-			t.Add(app.Name, rep.MeanRank, rep.MaxRank,
-				bench.HumanBytes(rep.DenseFP64), bench.HumanBytes(rep.MPDense), bench.HumanBytes(rep.MPTLR),
-				fmt.Sprintf("%.1fx", float64(rep.DenseFP64)/float64(rep.MPTLR)))
 		}
 		t.Write(out)
 	}
@@ -156,7 +140,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *planFlag {
-		rows, err := bench.PlanAblationBackend(*n, *ts, *planEvals, hw.SummitNode, v.Solver, bench.SweepOpts{})
+		rows, err := bench.PlanAblationBackend(*n, *ts, *planEvals, hw.SummitNode, v.Solver)
 		if err != nil {
 			return err
 		}

@@ -72,17 +72,12 @@ func run(args []string, out io.Writer) error {
 	if v.Workers != 0 {
 		so.Summary = &sum
 	}
-	var cache *planpkg.Cache
-	var rows []bench.ConvRow
-	var err2 error
 	if v.PlanCache {
-		cache = planpkg.NewCache(nil)
-		rows, err2 = bench.ConvSweepCached(nd, 1, g, sizes, *ts, v.Faults, so, cache)
-	} else {
-		rows, err2 = bench.ConvSweepOpts(nd, 1, g, sizes, *ts, v.Faults, so)
+		so.Cache = planpkg.NewCache(nil)
 	}
-	if err2 != nil {
-		return err2
+	rows, err := bench.ConvSweepOpts(nd, 1, g, sizes, *ts, v.Faults, so)
+	if err != nil {
+		return err
 	}
 	fig := "Fig 8"
 	if g > 1 {
@@ -120,8 +115,8 @@ func run(args []string, out io.Writer) error {
 		st.Add(cfg.Name, m["STC"]/m["TTC"])
 	}
 	st.Write(out)
-	if cache != nil {
-		s := cache.Stats()
+	if so.Cache != nil {
+		s := so.Cache.Stats()
 		fmt.Fprintf(out, "\nplan cache: %d hit(s), %d miss(es), %d invalidation(s) dirtying %d task(s), %d bypass(es)\n",
 			s.Hits, s.Misses, s.Invalidations, s.TasksInvalidated, s.Bypasses)
 		if v.Workers != 0 {

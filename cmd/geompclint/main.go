@@ -5,7 +5,7 @@
 // interprocedural dataflow analyzers deterflow (nondeterminism reaching the
 // deterministic packages), precflow (call chains reaching unaudited
 // precision lowerings) and contractcheck (solver.Backend determinism,
-// DESIGN.md §6i) — over the packages matching the given patterns and exits
+// DESIGN.md §3.2) — over the packages matching the given patterns and exits
 // nonzero on any diagnostic, including misused //geompc:nolint directives.
 //
 // Usage:

@@ -17,7 +17,6 @@ import (
 	"os"
 	"strings"
 
-	"geompc/internal/bench"
 	"geompc/internal/cholesky"
 	"geompc/internal/cliflags"
 	"geompc/internal/hw"
@@ -25,7 +24,7 @@ import (
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
-	solverpkg "geompc/internal/solver"
+	"geompc/internal/solver"
 	"geompc/internal/tile"
 
 	_ "geompc/internal/cg" // register the "cg" backend for -solver
@@ -51,60 +50,41 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	pol, topo, err := bench.SchedOpts{Policy: v.Sched, Bcast: v.Bcast}.Resolve()
-	if err != nil {
-		return err
-	}
 	if v.PlanCache && *chrome != "" {
 		return fmt.Errorf("-chrome needs a live run's interval traces; drop -plan-cache")
 	}
-	be, err := v.Backend()
-	if err != nil {
-		return err
-	}
-
-	d, err := tile.NewDesc(*nt**ts, *ts, 1, 1)
-	if err != nil {
-		return err
-	}
-	maps := precmap.New(precmap.Uniform(*nt, prec.FP16x32), 1e-4)
 	plat, err := runtime.NewPlatform(hw.SummitNode, 1, *gpus)
 	if err != nil {
 		return err
 	}
-	injector, err := v.Injector(plat.NumDevices())
+	d, err := tile.NewDesc(*nt**ts, *ts, 1, 1)
 	if err != nil {
 		return err
 	}
-	if be.Name() != "direct" {
-		// Iterative backends share the flag surface but print their own
-		// timeline; the direct path below stays byte-for-byte the
-		// historical output.
-		if *chrome != "" {
-			return fmt.Errorf("-chrome exports the factorization timeline; use -solver direct")
-		}
-		scfg := solverpkg.Config{
-			Desc: d, Maps: maps, Platform: plat, Trace: true, Audit: *audit,
-			Faults: injector, Sched: pol, Bcast: topo,
-		}
-		return traceSolver(be, scfg, v.PlanCache, *iters, *metrics, out)
+	be, cfg, err := v.SchedOpts().Config(solver.Config{
+		Desc: d, Maps: precmap.New(precmap.Uniform(*nt, prec.FP16x32), 1e-4),
+		Platform: plat, Trace: true, Audit: *audit,
+	}, v.Faults)
+	if err != nil {
+		return err
 	}
-	cfg := cholesky.Config{
-		Desc: d, Maps: maps, Platform: plat, Trace: true, Audit: *audit, Faults: injector,
-		Sched: pol, Bcast: topo,
+	direct := be.Name() == "direct"
+	if !direct && *chrome != "" {
+		return fmt.Errorf("-chrome exports the factorization timeline; use -solver direct")
 	}
+
 	var cache *planpkg.Cache
 	if v.PlanCache {
 		cache = planpkg.NewCache(nil)
 	}
-	res, err := cholesky.RunCached(cfg, cache)
+	res, err := be.Solve(cfg, cache)
 	if err != nil {
 		return err
 	}
 	if cache != nil {
 		// Second run of the identical shape: a replay when the first run
 		// compiled, a second live run when faults forced a bypass.
-		rep, err := cholesky.RunCached(cfg, cache)
+		rep, err := be.Solve(cfg, cache)
 		if err != nil {
 			return err
 		}
@@ -113,11 +93,19 @@ func run(args []string, out io.Writer) error {
 		}
 		res = rep
 	}
-	sched := res.Schedule(*nt)
-	fmt.Fprintf(out, "simulated schedule, NT=%d, %d V100s (FP64 diagonal / FP16_32 off-diagonal):\n\n", *nt, *gpus)
+	// Every backend prints the same bar format; iterative ones name
+	// themselves and label tasks by CG iteration (leading coordinate), the
+	// factorization by Algorithm 1 iteration (trailing coordinate).
+	inIters := inFirstIters
+	if direct {
+		fmt.Fprintf(out, "simulated schedule, NT=%d, %d V100s (FP64 diagonal / FP16_32 off-diagonal):\n\n", *nt, *gpus)
+	} else {
+		inIters = inIteration
+		fmt.Fprintf(out, "simulated %s schedule, NT=%d, %d V100s (FP64 diagonal / FP16_32 off-diagonal):\n\n", be.Name(), *nt, *gpus)
+	}
 	makespan := res.Stats.Makespan
-	for _, t := range sched {
-		if *iters > 0 && !inFirstIters(t.Name, *iters) {
+	for _, t := range res.Schedule {
+		if *iters > 0 && !inIters(t.Name, *iters) {
 			continue
 		}
 		barLen := 48
@@ -131,17 +119,28 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "\nmakespan %.3f ms, %d tasks, %.1f Tflop/s, schedule digest %016x\n",
 		makespan*1e3, res.Stats.Tasks, res.Stats.Flops/1e12, res.Stats.ScheduleDigest)
+	if !direct {
+		fmt.Fprintf(out, "%d iterations, modeled relative residual %.2e, converged %v\n",
+			res.Iterations, res.Residual, res.Converged)
+	}
 	if st := res.Stats; st.DeviceFailures+st.TransientFaults > 0 {
 		fmt.Fprintf(out, "faults: %d device failure(s), %d transient(s); recovery replayed %d task(s), retried %d, re-staged %s\n",
 			st.DeviceFailures, st.TransientFaults, st.ReplayedTasks, st.RetriedTasks, humanBytes(st.RecoveryBytes))
 	}
 
 	if *chrome != "" {
+		// The Chrome export needs the live engine's interval traces, which
+		// only cholesky.Result keeps: re-run the identical (deterministic)
+		// configuration through the package entry point.
+		live, err := cholesky.Run(cfg)
+		if err != nil {
+			return err
+		}
 		f, err := os.Create(*chrome)
 		if err != nil {
 			return err
 		}
-		if err := res.WriteChromeTrace(f, *nt); err != nil {
+		if err := live.WriteChromeTrace(f, *nt); err != nil {
 			f.Close()
 			return err
 		}
@@ -156,65 +155,6 @@ func run(args []string, out io.Writer) error {
 			s.Hits, s.Misses, s.Invalidations, s.Bypasses)
 	}
 	if *metrics {
-		fmt.Fprintln(out, "\nmetrics:")
-		if _, err := res.Metrics().WriteTo(out); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// traceSolver prints an iterative backend's timeline in the same bar
-// format: one line per engine task, labeled by CG iteration.
-func traceSolver(be solverpkg.Backend, cfg solverpkg.Config, useCache bool, iters int, metrics bool, out io.Writer) error {
-	var cache *planpkg.Cache
-	if useCache {
-		cache = planpkg.NewCache(nil)
-	}
-	res, err := be.SolveCached(cfg, cache)
-	if err != nil {
-		return err
-	}
-	if cache != nil {
-		rep, err := be.SolveCached(cfg, cache)
-		if err != nil {
-			return err
-		}
-		if rep.Digest() != res.Digest() {
-			return fmt.Errorf("plan-cache replay digest %016x != compiled %016x", rep.Digest(), res.Digest())
-		}
-		res = rep
-	}
-	fmt.Fprintf(out, "simulated %s schedule, NT=%d, %d V100s (FP64 diagonal / FP16_32 off-diagonal):\n\n",
-		be.Name(), cfg.Desc.NT, cfg.Platform.NumDevices())
-	makespan := res.Stats.Makespan
-	for _, t := range res.Schedule {
-		if iters > 0 && !inIteration(t.Name, iters) {
-			continue
-		}
-		barLen := 48
-		s := int(t.Start / makespan * float64(barLen))
-		e := int(t.End / makespan * float64(barLen))
-		if e <= s {
-			e = s + 1
-		}
-		bar := strings.Repeat(" ", s) + strings.Repeat("#", e-s) + strings.Repeat(" ", barLen-e)
-		fmt.Fprintf(out, "dev%-2d |%s| %8.3f→%-8.3f ms  %s\n", t.Device, bar, t.Start*1e3, t.End*1e3, t.Name)
-	}
-	fmt.Fprintf(out, "\nmakespan %.3f ms, %d tasks, %.1f Tflop/s, schedule digest %016x\n",
-		makespan*1e3, res.Stats.Tasks, res.Stats.Flops/1e12, res.Stats.ScheduleDigest)
-	fmt.Fprintf(out, "%d iterations, modeled relative residual %.2e, converged %v\n",
-		res.Iterations, res.Residual, res.Converged)
-	if st := res.Stats; st.DeviceFailures+st.TransientFaults > 0 {
-		fmt.Fprintf(out, "faults: %d device failure(s), %d transient(s); recovery replayed %d task(s), retried %d, re-staged %s\n",
-			st.DeviceFailures, st.TransientFaults, st.ReplayedTasks, st.RetriedTasks, humanBytes(st.RecoveryBytes))
-	}
-	if cache != nil {
-		s := cache.Stats()
-		fmt.Fprintf(out, "plan cache: %d hit(s), %d miss(es), %d invalidation(s), %d bypass(es); replay digest verified\n",
-			s.Hits, s.Misses, s.Invalidations, s.Bypasses)
-	}
-	if metrics {
 		fmt.Fprintln(out, "\nmetrics:")
 		if _, err := res.Metrics().WriteTo(out); err != nil {
 			return err

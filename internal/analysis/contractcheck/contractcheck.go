@@ -1,4 +1,4 @@
-// Package contractcheck machine-checks DESIGN.md §6i: every solver backend
+// Package contractcheck machine-checks DESIGN.md §3.2: every solver backend
 // must be deterministic. The solver registry dispatches through the
 // solver.Backend interface, the engine folds each backend's Result into the
 // golden run digest, and the plan cache replays cached Results bit-for-bit
@@ -11,7 +11,7 @@
 // package whose base name is "solver" — the same types.Implements test the
 // registry's compile-time `var _ solver.Backend` assertions rely on. For
 // each implementation found in the package under analysis, the contract
-// methods (Solve, SolveCached) are resolved to their call-graph nodes and
+// method (Solve) is resolved to its call-graph node and
 // required to be transitively nondeterminism-free under deterflow's
 // whole-program summary; a violation is reported at the method's
 // declaration with the call chain down to the root source. Sites under a
@@ -29,14 +29,14 @@ import (
 // Analyzer is the contractcheck instance registered with the driver.
 var Analyzer = &analysis.Analyzer{
 	Name:    "contractcheck",
-	Doc:     "requires every solver.Backend implementation's Solve/SolveCached to be transitively nondeterminism-free (DESIGN.md §6i)",
+	Doc:     "requires every solver.Backend implementation's Solve to be transitively nondeterminism-free (DESIGN.md §3.2)",
 	Prepare: prepare,
 	Run:     run,
 }
 
 // ContractMethods are the Backend methods bound by the determinism
 // contract. Name() is exempt: it returns a static registry key.
-var ContractMethods = map[string]bool{"Solve": true, "SolveCached": true}
+var ContractMethods = map[string]bool{"Solve": true}
 
 func prepare(prog *analysis.Program) { deterflow.Facts(prog) }
 
@@ -113,7 +113,7 @@ func checkBackend(pass *analysis.Pass, named *types.Named, facts map[*analysis.F
 		if t == nil {
 			continue
 		}
-		pass.Reportf(fn.Pos, "solver backend %s: %s is not deterministic (%s) — DESIGN.md §6i requires bit-reproducible Solve/SolveCached; seed the source, sort the iteration, or suppress the root with a reasoned //geompc:nolint",
+		pass.Reportf(fn.Pos, "solver backend %s: %s is not deterministic (%s) — DESIGN.md §3.2 requires a bit-reproducible Solve; seed the source, sort the iteration, or suppress the root with a reasoned //geompc:nolint",
 			named.Obj().Name(), m.Name(), pass.Prog.Chain(fn, facts))
 	}
 }

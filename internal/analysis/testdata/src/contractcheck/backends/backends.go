@@ -19,21 +19,13 @@ func (Good) Solve(cfg solver.Config) (*solver.Result, error) {
 	return &solver.Result{Digest: uint64(cfg.N)}, nil
 }
 
-func (Good) SolveCached(cfg solver.Config) (*solver.Result, error) {
-	return &solver.Result{Digest: uint64(cfg.N)}, nil
-}
-
-// Bad seeds its digest from the wall clock: Solve violates §6i.
+// Bad seeds its digest from the wall clock: Solve violates §3.2.
 type Bad struct{}
 
 func (Bad) Name() string { return "bad" }
 
 func (Bad) Solve(cfg solver.Config) (*solver.Result, error) { // want `contractcheck: solver backend Bad: Solve is not deterministic`
 	return &solver.Result{Digest: uint64(time.Now().UnixNano())}, nil
-}
-
-func (Bad) SolveCached(cfg solver.Config) (*solver.Result, error) {
-	return &solver.Result{Digest: uint64(cfg.N)}, nil
 }
 
 // Lookalike has the nondeterministic method shapes but no Name(): it does

@@ -12,10 +12,9 @@ type Result struct {
 	Digest uint64
 }
 
-// Backend is the pluggable solver contract: Solve and SolveCached must be
-// transitively deterministic (DESIGN.md §6i).
+// Backend is the pluggable solver contract: Solve must be transitively
+// deterministic (DESIGN.md §3.2).
 type Backend interface {
 	Name() string
 	Solve(cfg Config) (*Result, error)
-	SolveCached(cfg Config) (*Result, error)
 }

@@ -54,15 +54,10 @@ type AccuracyResult struct {
 	Failed    int
 }
 
-// AccuracyStudy runs the Monte-Carlo estimation study for one case across
-// the accuracy levels: replicas synthetic datasets of n locations each,
-// refit at every level. Results arrive per (level, parameter).
-func AccuracyStudy(c AccuracyCase, levels []float64, replicas, n, tileSize int, seed uint64) ([]AccuracyResult, error) {
-	return AccuracyStudyEvals(c, levels, replicas, n, tileSize, seed, 0)
-}
-
-// AccuracyStudyEvals is AccuracyStudy with an explicit optimizer-evaluation
-// cap (0 uses the MLE default).
+// AccuracyStudyEvals runs the Monte-Carlo estimation study for one case
+// across the accuracy levels: replicas synthetic datasets of n locations
+// each, refit at every level, with an explicit optimizer-evaluation cap (0
+// uses the MLE default). Results arrive per (level, parameter).
 func AccuracyStudyEvals(c AccuracyCase, levels []float64, replicas, n, tileSize int, seed uint64, maxEvals int) ([]AccuracyResult, error) {
 	cfg := mle.MCConfig{
 		Replicas:  replicas,

@@ -100,7 +100,7 @@ func TestTable2MatchesPaper(t *testing.T) {
 }
 
 func TestConvSweepShape(t *testing.T) {
-	rows, err := ConvSweep(hw.SummitNode, 1, 1, []int{16384, 32768}, 2048)
+	rows, err := ConvSweepOpts(hw.SummitNode, 1, 1, []int{16384, 32768}, 2048, "", SchedOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestEnergyMPSavesEnergy(t *testing.T) {
 }
 
 func TestScalingShapes(t *testing.T) {
-	weak, err := WeakScaling([]int{1, 4}, 32768, 2048)
+	weak, err := WeakScalingOpts([]int{1, 4}, 32768, 2048, "", SchedOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestScalingShapes(t *testing.T) {
 	if weak[1].Tflops < 2.8*weak[0].Tflops {
 		t.Errorf("weak scaling poor: %g -> %g Tflop/s", weak[0].Tflops, weak[1].Tflops)
 	}
-	strong, err := StrongScaling([]int{1, 4}, 65536, 2048)
+	strong, err := StrongScalingOpts([]int{1, 4}, 65536, 2048, "", SchedOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestMPEffect(t *testing.T) {
 }
 
 func TestAccuracyStudySmall(t *testing.T) {
-	res, err := AccuracyStudy(Fig5Cases()[0], []float64{0, 1e-9}, 3, 100, 32, 5)
+	res, err := AccuracyStudyEvals(Fig5Cases()[0], []float64{0, 1e-9}, 3, 100, 32, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,18 +351,10 @@ func TestLookaheadAblation(t *testing.T) {
 	}
 }
 
-func TestTLRAnalysis(t *testing.T) {
-	rep, err := TLRAnalysis(Apps()[0], 4096, 512, 1e-4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.MPDense >= rep.DenseFP64 {
-		t.Errorf("MP storage %d not below dense FP64 %d", rep.MPDense, rep.DenseFP64)
-	}
-	if rep.MPTLR >= rep.MPDense {
-		t.Errorf("MP+TLR %d not below MP dense %d", rep.MPTLR, rep.MPDense)
-	}
-	if rep.MeanRank <= 0 || rep.MaxRank >= 512 {
-		t.Errorf("implausible ranks: mean %g max %d", rep.MeanRank, rep.MaxRank)
+// TestWeakScalingNoNodeCounts: the sweep scales N against its first node
+// count, so an empty list is an error, not an index panic.
+func TestWeakScalingNoNodeCounts(t *testing.T) {
+	if _, err := WeakScalingOpts(nil, 32768, 2048, "", SchedOpts{}); err == nil {
+		t.Fatal("empty node-count list accepted")
 	}
 }

@@ -3,10 +3,10 @@ package bench
 import (
 	"fmt"
 
-	"geompc/internal/cholesky"
 	"geompc/internal/hw"
-	"geompc/internal/precmap"
+	"geompc/internal/prec"
 	"geompc/internal/runtime"
+	"geompc/internal/solver"
 	"geompc/internal/sweep"
 	"geompc/internal/tile"
 )
@@ -44,19 +44,14 @@ func defaultChaosPlan(gpus int, makespan float64) runtime.FaultPlan {
 	}
 }
 
-// ChaosAblation runs the Fig 8 precision configurations on a single node
-// with `gpus` GPUs, fault-free and under a fault plan, in phantom mode.
+// ChaosAblationOpts runs the Fig 8 precision configurations on a single
+// node with `gpus` GPUs, fault-free and under a fault plan, in phantom mode.
 // When spec is empty each configuration gets defaultChaosPlan scaled to its
 // own baseline; otherwise spec is parsed by runtime.ParseFaultSpec and
-// applied verbatim (absolute virtual times) to every configuration.
-func ChaosAblation(node *hw.NodeSpec, gpus, n, ts int, spec string) ([]ChaosRow, error) {
-	return ChaosAblationOpts(node, gpus, n, ts, spec, SweepOpts{})
-}
-
-// ChaosAblationOpts is ChaosAblation routed through the sweep executor:
-// one grid point per precision configuration, each producing its
-// fault-free baseline row and its chaos row (the chaos run depends on the
-// baseline's makespan, so the pair stays inside one point).
+// applied verbatim (absolute virtual times) to every configuration. The
+// sweep executor gets one grid point per precision configuration, each
+// producing its fault-free baseline row and its chaos row (the chaos run
+// depends on the baseline's makespan, so the pair stays inside one point).
 func ChaosAblationOpts(node *hw.NodeSpec, gpus, n, ts int, spec string, so SweepOpts) ([]ChaosRow, error) {
 	if gpus < 2 {
 		return nil, fmt.Errorf("bench: chaos ablation needs at least 2 GPUs for failover, got %d", gpus)
@@ -65,7 +60,7 @@ func ChaosAblationOpts(node *hw.NodeSpec, gpus, n, ts int, spec string, so Sweep
 	if err != nil {
 		return nil, err
 	}
-	desc, err := tile.NewDesc(n, ts, 1, 1)
+	direct, err := solver.ByName("direct")
 	if err != nil {
 		return nil, err
 	}
@@ -79,27 +74,21 @@ func ChaosAblationOpts(node *hw.NodeSpec, gpus, n, ts int, spec string, so Sweep
 	cfgs := ConvConfigs()
 	pairs, err := sweep.Run(len(cfgs), so.sweepOptions(), func(i int, ctx *sweep.Context) ([2]ChaosRow, error) {
 		cfg := cfgs[i]
-		maps := precmap.New(cfg.KernelMap(desc.NT), 1e-2)
-		base, err := cholesky.Run(cholesky.Config{
-			Desc: desc, Maps: maps, Platform: plat, Strategy: cholesky.Auto,
-		})
+		km := func(d tile.Desc) [][]prec.Precision { return cfg.KernelMap(d.NT) }
+		free, err := solvePoint(ctx, direct, solver.Config{Platform: plat}, n, ts, km, 1e-2, "chaos baseline "+cfg.Name)
 		if err != nil {
-			return [2]ChaosRow{}, fmt.Errorf("bench: chaos baseline %s: %w", cfg.Name, err)
+			return [2]ChaosRow{}, err
 		}
-		ctx.Reg.Merge(base.Metrics())
 		plan := fixed
 		if plan == nil {
-			plan = defaultChaosPlan(gpus, base.Stats.Makespan)
+			plan = defaultChaosPlan(gpus, free.Stats.Makespan)
 		}
-		chaos, err := cholesky.Run(cholesky.Config{
-			Desc: desc, Maps: maps, Platform: plat, Strategy: cholesky.Auto,
-			Faults: plan, Audit: true,
-		})
+		chaos, err := solvePoint(ctx, direct, solver.Config{Platform: plat, Faults: plan, Audit: true},
+			n, ts, km, 1e-2, "chaos run "+cfg.Name)
 		if err != nil {
-			return [2]ChaosRow{}, fmt.Errorf("bench: chaos run %s: %w", cfg.Name, err)
+			return [2]ChaosRow{}, err
 		}
-		ctx.Reg.Merge(chaos.Metrics())
-		bt, be := base.Stats.Makespan, base.Stats.Energy
+		bt, be := free.Stats.Makespan, free.Stats.Energy
 		ct, ce := chaos.Stats.Makespan, chaos.Stats.Energy
 		return [2]ChaosRow{
 			{Config: cfg.Name, Scenario: "fault-free", Time: bt, Energy: be},

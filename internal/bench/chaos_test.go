@@ -7,7 +7,7 @@ import (
 )
 
 func TestChaosAblationShape(t *testing.T) {
-	rows, err := ChaosAblation(hw.SummitNode, 2, 16384, 2048, "")
+	rows, err := ChaosAblationOpts(hw.SummitNode, 2, 16384, 2048, "", SweepOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,22 +29,23 @@ func TestChaosAblationShape(t *testing.T) {
 			t.Errorf("%s: TimeOverheadPct = %g, want > 0", chaos.Config, chaos.TimeOverheadPct)
 		}
 	}
-	if _, err := ChaosAblation(hw.SummitNode, 1, 16384, 2048, ""); err == nil {
+	if _, err := ChaosAblationOpts(hw.SummitNode, 1, 16384, 2048, "", SweepOpts{}); err == nil {
 		t.Error("single-GPU chaos ablation must be rejected (no failover target)")
 	}
-	if _, err := ChaosAblation(hw.SummitNode, 2, 16384, 2048, "kill:dev=9,at=0.5"); err == nil {
+	if _, err := ChaosAblationOpts(hw.SummitNode, 2, 16384, 2048, "kill:dev=9,at=0.5", SweepOpts{}); err == nil {
 		t.Error("out-of-range device in spec must be rejected")
 	}
 }
 
-// TestConvSweepFaultsNoOp pins the golden no-op at the bench layer: an
-// empty fault spec must reproduce ConvSweep exactly.
+// TestConvSweepFaultsNoOp pins the golden no-op at the bench layer: with
+// an empty fault spec (the one entry point's fault-free spelling) two
+// sweeps must agree row for row, digests included.
 func TestConvSweepFaultsNoOp(t *testing.T) {
-	a, err := ConvSweep(hw.SummitNode, 1, 1, []int{16384}, 2048)
+	a, err := ConvSweepOpts(hw.SummitNode, 1, 1, []int{16384}, 2048, "", SchedOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ConvSweepFaults(hw.SummitNode, 1, 1, []int{16384}, 2048, "")
+	b, err := ConvSweepOpts(hw.SummitNode, 1, 1, []int{16384}, 2048, "", SchedOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +60,11 @@ func TestConvSweepFaultsNoOp(t *testing.T) {
 }
 
 func TestScalingFaultsSlowdown(t *testing.T) {
-	base, err := StrongScaling([]int{1}, 16384, 2048)
+	base, err := StrongScalingOpts([]int{1}, 16384, 2048, "", SchedOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := StrongScalingFaults([]int{1}, 16384, 2048, "slow:dev=0,from=0,to=1,x=8")
+	slow, err := StrongScalingOpts([]int{1}, 16384, 2048, "slow:dev=0,from=0,to=1,x=8", SchedOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"geompc/internal/cholesky"
 	"geompc/internal/hw"
-	planpkg "geompc/internal/plan"
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
@@ -62,31 +60,11 @@ type ConvRow struct {
 	Digest uint64
 }
 
-// ConvSweep runs Fig 8 (single GPU) or Fig 11 (full node) for one machine:
-// every configuration × {STC, TTC} × matrix size, in phantom mode.
-func ConvSweep(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts int) ([]ConvRow, error) {
-	return ConvSweepFaults(node, ranks, gpusPerRank, sizes, ts, "")
-}
-
-// ConvSweepFaults is ConvSweep with a fault plan injected into every run
-// (runtime.ParseFaultSpec grammar; empty means fault-free). Reported times
-// then include the recovery overhead the plan causes.
-func ConvSweepFaults(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts int, faultSpec string) ([]ConvRow, error) {
-	return ConvSweepOpts(node, ranks, gpusPerRank, sizes, ts, faultSpec, SchedOpts{})
-}
-
-// ConvSweepOpts is the fully parameterized sweep: a fault plan plus a named
-// scheduling policy and broadcast topology (zero SchedOpts = historical
-// FIFO + binomial).
-func ConvSweepOpts(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts int, faultSpec string, so SchedOpts) ([]ConvRow, error) {
-	return convSweep(node, ranks, gpusPerRank, sizes, ts, faultSpec, so, nil)
-}
-
 // convPoint is one cell of the conversion sweep's flattened grid:
 // configuration × conversion strategy × matrix size.
 type convPoint struct {
 	cfg   ConvConfig
-	strat cholesky.Strategy
+	strat solver.Strategy
 	n     int
 }
 
@@ -95,7 +73,7 @@ type convPoint struct {
 func convGrid(sizes []int) []convPoint {
 	var pts []convPoint
 	for _, cfg := range ConvConfigs() {
-		strategies := []cholesky.Strategy{cholesky.Auto, cholesky.ForceTTC}
+		strategies := []solver.Strategy{solver.Auto, solver.ForceTTC}
 		if cfg.Uniform {
 			// Uniform-precision baselines have no precision mismatch; STC
 			// and TTC coincide, so report a single line.
@@ -110,51 +88,35 @@ func convGrid(sizes []int) []convPoint {
 	return pts
 }
 
-// convSweep is the shared sweep body, routed through the deterministic
-// sweep executor (serial when so.Workers == 0) and the solver backend
-// so.Solver names (default "direct" — bit-identical to the historical
-// cholesky.RunCached path); a non-nil cache is shared across workers (see
-// ConvSweepCached and the plan.Cache concurrency contract).
-func convSweep(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts int, faultSpec string, so SchedOpts, cache *planpkg.Cache) ([]ConvRow, error) {
-	pol, topo, err := so.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	be, err := solver.ByName(so.Solver)
-	if err != nil {
-		return nil, err
-	}
+// ConvSweepOpts runs Fig 8 (single GPU) or Fig 11 (full node) for one
+// machine: every configuration × {STC, TTC} × matrix size, in phantom mode,
+// under a fault plan (runtime.ParseFaultSpec grammar; empty = fault-free,
+// otherwise reported times include the recovery overhead) and the named
+// policy, topology and solver backend of so (zero SchedOpts = FIFO +
+// binomial + direct, serial). With so.Cache set the sweep alternates
+// precision maps over a handful of schedule shapes (strategy × size), so
+// with one plan slot per shape it exercises the invalidation path far more
+// than the replay path — convbench -plan-cache prints that mix.
+func ConvSweepOpts(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts int, faultSpec string, so SchedOpts) ([]ConvRow, error) {
 	plat, err := runtime.NewPlatform(node, ranks, gpusPerRank)
 	if err != nil {
 		return nil, err
 	}
-	var faults runtime.FaultInjector
-	if faultSpec != "" {
-		fp, err := runtime.ParseFaultSpec(faultSpec, plat.NumDevices())
-		if err != nil {
-			return nil, err
-		}
-		faults = fp
+	be, base, err := so.Config(solver.Config{Platform: plat}, faultSpec)
+	if err != nil {
+		return nil, err
 	}
 	pts := convGrid(sizes)
-	opts := so.sweepOptions()
-	opts.Cache = cache
-	return sweep.Run(len(pts), opts, func(i int, ctx *sweep.Context) (ConvRow, error) {
+	return sweep.Run(len(pts), so.sweepOptions(), func(i int, ctx *sweep.Context) (ConvRow, error) {
 		p := pts[i]
-		pg, qg := tile.SquarestGrid(plat.Ranks)
-		desc, err := tile.NewDesc(p.n, ts, pg, qg)
+		cfg := base
+		cfg.Strategy = p.strat
+		res, err := solvePoint(ctx, be, cfg, p.n, ts,
+			func(d tile.Desc) [][]prec.Precision { return p.cfg.KernelMap(d.NT) }, 1e-2,
+			fmt.Sprintf("%s %v n=%d", p.cfg.Name, p.strat, p.n))
 		if err != nil {
 			return ConvRow{}, err
 		}
-		maps := precmap.New(p.cfg.KernelMap(desc.NT), 1e-2)
-		res, err := be.SolveCached(solver.Config{
-			Desc: desc, Maps: maps, Platform: plat, Strategy: p.strat,
-			Faults: faults, Sched: pol, Bcast: topo,
-		}, ctx.Cache)
-		if err != nil {
-			return ConvRow{}, fmt.Errorf("bench: %s %v n=%d: %w", p.cfg.Name, p.strat, p.n, err)
-		}
-		ctx.Reg.Merge(res.Metrics())
 		peak := node.GPU.SupportedPeak(p.cfg.OffDiag) * float64(plat.NumDevices())
 		return ConvRow{
 			Config:   p.cfg.Name,

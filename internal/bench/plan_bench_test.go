@@ -63,7 +63,7 @@ func BenchmarkPlanAblationMLECached(b *testing.B) {
 // TestPlanAblation exercises the cmd/ablation table end to end and checks
 // its built-in digest self-verification plus the expected counter shape.
 func TestPlanAblation(t *testing.T) {
-	rows, err := PlanAblation(1024, 128, 6, hw.SummitNode)
+	rows, err := PlanAblationBackend(1024, 128, 6, hw.SummitNode, "direct")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestConvSweepCachedMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := planpkg.NewCache(nil)
-	first, err := ConvSweepCached(hw.SummitNode, 1, 1, sizes, ts, "", SchedOpts{}, cache)
+	first, err := ConvSweepOpts(hw.SummitNode, 1, 1, sizes, ts, "", SchedOpts{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := ConvSweepCached(hw.SummitNode, 1, 1, sizes, ts, "", SchedOpts{}, cache)
+	second, err := ConvSweepOpts(hw.SummitNode, 1, 1, sizes, ts, "", SchedOpts{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}

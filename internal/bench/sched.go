@@ -3,14 +3,15 @@ package bench
 import (
 	"fmt"
 
-	"geompc/internal/cholesky"
 	"geompc/internal/comm"
 	"geompc/internal/hw"
 	"geompc/internal/obs"
+	"geompc/internal/plan"
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
 	"geompc/internal/sched"
+	"geompc/internal/solver"
 	"geompc/internal/sweep"
 	"geompc/internal/tile"
 )
@@ -36,31 +37,83 @@ func (o SweepOpts) sweepOptions() sweep.Options {
 	return sweep.Options{Workers: o.Workers, Registry: o.Metrics, Summary: o.Summary}
 }
 
-// SchedOpts names a scheduling policy and broadcast topology by their CLI
-// spellings, plus the sweep-execution knobs. The zero value is the
-// engine's historical behavior (FIFO + binomial, serial sweep).
+// SchedOpts names a scheduling policy, broadcast topology and solver
+// backend by their CLI spellings, plus the sweep-execution knobs. The zero
+// value is the engine's historical behavior (FIFO + binomial, direct
+// backend, serial sweep, no plan cache).
 type SchedOpts struct {
 	Policy string // sched.ByName: "", "fifo", "locality", "cp"
 	Bcast  string // comm.TopologyByName: "", "binomial", "flat", "chain"
 	// Solver is the backend the sweep routes solves through (solver.ByName
-	// spelling; "" = "direct"). Families that are intrinsically
-	// factorization-shaped ignore it.
+	// spelling; "" = "direct").
 	Solver string
+	// Cache, when non-nil, routes every solve of the sweep through one
+	// compiled-plan cache shared by all workers (see the plan.Cache
+	// concurrency contract): rows are identical to an uncached sweep's, the
+	// counters show how they were obtained, and armed fault plans bypass it
+	// per run.
+	Cache *plan.Cache
 	SweepOpts
 }
 
-// Resolve turns the names into the policy/topology pair (erroring on
-// unknown names before any benchmark time is spent).
-func (o SchedOpts) Resolve() (sched.Policy, comm.Topology, error) {
-	pol, err := sched.ByName(o.Policy)
+// sweepOptions adds the plan cache to the embedded execution knobs.
+func (o SchedOpts) sweepOptions() sweep.Options {
+	opts := o.SweepOpts.sweepOptions()
+	opts.Cache = o.Cache
+	return opts
+}
+
+// Config resolves the names in o and a fault spec (runtime.ParseFaultSpec
+// grammar; empty = fault-free) into the backend and the run config every
+// point of a sweep shares: base — which must carry the Platform — with its
+// Sched, Bcast and Faults filled in. Unknown names error here, before any
+// benchmark time is spent.
+func (o SchedOpts) Config(base solver.Config, faultSpec string) (solver.Backend, solver.Config, error) {
+	be, err := solver.ByName(o.Solver)
 	if err != nil {
-		return nil, nil, err
+		return nil, base, err
 	}
-	topo, err := comm.TopologyByName(o.Bcast)
+	if base.Sched, err = sched.ByName(o.Policy); err != nil {
+		return nil, base, err
+	}
+	if base.Bcast, err = comm.TopologyByName(o.Bcast); err != nil {
+		return nil, base, err
+	}
+	if faultSpec != "" {
+		if base.Faults, err = runtime.ParseFaultSpec(faultSpec, base.Platform.NumDevices()); err != nil {
+			return nil, base, err
+		}
+	}
+	return be, base, nil
+}
+
+// solvePoint is the body every phantom sweep point shares: lay an n×n
+// matrix of ts-sized tiles over the platform's squarest process grid, build
+// the precision maps from km at accuracy ureq, run one solve through be
+// (and the point's plan cache, if any) and merge the run's metrics into
+// the point's shard. cfg carries everything but Desc and Maps; label names
+// the point in a solve error.
+func solvePoint(ctx *sweep.Context, be solver.Backend, cfg solver.Config, n, ts int,
+	km func(tile.Desc) [][]prec.Precision, ureq float64, label string) (*solver.Result, error) {
+	pg, qg := tile.SquarestGrid(cfg.Platform.Ranks)
+	desc, err := tile.NewDesc(n, ts, pg, qg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return pol, topo, nil
+	cfg.Desc = desc
+	cfg.Maps = precmap.New(km(desc), ureq)
+	res, err := be.Solve(cfg, ctx.Cache)
+	if err != nil {
+		return nil, fmt.Errorf("bench: %s: %w", label, err)
+	}
+	ctx.Reg.Merge(res.Metrics())
+	return res, nil
+}
+
+// uniformOffDiag is the kernel map of the ablation workloads: FP64 diagonal,
+// p everywhere else.
+func uniformOffDiag(p prec.Precision) func(tile.Desc) [][]prec.Precision {
+	return func(d tile.Desc) [][]prec.Precision { return precmap.Uniform(d.NT, p) }
 }
 
 // SchedRow is one line of the scheduler ablation: the same workload under a
@@ -75,19 +128,18 @@ type SchedRow struct {
 	BytesNet int64
 }
 
-// SchedAblation runs the Fig 11 multi-GPU workload (mixed-precision
+// SchedAblationOpts runs the Fig 11 multi-GPU workload (mixed-precision
 // FP64/FP16_32 Auto on a full node) under every built-in scheduling policy,
-// in phantom mode. The interesting column is BytesH2D: Locality re-places
-// consumers onto the device already holding their tiles, so its staging
-// traffic must come in strictly below FIFO's.
-func SchedAblation(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts int) ([]SchedRow, error) {
-	return SchedAblationOpts(node, ranks, gpusPerRank, sizes, ts, SweepOpts{})
-}
-
-// SchedAblationOpts is SchedAblation routed through the sweep executor
-// with the given execution knobs (zero value = serial, bit-identical).
+// in phantom mode, through the sweep executor (zero SweepOpts = serial).
+// The interesting column is BytesH2D: Locality re-places consumers onto the
+// device already holding their tiles, so its staging traffic must come in
+// strictly below FIFO's.
 func SchedAblationOpts(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts int, so SweepOpts) ([]SchedRow, error) {
 	plat, err := runtime.NewPlatform(node, ranks, gpusPerRank)
+	if err != nil {
+		return nil, err
+	}
+	direct, err := solver.ByName("direct")
 	if err != nil {
 		return nil, err
 	}
@@ -103,20 +155,11 @@ func SchedAblationOpts(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, t
 	}
 	return sweep.Run(len(pts), so.sweepOptions(), func(i int, ctx *sweep.Context) (SchedRow, error) {
 		p := pts[i]
-		pg, qg := tile.SquarestGrid(plat.Ranks)
-		desc, err := tile.NewDesc(p.n, ts, pg, qg)
+		res, err := solvePoint(ctx, direct, solver.Config{Platform: plat, Sched: p.pol}, p.n, ts, uniformOffDiag(prec.FP16x32), 1e-2,
+			fmt.Sprintf("sched %s n=%d", p.pol.Name(), p.n))
 		if err != nil {
 			return SchedRow{}, err
 		}
-		maps := precmap.New(precmap.Uniform(desc.NT, prec.FP16x32), 1e-2)
-		res, err := cholesky.Run(cholesky.Config{
-			Desc: desc, Maps: maps, Platform: plat, Strategy: cholesky.Auto,
-			Sched: p.pol,
-		})
-		if err != nil {
-			return SchedRow{}, fmt.Errorf("bench: sched %s n=%d: %w", p.pol.Name(), p.n, err)
-		}
-		ctx.Reg.Merge(res.Metrics())
 		return SchedRow{
 			Policy:   p.pol.Name(),
 			N:        p.n,
@@ -138,18 +181,17 @@ type BcastRow struct {
 	BytesNet int64
 }
 
-// BcastAblation runs a multi-rank mixed-precision factorization under every
-// built-in broadcast topology, in phantom mode. Bytes on the wire are
-// identical by construction; what moves is when receivers get the panel —
-// the makespan column shows the cost of each shape.
-func BcastAblation(node *hw.NodeSpec, ranks int, sizes []int, ts int) ([]BcastRow, error) {
-	return BcastAblationOpts(node, ranks, sizes, ts, SweepOpts{})
-}
-
-// BcastAblationOpts is BcastAblation routed through the sweep executor
-// with the given execution knobs (zero value = serial, bit-identical).
+// BcastAblationOpts runs a multi-rank mixed-precision factorization under
+// every built-in broadcast topology, in phantom mode, through the sweep
+// executor (zero SweepOpts = serial). Bytes on the wire are identical by
+// construction; what moves is when receivers get the panel — the makespan
+// column shows the cost of each shape.
 func BcastAblationOpts(node *hw.NodeSpec, ranks int, sizes []int, ts int, so SweepOpts) ([]BcastRow, error) {
 	plat, err := runtime.NewPlatform(node, ranks, 0)
+	if err != nil {
+		return nil, err
+	}
+	direct, err := solver.ByName("direct")
 	if err != nil {
 		return nil, err
 	}
@@ -165,20 +207,11 @@ func BcastAblationOpts(node *hw.NodeSpec, ranks int, sizes []int, ts int, so Swe
 	}
 	return sweep.Run(len(pts), so.sweepOptions(), func(i int, ctx *sweep.Context) (BcastRow, error) {
 		p := pts[i]
-		pg, qg := tile.SquarestGrid(plat.Ranks)
-		desc, err := tile.NewDesc(p.n, ts, pg, qg)
+		res, err := solvePoint(ctx, direct, solver.Config{Platform: plat, Bcast: p.topo}, p.n, ts, uniformOffDiag(prec.FP16x32), 1e-2,
+			fmt.Sprintf("bcast %s n=%d", p.topo.Name(), p.n))
 		if err != nil {
 			return BcastRow{}, err
 		}
-		maps := precmap.New(precmap.Uniform(desc.NT, prec.FP16x32), 1e-2)
-		res, err := cholesky.Run(cholesky.Config{
-			Desc: desc, Maps: maps, Platform: plat, Strategy: cholesky.Auto,
-			Bcast: p.topo,
-		})
-		if err != nil {
-			return BcastRow{}, fmt.Errorf("bench: bcast %s n=%d: %w", p.topo.Name(), p.n, err)
-		}
-		ctx.Reg.Merge(res.Metrics())
 		return BcastRow{
 			Topology: p.topo.Name(),
 			N:        p.n,

@@ -12,7 +12,7 @@ import (
 // following the data is the whole point of the policy — while every policy
 // reports a positive makespan and energy.
 func TestLocalityReducesH2DOnFullNode(t *testing.T) {
-	rows, err := SchedAblation(hw.SummitNode, 1, 0, []int{16384}, 2048)
+	rows, err := SchedAblationOpts(hw.SummitNode, 1, 0, []int{16384}, 2048, SweepOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestLocalityReducesH2DOnFullNode(t *testing.T) {
 // Makespans are allowed to move in either direction — with few receivers a
 // chain's first hop beats the binomial tree's uniform log-depth arrival.
 func TestBcastAblationShapes(t *testing.T) {
-	rows, err := BcastAblation(hw.SummitNode, 4, []int{8192}, 1024)
+	rows, err := BcastAblationOpts(hw.SummitNode, 4, []int{8192}, 1024, SweepOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

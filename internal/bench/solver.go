@@ -4,14 +4,12 @@ import (
 	"fmt"
 
 	_ "geompc/internal/cg" // registers the "cg" backend; "direct" rides on
-	// the package's ordinary cholesky import (conv.go)
+	// the package's ordinary cholesky import (ablation.go)
 	"geompc/internal/hw"
 	"geompc/internal/prec"
-	"geompc/internal/precmap"
 	"geompc/internal/runtime"
 	"geompc/internal/solver"
 	"geompc/internal/sweep"
-	"geompc/internal/tile"
 )
 
 // SolverRow is one measurement of the solver-backend ablation: the same
@@ -67,36 +65,28 @@ func SolverAblation(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts i
 // benchmark series (SolverAblationDirect / SolverAblationCG) time one
 // backend at a time through it.
 func solverAblation(node *hw.NodeSpec, ranks, gpusPerRank int, backends []string, sizes []int, ts int, so SchedOpts) ([]SolverRow, error) {
-	pol, topo, err := so.Resolve()
-	if err != nil {
-		return nil, err
-	}
 	plat, err := runtime.NewPlatform(node, ranks, gpusPerRank)
 	if err != nil {
 		return nil, err
 	}
+	_, base, err := so.Config(solver.Config{Platform: plat}, "")
+	if err != nil {
+		return nil, err
+	}
 	pts := solverGrid(backends, sizes)
-	opts := so.sweepOptions()
-	return sweep.Run(len(pts), opts, func(i int, ctx *sweep.Context) (SolverRow, error) {
+	return sweep.Run(len(pts), so.sweepOptions(), func(i int, ctx *sweep.Context) (SolverRow, error) {
 		p := pts[i]
 		b, err := solver.ByName(p.backend)
 		if err != nil {
 			return SolverRow{}, err
 		}
-		pg, qg := tile.SquarestGrid(plat.Ranks)
-		desc, err := tile.NewDesc(p.n, ts, pg, qg)
+		cfg := base
+		cfg.Strategy = p.strat
+		res, err := solvePoint(ctx, b, cfg, p.n, ts, uniformOffDiag(prec.FP16), 1e-2,
+			fmt.Sprintf("solver %s %v n=%d", p.backend, p.strat, p.n))
 		if err != nil {
 			return SolverRow{}, err
 		}
-		maps := precmap.New(precmap.Uniform(desc.NT, prec.FP16), 1e-2)
-		res, err := b.SolveCached(solver.Config{
-			Desc: desc, Maps: maps, Platform: plat, Strategy: p.strat,
-			Sched: pol, Bcast: topo,
-		}, ctx.Cache)
-		if err != nil {
-			return SolverRow{}, fmt.Errorf("bench: solver %s %v n=%d: %w", p.backend, p.strat, p.n, err)
-		}
-		ctx.Reg.Merge(res.Metrics())
 		return SolverRow{
 			Backend:    p.backend,
 			Strategy:   p.strat.String(),

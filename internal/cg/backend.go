@@ -14,9 +14,6 @@ func init() { solver.Register(cgBackend{}) }
 func (cgBackend) Name() string { return "cg" }
 
 // Solve implements solver.Backend.
-func (cgBackend) Solve(cfg solver.Config) (*solver.Result, error) { return Run(cfg) }
-
-// SolveCached implements solver.Backend.
-func (cgBackend) SolveCached(cfg solver.Config, c *plan.Cache) (*solver.Result, error) {
-	return RunCached(cfg, c)
+func (cgBackend) Solve(cfg solver.Config, c *plan.Cache) (*solver.Result, error) {
+	return Run(cfg, c)
 }

@@ -71,13 +71,6 @@ func (p params) pick(relres, epsFloor float64) prec.Precision {
 	return best
 }
 
-// armedFaults mirrors the direct backend's rule: runs with a live fault
-// plan never touch the plan cache.
-func armedFaults(cfg solver.Config) bool {
-	return cfg.Faults != nil && cfg.Platform != nil &&
-		len(cfg.Faults.Plan(cfg.Platform.NumDevices())) > 0
-}
-
 // chunkSig hashes everything that determines one chunk's schedule except
 // the precision maps and the vector contents: the problem shape, machine,
 // strategy, scheduling knobs, and the chunk's precision schedule (its
@@ -88,31 +81,7 @@ func chunkSig(cfg solver.Config, cp chunkParams, precond string) uint64 {
 	var d obs.Digest
 	d.WriteString("geompc/plan/v1")
 	d.WriteString("cg")
-	d.WriteInt64(int64(cfg.Desc.N))
-	d.WriteInt64(int64(cfg.Desc.TS))
-	d.WriteInt64(int64(cfg.Desc.NT))
-	d.WriteInt64(int64(cfg.Desc.P))
-	d.WriteInt64(int64(cfg.Desc.Q))
-	d.WriteInt64(int64(cfg.Platform.Ranks))
-	d.WriteInt64(int64(cfg.Platform.DevPerRank))
-	d.WriteString(cfg.Platform.Node.Name)
-	d.WriteString(cfg.Platform.Node.GPU.Name)
-	d.WriteInt64(int64(cfg.Strategy))
-	pol := "fifo"
-	if cfg.Sched != nil {
-		pol = cfg.Sched.Name()
-	}
-	d.WriteString(pol)
-	topo := "binomial"
-	if cfg.Bcast != nil {
-		topo = cfg.Bcast.Name()
-	}
-	d.WriteString(topo)
-	la := 2
-	if cfg.Lookahead > 0 {
-		la = cfg.Lookahead
-	}
-	d.WriteInt64(int64(la))
+	cfg.WriteShapeSig(&d)
 	d.WriteString(precond)
 	d.WriteInt64(int64(cp.iters))
 	for _, p := range cp.precs {
@@ -124,74 +93,15 @@ func chunkSig(cfg solver.Config, cp chunkParams, precond string) uint64 {
 	return d.Sum()
 }
 
-// chunkOut is one engine run's worth of results.
-type chunkOut struct {
-	stats runtime.Stats
-	reg   *obs.Registry
-	sched []runtime.ScheduledTask
-}
-
-func planOpts(cfg solver.Config) plan.Options {
-	return plan.Options{Policy: cfg.Sched, Bcast: cfg.Bcast, Lookahead: cfg.Lookahead, Audit: cfg.Audit}
-}
-
-// runChunk executes one chunk live or through the plan cache. Chunks with
-// equal precision schedules share a compiled plan (the chunk signature
-// excludes the base iteration), so a converging solve typically compiles
-// two or three plans and replays the rest.
-func runChunk(cfg solver.Config, cp chunkParams, st *state, errv *atomic.Value, c *plan.Cache, precond string) (chunkOut, error) {
-	g, err := newGraph(cfg, cp, st, errv)
-	if err != nil {
-		return chunkOut{}, err
-	}
-	if c != nil && !armedFaults(cfg) {
-		sig := chunkSig(cfg, cp, precond)
-		precSig := cfg.Maps.Signature()
-		if p := c.Lookup(sig); p != nil {
-			if p.PrecSig == precSig {
-				c.Hit()
-				stats, err := p.Replay(g)
-				if err != nil {
-					return chunkOut{}, err
-				}
-				return chunkOut{stats: stats, reg: p.Metrics, sched: p.Schedule}, nil
-			}
-			inv, err := p.Invalidate(g)
-			if err != nil {
-				return chunkOut{}, err
-			}
-			c.Invalidated(len(inv.Dirty))
-		} else {
-			c.Miss()
-		}
-		p, err := plan.Compile(cfg.Platform, g, sig, precSig, planOpts(cfg))
-		if err != nil {
-			return chunkOut{}, err
-		}
-		c.Store(p)
-		return chunkOut{stats: p.Stats, reg: p.Metrics, sched: p.Schedule}, nil
-	}
-	if c != nil {
-		c.Bypass()
-	}
-	eng := runtime.New(cfg.Platform, g)
-	eng.Trace = cfg.Trace
-	eng.Audit = cfg.Audit
-	eng.Inject(cfg.Faults)
-	eng.Policy = cfg.Sched
-	eng.Bcast = cfg.Bcast
-	if cfg.Lookahead > 0 {
-		eng.Lookahead = cfg.Lookahead
-	}
-	stats, err := eng.Run()
-	if err != nil {
-		return chunkOut{}, err
-	}
-	out := chunkOut{stats: stats, reg: eng.Metrics()}
-	if cfg.Trace || cfg.Audit {
-		out.sched = eng.ScheduleTrace()
-	}
-	return out, nil
+// runChunk executes one chunk through the shared cached-run flow (live
+// when c is nil). Chunks with equal precision schedules share a compiled
+// plan (the chunk signature excludes the base iteration), so a converging
+// solve typically compiles two or three plans and replays the rest.
+func runChunk(cfg solver.Config, cp chunkParams, st *state, errv *atomic.Value, c *plan.Cache, precond string) (plan.Outcome, error) {
+	return c.Run(cfg.Armed(),
+		func() (uint64, uint64) { return chunkSig(cfg, cp, precond), cfg.Maps.Signature() },
+		func() (runtime.Graph, error) { return newGraph(cfg, cp, st, errv) },
+		cfg.Engine)
 }
 
 // addStats accumulates one chunk into the solve totals; rates (Flops,
@@ -215,15 +125,10 @@ func addStats(dst *runtime.Stats, s runtime.Stats) {
 
 // Run executes the preconditioned CG solve described by cfg: numeric when
 // cfg.Matrix holds tile data and cfg.RHS is set, phantom (cost-only, a
-// modeled residual trajectory) otherwise.
-func Run(cfg solver.Config) (*solver.Result, error) {
-	res, _, err := solve(cfg, nil, false)
-	return res, err
-}
-
-// RunCached is Run through a compiled-plan cache: chunks whose precision
-// schedule repeats replay their frozen plan.
-func RunCached(cfg solver.Config, c *plan.Cache) (*solver.Result, error) {
+// modeled residual trajectory) otherwise. A non-nil cache replays the
+// frozen plan of every chunk whose precision schedule repeats; nil runs
+// each chunk live.
+func Run(cfg solver.Config, c *plan.Cache) (*solver.Result, error) {
 	res, _, err := solve(cfg, c, false)
 	return res, err
 }
@@ -321,22 +226,18 @@ func solve(cfg solver.Config, c *plan.Cache, pure bool) (*solver.Result, *state,
 		if err != nil {
 			return nil, nil, err
 		}
-		addStats(&total, out.stats)
-		dig.WriteUint64(out.stats.ScheduleDigest)
-		if out.reg != nil {
-			reg.Merge(out.reg)
+		addStats(&total, out.Stats)
+		dig.WriteUint64(out.Stats.ScheduleDigest)
+		reg.Merge(out.Metrics())
+		for _, t := range out.Schedule() {
+			sched = append(sched, solver.ScheduledTask{
+				Name:   TaskName(cfg.Desc.NT, k, done, t.ID),
+				Device: t.Device,
+				Start:  t.Start + offset,
+				End:    t.End + offset,
+			})
 		}
-		if len(out.sched) > 0 {
-			for _, t := range out.sched {
-				sched = append(sched, solver.ScheduledTask{
-					Name:   TaskName(cfg.Desc.NT, k, done, t.ID),
-					Device: t.Device,
-					Start:  t.Start + offset,
-					End:    t.End + offset,
-				})
-			}
-		}
-		offset += out.stats.Makespan
+		offset += out.Stats.Makespan
 		for t := 0; t < k; t++ {
 			reg.Counter("cg/iters/" + cp.precs[t].String()).Inc()
 		}

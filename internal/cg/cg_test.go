@@ -119,7 +119,7 @@ func TestDifferentialVsDirect(t *testing.T) {
 	} {
 		cfg, rhs := problem(t, tc.n, tc.ts, tc.ureq, 2, 2)
 		cfg.Strategy = tc.strat
-		res, err := Run(cfg)
+		res, err := Run(cfg, nil)
 		if err != nil {
 			t.Fatalf("n=%d ureq=%g %v: %v", tc.n, tc.ureq, tc.strat, err)
 		}
@@ -147,7 +147,7 @@ func TestPlanCacheReplay(t *testing.T) {
 	c := plan.NewCache(nil)
 	run := func() *solver.Result {
 		cfg, _ := problem(t, 96, 32, 1e-6, 2, 2)
-		res, err := RunCached(cfg, c)
+		res, err := Run(cfg, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestPhantomRun(t *testing.T) {
 	cfg, _ := problem(t, 160, 32, 1e-4, 2, 2)
 	cfg.Matrix = nil
 	cfg.RHS = nil
-	res, err := Run(cfg)
+	res, err := Run(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestSTCMovesFewerBytes(t *testing.T) {
 	run := func(s solver.Strategy) *solver.Result {
 		c := cfg
 		c.Strategy = s
-		res, err := Run(c)
+		res, err := Run(c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +286,7 @@ func TestBackendRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg, rhs := problem(t, 96, 32, 1e-6, 1, 1)
-	res, err := cgb.Solve(cfg)
+	res, err := cgb.Solve(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

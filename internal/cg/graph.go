@@ -7,7 +7,7 @@
 // apply to it unchanged. Iterations are grouped into fixed-size chunks;
 // each chunk is one engine run, and convergence is checked
 // deterministically at chunk boundaries on the virtual clock.
-// See DESIGN.md §6i for the DAG shape and the precision-switch rule.
+// See DESIGN.md §3.2 for the DAG shape and the precision-switch rule.
 package cg
 
 import (

@@ -5,54 +5,15 @@ import (
 	"io"
 	"sort"
 
-	"geompc/internal/comm"
 	"geompc/internal/obs"
-	"geompc/internal/precmap"
+	"geompc/internal/plan"
 	"geompc/internal/runtime"
-	"geompc/internal/sched"
-	"geompc/internal/tile"
+	"geompc/internal/solver"
 )
 
-// Config describes one factorization run.
-type Config struct {
-	// Desc is the tiling and process-grid layout.
-	Desc tile.Desc
-	// Maps holds the kernel/storage/comm precision maps.
-	Maps *precmap.Maps
-	// Platform is the simulated machine.
-	Platform *runtime.Platform
-	// Matrix, when non-nil, holds real tile data and enables numeric
-	// execution; nil runs in phantom (cost-only) mode.
-	Matrix *tile.Matrix
-	// Strategy selects Auto (Algorithm 2) or ForceTTC communication.
-	Strategy Strategy
-	// Trace enables per-interval occupancy/power recording.
-	Trace bool
-	// Audit enables the runtime's invariant auditor (pin balance, LRU
-	// residency, energy conservation); violations fail the run. Implies
-	// Trace.
-	Audit bool
-	// Lookahead overrides the engine's stream pipeline depth (default 2).
-	Lookahead int
-	// Faults, when non-nil, arms the run with a deterministic fault plan
-	// (device failures, transient kernel faults, host-link slowdowns); see
-	// runtime.ParseFaultSpec for the CLI grammar. A nil injector — or one
-	// with an empty plan — leaves the run bit-identical to a fault-free
-	// engine.
-	Faults runtime.FaultInjector
-	// Sched selects the engine's scheduling policy (ready-queue order,
-	// placement, failover). Nil means sched.FIFO{} — the historical
-	// schedule, bit for bit. Any policy produces the bit-identical factor;
-	// only virtual time and data motion change.
-	Sched sched.Policy
-	// Bcast selects the inter-rank broadcast topology. Nil means
-	// comm.Binomial{}, the historical arithmetic.
-	Bcast comm.Topology
-	// Deprecated: has no effect, the engine is serial. Nothing reads it;
-	// the field remains only until the end-to-end benchmark stops assigning
-	// it.
-	EngineWorkers int
-}
+// Config is the run config every layer shares; the alias keeps the
+// package's historical spelling (cholesky.Config{...}) compiling.
+type Config = solver.Config
 
 // Result reports a completed factorization.
 type Result struct {
@@ -65,22 +26,30 @@ type Result struct {
 	// success or in phantom mode.
 	Err error
 
-	// Exactly one of the two is set: engine for live runs, the frozen
-	// plan-backed state (schedule + compile-time metrics) for results
-	// served by the plan cache (see RunCached).
-	engine   *runtime.Engine
-	schedule []runtime.ScheduledTask
-	metrics  *obs.Registry
+	// out holds the live engine, or the plan a cache served the run from
+	// (see RunCached).
+	out plan.Outcome
+}
+
+// newResult wraps one finished run of g under cfg.
+func newResult(cfg Config, g *graph, out plan.Outcome) *Result {
+	r := &Result{Stats: out.Stats, Strategy: cfg.Strategy, Err: g.Err(), out: out}
+	if cfg.Strategy == ForceTTC {
+		_, r.CommTasks = cfg.Maps.STCCount()
+	} else {
+		r.STCTasks, r.CommTasks = cfg.Maps.STCCount()
+	}
+	return r
 }
 
 // DeviceTrace exposes the busy/transfer interval traces of device i
 // recorded during a Trace-enabled run. Plan-backed results carry no
 // interval traces and return nil slices.
 func (r *Result) DeviceTrace(i int) (busy, xfer []runtime.Interval) {
-	if r.engine == nil {
+	if r.out.Engine == nil {
 		return nil, nil
 	}
-	return r.engine.DeviceTrace(i)
+	return r.out.Engine.DeviceTrace(i)
 }
 
 // Digest returns the run's schedule digest (see runtime.Stats.ScheduleDigest).
@@ -88,64 +57,30 @@ func (r *Result) Digest() uint64 { return r.Stats.ScheduleDigest }
 
 // Metrics returns the engine's metrics registry for this run. Plan-backed
 // results return the compile run's frozen registry.
-func (r *Result) Metrics() *obs.Registry {
-	if r.engine == nil {
-		if r.metrics == nil {
-			return obs.NewRegistry()
-		}
-		return r.metrics
-	}
-	return r.engine.Metrics()
-}
+func (r *Result) Metrics() *obs.Registry { return r.out.Metrics() }
 
 // WriteChromeTrace renders the run's timeline as Chrome trace-event JSON.
 // nt, when positive, labels kernel spans in the paper's task notation
 // (only meaningful for Run results; pass 0 for RunDTD's insertion ids).
 // Plan-backed results carry no interval traces and return an error.
 func (r *Result) WriteChromeTrace(w io.Writer, nt int) error {
-	if r.engine == nil {
+	if r.out.Engine == nil {
 		return fmt.Errorf("cholesky: chrome traces need a live run (plan-backed result)")
 	}
 	var name func(id int) string
 	if nt > 0 {
 		name = func(id int) string { return TaskName(nt, id) }
 	}
-	return r.engine.WriteChromeTrace(w, name)
+	return r.out.Engine.WriteChromeTrace(w, name)
 }
 
 // Run executes the adaptive mixed-precision tile Cholesky described by cfg
-// and returns its simulated statistics (and, in numeric mode, leaves the
-// factor L in cfg.Matrix's lower tiles).
-func Run(cfg Config) (*Result, error) {
-	g, err := newGraph(cfg)
-	if err != nil {
-		return nil, err
-	}
-	eng := runtime.New(cfg.Platform, g)
-	eng.Trace = cfg.Trace
-	eng.Audit = cfg.Audit
-	eng.Inject(cfg.Faults)
-	eng.Policy = cfg.Sched
-	eng.Bcast = cfg.Bcast
-	if cfg.Lookahead > 0 {
-		eng.Lookahead = cfg.Lookahead
-	}
-	stats, err := eng.Run()
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Stats:    stats,
-		Strategy: cfg.Strategy,
-		Err:      g.Err(),
-		engine:   eng,
-	}
-	res.countConversions(cfg)
-	return res, nil
-}
+// live and returns its simulated statistics (and, in numeric mode, leaves
+// the factor L in cfg.Matrix's lower tiles).
+func Run(cfg Config) (*Result, error) { return RunCached(cfg, nil) }
 
 // newGraph validates cfg and builds the PTG task graph of one
-// factorization (shared by Run and the plan front-end).
+// factorization.
 func newGraph(cfg Config) (*graph, error) {
 	if cfg.Platform == nil {
 		return nil, fmt.Errorf("cholesky: nil platform")
@@ -169,15 +104,6 @@ func newGraph(cfg Config) (*graph, error) {
 		g.wire = make([][]float64, cfg.Desc.NT*(cfg.Desc.NT+1)/2)
 	}
 	return g, nil
-}
-
-// countConversions fills the STC/TTC task counters from the maps.
-func (r *Result) countConversions(cfg Config) {
-	if cfg.Strategy == ForceTTC {
-		_, r.CommTasks = cfg.Maps.STCCount()
-	} else {
-		r.STCTasks, r.CommTasks = cfg.Maps.STCCount()
-	}
 }
 
 // TheoreticalFlops returns the flop count of an N×N Cholesky, N³/3.
@@ -208,10 +134,7 @@ func TaskName(nt, id int) string {
 // Labels are only meaningful for Run (PTG ids); RunDTD results use
 // insertion-order ids and should not be passed here.
 func (r *Result) Schedule(nt int) []ScheduledTask {
-	raw := r.schedule
-	if r.engine != nil {
-		raw = r.engine.ScheduleTrace()
-	}
+	raw := r.out.Schedule()
 	out := make([]ScheduledTask, len(raw))
 	for i, t := range raw {
 		out[i] = ScheduledTask{
@@ -226,8 +149,4 @@ func (r *Result) Schedule(nt int) []ScheduledTask {
 }
 
 // ScheduledTask is one labeled entry of the simulated timeline.
-type ScheduledTask struct {
-	Name       string
-	Device     int
-	Start, End float64
-}
+type ScheduledTask = solver.ScheduledTask

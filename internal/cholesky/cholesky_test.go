@@ -11,9 +11,15 @@ import (
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
+	"geompc/internal/solver"
 	"geompc/internal/stats"
 	"geompc/internal/tile"
 )
+
+// cholesky.Config and solver.Config are one type, not mirrors: two pointer
+// types are mutually assignable only when their element types are
+// identical, so this stops compiling if the alias ever forks.
+var _ *solver.Config = (*Config)(nil)
 
 func TestIDRoundTrip(t *testing.T) {
 	for _, nt := range []int{1, 2, 3, 5, 8, 13} {

@@ -13,33 +13,7 @@ import (
 // the same simulated statistics and (in numeric mode) the same factor — a
 // property the test suite asserts. This mirrors PaRSEC offering PTG and DTD
 // as interchangeable DSLs over one runtime (§III-B).
-func RunDTD(cfg Config) (*Result, error) {
-	g, dtd, err := buildDTD(cfg)
-	if err != nil {
-		return nil, err
-	}
-	eng := runtime.New(cfg.Platform, dtd)
-	eng.Trace = cfg.Trace
-	eng.Audit = cfg.Audit
-	eng.Inject(cfg.Faults)
-	eng.Policy = cfg.Sched
-	eng.Bcast = cfg.Bcast
-	if cfg.Lookahead > 0 {
-		eng.Lookahead = cfg.Lookahead
-	}
-	stats, err := eng.Run()
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Stats:    stats,
-		Strategy: cfg.Strategy,
-		Err:      g.Err(),
-		engine:   eng,
-	}
-	res.countConversions(cfg)
-	return res, nil
-}
+func RunDTD(cfg Config) (*Result, error) { return RunCachedDTD(cfg, nil) }
 
 // buildDTD rebuilds the factorization as a Dynamic Task Discovery graph:
 // tasks inserted in Algorithm 1 order with inferred edges. The insertion is

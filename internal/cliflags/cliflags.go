@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"geompc/internal/bench"
-	"geompc/internal/runtime"
 	"geompc/internal/solver"
 )
 
@@ -82,7 +81,8 @@ func (v *Values) Backend() (solver.Backend, error) {
 }
 
 // SchedOpts assembles the bench-level sweep options from the parsed
-// values (policy, topology and solver names plus the worker count).
+// values (policy, topology and solver names plus the worker count); its
+// Config method resolves them, with the -faults value, into a run config.
 func (v *Values) SchedOpts() bench.SchedOpts {
 	return bench.SchedOpts{Policy: v.Sched, Bcast: v.Bcast, Solver: v.Solver, SweepOpts: v.SweepOpts()}
 }
@@ -90,15 +90,6 @@ func (v *Values) SchedOpts() bench.SchedOpts {
 // SweepOpts returns just the sweep-execution knobs.
 func (v *Values) SweepOpts() bench.SweepOpts {
 	return bench.SweepOpts{Workers: v.Workers}
-}
-
-// Injector parses the -faults value against the platform's device count;
-// an empty value returns a nil injector (fault-free).
-func (v *Values) Injector(numDevices int) (runtime.FaultInjector, error) {
-	if v.Faults == "" {
-		return nil, nil
-	}
-	return runtime.ParseFaultSpec(v.Faults, numDevices)
 }
 
 // ParseSizes parses a comma-separated list of positive integers — the

@@ -4,6 +4,10 @@ import (
 	"flag"
 	"strings"
 	"testing"
+
+	"geompc/internal/hw"
+	"geompc/internal/runtime"
+	"geompc/internal/solver"
 )
 
 func newFS() *flag.FlagSet {
@@ -52,22 +56,29 @@ func TestRegisterOmitsUnselectedGroups(t *testing.T) {
 	}
 }
 
+// TestInjector: the -faults value resolves against a platform's device
+// count through SchedOpts().Config — nil injector when empty, an error for
+// out-of-range devices and malformed specs.
 func TestInjector(t *testing.T) {
+	plat, err := runtime.NewPlatform(hw.SummitNode, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	v := &Values{}
-	if inj, err := v.Injector(2); err != nil || inj != nil {
-		t.Errorf("empty spec: injector=%v err=%v, want nil/nil", inj, err)
+	if _, cfg, err := v.SchedOpts().Config(solver.Config{Platform: plat}, v.Faults); err != nil || cfg.Faults != nil {
+		t.Errorf("empty spec: injector=%v err=%v, want nil/nil", cfg.Faults, err)
 	}
 	v.Faults = "kill:dev=1,at=0.5"
-	inj, err := v.Injector(2)
-	if err != nil || inj == nil {
-		t.Errorf("valid spec: injector=%v err=%v", inj, err)
+	_, cfg, err := v.SchedOpts().Config(solver.Config{Platform: plat}, v.Faults)
+	if err != nil || cfg.Faults == nil {
+		t.Errorf("valid spec: injector=%v err=%v", cfg.Faults, err)
 	}
 	v.Faults = "kill:dev=9,at=0.5"
-	if _, err := v.Injector(2); err == nil {
+	if _, _, err := v.SchedOpts().Config(solver.Config{Platform: plat}, v.Faults); err == nil {
 		t.Error("out-of-range device accepted")
 	}
 	v.Faults = "nonsense"
-	if _, err := v.Injector(2); err == nil {
+	if _, _, err := v.SchedOpts().Config(solver.Config{Platform: plat}, v.Faults); err == nil {
 		t.Error("malformed spec accepted")
 	}
 }

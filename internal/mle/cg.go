@@ -27,7 +27,7 @@ func (p *Problem) negLogLikCG(desc tile.Desc, maps *precmap.Maps, mat *tile.Matr
 		Desc: desc, Maps: maps, Platform: p.Platform, Matrix: mat,
 		RHS: p.Z, Strategy: p.Strategy,
 	}
-	res, err := cg.Run(scfg)
+	res, err := cg.Run(scfg, nil)
 	if err != nil {
 		if errors.Is(err, cg.ErrNotSPD) {
 			if rs != nil {

@@ -2,10 +2,12 @@ package mle
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"geompc/internal/geo"
 	"geompc/internal/linalg"
+	"geompc/internal/optimize"
 	"geompc/internal/stats"
 )
 
@@ -86,6 +88,40 @@ func TestNegLogLikUnknownSolver(t *testing.T) {
 	p.Solver = "qr"
 	if _, err := p.NegLogLik([]float64{1, 0.05}, nil); err == nil {
 		t.Fatal("unknown solver did not error")
+	}
+}
+
+// countingKernel wraps a kernel and counts covariance evaluations (FillTile
+// reaches every kernel through Cov, directly or via the unbound adapter).
+type countingKernel struct {
+	geo.Kernel
+	calls *int
+}
+
+func (k countingKernel) Cov(h float64, theta []float64) float64 {
+	*k.calls++
+	return k.Kernel.Cov(h, theta)
+}
+
+// TestFitUnknownSolverFailsBeforeGeneration: an unknown Solver is rejected
+// by Problem.defaults, so neither Fit nor NegLogLik generates a single
+// covariance entry first (Fit's objective would otherwise swallow the
+// per-evaluation error into +Inf and burn the whole MaxEvals budget).
+func TestFitUnknownSolverFailsBeforeGeneration(t *testing.T) {
+	p := cgProblem(t)
+	calls := 0
+	p.Kernel = countingKernel{p.Kernel, &calls}
+	p.Solver = "nope"
+	start, lo, hi := DefaultBounds(p.Kernel.NumParams())
+	_, err := Fit(p, start, lo, hi, optimize.Options{MaxEvals: 50})
+	if err == nil || !strings.Contains(err.Error(), `"nope"`) || !strings.Contains(err.Error(), "cg direct") {
+		t.Fatalf("Fit error = %v, want one naming the bad solver and the registered ones", err)
+	}
+	if _, err := p.NegLogLik([]float64{1, 0.05}, nil); err == nil {
+		t.Fatal("NegLogLik accepted the unknown solver")
+	}
+	if calls != 0 {
+		t.Fatalf("%d covariance evaluations before the solver name was rejected", calls)
 	}
 }
 

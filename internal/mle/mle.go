@@ -63,6 +63,12 @@ func (p *Problem) defaults() error {
 	if len(p.Locs) == 0 || len(p.Locs) != len(p.Z) {
 		return fmt.Errorf("mle: %d locations vs %d observations", len(p.Locs), len(p.Z))
 	}
+	// Reject an unknown solver here, before any Σ(θ) is generated: Fit's
+	// objective turns evaluation errors into +Inf, so a name checked only
+	// per evaluation would burn the whole MaxEvals budget first.
+	if _, err := solver.ByName(p.Solver); err != nil {
+		return fmt.Errorf("mle: %w", err)
+	}
 	if p.TileSize <= 0 {
 		p.TileSize = 64
 	}
@@ -166,13 +172,8 @@ func (p *Problem) NegLogLik(theta []float64, rs *RunStats) (float64, error) {
 	maps := precmap.New(km, p.UReq)
 	mat.SetStorage(func(i, j int) prec.Precision { return maps.Storage[i][j] })
 
-	switch p.Solver {
-	case "", "direct":
-		// fall through to the factorization path below
-	case "cg":
+	if p.Solver == "cg" {
 		return p.negLogLikCG(desc, maps, mat, rs)
-	default:
-		return 0, fmt.Errorf("mle: unknown solver %q (have direct, cg)", p.Solver)
 	}
 
 	res, err := cholesky.Run(cholesky.Config{

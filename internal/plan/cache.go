@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"geompc/internal/obs"
+	"geompc/internal/runtime"
 )
 
 // Cache holds at most one compiled plan per shape signature and counts how
@@ -14,9 +15,9 @@ import (
 //
 // Concurrency contract: a Cache is safe for any number of concurrent
 // readers and writers — the map is guarded by mu, the counters are atomic,
-// and a *Plan is immutable once Compile returns, so a plan obtained from
-// Lookup may be replayed (Plan.Replay) or diffed (Plan.Invalidate) while
-// another goroutine Stores a successor for the same signature; the reader
+// and a *Plan is immutable once Compile returns, so Run may replay
+// (Plan.Replay) or diff (Plan.Invalidate) the plan it looked up while
+// another goroutine stores a successor for the same signature; the reader
 // keeps its own consistent snapshot. What the contract does NOT promise is
 // counter determinism under sharing: when sweep workers share one cache,
 // which worker wins the compile race (and therefore how many misses or
@@ -58,17 +59,17 @@ func NewCache(reg *obs.Registry) *Cache {
 // Metrics returns the registry the cache counts into.
 func (c *Cache) Metrics() *obs.Registry { return c.reg }
 
-// Lookup returns the plan stored for sig, nil if none.
-func (c *Cache) Lookup(sig uint64) *Plan {
+// lookup returns the plan stored for sig, nil if none.
+func (c *Cache) lookup(sig uint64) *Plan {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.plans[sig]
 }
 
-// Store records p under its shape signature, replacing any previous plan
+// store records p under its shape signature, replacing any previous plan
 // for that shape (one plan per shape: repeated workloads alternate
 // precision maps rarely, and a superseded schedule has no residual value).
-func (c *Cache) Store(p *Plan) {
+func (c *Cache) store(p *Plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.plans[p.Sig] = p
@@ -81,21 +82,91 @@ func (c *Cache) Len() int {
 	return len(c.plans)
 }
 
-// Hit records a cache hit followed by a replay.
-func (c *Cache) Hit() { c.hits.Inc(); c.replays.Inc() }
-
-// Miss records a miss (a compile follows).
-func (c *Cache) Miss() { c.misses.Inc() }
-
-// Invalidated records a precision-map delta that dirtied n tasks and
-// forced a recompile.
-func (c *Cache) Invalidated(n int) {
-	c.invalidations.Inc()
-	c.tasksDirty.Add(int64(n))
+// Outcome is what one Cache.Run produced. Exactly one of Plan and Engine is
+// set: Plan when the cache served the run (a replay, or the compile of a
+// miss or invalidation), Engine when the run went live (nil cache, or an
+// armed fault plan bypassing it).
+type Outcome struct {
+	Stats  runtime.Stats
+	Plan   *Plan
+	Engine *runtime.Engine
 }
 
-// Bypass records a run the cache refused to serve (armed fault plan).
-func (c *Cache) Bypass() { c.bypasses.Inc() }
+// Schedule returns the run's task timeline in commit order: the plan's
+// frozen one, or whatever the live engine traced (empty without Trace).
+func (o Outcome) Schedule() []runtime.ScheduledTask {
+	if o.Plan != nil {
+		return o.Plan.Schedule
+	}
+	return o.Engine.ScheduleTrace()
+}
+
+// Metrics returns the run's metrics registry; plan-backed outcomes hand
+// back the compile run's frozen one.
+func (o Outcome) Metrics() *obs.Registry {
+	if o.Plan != nil {
+		return o.Plan.Metrics
+	}
+	return o.Engine.Metrics()
+}
+
+// Run is the one cached-run flow every front-end shares. The first run of
+// a shape compiles a plan (miss); later runs under an unchanged precision
+// map replay it, paying only the numeric bodies (hit); a changed map is
+// invalidated — the dirty downstream closure is measured and counted — and
+// recompiled; armed fault runs bypass the cache, because recovery needs
+// live scheduling. A nil cache runs everything live and counts nothing.
+//
+// key returns the run's shape and precision-map signatures (consulted only
+// when the cache may serve the run), build constructs its task graph, and
+// engine configures an engine for that graph.
+func (c *Cache) Run(armed bool, key func() (sig, precSig uint64), build func() (runtime.Graph, error), engine func(runtime.Graph) *runtime.Engine) (Outcome, error) {
+	g, err := build()
+	if err != nil {
+		return Outcome{}, err
+	}
+	if c == nil || armed {
+		if c != nil {
+			c.bypasses.Inc()
+		}
+		eng := engine(g)
+		stats, err := eng.Run()
+		if err != nil {
+			return Outcome{}, err
+		}
+		return Outcome{Stats: stats, Engine: eng}, nil
+	}
+	sig, precSig := key()
+	if p := c.lookup(sig); p != nil {
+		if p.PrecSig == precSig {
+			c.hits.Inc()
+			c.replays.Inc()
+			stats, err := p.Replay(g)
+			if err != nil {
+				return Outcome{}, err
+			}
+			return Outcome{Stats: stats, Plan: p}, nil
+		}
+		// The precision map changed under this shape: measure the damage
+		// (affected tasks + downstream closure), then recompile — timing is
+		// coupled globally through device and link contention, so a partial
+		// re-simulation would be unsound.
+		inv, err := p.Invalidate(g)
+		if err != nil {
+			return Outcome{}, err
+		}
+		c.invalidations.Inc()
+		c.tasksDirty.Add(int64(len(inv.Dirty)))
+	} else {
+		c.misses.Inc()
+	}
+	p, err := Compile(engine(g), sig, precSig)
+	if err != nil {
+		return Outcome{}, err
+	}
+	c.store(p)
+	return Outcome{Stats: p.Stats, Plan: p}, nil
+}
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {

@@ -1,9 +1,9 @@
 package plan_test
 
 // The cache's concurrency contract under the race detector: many goroutines
-// hammer one Cache through the raw API and through cholesky.RunCached —
-// the shared-cache sweep shape — and every result must stay bit-identical
-// to a serial reference.
+// hammer one Cache through cholesky.RunCached — the shared-cache sweep
+// shape — and every result must stay bit-identical to a serial reference
+// (flow_test.go hammers the cache's internals directly).
 
 import (
 	"sync"
@@ -12,65 +12,6 @@ import (
 	"geompc/internal/cholesky"
 	"geompc/internal/plan"
 )
-
-// TestCacheConcurrentHammer drives the raw Cache API from many goroutines
-// at once: lookups, stores, counter bumps and snapshots all interleave.
-// The run is only meaningful under -race (the plan-cache and sweep-matrix
-// CI jobs); the final assertions check the counters' atomicity arithmetic.
-func TestCacheConcurrentHammer(t *testing.T) {
-	cache := plan.NewCache(nil)
-	cfgA := newConfig(t, 4, 1, 2, 1e-8, "", "")
-	cfgB := newConfig(t, 5, 1, 2, 1e-8, "", "")
-	pa, err := cholesky.Compile(cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := cholesky.Compile(cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const workers, iters = 8, 200
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				switch (w + i) % 4 {
-				case 0:
-					cache.Store(pa)
-					cache.Miss()
-				case 1:
-					cache.Store(pb)
-					cache.Invalidated(3)
-				case 2:
-					if p := cache.Lookup(pa.Sig); p != nil && p.Sig != pa.Sig {
-						t.Errorf("lookup returned plan with sig %016x under key %016x", p.Sig, pa.Sig)
-					}
-					cache.Hit()
-				default:
-					_ = cache.Stats()
-					_ = cache.Len()
-					cache.Bypass()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	s := cache.Stats()
-	per := int64(workers * iters / 4)
-	if s.Misses != per || s.Hits != per || s.Bypasses != per || s.Invalidations != per {
-		t.Errorf("counter totals %+v, want %d each", s, per)
-	}
-	if s.TasksInvalidated != 3*per {
-		t.Errorf("tasks invalidated = %d, want %d", s.TasksInvalidated, 3*per)
-	}
-	if cache.Len() != 2 {
-		t.Errorf("cache holds %d plans, want 2", cache.Len())
-	}
-}
 
 // TestRunCachedSharedAcrossGoroutines is the shared-cache sweep scenario:
 // one cache, many concurrent RunCached callers alternating two precision

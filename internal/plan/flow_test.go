@@ -1,0 +1,177 @@
+package plan
+
+// The cached-run flow driven directly, on a four-task graph, without a
+// front-end: miss → hit → changed-map invalidation → hit → armed bypass,
+// with all six counters pinned after every step. The front-end suites
+// (cache_test.go, internal/cg) cover the same sequence end to end.
+
+import (
+	"sync"
+	"testing"
+
+	"geompc/internal/hw"
+	"geompc/internal/prec"
+	"geompc/internal/runtime"
+)
+
+// tinyGraph is a diamond on one device: t0 writes d0, t1 and t2 read it,
+// t3 joins them. wire is the format t1 receives d0 in — the stand-in for a
+// precision-map change, which alters t1's spec and dirties t1 and t3.
+func tinyGraph(t testing.TB, wire prec.Precision) runtime.Graph {
+	t.Helper()
+	g := runtime.NewDTDGraph()
+	g.Data(0, 0)
+	task := runtime.TaskSpec{Kind: hw.KindGemm, Device: 0, Prec: prec.FP64, Flops: 1e6}
+	write := func(d runtime.DataID) runtime.Access {
+		return runtime.Access{Data: d, Mode: runtime.Write, WireBytes: 8192, Prec: prec.FP64}
+	}
+	read := func(d runtime.DataID, p prec.Precision) runtime.Access {
+		return runtime.Access{Data: d, Mode: runtime.Read, WireBytes: int64(1024 * p.InputBytes()), Prec: p}
+	}
+	for _, accesses := range [][]runtime.Access{
+		{write(0)},
+		{read(0, wire), write(1)},
+		{read(0, prec.FP64), write(2)},
+		{read(1, prec.FP64), read(2, prec.FP64), write(3)},
+	} {
+		if _, err := g.Insert(task, accesses...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
+func TestCacheRunFlow(t *testing.T) {
+	plat, err := runtime.NewPlatform(hw.SummitNode, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := func(g runtime.Graph) *runtime.Engine { return runtime.New(plat, g) }
+	const shape = 0x5a
+	run := func(c *Cache, armed bool, wire prec.Precision) Outcome {
+		t.Helper()
+		out, err := c.Run(armed,
+			func() (uint64, uint64) { return shape, uint64(wire) },
+			func() (runtime.Graph, error) { return tinyGraph(t, wire), nil },
+			engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	fresh := map[prec.Precision]uint64{}
+	for _, wire := range []prec.Precision{prec.FP32, prec.FP16} {
+		out := run(nil, false, wire)
+		if out.Engine == nil || out.Plan != nil {
+			t.Fatalf("nil cache did not run live: %+v", out)
+		}
+		fresh[wire] = out.Stats.ScheduleDigest
+	}
+	if fresh[prec.FP32] == fresh[prec.FP16] {
+		t.Fatal("the wire-format change does not move the schedule digest")
+	}
+
+	c := NewCache(nil)
+	for _, step := range []struct {
+		name  string
+		armed bool
+		wire  prec.Precision
+		live  bool
+		want  Stats
+	}{
+		{"miss", false, prec.FP32, false, Stats{Misses: 1}},
+		{"hit", false, prec.FP32, false, Stats{Hits: 1, Misses: 1, Replays: 1}},
+		{"changed map", false, prec.FP16, false,
+			Stats{Hits: 1, Misses: 1, Replays: 1, Invalidations: 1, TasksInvalidated: 2}},
+		{"hit after recompile", false, prec.FP16, false,
+			Stats{Hits: 2, Misses: 1, Replays: 2, Invalidations: 1, TasksInvalidated: 2}},
+		{"armed bypass", true, prec.FP16, true,
+			Stats{Hits: 2, Misses: 1, Replays: 2, Invalidations: 1, TasksInvalidated: 2, Bypasses: 1}},
+	} {
+		out := run(c, step.armed, step.wire)
+		if got := c.Stats(); got != step.want {
+			t.Fatalf("%s: counters %+v, want %+v", step.name, got, step.want)
+		}
+		if (out.Engine != nil) != step.live || (out.Plan != nil) == step.live {
+			t.Fatalf("%s: live=%v but outcome has engine=%v plan=%v", step.name, step.live, out.Engine != nil, out.Plan != nil)
+		}
+		if out.Stats.ScheduleDigest != fresh[step.wire] {
+			t.Fatalf("%s: digest %016x != fresh run's %016x", step.name, out.Stats.ScheduleDigest, fresh[step.wire])
+		}
+		wantSched := 4 // a plan freezes the traced timeline
+		if step.live {
+			wantSched = 0 // this engine runs untraced
+		}
+		if len(out.Schedule()) != wantSched || out.Metrics() == nil {
+			t.Fatalf("%s: %d scheduled tasks, want %d; metrics %v",
+				step.name, len(out.Schedule()), wantSched, out.Metrics())
+		}
+	}
+	if c.Len() != 1 {
+		t.Fatalf("cache holds %d plans for one shape", c.Len())
+	}
+}
+
+// TestCacheConcurrentHammer drives the cache's internals from many
+// goroutines at once: lookups, stores, counter bumps and snapshots all
+// interleave. The run is only meaningful under -race (the plan-cache and
+// sweep-matrix CI jobs); the final assertions check the counters' atomicity
+// arithmetic.
+func TestCacheConcurrentHammer(t *testing.T) {
+	plat, err := runtime.NewPlatform(hw.SummitNode, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, err := Compile(runtime.New(plat, tinyGraph(t, prec.FP32)), 0xa, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := Compile(runtime.New(plat, tinyGraph(t, prec.FP16)), 0xb, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewCache(nil)
+
+	const workers, iters = 8, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				switch (w + i) % 4 {
+				case 0:
+					cache.store(pa)
+					cache.misses.Inc()
+				case 1:
+					cache.store(pb)
+					cache.invalidations.Inc()
+					cache.tasksDirty.Add(3)
+				case 2:
+					if p := cache.lookup(pa.Sig); p != nil && p.Sig != pa.Sig {
+						t.Errorf("lookup returned plan with sig %016x under key %016x", p.Sig, pa.Sig)
+					}
+					cache.hits.Inc()
+					cache.replays.Inc()
+				default:
+					_ = cache.Stats()
+					_ = cache.Len()
+					cache.bypasses.Inc()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	s := cache.Stats()
+	per := int64(workers * iters / 4)
+	if s.Misses != per || s.Hits != per || s.Bypasses != per || s.Invalidations != per {
+		t.Errorf("counter totals %+v, want %d each", s, per)
+	}
+	if s.TasksInvalidated != 3*per {
+		t.Errorf("tasks invalidated = %d, want %d", s.TasksInvalidated, 3*per)
+	}
+	if cache.Len() != 2 {
+		t.Errorf("cache holds %d plans, want 2", cache.Len())
+	}
+}

@@ -30,10 +30,8 @@ package plan
 import (
 	"fmt"
 
-	"geompc/internal/comm"
 	"geompc/internal/obs"
 	"geompc/internal/runtime"
-	"geompc/internal/sched"
 )
 
 // opComplete marks a stream entry as a completion; the low 31 bits carry
@@ -71,37 +69,23 @@ type Plan struct {
 	specSigs []uint64
 }
 
-// Options configures a compile; the zero value is the engine's historical
-// behavior (FIFO policy, binomial broadcasts, lookahead 2, no audit).
-type Options struct {
-	Policy    sched.Policy
-	Bcast     comm.Topology
-	Lookahead int
-	Audit     bool
-}
-
 // recorder accumulates the engine's commit/completion stream into a plan.
 type recorder struct{ p *Plan }
 
 func (r recorder) RecordCommit(id int)   { r.p.ops = append(r.p.ops, uint32(id)) }
 func (r recorder) RecordComplete(id int) { r.p.ops = append(r.p.ops, uint32(id)|opComplete) }
 
-// Compile executes g once on plat — a full simulation, numeric bodies and
-// all — and returns the reusable plan. sig and precSig identify what the
+// Compile runs eng — an engine already configured for its graph (policy,
+// topology, lookahead, audit) — once: a full simulation, numeric bodies and
+// all, and returns the reusable plan. sig and precSig identify what the
 // plan is valid for (see Plan.Sig/PrecSig). Compilation must be fault-free:
 // fault plans perturb the schedule nondeterministically with respect to the
-// graph alone, so front-ends bypass the cache for armed runs.
-func Compile(plat *runtime.Platform, g runtime.Graph, sig, precSig uint64, opts Options) (*Plan, error) {
+// graph alone, so Cache.Run bypasses the cache for armed runs.
+func Compile(eng *runtime.Engine, sig, precSig uint64) (*Plan, error) {
+	g := eng.Graph()
 	n := g.NumTasks()
 	p := &Plan{Sig: sig, PrecSig: precSig, NumTasks: n, ops: make([]uint32, 0, 2*n)}
-	eng := runtime.New(plat, g)
 	eng.Trace = true // the plan freezes the traced timeline
-	eng.Audit = opts.Audit
-	eng.Policy = opts.Policy
-	eng.Bcast = opts.Bcast
-	if opts.Lookahead > 0 {
-		eng.Lookahead = opts.Lookahead
-	}
 	eng.Recorder = recorder{p}
 	stats, err := eng.Run()
 	if err != nil {

@@ -131,6 +131,9 @@ func New(plat *Platform, g Graph) *Engine {
 	return &Engine{plat: plat, g: g, Lookahead: 2, metrics: obs.NewRegistry()}
 }
 
+// Graph returns the task system the engine was built for.
+func (e *Engine) Graph() Graph { return e.g }
+
 // Metrics returns the engine's metrics registry, populated by Run (and
 // reset at the start of every Run).
 func (e *Engine) Metrics() *obs.Registry { return e.metrics }

@@ -10,7 +10,7 @@
 // preconditioned conjugate-gradient iteration with per-iteration precision
 // switching). Both run the same platform models, scheduling policies,
 // broadcast topologies, fault injectors and plan cache; they differ only
-// in the DAG they emit. See DESIGN.md §6i.
+// in the DAG they emit. See DESIGN.md §3.2.
 package solver
 
 import (
@@ -79,9 +79,10 @@ type IterParams struct {
 	Precond string
 }
 
-// Config describes one solve. It mirrors the direct backend's historical
-// cholesky.Config field-for-field and adds the right-hand side and the
-// iterative-backend knobs.
+// Config is the one run description every layer takes — the paper's
+// single descriptor of tiling, precision maps, machine and conversion
+// strategy, plus the engine knobs. internal/cholesky aliases it as
+// cholesky.Config; no other struct re-spells these fields.
 type Config struct {
 	// Desc is the tiling and process-grid layout.
 	Desc tile.Desc
@@ -101,18 +102,88 @@ type Config struct {
 	// Trace enables per-interval occupancy/power recording and the
 	// labeled Result.Schedule timeline.
 	Trace bool
-	// Audit enables the runtime's invariant auditor; implies Trace.
+	// Audit enables the runtime's invariant auditor (pin balance, LRU
+	// residency, energy conservation); violations fail the run. Implies
+	// Trace.
 	Audit bool
 	// Lookahead overrides the engine's stream pipeline depth (default 2).
 	Lookahead int
-	// Faults arms the run with a deterministic fault plan.
+	// Faults, when non-nil, arms the run with a deterministic fault plan
+	// (device failures, transient kernel faults, host-link slowdowns); see
+	// runtime.ParseFaultSpec for the CLI grammar. A nil injector — or one
+	// with an empty plan — leaves the run bit-identical to a fault-free
+	// engine.
 	Faults runtime.FaultInjector
-	// Sched selects the engine's scheduling policy (nil = sched.FIFO{}).
+	// Sched selects the engine's scheduling policy (ready-queue order,
+	// placement, failover). Nil means sched.FIFO{} — the historical
+	// schedule, bit for bit. Any policy produces the bit-identical result;
+	// only virtual time and data motion change.
 	Sched sched.Policy
-	// Bcast selects the inter-rank broadcast topology (nil = binomial).
+	// Bcast selects the inter-rank broadcast topology. Nil means
+	// comm.Binomial{}, the historical arithmetic.
 	Bcast comm.Topology
 	// Iter tunes iterative backends (ignored by direct ones).
 	Iter IterParams
+	// Deprecated: has no effect, the engine is serial. Nothing reads it;
+	// the field remains only until the end-to-end benchmark stops assigning
+	// it.
+	EngineWorkers int
+}
+
+// Engine returns an engine for one run of g configured from cfg — the one
+// place the run config's engine knobs are applied.
+func (cfg Config) Engine(g runtime.Graph) *runtime.Engine {
+	eng := runtime.New(cfg.Platform, g)
+	eng.Trace = cfg.Trace
+	eng.Audit = cfg.Audit
+	eng.Inject(cfg.Faults)
+	eng.Policy = cfg.Sched
+	eng.Bcast = cfg.Bcast
+	if cfg.Lookahead > 0 {
+		eng.Lookahead = cfg.Lookahead
+	}
+	return eng
+}
+
+// Armed reports whether cfg carries a fault plan with at least one event —
+// the runs a plan cache must not serve: faults perturb the schedule beyond
+// what the graph alone determines, so they always run live.
+func (cfg Config) Armed() bool {
+	return cfg.Faults != nil && cfg.Platform != nil &&
+		len(cfg.Faults.Plan(cfg.Platform.NumDevices())) > 0
+}
+
+// WriteShapeSig writes the part of a plan shape signature every backend
+// shares: tiling, process grid, platform, conversion strategy, scheduling
+// policy, broadcast topology and pipeline depth. Backends prepend their
+// name and append what else shapes their DAG (front-end, chunk precision
+// schedule); the precision maps and the numeric data stay out.
+func (cfg Config) WriteShapeSig(d *obs.Digest) {
+	d.WriteInt64(int64(cfg.Desc.N))
+	d.WriteInt64(int64(cfg.Desc.TS))
+	d.WriteInt64(int64(cfg.Desc.NT))
+	d.WriteInt64(int64(cfg.Desc.P))
+	d.WriteInt64(int64(cfg.Desc.Q))
+	d.WriteInt64(int64(cfg.Platform.Ranks))
+	d.WriteInt64(int64(cfg.Platform.DevPerRank))
+	d.WriteString(cfg.Platform.Node.Name)
+	d.WriteString(cfg.Platform.Node.GPU.Name)
+	d.WriteInt64(int64(cfg.Strategy))
+	pol := "fifo"
+	if cfg.Sched != nil {
+		pol = cfg.Sched.Name()
+	}
+	d.WriteString(pol)
+	topo := "binomial"
+	if cfg.Bcast != nil {
+		topo = cfg.Bcast.Name()
+	}
+	d.WriteString(topo)
+	la := 2
+	if cfg.Lookahead > 0 {
+		la = cfg.Lookahead
+	}
+	d.WriteInt64(int64(la))
 }
 
 // ScheduledTask is one labeled entry of a Trace-enabled run's timeline.
@@ -169,12 +240,10 @@ func (r *Result) Metrics() *obs.Registry {
 type Backend interface {
 	// Name is the registered CLI spelling ("direct", "cg").
 	Name() string
-	// Solve runs cfg through the engine.
-	Solve(cfg Config) (*Result, error)
-	// SolveCached is Solve through a compiled-plan cache: repeated shapes
-	// replay their frozen schedule (armed fault runs bypass). A nil cache
-	// degrades to Solve.
-	SolveCached(cfg Config, c *plan.Cache) (*Result, error)
+	// Solve runs cfg through the engine. A non-nil cache serves repeated
+	// shapes from their compiled plan (armed fault runs bypass it); nil
+	// runs live.
+	Solve(cfg Config, c *plan.Cache) (*Result, error)
 }
 
 var backends = map[string]Backend{}

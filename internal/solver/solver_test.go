@@ -50,11 +50,8 @@ func TestNamesAndByName(t *testing.T) {
 type fakeBackend struct{ name string }
 
 func (f fakeBackend) Name() string { return f.name }
-func (f fakeBackend) Solve(solver.Config) (*solver.Result, error) {
+func (f fakeBackend) Solve(solver.Config, *plan.Cache) (*solver.Result, error) {
 	return &solver.Result{Backend: f.name}, nil
-}
-func (f fakeBackend) SolveCached(cfg solver.Config, _ *plan.Cache) (*solver.Result, error) {
-	return f.Solve(cfg)
 }
 
 func TestRegisterDuplicatePanics(t *testing.T) {
@@ -72,7 +69,7 @@ func TestRegisterNewName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := be.Solve(solver.Config{})
+	res, err := be.Solve(solver.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,9 @@
 // The determinism argument has three legs:
 //
 //   - Each grid point runs in an isolated context — its own engine state
-//     (constructed inside the point function), its own obs.Registry shard,
-//     and optionally its own plan.Cache — so no floating-point state is
-//     shared between concurrently executing points.
+//     (constructed inside the point function) and its own obs.Registry
+//     shard — so no floating-point state is shared between concurrently
+//     executing points (a shared plan.Cache only hands out immutable plans).
 //   - Results are keyed by grid index and stored into a pre-sized slice,
 //     so the returned row order is the submission order regardless of
 //     which worker finished first.
@@ -44,9 +44,8 @@ import (
 // Context is the isolated per-worker state handed to every point function.
 // Reg is a fresh registry shard per POINT (not per worker): the point
 // should route all engine metrics into it so the executor can fold shards
-// deterministically. Cache, when non-nil, is safe for the point to use
-// with cholesky.RunCached — it is either this worker's private cache or
-// the sweep-wide shared cache (see Options.Cache).
+// deterministically. Cache, when non-nil, is the sweep-wide shared plan
+// cache (see Options.Cache), safe to hand to solver.Backend.Solve.
 type Context struct {
 	// Worker is the pool slot running this point: 0..workers-1, and 0 in
 	// serial mode.
@@ -69,10 +68,6 @@ type Options struct {
 	// concurrency contract makes this sound: results stay bit-identical
 	// while hit/miss counters become scheduling-dependent diagnostics.
 	Cache *plan.Cache
-	// WorkerCache, when true and Cache is nil, gives each worker a private
-	// plan.Cache — deterministic counters at the cost of recompiling
-	// shapes that another worker already holds.
-	WorkerCache bool
 	// Registry, when non-nil, receives every point's metric shard (merged
 	// in index order) plus the sweep/* throughput gauges.
 	Registry *obs.Registry
@@ -180,9 +175,6 @@ func Run[T any](n int, opts Options, point func(i int, ctx *Context) (T, error))
 	if workers == 0 {
 		// Serial reference path: index order, first-error early exit.
 		ctx := Context{Worker: 0, Cache: opts.Cache}
-		if ctx.Cache == nil && opts.WorkerCache {
-			ctx.Cache = plan.NewCache(nil)
-		}
 		for i := 0; i < n; i++ {
 			ctx.Reg = obs.NewRegistry()
 			t0 := time.Now()
@@ -213,9 +205,6 @@ func Run[T any](n int, opts Options, point func(i int, ctx *Context) (T, error))
 		go func(w int) {
 			defer wg.Done()
 			ctx := Context{Worker: w, Cache: opts.Cache}
-			if ctx.Cache == nil && opts.WorkerCache {
-				ctx.Cache = plan.NewCache(nil)
-			}
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= n {

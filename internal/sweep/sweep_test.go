@@ -155,39 +155,6 @@ func TestRunWorkerContexts(t *testing.T) {
 	if badWorker.Load() != 0 || sharedMiss.Load() != 0 || dirtyShard.Load() != 0 {
 		t.Errorf("badWorker=%d sharedMiss=%d dirtyShard=%d", badWorker.Load(), sharedMiss.Load(), dirtyShard.Load())
 	}
-
-	// WorkerCache gives each worker a private, non-nil cache; serial gets
-	// exactly one.
-	caches := make([]*plan.Cache, workers)
-	_, err = sweep.Run(n, sweep.Options{Workers: workers, WorkerCache: true}, func(i int, ctx *sweep.Context) (int, error) {
-		if ctx.Cache == nil {
-			t.Error("WorkerCache: nil cache")
-			return 0, nil
-		}
-		if prev := caches[ctx.Worker]; prev != nil && prev != ctx.Cache {
-			t.Errorf("worker %d cache changed between points", ctx.Worker)
-		}
-		caches[ctx.Worker] = ctx.Cache
-		return 0, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var serialCache *plan.Cache
-	_, err = sweep.Run(3, sweep.Options{WorkerCache: true}, func(i int, ctx *sweep.Context) (int, error) {
-		if ctx.Cache == nil {
-			t.Error("serial WorkerCache: nil cache")
-		}
-		if serialCache == nil {
-			serialCache = ctx.Cache
-		} else if serialCache != ctx.Cache {
-			t.Error("serial cache changed between points")
-		}
-		return 0, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestRunSummaryAndGauges: the summary and sweep/* gauges report the run
