@@ -12,11 +12,11 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific analyzers on top of gofmt and go vet: the intraprocedural
-# checkers (detercheck, preccast, lockcheck) plus the interprocedural suite
-# (precflow, deterflow, contractcheck, transitive hotalloc) built on the
-# whole-program call graph. See DESIGN.md §6e/§6j and the "Static analysis"
-# section of the README for the //geompc:hot and //geompc:nolint grammar.
+# Project-specific analyzers on top of gofmt and go vet: lockcheck plus the
+# four checkers built on the whole-program call graph (precflow, deterflow,
+# contractcheck, transitive hotalloc). See DESIGN.md §6 and the "Static
+# analysis" section of the README for the //geompc:hot and //geompc:nolint
+# grammar.
 #
 # LINT_BUDGET guards wall-clock: the summary-based engine keeps the whole
 # run a small multiple of type-checking (~2.5s over 50 packages as of the
@@ -87,22 +87,23 @@ fuzz:
 # the Monte-Carlo studies take ~45 minutes).
 experiments:
 	mkdir -p results
-	$(GO) run ./cmd/gemmbench > results/fig1_tables.txt
-	$(GO) run ./cmd/precmap -fig7 -n 409600 -ts 2048 > results/fig7.txt
-	$(GO) run ./cmd/precmap -demo -comm -demo-n 16384 -demo-ts 2048 -app 2D-sqexp > results/fig2_4_maps.txt
-	$(GO) run ./cmd/convbench -machine Summit -gpus 1 > results/fig8a_v100.txt
-	$(GO) run ./cmd/convbench -machine Guyot -gpus 1 > results/fig8b_a100.txt
-	$(GO) run ./cmd/convbench -machine Haxane -gpus 1 -sizes 16384,32768,49152,65536,81920 > results/fig8c_h100.txt
-	$(GO) run ./cmd/convbench -node -machine Summit > results/fig11a_summitnode.txt
-	$(GO) run ./cmd/convbench -node -machine Guyot > results/fig11b_guyotnode.txt
-	$(GO) run ./cmd/power -occupancy -n 81920 > results/fig9_occupancy.txt
-	$(GO) run ./cmd/power -fig10 > results/fig10_energy.txt
-	$(GO) run ./cmd/ablation > results/ablation.txt
-	$(GO) run ./cmd/accuracy -dim 2 -replicas 12 -n 324 -ts 54 -maxevals 400 > results/fig5_accuracy2d.txt
-	$(GO) run ./cmd/accuracy -dim 3 -replicas 12 -n 343 -ts 49 -maxevals 400 -levels 0,1e-8,1e-4,1e-2 > results/fig6_accuracy3d.txt
-	$(GO) run ./cmd/scale -weak -nodes 1,4,16,64 -base-n 98304 > results/fig12a_weak.txt
-	$(GO) run ./cmd/scale -strong -nodes 16,32,48,64 -strong-n 798720 > results/fig12b_strong.txt
-	$(GO) run ./cmd/scale -mp -mp-nodes 64 -sizes 196608,399360,598016,798720 > results/fig12c_mp.txt
+	$(GO) run ./cmd/geompc gemmbench > results/fig1_tables.txt
+	$(GO) run ./cmd/geompc precmap -fig7 -n 409600 -ts 2048 > results/fig7.txt
+	$(GO) run ./cmd/geompc precmap -demo -comm -demo-n 16384 -demo-ts 2048 -app 2D-sqexp > results/fig2_4_maps.txt
+	$(GO) run ./cmd/geompc trace > results/fig3_trace.txt
+	$(GO) run ./cmd/geompc convbench -machine Summit -gpus 1 > results/fig8a_v100.txt
+	$(GO) run ./cmd/geompc convbench -machine Guyot -gpus 1 > results/fig8b_a100.txt
+	$(GO) run ./cmd/geompc convbench -machine Haxane -gpus 1 -sizes 16384,32768,49152,65536,81920 > results/fig8c_h100.txt
+	$(GO) run ./cmd/geompc convbench -node -machine Summit > results/fig11a_summitnode.txt
+	$(GO) run ./cmd/geompc convbench -node -machine Guyot > results/fig11b_guyotnode.txt
+	$(GO) run ./cmd/geompc power -occupancy -n 81920 > results/fig9_occupancy.txt
+	$(GO) run ./cmd/geompc power -fig10 > results/fig10_energy.txt
+	$(GO) run ./cmd/geompc ablation > results/ablation.txt
+	$(GO) run ./cmd/geompc accuracy -dim 2 -replicas 12 -n 324 -ts 54 -maxevals 400 > results/fig5_accuracy2d.txt
+	$(GO) run ./cmd/geompc accuracy -dim 3 -replicas 12 -n 343 -ts 49 -maxevals 400 -levels 0,1e-8,1e-4,1e-2 > results/fig6_accuracy3d.txt
+	$(GO) run ./cmd/geompc scale -weak -nodes 1,4,16,64 -base-n 98304 > results/fig12a_weak.txt
+	$(GO) run ./cmd/geompc scale -strong -nodes 16,32,48,64 -strong-n 798720 > results/fig12b_strong.txt
+	$(GO) run ./cmd/geompc scale -mp -mp-nodes 64 -sizes 196608,399360,598016,798720 > results/fig12c_mp.txt
 
 clean:
 	$(GO) clean ./...

@@ -1,27 +1,9 @@
-// Command ablation quantifies the design choices DESIGN.md calls out:
-//
-//   - adaptive (Higham–Mary) precision selection vs the band-based
-//     assignment of the prior work (refs [12], [13]), at the same
-//     tile-wise accuracy guarantee;
-//   - the engine's stream-pipeline depth (double buffering);
-//   - the Monte-Carlo arithmetic probe (§V) that justifies each
-//     application's required accuracy u_req.
-//
-// Usage:
-//
-//	ablation -banded
-//	ablation -lookahead
-//	ablation -probe [-probe-n 400]
-//	ablation -chaos [-chaos-gpus 3]     # MP vs FP64 resilience overhead
-//	ablation -sched [-sched-ranks 4]    # scheduling policies + broadcast topologies
-//	ablation -plan [-plan-evals 8]      # compiled-plan cache vs fresh simulation
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"geompc/internal/bench"
 	"geompc/internal/cliflags"
@@ -30,15 +12,25 @@ import (
 	"geompc/internal/mle"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "ablation:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("ablation", flag.ContinueOnError)
+// runAblation quantifies the design choices DESIGN.md calls out:
+//
+//   - adaptive (Higham–Mary) precision selection vs the band-based
+//     assignment of the prior work (refs [12], [13]), at the same
+//     tile-wise accuracy guarantee;
+//
+//   - the engine's stream-pipeline depth (double buffering);
+//
+//   - the Monte-Carlo arithmetic probe (§V) that justifies each
+//     application's required accuracy u_req.
+//
+//     geompc ablation -banded
+//     geompc ablation -lookahead
+//     geompc ablation -probe [-probe-n 400]
+//     geompc ablation -chaos [-chaos-gpus 3]     # MP vs FP64 resilience overhead
+//     geompc ablation -sched [-sched-ranks 4]    # scheduling policies + broadcast topologies
+//     geompc ablation -plan [-plan-evals 8]      # compiled-plan cache vs fresh simulation
+func runAblation(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("geompc ablation", flag.ContinueOnError)
 	banded := fs.Bool("banded", false, "adaptive vs banded precision maps")
 	lookahead := fs.Bool("lookahead", false, "stream pipeline depth sweep")
 	probe := fs.Bool("probe", false, "Monte-Carlo arithmetic u_req probe")
@@ -62,9 +54,7 @@ func run(args []string, out io.Writer) error {
 		return err // bad -solver name: fail before any family runs
 	}
 
-	if !*banded && !*lookahead && !*probe && !*chaos && !*schedFlag && !*planFlag && !*solversFlag {
-		*banded, *lookahead, *probe, *chaos, *schedFlag, *planFlag, *solversFlag = true, true, true, true, true, true, true
-	}
+	allIfNone(banded, lookahead, probe, chaos, schedFlag, planFlag, solversFlag)
 
 	if *banded {
 		for _, app := range bench.Apps() {
@@ -191,11 +181,7 @@ func run(args []string, out io.Writer) error {
 					app.Name, *probeN, rows[0].Reference),
 				"u_req", "mean |Δ(-loglik)|", "max", "SPD broken")
 			for _, r := range rows {
-				u := "exact"
-				if r.UReq > 0 {
-					u = fmt.Sprintf("%.0e", r.UReq)
-				}
-				t.Add(u, fmt.Sprintf("%.3g", r.MeanAbsDev), fmt.Sprintf("%.3g", r.MaxAbsDev),
+				t.Add(ureqLabel(r.UReq), fmt.Sprintf("%.3g", r.MeanAbsDev), fmt.Sprintf("%.3g", r.MaxAbsDev),
 					fmt.Sprintf("%d/%d", r.Broken, r.Replicas))
 			}
 			t.Write(out)

@@ -1,4 +1,16 @@
-// Command accuracy reproduces the Monte-Carlo parameter-estimation study of
+package main
+
+import (
+	"flag"
+	"fmt"
+	"io"
+	"strconv"
+	"strings"
+
+	"geompc/internal/bench"
+)
+
+// runAccuracy reproduces the Monte-Carlo parameter-estimation study of
 // §VII-B: Fig 5 (2D squared-exponential and Matérn panels with weak/strong
 // correlation and rough/smooth fields) and Fig 6 (3D squared-exponential),
 // comparing estimates at several mixed-precision accuracy levels against
@@ -8,33 +20,11 @@
 // scaled to laptop budgets (the estimator-consistency shape is visible at
 // small n) and can be raised with -replicas/-n.
 //
-// Usage:
-//
-//	accuracy -dim 2              # Fig 5
-//	accuracy -dim 3              # Fig 6
-//	accuracy -dim 2 -replicas 100 -n 1600
-package main
-
-import (
-	"flag"
-	"fmt"
-	"io"
-	"os"
-	"strconv"
-	"strings"
-
-	"geompc/internal/bench"
-)
-
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "accuracy:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("accuracy", flag.ContinueOnError)
+//	geompc accuracy -dim 2              # Fig 5
+//	geompc accuracy -dim 3              # Fig 6
+//	geompc accuracy -dim 2 -replicas 100 -n 1600
+func runAccuracy(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("geompc accuracy", flag.ContinueOnError)
 	dim := fs.Int("dim", 2, "spatial dimension: 2 (Fig 5) or 3 (Fig 6)")
 	replicas := fs.Int("replicas", 20, "Monte-Carlo replicas per case (paper: 100)")
 	n := fs.Int("n", 400, "locations per replica (paper: 40,000)")
@@ -50,7 +40,7 @@ func run(args []string, out io.Writer) error {
 	var levels []float64
 	for _, p := range strings.Split(*levelsFlag, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
+		if err != nil || v < 0 {
 			return fmt.Errorf("bad level %q", p)
 		}
 		levels = append(levels, v)
@@ -78,12 +68,8 @@ func run(args []string, out io.Writer) error {
 			fmt.Sprintf("%s (truth %v, %d replicas of n=%d)", c.Name, c.TrueTheta, *replicas, *n),
 			"u_req", "param", "truth", "median", "mean", "q1", "q3", "whisk-lo", "whisk-hi", "failed")
 		for _, r := range res {
-			u := "exact"
-			if r.UReq > 0 {
-				u = fmt.Sprintf("%.0e", r.UReq)
-			}
 			s := r.Summary
-			t.Add(u, r.Param, r.Truth, s.Median, s.Mean, s.Q1, s.Q3, s.WhiskerLo, s.WhiskerHi, r.Failed)
+			t.Add(ureqLabel(r.UReq), r.Param, r.Truth, s.Median, s.Mean, s.Q1, s.Q3, s.WhiskerLo, s.WhiskerHi, r.Failed)
 		}
 		t.Write(out)
 	}

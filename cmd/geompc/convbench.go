@@ -1,40 +1,28 @@
-// Command convbench reproduces the automated precision conversion study:
-// Fig 8 (STC vs TTC on one V100/A100/H100 GPU) and Fig 11 (one full Summit
-// or Guyot node), reporting achieved Tflop/s, efficiency against the
-// configuration's dominant-precision peak, and data motion.
-//
-// Usage:
-//
-//	convbench -gpus 1 -machine Summit     # Fig 8a
-//	convbench -gpus 1 -machine Guyot      # Fig 8b
-//	convbench -gpus 1 -machine Haxane     # Fig 8c
-//	convbench -node -machine Summit       # Fig 11a (6×V100)
-//	convbench -node -machine Guyot        # Fig 11b (8×A100)
-//	convbench -node -faults 'kill:dev=5,at=0.5'   # with a device failure
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"geompc/internal/bench"
 	"geompc/internal/cliflags"
 	"geompc/internal/hw"
-	planpkg "geompc/internal/plan"
-	"geompc/internal/sweep"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "convbench:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("convbench", flag.ContinueOnError)
+// runConvbench reproduces the automated precision conversion study: Fig 8
+// (STC vs TTC on one V100/A100/H100 GPU) and Fig 11 (one full Summit or
+// Guyot node), reporting achieved Tflop/s, efficiency against the
+// configuration's dominant-precision peak, and data motion.
+//
+//	geompc convbench -gpus 1 -machine Summit     # Fig 8a
+//	geompc convbench -gpus 1 -machine Guyot      # Fig 8b
+//	geompc convbench -gpus 1 -machine Haxane     # Fig 8c
+//	geompc convbench -node -machine Summit       # Fig 11a (6×V100)
+//	geompc convbench -node -machine Guyot        # Fig 11b (8×A100)
+//	geompc convbench -node -faults 'kill:dev=5,at=0.5'   # with a device failure
+func runConvbench(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("geompc convbench", flag.ContinueOnError)
 	machine := fs.String("machine", "Summit", "node type: Summit (V100), Guyot (A100), Haxane (H100)")
 	gpus := fs.Int("gpus", 1, "GPUs to use (ignored with -node)")
 	node := fs.Bool("node", false, "use every GPU of the node (Fig 11)")
@@ -54,28 +42,17 @@ func run(args []string, out io.Writer) error {
 		g = nd.GPUs
 	}
 
-	var sizes []int
-	if *sizesFlag == "" {
-		base := []int{16384, 32768, 49152, 65536, 81920, 98304, 122880}
-		if g > 1 {
-			base = append(base, 163840, 196608)
-		}
-		sizes = base
-	} else {
+	sizes := []int{16384, 32768, 49152, 65536, 81920, 98304, 122880}
+	if g > 1 {
+		sizes = append(sizes, 163840, 196608)
+	}
+	if *sizesFlag != "" {
 		if sizes, err = cliflags.ParseSizes(*sizesFlag); err != nil {
 			return err
 		}
 	}
 
-	so := v.SchedOpts()
-	var sum sweep.Summary
-	if v.Workers != 0 {
-		so.Summary = &sum
-	}
-	if v.PlanCache {
-		so.Cache = planpkg.NewCache(nil)
-	}
-	rows, err := bench.ConvSweepOpts(nd, 1, g, sizes, *ts, v.Faults, so)
+	rows, err := bench.ConvSweepOpts(nd, 1, g, sizes, *ts, v.Faults, v.SchedOpts())
 	if err != nil {
 		return err
 	}
@@ -115,16 +92,14 @@ func run(args []string, out io.Writer) error {
 		st.Add(cfg.Name, m["STC"]/m["TTC"])
 	}
 	st.Write(out)
-	if so.Cache != nil {
-		s := so.Cache.Stats()
+	if cache := v.Cache(); cache != nil {
+		s := cache.Stats()
 		fmt.Fprintf(out, "\nplan cache: %d hit(s), %d miss(es), %d invalidation(s) dirtying %d task(s), %d bypass(es)\n",
 			s.Hits, s.Misses, s.Invalidations, s.TasksInvalidated, s.Bypasses)
 		if v.Workers != 0 {
 			fmt.Fprintln(out, "(cache shared across sweep workers; counters are scheduling-dependent, rows are not)")
 		}
 	}
-	if v.Workers != 0 {
-		fmt.Fprintf(out, "\n%s\n", sum)
-	}
+	v.WriteSummary(out, "\n")
 	return nil
 }

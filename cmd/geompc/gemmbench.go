@@ -1,49 +1,26 @@
-// Command gemmbench regenerates the paper's GEMM-level results: Table I
-// (peak performance per precision per GPU), Fig 1 (GEMM accuracy and
-// performance across precisions on V100/A100/H100), and Table II (time to
-// move a tile to a V100 and execute a GEMM on it, per precision).
-//
-// Usage:
-//
-//	gemmbench -table1
-//	gemmbench -fig1 [-acc-sizes 64,128,256] [-perf-sizes 2048,8192,32768]
-//	gemmbench -table2
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
-	"strings"
 
 	"geompc/internal/bench"
+	"geompc/internal/cliflags"
 	"geompc/internal/hw"
 )
 
-func parseSizes(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad size %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "gemmbench:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("gemmbench", flag.ContinueOnError)
+// runGemmbench regenerates the paper's GEMM-level results: Table I (peak
+// performance per precision per GPU), Fig 1 (GEMM accuracy and performance
+// across precisions on V100/A100/H100), and Table II (time to move a tile
+// to a V100 and execute a GEMM on it, per precision).
+//
+//	geompc gemmbench -table1
+//	geompc gemmbench -fig1 [-acc-sizes 64,128,256] [-perf-sizes 2048,8192,32768]
+//	geompc gemmbench -table2
+func runGemmbench(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("geompc gemmbench", flag.ContinueOnError)
 	table1 := fs.Bool("table1", false, "print Table I (GPU peak performance)")
 	table2 := fs.Bool("table2", false, "print Table II (tile move + GEMM times on V100)")
 	fig1 := fs.Bool("fig1", false, "run Fig 1 (GEMM accuracy and performance)")
@@ -54,16 +31,14 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	if !*table1 && !*table2 && !*fig1 {
-		*table1, *table2, *fig1 = true, true, true
-	}
+	allIfNone(table1, table2, fig1)
 
 	if *table1 {
 		bench.Table1().Write(out)
 	}
 
 	if *fig1 {
-		sizes, err := parseSizes(*accSizes)
+		sizes, err := cliflags.ParseSizes(*accSizes)
 		if err != nil {
 			return err
 		}
@@ -74,7 +49,7 @@ func run(args []string, out io.Writer) error {
 		}
 		t.Write(out)
 
-		psizes, err := parseSizes(*perfSizes)
+		psizes, err := cliflags.ParseSizes(*perfSizes)
 		if err != nil {
 			return err
 		}
@@ -89,12 +64,13 @@ func run(args []string, out io.Writer) error {
 
 	if *table2 {
 		sizes := []int{2048, 4096, 6144, 8192, 10240}
-		rows := bench.Table2(sizes)
-		t := bench.NewTable("Table II: time measurement on V100 (milliseconds)",
-			append([]string{"Matrix Size"}, sizesToStrings(sizes)...)...)
-		for _, r := range rows {
-			cells := make([]any, 0, len(sizes)+1)
-			cells = append(cells, r.Label)
+		header := []string{"Matrix Size"}
+		for _, n := range sizes {
+			header = append(header, strconv.Itoa(n))
+		}
+		t := bench.NewTable("Table II: time measurement on V100 (milliseconds)", header...)
+		for _, r := range bench.Table2(sizes) {
+			cells := []any{r.Label}
 			for _, v := range r.TimeMs {
 				cells = append(cells, fmt.Sprintf("%.2f", v))
 			}
@@ -103,12 +79,4 @@ func run(args []string, out io.Writer) error {
 		t.Write(out)
 	}
 	return nil
-}
-
-func sizesToStrings(sizes []int) []string {
-	out := make([]string, len(sizes))
-	for i, s := range sizes {
-		out[i] = strconv.Itoa(s)
-	}
-	return out
 }

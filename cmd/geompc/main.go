@@ -1,25 +1,43 @@
-// Command geompc is the end-to-end driver: it generates (or re-generates) a
-// synthetic geospatial dataset, fits a Gaussian-process model by maximum
-// likelihood using the adaptive mixed-precision Cholesky with automated
-// precision conversion, and reports the estimates together with the
-// simulated execution cost on the selected GPU machine.
+// Command geompc is the one user-facing binary of the reproduction: every
+// table and figure of the paper is a subcommand of it.
 //
 // Usage:
 //
-//	geompc -n 400 -kernel 2D-Matern -ureq 1e-9
-//	geompc -n 900 -kernel 2D-sqexp -ureq 1e-4 -machine Guyot -compare
+//	geompc <subcommand> [flags]
+//	geompc help                  # the subcommand table
+//	geompc <subcommand> -h       # one subcommand's flags
+//
+// Each subcommand's own file documents its flags and the figure it
+// regenerates; `make experiments` lists the exact paper-scale invocations.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
-	"geompc/internal/bench"
-	"geompc/internal/core"
-	"geompc/internal/hw"
+	"geompc/internal/cholesky"
 )
+
+// command is one row of the dispatch table.
+type command struct {
+	name    string
+	summary string
+	run     func(args []string, out io.Writer) error
+}
+
+var commands = []command{
+	{"fit", "generate a synthetic dataset and fit it by mixed-precision maximum likelihood", runFit},
+	{"trace", "simulated execution timeline of a small mixed-precision Cholesky (Fig 3)", runTrace},
+	{"convbench", "STC vs TTC precision conversion on one GPU or one node (Figs 8, 11)", runConvbench},
+	{"scale", "weak/strong scalability and the MP effect on Summit (Fig 12)", runScale},
+	{"power", "GPU occupancy and power/energy traces (Figs 9, 10)", runPower},
+	{"precmap", "kernel, storage and communication precision maps (Figs 2, 4, 7)", runPrecmap},
+	{"gemmbench", "GEMM accuracy, performance and tile-move times (Tables I-II, Fig 1)", runGemmbench},
+	{"accuracy", "Monte-Carlo parameter-estimation study (Figs 5, 6)", runAccuracy},
+	{"ablation", "design-choice ablations: banded maps, lookahead, chaos, scheduling, plan cache, solvers", runAblation},
+}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -28,72 +46,65 @@ func main() {
 	}
 }
 
+// run dispatches args[0] through the command table. There is no default
+// subcommand: `help` prints the table, anything else that is not in it
+// (including nothing at all) is an error that carries the table.
 func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("geompc", flag.ContinueOnError)
-	n := fs.Int("n", 400, "number of spatial locations")
-	kernelName := fs.String("kernel", "2D-Matern", "covariance: 2D-sqexp, 2D-Matern, 3D-sqexp")
-	ureq := fs.Float64("ureq", 1e-9, "required accuracy u_req (0 = exact FP64)")
-	ts := fs.Int("ts", 64, "tile size")
-	machine := fs.String("machine", "Summit", "GPU machine: Summit (V100), Guyot (A100), Haxane (H100)")
-	gpus := fs.Int("gpus", 1, "GPUs")
-	seed := fs.Uint64("seed", 42, "dataset seed")
-	compare := fs.Bool("compare", false, "also fit in exact FP64 and report the difference")
-	if err := fs.Parse(args); err != nil {
+	if len(args) == 0 {
+		return fmt.Errorf("missing subcommand\n%s", usage())
+	}
+	if args[0] == "help" {
+		_, err := fmt.Fprintln(out, usage())
 		return err
 	}
-
-	app, ok := bench.AppByName(*kernelName)
-	if !ok {
-		return fmt.Errorf("unknown kernel %q", *kernelName)
-	}
-	nd, err := hw.NodeByName(*machine)
-	if err != nil {
-		return err
-	}
-	mach := core.Machine{Node: nd, Ranks: 1, GPUs: *gpus}
-
-	fmt.Fprintf(out, "generating %d %s locations from θ=%v (seed %d)...\n", *n, app.Name, app.Theta, *seed)
-	ds, err := core.GenerateDataset(*n, app.Kernel.Dim(), app.Kernel, app.Theta, *seed)
-	if err != nil {
-		return err
-	}
-
-	fit := func(u float64) (*core.FitReport, error) {
-		return core.Fit(ds, core.Options{UReq: u, TileSize: *ts, Machine: mach})
-	}
-
-	rep, err := fit(*ureq)
-	if err != nil {
-		return err
-	}
-	label := "exact FP64"
-	if *ureq > 0 {
-		label = fmt.Sprintf("adaptive MP @ u_req=%.0e", *ureq)
-	}
-	fmt.Fprintf(out, "\nfit (%s) on %d×%s:\n", label, *gpus, nd.GPU.Name)
-	for i, name := range rep.ParamNames {
-		fmt.Fprintf(out, "  %-8s = %.4f  (truth %.4f)\n", name, rep.Theta[i], app.Theta[i])
-	}
-	fmt.Fprintf(out, "  -loglik  = %.4f  (converged: %v)\n", rep.NegLogLik, rep.Converged)
-	fmt.Fprintf(out, "simulated cost: %d likelihood evaluations, %.3f s machine time, %.1f J, %.2f Gflops/W, H2D %s\n",
-		rep.Evaluations, rep.Time, rep.Energy, rep.GflopsPerW, bench.HumanBytes(rep.BytesH2D))
-	if *ts < 512 {
-		fmt.Fprintln(out, "note: at toy tile sizes the simulated cost is kernel-launch bound;")
-		fmt.Fprintln(out, "      use examples/quickstart or core.ProjectFactorization for")
-		fmt.Fprintln(out, "      production-scale (tile 2048) speedup/energy projections")
-	}
-
-	if *compare && *ureq > 0 {
-		ex, err := fit(0)
-		if err != nil {
-			return err
+	for _, c := range commands {
+		if c.name == args[0] {
+			return c.run(args[1:], out)
 		}
-		fmt.Fprintf(out, "\nexact FP64 reference:\n")
-		for i, name := range ex.ParamNames {
-			fmt.Fprintf(out, "  %-8s = %.4f  (MP diff %+.2e)\n", name, ex.Theta[i], rep.Theta[i]-ex.Theta[i])
-		}
-		fmt.Fprintf(out, "  simulated time %.3f s (MP speedup %.2fx), energy %.1f J (MP saving %.1f%%)\n",
-			ex.Time, ex.Time/rep.Time, ex.Energy, 100*(1-rep.Energy/ex.Energy))
 	}
-	return nil
+	return fmt.Errorf("unknown subcommand %q\n%s", args[0], usage())
+}
+
+func usage() string {
+	var sb strings.Builder
+	sb.WriteString("usage: geompc <subcommand> [flags]   (geompc <subcommand> -h lists the flags)")
+	for _, c := range commands {
+		fmt.Fprintf(&sb, "\n  %-10s %s", c.name, c.summary)
+	}
+	return sb.String()
+}
+
+// allIfNone turns every selector on when none was given: a subcommand run
+// without a selector flag prints all of its families.
+func allIfNone(selectors ...*bool) {
+	for _, s := range selectors {
+		if *s {
+			return
+		}
+	}
+	for _, s := range selectors {
+		*s = true
+	}
+}
+
+// ureqLabel names an accuracy level in table rows: u_req 0 is exact FP64.
+func ureqLabel(u float64) string {
+	if u > 0 {
+		return fmt.Sprintf("%.0e", u)
+	}
+	return "exact"
+}
+
+// writeChrome exports a live run's timeline as Chrome trace-event JSON; nt
+// is cholesky.Result.WriteChromeTrace's task-notation argument.
+func writeChrome(path string, res *cholesky.Result, nt int) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := res.WriteChromeTrace(f, nt); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

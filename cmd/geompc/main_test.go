@@ -2,25 +2,268 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func TestRunSmoke(t *testing.T) {
+// runOut runs one command line through the dispatcher and returns stdout.
+func runOut(t *testing.T, args ...string) string {
+	t.Helper()
 	var out bytes.Buffer
-	if err := run([]string{"-n", "64", "-ts", "32", "-ureq", "1e-4"}, &out); err != nil {
-		t.Fatal(err)
+	if err := run(args, &out); err != nil {
+		t.Fatalf("geompc %s: %v", strings.Join(args, " "), err)
 	}
-	s := out.String()
-	for _, want := range []string{"generating 64 2D-Matern locations", "fit (adaptive MP @ u_req=1e-04)", "simulated cost"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %q:\n%s", want, s)
-		}
+	return out.String()
+}
+
+// TestCommands drives every subcommand through the dispatcher at toy sizes:
+// a case either must fail, or must print every `want` and none of `not`.
+// Subtests are named <subcommand>/<case>, so `-run '/trace'` selects one
+// subcommand and `-run 'TestCommands//plan-cache'` one theme.
+func TestCommands(t *testing.T) {
+	cases := []struct {
+		name string // <subcommand>/<case>; the subcommand is args[0]
+		args string // flags, space-separated
+		fail bool
+		want []string
+		not  []string
+	}{
+		{name: "fit/smoke", args: "-n 64 -ts 32 -ureq 1e-4",
+			want: []string{"generating 64 2D-Matern locations", "fit (adaptive MP @ u_req=1e-04)", "simulated cost"}},
+		{name: "fit/bad-kernel", args: "-kernel 5D-nope", fail: true},
+
+		{name: "trace/smoke", args: "-nt 4 -gpus 2",
+			want: []string{"simulated schedule, NT=4", "makespan", "schedule digest"},
+			not:  []string{"faults:"}}, // a fault-free run prints no faults line
+		{name: "trace/chaos-smoke", args: "-nt 5 -gpus 3 -audit -faults kill:dev=1,at=0.0001",
+			want: []string{"faults: 1 device failure(s)"}},
+		{name: "trace/bad-fault-spec", args: "-faults kill:dev=99,at=0.5", fail: true},
+		{name: "trace/plan-cache-smoke", args: "-nt 4 -gpus 2 -plan-cache",
+			want: []string{"plan cache: 1 hit(s), 1 miss(es)"}},
+		{name: "trace/plan-cache-faults-bypass", args: "-nt 5 -gpus 3 -plan-cache -faults kill:dev=1,at=0.0001",
+			want: []string{"2 bypass(es)"}}, // an armed run bypasses the cache both times
+		{name: "trace/plan-cache-refuses-chrome", args: "-plan-cache -chrome /dev/null", fail: true},
+		{name: "trace/solver-cg-smoke", args: "-nt 2 -gpus 2 -solver cg -iters 1",
+			want: []string{"simulated cg schedule, NT=2", "SPMV(0,", "ALPHA(0)", "iterations", "converged true"},
+			not:  []string{"SPMV(1,"}}, // -iters 1 must not leak iteration 1
+		{name: "trace/solver-cg-plan-cache", args: "-nt 2 -gpus 2 -solver cg -plan-cache",
+			want: []string{"replay digest verified"}},
+		{name: "trace/solver-unknown", args: "-solver qr", fail: true},
+		{name: "trace/solver-cg-chrome-rejected", args: "-solver cg -chrome /tmp/x.json", fail: true},
+
+		{name: "convbench/smoke", args: "-machine Summit -gpus 1 -sizes 16384",
+			want: []string{"Fig 8: STC vs TTC on 1×V100", "STC/TTC speedup at N=16384"}},
+		{name: "convbench/bad-machine", args: "-machine Frontier", fail: true},
+		{name: "convbench/plan-cache-smoke", args: "-machine Summit -gpus 1 -sizes 8192 -plan-cache",
+			want: []string{"plan cache:"}},
+		{name: "convbench/solver-cg-smoke", args: "-machine Summit -gpus 1 -sizes 8192 -solver cg",
+			want: []string{"solver backend: cg", "Fig 8: STC vs TTC on 1×V100"}},
+		{name: "convbench/solver-unknown", args: "-sizes 8192 -solver qr", fail: true},
+
+		{name: "scale/smoke", args: "-weak -nodes 1 -base-n 8192",
+			want: []string{"Fig 12a: weak scalability"}},
+		{name: "scale/faults-smoke", args: "-strong -nodes 1 -strong-n 8192 -faults slow:dev=0,from=0,to=1,x=4",
+			want: []string{"Fig 12b: strong scalability"}},
+		{name: "scale/weak-bad-tile-size", args: "-weak -ts 0", fail: true}, // an error, not a divide-by-zero panic
+
+		{name: "power/smoke", args: "-fig10 -machine Summit -n 16384",
+			want: []string{"Fig 10: power/energy on one V100 (N=16384)", "max TDP on V100"}},
+		{name: "power/bad-machine", args: "-fig10 -machine Frontier", fail: true},
+		{name: "power/no-bins", args: "-occupancy -n 8192 -bins 0", fail: true}, // not "mean occupancy NaN%"
+
+		{name: "precmap/smoke", args: "-demo -comm -demo-n 1024 -demo-ts 256",
+			want: []string{"Fig 2a: kernel-precision map", "Fig 2b: storage-precision map", "Fig 4b: communication-precision map"}},
+		{name: "precmap/bad-app", args: "-demo -app 4D-nope", fail: true},
+
+		{name: "gemmbench/smoke", args: "-table1 -table2",
+			want: []string{"Table I: peak performance", "Table II: time measurement on V100"}},
+		{name: "gemmbench/bad-sizes", args: "-fig1 -acc-sizes 64,nope", fail: true},
+
+		{name: "accuracy/smoke", args: "-dim 2 -replicas 2 -n 48 -ts 16 -levels 0,1e-2 -case sqexp -maxevals 4",
+			want: []string{"2D-sqexp weak", "2 replicas of n=48", "exact", "1e-02"}},
+		{name: "accuracy/bad-dim", args: "-dim 4", fail: true},
+		{name: "accuracy/negative-level", args: "-levels -1 -replicas 1 -n 48 -ts 16 -maxevals 2", fail: true}, // not run as "exact"
+
+		{name: "ablation/chaos-smoke", args: "-chaos -n 16384 -chaos-gpus 2",
+			want: []string{"resilience: fault plan vs precision configuration", "fault-free", "chaos"}},
+		{name: "ablation/lookahead-smoke", args: "-lookahead -n 16384",
+			want: []string{"lookahead"}},
+		{name: "ablation/sched-smoke", args: "-sched -n 16384 -sched-ranks 3",
+			want: []string{
+				"scheduling policy (FP64/FP16_32 Auto, N=16384, full Summit node)",
+				"policy    time(s)  Tflop/s  energy(J)  H2D",
+				"broadcast topology (FP64/FP16_32 Auto, N=16384, 3 ranks)",
+				"topology  time(s)  energy(J)  net",
+				"fifo", "locality", "cp", "binomial", "flat", "chain",
+			}},
+		{name: "ablation/chaos-single-gpu", args: "-chaos -chaos-gpus 1", fail: true}, // no failover target
+		{name: "ablation/plan-smoke", args: "-plan -n 16384 -plan-evals 4",
+			want: []string{"compiled-plan cache", "plan-cache", "fresh"}},
+		{name: "ablation/solvers-smoke", args: "-solvers",
+			want: []string{"solver backends: direct factorization vs mixed-precision CG", "direct", "cg"}},
+		{name: "ablation/solvers-plan-cg", args: "-plan -n 16384 -plan-evals 4 -solver cg",
+			want: []string{"compiled-plan cache [cg backend]", "plan-cache", "fresh"}},
+		{name: "ablation/solver-unknown", args: "-solvers -solver qr", fail: true},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			args := append([]string{c.name[:strings.IndexByte(c.name, '/')]}, strings.Fields(c.args)...)
+			var out bytes.Buffer
+			err := run(args, &out)
+			if c.fail {
+				if err == nil {
+					t.Fatalf("geompc %s must fail", strings.Join(args, " "))
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := out.String()
+			for _, want := range c.want {
+				if !strings.Contains(s, want) {
+					t.Errorf("output missing %q:\n%s", want, s)
+				}
+			}
+			for _, not := range c.not {
+				if strings.Contains(s, not) {
+					t.Errorf("output must not contain %q:\n%s", not, s)
+				}
+			}
+		})
 	}
 }
 
-func TestRunBadKernel(t *testing.T) {
-	if err := run([]string{"-kernel", "5D-nope"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("unknown kernel must fail")
+// TestSolverDirectByteIdentical: -solver direct must be a no-op — the
+// default path's bytes, unchanged. (ablation's -plan family prints host
+// wall-clock, so it is excluded here and covered by ablation/solvers-plan-cg.)
+func TestSolverDirectByteIdentical(t *testing.T) {
+	for _, args := range [][]string{
+		{"trace", "-nt", "4", "-gpus", "2"},
+		{"convbench", "-machine", "Summit", "-gpus", "1", "-sizes", "8192,16384"},
+		{"ablation", "-solvers", "-lookahead", "-n", "16384"},
+	} {
+		args := args
+		t.Run(args[0], func(t *testing.T) {
+			def := runOut(t, args...)
+			direct := runOut(t, append(args, "-solver", "direct")...)
+			if def != direct {
+				t.Errorf("-solver direct changed the output:\ndefault:\n%s\ndirect:\n%s", def, direct)
+			}
+		})
+	}
+}
+
+// TestWorkersMatchesSerial: a pooled sweep prints the serial run's tables
+// byte for byte. convbench and scale then append a sweep summary; ablation
+// prints none, so its whole output must be identical.
+func TestWorkersMatchesSerial(t *testing.T) {
+	for _, c := range []struct {
+		args    []string
+		summary bool
+	}{
+		{[]string{"convbench", "-machine", "Summit", "-gpus", "1", "-sizes", "8192,16384"}, true},
+		{[]string{"scale", "-weak", "-nodes", "1,2", "-base-n", "8192"}, true},
+		{[]string{"ablation", "-sched", "-chaos", "-n", "16384", "-chaos-gpus", "2", "-sched-ranks", "3"}, false},
+	} {
+		c := c
+		t.Run(c.args[0], func(t *testing.T) {
+			serial := runOut(t, c.args...)
+			par := runOut(t, append(c.args, "-workers", "2")...)
+			if !strings.HasPrefix(par, serial) {
+				t.Errorf("-workers 2 changed the tables:\nserial:\n%s\nparallel:\n%s", serial, par)
+			}
+			rest := par[len(serial):]
+			if c.summary && !strings.Contains(rest, "sweep: ") {
+				t.Errorf("missing sweep summary:\n%s", par)
+			}
+			if !c.summary && rest != "" {
+				t.Errorf("-workers 2 appended %q", rest)
+			}
+		})
+	}
+}
+
+// TestDispatch: there is no default subcommand. Nothing and an unknown name
+// are errors that list all nine subcommands; help prints the same table.
+func TestDispatch(t *testing.T) {
+	if len(commands) != 9 {
+		t.Fatalf("%d subcommands, want 9", len(commands))
+	}
+	listsAll := func(s string) {
+		t.Helper()
+		for _, c := range commands {
+			if !strings.Contains(s, "\n  "+c.name+" ") {
+				t.Errorf("usage does not list %s:\n%s", c.name, s)
+			}
+		}
+	}
+	for _, args := range [][]string{nil, {"tracee"}, {"-nt", "4"}} {
+		var out bytes.Buffer
+		err := run(args, &out)
+		if err == nil {
+			t.Fatalf("geompc %v must fail", args)
+		}
+		if out.Len() != 0 {
+			t.Errorf("geompc %v wrote to stdout: %q", args, out.String())
+		}
+		listsAll(err.Error())
+	}
+	listsAll(runOut(t, "help"))
+}
+
+// TestResultsGolden regenerates the committed figures that take about a
+// second or less and compares stdout to results/ byte for byte. The
+// argument lists are read from the Makefile's `experiments` target, so the
+// files, the target and the binary cannot drift apart.
+func TestResultsGolden(t *testing.T) {
+	root := filepath.Join("..", "..")
+	mk, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const prefix = "$(GO) run ./cmd/geompc "
+	argsFor := map[string][]string{} // results file → argument list
+	for _, line := range strings.Split(string(mk), "\n") {
+		line = strings.TrimSpace(line)
+		if cmd, file, ok := strings.Cut(line, " > results/"); ok && strings.HasPrefix(cmd, prefix) {
+			argsFor[file] = strings.Fields(strings.TrimPrefix(cmd, prefix))
+		}
+	}
+	for _, c := range []struct {
+		file string
+		slow bool // over half a second: skipped under -short
+	}{
+		{"fig1_tables.txt", true},
+		{"fig2_4_maps.txt", false},
+		{"fig3_trace.txt", false},
+		{"fig7.txt", true},
+		{"fig8a_v100.txt", false},
+		{"fig8b_a100.txt", false},
+		{"fig8c_h100.txt", false},
+		{"fig9_occupancy.txt", false},
+		{"fig10_energy.txt", true},
+		{"fig11a_summitnode.txt", true},
+	} {
+		c := c
+		t.Run(strings.TrimSuffix(c.file, ".txt"), func(t *testing.T) {
+			if c.slow && testing.Short() {
+				t.Skip("slow figure")
+			}
+			args := argsFor[c.file]
+			if args == nil {
+				t.Fatalf("make experiments does not write results/%s", c.file)
+			}
+			want, err := os.ReadFile(filepath.Join(root, "results", c.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := runOut(t, args...); got != string(want) {
+				t.Errorf("geompc %s no longer reproduces results/%s:\n%s", strings.Join(args, " "), c.file, got)
+			}
+		})
 	}
 }

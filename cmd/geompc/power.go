@@ -1,35 +1,25 @@
-// Command power reproduces the energy results: Fig 9 (GPU occupancy over
-// time on the H100 for four precision configurations) and Fig 10 (power
-// consumption over time, total joules, and Gflops/W for FP64 vs the
-// adaptive mixed-precision approach on V100, A100 and H100).
-//
-// Usage:
-//
-//	power -occupancy                  # Fig 9 (H100)
-//	power -fig10                      # Fig 10, all three GPUs
-//	power -fig10 -machine Summit      # Fig 10, V100 panel only
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"geompc/internal/bench"
 	"geompc/internal/hw"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "power:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("power", flag.ContinueOnError)
+// runPower reproduces the energy results: Fig 9 (GPU occupancy over time on
+// the H100 for four precision configurations) and Fig 10 (power consumption
+// over time, total joules, and Gflops/W for FP64 vs the adaptive
+// mixed-precision approach on V100, A100 and H100).
+//
+//	geompc power -occupancy                  # Fig 9 (H100)
+//	geompc power -fig10                      # Fig 10, all three GPUs
+//	geompc power -fig10 -machine Summit      # Fig 10, V100 panel only
+func runPower(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("geompc power", flag.ContinueOnError)
 	occupancy := fs.Bool("occupancy", false, "print Fig 9 occupancy traces (H100)")
 	fig10 := fs.Bool("fig10", false, "print Fig 10 power/energy comparison")
 	machine := fs.String("machine", "", "restrict Fig 10 to one node type (Summit/Guyot/Haxane)")
@@ -43,9 +33,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	if !*occupancy && !*fig10 {
-		*occupancy, *fig10 = true, true
-	}
+	allIfNone(occupancy, fig10)
 
 	if *occupancy {
 		// Fig 9: H100, largest Fig 8c size.
@@ -105,7 +93,7 @@ func run(args []string, out io.Writer) error {
 				}
 				t.Add(run.Label, run.Time, run.EnergyJ/1e3, run.AvgPower, run.GflopsPerW)
 				if *chrome != "" {
-					if err := writeChrome(*chrome, run); err != nil {
+					if err := writeChrome(*chrome, run.Res, 0); err != nil {
 						return err
 					}
 					fmt.Fprintf(out, "chrome trace of %s written to %s\n", run.Label, *chrome)
@@ -124,17 +112,4 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// writeChrome exports one energy run's timeline as Chrome trace JSON.
-func writeChrome(path string, run *bench.EnergyRun) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := run.Res.WriteChromeTrace(f, 0); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

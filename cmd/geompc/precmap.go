@@ -1,34 +1,26 @@
-// Command precmap visualizes the precision machinery of §V and §VI:
-//
-//	precmap -demo          small kernel/storage map example (Fig 2)
-//	precmap -comm          the Algorithm 2 communication map (Fig 4)
-//	precmap -fig7          tile-precision fractions for the three
-//	                       applications at scale (Fig 7)
-//
-// The Fig 7 defaults are scaled down from the paper's 409,600² matrix; use
-// -n 409600 -ts 2048 to regenerate it at full scale (needs a few minutes
-// for the sampled norm estimation).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"geompc/internal/bench"
 	"geompc/internal/prec"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "precmap:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("precmap", flag.ContinueOnError)
+// runPrecmap visualizes the precision machinery of §V and §VI:
+//
+//	geompc precmap -demo   small kernel/storage map example (Fig 2)
+//	geompc precmap -comm   the Algorithm 2 communication map (Fig 4)
+//	geompc precmap -fig7   tile-precision fractions for the three
+//	                       applications at scale (Fig 7)
+//
+// The Fig 7 defaults are scaled down from the paper's 409,600² matrix; use
+// -n 409600 -ts 2048 to regenerate it at full scale (needs a few minutes
+// for the sampled norm estimation).
+func runPrecmap(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("geompc precmap", flag.ContinueOnError)
 	demo := fs.Bool("demo", false, "print a small kernel/storage precision map (Fig 2)")
 	comm := fs.Bool("comm", false, "print the Algorithm 2 communication map (Fig 4)")
 	fig7 := fs.Bool("fig7", false, "print the per-application precision fractions (Fig 7)")
@@ -43,9 +35,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	if !*demo && !*comm && !*fig7 {
-		*demo, *comm, *fig7 = true, true, true
-	}
+	allIfNone(demo, comm, fig7)
 
 	if *demo || *comm {
 		a, ok := bench.AppByName(*app)

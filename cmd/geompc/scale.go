@@ -1,38 +1,27 @@
-// Command scale reproduces Fig 12's Summit evaluation: weak scalability
-// (12a), strong scalability at fixed matrix size (12b), and the
-// mixed-precision effect on 64 nodes / 384 GPUs (12c).
-//
-// Usage:
-//
-//	scale -weak                       # Fig 12a, 1..64 nodes
-//	scale -strong                     # Fig 12b, N=798720
-//	scale -mp                         # Fig 12c, 64 nodes
-//	scale -mp -nodes 8 -sizes 98304,196608   # scaled down
-//	scale -weak -faults 'flaky:dev=0,at=0.1,backoff=0.01'   # resilience
-//
-// The full 64-node runs simulate ~10⁷ tasks; expect minutes.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"geompc/internal/bench"
 	"geompc/internal/cliflags"
-	"geompc/internal/sweep"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "scale:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("scale", flag.ContinueOnError)
+// runScale reproduces Fig 12's Summit evaluation: weak scalability (12a),
+// strong scalability at fixed matrix size (12b), and the mixed-precision
+// effect on 64 nodes / 384 GPUs (12c).
+//
+//	geompc scale -weak                       # Fig 12a, 1..64 nodes
+//	geompc scale -strong                     # Fig 12b, N=798720
+//	geompc scale -mp                         # Fig 12c, 64 nodes
+//	geompc scale -mp -nodes 8 -sizes 98304,196608   # scaled down
+//	geompc scale -weak -faults 'flaky:dev=0,at=0.1,backoff=0.01'   # resilience
+//
+// The full 64-node runs simulate ~10⁷ tasks; expect minutes.
+func runScale(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("geompc scale", flag.ContinueOnError)
 	weak := fs.Bool("weak", false, "run weak scaling (Fig 12a)")
 	strong := fs.Bool("strong", false, "run strong scaling (Fig 12b)")
 	mp := fs.Bool("mp", false, "run the MP effect at scale (Fig 12c)")
@@ -47,14 +36,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	so := v.SchedOpts()
-	var sum sweep.Summary
-	if v.Workers != 0 {
-		so.Summary = &sum
-	}
-
-	if !*weak && !*strong && !*mp {
-		*weak, *strong, *mp = true, true, true
-	}
+	allIfNone(weak, strong, mp)
 
 	nodes, err := cliflags.ParseSizes(*nodesFlag)
 	if err != nil {
@@ -72,9 +54,7 @@ func run(args []string, out io.Writer) error {
 			t.Add(r.Nodes, r.GPUs, r.N, r.Tflops, r.PctPeak, r.Time)
 		}
 		t.Write(out)
-		if v.Workers != 0 {
-			fmt.Fprintf(out, "%s\n", sum)
-		}
+		v.WriteSummary(out, "")
 	}
 
 	if *strong {
@@ -88,9 +68,7 @@ func run(args []string, out io.Writer) error {
 			t.Add(r.Nodes, r.GPUs, r.Tflops, r.PctPeak, r.Time)
 		}
 		t.Write(out)
-		if v.Workers != 0 {
-			fmt.Fprintf(out, "%s\n", sum)
-		}
+		v.WriteSummary(out, "")
 	}
 
 	if *mp {

@@ -1,26 +1,14 @@
-// Command trace prints the simulated execution timeline of a small mixed-
-// precision Cholesky — the Fig 3 demonstration: which task class runs
-// where and when, and how the asynchronous runtime overlaps iterations.
-//
-// Usage:
-//
-//	trace -nt 4 -gpus 2
-//	trace -nt 8 -chrome out.json     # export a Chrome/Perfetto trace
-//	trace -audit -metrics            # audited run + metrics dump
-//	trace -faults 'kill:dev=1,at=0.004' -audit   # chaos run with recovery
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"geompc/internal/cholesky"
 	"geompc/internal/cliflags"
 	"geompc/internal/hw"
-	planpkg "geompc/internal/plan"
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
@@ -30,15 +18,16 @@ import (
 	_ "geompc/internal/cg" // register the "cg" backend for -solver
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "trace:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
+// runTrace prints the simulated execution timeline of a small mixed-
+// precision Cholesky — the Fig 3 demonstration: which task class runs
+// where and when, and how the asynchronous runtime overlaps iterations.
+//
+//	geompc trace -nt 4 -gpus 2
+//	geompc trace -nt 8 -chrome out.json     # export a Chrome/Perfetto trace
+//	geompc trace -audit -metrics            # audited run + metrics dump
+//	geompc trace -faults 'kill:dev=1,at=0.004' -audit   # chaos run with recovery
+func runTrace(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("geompc trace", flag.ContinueOnError)
 	nt := fs.Int("nt", 4, "tiles per dimension")
 	ts := fs.Int("ts", 2048, "tile size")
 	gpus := fs.Int("gpus", 2, "GPUs on one Summit node")
@@ -73,10 +62,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-chrome exports the factorization timeline; use -solver direct")
 	}
 
-	var cache *planpkg.Cache
-	if v.PlanCache {
-		cache = planpkg.NewCache(nil)
-	}
+	cache := v.Cache()
 	res, err := be.Solve(cfg, cache)
 	if err != nil {
 		return err
@@ -96,16 +82,14 @@ func run(args []string, out io.Writer) error {
 	// Every backend prints the same bar format; iterative ones name
 	// themselves and label tasks by CG iteration (leading coordinate), the
 	// factorization by Algorithm 1 iteration (trailing coordinate).
-	inIters := inFirstIters
 	if direct {
 		fmt.Fprintf(out, "simulated schedule, NT=%d, %d V100s (FP64 diagonal / FP16_32 off-diagonal):\n\n", *nt, *gpus)
 	} else {
-		inIters = inIteration
 		fmt.Fprintf(out, "simulated %s schedule, NT=%d, %d V100s (FP64 diagonal / FP16_32 off-diagonal):\n\n", be.Name(), *nt, *gpus)
 	}
 	makespan := res.Stats.Makespan
 	for _, t := range res.Schedule {
-		if *iters > 0 && !inIters(t.Name, *iters) {
+		if *iters > 0 && !inFirstIters(t.Name, *iters, !direct) {
 			continue
 		}
 		barLen := 48
@@ -136,15 +120,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(*chrome)
-		if err != nil {
-			return err
-		}
-		if err := live.WriteChromeTrace(f, *nt); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeChrome(*chrome, live, *nt); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "chrome trace written to %s (open in ui.perfetto.dev or chrome://tracing)\n", *chrome)
@@ -163,10 +139,15 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// inIteration reports whether an iterative task's label (leading
-// coordinate, e.g. SPMV(3,0,1)) belongs to iteration < k.
-func inIteration(name string, k int) bool {
-	i := strings.IndexByte(name, '(')
+// inFirstIters reports whether a task label belongs to iteration < k: the
+// trailing coordinate of a factorization task (Algorithm 1's iteration),
+// the leading one of an iterative backend's task (SPMV(3,0,1) is CG
+// iteration 3).
+func inFirstIters(name string, k int, leading bool) bool {
+	i := strings.LastIndexAny(name, ",(")
+	if leading {
+		i = strings.IndexByte(name, '(')
+	}
 	if i < 0 {
 		return true
 	}
@@ -175,6 +156,8 @@ func inIteration(name string, k int) bool {
 	return kk < k
 }
 
+// humanBytes renders the re-staged volume with one decimal — not
+// bench.HumanBytes, whose two decimals would change the faults line.
 func humanBytes(b int64) string {
 	switch {
 	case b >= 1<<30:
@@ -185,16 +168,4 @@ func humanBytes(b int64) string {
 		return fmt.Sprintf("%.1f KiB", float64(b)/(1<<10))
 	}
 	return fmt.Sprintf("%d B", b)
-}
-
-// inFirstIters reports whether the task belongs to iteration < k of
-// Algorithm 1 (its trailing coordinate).
-func inFirstIters(name string, k int) bool {
-	i := strings.LastIndexAny(name, ",(")
-	if i < 0 {
-		return true
-	}
-	var kk int
-	fmt.Sscanf(name[i+1:], "%d", &kk)
-	return kk < k
 }

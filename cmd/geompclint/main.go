@@ -1,12 +1,11 @@
 // Command geompclint is the repo's multichecker: it runs the
-// internal/analysis suite — the intraprocedural analyzers detercheck
-// (determinism), preccast (precision safety), lockcheck (lock hygiene) and
-// hotalloc (allocation-free hot paths, now transitive), plus the
-// interprocedural dataflow analyzers deterflow (nondeterminism reaching the
-// deterministic packages), precflow (call chains reaching unaudited
-// precision lowerings) and contractcheck (solver.Backend determinism,
-// DESIGN.md §3.2) — over the packages matching the given patterns and exits
-// nonzero on any diagnostic, including misused //geompc:nolint directives.
+// internal/analysis suite — lockcheck (lock hygiene), hotalloc
+// (allocation-free hot paths, transitively), deterflow (nondeterminism in
+// or reaching the deterministic packages), precflow (unaudited precision
+// lowerings and the call chains reaching them) and contractcheck
+// (solver.Backend determinism, DESIGN.md §3.2) — over the packages matching
+// the given patterns and exits nonzero on any diagnostic, including misused
+// //geompc:nolint directives.
 //
 // Usage:
 //
@@ -30,22 +29,18 @@ import (
 
 	"geompc/internal/analysis"
 	"geompc/internal/analysis/contractcheck"
-	"geompc/internal/analysis/detercheck"
 	"geompc/internal/analysis/deterflow"
 	"geompc/internal/analysis/hotalloc"
 	"geompc/internal/analysis/lockcheck"
-	"geompc/internal/analysis/preccast"
 	"geompc/internal/analysis/precflow"
 )
 
 // analyzers is the registered suite, in reporting-name order.
 var analyzers = []*analysis.Analyzer{
 	contractcheck.Analyzer,
-	detercheck.Analyzer,
 	deterflow.Analyzer,
 	hotalloc.Analyzer,
 	lockcheck.Analyzer,
-	preccast.Analyzer,
 	precflow.Analyzer,
 }
 

@@ -54,8 +54,8 @@ func Tick(m map[int]int) (int64, []int) {
 	}
 	text := out.String()
 	for _, want := range []string{
-		"detercheck: time.Now in a virtual-clock package",
-		"detercheck: range over map m",
+		"deterflow: time.Now in a virtual-clock package",
+		"deterflow: range over map m",
 		"clock.go:7:2", // the range statement's position
 	} {
 		if !strings.Contains(text, want) {
@@ -88,7 +88,7 @@ func TestRunList(t *testing.T) {
 	if err := run([]string{"-list"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"detercheck", "preccast", "lockcheck", "hotalloc", "nolint"} {
+	for _, name := range []string{"contractcheck", "deterflow", "hotalloc", "lockcheck", "precflow", "nolint"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list missing %s:\n%s", name, out.String())
 		}

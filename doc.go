@@ -7,7 +7,8 @@
 // automated sender/receiver precision-conversion strategy (STC/TTC).
 //
 // The user-facing API lives in internal/core; the runnable entry points are
-// the cmd/ tools and examples/. The benchmarks in bench_test.go regenerate
-// every table and figure of the paper's evaluation at laptop scale; the
-// cmd/ tools regenerate them at full scale.
+// the geompc binary (cmd/geompc, one subcommand per table or figure) and
+// examples/. The benchmarks in bench_test.go regenerate every table and
+// figure of the paper's evaluation at laptop scale; the geompc subcommands
+// regenerate them at full scale.
 package geompc

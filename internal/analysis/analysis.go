@@ -14,8 +14,8 @@
 //     internal/fp16 / internal/prec (the software analogue of the paper's
 //     STC/TTC conversion points).
 //
-// The concrete analyzers live in subpackages (detercheck, preccast,
-// lockcheck, hotalloc); cmd/geompclint is the multichecker binary that runs
+// The concrete analyzers live in subpackages (deterflow, precflow,
+// contractcheck, lockcheck, hotalloc); cmd/geompclint is the multichecker binary that runs
 // them all. Diagnostics can be suppressed per line with a mandatory-reason
 // directive:
 //

@@ -35,27 +35,7 @@ type want struct {
 // fixtures exercise), and asserts the want annotations.
 func Run(t *testing.T, dir, importPath string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
-	pkg, err := analysis.LoadDir(dir, importPath)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", dir, err)
-	}
-	diags := analysis.Run([]*analysis.Package{pkg}, analyzers)
-
-	wants, err := parseWants(pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, d := range diags {
-		if !claim(wants, d) {
-			t.Errorf("unexpected diagnostic: %s", d)
-		}
-	}
-	for _, w := range wants {
-		if !w.hit {
-			t.Errorf("%s:%d: want %q matched no diagnostic", w.file, w.line, w.re)
-		}
-	}
+	RunDirs(t, []analysis.DirSpec{{Dir: dir, ImportPath: importPath}}, analyzers...)
 }
 
 // RunDirs type-checks several fixture directories as one mini-program (in

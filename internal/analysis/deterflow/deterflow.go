@@ -1,17 +1,22 @@
-// Package deterflow is the interprocedural half of the determinism
-// contract. AST-level detercheck inspects only the bodies of functions in
-// the deterministic packages, so a nondeterminism source hidden one call
-// away — a helper in internal/core that ranges over a map and returns the
-// keys, a utility that reads time.Now — is provably invisible to it. This
-// analyzer closes that gap with a whole-program taint pass:
+// Package deterflow enforces the repo's determinism contract: the engine
+// runs on a virtual clock, and its schedules, digests, traces and metrics
+// snapshots are golden-pinned bit-for-bit. Wall-clock or global-RNG state
+// entering a simulation package, or map iteration order leaking into
+// ordered output, silently breaks that and only surfaces later as a flaky
+// golden test. A whole-program taint pass flags both at compile time,
+// whether the source sits in a deterministic package or hides any number
+// of calls away (a helper in internal/core returning map keys unsorted):
 //
 //   - Sources (in ANY module package): wall-clock reads (time.Now),
-//     math/rand global-source draws, and map iteration whose order can
-//     escape (the same escape heuristics as detercheck: order-insensitive
-//     bodies and the collect-then-sort idiom are clean). Sites carrying a
-//     reasoned //geompc:nolint for detercheck or deterflow are treated as
-//     audited and do not taint callers. faults.go keeps its detercheck
-//     exemption: the injector owns the repo's one seeded source.
+//     math/rand global-source draws (seeded construction — rand.New,
+//     rand.NewSource, rand.NewPCG — is fine), and a `for range` over a map
+//     unless its order provably cannot escape: every statement in the body
+//     is order-insensitive (map writes/deletes keyed by the range variable,
+//     integer counter updates), or the body only collects into slices that
+//     are later passed to a sort call in the same function. Sites carrying
+//     a reasoned //geompc:nolint deterflow are treated as audited and do
+//     not taint callers. faults.go is exempt from the clock and rand rule:
+//     the injector owns the repo's one seeded source.
 //
 //   - Sinks: the deterministic packages — the virtual-clock spine
 //     (runtime, sched, comm, cholesky, solver, cg) plus the packages that
@@ -21,15 +26,17 @@
 // Facts propagate bottom-up over call-graph SCCs, through interface
 // dispatch (every matching method), closures and method values (creating
 // or passing a tainted function value taints the holder — callbacks are
-// how nondeterminism usually sneaks into the engine). A finding is a call
-// or reference *from* a sink package *to* a function outside the sink set
-// whose summary is tainted; sources directly inside sink packages stay
-// detercheck's findings, so the two analyzers never double-report.
+// how nondeterminism usually sneaks into the engine). A finding is either a
+// source sitting directly in a sink package (the zero-length chain), or a
+// call or reference *from* a sink package *to* a function outside the sink
+// set whose summary is tainted; edges inside the sink set are not
+// re-reported, so one source yields one finding.
 package deterflow
 
 import (
+	"fmt"
 	"go/ast"
-	"go/token"
+	"go/types"
 	"path/filepath"
 	"strings"
 
@@ -42,26 +49,22 @@ const Name = "deterflow"
 // Analyzer is the deterflow instance registered with the driver.
 var Analyzer = &analysis.Analyzer{
 	Name:    Name,
-	Doc:     "flags call chains that carry nondeterminism (wall clock, global rand, map order) into the deterministic packages",
+	Doc:     "flags nondeterminism (wall clock, global rand, map order) in the deterministic packages and the call chains that carry it in",
 	Prepare: prepare,
 	Run:     run,
 }
 
-// SinkPkgs are the deterministic packages: detercheck's virtual-clock and
-// digest-order sets, plus plan (frozen schedules and replay).
+// SinkPkgs are the deterministic packages (the package doc's sinks).
 var SinkPkgs = map[string]bool{
 	"runtime": true, "sched": true, "comm": true, "cholesky": true,
 	"solver": true, "cg": true, "obs": true, "plan": true,
 }
 
-// FactsKey memoizes the nondeterminism summary; contractcheck shares it.
-const FactsKey = "nondet"
-
 // Facts computes (or returns) the program's nondeterminism summary: for
 // each function, the earliest reason it is not reproducible, or nil.
 func Facts(prog *analysis.Program) map[*analysis.Func]*analysis.Taint {
 	return prog.Flow(analysis.FlowSpec{
-		Key: FactsKey,
+		Key: "nondet",
 		Direct: func(fn *analysis.Func) *analysis.Taint {
 			return directSource(prog, fn)
 		},
@@ -89,7 +92,7 @@ func directSource(prog *analysis.Program, fn *analysis.Func) *analysis.Taint {
 		if !analysis.MapRangeEscapes(fn.Pkg.Info, fn.Body(), rng) {
 			return true
 		}
-		if prog.SuppressedAt(fn.Pkg.Fset, rng.Pos(), "detercheck", Name) {
+		if prog.SuppressedAt(fn.Pkg.Fset, rng.Pos(), Name) {
 			return true
 		}
 		taint = &analysis.Taint{What: "map iteration order", Pos: rng.Pos(), CallPos: rng.Pos()}
@@ -121,49 +124,44 @@ func externSource(prog *analysis.Program, fn *analysis.Func, e analysis.ExternEd
 	if what == "" {
 		return nil
 	}
-	if prog.SuppressedAt(fn.Pkg.Fset, e.Pos, "detercheck", Name) {
+	if prog.SuppressedAt(fn.Pkg.Fset, e.Pos, Name) {
 		return nil
 	}
 	return &analysis.Taint{What: what, Pos: e.Pos, CallPos: e.Pos}
 }
 
-// run reports, for each function of a sink package, every call or
-// reference that reaches a tainted function outside the sink set.
+// run reports, for each function of a sink package, every source in its
+// own body and every call or reference that reaches a tainted function
+// outside the sink set.
 func run(pass *analysis.Pass) {
-	if !SinkPkgs[analysis.PkgBase(pass)] {
+	base := analysis.PkgBase(pass)
+	if !SinkPkgs[base] {
 		return
 	}
-	facts := Facts(pass.Prog)
 	pkgPath := pass.Pkg.Path()
-	seen := make(map[token.Pos]bool)
 	for _, fn := range pass.Prog.Funcs() {
 		if fn.Pkg.Path != pkgPath {
 			continue
 		}
-		for _, e := range fn.Edges {
-			if seen[e.Pos] {
+		analysis.InspectOwn(fn, func(n ast.Node) bool {
+			if rng, ok := n.(*ast.RangeStmt); ok && analysis.MapRangeEscapes(pass.Info, fn.Body(), rng) {
+				pass.Reportf(rng.Pos(), "range over map %s: iteration order is nondeterministic and can leak into digests/schedules/traces — iterate sorted keys instead", types.ExprString(rng.X))
+			}
+			return true
+		})
+		for _, e := range fn.Extern {
+			if externSource(pass.Prog, fn, e) == nil {
 				continue
 			}
-			callee := e.Callee
-			if SinkPkgs[filepath.Base(callee.Pkg.Path)] {
-				continue // reported inside the sink set, closer to the root
+			if e.PkgPath == "time" {
+				pass.Reportf(e.Pos, "time.Now in a virtual-clock package: simulation time must come from the engine clock")
+			} else {
+				pass.Reportf(e.Pos, "%s.%s uses the global rand source in a virtual-clock package: draw from a seeded *rand.Rand instead", e.PkgPath, e.Name)
 			}
-			t := facts[callee]
-			if t == nil {
-				continue
-			}
-			seen[e.Pos] = true
-			verb := "call to"
-			if e.Kind == analysis.EdgeRef {
-				verb = "reference to"
-			}
-			pass.Reportf(e.Pos, "%s %s carries nondeterminism into deterministic package %s (%s → %s) — hoist the source behind a seeded/sorted boundary or suppress the root with //geompc:nolint",
-				verb, callee.Name, analysis.PkgBase(pass), callee.Name, chainFrom(pass.Prog, callee, facts))
 		}
 	}
-}
-
-// chainFrom renders callee's own chain down to the root site.
-func chainFrom(prog *analysis.Program, callee *analysis.Func, facts map[*analysis.Func]*analysis.Taint) string {
-	return prog.Chain(callee, facts)
+	analysis.ReportTaintedEdges(pass, Facts(pass.Prog), SinkPkgs, func(verb string, callee *analysis.Func, _ *analysis.Taint, chain string) string {
+		return fmt.Sprintf("%s %s carries nondeterminism into deterministic package %s (%s → %s) — hoist the source behind a seeded/sorted boundary or suppress the root with //geompc:nolint",
+			verb, callee.Name, base, callee.Name, chain)
+	})
 }

@@ -24,3 +24,17 @@ func TestSinkBoundary(t *testing.T) {
 		{Dir: fixture("sink"), ImportPath: "geompc/internal/sched"},
 	}, deterflow.Analyzer)
 }
+
+// TestRestricted runs the fixture as a virtual-clock package: map-order
+// leaks, time.Now and global rand sitting directly in it are flagged;
+// sorted collection, commutative bodies, faults.go and seeded construction
+// are not.
+func TestRestricted(t *testing.T) {
+	checkertest.Run(t, fixture("restricted"), "geompc/internal/runtime", deterflow.Analyzer)
+}
+
+// TestFree runs the same shapes as a package outside the deterministic set:
+// nothing is flagged.
+func TestFree(t *testing.T) {
+	checkertest.Run(t, fixture("free"), "geompc/internal/geo", deterflow.Analyzer)
+}

@@ -68,7 +68,7 @@ func LoadProgram(dir string, patterns ...string) (*Program, error) {
 		return nil, err
 	}
 
-	prog := &Program{Module: module}
+	prog := &Program{}
 	for _, lp := range listed {
 		pkg := ld.astPkgs[lp.ImportPath]
 		if pkg == nil {
@@ -82,16 +82,6 @@ func LoadProgram(dir string, patterns ...string) (*Program, error) {
 	sort.Slice(prog.All, func(i, j int) bool { return prog.All[i].Path < prog.All[j].Path })
 	sort.Slice(prog.Roots, func(i, j int) bool { return prog.Roots[i].Path < prog.Roots[j].Path })
 	return prog, nil
-}
-
-// LoadPackages is the PR 5 entry point, preserved for the per-package
-// analyzers' tests: the roots of LoadProgram.
-func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
-	prog, err := LoadProgram(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	return prog.Roots, nil
 }
 
 // goList runs `go list -json` with args in dir and decodes the stream.
@@ -310,8 +300,8 @@ func (li *loaderImporter) Import(imp string) (*types.Package, error) {
 // package with the given import path. Used by the fixture runner
 // (checkertest) and the geompclint smoke test, where fixtures live under
 // testdata and are invisible to `go list`. The explicit import path matters:
-// analyzers scope themselves by package path (e.g. detercheck's
-// virtual-clock package set), so fixtures choose which regime they test by
+// analyzers scope themselves by package path (e.g. deterflow's
+// deterministic package set), so fixtures choose which regime they test by
 // the path they claim.
 func LoadDir(dir, importPath string) (*Package, error) {
 	pkgs, err := LoadDirs(DirSpec{Dir: dir, ImportPath: importPath})

@@ -24,3 +24,16 @@ func TestLoweringChains(t *testing.T) {
 		{Dir: fixture("consumer"), ImportPath: "geompc/internal/mle"},
 	}, precflow.Analyzer)
 }
+
+// TestOutside: in an unaudited package every lossy down-cast and
+// bit-twiddle is flagged where it is written; exact conversions and
+// constants are not.
+func TestOutside(t *testing.T) {
+	checkertest.Run(t, fixture("outside"), "geompc/internal/mle", precflow.Analyzer)
+}
+
+// TestAudited: the same expressions inside the conversion API are the
+// implementation, not a violation.
+func TestAudited(t *testing.T) {
+	checkertest.Run(t, fixture("audited"), "geompc/internal/fp16", precflow.Analyzer)
+}

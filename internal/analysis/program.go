@@ -24,16 +24,11 @@ import (
 	"go/types"
 	"path"
 	"sort"
-	"strings"
 	"sync"
 )
 
 // Program is the whole-program analysis state shared by one driver run.
 type Program struct {
-	// Module is the module import-path prefix ("geompc"); packages under it
-	// are "local" and contribute ASTs to the call graph. Empty means every
-	// package in All is local (the fixture case).
-	Module string
 	// Roots are the packages being linted (diagnostics are reported here).
 	Roots []*Package
 	// All is every AST-bearing package the graph covers: the roots plus
@@ -617,12 +612,4 @@ func tarjanSCC(funcs []*Func) [][]*Func {
 		}
 	}
 	return sccs
-}
-
-// LocalPkg reports whether path belongs to the analyzed module.
-func (p *Program) LocalPkg(path string) bool {
-	if p.Module == "" {
-		return true
-	}
-	return path == p.Module || strings.HasPrefix(path, p.Module+"/")
 }

@@ -1,10 +1,9 @@
 package analysis
 
-// Site detectors shared by the intraprocedural analyzers (preccast,
-// detercheck) and their interprocedural counterparts (precflow, deterflow):
-// both layers must agree on what a lossy conversion or an order-leaking map
-// range *is*, or a finding could appear at one layer and be invisible to
-// the other.
+// Site detectors of precflow and deterflow: each analyzer's direct report
+// and its taint summary must agree on what a lossy conversion or an
+// order-leaking map range *is*, or a finding could appear at the root and
+// be invisible to the call chains above it.
 
 import (
 	"go/ast"

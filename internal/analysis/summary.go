@@ -22,6 +22,7 @@ package analysis
 import (
 	"fmt"
 	"go/token"
+	"path"
 	"strings"
 )
 
@@ -159,6 +160,35 @@ func (p *Program) Chain(fn *Func, facts map[*Func]*Taint) string {
 		return root
 	}
 	return strings.Join(hops, " → ") + ": " + root
+}
+
+// ReportTaintedEdges is the reporting half shared by the flow analyzers:
+// for every function of the pass's package, each call or reference edge
+// whose callee carries a fact is reported once per position, rendered by
+// msg from the edge's verb ("call to" / "reference to"), the callee, its
+// fact and the chain down to the root site. Callees in a package whose base
+// name is in inside are skipped — the finding belongs to the boundary edge
+// (deterflow's sink set) or does not exist (precflow's audited API).
+func ReportTaintedEdges(pass *Pass, facts map[*Func]*Taint, inside map[string]bool, msg func(verb string, callee *Func, t *Taint, chain string) string) {
+	pkgPath := pass.Pkg.Path()
+	seen := make(map[token.Pos]bool)
+	for _, fn := range pass.Prog.Funcs() {
+		if fn.Pkg.Path != pkgPath {
+			continue
+		}
+		for _, e := range fn.Edges {
+			t := facts[e.Callee]
+			if t == nil || seen[e.Pos] || inside[path.Base(e.Callee.Pkg.Path)] {
+				continue
+			}
+			seen[e.Pos] = true
+			verb := "call to"
+			if e.Kind == EdgeRef {
+				verb = "reference to"
+			}
+			pass.Reportf(e.Pos, "%s", msg(verb, e.Callee, t, pass.Prog.Chain(e.Callee, facts)))
+		}
+	}
 }
 
 func basename(p string) string {

@@ -1,5 +1,5 @@
-// Fixture for detercheck, loaded as geompc/internal/geo — not a
-// virtual-clock package, so neither rule applies.
+// Fixture for deterflow, loaded as geompc/internal/geo — not a
+// deterministic package, so sources sitting here are not findings.
 package geo
 
 import "time"

@@ -1,8 +1,6 @@
 // Fixture helpers for deterflow: a utility package OUTSIDE the
 // deterministic set. Nothing is reported here — deterflow findings appear
-// at the sink-package edges that call in (see ../sink). detercheck cannot
-// see these either: its package scoping skips "core" entirely, which is
-// exactly the gap deterflow closes.
+// at the sink-package edges that call in (see ../sink).
 package helpers
 
 import (

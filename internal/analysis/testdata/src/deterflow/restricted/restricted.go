@@ -1,4 +1,4 @@
-// Fixture for detercheck, loaded as geompc/internal/runtime — a
+// Fixture for deterflow's direct rule, loaded as geompc/internal/runtime — a
 // virtual-clock package where both the clock rule and the map-order rule
 // apply.
 package runtime
@@ -59,7 +59,7 @@ func (t *table) floatSum() float64 {
 // suppressed demonstrates a well-formed //geompc:nolint.
 func (t *table) suppressed() float64 {
 	s := 0.0
-	for _, w := range t.weights { //geompc:nolint detercheck commutative enough for a fixture
+	for _, w := range t.weights { //geompc:nolint deterflow commutative enough for a fixture
 		s += w
 	}
 	return s

@@ -1,4 +1,4 @@
-// Fixture for preccast, loaded as geompc/internal/fp16 — the audited
+// Fixture for precflow's direct rule, loaded as geompc/internal/fp16 — the audited
 // conversion API itself, where the down-casts and bit-twiddling are the
 // whole point.
 package fp16

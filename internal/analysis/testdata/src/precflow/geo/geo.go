@@ -1,14 +1,15 @@
 // Fixture helper package for precflow: unaudited code with a lossy
-// lowering buried one call deep. preccast flags the cast itself (not run
-// here); precflow flags every call chain that reaches it.
+// lowering buried one call deep: precflow flags the cast itself and every
+// call chain that reaches it.
 package geo
 
 import (
 	fp16 "geompc/internal/fp16"
 )
 
-// Lower is the unaudited root: a silent float64→float32.
-func Lower(x float64) float32 { return float32(x) }
+// Lower is the unaudited root: a silent float64→float32, flagged where it
+// is written.
+func Lower(x float64) float32 { return float32(x) } // want `precflow: lossy float64→float32 conversion outside the audited precision API`
 
 // Via reaches the root through one frame: flagged at its own call edge.
 func Via(x float64) float32 {

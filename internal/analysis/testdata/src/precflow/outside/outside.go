@@ -1,4 +1,4 @@
-// Fixture for preccast, loaded as geompc/internal/mle — outside the audited
+// Fixture for precflow's direct rule, loaded as geompc/internal/mle — outside the audited
 // conversion packages, so every lossy down-cast is flagged.
 package mle
 
@@ -24,5 +24,5 @@ func fine(f float32, n int) (float64, float32, float32, uint16) {
 
 // suppressed demonstrates routing around the check with a reason.
 func suppressed(x float64) float32 {
-	return float32(x) //geompc:nolint preccast fixture exercises the suppression path
+	return float32(x) //geompc:nolint precflow fixture exercises the suppression path
 }

@@ -358,3 +358,28 @@ func TestWeakScalingNoNodeCounts(t *testing.T) {
 		t.Fatal("empty node-count list accepted")
 	}
 }
+
+// TestWeakScalingBadTileSize: weak scaling rounds N up to a multiple of ts,
+// so ts <= 0 must come back as the descriptor's error — the one the strong
+// family returns — not as a divide-by-zero panic.
+func TestWeakScalingBadTileSize(t *testing.T) {
+	_, strongErr := StrongScalingOpts([]int{1}, 32768, 0, "", SchedOpts{})
+	if strongErr == nil {
+		t.Fatal("strong scaling accepted ts=0")
+	}
+	_, err := WeakScalingOpts([]int{1}, 32768, 0, "", SchedOpts{})
+	if err == nil || err.Error() != strongErr.Error() {
+		t.Fatalf("weak scaling ts=0: err = %v, want %v", err, strongErr)
+	}
+}
+
+// TestEnergyRunRejectsNoBins: zero or negative trace windows leave the
+// occupancy mean a 0/0, so the run is refused up front.
+func TestEnergyRunRejectsNoBins(t *testing.T) {
+	cfg := EnergyConfig{Label: "FP64", OffDiag: prec.FP64, Uniform: true}
+	for _, bins := range []int{0, -3} {
+		if _, err := EnergyRunOne(hw.SummitNode, cfg, 8192, 2048, bins, 1); err == nil {
+			t.Errorf("bins=%d accepted", bins)
+		}
+	}
+}

@@ -74,6 +74,9 @@ func OccupancyConfigs() []EnergyConfig {
 // EnergyRunOne executes one traced single-GPU factorization and bins its
 // power and occupancy traces into `bins` windows.
 func EnergyRunOne(node *hw.NodeSpec, cfg EnergyConfig, n, ts, bins int, seed uint64) (*EnergyRun, error) {
+	if bins <= 0 {
+		return nil, fmt.Errorf("bench: energy run needs at least one trace window, got bins=%d", bins)
+	}
 	plat, err := runtime.NewPlatform(node, 1, 1)
 	if err != nil {
 		return nil, err

@@ -98,6 +98,11 @@ func WeakScalingOpts(nodeCounts []int, baseN, ts int, faultSpec string, so Sched
 	if len(nodeCounts) == 0 {
 		return nil, fmt.Errorf("bench: weak scaling needs at least one node count")
 	}
+	// N is rounded up to a multiple of ts below: reject a bad tile size
+	// with the descriptor's own error before dividing by it.
+	if _, err := tile.NewDesc(baseN, ts, 1, 1); err != nil {
+		return nil, err
+	}
 	base := float64(nodeCounts[0])
 	return sweep.Run(len(nodeCounts), so.sweepOptions(), func(i int, ctx *sweep.Context) (ScaleRow, error) {
 		nodes := nodeCounts[i]

@@ -4,7 +4,7 @@ package bench
 // same phantom grid ({Auto, TTC} × two sizes on a 2-rank Summit node).
 // Honest read of the committed numbers: on the *simulated* machine the
 // cg rows win data motion and energy at these tolerances (~25× fewer
-// network bytes, ~2× less energy — see cmd/ablation -solvers), but the
+// network bytes, ~2× less energy — see geompc ablation -solvers), but the
 // *host* cost per point is ~5× the direct series' (ns_op in
 // BENCH_kernels.json): 17 modeled iterations emit thousands of tiny
 // SpMV/reduction tasks against the factorization's few large ones, and

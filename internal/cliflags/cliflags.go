@@ -1,18 +1,22 @@
-// Package cliflags centralizes the flag groups the benchmark CLIs share —
-// scheduling policy and broadcast topology, fault-plan injection, the
-// compiled-plan cache toggle, and the parallel-sweep worker count — so the
-// four front-ends (trace, convbench, scale, ablation) register identical
-// spellings and help text instead of four hand-copied blocks.
+// Package cliflags centralizes the flag groups the geompc subcommands
+// share — scheduling policy and broadcast topology, fault-plan injection,
+// the compiled-plan cache toggle, and the parallel-sweep worker count — so
+// trace, convbench, scale and ablation register identical spellings and
+// help text, and the state those flags switch on (the shared plan cache,
+// the sweep throughput summary) is wired in one place.
 package cliflags
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 
 	"geompc/internal/bench"
+	"geompc/internal/plan"
 	"geompc/internal/solver"
+	"geompc/internal/sweep"
 )
 
 // Set selects which flag groups Register installs; or the groups together.
@@ -50,6 +54,9 @@ type Values struct {
 	// Solver is the -solver backend name (solver.ByName spelling;
 	// "direct" unless overridden).
 	Solver string
+
+	cache   *plan.Cache   // the run's one plan cache, made on first use
+	summary sweep.Summary // throughput report of the latest sweep
 }
 
 // Register installs the selected flag groups on fs and returns the holder
@@ -81,15 +88,35 @@ func (v *Values) Backend() (solver.Backend, error) {
 }
 
 // SchedOpts assembles the bench-level sweep options from the parsed
-// values (policy, topology and solver names plus the worker count); its
-// Config method resolves them, with the -faults value, into a run config.
+// values (policy, topology and solver names, the plan cache, the worker
+// count); its Config method resolves them, with the -faults value, into a
+// run config.
 func (v *Values) SchedOpts() bench.SchedOpts {
-	return bench.SchedOpts{Policy: v.Sched, Bcast: v.Bcast, Solver: v.Solver, SweepOpts: v.SweepOpts()}
+	return bench.SchedOpts{Policy: v.Sched, Bcast: v.Bcast, Solver: v.Solver, Cache: v.Cache(), SweepOpts: v.SweepOpts()}
 }
 
-// SweepOpts returns just the sweep-execution knobs.
+// SweepOpts returns just the sweep-execution knobs; every sweep run with
+// them records its throughput for WriteSummary.
 func (v *Values) SweepOpts() bench.SweepOpts {
-	return bench.SweepOpts{Workers: v.Workers}
+	return bench.SweepOpts{Workers: v.Workers, Summary: &v.summary}
+}
+
+// Cache returns the compiled-plan cache -plan-cache asks for — one per
+// parsed flag set, so every solve and sweep of the command shares it — or
+// nil without the flag.
+func (v *Values) Cache() *plan.Cache {
+	if v.PlanCache && v.cache == nil {
+		v.cache = plan.NewCache(nil)
+	}
+	return v.cache
+}
+
+// WriteSummary prints lead and the throughput line of the latest sweep run
+// through SweepOpts; serial runs (-workers 0) print nothing.
+func (v *Values) WriteSummary(out io.Writer, lead string) {
+	if v.Workers != 0 {
+		fmt.Fprintf(out, "%s%s\n", lead, v.summary)
+	}
 }
 
 // ParseSizes parses a comma-separated list of positive integers — the

@@ -40,6 +40,35 @@ func TestRegisterSelectsGroups(t *testing.T) {
 	}
 }
 
+// TestCacheAndSummaryWiring: -plan-cache yields one cache shared by every
+// SchedOpts call (nil without the flag), and only a pooled sweep prints the
+// throughput summary its runs record.
+func TestCacheAndSummaryWiring(t *testing.T) {
+	serial := &Values{}
+	var out strings.Builder
+	if so := serial.SchedOpts(); so.Cache != nil {
+		t.Errorf("zero Values wired a cache: %+v", so)
+	}
+	serial.WriteSummary(&out, "\n")
+	if out.Len() != 0 {
+		t.Errorf("serial WriteSummary printed %q", out.String())
+	}
+
+	pooled := &Values{PlanCache: true, Workers: 2}
+	a, b := pooled.SchedOpts(), pooled.SchedOpts()
+	if a.Cache == nil || a.Cache != b.Cache || a.Cache != pooled.Cache() {
+		t.Error("-plan-cache must hand every caller the same cache")
+	}
+	if a.Summary == nil || a.Summary != pooled.SweepOpts().Summary {
+		t.Error("every sweep must record into the one summary")
+	}
+	a.Summary.Points = 7
+	pooled.WriteSummary(&out, "\n")
+	if got := out.String(); !strings.HasPrefix(got, "\nsweep: 7 points") || !strings.HasSuffix(got, "\n") {
+		t.Errorf("WriteSummary printed %q", got)
+	}
+}
+
 func TestRegisterOmitsUnselectedGroups(t *testing.T) {
 	fs := newFS()
 	Register(fs, Workers)

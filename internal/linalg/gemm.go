@@ -33,9 +33,7 @@ func GemmNT(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb i
 	}
 	bp := f64Scratch(((n + 1) &^ 1) * k)
 	interleave2f64(bp, b, n, k, ldb)
-	forPanels(m, func(i0, i1 int) {
-		gemmNT64Panel(i0, i1, n, k, alpha, a, lda, b, ldb, bp, beta, c, ldc)
-	})
+	gemmNT64Panel(0, m, n, k, alpha, a, lda, b, ldb, bp, beta, c, ldc)
 	putF64(bp)
 }
 
@@ -267,7 +265,7 @@ func gemmNT32Panel(i0, i1, n, k int, al float32, betaZero bool, be float32, af, 
 
 // gemmNT32 packs with the format's input quantizer (pk) — once, row-major,
 // for the scalar-tail rows — then quad-interleaves B for the SIMD kernel,
-// and runs the shared float32 micro-kernel over row panels.
+// and runs the shared float32 micro-kernel over all m rows.
 func gemmNT32(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int, pk func(dst []float32, src []float64, rows, cols, ld int)) {
 	if m == 0 || n == 0 {
 		return
@@ -278,9 +276,7 @@ func gemmNT32(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb
 	bq := f32Scratch(((n + 3) &^ 3) * k)
 	interleave4f32(bq, bf, n, k)
 	al, be := float32(alpha), float32(beta)
-	forPanels(m, func(i0, i1 int) {
-		gemmNT32Panel(i0, i1, n, k, al, beta == 0, be, af, bf, bq, c, ldc)
-	})
+	gemmNT32Panel(0, m, n, k, al, beta == 0, be, af, bf, bq, c, ldc)
 	putF32(af)
 	putF32(bf)
 	putF32(bq)
@@ -346,9 +342,7 @@ func GemmNTFP16(m, n, k int, alpha float64, a []float64, lda int, b []float64, l
 	packFP16(bf, b, n, k, ldb)
 	alf := fp16.QuantF32(float32(alpha))
 	bef := fp16.QuantF32(float32(beta))
-	forPanels(m, func(i0, i1 int) {
-		gemmNT16Panel(i0, i1, n, k, alf, beta == 0, bef, af, bf, c, ldc)
-	})
+	gemmNT16Panel(0, m, n, k, alf, beta == 0, bef, af, bf, c, ldc)
 	putF32(af)
 	putF32(bf)
 }

@@ -7,17 +7,10 @@ import "geompc/internal/prec"
 // diagonal-tile update A[m][m] -= A[m][k]·A[m][k]ᵀ of Algorithm 1 (alpha=-1,
 // beta=1). Rows of the triangle are independent, so the kernel blocks four
 // output rows at a time over the shared aj operand (each accumulator still
-// sums in l-order: bit-identical to the scalar loop) and parallelizes over
-// row panels when SetParallelism is raised.
+// sums in l-order: bit-identical to the scalar loop).
 func SyrkLN(n, k int, alpha float64, a []float64, lda int, beta float64, c []float64, ldc int) {
-	forPanels(n, func(i0, i1 int) {
-		syrkLN64Panel(i0, i1, k, alpha, a, lda, beta, c, ldc)
-	})
-}
-
-func syrkLN64Panel(i0, i1, k int, alpha float64, a []float64, lda int, beta float64, c []float64, ldc int) {
-	i := i0
-	for ; i+4 <= i1; i += 4 {
+	i := 0
+	for ; i+4 <= n; i += 4 {
 		ai0 := a[(i+0)*lda:][:k]
 		ai1 := a[(i+1)*lda:][:k]
 		ai2 := a[(i+2)*lda:][:k]
@@ -63,7 +56,7 @@ func syrkLN64Panel(i0, i1, k int, alpha float64, a []float64, lda int, beta floa
 			}
 		}
 	}
-	for ; i < i1; i++ {
+	for ; i < n; i++ {
 		ai := a[i*lda:][:k]
 		ci := c[i*ldc : i*ldc+i+1]
 		for j := 0; j <= i; j++ {
@@ -89,9 +82,7 @@ func SyrkLN32(n, k int, alpha float64, a []float64, lda int, beta float64, c []f
 	pack32(af, a, n, k, lda)
 	al, be := float32(alpha), float32(beta)
 	betaZero := beta == 0
-	forPanels(n, func(i0, i1 int) {
-		syrkLN32Panel(i0, i1, k, al, betaZero, be, af, c, ldc)
-	})
+	syrkLN32Panel(0, n, k, al, betaZero, be, af, c, ldc)
 	putF32(af)
 }
 

@@ -9,17 +9,10 @@ import "geompc/internal/prec"
 // A[m][k] = A[m][k]·A[k][k]^{-T} of Algorithm 1.
 // Rows of B are solved independently, so the kernel blocks four rows over
 // the shared triangular operand (each row's recurrence runs in the same
-// order as the scalar loop: bit-identical) and parallelizes over row panels
-// when SetParallelism is raised.
+// order as the scalar loop: bit-identical).
 func TrsmRLT(m, n int, a []float64, lda int, b []float64, ldb int) {
-	forPanels(m, func(i0, i1 int) {
-		trsmRLT64Panel(i0, i1, n, a, lda, b, ldb)
-	})
-}
-
-func trsmRLT64Panel(i0, i1, n int, a []float64, lda int, b []float64, ldb int) {
-	i := i0
-	for ; i+4 <= i1; i += 4 {
+	i := 0
+	for ; i+4 <= m; i += 4 {
 		b0 := b[(i+0)*ldb:][:n]
 		b1 := b[(i+1)*ldb:][:n]
 		b2 := b[(i+2)*ldb:][:n]
@@ -41,7 +34,7 @@ func trsmRLT64Panel(i0, i1, n int, a []float64, lda int, b []float64, ldb int) {
 			b3[j] = s3 / d
 		}
 	}
-	for ; i < i1; i++ {
+	for ; i < m; i++ {
 		bi := b[i*ldb:][:n]
 		for j := 0; j < n; j++ {
 			s := bi[j]
@@ -69,9 +62,7 @@ func TrsmRLT32(m, n int, a []float64, lda int, b []float64, ldb int) {
 	// independently with 4-row blocking over the shared triangle.
 	bf := f32Scratch(m * n)
 	pack32(bf, b, m, n, ldb)
-	forPanels(m, func(i0, i1 int) {
-		trsmRLT32Panel(i0, i1, n, af, bf)
-	})
+	trsmRLT32Panel(0, m, n, af, bf)
 	for i := 0; i < m; i++ {
 		bi := b[i*ldb:][:n]
 		for j, v := range bf[i*n:][:n] {

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"geompc/internal/geo"
+	"geompc/internal/linalg"
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/stats"
@@ -126,7 +127,7 @@ func denseNLLFromTiles(p *Problem, m *tile.Matrix) float64 {
 }
 
 func nllFromDense(p *Problem, a []float64, n int) float64 {
-	if err := potrfDense(n, a); err != nil {
+	if err := linalg.PotrfLower(n, a, n); err != nil {
 		return math.Inf(1)
 	}
 	logdet := 0.0
@@ -135,7 +136,7 @@ func nllFromDense(p *Problem, a []float64, n int) float64 {
 	}
 	logdet *= 2
 	y := append([]float64(nil), p.Z...)
-	trsvDense(n, a, y)
+	linalg.TrsvLNN(n, a, n, y)
 	quad := 0.0
 	for _, v := range y {
 		quad += v * v

@@ -18,6 +18,7 @@ import (
 
 	"geompc/internal/cholesky"
 	"geompc/internal/geo"
+	"geompc/internal/hw"
 	"geompc/internal/linalg"
 	"geompc/internal/optimize"
 	"geompc/internal/prec"
@@ -76,7 +77,7 @@ func (p *Problem) defaults() error {
 		p.Ladder = prec.CholeskySet
 	}
 	if p.Platform == nil {
-		plat, err := runtime.NewPlatform(hwSummit, 1, 1)
+		plat, err := runtime.NewPlatform(hw.SummitNode, 1, 1)
 		if err != nil {
 			return err
 		}
