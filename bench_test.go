@@ -184,7 +184,7 @@ func BenchmarkFig11Node(b *testing.B) {
 // BenchmarkFig12Weak runs weak scaling over 1..16 Summit nodes.
 func BenchmarkFig12Weak(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.WeakScalingOpts([]int{1, 4, 16}, 49152, 2048, "", bench.SchedOpts{})
+		rows, err := bench.WeakScalingOpts([]int{1, 4, 16}, 49152, 2048, bench.SchedOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func BenchmarkFig12Weak(b *testing.B) {
 // BenchmarkFig12Strong runs strong scaling at fixed N.
 func BenchmarkFig12Strong(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.StrongScalingOpts([]int{1, 4, 16}, 131072, 2048, "", bench.SchedOpts{})
+		rows, err := bench.StrongScalingOpts([]int{1, 4, 16}, 131072, 2048, bench.SchedOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func BenchmarkFig12MP(b *testing.B) {
 // the figure that bounds full-scale Fig 12 reproduction time.
 func BenchmarkEngineThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.StrongScalingOpts([]int{4}, 131072, 2048, "", bench.SchedOpts{}); err != nil {
+		if _, err := bench.StrongScalingOpts([]int{4}, 131072, 2048, bench.SchedOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -26,7 +26,6 @@ import (
 //     geompc ablation -banded
 //     geompc ablation -lookahead
 //     geompc ablation -probe [-probe-n 400]
-//     geompc ablation -chaos [-chaos-gpus 3]     # MP vs FP64 resilience overhead
 //     geompc ablation -sched [-sched-ranks 4]    # scheduling policies + broadcast topologies
 //     geompc ablation -plan [-plan-evals 8]      # compiled-plan cache vs fresh simulation
 func runAblation(args []string, out io.Writer) error {
@@ -34,15 +33,12 @@ func runAblation(args []string, out io.Writer) error {
 	banded := fs.Bool("banded", false, "adaptive vs banded precision maps")
 	lookahead := fs.Bool("lookahead", false, "stream pipeline depth sweep")
 	probe := fs.Bool("probe", false, "Monte-Carlo arithmetic u_req probe")
-	chaos := fs.Bool("chaos", false, "resilience overhead of each precision configuration under an identical fault plan")
 	schedFlag := fs.Bool("sched", false, "scheduling-policy and broadcast-topology sweep on the Fig 11 workload")
 	planFlag := fs.Bool("plan", false, "compiled-plan cache vs fresh simulation on a repeated (MLE-shaped) loop")
 	solversFlag := fs.Bool("solvers", false, "direct factorization vs iterative CG backend on the same covariance shapes")
-	n := fs.Int("n", 65536, "matrix size for -banded/-lookahead/-chaos/-sched")
+	n := fs.Int("n", 65536, "matrix size for -banded/-lookahead/-sched")
 	probeN := fs.Int("probe-n", 400, "locations for -probe")
 	ts := fs.Int("ts", 2048, "tile size")
-	chaosGPUs := fs.Int("chaos-gpus", 3, "GPUs for -chaos (>=2: the plan kills one)")
-	chaosFaults := fs.String("chaos-faults", "", "fault plan for -chaos (default: derived kill+flaky+slow, scaled per config)")
 	schedRanks := fs.Int("sched-ranks", 4, "ranks for the -sched broadcast-topology sweep")
 	planEvals := fs.Int("plan-evals", 8, "evaluations in the -plan repeated loop")
 	v := cliflags.Register(fs, cliflags.Workers|cliflags.Solver)
@@ -54,7 +50,7 @@ func runAblation(args []string, out io.Writer) error {
 		return err // bad -solver name: fail before any family runs
 	}
 
-	allIfNone(banded, lookahead, probe, chaos, schedFlag, planFlag, solversFlag)
+	allIfNone(banded, lookahead, probe, schedFlag, planFlag, solversFlag)
 
 	if *banded {
 		for _, app := range bench.Apps() {
@@ -82,22 +78,6 @@ func runAblation(args []string, out io.Writer) error {
 			"variant", "Tflop/s", "time(s)")
 		for _, r := range rows {
 			t.Add(r.Variant, r.Tflops, r.Time)
-		}
-		t.Write(out)
-	}
-
-	if *chaos {
-		rows, err := bench.ChaosAblationOpts(hw.SummitNode, *chaosGPUs, *n, *ts, *chaosFaults, sw)
-		if err != nil {
-			return err
-		}
-		t := bench.NewTable(
-			fmt.Sprintf("resilience: fault plan vs precision configuration (N=%d, %d V100s, 1 kill + 1 flaky + 1 slow window)", *n, *chaosGPUs),
-			"config", "scenario", "time(s)", "energy(J)", "time +%", "energy +%", "kills", "replays", "retries")
-		for _, r := range rows {
-			t.Add(r.Config, r.Scenario, r.Time, r.Energy,
-				fmt.Sprintf("%.1f", r.TimeOverheadPct), fmt.Sprintf("%.1f", r.EnergyOverheadPct),
-				r.DeviceFailures, r.ReplayedTasks, r.RetriedTasks)
 		}
 		t.Write(out)
 	}

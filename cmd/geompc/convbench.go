@@ -20,7 +20,6 @@ import (
 //	geompc convbench -gpus 1 -machine Haxane     # Fig 8c
 //	geompc convbench -node -machine Summit       # Fig 11a (6×V100)
 //	geompc convbench -node -machine Guyot        # Fig 11b (8×A100)
-//	geompc convbench -node -faults 'kill:dev=5,at=0.5'   # with a device failure
 func runConvbench(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("geompc convbench", flag.ContinueOnError)
 	machine := fs.String("machine", "Summit", "node type: Summit (V100), Guyot (A100), Haxane (H100)")
@@ -28,7 +27,7 @@ func runConvbench(args []string, out io.Writer) error {
 	node := fs.Bool("node", false, "use every GPU of the node (Fig 11)")
 	sizesFlag := fs.String("sizes", "", "comma-separated matrix sizes (default: per-machine sweep)")
 	ts := fs.Int("ts", 2048, "tile size")
-	v := cliflags.Register(fs, cliflags.Sched|cliflags.Faults|cliflags.PlanCache|cliflags.Workers|cliflags.Solver)
+	v := cliflags.Register(fs, cliflags.Sched|cliflags.PlanCache|cliflags.Workers|cliflags.Solver)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -52,7 +51,7 @@ func runConvbench(args []string, out io.Writer) error {
 		}
 	}
 
-	rows, err := bench.ConvSweepOpts(nd, 1, g, sizes, *ts, v.Faults, v.SchedOpts())
+	rows, err := bench.ConvSweepOpts(nd, 1, g, sizes, *ts, "", v.SchedOpts())
 	if err != nil {
 		return err
 	}
@@ -94,8 +93,8 @@ func runConvbench(args []string, out io.Writer) error {
 	st.Write(out)
 	if cache := v.Cache(); cache != nil {
 		s := cache.Stats()
-		fmt.Fprintf(out, "\nplan cache: %d hit(s), %d miss(es), %d invalidation(s) dirtying %d task(s), %d bypass(es)\n",
-			s.Hits, s.Misses, s.Invalidations, s.TasksInvalidated, s.Bypasses)
+		fmt.Fprintf(out, "\nplan cache: %d hit(s), %d miss(es), %d invalidation(s) dirtying %d task(s)\n",
+			s.Hits, s.Misses, s.Invalidations, s.TasksInvalidated)
 		if v.Workers != 0 {
 			fmt.Fprintln(out, "(cache shared across sweep workers; counters are scheduling-dependent, rows are not)")
 		}

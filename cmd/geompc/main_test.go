@@ -19,31 +19,31 @@ func runOut(t *testing.T, args ...string) string {
 }
 
 // TestCommands drives every subcommand through the dispatcher at toy sizes:
-// a case either must fail, or must print every `want` and none of `not`.
+// a case either must fail (with `errWant` set: with that text in the error
+// and nothing on stdout), or must print every `want` and none of `not`.
 // Subtests are named <subcommand>/<case>, so `-run '/trace'` selects one
 // subcommand and `-run 'TestCommands//plan-cache'` one theme.
 func TestCommands(t *testing.T) {
 	cases := []struct {
-		name string // <subcommand>/<case>; the subcommand is args[0]
-		args string // flags, space-separated
-		fail bool
-		want []string
-		not  []string
+		name    string // <subcommand>/<case>; the subcommand is args[0]
+		args    string // flags, space-separated
+		fail    bool
+		errWant string
+		want    []string
+		not     []string
 	}{
 		{name: "fit/smoke", args: "-n 64 -ts 32 -ureq 1e-4",
 			want: []string{"generating 64 2D-Matern locations", "fit (adaptive MP @ u_req=1e-04)", "simulated cost"}},
 		{name: "fit/bad-kernel", args: "-kernel 5D-nope", fail: true},
 
 		{name: "trace/smoke", args: "-nt 4 -gpus 2",
-			want: []string{"simulated schedule, NT=4", "makespan", "schedule digest"},
-			not:  []string{"faults:"}}, // a fault-free run prints no faults line
-		{name: "trace/chaos-smoke", args: "-nt 5 -gpus 3 -audit -faults kill:dev=1,at=0.0001",
-			want: []string{"faults: 1 device failure(s)"}},
-		{name: "trace/bad-fault-spec", args: "-faults kill:dev=99,at=0.5", fail: true},
+			want: []string{"simulated schedule, NT=4, 2 V100s", "makespan", "schedule digest"}},
+		{name: "trace/gpus-0-is-whole-node", args: "-nt 4 -gpus 0",
+			want: []string{"simulated schedule, NT=4, 6 V100s"}}, // the header names what was simulated
+		{name: "trace/negative-gpus", args: "-gpus -1", fail: true, errWant: "negative GPUs per rank -1"},
+		{name: "trace/faults-flag-gone", args: "-faults x", fail: true, errWant: "flag provided but not defined: -faults"},
 		{name: "trace/plan-cache-smoke", args: "-nt 4 -gpus 2 -plan-cache",
-			want: []string{"plan cache: 1 hit(s), 1 miss(es)"}},
-		{name: "trace/plan-cache-faults-bypass", args: "-nt 5 -gpus 3 -plan-cache -faults kill:dev=1,at=0.0001",
-			want: []string{"2 bypass(es)"}}, // an armed run bypasses the cache both times
+			want: []string{"plan cache: 1 hit(s), 1 miss(es), 0 invalidation(s); replay digest verified"}},
 		{name: "trace/plan-cache-refuses-chrome", args: "-plan-cache -chrome /dev/null", fail: true},
 		{name: "trace/solver-cg-smoke", args: "-nt 2 -gpus 2 -solver cg -iters 1",
 			want: []string{"simulated cg schedule, NT=2", "SPMV(0,", "ALPHA(0)", "iterations", "converged true"},
@@ -64,7 +64,7 @@ func TestCommands(t *testing.T) {
 
 		{name: "scale/smoke", args: "-weak -nodes 1 -base-n 8192",
 			want: []string{"Fig 12a: weak scalability"}},
-		{name: "scale/faults-smoke", args: "-strong -nodes 1 -strong-n 8192 -faults slow:dev=0,from=0,to=1,x=4",
+		{name: "scale/strong-smoke", args: "-strong -nodes 1 -strong-n 8192",
 			want: []string{"Fig 12b: strong scalability"}},
 		{name: "scale/weak-bad-tile-size", args: "-weak -ts 0", fail: true}, // an error, not a divide-by-zero panic
 
@@ -86,8 +86,7 @@ func TestCommands(t *testing.T) {
 		{name: "accuracy/bad-dim", args: "-dim 4", fail: true},
 		{name: "accuracy/negative-level", args: "-levels -1 -replicas 1 -n 48 -ts 16 -maxevals 2", fail: true}, // not run as "exact"
 
-		{name: "ablation/chaos-smoke", args: "-chaos -n 16384 -chaos-gpus 2",
-			want: []string{"resilience: fault plan vs precision configuration", "fault-free", "chaos"}},
+		{name: "ablation/chaos-flag-gone", args: "-chaos", fail: true, errWant: "flag provided but not defined: -chaos"},
 		{name: "ablation/lookahead-smoke", args: "-lookahead -n 16384",
 			want: []string{"lookahead"}},
 		{name: "ablation/sched-smoke", args: "-sched -n 16384 -sched-ranks 3",
@@ -98,7 +97,6 @@ func TestCommands(t *testing.T) {
 				"topology  time(s)  energy(J)  net",
 				"fifo", "locality", "cp", "binomial", "flat", "chain",
 			}},
-		{name: "ablation/chaos-single-gpu", args: "-chaos -chaos-gpus 1", fail: true}, // no failover target
 		{name: "ablation/plan-smoke", args: "-plan -n 16384 -plan-evals 4",
 			want: []string{"compiled-plan cache", "plan-cache", "fresh"}},
 		{name: "ablation/solvers-smoke", args: "-solvers",
@@ -116,6 +114,9 @@ func TestCommands(t *testing.T) {
 			if c.fail {
 				if err == nil {
 					t.Fatalf("geompc %s must fail", strings.Join(args, " "))
+				}
+				if c.errWant != "" && (!strings.Contains(err.Error(), c.errWant) || out.Len() != 0) {
+					t.Errorf("error %q must contain %q with nothing on stdout, got %q", err, c.errWant, out.String())
 				}
 				return
 			}
@@ -167,7 +168,7 @@ func TestWorkersMatchesSerial(t *testing.T) {
 	}{
 		{[]string{"convbench", "-machine", "Summit", "-gpus", "1", "-sizes", "8192,16384"}, true},
 		{[]string{"scale", "-weak", "-nodes", "1,2", "-base-n", "8192"}, true},
-		{[]string{"ablation", "-sched", "-chaos", "-n", "16384", "-chaos-gpus", "2", "-sched-ranks", "3"}, false},
+		{[]string{"ablation", "-sched", "-n", "16384", "-sched-ranks", "3"}, false},
 	} {
 		c := c
 		t.Run(c.args[0], func(t *testing.T) {

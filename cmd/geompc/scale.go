@@ -17,7 +17,6 @@ import (
 //	geompc scale -strong                     # Fig 12b, N=798720
 //	geompc scale -mp                         # Fig 12c, 64 nodes
 //	geompc scale -mp -nodes 8 -sizes 98304,196608   # scaled down
-//	geompc scale -weak -faults 'flaky:dev=0,at=0.1,backoff=0.01'   # resilience
 //
 // The full 64-node runs simulate ~10⁷ tasks; expect minutes.
 func runScale(args []string, out io.Writer) error {
@@ -31,7 +30,7 @@ func runScale(args []string, out io.Writer) error {
 	strongN := fs.Int("strong-n", 798720, "strong-scaling matrix size (paper: 798720)")
 	sizesFlag := fs.String("sizes", "196608,399360,598016,798720", "matrix sizes for -mp")
 	ts := fs.Int("ts", 2048, "tile size")
-	v := cliflags.Register(fs, cliflags.Sched|cliflags.Faults|cliflags.Workers)
+	v := cliflags.Register(fs, cliflags.Sched|cliflags.Workers)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -44,7 +43,7 @@ func runScale(args []string, out io.Writer) error {
 	}
 
 	if *weak {
-		rows, err := bench.WeakScalingOpts(nodes, *baseN, *ts, v.Faults, so)
+		rows, err := bench.WeakScalingOpts(nodes, *baseN, *ts, so)
 		if err != nil {
 			return err
 		}
@@ -58,7 +57,7 @@ func runScale(args []string, out io.Writer) error {
 	}
 
 	if *strong {
-		rows, err := bench.StrongScalingOpts(nodes, *strongN, *ts, v.Faults, so)
+		rows, err := bench.StrongScalingOpts(nodes, *strongN, *ts, so)
 		if err != nil {
 			return err
 		}

@@ -25,7 +25,6 @@ import (
 //	geompc trace -nt 4 -gpus 2
 //	geompc trace -nt 8 -chrome out.json     # export a Chrome/Perfetto trace
 //	geompc trace -audit -metrics            # audited run + metrics dump
-//	geompc trace -faults 'kill:dev=1,at=0.004' -audit   # chaos run with recovery
 func runTrace(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("geompc trace", flag.ContinueOnError)
 	nt := fs.Int("nt", 4, "tiles per dimension")
@@ -35,7 +34,7 @@ func runTrace(args []string, out io.Writer) error {
 	chrome := fs.String("chrome", "", "write the timeline as Chrome trace-event JSON to this file")
 	audit := fs.Bool("audit", false, "run the engine's invariant auditor; violations are fatal")
 	metrics := fs.Bool("metrics", false, "dump the run's metrics registry after the schedule")
-	v := cliflags.Register(fs, cliflags.Sched|cliflags.Faults|cliflags.PlanCache|cliflags.Solver)
+	v := cliflags.Register(fs, cliflags.Sched|cliflags.PlanCache|cliflags.Solver)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -53,7 +52,7 @@ func runTrace(args []string, out io.Writer) error {
 	be, cfg, err := v.SchedOpts().Config(solver.Config{
 		Desc: d, Maps: precmap.New(precmap.Uniform(*nt, prec.FP16x32), 1e-4),
 		Platform: plat, Trace: true, Audit: *audit,
-	}, v.Faults)
+	})
 	if err != nil {
 		return err
 	}
@@ -68,8 +67,8 @@ func runTrace(args []string, out io.Writer) error {
 		return err
 	}
 	if cache != nil {
-		// Second run of the identical shape: a replay when the first run
-		// compiled, a second live run when faults forced a bypass.
+		// Second run of the identical shape: a replay of the plan the first
+		// run compiled.
 		rep, err := be.Solve(cfg, cache)
 		if err != nil {
 			return err
@@ -83,9 +82,9 @@ func runTrace(args []string, out io.Writer) error {
 	// themselves and label tasks by CG iteration (leading coordinate), the
 	// factorization by Algorithm 1 iteration (trailing coordinate).
 	if direct {
-		fmt.Fprintf(out, "simulated schedule, NT=%d, %d V100s (FP64 diagonal / FP16_32 off-diagonal):\n\n", *nt, *gpus)
+		fmt.Fprintf(out, "simulated schedule, NT=%d, %d V100s (FP64 diagonal / FP16_32 off-diagonal):\n\n", *nt, plat.DevPerRank)
 	} else {
-		fmt.Fprintf(out, "simulated %s schedule, NT=%d, %d V100s (FP64 diagonal / FP16_32 off-diagonal):\n\n", be.Name(), *nt, *gpus)
+		fmt.Fprintf(out, "simulated %s schedule, NT=%d, %d V100s (FP64 diagonal / FP16_32 off-diagonal):\n\n", be.Name(), *nt, plat.DevPerRank)
 	}
 	makespan := res.Stats.Makespan
 	for _, t := range res.Schedule {
@@ -107,10 +106,6 @@ func runTrace(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "%d iterations, modeled relative residual %.2e, converged %v\n",
 			res.Iterations, res.Residual, res.Converged)
 	}
-	if st := res.Stats; st.DeviceFailures+st.TransientFaults > 0 {
-		fmt.Fprintf(out, "faults: %d device failure(s), %d transient(s); recovery replayed %d task(s), retried %d, re-staged %s\n",
-			st.DeviceFailures, st.TransientFaults, st.ReplayedTasks, st.RetriedTasks, humanBytes(st.RecoveryBytes))
-	}
 
 	if *chrome != "" {
 		// The Chrome export needs the live engine's interval traces, which
@@ -127,8 +122,8 @@ func runTrace(args []string, out io.Writer) error {
 	}
 	if cache != nil {
 		s := cache.Stats()
-		fmt.Fprintf(out, "plan cache: %d hit(s), %d miss(es), %d invalidation(s), %d bypass(es); replay digest verified\n",
-			s.Hits, s.Misses, s.Invalidations, s.Bypasses)
+		fmt.Fprintf(out, "plan cache: %d hit(s), %d miss(es), %d invalidation(s); replay digest verified\n",
+			s.Hits, s.Misses, s.Invalidations)
 	}
 	if *metrics {
 		fmt.Fprintln(out, "\nmetrics:")
@@ -154,18 +149,4 @@ func inFirstIters(name string, k int, leading bool) bool {
 	var kk int
 	fmt.Sscanf(name[i+1:], "%d", &kk)
 	return kk < k
-}
-
-// humanBytes renders the re-staged volume with one decimal — not
-// bench.HumanBytes, whose two decimals would change the faults line.
-func humanBytes(b int64) string {
-	switch {
-	case b >= 1<<30:
-		return fmt.Sprintf("%.1f GiB", float64(b)/(1<<30))
-	case b >= 1<<20:
-		return fmt.Sprintf("%.1f MiB", float64(b)/(1<<20))
-	case b >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(b)/(1<<10))
-	}
-	return fmt.Sprintf("%d B", b)
 }

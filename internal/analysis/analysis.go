@@ -5,7 +5,7 @@
 // repo's two load-bearing conventions machine-checked instead of
 // convention-checked:
 //
-//   - Determinism: golden FNV-1a schedule/kernel digests and lineage replay
+//   - Determinism: golden FNV-1a schedule/kernel digests and plan replay
 //     demand that nothing feeding a digest, schedule, trace or metrics
 //     snapshot depends on map iteration order or wall-clock time.
 //   - Precision safety: the Higham–Mary rule (‖A_ij‖·NT/‖A‖ ≤ u_req/u_low)

@@ -15,8 +15,7 @@
 //     integer counter updates), or the body only collects into slices that
 //     are later passed to a sort call in the same function. Sites carrying
 //     a reasoned //geompc:nolint deterflow are treated as audited and do
-//     not taint callers. faults.go is exempt from the clock and rand rule:
-//     the injector owns the repo's one seeded source.
+//     not taint callers.
 //
 //   - Sinks: the deterministic packages — the virtual-clock spine
 //     (runtime, sched, comm, cholesky, solver, cg) plus the packages that
@@ -37,7 +36,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"path/filepath"
 	"strings"
 
 	"geompc/internal/analysis"
@@ -104,9 +102,6 @@ func directSource(prog *analysis.Program, fn *analysis.Func) *analysis.Taint {
 // externSource models body-less callees: the wall clock and the global
 // rand source taint, everything else in the standard library is clean.
 func externSource(prog *analysis.Program, fn *analysis.Func, e analysis.ExternEdge) *analysis.Taint {
-	if filepath.Base(fn.Pkg.Fset.Position(e.Pos).Filename) == "faults.go" {
-		return nil // the injector owns the repo's one seeded source
-	}
 	var what string
 	switch e.PkgPath {
 	case "time":

@@ -27,8 +27,7 @@ func TestSinkBoundary(t *testing.T) {
 
 // TestRestricted runs the fixture as a virtual-clock package: map-order
 // leaks, time.Now and global rand sitting directly in it are flagged;
-// sorted collection, commutative bodies, faults.go and seeded construction
-// are not.
+// sorted collection, commutative bodies and seeded construction are not.
 func TestRestricted(t *testing.T) {
 	checkertest.Run(t, fixture("restricted"), "geompc/internal/runtime", deterflow.Analyzer)
 }

@@ -1,6 +1,7 @@
 // Package lockcheck guards the two lock mistakes the stock vet passes miss
 // and that matter in this repo's concurrent paths (the metrics registry read
-// by trace export while workers update it, and the linalg parallel pool):
+// by trace export while workers update it, and the plan cache shared by
+// sweep workers):
 //
 //   - a sync.Mutex/RWMutex Lock (or RLock) with no matching Unlock the
 //     analyzer can see reaching function exit: either a deferred Unlock

@@ -234,7 +234,7 @@ func TestEnergyMPSavesEnergy(t *testing.T) {
 }
 
 func TestScalingShapes(t *testing.T) {
-	weak, err := WeakScalingOpts([]int{1, 4}, 32768, 2048, "", SchedOpts{})
+	weak, err := WeakScalingOpts([]int{1, 4}, 32768, 2048, SchedOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestScalingShapes(t *testing.T) {
 	if weak[1].Tflops < 2.8*weak[0].Tflops {
 		t.Errorf("weak scaling poor: %g -> %g Tflop/s", weak[0].Tflops, weak[1].Tflops)
 	}
-	strong, err := StrongScalingOpts([]int{1, 4}, 65536, 2048, "", SchedOpts{})
+	strong, err := StrongScalingOpts([]int{1, 4}, 65536, 2048, SchedOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestLookaheadAblation(t *testing.T) {
 // TestWeakScalingNoNodeCounts: the sweep scales N against its first node
 // count, so an empty list is an error, not an index panic.
 func TestWeakScalingNoNodeCounts(t *testing.T) {
-	if _, err := WeakScalingOpts(nil, 32768, 2048, "", SchedOpts{}); err == nil {
+	if _, err := WeakScalingOpts(nil, 32768, 2048, SchedOpts{}); err == nil {
 		t.Fatal("empty node-count list accepted")
 	}
 }
@@ -363,11 +363,11 @@ func TestWeakScalingNoNodeCounts(t *testing.T) {
 // so ts <= 0 must come back as the descriptor's error — the one the strong
 // family returns — not as a divide-by-zero panic.
 func TestWeakScalingBadTileSize(t *testing.T) {
-	_, strongErr := StrongScalingOpts([]int{1}, 32768, 0, "", SchedOpts{})
+	_, strongErr := StrongScalingOpts([]int{1}, 32768, 0, SchedOpts{})
 	if strongErr == nil {
 		t.Fatal("strong scaling accepted ts=0")
 	}
-	_, err := WeakScalingOpts([]int{1}, 32768, 0, "", SchedOpts{})
+	_, err := WeakScalingOpts([]int{1}, 32768, 0, SchedOpts{})
 	if err == nil || err.Error() != strongErr.Error() {
 		t.Fatalf("weak scaling ts=0: err = %v, want %v", err, strongErr)
 	}

@@ -50,15 +50,14 @@ func scaleConfigs(withFP32 bool) []scaleConfig {
 	return out
 }
 
-// runScale executes one phantom factorization on `nodes` Summit nodes,
-// optionally under a fault plan (runtime.ParseFaultSpec grammar; empty
-// means fault-free) and the named policy / topology / backend of so.
-func runScale(ctx *sweep.Context, cfg scaleConfig, nodes, n, ts int, seed uint64, faultSpec string, so SchedOpts) (ScaleRow, error) {
+// runScale executes one phantom factorization on `nodes` Summit nodes
+// under the named policy / topology / backend of so.
+func runScale(ctx *sweep.Context, cfg scaleConfig, nodes, n, ts int, seed uint64, so SchedOpts) (ScaleRow, error) {
 	plat, err := runtime.NewPlatform(hw.SummitNode, nodes, 0)
 	if err != nil {
 		return ScaleRow{}, err
 	}
-	be, base, err := so.Config(solver.Config{Platform: plat}, faultSpec)
+	be, base, err := so.Config(solver.Config{Platform: plat})
 	if err != nil {
 		return ScaleRow{}, err
 	}
@@ -91,10 +90,9 @@ func runScale(ctx *sweep.Context, cfg scaleConfig, nodes, n, ts int, seed uint64
 
 // WeakScalingOpts runs Fig 12a: the matrix grows with the GPU count so
 // per-GPU memory stays constant (N ∝ √GPUs), FP64 configuration, one sweep
-// point per node count (parallel when so.Workers > 0), under a fault plan
-// (empty = fault-free; otherwise reported times include the recovery
-// overhead) and the named scheduling policy and broadcast topology.
-func WeakScalingOpts(nodeCounts []int, baseN, ts int, faultSpec string, so SchedOpts) ([]ScaleRow, error) {
+// point per node count (parallel when so.Workers > 0), under the named
+// scheduling policy and broadcast topology.
+func WeakScalingOpts(nodeCounts []int, baseN, ts int, so SchedOpts) ([]ScaleRow, error) {
 	if len(nodeCounts) == 0 {
 		return nil, fmt.Errorf("bench: weak scaling needs at least one node count")
 	}
@@ -108,17 +106,16 @@ func WeakScalingOpts(nodeCounts []int, baseN, ts int, faultSpec string, so Sched
 		nodes := nodeCounts[i]
 		n := int(float64(baseN) * math.Sqrt(float64(nodes)/base))
 		n = (n + ts - 1) / ts * ts
-		return runScale(ctx, scaleConfig{name: "FP64", uniform: prec.FP64}, nodes, n, ts, 1, faultSpec, so)
+		return runScale(ctx, scaleConfig{name: "FP64", uniform: prec.FP64}, nodes, n, ts, 1, so)
 	})
 }
 
 // StrongScalingOpts runs Fig 12b: fixed matrix size (the paper uses
 // 798,720) over increasing node counts, FP64 configuration, one sweep point
-// per node count, with the same fault-plan and scheduling knobs as
-// WeakScalingOpts.
-func StrongScalingOpts(nodeCounts []int, n, ts int, faultSpec string, so SchedOpts) ([]ScaleRow, error) {
+// per node count, with the same scheduling knobs as WeakScalingOpts.
+func StrongScalingOpts(nodeCounts []int, n, ts int, so SchedOpts) ([]ScaleRow, error) {
 	return sweep.Run(len(nodeCounts), so.sweepOptions(), func(i int, ctx *sweep.Context) (ScaleRow, error) {
-		return runScale(ctx, scaleConfig{name: "FP64", uniform: prec.FP64}, nodeCounts[i], n, ts, 1, faultSpec, so)
+		return runScale(ctx, scaleConfig{name: "FP64", uniform: prec.FP64}, nodeCounts[i], n, ts, 1, so)
 	})
 }
 
@@ -139,7 +136,7 @@ func MPEffect(nodes int, sizes []int, ts int) ([]ScaleRow, error) {
 		}
 	}
 	rows, err := sweep.Run(len(pts), sweep.Options{}, func(i int, ctx *sweep.Context) (ScaleRow, error) {
-		return runScale(ctx, pts[i].cfg, nodes, pts[i].n, ts, 2, "", SchedOpts{})
+		return runScale(ctx, pts[i].cfg, nodes, pts[i].n, ts, 2, SchedOpts{})
 	})
 	if err != nil {
 		return nil, err

@@ -49,9 +49,8 @@ type SchedOpts struct {
 	Solver string
 	// Cache, when non-nil, routes every solve of the sweep through one
 	// compiled-plan cache shared by all workers (see the plan.Cache
-	// concurrency contract): rows are identical to an uncached sweep's, the
-	// counters show how they were obtained, and armed fault plans bypass it
-	// per run.
+	// concurrency contract): rows are identical to an uncached sweep's; the
+	// counters show how they were obtained.
 	Cache *plan.Cache
 	SweepOpts
 }
@@ -63,12 +62,10 @@ func (o SchedOpts) sweepOptions() sweep.Options {
 	return opts
 }
 
-// Config resolves the names in o and a fault spec (runtime.ParseFaultSpec
-// grammar; empty = fault-free) into the backend and the run config every
-// point of a sweep shares: base — which must carry the Platform — with its
-// Sched, Bcast and Faults filled in. Unknown names error here, before any
-// benchmark time is spent.
-func (o SchedOpts) Config(base solver.Config, faultSpec string) (solver.Backend, solver.Config, error) {
+// Config resolves the names in o into the backend and the run config every
+// point of a sweep shares: base with its Sched and Bcast filled in. Unknown
+// names error here, before any benchmark time is spent.
+func (o SchedOpts) Config(base solver.Config) (solver.Backend, solver.Config, error) {
 	be, err := solver.ByName(o.Solver)
 	if err != nil {
 		return nil, base, err
@@ -78,11 +75,6 @@ func (o SchedOpts) Config(base solver.Config, faultSpec string) (solver.Backend,
 	}
 	if base.Bcast, err = comm.TopologyByName(o.Bcast); err != nil {
 		return nil, base, err
-	}
-	if faultSpec != "" {
-		if base.Faults, err = runtime.ParseFaultSpec(faultSpec, base.Platform.NumDevices()); err != nil {
-			return nil, base, err
-		}
 	}
 	return be, base, nil
 }

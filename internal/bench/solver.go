@@ -69,7 +69,7 @@ func solverAblation(node *hw.NodeSpec, ranks, gpusPerRank int, backends []string
 	if err != nil {
 		return nil, err
 	}
-	_, base, err := so.Config(solver.Config{Platform: plat}, "")
+	_, base, err := so.Config(solver.Config{Platform: plat})
 	if err != nil {
 		return nil, err
 	}

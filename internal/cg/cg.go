@@ -98,7 +98,7 @@ func chunkSig(cfg solver.Config, cp chunkParams, precond string) uint64 {
 // plan (the chunk signature excludes the base iteration), so a converging
 // solve typically compiles two or three plans and replays the rest.
 func runChunk(cfg solver.Config, cp chunkParams, st *state, errv *atomic.Value, c *plan.Cache, precond string) (plan.Outcome, error) {
-	return c.Run(cfg.Armed(),
+	return c.Run(
 		func() (uint64, uint64) { return chunkSig(cfg, cp, precond), cfg.Maps.Signature() },
 		func() (runtime.Graph, error) { return newGraph(cfg, cp, st, errv) },
 		cfg.Engine)
@@ -116,11 +116,6 @@ func addStats(dst *runtime.Stats, s runtime.Stats) {
 	dst.ReceiverConversions += s.ReceiverConversions
 	dst.Energy += s.Energy
 	dst.Tasks += s.Tasks
-	dst.DeviceFailures += s.DeviceFailures
-	dst.TransientFaults += s.TransientFaults
-	dst.RetriedTasks += s.RetriedTasks
-	dst.ReplayedTasks += s.ReplayedTasks
-	dst.RecoveryBytes += s.RecoveryBytes
 }
 
 // Run executes the preconditioned CG solve described by cfg: numeric when

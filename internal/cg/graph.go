@@ -3,8 +3,8 @@
 // per-iteration precision switching. Every iteration is emitted as engine
 // tasks — a tile-parallel SpMV chain per segment, FP64 dot-product
 // reductions, and the vector updates — so communication links, scheduling
-// policies, broadcast topologies, fault injection and the auditor all
-// apply to it unchanged. Iterations are grouped into fixed-size chunks;
+// policies, broadcast topologies and the auditor all apply to it
+// unchanged. Iterations are grouped into fixed-size chunks;
 // each chunk is one engine run, and convergence is checked
 // deterministically at chunk boundaries on the virtual clock.
 // See DESIGN.md §3.2 for the DAG shape and the precision-switch rule.

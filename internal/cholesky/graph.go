@@ -101,28 +101,6 @@ func execInputFormat(p prec.Precision) prec.Precision { return wireFormat(p) }
 // densely instead of through a map.
 func (g *graph) DataIDBound() int64 { return int64(g.nt) * int64(g.nt) }
 
-// Writers implements runtime.LineageGraph: the tasks writing tile (i,j) in
-// execution order, which is what the engine's fault-recovery path replays
-// to reconstruct a tile lost to a device failure. A diagonal tile (k,k)
-// accumulates SYRK(k,0..k-1) and is finalized by POTRF(k); an off-diagonal
-// tile (m,k) accumulates GEMM(m,k,0..k-1) and is finalized by TRSM(m,k).
-func (g *graph) Writers(d runtime.DataID, buf []int) []int {
-	i, j := int(int64(d)/int64(g.nt)), int(int64(d)%int64(g.nt))
-	if i < 0 || j > i || i >= g.nt {
-		return buf
-	}
-	if i == j {
-		for l := 0; l < i; l++ {
-			buf = append(buf, g.syrk(i, l))
-		}
-		return append(buf, g.potrf(i)) //geompc:nolint hotalloc appends into the engine's reused writer buffer; grows only to steady state
-	}
-	for l := 0; l < j; l++ {
-		buf = append(buf, g.gemm(i, j, l))
-	}
-	return append(buf, g.trsm(i, j)) //geompc:nolint hotalloc appends into the engine's reused writer buffer; grows only to steady state
-}
-
 // NumPredecessors implements runtime.Graph.
 func (g *graph) NumPredecessors(id int) int {
 	op, m, _, k := g.decode(id)

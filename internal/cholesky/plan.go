@@ -54,7 +54,7 @@ func buildFront(cfg Config, fe frontEnd) (runtime.Graph, *graph, error) {
 // flow (plan.Cache.Run); a nil cache is a plain live engine run.
 func runFront(cfg Config, c *plan.Cache, fe frontEnd) (*Result, error) {
 	var g *graph
-	out, err := c.Run(cfg.Armed(),
+	out, err := c.Run(
 		func() (uint64, uint64) { return planShapeSig(cfg, fe), cfg.Maps.Signature() },
 		func() (rg runtime.Graph, err error) {
 			rg, g, err = buildFront(cfg, fe)
@@ -70,9 +70,6 @@ func runFront(cfg Config, c *plan.Cache, fe frontEnd) (*Result, error) {
 // compileFront runs cfg once under the plan recorder and returns the
 // reusable plan.
 func compileFront(cfg Config, fe frontEnd) (*plan.Plan, error) {
-	if cfg.Armed() {
-		return nil, fmt.Errorf("cholesky: cannot compile a plan under an armed fault injector")
-	}
 	rg, _, err := buildFront(cfg, fe)
 	if err != nil {
 		return nil, err
@@ -83,9 +80,6 @@ func compileFront(cfg Config, fe frontEnd) (*plan.Plan, error) {
 // replayFront re-executes only the numeric bodies of cfg against p's frozen
 // schedule.
 func replayFront(cfg Config, p *plan.Plan, fe frontEnd) (*Result, error) {
-	if cfg.Armed() {
-		return nil, fmt.Errorf("cholesky: cannot replay a plan under an armed fault injector (run live)")
-	}
 	if sig := planShapeSig(cfg, fe); sig != p.Sig {
 		return nil, fmt.Errorf("cholesky: plan shape signature %016x does not match config %016x", p.Sig, sig)
 	}
@@ -133,7 +127,7 @@ func ReplayDTD(cfg Config, p *plan.Plan) (*Result, error) {
 }
 
 // RunCached is Run through a plan cache (see plan.Cache.Run for the
-// miss/hit/invalidate/bypass flow). A nil cache runs live.
+// miss/hit/invalidate flow). A nil cache runs live.
 func RunCached(cfg Config, c *plan.Cache) (*Result, error) {
 	return runFront(cfg, c, frontPTG)
 }

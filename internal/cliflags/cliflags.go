@@ -1,6 +1,6 @@
 // Package cliflags centralizes the flag groups the geompc subcommands
-// share — scheduling policy and broadcast topology, fault-plan injection,
-// the compiled-plan cache toggle, and the parallel-sweep worker count — so
+// share — scheduling policy and broadcast topology, the compiled-plan
+// cache toggle, the parallel-sweep worker count and the solver backend — so
 // trace, convbench, scale and ablation register identical spellings and
 // help text, and the state those flags switch on (the shared plan cache,
 // the sweep throughput summary) is wired in one place.
@@ -25,8 +25,6 @@ type Set uint
 const (
 	// Sched registers -sched and -bcast.
 	Sched Set = 1 << iota
-	// Faults registers -faults.
-	Faults
 	// PlanCache registers -plan-cache.
 	PlanCache
 	// Workers registers -workers.
@@ -43,9 +41,6 @@ type Values struct {
 	// comm.TopologyByName spellings; empty = engine default).
 	Sched string
 	Bcast string
-	// Faults is the -faults spec (runtime.ParseFaultSpec grammar; empty =
-	// fault-free).
-	Faults string
 	// PlanCache is the -plan-cache toggle.
 	PlanCache bool
 	// Workers is the -workers count: 0 = serial, n > 0 = n-worker pool,
@@ -67,9 +62,6 @@ func Register(fs *flag.FlagSet, set Set) *Values {
 		fs.StringVar(&v.Sched, "sched", "", "scheduling policy: fifo (default), locality, cp")
 		fs.StringVar(&v.Bcast, "bcast", "", "broadcast topology: binomial (default), flat, chain")
 	}
-	if set&Faults != 0 {
-		fs.StringVar(&v.Faults, "faults", "", "fault plan injected into every run (see runtime.ParseFaultSpec)")
-	}
 	if set&PlanCache != 0 {
 		fs.BoolVar(&v.PlanCache, "plan-cache", false, "route runs through a compiled-plan cache and print the hit/miss/invalidation counters")
 	}
@@ -89,8 +81,7 @@ func (v *Values) Backend() (solver.Backend, error) {
 
 // SchedOpts assembles the bench-level sweep options from the parsed
 // values (policy, topology and solver names, the plan cache, the worker
-// count); its Config method resolves them, with the -faults value, into a
-// run config.
+// count); its Config method resolves them into a run config.
 func (v *Values) SchedOpts() bench.SchedOpts {
 	return bench.SchedOpts{Policy: v.Sched, Bcast: v.Bcast, Solver: v.Solver, Cache: v.Cache(), SweepOpts: v.SweepOpts()}
 }

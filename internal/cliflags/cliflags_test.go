@@ -4,10 +4,6 @@ import (
 	"flag"
 	"strings"
 	"testing"
-
-	"geompc/internal/hw"
-	"geompc/internal/runtime"
-	"geompc/internal/solver"
 )
 
 func newFS() *flag.FlagSet {
@@ -18,15 +14,15 @@ func newFS() *flag.FlagSet {
 
 func TestRegisterSelectsGroups(t *testing.T) {
 	fs := newFS()
-	v := Register(fs, Sched|Faults|PlanCache|Workers)
+	v := Register(fs, Sched|PlanCache|Workers)
 	err := fs.Parse([]string{
 		"-sched", "locality", "-bcast", "chain",
-		"-faults", "kill:dev=1,at=0.5", "-plan-cache", "-workers", "4",
+		"-plan-cache", "-workers", "4",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Values{Sched: "locality", Bcast: "chain", Faults: "kill:dev=1,at=0.5", PlanCache: true, Workers: 4}
+	want := Values{Sched: "locality", Bcast: "chain", PlanCache: true, Workers: 4}
 	if *v != want {
 		t.Errorf("parsed %+v, want %+v", *v, want)
 	}
@@ -72,7 +68,7 @@ func TestCacheAndSummaryWiring(t *testing.T) {
 func TestRegisterOmitsUnselectedGroups(t *testing.T) {
 	fs := newFS()
 	Register(fs, Workers)
-	for _, name := range []string{"sched", "bcast", "faults", "plan-cache", "solver"} {
+	for _, name := range []string{"sched", "bcast", "plan-cache", "solver"} {
 		if fs.Lookup(name) != nil {
 			t.Errorf("flag -%s registered without its group", name)
 		}
@@ -82,33 +78,6 @@ func TestRegisterOmitsUnselectedGroups(t *testing.T) {
 	}
 	if err := fs.Parse([]string{"-sched", "fifo"}); err == nil {
 		t.Error("unregistered -sched accepted")
-	}
-}
-
-// TestInjector: the -faults value resolves against a platform's device
-// count through SchedOpts().Config — nil injector when empty, an error for
-// out-of-range devices and malformed specs.
-func TestInjector(t *testing.T) {
-	plat, err := runtime.NewPlatform(hw.SummitNode, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := &Values{}
-	if _, cfg, err := v.SchedOpts().Config(solver.Config{Platform: plat}, v.Faults); err != nil || cfg.Faults != nil {
-		t.Errorf("empty spec: injector=%v err=%v, want nil/nil", cfg.Faults, err)
-	}
-	v.Faults = "kill:dev=1,at=0.5"
-	_, cfg, err := v.SchedOpts().Config(solver.Config{Platform: plat}, v.Faults)
-	if err != nil || cfg.Faults == nil {
-		t.Errorf("valid spec: injector=%v err=%v", cfg.Faults, err)
-	}
-	v.Faults = "kill:dev=9,at=0.5"
-	if _, _, err := v.SchedOpts().Config(solver.Config{Platform: plat}, v.Faults); err == nil {
-		t.Error("out-of-range device accepted")
-	}
-	v.Faults = "nonsense"
-	if _, _, err := v.SchedOpts().Config(solver.Config{Platform: plat}, v.Faults); err == nil {
-		t.Error("malformed spec accepted")
 	}
 }
 

@@ -29,8 +29,8 @@ type Interval struct {
 
 // Link is one serial transfer resource. A transfer is booked in two steps —
 // StartAfter to find the earliest start, Occupy to commit a duration — so
-// callers can derive the duration from the start time (the fault injector's
-// slow windows scale a transfer by a factor that depends on when it begins).
+// callers can scale the duration (a broadcast holds the NIC for several
+// hop times) and account for it before it is committed.
 type Link struct {
 	name string
 	spec hw.LinkSpec

@@ -17,7 +17,6 @@ type TraceEvent struct {
 	PID   int            `json:"pid"`
 	TID   int            `json:"tid"`
 	Cname string         `json:"cname,omitempty"`
-	Scope string         `json:"s,omitempty"` // instant-event scope ("t"/"p"/"g")
 	Args  map[string]any `json:"args,omitempty"`
 }
 
@@ -73,16 +72,6 @@ func (t *Trace) Span(pid, tid int, name string, startSec, endSec float64, cname 
 	t.events = append(t.events, TraceEvent{
 		Name: name, Phase: "X", TS: startSec * 1e6, Dur: dur,
 		PID: pid, TID: tid, Cname: cname, Args: args,
-	})
-}
-
-// Instant appends an instant ("i") event: a zero-duration marker rendered
-// by the viewer as a vertical tick (used for injected fault times). Scope
-// "t" pins the marker to its thread row.
-func (t *Trace) Instant(pid, tid int, name string, atSec float64, args map[string]any) {
-	t.events = append(t.events, TraceEvent{
-		Name: name, Phase: "i", TS: atSec * 1e6, PID: pid, TID: tid,
-		Scope: "t", Args: args,
 	})
 }
 

@@ -8,10 +8,10 @@ import (
 )
 
 // Cache holds at most one compiled plan per shape signature and counts how
-// the cache behaves — hits (pure replays), misses (first compiles),
-// invalidations (precision-map deltas forcing recompiles) and bypasses
-// (armed fault runs that must stay live). The expected pattern is one cache
-// per repeated-workload loop (an MLE fit, a Monte-Carlo replica, a sweep).
+// the cache behaves — hits (pure replays), misses (first compiles) and
+// invalidations (precision-map deltas forcing recompiles). The expected
+// pattern is one cache per repeated-workload loop (an MLE fit, a
+// Monte-Carlo replica, a sweep).
 //
 // Concurrency contract: a Cache is safe for any number of concurrent
 // readers and writers — the map is guarded by mu, the counters are atomic,
@@ -33,7 +33,6 @@ type Cache struct {
 	hits          *obs.Counter
 	misses        *obs.Counter
 	invalidations *obs.Counter
-	bypasses      *obs.Counter
 	replays       *obs.Counter
 	tasksDirty    *obs.Counter
 }
@@ -50,7 +49,6 @@ func NewCache(reg *obs.Registry) *Cache {
 		hits:          reg.Counter("plan/cache/hits"),
 		misses:        reg.Counter("plan/cache/misses"),
 		invalidations: reg.Counter("plan/cache/invalidations"),
-		bypasses:      reg.Counter("plan/cache/bypasses"),
 		replays:       reg.Counter("plan/cache/replays"),
 		tasksDirty:    reg.Counter("plan/cache/tasks_invalidated"),
 	}
@@ -84,8 +82,7 @@ func (c *Cache) Len() int {
 
 // Outcome is what one Cache.Run produced. Exactly one of Plan and Engine is
 // set: Plan when the cache served the run (a replay, or the compile of a
-// miss or invalidation), Engine when the run went live (nil cache, or an
-// armed fault plan bypassing it).
+// miss or invalidation), Engine when the run went live (nil cache).
 type Outcome struct {
 	Stats  runtime.Stats
 	Plan   *Plan
@@ -114,21 +111,17 @@ func (o Outcome) Metrics() *obs.Registry {
 // a shape compiles a plan (miss); later runs under an unchanged precision
 // map replay it, paying only the numeric bodies (hit); a changed map is
 // invalidated — the dirty downstream closure is measured and counted — and
-// recompiled; armed fault runs bypass the cache, because recovery needs
-// live scheduling. A nil cache runs everything live and counts nothing.
+// recompiled. A nil cache runs everything live and counts nothing.
 //
 // key returns the run's shape and precision-map signatures (consulted only
-// when the cache may serve the run), build constructs its task graph, and
-// engine configures an engine for that graph.
-func (c *Cache) Run(armed bool, key func() (sig, precSig uint64), build func() (runtime.Graph, error), engine func(runtime.Graph) *runtime.Engine) (Outcome, error) {
+// for a non-nil cache), build constructs its task graph, and engine
+// configures an engine for that graph.
+func (c *Cache) Run(key func() (sig, precSig uint64), build func() (runtime.Graph, error), engine func(runtime.Graph) *runtime.Engine) (Outcome, error) {
 	g, err := build()
 	if err != nil {
 		return Outcome{}, err
 	}
-	if c == nil || armed {
-		if c != nil {
-			c.bypasses.Inc()
-		}
+	if c == nil {
 		eng := engine(g)
 		stats, err := eng.Run()
 		if err != nil {
@@ -170,7 +163,7 @@ func (c *Cache) Run(armed bool, key func() (sig, precSig uint64), build func() (
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
-	Hits, Misses, Invalidations, Bypasses, Replays, TasksInvalidated int64
+	Hits, Misses, Invalidations, Replays, TasksInvalidated int64
 }
 
 // Stats snapshots the counters.
@@ -179,7 +172,6 @@ func (c *Cache) Stats() Stats {
 		Hits:             c.hits.Value(),
 		Misses:           c.misses.Value(),
 		Invalidations:    c.invalidations.Value(),
-		Bypasses:         c.bypasses.Value(),
 		Replays:          c.replays.Value(),
 		TasksInvalidated: c.tasksDirty.Value(),
 	}

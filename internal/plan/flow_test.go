@@ -1,9 +1,10 @@
 package plan
 
 // The cached-run flow driven directly, on a four-task graph, without a
-// front-end: miss → hit → changed-map invalidation → hit → armed bypass,
-// with all six counters pinned after every step. The front-end suites
-// (cache_test.go, internal/cg) cover the same sequence end to end.
+// front-end: nil-cache live runs, then miss → hit → changed-map
+// invalidation → hit, with all five counters pinned after every step. The
+// front-end suites (cache_test.go, internal/cg) cover the same sequence end
+// to end.
 
 import (
 	"sync"
@@ -48,9 +49,9 @@ func TestCacheRunFlow(t *testing.T) {
 	}
 	engine := func(g runtime.Graph) *runtime.Engine { return runtime.New(plat, g) }
 	const shape = 0x5a
-	run := func(c *Cache, armed bool, wire prec.Precision) Outcome {
+	run := func(c *Cache, wire prec.Precision) Outcome {
 		t.Helper()
-		out, err := c.Run(armed,
+		out, err := c.Run(
 			func() (uint64, uint64) { return shape, uint64(wire) },
 			func() (runtime.Graph, error) { return tinyGraph(t, wire), nil },
 			engine)
@@ -61,9 +62,13 @@ func TestCacheRunFlow(t *testing.T) {
 	}
 	fresh := map[prec.Precision]uint64{}
 	for _, wire := range []prec.Precision{prec.FP32, prec.FP16} {
-		out := run(nil, false, wire)
+		out := run(nil, wire)
 		if out.Engine == nil || out.Plan != nil {
 			t.Fatalf("nil cache did not run live: %+v", out)
+		}
+		// This engine runs untraced: a live outcome has no timeline.
+		if len(out.Schedule()) != 0 || out.Metrics() == nil {
+			t.Fatalf("live run: %d scheduled tasks, want 0; metrics %v", len(out.Schedule()), out.Metrics())
 		}
 		fresh[wire] = out.Stats.ScheduleDigest
 	}
@@ -73,38 +78,31 @@ func TestCacheRunFlow(t *testing.T) {
 
 	c := NewCache(nil)
 	for _, step := range []struct {
-		name  string
-		armed bool
-		wire  prec.Precision
-		live  bool
-		want  Stats
+		name string
+		wire prec.Precision
+		want Stats
 	}{
-		{"miss", false, prec.FP32, false, Stats{Misses: 1}},
-		{"hit", false, prec.FP32, false, Stats{Hits: 1, Misses: 1, Replays: 1}},
-		{"changed map", false, prec.FP16, false,
+		{"miss", prec.FP32, Stats{Misses: 1}},
+		{"hit", prec.FP32, Stats{Hits: 1, Misses: 1, Replays: 1}},
+		{"changed map", prec.FP16,
 			Stats{Hits: 1, Misses: 1, Replays: 1, Invalidations: 1, TasksInvalidated: 2}},
-		{"hit after recompile", false, prec.FP16, false,
+		{"hit after recompile", prec.FP16,
 			Stats{Hits: 2, Misses: 1, Replays: 2, Invalidations: 1, TasksInvalidated: 2}},
-		{"armed bypass", true, prec.FP16, true,
-			Stats{Hits: 2, Misses: 1, Replays: 2, Invalidations: 1, TasksInvalidated: 2, Bypasses: 1}},
 	} {
-		out := run(c, step.armed, step.wire)
+		out := run(c, step.wire)
 		if got := c.Stats(); got != step.want {
 			t.Fatalf("%s: counters %+v, want %+v", step.name, got, step.want)
 		}
-		if (out.Engine != nil) != step.live || (out.Plan != nil) == step.live {
-			t.Fatalf("%s: live=%v but outcome has engine=%v plan=%v", step.name, step.live, out.Engine != nil, out.Plan != nil)
+		if out.Engine != nil || out.Plan == nil {
+			t.Fatalf("%s: cached run has engine=%v plan=%v", step.name, out.Engine != nil, out.Plan != nil)
 		}
 		if out.Stats.ScheduleDigest != fresh[step.wire] {
 			t.Fatalf("%s: digest %016x != fresh run's %016x", step.name, out.Stats.ScheduleDigest, fresh[step.wire])
 		}
-		wantSched := 4 // a plan freezes the traced timeline
-		if step.live {
-			wantSched = 0 // this engine runs untraced
-		}
-		if len(out.Schedule()) != wantSched || out.Metrics() == nil {
-			t.Fatalf("%s: %d scheduled tasks, want %d; metrics %v",
-				step.name, len(out.Schedule()), wantSched, out.Metrics())
+		// A plan freezes the traced timeline.
+		if len(out.Schedule()) != 4 || out.Metrics() == nil {
+			t.Fatalf("%s: %d scheduled tasks, want 4; metrics %v",
+				step.name, len(out.Schedule()), out.Metrics())
 		}
 	}
 	if c.Len() != 1 {
@@ -156,7 +154,6 @@ func TestCacheConcurrentHammer(t *testing.T) {
 				default:
 					_ = cache.Stats()
 					_ = cache.Len()
-					cache.bypasses.Inc()
 				}
 			}
 		}(w)
@@ -165,7 +162,7 @@ func TestCacheConcurrentHammer(t *testing.T) {
 
 	s := cache.Stats()
 	per := int64(workers * iters / 4)
-	if s.Misses != per || s.Hits != per || s.Bypasses != per || s.Invalidations != per {
+	if s.Misses != per || s.Hits != per || s.Replays != per || s.Invalidations != per {
 		t.Errorf("counter totals %+v, want %d each", s, per)
 	}
 	if s.TasksInvalidated != 3*per {

@@ -78,9 +78,7 @@ func (r recorder) RecordComplete(id int) { r.p.ops = append(r.p.ops, uint32(id)|
 // Compile runs eng — an engine already configured for its graph (policy,
 // topology, lookahead, audit) — once: a full simulation, numeric bodies and
 // all, and returns the reusable plan. sig and precSig identify what the
-// plan is valid for (see Plan.Sig/PrecSig). Compilation must be fault-free:
-// fault plans perturb the schedule nondeterministically with respect to the
-// graph alone, so Cache.Run bypasses the cache for armed runs.
+// plan is valid for (see Plan.Sig/PrecSig).
 func Compile(eng *runtime.Engine, sig, precSig uint64) (*Plan, error) {
 	g := eng.Graph()
 	n := g.NumTasks()

@@ -52,35 +52,13 @@ func (e *Engine) WriteChromeTrace(w io.Writer, name func(id int) string) error {
 	}
 	// Kernel spans come from the schedule trace so they carry task identity
 	// and precision (the per-device busyIntervals only carry power).
-	// Recovery work — lineage replays and transient-fault retries — is
-	// prefixed and forced to the viewer's "bad" color so the cost of a
-	// failure reads at a glance.
 	for _, st := range e.schedule {
 		label := fmt.Sprintf("%s#%d", st.Kind, st.ID)
 		if name != nil {
 			label = name(st.ID)
 		}
-		color := obs.PrecisionColor(st.Prec.String())
-		args := map[string]any{"prec": st.Prec.String(), "task": st.ID}
-		if st.Recovery {
-			label = "recover " + label
-			color = "bad"
-			args["recovery"] = true
-		}
-		tr.Span(st.Device, tidCompute, label, st.Start, st.End, color, args)
-	}
-	// Injected faults appear as instant markers on the victim's compute row.
-	for _, fm := range e.faultLog {
-		label := "transient fault"
-		if fm.kind == FaultKill {
-			label = "device failure"
-		}
-		tr.Instant(fm.device, tidCompute, label, fm.at, map[string]any{"kind": fm.kind.String()})
-	}
-	if e.stats.DeviceFailures > 0 || e.stats.TransientFaults > 0 {
-		tr.SetMeta("device_failures", fmt.Sprintf("%d", e.stats.DeviceFailures))
-		tr.SetMeta("replayed_tasks", fmt.Sprintf("%d", e.stats.ReplayedTasks))
-		tr.SetMeta("recovery_bytes", fmt.Sprintf("%d", e.stats.RecoveryBytes))
+		tr.Span(st.Device, tidCompute, label, st.Start, st.End, obs.PrecisionColor(st.Prec.String()),
+			map[string]any{"prec": st.Prec.String(), "task": st.ID})
 	}
 	for rank, nic := range e.nics {
 		ivs := nic.Intervals()

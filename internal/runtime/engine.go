@@ -15,7 +15,7 @@ import (
 // and (when task bodies are present) real numeric results. The engine is
 // the orchestration core; the communication fabric (links, broadcast
 // topology) lives in internal/comm and the scheduling policy (queue order,
-// placement, failover) in internal/sched.
+// placement) in internal/sched.
 type Engine struct {
 	plat *Platform
 	g    Graph
@@ -36,9 +36,9 @@ type Engine struct {
 	// of execution (stream double-buffering). Default 2.
 	Lookahead int
 
-	// Policy selects the scheduling policy — ready-queue order, device
-	// placement and fault failover. Nil means sched.FIFO{}, the engine's
-	// historical behavior (owner-computes placement, priority/id order).
+	// Policy selects the scheduling policy — ready-queue order and device
+	// placement. Nil means sched.FIFO{}, the engine's historical behavior
+	// (owner-computes placement, priority/id order).
 	Policy sched.Policy
 
 	// Bcast selects the inter-rank broadcast topology. Nil means
@@ -46,9 +46,7 @@ type Engine struct {
 	Bcast comm.Topology
 
 	// Recorder, when non-nil, observes the run's commit/completion stream
-	// (see PlanRecorder). Recovery work (lineage replays) is not reported:
-	// the stream describes only the fault-free forward schedule, which is
-	// what a compiled plan replays.
+	// (see PlanRecorder): the forward schedule a compiled plan replays.
 	Recorder PlanRecorder
 
 	devices []*device
@@ -79,34 +77,8 @@ type Engine struct {
 	inflight     int
 	done         int
 	dirtyDevs    []int
-
-	// Fault injection (see faults.go / recovery.go). Everything below is
-	// dormant — and provably free — unless `armed` is set, which happens
-	// only when an injector's plan contains at least one event: a silent
-	// injector leaves every code path, allocation and digest bit-identical
-	// to an engine without fault support.
-	injector FaultInjector
-	armed    bool
+	// fatalErr is the first malformed-graph error (see fail); Run stops on it.
 	fatalErr error
-	// orphan holds the result channels of numeric bodies whose virtual task
-	// was aborted by a device failure: the body already ran (bodies execute
-	// eagerly at commit), so the re-commit on a survivor joins the original
-	// channel instead of running the body twice — which is what keeps the
-	// recovered factor bit-identical to a fault-free run.
-	orphan map[int]chan struct{}
-	// lineage tracks, per datum, the completed writers since the last host
-	// sync (publish or eviction writeback). When a device dies, each of its
-	// dirty resident tiles is reconstructed by re-executing this chain on a
-	// survivor; a published or written-back tile needs only a re-fetch.
-	lineage  map[DataID][]int
-	lineageG LineageGraph // optional graph hook, audit cross-check
-	// inRecovery marks commits issued by the recovery path (lineage
-	// replays): their bodies never run and their completion releases no
-	// successors.
-	inRecovery bool
-	aliveBuf   []int
-	abortBuf   []*TaskSpec
-	faultLog   []faultMark
 
 	workers *workerPool
 
@@ -137,12 +109,6 @@ func (e *Engine) Graph() Graph { return e.g }
 // Metrics returns the engine's metrics registry, populated by Run (and
 // reset at the start of every Run).
 func (e *Engine) Metrics() *obs.Registry { return e.metrics }
-
-// Inject arms subsequent Runs with a fault injector. A nil injector — or
-// one whose Plan is empty — is silent: the engine stays unarmed and every
-// code path, timing and schedule digest is bit-identical to an engine that
-// never saw fault support. Plans with events are validated at Run.
-func (e *Engine) Inject(fi FaultInjector) { e.injector = fi }
 
 // Run executes the task system to completion and returns the run's
 // statistics. Malformed graphs (invalid device assignments, inputs with no
@@ -201,11 +167,7 @@ func (e *Engine) Run() (Stats, error) {
 	e.bytesH2D, e.bytesD2H, e.bytesNet = [prec.Count]int64{}, [prec.Count]int64{}, [prec.Count]int64{}
 	e.digest = obs.Digest{}
 	e.auditViol = e.auditViol[:0]
-	e.armed, e.fatalErr, e.inRecovery = false, nil, false
-	e.faultLog = e.faultLog[:0]
-	if err := e.armFaults(); err != nil {
-		return Stats{}, err
-	}
+	e.fatalErr = nil
 	e.metrics.Reset()
 	e.hTaskSec = e.metrics.Histogram("engine/task_seconds", obs.ExpBuckets(1e-6, 4, 16))
 	e.hH2DBytes = e.metrics.Histogram("engine/h2d_bytes", obs.ExpBuckets(4096, 4, 16))
@@ -238,11 +200,7 @@ func (e *Engine) Run() (Stats, error) {
 	for len(e.events) > 0 {
 		ev := e.popEvent()
 		e.now = ev.at
-		if ev.fault != nil {
-			e.applyFault(ev.fault)
-		} else {
-			e.complete(&ev)
-		}
+		e.complete(&ev)
 		if e.fatalErr != nil {
 			return Stats{}, e.fatalErr
 		}
@@ -259,6 +217,18 @@ func (e *Engine) Run() (Stats, error) {
 		}
 	}
 	return e.stats, nil
+}
+
+// takeSpec fetches a TaskSpec from the freelist (or allocates one).
+//
+//geompc:hot
+func (e *Engine) takeSpec() *TaskSpec {
+	if n := len(e.specFree); n > 0 {
+		spec := e.specFree[n-1]
+		e.specFree = e.specFree[:n-1]
+		return spec
+	}
+	return &TaskSpec{} //geompc:nolint hotalloc freelist warm-up: allocates only until the steady-state population exists
 }
 
 // enqueueReady materializes task id's spec from the freelist and pushes it
@@ -278,18 +248,6 @@ func (e *Engine) enqueueReady(id int) int {
 		spec.Device = e.placeTask(spec)
 	}
 	d := e.devices[spec.Device]
-	if e.armed && d.deadAt >= 0 {
-		// The task's home device has failed: deterministically reroute it
-		// to a same-rank survivor (host copies are per rank).
-		t := e.failoverFor(d, failoverKey(spec))
-		if t < 0 {
-			e.fail(errUnrecoverable(id, d.rank))
-			e.specFree = append(e.specFree, spec)
-			return d.id
-		}
-		spec.Device = t
-		d = e.devices[t]
-	}
 	d.ready.push(spec)
 	if d.ready.Len() > d.maxReady {
 		d.maxReady = d.ready.Len()
@@ -299,9 +257,6 @@ func (e *Engine) enqueueReady(id int) int {
 
 // tryCommit feeds the device's stream pipeline up to the lookahead depth.
 func (e *Engine) tryCommit(d *device) {
-	if d.deadAt >= 0 {
-		return
-	}
 	for e.fatalErr == nil && d.committed < e.Lookahead && d.ready.Len() > 0 {
 		e.commit(d, d.ready.pop())
 	}
@@ -309,10 +264,6 @@ func (e *Engine) tryCommit(d *device) {
 
 // commit stages a task's data onto the device and schedules its execution.
 func (e *Engine) commit(d *device, spec *TaskSpec) {
-	if e.Audit && d.deadAt >= 0 {
-		e.violate("task %d committed to dev%d at t=%g, after its failure at t=%g",
-			spec.ID, d.id, e.now, d.deadAt)
-	}
 	stagingEnd := e.now
 	var sink evictSink
 	var stagedBytes int64
@@ -342,9 +293,6 @@ func (e *Engine) commit(d *device, spec *TaskSpec) {
 		}
 		start := d.h2d.StartAfter(math.Max(avail, e.now))
 		dur := d.h2d.Time(bytes)
-		if e.armed {
-			dur *= d.slowFactor(start)
-		}
 		end := d.h2d.Occupy(start, dur, bytes)
 		d.stats.BytesH2D += bytes
 		e.bytesH2D[wp] += bytes
@@ -372,9 +320,6 @@ func (e *Engine) commit(d *device, spec *TaskSpec) {
 		return
 	}
 	e.drainWritebacks(d, &sink)
-	if e.inRecovery {
-		e.stats.RecoveryBytes += stagedBytes
-	}
 	if e.Audit {
 		e.auditResidency(d, spec.ID)
 	}
@@ -414,7 +359,6 @@ func (e *Engine) commit(d *device, spec *TaskSpec) {
 		}
 		e.schedule = append(e.schedule, ScheduledTask{
 			ID: spec.ID, Kind: spec.Kind, Device: spec.Device, Prec: spec.Prec, Start: start, End: end,
-			Recovery: e.inRecovery,
 		})
 	}
 	e.hTaskSec.Observe(end - start)
@@ -425,32 +369,22 @@ func (e *Engine) commit(d *device, spec *TaskSpec) {
 	e.digest.WriteInt64(stagedBytes)
 
 	var result chan struct{}
-	if body := spec.Body; body != nil && !e.inRecovery {
-		if ch, orphaned := e.orphan[spec.ID]; e.armed && orphaned {
-			// The body already ran on a device that has since failed
-			// (bodies execute eagerly at commit). Re-execution of a
-			// deterministic kernel recomputes the same bits, so only the
-			// virtual cost repeats — join the original result instead of
-			// running the body a second time.
-			result = ch
-			delete(e.orphan, spec.ID)
-		} else {
-			if e.workers == nil {
-				e.workers = newWorkerPool(gort.GOMAXPROCS(0))
-			}
-			result = make(chan struct{}) //geompc:nolint hotalloc per-numeric-task join channel; numeric mode trades allocs for overlap, pure DES never reaches this
-			done := result
-			//geompc:nolint hotalloc numeric-task wrapper closure; same numeric-mode trade as the join channel above
-			e.workers.submit(func() {
-				body()
-				close(done)
-			})
+	if body := spec.Body; body != nil {
+		if e.workers == nil {
+			e.workers = newWorkerPool(gort.GOMAXPROCS(0))
 		}
+		result = make(chan struct{}) //geompc:nolint hotalloc per-numeric-task join channel; numeric mode trades allocs for overlap, pure DES never reaches this
+		done := result
+		//geompc:nolint hotalloc numeric-task wrapper closure; same numeric-mode trade as the join channel above
+		e.workers.submit(func() {
+			body()
+			close(done)
+		})
 	}
 	e.seq++
-	e.pushEvent(event{at: end, seq: e.seq, spec: spec, result: result, start: start, replay: e.inRecovery})
+	e.pushEvent(event{at: end, seq: e.seq, spec: spec, result: result})
 	e.inflight++
-	if e.Recorder != nil && !e.inRecovery {
+	if e.Recorder != nil {
 		e.Recorder.RecordCommit(spec.ID)
 	}
 }
@@ -465,20 +399,12 @@ func (e *Engine) drainWritebacks(d *device, sink *evictSink) {
 	for _, wb := range sink.writebacks {
 		start := d.d2h.StartAfter(e.now)
 		dur := d.d2h.Time(wb.bytes)
-		if e.armed {
-			dur *= d.slowFactor(start)
-		}
 		end := d.d2h.Occupy(start, dur, wb.bytes)
 		d.stats.BytesD2H += wb.bytes
 		e.bytesD2H[wb.prec] += wb.bytes
 		d.stats.TransferTime += dur
 		d.stats.DynEnergy += d.spec.TransferW * dur
 		e.setHostAvail(d.rank, wb.data, end)
-		if e.armed {
-			// The writeback restored a current host copy; the datum no
-			// longer needs lineage re-execution if this device dies.
-			e.lineage[wb.data] = e.lineage[wb.data][:0]
-		}
 	}
 	sink.writebacks = sink.writebacks[:0]
 }
@@ -509,18 +435,6 @@ func (e *Engine) complete(ev *event) {
 		d.unpin(spec.Output.Data)
 	}
 
-	if ev.replay {
-		// A lineage replay only reconstructs device state: it releases no
-		// successors, publishes nothing and counts toward the recovery
-		// stats, not the run's task total.
-		e.inflight--
-		d.committed--
-		e.stats.ReplayedTasks++
-		e.specFree = append(e.specFree, spec)
-		e.tryCommit(d)
-		return
-	}
-
 	// The body is joined and successors have not committed yet: a recorder
 	// sees every predecessor's completion strictly before any dependent
 	// commit, which is the ordering a plan replay relies on.
@@ -530,13 +444,6 @@ func (e *Engine) complete(ev *event) {
 
 	if p := spec.Publish; p != nil {
 		e.publish(d, spec, p)
-		if e.armed && spec.Output.Data >= 0 {
-			e.lineage[spec.Output.Data] = e.lineage[spec.Output.Data][:0]
-		}
-	} else if e.armed && spec.Output.Data >= 0 {
-		// The output stays dirty on this device: remember its writer so a
-		// device failure can re-derive the tile from the last host copy.
-		e.lineage[spec.Output.Data] = append(e.lineage[spec.Output.Data], spec.ID)
 	}
 
 	e.done++
@@ -596,9 +503,6 @@ func (e *Engine) publish(d *device, spec *TaskSpec, p *PublishSpec) {
 	// D2H of the wire representation.
 	start := d.d2h.StartAfter(t)
 	dur := d.d2h.Time(p.WireBytes)
-	if e.armed {
-		dur *= d.slowFactor(start)
-	}
 	hostAt := d.d2h.Occupy(start, dur, p.WireBytes)
 	d.stats.BytesD2H += p.WireBytes
 	e.bytesD2H[p.WirePrec] += p.WireBytes

@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -469,6 +470,9 @@ func TestPlatformValidation(t *testing.T) {
 	}
 	if _, err := NewPlatform(hw.SummitNode, 1, 7); err == nil {
 		t.Error("7 GPUs per Summit rank accepted")
+	}
+	if _, err := NewPlatform(hw.SummitNode, 1, -1); err == nil || !strings.Contains(err.Error(), "negative GPUs per rank -1") {
+		t.Errorf("-1 GPUs per rank: got %v, want its own negative-count message", err)
 	}
 	p, err := NewPlatform(hw.SummitNode, 4, 0)
 	if err != nil || p.DevPerRank != 6 || p.NumDevices() != 24 {

@@ -26,10 +26,13 @@ func NewPlatform(node *hw.NodeSpec, ranks, devPerRank int) (*Platform, error) {
 	if ranks <= 0 {
 		return nil, fmt.Errorf("runtime: invalid rank count %d", ranks)
 	}
+	if devPerRank < 0 {
+		return nil, fmt.Errorf("runtime: negative GPUs per rank %d", devPerRank)
+	}
 	if devPerRank == 0 {
 		devPerRank = node.GPUs
 	}
-	if devPerRank < 0 || devPerRank > node.GPUs {
+	if devPerRank > node.GPUs {
 		return nil, fmt.Errorf("runtime: %d GPUs per rank exceeds node's %d", devPerRank, node.GPUs)
 	}
 	return &Platform{Node: node, Ranks: ranks, DevPerRank: devPerRank}, nil
@@ -80,12 +83,6 @@ type device struct {
 	// LRU churn on the scale path otherwise allocates one entry per miss.
 	entryFree []*residentEntry
 
-	// Fault state (armed runs only). deadAt is the virtual time this device
-	// failed, -1 while alive; slows lists injected host-link degradation
-	// windows.
-	deadAt float64
-	slows  []slowWindow
-
 	stats DeviceStats
 
 	// tracing (optional): one interval slice per compute stream; the
@@ -127,41 +124,14 @@ type DeviceStats struct {
 // streams and links share one trace currency.
 type Interval = comm.Interval
 
-// slowWindow is an injected host-link degradation: transfers starting in
-// [from, to) take factor times longer.
-type slowWindow struct {
-	from, to, factor float64
-}
-
-// slowFactor returns the transfer-duration multiplier in effect for a
-// transfer starting at the given virtual time.
-func (d *device) slowFactor(start float64) float64 {
-	for _, w := range d.slows {
-		if start >= w.from && start < w.to {
-			return w.factor
-		}
-	}
-	return 1
-}
-
-// idleSpan is how long this device draws idle power during a run of the
-// given makespan: a failed device stops drawing power when it dies.
-func (d *device) idleSpan(makespan float64) float64 {
-	if d.deadAt >= 0 && d.deadAt < makespan {
-		return d.deadAt
-	}
-	return makespan
-}
-
 func newDevice(id, rank int, spec *hw.GPUSpec, trace bool, dataBound int, ord *heapOrder) *device {
 	d := &device{
 		id: id, rank: rank, spec: spec,
-		ready:  &taskHeap{ord: ord},
-		trace:  trace,
-		deadAt: -1,
-		h2d:    comm.NewLink(fmt.Sprintf("dev%d/h2d", id), spec.H2DLink(), trace),
-		d2h:    comm.NewLink(fmt.Sprintf("dev%d/d2h", id), spec.D2HLink(), trace),
-		peer:   comm.NewLink(fmt.Sprintf("dev%d/peer", id), spec.PeerLink(), trace),
+		ready: &taskHeap{ord: ord},
+		trace: trace,
+		h2d:   comm.NewLink(fmt.Sprintf("dev%d/h2d", id), spec.H2DLink(), trace),
+		d2h:   comm.NewLink(fmt.Sprintf("dev%d/d2h", id), spec.D2HLink(), trace),
+		peer:  comm.NewLink(fmt.Sprintf("dev%d/peer", id), spec.PeerLink(), trace),
 	}
 	if dataBound > 0 {
 		d.residentArr = make([]*residentEntry, dataBound)

@@ -13,13 +13,6 @@ type event struct {
 	seq    int64
 	spec   *TaskSpec
 	result chan struct{} // non-nil when a numeric body runs; closed at finish
-	// start is the compute-stream start of the task (retry cost basis).
-	start float64
-	// fault, when non-nil, makes this a fault-injection event (spec is nil).
-	fault *FaultEvent
-	// replay marks a recovery re-execution: complete() releases no
-	// successors and counts it separately.
-	replay bool
 }
 
 func eventBefore(a, b *event) bool {
@@ -75,16 +68,6 @@ func siftDownEvent(h []event, i int) {
 		}
 		h[i], h[m] = h[m], h[i]
 		i = m
-	}
-}
-
-// heapifyEvents restores the heap invariant after the recovery path edited
-// the slice in place (removing a dead device's completions, or retiming a
-// retried task). O(n), and only ever runs on a fault — never on the hot
-// fault-free path.
-func (e *Engine) heapifyEvents() {
-	for i := len(e.events)/2 - 1; i >= 0; i-- {
-		siftDownEvent(e.events, i)
 	}
 }
 

@@ -12,8 +12,6 @@ package runtime
 // yields the same producer-before-consumer dataflow order as the original
 // run, without re-simulating the event heap.
 //
-// Recovery work is never reported: lineage replays and their completions
-// are internal to fault handling and do not belong to the forward schedule.
 // Both callbacks run on the engine's (single) event-loop goroutine.
 type PlanRecorder interface {
 	RecordCommit(id int)

@@ -66,7 +66,6 @@ type machineView struct{ e *Engine }
 func (m machineView) NumDevices() int  { return len(m.e.devices) }
 func (m machineView) DevPerRank() int  { return m.e.plat.DevPerRank }
 func (m machineView) RankOf(d int) int { return m.e.plat.RankOfDevice(d) }
-func (m machineView) Alive(d int) bool { return m.e.devices[d].deadAt < 0 }
 
 func (m machineView) ResidentBytes(dev int, data int64) int64 {
 	if ent := m.e.devices[dev].entry(DataID(data)); ent != nil {

@@ -16,9 +16,6 @@ type ScheduledTask struct {
 	Device     int
 	Prec       prec.Precision
 	Start, End float64
-	// Recovery marks work issued by the fault-recovery path: lineage
-	// replays reconstructing lost tiles, and transient-fault retries.
-	Recovery bool
 }
 
 // Stats aggregates a run.
@@ -46,13 +43,6 @@ type Stats struct {
 	// and across the PTG and DTD front-ends (task ids are not hashed
 	// because the front-ends number tasks differently).
 	ScheduleDigest uint64
-	// Fault/recovery accounting — non-zero only when a FaultInjector armed
-	// the run (see Engine.Inject).
-	DeviceFailures  int   // devices lost to FaultKill
-	TransientFaults int   // FaultTransient events delivered
-	RetriedTasks    int   // tasks re-executed in place after a transient fault
-	ReplayedTasks   int   // lineage re-executions reconstructing lost tiles
-	RecoveryBytes   int64 // host-link bytes staged by lineage replays
 	// Per-device aggregates.
 	Devices []DeviceStats
 }
@@ -60,14 +50,8 @@ type Stats struct {
 func (e *Engine) finalizeStats() {
 	var makespan float64
 	for _, d := range e.devices {
-		cf := d.computeFree
-		if d.deadAt >= 0 && cf > d.deadAt {
-			// Work the dead device had accepted past its failure was
-			// aborted and re-ran elsewhere; only survivors bound the run.
-			cf = d.deadAt
-		}
-		if cf > makespan {
-			makespan = cf
+		if d.computeFree > makespan {
+			makespan = d.computeFree
 		}
 	}
 	e.stats.Makespan = makespan
@@ -76,7 +60,7 @@ func (e *Engine) finalizeStats() {
 	}
 	var energy float64
 	for _, d := range e.devices {
-		energy += d.stats.DynEnergy + d.spec.IdleW*d.idleSpan(makespan)
+		energy += d.stats.DynEnergy + d.spec.IdleW*makespan
 		e.stats.BytesH2D += d.stats.BytesH2D
 		e.stats.BytesD2H += d.stats.BytesD2H
 		e.stats.Devices = append(e.stats.Devices, d.stats)
@@ -133,13 +117,6 @@ func (e *Engine) publishMetrics(makespan float64) {
 	m.Counter("engine/lru/misses").Add(misses)
 	m.Counter("engine/lru/evictions").Add(int64(evictions))
 	m.Counter("engine/lru/writebacks").Add(int64(writebacks))
-	if e.armed {
-		m.Counter("engine/faults/device_failures").Add(int64(e.stats.DeviceFailures))
-		m.Counter("engine/faults/transient").Add(int64(e.stats.TransientFaults))
-		m.Counter("engine/recovery/retried_tasks").Add(int64(e.stats.RetriedTasks))
-		m.Counter("engine/recovery/replayed_tasks").Add(int64(e.stats.ReplayedTasks))
-		m.Counter("engine/recovery/bytes").Add(e.stats.RecoveryBytes)
-	}
 }
 
 // AuditViolations returns the invariant violations collected during an

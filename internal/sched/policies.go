@@ -32,7 +32,7 @@ func (Locality) Place(home int, inputs []DataRef, m Machine) int {
 	}
 	for i := 0; i < per; i++ {
 		dev := base + i
-		if dev == home || !m.Alive(dev) {
+		if dev == home {
 			continue
 		}
 		var score int64
@@ -46,13 +46,11 @@ func (Locality) Place(home int, inputs []DataRef, m Machine) int {
 	return best
 }
 
-func (Locality) Failover(key int64, alive []int) int { return DefaultFailover(key, alive) }
-
 // CriticalPath orders each ready queue by the task's critical-path length —
 // the longest chain of tasks depending on it — so work that gates the most
 // downstream parallelism drains first (the static-priority scheme of the
-// out-of-core Cholesky scheduling literature). Placement and failover stay
-// the FIFO defaults; ties fall back to the graph's own priorities, then id.
+// out-of-core Cholesky scheduling literature). Placement stays the FIFO
+// default; ties fall back to the graph's own priorities, then id.
 type CriticalPath struct{}
 
 func (CriticalPath) Name() string { return "cp" }
@@ -66,4 +64,3 @@ func (CriticalPath) Before(a, b Key) bool {
 }
 
 func (CriticalPath) Place(home int, _ []DataRef, _ Machine) int { return home }
-func (CriticalPath) Failover(key int64, alive []int) int        { return DefaultFailover(key, alive) }

@@ -1,15 +1,14 @@
 // Package sched defines the runtime engine's pluggable scheduling policy:
-// how ready tasks are ordered on each device's queue, whether a ready task
-// may execute on a different same-rank device than its owner-computes home,
-// and which survivor inherits work when a device fails.
+// how ready tasks are ordered on each device's queue, and whether a ready
+// task may execute on a different same-rank device than its owner-computes
+// home.
 //
-// Policies are consulted identically by the PTG and DTD front-ends and by
-// the fault-recovery failover path, and they are strictly about *placement
-// and order in virtual time*: numeric task bodies run exactly once whatever
-// the policy, so every policy produces the bit-identical factor. FIFO is
-// the engine's historical behavior — under it (and the default broadcast
-// topology) schedules are bit-for-bit the same as before this package
-// existed, which the pinned golden digests prove.
+// Policies are consulted identically by the PTG and DTD front-ends, and they
+// are strictly about *placement and order in virtual time*: numeric task
+// bodies run exactly once whatever the policy, so every policy produces the
+// bit-identical factor. FIFO is the engine's historical behavior — under it
+// (and the default broadcast topology) schedules are bit-for-bit the same as
+// before this package existed, which the pinned golden digests prove.
 package sched
 
 import "fmt"
@@ -36,8 +35,6 @@ type Machine interface {
 	NumDevices() int
 	DevPerRank() int
 	RankOf(dev int) int
-	// Alive reports whether the device has not been killed by a fault.
-	Alive(dev int) bool
 	// ResidentBytes returns the bytes of datum data currently resident on
 	// dev (0 when absent).
 	ResidentBytes(dev int, data int64) int64
@@ -59,7 +56,7 @@ const (
 	NeedPlacement
 )
 
-// Policy decides ready-queue order, device placement and failover. All
+// Policy decides ready-queue order and device placement. All
 // methods must be deterministic pure functions of their arguments.
 type Policy interface {
 	Name() string
@@ -73,10 +70,6 @@ type Policy interface {
 	// rank (host tile copies live per rank — the engine clamps violations
 	// back to home). Only consulted when Hints has NeedPlacement.
 	Place(home int, inputs []DataRef, m Machine) int
-	// Failover picks the same-rank survivor that inherits work keyed by
-	// key (the task's output datum, or its id) from a failed device; alive
-	// is the non-empty, ascending list of the rank's surviving devices.
-	Failover(key int64, alive []int) int
 }
 
 // fifoBefore is the engine's historical ready order: descending priority,
@@ -90,28 +83,14 @@ func fifoBefore(a, b Key) bool {
 	return a.ID < b.ID
 }
 
-// DefaultFailover is the engine's historical failover: the |key|-th
-// survivor, round-robin — deterministic, and stable for a given key, so an
-// accumulation chain's replays all land on one device.
-func DefaultFailover(key int64, alive []int) int {
-	if len(alive) == 0 {
-		return -1
-	}
-	if key < 0 {
-		key = -key
-	}
-	return alive[int(key%int64(len(alive)))]
-}
-
 // FIFO is the default policy and the engine's historical behavior:
-// owner-computes placement, priority/id queue order, round-robin failover.
+// owner-computes placement, priority/id queue order.
 type FIFO struct{}
 
 func (FIFO) Name() string                               { return "fifo" }
 func (FIFO) Hints() Hints                               { return 0 }
 func (FIFO) Before(a, b Key) bool                       { return fifoBefore(a, b) }
 func (FIFO) Place(home int, _ []DataRef, _ Machine) int { return home }
-func (FIFO) Failover(key int64, alive []int) int        { return DefaultFailover(key, alive) }
 
 // Policies returns every built-in policy, default first.
 func Policies() []Policy {

@@ -8,14 +8,12 @@ import (
 // fakeMachine is a 1-rank, 3-device machine with a settable residency table.
 type fakeMachine struct {
 	per      int
-	dead     map[int]bool
 	resident map[int]map[int64]int64 // dev -> data -> bytes
 }
 
 func (m *fakeMachine) NumDevices() int  { return m.per }
 func (m *fakeMachine) DevPerRank() int  { return m.per }
 func (m *fakeMachine) RankOf(d int) int { return d / m.per }
-func (m *fakeMachine) Alive(d int) bool { return !m.dead[d] }
 func (m *fakeMachine) QueueLen(int) int { return 0 }
 func (m *fakeMachine) ResidentBytes(dev int, data int64) int64 {
 	return m.resident[dev][data]
@@ -56,7 +54,7 @@ func TestCriticalPathOrder(t *testing.T) {
 func (k Key) withPriority(p int64) Key { k.Priority = p; return k }
 
 func TestLocalityPlacement(t *testing.T) {
-	m := &fakeMachine{per: 3, dead: map[int]bool{}, resident: map[int]map[int64]int64{
+	m := &fakeMachine{per: 3, resident: map[int]map[int64]int64{
 		0: {},
 		1: {7: 4096, 8: 4096},
 		2: {7: 1024},
@@ -70,33 +68,9 @@ func TestLocalityPlacement(t *testing.T) {
 	if got := (Locality{}).Place(0, refs, m); got != 0 {
 		t.Errorf("Place = dev%d, want home dev0 on tie", got)
 	}
-	// Dead devices are never chosen.
-	m.resident[0] = map[int64]int64{}
-	m.dead[1] = true
-	if got := (Locality{}).Place(0, refs, m); got != 2 {
-		t.Errorf("Place = dev%d, want dev2 (dev1 dead)", got)
-	}
 	// No inputs, or a single-device rank: stay home.
 	if got := (Locality{}).Place(0, nil, m); got != 0 {
 		t.Errorf("Place with no inputs = dev%d, want 0", got)
-	}
-}
-
-func TestDefaultFailover(t *testing.T) {
-	alive := []int{2, 4, 5}
-	for key, want := range map[int64]int{0: 2, 1: 4, 2: 5, 3: 2, -4: 4} {
-		if got := DefaultFailover(key, alive); got != want {
-			t.Errorf("DefaultFailover(%d) = %d, want %d", key, got, want)
-		}
-	}
-	if got := DefaultFailover(1, nil); got != -1 {
-		t.Errorf("DefaultFailover on empty = %d, want -1", got)
-	}
-	// Every built-in policy uses the same deterministic failover.
-	for _, p := range Policies() {
-		if got := p.Failover(5, alive); got != DefaultFailover(5, alive) {
-			t.Errorf("%s.Failover diverges from DefaultFailover", p.Name())
-		}
 	}
 }
 

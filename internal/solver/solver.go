@@ -9,8 +9,8 @@
 // adaptive mixed-precision tile factorization) and "cg" (internal/cg — a
 // preconditioned conjugate-gradient iteration with per-iteration precision
 // switching). Both run the same platform models, scheduling policies,
-// broadcast topologies, fault injectors and plan cache; they differ only
-// in the DAG they emit. See DESIGN.md §3.2.
+// broadcast topologies and plan cache; they differ only in the DAG they
+// emit. See DESIGN.md §3.2.
 package solver
 
 import (
@@ -108,14 +108,8 @@ type Config struct {
 	Audit bool
 	// Lookahead overrides the engine's stream pipeline depth (default 2).
 	Lookahead int
-	// Faults, when non-nil, arms the run with a deterministic fault plan
-	// (device failures, transient kernel faults, host-link slowdowns); see
-	// runtime.ParseFaultSpec for the CLI grammar. A nil injector — or one
-	// with an empty plan — leaves the run bit-identical to a fault-free
-	// engine.
-	Faults runtime.FaultInjector
 	// Sched selects the engine's scheduling policy (ready-queue order,
-	// placement, failover). Nil means sched.FIFO{} — the historical
+	// placement). Nil means sched.FIFO{} — the historical
 	// schedule, bit for bit. Any policy produces the bit-identical result;
 	// only virtual time and data motion change.
 	Sched sched.Policy
@@ -136,21 +130,12 @@ func (cfg Config) Engine(g runtime.Graph) *runtime.Engine {
 	eng := runtime.New(cfg.Platform, g)
 	eng.Trace = cfg.Trace
 	eng.Audit = cfg.Audit
-	eng.Inject(cfg.Faults)
 	eng.Policy = cfg.Sched
 	eng.Bcast = cfg.Bcast
 	if cfg.Lookahead > 0 {
 		eng.Lookahead = cfg.Lookahead
 	}
 	return eng
-}
-
-// Armed reports whether cfg carries a fault plan with at least one event —
-// the runs a plan cache must not serve: faults perturb the schedule beyond
-// what the graph alone determines, so they always run live.
-func (cfg Config) Armed() bool {
-	return cfg.Faults != nil && cfg.Platform != nil &&
-		len(cfg.Faults.Plan(cfg.Platform.NumDevices())) > 0
 }
 
 // WriteShapeSig writes the part of a plan shape signature every backend
@@ -241,8 +226,7 @@ type Backend interface {
 	// Name is the registered CLI spelling ("direct", "cg").
 	Name() string
 	// Solve runs cfg through the engine. A non-nil cache serves repeated
-	// shapes from their compiled plan (armed fault runs bypass it); nil
-	// runs live.
+	// shapes from their compiled plan; nil runs live.
 	Solve(cfg Config, c *plan.Cache) (*Result, error)
 }
 

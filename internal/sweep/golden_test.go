@@ -2,9 +2,9 @@ package sweep_test
 
 // The executor's reason to exist: a serial-vs-parallel golden-digest
 // property test over the full cross product of scheduling policy ×
-// broadcast topology × fault spec. Every grid point runs a real numeric
-// Cholesky factorization; schedule digests AND factor-bit digests must be
-// identical for every worker count.
+// broadcast topology. Every grid point runs a real numeric Cholesky
+// factorization; schedule digests AND factor-bit digests must be identical
+// for every worker count.
 
 import (
 	"math"
@@ -31,20 +31,17 @@ const (
 
 // goldenPoint is one cell of the property grid.
 type goldenPoint struct {
-	policy, topo, faults string
+	policy, topo string
 }
 
-// goldenGrid is the policy × topology × fault-spec cross product.
+// goldenGrid is the policy × topology cross product.
 func goldenGrid() []goldenPoint {
 	policies := []string{"fifo", "locality", "cp"}
 	topos := []string{"binomial", "flat", "chain"}
-	faults := []string{"", "kill:dev=1,at=0.02", "slow:dev=0,from=0.01,to=0.05,x=4;flaky:dev=1,at=0.03,backoff=1e-3"}
 	var grid []goldenPoint
 	for _, p := range policies {
 		for _, tp := range topos {
-			for _, f := range faults {
-				grid = append(grid, goldenPoint{policy: p, topo: tp, faults: f})
-			}
+			grid = append(grid, goldenPoint{policy: p, topo: tp})
 		}
 	}
 	return grid
@@ -81,13 +78,6 @@ func goldenConfig(t testing.TB, gp goldenPoint) cholesky.Config {
 	}
 	if cfg.Bcast, err = comm.TopologyByName(gp.topo); err != nil {
 		t.Fatalf("TopologyByName(%q): %v", gp.topo, err)
-	}
-	if gp.faults != "" {
-		fp, err := runtime.ParseFaultSpec(gp.faults, plat.NumDevices())
-		if err != nil {
-			t.Fatalf("ParseFaultSpec(%q): %v", gp.faults, err)
-		}
-		cfg.Faults = fp
 	}
 	return cfg
 }
@@ -126,8 +116,8 @@ func runGoldenPoint(t testing.TB, gp goldenPoint, reg *obs.Registry) (goldenDige
 }
 
 // TestGoldenDigestSerialVsParallel: for every point of the policy ×
-// topology × fault grid, the parallel executor reproduces the serial
-// digests bit for bit at every worker count.
+// topology grid, the parallel executor reproduces the serial digests bit
+// for bit at every worker count.
 func TestGoldenDigestSerialVsParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("numeric property grid")
@@ -161,7 +151,7 @@ func TestGoldenMergedMetricsMatchSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("numeric property grid")
 	}
-	grid := goldenGrid()[:6] // policy fifo × all topologies × fault specs is plenty
+	grid := goldenGrid()[:3] // policy fifo × all topologies is plenty
 	render := func(workers int) []obs.Metric {
 		reg := obs.NewRegistry()
 		_, err := sweep.Run(len(grid), sweep.Options{Workers: workers, Registry: reg},
