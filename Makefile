@@ -13,8 +13,8 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific analyzers on top of gofmt and go vet: lockcheck plus the
-# four checkers built on the whole-program call graph (precflow, deterflow,
-# contractcheck, transitive hotalloc). See DESIGN.md §6 and the "Static
+# three checkers built on the whole-program call graph (precflow, deterflow,
+# transitive hotalloc). See DESIGN.md §6 and the "Static
 # analysis" section of the README for the //geompc:hot and //geompc:nolint
 # grammar.
 #
@@ -49,7 +49,7 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' -not -path './examples/*' | xargs cat | wc -l
 
 race:
-	$(GO) test -race ./internal/runtime/ ./internal/cholesky/ ./internal/plan/ ./internal/sweep/ ./internal/cg/ ./internal/solver/
+	$(GO) test -race ./internal/runtime/ ./internal/cholesky/ ./internal/plan/ ./internal/sweep/
 
 # Focused benchmark trajectory (see BENCH_kernels.json): per-precision
 # 256x256 GEMM + SYRK/TRSM kernels, the phantom NT=64 Cholesky, the
@@ -58,9 +58,7 @@ race:
 # parallel-sweep pair (serial reference vs 4-worker pool) and the
 # event loop on a multi-rank phantom run (EngineMultiRank); both run at
 # -cpu 4 — benchjson records GOMAXPROCS per line, so they stay honest
-# even on smaller hosts. The
-# solver-ablation pair (SolverAblationDirect / SolverAblationCG) times
-# the direct-vs-iterative backend grid from internal/bench/solver.go.
+# even on smaller hosts.
 # The covariance-generation pair (CovTileMatern / MaternBound, root
 # bench_test.go) times the Matérn tile fill and the bound kernel alone at
 # four θ of the end-to-end benchmark's fit_matern trajectory.
@@ -73,7 +71,6 @@ bench:
 	$(GO) test -run '^$$' -bench 'PhantomNT64$$' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/cholesky/ >> results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'Fig12WeakStep|PlanAblationMLE' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/bench/ >> results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'SweepParallel|EngineMultiRank' -benchmem -benchtime $(BENCHTIME) -cpu 4 ./internal/bench/ >> results/bench_after.txt
-	$(GO) test -run '^$$' -bench 'SolverAblation' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/bench/ >> results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'CovTileMatern|MaternBound' -benchmem -benchtime $(BENCHTIME) -cpu 1 . >> results/bench_after.txt
 	$(GO) run ./cmd/benchjson -seed results/bench_seed.txt < results/bench_after.txt > BENCH_kernels.json
 

@@ -35,22 +35,18 @@ func runAblation(args []string, out io.Writer) error {
 	probe := fs.Bool("probe", false, "Monte-Carlo arithmetic u_req probe")
 	schedFlag := fs.Bool("sched", false, "scheduling-policy and broadcast-topology sweep on the Fig 11 workload")
 	planFlag := fs.Bool("plan", false, "compiled-plan cache vs fresh simulation on a repeated (MLE-shaped) loop")
-	solversFlag := fs.Bool("solvers", false, "direct factorization vs iterative CG backend on the same covariance shapes")
 	n := fs.Int("n", 65536, "matrix size for -banded/-lookahead/-sched")
 	probeN := fs.Int("probe-n", 400, "locations for -probe")
 	ts := fs.Int("ts", 2048, "tile size")
 	schedRanks := fs.Int("sched-ranks", 4, "ranks for the -sched broadcast-topology sweep")
 	planEvals := fs.Int("plan-evals", 8, "evaluations in the -plan repeated loop")
-	v := cliflags.Register(fs, cliflags.Workers|cliflags.Solver)
+	v := cliflags.Register(fs, cliflags.Workers)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	sw := v.SweepOpts()
-	if _, err := v.Backend(); err != nil {
-		return err // bad -solver name: fail before any family runs
-	}
 
-	allIfNone(banded, lookahead, probe, schedFlag, planFlag, solversFlag)
+	allIfNone(banded, lookahead, probe, schedFlag, planFlag)
 
 	if *banded {
 		for _, app := range bench.Apps() {
@@ -110,36 +106,16 @@ func runAblation(args []string, out io.Writer) error {
 	}
 
 	if *planFlag {
-		rows, err := bench.PlanAblationBackend(*n, *ts, *planEvals, hw.SummitNode, v.Solver)
+		rows, err := bench.PlanAblation(*n, *ts, *planEvals, hw.SummitNode)
 		if err != nil {
 			return err
 		}
-		title := fmt.Sprintf("compiled-plan cache: %d-evaluation repeated loop (FP64/FP16_32 Auto, N=%d, V100)", *planEvals, *n)
-		if v.Solver != "" && v.Solver != "direct" {
-			title = fmt.Sprintf("compiled-plan cache [%s backend]: %d-evaluation repeated loop (N=%d, V100)", v.Solver, *planEvals, *n)
-		}
 		t := bench.NewTable(
-			title,
+			fmt.Sprintf("compiled-plan cache: %d-evaluation repeated loop (FP64/FP16_32 Auto, N=%d, V100)", *planEvals, *n),
 			"variant", "wall(s)", "speedup", "hits", "misses", "invalidations")
 		for _, r := range rows {
 			t.Add(r.Variant, fmt.Sprintf("%.4f", r.Wall), fmt.Sprintf("%.2fx", r.Speedup),
 				r.Hits, r.Misses, r.Invalidations)
-		}
-		t.Write(out)
-	}
-
-	if *solversFlag {
-		sizes := []int{16384, 32768}
-		rows, err := bench.SolverAblation(hw.SummitNode, 2, 2, sizes, *ts, bench.SchedOpts{SweepOpts: sw})
-		if err != nil {
-			return err
-		}
-		t := bench.NewTable(
-			"solver backends: direct factorization vs mixed-precision CG (FP64/FP16 storage, 2 ranks × 2 V100s, phantom)",
-			"backend", "strategy", "N", "time(s)", "energy(J)", "Tflop/s", "net", "iters")
-		for _, r := range rows {
-			t.Add(r.Backend, r.Strategy, r.N, fmt.Sprintf("%.4f", r.Time), fmt.Sprintf("%.0f", r.Energy),
-				fmt.Sprintf("%.2f", r.Tflops), bench.HumanBytes(r.BytesNet), r.Iterations)
 		}
 		t.Write(out)
 	}

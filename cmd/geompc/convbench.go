@@ -8,6 +8,7 @@ import (
 	"geompc/internal/bench"
 	"geompc/internal/cliflags"
 	"geompc/internal/hw"
+	"geompc/internal/runtime"
 )
 
 // runConvbench reproduces the automated precision conversion study: Fig 8
@@ -27,7 +28,7 @@ func runConvbench(args []string, out io.Writer) error {
 	node := fs.Bool("node", false, "use every GPU of the node (Fig 11)")
 	sizesFlag := fs.String("sizes", "", "comma-separated matrix sizes (default: per-machine sweep)")
 	ts := fs.Int("ts", 2048, "tile size")
-	v := cliflags.Register(fs, cliflags.Sched|cliflags.PlanCache|cliflags.Workers|cliflags.Solver)
+	v := cliflags.Register(fs, cliflags.Sched|cliflags.PlanCache|cliflags.Workers)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -40,6 +41,13 @@ func runConvbench(args []string, out io.Writer) error {
 	if *node {
 		g = nd.GPUs
 	}
+	// The heading and the size list follow the platform the sweep builds:
+	// -gpus 0 is the whole node.
+	plat, err := runtime.NewPlatform(nd, 1, g)
+	if err != nil {
+		return err
+	}
+	g = plat.DevPerRank
 
 	sizes := []int{16384, 32768, 49152, 65536, 81920, 98304, 122880}
 	if g > 1 {
@@ -58,9 +66,6 @@ func runConvbench(args []string, out io.Writer) error {
 	fig := "Fig 8"
 	if g > 1 {
 		fig = "Fig 11"
-	}
-	if v.Solver != "" && v.Solver != "direct" {
-		fmt.Fprintf(out, "solver backend: %s\n\n", v.Solver)
 	}
 	t := bench.NewTable(
 		fmt.Sprintf("%s: STC vs TTC on %d×%s (%s)", fig, g, nd.GPU.Name, nd.Name),

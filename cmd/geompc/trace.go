@@ -12,10 +12,7 @@ import (
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
-	"geompc/internal/solver"
 	"geompc/internal/tile"
-
-	_ "geompc/internal/cg" // register the "cg" backend for -solver
 )
 
 // runTrace prints the simulated execution timeline of a small mixed-
@@ -34,7 +31,7 @@ func runTrace(args []string, out io.Writer) error {
 	chrome := fs.String("chrome", "", "write the timeline as Chrome trace-event JSON to this file")
 	audit := fs.Bool("audit", false, "run the engine's invariant auditor; violations are fatal")
 	metrics := fs.Bool("metrics", false, "dump the run's metrics registry after the schedule")
-	v := cliflags.Register(fs, cliflags.Sched|cliflags.PlanCache|cliflags.Solver)
+	v := cliflags.Register(fs, cliflags.Sched|cliflags.PlanCache)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -49,27 +46,23 @@ func runTrace(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	be, cfg, err := v.SchedOpts().Config(solver.Config{
+	cfg, err := v.SchedOpts().Config(cholesky.Config{
 		Desc: d, Maps: precmap.New(precmap.Uniform(*nt, prec.FP16x32), 1e-4),
 		Platform: plat, Trace: true, Audit: *audit,
 	})
 	if err != nil {
 		return err
 	}
-	direct := be.Name() == "direct"
-	if !direct && *chrome != "" {
-		return fmt.Errorf("-chrome exports the factorization timeline; use -solver direct")
-	}
 
 	cache := v.Cache()
-	res, err := be.Solve(cfg, cache)
+	res, err := cholesky.RunCached(cfg, cache)
 	if err != nil {
 		return err
 	}
 	if cache != nil {
 		// Second run of the identical shape: a replay of the plan the first
 		// run compiled.
-		rep, err := be.Solve(cfg, cache)
+		rep, err := cholesky.RunCached(cfg, cache)
 		if err != nil {
 			return err
 		}
@@ -78,17 +71,10 @@ func runTrace(args []string, out io.Writer) error {
 		}
 		res = rep
 	}
-	// Every backend prints the same bar format; iterative ones name
-	// themselves and label tasks by CG iteration (leading coordinate), the
-	// factorization by Algorithm 1 iteration (trailing coordinate).
-	if direct {
-		fmt.Fprintf(out, "simulated schedule, NT=%d, %d V100s (FP64 diagonal / FP16_32 off-diagonal):\n\n", *nt, plat.DevPerRank)
-	} else {
-		fmt.Fprintf(out, "simulated %s schedule, NT=%d, %d V100s (FP64 diagonal / FP16_32 off-diagonal):\n\n", be.Name(), *nt, plat.DevPerRank)
-	}
+	fmt.Fprintf(out, "simulated schedule, NT=%d, %d V100s (FP64 diagonal / FP16_32 off-diagonal):\n\n", *nt, plat.DevPerRank)
 	makespan := res.Stats.Makespan
-	for _, t := range res.Schedule {
-		if *iters > 0 && !inFirstIters(t.Name, *iters, !direct) {
+	for _, t := range res.Schedule(*nt) {
+		if *iters > 0 && !inFirstIters(t.Name, *iters) {
 			continue
 		}
 		barLen := 48
@@ -102,20 +88,9 @@ func runTrace(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "\nmakespan %.3f ms, %d tasks, %.1f Tflop/s, schedule digest %016x\n",
 		makespan*1e3, res.Stats.Tasks, res.Stats.Flops/1e12, res.Stats.ScheduleDigest)
-	if !direct {
-		fmt.Fprintf(out, "%d iterations, modeled relative residual %.2e, converged %v\n",
-			res.Iterations, res.Residual, res.Converged)
-	}
 
 	if *chrome != "" {
-		// The Chrome export needs the live engine's interval traces, which
-		// only cholesky.Result keeps: re-run the identical (deterministic)
-		// configuration through the package entry point.
-		live, err := cholesky.Run(cfg)
-		if err != nil {
-			return err
-		}
-		if err := writeChrome(*chrome, live, *nt); err != nil {
+		if err := writeChrome(*chrome, res, *nt); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "chrome trace written to %s (open in ui.perfetto.dev or chrome://tracing)\n", *chrome)
@@ -135,14 +110,9 @@ func runTrace(args []string, out io.Writer) error {
 }
 
 // inFirstIters reports whether a task label belongs to iteration < k: the
-// trailing coordinate of a factorization task (Algorithm 1's iteration),
-// the leading one of an iterative backend's task (SPMV(3,0,1) is CG
-// iteration 3).
-func inFirstIters(name string, k int, leading bool) bool {
+// trailing coordinate of a factorization task (Algorithm 1's iteration).
+func inFirstIters(name string, k int) bool {
 	i := strings.LastIndexAny(name, ",(")
-	if leading {
-		i = strings.IndexByte(name, '(')
-	}
 	if i < 0 {
 		return true
 	}

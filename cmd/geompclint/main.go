@@ -1,9 +1,8 @@
 // Command geompclint is the repo's multichecker: it runs the
 // internal/analysis suite — lockcheck (lock hygiene), hotalloc
 // (allocation-free hot paths, transitively), deterflow (nondeterminism in
-// or reaching the deterministic packages), precflow (unaudited precision
-// lowerings and the call chains reaching them) and contractcheck
-// (solver.Backend determinism, DESIGN.md §3.2) — over the packages matching
+// or reaching the deterministic packages) and precflow (unaudited precision
+// lowerings and the call chains reaching them) — over the packages matching
 // the given patterns and exits nonzero on any diagnostic, including misused
 // //geompc:nolint directives.
 //
@@ -28,7 +27,6 @@ import (
 	"os"
 
 	"geompc/internal/analysis"
-	"geompc/internal/analysis/contractcheck"
 	"geompc/internal/analysis/deterflow"
 	"geompc/internal/analysis/hotalloc"
 	"geompc/internal/analysis/lockcheck"
@@ -37,7 +35,6 @@ import (
 
 // analyzers is the registered suite, in reporting-name order.
 var analyzers = []*analysis.Analyzer{
-	contractcheck.Analyzer,
 	deterflow.Analyzer,
 	hotalloc.Analyzer,
 	lockcheck.Analyzer,

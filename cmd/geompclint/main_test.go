@@ -88,7 +88,7 @@ func TestRunList(t *testing.T) {
 	if err := run([]string{"-list"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"contractcheck", "deterflow", "hotalloc", "lockcheck", "precflow", "nolint"} {
+	for _, name := range []string{"deterflow", "hotalloc", "lockcheck", "precflow", "nolint"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list missing %s:\n%s", name, out.String())
 		}

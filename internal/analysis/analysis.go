@@ -15,7 +15,7 @@
 //     STC/TTC conversion points).
 //
 // The concrete analyzers live in subpackages (deterflow, precflow,
-// contractcheck, lockcheck, hotalloc); cmd/geompclint is the multichecker binary that runs
+// lockcheck, hotalloc); cmd/geompclint is the multichecker binary that runs
 // them all. Diagnostics can be suppressed per line with a mandatory-reason
 // directive:
 //

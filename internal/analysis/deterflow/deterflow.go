@@ -18,7 +18,7 @@
 //     not taint callers.
 //
 //   - Sinks: the deterministic packages — the virtual-clock spine
-//     (runtime, sched, comm, cholesky, solver, cg) plus the packages that
+//     (runtime, sched, comm, cholesky) plus the packages that
 //     render digests, schedules, traces and metrics (obs, plan). Anything
 //     their golden digests consume must be reproducible bit-for-bit.
 //
@@ -55,7 +55,7 @@ var Analyzer = &analysis.Analyzer{
 // SinkPkgs are the deterministic packages (the package doc's sinks).
 var SinkPkgs = map[string]bool{
 	"runtime": true, "sched": true, "comm": true, "cholesky": true,
-	"solver": true, "cg": true, "obs": true, "plan": true,
+	"obs": true, "plan": true,
 }
 
 // Facts computes (or returns) the program's nondeterminism summary: for

@@ -320,8 +320,8 @@ type DirSpec struct {
 // LoadDirs type-checks several fixture directories as one mini-program, in
 // the given order; later fixtures may import earlier ones by their claimed
 // import path (how the interprocedural fixtures model cross-package call
-// chains, e.g. a "solver" package and an implementation package). Standard
-// library imports fall back to the source importer.
+// chains, e.g. an engine package and the graph package it calls back
+// into). Standard library imports fall back to the source importer.
 func LoadDirs(specs ...DirSpec) ([]*Package, error) {
 	fset := token.NewFileSet()
 	std := importer.ForCompiler(fset, "source", nil)

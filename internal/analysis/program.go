@@ -2,8 +2,8 @@ package analysis
 
 // Whole-program view: a deterministic call graph over every module-local
 // package plus a summary cache, built once per lint run and shared by the
-// interprocedural analyzers (precflow, deterflow, contractcheck and the
-// transitive half of hotalloc). The graph is conservative where Go is
+// interprocedural analyzers (precflow, deterflow and the transitive half
+// of hotalloc). The graph is conservative where Go is
 // dynamic — interface calls resolve to every method in the program with a
 // matching name and signature (class-hierarchy analysis), closures and
 // method values add "ref" edges from the function that creates the value —
@@ -120,14 +120,6 @@ func (p *Program) FuncByID(id string) *Func {
 	return p.funcs[id]
 }
 
-// FuncOf maps an in-program *types.Func (from any root's type-check
-// universe) to its graph node, nil when the function lives outside the
-// loaded source.
-func (p *Program) FuncOf(fn *types.Func) *Func {
-	p.buildGraph()
-	return p.localFunc(fn)
-}
-
 // Funcs returns every graph node in ID order.
 func (p *Program) Funcs() []*Func {
 	p.buildGraph()
@@ -151,10 +143,9 @@ type memoEntry struct {
 }
 
 // Memo computes-or-returns a named program-wide result. Analyzer Prepare
-// hooks use it so shared summaries (the nondeterminism facts used by both
-// deterflow and contractcheck) are evaluated once. build may call back
-// into the Program (including Memo with a *different* key); a key must not
-// recursively Memo itself.
+// hooks use it so shared summaries (flow facts, the hot set) are evaluated
+// once. build may call back into the Program (including Memo with a
+// *different* key); a key must not recursively Memo itself.
 func (p *Program) Memo(key string, build func() any) any {
 	p.mu.Lock()
 	if p.memo == nil {

@@ -3,11 +3,11 @@ package bench
 import (
 	"fmt"
 
+	"geompc/internal/cholesky"
 	"geompc/internal/hw"
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
-	"geompc/internal/solver"
 	"geompc/internal/sweep"
 	"geompc/internal/tile"
 )
@@ -64,7 +64,7 @@ type ConvRow struct {
 // configuration × conversion strategy × matrix size.
 type convPoint struct {
 	cfg   ConvConfig
-	strat solver.Strategy
+	strat cholesky.Strategy
 	n     int
 }
 
@@ -73,7 +73,7 @@ type convPoint struct {
 func convGrid(sizes []int) []convPoint {
 	var pts []convPoint
 	for _, cfg := range ConvConfigs() {
-		strategies := []solver.Strategy{solver.Auto, solver.ForceTTC}
+		strategies := []cholesky.Strategy{cholesky.Auto, cholesky.ForceTTC}
 		if cfg.Uniform {
 			// Uniform-precision baselines have no precision mismatch; STC
 			// and TTC coincide, so report a single line.
@@ -90,8 +90,8 @@ func convGrid(sizes []int) []convPoint {
 
 // ConvSweepOpts runs Fig 8 (single GPU) or Fig 11 (full node) for one
 // machine: every configuration × {STC, TTC} × matrix size, in phantom mode,
-// under the named policy, topology and solver backend of so (zero SchedOpts
-// = FIFO + binomial + direct, serial). With so.Cache set the sweep alternates
+// under the named policy and topology of so (zero SchedOpts = FIFO +
+// binomial, serial). With so.Cache set the sweep alternates
 // precision maps over a handful of schedule shapes (strategy × size), so
 // with one plan slot per shape it exercises the invalidation path far more
 // than the replay path — convbench -plan-cache prints that mix.
@@ -103,7 +103,7 @@ func ConvSweepOpts(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts in
 	if err != nil {
 		return nil, err
 	}
-	be, base, err := so.Config(solver.Config{Platform: plat})
+	base, err := so.Config(cholesky.Config{Platform: plat})
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +112,7 @@ func ConvSweepOpts(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts in
 		p := pts[i]
 		cfg := base
 		cfg.Strategy = p.strat
-		res, err := solvePoint(ctx, be, cfg, p.n, ts,
+		res, err := solvePoint(ctx, cfg, p.n, ts,
 			func(d tile.Desc) [][]prec.Precision { return p.cfg.KernelMap(d.NT) }, 1e-2,
 			fmt.Sprintf("%s %v n=%d", p.cfg.Name, p.strat, p.n))
 		if err != nil {

@@ -163,11 +163,11 @@ func TestPlanAblationParallelMatchesSerial(t *testing.T) {
 		}
 		return out
 	}
-	want, err := PlanAblationBackend(1024, 128, 4, hw.SummitNode, "direct")
+	want, err := PlanAblation(1024, 128, 4, hw.SummitNode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := PlanAblationBackend(1024, 128, 4, hw.SummitNode, "direct")
+	got, err := PlanAblation(1024, 128, 4, hw.SummitNode)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"time"
 
+	"geompc/internal/cholesky"
 	"geompc/internal/hw"
 	planpkg "geompc/internal/plan"
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
-	"geompc/internal/solver"
 	"geompc/internal/tile"
 )
 
@@ -28,25 +28,18 @@ type PlanRow struct {
 	Hits, Misses, Invalidations int64
 }
 
-// PlanAblationBackend measures what the compiled-plan cache buys a repeated
+// PlanAblation measures what the compiled-plan cache buys a repeated
 // workload: the fresh loop pays k full discrete-event simulations, the
-// cached loop pays one compile plus k−1 replays — O(1×schedule +
-// k×numerics). Phantom mode (no numeric bodies) isolates the scheduling
-// cost itself. Backend "direct" replays one frozen factorization schedule
-// per evaluation; "cg" replays one compiled plan per distinct chunk
-// precision schedule, so the counters show the hit/miss mix an iterative
-// MLE loop would see. The two loops run back to back on the calling
-// goroutine (the speedup column is a wall-clock ratio and means nothing if
-// they time-share cores) and must agree on every schedule digest; a
-// mismatch is returned as an error, making the ablation double as a
-// self-check.
-func PlanAblationBackend(n, ts, k int, node *hw.NodeSpec, backend string) ([]PlanRow, error) {
+// cached loop pays one compile plus k−1 replays of the frozen factorization
+// schedule — O(1×schedule + k×numerics). Phantom mode (no numeric bodies)
+// isolates the scheduling cost itself. The two loops run back to back on
+// the calling goroutine (the speedup column is a wall-clock ratio and means
+// nothing if they time-share cores) and must agree on every schedule
+// digest; a mismatch is returned as an error, making the ablation double as
+// a self-check.
+func PlanAblation(n, ts, k int, node *hw.NodeSpec) ([]PlanRow, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("bench: plan ablation needs k >= 2 evaluations, got %d", k)
-	}
-	be, err := solver.ByName(backend)
-	if err != nil {
-		return nil, err
 	}
 	plat, err := runtime.NewPlatform(node, 1, 1)
 	if err != nil {
@@ -57,8 +50,8 @@ func PlanAblationBackend(n, ts, k int, node *hw.NodeSpec, backend string) ([]Pla
 		return nil, err
 	}
 	maps := precmap.New(ConvConfig{OffDiag: prec.FP16x32}.KernelMap(desc.NT), 1e-4)
-	cfg := solver.Config{
-		Desc: desc, Maps: maps, Platform: plat, Strategy: solver.Auto,
+	cfg := cholesky.Config{
+		Desc: desc, Maps: maps, Platform: plat, Strategy: cholesky.Auto,
 	}
 
 	// loop times k evaluations through cache (nil = fresh) and returns the
@@ -66,7 +59,7 @@ func PlanAblationBackend(n, ts, k int, node *hw.NodeSpec, backend string) ([]Pla
 	loop := func(variant string, cache *planpkg.Cache) (wall float64, digest uint64, err error) {
 		start := time.Now()
 		for e := 0; e < k; e++ {
-			res, err := be.Solve(cfg, cache)
+			res, err := cholesky.RunCached(cfg, cache)
 			if err != nil {
 				return 0, 0, fmt.Errorf("bench: plan ablation %s eval %d: %w", variant, e, err)
 			}

@@ -63,7 +63,7 @@ func BenchmarkPlanAblationMLECached(b *testing.B) {
 // TestPlanAblation exercises the geompc ablation table end to end and checks
 // its built-in digest self-verification plus the expected counter shape.
 func TestPlanAblation(t *testing.T) {
-	rows, err := PlanAblationBackend(1024, 128, 6, hw.SummitNode, "direct")
+	rows, err := PlanAblation(1024, 128, 6, hw.SummitNode)
 	if err != nil {
 		t.Fatal(err)
 	}

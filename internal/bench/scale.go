@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"math"
 
+	"geompc/internal/cholesky"
 	"geompc/internal/geo"
 	"geompc/internal/hw"
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
-	"geompc/internal/solver"
 	"geompc/internal/stats"
 	"geompc/internal/sweep"
 	"geompc/internal/tile"
@@ -51,13 +51,13 @@ func scaleConfigs(withFP32 bool) []scaleConfig {
 }
 
 // runScale executes one phantom factorization on `nodes` Summit nodes
-// under the named policy / topology / backend of so.
+// under the named policy / topology of so.
 func runScale(ctx *sweep.Context, cfg scaleConfig, nodes, n, ts int, seed uint64, so SchedOpts) (ScaleRow, error) {
 	plat, err := runtime.NewPlatform(hw.SummitNode, nodes, 0)
 	if err != nil {
 		return ScaleRow{}, err
 	}
-	be, base, err := so.Config(solver.Config{Platform: plat})
+	base, err := so.Config(cholesky.Config{Platform: plat})
 	if err != nil {
 		return ScaleRow{}, err
 	}
@@ -72,7 +72,7 @@ func runScale(ctx *sweep.Context, cfg scaleConfig, nodes, n, ts int, seed uint64
 		}
 		ureq = cfg.app.UReq
 	}
-	res, err := solvePoint(ctx, be, base, n, ts, km, ureq,
+	res, err := solvePoint(ctx, base, n, ts, km, ureq,
 		fmt.Sprintf("scale %s nodes=%d n=%d", cfg.name, nodes, n))
 	if err != nil {
 		return ScaleRow{}, err

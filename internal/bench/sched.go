@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"geompc/internal/cholesky"
 	"geompc/internal/comm"
 	"geompc/internal/hw"
 	"geompc/internal/obs"
@@ -11,7 +12,6 @@ import (
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
 	"geompc/internal/sched"
-	"geompc/internal/solver"
 	"geompc/internal/sweep"
 	"geompc/internal/tile"
 )
@@ -37,16 +37,12 @@ func (o SweepOpts) sweepOptions() sweep.Options {
 	return sweep.Options{Workers: o.Workers, Registry: o.Metrics, Summary: o.Summary}
 }
 
-// SchedOpts names a scheduling policy, broadcast topology and solver
-// backend by their CLI spellings, plus the sweep-execution knobs. The zero
-// value is the engine's historical behavior (FIFO + binomial, direct
-// backend, serial sweep, no plan cache).
+// SchedOpts names a scheduling policy and broadcast topology by their CLI
+// spellings, plus the sweep-execution knobs. The zero value is the engine's
+// historical behavior (FIFO + binomial, serial sweep, no plan cache).
 type SchedOpts struct {
 	Policy string // sched.ByName: "", "fifo", "locality", "cp"
 	Bcast  string // comm.TopologyByName: "", "binomial", "flat", "chain"
-	// Solver is the backend the sweep routes solves through (solver.ByName
-	// spelling; "" = "direct").
-	Solver string
 	// Cache, when non-nil, routes every solve of the sweep through one
 	// compiled-plan cache shared by all workers (see the plan.Cache
 	// concurrency contract): rows are identical to an uncached sweep's; the
@@ -62,31 +58,28 @@ func (o SchedOpts) sweepOptions() sweep.Options {
 	return opts
 }
 
-// Config resolves the names in o into the backend and the run config every
-// point of a sweep shares: base with its Sched and Bcast filled in. Unknown
-// names error here, before any benchmark time is spent.
-func (o SchedOpts) Config(base solver.Config) (solver.Backend, solver.Config, error) {
-	be, err := solver.ByName(o.Solver)
-	if err != nil {
-		return nil, base, err
-	}
+// Config resolves the names in o into the run config every point of a
+// sweep shares: base with its Sched and Bcast filled in. Unknown names
+// error here, before any benchmark time is spent.
+func (o SchedOpts) Config(base cholesky.Config) (cholesky.Config, error) {
+	var err error
 	if base.Sched, err = sched.ByName(o.Policy); err != nil {
-		return nil, base, err
+		return base, err
 	}
 	if base.Bcast, err = comm.TopologyByName(o.Bcast); err != nil {
-		return nil, base, err
+		return base, err
 	}
-	return be, base, nil
+	return base, nil
 }
 
 // solvePoint is the body every phantom sweep point shares: lay an n×n
 // matrix of ts-sized tiles over the platform's squarest process grid, build
-// the precision maps from km at accuracy ureq, run one solve through be
-// (and the point's plan cache, if any) and merge the run's metrics into
+// the precision maps from km at accuracy ureq, run one factorization
+// (through the point's plan cache, if any) and merge the run's metrics into
 // the point's shard. cfg carries everything but Desc and Maps; label names
 // the point in a solve error.
-func solvePoint(ctx *sweep.Context, be solver.Backend, cfg solver.Config, n, ts int,
-	km func(tile.Desc) [][]prec.Precision, ureq float64, label string) (*solver.Result, error) {
+func solvePoint(ctx *sweep.Context, cfg cholesky.Config, n, ts int,
+	km func(tile.Desc) [][]prec.Precision, ureq float64, label string) (*cholesky.Result, error) {
 	pg, qg := tile.SquarestGrid(cfg.Platform.Ranks)
 	desc, err := tile.NewDesc(n, ts, pg, qg)
 	if err != nil {
@@ -94,7 +87,7 @@ func solvePoint(ctx *sweep.Context, be solver.Backend, cfg solver.Config, n, ts 
 	}
 	cfg.Desc = desc
 	cfg.Maps = precmap.New(km(desc), ureq)
-	res, err := be.Solve(cfg, ctx.Cache)
+	res, err := cholesky.RunCached(cfg, ctx.Cache)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s: %w", label, err)
 	}
@@ -131,10 +124,6 @@ func SchedAblationOpts(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, t
 	if err != nil {
 		return nil, err
 	}
-	direct, err := solver.ByName("direct")
-	if err != nil {
-		return nil, err
-	}
 	type point struct {
 		pol sched.Policy
 		n   int
@@ -147,7 +136,7 @@ func SchedAblationOpts(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, t
 	}
 	return sweep.Run(len(pts), so.sweepOptions(), func(i int, ctx *sweep.Context) (SchedRow, error) {
 		p := pts[i]
-		res, err := solvePoint(ctx, direct, solver.Config{Platform: plat, Sched: p.pol}, p.n, ts, uniformOffDiag(prec.FP16x32), 1e-2,
+		res, err := solvePoint(ctx, cholesky.Config{Platform: plat, Sched: p.pol}, p.n, ts, uniformOffDiag(prec.FP16x32), 1e-2,
 			fmt.Sprintf("sched %s n=%d", p.pol.Name(), p.n))
 		if err != nil {
 			return SchedRow{}, err
@@ -183,10 +172,6 @@ func BcastAblationOpts(node *hw.NodeSpec, ranks int, sizes []int, ts int, so Swe
 	if err != nil {
 		return nil, err
 	}
-	direct, err := solver.ByName("direct")
-	if err != nil {
-		return nil, err
-	}
 	type point struct {
 		topo comm.Topology
 		n    int
@@ -199,7 +184,7 @@ func BcastAblationOpts(node *hw.NodeSpec, ranks int, sizes []int, ts int, so Swe
 	}
 	return sweep.Run(len(pts), so.sweepOptions(), func(i int, ctx *sweep.Context) (BcastRow, error) {
 		p := pts[i]
-		res, err := solvePoint(ctx, direct, solver.Config{Platform: plat, Bcast: p.topo}, p.n, ts, uniformOffDiag(prec.FP16x32), 1e-2,
+		res, err := solvePoint(ctx, cholesky.Config{Platform: plat, Bcast: p.topo}, p.n, ts, uniformOffDiag(prec.FP16x32), 1e-2,
 			fmt.Sprintf("bcast %s n=%d", p.topo.Name(), p.n))
 		if err != nil {
 			return BcastRow{}, err

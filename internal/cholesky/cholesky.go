@@ -8,12 +8,7 @@ import (
 	"geompc/internal/obs"
 	"geompc/internal/plan"
 	"geompc/internal/runtime"
-	"geompc/internal/solver"
 )
-
-// Config is the run config every layer shares; the alias keeps the
-// package's historical spelling (cholesky.Config{...}) compiling.
-type Config = solver.Config
 
 // Result reports a completed factorization.
 type Result struct {
@@ -129,6 +124,13 @@ func TaskName(nt, id int) string {
 	}
 }
 
+// ScheduledTask is one labeled entry of a Trace-enabled run's timeline.
+type ScheduledTask struct {
+	Name       string
+	Device     int
+	Start, End float64
+}
+
 // Schedule returns the simulated task timeline of a Trace-enabled run,
 // labeled in the paper's notation — the Fig 3 execution demonstration.
 // Labels are only meaningful for Run (PTG ids); RunDTD results use
@@ -147,6 +149,3 @@ func (r *Result) Schedule(nt int) []ScheduledTask {
 	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out
 }
-
-// ScheduledTask is one labeled entry of the simulated timeline.
-type ScheduledTask = solver.ScheduledTask

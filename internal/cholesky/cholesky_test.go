@@ -11,15 +11,9 @@ import (
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
-	"geompc/internal/solver"
 	"geompc/internal/stats"
 	"geompc/internal/tile"
 )
-
-// cholesky.Config and solver.Config are one type, not mirrors: two pointer
-// types are mutually assignable only when their element types are
-// identical, so this stops compiling if the alias ever forks.
-var _ *solver.Config = (*Config)(nil)
 
 func TestIDRoundTrip(t *testing.T) {
 	for _, nt := range []int{1, 2, 3, 5, 8, 13} {
@@ -523,5 +517,14 @@ func TestDTDValidates(t *testing.T) {
 	// reuse RunDTD directly (it validates implicitly by completing).
 	if _, err := RunDTD(Config{Desc: d, Maps: maps, Platform: plat}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestStrategyString(t *testing.T) {
+	if s := Auto.String(); s != "STC" {
+		t.Errorf("Auto.String() = %q, want STC", s)
+	}
+	if s := ForceTTC.String(); s != "TTC" {
+		t.Errorf("ForceTTC.String() = %q, want TTC", s)
 	}
 }

@@ -8,23 +8,7 @@ import (
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
-	"geompc/internal/solver"
 	"geompc/internal/tile"
-)
-
-// Strategy selects how communication precision is chosen. It is the
-// backend-agnostic solver.Strategy — aliased here so the direct backend's
-// historical API (cholesky.Auto, cholesky.ForceTTC) keeps compiling
-// unchanged now that the solve path is pluggable (see internal/solver).
-type Strategy = solver.Strategy
-
-const (
-	// Auto is the paper's automated conversion strategy: Algorithm 2's
-	// comm-precision map decides STC vs TTC per task.
-	Auto = solver.Auto
-	// ForceTTC always sends at storage precision with receiver-side
-	// conversion — the lower bound of Fig 8.
-	ForceTTC = solver.ForceTTC
 )
 
 // graph is the runtime.Graph of one factorization.
@@ -89,9 +73,19 @@ func (g *graph) storageBytes(i, j int) int64 {
 func (g *graph) trsmExec(m, k int) prec.Precision { return g.maps.Storage[m][k] }
 
 // wireFormat maps a precision to the element format actually on the wire:
-// half-input precisions share the binary16 representation. The mapping is
-// shared with the iterative backend as prec.Wire.
-func wireFormat(p prec.Precision) prec.Precision { return prec.Wire(p) }
+// the half-input precisions (FP16, FP16x32) share the binary16
+// representation, and the truncated-FP32 formats (TF32, BF16x32) travel as
+// full FP32 words — the hardware packs their inputs from 32-bit registers.
+func wireFormat(p prec.Precision) prec.Precision {
+	switch p {
+	case prec.FP64:
+		return prec.FP64
+	case prec.FP32, prec.TF32:
+		return prec.FP32
+	default:
+		return prec.FP16
+	}
+}
 
 // execInputFormat is the element format a kernel consumes its inputs in.
 func execInputFormat(p prec.Precision) prec.Precision { return wireFormat(p) }

@@ -19,19 +19,40 @@ const (
 )
 
 // planShapeSig hashes everything that determines a factorization's schedule
-// except the precision maps and the numeric tile contents: solver backend,
-// tiling, process grid, platform, conversion strategy, scheduling policy,
-// broadcast topology, pipeline depth and front-end. Two configs with equal
-// shape signatures and equal map signatures produce bit-identical
-// schedules, so a plan compiled under one replays the other. The backend
-// name keeps direct and iterative plans (internal/cg) from ever colliding
-// in one cache.
+// except the precision maps and the numeric tile contents: tiling, process
+// grid, platform, conversion strategy, scheduling policy, broadcast
+// topology, pipeline depth and front-end. Two configs with equal shape
+// signatures and equal map signatures produce bit-identical schedules, so a
+// plan compiled under one replays the other.
 func planShapeSig(cfg Config, fe frontEnd) uint64 {
 	var d obs.Digest
 	d.WriteString("geompc/plan/v1")
-	d.WriteString("direct")
 	d.WriteString(string(fe))
-	cfg.WriteShapeSig(&d)
+	d.WriteInt64(int64(cfg.Desc.N))
+	d.WriteInt64(int64(cfg.Desc.TS))
+	d.WriteInt64(int64(cfg.Desc.NT))
+	d.WriteInt64(int64(cfg.Desc.P))
+	d.WriteInt64(int64(cfg.Desc.Q))
+	d.WriteInt64(int64(cfg.Platform.Ranks))
+	d.WriteInt64(int64(cfg.Platform.DevPerRank))
+	d.WriteString(cfg.Platform.Node.Name)
+	d.WriteString(cfg.Platform.Node.GPU.Name)
+	d.WriteInt64(int64(cfg.Strategy))
+	pol := "fifo"
+	if cfg.Sched != nil {
+		pol = cfg.Sched.Name()
+	}
+	d.WriteString(pol)
+	topo := "binomial"
+	if cfg.Bcast != nil {
+		topo = cfg.Bcast.Name()
+	}
+	d.WriteString(topo)
+	la := 2
+	if cfg.Lookahead > 0 {
+		la = cfg.Lookahead
+	}
+	d.WriteInt64(int64(la))
 	return d.Sum()
 }
 

@@ -1,7 +1,7 @@
 // Package cliflags centralizes the flag groups the geompc subcommands
 // share — scheduling policy and broadcast topology, the compiled-plan
-// cache toggle, the parallel-sweep worker count and the solver backend — so
-// trace, convbench, scale and ablation register identical spellings and
+// cache toggle and the parallel-sweep worker count — so trace, convbench,
+// scale and ablation register identical spellings and
 // help text, and the state those flags switch on (the shared plan cache,
 // the sweep throughput summary) is wired in one place.
 package cliflags
@@ -15,7 +15,6 @@ import (
 
 	"geompc/internal/bench"
 	"geompc/internal/plan"
-	"geompc/internal/solver"
 	"geompc/internal/sweep"
 )
 
@@ -29,8 +28,6 @@ const (
 	PlanCache
 	// Workers registers -workers.
 	Workers
-	// Solver registers -solver.
-	Solver
 )
 
 // Values holds the parsed values of the registered groups; fields of
@@ -46,9 +43,6 @@ type Values struct {
 	// Workers is the -workers count: 0 = serial, n > 0 = n-worker pool,
 	// negative = GOMAXPROCS.
 	Workers int
-	// Solver is the -solver backend name (solver.ByName spelling;
-	// "direct" unless overridden).
-	Solver string
 
 	cache   *plan.Cache   // the run's one plan cache, made on first use
 	summary sweep.Summary // throughput report of the latest sweep
@@ -68,22 +62,14 @@ func Register(fs *flag.FlagSet, set Set) *Values {
 	if set&Workers != 0 {
 		fs.IntVar(&v.Workers, "workers", 0, "parallel sweep workers: 0 = serial, -1 = one per core; results are bit-identical at any setting")
 	}
-	if set&Solver != 0 {
-		fs.StringVar(&v.Solver, "solver", "direct", "solver backend: direct (tile Cholesky) or cg (mixed-precision conjugate gradient)")
-	}
 	return v
 }
 
-// Backend resolves the -solver value against the backend registry.
-func (v *Values) Backend() (solver.Backend, error) {
-	return solver.ByName(v.Solver)
-}
-
 // SchedOpts assembles the bench-level sweep options from the parsed
-// values (policy, topology and solver names, the plan cache, the worker
-// count); its Config method resolves them into a run config.
+// values (policy and topology names, the plan cache, the worker count);
+// its Config method resolves them into a run config.
 func (v *Values) SchedOpts() bench.SchedOpts {
-	return bench.SchedOpts{Policy: v.Sched, Bcast: v.Bcast, Solver: v.Solver, Cache: v.Cache(), SweepOpts: v.SweepOpts()}
+	return bench.SchedOpts{Policy: v.Sched, Bcast: v.Bcast, Cache: v.Cache(), SweepOpts: v.SweepOpts()}
 }
 
 // SweepOpts returns just the sweep-execution knobs; every sweep run with

@@ -68,7 +68,7 @@ func TestCacheAndSummaryWiring(t *testing.T) {
 func TestRegisterOmitsUnselectedGroups(t *testing.T) {
 	fs := newFS()
 	Register(fs, Workers)
-	for _, name := range []string{"sched", "bcast", "plan-cache", "solver"} {
+	for _, name := range []string{"sched", "bcast", "plan-cache"} {
 		if fs.Lookup(name) != nil {
 			t.Errorf("flag -%s registered without its group", name)
 		}
@@ -99,59 +99,5 @@ func TestParseSizes(t *testing.T) {
 		if out, err := ParseSizes(bad); err == nil {
 			t.Errorf("ParseSizes(%q) = %v, want error", bad, out)
 		}
-	}
-}
-
-func TestRegisterSolver(t *testing.T) {
-	fs := newFS()
-	v := Register(fs, Solver)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if v.Solver != "direct" {
-		t.Errorf("default Solver = %q, want direct", v.Solver)
-	}
-	be, err := v.Backend()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if be.Name() != "direct" {
-		t.Errorf("Backend() = %q, want direct", be.Name())
-	}
-
-	fs2 := newFS()
-	v2 := Register(fs2, Solver)
-	if err := fs2.Parse([]string{"-solver", "cg"}); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Solver != "cg" {
-		t.Errorf("Solver = %q, want cg", v2.Solver)
-	}
-	be2, err := v2.Backend()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if be2.Name() != "cg" {
-		t.Errorf("Backend() = %q, want cg", be2.Name())
-	}
-	if so := v2.SchedOpts(); so.Solver != "cg" {
-		t.Errorf("SchedOpts() dropped Solver: %+v", so)
-	}
-
-	fs3 := newFS()
-	v3 := Register(fs3, Solver)
-	if err := fs3.Parse([]string{"-solver", "qr"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v3.Backend(); err == nil {
-		t.Error("Backend() accepted unknown solver qr")
-	}
-}
-
-func TestRegisterSolverOmitted(t *testing.T) {
-	fs := newFS()
-	Register(fs, Workers)
-	if fs.Lookup("solver") != nil {
-		t.Error("flag -solver registered without its group")
 	}
 }

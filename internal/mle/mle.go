@@ -24,7 +24,6 @@ import (
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
-	"geompc/internal/solver"
 	"geompc/internal/stats"
 	"geompc/internal/tile"
 )
@@ -49,26 +48,11 @@ type Problem struct {
 	Platform *runtime.Platform
 	// Strategy for communication conversion (Auto = the paper's approach).
 	Strategy cholesky.Strategy
-	// Solver selects the solve path of each likelihood evaluation: "" or
-	// "direct" factorizes Σ with the adaptive mixed-precision Cholesky;
-	// "cg" solves Σ⁻¹Z iteratively (internal/cg) and estimates log|Σ| by
-	// stochastic Lanczos quadrature.
-	Solver string
-	// SLQProbes and SLQIters tune the cg path's log-det estimator
-	// (defaults 4 probes × 24 Lanczos iterations); direct ignores them.
-	SLQProbes int
-	SLQIters  int
 }
 
 func (p *Problem) defaults() error {
 	if len(p.Locs) == 0 || len(p.Locs) != len(p.Z) {
 		return fmt.Errorf("mle: %d locations vs %d observations", len(p.Locs), len(p.Z))
-	}
-	// Reject an unknown solver here, before any Σ(θ) is generated: Fit's
-	// objective turns evaluation errors into +Inf, so a name checked only
-	// per evaluation would burn the whole MaxEvals budget first.
-	if _, err := solver.ByName(p.Solver); err != nil {
-		return fmt.Errorf("mle: %w", err)
 	}
 	if p.TileSize <= 0 {
 		p.TileSize = 64
@@ -96,9 +80,6 @@ type RunStats struct {
 	Energy                       float64
 	Flops                        float64
 	BytesH2D, BytesD2H, BytesNet int64
-	// Iterations sums the CG iterations of iterative-solver evaluations
-	// (solves plus log-det probes); 0 under the direct solver.
-	Iterations int
 	// Rejected counts evaluations where the covariance was not SPD.
 	Rejected int
 }
@@ -112,35 +93,17 @@ func (s *RunStats) Merge(o RunStats) {
 	s.BytesH2D += o.BytesH2D
 	s.BytesD2H += o.BytesD2H
 	s.BytesNet += o.BytesNet
-	s.Iterations += o.Iterations
 	s.Rejected += o.Rejected
-}
-
-func (s *RunStats) accumulate(st runtime.Stats) {
-	s.Time += st.Makespan
-	s.Energy += st.Energy
-	s.Flops += st.TotalFlops
-	s.BytesH2D += st.BytesH2D
-	s.BytesD2H += st.BytesD2H
-	s.BytesNet += st.BytesNet
 }
 
 func (s *RunStats) add(r *cholesky.Result) {
 	s.Evaluations++
-	s.accumulate(r.Stats)
-}
-
-// addSolver accounts one iterative solve (an evaluation's main system).
-func (s *RunStats) addSolver(r *solver.Result) {
-	s.Evaluations++
-	s.accumulate(r.Stats)
-	s.Iterations += r.Iterations
-}
-
-// addProbe accounts one SLQ log-det probe (cost without an evaluation).
-func (s *RunStats) addProbe(r *solver.Result) {
-	s.accumulate(r.Stats)
-	s.Iterations += r.Iterations
+	s.Time += r.Stats.Makespan
+	s.Energy += r.Stats.Energy
+	s.Flops += r.Stats.TotalFlops
+	s.BytesH2D += r.Stats.BytesH2D
+	s.BytesD2H += r.Stats.BytesD2H
+	s.BytesNet += r.Stats.BytesNet
 }
 
 // NegLogLik evaluates −ℓ(θ). It returns +Inf (with no error) when Σ(θ) is
@@ -172,10 +135,6 @@ func (p *Problem) NegLogLik(theta []float64, rs *RunStats) (float64, error) {
 	}
 	maps := precmap.New(km, p.UReq)
 	mat.SetStorage(func(i, j int) prec.Precision { return maps.Storage[i][j] })
-
-	if p.Solver == "cg" {
-		return p.negLogLikCG(desc, maps, mat, rs)
-	}
 
 	res, err := cholesky.Run(cholesky.Config{
 		Desc: desc, Maps: maps, Platform: p.Platform, Matrix: mat, Strategy: p.Strategy,
@@ -354,8 +313,6 @@ type MCConfig struct {
 	Platform  *runtime.Platform
 	// MaxEvals bounds optimizer evaluations per fit (default 600).
 	MaxEvals int
-	// Solver selects each replica's solve path (see Problem.Solver).
-	Solver string
 }
 
 // MCResult holds, for each accuracy level, the per-parameter estimate
@@ -445,7 +402,6 @@ func runReplica(cfg MCConfig, ureq float64, r, np int) (o mcOutcome) {
 	p := &Problem{
 		Locs: locs, Z: z, Kernel: cfg.Kernel, Nugget: cfg.Nugget,
 		TileSize: cfg.TileSize, UReq: ureq, Platform: cfg.Platform,
-		Solver: cfg.Solver,
 	}
 	start, lo, hi := DefaultBounds(np)
 	fit, err := Fit(p, start, lo, hi, optimize.Options{Tol: 1e-9, MaxEvals: cfg.MaxEvals})

@@ -205,48 +205,41 @@ func TestMonteCarloSmall(t *testing.T) {
 }
 
 // TestMonteCarloStatsSumReplicas pins MCResult.Stats as the field-wise sum
-// of its replicas' fit statistics, data motion and CG iterations included.
+// of its replicas' fit statistics, data motion included.
 func TestMonteCarloStatsSumReplicas(t *testing.T) {
-	for _, solver := range []string{"direct", "cg"} {
-		cfg := MCConfig{
-			Replicas: 3, N: 48, Dim: 2,
-			Kernel:    geo.SqExp{Dimension: 2},
-			TrueTheta: []float64{1, 0.1},
-			UReqs:     []float64{1e-9},
-			Nugget:    1e-6, TileSize: 16, Seed: 5, MaxEvals: 12,
-			Solver: solver,
+	cfg := MCConfig{
+		Replicas: 3, N: 48, Dim: 2,
+		Kernel:    geo.SqExp{Dimension: 2},
+		TrueTheta: []float64{1, 0.1},
+		UReqs:     []float64{1e-9},
+		Nugget:    1e-6, TileSize: 16, Seed: 5, MaxEvals: 12,
+	}
+	res, err := MonteCarlo(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want RunStats
+	for r := 0; r < cfg.Replicas; r++ {
+		o := runReplica(cfg, cfg.UReqs[0], r, cfg.Kernel.NumParams())
+		if o.err != nil {
+			t.Fatal(o.err)
 		}
-		res, err := MonteCarlo(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want RunStats
-		for r := 0; r < cfg.Replicas; r++ {
-			o := runReplica(cfg, cfg.UReqs[0], r, cfg.Kernel.NumParams())
-			if o.err != nil {
-				t.Fatal(o.err)
-			}
-			fs := o.fit.Stats
-			want.Evaluations += fs.Evaluations
-			want.Time += fs.Time
-			want.Energy += fs.Energy
-			want.Flops += fs.Flops
-			want.BytesH2D += fs.BytesH2D
-			want.BytesD2H += fs.BytesD2H
-			want.BytesNet += fs.BytesNet
-			want.Iterations += fs.Iterations
-			want.Rejected += fs.Rejected
-		}
-		got := res[0].Stats
-		if got != want {
-			t.Errorf("%s: MCResult.Stats = %+v, replicas sum to %+v", solver, got, want)
-		}
-		if got.BytesH2D <= 0 {
-			t.Errorf("%s: BytesH2D = %d, want > 0", solver, got.BytesH2D)
-		}
-		if solver == "cg" && got.Iterations <= 0 {
-			t.Errorf("cg: Iterations = %d, want > 0", got.Iterations)
-		}
+		fs := o.fit.Stats
+		want.Evaluations += fs.Evaluations
+		want.Time += fs.Time
+		want.Energy += fs.Energy
+		want.Flops += fs.Flops
+		want.BytesH2D += fs.BytesH2D
+		want.BytesD2H += fs.BytesD2H
+		want.BytesNet += fs.BytesNet
+		want.Rejected += fs.Rejected
+	}
+	got := res[0].Stats
+	if got != want {
+		t.Errorf("MCResult.Stats = %+v, replicas sum to %+v", got, want)
+	}
+	if got.BytesH2D <= 0 {
+		t.Errorf("BytesH2D = %d, want > 0", got.BytesH2D)
 	}
 }
 

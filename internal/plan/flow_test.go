@@ -3,8 +3,7 @@ package plan
 // The cached-run flow driven directly, on a four-task graph, without a
 // front-end: nil-cache live runs, then miss → hit → changed-map
 // invalidation → hit, with all five counters pinned after every step. The
-// front-end suites (cache_test.go, internal/cg) cover the same sequence end
-// to end.
+// front-end suite (cache_test.go) covers the same sequence end to end.
 
 import (
 	"sync"

@@ -45,7 +45,7 @@ import (
 // Reg is a fresh registry shard per POINT (not per worker): the point
 // should route all engine metrics into it so the executor can fold shards
 // deterministically. Cache, when non-nil, is the sweep-wide shared plan
-// cache (see Options.Cache), safe to hand to solver.Backend.Solve.
+// cache (see Options.Cache), safe to hand to cholesky.RunCached.
 type Context struct {
 	// Worker is the pool slot running this point: 0..workers-1, and 0 in
 	// serial mode.
