@@ -49,10 +49,11 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' -not -path './examples/*' | xargs cat | wc -l
 
 race:
-	$(GO) test -race ./internal/runtime/ ./internal/cholesky/ ./internal/plan/ ./internal/sweep/
+	$(GO) test -race ./internal/runtime/ ./internal/cholesky/ ./internal/plan/ ./internal/sweep/ ./internal/linalg/
 
 # Focused benchmark trajectory (see BENCH_kernels.json): per-precision
-# 256x256 GEMM + SYRK/TRSM kernels, the phantom NT=64 Cholesky, the
+# 256x256 GEMM + SYRK/TRSM kernels, the 64-tile GEMM/TRSM legs on normal
+# and on binary32-underflowing operands, the phantom NT=64 Cholesky, the
 # Fig 12 weak-scaling step, the plan-cache ablation pair (fresh
 # simulation vs compiled-plan replay on the MLE-shaped loop), and the
 # parallel-sweep pair (serial reference vs 4-worker pool) and the
@@ -67,7 +68,7 @@ race:
 BENCHTIME ?= 5x
 
 bench:
-	$(GO) test -run '^$$' -bench 'GemmNT256|SyrkTrsm256' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/linalg/ > results/bench_after.txt
+	$(GO) test -run '^$$' -bench 'GemmNT256|SyrkTrsm256|GemmNT64|Trsm64' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/linalg/ > results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'PhantomNT64$$' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/cholesky/ >> results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'Fig12WeakStep|PlanAblationMLE' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/bench/ >> results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'SweepParallel|EngineMultiRank' -benchmem -benchtime $(BENCHTIME) -cpu 4 ./internal/bench/ >> results/bench_after.txt

@@ -17,4 +17,15 @@
 // accumulation happens in genuine float32 (TF32/BF16_32/FP16_32) or in
 // binary16 with per-operation rounding (FP16), so the numerical error of a
 // kernel matches what the corresponding tensor-core kernel would commit.
+//
+// Underflow contract of the binary32 carrier: inside every float32-accumulate
+// kernel (the FP32/TF32/BF16_32/FP16_32/FP16 GEMMs, TrsmRLT32, SyrkLN32,
+// PotrfLower32) a binary32-subnormal operand reads as zero and a
+// binary32-subnormal result flushes to zero — a perturbation of at most
+// 2⁻¹²⁶ per operation, on tiles of a matrix with an O(1) diagonal. The
+// float64 kernels keep IEEE gradual underflow. On amd64 the contract is
+// enforced (and the ~150-cycle microcode assist each subnormal SSE operation
+// costs is avoided) by a scoped MXCSR region, see enterFlush32; other
+// architectures run their native gradual underflow, which differs only on
+// runs that reach binary32 subnormals.
 package linalg

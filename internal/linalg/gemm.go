@@ -270,6 +270,7 @@ func gemmNT32(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb
 	if m == 0 || n == 0 {
 		return
 	}
+	defer leaveFlush32(enterFlush32())
 	af, bf := f32Scratch(m*k), f32Scratch(n*k)
 	pk(af, a, m, k, lda)
 	pk(bf, b, n, k, ldb)
@@ -337,6 +338,7 @@ func GemmNTBF16x32(m, n, k int, alpha float64, a []float64, lda int, b []float64
 // bit-equivalent to the Half-typed AddHalf/MulHalf chain by the exhaustive
 // fp16 tests, and pinned against the seed kernel by the golden digests.
 func GemmNTFP16(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
+	defer leaveFlush32(enterFlush32())
 	af, bf := f32Scratch(m*k), f32Scratch(n*k)
 	packFP16(af, a, m, k, lda)
 	packFP16(bf, b, n, k, ldb)

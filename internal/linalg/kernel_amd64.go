@@ -2,6 +2,8 @@
 
 package linalg
 
+import "runtime"
+
 // SSE2 micro-kernel dot products. Each XMM lane holds ONE output element's
 // accumulator, so every element still sums its products in strictly
 // increasing l order with one rounding per add — packed MULPD/ADDPD are
@@ -32,3 +34,33 @@ func dotNT4x4f64(k int, a0, a1, a2, a3, bp0, bp1 []float64, s *[16]float64)
 //
 //go:noescape
 func dotNT4x4f32(k int, a0, a1, a2, a3, bq []float32, s *[16]float32)
+
+// The binary32 underflow contract (doc.go) on amd64: MXCSR flush-to-zero
+// (bit 15) and denormals-are-zero (bit 6) govern every SSE instruction, so
+// one scoped region covers the micro-kernels above and the compiler's
+// scalar MULSS/ADDSS/DIVSS/CVTSD2SS in the pure-Go panels alike. DAZ is
+// implemented by every amd64 processor.
+const mxcsrFlush = 1<<15 | 1<<6
+
+func getMXCSR() uint32
+
+func setMXCSR(v uint32)
+
+// enterFlush32 switches the calling thread to flush-to-zero arithmetic and
+// returns the MXCSR to hand back to leaveFlush32. MXCSR is per OS thread
+// and the Go scheduler neither saves nor restores it, so the goroutine is
+// wired to its thread first: a preempted kernel resumes on the same thread
+// and no other goroutine can run on it — and inherit the mode — meanwhile.
+// Use as `defer leaveFlush32(enterFlush32())`, which also restores the mode
+// when a kernel panics.
+func enterFlush32() uint32 {
+	runtime.LockOSThread()
+	old := getMXCSR()
+	setMXCSR(old | mxcsrFlush)
+	return old
+}
+
+func leaveFlush32(old uint32) {
+	setMXCSR(old)
+	runtime.UnlockOSThread()
+}

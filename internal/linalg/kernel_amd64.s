@@ -198,3 +198,13 @@ done32:
 	MOVUPS X6, 32(DI)
 	MOVUPS X7, 48(DI)
 	RET
+
+// func getMXCSR() uint32
+TEXT ·getMXCSR(SB), NOSPLIT, $0-4
+	STMXCSR ret+0(FP)
+	RET
+
+// func setMXCSR(v uint32)
+TEXT ·setMXCSR(SB), NOSPLIT, $0-4
+	LDMXCSR v+0(FP)
+	RET

@@ -50,15 +50,78 @@ func BenchmarkSyrkTrsm256(b *testing.B) {
 			}
 		})
 	}
-	tri := benchMatrix(n, n)
-	for i := 0; i < n; i++ {
-		tri[i*n+i] += float64(n) // strongly diagonally dominant
-	}
+	tri := benchTriangle(benchMatrix(n, n), n)
 	for _, p := range []prec.Precision{prec.FP64, prec.FP32} {
 		b.Run(fmt.Sprintf("trsm/%s", p), func(b *testing.B) {
-			x := append([]float64(nil), c...)
+			x := make([]float64, n*n)
 			for i := 0; i < b.N; i++ {
+				// The solve overwrites its right-hand side; re-solving the
+				// result would shrink it by the diagonal each iteration until
+				// it decays into subnormals, and ns/op would depend on b.N.
+				copy(x, c)
 				TrsmRLTPrec(p, n, n, tri, n, x, n)
+			}
+		})
+	}
+}
+
+// benchTriangle returns a copy of the n×n matrix m with n added to the
+// diagonal: a strongly diagonally dominant triangular operand.
+func benchTriangle(m []float64, n int) []float64 {
+	tri := append([]float64(nil), m...)
+	for i := 0; i < n; i++ {
+		tri[i*n+i] += float64(n)
+	}
+	return tri
+}
+
+func scaled(m []float64, f float64) []float64 {
+	out := make([]float64, len(m))
+	for i, v := range m {
+		out[i] = v * f
+	}
+	return out
+}
+
+// The 64-tile legs time the kernels at fit_matern's tile size. The
+// -underflow legs run on 1e-21-scaled operands: every product underflows
+// binary32, the regime of the first third of a Matérn fit (β ≈ 0.01), where
+// each SSE operation on a subnormal costs a microcode assist unless the
+// kernel flushes to zero.
+func BenchmarkGemmNT64(b *testing.B) {
+	const n = 64
+	c := make([]float64, n*n)
+	for _, leg := range []struct {
+		name  string
+		p     prec.Precision
+		scale float64
+	}{
+		{"FP64", prec.FP64, 1}, {"FP32", prec.FP32, 1}, {"FP16_32", prec.FP16x32, 1}, {"FP16", prec.FP16, 1},
+		{"FP32-underflow", prec.FP32, 1e-21},
+	} {
+		a := scaled(benchMatrix(n, n), leg.scale)
+		b.Run(leg.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				GemmNTPrec(leg.p, n, n, n, -1, a, n, a, n, 0, c, n)
+			}
+			b.ReportMetric(2*float64(n)*float64(n)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
+		})
+	}
+}
+
+func BenchmarkTrsm64(b *testing.B) {
+	const n = 64
+	x := make([]float64, n*n)
+	for _, leg := range []struct {
+		name  string
+		scale float64
+	}{{"FP32", 1}, {"FP32-underflow", 1e-21}} {
+		rhs := scaled(benchMatrix(n, n), leg.scale)
+		tri := benchTriangle(rhs, n)
+		b.Run(leg.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(x, rhs)
+				TrsmRLT32(n, n, tri, n, x, n)
 			}
 		})
 	}

@@ -355,22 +355,3 @@ func TestRelFrobeniusError(t *testing.T) {
 		t.Errorf("self error = %g, want 0", got)
 	}
 }
-
-func BenchmarkGemmNT64(b *testing.B)      { benchGemm(b, prec.FP64) }
-func BenchmarkGemmNT32(b *testing.B)      { benchGemm(b, prec.FP32) }
-func BenchmarkGemmNTFP16x32(b *testing.B) { benchGemm(b, prec.FP16x32) }
-func BenchmarkGemmNTFP16(b *testing.B)    { benchGemm(b, prec.FP16) }
-
-func benchGemm(b *testing.B, p prec.Precision) {
-	rng := rand.New(rand.NewPCG(25, 26))
-	m := 64
-	a, bb := randMat(rng, m, m), randMat(rng, m, m)
-	c := make([]float64, m*m)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		GemmNTPrec(p, m, m, m, -1, a, m, bb, m, 1, c, m)
-	}
-	flops := 2 * float64(m) * float64(m) * float64(m)
-	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
-}

@@ -43,6 +43,7 @@ func PotrfLower(n int, a []float64, lda int) error {
 // PotrfLower32 is PotrfLower computed in genuine float32 arithmetic over
 // float64 storage (for the full-FP32 baseline configuration).
 func PotrfLower32(n int, a []float64, lda int) error {
+	defer leaveFlush32(enterFlush32())
 	w := f32Scratch(n * n)
 	defer putF32(w)
 	for i := 0; i < n; i++ {

@@ -78,6 +78,7 @@ func SyrkLN(n, k int, alpha float64, a []float64, lda int, beta float64, c []flo
 // (full-FP32 baseline only; the adaptive framework always runs SYRK in FP64
 // because it updates diagonal tiles).
 func SyrkLN32(n, k int, alpha float64, a []float64, lda int, beta float64, c []float64, ldc int) {
+	defer leaveFlush32(enterFlush32())
 	af := f32Scratch(n * k)
 	pack32(af, a, n, k, lda)
 	al, be := float32(alpha), float32(beta)

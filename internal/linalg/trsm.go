@@ -51,6 +51,7 @@ func TrsmRLT(m, n int, a []float64, lda int, b []float64, ldb int) {
 // storage. §V: tiles selected for FP16_32/FP16 GEMMs still run their TRSM in
 // FP32, because the considered GPUs only provide half-precision GEMM.
 func TrsmRLT32(m, n int, a []float64, lda int, b []float64, ldb int) {
+	defer leaveFlush32(enterFlush32())
 	af := f32Scratch(n * n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {

@@ -169,11 +169,10 @@ func (p *Problem) NegLogLik(theta []float64, rs *RunStats) (float64, error) {
 	}
 	logdet *= 2
 
-	// Quadratic form ZᵀΣ⁻¹Z = ‖L⁻¹Z‖² via a forward solve on the assembled
-	// lower factor (O(n²), negligible next to the O(n³) factorization).
-	l := mat.LowerToDense()
+	// Quadratic form ZᵀΣ⁻¹Z = ‖L⁻¹Z‖² via a forward solve on the factor's
+	// tiles (O(n²), negligible next to the O(n³) factorization).
 	y := append([]float64(nil), p.Z...)
-	linalg.TrsvLNN(n, l, n, y)
+	mat.ForwardSolve(y)
 	quad := 0.0
 	for _, v := range y {
 		quad += v * v
@@ -181,6 +180,9 @@ func (p *Problem) NegLogLik(theta []float64, rs *RunStats) (float64, error) {
 
 	nll := 0.5 * (float64(n)*math.Log(2*math.Pi) + logdet + quad)
 	if math.IsNaN(nll) {
+		if rs != nil {
+			rs.Rejected++
+		}
 		return math.Inf(1), nil
 	}
 	return nll, nil

@@ -2,6 +2,7 @@ package mle
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"geompc/internal/geo"
@@ -98,6 +99,58 @@ func TestNegLogLikRejectsBadTheta(t *testing.T) {
 	}
 	if rs.Rejected != 1 {
 		t.Errorf("Rejected = %d, want 1", rs.Rejected)
+	}
+}
+
+func TestNegLogLikCountsNaNRejection(t *testing.T) {
+	// A NaN observation leaves Σ(θ) SPD and every pivot positive, so only
+	// the likelihood's own NaN exit can reject the evaluation.
+	p, truth := testProblem(t, 64, 0)
+	p.Z[3] = math.NaN()
+	var rs RunStats
+	v, err := p.NegLogLik(truth, &rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(v, 1) {
+		t.Errorf("NaN observation gave likelihood %g, want +Inf", v)
+	}
+	if rs.Rejected != 1 {
+		t.Errorf("Rejected = %d, want 1", rs.Rejected)
+	}
+}
+
+// The fit's first evaluations sit at the lower bounds (β = 0.01), where most
+// of Σ is far below 1e-19 and the float32 tile kernels see operands and
+// products under the binary32 normal range. Flushing those to zero must cost
+// no accuracy against the dense FP64 oracle, and wiring the kernels to their
+// OS thread must not make the likelihood depend on the scheduler.
+func TestNegLogLikUnderflowRegime(t *testing.T) {
+	rng := stats.NewRNG(7, 0)
+	locs := geo.GenerateLocations(400, 2, rng)
+	k := geo.Matern{Dimension: 2}
+	z, err := geo.SimulateField(locs, k, []float64{1, 0.03, 1}, 1e-8, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &Problem{Locs: locs, Z: z, Kernel: k, Nugget: 1e-8, TileSize: 64, UReq: 1e-9}
+	for _, theta := range [][]float64{{0.01, 0.01, 0.01}, {1, 0.01, 1}} {
+		want := denseNegLogLik(locs, z, k, theta, p.Nugget)
+		var got [2]float64
+		for i, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			got[i], err = p.NegLogLik(theta, nil)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if math.Abs(got[0]-want) > 1e-6*math.Abs(want) {
+			t.Errorf("θ=%v: NLL %.12g, dense FP64 oracle %.12g", theta, got[0], want)
+		}
+		if math.Float64bits(got[0]) != math.Float64bits(got[1]) {
+			t.Errorf("θ=%v: NLL %x at GOMAXPROCS 1, %x at 4", theta, math.Float64bits(got[0]), math.Float64bits(got[1]))
+		}
 	}
 }
 

@@ -229,3 +229,30 @@ func (m *Matrix) LowerToDense() []float64 {
 	}
 	return out
 }
+
+// ForwardSolve solves L·x = y in place of y, where L is the lower factor the
+// Cholesky factorization left in the tiles. Each row subtracts its products
+// in ascending column order — tiles (i,0) … (i,i−1), then the diagonal tile
+// up to the pivot — so the result is bit-identical to linalg.TrsvLNN on
+// LowerToDense without assembling the n² dense copy.
+func (m *Matrix) ForwardSolve(y []float64) {
+	if m.Phantom {
+		panic("tile: ForwardSolve on phantom matrix")
+	}
+	for ti := 0; ti < m.NT; ti++ {
+		d := m.At(ti, ti)
+		yi := y[ti*m.TS:][:d.M]
+		for tj := 0; tj < ti; tj++ {
+			t := m.At(ti, tj)
+			yj := y[tj*m.TS:][:t.N]
+			for i := range yi {
+				s := yi[i]
+				for l, v := range t.Data[i*t.N:][:t.N] {
+					s -= v * yj[l]
+				}
+				yi[i] = s
+			}
+		}
+		linalg.TrsvLNN(d.M, d.Data, d.N, yi)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"geompc/internal/geo"
+	"geompc/internal/linalg"
 	"geompc/internal/prec"
 	"geompc/internal/stats"
 )
@@ -211,5 +212,39 @@ func TestDescProperties(t *testing.T) {
 		return sum == n
 	}, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// ForwardSolve must reproduce the dense path it replaced in mle — assemble
+// the lower factor, then linalg.TrsvLNN — bit for bit, including when the
+// last tile row is partial.
+func TestForwardSolveMatchesDenseBitForBit(t *testing.T) {
+	for _, c := range []struct{ n, ts int }{{48, 16}, {50, 16}, {61, 7}, {5, 8}, {33, 32}} {
+		rng := stats.NewRNG(5, uint64(c.n))
+		d, _ := NewDesc(c.n, c.ts, 1, 1)
+		m := NewMatrix(d, false)
+		m.Fill(func(t *Tile, r0, c0 int) {
+			for i := range t.Data {
+				t.Data[i] = rng.Norm()
+			}
+			if t.I == t.J {
+				for i := 0; i < t.M; i++ {
+					t.Data[i*t.N+i] += 4
+				}
+			}
+		})
+		want := make([]float64, c.n)
+		for i := range want {
+			want[i] = rng.Norm()
+		}
+		got := append([]float64(nil), want...)
+		linalg.TrsvLNN(c.n, m.LowerToDense(), c.n, want)
+		m.ForwardSolve(got)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d ts=%d: x[%d] = %x, dense path %x", c.n, c.ts, i,
+					math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
 	}
 }
