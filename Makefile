@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-suppressions loc bench race fuzz experiments clean
+.PHONY: all build test vet lint loc bench race fuzz experiments clean
 
 all: build test
 
@@ -12,38 +12,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific analyzers on top of gofmt and go vet: lockcheck plus the
-# three checkers built on the whole-program call graph (precflow, deterflow,
-# transitive hotalloc). See DESIGN.md §6 and the "Static
-# analysis" section of the README for the //geompc:hot and //geompc:nolint
-# grammar.
-#
-# LINT_BUDGET guards wall-clock: the summary-based engine keeps the whole
-# run a small multiple of type-checking (~2.5s over 50 packages as of the
-# interprocedural landing; the pre-landing baseline was ~9.5s). The budget
-# is deliberately loose — it exists to catch quadratic blowups in the
-# dataflow engine, not scheduler jitter. `go run` compile time counts.
-LINT_BUDGET ?= 30
-
 lint: vet
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then echo "gofmt needed:"; echo "$$fmtout"; exit 1; fi
-	@start=$$(date +%s); \
-	$(GO) run ./cmd/geompclint ./...; rc=$$?; \
-	elapsed=$$(( $$(date +%s) - start )); \
-	echo "geompclint wall-clock: $${elapsed}s (budget $(LINT_BUDGET)s)"; \
-	if [ $$rc -ne 0 ]; then exit $$rc; fi; \
-	if [ $$elapsed -gt $(LINT_BUDGET) ]; then echo "lint exceeded LINT_BUDGET"; exit 1; fi
-
-# Suppression inventory: every //geompc:nolint in the tree with its state
-# (active / unused / expired) and reason, for audit during review.
-lint-suppressions:
-	$(GO) run ./cmd/geompclint -suppressions ./...
 
 test: vet
 	$(GO) test ./...
 
 # The ROADMAP scoreboard: non-test Go lines of product code — outside the
-# frozen benchmark/ tree, the analyzers' testdata/ fixtures and examples/.
+# frozen benchmark/ tree, testdata/ fixtures and examples/.
 # CI prints it so the number quoted in ROADMAP.md is never hand-counted.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' -not -path './examples/*' | xargs cat | wc -l

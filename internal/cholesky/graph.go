@@ -187,11 +187,12 @@ func (g *graph) priority(op, m, n, k int) int64 {
 
 // consumerSpread collects the distinct ranks (≠ producer's) among the
 // consumer tiles listed by visit — the network broadcast targets. Results
-// append to buf (pass a recycled slice to stay allocation-free).
+// append to buf (pass a recycled slice to stay allocation-free). Neither
+// tiles nor the visitor it is handed escapes, so both closures stay off the
+// heap.
 func (g *graph) consumerSpread(buf []int, prodDev int, tiles func(visit func(i, j int))) []int {
 	g.stamp++
 	prodRank := g.plat.RankOfDevice(prodDev)
-	//geompc:nolint hotalloc visitor callback never escapes tiles; Go keeps non-escaping closures off the heap
 	tiles(func(i, j int) {
 		r := g.plat.RankOfDevice(g.deviceOf(i, j))
 		if r == prodRank {
@@ -211,11 +212,12 @@ func reusePublish(s *runtime.TaskSpec) *runtime.PublishSpec {
 	if p := s.Publish; p != nil {
 		return p
 	}
-	return &runtime.PublishSpec{} //geompc:nolint hotalloc first fill of the spec slot; the TaskSpec recycles it on every later emit
+	// First fill of the spec slot; the TaskSpec recycles it on every later emit.
+	return &runtime.PublishSpec{}
 }
 
 // bd is the tile edge length as a float64 flop factor. A method, not a
-// closure inside Spec: the emit path is //geompc:hot and a closure would
+// closure inside Spec: the emit path runs once per task and a closure could
 // allocate on every call.
 func (g *graph) bd(x int) float64 { return float64(g.desc.TileDim(x)) }
 
@@ -235,7 +237,6 @@ func (g *graph) Spec(id int, s *runtime.TaskSpec) {
 		s.Output = runtime.OutputSpec{Data: g.dataID(k, k), Bytes: g.storageBytes(k, k), Prec: wireFormat(g.maps.Storage[k][k])}
 		if k < nt-1 {
 			pub := reusePublish(s)
-			//geompc:nolint hotalloc tile-enumerator callback never escapes consumerSpread; Go keeps non-escaping closures off the heap
 			remote := g.consumerSpread(pub.RemoteRanks[:0], s.Device, func(visit func(i, j int)) {
 				for i := k + 1; i < nt; i++ {
 					visit(i, k)
@@ -267,7 +268,6 @@ func (g *graph) Spec(id int, s *runtime.TaskSpec) {
 		s.Inputs = append(s.Inputs, g.inputSpec(k, k, s.Device, execInputFormat(s.Prec)))
 		s.Output = runtime.OutputSpec{Data: g.dataID(m, k), Bytes: g.storageBytes(m, k), Prec: wireFormat(g.maps.Storage[m][k])}
 		pub := reusePublish(s)
-		//geompc:nolint hotalloc tile-enumerator callback never escapes consumerSpread; Go keeps non-escaping closures off the heap
 		remote := g.consumerSpread(pub.RemoteRanks[:0], s.Device, func(visit func(i, j int)) {
 			visit(m, m) // SYRK
 			for j := k + 1; j < m; j++ {

@@ -68,8 +68,6 @@ func pairIdx(m, k int) int { return m*(m-1)/2 + k }
 
 // unpair inverts pairIdx: returns (m, k) with k < m, where m is the largest
 // value with pyr[m] ≤ idx.
-//
-//geompc:hot
 func (s *ids) unpair(idx int) (m, k int) {
 	lo, hi := 1, s.nt
 	for lo < hi {
@@ -88,8 +86,6 @@ func c3(m int) int { return m * (m - 1) * (m - 2) / 6 }
 func tripleIdx(m, n, k int) int { return c3(m) + n*(n-1)/2 + k }
 
 // untriple inverts tripleIdx: returns (m, n, k) with k < n < m.
-//
-//geompc:hot
 func (s *ids) untriple(idx int) (m, n, k int) {
 	lo, hi := 2, s.nt
 	for lo < hi {
@@ -111,8 +107,6 @@ func (s ids) gemm(m, n, k int) int { return s.gemmBase + tripleIdx(m, n, k) }
 
 // decode returns the kind and coordinates of a task id. For POTRF only k is
 // meaningful; for TRSM/SYRK, (m, k); for GEMM, (m, n, k).
-//
-//geompc:hot
 func (s ids) decode(id int) (op, m, n, k int) {
 	switch {
 	case id < s.trsmBase:
@@ -127,5 +121,5 @@ func (s ids) decode(id int) (op, m, n, k int) {
 		m, n, k = s.untriple(id - s.gemmBase)
 		return opGemm, m, n, k
 	}
-	panic(fmt.Sprintf("cholesky: task id %d out of range [0,%d)", id, s.numTasks)) //geompc:nolint hotalloc panic rendering; decode is total over sealed graph ids
+	panic(fmt.Sprintf("cholesky: task id %d out of range [0,%d)", id, s.numTasks))
 }

@@ -44,11 +44,13 @@ func (g *graph) view(i, j, dev int) []float64 {
 	return w
 }
 
+// potrfBody, like the three builders below, returns a closure by design;
+// phantom (pure-DES) graphs carry no matrix, get nil and stay
+// allocation-free.
 func (g *graph) potrfBody(k int) func() {
 	if g.mat == nil {
 		return nil
 	}
-	//geompc:nolint hotalloc numeric-mode task bodies are closures by design; pure-DES runs skip them and stay allocation-free
 	return func() {
 		if g.Err() != nil {
 			return
@@ -78,7 +80,6 @@ func (g *graph) trsmBody(m, k int) func() {
 	if g.mat == nil {
 		return nil
 	}
-	//geompc:nolint hotalloc numeric-mode task bodies are closures by design; pure-DES runs skip them and stay allocation-free
 	return func() {
 		if g.Err() != nil {
 			return
@@ -96,7 +97,6 @@ func (g *graph) syrkBody(m, k int) func() {
 	if g.mat == nil {
 		return nil
 	}
-	//geompc:nolint hotalloc numeric-mode task bodies are closures by design; pure-DES runs skip them and stay allocation-free
 	return func() {
 		if g.Err() != nil {
 			return
@@ -113,7 +113,6 @@ func (g *graph) gemmBody(m, n, k int) func() {
 	if g.mat == nil {
 		return nil
 	}
-	//geompc:nolint hotalloc numeric-mode task bodies are closures by design; pure-DES runs skip them and stay allocation-free
 	return func() {
 		if g.Err() != nil {
 			return

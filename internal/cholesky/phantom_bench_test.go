@@ -10,25 +10,49 @@ import (
 	"geompc/internal/tile"
 )
 
-// BenchmarkPhantomNT64 measures phantom-mode overhead per task on a small
-// 4-node platform at NT=64 (~47k tasks) — the benchmark-trajectory point
-// tracked in BENCH_kernels.json (allocs/op is the headline number: phantom
-// task dispatch should be allocation-free in steady state).
-func BenchmarkPhantomNT64(b *testing.B) {
+// phantomNT64 is the benchmark-trajectory configuration: a small 4-node,
+// 24-GPU platform at NT=64 (45,760 tasks), no numeric bodies.
+func phantomNT64() (cfg Config, tasks int) {
 	nt, ts := 64, 2048
 	d, _ := tile.NewDesc(nt*ts, ts, 2, 2)
 	maps := precmap.New(precmap.UniformAll(nt, prec.FP64), 0)
 	plat, _ := runtime.NewPlatform(hw.SummitNode, 4, 6)
+	return Config{Desc: d, Maps: maps, Platform: plat}, nt * (nt + 1) * (nt + 2) / 6
+}
+
+// BenchmarkPhantomNT64 measures phantom-mode overhead per task — the
+// benchmark-trajectory point tracked in BENCH_kernels.json (allocs/op is the
+// headline number: phantom task dispatch should be allocation-free in steady
+// state).
+func BenchmarkPhantomNT64(b *testing.B) {
+	cfg, tasks := phantomNT64()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{Desc: d, Maps: maps, Platform: plat})
-		if err != nil {
+		if _, err := Run(cfg); err != nil {
 			b.Fatal(err)
 		}
-		_ = res
 	}
-	b.ReportMetric(float64(nt*(nt+1)*(nt+2)/6)*float64(b.N)/b.Elapsed().Seconds(), "tasks/s")
+	b.ReportMetric(float64(tasks)*float64(b.N)/b.Elapsed().Seconds(), "tasks/s")
+}
+
+// TestPhantomAllocsPerTask is the allocation guard on the engine's hot path
+// (event push/pop, ready queues, TaskSpec freelist, residency tables, graph
+// emit): a whole phantom run may allocate its per-run tables and warm its
+// freelists, which comes to half an allocation per task at this size, but
+// nothing per event — one allocation per push alone would add 1–2 per task.
+func TestPhantomAllocsPerTask(t *testing.T) {
+	cfg, tasks := phantomNT64()
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perTask := allocs / float64(tasks)
+	t.Logf("%.0f allocs per run, %.3f per task", allocs, perTask)
+	if perTask > 1.0 {
+		t.Errorf("phantom NT=64 run allocates %.3f per task (%.0f per run), want <= 1.0", perTask, allocs)
+	}
 }
 
 // BenchmarkPhantomLarge measures the engine's phantom-mode task throughput

@@ -58,8 +58,6 @@ func (l *Link) Time(nbytes int64) float64 { return l.spec.Time(nbytes) }
 
 // StartAfter returns the earliest instant a transfer may begin: when the
 // link is free and the data is available.
-//
-//geompc:hot
 func (l *Link) StartAfter(earliest float64) float64 {
 	return math.Max(l.free, earliest)
 }
@@ -67,8 +65,6 @@ func (l *Link) StartAfter(earliest float64) float64 {
 // Occupy books the link for [start, start+dur), returning the end time.
 // Callers must pass a start ≥ StartAfter(...) of the same booking round;
 // the link's intervals are then non-overlapping by construction.
-//
-//geompc:hot
 func (l *Link) Occupy(start, dur float64, nbytes int64) float64 {
 	end := start + dur
 	l.free = end

@@ -30,8 +30,6 @@ const (
 // f with exponent e, adding ±2^(e+13) forces the float32 adder to round f at
 // binary16's ulp 2^(e-10) with the hardware's round-to-nearest-even, and the
 // subtraction is exact.
-//
-//geompc:hot
 func QuantF32(f float32) float32 {
 	b := math.Float32bits(f)
 	sign := b & signMask32

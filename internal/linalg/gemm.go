@@ -31,10 +31,10 @@ func GemmNT(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb i
 		gemmNT64Tail(0, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 		return
 	}
-	bp := f64Scratch(((n + 1) &^ 1) * k)
+	bp, bpp := f64Scratch(((n + 1) &^ 1) * k)
 	interleave2f64(bp, b, n, k, ldb)
 	gemmNT64Panel(0, m, n, k, alpha, a, lda, b, ldb, bp, beta, c, ldc)
-	putF64(bp)
+	putF64(bpp)
 }
 
 func gemmNT64Panel(i0, i1, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, bp []float64, beta float64, c []float64, ldc int) {
@@ -271,16 +271,17 @@ func gemmNT32(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb
 		return
 	}
 	defer leaveFlush32(enterFlush32())
-	af, bf := f32Scratch(m*k), f32Scratch(n*k)
+	af, afp := f32Scratch(m * k)
+	bf, bfp := f32Scratch(n * k)
 	pk(af, a, m, k, lda)
 	pk(bf, b, n, k, ldb)
-	bq := f32Scratch(((n + 3) &^ 3) * k)
+	bq, bqp := f32Scratch(((n + 3) &^ 3) * k)
 	interleave4f32(bq, bf, n, k)
 	al, be := float32(alpha), float32(beta)
 	gemmNT32Panel(0, m, n, k, al, beta == 0, be, af, bf, bq, c, ldc)
-	putF32(af)
-	putF32(bf)
-	putF32(bq)
+	putF32(afp)
+	putF32(bfp)
+	putF32(bqp)
 }
 
 // interleave4f32 packs the already-quantized row-major n×k matrix (stride k)
@@ -339,14 +340,15 @@ func GemmNTBF16x32(m, n, k int, alpha float64, a []float64, lda int, b []float64
 // fp16 tests, and pinned against the seed kernel by the golden digests.
 func GemmNTFP16(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
 	defer leaveFlush32(enterFlush32())
-	af, bf := f32Scratch(m*k), f32Scratch(n*k)
+	af, afp := f32Scratch(m * k)
+	bf, bfp := f32Scratch(n * k)
 	packFP16(af, a, m, k, lda)
 	packFP16(bf, b, n, k, ldb)
 	alf := fp16.QuantF32(float32(alpha))
 	bef := fp16.QuantF32(float32(beta))
 	gemmNT16Panel(0, m, n, k, alf, beta == 0, bef, af, bf, c, ldc)
-	putF32(af)
-	putF32(bf)
+	putF32(afp)
+	putF32(bfp)
 }
 
 func gemmNT16Panel(i0, i1, n, k int, alf float32, betaZero bool, bef float32, af, bf []float32, c []float64, ldc int) {

@@ -44,8 +44,8 @@ func PotrfLower(n int, a []float64, lda int) error {
 // float64 storage (for the full-FP32 baseline configuration).
 func PotrfLower32(n int, a []float64, lda int) error {
 	defer leaveFlush32(enterFlush32())
-	w := f32Scratch(n * n)
-	defer putF32(w)
+	w, wp := f32Scratch(n * n)
+	defer putF32(wp)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			w[i*n+j] = float32(a[i*lda+j])

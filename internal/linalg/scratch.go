@@ -3,8 +3,6 @@ package linalg
 import (
 	"math/bits"
 	"sync"
-
-	"geompc/internal/fp16"
 )
 
 // Scratch pools avoid per-kernel allocation churn: the mixed-precision
@@ -13,6 +11,10 @@ import (
 // the next power of two so a sequence of slightly-different tile shapes
 // (remainder tiles, mixed m/n/k) settles on one capacity instead of
 // reallocating at each new size.
+//
+// A scratch call returns the buffer and the pooled pointer that owns it;
+// the kernel hands that same pointer back to put. (Putting the address of
+// a by-value slice instead heap-allocates one slice header per call.)
 
 func scratchCap(n int) int {
 	if n <= 4096 {
@@ -23,48 +25,24 @@ func scratchCap(n int) int {
 
 var f32Pool = sync.Pool{New: func() any { s := make([]float32, 0, 4096); return &s }}
 
-//geompc:hot
-func f32Scratch(n int) []float32 {
+func f32Scratch(n int) ([]float32, *[]float32) {
 	p := f32Pool.Get().(*[]float32)
 	if cap(*p) < n {
-		*p = make([]float32, n, scratchCap(n)) //geompc:nolint hotalloc grows once to the next power of two, then the pooled buffer is reused
+		*p = make([]float32, n, scratchCap(n))
 	}
-	return (*p)[:n]
+	return (*p)[:n], p
 }
 
-func putF32(s []float32) {
-	s = s[:0]
-	f32Pool.Put(&s)
-}
-
-var halfPool = sync.Pool{New: func() any { s := make([]fp16.Half, 0, 4096); return &s }}
-
-//geompc:hot
-func halfScratch(n int) []fp16.Half {
-	p := halfPool.Get().(*[]fp16.Half)
-	if cap(*p) < n {
-		*p = make([]fp16.Half, n, scratchCap(n)) //geompc:nolint hotalloc grows once to the next power of two, then the pooled buffer is reused
-	}
-	return (*p)[:n]
-}
-
-func putHalf(s []fp16.Half) {
-	s = s[:0]
-	halfPool.Put(&s)
-}
+func putF32(p *[]float32) { f32Pool.Put(p) }
 
 var f64Pool = sync.Pool{New: func() any { s := make([]float64, 0, 4096); return &s }}
 
-//geompc:hot
-func f64Scratch(n int) []float64 {
+func f64Scratch(n int) ([]float64, *[]float64) {
 	p := f64Pool.Get().(*[]float64)
 	if cap(*p) < n {
-		*p = make([]float64, n, scratchCap(n)) //geompc:nolint hotalloc grows once to the next power of two, then the pooled buffer is reused
+		*p = make([]float64, n, scratchCap(n))
 	}
-	return (*p)[:n]
+	return (*p)[:n], p
 }
 
-func putF64(s []float64) {
-	s = s[:0]
-	f64Pool.Put(&s)
-}
+func putF64(p *[]float64) { f64Pool.Put(p) }

@@ -79,12 +79,12 @@ func SyrkLN(n, k int, alpha float64, a []float64, lda int, beta float64, c []flo
 // because it updates diagonal tiles).
 func SyrkLN32(n, k int, alpha float64, a []float64, lda int, beta float64, c []float64, ldc int) {
 	defer leaveFlush32(enterFlush32())
-	af := f32Scratch(n * k)
+	af, afp := f32Scratch(n * k)
 	pack32(af, a, n, k, lda)
 	al, be := float32(alpha), float32(beta)
 	betaZero := beta == 0
 	syrkLN32Panel(0, n, k, al, betaZero, be, af, c, ldc)
-	putF32(af)
+	putF32(afp)
 }
 
 func syrkLN32Panel(i0, i1, k int, al float32, betaZero bool, be float32, af []float32, c []float64, ldc int) {

@@ -52,7 +52,7 @@ func TrsmRLT(m, n int, a []float64, lda int, b []float64, ldb int) {
 // FP32, because the considered GPUs only provide half-precision GEMM.
 func TrsmRLT32(m, n int, a []float64, lda int, b []float64, ldb int) {
 	defer leaveFlush32(enterFlush32())
-	af := f32Scratch(n * n)
+	af, afp := f32Scratch(n * n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			af[i*n+j] = float32(a[i*lda+j])
@@ -61,7 +61,7 @@ func TrsmRLT32(m, n int, a []float64, lda int, b []float64, ldb int) {
 	// The whole of B is packed once (the seed packed one row at a time,
 	// re-reading the float64 row per output row); rows then solve
 	// independently with 4-row blocking over the shared triangle.
-	bf := f32Scratch(m * n)
+	bf, bfp := f32Scratch(m * n)
 	pack32(bf, b, m, n, ldb)
 	trsmRLT32Panel(0, m, n, af, bf)
 	for i := 0; i < m; i++ {
@@ -70,8 +70,8 @@ func TrsmRLT32(m, n int, a []float64, lda int, b []float64, ldb int) {
 			bi[j] = float64(v)
 		}
 	}
-	putF32(af)
-	putF32(bf)
+	putF32(afp)
+	putF32(bfp)
 }
 
 func trsmRLT32Panel(i0, i1, n int, af, bf []float32) {

@@ -29,8 +29,6 @@ func (d *Digest) Sum() uint64 {
 }
 
 // WriteUint64 hashes v little-endian, byte by byte.
-//
-//geompc:hot
 func (d *Digest) WriteUint64(v uint64) {
 	h := d.h
 	if h == 0 {
@@ -52,8 +50,6 @@ func (d *Digest) WriteInt64(v int64) { d.WriteUint64(uint64(v)) }
 func (d *Digest) WriteFloat64(v float64) { d.WriteUint64(math.Float64bits(v)) }
 
 // WriteString hashes the raw bytes of s.
-//
-//geompc:hot
 func (d *Digest) WriteString(s string) {
 	h := d.h
 	if h == 0 {

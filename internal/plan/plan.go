@@ -124,8 +124,6 @@ func (p *Plan) Replay(g runtime.Graph) (runtime.Stats, error) {
 // record and driving the body pool. All allocation lives in the pool's
 // start/await paths, which only run for tasks that carry numeric bodies —
 // phantom replays execute this loop alone.
-//
-//geompc:hot
 func replayOps(ops []uint32, g runtime.Graph, spec *runtime.TaskSpec, rp *replayPool) {
 	for _, op := range ops {
 		id := int(op &^ opComplete)
@@ -135,7 +133,7 @@ func replayOps(ops []uint32, g runtime.Graph, spec *runtime.TaskSpec, rp *replay
 		}
 		g.Spec(id, spec)
 		if spec.Body != nil {
-			rp.start(id, spec.Body) //geompc:nolint hotalloc pool warm-up and per-op join bookkeeping; amortized across the replayed plan
+			rp.start(id, spec.Body)
 		}
 	}
 }

@@ -54,7 +54,7 @@ func (p Precision) String() string {
 	case FP16:
 		return "FP16"
 	default:
-		return fmt.Sprintf("Precision(%d)", uint8(p)) //geompc:nolint hotalloc invalid-format diagnostic only; every defined format returns a constant
+		return fmt.Sprintf("Precision(%d)", uint8(p))
 	}
 }
 

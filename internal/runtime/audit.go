@@ -30,7 +30,7 @@ const maxAuditViolations = 16
 
 func (e *Engine) violate(format string, args ...any) {
 	if len(e.auditViol) < maxAuditViolations {
-		e.auditViol = append(e.auditViol, fmt.Sprintf(format, args...)) //geompc:nolint hotalloc violation rendering; only reached once the residency audit has already failed
+		e.auditViol = append(e.auditViol, fmt.Sprintf(format, args...))
 	}
 }
 

@@ -166,7 +166,7 @@ func (g *DTDGraph) NumPredecessors(id int) int { return len(g.tasks[id].preds) }
 
 // Successors implements Graph.
 func (g *DTDGraph) Successors(id int, buf []int) []int {
-	return append(buf, g.tasks[id].succs...) //geompc:nolint hotalloc appends into the engine's reused successor buffer; grows only to steady state
+	return append(buf, g.tasks[id].succs...)
 }
 
 // InitialData implements Graph.

@@ -220,27 +220,24 @@ func (e *Engine) Run() (Stats, error) {
 }
 
 // takeSpec fetches a TaskSpec from the freelist (or allocates one).
-//
-//geompc:hot
 func (e *Engine) takeSpec() *TaskSpec {
 	if n := len(e.specFree); n > 0 {
 		spec := e.specFree[n-1]
 		e.specFree = e.specFree[:n-1]
 		return spec
 	}
-	return &TaskSpec{} //geompc:nolint hotalloc freelist warm-up: allocates only until the steady-state population exists
+	// Freelist warm-up: allocates only until the steady-state population exists.
+	return &TaskSpec{}
 }
 
 // enqueueReady materializes task id's spec from the freelist and pushes it
 // onto its (possibly re-placed) device's ready queue.
-//
-//geompc:hot
 func (e *Engine) enqueueReady(id int) int {
 	spec := e.takeSpec()
 	e.g.Spec(id, spec)
 	spec.ID = id
 	if spec.Device < 0 || spec.Device >= len(e.devices) {
-		e.fail(&GraphError{Task: id, Msg: fmt.Sprintf("assigned to invalid device %d", spec.Device)}) //geompc:nolint hotalloc cold malformed-graph path, run ends here
+		e.fail(&GraphError{Task: id, Msg: fmt.Sprintf("assigned to invalid device %d", spec.Device)})
 		e.specFree = append(e.specFree, spec)
 		return 0
 	}
@@ -268,7 +265,8 @@ func (e *Engine) commit(d *device, spec *TaskSpec) {
 	var sink evictSink
 	var stagedBytes int64
 
-	//geompc:nolint hotalloc staging helper captures commit-local tallies; never escapes the commit call
+	// stage captures commit-local tallies and never escapes commit, so the
+	// closure stays off the heap.
 	stage := func(data DataID, bytes int64, wp prec.Precision, isOutput bool) {
 		stagedBytes += bytes
 		if entry := d.touch(data); entry != nil {
@@ -288,7 +286,7 @@ func (e *Engine) commit(d *device, spec *TaskSpec) {
 				d.pin(data)
 				return
 			}
-			e.fail(&GraphError{Task: spec.ID, Msg: fmt.Sprintf("input %d not available at rank %d", data, d.rank)}) //geompc:nolint hotalloc failure-path error construction; the run aborts here
+			e.fail(&GraphError{Task: spec.ID, Msg: fmt.Sprintf("input %d not available at rank %d", data, d.rank)})
 			return
 		}
 		start := d.h2d.StartAfter(math.Max(avail, e.now))
@@ -373,9 +371,10 @@ func (e *Engine) commit(d *device, spec *TaskSpec) {
 		if e.workers == nil {
 			e.workers = newWorkerPool(gort.GOMAXPROCS(0))
 		}
-		result = make(chan struct{}) //geompc:nolint hotalloc per-numeric-task join channel; numeric mode trades allocs for overlap, pure DES never reaches this
+		// Numeric mode trades a join channel and a wrapper closure per task
+		// for overlap; pure DES never reaches this.
+		result = make(chan struct{})
 		done := result
-		//geompc:nolint hotalloc numeric-task wrapper closure; same numeric-mode trade as the join channel above
 		e.workers.submit(func() {
 			body()
 			close(done)
@@ -419,8 +418,6 @@ func (e *Engine) drainWritebacks(d *device, sink *evictSink) {
 // body's goroutine closes the channel. Virtual completion order therefore
 // bounds real dataflow order — successors never read a tile whose producer
 // body is still running, regardless of GOMAXPROCS.
-//
-//geompc:hot
 func (e *Engine) complete(ev *event) {
 	spec := ev.spec
 	d := e.devices[spec.Device]
@@ -466,7 +463,7 @@ func (e *Engine) complete(ev *event) {
 				e.dirtyDevs = append(e.dirtyDevs, dev)
 			}
 		case e.pending[s] < 0:
-			e.fail(&GraphError{Task: s, Msg: "released more than its in-degree"}) //geompc:nolint hotalloc cold malformed-graph path, run ends here
+			e.fail(&GraphError{Task: s, Msg: "released more than its in-degree"})
 			return
 		}
 	}

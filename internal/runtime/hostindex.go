@@ -15,8 +15,6 @@ const hostAbsent = -1.0
 
 // The dense index is addressed as rank*hostBound + data: one bound-sized
 // segment per rank.
-//
-//geompc:hot
 func (e *Engine) setHostAvail(rank int, d DataID, at float64) {
 	if e.hostDense != nil {
 		e.hostDense[rank*e.hostBound+int(d)] = at
@@ -25,7 +23,6 @@ func (e *Engine) setHostAvail(rank int, d DataID, at float64) {
 	e.hostAvail[hostKey{rank, d}] = at
 }
 
-//geompc:hot
 func (e *Engine) lookupHostAvail(rank int, d DataID) (float64, bool) {
 	if e.hostDense != nil {
 		v := e.hostDense[rank*e.hostBound+int(d)]

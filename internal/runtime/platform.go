@@ -226,7 +226,8 @@ func (d *device) insert(id DataID, bytes int64, p prec.Precision, hostCopy bool,
 		d.entryFree = d.entryFree[:n-1]
 		*e = residentEntry{data: id, bytes: bytes, prec: p, hostCopy: hostCopy}
 	} else {
-		e = &residentEntry{data: id, bytes: bytes, prec: p, hostCopy: hostCopy} //geompc:nolint hotalloc freelist miss: one entry per distinct resident tile, recycled on eviction
+		// Freelist miss: one entry per distinct resident tile, recycled on eviction.
+		e = &residentEntry{data: id, bytes: bytes, prec: p, hostCopy: hostCopy}
 	}
 	d.setEntry(id, e)
 	d.lruFront(e)

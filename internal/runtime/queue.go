@@ -23,8 +23,6 @@ func eventBefore(a, b *event) bool {
 }
 
 // pushEvent sifts a completion event into the heap.
-//
-//geompc:hot
 func (e *Engine) pushEvent(ev event) {
 	e.events = append(e.events, ev)
 	h := e.events
@@ -39,8 +37,6 @@ func (e *Engine) pushEvent(ev event) {
 }
 
 // popEvent removes the earliest completion event.
-//
-//geompc:hot
 func (e *Engine) popEvent() event {
 	h := e.events
 	top := h[0]
@@ -90,8 +86,6 @@ func (o *heapOrder) key(t *TaskSpec) sched.Key {
 }
 
 // before is the comparator every sift step routes through.
-//
-//geompc:hot
 func (o *heapOrder) before(a, b *TaskSpec) bool {
 	if o.fifo {
 		if a.Priority != b.Priority {
@@ -113,8 +107,6 @@ type taskHeap struct {
 func (h *taskHeap) Len() int { return len(h.items) }
 
 // push sifts a ready task into the device's queue.
-//
-//geompc:hot
 func (h *taskHeap) push(t *TaskSpec) {
 	h.items = append(h.items, t)
 	s := h.items
@@ -129,8 +121,6 @@ func (h *taskHeap) push(t *TaskSpec) {
 }
 
 // pop removes the policy-first ready task.
-//
-//geompc:hot
 func (h *taskHeap) pop() *TaskSpec {
 	s := h.items
 	top := s[0]

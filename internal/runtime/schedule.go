@@ -39,8 +39,6 @@ func (e *Engine) resolveSched() {
 // the home rank (or the device range) are clamped back to the
 // owner-computes home: host tile copies live per rank, so a cross-rank
 // placement could not stage its inputs.
-//
-//geompc:hot
 func (e *Engine) placeTask(spec *TaskSpec) int {
 	home := spec.Device
 	refs := e.refsBuf[:0]

@@ -10,7 +10,6 @@ func newWorkerPool(size int) *workerPool {
 	if size < 1 {
 		size = 1
 	}
-	//geompc:nolint hotalloc one-time pool construction, lazily on the first numeric task
 	p := &workerPool{jobs: make(chan func(), 4*size), done: make(chan struct{})}
 	for i := 0; i < size; i++ {
 		go func() {

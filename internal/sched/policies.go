@@ -17,8 +17,6 @@ func (Locality) Hints() Hints         { return NeedPlacement }
 func (Locality) Before(a, b Key) bool { return fifoBefore(a, b) }
 
 // Place runs once per ready task; it must stay allocation-free.
-//
-//geompc:hot
 func (Locality) Place(home int, inputs []DataRef, m Machine) int {
 	per := m.DevPerRank()
 	if per <= 1 || len(inputs) == 0 {

