@@ -32,7 +32,7 @@ race:
 # and on binary32-underflowing operands, the phantom NT=64 Cholesky, the
 # Fig 12 weak-scaling step, the plan-cache ablation pair (fresh
 # simulation vs compiled-plan replay on the MLE-shaped loop), and the
-# parallel-sweep pair (serial reference vs 4-worker pool) and the
+# sweep pair (one-worker pool vs 4-worker pool) and the
 # event loop on a multi-rank phantom run (EngineMultiRank); both run at
 # -cpu 4 — benchjson records GOMAXPROCS per line, so they stay honest
 # even on smaller hosts.
@@ -57,9 +57,12 @@ bench-all:
 fuzz:
 	$(GO) test ./internal/fp16/ -fuzz FuzzFromFloat32 -fuzztime 30s
 
-# Regenerate every paper artifact into results/ (the Fig 12 Summit-scale
-# sweeps simulate ~10^7-task DAGs and take tens of minutes on one core;
-# the Monte-Carlo studies take ~45 minutes).
+# Regenerate every paper artifact into results/. Measured on a 2-core
+# host: about 14 minutes — the two Monte-Carlo studies 8 + 3 minutes, the
+# three Fig 12 Summit-scale sweeps (~10^7-task DAGs) 3 minutes, everything
+# else 6 seconds. Sweeps and studies run one worker per GOMAXPROCS and
+# write the same bytes at any value of it; a Fig 12 sweep holds ~0.6 GiB
+# per in-flight point (GOMAXPROCS=1: ~4 minutes for Fig 12, 1 GiB peak).
 experiments:
 	mkdir -p results
 	$(GO) run ./cmd/geompc gemmbench > results/fig1_tables.txt
@@ -73,7 +76,8 @@ experiments:
 	$(GO) run ./cmd/geompc convbench -node -machine Guyot > results/fig11b_guyotnode.txt
 	$(GO) run ./cmd/geompc power -occupancy -n 81920 > results/fig9_occupancy.txt
 	$(GO) run ./cmd/geompc power -fig10 > results/fig10_energy.txt
-	$(GO) run ./cmd/geompc ablation > results/ablation.txt
+	$(GO) run ./cmd/geompc ablation -banded -lookahead -sched -probe > results/ablation.txt
+	$(GO) run ./cmd/geompc ablation -plan > results/ablation_plan.txt
 	$(GO) run ./cmd/geompc accuracy -dim 2 -replicas 12 -n 324 -ts 54 -maxevals 400 > results/fig5_accuracy2d.txt
 	$(GO) run ./cmd/geompc accuracy -dim 3 -replicas 12 -n 343 -ts 49 -maxevals 400 -levels 0,1e-8,1e-4,1e-2 > results/fig6_accuracy3d.txt
 	$(GO) run ./cmd/geompc scale -weak -nodes 1,4,16,64 -base-n 98304 > results/fig12a_weak.txt

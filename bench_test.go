@@ -210,7 +210,7 @@ func BenchmarkFig12Strong(b *testing.B) {
 // BenchmarkFig12MP runs the MP-vs-FP64 comparison on a multi-node platform.
 func BenchmarkFig12MP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.MPEffect(4, []int{98304}, 2048)
+		rows, err := bench.MPEffect(4, []int{98304}, 2048, bench.SweepOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,10 +6,10 @@ import (
 	"io"
 
 	"geompc/internal/bench"
-	"geompc/internal/cliflags"
 	"geompc/internal/core"
 	"geompc/internal/hw"
 	"geompc/internal/mle"
+	"geompc/internal/sweep"
 )
 
 // runAblation quantifies the design choices DESIGN.md calls out:
@@ -40,11 +40,10 @@ func runAblation(args []string, out io.Writer) error {
 	ts := fs.Int("ts", 2048, "tile size")
 	schedRanks := fs.Int("sched-ranks", 4, "ranks for the -sched broadcast-topology sweep")
 	planEvals := fs.Int("plan-evals", 8, "evaluations in the -plan repeated loop")
-	v := cliflags.Register(fs, cliflags.Workers)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sw := v.SweepOpts()
+	sw := bench.SweepOpts{Workers: sweep.PerCore}
 
 	allIfNone(banded, lookahead, probe, schedFlag, planFlag)
 

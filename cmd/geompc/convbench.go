@@ -28,7 +28,7 @@ func runConvbench(args []string, out io.Writer) error {
 	node := fs.Bool("node", false, "use every GPU of the node (Fig 11)")
 	sizesFlag := fs.String("sizes", "", "comma-separated matrix sizes (default: per-machine sweep)")
 	ts := fs.Int("ts", 2048, "tile size")
-	v := cliflags.Register(fs, cliflags.Sched|cliflags.PlanCache|cliflags.Workers)
+	v := cliflags.Register(fs, cliflags.Sched)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -96,14 +96,5 @@ func runConvbench(args []string, out io.Writer) error {
 		st.Add(cfg.Name, m["STC"]/m["TTC"])
 	}
 	st.Write(out)
-	if cache := v.Cache(); cache != nil {
-		s := cache.Stats()
-		fmt.Fprintf(out, "\nplan cache: %d hit(s), %d miss(es), %d invalidation(s) dirtying %d task(s)\n",
-			s.Hits, s.Misses, s.Invalidations, s.TasksInvalidated)
-		if v.Workers != 0 {
-			fmt.Fprintln(out, "(cache shared across sweep workers; counters are scheduling-dependent, rows are not)")
-		}
-	}
-	v.WriteSummary(out, "\n")
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -51,8 +52,8 @@ func TestCommands(t *testing.T) {
 		{name: "convbench/smoke", args: "-machine Summit -gpus 1 -sizes 16384",
 			want: []string{"Fig 8: STC vs TTC on 1×V100", "STC/TTC speedup at N=16384"}},
 		{name: "convbench/bad-machine", args: "-machine Frontier", fail: true},
-		{name: "convbench/plan-cache-smoke", args: "-machine Summit -gpus 1 -sizes 8192 -plan-cache",
-			want: []string{"plan cache:"}},
+		{name: "convbench/plan-cache-flag-gone", args: "-plan-cache", fail: true, errWant: "flag provided but not defined: -plan-cache"},
+		{name: "convbench/workers-flag-gone", args: "-workers 2", fail: true, errWant: "flag provided but not defined: -workers"},
 		{name: "convbench/gpus-0-is-whole-node", args: "-machine Summit -gpus 0 -sizes 8192",
 			want: []string{"Fig 11: STC vs TTC on 6×V100"}}, // the heading names what was simulated
 		{name: "convbench/solver-flag-gone", args: "-solver direct", fail: true, errWant: "flag provided but not defined: -solver"},
@@ -62,6 +63,7 @@ func TestCommands(t *testing.T) {
 		{name: "scale/strong-smoke", args: "-strong -nodes 1 -strong-n 8192",
 			want: []string{"Fig 12b: strong scalability"}},
 		{name: "scale/weak-bad-tile-size", args: "-weak -ts 0", fail: true}, // an error, not a divide-by-zero panic
+		{name: "scale/workers-flag-gone", args: "-workers 2", fail: true, errWant: "flag provided but not defined: -workers"},
 
 		{name: "power/smoke", args: "-fig10 -machine Summit -n 16384",
 			want: []string{"Fig 10: power/energy on one V100 (N=16384)", "max TDP on V100"}},
@@ -163,31 +165,22 @@ func TestTraceChrome(t *testing.T) {
 	}
 }
 
-// TestWorkersMatchesSerial: a pooled sweep prints the serial run's tables
-// byte for byte. convbench and scale then append a sweep summary; ablation
-// prints none, so its whole output must be identical.
-func TestWorkersMatchesSerial(t *testing.T) {
-	for _, c := range []struct {
-		args    []string
-		summary bool
-	}{
-		{[]string{"convbench", "-machine", "Summit", "-gpus", "1", "-sizes", "8192,16384"}, true},
-		{[]string{"scale", "-weak", "-nodes", "1,2", "-base-n", "8192"}, true},
-		{[]string{"ablation", "-sched", "-n", "16384", "-sched-ranks", "3"}, false},
+// TestSweepsIndependentOfGOMAXPROCS: the commands size their sweep pools
+// from GOMAXPROCS, and what they print does not depend on it.
+func TestSweepsIndependentOfGOMAXPROCS(t *testing.T) {
+	for _, args := range [][]string{
+		{"convbench", "-machine", "Summit", "-gpus", "1", "-sizes", "8192,16384"},
+		{"scale", "-nodes", "1,2", "-base-n", "8192", "-strong-n", "8192", "-mp-nodes", "2", "-sizes", "8192,16384"},
+		{"ablation", "-sched", "-n", "16384", "-sched-ranks", "3"},
 	} {
-		c := c
-		t.Run(c.args[0], func(t *testing.T) {
-			serial := runOut(t, c.args...)
-			par := runOut(t, append(c.args, "-workers", "2")...)
-			if !strings.HasPrefix(par, serial) {
-				t.Errorf("-workers 2 changed the tables:\nserial:\n%s\nparallel:\n%s", serial, par)
+		args := args
+		t.Run(args[0], func(t *testing.T) {
+			at := func(procs int) string {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				return runOut(t, args...)
 			}
-			rest := par[len(serial):]
-			if c.summary && !strings.Contains(rest, "sweep: ") {
-				t.Errorf("missing sweep summary:\n%s", par)
-			}
-			if !c.summary && rest != "" {
-				t.Errorf("-workers 2 appended %q", rest)
+			if one, four := at(1), at(4); one != four {
+				t.Errorf("output differs between GOMAXPROCS 1 and 4:\n%s\n---\n%s", one, four)
 			}
 		})
 	}
@@ -221,8 +214,8 @@ func TestDispatch(t *testing.T) {
 	listsAll(runOut(t, "help"))
 }
 
-// TestResultsGolden regenerates the committed figures that take about a
-// second or less and compares stdout to results/ byte for byte. The
+// TestResultsGolden regenerates the committed figures that take a few
+// seconds or less and compares stdout to results/ byte for byte. The
 // argument lists are read from the Makefile's `experiments` target, so the
 // files, the target and the binary cannot drift apart.
 func TestResultsGolden(t *testing.T) {
@@ -253,6 +246,8 @@ func TestResultsGolden(t *testing.T) {
 		{"fig9_occupancy.txt", false},
 		{"fig10_energy.txt", true},
 		{"fig11a_summitnode.txt", true},
+		{"fig11b_guyotnode.txt", true},
+		{"ablation.txt", true}, // the findings that keep sched.Locality/CriticalPath and comm.Flat/Chain
 	} {
 		c := c
 		t.Run(strings.TrimSuffix(c.file, ".txt"), func(t *testing.T) {

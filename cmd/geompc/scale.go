@@ -30,7 +30,7 @@ func runScale(args []string, out io.Writer) error {
 	strongN := fs.Int("strong-n", 798720, "strong-scaling matrix size (paper: 798720)")
 	sizesFlag := fs.String("sizes", "196608,399360,598016,798720", "matrix sizes for -mp")
 	ts := fs.Int("ts", 2048, "tile size")
-	v := cliflags.Register(fs, cliflags.Sched|cliflags.Workers)
+	v := cliflags.Register(fs, cliflags.Sched)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -53,7 +53,6 @@ func runScale(args []string, out io.Writer) error {
 			t.Add(r.Nodes, r.GPUs, r.N, r.Tflops, r.PctPeak, r.Time)
 		}
 		t.Write(out)
-		v.WriteSummary(out, "")
 	}
 
 	if *strong {
@@ -67,7 +66,6 @@ func runScale(args []string, out io.Writer) error {
 			t.Add(r.Nodes, r.GPUs, r.Tflops, r.PctPeak, r.Time)
 		}
 		t.Write(out)
-		v.WriteSummary(out, "")
 	}
 
 	if *mp {
@@ -75,7 +73,7 @@ func runScale(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		rows, err := bench.MPEffect(*mpNodes, sizes, *ts)
+		rows, err := bench.MPEffect(*mpNodes, sizes, *ts, so.SweepOpts)
 		if err != nil {
 			return err
 		}

@@ -9,6 +9,7 @@ import (
 	"geompc/internal/cholesky"
 	"geompc/internal/cliflags"
 	"geompc/internal/hw"
+	"geompc/internal/plan"
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
@@ -31,11 +32,12 @@ func runTrace(args []string, out io.Writer) error {
 	chrome := fs.String("chrome", "", "write the timeline as Chrome trace-event JSON to this file")
 	audit := fs.Bool("audit", false, "run the engine's invariant auditor; violations are fatal")
 	metrics := fs.Bool("metrics", false, "dump the run's metrics registry after the schedule")
-	v := cliflags.Register(fs, cliflags.Sched|cliflags.PlanCache)
+	planCache := fs.Bool("plan-cache", false, "route the run through a compiled-plan cache and print the hit/miss/invalidation counters")
+	v := cliflags.Register(fs, cliflags.Sched)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if v.PlanCache && *chrome != "" {
+	if *planCache && *chrome != "" {
 		return fmt.Errorf("-chrome needs a live run's interval traces; drop -plan-cache")
 	}
 	plat, err := runtime.NewPlatform(hw.SummitNode, 1, *gpus)
@@ -54,7 +56,10 @@ func runTrace(args []string, out io.Writer) error {
 		return err
 	}
 
-	cache := v.Cache()
+	var cache *plan.Cache
+	if *planCache {
+		cache = plan.NewCache(nil)
+	}
 	res, err := cholesky.RunCached(cfg, cache)
 	if err != nil {
 		return err

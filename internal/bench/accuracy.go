@@ -38,11 +38,6 @@ func Fig6Cases() []AccuracyCase {
 	}
 }
 
-// AccuracyLevels returns the accuracy thresholds compared in the figures:
-// exact FP64 (0), the paper's validated 1e-9, the sqexp-acceptable 1e-4,
-// and an aggressive 1e-2 that visibly degrades Matérn estimation.
-func AccuracyLevels() []float64 { return []float64{0, 1e-9, 1e-4, 1e-2} }
-
 // AccuracyResult is the Monte-Carlo outcome for one case at one level.
 type AccuracyResult struct {
 	Case      string

@@ -255,7 +255,7 @@ func TestScalingShapes(t *testing.T) {
 }
 
 func TestMPEffect(t *testing.T) {
-	rows, err := MPEffect(2, []int{32768}, 2048)
+	rows, err := MPEffect(2, []int{32768}, 2048, SweepOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

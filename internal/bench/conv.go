@@ -55,8 +55,8 @@ type ConvRow struct {
 	// PctPeak is achieved performance over the config's dominant-precision
 	// peak (the dashed lines of Fig 8).
 	PctPeak float64
-	// Digest is the run's FNV-1a schedule digest — the value the parallel
-	// sweep executor must reproduce bit for bit against a serial sweep.
+	// Digest is the run's FNV-1a schedule digest — the value the sweep
+	// executor must reproduce bit for bit at every pool width.
 	Digest uint64
 }
 
@@ -91,10 +91,7 @@ func convGrid(sizes []int) []convPoint {
 // ConvSweepOpts runs Fig 8 (single GPU) or Fig 11 (full node) for one
 // machine: every configuration × {STC, TTC} × matrix size, in phantom mode,
 // under the named policy and topology of so (zero SchedOpts = FIFO +
-// binomial, serial). With so.Cache set the sweep alternates
-// precision maps over a handful of schedule shapes (strategy × size), so
-// with one plan slot per shape it exercises the invalidation path far more
-// than the replay path — convbench -plan-cache prints that mix.
+// binomial).
 //
 // The unnamed string parameter is unused and read by nothing: it keeps its
 // position only because the frozen benchmark/ tree passes "" there.
@@ -108,7 +105,7 @@ func ConvSweepOpts(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts in
 		return nil, err
 	}
 	pts := convGrid(sizes)
-	return sweep.Run(len(pts), so.sweepOptions(), func(i int, ctx *sweep.Context) (ConvRow, error) {
+	return sweep.Run(len(pts), so.SweepOpts, func(i int, ctx *sweep.Context) (ConvRow, error) {
 		p := pts[i]
 		cfg := base
 		cfg.Strategy = p.strat

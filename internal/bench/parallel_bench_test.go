@@ -2,10 +2,11 @@ package bench
 
 // The SweepParallel pair measures what the deterministic sweep executor
 // buys on multi-core hosts: the same 12-point conversion-sweep grid
-// (4 configs x strategies x 2 sizes, phantom NT=32/48) run serially and
-// on a 4-worker pool. Run with -cpu 4 (see the Makefile bench target) —
-// on a single-core host the pool cannot beat serial and the pair simply
-// documents the executor's overhead.
+// (4 configs x strategies x 2 sizes, phantom NT=32/48) run on a one-worker
+// pool (Serial — the name is kept for BENCH_kernels.json series
+// continuity) and on a 4-worker pool. Run with -cpu 4 (see the Makefile
+// bench target) — on a single-core host four workers cannot beat one and
+// the pair simply documents the executor's overhead.
 
 import (
 	"testing"

@@ -1,9 +1,10 @@
 package bench
 
-// Serial-vs-parallel equivalence for every sweep family: the deterministic
+// Pool-width equivalence for every sweep family: the deterministic
 // executor must return row-for-row identical results (struct equality,
 // schedule digests included) at every worker count, and the merged engine
-// metrics must match the serial merge bit for bit.
+// metrics must match the one-worker merge bit for bit. "Serial" in the
+// names below is that one-worker reference (Workers: 0).
 
 import (
 	"runtime"
@@ -12,13 +13,11 @@ import (
 
 	"geompc/internal/hw"
 	"geompc/internal/obs"
-	planpkg "geompc/internal/plan"
-	"geompc/internal/sweep"
 )
 
 // edgeWorkers is the worker-count edge table every family is checked
-// against: serial, single worker, the machine's parallelism, and a pool
-// larger than any grid in this file.
+// against: the zero value, single worker, the machine's parallelism, and
+// a pool larger than any grid in this file.
 func edgeWorkers() []int {
 	return []int{0, 1, runtime.NumCPU(), 64}
 }
@@ -66,27 +65,6 @@ func TestConvSweepParallelMatchesSerial(t *testing.T) {
 	sameRows(t, "ConvSweep/locality+flat", 4, gotPlaced, placed)
 }
 
-func TestConvSweepCachedParallelMatchesSerial(t *testing.T) {
-	sizes := []int{8192, 16384}
-	const ts = 2048
-	want, err := ConvSweepOpts(hw.SummitNode, 1, 1, sizes, ts, "", SchedOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{0, 4} {
-		cache := planpkg.NewCache(nil)
-		got, err := ConvSweepOpts(hw.SummitNode, 1, 1, sizes, ts, "",
-			SchedOpts{Cache: cache, SweepOpts: SweepOpts{Workers: w}})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		sameRows(t, "ConvSweepCached", w, got, want)
-		if s := cache.Stats(); s.Misses+s.Invalidations == 0 {
-			t.Errorf("workers=%d: shared cache never compiled: %+v", w, s)
-		}
-	}
-}
-
 func TestScalingParallelMatchesSerial(t *testing.T) {
 	nodes := []int{1, 2, 4}
 	const baseN, ts = 8192, 2048
@@ -110,6 +88,25 @@ func TestScalingParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("strong workers=%d: %v", w, err)
 		}
 		sameRows(t, "StrongScaling", w, gotStrong, wantStrong)
+	}
+
+	// Fig 12c: the Speedup column is derived after the sweep returns, so it
+	// too is independent of the pool width.
+	wantMP, err := MPEffect(2, []int{8192, 16384}, ts, SweepOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 4} {
+		gotMP, err := MPEffect(2, []int{8192, 16384}, ts, SweepOpts{Workers: w})
+		if err != nil {
+			t.Fatalf("mp workers=%d: %v", w, err)
+		}
+		sameRows(t, "MPEffect", w, gotMP, wantMP)
+	}
+	for _, r := range wantMP {
+		if r.Speedup <= 0 {
+			t.Errorf("MPEffect row %+v has no speedup", r)
+		}
 	}
 }
 
@@ -181,7 +178,7 @@ func TestFamilyMergedMetricsDeterministic(t *testing.T) {
 	render := func(w int) []obs.Metric {
 		reg := obs.NewRegistry()
 		_, err := SchedAblationOpts(hw.SummitNode, 1, 0, []int{8192}, 2048,
-			SweepOpts{Workers: w, Metrics: reg})
+			SweepOpts{Workers: w, Registry: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,29 +204,6 @@ func TestFamilyMergedMetricsDeterministic(t *testing.T) {
 			if got[i] != want[i] {
 				t.Errorf("workers=%d: metric %q = %+v, serial %+v", w, want[i].Name, got[i], want[i])
 			}
-		}
-	}
-}
-
-// TestSweepSummaryReported: families surface the executor's throughput
-// summary and gauges through SweepOpts.
-func TestSweepSummaryReported(t *testing.T) {
-	var s sweep.Summary
-	reg := obs.NewRegistry()
-	rows, err := ConvSweepOpts(hw.SummitNode, 1, 1, []int{8192}, 2048, "",
-		SchedOpts{SweepOpts: SweepOpts{Workers: 2, Metrics: reg, Summary: &s}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Points != len(rows) || s.Workers != 2 || s.PointsPerSec <= 0 {
-		t.Errorf("summary %+v does not describe the %d-row sweep", s, len(rows))
-	}
-	if reg.Gauge("sweep/points").Value() != float64(len(rows)) {
-		t.Errorf("sweep/points gauge = %g, want %d", reg.Gauge("sweep/points").Value(), len(rows))
-	}
-	for _, r := range rows {
-		if r.Digest == 0 {
-			t.Errorf("row %+v has zero schedule digest", r)
 		}
 	}
 }

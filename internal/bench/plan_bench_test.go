@@ -78,10 +78,11 @@ func TestPlanAblation(t *testing.T) {
 	}
 }
 
-// TestConvSweepCachedMatchesFresh: a cached sweep reports the same rows as
-// a fresh one. The sweep alternates maps over few shapes, so with one plan
-// slot per shape every run is a miss or an invalidation+recompile — the
-// counters must balance the row count exactly.
+// TestConvSweepCachedMatchesFresh: the conversion sweep's grid run point by
+// point through one plan cache reproduces the sweep's rows. The grid
+// alternates maps over few shapes, so with one plan slot per shape every run
+// is a miss or an invalidation+recompile — the counters must balance the
+// row count exactly.
 func TestConvSweepCachedMatchesFresh(t *testing.T) {
 	sizes := []int{512}
 	const ts = 128
@@ -89,18 +90,26 @@ func TestConvSweepCachedMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plat, err := runtime.NewPlatform(hw.SummitNode, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cache := planpkg.NewCache(nil)
-	first, err := ConvSweepOpts(hw.SummitNode, 1, 1, sizes, ts, "", SchedOpts{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := ConvSweepOpts(hw.SummitNode, 1, 1, sizes, ts, "", SchedOpts{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fresh {
-		if first[i] != fresh[i] || second[i] != fresh[i] {
-			t.Fatalf("row %d diverged: fresh=%+v first=%+v second=%+v", i, fresh[i], first[i], second[i])
+	for pass := 0; pass < 2; pass++ {
+		for i, p := range convGrid(sizes) {
+			desc, err := tile.NewDesc(p.n, ts, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := cholesky.RunCached(cholesky.Config{
+				Desc: desc, Maps: precmap.New(p.cfg.KernelMap(desc.NT), 1e-2), Platform: plat, Strategy: p.strat,
+			}, cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Digest() != fresh[i].Digest || res.Stats.Makespan != fresh[i].Time || res.Stats.BytesH2D != fresh[i].BytesH2D {
+				t.Fatalf("pass %d row %d diverged: fresh=%+v cached digest=%016x stats=%+v", pass, i, fresh[i], res.Digest(), res.Stats)
+			}
 		}
 	}
 	s := cache.Stats()

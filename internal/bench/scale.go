@@ -26,8 +26,8 @@ type ScaleRow struct {
 	PctPeak float64
 	// Speedup vs. the FP64 run of the same N/GPU count (Fig 12c).
 	Speedup float64
-	// Digest is the run's FNV-1a schedule digest — the value the parallel
-	// sweep executor must reproduce bit for bit against a serial sweep.
+	// Digest is the run's FNV-1a schedule digest — the value the sweep
+	// executor must reproduce bit for bit at every pool width.
 	Digest uint64
 }
 
@@ -90,8 +90,8 @@ func runScale(ctx *sweep.Context, cfg scaleConfig, nodes, n, ts int, seed uint64
 
 // WeakScalingOpts runs Fig 12a: the matrix grows with the GPU count so
 // per-GPU memory stays constant (N ∝ √GPUs), FP64 configuration, one sweep
-// point per node count (parallel when so.Workers > 0), under the named
-// scheduling policy and broadcast topology.
+// point per node count, under the named scheduling policy and broadcast
+// topology.
 func WeakScalingOpts(nodeCounts []int, baseN, ts int, so SchedOpts) ([]ScaleRow, error) {
 	if len(nodeCounts) == 0 {
 		return nil, fmt.Errorf("bench: weak scaling needs at least one node count")
@@ -102,7 +102,7 @@ func WeakScalingOpts(nodeCounts []int, baseN, ts int, so SchedOpts) ([]ScaleRow,
 		return nil, err
 	}
 	base := float64(nodeCounts[0])
-	return sweep.Run(len(nodeCounts), so.sweepOptions(), func(i int, ctx *sweep.Context) (ScaleRow, error) {
+	return sweep.Run(len(nodeCounts), so.SweepOpts, func(i int, ctx *sweep.Context) (ScaleRow, error) {
 		nodes := nodeCounts[i]
 		n := int(float64(baseN) * math.Sqrt(float64(nodes)/base))
 		n = (n + ts - 1) / ts * ts
@@ -114,17 +114,17 @@ func WeakScalingOpts(nodeCounts []int, baseN, ts int, so SchedOpts) ([]ScaleRow,
 // 798,720) over increasing node counts, FP64 configuration, one sweep point
 // per node count, with the same scheduling knobs as WeakScalingOpts.
 func StrongScalingOpts(nodeCounts []int, n, ts int, so SchedOpts) ([]ScaleRow, error) {
-	return sweep.Run(len(nodeCounts), so.sweepOptions(), func(i int, ctx *sweep.Context) (ScaleRow, error) {
+	return sweep.Run(len(nodeCounts), so.SweepOpts, func(i int, ctx *sweep.Context) (ScaleRow, error) {
 		return runScale(ctx, scaleConfig{name: "FP64", uniform: prec.FP64}, nodeCounts[i], n, ts, 1, so)
 	})
 }
 
 // MPEffect runs Fig 12c: on a fixed node count (the paper uses 64 nodes =
 // 384 GPUs), FP64 and FP32 baselines and the three applications' adaptive
-// MP across a matrix-size sweep, reporting speedup over FP64. The speedup
-// column chains each row to the FP64 baseline of its size, so this family
-// stays serial.
-func MPEffect(nodes int, sizes []int, ts int) ([]ScaleRow, error) {
+// MP across a matrix-size sweep, one sweep point per (configuration, size).
+// The speedup over the FP64 run of the same size is filled in once the
+// sweep has returned every row.
+func MPEffect(nodes int, sizes []int, ts int, so SweepOpts) ([]ScaleRow, error) {
 	type point struct {
 		cfg scaleConfig
 		n   int
@@ -135,7 +135,7 @@ func MPEffect(nodes int, sizes []int, ts int) ([]ScaleRow, error) {
 			pts = append(pts, point{cfg: cfg, n: n})
 		}
 	}
-	rows, err := sweep.Run(len(pts), sweep.Options{}, func(i int, ctx *sweep.Context) (ScaleRow, error) {
+	rows, err := sweep.Run(len(pts), so, func(i int, ctx *sweep.Context) (ScaleRow, error) {
 		return runScale(ctx, pts[i].cfg, nodes, pts[i].n, ts, 2, SchedOpts{})
 	})
 	if err != nil {

@@ -6,8 +6,6 @@ import (
 	"geompc/internal/cholesky"
 	"geompc/internal/comm"
 	"geompc/internal/hw"
-	"geompc/internal/obs"
-	"geompc/internal/plan"
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
@@ -16,46 +14,21 @@ import (
 	"geompc/internal/tile"
 )
 
-// SweepOpts configures how a sweep family executes its grid. The zero
-// value is the historical behavior: serial, no metrics. Workers > 0 fans
-// the grid over the deterministic sweep executor (internal/sweep) — rows
-// stay bit-identical to a serial sweep at any worker count; only the
-// wall-clock sweep/* gauges vary.
-type SweepOpts struct {
-	// Workers is the executor pool size: 0 = serial, n > 0 = n workers,
-	// negative = GOMAXPROCS.
-	Workers int
-	// Metrics, when non-nil, receives every run's engine metrics merged in
-	// grid order plus the sweep/* throughput gauges.
-	Metrics *obs.Registry
-	// Summary, when non-nil, is filled with the sweep's throughput report.
-	Summary *sweep.Summary
-}
-
-// sweepOptions translates the bench-level knobs into executor options.
-func (o SweepOpts) sweepOptions() sweep.Options {
-	return sweep.Options{Workers: o.Workers, Registry: o.Metrics, Summary: o.Summary}
-}
+// SweepOpts configures how a sweep family executes its grid: the options
+// of the deterministic sweep executor (internal/sweep) — the pool width
+// (the commands pass sweep.PerCore; 0, one worker, is the reference the
+// equivalence tests compare against) and the registry that receives every
+// run's engine metrics merged in grid order. Rows are bit-identical at
+// every width; only the wall-clock sweep/* gauges vary.
+type SweepOpts = sweep.Options
 
 // SchedOpts names a scheduling policy and broadcast topology by their CLI
-// spellings, plus the sweep-execution knobs. The zero value is the engine's
-// historical behavior (FIFO + binomial, serial sweep, no plan cache).
+// spellings, plus the sweep-execution knobs. The zero value is FIFO +
+// binomial on a one-worker pool.
 type SchedOpts struct {
 	Policy string // sched.ByName: "", "fifo", "locality", "cp"
 	Bcast  string // comm.TopologyByName: "", "binomial", "flat", "chain"
-	// Cache, when non-nil, routes every solve of the sweep through one
-	// compiled-plan cache shared by all workers (see the plan.Cache
-	// concurrency contract): rows are identical to an uncached sweep's; the
-	// counters show how they were obtained.
-	Cache *plan.Cache
 	SweepOpts
-}
-
-// sweepOptions adds the plan cache to the embedded execution knobs.
-func (o SchedOpts) sweepOptions() sweep.Options {
-	opts := o.SweepOpts.sweepOptions()
-	opts.Cache = o.Cache
-	return opts
 }
 
 // Config resolves the names in o into the run config every point of a
@@ -74,10 +47,9 @@ func (o SchedOpts) Config(base cholesky.Config) (cholesky.Config, error) {
 
 // solvePoint is the body every phantom sweep point shares: lay an n×n
 // matrix of ts-sized tiles over the platform's squarest process grid, build
-// the precision maps from km at accuracy ureq, run one factorization
-// (through the point's plan cache, if any) and merge the run's metrics into
-// the point's shard. cfg carries everything but Desc and Maps; label names
-// the point in a solve error.
+// the precision maps from km at accuracy ureq, run one factorization and
+// merge the run's metrics into the point's shard. cfg carries everything
+// but Desc and Maps; label names the point in a solve error.
 func solvePoint(ctx *sweep.Context, cfg cholesky.Config, n, ts int,
 	km func(tile.Desc) [][]prec.Precision, ureq float64, label string) (*cholesky.Result, error) {
 	pg, qg := tile.SquarestGrid(cfg.Platform.Ranks)
@@ -87,7 +59,7 @@ func solvePoint(ctx *sweep.Context, cfg cholesky.Config, n, ts int,
 	}
 	cfg.Desc = desc
 	cfg.Maps = precmap.New(km(desc), ureq)
-	res, err := cholesky.RunCached(cfg, ctx.Cache)
+	res, err := cholesky.Run(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s: %w", label, err)
 	}
@@ -115,10 +87,9 @@ type SchedRow struct {
 
 // SchedAblationOpts runs the Fig 11 multi-GPU workload (mixed-precision
 // FP64/FP16_32 Auto on a full node) under every built-in scheduling policy,
-// in phantom mode, through the sweep executor (zero SweepOpts = serial).
-// The interesting column is BytesH2D: Locality re-places consumers onto the
-// device already holding their tiles, so its staging traffic must come in
-// strictly below FIFO's.
+// in phantom mode, through the sweep executor. The interesting column is
+// BytesH2D: Locality re-places consumers onto the device already holding
+// their tiles, so its staging traffic must come in strictly below FIFO's.
 func SchedAblationOpts(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts int, so SweepOpts) ([]SchedRow, error) {
 	plat, err := runtime.NewPlatform(node, ranks, gpusPerRank)
 	if err != nil {
@@ -134,7 +105,7 @@ func SchedAblationOpts(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, t
 			pts = append(pts, point{pol: pol, n: n})
 		}
 	}
-	return sweep.Run(len(pts), so.sweepOptions(), func(i int, ctx *sweep.Context) (SchedRow, error) {
+	return sweep.Run(len(pts), so, func(i int, ctx *sweep.Context) (SchedRow, error) {
 		p := pts[i]
 		res, err := solvePoint(ctx, cholesky.Config{Platform: plat, Sched: p.pol}, p.n, ts, uniformOffDiag(prec.FP16x32), 1e-2,
 			fmt.Sprintf("sched %s n=%d", p.pol.Name(), p.n))
@@ -164,7 +135,7 @@ type BcastRow struct {
 
 // BcastAblationOpts runs a multi-rank mixed-precision factorization under
 // every built-in broadcast topology, in phantom mode, through the sweep
-// executor (zero SweepOpts = serial). Bytes on the wire are identical by
+// executor. Bytes on the wire are identical by
 // construction; what moves is when receivers get the panel — the makespan
 // column shows the cost of each shape.
 func BcastAblationOpts(node *hw.NodeSpec, ranks int, sizes []int, ts int, so SweepOpts) ([]BcastRow, error) {
@@ -182,7 +153,7 @@ func BcastAblationOpts(node *hw.NodeSpec, ranks int, sizes []int, ts int, so Swe
 			pts = append(pts, point{topo: topo, n: n})
 		}
 	}
-	return sweep.Run(len(pts), so.sweepOptions(), func(i int, ctx *sweep.Context) (BcastRow, error) {
+	return sweep.Run(len(pts), so, func(i int, ctx *sweep.Context) (BcastRow, error) {
 		p := pts[i]
 		res, err := solvePoint(ctx, cholesky.Config{Platform: plat, Bcast: p.topo}, p.n, ts, uniformOffDiag(prec.FP16x32), 1e-2,
 			fmt.Sprintf("bcast %s n=%d", p.topo.Name(), p.n))

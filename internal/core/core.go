@@ -143,7 +143,9 @@ type FitReport struct {
 	NegLogLik  float64
 	Converged  bool
 
-	// Simulated execution totals across all likelihood evaluations.
+	// Simulated execution totals across the factorizations the fit ran:
+	// one per distinct θ (the optimizer does not re-run a θ it has already
+	// evaluated), not one per optimizer step.
 	Evaluations int
 	Time        float64 // seconds of simulated machine time
 	Energy      float64 // joules

@@ -75,12 +75,6 @@ func init() {
 	}
 }
 
-// RoundF32Fast rounds a float32 through binary16 and back, bit-identical to
-// RoundF32 for non-NaN inputs (NaNs keep their payload instead of being
-// canonicalized; arithmetic on either representation quiets to the same
-// canonical NaN).
-func RoundF32Fast(f float32) float32 { return QuantF32(f) }
-
 // ToFloat32Fast converts a binary16 value to float32 via table lookup,
 // bit-identical to ToFloat32.
 func ToFloat32Fast(h Half) float32 { return halfToF32[h] }

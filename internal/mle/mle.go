@@ -73,6 +73,11 @@ func (p *Problem) defaults() error {
 // RunStats accumulates simulated execution statistics across likelihood
 // evaluations.
 type RunStats struct {
+	// Evaluations counts factorizations actually run. Under Fit that is
+	// one per distinct θ: optimize.Minimize answers a bit-identical repeat
+	// from its table, so this reads below optimize.Result.Evals by the
+	// repeated share (8–18% on the benchmark's fit workloads), and Time,
+	// Energy and the byte totals with it.
 	Evaluations int
 	// Time is the summed simulated makespan of all factorizations.
 	Time float64

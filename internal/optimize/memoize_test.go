@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// TestMemoizeExactRepeats: with Memoize set, Minimize calls the underlying
-// objective at most once per distinct coordinate vector while converging to
-// the same point as the unmemoized run.
+// TestMemoizeExactRepeats: Minimize calls the underlying objective at most
+// once per bit-identical coordinate vector — fewer calls than the
+// evaluations it counts, because the restart loop revisits points — and
+// still reaches the optimum.
 func TestMemoizeExactRepeats(t *testing.T) {
 	sphere := func(x []float64) float64 {
 		s := 0.0
@@ -16,41 +17,23 @@ func TestMemoizeExactRepeats(t *testing.T) {
 		}
 		return s
 	}
-	x0 := []float64{-1, 1}
-	lo := []float64{-2, -2}
-	hi := []float64{2, 2}
-	opt := Options{Tol: 1e-10, MaxEvals: 400}
-
-	plainCalls := 0
-	plain, err := Minimize(func(x []float64) float64 { plainCalls++; return sphere(x) }, x0, lo, hi, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opt.Memoize = true
-	seen := make(map[[2]float64]int)
-	memoCalls := 0
-	memo, err := Minimize(func(x []float64) float64 {
-		memoCalls++
-		key := [2]float64{x[0], x[1]}
-		seen[key]++
-		if seen[key] > 1 {
-			t.Errorf("memoized objective re-evaluated at %v", x)
+	seen := make(map[[2]uint64]bool)
+	res, err := Minimize(func(x []float64) float64 {
+		key := [2]uint64{math.Float64bits(x[0]), math.Float64bits(x[1])}
+		if seen[key] {
+			t.Errorf("objective called again at %v", x)
 		}
+		seen[key] = true
 		return sphere(x)
-	}, x0, lo, hi, opt)
+	}, []float64{-1, 1}, []float64{-2, -2}, []float64{2, 2}, Options{Tol: 1e-10, MaxEvals: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if memo.F != plain.F || memo.X[0] != plain.X[0] || memo.X[1] != plain.X[1] {
-		t.Fatalf("memoized optimum (%v, %g) != plain (%v, %g)", memo.X, memo.F, plain.X, plain.F)
+	if len(seen) >= res.Evals {
+		t.Fatalf("objective called %d times for %d counted evaluations (the restart loop should repeat points)",
+			len(seen), res.Evals)
 	}
-	if memoCalls >= plainCalls {
-		t.Fatalf("memoization saved nothing: %d calls vs %d plain (restart loop should repeat points)",
-			memoCalls, plainCalls)
-	}
-	if math.Abs(memo.F) > 1e-8 {
-		t.Fatalf("optimum not reached: f=%g", memo.F)
+	if math.Abs(res.F) > 1e-8 {
+		t.Fatalf("optimum not reached: f=%g", res.F)
 	}
 }

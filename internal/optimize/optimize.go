@@ -23,13 +23,6 @@ type Options struct {
 	Tol float64
 	// MaxEvals bounds the number of objective evaluations (default 2000).
 	MaxEvals int
-	// Memoize caches objective values by exact argument bits. The restart
-	// and polish phases of Minimize re-evaluate incumbents at identical
-	// coordinates; when each evaluation is an expensive simulated
-	// factorization (the MLE driver), memoization turns those repeats into
-	// table lookups. Only sound for deterministic objectives — which every
-	// simulation in this repository is by construction.
-	Memoize bool
 }
 
 func (o Options) withDefaults() Options {
@@ -263,10 +256,10 @@ func CompassSearch(f Objective, x0, lo, hi []float64, opt Options) (Result, erro
 	return Result{X: x, F: fx, Evals: evals, Converged: false}, nil
 }
 
-// memoized wraps f with an exact-bits value cache (see Options.Memoize).
-// Keys are the raw IEEE-754 bit patterns of the argument vector, so two
-// calls hit the same entry iff the coordinates are bit-identical — the only
-// equality under which reusing a deterministic objective value is sound.
+// memoized wraps f with an exact-bits value cache (see Minimize). Keys are
+// the raw IEEE-754 bit patterns of the argument vector, so two calls hit
+// the same entry iff the coordinates are bit-identical — the only equality
+// under which reusing a deterministic objective value is sound.
 func memoized(f Objective) Objective {
 	cache := make(map[string]float64)
 	var key []byte
@@ -291,11 +284,17 @@ func memoized(f Objective) Objective {
 // spawned at the incumbent until it stops improving — the standard remedy
 // for premature simplex collapse on curved likelihood ridges) and polishes
 // the result with a short compass search, returning the best point found.
+//
+// f must be deterministic: the restart and polish phases re-evaluate
+// incumbents at bit-identical coordinates, and Minimize answers those
+// repeats from a table of the values f already returned instead of calling
+// it again (each call is a simulated factorization in the MLE driver). The
+// table sits below the evaluation counter, so Result.Evals, the budget
+// split and the point returned are those of calling f every time; f itself
+// is called once per distinct argument.
 func Minimize(f Objective, x0, lo, hi []float64, opt Options) (Result, error) {
 	opt = opt.withDefaults()
-	if opt.Memoize {
-		f = memoized(f)
-	}
+	f = memoized(f)
 	budget := opt.MaxEvals
 	perRun := opt
 	perRun.MaxEvals = budget / 2

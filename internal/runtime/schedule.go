@@ -72,8 +72,6 @@ func (m machineView) ResidentBytes(dev int, data int64) int64 {
 	return 0
 }
 
-func (m machineView) QueueLen(dev int) int { return m.e.devices[dev].ready.Len() }
-
 // criticalPathLengths computes, for every task, the length (in tasks,
 // including itself) of the longest dependency chain below it: a Kahn
 // topological pass forward, then a reverse sweep taking 1 + max over

@@ -38,8 +38,6 @@ type Machine interface {
 	// ResidentBytes returns the bytes of datum data currently resident on
 	// dev (0 when absent).
 	ResidentBytes(dev int, data int64) int64
-	// QueueLen is the device's current ready-queue depth.
-	QueueLen(dev int) int
 }
 
 // Hints declares which optional (and non-free) engine features a policy

@@ -14,7 +14,6 @@ type fakeMachine struct {
 func (m *fakeMachine) NumDevices() int  { return m.per }
 func (m *fakeMachine) DevPerRank() int  { return m.per }
 func (m *fakeMachine) RankOf(d int) int { return d / m.per }
-func (m *fakeMachine) QueueLen(int) int { return 0 }
 func (m *fakeMachine) ResidentBytes(dev int, data int64) int64 {
 	return m.resident[dev][data]
 }

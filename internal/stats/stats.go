@@ -140,12 +140,6 @@ func Quantile(x []float64, q float64) float64 {
 	return quantileSorted(s, q)
 }
 
-// MeanStd returns the sample mean and (n-1)-normalized standard deviation.
-func MeanStd(x []float64) (mean, std float64) {
-	sm := Summarize(x)
-	return sm.Mean, sm.Std
-}
-
 // RMSE returns the root-mean-square error of estimates against truth.
 func RMSE(estimates []float64, truth float64) float64 {
 	if len(estimates) == 0 {

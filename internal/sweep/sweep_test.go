@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"geompc/internal/obs"
-	"geompc/internal/plan"
 	"geompc/internal/sweep"
 )
 
@@ -49,8 +48,9 @@ func TestRunEmptyAndNegative(t *testing.T) {
 	}
 }
 
-// TestRunLowestIndexError: the pool runs every point but reports the
-// lowest-index failure — the same error the serial path stops at.
+// TestRunLowestIndexError: every pool width reports the lowest-index
+// failure. One worker stops there; a wider pool runs every index below
+// the failure and at most what was in flight above it.
 func TestRunLowestIndexError(t *testing.T) {
 	const n = 12
 	fail := map[int]bool{3: true, 7: true, 10: true}
@@ -66,11 +66,50 @@ func TestRunLowestIndexError(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "point 3 failed") {
 			t.Errorf("workers=%d: err = %v, want lowest-index failure (point 3)", workers, err)
 		}
-		if workers == 0 && calls.Load() != 4 {
-			t.Errorf("serial ran %d points, want early exit after 4", calls.Load())
+		if got := calls.Load(); workers <= 1 && got != 4 {
+			t.Errorf("workers=%d ran %d points, want a stop after 4", workers, got)
+		} else if got < 4 || got > n {
+			t.Errorf("workers=%d ran %d points, want 4..%d", workers, got, n)
 		}
-		if workers > 0 && calls.Load() != n {
-			t.Errorf("workers=%d ran %d points, want all %d", workers, calls.Load(), n)
+	}
+}
+
+// TestRunStopsClaimingAfterFailure: once a failure is published no worker
+// claims a new index. Point 0 fails while the other workers of the pool are
+// held inside their first point, so exactly the indices in flight at that
+// moment run — one for a one-worker pool — and nothing is merged.
+func TestRunStopsClaimingAfterFailure(t *testing.T) {
+	const n = 40
+	for _, workers := range []int{0, 1, 4} {
+		width := max(workers, 1)
+		var claimed atomic.Int64
+		inFlight := make(chan struct{})
+		reg := obs.NewRegistry()
+		_, err := sweep.Run(n, sweep.Options{Workers: workers, Registry: reg}, func(i int, ctx *sweep.Context) (int, error) {
+			ctx.Reg.Counter("pt/ran").Inc()
+			if claimed.Add(1) == int64(width) {
+				close(inFlight)
+			}
+			<-inFlight // every worker holds a point before any returns
+			if i == 0 {
+				return 0, errors.New("point 0 failed")
+			}
+			// Outlast the failing point's return, so the failure is
+			// published before this worker looks for its next index.
+			time.Sleep(50 * time.Millisecond)
+			return i, nil
+		})
+		if err == nil || err.Error() != "point 0 failed" {
+			t.Errorf("workers=%d: err = %v, want point 0's", workers, err)
+		}
+		if got := claimed.Load(); got != int64(width) {
+			t.Errorf("workers=%d: %d points ran, want the %d in flight when point 0 failed", workers, got, width)
+		}
+		if got := reg.Counter("pt/ran").Value(); got != 0 {
+			t.Errorf("workers=%d: merged %d shards past a failure at index 0", workers, got)
+		}
+		if got := reg.Gauge("sweep/points").Value(); got != float64(width) {
+			t.Errorf("workers=%d: sweep/points = %g, want %d", workers, got, width)
 		}
 	}
 }
@@ -130,19 +169,11 @@ func TestRunErrorMergesPrefixOnly(t *testing.T) {
 	}
 }
 
-// TestRunWorkerContexts: worker ids stay in range, every point gets a
-// fresh registry shard, and cache wiring follows the options.
+// TestRunWorkerContexts: every point gets a fresh registry shard.
 func TestRunWorkerContexts(t *testing.T) {
 	const n, workers = 20, 4
-	shared := plan.NewCache(nil)
-	var badWorker, sharedMiss, dirtyShard atomic.Int64
-	_, err := sweep.Run(n, sweep.Options{Workers: workers, Cache: shared}, func(i int, ctx *sweep.Context) (int, error) {
-		if ctx.Worker < 0 || ctx.Worker >= workers {
-			badWorker.Add(1)
-		}
-		if ctx.Cache != shared {
-			sharedMiss.Add(1)
-		}
+	var dirtyShard atomic.Int64
+	_, err := sweep.Run(n, sweep.Options{Workers: workers}, func(i int, ctx *sweep.Context) (int, error) {
 		if len(ctx.Reg.Snapshot()) != 0 {
 			dirtyShard.Add(1)
 		}
@@ -152,50 +183,35 @@ func TestRunWorkerContexts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if badWorker.Load() != 0 || sharedMiss.Load() != 0 || dirtyShard.Load() != 0 {
-		t.Errorf("badWorker=%d sharedMiss=%d dirtyShard=%d", badWorker.Load(), sharedMiss.Load(), dirtyShard.Load())
+	if dirtyShard.Load() != 0 {
+		t.Errorf("dirtyShard=%d", dirtyShard.Load())
 	}
 }
 
-// TestRunSummaryAndGauges: the summary and sweep/* gauges report the run
-// shape (points, workers, positive throughput).
+// TestRunSummaryAndGauges: the sweep/* gauges report the run shape (points,
+// pool width, positive throughput); Workers 0 is a one-worker pool.
 func TestRunSummaryAndGauges(t *testing.T) {
 	const n = 8
-	var s sweep.Summary
-	reg := obs.NewRegistry()
-	_, err := sweep.Run(n, sweep.Options{Workers: 2, Registry: reg, Summary: &s}, func(i int, ctx *sweep.Context) (int, error) {
-		return i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Points != n || s.Workers != 2 {
-		t.Errorf("summary = %+v, want %d points / 2 workers", s, n)
-	}
-	if s.PointsPerSec <= 0 || s.Wall <= 0 {
-		t.Errorf("summary throughput not positive: %+v", s)
-	}
-	if got := reg.Gauge("sweep/points").Value(); got != float64(n) {
-		t.Errorf("sweep/points gauge = %g, want %d", got, n)
-	}
-	if got := reg.Gauge("sweep/workers").Value(); got != 2 {
-		t.Errorf("sweep/workers gauge = %g, want 2", got)
-	}
-	if reg.Gauge("sweep/points_per_sec").Value() <= 0 {
-		t.Error("sweep/points_per_sec gauge not positive")
-	}
-	if !strings.Contains(s.String(), "2 workers") {
-		t.Errorf("summary string %q missing worker count", s.String())
-	}
-
-	var serial sweep.Summary
-	if _, err := sweep.Run(n, sweep.Options{Summary: &serial}, func(i int, ctx *sweep.Context) (int, error) {
-		return i, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if serial.Workers != 0 || !strings.Contains(serial.String(), "serial") {
-		t.Errorf("serial summary = %+v (%q)", serial, serial.String())
+	for _, c := range []struct{ workers, width int }{{2, 2}, {0, 1}, {n + 3, n}} {
+		reg := obs.NewRegistry()
+		_, err := sweep.Run(n, sweep.Options{Workers: c.workers, Registry: reg}, func(i int, ctx *sweep.Context) (int, error) {
+			return i, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Gauge("sweep/points").Value(); got != n {
+			t.Errorf("workers=%d: sweep/points gauge = %g, want %d", c.workers, got, n)
+		}
+		if got := reg.Gauge("sweep/workers").Value(); got != float64(c.width) {
+			t.Errorf("workers=%d: sweep/workers gauge = %g, want %d", c.workers, got, c.width)
+		}
+		if reg.Gauge("sweep/points_per_sec").Value() <= 0 {
+			t.Errorf("workers=%d: sweep/points_per_sec gauge not positive", c.workers)
+		}
+		if busy := reg.Gauge("sweep/worker_busy_fraction").Value(); busy < 0 || busy > 1 {
+			t.Errorf("workers=%d: sweep/worker_busy_fraction = %g outside [0,1]", c.workers, busy)
+		}
 	}
 }
 
@@ -205,8 +221,8 @@ func TestRunMergeQueueDepth(t *testing.T) {
 	const n = 6
 	release := make(chan struct{})
 	var finished atomic.Int64
-	var s sweep.Summary
-	_, err := sweep.Run(n, sweep.Options{Workers: n, Summary: &s}, func(i int, ctx *sweep.Context) (int, error) {
+	reg := obs.NewRegistry()
+	_, err := sweep.Run(n, sweep.Options{Workers: n, Registry: reg}, func(i int, ctx *sweep.Context) (int, error) {
 		if i == 0 {
 			// Hold the merge frontier until every other point finished,
 			// then linger so their completion signals reach the merger
@@ -221,7 +237,7 @@ func TestRunMergeQueueDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.MaxMergeQueue != n-1 {
-		t.Errorf("max merge queue = %d, want %d", s.MaxMergeQueue, n-1)
+	if got := reg.Gauge("sweep/merge_queue_depth_max").Value(); got != n-1 {
+		t.Errorf("sweep/merge_queue_depth_max = %g, want %d", got, n-1)
 	}
 }
