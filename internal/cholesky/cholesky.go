@@ -7,6 +7,7 @@ import (
 
 	"geompc/internal/obs"
 	"geompc/internal/plan"
+	"geompc/internal/prec"
 	"geompc/internal/runtime"
 )
 
@@ -96,7 +97,8 @@ func newGraph(cfg Config) (*graph, error) {
 		return nil, err
 	}
 	if g.mat != nil {
-		g.wire = make([][]float64, cfg.Desc.NT*(cfg.Desc.NT+1)/2)
+		g.wire = make([][]float64, cfg.Desc.LowerTileCount())
+		g.ops = make([]operandSlot, cfg.Desc.LowerTileCount()*2*prec.Count)
 	}
 	return g, nil
 }

@@ -107,6 +107,7 @@ func buildTestGraph(t *testing.T, nt int, ureq float64, kernelOverride [][]prec.
 	return &graph{
 		ids: newIDs(nt), desc: d, maps: maps, plat: plat, strat: strat,
 		mat: mat, wire: make([][]float64, nt*(nt+1)/2),
+		ops:      make([]operandSlot, nt*(nt+1)*prec.Count),
 		rankSeen: make([]int64, plat.Ranks),
 	}
 }

@@ -24,6 +24,9 @@ type graph struct {
 	// numeric mode (the STC down-cast copy, or the tile data itself under
 	// TTC). Indexed like the packed lower triangle.
 	wire [][]float64
+	// ops caches the GEMM operand forms of the panel tiles in numeric mode,
+	// one slot per (tile, view, kernel precision) — see operand.
+	ops []operandSlot
 
 	err atomic.Value // first numeric error (POTRF failure)
 

@@ -2,6 +2,7 @@ package cholesky
 
 import (
 	"fmt"
+	"sync"
 
 	"geompc/internal/linalg"
 	"geompc/internal/prec"
@@ -42,6 +43,44 @@ func (g *graph) view(i, j, dev int) []float64 {
 		panic(fmt.Sprintf("cholesky: wire copy of tile (%d,%d) read before publish", i, j))
 	}
 	return w
+}
+
+// operandSlot holds one converted GEMM operand. Tile (i,k) is final once
+// TRSM(i,k) has run and is read by up to NT−k−2 GEMMs; the first of them to
+// arrive — bodies run concurrently — converts it under once, the others
+// read the result, and releaseOperands frees it when the run has ended.
+type operandSlot struct {
+	once sync.Once
+	op   *linalg.Operand // nil until built; the slots outnumber the operands 10:1
+}
+
+// operand returns tile (i,j) as a consumer on device dev sees it (view),
+// quantized and packed for the GEMM kernels of precision p. The local and
+// the wire view are separate operands only where they are separate data:
+// under TTC the wire copy is the tile itself.
+func (g *graph) operand(i, j, dev int, p prec.Precision) *linalg.Operand {
+	t := g.mat.At(i, j)
+	data, wire := g.view(i, j, dev), 0
+	if &data[0] != &t.Data[0] {
+		wire = 1
+	}
+	s := &g.ops[((i*(i+1)/2+j)*2+wire)*prec.Count+int(p)]
+	s.once.Do(func() {
+		s.op = new(linalg.Operand)
+		s.op.Pack(p, t.M, t.N, data, t.N, true)
+	})
+	return s.op
+}
+
+// releaseOperands returns every built operand's buffers to the linalg
+// scratch pools. The caller runs it once no task body is in flight.
+func (g *graph) releaseOperands() {
+	for i := range g.ops {
+		if s := &g.ops[i]; s.op != nil {
+			s.op.Release()
+			s.op = nil
+		}
+	}
 }
 
 // potrfBody, like the three builders below, returns a closure by design;
@@ -118,10 +157,8 @@ func (g *graph) gemmBody(m, n, k int) func() {
 			return
 		}
 		dev := g.deviceOf(m, n)
-		a := g.view(m, k, dev)
-		b := g.view(n, k, dev)
+		p := g.maps.Kernel[m][n]
 		c := g.mat.At(m, n)
-		bk := g.desc.TileDim(k)
-		linalg.GemmNTPrec(g.maps.Kernel[m][n], c.M, c.N, bk, -1, a, bk, b, bk, 1, c.Data, c.N)
+		linalg.GemmNTPacked(-1, g.operand(m, k, dev, p), g.operand(n, k, dev, p), 1, c.Data, c.N)
 	}
 }

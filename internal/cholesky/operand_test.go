@@ -1,0 +1,140 @@
+package cholesky
+
+import (
+	"testing"
+
+	"geompc/internal/geo"
+	"geompc/internal/hw"
+	"geompc/internal/obs"
+	"geompc/internal/prec"
+	"geompc/internal/precmap"
+	"geompc/internal/runtime"
+	"geompc/internal/stats"
+	"geompc/internal/tile"
+)
+
+// stcScenario is a two-rank numeric graph whose off-diagonal tiles run
+// their GEMMs in FP16_32 and travel in binary16 (STC): a covariance with a
+// unit nugget, so the factorization survives the half-precision wire.
+func stcScenario(t *testing.T, nt int) *graph {
+	t.Helper()
+	const ts = 16
+	locs := geo.GenerateLocations(nt*ts, 2, stats.NewRNG(42, 0))
+	d, err := tile.NewDesc(nt*ts, ts, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat := tile.NewMatrix(d, false)
+	mat.Fill(func(tl *tile.Tile, r0, c0 int) {
+		geo.CovTile(locs, r0, c0, tl.M, tl.N, geo.SqExp{Dimension: 2}, []float64{1, 0.05}, 1, tl.Data, tl.N)
+	})
+	maps := precmap.New(precmap.Uniform(nt, prec.FP16x32), 1e-3)
+	mat.SetStorage(func(i, j int) prec.Precision { return maps.Storage[i][j] })
+	plat, err := runtime.NewPlatform(hw.SummitNode, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := newGraph(Config{Desc: d, Maps: maps, Platform: plat, Matrix: mat, Strategy: Auto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func factorDigest(m *tile.Matrix) uint64 {
+	var d obs.Digest
+	for _, v := range m.LowerToDense() {
+		d.WriteFloat64(v)
+	}
+	return d.Sum()
+}
+
+// stcFactorDigest is the factor of the scenario below as Run left it at
+// commit 779e4ee, when every GEMM converted and packed its own operands.
+const stcFactorDigest = 0x7f73db9204836dd1
+
+// TestOperandCacheSTC runs a numeric factorization on two ranks with
+// sender-side conversion, so consumers on the producer's rank read a tile's
+// storage copy and the others its down-cast wire copy: two views, two
+// operands. Each (tile, view, kernel precision) some GEMM reads must be
+// converted exactly once — the slot's sync.Once admits one build, so the
+// count of built slots against the set the graph asks for is the proof —
+// with the factor bit-identical to the per-call packing of the parent
+// commit, and every operand's buffers released when the run ends. Under
+// -race this is also the check that concurrent bodies share a slot safely.
+func TestOperandCacheSTC(t *testing.T) {
+	const nt = 6
+	g := stcScenario(t, nt)
+	if stc, _ := g.maps.STCCount(); stc == 0 {
+		t.Fatal("scenario has no STC edge: local and wire views would coincide")
+	}
+	cfg := Config{Desc: g.desc, Maps: g.maps, Platform: g.plat, Matrix: g.mat, Strategy: Auto}
+	if _, err := cfg.Engine(g).Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	type key struct {
+		i, j, wire int
+		p          prec.Precision
+	}
+	want := map[key]bool{}
+	views := [2]int{}
+	for m := 2; m < nt; m++ {
+		for n := 1; n < m; n++ {
+			for k := 0; k < n; k++ {
+				dev, p := g.deviceOf(m, n), g.maps.Kernel[m][n]
+				for _, i := range []int{m, n} {
+					wire := 0
+					if g.deviceOf(i, k) != dev && wireFormat(g.wirePrec(i, k)) != wireFormat(g.maps.Storage[i][k]) {
+						wire = 1
+					}
+					if !want[key{i, k, wire, p}] {
+						want[key{i, k, wire, p}] = true
+						views[wire]++
+					}
+				}
+			}
+		}
+	}
+	if views[0] == 0 || views[1] == 0 {
+		t.Fatalf("scenario reads %d local and %d wire operands: want both", views[0], views[1])
+	}
+	for k := range want {
+		if g.ops[((k.i*(k.i+1)/2+k.j)*2+k.wire)*prec.Count+int(k.p)].op == nil {
+			t.Errorf("operand %+v is read by a GEMM but was not built", k)
+		}
+	}
+	built := 0
+	for idx := range g.ops {
+		if g.ops[idx].op != nil {
+			built++
+		}
+	}
+	if built != len(want) {
+		t.Errorf("%d operands built, the graph's GEMMs read %d distinct (tile, view, precision)", built, len(want))
+	}
+	if got := factorDigest(g.mat); got != stcFactorDigest {
+		t.Errorf("factor digest %#x, want %#x (per-call packing at the parent commit)", got, stcFactorDigest)
+	}
+
+	g.releaseOperands()
+	for idx := range g.ops {
+		if g.ops[idx].op != nil {
+			t.Fatalf("slot %d still holds its operand after releaseOperands", idx)
+		}
+	}
+
+	// The public entry: same factor, through Run.
+	g2 := stcScenario(t, nt)
+	cfg.Matrix = g2.mat
+	res, err := Run(cfg)
+	if err != nil || res.Err != nil {
+		t.Fatal(err, res.Err)
+	}
+	if got := factorDigest(g2.mat); got != stcFactorDigest {
+		t.Errorf("Run: factor digest %#x, want %#x", got, stcFactorDigest)
+	}
+}

@@ -85,17 +85,23 @@ func runFront(cfg Config, c *plan.Cache, fe frontEnd) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	g.releaseOperands()
 	return newResult(cfg, g, out), nil
 }
 
 // compileFront runs cfg once under the plan recorder and returns the
 // reusable plan.
 func compileFront(cfg Config, fe frontEnd) (*plan.Plan, error) {
-	rg, _, err := buildFront(cfg, fe)
+	rg, g, err := buildFront(cfg, fe)
 	if err != nil {
 		return nil, err
 	}
-	return plan.Compile(cfg.Engine(rg), planShapeSig(cfg, fe), cfg.Maps.Signature())
+	p, err := plan.Compile(cfg.Engine(rg), planShapeSig(cfg, fe), cfg.Maps.Signature())
+	if err != nil {
+		return nil, err
+	}
+	g.releaseOperands()
+	return p, nil
 }
 
 // replayFront re-executes only the numeric bodies of cfg against p's frozen
@@ -115,6 +121,7 @@ func replayFront(cfg Config, p *plan.Plan, fe frontEnd) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	g.releaseOperands()
 	return newResult(cfg, g, plan.Outcome{Stats: stats, Plan: p}), nil
 }
 

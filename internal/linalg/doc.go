@@ -18,6 +18,15 @@
 // binary16 with per-operation rounding (FP16), so the numerical error of a
 // kernel matches what the corresponding tensor-core kernel would commit.
 //
+// Micro-kernels (DESIGN.md §3.3). The FP64 kernels run on one shape — four
+// A rows × two vectors of packed B columns, k innermost, one accumulator
+// lane per output element, separate multiply and add — at the host's vector
+// width (SSE2, AVX2 or AVX-512 on amd64, picked at init; portable Go
+// elsewhere), with two entry points: dot64 (GEMM, SYRK) and the
+// fused-subtract sub64 (TRSM, POTRF). Every width gives the bits of the
+// naive triple loop, so results do not depend on it and it is not a
+// setting. The float32-accumulate GEMMs use a 4×4 SSE2 kernel.
+//
 // Underflow contract of the binary32 carrier: inside every float32-accumulate
 // kernel (the FP32/TF32/BF16_32/FP16_32/FP16 GEMMs, TrsmRLT32, SyrkLN32,
 // PotrfLower32) a binary32-subnormal operand reads as zero and a

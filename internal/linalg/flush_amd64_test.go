@@ -163,16 +163,6 @@ func underflowMatrix(rng *splitmix64, rows, cols int, scales ...float64) []float
 
 var underflowScales = []float64{1, 1e-19, 1e-21, 1e-30, 1e-40}
 
-func sameBits(t *testing.T, what string, got, want []float64) {
-	t.Helper()
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: element %d = %g (%#x), flushing reference %g (%#x)", what, i,
-				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-		}
-	}
-}
-
 func TestFloat32KernelsFlushSubnormals(t *testing.T) {
 	var ref flushRef
 	rng := splitmix64(0xf1a5)
@@ -245,9 +235,9 @@ func TestMXCSRDefaultOutsideKernels(t *testing.T) {
 	spd := goldenSPD(&rng, n)
 	kernels := map[string]func(){
 		"GemmNT32":      func() { GemmNT32(n, n, n, -1, a, n, a, n, 1, c, n) },
-		"GemmNTTF32":    func() { GemmNTTF32(n, n, n, -1, a, n, a, n, 1, c, n) },
-		"GemmNTBF16x32": func() { GemmNTBF16x32(n, n, n, -1, a, n, a, n, 1, c, n) },
-		"GemmNTFP16x32": func() { GemmNTFP16x32(n, n, n, -1, a, n, a, n, 1, c, n) },
+		"GemmNTTF32":    func() { GemmNTPrec(prec.TF32, n, n, n, -1, a, n, a, n, 1, c, n) },
+		"GemmNTBF16x32": func() { GemmNTPrec(prec.BF16x32, n, n, n, -1, a, n, a, n, 1, c, n) },
+		"GemmNTFP16x32": func() { GemmNTPrec(prec.FP16x32, n, n, n, -1, a, n, a, n, 1, c, n) },
 		"GemmNTFP16":    func() { GemmNTFP16(n, n, n, -1, a, n, a, n, 1, c, n) },
 		"SyrkLN32":      func() { SyrkLN32(n, n, -1, a, n, 1, c, n) },
 		"TrsmRLT32":     func() { TrsmRLT32(n, n, spd, n, c, n) },
@@ -275,45 +265,49 @@ func TestMXCSRDefaultOutsideKernels(t *testing.T) {
 }
 
 // A float64 kernel on another goroutine must keep IEEE gradual underflow
-// while float32 kernels hold their threads in flush-to-zero mode. One P
-// forces the goroutines to take turns on the processor, so a mode that
-// leaked through a preempted kernel would reach the float64 loop.
+// while float32 kernels hold their threads in flush-to-zero mode — at every
+// width: the VEX and EVEX arithmetic of the wide FP64 kernels obeys MXCSR
+// exactly as the SSE2 forms do. One P forces the goroutines to take turns
+// on the processor, so a mode that leaked through a preempted kernel would
+// reach the float64 loop.
 func TestFloat64KeepsGradualUnderflow(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n = 32
 	rng := splitmix64(0x64)
 	a32 := goldenMatrix(&rng, n, n)
-	var calls atomic.Int64
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := make([]float64, n*n)
-			for !stop.Load() {
-				GemmNT32(n, n, n, -1, a32, n, a32, n, 0, c, n)
-				calls.Add(1)
-			}
-		}()
-	}
 	// 1e-160·1e-160 is a float64 subnormal: zero under FTZ or DAZ.
 	a := make([]float64, n*n)
 	for i := range a {
 		a[i] = 1e-160
 	}
-	c := make([]float64, n*n)
-	for iter := 0; iter < 50 || calls.Load() < 2000; iter++ {
-		GemmNT(n, n, n, 1, a, n, a, n, 0, c, n)
-		// Judged on the bits: a float comparison would itself read the
-		// subnormal as zero on a thread the mode had leaked to.
-		if bits := math.Float64bits(c[0]); bits == 0 || bits>>52 != 0 {
-			t.Errorf("iteration %d: FP64 GemmNT gave %#x, want a float64 subnormal", iter, bits)
-			break
+	forEachWidth(t, func(t *testing.T) {
+		var calls atomic.Int64
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c := make([]float64, n*n)
+				for !stop.Load() {
+					GemmNT32(n, n, n, -1, a32, n, a32, n, 0, c, n)
+					calls.Add(1)
+				}
+			}()
 		}
-	}
-	stop.Store(true)
-	wg.Wait()
+		c := make([]float64, n*n)
+		for iter := 0; iter < 50 || calls.Load() < 2000; iter++ {
+			GemmNT(n, n, n, 1, a, n, a, n, 0, c, n)
+			// Judged on the bits: a float comparison would itself read the
+			// subnormal as zero on a thread the mode had leaked to.
+			if bits := math.Float64bits(c[0]); bits == 0 || bits>>52 != 0 {
+				t.Errorf("iteration %d: FP64 GemmNT gave %#x, want a float64 subnormal", iter, bits)
+				break
+			}
+		}
+		stop.Store(true)
+		wg.Wait()
+	})
 }
 
 // minTime is the fastest of several runs, the reading least disturbed by

@@ -5,104 +5,198 @@ import (
 	"geompc/internal/prec"
 )
 
-// The NT GEMM family is built around register-blocked micro-kernels
-// (dotNT4x2f64 / dotNT4x4f32 in kernel_amd64.s, with portable Go fallbacks
-// in kernel_generic.go): a block of independent accumulators covers a 4×2
-// (fp64) or 4×4 (f32) tile of C, with the k-loop innermost so each
-// accumulator sums its products in exactly the order the naive triple loop
-// would — the blocked kernels are bit-identical to the seed kernels for
-// every input (pinned by the golden digest tests). B is repacked into an
-// interleaved layout (bp[2l+jj] / bq[4l+jj]) so one vector load pulls the
-// operand for all lanes; lanes never mix elements of one accumulation, so
-// no reassociation happens.
+// The NT GEMM family is built around register-blocked micro-kernels: the
+// FP64 kernel of four A rows × two vectors of B columns at the host's vector
+// width (dot64 / sub64) and the 4×4 float32 kernel (dotNT4x4f32), with
+// portable Go forms of both. A block of independent accumulators covers a
+// tile of C with the k-loop innermost, so each accumulator sums its products
+// in exactly the order the naive triple loop would — the blocked kernels are
+// bit-identical to the seed kernels for every input and at every width
+// (pinned by the golden digest tests). B is repacked into interleaved column
+// blocks (packB64 / interleave4f32) so one vector load pulls the operand for
+// all lanes; lanes never mix elements of one accumulation.
 
-// GemmNT computes C = alpha*A*Bᵀ + beta*C in float64.
+// Operand is a rows×k tile converted once for the NT GEMM kernels of one
+// precision: quantized through the format's input representation, row-major
+// for the A side and interleaved for the B side. A tile Cholesky builds one
+// per (tile, format) on first use and hands it to every GEMM that reads the
+// tile (GemmNTPacked); Release returns its buffers to the scratch pools.
+// The zero value is an empty operand.
+type Operand struct {
+	p       prec.Precision
+	rows, k int
+
+	// FP64: the A side (and the B side of fewer than four remainder rows)
+	// is the tile itself — no copy; bp is the B side in packB64 blocks.
+	src []float64
+	ld  int
+	bp  []float64
+
+	// Float32-accumulate formats: f32 is the input-quantized tile,
+	// row-major with stride k (A side, remainder rows, and both sides of
+	// the binary16 kernel); bq its quad-interleaved B side.
+	f32 []float32
+	bq  []float32
+
+	bpp       *[]float64
+	f32p, bqp *[]float32
+}
+
+// Pack converts the rows×k matrix src (stride ld) for the kernels of
+// precision p. The interleaved B side is built only when bSide is set; an
+// operand without it may only be the A of a GEMM. An FP64 operand keeps
+// reading src: the caller must not modify it before Release.
+func (o *Operand) Pack(p prec.Precision, rows, k int, src []float64, ld int, bSide bool) {
+	*o = Operand{p: p, rows: rows, k: k}
+	if p == prec.FP64 {
+		o.src, o.ld = src, ld
+		if bSide {
+			o.bp, o.bpp = packB64Scratch(src, rows, k, ld)
+		}
+		return
+	}
+	pk := pack32For[p]
+	if pk == nil {
+		panic("linalg: invalid precision " + p.String())
+	}
+	defer leaveFlush32(enterFlush32())
+	o.f32, o.f32p = f32Scratch(rows * k)
+	pk(o.f32, src, rows, k, ld)
+	if bSide && p != prec.FP16 {
+		o.bq, o.bqp = f32Scratch(((rows + 3) &^ 3) * k)
+		interleave4f32(o.bq, o.f32, rows, k)
+	}
+}
+
+// Release returns the operand's buffers to the scratch pools and empties it.
+func (o *Operand) Release() {
+	if o.bpp != nil {
+		putF64(o.bpp)
+	}
+	if o.f32p != nil {
+		putF32(o.f32p)
+	}
+	if o.bqp != nil {
+		putF32(o.bqp)
+	}
+	*o = Operand{}
+}
+
+// GemmNTPacked computes C = alpha*A*Bᵀ + beta*C in the precision a and b
+// were packed for: a is m×k, b is n×k with its B side built, C is m×n
+// (stride ldc). Every format's kernel is bit-identical to packing per call
+// (GemmNTPrec).
+func GemmNTPacked(alpha float64, a, b *Operand, beta float64, c []float64, ldc int) {
+	m, n, k := a.rows, b.rows, a.k
+	if a.p != b.p || b.k != k {
+		panic("linalg: GemmNTPacked operands of different format or depth")
+	}
+	if m == 0 || n == 0 {
+		return
+	}
+	if a.p == prec.FP64 {
+		gemmNT64(m, n, k, alpha, a.src, a.ld, b.src, b.ld, b.bp, beta, c, ldc)
+		return
+	}
+	defer leaveFlush32(enterFlush32())
+	if a.p == prec.FP16 {
+		alf, bef := fp16.QuantF32(float32(alpha)), fp16.QuantF32(float32(beta))
+		gemmNT16Panel(0, m, n, k, alf, beta == 0, bef, a.f32, b.f32, c, ldc)
+		return
+	}
+	gemmNT32Panel(0, m, n, k, float32(alpha), beta == 0, float32(beta), a.f32, b.f32, b.bq, c, ldc)
+}
+
+// GemmNTPrec computes C = alpha*A*Bᵀ + beta*C with the kernel for precision
+// p: it packs both operands for this one call and runs GemmNTPacked.
 // A is m×k (stride lda), B is n×k (stride ldb), C is m×n (stride ldc).
 // Because B enters transposed, the inner loop is a dot product of two
 // row-major rows, which is the cache-friendly orientation for the tile
 // Cholesky update A[m][n] -= A[m][k]·A[n][k]ᵀ.
-func GemmNT(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
+func GemmNTPrec(p prec.Precision, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
 	if m == 0 || n == 0 {
 		return
 	}
-	if k == 0 || m < 4 {
-		// No dot-product work (or no full 4-row block): the scalar tail
-		// covers everything without packing.
-		gemmNT64Tail(0, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-		return
-	}
-	bp, bpp := f64Scratch(((n + 1) &^ 1) * k)
-	interleave2f64(bp, b, n, k, ldb)
-	gemmNT64Panel(0, m, n, k, alpha, a, lda, b, ldb, bp, beta, c, ldc)
-	putF64(bpp)
+	var ao, bo Operand
+	ao.Pack(p, m, k, a, lda, false)
+	// Fewer than four A rows never reach a micro-kernel: the remainder
+	// rows read B row-major, so its interleaved form is not built.
+	bo.Pack(p, n, k, b, ldb, m >= 4)
+	GemmNTPacked(alpha, &ao, &bo, beta, c, ldc)
+	ao.Release()
+	bo.Release()
 }
 
-func gemmNT64Panel(i0, i1, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, bp []float64, beta float64, c []float64, ldc int) {
-	var s4 [16]float64
-	var s [8]float64
-	i := i0
-	for ; i+4 <= i1; i += 4 {
-		ai0 := a[(i+0)*lda:][:k]
-		ai1 := a[(i+1)*lda:][:k]
-		ai2 := a[(i+2)*lda:][:k]
-		ai3 := a[(i+3)*lda:][:k]
-		ci0 := c[(i+0)*ldc:][:n]
-		ci1 := c[(i+1)*ldc:][:n]
-		ci2 := c[(i+2)*ldc:][:n]
-		ci3 := c[(i+3)*ldc:][:n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			dotNT4x4f64(k, ai0, ai1, ai2, ai3, bp[j*k:], bp[(j+2)*k:], &s4)
-			if beta == 0 { // BLAS: C is not read when beta == 0
-				ci0[j+0], ci0[j+1] = alpha*s4[0], alpha*s4[1]
-				ci0[j+2], ci0[j+3] = alpha*s4[2], alpha*s4[3]
-				ci1[j+0], ci1[j+1] = alpha*s4[4], alpha*s4[5]
-				ci1[j+2], ci1[j+3] = alpha*s4[6], alpha*s4[7]
-				ci2[j+0], ci2[j+1] = alpha*s4[8], alpha*s4[9]
-				ci2[j+2], ci2[j+3] = alpha*s4[10], alpha*s4[11]
-				ci3[j+0], ci3[j+1] = alpha*s4[12], alpha*s4[13]
-				ci3[j+2], ci3[j+3] = alpha*s4[14], alpha*s4[15]
-			} else {
-				for jj := 0; jj < 4; jj++ {
-					ci0[j+jj] = alpha*s4[jj] + beta*ci0[j+jj]
-					ci1[j+jj] = alpha*s4[4+jj] + beta*ci1[j+jj]
-					ci2[j+jj] = alpha*s4[8+jj] + beta*ci2[j+jj]
-					ci3[j+jj] = alpha*s4[12+jj] + beta*ci3[j+jj]
-				}
+// GemmNT is GemmNTPrec in float64.
+func GemmNT(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
+	GemmNTPrec(prec.FP64, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+}
+
+// gemmNT64 runs the FP64 micro-kernel over every whole group of four rows —
+// bp is B in packB64 blocks, empty when there is no dot-product work (k = 0)
+// or B was not packed — and the seed scalar loop over the remainder rows,
+// which read b row-major.
+func gemmNT64(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, bp []float64, beta float64, c []float64, ldc int) {
+	i := 0
+	if len(bp) > 0 {
+		nb := vecWidth.nb()
+		for ; i+4 <= m; i += 4 {
+			ai, ci := a[i*lda:], c[i*ldc:]
+			j := 0
+			for ; j+nb <= n; j += nb {
+				dot64(k, ai, lda, bp[j*k:], alpha, beta, ci[j:], ldc)
 			}
-		}
-		if j+2 <= n {
-			dotNT4x2f64(k, ai0, ai1, ai2, ai3, bp[j*k:], &s)
-			if beta == 0 {
-				ci0[j+0], ci0[j+1] = alpha*s[0], alpha*s[1]
-				ci1[j+0], ci1[j+1] = alpha*s[2], alpha*s[3]
-				ci2[j+0], ci2[j+1] = alpha*s[4], alpha*s[5]
-				ci3[j+0], ci3[j+1] = alpha*s[6], alpha*s[7]
-			} else {
-				ci0[j+0] = alpha*s[0] + beta*ci0[j+0]
-				ci0[j+1] = alpha*s[1] + beta*ci0[j+1]
-				ci1[j+0] = alpha*s[2] + beta*ci1[j+0]
-				ci1[j+1] = alpha*s[3] + beta*ci1[j+1]
-				ci2[j+0] = alpha*s[4] + beta*ci2[j+0]
-				ci2[j+1] = alpha*s[5] + beta*ci2[j+1]
-				ci3[j+0] = alpha*s[6] + beta*ci3[j+0]
-				ci3[j+1] = alpha*s[7] + beta*ci3[j+1]
-			}
-			j += 2
-		}
-		if j < n { // odd n: the pair block's second lane is zero padding
-			dotNT4x2f64(k, ai0, ai1, ai2, ai3, bp[j*k:], &s)
-			if beta == 0 {
-				ci0[j], ci1[j], ci2[j], ci3[j] = alpha*s[0], alpha*s[2], alpha*s[4], alpha*s[6]
-			} else {
-				ci0[j] = alpha*s[0] + beta*ci0[j]
-				ci1[j] = alpha*s[2] + beta*ci1[j]
-				ci2[j] = alpha*s[4] + beta*ci2[j]
-				ci3[j] = alpha*s[6] + beta*ci3[j]
+			if j < n { // the last block's upper lanes are zero padding
+				dotPartial64(k, ai, lda, bp[j*k:], alpha, beta, ci[j:], ldc, n-j, 0)
 			}
 		}
 	}
-	gemmNT64Tail(i, i1, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+	gemmNT64Tail(i, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+}
+
+// dotPartial64 is dot64 for a block that is not stored whole: row r keeps
+// its first lim+r·step columns (at most nb). The kernel stages the bare
+// sums in a stack block (alpha 1, beta 0: 1·s is exact) and the combine
+// runs here, in Go.
+func dotPartial64(k int, a []float64, lda int, bp []float64, alpha, beta float64, c []float64, ldc, lim, step int) {
+	var s [4 * maxNB]float64
+	nb := vecWidth.nb()
+	dot64(k, a, lda, bp, 1, 0, s[:], nb)
+	for r := 0; r < 4; r++ {
+		w := min(nb, lim+r*step)
+		if w <= 0 {
+			continue
+		}
+		cr, sr := c[r*ldc:][:w], s[r*nb:][:w]
+		if beta == 0 { // BLAS: C is not read when beta == 0
+			for jj, v := range sr {
+				cr[jj] = alpha * v
+			}
+		} else {
+			for jj, v := range sr {
+				cr[jj] = alpha*v + beta*cr[jj]
+			}
+		}
+	}
+}
+
+// subPartial64 is sub64 for a block that is not stored whole, with the
+// column limits of dotPartial64: the kept entries are staged through a
+// stack block whose other lanes are zero, and only they are written back.
+func subPartial64(k int, a []float64, lda int, bp []float64, c []float64, ldc, lim, step int) {
+	var t [4 * maxNB]float64
+	nb := vecWidth.nb()
+	for r := 0; r < 4; r++ {
+		if w := min(nb, lim+r*step); w > 0 {
+			copy(t[r*nb:], c[r*ldc:][:w])
+		}
+	}
+	sub64(k, a, lda, bp, t[:], nb)
+	for r := 0; r < 4; r++ {
+		if w := min(nb, lim+r*step); w > 0 {
+			copy(c[r*ldc:][:w], t[r*nb:])
+		}
+	}
 }
 
 // gemmNT64Tail is the seed scalar loop over rows [i0,i1) — the remainder
@@ -111,50 +205,49 @@ func gemmNT64Tail(i0, i1, n, k int, alpha float64, a []float64, lda int, b []flo
 	for i := i0; i < i1; i++ {
 		ai := a[i*lda:][:k]
 		ci := c[i*ldc:][:n]
-		if beta == 0 {
-			for j := 0; j < n; j++ {
-				bj := b[j*ldb:][:k]
-				var s float64
-				for l := 0; l < k; l++ {
-					s += ai[l] * bj[l]
-				}
-				ci[j] = alpha * s
+		for j := range ci {
+			bj := b[j*ldb:][:k]
+			var s float64
+			for l := 0; l < k; l++ {
+				s += ai[l] * bj[l]
 			}
-		} else {
-			for j := 0; j < n; j++ {
-				bj := b[j*ldb:][:k]
-				var s float64
-				for l := 0; l < k; l++ {
-					s += ai[l] * bj[l]
-				}
+			if beta == 0 { // BLAS: C is not read when beta == 0
+				ci[j] = alpha * s
+			} else {
 				ci[j] = alpha*s + beta*ci[j]
 			}
 		}
 	}
 }
 
-// interleave2f64 packs the n×k row-major matrix (stride ld) into
-// column-pair blocks: dst[jp·2k + 2l + jj] = src[(2jp+jj)·ld + l], the
-// operand layout of dotNT4x2f64. An odd final row is padded with zeros
-// (its lane is computed and discarded — zero products never perturb the
-// other lane because packed ops are per-lane).
-func interleave2f64(dst, src []float64, n, k, ld int) {
-	for jp := 0; 2*jp < n; jp++ {
-		out := dst[jp*2*k:][:2*k]
-		r0 := src[2*jp*ld:][:k]
-		if 2*jp+1 < n {
-			r1 := src[(2*jp+1)*ld:][:k]
-			for l := 0; l < k; l++ {
-				out[2*l] = r0[l]
-				out[2*l+1] = r1[l]
-			}
-		} else {
-			for l := 0; l < k; l++ {
-				out[2*l] = r0[l]
-				out[2*l+1] = 0
+// packB64 packs the n×k row-major matrix (stride ld) into column blocks of
+// nb: dst[jb·nb·k + l·nb + jj] = src[(jb·nb+jj)·ld + l], the B operand of
+// dot64 / sub64. Rows past n in the last block are zero padding (their
+// lanes are computed and discarded — zero products never perturb the other
+// lanes because packed operations are per-lane).
+func packB64(dst, src []float64, n, k, ld, nb int) {
+	for j0 := 0; j0 < n; j0 += nb {
+		out := dst[j0*k:][:nb*k]
+		for jj := 0; jj < nb; jj++ {
+			if j0+jj < n {
+				for l, v := range src[(j0+jj)*ld:][:k] {
+					out[l*nb+jj] = v
+				}
+			} else {
+				for l := 0; l < k; l++ {
+					out[l*nb+jj] = 0
+				}
 			}
 		}
 	}
+}
+
+// packB64Scratch packs src at the active width into a pooled buffer.
+func packB64Scratch(src []float64, n, k, ld int) ([]float64, *[]float64) {
+	nb := vecWidth.nb()
+	bp, bpp := f64Scratch((n + nb - 1) / nb * nb * k)
+	packB64(bp, src, n, k, ld, nb)
+	return bp, bpp
 }
 
 // GemmNN computes C = alpha*A*B + beta*C in float64.
@@ -263,27 +356,6 @@ func gemmNT32Panel(i0, i1, n, k int, al float32, betaZero bool, be float32, af, 
 	}
 }
 
-// gemmNT32 packs with the format's input quantizer (pk) — once, row-major,
-// for the scalar-tail rows — then quad-interleaves B for the SIMD kernel,
-// and runs the shared float32 micro-kernel over all m rows.
-func gemmNT32(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int, pk func(dst []float32, src []float64, rows, cols, ld int)) {
-	if m == 0 || n == 0 {
-		return
-	}
-	defer leaveFlush32(enterFlush32())
-	af, afp := f32Scratch(m * k)
-	bf, bfp := f32Scratch(n * k)
-	pk(af, a, m, k, lda)
-	pk(bf, b, n, k, ldb)
-	bq, bqp := f32Scratch(((n + 3) &^ 3) * k)
-	interleave4f32(bq, bf, n, k)
-	al, be := float32(alpha), float32(beta)
-	gemmNT32Panel(0, m, n, k, al, beta == 0, be, af, bf, bq, c, ldc)
-	putF32(afp)
-	putF32(bfp)
-	putF32(bqp)
-}
-
 // interleave4f32 packs the already-quantized row-major n×k matrix (stride k)
 // into column-quad blocks: dst[jq·4k + 4l + jj] = src[(4jq+jj)·k + l], the
 // operand layout of dotNT4x4f32. Rows past n are zero padding; their lanes
@@ -308,27 +380,12 @@ func interleave4f32(dst, src []float32, n, k int) {
 
 // GemmNT32 computes C = alpha*A*Bᵀ + beta*C with genuine float32 arithmetic
 // over float64 storage: inputs are cast to float32, products and sums are
-// accumulated in float32, and the float32 result is stored back.
+// accumulated in float32, and the float32 result is stored back. The
+// tensor-core formats TF32, BF16_32 and FP16_32 (GemmNTPrec) differ only in
+// the input quantizer: TF32, bfloat16 or binary16 inputs, float32
+// multiply-accumulate and C.
 func GemmNT32(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	gemmNT32(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, pack32)
-}
-
-// GemmNTFP16x32 emulates the FP16_32 tensor-core GEMM: A and B quantized to
-// binary16, multiply-accumulate and C in float32.
-func GemmNTFP16x32(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	gemmNT32(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, packFP16)
-}
-
-// GemmNTTF32 emulates the TF32 tensor-core GEMM: inputs quantized to TF32,
-// float32 accumulation.
-func GemmNTTF32(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	gemmNT32(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, packTF32)
-}
-
-// GemmNTBF16x32 emulates the BF16_32 tensor-core GEMM: inputs quantized to
-// bfloat16, float32 accumulation.
-func GemmNTBF16x32(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	gemmNT32(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, packBF16)
+	GemmNTPrec(prec.FP32, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 // GemmNTFP16 emulates the pure-FP16 GEMM: A, B and C in binary16 and the
@@ -339,16 +396,7 @@ func GemmNTBF16x32(m, n, k int, alpha float64, a []float64, lda int, b []float64
 // bit-equivalent to the Half-typed AddHalf/MulHalf chain by the exhaustive
 // fp16 tests, and pinned against the seed kernel by the golden digests.
 func GemmNTFP16(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	defer leaveFlush32(enterFlush32())
-	af, afp := f32Scratch(m * k)
-	bf, bfp := f32Scratch(n * k)
-	packFP16(af, a, m, k, lda)
-	packFP16(bf, b, n, k, ldb)
-	alf := fp16.QuantF32(float32(alpha))
-	bef := fp16.QuantF32(float32(beta))
-	gemmNT16Panel(0, m, n, k, alf, beta == 0, bef, af, bf, c, ldc)
-	putF32(afp)
-	putF32(bfp)
+	GemmNTPrec(prec.FP16, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 func gemmNT16Panel(i0, i1, n, k int, alf float32, betaZero bool, bef float32, af, bf []float32, c []float64, ldc int) {
@@ -451,29 +499,13 @@ func fp16Store(alf, s float32, betaZero bool, bef float32, cij float64) float64 
 	return float64(fp16.QuantF32(t + u))
 }
 
-// GemmNTPrec dispatches the NT GEMM to the kernel for precision p.
-func GemmNTPrec(p prec.Precision, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	switch p {
-	case prec.FP64:
-		GemmNT(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-	case prec.FP32:
-		GemmNT32(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-	case prec.TF32:
-		GemmNTTF32(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-	case prec.BF16x32:
-		GemmNTBF16x32(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-	case prec.FP16x32:
-		GemmNTFP16x32(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-	case prec.FP16:
-		GemmNTFP16(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-	default:
-		panic("linalg: invalid precision " + p.String())
-	}
-}
-
 // The pack loops below are specialized per format — the seed's
 // rq func(float32) float32 closure cost an indirect call per element;
-// each loop body here inlines its quantizer.
+// each loop body here inlines its quantizer. pack32For is the loop of each
+// float32-accumulate kernel precision.
+var pack32For = [prec.Count]func(dst []float32, src []float64, rows, cols, ld int){
+	prec.FP32: pack32, prec.TF32: packTF32, prec.BF16x32: packBF16, prec.FP16x32: packFP16, prec.FP16: packFP16,
+}
 
 func pack32(dst []float32, src []float64, rows, cols, ld int) {
 	for i := 0; i < rows; i++ {

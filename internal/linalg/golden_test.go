@@ -48,18 +48,42 @@ func fnv1a64(v []float64) uint64 {
 	return h
 }
 
-// goldenDims exercises the 4×4 micro-kernel's full and remainder paths.
-var goldenDims = []struct{ m, n, k int }{
+type dims struct{ m, n, k int }
+
+// goldenDims exercises the micro-kernels' full and remainder paths.
+var goldenDims = []dims{
 	{64, 64, 64},
 	{61, 53, 47}, // remainders in every dimension
 	{8, 128, 16},
 	{1, 1, 1},
 }
 
-func gemmGolden(p prec.Precision) uint64 {
+// remainderDims end in a zero-padded column block at every vector width
+// (nb = 4, 8, 16): the Monte-Carlo study's 49-tile, and one group of four
+// rows against 17 columns. Digests recorded at commit 779e4ee, before the
+// FP64 kernels went to the host's width.
+var remainderDims = []dims{
+	{49, 49, 49},
+	{4, 17, 5},
+}
+
+// checkDigests compares got(p) with each pinned digest at every
+// micro-kernel width the host can run.
+func checkDigests(t *testing.T, kernel string, want map[prec.Precision]uint64, got func(p prec.Precision) uint64) {
+	t.Helper()
+	forEachWidth(t, func(t *testing.T) {
+		for p, w := range want {
+			if g := got(p); g != w {
+				t.Errorf("%s %s digest = %#x, want %#x (output bits differ from seed kernels)", kernel, p, g, w)
+			}
+		}
+	})
+}
+
+func gemmGolden(p prec.Precision, shapes []dims) uint64 {
 	rng := splitmix64(0x5eed + splitmix64(p))
 	h := uint64(14695981039346656037)
-	for _, d := range goldenDims {
+	for _, d := range shapes {
 		a := goldenMatrix(&rng, d.m, d.k)
 		b := goldenMatrix(&rng, d.n, d.k)
 		c := goldenMatrix(&rng, d.m, d.n)
@@ -85,18 +109,24 @@ var gemmGoldenWant = map[prec.Precision]uint64{
 	prec.FP16:    0xe8cc676bf547b559,
 }
 
-func TestGemmGoldenDigests(t *testing.T) {
-	for p, want := range gemmGoldenWant {
-		if got := gemmGolden(p); got != want {
-			t.Errorf("GemmNT %s digest = %#x, want %#x (output bits differ from seed kernels)", p, got, want)
-		}
-	}
+var gemmRemainderWant = map[prec.Precision]uint64{
+	prec.FP64:    0x3ee264259c6feeed,
+	prec.FP32:    0x95af29a14d76f9af,
+	prec.TF32:    0xb72b0f5e30359a18,
+	prec.BF16x32: 0x99271ed1b9a910c6,
+	prec.FP16x32: 0x3b51e805b6769d5e,
+	prec.FP16:    0xf28f1f7145b57420,
 }
 
-func syrkGolden(p prec.Precision) uint64 {
+func TestGemmGoldenDigests(t *testing.T) {
+	checkDigests(t, "GemmNT", gemmGoldenWant, func(p prec.Precision) uint64 { return gemmGolden(p, goldenDims) })
+	checkDigests(t, "GemmNT remainder", gemmRemainderWant, func(p prec.Precision) uint64 { return gemmGolden(p, remainderDims) })
+}
+
+func syrkGolden(p prec.Precision, shapes []dims) uint64 {
 	rng := splitmix64(0x57a7 + splitmix64(p))
 	h := uint64(14695981039346656037)
-	for _, d := range goldenDims {
+	for _, d := range shapes {
 		a := goldenMatrix(&rng, d.n, d.k)
 		c := goldenMatrix(&rng, d.n, d.n)
 		SyrkLNPrec(p, d.n, d.k, -1, a, d.k, 1, c, d.n)
@@ -111,12 +141,14 @@ var syrkGoldenWant = map[prec.Precision]uint64{
 	prec.FP32: 0x7bcd3b494cd2fa37,
 }
 
+var syrkRemainderWant = map[prec.Precision]uint64{
+	prec.FP64: 0x34b6b382d54da9dd,
+	prec.FP32: 0x844a0c480396084b,
+}
+
 func TestSyrkGoldenDigests(t *testing.T) {
-	for p, want := range syrkGoldenWant {
-		if got := syrkGolden(p); got != want {
-			t.Errorf("SyrkLN %s digest = %#x, want %#x", p, got, want)
-		}
-	}
+	checkDigests(t, "SyrkLN", syrkGoldenWant, func(p prec.Precision) uint64 { return syrkGolden(p, goldenDims) })
+	checkDigests(t, "SyrkLN remainder", syrkRemainderWant, func(p prec.Precision) uint64 { return syrkGolden(p, remainderDims) })
 }
 
 // goldenTriangle builds a well-conditioned lower-triangular matrix.
@@ -128,10 +160,10 @@ func goldenTriangle(rng *splitmix64, n int) []float64 {
 	return a
 }
 
-func trsmGolden(p prec.Precision) uint64 {
+func trsmGolden(p prec.Precision, shapes []dims) uint64 {
 	rng := splitmix64(0x7125 + splitmix64(p))
 	h := uint64(14695981039346656037)
-	for _, d := range goldenDims {
+	for _, d := range shapes {
 		a := goldenTriangle(&rng, d.n)
 		b := goldenMatrix(&rng, d.m, d.n)
 		TrsmRLTPrec(p, d.m, d.n, a, d.n, b, d.n)
@@ -146,12 +178,14 @@ var trsmGoldenWant = map[prec.Precision]uint64{
 	prec.FP32: 0x03d46bff763af620,
 }
 
+var trsmRemainderWant = map[prec.Precision]uint64{
+	prec.FP64: 0x215503d1e4a7eaea,
+	prec.FP32: 0x439aeefbc9315a38,
+}
+
 func TestTrsmGoldenDigests(t *testing.T) {
-	for p, want := range trsmGoldenWant {
-		if got := trsmGolden(p); got != want {
-			t.Errorf("TrsmRLT %s digest = %#x, want %#x", p, got, want)
-		}
-	}
+	checkDigests(t, "TrsmRLT", trsmGoldenWant, func(p prec.Precision) uint64 { return trsmGolden(p, goldenDims) })
+	checkDigests(t, "TrsmRLT remainder", trsmRemainderWant, func(p prec.Precision) uint64 { return trsmGolden(p, remainderDims) })
 }
 
 // goldenSPD builds an SPD matrix A = B·Bᵀ + n·I.
@@ -165,10 +199,10 @@ func goldenSPD(rng *splitmix64, n int) []float64 {
 	return a
 }
 
-func potrfGolden(p prec.Precision, t *testing.T) uint64 {
+func potrfGolden(p prec.Precision, shapes []dims, t *testing.T) uint64 {
 	rng := splitmix64(0x90 + splitmix64(p))
 	h := uint64(14695981039346656037)
-	for _, d := range goldenDims {
+	for _, d := range shapes {
 		a := goldenSPD(&rng, d.n)
 		var err error
 		switch p {
@@ -191,10 +225,22 @@ var potrfGoldenWant = map[prec.Precision]uint64{
 	prec.FP32: 0x002d47882f6d8e90,
 }
 
+var potrfRemainderWant = map[prec.Precision]uint64{
+	prec.FP64: 0x3ec6ae7b53b3381b,
+	prec.FP32: 0x0142af1ee8b7111e,
+}
+
+// potrfBlockedWant pins PotrfLower over n ∈ {1, 61, 64, 200} — one block,
+// a ragged last block at every width, whole blocks, and many — recorded at
+// commit 779e4ee from the unblocked column loop. The digest covers the
+// strict upper triangle too, which the factorization must leave alone.
+const potrfBlockedWant = 0xd7a78eef3a8948ec
+
 func TestPotrfGoldenDigests(t *testing.T) {
-	for p, want := range potrfGoldenWant {
-		if got := potrfGolden(p, t); got != want {
-			t.Errorf("PotrfLower %s digest = %#x, want %#x", p, got, want)
-		}
-	}
+	checkDigests(t, "PotrfLower", potrfGoldenWant, func(p prec.Precision) uint64 { return potrfGolden(p, goldenDims, t) })
+	checkDigests(t, "PotrfLower remainder", potrfRemainderWant, func(p prec.Precision) uint64 { return potrfGolden(p, remainderDims, t) })
+	blocked := map[prec.Precision]uint64{prec.FP64: potrfBlockedWant}
+	checkDigests(t, "PotrfLower blocked", blocked, func(prec.Precision) uint64 {
+		return potrfGolden(prec.FP64, []dims{{n: 1}, {n: 61}, {n: 64}, {n: 200}}, t)
+	})
 }

@@ -4,30 +4,96 @@ package linalg
 
 import "runtime"
 
-// SSE2 micro-kernel dot products. Each XMM lane holds ONE output element's
-// accumulator, so every element still sums its products in strictly
-// increasing l order with one rounding per add — packed MULPD/ADDPD are
-// per-lane IEEE-754 ops identical to their scalar forms, which makes the
-// SIMD kernels bit-identical to the seed triple loops (pinned by the golden
-// digests). SSE2 is part of the amd64 v1 baseline, so no feature detection
-// is needed. FMA is deliberately not used: it would skip the intermediate
-// rounding and change results.
-
-// dotNT4x2f64 computes s[i*2+jj] = Σ_l ai[l]·b(jj)[l] for four A rows
-// against one pair-interleaved B block (bp[2l+jj] = b(jj)[l]). k > 0.
+// The FP64 micro-kernel on amd64: one shape — four A rows × two vectors of
+// B columns, k innermost — assembled at three vector widths (SSE2 4×4,
+// AVX2 4×8, AVX-512 4×16; kernel_amd64.s). Each vector lane holds ONE
+// output element's accumulator, so every element sums its products in
+// strictly increasing l with one rounding per multiply and one per add:
+// packed MULPD/ADDPD and their VEX/EVEX forms are per-lane IEEE-754
+// operations identical to the scalar ones, which makes every width
+// bit-identical to the seed triple loops and to each other (pinned by the
+// golden digests, run once per width). FMA is deliberately not used: it
+// would skip the intermediate rounding and change results.
 //
-//go:noescape
-func dotNT4x2f64(k int, a0, a1, a2, a3, bp []float64, s *[8]float64)
+// The width is the widest the processor implements and the OS saves the
+// registers of, read once at init. It is not a setting: results do not
+// depend on it, only speed does.
+var vecWidth = hostWidth()
 
-// dotNT4x4f64 computes a 4×4 block against two pair-interleaved B blocks
-// (columns j..j+1 in bp0, j+2..j+3 in bp1): s[i*4+jj] = Σ_l ai[l]·b(jj)[l].
-// Each A element is broadcast once and feeds four columns, halving the
-// per-flop load traffic of dotNT4x2f64. Eight XMM accumulators + two B
-// registers + two broadcast temps fit the sixteen-register file (a blocking
-// the Go compiler cannot reach without spilling, hence assembly). k > 0.
-//
+func hostWidth() width {
+	const osxsaveAVX = 1<<27 | 1<<28 // CPUID.1:ECX
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	_, _, c1, _ := cpuid(1, 0)
+	if maxLeaf < 7 || c1&osxsaveAVX != osxsaveAVX {
+		return widthSSE2
+	}
+	_, b7, _, _ := cpuid(7, 0)
+	switch xcr0 := xgetbv0(); {
+	case b7&(1<<16) != 0 && xcr0&0xe6 == 0xe6: // AVX512F; OS saves XMM, YMM, opmask, ZMM_Hi256, Hi16_ZMM
+		return widthAVX512
+	case b7&(1<<5) != 0 && xcr0&0x6 == 0x6: // AVX2; OS saves XMM, YMM
+		return widthAVX2
+	}
+	return widthSSE2
+}
+
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv0() uint32
+
+// dot64 computes the 4×nb block C = alpha·A·Bᵀ + beta·C (C not read when
+// beta == 0) at the active width: a holds four rows of stride lda, bp one
+// packed block of nb = vecWidth.nb() B columns (bp[l·nb+jj] = b(jj)[l]).
+func dot64(k int, a []float64, lda int, bp []float64, alpha, beta float64, c []float64, ldc int) {
+	nb := vecWidth.nb()
+	_, _, _ = a[3*lda+k-1], bp[nb*k-1], c[3*ldc+nb-1]
+	switch vecWidth {
+	case widthAVX512:
+		dotKernAVX512(k, a, lda, bp, alpha, beta, c, ldc)
+	case widthAVX2:
+		dotKernAVX2(k, a, lda, bp, alpha, beta, c, ldc)
+	case widthSSE2:
+		dotKernSSE2(k, a, lda, bp, alpha, beta, c, ldc)
+	default:
+		dotKernGo(k, a, lda, bp, alpha, beta, c, ldc)
+	}
+}
+
+// sub64 is the fused-subtract entry point of the same shape: the 4×nb
+// block of C is the starting value of the accumulators and every product is
+// subtracted from it, c −= a[l]·b[l] in increasing l.
+func sub64(k int, a []float64, lda int, bp []float64, c []float64, ldc int) {
+	nb := vecWidth.nb()
+	_, _, _ = a[3*lda+k-1], bp[nb*k-1], c[3*ldc+nb-1]
+	switch vecWidth {
+	case widthAVX512:
+		subKernAVX512(k, a, lda, bp, c, ldc)
+	case widthAVX2:
+		subKernAVX2(k, a, lda, bp, c, ldc)
+	case widthSSE2:
+		subKernSSE2(k, a, lda, bp, c, ldc)
+	default:
+		subKernGo(k, a, lda, bp, c, ldc)
+	}
+}
+
 //go:noescape
-func dotNT4x4f64(k int, a0, a1, a2, a3, bp0, bp1 []float64, s *[16]float64)
+func dotKernSSE2(k int, a []float64, lda int, bp []float64, alpha, beta float64, c []float64, ldc int)
+
+//go:noescape
+func subKernSSE2(k int, a []float64, lda int, bp []float64, c []float64, ldc int)
+
+//go:noescape
+func dotKernAVX2(k int, a []float64, lda int, bp []float64, alpha, beta float64, c []float64, ldc int)
+
+//go:noescape
+func subKernAVX2(k int, a []float64, lda int, bp []float64, c []float64, ldc int)
+
+//go:noescape
+func dotKernAVX512(k int, a []float64, lda int, bp []float64, alpha, beta float64, c []float64, ldc int)
+
+//go:noescape
+func subKernAVX512(k int, a []float64, lda int, bp []float64, c []float64, ldc int)
 
 // dotNT4x4f32 computes s[i*4+jj] = Σ_l ai[l]·b(jj)[l] for four A rows
 // against one quad-interleaved B block (bq[4l+jj] = b(jj)[l]). k > 0.

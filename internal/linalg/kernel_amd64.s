@@ -2,145 +2,349 @@
 
 #include "textflag.h"
 
-// func dotNT4x2f64(k int, a0, a1, a2, a3, bp []float64, s *[8]float64)
+// The FP64 micro-kernel: four A rows × two vectors of B columns, k
+// innermost. Lane jj of an accumulator is ONE output element, so every
+// element sums its products in strictly increasing l with one rounding per
+// multiply and one per add (no FMA) — the arithmetic of the naive triple
+// loop at every vector width.
 //
-// X4..X7 accumulate a 4×2 block: Xi = [s(i,0), s(i,1)]. Per iteration one
-// MOVUPD pulls the interleaved pair [b0[l], b1[l]] and each A element is
-// broadcast with UNPCKLPD — per-lane MULPD/ADDPD keep every accumulator's
-// add sequence identical to the scalar kernel.
-TEXT ·dotNT4x2f64(SB), NOSPLIT, $0-136
-	MOVQ k+0(FP), CX
-	MOVQ a0_base+8(FP), R8
-	MOVQ a1_base+32(FP), R9
-	MOVQ a2_base+56(FP), R10
-	MOVQ a3_base+80(FP), R11
-	MOVQ bp_base+104(FP), SI
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
-	TESTQ CX, CX
-	JZ   done64
-
-loop64:
-	MOVUPD (SI), X0
-
-	MOVSD    (R8), X1
-	UNPCKLPD X1, X1
-	MULPD    X0, X1
-	ADDPD    X1, X4
-
-	MOVSD    (R9), X2
-	UNPCKLPD X2, X2
-	MULPD    X0, X2
-	ADDPD    X2, X5
-
-	MOVSD    (R10), X3
-	UNPCKLPD X3, X3
-	MULPD    X0, X3
-	ADDPD    X3, X6
-
-	MOVSD    (R11), X1
-	UNPCKLPD X1, X1
-	MULPD    X0, X1
-	ADDPD    X1, X7
-
-	ADDQ $16, SI
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	DECQ CX
-	JNZ  loop64
-
-done64:
-	MOVQ   s+128(FP), DI
-	MOVUPD X4, (DI)
-	MOVUPD X5, 16(DI)
-	MOVUPD X6, 32(DI)
-	MOVUPD X7, 48(DI)
-	RET
-
-// func dotNT4x4f64(k int, a0, a1, a2, a3, bp0, bp1 []float64, s *[16]float64)
+// One body per entry point, written against the width macros below and
+// instantiated three times (SSE2 4×4, AVX2 4×8, AVX-512 4×16):
 //
-// X8..X15 accumulate a 4×4 block: X(8+2i) = [s(i,0), s(i,1)] from bp0,
-// X(9+2i) = [s(i,2), s(i,3)] from bp1. Each A element broadcasts once and
-// multiplies both B pairs.
-TEXT ·dotNT4x4f64(SB), NOSPLIT, $0-160
+//	V0..V12      vector registers of the width (X, Y or Z)
+//	VB           bytes per vector
+//	VZERO(r)     r = 0
+//	VLOAD(m, r)  r = [m]        VSTORE(r, m)  [m] = r
+//	VBCAST(m, r) r = every lane [m]
+//	VSCALE(s, r) r = r·s        VACC(t, r)    r = r + t
+//	ROWADD(m, p, q)  p += [m]·V8, q += [m]·V9   (separate multiply and add)
+//	ROWSUB(m, p, q)  p −= [m]·V8, q −= [m]·V9
+//	KRET         return (VZEROUPPER first on the VEX/EVEX widths)
+//
+// Registers: CX k, then the running index −k..0; R8..R11 the four A rows
+// (advanced by k so the index counts up to zero); SI the packed B block
+// (two vectors per l); DI C; DX, BX the row strides of C and A in bytes;
+// R12 the third row of C; R13, R14 the addresses of alpha and beta.
+
+// KERN_ROWS turns the element strides into bytes and derives the row
+// pointers.
+#define KERN_ROWS \
+	SHLQ $3, BX              \
+	SHLQ $3, DX              \
+	LEAQ (R8)(CX*8), R8      \
+	LEAQ (R8)(BX*1), R9      \
+	LEAQ (R9)(BX*1), R10     \
+	LEAQ (R10)(BX*1), R11    \
+	LEAQ (DI)(DX*2), R12     \
+	NEGQ CX
+
+// KERN_STORE writes the eight accumulators to the 4×2-vector block of C.
+#define KERN_STORE \
+	VSTORE(V0, 0(DI))        \
+	VSTORE(V1, VB(DI))       \
+	VSTORE(V2, 0(DI)(DX*1))  \
+	VSTORE(V3, VB(DI)(DX*1)) \
+	VSTORE(V4, 0(R12))       \
+	VSTORE(V5, VB(R12))      \
+	VSTORE(V6, 0(R12)(DX*1)) \
+	VSTORE(V7, VB(R12)(DX*1))
+
+// DOT_BODY: s = Σ_l a[l]·b[l] from zero, then C = alpha·s + beta·C, or
+// C = alpha·s without reading C when beta is ±0 (tested on the bits: a NaN
+// beta takes the read-C path, as `beta == 0` in Go does).
+#define DOT_BODY \
+	KERN_ROWS                \
+	VZERO(V0)                \
+	VZERO(V1)                \
+	VZERO(V2)                \
+	VZERO(V3)                \
+	VZERO(V4)                \
+	VZERO(V5)                \
+	VZERO(V6)                \
+	VZERO(V7)                \
+	TESTQ CX, CX             \
+	JZ   dotscale            \
+dotloop:                     \
+	VLOAD(0(SI), V8)         \
+	VLOAD(VB(SI), V9)        \
+	ROWADD((R8)(CX*8), V0, V1)  \
+	ROWADD((R9)(CX*8), V2, V3)  \
+	ROWADD((R10)(CX*8), V4, V5) \
+	ROWADD((R11)(CX*8), V6, V7) \
+	ADDQ $(2*VB), SI         \
+	INCQ CX                  \
+	JNZ  dotloop             \
+dotscale:                    \
+	VBCAST((R13), V10)       \
+	VSCALE(V10, V0)          \
+	VSCALE(V10, V1)          \
+	VSCALE(V10, V2)          \
+	VSCALE(V10, V3)          \
+	VSCALE(V10, V4)          \
+	VSCALE(V10, V5)          \
+	VSCALE(V10, V6)          \
+	VSCALE(V10, V7)          \
+	MOVQ (R14), AX           \
+	SHLQ $1, AX              \
+	JZ   dotstore            \
+	VBCAST((R14), V10)       \
+	VLOAD(0(DI), V8)         \
+	VLOAD(VB(DI), V9)        \
+	VSCALE(V10, V8)          \
+	VSCALE(V10, V9)          \
+	VACC(V8, V0)             \
+	VACC(V9, V1)             \
+	VLOAD(0(DI)(DX*1), V8)   \
+	VLOAD(VB(DI)(DX*1), V9)  \
+	VSCALE(V10, V8)          \
+	VSCALE(V10, V9)          \
+	VACC(V8, V2)             \
+	VACC(V9, V3)             \
+	VLOAD(0(R12), V8)        \
+	VLOAD(VB(R12), V9)       \
+	VSCALE(V10, V8)          \
+	VSCALE(V10, V9)          \
+	VACC(V8, V4)             \
+	VACC(V9, V5)             \
+	VLOAD(0(R12)(DX*1), V8)  \
+	VLOAD(VB(R12)(DX*1), V9) \
+	VSCALE(V10, V8)          \
+	VSCALE(V10, V9)          \
+	VACC(V8, V6)             \
+	VACC(V9, V7)             \
+dotstore:                    \
+	KERN_STORE               \
+	KRET
+
+// SUB_BODY: the accumulators start from C and subtract each product,
+// s −= a[l]·b[l] in increasing l — the recurrence of the triangular solve
+// and of the left-looking Cholesky update.
+#define SUB_BODY \
+	KERN_ROWS                \
+	VLOAD(0(DI), V0)         \
+	VLOAD(VB(DI), V1)        \
+	VLOAD(0(DI)(DX*1), V2)   \
+	VLOAD(VB(DI)(DX*1), V3)  \
+	VLOAD(0(R12), V4)        \
+	VLOAD(VB(R12), V5)       \
+	VLOAD(0(R12)(DX*1), V6)  \
+	VLOAD(VB(R12)(DX*1), V7) \
+	TESTQ CX, CX             \
+	JZ   substore            \
+subloop:                     \
+	VLOAD(0(SI), V8)         \
+	VLOAD(VB(SI), V9)        \
+	ROWSUB((R8)(CX*8), V0, V1)  \
+	ROWSUB((R9)(CX*8), V2, V3)  \
+	ROWSUB((R10)(CX*8), V4, V5) \
+	ROWSUB((R11)(CX*8), V6, V7) \
+	ADDQ $(2*VB), SI         \
+	INCQ CX                  \
+	JNZ  subloop             \
+substore:                    \
+	KERN_STORE               \
+	KRET
+
+// ---- SSE2: 2 lanes, legacy encoding (the amd64 baseline) ----
+
+#define V0 X0
+#define V1 X1
+#define V2 X2
+#define V3 X3
+#define V4 X4
+#define V5 X5
+#define V6 X6
+#define V7 X7
+#define V8 X8
+#define V9 X9
+#define V10 X10
+#define V11 X11
+#define VB 16
+#define VZERO(r) XORPS r, r
+#define VLOAD(m, r) MOVUPD m, r
+#define VSTORE(r, m) MOVUPD r, m
+#define VBCAST(m, r) MOVSD m, r; UNPCKLPD r, r
+#define VSCALE(s, r) MULPD s, r
+#define VACC(t, r) ADDPD t, r
+#define ROWADD(m, p, q) \
+	MOVSD m, V10     \
+	UNPCKLPD V10, V10 \
+	MOVAPD V10, V11  \
+	MULPD V8, V10    \
+	ADDPD V10, p     \
+	MULPD V9, V11    \
+	ADDPD V11, q
+#define ROWSUB(m, p, q) \
+	MOVSD m, V10     \
+	UNPCKLPD V10, V10 \
+	MOVAPD V10, V11  \
+	MULPD V8, V10    \
+	SUBPD V10, p     \
+	MULPD V9, V11    \
+	SUBPD V11, q
+#define KRET RET
+
+// func dotKernSSE2(k int, a []float64, lda int, bp []float64, alpha, beta float64, c []float64, ldc int)
+TEXT ·dotKernSSE2(SB), NOSPLIT, $0-112
 	MOVQ k+0(FP), CX
-	MOVQ a0_base+8(FP), R8
-	MOVQ a1_base+32(FP), R9
-	MOVQ a2_base+56(FP), R10
-	MOVQ a3_base+80(FP), R11
-	MOVQ bp0_base+104(FP), SI
-	MOVQ bp1_base+128(FP), DX
-	XORPS X8, X8
-	XORPS X9, X9
-	XORPS X10, X10
-	XORPS X11, X11
-	XORPS X12, X12
-	XORPS X13, X13
-	XORPS X14, X14
-	XORPS X15, X15
-	TESTQ CX, CX
-	JZ   done64x4
+	MOVQ a_base+8(FP), R8
+	MOVQ lda+32(FP), BX
+	MOVQ bp_base+40(FP), SI
+	LEAQ alpha+64(FP), R13
+	LEAQ beta+72(FP), R14
+	MOVQ c_base+80(FP), DI
+	MOVQ ldc+104(FP), DX
+	DOT_BODY
 
-loop64x4:
-	MOVUPD (SI), X0
-	MOVUPD (DX), X1
+// func subKernSSE2(k int, a []float64, lda int, bp []float64, c []float64, ldc int)
+TEXT ·subKernSSE2(SB), NOSPLIT, $0-96
+	MOVQ k+0(FP), CX
+	MOVQ a_base+8(FP), R8
+	MOVQ lda+32(FP), BX
+	MOVQ bp_base+40(FP), SI
+	MOVQ c_base+64(FP), DI
+	MOVQ ldc+88(FP), DX
+	SUB_BODY
 
-	MOVSD    (R8), X2
-	UNPCKLPD X2, X2
-	MOVAPD   X2, X3
-	MULPD    X0, X2
-	ADDPD    X2, X8
-	MULPD    X1, X3
-	ADDPD    X3, X9
+#undef V0
+#undef V1
+#undef V2
+#undef V3
+#undef V4
+#undef V5
+#undef V6
+#undef V7
+#undef V8
+#undef V9
+#undef V10
+#undef V11
+#undef VB
+#undef VZERO
+#undef VLOAD
+#undef VSTORE
+#undef VBCAST
+#undef VSCALE
+#undef VACC
+#undef ROWADD
+#undef ROWSUB
+#undef KRET
 
-	MOVSD    (R9), X4
-	UNPCKLPD X4, X4
-	MOVAPD   X4, X5
-	MULPD    X0, X4
-	ADDPD    X4, X10
-	MULPD    X1, X5
-	ADDPD    X5, X11
+// ---- AVX2 and AVX-512: three-operand VEX / EVEX forms, shared ----
 
-	MOVSD    (R10), X6
-	UNPCKLPD X6, X6
-	MOVAPD   X6, X7
-	MULPD    X0, X6
-	ADDPD    X6, X12
-	MULPD    X1, X7
-	ADDPD    X7, X13
+#define VLOAD(m, r) VMOVUPD m, r
+#define VSTORE(r, m) VMOVUPD r, m
+#define VBCAST(m, r) VBROADCASTSD m, r
+#define VSCALE(s, r) VMULPD s, r, r
+#define VACC(t, r) VADDPD t, r, r
+#define ROWADD(m, p, q) \
+	VBROADCASTSD m, V10  \
+	VMULPD V8, V10, V11  \
+	VADDPD V11, p, p     \
+	VMULPD V9, V10, V12  \
+	VADDPD V12, q, q
+#define ROWSUB(m, p, q) \
+	VBROADCASTSD m, V10  \
+	VMULPD V8, V10, V11  \
+	VSUBPD V11, p, p     \
+	VMULPD V9, V10, V12  \
+	VSUBPD V12, q, q
+#define KRET VZEROUPPER; RET
 
-	MOVSD    (R11), X2
-	UNPCKLPD X2, X2
-	MOVAPD   X2, X3
-	MULPD    X0, X2
-	ADDPD    X2, X14
-	MULPD    X1, X3
-	ADDPD    X3, X15
+// ---- AVX2: 4 lanes ----
 
-	ADDQ $16, SI
-	ADDQ $16, DX
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	DECQ CX
-	JNZ  loop64x4
+#define V0 Y0
+#define V1 Y1
+#define V2 Y2
+#define V3 Y3
+#define V4 Y4
+#define V5 Y5
+#define V6 Y6
+#define V7 Y7
+#define V8 Y8
+#define V9 Y9
+#define V10 Y10
+#define V11 Y11
+#define V12 Y12
+#define VB 32
+#define VZERO(r) VXORPD r, r, r
 
-done64x4:
-	MOVQ   s+152(FP), DI
-	MOVUPD X8, (DI)
-	MOVUPD X9, 16(DI)
-	MOVUPD X10, 32(DI)
-	MOVUPD X11, 48(DI)
-	MOVUPD X12, 64(DI)
-	MOVUPD X13, 80(DI)
-	MOVUPD X14, 96(DI)
-	MOVUPD X15, 112(DI)
-	RET
+// func dotKernAVX2(k int, a []float64, lda int, bp []float64, alpha, beta float64, c []float64, ldc int)
+TEXT ·dotKernAVX2(SB), NOSPLIT, $0-112
+	MOVQ k+0(FP), CX
+	MOVQ a_base+8(FP), R8
+	MOVQ lda+32(FP), BX
+	MOVQ bp_base+40(FP), SI
+	LEAQ alpha+64(FP), R13
+	LEAQ beta+72(FP), R14
+	MOVQ c_base+80(FP), DI
+	MOVQ ldc+104(FP), DX
+	DOT_BODY
+
+// func subKernAVX2(k int, a []float64, lda int, bp []float64, c []float64, ldc int)
+TEXT ·subKernAVX2(SB), NOSPLIT, $0-96
+	MOVQ k+0(FP), CX
+	MOVQ a_base+8(FP), R8
+	MOVQ lda+32(FP), BX
+	MOVQ bp_base+40(FP), SI
+	MOVQ c_base+64(FP), DI
+	MOVQ ldc+88(FP), DX
+	SUB_BODY
+
+#undef V0
+#undef V1
+#undef V2
+#undef V3
+#undef V4
+#undef V5
+#undef V6
+#undef V7
+#undef V8
+#undef V9
+#undef V10
+#undef V11
+#undef V12
+#undef VB
+#undef VZERO
+
+// ---- AVX-512F: 8 lanes ----
+
+#define V0 Z0
+#define V1 Z1
+#define V2 Z2
+#define V3 Z3
+#define V4 Z4
+#define V5 Z5
+#define V6 Z6
+#define V7 Z7
+#define V8 Z8
+#define V9 Z9
+#define V10 Z10
+#define V11 Z11
+#define V12 Z12
+#define VB 64
+#define VZERO(r) VPXORQ r, r, r
+
+// func dotKernAVX512(k int, a []float64, lda int, bp []float64, alpha, beta float64, c []float64, ldc int)
+TEXT ·dotKernAVX512(SB), NOSPLIT, $0-112
+	MOVQ k+0(FP), CX
+	MOVQ a_base+8(FP), R8
+	MOVQ lda+32(FP), BX
+	MOVQ bp_base+40(FP), SI
+	LEAQ alpha+64(FP), R13
+	LEAQ beta+72(FP), R14
+	MOVQ c_base+80(FP), DI
+	MOVQ ldc+104(FP), DX
+	DOT_BODY
+
+// func subKernAVX512(k int, a []float64, lda int, bp []float64, c []float64, ldc int)
+TEXT ·subKernAVX512(SB), NOSPLIT, $0-96
+	MOVQ k+0(FP), CX
+	MOVQ a_base+8(FP), R8
+	MOVQ lda+32(FP), BX
+	MOVQ bp_base+40(FP), SI
+	MOVQ c_base+64(FP), DI
+	MOVQ ldc+88(FP), DX
+	SUB_BODY
 
 // func dotNT4x4f32(k int, a0, a1, a2, a3, bq []float32, s *[16]float32)
 //
@@ -207,4 +411,25 @@ TEXT ·getMXCSR(SB), NOSPLIT, $0-4
 // func setMXCSR(v uint32)
 TEXT ·setMXCSR(SB), NOSPLIT, $0-4
 	LDMXCSR v+0(FP)
+	RET
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv0() uint32
+//
+// The low half of XCR0: which register states the OS saves and restores.
+// Only valid when CPUID.1:ECX.OSXSAVE is set.
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	XORL CX, CX
+	XGETBV
+	MOVL AX, ret+0(FP)
 	RET

@@ -2,65 +2,20 @@
 
 package linalg
 
-// Portable fallbacks for the SIMD micro-kernel dot products. Lane jj of
-// each logical vector is one output element's accumulator, summed in
-// strictly increasing l order — the same arithmetic the amd64 SSE2 kernels
-// perform per lane, so results are bit-identical across architectures.
+// Off amd64 the FP64 micro-kernel runs in portable Go (kernel.go); the
+// results are bit-identical to every assembled width.
+var vecWidth = widthGo
 
-func dotNT4x2f64(k int, a0, a1, a2, a3, bp []float64, s *[8]float64) {
-	var s00, s01, s10, s11, s20, s21, s30, s31 float64
-	bp = bp[:2*k]
-	for l := 0; l < k; l++ {
-		b0, b1 := bp[2*l], bp[2*l+1]
-		a := a0[l]
-		s00 += a * b0
-		s01 += a * b1
-		a = a1[l]
-		s10 += a * b0
-		s11 += a * b1
-		a = a2[l]
-		s20 += a * b0
-		s21 += a * b1
-		a = a3[l]
-		s30 += a * b0
-		s31 += a * b1
-	}
-	s[0], s[1], s[2], s[3] = s00, s01, s10, s11
-	s[4], s[5], s[6], s[7] = s20, s21, s30, s31
+func dot64(k int, a []float64, lda int, bp []float64, alpha, beta float64, c []float64, ldc int) {
+	dotKernGo(k, a, lda, bp, alpha, beta, c, ldc)
 }
 
-func dotNT4x4f64(k int, a0, a1, a2, a3, bp0, bp1 []float64, s *[16]float64) {
-	for i := range s {
-		s[i] = 0
-	}
-	bp0 = bp0[:2*k]
-	bp1 = bp1[:2*k]
-	for l := 0; l < k; l++ {
-		b0, b1 := bp0[2*l], bp0[2*l+1]
-		b2, b3 := bp1[2*l], bp1[2*l+1]
-		a := a0[l]
-		s[0] += a * b0
-		s[1] += a * b1
-		s[2] += a * b2
-		s[3] += a * b3
-		a = a1[l]
-		s[4] += a * b0
-		s[5] += a * b1
-		s[6] += a * b2
-		s[7] += a * b3
-		a = a2[l]
-		s[8] += a * b0
-		s[9] += a * b1
-		s[10] += a * b2
-		s[11] += a * b3
-		a = a3[l]
-		s[12] += a * b0
-		s[13] += a * b1
-		s[14] += a * b2
-		s[15] += a * b3
-	}
+func sub64(k int, a []float64, lda int, bp []float64, c []float64, ldc int) {
+	subKernGo(k, a, lda, bp, c, ldc)
 }
 
+// dotNT4x4f32 is the portable form of the SSE2 float32 micro-kernel: lane
+// jj is one output element's accumulator, summed in increasing l.
 func dotNT4x4f32(k int, a0, a1, a2, a3, bq []float32, s *[16]float32) {
 	for i := range s {
 		s[i] = 0

@@ -5,72 +5,29 @@ import "geompc/internal/prec"
 // SyrkLN computes C = alpha·A·Aᵀ + beta·C on the lower triangle of the n×n
 // matrix C (stride ldc), with A n×k (stride lda), in float64. This is the
 // diagonal-tile update A[m][m] -= A[m][k]·A[m][k]ᵀ of Algorithm 1 (alpha=-1,
-// beta=1). Rows of the triangle are independent, so the kernel blocks four
-// output rows at a time over the shared aj operand (each accumulator still
-// sums in l-order: bit-identical to the scalar loop).
+// beta=1). A is packed once as the B operand and the GEMM micro-kernel runs
+// over the column blocks at or below the diagonal; a block the diagonal
+// crosses stores only j ≤ i. Each element is the same l-ordered sum as in
+// the scalar loop: bit-identical.
 func SyrkLN(n, k int, alpha float64, a []float64, lda int, beta float64, c []float64, ldc int) {
 	i := 0
-	for ; i+4 <= n; i += 4 {
-		ai0 := a[(i+0)*lda:][:k]
-		ai1 := a[(i+1)*lda:][:k]
-		ai2 := a[(i+2)*lda:][:k]
-		ai3 := a[(i+3)*lda:][:k]
-		// Columns j <= i are valid for all four rows; the ragged triangle
-		// edge j in (i, i+3] is finished per row below.
-		for j := 0; j <= i; j++ {
-			aj := a[j*lda:][:k]
-			var s0, s1, s2, s3 float64
-			for l := 0; l < k; l++ {
-				al := aj[l]
-				s0 += ai0[l] * al
-				s1 += ai1[l] * al
-				s2 += ai2[l] * al
-				s3 += ai3[l] * al
+	if k > 0 && n >= 4 {
+		nb := vecWidth.nb()
+		bp, bpp := packB64Scratch(a, n, k, lda)
+		for ; i+4 <= n; i += 4 {
+			ai, ci := a[i*lda:], c[i*ldc:]
+			j := 0
+			for ; j+nb <= i+1; j += nb { // wholly at or below the diagonal of all four rows
+				dot64(k, ai, lda, bp[j*k:], alpha, beta, ci[j:], ldc)
 			}
-			if beta == 0 {
-				c[(i+0)*ldc+j] = alpha * s0
-				c[(i+1)*ldc+j] = alpha * s1
-				c[(i+2)*ldc+j] = alpha * s2
-				c[(i+3)*ldc+j] = alpha * s3
-			} else {
-				c[(i+0)*ldc+j] = alpha*s0 + beta*c[(i+0)*ldc+j]
-				c[(i+1)*ldc+j] = alpha*s1 + beta*c[(i+1)*ldc+j]
-				c[(i+2)*ldc+j] = alpha*s2 + beta*c[(i+2)*ldc+j]
-				c[(i+3)*ldc+j] = alpha*s3 + beta*c[(i+3)*ldc+j]
+			for ; j <= i+3; j += nb { // row i+r keeps columns j..i+r
+				dotPartial64(k, ai, lda, bp[j*k:], alpha, beta, ci[j:], ldc, i-j+1, 1)
 			}
 		}
-		for r := 1; r < 4; r++ {
-			ar := a[(i+r)*lda:][:k]
-			cr := c[(i+r)*ldc : (i+r)*ldc+i+r+1]
-			for j := i + 1; j <= i+r; j++ {
-				aj := a[j*lda:][:k]
-				var s float64
-				for l := 0; l < k; l++ {
-					s += ar[l] * aj[l]
-				}
-				if beta == 0 {
-					cr[j] = alpha * s
-				} else {
-					cr[j] = alpha*s + beta*cr[j]
-				}
-			}
-		}
+		putF64(bpp)
 	}
 	for ; i < n; i++ {
-		ai := a[i*lda:][:k]
-		ci := c[i*ldc : i*ldc+i+1]
-		for j := 0; j <= i; j++ {
-			aj := a[j*lda:][:k]
-			var s float64
-			for l := 0; l < k; l++ {
-				s += ai[l] * aj[l]
-			}
-			if beta == 0 {
-				ci[j] = alpha * s
-			} else {
-				ci[j] = alpha*s + beta*ci[j]
-			}
-		}
+		gemmNT64Tail(i, i+1, i+1, k, alpha, a, lda, a, lda, beta, c, ldc)
 	}
 }
 

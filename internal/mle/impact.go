@@ -50,12 +50,9 @@ func PrecisionImpact(p *Problem, theta []float64, ureqs []float64, replicas int,
 		return nil, err
 	}
 
-	bk := geo.Bind(p.Kernel, theta)
 	buildMatrix := func() *tile.Matrix {
 		m := tile.NewMatrix(desc, false)
-		m.Fill(func(t *tile.Tile, r0, c0 int) {
-			geo.FillTile(bk, p.Locs, r0, c0, t.M, t.N, p.Nugget, t.Data, t.N)
-		})
+		p.fill(m, theta)
 		return m
 	}
 

@@ -3,14 +3,13 @@ package runtime
 // workerPool runs numeric task bodies concurrently, bounded by size.
 type workerPool struct {
 	jobs chan func()
-	done chan struct{}
 }
 
 func newWorkerPool(size int) *workerPool {
 	if size < 1 {
 		size = 1
 	}
-	p := &workerPool{jobs: make(chan func(), 4*size), done: make(chan struct{})}
+	p := &workerPool{jobs: make(chan func(), 4*size)}
 	for i := 0; i < size; i++ {
 		go func() {
 			for j := range p.jobs {

@@ -7,6 +7,9 @@ package tile
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"geompc/internal/linalg"
 	"geompc/internal/prec"
@@ -153,6 +156,31 @@ func (m *Matrix) Fill(gen func(t *Tile, rowStart, colStart int)) {
 	for _, t := range m.tiles {
 		gen(t, t.I*m.TS, t.J*m.TS)
 	}
+}
+
+// FillParallel populates every tile like Fill, on min(GOMAXPROCS, tiles)
+// goroutines that claim tiles from a shared counter, and returns when all
+// are filled. newGen runs once on each goroutine and returns the generator
+// that goroutine uses, so state a generator keeps (a bound covariance
+// kernel's lazily built table) is never shared.
+func (m *Matrix) FillParallel(newGen func() func(t *Tile, rowStart, colStart int)) {
+	if m.Phantom {
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(m.tiles)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			gen := newGen()
+			for i := next.Add(1) - 1; i < int64(len(m.tiles)); i = next.Add(1) - 1 {
+				t := m.tiles[i]
+				gen(t, t.I*m.TS, t.J*m.TS)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // SetStorage applies a storage-precision map (indexed [i][j], lower

@@ -2,6 +2,8 @@ package tile
 
 import (
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -125,6 +127,44 @@ func TestFillAndToDense(t *testing.T) {
 			t.Fatalf("dense[%d] = %g, want %g", i, dense[i], ref[i])
 		}
 	}
+}
+
+// FillParallel hands every tile to exactly one generator with Fill's
+// offsets, never starts more generators than GOMAXPROCS or than tiles, and
+// leaves a phantom matrix alone.
+func TestFillParallel(t *testing.T) {
+	d, _ := NewDesc(100, 16, 1, 1) // NT = 7, ragged last tile
+	for _, procs := range []int{1, 2, 8, 64} {
+		prev := runtime.GOMAXPROCS(procs)
+		m := NewMatrix(d, false)
+		var gens atomic.Int64
+		m.FillParallel(func() func(t *Tile, r0, c0 int) {
+			gens.Add(1)
+			return func(t *Tile, r0, c0 int) {
+				for e := range t.Data {
+					t.Data[e] += float64(r0*1000 + c0 + 1)
+				}
+			}
+		})
+		runtime.GOMAXPROCS(prev)
+		if g := int(gens.Load()); g < 1 || g > procs || g > d.LowerTileCount() {
+			t.Errorf("GOMAXPROCS %d: %d generators for %d tiles", procs, g, d.LowerTileCount())
+		}
+		for i := 0; i < d.NT; i++ {
+			for j := 0; j <= i; j++ {
+				for _, v := range m.At(i, j).Data {
+					if want := float64(i*d.TS*1000 + j*d.TS + 1); v != want {
+						t.Fatalf("GOMAXPROCS %d: tile (%d,%d) holds %g, want %g (filled once, at its offsets)", procs, i, j, v, want)
+					}
+				}
+			}
+		}
+	}
+	ph := NewMatrix(d, true)
+	ph.FillParallel(func() func(t *Tile, r0, c0 int) {
+		t.Error("FillParallel started a generator on a phantom matrix")
+		return func(*Tile, int, int) {}
+	})
 }
 
 func TestTileNormsMatchGlobal(t *testing.T) {
