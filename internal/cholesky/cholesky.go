@@ -18,7 +18,8 @@ type Result struct {
 	// STCTasks/CommTasks count communication-issuing tasks using
 	// sender-side conversion vs the total (Algorithm 2's decision).
 	STCTasks, CommTasks int
-	// Err is the first numeric failure (e.g. a non-SPD pivot), nil on
+	// Err is the numeric failure (a non-SPD pivot: the first POTRF that
+	// met one — every later panel descends from it and was skipped), nil on
 	// success or in phantom mode.
 	Err error
 
@@ -27,9 +28,9 @@ type Result struct {
 	out plan.Outcome
 }
 
-// newResult wraps one finished run of g under cfg.
-func newResult(cfg Config, g *graph, out plan.Outcome) *Result {
-	r := &Result{Stats: out.Stats, Strategy: cfg.Strategy, Err: g.Err(), out: out}
+// newResult wraps one finished run under cfg.
+func newResult(cfg Config, out plan.Outcome) *Result {
+	r := &Result{Stats: out.Stats, Strategy: cfg.Strategy, Err: out.Err, out: out}
 	if cfg.Strategy == ForceTTC {
 		_, r.CommTasks = cfg.Maps.STCCount()
 	} else {

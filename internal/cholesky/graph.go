@@ -2,7 +2,6 @@ package cholesky
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"geompc/internal/hw"
 	"geompc/internal/prec"
@@ -27,8 +26,6 @@ type graph struct {
 	// ops caches the GEMM operand forms of the panel tiles in numeric mode,
 	// one slot per (tile, view, kernel precision) — see operand.
 	ops []operandSlot
-
-	err atomic.Value // first numeric error (POTRF failure)
 
 	rankSeen []int64 // scratch: per-rank visit stamps for RemoteRanks dedupe
 	stamp    int64
@@ -341,19 +338,6 @@ func (g *graph) inputSpec(i, j, dev int, needFmt prec.Precision) runtime.InputSp
 	}
 	_ = dev
 	return in
-}
-
-// failed records the first numeric failure.
-func (g *graph) fail(err error) {
-	g.err.CompareAndSwap(nil, err)
-}
-
-// Err returns the first numeric failure of the run, if any.
-func (g *graph) Err() error {
-	if v := g.err.Load(); v != nil {
-		return v.(error)
-	}
-	return nil
 }
 
 var _ runtime.Graph = (*graph)(nil)

@@ -100,14 +100,14 @@ func (s *ids) untriple(idx int) (m, n, k int) {
 	return lo, n, k
 }
 
-func (s ids) potrf(k int) int      { return k }
-func (s ids) trsm(m, k int) int    { return s.trsmBase + pairIdx(m, k) }
-func (s ids) syrk(m, k int) int    { return s.syrkBase + pairIdx(m, k) }
-func (s ids) gemm(m, n, k int) int { return s.gemmBase + tripleIdx(m, n, k) }
+func (s *ids) potrf(k int) int      { return k }
+func (s *ids) trsm(m, k int) int    { return s.trsmBase + pairIdx(m, k) }
+func (s *ids) syrk(m, k int) int    { return s.syrkBase + pairIdx(m, k) }
+func (s *ids) gemm(m, n, k int) int { return s.gemmBase + tripleIdx(m, n, k) }
 
 // decode returns the kind and coordinates of a task id. For POTRF only k is
 // meaningful; for TRSM/SYRK, (m, k); for GEMM, (m, n, k).
-func (s ids) decode(id int) (op, m, n, k int) {
+func (s *ids) decode(id int) (op, m, n, k int) {
 	switch {
 	case id < s.trsmBase:
 		return opPotrf, id, 0, id

@@ -8,9 +8,12 @@ import (
 	"geompc/internal/prec"
 )
 
-// Numeric bodies. Each body runs when the engine processes the task, after
-// all dependencies' bodies have completed, so reads of producer tiles and
-// wire copies are race-free.
+// Numeric bodies. The runtime starts a body once the bodies of the task's
+// graph predecessors have returned — dataflow order, whatever the simulated
+// clock says — so reads of producer tiles and wire copies are race-free. A
+// POTRF that meets a non-positive pivot returns the error; the runtime then
+// skips exactly its descendants (every later panel) and still runs the rest,
+// so a non-SPD matrix gives the same partial factor and Result.Err every run.
 //
 // The wire copy models the automated conversion strategy's numerical
 // effect: when a producer's communication precision is below its storage
@@ -45,17 +48,18 @@ func (g *graph) view(i, j, dev int) []float64 {
 	return w
 }
 
-// operandSlot holds one converted GEMM operand. Tile (i,k) is final once
-// TRSM(i,k) has run and is read by up to NT−k−2 GEMMs; the first of them to
-// arrive — bodies run concurrently — converts it under once, the others
-// read the result, and releaseOperands frees it when the run has ended.
+// operandSlot holds one converted GEMM/SYRK operand. Tile (i,k) is final
+// once TRSM(i,k) has run and is read by SYRK(i,k) and up to NT−k−2 GEMMs;
+// the first of them to arrive — bodies run concurrently — converts it under
+// once, the others read the result, and releaseOperands frees it when the
+// run has ended.
 type operandSlot struct {
 	once sync.Once
 	op   *linalg.Operand // nil until built; the slots outnumber the operands 10:1
 }
 
 // operand returns tile (i,j) as a consumer on device dev sees it (view),
-// quantized and packed for the GEMM kernels of precision p. The local and
+// quantized and packed for the GEMM and SYRK kernels of precision p. The local and
 // the wire view are separate operands only where they are separate data:
 // under TTC the wire copy is the tile itself.
 func (g *graph) operand(i, j, dev int, p prec.Precision) *linalg.Operand {
@@ -86,14 +90,11 @@ func (g *graph) releaseOperands() {
 // potrfBody, like the three builders below, returns a closure by design;
 // phantom (pure-DES) graphs carry no matrix, get nil and stay
 // allocation-free.
-func (g *graph) potrfBody(k int) func() {
+func (g *graph) potrfBody(k int) func() error {
 	if g.mat == nil {
 		return nil
 	}
-	return func() {
-		if g.Err() != nil {
-			return
-		}
+	return func() error {
 		t := g.mat.At(k, k)
 		p := g.maps.Kernel[k][k]
 		var err error
@@ -106,59 +107,50 @@ func (g *graph) potrfBody(k int) func() {
 			err = fmt.Errorf("cholesky: POTRF cannot run in %v", p)
 		}
 		if err != nil {
-			g.fail(fmt.Errorf("POTRF(%d): %w", k, err))
-			return
+			return fmt.Errorf("POTRF(%d): %w", k, err)
 		}
 		if k < g.nt-1 {
 			g.publishWire(k, k)
 		}
+		return nil
 	}
 }
 
-func (g *graph) trsmBody(m, k int) func() {
+func (g *graph) trsmBody(m, k int) func() error {
 	if g.mat == nil {
 		return nil
 	}
-	return func() {
-		if g.Err() != nil {
-			return
-		}
+	return func() error {
 		dev := g.deviceOf(m, k)
 		a := g.view(k, k, dev)
 		t := g.mat.At(m, k)
 		bk := g.desc.TileDim(k)
 		linalg.TrsmRLTPrec(g.trsmExec(m, k), t.M, bk, a, bk, t.Data, t.N)
 		g.publishWire(m, k)
+		return nil
 	}
 }
 
-func (g *graph) syrkBody(m, k int) func() {
+func (g *graph) syrkBody(m, k int) func() error {
 	if g.mat == nil {
 		return nil
 	}
-	return func() {
-		if g.Err() != nil {
-			return
-		}
-		dev := g.deviceOf(m, m)
-		a := g.view(m, k, dev)
+	return func() error {
 		c := g.mat.At(m, m)
-		bk := g.desc.TileDim(k)
-		linalg.SyrkLNPrec(g.maps.Kernel[m][m], c.M, bk, -1, a, bk, 1, c.Data, c.N)
+		linalg.SyrkLNPacked(-1, g.operand(m, k, g.deviceOf(m, m), g.maps.Kernel[m][m]), 1, c.Data, c.N)
+		return nil
 	}
 }
 
-func (g *graph) gemmBody(m, n, k int) func() {
+func (g *graph) gemmBody(m, n, k int) func() error {
 	if g.mat == nil {
 		return nil
 	}
-	return func() {
-		if g.Err() != nil {
-			return
-		}
+	return func() error {
 		dev := g.deviceOf(m, n)
 		p := g.maps.Kernel[m][n]
 		c := g.mat.At(m, n)
 		linalg.GemmNTPacked(-1, g.operand(m, k, dev, p), g.operand(n, k, dev, p), 1, c.Data, c.N)
+		return nil
 	}
 }

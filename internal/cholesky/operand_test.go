@@ -56,7 +56,7 @@ const stcFactorDigest = 0x7f73db9204836dd1
 // TestOperandCacheSTC runs a numeric factorization on two ranks with
 // sender-side conversion, so consumers on the producer's rank read a tile's
 // storage copy and the others its down-cast wire copy: two views, two
-// operands. Each (tile, view, kernel precision) some GEMM reads must be
+// operands. Each (tile, view, kernel precision) some GEMM or SYRK reads must be
 // converted exactly once — the slot's sync.Once admits one build, so the
 // count of built slots against the set the graph asks for is the proof —
 // with the factor bit-identical to the per-call packing of the parent
@@ -69,10 +69,11 @@ func TestOperandCacheSTC(t *testing.T) {
 		t.Fatal("scenario has no STC edge: local and wire views would coincide")
 	}
 	cfg := Config{Desc: g.desc, Maps: g.maps, Platform: g.plat, Matrix: g.mat, Strategy: Auto}
-	if _, err := cfg.Engine(g).Run(); err != nil {
+	eng := cfg.Engine(g)
+	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Err(); err != nil {
+	if err := eng.BodyErr(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,20 +83,25 @@ func TestOperandCacheSTC(t *testing.T) {
 	}
 	want := map[key]bool{}
 	views := [2]int{}
-	for m := 2; m < nt; m++ {
+	// reads notes that a kernel of precision p on device dev reads tile (i,k).
+	reads := func(i, k, dev int, p prec.Precision) {
+		wire := 0
+		if g.deviceOf(i, k) != dev && wireFormat(g.wirePrec(i, k)) != wireFormat(g.maps.Storage[i][k]) {
+			wire = 1
+		}
+		if !want[key{i, k, wire, p}] {
+			want[key{i, k, wire, p}] = true
+			views[wire]++
+		}
+	}
+	for m := 1; m < nt; m++ {
+		for k := 0; k < m; k++ {
+			reads(m, k, g.deviceOf(m, m), g.maps.Kernel[m][m]) // SYRK(m,k)
+		}
 		for n := 1; n < m; n++ {
-			for k := 0; k < n; k++ {
-				dev, p := g.deviceOf(m, n), g.maps.Kernel[m][n]
-				for _, i := range []int{m, n} {
-					wire := 0
-					if g.deviceOf(i, k) != dev && wireFormat(g.wirePrec(i, k)) != wireFormat(g.maps.Storage[i][k]) {
-						wire = 1
-					}
-					if !want[key{i, k, wire, p}] {
-						want[key{i, k, wire, p}] = true
-						views[wire]++
-					}
-				}
+			for k := 0; k < n; k++ { // GEMM(m,n,k)
+				reads(m, k, g.deviceOf(m, n), g.maps.Kernel[m][n])
+				reads(n, k, g.deviceOf(m, n), g.maps.Kernel[m][n])
 			}
 		}
 	}
@@ -104,7 +110,7 @@ func TestOperandCacheSTC(t *testing.T) {
 	}
 	for k := range want {
 		if g.ops[((k.i*(k.i+1)/2+k.j)*2+k.wire)*prec.Count+int(k.p)].op == nil {
-			t.Errorf("operand %+v is read by a GEMM but was not built", k)
+			t.Errorf("operand %+v is read by a GEMM or SYRK but was not built", k)
 		}
 	}
 	built := 0
@@ -114,7 +120,7 @@ func TestOperandCacheSTC(t *testing.T) {
 		}
 	}
 	if built != len(want) {
-		t.Errorf("%d operands built, the graph's GEMMs read %d distinct (tile, view, precision)", built, len(want))
+		t.Errorf("%d operands built, the graph's GEMMs and SYRKs read %d distinct (tile, view, precision)", built, len(want))
 	}
 	if got := factorDigest(g.mat); got != stcFactorDigest {
 		t.Errorf("factor digest %#x, want %#x (per-call packing at the parent commit)", got, stcFactorDigest)

@@ -57,8 +57,8 @@ func planShapeSig(cfg Config, fe frontEnd) uint64 {
 }
 
 // buildFront constructs the task system for the chosen front-end: the
-// runtime.Graph handed to the engine plus the underlying *graph (numeric
-// error collection). For PTG the two coincide.
+// runtime.Graph handed to the engine plus the underlying *graph (which owns
+// the converted operands). For PTG the two coincide.
 func buildFront(cfg Config, fe frontEnd) (runtime.Graph, *graph, error) {
 	if fe == frontDTD {
 		g, dtd, err := buildDTD(cfg)
@@ -86,11 +86,10 @@ func runFront(cfg Config, c *plan.Cache, fe frontEnd) (*Result, error) {
 		return nil, err
 	}
 	g.releaseOperands()
-	return newResult(cfg, g, out), nil
+	return newResult(cfg, out), nil
 }
 
-// compileFront runs cfg once under the plan recorder and returns the
-// reusable plan.
+// compileFront runs cfg once, live, and returns the reusable plan.
 func compileFront(cfg Config, fe frontEnd) (*plan.Plan, error) {
 	rg, g, err := buildFront(cfg, fe)
 	if err != nil {
@@ -117,12 +116,12 @@ func replayFront(cfg Config, p *plan.Plan, fe frontEnd) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	stats, err := p.Replay(rg)
+	out, err := p.Replay(rg)
 	if err != nil {
 		return nil, err
 	}
 	g.releaseOperands()
-	return newResult(cfg, g, plan.Outcome{Stats: stats, Plan: p}), nil
+	return newResult(cfg, out), nil
 }
 
 // PlanGraph builds the PTG task system cfg compiles to — what plan.Compile

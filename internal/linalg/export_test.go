@@ -2,9 +2,9 @@ package linalg
 
 import "testing"
 
-// hostW is the micro-kernel width chosen at init, before any test forces
-// another.
-var hostW = vecWidth
+// hostW and hostF16C are the micro-kernels chosen at init, before any test
+// forces others.
+var hostW, hostF16C = vecWidth, useF16C
 
 func (w width) String() string {
 	return map[width]string{widthGo: "Go", widthSSE2: "SSE2", widthAVX2: "AVX2", widthAVX512: "AVX-512"}[w]
@@ -12,8 +12,11 @@ func (w width) String() string {
 
 // forEachWidth runs f once per FP64 micro-kernel width — the pure-Go
 // reference, SSE2, AVX2, AVX-512 — with the package forced to that width,
-// and skips by name the widths this host cannot run. This hook is the only
-// way to choose a width, and it exists only in the package's own tests.
+// and skips by name the widths this host cannot run. The pure-Go
+// instantiation is pure Go throughout: it also turns the F16C binary16
+// kernel off, the others run it where the host has it. This hook is the
+// only way to choose a kernel, and it exists only in the package's own
+// tests.
 func forEachWidth(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
 	for _, w := range []width{widthGo, widthSSE2, widthAVX2, widthAVX512} {
@@ -21,8 +24,8 @@ func forEachWidth(t *testing.T, f func(t *testing.T)) {
 			if w > hostW {
 				t.Skipf("this host has no %s", w)
 			}
-			vecWidth = w
-			defer func() { vecWidth = hostW }()
+			vecWidth, useF16C = w, hostF16C && w != widthGo
+			defer func() { vecWidth, useF16C = hostW, hostF16C }()
 			f(t)
 		})
 	}

@@ -7,14 +7,22 @@ import (
 
 // The NT GEMM family is built around register-blocked micro-kernels: the
 // FP64 kernel of four A rows × two vectors of B columns at the host's vector
-// width (dot64 / sub64) and the 4×4 float32 kernel (dotNT4x4f32), with
-// portable Go forms of both. A block of independent accumulators covers a
-// tile of C with the k-loop innermost, so each accumulator sums its products
-// in exactly the order the naive triple loop would — the blocked kernels are
-// bit-identical to the seed kernels for every input and at every width
-// (pinned by the golden digest tests). B is repacked into interleaved column
-// blocks (packB64 / interleave4f32) so one vector load pulls the operand for
-// all lanes; lanes never mix elements of one accumulation.
+// width (dot64 / sub64), the 4×4 float32 kernel (dotNT4x4f32) and, where the
+// processor converts binary16 in hardware, the 4×8 pure-FP16 kernel
+// (dotNT4x8f16), with portable Go forms of all three. A block of independent
+// accumulators covers a tile of C with the k-loop innermost, so each
+// accumulator sums its products in exactly the order the naive triple loop
+// would — the blocked kernels are bit-identical to the seed kernels for every
+// input and at every width (pinned by the golden digest tests). B is repacked
+// into interleaved column blocks (packB64 / interleaveF32) so one vector load
+// pulls the operand for all lanes; lanes never mix elements of one
+// accumulation.
+//
+// The pure-FP16 kernel rounds every product and partial sum to binary16:
+// fp16.QuantF32 in Go (gemmNT16Panel), a VCVTPS2PH/VCVTPH2PS round trip on
+// eight lanes with F16C (gemmNT16F16C) — the same rounding, subnormals
+// included. CPUID decides at init (useF16C); no bit of a result that is not
+// a NaN depends on it (a NaN's sign follows the add's operand order).
 
 // Operand is a rows×k tile converted once for the NT GEMM kernels of one
 // precision: quantized through the format's input representation, row-major
@@ -34,7 +42,8 @@ type Operand struct {
 
 	// Float32-accumulate formats: f32 is the input-quantized tile,
 	// row-major with stride k (A side, remainder rows, and both sides of
-	// the binary16 kernel); bq its quad-interleaved B side.
+	// the portable binary16 kernel); bq its B side, interleaved by four —
+	// by eight for the F16C kernel, the only binary16 kernel that reads one.
 	f32 []float32
 	bq  []float32
 
@@ -62,9 +71,14 @@ func (o *Operand) Pack(p prec.Precision, rows, k int, src []float64, ld int, bSi
 	defer leaveFlush32(enterFlush32())
 	o.f32, o.f32p = f32Scratch(rows * k)
 	pk(o.f32, src, rows, k, ld)
-	if bSide && p != prec.FP16 {
-		o.bq, o.bqp = f32Scratch(((rows + 3) &^ 3) * k)
-		interleave4f32(o.bq, o.f32, rows, k)
+	nb := 4
+	if p == prec.FP16 {
+		nb = 8
+		bSide = bSide && useF16C
+	}
+	if bSide {
+		o.bq, o.bqp = f32Scratch((rows + nb - 1) / nb * nb * k)
+		interleaveF32(o.bq, o.f32, rows, k, nb)
 	}
 }
 
@@ -101,7 +115,11 @@ func GemmNTPacked(alpha float64, a, b *Operand, beta float64, c []float64, ldc i
 	defer leaveFlush32(enterFlush32())
 	if a.p == prec.FP16 {
 		alf, bef := fp16.QuantF32(float32(alpha)), fp16.QuantF32(float32(beta))
-		gemmNT16Panel(0, m, n, k, alf, beta == 0, bef, a.f32, b.f32, c, ldc)
+		i := 0
+		if len(b.bq) > 0 {
+			i = gemmNT16F16C(m, n, k, alf, beta == 0, bef, a.f32, b.bq, c, ldc)
+		}
+		gemmNT16Panel(i, m, n, k, alf, beta == 0, bef, a.f32, b.f32, c, ldc)
 		return
 	}
 	gemmNT32Panel(0, m, n, k, float32(alpha), beta == 0, float32(beta), a.f32, b.f32, b.bq, c, ldc)
@@ -356,22 +374,23 @@ func gemmNT32Panel(i0, i1, n, k int, al float32, betaZero bool, be float32, af, 
 	}
 }
 
-// interleave4f32 packs the already-quantized row-major n×k matrix (stride k)
-// into column-quad blocks: dst[jq·4k + 4l + jj] = src[(4jq+jj)·k + l], the
-// operand layout of dotNT4x4f32. Rows past n are zero padding; their lanes
-// are computed and discarded at the store.
-func interleave4f32(dst, src []float32, n, k int) {
-	for jq := 0; 4*jq < n; jq++ {
-		out := dst[jq*4*k:][:4*k]
-		for jj := 0; jj < 4; jj++ {
-			if 4*jq+jj < n {
-				row := src[(4*jq+jj)*k:][:k]
+// interleaveF32 packs the already-quantized row-major n×k matrix (stride k)
+// into column blocks of nb: dst[jb·nb·k + nb·l + jj] = src[(nb·jb+jj)·k + l],
+// the operand layout of dotNT4x4f32 (nb = 4) and dotNT4x8f16 (nb = 8). Rows
+// past n are zero padding; their lanes are computed and discarded at the
+// store.
+func interleaveF32(dst, src []float32, n, k, nb int) {
+	for j0 := 0; j0 < n; j0 += nb {
+		out := dst[j0*k:][:nb*k]
+		for jj := 0; jj < nb; jj++ {
+			if j0+jj < n {
+				row := src[(j0+jj)*k:][:k]
 				for l := 0; l < k; l++ {
-					out[4*l+jj] = row[l]
+					out[nb*l+jj] = row[l]
 				}
 			} else {
 				for l := 0; l < k; l++ {
-					out[4*l+jj] = 0
+					out[nb*l+jj] = 0
 				}
 			}
 		}
@@ -399,6 +418,31 @@ func GemmNTFP16(m, n, k int, alpha float64, a []float64, lda int, b []float64, l
 	GemmNTPrec(prec.FP16, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
+// gemmNT16F16C runs the whole groups of four rows of the pure-FP16 GEMM
+// through the F16C micro-kernel (b8 is B interleaved by eight), combines the
+// sums as the Go kernel does, and returns the first row it left for it.
+func gemmNT16F16C(m, n, k int, alf float32, betaZero bool, bef float32, af, b8 []float32, c []float64, ldc int) int {
+	var s [32]float32
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		ai := af[i*k:][:4*k]
+		for j := 0; j < n; j += 8 {
+			dotNT4x8f16(k, ai, b8[j*k:][:8*k], &s)
+			w := min(8, n-j)
+			for r := 0; r < 4; r++ {
+				cr := c[(i+r)*ldc+j:][:w]
+				for jj := range cr {
+					cr[jj] = fp16Store(alf, s[8*r+jj], betaZero, bef, cr[jj])
+				}
+			}
+		}
+	}
+	return i
+}
+
+// gemmNT16Panel is the pure-FP16 GEMM over rows [i0,i1) in portable Go: the
+// only form off amd64 and without F16C, the remainder rows everywhere, and
+// the reference the F16C kernel is tested against.
 func gemmNT16Panel(i0, i1, n, k int, alf float32, betaZero bool, bef float32, af, bf []float32, c []float64, ldc int) {
 	i := i0
 	for ; i+4 <= i1; i += 4 {

@@ -16,25 +16,31 @@ import "runtime"
 // would skip the intermediate rounding and change results.
 //
 // The width is the widest the processor implements and the OS saves the
-// registers of, read once at init. It is not a setting: results do not
-// depend on it, only speed does.
-var vecWidth = hostWidth()
+// registers of, read once at init; useF16C says whether the pure-FP16 GEMM
+// rounds to binary16 with F16C (dotNT4x8f16, an AVX kernel) or in Go.
+// Neither is a setting: results do not depend on them, only speed does.
+var vecWidth, useF16C = hostKernels()
 
-func hostWidth() width {
+func hostKernels() (width, bool) {
 	const osxsaveAVX = 1<<27 | 1<<28 // CPUID.1:ECX
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	_, _, c1, _ := cpuid(1, 0)
-	if maxLeaf < 7 || c1&osxsaveAVX != osxsaveAVX {
-		return widthSSE2
+	if c1&osxsaveAVX != osxsaveAVX {
+		return widthSSE2, false
 	}
-	_, b7, _, _ := cpuid(7, 0)
-	switch xcr0 := xgetbv0(); {
-	case b7&(1<<16) != 0 && xcr0&0xe6 == 0xe6: // AVX512F; OS saves XMM, YMM, opmask, ZMM_Hi256, Hi16_ZMM
-		return widthAVX512
-	case b7&(1<<5) != 0 && xcr0&0x6 == 0x6: // AVX2; OS saves XMM, YMM
-		return widthAVX2
+	xcr0, b7 := xgetbv0(), uint32(0)
+	if maxLeaf >= 7 {
+		_, b7, _, _ = cpuid(7, 0)
 	}
-	return widthSSE2
+	ymm := xcr0&0x6 == 0x6 // the OS saves XMM, YMM
+	f16c := ymm && c1&(1<<29) != 0
+	switch {
+	case b7&(1<<16) != 0 && xcr0&0xe6 == 0xe6: // AVX512F; the OS saves opmask, ZMM_Hi256, Hi16_ZMM too
+		return widthAVX512, f16c
+	case b7&(1<<5) != 0 && ymm: // AVX2
+		return widthAVX2, f16c
+	}
+	return widthSSE2, f16c
 }
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -100,6 +106,14 @@ func subKernAVX512(k int, a []float64, lda int, bp []float64, c []float64, ldc i
 //
 //go:noescape
 func dotNT4x4f32(k int, a0, a1, a2, a3, bq []float32, s *[16]float32)
+
+// dotNT4x8f16 computes the pure-FP16 sums of four A rows (a, row stride k)
+// against one block of eight B columns (b8[8l+jj] = b(jj)[l]):
+// s[8r+jj] = fl16(s + fl16(a(r)[l]·b(jj)[l])) over increasing l, every value
+// a binary16 number held in a float32 lane. k > 0; needs useF16C.
+//
+//go:noescape
+func dotNT4x8f16(k int, a, b8 []float32, s *[32]float32)
 
 // The binary32 underflow contract (doc.go) on amd64: MXCSR flush-to-zero
 // (bit 15) and denormals-are-zero (bit 6) govern every SSE instruction, so

@@ -403,6 +403,59 @@ done32:
 	MOVUPS X7, 48(DI)
 	RET
 
+// func dotNT4x8f16(k int, a, b8 []float32, s *[32]float32)
+//
+// The pure-FP16 kernel (AVX + F16C): Y0..Y3 accumulate a 4×8 block, lane jj
+// of Yr one output element held as the float32 image of a binary16 value.
+// Per l and row: the product in binary32 (VMULPS), rounded to binary16 and
+// widened back (VCVTPS2PH $0 = round to nearest even, VCVTPH2PS), added to
+// the accumulator (VADDPS), and the same round trip on the sum — the two
+// fp16.QuantF32 of the Go kernel, on eight lanes. The conversions produce
+// and accept binary16 subnormals whatever MXCSR.FTZ/DAZ say; the multiply
+// and the add obey them, as the scalar ones in the Go kernel do.
+#define ROW16(m, t, h, acc, hacc) \
+	VBROADCASTSS m, t        \
+	VMULPS Y4, t, t          \
+	VCVTPS2PH $0, t, h       \
+	VCVTPH2PS h, t           \
+	VADDPS t, acc, acc       \
+	VCVTPS2PH $0, acc, hacc  \
+	VCVTPH2PS hacc, acc
+
+TEXT ·dotNT4x8f16(SB), NOSPLIT, $0-64
+	MOVQ k+0(FP), CX
+	MOVQ a_base+8(FP), R8
+	MOVQ b8_base+32(FP), SI
+	MOVQ s+56(FP), DI
+	LEAQ (R8)(CX*4), R9
+	LEAQ (R9)(CX*4), R10
+	LEAQ (R10)(CX*4), R11
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+
+loop16:
+	VMOVUPS (SI), Y4
+	ROW16((R8), Y5, X5, Y0, X0)
+	ROW16((R9), Y6, X6, Y1, X1)
+	ROW16((R10), Y7, X7, Y2, X2)
+	ROW16((R11), Y8, X8, Y3, X3)
+	ADDQ $32, SI
+	ADDQ $4, R8
+	ADDQ $4, R9
+	ADDQ $4, R10
+	ADDQ $4, R11
+	DECQ CX
+	JNZ  loop16
+
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VZEROUPPER
+	RET
+
 // func getMXCSR() uint32
 TEXT ·getMXCSR(SB), NOSPLIT, $0-4
 	STMXCSR ret+0(FP)

@@ -14,6 +14,14 @@ func sub64(k int, a []float64, lda int, bp []float64, c []float64, ldc int) {
 	subKernGo(k, a, lda, bp, c, ldc)
 }
 
+// Off amd64 there is no hardware binary16 kernel: gemmNT16Panel does all
+// rows and no operand carries the B side dotNT4x8f16 would read.
+var useF16C = false
+
+func dotNT4x8f16(k int, a, b8 []float32, s *[32]float32) {
+	panic("linalg: the F16C kernel exists on amd64 only")
+}
+
 // dotNT4x4f32 is the portable form of the SSE2 float32 micro-kernel: lane
 // jj is one output element's accumulator, summed in increasing l.
 func dotNT4x4f32(k int, a0, a1, a2, a3, bq []float32, s *[16]float32) {

@@ -3,45 +3,61 @@ package linalg
 import "geompc/internal/prec"
 
 // SyrkLN computes C = alpha·A·Aᵀ + beta·C on the lower triangle of the n×n
-// matrix C (stride ldc), with A n×k (stride lda), in float64. This is the
-// diagonal-tile update A[m][m] -= A[m][k]·A[m][k]ᵀ of Algorithm 1 (alpha=-1,
-// beta=1). A is packed once as the B operand and the GEMM micro-kernel runs
-// over the column blocks at or below the diagonal; a block the diagonal
-// crosses stores only j ≤ i. Each element is the same l-ordered sum as in
-// the scalar loop: bit-identical.
+// matrix C (stride ldc), with A n×k (stride lda), in float64: the diagonal
+// update A[m][m] -= A[m][k]·A[m][k]ᵀ of Algorithm 1 (alpha=-1, beta=1).
 func SyrkLN(n, k int, alpha float64, a []float64, lda int, beta float64, c []float64, ldc int) {
-	i := 0
-	if k > 0 && n >= 4 {
-		nb := vecWidth.nb()
-		bp, bpp := packB64Scratch(a, n, k, lda)
-		for ; i+4 <= n; i += 4 {
-			ai, ci := a[i*lda:], c[i*ldc:]
-			j := 0
-			for ; j+nb <= i+1; j += nb { // wholly at or below the diagonal of all four rows
-				dot64(k, ai, lda, bp[j*k:], alpha, beta, ci[j:], ldc)
-			}
-			for ; j <= i+3; j += nb { // row i+r keeps columns j..i+r
-				dotPartial64(k, ai, lda, bp[j*k:], alpha, beta, ci[j:], ldc, i-j+1, 1)
-			}
-		}
-		putF64(bpp)
-	}
-	for ; i < n; i++ {
-		gemmNT64Tail(i, i+1, i+1, k, alpha, a, lda, a, lda, beta, c, ldc)
-	}
+	SyrkLNPrec(prec.FP64, n, k, alpha, a, lda, beta, c, ldc)
 }
 
 // SyrkLN32 is SyrkLN in genuine float32 arithmetic over float64 storage
 // (full-FP32 baseline only; the adaptive framework always runs SYRK in FP64
 // because it updates diagonal tiles).
 func SyrkLN32(n, k int, alpha float64, a []float64, lda int, beta float64, c []float64, ldc int) {
-	defer leaveFlush32(enterFlush32())
-	af, afp := f32Scratch(n * k)
-	pack32(af, a, n, k, lda)
-	al, be := float32(alpha), float32(beta)
-	betaZero := beta == 0
-	syrkLN32Panel(0, n, k, al, betaZero, be, af, c, ldc)
-	putF32(afp)
+	SyrkLNPrec(prec.FP32, n, k, alpha, a, lda, beta, c, ldc)
+}
+
+// SyrkLNPrec runs the SYRK tile kernel of execution precision p (FP64 or
+// FP32): it packs A for this one call and runs SyrkLNPacked.
+func SyrkLNPrec(p prec.Precision, n, k int, alpha float64, a []float64, lda int, beta float64, c []float64, ldc int) {
+	var ao Operand
+	// Only the FP64 micro-kernel reads a B side, and only from four rows up.
+	ao.Pack(p, n, k, a, lda, p == prec.FP64 && n >= 4)
+	SyrkLNPacked(alpha, &ao, beta, c, ldc)
+	ao.Release()
+}
+
+// SyrkLNPacked computes C = alpha·A·Aᵀ + beta·C on the lower triangle of C
+// (stride ldc) in the precision a was packed for, FP64 or FP32 — the operand
+// the tile's GEMMs share. In FP64 the GEMM micro-kernel runs over the column
+// blocks of a's B side at or below the diagonal; a block the diagonal crosses
+// stores only j ≤ i. Each element is the scalar loop's l-ordered sum.
+func SyrkLNPacked(alpha float64, a *Operand, beta float64, c []float64, ldc int) {
+	n, k := a.rows, a.k
+	switch a.p {
+	case prec.FP64:
+		i := 0
+		if len(a.bp) > 0 {
+			nb := vecWidth.nb()
+			for ; i+4 <= n; i += 4 {
+				ai, ci := a.src[i*a.ld:], c[i*ldc:]
+				j := 0
+				for ; j+nb <= i+1; j += nb { // wholly at or below the diagonal of all four rows
+					dot64(k, ai, a.ld, a.bp[j*k:], alpha, beta, ci[j:], ldc)
+				}
+				for ; j <= i+3; j += nb { // row i+r keeps columns j..i+r
+					dotPartial64(k, ai, a.ld, a.bp[j*k:], alpha, beta, ci[j:], ldc, i-j+1, 1)
+				}
+			}
+		}
+		for ; i < n; i++ {
+			gemmNT64Tail(i, i+1, i+1, k, alpha, a.src, a.ld, a.src, a.ld, beta, c, ldc)
+		}
+	case prec.FP32:
+		defer leaveFlush32(enterFlush32())
+		syrkLN32Panel(0, n, k, float32(alpha), beta == 0, float32(beta), a.f32, c, ldc)
+	default:
+		panic("linalg: SYRK does not support precision " + a.p.String())
+	}
 }
 
 func syrkLN32Panel(i0, i1, k int, al float32, betaZero bool, be float32, af []float32, c []float64, ldc int) {
@@ -103,18 +119,5 @@ func syrkLN32Panel(i0, i1, k int, al float32, betaZero bool, be float32, af []fl
 				c[i*ldc+j] = float64(al*s + be*float32(c[i*ldc+j]))
 			}
 		}
-	}
-}
-
-// SyrkLNPrec dispatches the SYRK tile kernel for execution precision p
-// (FP64 or FP32).
-func SyrkLNPrec(p prec.Precision, n, k int, alpha float64, a []float64, lda int, beta float64, c []float64, ldc int) {
-	switch p {
-	case prec.FP64:
-		SyrkLN(n, k, alpha, a, lda, beta, c, ldc)
-	case prec.FP32:
-		SyrkLN32(n, k, alpha, a, lda, beta, c, ldc)
-	default:
-		panic("linalg: SYRK does not support precision " + p.String())
 	}
 }

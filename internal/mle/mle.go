@@ -29,7 +29,8 @@ import (
 )
 
 // Problem is one dataset plus the execution configuration used for every
-// likelihood evaluation.
+// likelihood evaluation. NegLogLik may be called from several goroutines at
+// once; a Problem in use must not be copied or changed.
 type Problem struct {
 	Locs   []geo.Point
 	Z      []float64
@@ -48,12 +49,47 @@ type Problem struct {
 	Platform *runtime.Platform
 	// Strategy for communication conversion (Auto = the paper's approach).
 	Strategy cholesky.Strategy
+
+	// mu guards the defaulting of the fields above and free, the buffers of
+	// finished evaluations: all of a Problem's have one shape, so a fit
+	// allocates Σ(θ) once, not per θ. Overlapping evaluations each hold one.
+	mu   sync.Mutex
+	free []*evalBuf
+}
+
+// evalBuf is what one evaluation computes in: the tiles of Σ(θ), then of
+// its factor, and the right-hand side of the solve.
+type evalBuf struct {
+	mat *tile.Matrix
+	y   []float64
+}
+
+// takeBuf returns a buffer of shape desc, a used one if there is one.
+func (p *Problem) takeBuf(desc tile.Desc) *evalBuf {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for n := len(p.free); n > 0; n = len(p.free) {
+		b := p.free[n-1]
+		p.free = p.free[:n-1]
+		if b.mat.Desc == desc {
+			return b
+		}
+	}
+	return &evalBuf{mat: tile.NewMatrix(desc, false), y: make([]float64, desc.N)}
+}
+
+func (p *Problem) putBuf(b *evalBuf) {
+	p.mu.Lock()
+	p.free = append(p.free, b)
+	p.mu.Unlock()
 }
 
 func (p *Problem) defaults() error {
 	if len(p.Locs) == 0 || len(p.Locs) != len(p.Z) {
 		return fmt.Errorf("mle: %d locations vs %d observations", len(p.Locs), len(p.Z))
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.TileSize <= 0 {
 		p.TileSize = 64
 	}
@@ -124,7 +160,9 @@ func (p *Problem) NegLogLik(theta []float64, rs *RunStats) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	mat := tile.NewMatrix(desc, false)
+	buf := p.takeBuf(desc)
+	defer p.putBuf(buf)
+	mat := buf.mat
 	p.fill(mat, theta)
 
 	var km [][]prec.Precision
@@ -171,7 +209,8 @@ func (p *Problem) NegLogLik(theta []float64, rs *RunStats) (float64, error) {
 
 	// Quadratic form ZᵀΣ⁻¹Z = ‖L⁻¹Z‖² via a forward solve on the factor's
 	// tiles (O(n²), negligible next to the O(n³) factorization).
-	y := append([]float64(nil), p.Z...)
+	y := buf.y
+	copy(y, p.Z)
 	mat.ForwardSolve(y)
 	quad := 0.0
 	for _, v := range y {

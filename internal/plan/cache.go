@@ -87,6 +87,9 @@ type Outcome struct {
 	Stats  runtime.Stats
 	Plan   *Plan
 	Engine *runtime.Engine
+	// Err is the run's numeric failure (runtime.Engine.BodyErr), nil when
+	// every body succeeded or the graph had none.
+	Err error
 }
 
 // Schedule returns the run's task timeline in commit order: the plan's
@@ -127,18 +130,14 @@ func (c *Cache) Run(key func() (sig, precSig uint64), build func() (runtime.Grap
 		if err != nil {
 			return Outcome{}, err
 		}
-		return Outcome{Stats: stats, Engine: eng}, nil
+		return Outcome{Stats: stats, Engine: eng, Err: eng.BodyErr()}, nil
 	}
 	sig, precSig := key()
 	if p := c.lookup(sig); p != nil {
 		if p.PrecSig == precSig {
 			c.hits.Inc()
 			c.replays.Inc()
-			stats, err := p.Replay(g)
-			if err != nil {
-				return Outcome{}, err
-			}
-			return Outcome{Stats: stats, Plan: p}, nil
+			return p.Replay(g)
 		}
 		// The precision map changed under this shape: measure the damage
 		// (affected tasks + downstream closure), then recompile — timing is
@@ -153,12 +152,13 @@ func (c *Cache) Run(key func() (sig, precSig uint64), build func() (runtime.Grap
 	} else {
 		c.misses.Inc()
 	}
-	p, err := Compile(engine(g), sig, precSig)
+	eng := engine(g)
+	p, err := Compile(eng, sig, precSig)
 	if err != nil {
 		return Outcome{}, err
 	}
 	c.store(p)
-	return Outcome{Stats: p.Stats, Plan: p}, nil
+	return Outcome{Stats: p.Stats, Plan: p, Err: eng.BodyErr()}, nil
 }
 
 // Stats is a point-in-time snapshot of the cache counters.

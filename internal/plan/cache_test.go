@@ -5,9 +5,12 @@ package plan_test
 // results indistinguishable from fresh runs.
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"geompc/internal/cholesky"
+	"geompc/internal/linalg"
 	"geompc/internal/obs"
 	"geompc/internal/plan"
 )
@@ -64,13 +67,27 @@ func TestRunCachedFlow(t *testing.T) {
 	if r3.Digest() != fref.Digest() {
 		t.Fatalf("recompiled digest %016x != fresh %016x", r3.Digest(), fref.Digest())
 	}
+	// At u_req 1e-2 this matrix is not SPD in its reduced precisions: both
+	// runs stop at the same pivot. Bodies run in dataflow order, not in the
+	// simulation's, so the partial factors agree only because a failed
+	// POTRF keeps exactly its graph descendants from running.
+	if !errors.Is(r3.Err, linalg.ErrNotPositiveDefinite) || !strings.HasPrefix(r3.Err.Error(), "POTRF(3): ") ||
+		fref.Err == nil || r3.Err.Error() != fref.Err.Error() {
+		t.Fatalf("numeric failure: recompiled %v, fresh %v, want both POTRF(3): not positive definite", r3.Err, fref.Err)
+	}
 	sameBits(t, factorBits(fresh.Matrix, fresh.Desc), factorBits(c3.Matrix, c3.Desc), "recompile")
 
-	// The recompiled plan replaced the stale one: same shape now hits.
+	// The recompiled plan replaced the stale one: same shape now hits, and
+	// the replay fails and stops exactly as the live runs did.
 	c4 := newConfig(t, nt, ranks, dev, 1e-2, "", "")
-	if _, err := cholesky.RunCached(c4, cache); err != nil {
+	r4, err := cholesky.RunCached(c4, cache)
+	if err != nil {
 		t.Fatalf("post-recompile hit: %v", err)
 	}
+	if r4.Err == nil || r4.Err.Error() != fref.Err.Error() {
+		t.Fatalf("replayed numeric failure %v, fresh %v", r4.Err, fref.Err)
+	}
+	sameBits(t, factorBits(fresh.Matrix, fresh.Desc), factorBits(c4.Matrix, c4.Desc), "replay of the failed factorization")
 	if s := cache.Stats(); s.Hits != 2 || cache.Len() != 1 {
 		t.Fatalf("after recompile hit: %+v len=%d", s, cache.Len())
 	}

@@ -5,8 +5,8 @@ package plan_test
 // count, front-end (PTG / DTD), scheduling policy and broadcast topology,
 // the schedule digest of the replay equals the fresh run's digest and the
 // numeric factor is bit-identical. Run under -race in CI (plan-cache job):
-// the replay pool's start/await handshake is the only concurrency in the
-// path, and this grid exercises it across every schedule shape.
+// the body executor (runtime.RunBodies) is the only concurrency in the
+// path, and this grid exercises it across every graph shape.
 
 import (
 	"fmt"

@@ -1,0 +1,169 @@
+package runtime
+
+import (
+	"cmp"
+	gort "runtime"
+	"slices"
+	"sync"
+)
+
+// bodyExec runs the numeric bodies of one graph in dataflow order, as
+// PaRSEC starts a task: a body starts once its task has been committed (the
+// simulation has placed it; a replay commits everything up front) and the
+// body of every graph predecessor has returned. Virtual time orders nothing
+// here: the simulated devices and their pipeline depth bound what the model
+// overlaps, not what the host runs.
+//
+// A body that returns an error poisons its graph descendants: they are
+// skipped, everything else still runs. Which bodies run is then a property
+// of the graph alone, so a failed run leaves the same data and reports the
+// same failure at any GOMAXPROCS.
+type bodyExec struct {
+	g Graph
+
+	mu   sync.Mutex
+	wake sync.Cond // a task became ready, or finish was called and nothing is open
+
+	// Per task. wait counts the graph predecessors whose body has not
+	// returned or been skipped, plus one until the task is committed.
+	wait   []int32
+	body   []func() error
+	prio   []int64
+	poison []bool
+
+	ready   []int32 // sorted, next to run last (see push)
+	open    int     // committed tasks whose body has neither returned nor been skipped
+	closing bool    // finish was called: no more commits
+
+	failed int // lowest id among the bodies that failed, and its error
+	err    error
+
+	workers sync.WaitGroup
+}
+
+// newBodyExec starts GOMAXPROCS goroutines for the bodies of g's n tasks;
+// the caller fills wait before the first commit.
+func newBodyExec(g Graph, n int) *bodyExec {
+	x := &bodyExec{
+		g:    g,
+		wait: make([]int32, n), body: make([]func() error, n),
+		prio: make([]int64, n), poison: make([]bool, n),
+	}
+	x.wake.L = &x.mu
+	for w := gort.GOMAXPROCS(0); w > 0; w-- {
+		x.workers.Add(1)
+		go x.work()
+	}
+	return x
+}
+
+// commit hands over task id's body (nil: none, but order passes through).
+func (x *bodyExec) commit(id int, prio int64, body func() error) {
+	x.mu.Lock()
+	x.open++
+	x.body[id], x.prio[id] = body, prio
+	x.arrive(id)
+	x.mu.Unlock()
+}
+
+// finish returns, once every committed body has returned or been skipped
+// and the goroutines have exited, the failure of the lowest-numbered task.
+func (x *bodyExec) finish() error {
+	x.mu.Lock()
+	x.closing = true
+	x.wake.Broadcast()
+	x.mu.Unlock()
+	x.workers.Wait()
+	return x.err
+}
+
+// arrive clears one of the conditions task s waits on and queues it at the
+// last. (A malformed graph that releases a task more often than its
+// in-degree — the event loop reports it — starts nothing twice.)
+func (x *bodyExec) arrive(s int) {
+	if x.wait[s]--; x.wait[s] == 0 {
+		x.push(int32(s))
+		x.wake.Signal()
+	}
+}
+
+// work runs ready bodies — skips the poisoned ones — and releases their
+// successors, until finish has been called and nothing is open.
+func (x *bodyExec) work() {
+	defer x.workers.Done()
+	var succ []int
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for {
+		for len(x.ready) == 0 {
+			if x.closing && x.open == 0 {
+				return
+			}
+			x.wake.Wait()
+		}
+		id := int(x.ready[len(x.ready)-1])
+		x.ready = x.ready[:len(x.ready)-1]
+		body, failed := x.body[id], x.poison[id]
+		x.mu.Unlock()
+		var err error
+		if body != nil && !failed {
+			err = body()
+		}
+		succ = x.g.Successors(id, succ[:0])
+		x.mu.Lock()
+		if err != nil {
+			failed = true
+			if x.err == nil || id < x.failed {
+				x.failed, x.err = id, err
+			}
+		}
+		for _, s := range succ {
+			x.poison[s] = x.poison[s] || failed
+			x.arrive(s)
+		}
+		if x.open--; x.open == 0 && x.closing {
+			x.wake.Broadcast()
+		}
+	}
+}
+
+// push files a ready task so that the next to run — highest Priority, then
+// lowest id: the critical path first — is the last of ready.
+func (x *bodyExec) push(id int32) {
+	i, _ := slices.BinarySearchFunc(x.ready, id, func(a, b int32) int {
+		if c := cmp.Compare(x.prio[a], x.prio[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(b, a)
+	})
+	x.ready = slices.Insert(x.ready, i, id)
+}
+
+// RunBodies runs the numeric bodies of g in dataflow order with no
+// simulation around them (a compiled plan's replay) and returns what
+// Engine.BodyErr would. Without bodies it only calls Spec once per task.
+func RunBodies(g Graph) error {
+	var x *bodyExec
+	var spec TaskSpec
+	n := g.NumTasks()
+	for id := 0; id < n; id++ {
+		g.Spec(id, &spec)
+		if x == nil {
+			if spec.Body == nil {
+				continue
+			}
+			x = newBodyExec(g, n)
+			for i := range x.wait {
+				x.wait[i] = int32(g.NumPredecessors(i)) + 1
+			}
+			for earlier := 0; earlier < id; earlier++ {
+				x.commit(earlier, 0, nil)
+			}
+		}
+		x.commit(id, spec.Priority, spec.Body)
+	}
+	if x == nil {
+		return nil
+	}
+	return x.finish()
+}

@@ -1,0 +1,210 @@
+package runtime
+
+import (
+	"errors"
+	"fmt"
+	gort "runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"geompc/internal/hw"
+	"geompc/internal/prec"
+)
+
+// bodyGraph is a test graph of n one-device tasks without data; body(i)
+// supplies task i's body (nil: none).
+func bodyGraph(n int, body func(i int) func() error) *testGraph {
+	g := newTestGraph(n)
+	for i := range g.specs {
+		g.specs[i] = TaskSpec{Kind: hw.KindGemm, Device: 0, Prec: prec.FP64, Flops: 1e6,
+			Output: OutputSpec{Data: -1}, Body: body(i)}
+	}
+	return g
+}
+
+// TestBodiesMeetAtBarrier: eight independent tasks on one device at
+// Lookahead 2, whose first four bodies each wait until four have started.
+// The simulated device overlaps two tasks; the host must not be held to
+// that — when completion events joined the bodies this deadlocked.
+func TestBodiesMeetAtBarrier(t *testing.T) {
+	defer gort.GOMAXPROCS(gort.GOMAXPROCS(4))
+	var started atomic.Int32
+	gate := make(chan struct{})
+	g := bodyGraph(8, func(int) func() error {
+		return func() error {
+			if started.Add(1) == 4 {
+				close(gate)
+			}
+			<-gate
+			return nil
+		}
+	})
+	eng := New(onePlat(t), g)
+	eng.Lookahead = 2
+	done := make(chan error, 1)
+	go func() {
+		_, err := eng.Run()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("deadlock: %d bodies started, four must be in flight at once", started.Load())
+	}
+	if started.Load() != 8 {
+		t.Errorf("%d of 8 bodies ran", started.Load())
+	}
+}
+
+// TestNoGoroutineOutlivesFailedRun: a run that aborts on a malformed graph
+// returns only after the bodies it had started have returned and their
+// goroutines have exited.
+func TestNoGoroutineOutlivesFailedRun(t *testing.T) {
+	var running, ran atomic.Int32
+	g := bodyGraph(6, func(int) func() error {
+		return func() error {
+			running.Add(1)
+			time.Sleep(time.Millisecond)
+			ran.Add(1)
+			running.Add(-1)
+			return nil
+		}
+	})
+	g.edge(0, 5)
+	g.specs[5].Inputs = []InputSpec{{Data: 99, WireBytes: 8}} // no host copy anywhere
+	before := gort.NumGoroutine()
+	_, err := New(onePlat(t), g).Run()
+	var ge *GraphError
+	if !errors.As(err, &ge) || ge.Task != 5 {
+		t.Fatalf("Run error %v, want a GraphError on task 5", err)
+	}
+	if running.Load() != 0 {
+		t.Errorf("%d bodies still running when Run returned", running.Load())
+	}
+	if ran.Load() == 0 {
+		t.Error("no body ran before the malformed task committed: scenario too weak")
+	}
+	// A goroutine that has returned from its function may take a moment to
+	// leave the count.
+	for i := 0; gort.NumGoroutine() > before && i < 1000; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := gort.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the failed run, %d before it", n, before)
+	}
+}
+
+// poisonGraph has two failing tasks, 1 and 2, with common descendants, and
+// a component that descends from neither but feeds one that does:
+//
+//	0 → 1* → 3 → 6 ← 5 ← 4
+//	0 → 2* → 3           5 → 7
+func poisonGraph(ran []atomic.Int32) *testGraph {
+	g := bodyGraph(8, func(i int) func() error {
+		return func() error {
+			ran[i].Add(1)
+			if i == 1 || i == 2 {
+				return fmt.Errorf("task %d failed", i)
+			}
+			return nil
+		}
+	})
+	g.edge(0, 1)
+	g.edge(0, 2)
+	g.edge(1, 3)
+	g.edge(2, 3)
+	g.edge(3, 6)
+	g.edge(4, 5)
+	g.edge(5, 7)
+	g.edge(5, 6)
+	return g
+}
+
+// TestFailedBodyPoisonsExactlyItsDescendants, twenty times at GOMAXPROCS 8
+// through the engine and through RunBodies: the bodies that run are the
+// tasks that descend from no failed task, each once, and the failure
+// reported is that of the lowest-numbered failed task — not of whichever
+// failed first on the clock.
+func TestFailedBodyPoisonsExactlyItsDescendants(t *testing.T) {
+	defer gort.GOMAXPROCS(gort.GOMAXPROCS(8))
+	want := [8]int32{0: 1, 1: 1, 2: 1, 4: 1, 5: 1, 7: 1} // 3 and 6 descend from a failure
+	for rep := 0; rep < 20; rep++ {
+		for _, replay := range []bool{false, true} {
+			ran := make([]atomic.Int32, 8)
+			g := poisonGraph(ran)
+			var bodyErr error
+			if replay {
+				bodyErr = RunBodies(g)
+			} else {
+				eng := New(onePlat(t), g)
+				if _, err := eng.Run(); err != nil {
+					t.Fatal(err)
+				}
+				bodyErr = eng.BodyErr()
+			}
+			if bodyErr == nil || bodyErr.Error() != "task 1 failed" {
+				t.Fatalf("replay=%v: body error %v, want task 1's", replay, bodyErr)
+			}
+			for i := range ran {
+				if got := ran[i].Load(); got != want[i] {
+					t.Fatalf("replay=%v: body %d ran %d times, want %d", replay, i, got, want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestBodilessTasksKeepDataflowOrder: tasks without a body may sit anywhere
+// in a graph that has bodies — committed before the executor exists (0, 1
+// in flight or done when 2 commits), or between two bodies (3) — and the
+// order of the bodies around them holds: 4 must see what 2 wrote.
+func TestBodilessTasksKeepDataflowOrder(t *testing.T) {
+	for rep := 0; rep < 50; rep++ {
+		var wrote, saw atomic.Bool
+		g := bodyGraph(5, func(i int) func() error {
+			switch i {
+			case 2:
+				return func() error { time.Sleep(100 * time.Microsecond); wrote.Store(true); return nil }
+			case 4:
+				return func() error { saw.Store(wrote.Load()); return nil }
+			}
+			return nil
+		})
+		g.edge(0, 1)
+		g.edge(1, 2)
+		g.edge(2, 3)
+		g.edge(3, 4)
+		eng := New(onePlat(t), g)
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !saw.Load() {
+			t.Fatal("engine: body 4 started before body 2 returned, through bodiless task 3")
+		}
+		wrote.Store(false)
+		saw.Store(false)
+		if err := RunBodies(g); err != nil || !saw.Load() {
+			t.Fatalf("RunBodies: err %v, body 4 saw body 2's write: %v", err, saw.Load())
+		}
+	}
+}
+
+// TestRunBodiesWithoutBodies: replaying a phantom graph starts no goroutine
+// and allocates nothing beyond the one spec record it reads tasks into.
+func TestRunBodiesWithoutBodies(t *testing.T) {
+	g := bodyGraph(16, func(int) func() error { return nil })
+	for i := 1; i < 16; i++ {
+		g.edge(i-1, i)
+	}
+	if a := testing.AllocsPerRun(10, func() {
+		if err := RunBodies(g); err != nil {
+			t.Error(err)
+		}
+	}); a > 1 {
+		t.Errorf("RunBodies on a graph without bodies: %v allocs, want at most 1", a)
+	}
+}

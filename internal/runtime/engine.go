@@ -3,7 +3,6 @@ package runtime
 import (
 	"fmt"
 	"math"
-	gort "runtime"
 
 	"geompc/internal/comm"
 	"geompc/internal/obs"
@@ -45,10 +44,6 @@ type Engine struct {
 	// comm.Binomial{}, the engine's historical behavior.
 	Bcast comm.Topology
 
-	// Recorder, when non-nil, observes the run's commit/completion stream
-	// (see PlanRecorder): the forward schedule a compiled plan replays.
-	Recorder PlanRecorder
-
 	devices []*device
 	// nics holds one comm.Link per rank: the send side of its broadcasts.
 	nics []*comm.Link
@@ -74,13 +69,15 @@ type Engine struct {
 	seq          int64
 	now          float64
 	succBuf      []int
-	inflight     int
 	done         int
 	dirtyDevs    []int
 	// fatalErr is the first malformed-graph error (see fail); Run stops on it.
 	fatalErr error
 
-	workers *workerPool
+	// bodies runs the current run's numeric bodies (nil until one commits);
+	// bodyErr is what the last run's reported.
+	bodies  *bodyExec
+	bodyErr error
 
 	schedule []ScheduledTask
 
@@ -111,8 +108,10 @@ func (e *Engine) Graph() Graph { return e.g }
 func (e *Engine) Metrics() *obs.Registry { return e.metrics }
 
 // Run executes the task system to completion and returns the run's
-// statistics. Malformed graphs (invalid device assignments, inputs with no
-// host copy, broken in-degree accounting) abort the run with a *GraphError;
+// statistics — on every path only once each numeric body it started has
+// returned; a body's failure is not a run error (see BodyErr). Malformed
+// graphs (invalid device assignments, inputs with no host copy, broken
+// in-degree accounting) abort the run with a *GraphError;
 // dependency cycles leave tasks unexecuted and are reported as a plain
 // error. With Audit enabled, invariant violations are reported as an error
 // after the run.
@@ -161,22 +160,20 @@ func (e *Engine) Run() (Stats, error) {
 		e.pending = make([]int32, n)
 	}
 	e.events = e.events[:0]
-	e.now, e.seq, e.inflight, e.done = 0, 0, 0, 0
+	e.now, e.seq, e.done = 0, 0, 0
 	e.stats = Stats{}
 	e.schedule = e.schedule[:0]
 	e.bytesH2D, e.bytesD2H, e.bytesNet = [prec.Count]int64{}, [prec.Count]int64{}, [prec.Count]int64{}
 	e.digest = obs.Digest{}
 	e.auditViol = e.auditViol[:0]
-	e.fatalErr = nil
+	e.fatalErr, e.bodyErr = nil, nil
 	e.metrics.Reset()
 	e.hTaskSec = e.metrics.Histogram("engine/task_seconds", obs.ExpBuckets(1e-6, 4, 16))
 	e.hH2DBytes = e.metrics.Histogram("engine/h2d_bytes", obs.ExpBuckets(4096, 4, 16))
-	// The worker pool spins up lazily, on the first task that carries a
-	// numeric body — phantom runs never pay for goroutine creation.
 	defer func() {
-		if e.workers != nil {
-			e.workers.close()
-			e.workers = nil
+		if e.bodies != nil {
+			e.bodyErr = e.bodies.finish()
+			e.bodies = nil
 		}
 	}()
 
@@ -366,27 +363,37 @@ func (e *Engine) commit(d *device, spec *TaskSpec) {
 	e.digest.WriteFloat64(end)
 	e.digest.WriteInt64(stagedBytes)
 
-	var result chan struct{}
-	if body := spec.Body; body != nil {
-		if e.workers == nil {
-			e.workers = newWorkerPool(gort.GOMAXPROCS(0))
+	if spec.Body != nil || e.bodies != nil {
+		if e.bodies == nil {
+			e.startBodies()
 		}
-		// Numeric mode trades a join channel and a wrapper closure per task
-		// for overlap; pure DES never reaches this.
-		result = make(chan struct{})
-		done := result
-		e.workers.submit(func() {
-			body()
-			close(done)
-		})
+		e.bodies.commit(spec.ID, spec.Priority, spec.Body)
 	}
 	e.seq++
-	e.pushEvent(event{at: end, seq: e.seq, spec: spec, result: result})
-	e.inflight++
-	if e.Recorder != nil {
-		e.Recorder.RecordCommit(spec.ID)
-	}
+	e.pushEvent(event{at: end, seq: e.seq, spec: spec})
 }
+
+// startBodies creates the body executor at the first commit that carries a
+// body, so phantom runs never pay for it. The tasks committed before had
+// none, which counts as returned: any other task waits for its pending
+// predecessors less those in flight, and for its own commit.
+func (e *Engine) startBodies() {
+	x := newBodyExec(e.g, len(e.pending))
+	for id, p := range e.pending {
+		x.wait[id] = p + 1
+	}
+	for i := range e.events {
+		e.succBuf = e.g.Successors(e.events[i].spec.ID, e.succBuf[:0])
+		for _, s := range e.succBuf {
+			x.wait[s]--
+		}
+	}
+	e.bodies = x
+}
+
+// BodyErr returns the numeric failure of the last Run: the error of the
+// lowest-numbered task whose body failed (its descendants were skipped).
+func (e *Engine) BodyErr() error { return e.bodyErr }
 
 // convPowerFrac is the fraction of the dynamic power range a datatype
 // conversion kernel draws (memory-bound, low arithmetic intensity).
@@ -408,22 +415,12 @@ func (e *Engine) drainWritebacks(d *device, sink *evictSink) {
 	sink.writebacks = sink.writebacks[:0]
 }
 
-// complete processes a task's completion event: joins the numeric body,
-// publishes the output, and releases successors.
-//
-// The flight.result join is the synchronization point between virtual and
-// real time: a task's numeric body runs on the worker pool as soon as the
-// task commits, but its *effects* (the produced tile, the error flag) may
-// only be observed by successors after this receive, which blocks until the
-// body's goroutine closes the channel. Virtual completion order therefore
-// bounds real dataflow order — successors never read a tile whose producer
-// body is still running, regardless of GOMAXPROCS.
+// complete processes a task's completion event in virtual time: publishes
+// the output and releases successors. It does not wait for the numeric
+// body — the body executor orders real execution, by dataflow.
 func (e *Engine) complete(ev *event) {
 	spec := ev.spec
 	d := e.devices[spec.Device]
-	if ev.result != nil {
-		<-ev.result
-	}
 
 	for i := range spec.Inputs {
 		d.unpin(spec.Inputs[i].Data)
@@ -432,19 +429,11 @@ func (e *Engine) complete(ev *event) {
 		d.unpin(spec.Output.Data)
 	}
 
-	// The body is joined and successors have not committed yet: a recorder
-	// sees every predecessor's completion strictly before any dependent
-	// commit, which is the ordering a plan replay relies on.
-	if e.Recorder != nil {
-		e.Recorder.RecordComplete(spec.ID)
-	}
-
 	if p := spec.Publish; p != nil {
 		e.publish(d, spec, p)
 	}
 
 	e.done++
-	e.inflight--
 	d.committed--
 	e.stats.Tasks++
 	e.stats.TotalFlops += spec.Flops

@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"math"
+	gort "runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -327,7 +328,7 @@ func TestNumericBodiesRunInDependencyOrder(t *testing.T) {
 		g.specs[i] = TaskSpec{
 			Kind: hw.KindGemm, Device: 0, Prec: prec.FP64, Flops: 1e6,
 			Output: OutputSpec{Data: -1},
-			Body:   func() { order[i] = ctr.Add(1) },
+			Body:   func() error { order[i] = ctr.Add(1); return nil },
 		}
 	}
 	// diamond: 0 -> {1,2} -> 3
@@ -345,22 +346,29 @@ func TestNumericBodiesRunInDependencyOrder(t *testing.T) {
 }
 
 func TestPriorityOrdering(t *testing.T) {
-	// Among simultaneously-ready tasks, higher priority runs first.
+	// Among simultaneously-ready tasks, higher priority runs first: on the
+	// simulated device, and — with one goroutine to run them, so that the
+	// order is observable — among the bodies too.
+	defer gort.GOMAXPROCS(gort.GOMAXPROCS(1))
 	var first atomic.Int32
 	g := newTestGraph(2)
 	g.specs[0] = TaskSpec{Kind: hw.KindGemm, Device: 0, Prec: prec.FP64, Flops: 1e6,
 		Priority: 1, Output: OutputSpec{Data: -1},
-		Body: func() { first.CompareAndSwap(0, 1) }}
+		Body: func() error { first.CompareAndSwap(0, 1); return nil }}
 	g.specs[1] = TaskSpec{Kind: hw.KindGemm, Device: 0, Prec: prec.FP64, Flops: 1e6,
 		Priority: 100, Output: OutputSpec{Data: -1},
-		Body: func() { first.CompareAndSwap(0, 2) }}
+		Body: func() error { first.CompareAndSwap(0, 2); return nil }}
 	eng := New(onePlat(t), g)
 	eng.Lookahead = 1
+	eng.Trace = true
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if first.Load() != 2 {
-		t.Errorf("high-priority task did not run first (winner %d)", first.Load())
+		t.Errorf("high-priority body did not run first (winner %d)", first.Load())
+	}
+	if sch := eng.ScheduleTrace(); len(sch) != 2 || sch[0].ID != 1 {
+		t.Errorf("simulated schedule %+v: want the high-priority task first", sch)
 	}
 }
 

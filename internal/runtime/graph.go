@@ -71,7 +71,9 @@ type PublishSpec struct {
 }
 
 // TaskSpec is the full description of one task, produced on demand by a
-// Graph. Body, when non-nil, performs the real numeric work.
+// Graph. Body, when non-nil, performs the real numeric work: it starts once
+// the task is committed and every graph predecessor's body has returned; an
+// error keeps exactly its graph descendants' bodies from running.
 type TaskSpec struct {
 	ID       int
 	Kind     hw.KernelKind
@@ -82,7 +84,7 @@ type TaskSpec struct {
 	Inputs   []InputSpec
 	Output   OutputSpec
 	Publish  *PublishSpec
-	Body     func()
+	Body     func() error
 }
 
 // Graph supplies a task system algebraically. Implementations must be
@@ -100,7 +102,8 @@ type Graph interface {
 	// NumPredecessors returns the in-degree of task id.
 	NumPredecessors(id int) int
 	// Successors appends the ids of tasks depending on id to buf and
-	// returns it.
+	// returns it. In a graph with bodies it is also called from the
+	// goroutines that run them, concurrently with itself and the others.
 	Successors(id int, buf []int) []int
 	// InitialData enumerates every DataID resident in host memory before
 	// execution starts, with its owning rank (matrix generation phase).

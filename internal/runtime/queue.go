@@ -9,10 +9,9 @@ import "geompc/internal/sched"
 
 // event is a committed task's completion notice in virtual time.
 type event struct {
-	at     float64
-	seq    int64
-	spec   *TaskSpec
-	result chan struct{} // non-nil when a numeric body runs; closed at finish
+	at   float64
+	seq  int64
+	spec *TaskSpec
 }
 
 func eventBefore(a, b *event) bool {
