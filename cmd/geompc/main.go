@@ -95,14 +95,13 @@ func ureqLabel(u float64) string {
 	return "exact"
 }
 
-// writeChrome exports a live run's timeline as Chrome trace-event JSON; nt
-// is cholesky.Result.WriteChromeTrace's task-notation argument.
-func writeChrome(path string, res *cholesky.Result, nt int) error {
+// writeChrome exports a live run's timeline as Chrome trace-event JSON.
+func writeChrome(path string, res *cholesky.Result) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := res.WriteChromeTrace(f, nt); err != nil {
+	if err := res.WriteChromeTrace(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -93,7 +93,7 @@ func runPower(args []string, out io.Writer) error {
 				}
 				t.Add(run.Label, run.Time, run.EnergyJ/1e3, run.AvgPower, run.GflopsPerW)
 				if *chrome != "" {
-					if err := writeChrome(*chrome, run.Res, 0); err != nil {
+					if err := writeChrome(*chrome, run.Res); err != nil {
 						return err
 					}
 					fmt.Fprintf(out, "chrome trace of %s written to %s\n", run.Label, *chrome)

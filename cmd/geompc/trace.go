@@ -78,7 +78,7 @@ func runTrace(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "simulated schedule, NT=%d, %d V100s (FP64 diagonal / FP16_32 off-diagonal):\n\n", *nt, plat.DevPerRank)
 	makespan := res.Stats.Makespan
-	for _, t := range res.Schedule(*nt) {
+	for _, t := range res.Schedule() {
 		if *iters > 0 && !inFirstIters(t.Name, *iters) {
 			continue
 		}
@@ -95,7 +95,7 @@ func runTrace(args []string, out io.Writer) error {
 		makespan*1e3, res.Stats.Tasks, res.Stats.Flops/1e12, res.Stats.ScheduleDigest)
 
 	if *chrome != "" {
-		if err := writeChrome(*chrome, res, *nt); err != nil {
+		if err := writeChrome(*chrome, res); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "chrome trace written to %s (open in ui.perfetto.dev or chrome://tracing)\n", *chrome)

@@ -24,13 +24,14 @@ type Result struct {
 	Err error
 
 	// out holds the live engine, or the plan a cache served the run from
-	// (see RunCached).
+	// (see RunCached); nt decodes its task ids into names.
 	out plan.Outcome
+	nt  int
 }
 
 // newResult wraps one finished run under cfg.
 func newResult(cfg Config, out plan.Outcome) *Result {
-	r := &Result{Stats: out.Stats, Strategy: cfg.Strategy, Err: out.Err, out: out}
+	r := &Result{Stats: out.Stats, Strategy: cfg.Strategy, Err: out.Err, out: out, nt: cfg.Desc.NT}
 	if cfg.Strategy == ForceTTC {
 		_, r.CommTasks = cfg.Maps.STCCount()
 	} else {
@@ -56,19 +57,14 @@ func (r *Result) Digest() uint64 { return r.Stats.ScheduleDigest }
 // results return the compile run's frozen registry.
 func (r *Result) Metrics() *obs.Registry { return r.out.Metrics() }
 
-// WriteChromeTrace renders the run's timeline as Chrome trace-event JSON.
-// nt, when positive, labels kernel spans in the paper's task notation
-// (only meaningful for Run results; pass 0 for RunDTD's insertion ids).
-// Plan-backed results carry no interval traces and return an error.
-func (r *Result) WriteChromeTrace(w io.Writer, nt int) error {
+// WriteChromeTrace renders the run's timeline as Chrome trace-event JSON,
+// kernel spans labeled in the paper's task notation. Plan-backed results
+// carry no interval traces and return an error.
+func (r *Result) WriteChromeTrace(w io.Writer) error {
 	if r.out.Engine == nil {
 		return fmt.Errorf("cholesky: chrome traces need a live run (plan-backed result)")
 	}
-	var name func(id int) string
-	if nt > 0 {
-		name = func(id int) string { return TaskName(nt, id) }
-	}
-	return r.out.Engine.WriteChromeTrace(w, name)
+	return r.out.Engine.WriteChromeTrace(w, newIDs(r.nt).name)
 }
 
 // Run executes the adaptive mixed-precision tile Cholesky described by cfg
@@ -110,10 +106,9 @@ func TheoreticalFlops(n int) float64 {
 	return fn * fn * fn / 3
 }
 
-// TaskName renders a task id as the paper's notation: POTRF(k), TRSM(m,k),
+// name renders a task id in the paper's notation: POTRF(k), TRSM(m,k),
 // SYRK(m,k) or GEMM(m,n,k).
-func TaskName(nt, id int) string {
-	s := newIDs(nt)
+func (s ids) name(id int) string {
 	op, m, n, k := s.decode(id)
 	switch op {
 	case opPotrf:
@@ -136,14 +131,13 @@ type ScheduledTask struct {
 
 // Schedule returns the simulated task timeline of a Trace-enabled run,
 // labeled in the paper's notation — the Fig 3 execution demonstration.
-// Labels are only meaningful for Run (PTG ids); RunDTD results use
-// insertion-order ids and should not be passed here.
-func (r *Result) Schedule(nt int) []ScheduledTask {
+func (r *Result) Schedule() []ScheduledTask {
 	raw := r.out.Schedule()
+	s := newIDs(r.nt)
 	out := make([]ScheduledTask, len(raw))
 	for i, t := range raw {
 		out[i] = ScheduledTask{
-			Name:   TaskName(nt, t.ID),
+			Name:   s.name(t.ID),
 			Device: t.Device,
 			Start:  t.Start,
 			End:    t.End,

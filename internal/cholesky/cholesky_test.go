@@ -3,6 +3,8 @@ package cholesky
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"geompc/internal/geo"
@@ -71,6 +73,88 @@ func TestGraphEdgesConsistent(t *testing.T) {
 			op, m, n, k := g.decode(id)
 			t.Fatalf("task %d (op=%d m=%d n=%d k=%d): in-degree %d vs declared %d",
 				id, op, m, n, k, indeg[id], g.NumPredecessors(id))
+		}
+	}
+}
+
+// TestGraphEdgesMatchDataflow derives the PTG's edges a second, independent
+// way: walking the tasks in Algorithm 1's sequential order, each task's
+// predecessors follow from the tiles its Spec reads and writes —
+// read-after-write and write-after-write on a tile's last writer,
+// write-after-read on every reader since. For every task, the inferred set
+// must be exactly the predecessors Successors implies, NumPredecessors of
+// them, on every tiling, platform, strategy and precision map.
+func TestGraphEdgesMatchDataflow(t *testing.T) {
+	for nt := 1; nt <= 8; nt++ {
+		for _, ranks := range []int{1, 2, 4} {
+			for dev := 1; dev <= 3; dev++ {
+				for _, strat := range []Strategy{Auto, ForceTTC} {
+					for _, kernel := range [][][]prec.Precision{nil, precmap.Uniform(nt, prec.FP16x32)} {
+						g := buildTestGraph(t, nt, 1e-4, kernel, strat, ranks, dev)
+						name := fmt.Sprintf("nt%d-%dx%d-%v-mixed=%v", nt, ranks, dev, strat, kernel == nil)
+						checkDataflowEdges(t, name+"-numeric", g)
+						g.mat = nil
+						checkDataflowEdges(t, name+"-phantom", g)
+					}
+				}
+			}
+		}
+	}
+}
+
+func checkDataflowEdges(t *testing.T, name string, g *graph) {
+	t.Helper()
+	implied := make([][]int, g.numTasks)
+	var buf []int
+	for id := 0; id < g.numTasks; id++ {
+		buf = g.Successors(id, buf[:0])
+		for _, succ := range buf {
+			implied[succ] = append(implied[succ], id)
+		}
+	}
+	lastWriter := map[runtime.DataID]int{}
+	readers := map[runtime.DataID][]int{}
+	var s runtime.TaskSpec
+	visit := func(id int) {
+		g.Spec(id, &s)
+		deps := map[int]bool{}
+		for _, in := range s.Inputs {
+			if w, ok := lastWriter[in.Data]; ok {
+				deps[w] = true
+			}
+			readers[in.Data] = append(readers[in.Data], id)
+		}
+		out := s.Output.Data
+		if w, ok := lastWriter[out]; ok {
+			deps[w] = true
+		}
+		for _, r := range readers[out] {
+			deps[r] = true
+		}
+		delete(deps, id)
+		lastWriter[out], readers[out] = id, nil
+		want := make([]int, 0, len(deps))
+		for p := range deps {
+			want = append(want, p)
+		}
+		sort.Ints(want)
+		if !slices.Equal(implied[id], want) || g.NumPredecessors(id) != len(want) {
+			t.Fatalf("%s: %s: Successors imply predecessors %v, NumPredecessors %d; dataflow infers %v",
+				name, g.name(id), implied[id], g.NumPredecessors(id), want)
+		}
+	}
+	for k := 0; k < g.nt; k++ {
+		visit(g.potrf(k))
+		for m := k + 1; m < g.nt; m++ {
+			visit(g.trsm(m, k))
+		}
+		for m := k + 1; m < g.nt; m++ {
+			visit(g.syrk(m, k))
+		}
+		for m := k + 2; m < g.nt; m++ {
+			for n := k + 1; n < m; n++ {
+				visit(g.gemm(m, n, k))
+			}
 		}
 	}
 }
@@ -437,7 +521,7 @@ func TestScheduleTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := res.Schedule(nt)
+	sched := res.Schedule()
 	want := nt + nt*(nt-1) + nt*(nt-1)*(nt-2)/6
 	if len(sched) != want {
 		t.Fatalf("schedule has %d entries, want %d tasks", len(sched), want)
@@ -507,17 +591,6 @@ func TestPTGValidates(t *testing.T) {
 		if err := runtime.Validate(g); err != nil {
 			t.Errorf("nt=%d: %v", nt, err)
 		}
-	}
-}
-
-func TestDTDValidates(t *testing.T) {
-	d, _ := tile.NewDesc(6*16, 16, 1, 1)
-	maps := precmap.New(precmap.Uniform(6, prec.FP16x32), 1e-4)
-	plat, _ := runtime.NewPlatform(hw.SummitNode, 1, 2)
-	// Build the DTD graph through RunDTD's path but validate before running:
-	// reuse RunDTD directly (it validates implicitly by completing).
-	if _, err := RunDTD(Config{Desc: d, Maps: maps, Platform: plat}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -10,31 +10,19 @@ import (
 )
 
 // factorOnce factors one of two identical problems and returns its factor
-// digest and numeric failure: a, live through the front-end (fresh), or b,
-// by replaying the plan compiled from a — bodies alone, no event loop.
-func factorOnce(t *testing.T, a, b Config, dtd, replayed bool) (uint64, error) {
+// digest and numeric failure: a, live (fresh), or b, by replaying the plan
+// compiled from a — bodies alone, no event loop.
+func factorOnce(t *testing.T, a, b Config, replayed bool) (uint64, error) {
 	t.Helper()
 	var res *Result
 	var err error
-	switch {
-	case !replayed && !dtd:
+	if !replayed {
 		res, err = Run(a)
-	case !replayed:
-		res, err = RunDTD(a)
-	case !dtd:
-		if p, cerr := Compile(a); cerr != nil {
-			t.Fatal(cerr)
-		} else {
-			a = b
-			res, err = Replay(b, p)
-		}
-	default:
-		if p, cerr := CompileDTD(a); cerr != nil {
-			t.Fatal(cerr)
-		} else {
-			a = b
-			res, err = ReplayDTD(b, p)
-		}
+	} else if p, cerr := Compile(a); cerr != nil {
+		t.Fatal(cerr)
+	} else {
+		a = b
+		res, err = Replay(b, p)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -42,28 +30,26 @@ func factorOnce(t *testing.T, a, b Config, dtd, replayed bool) (uint64, error) {
 	return factorDigest(a.Matrix), res.Err
 }
 
-// TestFactorDigestAcrossGOMAXPROCSFrontEndsAndReplay: bodies run in dataflow
-// order on GOMAXPROCS goroutines, whatever the simulated schedule. The
-// factor must not depend on how many there are, on the front-end that
-// numbered the tasks, or on whether an event loop ran around the bodies.
-func TestFactorDigestAcrossGOMAXPROCSFrontEndsAndReplay(t *testing.T) {
+// TestFactorDigestAcrossGOMAXPROCSAndReplay: bodies run in dataflow order on
+// GOMAXPROCS goroutines, whatever the simulated schedule. The factor must
+// not depend on how many there are, or on whether an event loop ran around
+// the bodies.
+func TestFactorDigestAcrossGOMAXPROCSAndReplay(t *testing.T) {
 	defer gort.GOMAXPROCS(gort.GOMAXPROCS(0))
 	var want uint64
 	for _, procs := range []int{1, 2, 8} {
 		gort.GOMAXPROCS(procs)
-		for _, dtd := range []bool{false, true} {
-			for _, replayed := range []bool{false, true} {
-				a, b := buildNumericConfig(t, 6, 2, 2)
-				got, err := factorOnce(t, a, b, dtd, replayed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want == 0 {
-					want = got
-				}
-				if got != want {
-					t.Errorf("GOMAXPROCS %d dtd=%v replayed=%v: factor digest %#x, want %#x", procs, dtd, replayed, got, want)
-				}
+		for _, replayed := range []bool{false, true} {
+			a, b := buildNumericConfig(t, 6, 2, 2)
+			got, err := factorOnce(t, a, b, replayed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == 0 {
+				want = got
+			}
+			if got != want {
+				t.Errorf("GOMAXPROCS %d replayed=%v: factor digest %#x, want %#x", procs, replayed, got, want)
 			}
 		}
 	}
@@ -81,7 +67,7 @@ func TestNonSPDRunIsDeterministic(t *testing.T) {
 		a, b := buildNumericConfig(t, 6, 1, 1)
 		a.Matrix.At(3, 3).Data[0] = -5
 		b.Matrix.At(3, 3).Data[0] = -5
-		return factorOnce(t, a, b, false, replayed)
+		return factorOnce(t, a, b, replayed)
 	}
 	want, wantErr := run(false)
 	if !errors.Is(wantErr, linalg.ErrNotPositiveDefinite) || wantErr.Error()[:9] != "POTRF(3):" {

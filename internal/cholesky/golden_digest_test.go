@@ -10,7 +10,7 @@ import (
 	"geompc/internal/tile"
 )
 
-// goldenDigests pins the FNV-1a schedule digests of four deterministic
+// goldenDigests pins the FNV-1a schedule digests of five deterministic
 // phantom scenarios under the default scheduling policy and broadcast
 // topology (FIFO + binomial tree). These digests were recorded from the
 // engine as of the observability/perf/chaos passes; any change to default
@@ -20,11 +20,11 @@ var goldenDigests = map[string]uint64{
 	"ptg-auto-1x3": 0x1dbdf1d2da7923cc,
 	"ptg-ttc-1x3":  0x70a8ca09d2688edc,
 	"ptg-auto-4x1": 0x49f6ecab7fde1e3e,
-	"dtd-auto-1x2": 0xa5daf351112181b0,
+	"ptg-auto-1x2": 0xa5daf351112181b0,
 	"ptg-fp64-2x2": 0x01a1b67b96361560,
 }
 
-func goldenScenario(t *testing.T, name string) (Config, bool) {
+func goldenScenario(t *testing.T, name string) Config {
 	t.Helper()
 	build := func(n, ts, ranks, gpr int, off prec.Precision, strat Strategy) Config {
 		d, err := tile.NewDesc(n, ts, 1, ranks)
@@ -40,18 +40,18 @@ func goldenScenario(t *testing.T, name string) (Config, bool) {
 	}
 	switch name {
 	case "ptg-auto-1x3":
-		return build(16384, 2048, 1, 3, prec.FP16x32, Auto), false
+		return build(16384, 2048, 1, 3, prec.FP16x32, Auto)
 	case "ptg-ttc-1x3":
-		return build(16384, 2048, 1, 3, prec.FP16x32, ForceTTC), false
+		return build(16384, 2048, 1, 3, prec.FP16x32, ForceTTC)
 	case "ptg-auto-4x1":
-		return build(16384, 2048, 4, 1, prec.FP16x32, Auto), false
-	case "dtd-auto-1x2":
-		return build(12288, 2048, 1, 2, prec.FP16x32, Auto), true
+		return build(16384, 2048, 4, 1, prec.FP16x32, Auto)
+	case "ptg-auto-1x2":
+		return build(12288, 2048, 1, 2, prec.FP16x32, Auto)
 	case "ptg-fp64-2x2":
-		return build(16384, 2048, 2, 2, prec.FP64, Auto), false
+		return build(16384, 2048, 2, 2, prec.FP64, Auto)
 	}
 	t.Fatalf("unknown scenario %q", name)
-	return Config{}, false
+	return Config{}
 }
 
 // TestGoldenScheduleDigests is the golden-digest guard: under the default
@@ -61,16 +61,7 @@ func TestGoldenScheduleDigests(t *testing.T) {
 	for name, want := range goldenDigests {
 		name, want := name, want
 		t.Run(name, func(t *testing.T) {
-			cfg, dtd := goldenScenario(t, name)
-			var (
-				res *Result
-				err error
-			)
-			if dtd {
-				res, err = RunDTD(cfg)
-			} else {
-				res, err = Run(cfg)
-			}
+			res, err := Run(goldenScenario(t, name))
 			if err != nil {
 				t.Fatal(err)
 			}

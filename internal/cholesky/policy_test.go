@@ -14,10 +14,10 @@ import (
 	"geompc/internal/tile"
 )
 
-// runWithPolicy executes one numeric factorization under the given policy,
-// topology and front-end, with the invariant auditor on, and returns the
-// factor as a dense array plus the run's result.
-func runWithPolicy(t *testing.T, nt int, strat Strategy, pol sched.Policy, topo comm.Topology, dtd bool, ranks, devPerRank int) ([]float64, *Result) {
+// runWithPolicy executes one numeric factorization under the given policy
+// and topology, with the invariant auditor on, and returns the factor as a
+// dense array plus the run's result.
+func runWithPolicy(t *testing.T, nt int, strat Strategy, pol sched.Policy, topo comm.Topology, ranks, devPerRank int) ([]float64, *Result) {
 	t.Helper()
 	ts := 16
 	n := nt * ts
@@ -40,15 +40,11 @@ func runWithPolicy(t *testing.T, nt int, strat Strategy, pol sched.Policy, topo 
 	}
 	cfg := Config{Desc: d, Maps: maps, Platform: plat, Matrix: mat,
 		Strategy: strat, Audit: true, Sched: pol, Bcast: topo}
-	run := Run
-	if dtd {
-		run = RunDTD
-	}
 	name := "default"
 	if pol != nil {
 		name = pol.Name()
 	}
-	res, err := run(cfg)
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("policy %s: %v", name, err)
 	}
@@ -59,15 +55,15 @@ func runWithPolicy(t *testing.T, nt int, strat Strategy, pol sched.Policy, topo 
 }
 
 // TestPolicyMatrixBitIdenticalFactor is the cross-policy property test:
-// every scheduling policy, under both front-ends (PTG and DTD) and both
-// communication strategies (Auto/STC and ForceTTC), must
+// every scheduling policy, under both communication strategies (Auto/STC
+// and ForceTTC), must
 //
 //   - pass the run-invariant auditor (pin balance, per-link interval
 //     consistency, energy conservation — Config.Audit fails the run on any
 //     violation),
 //   - produce the bit-identical numeric factor to the FIFO baseline of the
-//     same front-end and strategy (policies move work in virtual time; they
-//     never change what is computed), and
+//     same strategy (policies move work in virtual time; they never change
+//     what is computed), and
 //   - execute the same number of tasks.
 //
 // The underlying graphs are structurally validated once per strategy.
@@ -79,31 +75,24 @@ func TestPolicyMatrixBitIdenticalFactor(t *testing.T) {
 			t.Fatalf("strategy %v: %v", strat, err)
 		}
 	}
-	for _, dtd := range []bool{false, true} {
-		fe := "ptg"
-		if dtd {
-			fe = "dtd"
-		}
-		for _, strat := range []Strategy{Auto, ForceTTC} {
-			ref, refRes := runWithPolicy(t, nt, strat, sched.FIFO{}, comm.Binomial{}, dtd, ranks, devPerRank)
-			for _, pol := range sched.Policies() {
-				if pol.Name() == "fifo" {
-					continue
+	for _, strat := range []Strategy{Auto, ForceTTC} {
+		ref, refRes := runWithPolicy(t, nt, strat, sched.FIFO{}, comm.Binomial{}, ranks, devPerRank)
+		for _, pol := range sched.Policies() {
+			if pol.Name() == "fifo" {
+				continue
+			}
+			got, res := runWithPolicy(t, nt, strat, pol, comm.Binomial{}, ranks, devPerRank)
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("%v/%s: factor differs from FIFO at element %d: %g vs %g",
+						strat, pol.Name(), i, got[i], ref[i])
 				}
-				got, res := runWithPolicy(t, nt, strat, pol, comm.Binomial{}, dtd, ranks, devPerRank)
-				for i := range ref {
-					if got[i] != ref[i] {
-						t.Fatalf("%s/%v/%s: factor differs from FIFO at element %d: %g vs %g",
-							fe, strat, pol.Name(), i, got[i], ref[i])
-					}
-				}
-				if res.Stats.Tasks != refRes.Stats.Tasks {
-					t.Errorf("%s/%v/%s: %d tasks, FIFO ran %d",
-						fe, strat, pol.Name(), res.Stats.Tasks, refRes.Stats.Tasks)
-				}
-				if res.Stats.Energy <= 0 {
-					t.Errorf("%s/%v/%s: no energy accounted", fe, strat, pol.Name())
-				}
+			}
+			if res.Stats.Tasks != refRes.Stats.Tasks {
+				t.Errorf("%v/%s: %d tasks, FIFO ran %d", strat, pol.Name(), res.Stats.Tasks, refRes.Stats.Tasks)
+			}
+			if res.Stats.Energy <= 0 {
+				t.Errorf("%v/%s: no energy accounted", strat, pol.Name())
 			}
 		}
 	}
@@ -114,12 +103,12 @@ func TestPolicyMatrixBitIdenticalFactor(t *testing.T) {
 // topology shapes arrival times, not values) and the audit must stay clean.
 func TestBcastTopologiesBitIdenticalFactor(t *testing.T) {
 	const nt, ranks, devPerRank = 6, 3, 1
-	ref, _ := runWithPolicy(t, nt, Auto, sched.FIFO{}, comm.Binomial{}, false, ranks, devPerRank)
+	ref, _ := runWithPolicy(t, nt, Auto, sched.FIFO{}, comm.Binomial{}, ranks, devPerRank)
 	for _, topo := range comm.Topologies() {
 		if topo.Name() == "binomial" {
 			continue
 		}
-		got, _ := runWithPolicy(t, nt, Auto, sched.FIFO{}, topo, false, ranks, devPerRank)
+		got, _ := runWithPolicy(t, nt, Auto, sched.FIFO{}, topo, ranks, devPerRank)
 		for i := range ref {
 			if got[i] != ref[i] {
 				t.Fatalf("topology %s: factor differs at element %d", topo.Name(), i)
@@ -132,8 +121,8 @@ func TestBcastTopologiesBitIdenticalFactor(t *testing.T) {
 // selection is the same run as the nil defaults, digest for digest.
 func TestDefaultPolicyDigestUnchanged(t *testing.T) {
 	const nt, ranks, devPerRank = 6, 2, 2
-	_, def := runWithPolicy(t, nt, Auto, sched.FIFO{}, comm.Binomial{}, false, ranks, devPerRank)
-	_, nilCfg := runWithPolicy(t, nt, Auto, nil, nil, false, ranks, devPerRank)
+	_, def := runWithPolicy(t, nt, Auto, sched.FIFO{}, comm.Binomial{}, ranks, devPerRank)
+	_, nilCfg := runWithPolicy(t, nt, Auto, nil, nil, ranks, devPerRank)
 	if def.Digest() != nilCfg.Digest() {
 		t.Errorf("explicit FIFO+Binomial digest %016x != default digest %016x", def.Digest(), nilCfg.Digest())
 	}

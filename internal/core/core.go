@@ -14,7 +14,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"geompc/internal/cholesky"
 	"geompc/internal/geo"
@@ -154,6 +156,10 @@ type FitReport struct {
 	BytesNet    int64
 }
 
+// ErrNoFiniteEvaluation is Fit's error when the likelihood was +Inf at every
+// θ the optimizer tried, so there is no estimate to report.
+var ErrNoFiniteEvaluation = errors.New("core: no likelihood evaluation was finite")
+
 // Fit estimates the kernel parameters of ds by maximum likelihood using the
 // adaptive mixed-precision Cholesky.
 func Fit(ds *Dataset, opts Options) (*FitReport, error) {
@@ -177,6 +183,9 @@ func Fit(ds *Dataset, opts Options) (*FitReport, error) {
 	fit, err := mle.Fit(p, start, lo, hi, optimize.Options{Tol: 1e-9, MaxEvals: maxEvals})
 	if err != nil {
 		return nil, err
+	}
+	if math.IsInf(fit.NegLogLik, 1) {
+		return nil, fmt.Errorf("%w (%d evaluations at u_req %g)", ErrNoFiniteEvaluation, fit.Stats.Evaluations, opts.UReq)
 	}
 	rep := &FitReport{
 		Theta:       fit.Theta,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -49,6 +50,26 @@ func TestFitEndToEnd(t *testing.T) {
 	}
 	if len(rep.ParamNames) != 2 || rep.ParamNames[0] != "sigma2" {
 		t.Errorf("param names wrong: %v", rep.ParamNames)
+	}
+}
+
+// TestFitWithNoFiniteEvaluationFails: a 1600-point 2D-sqexp field at tile
+// 64 and nugget 1e-8 gives +Inf at every θ a six-evaluation fit reaches at
+// u_req 1e-4 and 1e-9. Fit must report that, not the lower bounds; in exact
+// FP64 the same fit is finite.
+func TestFitWithNoFiniteEvaluationFails(t *testing.T) {
+	ds, err := GenerateDataset(1600, 2, SqExp2D(), []float64{1, 0.03}, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ureq := range []float64{1e-4, 1e-9, 0} {
+		rep, err := Fit(ds, Options{UReq: ureq, TileSize: 64, Nugget: 1e-8, MaxEvals: 6})
+		switch {
+		case ureq == 0 && err != nil:
+			t.Errorf("exact FP64: %v", err)
+		case ureq > 0 && (!errors.Is(err, ErrNoFiniteEvaluation) || rep != nil):
+			t.Errorf("u_req %g: report %+v, error %v; want ErrNoFiniteEvaluation", ureq, rep, err)
+		}
 	}
 }
 

@@ -6,8 +6,8 @@ import "math"
 // engine feeds it one record per committed task — (kind, device, start, end,
 // bytes) — so two runs with equal digests placed the same work on the same
 // devices at the same virtual times. Task ids are deliberately *not* hashed:
-// the PTG and DTD front-ends number the same tasks differently, and the
-// digest exists to prove their schedules identical.
+// they are the graph's private numbering, and the digest describes the
+// simulated timeline, so the same work under another numbering hashes alike.
 type Digest struct {
 	h uint64
 }

@@ -110,11 +110,11 @@ func (o Outcome) Metrics() *obs.Registry {
 	return o.Engine.Metrics()
 }
 
-// Run is the one cached-run flow every front-end shares. The first run of
-// a shape compiles a plan (miss); later runs under an unchanged precision
-// map replay it, paying only the numeric bodies (hit); a changed map is
-// invalidated — the dirty downstream closure is measured and counted — and
-// recompiled. A nil cache runs everything live and counts nothing.
+// Run is the one cached-run flow. The first run of a shape compiles a plan
+// (miss); later runs under an unchanged precision map replay it, paying only
+// the numeric bodies (hit); a changed map is invalidated — the dirty
+// downstream closure is measured and counted — and recompiled. A nil cache
+// runs everything live and counts nothing.
 //
 // key returns the run's shape and precision-map signatures (consulted only
 // for a non-nil cache), build constructs its task graph, and engine

@@ -97,15 +97,6 @@ func TestRunCachedFlow(t *testing.T) {
 		t.Fatalf("registry hits counter = %d, want 2", got)
 	}
 
-	// DTD shapes cache separately from PTG shapes.
-	d1 := newConfig(t, nt, ranks, dev, 1e-2, "", "")
-	if _, err := cholesky.RunCachedDTD(d1, cache); err != nil {
-		t.Fatalf("DTD miss: %v", err)
-	}
-	if s := cache.Stats(); s.Misses != 2 || cache.Len() != 2 {
-		t.Fatalf("after DTD miss: %+v len=%d", s, cache.Len())
-	}
-
 	// A nil cache degrades to a live run.
 	n1 := newConfig(t, nt, ranks, dev, 1e-8, "", "")
 	nres, err := cholesky.RunCached(n1, nil)

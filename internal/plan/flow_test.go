@@ -1,9 +1,9 @@
 package plan
 
-// The cached-run flow driven directly, on a four-task graph, without a
-// front-end: nil-cache live runs, then miss → hit → changed-map
+// The cached-run flow driven directly, on a four-task graph, without the
+// factorization: nil-cache live runs, then miss → hit → changed-map
 // invalidation → hit, with all five counters pinned after every step. The
-// front-end suite (cache_test.go) covers the same sequence end to end.
+// factorization suite (cache_test.go) covers the same sequence end to end.
 
 import (
 	"sync"
@@ -14,31 +14,33 @@ import (
 	"geompc/internal/runtime"
 )
 
-// tinyGraph is a diamond on one device: t0 writes d0, t1 and t2 read it,
-// t3 joins them. wire is the format t1 receives d0 in — the stand-in for a
-// precision-map change, which alters t1's spec and dirties t1 and t3.
-func tinyGraph(t testing.TB, wire prec.Precision) runtime.Graph {
-	t.Helper()
-	g := runtime.NewDTDGraph()
-	g.Data(0, 0)
-	task := runtime.TaskSpec{Kind: hw.KindGemm, Device: 0, Prec: prec.FP64, Flops: 1e6}
-	write := func(d runtime.DataID) runtime.Access {
-		return runtime.Access{Data: d, Mode: runtime.Write, WireBytes: 8192, Prec: prec.FP64}
+// diamond is a four-task graph on one device: t0 writes d0, t1 and t2 read
+// it, t3 joins them; task i writes di. wire is the format t1 receives d0 in
+// — the stand-in for a precision-map change, which alters t1's spec and
+// dirties t1 and t3.
+type diamond struct{ wire prec.Precision }
+
+var diamondSuccs = [][]int{{1, 2}, {3}, {3}, nil}
+
+func (diamond) NumTasks() int                               { return 4 }
+func (diamond) NumPredecessors(id int) int                  { return [...]int{0, 1, 1, 2}[id] }
+func (diamond) Successors(id int, buf []int) []int          { return append(buf, diamondSuccs[id]...) }
+func (diamond) InitialData(visit func(runtime.DataID, int)) { visit(0, 0) }
+
+func (g diamond) Spec(id int, s *runtime.TaskSpec) {
+	read := func(d runtime.DataID, p prec.Precision) runtime.InputSpec {
+		return runtime.InputSpec{Data: d, WireBytes: int64(1024 * p.InputBytes()), WirePrec: p}
 	}
-	read := func(d runtime.DataID, p prec.Precision) runtime.Access {
-		return runtime.Access{Data: d, Mode: runtime.Read, WireBytes: int64(1024 * p.InputBytes()), Prec: p}
+	*s = runtime.TaskSpec{ID: id, Kind: hw.KindGemm, Device: 0, Prec: prec.FP64, Flops: 1e6,
+		Output: runtime.OutputSpec{Data: runtime.DataID(id), Bytes: 8192, Prec: prec.FP64}}
+	switch id {
+	case 1:
+		s.Inputs = []runtime.InputSpec{read(0, g.wire)}
+	case 2:
+		s.Inputs = []runtime.InputSpec{read(0, prec.FP64)}
+	case 3:
+		s.Inputs = []runtime.InputSpec{read(1, prec.FP64), read(2, prec.FP64)}
 	}
-	for _, accesses := range [][]runtime.Access{
-		{write(0)},
-		{read(0, wire), write(1)},
-		{read(0, prec.FP64), write(2)},
-		{read(1, prec.FP64), read(2, prec.FP64), write(3)},
-	} {
-		if _, err := g.Insert(task, accesses...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return g
 }
 
 func TestCacheRunFlow(t *testing.T) {
@@ -52,7 +54,7 @@ func TestCacheRunFlow(t *testing.T) {
 		t.Helper()
 		out, err := c.Run(
 			func() (uint64, uint64) { return shape, uint64(wire) },
-			func() (runtime.Graph, error) { return tinyGraph(t, wire), nil },
+			func() (runtime.Graph, error) { return diamond{wire}, nil },
 			engine)
 		if err != nil {
 			t.Fatal(err)
@@ -119,11 +121,11 @@ func TestCacheConcurrentHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, err := Compile(runtime.New(plat, tinyGraph(t, prec.FP32)), 0xa, 1)
+	pa, err := Compile(runtime.New(plat, diamond{prec.FP32}), 0xa, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := Compile(runtime.New(plat, tinyGraph(t, prec.FP16)), 0xb, 1)
+	pb, err := Compile(runtime.New(plat, diamond{prec.FP16}), 0xb, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package plan_test
 // Golden-replay harness: the schedule digests below are pinned. A compiled
 // plan replayed today, next month, or after a refactor must reproduce these
 // exact digests for the canonical scenario (NT=6, 4 ranks × 2 devices,
-// u_req=1e-8, PTG front-end) across every scheduling policy × broadcast
+// u_req=1e-8) across every scheduling policy × broadcast
 // topology pair. A mismatch means the plan/replay split changed observable
 // schedule behavior — bump these constants only with a digest-change
 // justification in the commit message (see internal/cholesky's golden

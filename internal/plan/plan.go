@@ -38,7 +38,7 @@ import (
 // property Cache's concurrency contract leans on.
 type Plan struct {
 	// Sig is the caller-supplied shape signature (platform, tiling,
-	// strategy, policy, topology, front-end — everything except the
+	// strategy, policy, topology — everything except the
 	// precision map and the numeric data).
 	Sig uint64
 	// PrecSig is the precision-map signature the plan was compiled under
@@ -81,7 +81,7 @@ func Compile(eng *runtime.Engine, sig, precSig uint64) (*Plan, error) {
 
 // Replay re-executes only the numeric bodies of g, in dataflow order, and
 // hands back the compiled Stats untouched. The graph must have the compiled
-// one's task count and — a front-end responsibility — its shape and
+// one's task count and — the caller's responsibility — its shape and
 // precision signatures; only the numeric tile contents may differ.
 func (p *Plan) Replay(g runtime.Graph) (Outcome, error) {
 	if n := g.NumTasks(); n != p.NumTasks {

@@ -2,9 +2,9 @@ package plan_test
 
 // The tentpole property: a replayed run is indistinguishable from a fresh
 // simulation. For every combination of problem size, process grid, device
-// count, front-end (PTG / DTD), scheduling policy and broadcast topology,
-// the schedule digest of the replay equals the fresh run's digest and the
-// numeric factor is bit-identical. Run under -race in CI (plan-cache job):
+// count, scheduling policy and broadcast topology, the schedule digest of
+// the replay equals the fresh run's digest and the numeric factor is
+// bit-identical. Run under -race in CI (plan-cache job):
 // the body executor (runtime.RunBodies) is the only concurrency in the
 // path, and this grid exercises it across every graph shape.
 
@@ -13,22 +13,7 @@ import (
 	"testing"
 
 	"geompc/internal/cholesky"
-	"geompc/internal/plan"
 )
-
-type frontCase struct {
-	name    string
-	run     func(cholesky.Config) (*cholesky.Result, error)
-	compile func(cholesky.Config) (*plan.Plan, error)
-	replay  func(cholesky.Config, *plan.Plan) (*cholesky.Result, error)
-}
-
-func frontEnds() []frontCase {
-	return []frontCase{
-		{"ptg", cholesky.Run, cholesky.Compile, cholesky.Replay},
-		{"dtd", cholesky.RunDTD, cholesky.CompileDTD, cholesky.ReplayDTD},
-	}
-}
 
 type gridCase struct {
 	nt, ranks, devPerRank int
@@ -53,7 +38,8 @@ func replayGrid() []gridCase {
 	return cases
 }
 
-func (c gridCase) name(fe string) string {
+// name labels the case ptg/nt<NT>-<ranks>x<GPUs>-<policy>-<topology>.
+func (c gridCase) name() string {
 	pol, topo := c.policy, c.topo
 	if pol == "" {
 		pol = "fifo"
@@ -61,75 +47,72 @@ func (c gridCase) name(fe string) string {
 	if topo == "" {
 		topo = "binomial"
 	}
-	return fmt.Sprintf("%s/nt%d-%dx%d-%s-%s", fe, c.nt, c.ranks, c.devPerRank, pol, topo)
+	return fmt.Sprintf("ptg/nt%d-%dx%d-%s-%s", c.nt, c.ranks, c.devPerRank, pol, topo)
 }
 
 // TestReplayMatchesFresh is the golden-replay property across the full
 // schedule-shape grid.
 func TestReplayMatchesFresh(t *testing.T) {
-	for _, fe := range frontEnds() {
-		for _, gc := range replayGrid() {
-			gc := gc
-			fe := fe
-			t.Run(gc.name(fe.name), func(t *testing.T) {
-				t.Parallel()
-				const ureq = 1e-8
+	for _, gc := range replayGrid() {
+		gc := gc
+		t.Run(gc.name(), func(t *testing.T) {
+			t.Parallel()
+			const ureq = 1e-8
 
-				// Fresh simulation: the reference digest and factor.
-				fresh := newConfig(t, gc.nt, gc.ranks, gc.devPerRank, ureq, gc.policy, gc.topo)
-				freshRes, err := fe.run(fresh)
-				if err != nil {
-					t.Fatalf("fresh run: %v", err)
-				}
-				if freshRes.Err != nil {
-					t.Fatalf("fresh numeric failure: %v", freshRes.Err)
-				}
-				wantBits := factorBits(fresh.Matrix, fresh.Desc)
+			// Fresh simulation: the reference digest and factor.
+			fresh := newConfig(t, gc.nt, gc.ranks, gc.devPerRank, ureq, gc.policy, gc.topo)
+			freshRes, err := cholesky.Run(fresh)
+			if err != nil {
+				t.Fatalf("fresh run: %v", err)
+			}
+			if freshRes.Err != nil {
+				t.Fatalf("fresh numeric failure: %v", freshRes.Err)
+			}
+			wantBits := factorBits(fresh.Matrix, fresh.Desc)
 
-				// Compile: itself a full run, so digest and factor must match.
-				ccfg := newConfig(t, gc.nt, gc.ranks, gc.devPerRank, ureq, gc.policy, gc.topo)
-				p, err := fe.compile(ccfg)
-				if err != nil {
-					t.Fatalf("compile: %v", err)
-				}
-				if p.Stats.ScheduleDigest != freshRes.Digest() {
-					t.Fatalf("compile digest %016x != fresh %016x",
-						p.Stats.ScheduleDigest, freshRes.Digest())
-				}
-				sameBits(t, wantBits, factorBits(ccfg.Matrix, ccfg.Desc), "compile")
+			// Compile: itself a full run, so digest and factor must match.
+			ccfg := newConfig(t, gc.nt, gc.ranks, gc.devPerRank, ureq, gc.policy, gc.topo)
+			p, err := cholesky.Compile(ccfg)
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			if p.Stats.ScheduleDigest != freshRes.Digest() {
+				t.Fatalf("compile digest %016x != fresh %016x",
+					p.Stats.ScheduleDigest, freshRes.Digest())
+			}
+			sameBits(t, wantBits, factorBits(ccfg.Matrix, ccfg.Desc), "compile")
 
-				// Replay: only the numeric bodies re-run; digest is frozen and
-				// the factor must still come out bit-identical.
-				rcfg := newConfig(t, gc.nt, gc.ranks, gc.devPerRank, ureq, gc.policy, gc.topo)
-				repRes, err := fe.replay(rcfg, p)
-				if err != nil {
-					t.Fatalf("replay: %v", err)
-				}
-				if repRes.Err != nil {
-					t.Fatalf("replay numeric failure: %v", repRes.Err)
-				}
-				if repRes.Digest() != freshRes.Digest() {
-					t.Fatalf("replay digest %016x != fresh %016x",
-						repRes.Digest(), freshRes.Digest())
-				}
-				if repRes.Stats.Makespan != freshRes.Stats.Makespan ||
-					repRes.Stats.Energy != freshRes.Stats.Energy ||
-					repRes.Stats.BytesNet != freshRes.Stats.BytesNet ||
-					repRes.Stats.Tasks != freshRes.Stats.Tasks {
-					t.Fatalf("replay stats diverge from fresh:\n%+v\n%+v",
-						repRes.Stats, freshRes.Stats)
-				}
-				sameBits(t, wantBits, factorBits(rcfg.Matrix, rcfg.Desc), "replay")
+			// Replay: only the numeric bodies re-run; digest is frozen and
+			// the factor must still come out bit-identical.
+			rcfg := newConfig(t, gc.nt, gc.ranks, gc.devPerRank, ureq, gc.policy, gc.topo)
+			repRes, err := cholesky.Replay(rcfg, p)
+			if err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+			if repRes.Err != nil {
+				t.Fatalf("replay numeric failure: %v", repRes.Err)
+			}
+			if repRes.Digest() != freshRes.Digest() {
+				t.Fatalf("replay digest %016x != fresh %016x",
+					repRes.Digest(), freshRes.Digest())
+			}
+			if repRes.Stats.Makespan != freshRes.Stats.Makespan ||
+				repRes.Stats.Energy != freshRes.Stats.Energy ||
+				repRes.Stats.BytesNet != freshRes.Stats.BytesNet ||
+				repRes.Stats.Tasks != freshRes.Stats.Tasks {
+				t.Fatalf("replay stats diverge from fresh:\n%+v\n%+v",
+					repRes.Stats, freshRes.Stats)
+			}
+			sameBits(t, wantBits, factorBits(rcfg.Matrix, rcfg.Desc), "replay")
 
-				// A second replay of the same plan stays bit-identical —
-				// replays do not consume the plan.
-				r2 := newConfig(t, gc.nt, gc.ranks, gc.devPerRank, ureq, gc.policy, gc.topo)
-				if _, err := fe.replay(r2, p); err != nil {
-					t.Fatalf("second replay: %v", err)
-				}
-				sameBits(t, wantBits, factorBits(r2.Matrix, r2.Desc), "second replay")
-			})
-		}
+			// A second replay of the same plan stays bit-identical —
+			// replays do not consume the plan.
+			r2 := newConfig(t, gc.nt, gc.ranks, gc.devPerRank, ureq, gc.policy, gc.topo)
+			if _, err := cholesky.Replay(r2, p); err != nil {
+				t.Fatalf("second replay: %v", err)
+			}
+			sameBits(t, wantBits, factorBits(r2.Matrix, r2.Desc), "second replay")
+		})
 	}
 }
 
@@ -153,12 +136,6 @@ func TestReplayRejectsMismatch(t *testing.T) {
 	if _, err := cholesky.Replay(loose, p); err == nil {
 		t.Fatal("replay accepted a plan compiled under a different precision map")
 	}
-
-	// Wrong front-end: DTD ids never replay a PTG plan.
-	dcfg := newConfig(t, 4, 2, 2, 1e-8, "", "")
-	if _, err := cholesky.ReplayDTD(dcfg, p); err == nil {
-		t.Fatal("DTD replay accepted a PTG plan")
-	}
 }
 
 // TestPlanBackedResult: results served from a plan still answer the Result
@@ -174,7 +151,7 @@ func TestPlanBackedResult(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if got := len(res.Schedule(4)); got != p.NumTasks {
+	if got := len(res.Schedule()); got != p.NumTasks {
 		t.Fatalf("plan-backed schedule has %d entries, want %d", got, p.NumTasks)
 	}
 	if res.Metrics() == nil {
@@ -183,7 +160,7 @@ func TestPlanBackedResult(t *testing.T) {
 	if busy, xfer := res.DeviceTrace(0); busy != nil || xfer != nil {
 		t.Fatal("plan-backed result should carry no interval traces")
 	}
-	if err := res.WriteChromeTrace(nil, 4); err == nil {
+	if err := res.WriteChromeTrace(nil); err == nil {
 		t.Fatal("plan-backed result should refuse chrome traces")
 	}
 }

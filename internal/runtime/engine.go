@@ -119,11 +119,6 @@ func (e *Engine) Run() (Stats, error) {
 	if e.Audit {
 		e.Trace = true // the energy-conservation check needs the intervals
 	}
-	// Graphs that forbid mutation during execution latch that here, before
-	// the first Spec call.
-	if s, ok := e.g.(interface{ Seal() }); ok {
-		s.Seal()
-	}
 	n := e.g.NumTasks()
 	e.resolveSched()
 	e.hostAvail, e.hostDense, e.hostBound = nil, nil, 0

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	gort "runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -30,8 +31,13 @@ func (g *testGraph) Successors(id int, buf []int) []int {
 	return append(buf, g.succs[id]...)
 }
 func (g *testGraph) InitialData(visit func(d DataID, rank int)) {
-	for d, r := range g.initial {
-		visit(d, r)
+	ids := make([]DataID, 0, len(g.initial))
+	for d := range g.initial {
+		ids = append(ids, d)
+	}
+	slices.Sort(ids) // callbacks must not observe Go's map order
+	for _, d := range ids {
+		visit(d, g.initial[d])
 	}
 }
 
@@ -47,6 +53,45 @@ func newTestGraph(n int) *testGraph {
 func (g *testGraph) edge(from, to int) {
 	g.succs[from] = append(g.succs[from], to)
 	g.preds[to] = append(g.preds[to], from)
+}
+
+// newDataflowGraph builds a testGraph from specs taken as a sequential
+// program: each task depends on the last writer of every datum it reads or
+// writes (read-after-write, write-after-write) and on every reader of its
+// output since that write (write-after-read).
+func newDataflowGraph(specs []TaskSpec, initial map[DataID]int) *testGraph {
+	g := newTestGraph(len(specs))
+	copy(g.specs, specs)
+	g.initial = initial
+	lastWriter := map[DataID]int{}
+	readers := map[DataID][]int{}
+	for id, s := range specs {
+		deps := map[int]bool{}
+		for _, in := range s.Inputs {
+			if w, ok := lastWriter[in.Data]; ok {
+				deps[w] = true
+			}
+			readers[in.Data] = append(readers[in.Data], id)
+		}
+		out := s.Output.Data
+		if w, ok := lastWriter[out]; ok {
+			deps[w] = true
+		}
+		for _, r := range readers[out] {
+			deps[r] = true
+		}
+		delete(deps, id)
+		lastWriter[out], readers[out] = id, nil
+		preds := make([]int, 0, len(deps))
+		for p := range deps {
+			preds = append(preds, p)
+		}
+		slices.Sort(preds)
+		for _, p := range preds {
+			g.edge(p, id)
+		}
+	}
+	return g
 }
 
 func onePlat(t *testing.T) *Platform {

@@ -5,7 +5,7 @@ import "fmt"
 // GraphError reports a malformed task graph: a task assigned to a device
 // that doesn't exist, an input with no host copy at the task's rank, or
 // broken in-degree accounting. The engine used to panic on these; now they
-// abort the run and surface from Run, so a bad front-end is a test failure
+// abort the run and surface from Run, so a bad graph is a test failure
 // rather than a process crash.
 type GraphError struct {
 	Task int    // the offending task id

@@ -95,36 +95,33 @@ func FuzzMultiRank(f *testing.F) {
 			lastWriter[ops[i].write] = i
 		}
 
-		build := func() *DTDGraph {
-			g := NewDTDGraph()
+		build := func() *testGraph {
+			initial := map[DataID]int{}
 			for d := 0; d < pool; d++ {
-				g.Data(DataID(d), d%ranks)
+				initial[DataID(d)] = d % ranks
 			}
+			specs := make([]TaskSpec, n)
 			for i, o := range ops {
-				spec := TaskSpec{Kind: o.kind, Device: o.dev, Prec: o.prec, Flops: o.flops}
+				specs[i] = TaskSpec{Kind: o.kind, Device: o.dev, Prec: o.prec, Flops: o.flops,
+					Inputs: []InputSpec{{Data: o.read, WireBytes: 4096, WirePrec: prec.FP32}},
+					Output: OutputSpec{Data: o.write, Bytes: 8192, Prec: prec.FP64}}
 				if needPub[i] || len(remote[i]) > 0 {
 					var rr []int
 					for r := range remote[i] {
 						rr = append(rr, r)
 					}
 					sort.Ints(rr)
-					spec.Publish = &PublishSpec{WireBytes: 8192, WirePrec: prec.FP64, RemoteRanks: rr}
-				}
-				if _, err := g.Insert(spec,
-					Access{Data: o.read, Mode: Read, WireBytes: 4096, Prec: prec.FP32},
-					Access{Data: o.write, Mode: Write, WireBytes: 8192, Prec: prec.FP64},
-				); err != nil {
-					t.Fatalf("insert %d: %v", i, err)
+					specs[i].Publish = &PublishSpec{WireBytes: 8192, WirePrec: prec.FP64, RemoteRanks: rr}
 				}
 			}
-			return g
+			return newDataflowGraph(specs, initial)
 		}
 
 		plat, err := NewPlatform(&node, ranks, gpr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func() (Stats, []ScheduledTask, *DTDGraph) {
+		run := func() (Stats, []ScheduledTask, *testGraph) {
 			g := build()
 			eng := New(plat, g)
 			eng.Audit = true // implies Trace

@@ -7,11 +7,11 @@ import (
 	"geompc/internal/prec"
 )
 
-// FuzzValidate drives the DTD front-end with arbitrary insertion sequences
-// and checks that (a) the inferred edge structure always passes Validate —
-// in-degrees match successor lists and no cycle can arise from sequential
-// insertion — and (b) the engine executes the resulting graph to completion
-// under the invariant auditor without panicking.
+// FuzzValidate builds graphs from arbitrary read/write sequences, with edges
+// inferred in program order, and checks that (a) they pass Validate —
+// in-degrees match successor lists, and program order admits no cycle —
+// and (b) the engine executes them to completion under the invariant
+// auditor without panicking.
 func FuzzValidate(f *testing.F) {
 	f.Add([]byte{0x00})
 	f.Add([]byte{0x12, 0x34, 0x56})
@@ -20,39 +20,37 @@ func FuzzValidate(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const pool = 8 // distinct tiles
-		g := NewDTDGraph()
+		initial := map[DataID]int{}
 		for d := 0; d < pool; d++ {
-			g.Data(DataID(d), 0)
+			initial[DataID(d)] = 0
 		}
-		// Each byte inserts one task: the low three bits pick the tile it
+		// Each byte adds one task: the low three bits pick the tile it
 		// reads, the next three the tile it writes, bit 6 adds a second read,
 		// bit 7 adds a receiver-side conversion. Capped to keep runs small.
 		n := len(data)
 		if n > 64 {
 			n = 64
 		}
+		specs := make([]TaskSpec, n)
 		for i := 0; i < n; i++ {
 			b := data[i]
 			read := DataID(b & 7)
-			write := DataID((b >> 3) & 7)
-			accesses := []Access{{Data: read, Mode: Read, WireBytes: 4096, Prec: prec.FP32}}
+			inputs := []InputSpec{{Data: read, WireBytes: 4096, WirePrec: prec.FP32}}
 			if b&0x40 != 0 {
-				accesses = append(accesses, Access{
-					Data: DataID((int(read) + 1) % pool), Mode: Read,
-					WireBytes: 2048, Prec: prec.FP16,
+				inputs = append(inputs, InputSpec{
+					Data: (read + 1) % pool, WireBytes: 2048, WirePrec: prec.FP16,
 				})
 			}
 			if b&0x80 != 0 {
-				accesses[0].ConvertElems = 512
-				accesses[0].ConvFrom, accesses[0].ConvTo = prec.FP16, prec.FP32
+				inputs[0].ConvertElems = 512
+				inputs[0].ConvFrom, inputs[0].ConvTo = prec.FP16, prec.FP32
 			}
-			accesses = append(accesses, Access{Data: write, Mode: Write, WireBytes: 8192, Prec: prec.FP64})
-			if _, err := g.Insert(TaskSpec{
-				Kind: hw.KindGemm, Device: 0, Prec: prec.FP64, Flops: 1e6,
-			}, accesses...); err != nil {
-				t.Fatalf("insert %d: %v", i, err)
+			specs[i] = TaskSpec{
+				Kind: hw.KindGemm, Device: 0, Prec: prec.FP64, Flops: 1e6, Inputs: inputs,
+				Output: OutputSpec{Data: DataID((b >> 3) & 7), Bytes: 8192, Prec: prec.FP64},
 			}
 		}
+		g := newDataflowGraph(specs, initial)
 
 		if err := Validate(g); err != nil {
 			t.Fatalf("inferred graph fails validation: %v", err)

@@ -58,7 +58,7 @@ type device struct {
 	// Host-link directions (and the intra-node peer lane) as first-class
 	// comm.Links: each carries its own free time, cumulative busy time and
 	// traced intervals. peer is constructed for symmetry — the Cholesky
-	// front-ends route all tile exchange through host staging, so it stays
+	// graph routes all tile exchange through host staging, so it stays
 	// idle until a D2D path exists.
 	h2d, d2h, peer *comm.Link
 

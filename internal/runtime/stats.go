@@ -40,8 +40,8 @@ type Stats struct {
 	// ScheduleDigest is an FNV-1a hash over every committed task's
 	// (kind, device, start, end, bytes) record. Equal digests prove two
 	// runs produced bit-identical schedules — across GOMAXPROCS settings
-	// and across the PTG and DTD front-ends (task ids are not hashed
-	// because the front-ends number tasks differently).
+	// and plan replays (task ids are not hashed: they are the graph's own
+	// numbering, not part of the simulated timeline).
 	ScheduleDigest uint64
 	// Per-device aggregates.
 	Devices []DeviceStats

@@ -3,10 +3,9 @@
 // task may execute on a different same-rank device than its owner-computes
 // home.
 //
-// Policies are consulted identically by the PTG and DTD front-ends, and they
-// are strictly about *placement and order in virtual time*: numeric task
-// bodies run exactly once whatever the policy, so every policy produces the
-// bit-identical factor. FIFO is the engine's historical behavior — under it
+// Policies are strictly about *placement and order in virtual time*: numeric
+// task bodies run exactly once whatever the policy, so every policy produces
+// the bit-identical factor. FIFO is the engine's historical behavior — under it
 // (and the default broadcast topology) schedules are bit-for-bit the same as
 // before this package existed, which the pinned golden digests prove.
 package sched
