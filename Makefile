@@ -25,7 +25,7 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' -not -path './examples/*' | xargs cat | wc -l
 
 race:
-	$(GO) test -race ./internal/runtime/ ./internal/cholesky/ ./internal/plan/ ./internal/sweep/ ./internal/linalg/ ./internal/mle/
+	$(GO) test -race ./internal/runtime/ ./internal/cholesky/ ./internal/plan/ ./internal/sweep/ ./internal/linalg/ ./internal/mle/ ./internal/geo/
 
 # Focused benchmark trajectory (see BENCH_kernels.json): per-precision
 # 256x256 GEMM + SYRK/TRSM kernels, the 64-tile GEMM/TRSM legs on normal
@@ -37,8 +37,10 @@ race:
 # -cpu 4 — benchjson records GOMAXPROCS per line, so they stay honest
 # even on smaller hosts.
 # The covariance-generation pair (CovTileMatern / MaternBound, root
-# bench_test.go) times the Matérn tile fill and the bound kernel alone at
-# four θ of the end-to-end benchmark's fit_matern trajectory.
+# bench_test.go) times, at four θ of the end-to-end benchmark's fit_matern
+# trajectory, what a fit pays for generation — bind once per θ, fill every
+# tile through FillTile (row path in vector lanes, panel builds included) —
+# and the scalar bound kernel alone, entry by entry through Cov.
 # BENCHTIME=1x gives a CI smoke run; the committed
 # artifact uses 5x against the seed baseline in results/bench_seed.txt.
 BENCHTIME ?= 5x

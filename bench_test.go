@@ -246,9 +246,9 @@ var maternTrajectory = [][]float64{
 }
 
 // BenchmarkCovTileMatern is the covariance generation of four likelihood
-// evaluations as a caller without a bound kernel does it: every lower tile
-// of the 400-point, ts = 64 matrix through geo.CovTile, one θ after the
-// other.
+// evaluations as a fit pays for it, on one core: bind each θ once, then
+// fill every lower tile of the 400-point, ts = 64 matrix through
+// geo.FillTile (the row path, panel builds included), one θ after the other.
 func BenchmarkCovTileMatern(b *testing.B) {
 	locs := geo.GenerateLocations(400, 2, stats.NewRNG(101, 0))
 	desc, err := tile.NewDesc(len(locs), 64, 1, 1)
@@ -261,8 +261,9 @@ func BenchmarkCovTileMatern(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, theta := range maternTrajectory {
+			bk := geo.Bind(k, theta)
 			mat.Fill(func(t *tile.Tile, r0, c0 int) {
-				geo.CovTile(locs, r0, c0, t.M, t.N, k, theta, 1e-8, t.Data, t.N)
+				geo.FillTile(bk, locs, r0, c0, t.M, t.N, 1e-8, t.Data, t.N)
 				entries += t.M * t.N
 			})
 		}

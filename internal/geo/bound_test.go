@@ -67,20 +67,20 @@ func TestMaternTableRange(t *testing.T) {
 	b := Matern{Dimension: 2}.Bind([]float64{1, 1, 1.2}).(*maternBound)
 	b.Cov(0x1p-20)
 	b.Cov(math.Nextafter(0x1p9, 2000))
-	for p, s := range b.tab.state {
-		if s != panelUnbuilt {
+	for p := uint64(0); p < tabPanels; p++ {
+		if s := b.tab.state(p); s != panelUnbuilt {
 			t.Errorf("out-of-range r built panel %d", p)
 		}
 	}
 	b.Cov(math.Nextafter(0x1p-20, 1))
 	b.Cov(0x1p9)
-	if b.tab.state[0] != panelReady || b.tab.state[tabPanels-1] != panelReady {
+	if b.tab.state(0) != panelReady || b.tab.state(tabPanels-1) != panelReady {
 		t.Error("edge-of-range r did not build the first and last panels")
 	}
 	// r = 2, where the direct routine changes series, is the last point of
 	// the panel below it.
 	b.Cov(2)
-	if p := 4 * (1 - tabMinExp); b.tab.state[p-1] != panelReady || b.tab.state[p] != panelUnbuilt {
+	if p := uint64(4 * (1 - tabMinExp)); b.tab.state(p-1) != panelReady || b.tab.state(p) != panelUnbuilt {
 		t.Error("r = 2 is not in the panel that ends there")
 	}
 	// A panel where g overflows is left to the direct routine.
@@ -89,7 +89,7 @@ func TestMaternTableRange(t *testing.T) {
 	if got, want := b.Cov(100), (Matern{Dimension: 2}).Cov(100, theta); got != want {
 		t.Errorf("overflowing panel: bound %g, direct %g", got, want)
 	}
-	if b.tab.state[4*(6-tabMinExp)+2] != panelDirect {
+	if b.tab.state(4*(6-tabMinExp)+2) != panelDirect {
 		t.Error("overflowing panel was tabulated")
 	}
 	// ν above tabMaxNu and ν = 0.5 carry no table.
@@ -221,6 +221,7 @@ func TestBindInvalidTheta(t *testing.T) {
 // wherever the table does not apply; and inside the model's domain a
 // relative distance that leaves room, over the grid's 1e-14, for the direct
 // routine's own rounding near r → 2⁻ (6e6 random draws peaked at 1.5e-14).
+// It also holds the row path to the bound kernel's own Cov, bit for bit.
 func FuzzMaternBound(f *testing.F) {
 	f.Add(1.0, 0.1, 0.05)
 	f.Add(0.5, 0.3, 0.2)
@@ -246,6 +247,19 @@ func FuzzMaternBound(f *testing.F) {
 		}
 		if math.Abs(got-want) > tol*want+8*math.SmallestNonzeroFloat64 || math.IsNaN(want) != math.IsNaN(got) {
 			t.Fatalf("ν=%g β=%g h=%g: bound %.17g, direct %.17g", nu, beta, h, got, want)
+		}
+		// The row path on 19 distances around h, first through a fresh
+		// kernel (the row builds its panels), then again (lanes where the
+		// host has them): Cov's bits entry by entry.
+		bk := k.Bind(theta).(*maternBound)
+		row := make([]float64, 19)
+		for j := range row {
+			row[j] = h * (1 + 0.05*float64(j-9))
+		}
+		for pass := 0; pass < 2; pass++ {
+			got := append([]float64(nil), row...)
+			bk.covRow(got)
+			sameCovBits(t, "row path", bk, row, got)
 		}
 	})
 }

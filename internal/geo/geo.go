@@ -72,9 +72,9 @@ func sortMorton(pts []Point) {
 	const bits = 10
 	keys := make([]uint64, len(pts))
 	for i, p := range pts {
-		x := uint64(clamp01(p.X) * float64((1<<bits)-1))
-		y := uint64(clamp01(p.Y) * float64((1<<bits)-1))
-		z := uint64(clamp01(p.Z) * float64((1<<bits)-1))
+		x := uint64(min(max(p.X, 0), 1) * float64((1<<bits)-1))
+		y := uint64(min(max(p.Y, 0), 1) * float64((1<<bits)-1))
+		z := uint64(min(max(p.Z, 0), 1) * float64((1<<bits)-1))
 		keys[i] = interleave3(x, y, z)
 	}
 	// Simple index sort (n is at most a few hundred thousand).
@@ -82,22 +82,12 @@ func sortMorton(pts []Point) {
 	for i := range idx {
 		idx[i] = i
 	}
-	sortByKey(idx, keys)
+	quicksortIdx(idx, keys, 0, len(idx)-1)
 	out := make([]Point, len(pts))
 	for i, j := range idx {
 		out[i] = pts[j]
 	}
 	copy(pts, out)
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }
 
 func interleave3(x, y, z uint64) uint64 {
@@ -106,12 +96,6 @@ func interleave3(x, y, z uint64) uint64 {
 		out |= (x>>b&1)<<(3*b) | (y>>b&1)<<(3*b+1) | (z>>b&1)<<(3*b+2)
 	}
 	return out
-}
-
-func sortByKey(idx []int, keys []uint64) {
-	// Insertion-free: use sort.Slice equivalent without closures over both
-	// slices being large; stdlib sort is fine here.
-	quicksortIdx(idx, keys, 0, len(idx)-1)
 }
 
 func quicksortIdx(idx []int, keys []uint64, lo, hi int) {

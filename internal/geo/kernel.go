@@ -3,6 +3,8 @@ package geo
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"geompc/internal/bessel"
 	"geompc/internal/stats"
@@ -10,7 +12,7 @@ import (
 
 // BoundKernel is a covariance function bound to a fixed θ, allowing
 // per-θ constants and tables to be hoisted out of matrix assembly. A bound
-// kernel may keep mutable per-θ state: use one from a single goroutine.
+// kernel is safe for concurrent use.
 type BoundKernel interface {
 	// Cov returns C(h) at the bound parameters.
 	Cov(h float64) float64
@@ -18,7 +20,7 @@ type BoundKernel interface {
 
 // Binder is implemented by kernels that can pre-bind a parameter vector.
 type Binder interface {
-	// Bind returns a single-θ evaluator.
+	// Bind returns a single-θ evaluator, safe for concurrent use.
 	Bind(theta []float64) BoundKernel
 }
 
@@ -118,10 +120,10 @@ func (k Matern) Cov(h float64, theta []float64) float64 {
 // the grid of TestMaternTableMatchesDirect, the residue being the direct
 // routine's own rounding (DESIGN.md §3.1). A panel's coefficients depend
 // only on (θ, panel index), so the bits returned for an h do not depend on
-// which entries, tiles or bound kernels were evaluated before it.
+// which entries, tiles, goroutines or bound kernels came before it.
 //
-// The table is filled on use: a maternBound must not be shared between
-// goroutines.
+// The table is filled on use and shared: a panel is built once, under the
+// table's lock, and published through its ready bit.
 type maternBound struct {
 	sigma2, beta, nu, norm float64
 	tab                    *maternTable // nil: every h takes the direct path
@@ -141,16 +143,17 @@ const (
 	tabFirst  = (1023 + tabMinExp) << 2 // Float64bits(2^tabMinExp) >> 50
 )
 
-const (
-	panelUnbuilt = iota
-	panelReady
-	panelDirect // g is not finite at some node: no table for this panel
-)
-
+// maternTable is one θ's panels. Bit p of ready (word p>>6) is set, under
+// mu, once panel p's coefficients are final; direct[p] marks a panel whose g
+// is not finite at some node.
 type maternTable struct {
-	state [tabPanels]uint8
-	coef  [tabPanels][tabCoefs]float64
+	mu     sync.Mutex
+	ready  [2]atomic.Uint64
+	direct [tabPanels]bool // guarded by mu
+	coef   [tabPanels][tabCoefs]float64
 }
+
+func (t *maternTable) isReady(p uint64) bool { return t.ready[p>>6].Load()>>(p&63)&1 != 0 }
 
 // chebNodes are the roots of T_N on [−1, 1]; chebWeights[k][j] takes the
 // values at those roots to the k-th Chebyshev coefficient (c_0 already
@@ -181,27 +184,41 @@ func (b *maternBound) Cov(h float64) float64 {
 	// series is (Temme up to and including r = 2): hence the −1.
 	u := math.Float64bits(r) - 1
 	p := u>>50 - tabFirst
-	if p >= tabPanels { // also r ≤ 0, ±Inf and NaN
+	if p >= tabPanels || !b.tab.isReady(p) && !b.build(p) { // p: also r ≤ 0, ±Inf and NaN
 		return b.direct(r)
-	}
-	if s := b.tab.state[p]; s != panelReady {
-		if s == panelDirect || !b.build(p) {
-			return b.direct(r)
-		}
 	}
 	// The low 50 mantissa bits are r's position within the panel.
 	t := float64(u&(1<<50-1)+1)*(1.0/(1<<49)) - 1
 	c := &b.tab.coef[p]
 	t2 := 2 * t
+	// One rounding per operation (the conversions forbid fusing into FMA):
+	// the lanes of covRow repeat exactly this sequence.
 	var b1, b2 float64
 	for k := tabCoefs - 1; k > 0; k-- {
-		b1, b2 = t2*b1-b2+c[k], b1
+		b1, b2 = float64(t2*b1)-b2+c[k], b1
 	}
-	v := (t*b1 - b2 + c[0]) * math.Exp(-r)
+	v := (float64(t*b1) - b2 + c[0]) * math.Exp(-r)
 	if math.IsNaN(v) || v < 0 {
 		return 0
 	}
 	return v
+}
+
+// covRow sets h[j] = b.Cov(h[j]) for every j: a vector of entries at a time
+// in lanes (maternRow) where the host has them and every entry of the
+// vector lies in a built panel, through Cov otherwise.
+func (b *maternBound) covRow(h []float64) {
+	for len(h) > 0 {
+		n := len(h)
+		if w := laneWidth; b.tab != nil && w > 0 {
+			h = h[maternRow(w, h, b.beta, b.tab.ready[0].Load(), b.tab.ready[1].Load(), &b.tab.coef):]
+			n = min(w, len(h)) // a vector the lanes left to Cov, or a shorter tail
+		}
+		for j := range h[:n] {
+			h[j] = b.Cov(h[j])
+		}
+		h = h[n:]
+	}
 }
 
 // direct is Matern.Cov for ν ≠ 0.5 at r = h/β > 0, with the normalization
@@ -215,9 +232,14 @@ func (b *maternBound) direct(r float64) float64 {
 }
 
 // build samples g at panel p's Chebyshev nodes with the direct routines
-// and stores its coefficients. It reports whether the panel is now ready;
-// if g is not finite at some node the panel is marked for the direct path.
+// and stores its coefficients, unless another goroutine has. It reports
+// whether the panel is ready; a panel where g is not finite goes direct.
 func (b *maternBound) build(p uint64) bool {
+	b.tab.mu.Lock()
+	defer b.tab.mu.Unlock()
+	if b.tab.direct[p] || b.tab.isReady(p) {
+		return !b.tab.direct[p]
+	}
 	lo := math.Float64frombits((p + tabFirst) << 50)
 	hi := math.Float64frombits((p + tabFirst + 1) << 50)
 	mid, half := 0.5*(lo+hi), 0.5*(hi-lo)
@@ -226,7 +248,7 @@ func (b *maternBound) build(p uint64) bool {
 		r := mid + half*x
 		g[j] = b.norm * math.Pow(r, b.nu) * bessel.KScaled(b.nu, r)
 		if math.IsNaN(g[j]) || math.IsInf(g[j], 0) {
-			b.tab.state[p] = panelDirect
+			b.tab.direct[p] = true
 			return false
 		}
 	}
@@ -238,12 +260,13 @@ func (b *maternBound) build(p uint64) bool {
 		}
 		c[k] = s
 	}
-	b.tab.state[p] = panelReady
+	w := &b.tab.ready[p>>6]
+	w.Store(w.Load() | 1<<(p&63))
 	return true
 }
 
-// Bind returns a single-θ evaluator with precomputed constants. It is for
-// one goroutine; see maternBound. At a θ outside the model (ν ≤ 0, β ≤ 0,
+// Bind returns a single-θ evaluator with precomputed constants, safe for
+// concurrent use; see maternBound. At a θ outside the model (ν ≤ 0, β ≤ 0,
 // anything NaN) it returns what Cov returns.
 func (k Matern) Bind(theta []float64) BoundKernel {
 	sigma2, beta, nu := theta[0], theta[1], theta[2]
@@ -300,6 +323,7 @@ func CovTile(locs []Point, rowStart, colStart, m, n int, k Kernel, theta []float
 // FillTile is CovTile for an already bound kernel.
 func FillTile(bk BoundKernel, locs []Point, rowStart, colStart, m, n int, nugget float64, dst []float64, ldd int) {
 	diag := bk.Cov(0) + nugget
+	mb, _ := bk.(*maternBound)
 	// A tile on the diagonal holds (i,j) and (j,i) for all i, j < sq.
 	// Dist is symmetric to the bit, so only the lower one is evaluated.
 	sq := 0
@@ -315,14 +339,19 @@ func FillTile(bk BoundKernel, locs []Point, rowStart, colStart, m, n int, nugget
 		for j := range row {
 			row[j] = pi.Dist(locs[colStart+j])
 		}
-		for j := range row {
-			switch {
-			case rowStart+i == colStart+j:
-				row[j] = diag
-			case i < j && j < sq:
-				// mirrored below
-			default:
-				row[j] = bk.Cov(row[j])
+		// Entries [lo, hi) are the diagonal one and those mirrored below.
+		lo, hi := n, n
+		if d := rowStart + i - colStart; d >= 0 && d < n {
+			lo, hi = d, max(d+1, sq)
+			row[d] = diag
+		}
+		for _, run := range [2][]float64{row[:lo], row[hi:]} {
+			if mb != nil {
+				mb.covRow(run)
+				continue
+			}
+			for j, h := range run {
+				run[j] = bk.Cov(h)
 			}
 		}
 	}

@@ -1,0 +1,10 @@
+//go:build !amd64
+
+package geo
+
+// Off amd64 every entry of a row goes through maternBound.Cov.
+var laneWidth = 0
+
+func maternRow(w int, h []float64, beta float64, ready0, ready1 uint64, coef *[tabPanels][tabCoefs]float64) int {
+	return 0
+}

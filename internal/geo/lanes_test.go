@@ -1,0 +1,141 @@
+package geo
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"sync"
+	"testing"
+
+	"geompc/internal/stats"
+)
+
+// laneRadii are distances r = h/β meant to hit every path of a row: four
+// random points in each panel, each panel edge and one ulp either side, the
+// ends of the table's range from both sides, and what lies outside it.
+func laneRadii(rng *stats.RNG) []float64 {
+	var rs []float64
+	for p := uint64(0); p <= tabPanels; p++ {
+		edge := math.Float64frombits((tabFirst + p) << 50)
+		rs = append(rs, math.Nextafter(edge, 0), edge, math.Nextafter(edge, math.Inf(1)))
+		for i := 0; i < 4 && p < tabPanels; i++ {
+			rs = append(rs, edge*(1+0.19*rng.Float64()))
+		}
+	}
+	return append(rs, 0, 5e-324, 1e-9, 0x1p-20, 0x1p9, 600, 1e300, math.Inf(1), math.NaN())
+}
+
+// sameCovBits fails the test at the first entry of got whose bits are not
+// bk.Cov's at the distance in hs.
+func sameCovBits(t *testing.T, what string, bk BoundKernel, hs, got []float64) {
+	t.Helper()
+	for j, h := range hs {
+		if want := bk.Cov(h); math.Float64bits(got[j]) != math.Float64bits(want) {
+			t.Fatalf("%s: h=%.17g: row path %.17g (%#x), Cov %.17g (%#x)", what, h, got[j], math.Float64bits(got[j]), want, math.Float64bits(want))
+		}
+	}
+}
+
+// TestLanesMatchCov: at every row-path width, the row path of a bound
+// Matérn kernel gives each entry the bits of a per-entry Cov — at 40 random
+// θ (ν ∈ (0, 8], β over nine decades) on distances across all panels in a
+// shuffled row of odd length, through a kernel whose panels are all built
+// (lanes wherever the width has them) and through a fresh one (panels built
+// on the way, by the scalar fallback); and at a θ whose overflowing panels
+// take the direct path. ν = 0.5 and ν > 8 carry no table and go through Cov.
+func TestLanesMatchCov(t *testing.T) {
+	forEachLaneWidth(t, func(t *testing.T) {
+		rng := stats.NewRNG(27, 0)
+		k := Matern{Dimension: 2}
+		thetas := [][]float64{{1.7e308, 1, 2.5}, {1, 0.1, 0.5}, {1, 0.1, 9}}
+		for i := 0; i < 40; i++ {
+			nu := 8 * (1 - rng.Float64())
+			beta := math.Pow(10, -6+9*rng.Float64())
+			thetas = append(thetas, []float64{0.1 + 2*rng.Float64(), beta, nu})
+		}
+		for _, theta := range thetas {
+			rs := laneRadii(rng)
+			hs := make([]float64, len(rs)|1)
+			for j, e := range rng.Perm(len(rs)) {
+				hs[j] = rs[e] * theta[1]
+			}
+			warm := k.Bind(theta).(*maternBound)
+			for _, h := range hs {
+				warm.Cov(h)
+			}
+			for _, bk := range []*maternBound{warm, k.Bind(theta).(*maternBound)} {
+				got := append([]float64(nil), hs...)
+				bk.covRow(got)
+				sameCovBits(t, fmt.Sprint("θ=", theta), warm, hs, got)
+			}
+		}
+	})
+}
+
+// TestLanesRunWhereReady: at a vector width, a row whose entries all lie in
+// built panels is done in lanes to its last whole vector, and the lanes stop
+// at the first vector holding an unbuilt panel's entry.
+func TestLanesRunWhereReady(t *testing.T) {
+	forEachLaneWidth(t, func(t *testing.T) {
+		if laneWidth == 0 {
+			t.Skip("the Go kernel has no lanes")
+		}
+		b := Matern{Dimension: 2}.Bind([]float64{1, 1, 1.3}).(*maternBound)
+		hs := make([]float64, 4*laneWidth+3)
+		for j := range hs {
+			hs[j] = 0.5 + 0.01*float64(j)
+			b.Cov(hs[j])
+		}
+		ready := func() int {
+			return maternRow(laneWidth, append([]float64(nil), hs...), b.beta, b.tab.ready[0].Load(), b.tab.ready[1].Load(), &b.tab.coef)
+		}
+		if n := ready(); n != 4*laneWidth {
+			t.Errorf("all panels built: lanes did %d of %d entries, want %d", n, len(hs), 4*laneWidth)
+		}
+		hs[2*laneWidth+1] = 100 // unbuilt panel
+		if n := ready(); n != 2*laneWidth {
+			t.Errorf("unbuilt panel in the third vector: lanes did %d entries, want %d", n, 2*laneWidth)
+		}
+	})
+}
+
+// TestSharedKernelConcurrentFill: eight goroutines filling the tiles of one
+// Σ(θ) through one cold bound kernel, so they race to build its panels,
+// write the matrix a serial fill through its own kernel writes, bit for bit.
+// Run it under -race.
+func TestSharedKernelConcurrentFill(t *testing.T) {
+	locs := GenerateLocations(200, 2, stats.NewRNG(28, 0))
+	n, ts := len(locs), 24
+	k := Matern{Dimension: 2}
+	for _, theta := range [][]float64{{1, 0.03, 1}, {0.7, 0.2, 1.7}, {1.3, 0.05, 0.31}} {
+		serial := Bind(k, theta)
+		want := bitsDigest(lowerTiles(n, ts, func(r0, c0, m, nn int, dst []float64) {
+			FillTile(serial, locs, r0, c0, m, nn, 1e-8, dst, nn)
+		}))
+		var starts [][4]int
+		lowerTiles(n, ts, func(r0, c0, m, nn int, dst []float64) { starts = append(starts, [4]int{r0, c0, m, nn}) })
+		tiles := make([][]float64, len(starts))
+		shared := Bind(k, theta)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := g; i < len(starts); i += 8 {
+					s := starts[i]
+					tiles[i] = make([]float64, s[2]*s[3])
+					FillTile(shared, locs, s[0], s[1], s[2], s[3], 1e-8, tiles[i], s[3])
+					runtime.Gosched()
+				}
+			}()
+		}
+		wg.Wait()
+		var all []float64
+		for _, tl := range tiles {
+			all = append(all, tl...)
+		}
+		if got := bitsDigest(all); got != want {
+			t.Errorf("θ=%v: 8 goroutines on one kernel digest %#x, serial fill %#x", theta, got, want)
+		}
+	}
+}

@@ -2,7 +2,11 @@
 
 package linalg
 
-import "runtime"
+import (
+	"runtime"
+
+	"geompc/internal/hostcpu"
+)
 
 // The FP64 micro-kernel on amd64: one shape — four A rows × two vectors of
 // B columns, k innermost — assembled at three vector widths (SSE2 4×4,
@@ -16,36 +20,21 @@ import "runtime"
 // would skip the intermediate rounding and change results.
 //
 // The width is the widest the processor implements and the OS saves the
-// registers of, read once at init; useF16C says whether the pure-FP16 GEMM
-// rounds to binary16 with F16C (dotNT4x8f16, an AVX kernel) or in Go.
-// Neither is a setting: results do not depend on them, only speed does.
+// registers of (hostcpu, read once at init); useF16C says whether the
+// pure-FP16 GEMM rounds to binary16 with F16C (dotNT4x8f16, an AVX kernel)
+// or in Go. Neither is a setting: results do not depend on them, only speed
+// does.
 var vecWidth, useF16C = hostKernels()
 
 func hostKernels() (width, bool) {
-	const osxsaveAVX = 1<<27 | 1<<28 // CPUID.1:ECX
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	_, _, c1, _ := cpuid(1, 0)
-	if c1&osxsaveAVX != osxsaveAVX {
-		return widthSSE2, false
-	}
-	xcr0, b7 := xgetbv0(), uint32(0)
-	if maxLeaf >= 7 {
-		_, b7, _, _ = cpuid(7, 0)
-	}
-	ymm := xcr0&0x6 == 0x6 // the OS saves XMM, YMM
-	f16c := ymm && c1&(1<<29) != 0
 	switch {
-	case b7&(1<<16) != 0 && xcr0&0xe6 == 0xe6: // AVX512F; the OS saves opmask, ZMM_Hi256, Hi16_ZMM too
-		return widthAVX512, f16c
-	case b7&(1<<5) != 0 && ymm: // AVX2
-		return widthAVX2, f16c
+	case hostcpu.AVX512F:
+		return widthAVX512, hostcpu.F16C
+	case hostcpu.AVX2:
+		return widthAVX2, hostcpu.F16C
 	}
-	return widthSSE2, f16c
+	return widthSSE2, hostcpu.F16C
 }
-
-func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv0() uint32
 
 // dot64 computes the 4×nb block C = alpha·A·Bᵀ + beta·C (C not read when
 // beta == 0) at the active width: a holds four rows of stride lda, bp one

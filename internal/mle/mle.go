@@ -227,17 +227,14 @@ func (p *Problem) NegLogLik(theta []float64, rs *RunStats) (float64, error) {
 	return nll, nil
 }
 
-// fill generates Σ(θ) into mat's tiles on every core. Each filling goroutine
-// binds its own kernel: a bound kernel's per-θ state is one goroutine's
-// alone, and the bits of an entry do not depend on which bound kernel, or
-// what order of calls, produced it (geo's maternBound contract), so the
-// matrix is that of a serial Fill.
+// fill generates Σ(θ) into mat's tiles on every core, through one bound
+// kernel shared by the filling goroutines. The bits of an entry do not
+// depend on which goroutine, or what order of calls, produced it (geo's
+// maternBound contract), so the matrix is that of a serial Fill.
 func (p *Problem) fill(mat *tile.Matrix, theta []float64) {
-	mat.FillParallel(func() func(t *tile.Tile, r0, c0 int) {
-		bk := geo.Bind(p.Kernel, theta)
-		return func(t *tile.Tile, r0, c0 int) {
-			geo.FillTile(bk, p.Locs, r0, c0, t.M, t.N, p.Nugget, t.Data, t.N)
-		}
+	bk := geo.Bind(p.Kernel, theta)
+	mat.FillParallel(func(t *tile.Tile, r0, c0 int) {
+		geo.FillTile(bk, p.Locs, r0, c0, t.M, t.N, p.Nugget, t.Data, t.N)
 	})
 }
 

@@ -157,11 +157,11 @@ func TestNegLogLikUnderflowRegime(t *testing.T) {
 	}
 }
 
-// The covariance tiles are generated on every core, each goroutine through
-// its own bound kernel; the matrix must be the one a serial Fill through a
-// single bound kernel writes, bit for bit, whatever the worker count — for
-// sqexp and for Matérn at ν ≠ 0.5, where each bound kernel builds its own
-// lazy table, in its own order.
+// The covariance tiles are generated on every core through one shared bound
+// kernel; the matrix must be the one a serial Fill through a kernel of its
+// own writes, bit for bit, whatever the worker count — for sqexp and for
+// Matérn at ν ≠ 0.5, where the goroutines build the shared lazy table in
+// whatever order they reach its panels.
 func TestFillMatchesSerialFill(t *testing.T) {
 	locs := geo.GenerateLocations(300, 2, stats.NewRNG(9, 0))
 	for _, c := range []struct {

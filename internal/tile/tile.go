@@ -160,10 +160,9 @@ func (m *Matrix) Fill(gen func(t *Tile, rowStart, colStart int)) {
 
 // FillParallel populates every tile like Fill, on min(GOMAXPROCS, tiles)
 // goroutines that claim tiles from a shared counter, and returns when all
-// are filled. newGen runs once on each goroutine and returns the generator
-// that goroutine uses, so state a generator keeps (a bound covariance
-// kernel's lazily built table) is never shared.
-func (m *Matrix) FillParallel(newGen func() func(t *Tile, rowStart, colStart int)) {
+// are filled. gen is called from all of them at once and must be safe for
+// that.
+func (m *Matrix) FillParallel(gen func(t *Tile, rowStart, colStart int)) {
 	if m.Phantom {
 		return
 	}
@@ -173,7 +172,6 @@ func (m *Matrix) FillParallel(newGen func() func(t *Tile, rowStart, colStart int
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			gen := newGen()
 			for i := next.Add(1) - 1; i < int64(len(m.tiles)); i = next.Add(1) - 1 {
 				t := m.tiles[i]
 				gen(t, t.I*m.TS, t.J*m.TS)

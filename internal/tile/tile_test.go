@@ -129,26 +129,27 @@ func TestFillAndToDense(t *testing.T) {
 	}
 }
 
-// FillParallel hands every tile to exactly one generator with Fill's
-// offsets, never starts more generators than GOMAXPROCS or than tiles, and
-// leaves a phantom matrix alone.
+// FillParallel hands every tile to the generator exactly once with Fill's
+// offsets, never runs it on more goroutines at once than GOMAXPROCS or than
+// tiles, and leaves a phantom matrix alone.
 func TestFillParallel(t *testing.T) {
 	d, _ := NewDesc(100, 16, 1, 1) // NT = 7, ragged last tile
 	for _, procs := range []int{1, 2, 8, 64} {
 		prev := runtime.GOMAXPROCS(procs)
 		m := NewMatrix(d, false)
-		var gens atomic.Int64
-		m.FillParallel(func() func(t *Tile, r0, c0 int) {
-			gens.Add(1)
-			return func(t *Tile, r0, c0 int) {
-				for e := range t.Data {
-					t.Data[e] += float64(r0*1000 + c0 + 1)
-				}
+		var inFlight, most atomic.Int64
+		m.FillParallel(func(t *Tile, r0, c0 int) {
+			n := inFlight.Add(1)
+			for o := most.Load(); n > o && !most.CompareAndSwap(o, n); o = most.Load() {
 			}
+			for e := range t.Data {
+				t.Data[e] += float64(r0*1000 + c0 + 1)
+			}
+			inFlight.Add(-1)
 		})
 		runtime.GOMAXPROCS(prev)
-		if g := int(gens.Load()); g < 1 || g > procs || g > d.LowerTileCount() {
-			t.Errorf("GOMAXPROCS %d: %d generators for %d tiles", procs, g, d.LowerTileCount())
+		if g := int(most.Load()); g < 1 || g > procs || g > d.LowerTileCount() {
+			t.Errorf("GOMAXPROCS %d: %d concurrent generator calls for %d tiles", procs, g, d.LowerTileCount())
 		}
 		for i := 0; i < d.NT; i++ {
 			for j := 0; j <= i; j++ {
@@ -161,9 +162,8 @@ func TestFillParallel(t *testing.T) {
 		}
 	}
 	ph := NewMatrix(d, true)
-	ph.FillParallel(func() func(t *Tile, r0, c0 int) {
-		t.Error("FillParallel started a generator on a phantom matrix")
-		return func(*Tile, int, int) {}
+	ph.FillParallel(func(*Tile, int, int) {
+		t.Error("FillParallel called the generator on a phantom matrix")
 	})
 }
 
