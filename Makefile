@@ -30,11 +30,9 @@ race:
 # Focused benchmark trajectory (see BENCH_kernels.json): per-precision
 # 256x256 GEMM + SYRK/TRSM kernels, the 64-tile GEMM/TRSM legs on normal
 # and on binary32-underflowing operands, the phantom NT=64 Cholesky, the
-# Fig 12 weak-scaling step, the plan-cache ablation pair (fresh
-# simulation vs compiled-plan replay on the MLE-shaped loop), and the
-# sweep pair (one-worker pool vs 4-worker pool) and the
-# event loop on a multi-rank phantom run (EngineMultiRank); both run at
-# -cpu 4 — benchjson records GOMAXPROCS per line, so they stay honest
+# Fig 12 weak-scaling step, the sweep pair (one-worker pool vs 4-worker
+# pool) and the event loop on a multi-rank phantom run (EngineMultiRank);
+# the last two run at -cpu 4 — benchjson records GOMAXPROCS per line, so they stay honest
 # even on smaller hosts.
 # The covariance-generation pair (CovTileMatern / MaternBound, root
 # bench_test.go) times, at four θ of the end-to-end benchmark's fit_matern
@@ -48,7 +46,7 @@ BENCHTIME ?= 5x
 bench:
 	$(GO) test -run '^$$' -bench 'GemmNT256|SyrkTrsm256|GemmNT64|Trsm64' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/linalg/ > results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'PhantomNT64$$' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/cholesky/ >> results/bench_after.txt
-	$(GO) test -run '^$$' -bench 'Fig12WeakStep|PlanAblationMLE' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/bench/ >> results/bench_after.txt
+	$(GO) test -run '^$$' -bench 'Fig12WeakStep' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/bench/ >> results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'SweepParallel|EngineMultiRank' -benchmem -benchtime $(BENCHTIME) -cpu 4 ./internal/bench/ >> results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'CovTileMatern|MaternBound' -benchmem -benchtime $(BENCHTIME) -cpu 1 . >> results/bench_after.txt
 	$(GO) run ./cmd/benchjson -seed results/bench_seed.txt < results/bench_after.txt > BENCH_kernels.json
@@ -79,7 +77,6 @@ experiments:
 	$(GO) run ./cmd/geompc power -occupancy -n 81920 > results/fig9_occupancy.txt
 	$(GO) run ./cmd/geompc power -fig10 > results/fig10_energy.txt
 	$(GO) run ./cmd/geompc ablation -banded -lookahead -sched -probe > results/ablation.txt
-	$(GO) run ./cmd/geompc ablation -plan > results/ablation_plan.txt
 	$(GO) run ./cmd/geompc accuracy -dim 2 -replicas 12 -n 324 -ts 54 -maxevals 400 > results/fig5_accuracy2d.txt
 	$(GO) run ./cmd/geompc accuracy -dim 3 -replicas 12 -n 343 -ts 49 -maxevals 400 -levels 0,1e-8,1e-4,1e-2 > results/fig6_accuracy3d.txt
 	$(GO) run ./cmd/geompc scale -weak -nodes 1,4,16,64 -base-n 98304 > results/fig12a_weak.txt

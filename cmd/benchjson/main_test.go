@@ -107,8 +107,8 @@ func TestSeedSeriesMissingFailsLoudly(t *testing.T) {
 }
 
 // TestNewBenchmarkStartsSeries: benchmarks absent from the seed join the
-// artifact without before/speedup fields and without erroring — how new
-// series (e.g. PlanAblationMLE*) enter BENCH_kernels.json.
+// artifact without before/speedup fields and without erroring — how a new
+// series enters BENCH_kernels.json.
 func TestNewBenchmarkStartsSeries(t *testing.T) {
 	seed := t.TempDir() + "/seed.txt"
 	if err := writeFile(seed, benchOutput); err != nil {

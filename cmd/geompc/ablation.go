@@ -27,25 +27,22 @@ import (
 //     geompc ablation -lookahead
 //     geompc ablation -probe [-probe-n 400]
 //     geompc ablation -sched [-sched-ranks 4]    # scheduling policies + broadcast topologies
-//     geompc ablation -plan [-plan-evals 8]      # compiled-plan cache vs fresh simulation
 func runAblation(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("geompc ablation", flag.ContinueOnError)
 	banded := fs.Bool("banded", false, "adaptive vs banded precision maps")
 	lookahead := fs.Bool("lookahead", false, "stream pipeline depth sweep")
 	probe := fs.Bool("probe", false, "Monte-Carlo arithmetic u_req probe")
 	schedFlag := fs.Bool("sched", false, "scheduling-policy and broadcast-topology sweep on the Fig 11 workload")
-	planFlag := fs.Bool("plan", false, "compiled-plan cache vs fresh simulation on a repeated (MLE-shaped) loop")
 	n := fs.Int("n", 65536, "matrix size for -banded/-lookahead/-sched")
 	probeN := fs.Int("probe-n", 400, "locations for -probe")
 	ts := fs.Int("ts", 2048, "tile size")
 	schedRanks := fs.Int("sched-ranks", 4, "ranks for the -sched broadcast-topology sweep")
-	planEvals := fs.Int("plan-evals", 8, "evaluations in the -plan repeated loop")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	sw := bench.SweepOpts{Workers: sweep.PerCore}
 
-	allIfNone(banded, lookahead, probe, schedFlag, planFlag)
+	allIfNone(banded, lookahead, probe, schedFlag)
 
 	if *banded {
 		for _, app := range bench.Apps() {
@@ -78,7 +75,7 @@ func runAblation(args []string, out io.Writer) error {
 	}
 
 	if *schedFlag {
-		rows, err := bench.SchedAblationOpts(hw.SummitNode, 1, 0, []int{*n}, *ts, sw)
+		rows, err := bench.SchedAblation(hw.SummitNode, 1, 0, []int{*n}, *ts, sw)
 		if err != nil {
 			return err
 		}
@@ -91,7 +88,7 @@ func runAblation(args []string, out io.Writer) error {
 		}
 		t.Write(out)
 
-		brows, err := bench.BcastAblationOpts(hw.SummitNode, *schedRanks, []int{*n}, *ts, sw)
+		brows, err := bench.BcastAblation(hw.SummitNode, *schedRanks, []int{*n}, *ts, sw)
 		if err != nil {
 			return err
 		}
@@ -102,21 +99,6 @@ func runAblation(args []string, out io.Writer) error {
 			bt.Add(r.Topology, r.Time, r.Energy, bench.HumanBytes(r.BytesNet))
 		}
 		bt.Write(out)
-	}
-
-	if *planFlag {
-		rows, err := bench.PlanAblation(*n, *ts, *planEvals, hw.SummitNode)
-		if err != nil {
-			return err
-		}
-		t := bench.NewTable(
-			fmt.Sprintf("compiled-plan cache: %d-evaluation repeated loop (FP64/FP16_32 Auto, N=%d, V100)", *planEvals, *n),
-			"variant", "wall(s)", "speedup", "hits", "misses", "invalidations")
-		for _, r := range rows {
-			t.Add(r.Variant, fmt.Sprintf("%.4f", r.Wall), fmt.Sprintf("%.2fx", r.Speedup),
-				r.Hits, r.Misses, r.Invalidations)
-		}
-		t.Write(out)
 	}
 
 	if *probe {

@@ -36,7 +36,7 @@ var commands = []command{
 	{"precmap", "kernel, storage and communication precision maps (Figs 2, 4, 7)", runPrecmap},
 	{"gemmbench", "GEMM accuracy, performance and tile-move times (Tables I-II, Fig 1)", runGemmbench},
 	{"accuracy", "Monte-Carlo parameter-estimation study (Figs 5, 6)", runAccuracy},
-	{"ablation", "design-choice ablations: banded maps, lookahead, scheduling, plan cache", runAblation},
+	{"ablation", "design-choice ablations: banded maps, lookahead, scheduling", runAblation},
 }
 
 func main() {

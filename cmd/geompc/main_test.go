@@ -24,7 +24,7 @@ func runOut(t *testing.T, args ...string) string {
 // a case either must fail (with `errWant` set: with that text in the error
 // and nothing on stdout), or must print every `want` and none of `not`.
 // Subtests are named <subcommand>/<case>, so `-run '/trace'` selects one
-// subcommand and `-run 'TestCommands//plan-cache'` one theme.
+// subcommand and `-run 'TestCommands//flag-gone'` one theme.
 func TestCommands(t *testing.T) {
 	cases := []struct {
 		name    string // <subcommand>/<case>; the subcommand is args[0]
@@ -44,9 +44,7 @@ func TestCommands(t *testing.T) {
 			want: []string{"simulated schedule, NT=4, 6 V100s"}}, // the header names what was simulated
 		{name: "trace/negative-gpus", args: "-gpus -1", fail: true, errWant: "negative GPUs per rank -1"},
 		{name: "trace/faults-flag-gone", args: "-faults x", fail: true, errWant: "flag provided but not defined: -faults"},
-		{name: "trace/plan-cache-smoke", args: "-nt 4 -gpus 2 -plan-cache",
-			want: []string{"plan cache: 1 hit(s), 1 miss(es), 0 invalidation(s); replay digest verified"}},
-		{name: "trace/plan-cache-refuses-chrome", args: "-plan-cache -chrome /dev/null", fail: true},
+		{name: "trace/plan-cache-flag-gone", args: "-plan-cache", fail: true, errWant: "flag provided but not defined: -plan-cache"},
 		{name: "trace/solver-flag-gone", args: "-solver cg", fail: true, errWant: "flag provided but not defined: -solver"},
 
 		{name: "convbench/smoke", args: "-machine Summit -gpus 1 -sizes 16384",
@@ -94,8 +92,7 @@ func TestCommands(t *testing.T) {
 				"topology  time(s)  energy(J)  net",
 				"fifo", "locality", "cp", "binomial", "flat", "chain",
 			}},
-		{name: "ablation/plan-smoke", args: "-plan -n 16384 -plan-evals 4",
-			want: []string{"compiled-plan cache", "plan-cache", "fresh"}},
+		{name: "ablation/plan-flag-gone", args: "-plan", fail: true, errWant: "flag provided but not defined: -plan"},
 		{name: "ablation/solvers-flag-gone", args: "-solvers", fail: true, errWant: "flag provided but not defined: -solvers"},
 	}
 	for _, c := range cases {

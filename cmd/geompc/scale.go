@@ -43,7 +43,7 @@ func runScale(args []string, out io.Writer) error {
 	}
 
 	if *weak {
-		rows, err := bench.WeakScalingOpts(nodes, *baseN, *ts, so)
+		rows, err := bench.WeakScaling(nodes, *baseN, *ts, so)
 		if err != nil {
 			return err
 		}
@@ -56,7 +56,7 @@ func runScale(args []string, out io.Writer) error {
 	}
 
 	if *strong {
-		rows, err := bench.StrongScalingOpts(nodes, *strongN, *ts, so)
+		rows, err := bench.StrongScaling(nodes, *strongN, *ts, so)
 		if err != nil {
 			return err
 		}

@@ -9,7 +9,6 @@ import (
 	"geompc/internal/cholesky"
 	"geompc/internal/cliflags"
 	"geompc/internal/hw"
-	"geompc/internal/plan"
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
@@ -32,13 +31,9 @@ func runTrace(args []string, out io.Writer) error {
 	chrome := fs.String("chrome", "", "write the timeline as Chrome trace-event JSON to this file")
 	audit := fs.Bool("audit", false, "run the engine's invariant auditor; violations are fatal")
 	metrics := fs.Bool("metrics", false, "dump the run's metrics registry after the schedule")
-	planCache := fs.Bool("plan-cache", false, "route the run through a compiled-plan cache and print the hit/miss/invalidation counters")
 	v := cliflags.Register(fs, cliflags.Sched)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *planCache && *chrome != "" {
-		return fmt.Errorf("-chrome needs a live run's interval traces; drop -plan-cache")
 	}
 	plat, err := runtime.NewPlatform(hw.SummitNode, 1, *gpus)
 	if err != nil {
@@ -56,25 +51,9 @@ func runTrace(args []string, out io.Writer) error {
 		return err
 	}
 
-	var cache *plan.Cache
-	if *planCache {
-		cache = plan.NewCache(nil)
-	}
-	res, err := cholesky.RunCached(cfg, cache)
+	res, err := cholesky.Run(cfg)
 	if err != nil {
 		return err
-	}
-	if cache != nil {
-		// Second run of the identical shape: a replay of the plan the first
-		// run compiled.
-		rep, err := cholesky.RunCached(cfg, cache)
-		if err != nil {
-			return err
-		}
-		if rep.Digest() != res.Digest() {
-			return fmt.Errorf("plan-cache replay digest %016x != compiled %016x", rep.Digest(), res.Digest())
-		}
-		res = rep
 	}
 	fmt.Fprintf(out, "simulated schedule, NT=%d, %d V100s (FP64 diagonal / FP16_32 off-diagonal):\n\n", *nt, plat.DevPerRank)
 	makespan := res.Stats.Makespan
@@ -99,11 +78,6 @@ func runTrace(args []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "chrome trace written to %s (open in ui.perfetto.dev or chrome://tracing)\n", *chrome)
-	}
-	if cache != nil {
-		s := cache.Stats()
-		fmt.Fprintf(out, "plan cache: %d hit(s), %d miss(es), %d invalidation(s); replay digest verified\n",
-			s.Hits, s.Misses, s.Invalidations)
 	}
 	if *metrics {
 		fmt.Fprintln(out, "\nmetrics:")

@@ -93,8 +93,9 @@ func convGrid(sizes []int) []convPoint {
 // under the named policy and topology of so (zero SchedOpts = FIFO +
 // binomial).
 //
-// The unnamed string parameter is unused and read by nothing: it keeps its
-// position only because the frozen benchmark/ tree passes "" there.
+// The name's Opts suffix and the unused string parameter stay only because
+// the frozen benchmark/ tree calls ConvSweepOpts by that name and passes ""
+// there (ROADMAP item 3).
 func ConvSweepOpts(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts int, _ string, so SchedOpts) ([]ConvRow, error) {
 	plat, err := runtime.NewPlatform(node, ranks, gpusPerRank)
 	if err != nil {

@@ -68,22 +68,22 @@ func TestConvSweepParallelMatchesSerial(t *testing.T) {
 func TestScalingParallelMatchesSerial(t *testing.T) {
 	nodes := []int{1, 2, 4}
 	const baseN, ts = 8192, 2048
-	wantWeak, err := WeakScalingOpts(nodes, baseN, ts, SchedOpts{})
+	wantWeak, err := WeakScaling(nodes, baseN, ts, SchedOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantStrong, err := StrongScalingOpts(nodes, baseN, ts, SchedOpts{})
+	wantStrong, err := StrongScaling(nodes, baseN, ts, SchedOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range edgeWorkers() {
 		so := SchedOpts{SweepOpts: SweepOpts{Workers: w}}
-		gotWeak, err := WeakScalingOpts(nodes, baseN, ts, so)
+		gotWeak, err := WeakScaling(nodes, baseN, ts, so)
 		if err != nil {
 			t.Fatalf("weak workers=%d: %v", w, err)
 		}
 		sameRows(t, "WeakScaling", w, gotWeak, wantWeak)
-		gotStrong, err := StrongScalingOpts(nodes, baseN, ts, so)
+		gotStrong, err := StrongScaling(nodes, baseN, ts, so)
 		if err != nil {
 			t.Fatalf("strong workers=%d: %v", w, err)
 		}
@@ -113,12 +113,12 @@ func TestScalingParallelMatchesSerial(t *testing.T) {
 func TestSchedAblationParallelMatchesSerial(t *testing.T) {
 	sizes := []int{8192}
 	const ts = 2048
-	want, err := SchedAblationOpts(hw.SummitNode, 1, 0, sizes, ts, SweepOpts{})
+	want, err := SchedAblation(hw.SummitNode, 1, 0, sizes, ts, SweepOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range edgeWorkers() {
-		got, err := SchedAblationOpts(hw.SummitNode, 1, 0, sizes, ts, SweepOpts{Workers: w})
+		got, err := SchedAblation(hw.SummitNode, 1, 0, sizes, ts, SweepOpts{Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -129,46 +129,17 @@ func TestSchedAblationParallelMatchesSerial(t *testing.T) {
 func TestBcastAblationParallelMatchesSerial(t *testing.T) {
 	sizes := []int{8192}
 	const ts = 1024
-	want, err := BcastAblationOpts(hw.SummitNode, 4, sizes, ts, SweepOpts{})
+	want, err := BcastAblation(hw.SummitNode, 4, sizes, ts, SweepOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range edgeWorkers() {
-		got, err := BcastAblationOpts(hw.SummitNode, 4, sizes, ts, SweepOpts{Workers: w})
+		got, err := BcastAblation(hw.SummitNode, 4, sizes, ts, SweepOpts{Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
 		sameRows(t, "BcastAblation", w, got, want)
 	}
-}
-
-// TestPlanAblationParallelMatchesSerial: the ablation is a constant serial
-// run (its speedup column is a wall-clock ratio), so what is left to pin is
-// that its deterministic columns reproduce run to run.
-func TestPlanAblationParallelMatchesSerial(t *testing.T) {
-	// Wall-clock and speedup are real time measurements; only the
-	// deterministic columns are compared.
-	type stable struct {
-		Variant                     string
-		Evals                       int
-		Hits, Misses, Invalidations int64
-	}
-	project := func(rows []PlanRow) []stable {
-		out := make([]stable, len(rows))
-		for i, r := range rows {
-			out[i] = stable{r.Variant, r.Evals, r.Hits, r.Misses, r.Invalidations}
-		}
-		return out
-	}
-	want, err := PlanAblation(1024, 128, 4, hw.SummitNode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := PlanAblation(1024, 128, 4, hw.SummitNode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, "PlanAblation", 0, project(got), project(want))
 }
 
 // TestFamilyMergedMetricsDeterministic: the merged engine metrics a sweep
@@ -177,7 +148,7 @@ func TestPlanAblationParallelMatchesSerial(t *testing.T) {
 func TestFamilyMergedMetricsDeterministic(t *testing.T) {
 	render := func(w int) []obs.Metric {
 		reg := obs.NewRegistry()
-		_, err := SchedAblationOpts(hw.SummitNode, 1, 0, []int{8192}, 2048,
+		_, err := SchedAblation(hw.SummitNode, 1, 0, []int{8192}, 2048,
 			SweepOpts{Workers: w, Registry: reg})
 		if err != nil {
 			t.Fatal(err)

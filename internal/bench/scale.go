@@ -88,11 +88,11 @@ func runScale(ctx *sweep.Context, cfg scaleConfig, nodes, n, ts int, seed uint64
 	}, nil
 }
 
-// WeakScalingOpts runs Fig 12a: the matrix grows with the GPU count so
+// WeakScaling runs Fig 12a: the matrix grows with the GPU count so
 // per-GPU memory stays constant (N ∝ √GPUs), FP64 configuration, one sweep
 // point per node count, under the named scheduling policy and broadcast
 // topology.
-func WeakScalingOpts(nodeCounts []int, baseN, ts int, so SchedOpts) ([]ScaleRow, error) {
+func WeakScaling(nodeCounts []int, baseN, ts int, so SchedOpts) ([]ScaleRow, error) {
 	if len(nodeCounts) == 0 {
 		return nil, fmt.Errorf("bench: weak scaling needs at least one node count")
 	}
@@ -110,10 +110,10 @@ func WeakScalingOpts(nodeCounts []int, baseN, ts int, so SchedOpts) ([]ScaleRow,
 	})
 }
 
-// StrongScalingOpts runs Fig 12b: fixed matrix size (the paper uses
+// StrongScaling runs Fig 12b: fixed matrix size (the paper uses
 // 798,720) over increasing node counts, FP64 configuration, one sweep point
-// per node count, with the same scheduling knobs as WeakScalingOpts.
-func StrongScalingOpts(nodeCounts []int, n, ts int, so SchedOpts) ([]ScaleRow, error) {
+// per node count, with the same scheduling knobs as WeakScaling.
+func StrongScaling(nodeCounts []int, n, ts int, so SchedOpts) ([]ScaleRow, error) {
 	return sweep.Run(len(nodeCounts), so.SweepOpts, func(i int, ctx *sweep.Context) (ScaleRow, error) {
 		return runScale(ctx, scaleConfig{name: "FP64", uniform: prec.FP64}, nodeCounts[i], n, ts, 1, so)
 	})

@@ -85,12 +85,12 @@ type SchedRow struct {
 	BytesNet int64
 }
 
-// SchedAblationOpts runs the Fig 11 multi-GPU workload (mixed-precision
+// SchedAblation runs the Fig 11 multi-GPU workload (mixed-precision
 // FP64/FP16_32 Auto on a full node) under every built-in scheduling policy,
 // in phantom mode, through the sweep executor. The interesting column is
 // BytesH2D: Locality re-places consumers onto the device already holding
 // their tiles, so its staging traffic must come in strictly below FIFO's.
-func SchedAblationOpts(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts int, so SweepOpts) ([]SchedRow, error) {
+func SchedAblation(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts int, so SweepOpts) ([]SchedRow, error) {
 	plat, err := runtime.NewPlatform(node, ranks, gpusPerRank)
 	if err != nil {
 		return nil, err
@@ -133,12 +133,12 @@ type BcastRow struct {
 	BytesNet int64
 }
 
-// BcastAblationOpts runs a multi-rank mixed-precision factorization under
+// BcastAblation runs a multi-rank mixed-precision factorization under
 // every built-in broadcast topology, in phantom mode, through the sweep
 // executor. Bytes on the wire are identical by
 // construction; what moves is when receivers get the panel — the makespan
 // column shows the cost of each shape.
-func BcastAblationOpts(node *hw.NodeSpec, ranks int, sizes []int, ts int, so SweepOpts) ([]BcastRow, error) {
+func BcastAblation(node *hw.NodeSpec, ranks int, sizes []int, ts int, so SweepOpts) ([]BcastRow, error) {
 	plat, err := runtime.NewPlatform(node, ranks, 0)
 	if err != nil {
 		return nil, err

@@ -7,22 +7,27 @@ import (
 	"testing"
 
 	"geompc/internal/linalg"
+	"geompc/internal/plan"
 )
 
 // factorOnce factors one of two identical problems and returns its factor
-// digest and numeric failure: a, live (fresh), or b, by replaying the plan
-// compiled from a — bodies alone, no event loop.
+// digest and numeric failure: a, live (fresh), or b, through a plan cache
+// primed with a — a hit, so bodies alone, no event loop.
 func factorOnce(t *testing.T, a, b Config, replayed bool) (uint64, error) {
 	t.Helper()
 	var res *Result
 	var err error
 	if !replayed {
 		res, err = Run(a)
-	} else if p, cerr := Compile(a); cerr != nil {
-		t.Fatal(cerr)
 	} else {
-		a = b
-		res, err = Replay(b, p)
+		cache := plan.NewCache(nil)
+		if _, err = RunCached(a, cache); err == nil {
+			a = b
+			res, err = RunCached(b, cache)
+		}
+		if s := cache.Stats(); err == nil && s.Hits != 1 {
+			t.Fatalf("b did not replay a's plan: %+v", s)
+		}
 	}
 	if err != nil {
 		t.Fatal(err)

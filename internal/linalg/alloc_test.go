@@ -2,7 +2,11 @@
 
 package linalg
 
-import "testing"
+import (
+	"testing"
+
+	"geompc/internal/prec"
+)
 
 // TestKernelsSteadyStateAllocFree pins the heap allocations of one tile-kernel
 // call on a 64-tile once the scratch pools are warm (AllocsPerRun makes one
@@ -21,9 +25,9 @@ func TestKernelsSteadyStateAllocFree(t *testing.T) {
 		call func()
 	}{
 		{"GemmNT", func() { GemmNT(n, n, n, -1, a, n, a, n, 0, c, n) }},
-		{"GemmNT32", func() { GemmNT32(n, n, n, -1, a, n, a, n, 0, c, n) }},
-		{"GemmNTFP16", func() { GemmNTFP16(n, n, n, -1, a, n, a, n, 0, c, n) }},
-		{"SyrkLN32", func() { SyrkLN32(n, n, -1, a, n, 0, c, n) }},
+		{"GemmNT32", func() { GemmNTPrec(prec.FP32, n, n, n, -1, a, n, a, n, 0, c, n) }},
+		{"GemmNTFP16", func() { GemmNTPrec(prec.FP16, n, n, n, -1, a, n, a, n, 0, c, n) }},
+		{"SyrkLN32", func() { SyrkLNPrec(prec.FP32, n, n, -1, a, n, 0, c, n) }},
 		{"TrsmRLT32", func() { TrsmRLT32(n, n, tri, n, c, n) }},
 		{"PotrfLower32", func() {
 			copy(spd, tri)

@@ -28,7 +28,7 @@
 // setting. The float32-accumulate GEMMs use a 4×4 SSE2 kernel.
 //
 // Underflow contract of the binary32 carrier: inside every float32-accumulate
-// kernel (the FP32/TF32/BF16_32/FP16_32/FP16 GEMMs, TrsmRLT32, SyrkLN32,
+// kernel (the FP32/TF32/BF16_32/FP16_32/FP16 GEMMs, TrsmRLT32, the FP32 SYRK,
 // PotrfLower32) a binary32-subnormal operand reads as zero and a
 // binary32-subnormal result flushes to zero — a perturbation of at most
 // 2⁻¹²⁶ per operation, on tiles of a matrix with an O(1) diagonal. The

@@ -61,8 +61,8 @@ func TestF16CGemmMatchesGoKernel(t *testing.T) {
 		a, b, c := salted(m, lda, scale, density), salted(n, ldb, scale, density), salted(m, ldc, 1, density)
 		for _, ab := range [][2]float64{{-1, 1}, {0.5, 0}, {1.25, -0.75}} {
 			got, want := append([]float64(nil), c...), append([]float64(nil), c...)
-			withF16C(true, func() { GemmNTFP16(m, n, k, ab[0], a, lda, b, ldb, ab[1], got, ldc) })
-			withF16C(false, func() { GemmNTFP16(m, n, k, ab[0], a, lda, b, ldb, ab[1], want, ldc) })
+			withF16C(true, func() { GemmNTPrec(prec.FP16, m, n, k, ab[0], a, lda, b, ldb, ab[1], got, ldc) })
+			withF16C(false, func() { GemmNTPrec(prec.FP16, m, n, k, ab[0], a, lda, b, ldb, ab[1], want, ldc) })
 			for i := range want {
 				if math.IsNaN(got[i]) && math.IsNaN(want[i]) {
 					continue

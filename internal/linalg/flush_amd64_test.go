@@ -182,13 +182,13 @@ func TestFloat32KernelsFlushSubnormals(t *testing.T) {
 				sameBits(t, "GemmNT "+p.String(), got, want)
 			}
 			got, want := clone(c), clone(c)
-			GemmNTFP16(d.m, d.n, d.k, -1, a, d.k, b, d.k, beta, got, d.n)
+			GemmNTPrec(prec.FP16, d.m, d.n, d.k, -1, a, d.k, b, d.k, beta, got, d.n)
 			ref.gemmFP16(d.m, d.n, d.k, -1, a, b, beta, want)
 			sameBits(t, "GemmNTFP16", got, want)
 
 			cs := underflowMatrix(&rng, d.n, d.n, underflowScales...)
 			got, want = clone(cs), clone(cs)
-			SyrkLN32(d.n, d.k, -1, b, d.k, beta, got, d.n)
+			SyrkLNPrec(prec.FP32, d.n, d.k, -1, b, d.k, beta, got, d.n)
 			ref.syrk(d.n, d.k, -1, b, beta, want)
 			sameBits(t, "SyrkLN32", got, want)
 		}
@@ -234,12 +234,12 @@ func TestMXCSRDefaultOutsideKernels(t *testing.T) {
 	c := goldenMatrix(&rng, n, n)
 	spd := goldenSPD(&rng, n)
 	kernels := map[string]func(){
-		"GemmNT32":      func() { GemmNT32(n, n, n, -1, a, n, a, n, 1, c, n) },
+		"GemmNT32":      func() { GemmNTPrec(prec.FP32, n, n, n, -1, a, n, a, n, 1, c, n) },
 		"GemmNTTF32":    func() { GemmNTPrec(prec.TF32, n, n, n, -1, a, n, a, n, 1, c, n) },
 		"GemmNTBF16x32": func() { GemmNTPrec(prec.BF16x32, n, n, n, -1, a, n, a, n, 1, c, n) },
 		"GemmNTFP16x32": func() { GemmNTPrec(prec.FP16x32, n, n, n, -1, a, n, a, n, 1, c, n) },
-		"GemmNTFP16":    func() { GemmNTFP16(n, n, n, -1, a, n, a, n, 1, c, n) },
-		"SyrkLN32":      func() { SyrkLN32(n, n, -1, a, n, 1, c, n) },
+		"GemmNTFP16":    func() { GemmNTPrec(prec.FP16, n, n, n, -1, a, n, a, n, 1, c, n) },
+		"SyrkLN32":      func() { SyrkLNPrec(prec.FP32, n, n, -1, a, n, 1, c, n) },
 		"TrsmRLT32":     func() { TrsmRLT32(n, n, spd, n, c, n) },
 		"PotrfLower32": func() {
 			if err := PotrfLower32(n, spd, n); err != nil {
@@ -253,7 +253,7 @@ func TestMXCSRDefaultOutsideKernels(t *testing.T) {
 					t.Error("short C did not panic")
 				}
 			}()
-			GemmNT32(n, n, n, -1, a, n, a, n, 1, c[:n*(n-1):n*(n-1)], n)
+			GemmNTPrec(prec.FP32, n, n, n, -1, a, n, a, n, 1, c[:n*(n-1):n*(n-1)], n)
 		},
 	}
 	for name, run := range kernels {
@@ -290,7 +290,7 @@ func TestFloat64KeepsGradualUnderflow(t *testing.T) {
 				defer wg.Done()
 				c := make([]float64, n*n)
 				for !stop.Load() {
-					GemmNT32(n, n, n, -1, a32, n, a32, n, 0, c, n)
+					GemmNTPrec(prec.FP32, n, n, n, -1, a32, n, a32, n, 0, c, n)
 					calls.Add(1)
 				}
 			}()
@@ -336,7 +336,7 @@ func TestUnderflowDoesNotStall(t *testing.T) {
 	rhs := make([]float64, n*n)
 
 	gemm := func(ab []float64) func() {
-		return func() { GemmNT32(n, n, n, -1, ab, n, ab, n, 0, c, n) }
+		return func() { GemmNTPrec(prec.FP32, n, n, n, -1, ab, n, ab, n, 0, c, n) }
 	}
 	trsm := func(tri, b []float64) func() {
 		return func() {

@@ -268,32 +268,6 @@ func packB64Scratch(src []float64, n, k, ld int) ([]float64, *[]float64) {
 	return bp, bpp
 }
 
-// GemmNN computes C = alpha*A*B + beta*C in float64.
-// A is m×k, B is k×n, C is m×n. Used by the GEMM benchmark (Fig 1) and the
-// prediction path.
-func GemmNN(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	for i := 0; i < m; i++ {
-		ci := c[i*ldc:][:n]
-		if beta == 0 {
-			for j := range ci {
-				ci[j] = 0
-			}
-		} else if beta != 1 {
-			for j := range ci {
-				ci[j] *= beta
-			}
-		}
-		ai := a[i*lda:][:k]
-		for l := 0; l < k; l++ {
-			v := alpha * ai[l]
-			bl := b[l*ldb:][:n]
-			for j := 0; j < n; j++ {
-				ci[j] += v * bl[j]
-			}
-		}
-	}
-}
-
 // gemmNT32Panel is the shared float32-accumulation micro-kernel body for
 // rows [i0,i1): af and bf hold the packed (and, for the emulated formats,
 // input-quantized) operands with row stride k. The beta == 0 test is against
@@ -397,27 +371,6 @@ func interleaveF32(dst, src []float32, n, k, nb int) {
 	}
 }
 
-// GemmNT32 computes C = alpha*A*Bᵀ + beta*C with genuine float32 arithmetic
-// over float64 storage: inputs are cast to float32, products and sums are
-// accumulated in float32, and the float32 result is stored back. The
-// tensor-core formats TF32, BF16_32 and FP16_32 (GemmNTPrec) differ only in
-// the input quantizer: TF32, bfloat16 or binary16 inputs, float32
-// multiply-accumulate and C.
-func GemmNT32(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	GemmNTPrec(prec.FP32, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-}
-
-// GemmNTFP16 emulates the pure-FP16 GEMM: A, B and C in binary16 and the
-// accumulator rounded to binary16 after every fused multiply-add, matching
-// FP16-accumulate tensor-core mode. The kernel holds every binary16 value as
-// its exact float32 image and applies fp16.QuantF32 (round-to-nearest-even
-// at binary16 precision) after each multiply and each add — proven
-// bit-equivalent to the Half-typed AddHalf/MulHalf chain by the exhaustive
-// fp16 tests, and pinned against the seed kernel by the golden digests.
-func GemmNTFP16(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	GemmNTPrec(prec.FP16, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-}
-
 // gemmNT16F16C runs the whole groups of four rows of the pure-FP16 GEMM
 // through the F16C micro-kernel (b8 is B interleaved by eight), combines the
 // sums as the Go kernel does, and returns the first row it left for it.
@@ -442,7 +395,14 @@ func gemmNT16F16C(m, n, k int, alf float32, betaZero bool, bef float32, af, b8 [
 
 // gemmNT16Panel is the pure-FP16 GEMM over rows [i0,i1) in portable Go: the
 // only form off amd64 and without F16C, the remainder rows everywhere, and
-// the reference the F16C kernel is tested against.
+// the reference the F16C kernel is tested against. A, B and C are binary16
+// and the accumulator is rounded to binary16 after every fused
+// multiply-add, matching FP16-accumulate tensor-core mode: every binary16
+// value is held as its exact float32 image and fp16.QuantF32
+// (round-to-nearest-even at binary16 precision) is applied after each
+// multiply and each add — proven bit-equivalent to the Half-typed
+// AddHalf/MulHalf chain by the exhaustive fp16 tests, and pinned against the
+// seed kernel by the golden digests.
 func gemmNT16Panel(i0, i1, n, k int, alf float32, betaZero bool, bef float32, af, bf []float32, c []float64, ldc int) {
 	i := i0
 	for ; i+4 <= i1; i += 4 {

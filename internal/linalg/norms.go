@@ -2,26 +2,6 @@ package linalg
 
 import "math"
 
-// FrobeniusNorm returns ‖x‖_F = sqrt(Σ x_i²) with overflow-safe scaling.
-func FrobeniusNorm(x []float64) float64 {
-	var scale, ssq float64 = 0, 1
-	for _, v := range x {
-		if v == 0 {
-			continue
-		}
-		av := math.Abs(v)
-		if scale < av {
-			r := scale / av
-			ssq = 1 + ssq*r*r
-			scale = av
-		} else {
-			r := av / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
-}
-
 // FrobeniusNormMat returns the Frobenius norm of the m×n matrix stored
 // row-major with stride ld.
 func FrobeniusNormMat(m, n int, a []float64, ld int) float64 {

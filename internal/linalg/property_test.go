@@ -92,7 +92,7 @@ func TestGemmPrecDispatchCoversAll(t *testing.T) {
 	for _, p := range prec.All {
 		c := make([]float64, m*m)
 		GemmNTPrec(p, m, m, m, 1, a, m, b, m, 0, c, m)
-		if FrobeniusNorm(c) == 0 {
+		if FrobeniusNormMat(m, m, c, m) == 0 {
 			t.Errorf("%v GEMM produced zero output", p)
 		}
 	}
@@ -106,7 +106,7 @@ func TestSyrkPreservesSymmetryOfUpdate(t *testing.T) {
 	a := randMat(rng, n, k)
 	c := spdMat(rng, n)
 	ref := append([]float64(nil), c...)
-	SyrkLN(n, k, -0.5, a, k, 1, c, n)
+	SyrkLNPrec(prec.FP64, n, k, -0.5, a, k, 1, c, n)
 	GemmNT(n, n, k, -0.5, a, k, a, k, 1, ref, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {

@@ -2,20 +2,6 @@ package linalg
 
 import "geompc/internal/prec"
 
-// SyrkLN computes C = alpha·A·Aᵀ + beta·C on the lower triangle of the n×n
-// matrix C (stride ldc), with A n×k (stride lda), in float64: the diagonal
-// update A[m][m] -= A[m][k]·A[m][k]ᵀ of Algorithm 1 (alpha=-1, beta=1).
-func SyrkLN(n, k int, alpha float64, a []float64, lda int, beta float64, c []float64, ldc int) {
-	SyrkLNPrec(prec.FP64, n, k, alpha, a, lda, beta, c, ldc)
-}
-
-// SyrkLN32 is SyrkLN in genuine float32 arithmetic over float64 storage
-// (full-FP32 baseline only; the adaptive framework always runs SYRK in FP64
-// because it updates diagonal tiles).
-func SyrkLN32(n, k int, alpha float64, a []float64, lda int, beta float64, c []float64, ldc int) {
-	SyrkLNPrec(prec.FP32, n, k, alpha, a, lda, beta, c, ldc)
-}
-
 // SyrkLNPrec runs the SYRK tile kernel of execution precision p (FP64 or
 // FP32): it packs A for this one call and runs SyrkLNPacked.
 func SyrkLNPrec(p prec.Precision, n, k int, alpha float64, a []float64, lda int, beta float64, c []float64, ldc int) {

@@ -96,7 +96,7 @@ func TestWidthKernelsMatchNaiveLoops(t *testing.T) {
 
 			cs := randMat(rng, n, ldc)
 			got, want := append([]float64(nil), cs...), append([]float64(nil), cs...)
-			SyrkLN(n, k, -1, b, ldb, 1, got, ldc)
+			SyrkLNPrec(prec.FP64, n, k, -1, b, ldb, 1, got, ldc)
 			naiveSyrkLN(n, k, -1, b, ldb, 1, want, ldc)
 			sameBits(t, "SyrkLN", got, want)
 

@@ -1,8 +1,8 @@
 package plan_test
 
 // Cache flow: miss → compile, hit → replay, precision-map change →
-// invalidation (with a measured dirty-task count) → recompile, all with
-// results indistinguishable from fresh runs.
+// invalidation → recompile, all with results indistinguishable from fresh
+// runs.
 
 import (
 	"errors"
@@ -19,9 +19,6 @@ func TestRunCachedFlow(t *testing.T) {
 	const nt, ranks, dev = 5, 2, 2
 	reg := obs.NewRegistry()
 	cache := plan.NewCache(reg)
-	if cache.Metrics() != reg {
-		t.Fatal("cache did not adopt the supplied registry")
-	}
 
 	// Miss: first run of the shape compiles.
 	c1 := newConfig(t, nt, ranks, dev, 1e-8, "", "")
@@ -30,8 +27,8 @@ func TestRunCachedFlow(t *testing.T) {
 		t.Fatalf("miss run: %v", err)
 	}
 	want := factorBits(c1.Matrix, c1.Desc)
-	if s := cache.Stats(); s.Misses != 1 || s.Hits != 0 || cache.Len() != 1 {
-		t.Fatalf("after miss: %+v len=%d", s, cache.Len())
+	if s := cache.Stats(); s != (plan.Stats{Misses: 1}) {
+		t.Fatalf("after miss: %+v", s)
 	}
 
 	// Hit: same shape and map replays, bit-identically.
@@ -44,19 +41,18 @@ func TestRunCachedFlow(t *testing.T) {
 		t.Fatalf("replay digest %016x != compile digest %016x", r2.Digest(), r1.Digest())
 	}
 	sameBits(t, want, factorBits(c2.Matrix, c2.Desc), "cache hit")
-	if s := cache.Stats(); s.Hits != 1 || s.Replays != 1 {
+	if s := cache.Stats(); s != (plan.Stats{Hits: 1, Misses: 1}) {
 		t.Fatalf("after hit: %+v", s)
 	}
 
 	// Invalidation: a looser accuracy target re-derives the maps; the cache
-	// measures the dirty closure and recompiles.
+	// recompiles.
 	c3 := newConfig(t, nt, ranks, dev, 1e-2, "", "")
 	r3, err := cholesky.RunCached(c3, cache)
 	if err != nil {
 		t.Fatalf("invalidation run: %v", err)
 	}
-	s := cache.Stats()
-	if s.Invalidations != 1 || s.TasksInvalidated == 0 {
+	if s := cache.Stats(); s != (plan.Stats{Hits: 1, Misses: 1, Invalidations: 1}) {
 		t.Fatalf("after invalidation: %+v", s)
 	}
 	fresh := newConfig(t, nt, ranks, dev, 1e-2, "", "")
@@ -88,8 +84,8 @@ func TestRunCachedFlow(t *testing.T) {
 		t.Fatalf("replayed numeric failure %v, fresh %v", r4.Err, fref.Err)
 	}
 	sameBits(t, factorBits(fresh.Matrix, fresh.Desc), factorBits(c4.Matrix, c4.Desc), "replay of the failed factorization")
-	if s := cache.Stats(); s.Hits != 2 || cache.Len() != 1 {
-		t.Fatalf("after recompile hit: %+v len=%d", s, cache.Len())
+	if s := cache.Stats(); s != (plan.Stats{Hits: 2, Misses: 1, Invalidations: 1}) {
+		t.Fatalf("after recompile hit: %+v", s)
 	}
 
 	// The counters surface through the registry under plan/cache/*.

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"geompc/internal/cholesky"
+	"geompc/internal/plan"
 )
 
 var goldenReplayDigests = map[[2]string]uint64{
@@ -35,21 +36,18 @@ func TestGoldenReplayDigests(t *testing.T) {
 		key, want := key, want
 		t.Run(key[0]+"-"+key[1], func(t *testing.T) {
 			t.Parallel()
-			cfg := newConfig(t, 6, 4, 2, 1e-8, key[0], key[1])
-			p, err := cholesky.Compile(cfg)
-			if err != nil {
-				t.Fatalf("compile: %v", err)
+			cache := plan.NewCache(nil)
+			for _, step := range []string{"compile", "replay"} {
+				res, err := cholesky.RunCached(newConfig(t, 6, 4, 2, 1e-8, key[0], key[1]), cache)
+				if err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				if res.Digest() != want {
+					t.Fatalf("%s digest 0x%016x, pinned 0x%016x", step, res.Digest(), want)
+				}
 			}
-			if p.Stats.ScheduleDigest != want {
-				t.Fatalf("compile digest 0x%016x, pinned 0x%016x", p.Stats.ScheduleDigest, want)
-			}
-			rcfg := newConfig(t, 6, 4, 2, 1e-8, key[0], key[1])
-			res, err := cholesky.Replay(rcfg, p)
-			if err != nil {
-				t.Fatalf("replay: %v", err)
-			}
-			if res.Digest() != want {
-				t.Fatalf("replay digest 0x%016x, pinned 0x%016x", res.Digest(), want)
+			if s := cache.Stats(); s != (plan.Stats{Hits: 1, Misses: 1}) {
+				t.Fatalf("cache counters %+v, want one miss and one hit", s)
 			}
 		})
 	}

@@ -22,17 +22,16 @@ import (
 
 const testTS = 16
 
-// newSPDMatrix builds the standard test covariance matrix: nt×nt tiles of
-// size 16, squared-exponential kernel over 2-D locations, nugget 1e-8.
-func newSPDMatrix(t testing.TB, nt, ranks int) (*tile.Matrix, tile.Desc) {
+// newSPDMatrix builds the standard test covariance matrix: n×n in tiles of
+// size ts on a p×q process grid, squared-exponential kernel over 2-D
+// locations, nugget 1e-8.
+func newSPDMatrix(t testing.TB, n, ts, p, q int) (*tile.Matrix, tile.Desc) {
 	t.Helper()
-	n := nt * testTS
 	rng := stats.NewRNG(42, 0)
 	locs := geo.GenerateLocations(n, 2, rng)
 	kfn := geo.SqExp{Dimension: 2}
 	theta := []float64{1, 0.05}
-	p, q := tile.SquarestGrid(ranks)
-	d, err := tile.NewDesc(n, testTS, p, q)
+	d, err := tile.NewDesc(n, ts, p, q)
 	if err != nil {
 		t.Fatalf("NewDesc: %v", err)
 	}
@@ -58,7 +57,8 @@ func newMaps(t testing.TB, mat *tile.Matrix, ureq float64) *precmap.Maps {
 // scheduling policy / broadcast topology (empty strings mean defaults).
 func newConfig(t testing.TB, nt, ranks, devPerRank int, ureq float64, policy, topo string) cholesky.Config {
 	t.Helper()
-	mat, d := newSPDMatrix(t, nt, ranks)
+	p, q := tile.SquarestGrid(ranks)
+	mat, d := newSPDMatrix(t, nt*testTS, testTS, p, q)
 	maps := newMaps(t, mat, ureq)
 	plat, err := runtime.NewPlatform(hw.SummitNode, ranks, devPerRank)
 	if err != nil {

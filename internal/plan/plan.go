@@ -1,52 +1,33 @@
-// Package plan splits the engine's work into a reusable compiled plan and a
-// cheap numeric replay pass — the MLE workload's biggest wall-clock lever
-// (ROADMAP): every likelihood evaluation factorizes the *same* tile DAG on
-// the same platform, so the discrete-event simulation (task ordering, device
-// placement, link bookings, broadcast shapes, conversion decisions) can be
-// paid once and re-used across iterations, Monte-Carlo replicas and
-// parameter sweeps.
+// Package plan memoizes a factorization's simulated schedule. Cache.Run
+// compiles a plan on the first run of a shape (miss), replays it while the
+// precision map is unchanged (hit), and recompiles it when the map changed
+// (invalidation). A replay runs the numeric bodies of a fresh graph in
+// dataflow order (runtime.RunBodies — a live run's executor without the
+// event loop) and hands back the frozen Stats, so it produces the
+// bit-identical factor — on a non-SPD matrix the same failure and partial
+// factor — and the same schedule digest as a live run.
 //
-// A Plan freezes two things from one engine run:
-//
-//   - the virtual-time outcome (runtime.Stats, including the FNV-1a schedule
-//     digest, and the traced ScheduledTask timeline);
-//   - a per-task signature of every schedule-relevant spec field, which is
-//     what incremental invalidation diffs when the precision map changes.
-//
-// Replay runs the numeric bodies of a fresh graph in dataflow order
-// (runtime.RunBodies — a live run's executor without the event loop). The
-// numerics depend on nothing else, so a replay produces the bit-identical
-// factor — on a non-SPD matrix the same failure and partial factor — while
-// the frozen Stats stand in for the O(n log n) event-heap simulation.
-// Invalidation is deliberately conservative: timing is coupled globally
-// through device and link contention, so a precision change triggers a full
-// recompile — what is incremental is the dirty-closure analysis proving
-// *which* tasks could have changed (and that none outside the closure did).
+// No fit, study or figure passes a cache; the frozen benchmark/ probes it.
 package plan
 
 import (
-	"fmt"
+	"sync"
 
 	"geompc/internal/obs"
 	"geompc/internal/runtime"
 )
 
-// Plan is one compiled schedule, reusable for any graph with the same shape
-// signature and precision signature. A Plan is immutable once Compile
-// returns: Replay and Invalidate only read it, so one Plan may serve any
-// number of concurrent replays (each builds its own graph) — the
-// property Cache's concurrency contract leans on.
+// Plan is one compiled schedule, valid for any graph with the same shape
+// and precision signatures. It is immutable once compiled, so one Plan may
+// serve any number of concurrent replays (each builds its own graph).
 type Plan struct {
 	// Sig is the caller-supplied shape signature (platform, tiling,
-	// strategy, policy, topology — everything except the
-	// precision map and the numeric data).
+	// strategy, policy, topology — everything except the precision map and
+	// the numeric data).
 	Sig uint64
 	// PrecSig is the precision-map signature the plan was compiled under
-	// (precmap.Maps.Signature); replaying under a different map is unsound
-	// and refused.
+	// (precmap.Maps.Signature).
 	PrecSig uint64
-	// NumTasks of the compiled graph.
-	NumTasks int
 	// Stats is the frozen virtual-time outcome, including ScheduleDigest.
 	Stats runtime.Stats
 	// Schedule is the traced task timeline (commit order).
@@ -54,88 +35,145 @@ type Plan struct {
 	// Metrics is the compile run's frozen metrics registry; replays hand it
 	// back unchanged (a replay adds no engine work to measure).
 	Metrics *obs.Registry
-
-	// specSigs[id] hashes every schedule-relevant field of task id's spec.
-	specSigs []uint64
 }
 
-// Compile runs eng — an engine already configured for its graph (policy,
+// compile runs eng — an engine already configured for its graph (policy,
 // topology, lookahead, audit) — once: a full simulation, numeric bodies and
-// all, and returns the reusable plan (eng.BodyErr() is that run's numeric
-// failure). sig and precSig identify what it is valid for.
-func Compile(eng *runtime.Engine, sig, precSig uint64) (*Plan, error) {
-	g := eng.Graph()
+// all (eng.BodyErr() is that run's numeric failure).
+func compile(eng *runtime.Engine, sig, precSig uint64) (*Plan, error) {
 	eng.Trace = true // the plan freezes the traced timeline
 	stats, err := eng.Run()
 	if err != nil {
 		return nil, err
 	}
 	return &Plan{
-		Sig: sig, PrecSig: precSig, NumTasks: g.NumTasks(),
-		Stats:    stats,
+		Sig: sig, PrecSig: precSig, Stats: stats,
 		Schedule: append([]runtime.ScheduledTask(nil), eng.ScheduleTrace()...),
 		Metrics:  eng.Metrics(),
-		specSigs: SpecSignatures(g),
 	}, nil
 }
 
-// Replay re-executes only the numeric bodies of g, in dataflow order, and
-// hands back the compiled Stats untouched. The graph must have the compiled
-// one's task count and — the caller's responsibility — its shape and
-// precision signatures; only the numeric tile contents may differ.
-func (p *Plan) Replay(g runtime.Graph) (Outcome, error) {
-	if n := g.NumTasks(); n != p.NumTasks {
-		return Outcome{}, fmt.Errorf("plan: graph has %d tasks, plan compiled for %d", n, p.NumTasks)
-	}
-	return Outcome{Stats: p.Stats, Plan: p, Err: runtime.RunBodies(g)}, nil
+// Cache holds at most one compiled plan per shape signature and counts
+// hits, misses and invalidations under plan/cache/* in its registry.
+//
+// A Cache is safe for concurrent use: the map is guarded by mu and the
+// counters are atomic. Which of several concurrent callers wins a compile
+// race — and so how many misses or invalidations are counted — depends on
+// scheduling; results never do, since every caller either replays a frozen
+// plan or compiles its own, both bit-identical to a live run.
+type Cache struct {
+	mu    sync.Mutex
+	plans map[uint64]*Plan
+
+	hits, misses, invalidations *obs.Counter
 }
 
-// SpecSignatures hashes every schedule-relevant field of every task spec:
-// kind, device, precision, flops, priority, each input's wire format and
-// conversion, the output footprint, and the publish shape including its
-// broadcast targets. Bodies are excluded (they carry the numerics, not the
-// schedule). Equal signatures for a task across two graphs mean the engine
-// would treat the task identically — the soundness oracle of incremental
-// invalidation.
-func SpecSignatures(g runtime.Graph) []uint64 {
-	n := g.NumTasks()
-	sigs := make([]uint64, n)
-	var spec runtime.TaskSpec
-	for id := 0; id < n; id++ {
-		g.Spec(id, &spec)
-		var d obs.Digest
-		d.WriteString(string(spec.Kind))
-		d.WriteInt64(int64(spec.Device))
-		d.WriteInt64(int64(spec.Prec))
-		d.WriteFloat64(spec.Flops)
-		d.WriteInt64(spec.Priority)
-		d.WriteInt64(int64(len(spec.Inputs)))
-		for i := range spec.Inputs {
-			in := &spec.Inputs[i]
-			d.WriteInt64(int64(in.Data))
-			d.WriteInt64(in.WireBytes)
-			d.WriteInt64(int64(in.WirePrec))
-			d.WriteInt64(int64(in.ConvertElems))
-			d.WriteInt64(int64(in.ConvFrom))
-			d.WriteInt64(int64(in.ConvTo))
-		}
-		d.WriteInt64(int64(spec.Output.Data))
-		d.WriteInt64(spec.Output.Bytes)
-		d.WriteInt64(int64(spec.Output.Prec))
-		if p := spec.Publish; p != nil {
-			d.WriteInt64(p.WireBytes)
-			d.WriteInt64(int64(p.WirePrec))
-			d.WriteInt64(int64(p.ConvertElems))
-			d.WriteInt64(int64(p.ConvFrom))
-			d.WriteInt64(int64(p.ConvTo))
-			d.WriteInt64(int64(len(p.RemoteRanks)))
-			for _, r := range p.RemoteRanks {
-				d.WriteInt64(int64(r))
-			}
-		} else {
-			d.WriteInt64(-1)
-		}
-		sigs[id] = d.Sum()
+// NewCache returns an empty cache counting into reg; nil uses a private
+// registry.
+func NewCache(reg *obs.Registry) *Cache {
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
-	return sigs
+	return &Cache{
+		plans:         make(map[uint64]*Plan),
+		hits:          reg.Counter("plan/cache/hits"),
+		misses:        reg.Counter("plan/cache/misses"),
+		invalidations: reg.Counter("plan/cache/invalidations"),
+	}
+}
+
+// lookup returns the plan stored for sig, nil if none.
+func (c *Cache) lookup(sig uint64) *Plan {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.plans[sig]
+}
+
+// store records p under its shape signature, replacing any previous plan
+// for that shape.
+func (c *Cache) store(p *Plan) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.plans[p.Sig] = p
+}
+
+// Outcome is what one Cache.Run produced. Exactly one of Plan and Engine is
+// set: Plan when the cache served the run (a replay, or the compile of a
+// miss or invalidation), Engine when the run went live (nil cache).
+type Outcome struct {
+	Stats  runtime.Stats
+	Plan   *Plan
+	Engine *runtime.Engine
+	// Err is the run's numeric failure (runtime.Engine.BodyErr), nil when
+	// every body succeeded or the graph had none.
+	Err error
+}
+
+// Schedule returns the run's task timeline in commit order: the plan's
+// frozen one, or whatever the live engine traced (empty without Trace).
+func (o Outcome) Schedule() []runtime.ScheduledTask {
+	if o.Plan != nil {
+		return o.Plan.Schedule
+	}
+	return o.Engine.ScheduleTrace()
+}
+
+// Metrics returns the run's metrics registry; plan-backed outcomes hand
+// back the compile run's frozen one.
+func (o Outcome) Metrics() *obs.Registry {
+	if o.Plan != nil {
+		return o.Plan.Metrics
+	}
+	return o.Engine.Metrics()
+}
+
+// Run is the one cached-run flow. The first run of a shape compiles a plan
+// (miss); later runs under an unchanged precision map replay it (hit); a
+// changed map recompiles it (invalidation) — timing is coupled globally
+// through device and link contention, so a partial re-simulation would be
+// unsound. A nil cache runs everything live and counts nothing.
+//
+// key returns the run's shape and precision-map signatures (consulted only
+// for a non-nil cache), build constructs its task graph, and engine
+// configures an engine for that graph.
+func (c *Cache) Run(key func() (sig, precSig uint64), build func() (runtime.Graph, error), engine func(runtime.Graph) *runtime.Engine) (Outcome, error) {
+	g, err := build()
+	if err != nil {
+		return Outcome{}, err
+	}
+	if c == nil {
+		eng := engine(g)
+		stats, err := eng.Run()
+		if err != nil {
+			return Outcome{}, err
+		}
+		return Outcome{Stats: stats, Engine: eng, Err: eng.BodyErr()}, nil
+	}
+	sig, precSig := key()
+	switch p := c.lookup(sig); {
+	case p == nil:
+		c.misses.Inc()
+	case p.PrecSig != precSig:
+		c.invalidations.Inc()
+	default:
+		c.hits.Inc()
+		return Outcome{Stats: p.Stats, Plan: p, Err: runtime.RunBodies(g)}, nil
+	}
+	eng := engine(g)
+	p, err := compile(eng, sig, precSig)
+	if err != nil {
+		return Outcome{}, err
+	}
+	c.store(p)
+	return Outcome{Stats: p.Stats, Plan: p, Err: eng.BodyErr()}, nil
+}
+
+// Stats is a point-in-time snapshot of the cache counters.
+type Stats struct {
+	Hits, Misses, Invalidations int64
+}
+
+// Stats snapshots the counters.
+func (c *Cache) Stats() Stats {
+	return Stats{Hits: c.hits.Value(), Misses: c.misses.Value(), Invalidations: c.invalidations.Value()}
 }

@@ -1,18 +1,19 @@
 package plan_test
 
-// The tentpole property: a replayed run is indistinguishable from a fresh
+// The replay property: a replayed run is indistinguishable from a fresh
 // simulation. For every combination of problem size, process grid, device
 // count, scheduling policy and broadcast topology, the schedule digest of
 // the replay equals the fresh run's digest and the numeric factor is
-// bit-identical. Run under -race in CI (plan-cache job):
-// the body executor (runtime.RunBodies) is the only concurrency in the
-// path, and this grid exercises it across every graph shape.
+// bit-identical. Run under -race in CI (test job): the body executor
+// (runtime.RunBodies) is the only concurrency in the path, and this grid
+// exercises it across every graph shape.
 
 import (
 	"fmt"
 	"testing"
 
 	"geompc/internal/cholesky"
+	"geompc/internal/plan"
 )
 
 type gridCase struct {
@@ -70,89 +71,54 @@ func TestReplayMatchesFresh(t *testing.T) {
 			}
 			wantBits := factorBits(fresh.Matrix, fresh.Desc)
 
-			// Compile: itself a full run, so digest and factor must match.
-			ccfg := newConfig(t, gc.nt, gc.ranks, gc.devPerRank, ureq, gc.policy, gc.topo)
-			p, err := cholesky.Compile(ccfg)
-			if err != nil {
-				t.Fatalf("compile: %v", err)
+			// The first cached run compiles — itself a full run, so digest and
+			// factor must match; the next two replay (only the numeric bodies
+			// re-run, the digest is frozen) and must still come out
+			// bit-identical: replays do not consume the plan.
+			cache := plan.NewCache(nil)
+			for _, step := range []string{"compile", "replay", "second replay"} {
+				cfg := newConfig(t, gc.nt, gc.ranks, gc.devPerRank, ureq, gc.policy, gc.topo)
+				res, err := cholesky.RunCached(cfg, cache)
+				if err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				if res.Err != nil {
+					t.Fatalf("%s numeric failure: %v", step, res.Err)
+				}
+				if res.Digest() != freshRes.Digest() {
+					t.Fatalf("%s digest %016x != fresh %016x", step, res.Digest(), freshRes.Digest())
+				}
+				if res.Stats.Makespan != freshRes.Stats.Makespan ||
+					res.Stats.Energy != freshRes.Stats.Energy ||
+					res.Stats.BytesNet != freshRes.Stats.BytesNet ||
+					res.Stats.Tasks != freshRes.Stats.Tasks {
+					t.Fatalf("%s stats diverge from fresh:\n%+v\n%+v", step, res.Stats, freshRes.Stats)
+				}
+				sameBits(t, wantBits, factorBits(cfg.Matrix, cfg.Desc), step)
 			}
-			if p.Stats.ScheduleDigest != freshRes.Digest() {
-				t.Fatalf("compile digest %016x != fresh %016x",
-					p.Stats.ScheduleDigest, freshRes.Digest())
+			if s := cache.Stats(); s != (plan.Stats{Hits: 2, Misses: 1}) {
+				t.Fatalf("cache counters %+v, want one miss and two hits", s)
 			}
-			sameBits(t, wantBits, factorBits(ccfg.Matrix, ccfg.Desc), "compile")
-
-			// Replay: only the numeric bodies re-run; digest is frozen and
-			// the factor must still come out bit-identical.
-			rcfg := newConfig(t, gc.nt, gc.ranks, gc.devPerRank, ureq, gc.policy, gc.topo)
-			repRes, err := cholesky.Replay(rcfg, p)
-			if err != nil {
-				t.Fatalf("replay: %v", err)
-			}
-			if repRes.Err != nil {
-				t.Fatalf("replay numeric failure: %v", repRes.Err)
-			}
-			if repRes.Digest() != freshRes.Digest() {
-				t.Fatalf("replay digest %016x != fresh %016x",
-					repRes.Digest(), freshRes.Digest())
-			}
-			if repRes.Stats.Makespan != freshRes.Stats.Makespan ||
-				repRes.Stats.Energy != freshRes.Stats.Energy ||
-				repRes.Stats.BytesNet != freshRes.Stats.BytesNet ||
-				repRes.Stats.Tasks != freshRes.Stats.Tasks {
-				t.Fatalf("replay stats diverge from fresh:\n%+v\n%+v",
-					repRes.Stats, freshRes.Stats)
-			}
-			sameBits(t, wantBits, factorBits(rcfg.Matrix, rcfg.Desc), "replay")
-
-			// A second replay of the same plan stays bit-identical —
-			// replays do not consume the plan.
-			r2 := newConfig(t, gc.nt, gc.ranks, gc.devPerRank, ureq, gc.policy, gc.topo)
-			if _, err := cholesky.Replay(r2, p); err != nil {
-				t.Fatalf("second replay: %v", err)
-			}
-			sameBits(t, wantBits, factorBits(r2.Matrix, r2.Desc), "second replay")
 		})
-	}
-}
-
-// TestReplayRejectsMismatch: replaying under a different shape or precision
-// signature is refused, not silently wrong.
-func TestReplayRejectsMismatch(t *testing.T) {
-	base := newConfig(t, 4, 2, 2, 1e-8, "", "")
-	p, err := cholesky.Compile(base)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-
-	// Different shape (policy change).
-	other := newConfig(t, 4, 2, 2, 1e-8, "locality", "")
-	if _, err := cholesky.Replay(other, p); err == nil {
-		t.Fatal("replay accepted a plan compiled under a different policy")
-	}
-
-	// Different precision map (looser accuracy → different maps).
-	loose := newConfig(t, 4, 2, 2, 1e-2, "", "")
-	if _, err := cholesky.Replay(loose, p); err == nil {
-		t.Fatal("replay accepted a plan compiled under a different precision map")
 	}
 }
 
 // TestPlanBackedResult: results served from a plan still answer the Result
 // API sensibly — frozen schedule, frozen metrics, no interval traces.
 func TestPlanBackedResult(t *testing.T) {
-	cfg := newConfig(t, 4, 2, 2, 1e-8, "", "")
-	p, err := cholesky.Compile(cfg)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
+	cache := plan.NewCache(nil)
+	var res *cholesky.Result
+	for i := 0; i < 2; i++ { // the second run replays
+		var err error
+		if res, err = cholesky.RunCached(newConfig(t, 4, 2, 2, 1e-8, "", ""), cache); err != nil {
+			t.Fatal(err)
+		}
 	}
-	rcfg := newConfig(t, 4, 2, 2, 1e-8, "", "")
-	res, err := cholesky.Replay(rcfg, p)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
+	if s := cache.Stats(); s.Hits != 1 {
+		t.Fatalf("second run did not replay: %+v", s)
 	}
-	if got := len(res.Schedule()); got != p.NumTasks {
-		t.Fatalf("plan-backed schedule has %d entries, want %d", got, p.NumTasks)
+	if got := len(res.Schedule()); got != res.Stats.Tasks {
+		t.Fatalf("plan-backed schedule has %d entries, want %d", got, res.Stats.Tasks)
 	}
 	if res.Metrics() == nil {
 		t.Fatal("plan-backed result has nil metrics")
@@ -162,5 +128,39 @@ func TestPlanBackedResult(t *testing.T) {
 	}
 	if err := res.WriteChromeTrace(nil); err == nil {
 		t.Fatal("plan-backed result should refuse chrome traces")
+	}
+}
+
+// TestReplayRejectsMismatch: a cached plan is never replayed under a
+// different shape or precision signature. A policy change misses, a looser
+// accuracy (different maps) invalidates, and both come out as fresh runs.
+func TestReplayRejectsMismatch(t *testing.T) {
+	cache := plan.NewCache(nil)
+	if _, err := cholesky.RunCached(newConfig(t, 4, 2, 2, 1e-8, "", ""), cache); err != nil {
+		t.Fatalf("prime: %v", err)
+	}
+	for _, c := range []struct {
+		label  string
+		ureq   float64
+		policy string
+		want   plan.Stats
+	}{
+		{"policy", 1e-8, "locality", plan.Stats{Misses: 2}},
+		{"precision map", 1e-2, "", plan.Stats{Misses: 2, Invalidations: 1}},
+	} {
+		got, err := cholesky.RunCached(newConfig(t, 4, 2, 2, c.ureq, c.policy, ""), cache)
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		if s := cache.Stats(); s != c.want {
+			t.Fatalf("%s change: counters %+v, want %+v", c.label, s, c.want)
+		}
+		ref, err := cholesky.Run(newConfig(t, 4, 2, 2, c.ureq, c.policy, ""))
+		if err != nil {
+			t.Fatalf("%s fresh: %v", c.label, err)
+		}
+		if got.Digest() != ref.Digest() {
+			t.Fatalf("%s change: cached digest %016x != fresh %016x", c.label, got.Digest(), ref.Digest())
+		}
 	}
 }

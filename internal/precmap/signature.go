@@ -28,22 +28,3 @@ func (m *Maps) tileBits(i, j int) uint64 {
 	}
 	return v
 }
-
-// DiffTiles returns the lower-triangle tiles (i,j) whose derived decisions
-// differ between m and o, in row-major order. This is the seed of plan
-// invalidation: because Algorithm 2's comm map is nonlocal (a downstream
-// GEMM tile's kernel precision can raise an upstream TRSM tile's broadcast
-// precision), the diff must run over the full derived maps, never over the
-// kernel map alone. When the tilings disagree every tile of m is returned —
-// nothing is shareable across shapes.
-func (m *Maps) DiffTiles(o *Maps) [][2]int {
-	var out [][2]int
-	for i := 0; i < m.NT; i++ {
-		for j := 0; j <= i; j++ {
-			if o == nil || o.NT != m.NT || m.tileBits(i, j) != o.tileBits(i, j) {
-				out = append(out, [2]int{i, j})
-			}
-		}
-	}
-	return out
-}
