@@ -28,7 +28,7 @@ func runConvbench(args []string, out io.Writer) error {
 	node := fs.Bool("node", false, "use every GPU of the node (Fig 11)")
 	sizesFlag := fs.String("sizes", "", "comma-separated matrix sizes (default: per-machine sweep)")
 	ts := fs.Int("ts", 2048, "tile size")
-	v := cliflags.Register(fs, cliflags.Sched)
+	v := cliflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

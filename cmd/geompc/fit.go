@@ -42,11 +42,11 @@ func runFit(args []string, out io.Writer) error {
 	}
 	mach := core.Machine{Node: nd, Ranks: 1, GPUs: *gpus}
 
-	fmt.Fprintf(out, "generating %d %s locations from θ=%v (seed %d)...\n", *n, app.Name, app.Theta, *seed)
 	ds, err := core.GenerateDataset(*n, app.Kernel.Dim(), app.Kernel, app.Theta, *seed)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(out, "generated %d %s locations from θ=%v (seed %d)\n", *n, app.Name, app.Theta, *seed)
 
 	fit := func(u float64) (*core.FitReport, error) {
 		return core.Fit(ds, core.Options{UReq: u, TileSize: *ts, Machine: mach})

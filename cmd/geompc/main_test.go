@@ -35,11 +35,14 @@ func TestCommands(t *testing.T) {
 		not     []string
 	}{
 		{name: "fit/smoke", args: "-n 64 -ts 32 -ureq 1e-4",
-			want: []string{"generating 64 2D-Matern locations", "fit (adaptive MP @ u_req=1e-04)", "simulated cost"}},
+			want: []string{"generated 64 2D-Matern locations", "fit (adaptive MP @ u_req=1e-04)", "simulated cost"}},
 		{name: "fit/bad-kernel", args: "-kernel 5D-nope", fail: true},
+		{name: "fit/negative-n", args: "-n -3", fail: true, errWant: "need at least one location, got n=-3"}, // not a makeslice panic
 
 		{name: "trace/smoke", args: "-nt 4 -gpus 2",
 			want: []string{"simulated schedule, NT=4, 2 V100s", "makespan", "schedule digest"}},
+		{name: "trace/metrics", args: "-nt 4 -gpus 2 -metrics",
+			want: []string{"\nmetrics:\n", "\nmakespan                   0.0184618", "\nbytes h2d FP16             50331648\n"}},
 		{name: "trace/gpus-0-is-whole-node", args: "-nt 4 -gpus 0",
 			want: []string{"simulated schedule, NT=4, 6 V100s"}}, // the header names what was simulated
 		{name: "trace/negative-gpus", args: "-gpus -1", fail: true, errWant: "negative GPUs per rank -1"},

@@ -30,7 +30,7 @@ func runScale(args []string, out io.Writer) error {
 	strongN := fs.Int("strong-n", 798720, "strong-scaling matrix size (paper: 798720)")
 	sizesFlag := fs.String("sizes", "196608,399360,598016,798720", "matrix sizes for -mp")
 	ts := fs.Int("ts", 2048, "tile size")
-	v := cliflags.Register(fs, cliflags.Sched)
+	v := cliflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

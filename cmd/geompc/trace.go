@@ -21,7 +21,7 @@ import (
 //
 //	geompc trace -nt 4 -gpus 2
 //	geompc trace -nt 8 -chrome out.json     # export a Chrome/Perfetto trace
-//	geompc trace -audit -metrics            # audited run + metrics dump
+//	geompc trace -audit -metrics            # audited run + run statistics
 func runTrace(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("geompc trace", flag.ContinueOnError)
 	nt := fs.Int("nt", 4, "tiles per dimension")
@@ -30,8 +30,8 @@ func runTrace(args []string, out io.Writer) error {
 	iters := fs.Int("iters", 2, "print tasks of the first k iterations (0 = all)")
 	chrome := fs.String("chrome", "", "write the timeline as Chrome trace-event JSON to this file")
 	audit := fs.Bool("audit", false, "run the engine's invariant auditor; violations are fatal")
-	metrics := fs.Bool("metrics", false, "dump the run's metrics registry after the schedule")
-	v := cliflags.Register(fs, cliflags.Sched)
+	metrics := fs.Bool("metrics", false, "print the run's statistics (bytes per link × precision, LRU, per device) after the schedule")
+	v := cliflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -80,12 +80,45 @@ func runTrace(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "chrome trace written to %s (open in ui.perfetto.dev or chrome://tracing)\n", *chrome)
 	}
 	if *metrics {
-		fmt.Fprintln(out, "\nmetrics:")
-		if _, err := res.Metrics().WriteTo(out); err != nil {
-			return err
-		}
+		writeStats(out, res.Stats)
 	}
 	return nil
+}
+
+// writeStats prints a run's runtime.Stats as aligned "name value" lines:
+// the run totals, the nonzero bytes of every link × precision, the LRU
+// totals, and each device's busy time and peak residency.
+func writeStats(out io.Writer, st runtime.Stats) {
+	line := func(name, format string, a ...any) {
+		fmt.Fprintf(out, "%-26s "+format+"\n", append([]any{name}, a...)...)
+	}
+	fmt.Fprintln(out, "\nmetrics:")
+	line("tasks", "%d", st.Tasks)
+	line("conversions stc/ttc", "%d/%d", st.SenderConversions, st.ReceiverConversions)
+	line("makespan", "%g s", st.Makespan)
+	line("energy", "%g J", st.Energy)
+	for _, link := range []struct {
+		name   string
+		byPrec [prec.Count]int64
+	}{{"h2d", st.H2DByPrec}, {"d2h", st.D2HByPrec}, {"net", st.NetByPrec}} {
+		for p, b := range link.byPrec {
+			if b != 0 {
+				line("bytes "+link.name+" "+prec.Precision(p).String(), "%d", b)
+			}
+		}
+	}
+	var hits, misses int64
+	var evictions, writebacks int
+	for _, d := range st.Devices {
+		hits, misses = hits+d.LRUHits, misses+d.LRUMisses
+		evictions, writebacks = evictions+d.Evictions, writebacks+d.Writebacks
+	}
+	line("lru hits/misses", "%d/%d", hits, misses)
+	line("lru evictions/writebacks", "%d/%d", evictions, writebacks)
+	for i, d := range st.Devices {
+		line(fmt.Sprintf("dev%d busy", i), "%g s", d.BusyTime)
+		line(fmt.Sprintf("dev%d peak resident", i), "%d B", d.PeakResident)
+	}
 }
 
 // inFirstIters reports whether a task label belongs to iteration < k: the

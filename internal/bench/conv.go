@@ -106,11 +106,11 @@ func ConvSweepOpts(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts in
 		return nil, err
 	}
 	pts := convGrid(sizes)
-	return sweep.Run(len(pts), so.SweepOpts, func(i int, ctx *sweep.Context) (ConvRow, error) {
+	return sweep.Run(len(pts), so.SweepOpts, func(i int) (ConvRow, error) {
 		p := pts[i]
 		cfg := base
 		cfg.Strategy = p.strat
-		res, err := solvePoint(ctx, cfg, p.n, ts,
+		res, err := solvePoint(cfg, p.n, ts,
 			func(d tile.Desc) [][]prec.Precision { return p.cfg.KernelMap(d.NT) }, 1e-2,
 			fmt.Sprintf("%s %v n=%d", p.cfg.Name, p.strat, p.n))
 		if err != nil {

@@ -2,17 +2,14 @@ package bench
 
 // Pool-width equivalence for every sweep family: the deterministic
 // executor must return row-for-row identical results (struct equality,
-// schedule digests included) at every worker count, and the merged engine
-// metrics must match the one-worker merge bit for bit. "Serial" in the
-// names below is that one-worker reference (Workers: 0).
+// schedule digests included) at every worker count. "Serial" in the names
+// below is the one-worker reference (Workers: 0).
 
 import (
 	"runtime"
-	"strings"
 	"testing"
 
 	"geompc/internal/hw"
-	"geompc/internal/obs"
 )
 
 // edgeWorkers is the worker-count edge table every family is checked
@@ -139,42 +136,5 @@ func TestBcastAblationParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
 		sameRows(t, "BcastAblation", w, got, want)
-	}
-}
-
-// TestFamilyMergedMetricsDeterministic: the merged engine metrics a sweep
-// reports are identical across worker counts, wall-clock sweep/* gauges
-// excluded.
-func TestFamilyMergedMetricsDeterministic(t *testing.T) {
-	render := func(w int) []obs.Metric {
-		reg := obs.NewRegistry()
-		_, err := SchedAblation(hw.SummitNode, 1, 0, []int{8192}, 2048,
-			SweepOpts{Workers: w, Registry: reg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []obs.Metric
-		for _, m := range reg.Snapshot() {
-			if strings.HasPrefix(m.Name, "sweep/") {
-				continue
-			}
-			out = append(out, m)
-		}
-		return out
-	}
-	want := render(0)
-	if len(want) == 0 {
-		t.Fatal("serial sweep merged no engine metrics")
-	}
-	for _, w := range []int{1, 3, runtime.NumCPU()} {
-		got := render(w)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d metrics, serial has %d", w, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("workers=%d: metric %q = %+v, serial %+v", w, want[i].Name, got[i], want[i])
-			}
-		}
 	}
 }

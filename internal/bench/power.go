@@ -31,7 +31,7 @@ type EnergyRun struct {
 	Power      []TracePoint
 	Occupancy  []TracePoint
 	// Res is the underlying factorization result, kept so callers can pull
-	// the metrics registry or export a Chrome trace of the run.
+	// its full Stats or export a Chrome trace of the run.
 	Res *cholesky.Result
 }
 

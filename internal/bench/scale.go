@@ -52,7 +52,7 @@ func scaleConfigs(withFP32 bool) []scaleConfig {
 
 // runScale executes one phantom factorization on `nodes` Summit nodes
 // under the named policy / topology of so.
-func runScale(ctx *sweep.Context, cfg scaleConfig, nodes, n, ts int, seed uint64, so SchedOpts) (ScaleRow, error) {
+func runScale(cfg scaleConfig, nodes, n, ts int, seed uint64, so SchedOpts) (ScaleRow, error) {
 	plat, err := runtime.NewPlatform(hw.SummitNode, nodes, 0)
 	if err != nil {
 		return ScaleRow{}, err
@@ -72,7 +72,7 @@ func runScale(ctx *sweep.Context, cfg scaleConfig, nodes, n, ts int, seed uint64
 		}
 		ureq = cfg.app.UReq
 	}
-	res, err := solvePoint(ctx, base, n, ts, km, ureq,
+	res, err := solvePoint(base, n, ts, km, ureq,
 		fmt.Sprintf("scale %s nodes=%d n=%d", cfg.name, nodes, n))
 	if err != nil {
 		return ScaleRow{}, err
@@ -102,11 +102,11 @@ func WeakScaling(nodeCounts []int, baseN, ts int, so SchedOpts) ([]ScaleRow, err
 		return nil, err
 	}
 	base := float64(nodeCounts[0])
-	return sweep.Run(len(nodeCounts), so.SweepOpts, func(i int, ctx *sweep.Context) (ScaleRow, error) {
+	return sweep.Run(len(nodeCounts), so.SweepOpts, func(i int) (ScaleRow, error) {
 		nodes := nodeCounts[i]
 		n := int(float64(baseN) * math.Sqrt(float64(nodes)/base))
 		n = (n + ts - 1) / ts * ts
-		return runScale(ctx, scaleConfig{name: "FP64", uniform: prec.FP64}, nodes, n, ts, 1, so)
+		return runScale(scaleConfig{name: "FP64", uniform: prec.FP64}, nodes, n, ts, 1, so)
 	})
 }
 
@@ -114,8 +114,8 @@ func WeakScaling(nodeCounts []int, baseN, ts int, so SchedOpts) ([]ScaleRow, err
 // 798,720) over increasing node counts, FP64 configuration, one sweep point
 // per node count, with the same scheduling knobs as WeakScaling.
 func StrongScaling(nodeCounts []int, n, ts int, so SchedOpts) ([]ScaleRow, error) {
-	return sweep.Run(len(nodeCounts), so.SweepOpts, func(i int, ctx *sweep.Context) (ScaleRow, error) {
-		return runScale(ctx, scaleConfig{name: "FP64", uniform: prec.FP64}, nodeCounts[i], n, ts, 1, so)
+	return sweep.Run(len(nodeCounts), so.SweepOpts, func(i int) (ScaleRow, error) {
+		return runScale(scaleConfig{name: "FP64", uniform: prec.FP64}, nodeCounts[i], n, ts, 1, so)
 	})
 }
 
@@ -135,8 +135,8 @@ func MPEffect(nodes int, sizes []int, ts int, so SweepOpts) ([]ScaleRow, error) 
 			pts = append(pts, point{cfg: cfg, n: n})
 		}
 	}
-	rows, err := sweep.Run(len(pts), so, func(i int, ctx *sweep.Context) (ScaleRow, error) {
-		return runScale(ctx, pts[i].cfg, nodes, pts[i].n, ts, 2, SchedOpts{})
+	rows, err := sweep.Run(len(pts), so, func(i int) (ScaleRow, error) {
+		return runScale(pts[i].cfg, nodes, pts[i].n, ts, 2, SchedOpts{})
 	})
 	if err != nil {
 		return nil, err

@@ -15,11 +15,10 @@ import (
 )
 
 // SweepOpts configures how a sweep family executes its grid: the options
-// of the deterministic sweep executor (internal/sweep) — the pool width
+// of the deterministic sweep executor (internal/sweep), i.e. the pool width
 // (the commands pass sweep.PerCore; 0, one worker, is the reference the
-// equivalence tests compare against) and the registry that receives every
-// run's engine metrics merged in grid order. Rows are bit-identical at
-// every width; only the wall-clock sweep/* gauges vary.
+// equivalence tests compare against). Rows are bit-identical at every
+// width.
 type SweepOpts = sweep.Options
 
 // SchedOpts names a scheduling policy and broadcast topology by their CLI
@@ -47,10 +46,10 @@ func (o SchedOpts) Config(base cholesky.Config) (cholesky.Config, error) {
 
 // solvePoint is the body every phantom sweep point shares: lay an n×n
 // matrix of ts-sized tiles over the platform's squarest process grid, build
-// the precision maps from km at accuracy ureq, run one factorization and
-// merge the run's metrics into the point's shard. cfg carries everything
-// but Desc and Maps; label names the point in a solve error.
-func solvePoint(ctx *sweep.Context, cfg cholesky.Config, n, ts int,
+// the precision maps from km at accuracy ureq and run one factorization.
+// cfg carries everything but Desc and Maps; label names the point in a
+// solve error.
+func solvePoint(cfg cholesky.Config, n, ts int,
 	km func(tile.Desc) [][]prec.Precision, ureq float64, label string) (*cholesky.Result, error) {
 	pg, qg := tile.SquarestGrid(cfg.Platform.Ranks)
 	desc, err := tile.NewDesc(n, ts, pg, qg)
@@ -63,7 +62,6 @@ func solvePoint(ctx *sweep.Context, cfg cholesky.Config, n, ts int,
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s: %w", label, err)
 	}
-	ctx.Reg.Merge(res.Metrics())
 	return res, nil
 }
 
@@ -105,9 +103,9 @@ func SchedAblation(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts in
 			pts = append(pts, point{pol: pol, n: n})
 		}
 	}
-	return sweep.Run(len(pts), so, func(i int, ctx *sweep.Context) (SchedRow, error) {
+	return sweep.Run(len(pts), so, func(i int) (SchedRow, error) {
 		p := pts[i]
-		res, err := solvePoint(ctx, cholesky.Config{Platform: plat, Sched: p.pol}, p.n, ts, uniformOffDiag(prec.FP16x32), 1e-2,
+		res, err := solvePoint(cholesky.Config{Platform: plat, Sched: p.pol}, p.n, ts, uniformOffDiag(prec.FP16x32), 1e-2,
 			fmt.Sprintf("sched %s n=%d", p.pol.Name(), p.n))
 		if err != nil {
 			return SchedRow{}, err
@@ -153,9 +151,9 @@ func BcastAblation(node *hw.NodeSpec, ranks int, sizes []int, ts int, so SweepOp
 			pts = append(pts, point{topo: topo, n: n})
 		}
 	}
-	return sweep.Run(len(pts), so, func(i int, ctx *sweep.Context) (BcastRow, error) {
+	return sweep.Run(len(pts), so, func(i int) (BcastRow, error) {
 		p := pts[i]
-		res, err := solvePoint(ctx, cholesky.Config{Platform: plat, Bcast: p.topo}, p.n, ts, uniformOffDiag(prec.FP16x32), 1e-2,
+		res, err := solvePoint(cholesky.Config{Platform: plat, Bcast: p.topo}, p.n, ts, uniformOffDiag(prec.FP16x32), 1e-2,
 			fmt.Sprintf("bcast %s n=%d", p.topo.Name(), p.n))
 		if err != nil {
 			return BcastRow{}, err

@@ -2,7 +2,6 @@ package cholesky
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"geompc/internal/geo"
@@ -109,9 +108,13 @@ func TestBytesPartialLastTile(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			got := map[string]int64{}
-			for _, m := range res.Metrics().Snapshot() {
-				if link, ok := strings.CutPrefix(m.Name, "engine/"); ok && strings.HasPrefix(link, "bytes_") {
-					got[link] = int64(m.Value)
+			for link, byPrec := range map[string][prec.Count]int64{
+				"bytes_h2d": res.Stats.H2DByPrec, "bytes_d2h": res.Stats.D2HByPrec, "bytes_net": res.Stats.NetByPrec,
+			} {
+				for p, b := range byPrec {
+					if b != 0 {
+						got[link+"/"+prec.Precision(p).String()] = b
+					}
 				}
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {

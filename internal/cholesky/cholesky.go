@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 
-	"geompc/internal/obs"
 	"geompc/internal/plan"
 	"geompc/internal/prec"
 	"geompc/internal/runtime"
@@ -52,10 +51,6 @@ func (r *Result) DeviceTrace(i int) (busy, xfer []runtime.Interval) {
 
 // Digest returns the run's schedule digest (see runtime.Stats.ScheduleDigest).
 func (r *Result) Digest() uint64 { return r.Stats.ScheduleDigest }
-
-// Metrics returns the engine's metrics registry for this run. Plan-backed
-// results return the compile run's frozen registry.
-func (r *Result) Metrics() *obs.Registry { return r.out.Metrics() }
 
 // WriteChromeTrace renders the run's timeline as Chrome trace-event JSON,
 // kernel spans labeled in the paper's task notation. Plan-backed results

@@ -3,8 +3,10 @@ package cholesky
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	gort "runtime"
+	"sort"
 	"testing"
 
 	"geompc/internal/geo"
@@ -100,27 +102,46 @@ func TestAuditedMultiRankRun(t *testing.T) {
 	}
 }
 
-// TestMetricsPopulated checks the engine's registry carries the run's
-// observability counters after a factorization.
+// TestMetricsPopulated checks the Stats invariant behind `geompc trace
+// -metrics`: on every link the per-precision bytes sum to the link total,
+// over the pinned phantom scenarios (Auto and ForceTTC, one to four ranks,
+// mixed and uniform FP64) and numeric runs on one and several ranks.
 func TestMetricsPopulated(t *testing.T) {
-	cfg, _ := buildNumericConfig(t, 6, 2, 1)
-	cfg.Trace = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	var cfgs []Config
+	var names []string
+	for name := range goldenDigests {
+		names = append(names, name)
 	}
-	m := res.Metrics()
-	if got := m.Counter("engine/tasks").Value(); int(got) != res.Stats.Tasks {
-		t.Errorf("engine/tasks = %d, stats say %d", got, res.Stats.Tasks)
+	sort.Strings(names)
+	for _, name := range names {
+		cfgs = append(cfgs, goldenScenario(t, name))
 	}
-	var h2d int64
-	for _, metric := range m.Snapshot() {
-		if len(metric.Name) > 16 && metric.Name[:16] == "engine/bytes_h2d" {
-			h2d += int64(metric.Value)
+	for _, c := range []struct{ nt, ranks, devPerRank int }{{6, 2, 1}, {6, 4, 1}, {5, 1, 3}} {
+		cfg, _ := buildNumericConfig(t, c.nt, c.ranks, c.devPerRank)
+		cfgs, names = append(cfgs, cfg), append(names, fmt.Sprintf("numeric nt%d-%dx%d", c.nt, c.ranks, c.devPerRank))
+	}
+	for i, cfg := range cfgs {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
 		}
-	}
-	if h2d != res.Stats.BytesH2D {
-		t.Errorf("per-precision H2D counters sum to %d, stats say %d", h2d, res.Stats.BytesH2D)
+		st := res.Stats
+		for _, link := range []struct {
+			name   string
+			total  int64
+			byPrec [prec.Count]int64
+		}{{"H2D", st.BytesH2D, st.H2DByPrec}, {"D2H", st.BytesD2H, st.D2HByPrec}, {"net", st.BytesNet, st.NetByPrec}} {
+			var sum int64
+			for _, b := range link.byPrec {
+				sum += b
+			}
+			if sum != link.total {
+				t.Errorf("%s: %s bytes by precision %v sum to %d, link total %d", names[i], link.name, link.byPrec, sum, link.total)
+			}
+		}
+		if st.BytesH2D == 0 || st.BytesD2H == 0 {
+			t.Errorf("%s: H2D %d, D2H %d bytes — scenario moved nothing", names[i], st.BytesH2D, st.BytesD2H)
+		}
 	}
 }
 

@@ -13,17 +13,8 @@ import (
 	"geompc/internal/sweep"
 )
 
-// Set selects which flag groups Register installs; or the groups together.
-type Set uint
-
-const (
-	// Sched registers -sched and -bcast.
-	Sched Set = 1 << iota
-)
-
-// Values holds the parsed values of the registered groups; fields of
-// unregistered groups stay at their zero value. Read only after the flag
-// set has been parsed.
+// Values holds the parsed flag values. Read only after the flag set has
+// been parsed.
 type Values struct {
 	// Sched and Bcast are the -sched / -bcast names (sched.ByName and
 	// comm.TopologyByName spellings; empty = engine default).
@@ -31,14 +22,12 @@ type Values struct {
 	Bcast string
 }
 
-// Register installs the selected flag groups on fs and returns the holder
-// their parsed values land in.
-func Register(fs *flag.FlagSet, set Set) *Values {
+// Register installs -sched and -bcast on fs and returns the holder their
+// parsed values land in.
+func Register(fs *flag.FlagSet) *Values {
 	v := &Values{}
-	if set&Sched != 0 {
-		fs.StringVar(&v.Sched, "sched", "", "scheduling policy: fifo (default), locality, cp")
-		fs.StringVar(&v.Bcast, "bcast", "", "broadcast topology: binomial (default), flat, chain")
-	}
+	fs.StringVar(&v.Sched, "sched", "", "scheduling policy: fifo (default), locality, cp")
+	fs.StringVar(&v.Bcast, "bcast", "", "broadcast topology: binomial (default), flat, chain")
 	return v
 }
 

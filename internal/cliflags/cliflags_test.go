@@ -14,7 +14,7 @@ func newFS() *flag.FlagSet {
 
 func TestRegisterSelectsGroups(t *testing.T) {
 	fs := newFS()
-	v := Register(fs, Sched)
+	v := Register(fs)
 	if err := fs.Parse([]string{"-sched", "locality", "-bcast", "chain"}); err != nil {
 		t.Fatal(err)
 	}
@@ -27,19 +27,6 @@ func TestRegisterSelectsGroups(t *testing.T) {
 	so := v.SchedOpts()
 	if so.Policy != "locality" || so.Bcast != "chain" || so.Workers >= 0 {
 		t.Errorf("SchedOpts() = %+v", so)
-	}
-}
-
-func TestRegisterOmitsUnselectedGroups(t *testing.T) {
-	fs := newFS()
-	Register(fs, 0)
-	for _, name := range []string{"sched", "bcast"} {
-		if fs.Lookup(name) != nil {
-			t.Errorf("flag -%s registered without its group", name)
-		}
-	}
-	if err := fs.Parse([]string{"-sched", "fifo"}); err == nil {
-		t.Error("unregistered -sched accepted")
 	}
 }
 

@@ -124,6 +124,12 @@ type Dataset struct {
 // dim dimensions from kernel at theta — the Monte-Carlo data generator of
 // §VII-B. The seed makes the dataset reproducible.
 func GenerateDataset(n, dim int, kernel geo.Kernel, theta []float64, seed uint64) (*Dataset, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("core: need at least one location, got n=%d", n)
+	}
+	if dim != 2 && dim != 3 {
+		return nil, fmt.Errorf("core: unsupported dimension %d (want 2 or 3)", dim)
+	}
 	if len(theta) != kernel.NumParams() {
 		return nil, fmt.Errorf("core: kernel %s needs %d parameters, got %d",
 			kernel.Name(), kernel.NumParams(), len(theta))

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"geompc/internal/geo"
@@ -30,6 +31,28 @@ func TestGenerateDataset(t *testing.T) {
 	// Wrong parameter count.
 	if _, err := GenerateDataset(10, 2, Matern2D(), []float64{1, 0.1}, 1); err == nil {
 		t.Error("Matern with 2 params accepted")
+	}
+}
+
+// TestGenerateDatasetRejectsBadShape: a location count below one or a
+// dimension other than 2 or 3 is an error, not a panic inside the location
+// generator.
+func TestGenerateDatasetRejectsBadShape(t *testing.T) {
+	for _, c := range []struct {
+		n, dim  int
+		errWant string
+	}{
+		{0, 2, "n=0"},
+		{-3, 2, "n=-3"},
+		{-3, 3, "n=-3"},
+		{10, 1, "dimension 1"},
+		{10, 4, "dimension 4"},
+		{10, 0, "dimension 0"},
+	} {
+		ds, err := GenerateDataset(c.n, c.dim, SqExp2D(), []float64{1, 0.1}, 1)
+		if err == nil || !strings.Contains(err.Error(), c.errWant) {
+			t.Errorf("GenerateDataset(n=%d, dim=%d) = %v, %v; want an error naming %q", c.n, c.dim, ds, err, c.errWant)
+		}
 	}
 }
 

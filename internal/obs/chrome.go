@@ -75,21 +75,6 @@ func (t *Trace) Span(pid, tid int, name string, startSec, endSec float64, cname 
 	})
 }
 
-// CounterSample appends a counter ("C") event, rendered by the viewer as a
-// stacked area chart (used for power traces).
-func (t *Trace) CounterSample(pid int, name string, atSec float64, series map[string]float64) {
-	args := make(map[string]any, len(series))
-	for k, v := range series {
-		args[k] = v
-	}
-	t.events = append(t.events, TraceEvent{
-		Name: name, Phase: "C", TS: atSec * 1e6, PID: pid, Args: args,
-	})
-}
-
-// Len returns the number of accumulated events (metadata included).
-func (t *Trace) Len() int { return len(t.events) }
-
 // WriteJSON renders the trace as a Chrome trace-event JSON object. Events
 // are sorted by (ts, pid, tid) with metadata first, so output is
 // deterministic for a deterministic run.

@@ -1,12 +1,12 @@
-// Package obs is the runtime observability layer: a typed metrics registry
-// (counters, gauges, histograms), a Chrome trace-event exporter readable by
-// chrome://tracing and Perfetto, and an FNV-1a schedule digest used to prove
-// bit-identical schedules across GOMAXPROCS settings, plan replays and
-// scheduling-neutral changes.
+// Package obs is the runtime observability layer: a Chrome trace-event
+// exporter readable by chrome://tracing and Perfetto, an FNV-1a schedule
+// digest used to prove bit-identical schedules across GOMAXPROCS settings,
+// plan replays and scheduling-neutral changes, and the named counters of
+// the plan cache.
 //
 // The package is deliberately zero-dependency (standard library only) and
-// knows nothing about the engine: internal/runtime populates a Registry
-// during commit/complete/publish and renders its interval traces through
-// Trace, so every consumer — the CLIs, the benches, the tests — reads run
-// behaviour through one vocabulary instead of poking at engine internals.
+// knows nothing about the engine: internal/runtime hashes its committed
+// schedule into a Digest and renders its interval traces through Trace.
+// What a run did — tasks, conversions, makespan, energy, bytes per link and
+// precision — is the typed runtime.Stats, not a registry.
 package obs

@@ -5,57 +5,26 @@ import (
 	"encoding/json"
 	"hash/fnv"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 )
 
+// TestRegistryBasics: a name always resolves to the same counter, and
+// distinct names to distinct ones.
 func TestRegistryBasics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("b/count").Add(3)
-	r.Counter("b/count").Inc()
-	r.Gauge("a/gauge").Set(2.5)
-	r.Gauge("a/gauge").SetMax(1.0) // must not lower
-	h := r.Histogram("c/hist", []float64{1, 10, 100})
-	h.Observe(0.5)
-	h.Observe(50)
-	h.Observe(5000)
-
+	for i := 0; i < 4; i++ {
+		r.Counter("b/count").Inc()
+	}
+	r.Counter("a/count").Inc()
 	if got := r.Counter("b/count").Value(); got != 4 {
 		t.Errorf("counter = %d, want 4", got)
 	}
-	if got := r.Gauge("a/gauge").Value(); got != 2.5 {
-		t.Errorf("gauge = %g, want 2.5", got)
+	if got := r.Counter("a/count").Value(); got != 1 {
+		t.Errorf("second counter = %d, want 1", got)
 	}
-	if h.Count() != 3 || h.Sum() != 5050.5 {
-		t.Errorf("hist count=%d sum=%g", h.Count(), h.Sum())
-	}
-	_, counts := h.Buckets()
-	if len(counts) != 4 || counts[0] != 1 || counts[2] != 1 || counts[3] != 1 {
-		t.Errorf("bucket counts %v", counts)
-	}
-
-	snap := r.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("snapshot has %d metrics", len(snap))
-	}
-	for i := 1; i < len(snap); i++ {
-		if snap[i-1].Name >= snap[i].Name {
-			t.Errorf("snapshot not sorted: %q before %q", snap[i-1].Name, snap[i].Name)
-		}
-	}
-
-	var sb strings.Builder
-	if _, err := r.WriteTo(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "b/count") || !strings.Contains(sb.String(), "count=3") {
-		t.Errorf("rendered registry missing entries:\n%s", sb.String())
-	}
-
-	r.Reset()
-	if len(r.Snapshot()) != 0 {
-		t.Error("reset left metrics behind")
+	if got := r.Counter("never/touched").Value(); got != 0 {
+		t.Errorf("fresh counter = %d, want 0", got)
 	}
 }
 
@@ -68,33 +37,12 @@ func TestRegistryConcurrentSafe(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				r.Counter("n").Inc()
-				r.Gauge("g").SetMax(float64(j))
-				r.Histogram("h", []float64{10}).Observe(float64(j))
 			}
 		}()
 	}
 	wg.Wait()
 	if r.Counter("n").Value() != 800 {
 		t.Errorf("concurrent counter = %d, want 800", r.Counter("n").Value())
-	}
-	if r.Histogram("h", nil).Count() != 800 {
-		t.Errorf("concurrent hist count = %d", r.Histogram("h", nil).Count())
-	}
-}
-
-func TestExpBuckets(t *testing.T) {
-	b := ExpBuckets(1e-6, 10, 4)
-	want := []float64{1e-6, 1e-5, 1e-4, 1e-3}
-	if len(b) != 4 {
-		t.Fatalf("got %d buckets", len(b))
-	}
-	for i := range b {
-		if math.Abs(b[i]-want[i])/want[i] > 1e-12 {
-			t.Errorf("bucket[%d] = %g, want %g", i, b[i], want[i])
-		}
-	}
-	if ExpBuckets(0, 2, 3) != nil || ExpBuckets(1, 1, 3) != nil {
-		t.Error("invalid bucket parameters accepted")
 	}
 }
 
@@ -141,7 +89,6 @@ func TestChromeTraceJSON(t *testing.T) {
 	tr.SetThreadName(0, 1, "H2D")
 	tr.Span(0, 0, "GEMM(1,0,0)", 0.001, 0.002, PrecisionColor("FP16_32"), map[string]any{"prec": "FP16_32"})
 	tr.Span(0, 1, "H2D 32 MiB", 0.0005, 0.0015, "", nil)
-	tr.CounterSample(0, "power", 0.001, map[string]float64{"W": 250})
 
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
@@ -189,101 +136,5 @@ func TestChromeTraceJSON(t *testing.T) {
 	// Metadata must precede spans after sorting.
 	if parsed.TraceEvents[0].Phase != "M" {
 		t.Error("metadata events not first")
-	}
-}
-
-func TestRegistryMerge(t *testing.T) {
-	dst := NewRegistry()
-	dst.Counter("c").Add(2)
-	dst.Gauge("g").Set(1.5)
-	dst.Histogram("h", []float64{1, 10}).Observe(0.5)
-
-	src := NewRegistry()
-	src.Counter("c").Add(3)
-	src.Counter("c2").Add(7)
-	src.Gauge("g").Set(2.5)
-	src.Gauge("g2").Set(4)
-	sh := src.Histogram("h", []float64{1, 10})
-	sh.Observe(5)
-	sh.Observe(500)
-	src.Histogram("h2", []float64{2, 4}).Observe(3)
-
-	dst.Merge(src)
-	if got := dst.Counter("c").Value(); got != 5 {
-		t.Errorf("merged counter c = %d, want 5", got)
-	}
-	if got := dst.Counter("c2").Value(); got != 7 {
-		t.Errorf("merged counter c2 = %d, want 7", got)
-	}
-	if got := dst.Gauge("g").Value(); got != 4 {
-		t.Errorf("merged gauge g = %g, want 4 (gauges add)", got)
-	}
-	if got := dst.Gauge("g2").Value(); got != 4 {
-		t.Errorf("merged gauge g2 = %g, want 4", got)
-	}
-	h := dst.Histogram("h", []float64{1, 10})
-	if h.Count() != 3 || h.Sum() != 505.5 {
-		t.Errorf("merged histogram h: count=%d sum=%g, want 3/505.5", h.Count(), h.Sum())
-	}
-	_, counts := h.Buckets()
-	if counts[0] != 1 || counts[1] != 1 || counts[2] != 1 {
-		t.Errorf("merged bucket counts = %v, want [1 1 1]", counts)
-	}
-	h2 := dst.Histogram("h2", []float64{2, 4})
-	if h2.Count() != 1 || h2.Sum() != 3 {
-		t.Errorf("merged new histogram h2: count=%d sum=%g", h2.Count(), h2.Sum())
-	}
-
-	// Merging nil or self must be a no-op.
-	dst.Merge(nil)
-	dst.Merge(dst)
-	if got := dst.Counter("c").Value(); got != 5 {
-		t.Errorf("counter after nil/self merge = %d, want 5", got)
-	}
-}
-
-// TestRegistryMergeBoundsMismatch: a histogram merged under different bucket
-// bounds keeps its summaries exact and folds the foreign buckets into +Inf.
-func TestRegistryMergeBoundsMismatch(t *testing.T) {
-	dst := NewRegistry()
-	dh := dst.Histogram("h", []float64{1, 10})
-	dh.Observe(0.5)
-	src := NewRegistry()
-	src.Histogram("h", []float64{100}).Observe(50)
-
-	dst.Merge(src)
-	if dh.Count() != 2 || dh.Sum() != 50.5 {
-		t.Errorf("count=%d sum=%g, want 2/50.5", dh.Count(), dh.Sum())
-	}
-	_, counts := dh.Buckets()
-	if counts[len(counts)-1] != 1 {
-		t.Errorf("+Inf bucket = %d, want 1 (foreign-bounds fold)", counts[len(counts)-1])
-	}
-}
-
-// TestRegistryMergeDeterministic: merging the same shards in the same order
-// yields bit-identical snapshots — the sweep executor's guarantee.
-func TestRegistryMergeDeterministic(t *testing.T) {
-	shard := func(i int) *Registry {
-		r := NewRegistry()
-		r.Counter("tasks").Add(int64(i))
-		r.Gauge("busy").Add(0.1 * float64(i))
-		r.Histogram("lat", []float64{1e-3, 1}).Observe(float64(i))
-		return r
-	}
-	render := func() string {
-		m := NewRegistry()
-		for i := 0; i < 8; i++ {
-			m.Merge(shard(i))
-		}
-		var sb strings.Builder
-		if _, err := m.WriteTo(&sb); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
-	}
-	a, b := render(), render()
-	if a != b {
-		t.Errorf("two identical merge sequences rendered differently:\n%s\n---\n%s", a, b)
 	}
 }

@@ -1,10 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
-	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -14,148 +10,24 @@ type Counter struct {
 	v atomic.Int64
 }
 
-// Add increments the counter by n (n must be ≥ 0).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a float64 metric that can move in both directions.
-type Gauge struct {
-	mu sync.Mutex
-	v  float64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	g.mu.Lock()
-	g.v = v
-	g.mu.Unlock()
-}
-
-// SetMax stores v if it exceeds the current value.
-func (g *Gauge) SetMax(v float64) {
-	g.mu.Lock()
-	if v > g.v {
-		g.v = v
-	}
-	g.mu.Unlock()
-}
-
-// Add increments the gauge by v.
-func (g *Gauge) Add(v float64) {
-	g.mu.Lock()
-	g.v += v
-	g.mu.Unlock()
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.v
-}
-
-// Histogram accumulates observations into fixed upper-bound buckets plus
-// count/sum/min/max summaries. Buckets are cumulative-style upper bounds;
-// observations above the last bound land in an implicit +Inf bucket.
-type Histogram struct {
-	mu     sync.Mutex
-	bounds []float64
-	counts []int64 // len(bounds)+1; last is +Inf
-	count  int64
-	sum    float64
-	min    float64
-	max    float64
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the total of all observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Mean returns the average observation (0 when empty).
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Buckets returns the bucket upper bounds and per-bucket counts (the last
-// count covers +Inf).
-func (h *Histogram) Buckets() (bounds []float64, counts []int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]float64(nil), h.bounds...), append([]int64(nil), h.counts...)
-}
-
-// MetricKind discriminates Snapshot entries.
-type MetricKind int
-
-// Snapshot entry kinds.
-const (
-	KindCounter MetricKind = iota
-	KindGauge
-	KindHistogram
-)
-
-// Metric is one Snapshot entry. For histograms, Value holds the sum and
-// Count the number of observations.
-type Metric struct {
-	Name  string
-	Kind  MetricKind
-	Value float64
-	Count int64
-}
-
-// Registry is a deterministic, goroutine-safe collection of named metrics.
-// Metrics are created on first use; snapshots iterate in sorted name order
-// so rendered output is reproducible.
+// Registry is a goroutine-safe set of named counters, created on first use.
+// Its one user is plan.Cache, whose constructor takes a Registry because the
+// frozen benchmark/ tree calls plan.NewCache(nil); a run's own record is
+// runtime.Stats.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-	}
+	return &Registry{counters: make(map[string]*Counter)}
 }
 
 // Counter returns the named counter, creating it if needed.
@@ -168,215 +40,4 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the named histogram, creating it with the given bucket
-// upper bounds if needed (bounds are ignored on later calls).
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		b := append([]float64(nil), bounds...)
-		sort.Float64s(b)
-		h = &Histogram{bounds: b, counts: make([]int64, len(b)+1)}
-		r.hists[name] = h
-	}
-	return h
-}
-
-// Merge folds every metric of src into r: counters and gauges add, and
-// histograms with identical bucket bounds add bucket-wise (count, sum, min
-// and max fold alongside; histograms whose bounds differ fold their
-// summaries and drop src's bucket counts into r's +Inf bucket). Merging is
-// the sweep executor's aggregation primitive — per-point registry shards
-// fold into one merged registry in submission order, so repeated merges of
-// the same shards in the same order produce bit-identical snapshots.
-// Merge locks src before r is touched; do not call a.Merge(b) and
-// b.Merge(a) concurrently.
-func (r *Registry) Merge(src *Registry) {
-	if src == nil || src == r {
-		return
-	}
-	// Snapshot src's contents first (names sorted, values copied) so no two
-	// registry locks are ever held at once.
-	type histCopy struct {
-		name   string
-		bounds []float64
-		counts []int64
-		count  int64
-		sum    float64
-		min    float64
-		max    float64
-	}
-	var (
-		counterNames, gaugeNames []string
-		counterVals              []int64
-		gaugeVals                []float64
-		hists                    []histCopy
-	)
-	src.mu.Lock()
-	for name := range src.counters {
-		counterNames = append(counterNames, name)
-	}
-	sort.Strings(counterNames)
-	for _, name := range counterNames {
-		counterVals = append(counterVals, src.counters[name].Value())
-	}
-	for name := range src.gauges {
-		gaugeNames = append(gaugeNames, name)
-	}
-	sort.Strings(gaugeNames)
-	for _, name := range gaugeNames {
-		gaugeVals = append(gaugeVals, src.gauges[name].Value())
-	}
-	var histNames []string
-	for name := range src.hists {
-		histNames = append(histNames, name)
-	}
-	sort.Strings(histNames)
-	for _, name := range histNames {
-		h := src.hists[name]
-		h.mu.Lock()
-		hists = append(hists, histCopy{
-			name:   name,
-			bounds: append([]float64(nil), h.bounds...),
-			counts: append([]int64(nil), h.counts...),
-			count:  h.count, sum: h.sum, min: h.min, max: h.max,
-		})
-		h.mu.Unlock()
-	}
-	src.mu.Unlock()
-
-	for i, name := range counterNames {
-		if counterVals[i] != 0 {
-			r.Counter(name).Add(counterVals[i])
-		}
-	}
-	for i, name := range gaugeNames {
-		r.Gauge(name).Add(gaugeVals[i])
-	}
-	for _, hc := range hists {
-		r.Histogram(hc.name, hc.bounds).merge(hc.bounds, hc.counts, hc.count, hc.sum, hc.min, hc.max)
-	}
-}
-
-// merge folds a copied histogram state into h (see Registry.Merge).
-func (h *Histogram) merge(bounds []float64, counts []int64, count int64, sum, min, max float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(bounds) == len(h.bounds) {
-		same := true
-		for i := range bounds {
-			if bounds[i] != h.bounds[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			for i := range counts {
-				h.counts[i] += counts[i]
-			}
-		} else {
-			for _, c := range counts {
-				h.counts[len(h.counts)-1] += c
-			}
-		}
-	} else {
-		for _, c := range counts {
-			h.counts[len(h.counts)-1] += c
-		}
-	}
-	if count > 0 {
-		if h.count == 0 || min < h.min {
-			h.min = min
-		}
-		if h.count == 0 || max > h.max {
-			h.max = max
-		}
-		h.count += count
-		h.sum += sum
-	}
-}
-
-// Reset drops every metric (used between engine runs).
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.counters = make(map[string]*Counter)
-	r.gauges = make(map[string]*Gauge)
-	r.hists = make(map[string]*Histogram)
-}
-
-// Snapshot returns every metric, sorted by name (counters and gauges first
-// by name, histograms interleaved by name as well).
-func (r *Registry) Snapshot() []Metric {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n, c := range r.counters {
-		out = append(out, Metric{Name: n, Kind: KindCounter, Value: float64(c.Value()), Count: c.Value()})
-	}
-	for n, g := range r.gauges {
-		out = append(out, Metric{Name: n, Kind: KindGauge, Value: g.Value()})
-	}
-	for n, h := range r.hists {
-		out = append(out, Metric{Name: n, Kind: KindHistogram, Value: h.Sum(), Count: h.Count()})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// WriteTo renders the registry as aligned "name value" text lines in sorted
-// order, implementing io.WriterTo.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	for _, m := range r.Snapshot() {
-		var line string
-		switch m.Kind {
-		case KindCounter:
-			line = fmt.Sprintf("%-44s %d\n", m.Name, m.Count)
-		case KindGauge:
-			line = fmt.Sprintf("%-44s %g\n", m.Name, m.Value)
-		case KindHistogram:
-			mean := 0.0
-			if m.Count > 0 {
-				mean = m.Value / float64(m.Count)
-			}
-			line = fmt.Sprintf("%-44s count=%d sum=%g mean=%g\n", m.Name, m.Count, m.Value, mean)
-		}
-		n, err := io.WriteString(w, line)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// ExpBuckets returns n exponentially spaced bucket bounds starting at lo
-// with the given growth factor — the usual shape for durations and sizes.
-func ExpBuckets(lo, factor float64, n int) []float64 {
-	if n <= 0 || lo <= 0 || factor <= 1 || math.IsInf(lo, 0) {
-		return nil
-	}
-	out := make([]float64, n)
-	v := lo
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
 }

@@ -32,9 +32,6 @@ type Plan struct {
 	Stats runtime.Stats
 	// Schedule is the traced task timeline (commit order).
 	Schedule []runtime.ScheduledTask
-	// Metrics is the compile run's frozen metrics registry; replays hand it
-	// back unchanged (a replay adds no engine work to measure).
-	Metrics *obs.Registry
 }
 
 // compile runs eng — an engine already configured for its graph (policy,
@@ -49,7 +46,6 @@ func compile(eng *runtime.Engine, sig, precSig uint64) (*Plan, error) {
 	return &Plan{
 		Sig: sig, PrecSig: precSig, Stats: stats,
 		Schedule: append([]runtime.ScheduledTask(nil), eng.ScheduleTrace()...),
-		Metrics:  eng.Metrics(),
 	}, nil
 }
 
@@ -116,15 +112,6 @@ func (o Outcome) Schedule() []runtime.ScheduledTask {
 		return o.Plan.Schedule
 	}
 	return o.Engine.ScheduleTrace()
-}
-
-// Metrics returns the run's metrics registry; plan-backed outcomes hand
-// back the compile run's frozen one.
-func (o Outcome) Metrics() *obs.Registry {
-	if o.Plan != nil {
-		return o.Plan.Metrics
-	}
-	return o.Engine.Metrics()
 }
 
 // Run is the one cached-run flow. The first run of a shape compiles a plan

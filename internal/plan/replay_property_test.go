@@ -14,6 +14,7 @@ import (
 
 	"geompc/internal/cholesky"
 	"geompc/internal/plan"
+	"geompc/internal/prec"
 )
 
 type gridCase struct {
@@ -120,8 +121,8 @@ func TestPlanBackedResult(t *testing.T) {
 	if got := len(res.Schedule()); got != res.Stats.Tasks {
 		t.Fatalf("plan-backed schedule has %d entries, want %d", got, res.Stats.Tasks)
 	}
-	if res.Metrics() == nil {
-		t.Fatal("plan-backed result has nil metrics")
+	if res.Stats.H2DByPrec == ([prec.Count]int64{}) {
+		t.Fatal("plan-backed result lost the per-precision bytes")
 	}
 	if busy, xfer := res.DeviceTrace(0); busy != nil || xfer != nil {
 		t.Fatal("plan-backed result should carry no interval traces")

@@ -43,6 +43,11 @@ func TestAuditCleanUnderEviction(t *testing.T) {
 	if st.Devices[0].Writebacks == 0 {
 		t.Fatal("scenario did not exercise writeback")
 	}
+	// Every tile here is FP64: the writebacks and re-fetches land in the
+	// FP64 slots of the per-precision totals.
+	if st.D2HByPrec[prec.FP64] != st.BytesD2H || st.H2DByPrec[prec.FP64] != st.BytesH2D {
+		t.Errorf("FP64 bytes D2H %d of %d, H2D %d of %d", st.D2HByPrec[prec.FP64], st.BytesD2H, st.H2DByPrec[prec.FP64], st.BytesH2D)
+	}
 	if st.Devices[0].LRUMisses == 0 || st.Devices[0].LRUHits != 0 {
 		t.Errorf("LRU stats hits=%d misses=%d; re-fetch scenario should only miss",
 			st.Devices[0].LRUHits, st.Devices[0].LRUMisses)
@@ -83,9 +88,9 @@ func TestAuditCleanOnPublishAndConversions(t *testing.T) {
 	if st.SenderConversions != 1 || st.ReceiverConversions != 1 {
 		t.Fatal("scenario did not exercise both conversion directions")
 	}
-	// The per-precision counters must bucket the wire traffic as FP16.
-	if v := eng.Metrics().Counter("engine/bytes_net/FP16").Value(); v != 2<<20 {
-		t.Errorf("engine/bytes_net/FP16 = %d, want %d", v, 2<<20)
+	// The per-precision totals must bucket the wire traffic as FP16.
+	if v := st.NetByPrec[prec.FP16]; v != 2<<20 {
+		t.Errorf("NetByPrec[FP16] = %d, want %d", v, 2<<20)
 	}
 	// Stream traces must be visible individually and integrate to the same
 	// totals DeviceTrace merges.

@@ -81,15 +81,8 @@ type Engine struct {
 
 	schedule []ScheduledTask
 
-	// observability: per-wire-precision byte totals, the schedule digest,
-	// the metrics registry resolved once per run, and audit violations.
-	bytesH2D  [prec.Count]int64
-	bytesD2H  [prec.Count]int64
-	bytesNet  [prec.Count]int64
+	// observability: the schedule digest and audit violations.
 	digest    obs.Digest
-	metrics   *obs.Registry
-	hTaskSec  *obs.Histogram
-	hH2DBytes *obs.Histogram
 	auditViol []string
 
 	stats Stats
@@ -97,15 +90,11 @@ type Engine struct {
 
 // New prepares an engine for one run of g on plat.
 func New(plat *Platform, g Graph) *Engine {
-	return &Engine{plat: plat, g: g, Lookahead: 2, metrics: obs.NewRegistry()}
+	return &Engine{plat: plat, g: g, Lookahead: 2}
 }
 
 // Graph returns the task system the engine was built for.
 func (e *Engine) Graph() Graph { return e.g }
-
-// Metrics returns the engine's metrics registry, populated by Run (and
-// reset at the start of every Run).
-func (e *Engine) Metrics() *obs.Registry { return e.metrics }
 
 // Run executes the task system to completion and returns the run's
 // statistics — on every path only once each numeric body it started has
@@ -158,13 +147,9 @@ func (e *Engine) Run() (Stats, error) {
 	e.now, e.seq, e.done = 0, 0, 0
 	e.stats = Stats{}
 	e.schedule = e.schedule[:0]
-	e.bytesH2D, e.bytesD2H, e.bytesNet = [prec.Count]int64{}, [prec.Count]int64{}, [prec.Count]int64{}
 	e.digest = obs.Digest{}
 	e.auditViol = e.auditViol[:0]
 	e.fatalErr, e.bodyErr = nil, nil
-	e.metrics.Reset()
-	e.hTaskSec = e.metrics.Histogram("engine/task_seconds", obs.ExpBuckets(1e-6, 4, 16))
-	e.hH2DBytes = e.metrics.Histogram("engine/h2d_bytes", obs.ExpBuckets(4096, 4, 16))
 	defer func() {
 		if e.bodies != nil {
 			e.bodyErr = e.bodies.finish()
@@ -238,9 +223,6 @@ func (e *Engine) enqueueReady(id int) int {
 	}
 	d := e.devices[spec.Device]
 	d.ready.push(spec)
-	if d.ready.Len() > d.maxReady {
-		d.maxReady = d.ready.Len()
-	}
 	return d.id
 }
 
@@ -285,9 +267,8 @@ func (e *Engine) commit(d *device, spec *TaskSpec) {
 		dur := d.h2d.Time(bytes)
 		end := d.h2d.Occupy(start, dur, bytes)
 		d.stats.BytesH2D += bytes
-		e.bytesH2D[wp] += bytes
+		e.stats.H2DByPrec[wp] += bytes
 		d.stats.TransferTime += dur
-		e.hH2DBytes.Observe(float64(bytes))
 		d.stats.DynEnergy += d.spec.TransferW * dur
 		if end > stagingEnd {
 			stagingEnd = end
@@ -351,7 +332,6 @@ func (e *Engine) commit(d *device, spec *TaskSpec) {
 			ID: spec.ID, Kind: spec.Kind, Device: spec.Device, Prec: spec.Prec, Start: start, End: end,
 		})
 	}
-	e.hTaskSec.Observe(end - start)
 	e.digest.WriteString(string(spec.Kind))
 	e.digest.WriteInt64(int64(spec.Device))
 	e.digest.WriteFloat64(start)
@@ -402,7 +382,7 @@ func (e *Engine) drainWritebacks(d *device, sink *evictSink) {
 		dur := d.d2h.Time(wb.bytes)
 		end := d.d2h.Occupy(start, dur, wb.bytes)
 		d.stats.BytesD2H += wb.bytes
-		e.bytesD2H[wb.prec] += wb.bytes
+		e.stats.D2HByPrec[wb.prec] += wb.bytes
 		d.stats.TransferTime += dur
 		d.stats.DynEnergy += d.spec.TransferW * dur
 		e.setHostAvail(d.rank, wb.data, end)
@@ -486,7 +466,7 @@ func (e *Engine) publish(d *device, spec *TaskSpec, p *PublishSpec) {
 	dur := d.d2h.Time(p.WireBytes)
 	hostAt := d.d2h.Occupy(start, dur, p.WireBytes)
 	d.stats.BytesD2H += p.WireBytes
-	e.bytesD2H[p.WirePrec] += p.WireBytes
+	e.stats.D2HByPrec[p.WirePrec] += p.WireBytes
 	d.stats.TransferTime += dur
 	d.stats.DynEnergy += d.spec.TransferW * dur
 	e.setHostAvail(d.rank, spec.Output.Data, hostAt)
@@ -507,7 +487,7 @@ func (e *Engine) publish(d *device, spec *TaskSpec, p *PublishSpec) {
 		for i, rr := range p.RemoteRanks {
 			e.setHostAvail(rr, spec.Output.Data, nstart+hop*e.topo.ArrivalHops(i, n))
 			e.stats.BytesNet += p.WireBytes
-			e.bytesNet[p.WirePrec] += p.WireBytes
+			e.stats.NetByPrec[p.WirePrec] += p.WireBytes
 		}
 	}
 }

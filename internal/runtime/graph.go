@@ -33,9 +33,8 @@ type DataID int64
 type InputSpec struct {
 	Data      DataID
 	WireBytes int64
-	// WirePrec is the element format the tile travels in (labels the
-	// per-precision byte counters of the metrics registry). The zero value
-	// is FP64.
+	// WirePrec is the element format the tile travels in (buckets the
+	// bytes in Stats.H2DByPrec). The zero value is FP64.
 	WirePrec prec.Precision
 	// Receiver-side conversion (TTC): number of elements to convert on the
 	// consuming device before the kernel runs; 0 if none.
@@ -45,7 +44,7 @@ type InputSpec struct {
 
 // OutputSpec declares the tile a task writes. Bytes is the device-resident
 // footprint (the tile's storage precision); Prec labels that footprint's
-// element format for the metrics registry (zero value FP64).
+// element format for Stats.H2DByPrec and D2HByPrec (zero value FP64).
 type OutputSpec struct {
 	Data  DataID
 	Bytes int64
@@ -58,8 +57,8 @@ type OutputSpec struct {
 // remote ranks.
 type PublishSpec struct {
 	WireBytes int64
-	// WirePrec labels the wire format of the D2H copy and broadcast for the
-	// per-precision byte counters (zero value FP64).
+	// WirePrec labels the wire format of the D2H copy and broadcast for
+	// Stats.D2HByPrec and NetByPrec (zero value FP64).
 	WirePrec prec.Precision
 	// Sender-side conversion (STC): elements converted on the producer
 	// device before the D2H copy; 0 under TTC.

@@ -63,7 +63,6 @@ type device struct {
 	h2d, d2h, peer *comm.Link
 
 	committed int  // tasks accepted into the stream pipeline, not yet done
-	maxReady  int  // deepest the ready queue ever got (queue-depth metric)
 	dirty     bool // queued for a pipeline refill in the current completion
 
 	// Residency index: residentArr (dense, bound from DataBounder) or

@@ -1,9 +1,6 @@
 package runtime
 
 import (
-	"fmt"
-	"math"
-
 	"geompc/internal/hw"
 	"geompc/internal/prec"
 )
@@ -28,6 +25,10 @@ type Stats struct {
 	Flops float64
 	// Data motion totals.
 	BytesH2D, BytesD2H, BytesNet int64
+	// The same data motion by the element format the bytes travelled in
+	// (InputSpec.WirePrec, OutputSpec.Prec, PublishSpec.WirePrec), indexed
+	// by prec.Precision: each array sums to its link's total above.
+	H2DByPrec, D2HByPrec, NetByPrec [prec.Count]int64
 	// Conversion counts: sender-side (STC) and receiver-side (TTC).
 	SenderConversions, ReceiverConversions int
 	// Energy in joules: dynamic compute + transfer + idle over makespan,
@@ -70,53 +71,6 @@ func (e *Engine) finalizeStats() {
 		e.stats.AvgPower = energy / makespan
 	}
 	e.stats.ScheduleDigest = e.digest.Sum()
-	e.publishMetrics(makespan)
-}
-
-// publishMetrics pours the run's aggregates into the metrics registry.
-func (e *Engine) publishMetrics(makespan float64) {
-	m := e.metrics
-	m.Counter("engine/tasks").Add(int64(e.stats.Tasks))
-	m.Counter("engine/conversions/stc").Add(int64(e.stats.SenderConversions))
-	m.Counter("engine/conversions/ttc").Add(int64(e.stats.ReceiverConversions))
-	m.Gauge("engine/makespan_seconds").Set(makespan)
-	m.Gauge("engine/energy_joules").Set(e.stats.Energy)
-	m.Counter("engine/sched/policy/" + e.policy.Name()).Add(1)
-	m.Counter("engine/comm/bcast/" + e.topo.Name()).Add(1)
-	for p := prec.Precision(0); int(p) < prec.Count; p++ {
-		if v := e.bytesH2D[p]; v > 0 {
-			m.Counter("engine/bytes_h2d/" + p.String()).Add(v)
-		}
-		if v := e.bytesD2H[p]; v > 0 {
-			m.Counter("engine/bytes_d2h/" + p.String()).Add(v)
-		}
-		if v := e.bytesNet[p]; v > 0 {
-			m.Counter("engine/bytes_net/" + p.String()).Add(v)
-		}
-	}
-	var hits, misses int64
-	var evictions, writebacks int
-	for _, d := range e.devices {
-		hits += d.stats.LRUHits
-		misses += d.stats.LRUMisses
-		evictions += d.stats.Evictions
-		writebacks += d.stats.Writebacks
-		pfx := fmt.Sprintf("engine/dev%d/", d.id)
-		m.Gauge(pfx + "queue_depth_max").Set(float64(d.maxReady))
-		m.Gauge(pfx + "peak_resident_bytes").Set(float64(d.stats.PeakResident))
-		m.Gauge(pfx + "idle_compute_seconds").Set(math.Max(0, makespan-d.stats.BusyTime))
-		m.Gauge(pfx + "idle_h2d_seconds").Set(math.Max(0, makespan-d.h2d.Busy()))
-		m.Gauge(pfx + "idle_d2h_seconds").Set(math.Max(0, makespan-d.d2h.Busy()))
-		m.Gauge(pfx + "link/h2d_busy_seconds").Set(d.h2d.Busy())
-		m.Gauge(pfx + "link/d2h_busy_seconds").Set(d.d2h.Busy())
-	}
-	for r, nic := range e.nics {
-		m.Gauge(fmt.Sprintf("engine/rank%d/nic_busy_seconds", r)).Set(nic.Busy())
-	}
-	m.Counter("engine/lru/hits").Add(hits)
-	m.Counter("engine/lru/misses").Add(misses)
-	m.Counter("engine/lru/evictions").Add(int64(evictions))
-	m.Counter("engine/lru/writebacks").Add(int64(writebacks))
 }
 
 // AuditViolations returns the invariant violations collected during an

@@ -3,11 +3,12 @@ package sweep_test
 // The executor's reason to exist: a serial-vs-parallel golden-digest
 // property test over the full cross product of scheduling policy ×
 // broadcast topology. Every grid point runs a real numeric Cholesky
-// factorization; schedule digests AND factor-bit digests must be identical
-// for every worker count.
+// factorization; schedule digests, factor-bit digests and the run's Stats
+// must be identical for every worker count.
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"geompc/internal/cholesky"
@@ -91,14 +92,18 @@ type goldenDigests struct {
 	Factor   uint64
 }
 
-func runGoldenPoint(t testing.TB, gp goldenPoint, reg *obs.Registry) (goldenDigests, error) {
+// goldenResult is one grid point's outcome: its digests and the run's whole
+// runtime.Stats (per-device aggregates and per-precision bytes included).
+type goldenResult struct {
+	digests goldenDigests
+	stats   runtime.Stats
+}
+
+func runGoldenPoint(t testing.TB, gp goldenPoint) (goldenResult, error) {
 	cfg := goldenConfig(t, gp)
 	res, err := cholesky.Run(cfg)
 	if err != nil {
-		return goldenDigests{}, err
-	}
-	if reg != nil {
-		reg.Merge(res.Metrics())
+		return goldenResult{}, err
 	}
 	var d obs.Digest
 	for i := 0; i < cfg.Desc.NT; i++ {
@@ -108,24 +113,25 @@ func runGoldenPoint(t testing.TB, gp goldenPoint, reg *obs.Registry) (goldenDige
 			}
 		}
 	}
-	return goldenDigests{
-		Schedule: res.Stats.ScheduleDigest,
-		Makespan: math.Float64bits(res.Stats.Makespan),
-		Factor:   d.Sum(),
+	return goldenResult{
+		digests: goldenDigests{
+			Schedule: res.Stats.ScheduleDigest,
+			Makespan: math.Float64bits(res.Stats.Makespan),
+			Factor:   d.Sum(),
+		},
+		stats: res.Stats,
 	}, nil
 }
 
 // TestGoldenDigestSerialVsParallel: for every point of the policy ×
-// topology grid, the parallel executor reproduces the serial digests bit
-// for bit at every worker count.
+// topology grid, the parallel executor reproduces the serial digests and
+// the serial run's whole Stats bit for bit at every worker count.
 func TestGoldenDigestSerialVsParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("numeric property grid")
 	}
 	grid := goldenGrid()
-	point := func(i int, ctx *sweep.Context) (goldenDigests, error) {
-		return runGoldenPoint(t, grid[i], ctx.Reg)
-	}
+	point := func(i int) (goldenResult, error) { return runGoldenPoint(t, grid[i]) }
 
 	ref, err := sweep.Run(len(grid), sweep.Options{Workers: 0}, point)
 	if err != nil {
@@ -137,51 +143,11 @@ func TestGoldenDigestSerialVsParallel(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for i := range grid {
-			if got[i] != ref[i] {
-				t.Errorf("workers=%d point %+v: digests %+v != serial %+v", workers, grid[i], got[i], ref[i])
+			if got[i].digests != ref[i].digests {
+				t.Errorf("workers=%d point %+v: digests %+v != serial %+v", workers, grid[i], got[i].digests, ref[i].digests)
 			}
-		}
-	}
-}
-
-// TestGoldenMergedMetricsMatchSerial: the merged engine metrics (schedule
-// counters, conversion counts, traffic bytes — everything except the
-// wall-clock sweep/* gauges) are bit-identical across worker counts.
-func TestGoldenMergedMetricsMatchSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("numeric property grid")
-	}
-	grid := goldenGrid()[:3] // policy fifo × all topologies is plenty
-	render := func(workers int) []obs.Metric {
-		reg := obs.NewRegistry()
-		_, err := sweep.Run(len(grid), sweep.Options{Workers: workers, Registry: reg},
-			func(i int, ctx *sweep.Context) (goldenDigests, error) {
-				return runGoldenPoint(t, grid[i], ctx.Reg)
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []obs.Metric
-		for _, m := range reg.Snapshot() {
-			if len(m.Name) >= 6 && m.Name[:6] == "sweep/" {
-				continue
-			}
-			out = append(out, m)
-		}
-		return out
-	}
-	want := render(0)
-	if len(want) == 0 {
-		t.Fatal("serial sweep merged no engine metrics")
-	}
-	for _, workers := range []int{1, 4} {
-		got := render(workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d metrics, serial has %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("workers=%d: metric %q = %+v, serial %+v", workers, want[i].Name, got[i], want[i])
+			if !reflect.DeepEqual(got[i].stats, ref[i].stats) {
+				t.Errorf("workers=%d point %+v: stats\n%+v\n!= serial\n%+v", workers, grid[i], got[i].stats, ref[i].stats)
 			}
 		}
 	}
