@@ -76,7 +76,7 @@ experiments:
 	$(GO) run ./cmd/geompc convbench -node -machine Guyot > results/fig11b_guyotnode.txt
 	$(GO) run ./cmd/geompc power -occupancy -n 81920 > results/fig9_occupancy.txt
 	$(GO) run ./cmd/geompc power -fig10 > results/fig10_energy.txt
-	$(GO) run ./cmd/geompc ablation -banded -lookahead -sched -probe > results/ablation.txt
+	$(GO) run ./cmd/geompc ablation -banded -lookahead -probe > results/ablation.txt
 	$(GO) run ./cmd/geompc accuracy -dim 2 -replicas 12 -n 324 -ts 54 -maxevals 400 > results/fig5_accuracy2d.txt
 	$(GO) run ./cmd/geompc accuracy -dim 3 -replicas 12 -n 343 -ts 49 -maxevals 400 -levels 0,1e-8,1e-4,1e-2 > results/fig6_accuracy3d.txt
 	$(GO) run ./cmd/geompc scale -weak -nodes 1,4,16,64 -base-n 98304 > results/fig12a_weak.txt

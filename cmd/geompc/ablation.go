@@ -9,7 +9,6 @@ import (
 	"geompc/internal/core"
 	"geompc/internal/hw"
 	"geompc/internal/mle"
-	"geompc/internal/sweep"
 )
 
 // runAblation quantifies the design choices DESIGN.md calls out:
@@ -26,23 +25,18 @@ import (
 //     geompc ablation -banded
 //     geompc ablation -lookahead
 //     geompc ablation -probe [-probe-n 400]
-//     geompc ablation -sched [-sched-ranks 4]    # scheduling policies + broadcast topologies
 func runAblation(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("geompc ablation", flag.ContinueOnError)
 	banded := fs.Bool("banded", false, "adaptive vs banded precision maps")
 	lookahead := fs.Bool("lookahead", false, "stream pipeline depth sweep")
 	probe := fs.Bool("probe", false, "Monte-Carlo arithmetic u_req probe")
-	schedFlag := fs.Bool("sched", false, "scheduling-policy and broadcast-topology sweep on the Fig 11 workload")
-	n := fs.Int("n", 65536, "matrix size for -banded/-lookahead/-sched")
+	n := fs.Int("n", 65536, "matrix size for -banded/-lookahead")
 	probeN := fs.Int("probe-n", 400, "locations for -probe")
 	ts := fs.Int("ts", 2048, "tile size")
-	schedRanks := fs.Int("sched-ranks", 4, "ranks for the -sched broadcast-topology sweep")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sw := bench.SweepOpts{Workers: sweep.PerCore}
-
-	allIfNone(banded, lookahead, probe, schedFlag)
+	allIfNone(banded, lookahead, probe)
 
 	if *banded {
 		for _, app := range bench.Apps() {
@@ -72,33 +66,6 @@ func runAblation(args []string, out io.Writer) error {
 			t.Add(r.Variant, r.Tflops, r.Time)
 		}
 		t.Write(out)
-	}
-
-	if *schedFlag {
-		rows, err := bench.SchedAblation(hw.SummitNode, 1, 0, []int{*n}, *ts, sw)
-		if err != nil {
-			return err
-		}
-		t := bench.NewTable(
-			fmt.Sprintf("scheduling policy (FP64/FP16_32 Auto, N=%d, full Summit node)", *n),
-			"policy", "time(s)", "Tflop/s", "energy(J)", "H2D", "net")
-		for _, r := range rows {
-			t.Add(r.Policy, r.Time, r.Tflops, r.Energy,
-				bench.HumanBytes(r.BytesH2D), bench.HumanBytes(r.BytesNet))
-		}
-		t.Write(out)
-
-		brows, err := bench.BcastAblation(hw.SummitNode, *schedRanks, []int{*n}, *ts, sw)
-		if err != nil {
-			return err
-		}
-		bt := bench.NewTable(
-			fmt.Sprintf("broadcast topology (FP64/FP16_32 Auto, N=%d, %d ranks)", *n, *schedRanks),
-			"topology", "time(s)", "energy(J)", "net")
-		for _, r := range brows {
-			bt.Add(r.Topology, r.Time, r.Energy, bench.HumanBytes(r.BytesNet))
-		}
-		bt.Write(out)
 	}
 
 	if *probe {

@@ -6,9 +6,9 @@ import (
 	"io"
 
 	"geompc/internal/bench"
-	"geompc/internal/cliflags"
 	"geompc/internal/hw"
 	"geompc/internal/runtime"
+	"geompc/internal/sweep"
 )
 
 // runConvbench reproduces the automated precision conversion study: Fig 8
@@ -28,7 +28,6 @@ func runConvbench(args []string, out io.Writer) error {
 	node := fs.Bool("node", false, "use every GPU of the node (Fig 11)")
 	sizesFlag := fs.String("sizes", "", "comma-separated matrix sizes (default: per-machine sweep)")
 	ts := fs.Int("ts", 2048, "tile size")
-	v := cliflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -54,12 +53,12 @@ func runConvbench(args []string, out io.Writer) error {
 		sizes = append(sizes, 163840, 196608)
 	}
 	if *sizesFlag != "" {
-		if sizes, err = cliflags.ParseSizes(*sizesFlag); err != nil {
+		if sizes, err = parseSizes(*sizesFlag); err != nil {
 			return err
 		}
 	}
 
-	rows, err := bench.ConvSweepOpts(nd, 1, g, sizes, *ts, "", v.SchedOpts())
+	rows, err := bench.ConvSweepOpts(nd, 1, g, sizes, *ts, "", bench.SchedOpts{SweepOpts: bench.SweepOpts{Workers: sweep.PerCore}})
 	if err != nil {
 		return err
 	}

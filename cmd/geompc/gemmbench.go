@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"geompc/internal/bench"
-	"geompc/internal/cliflags"
 	"geompc/internal/hw"
 )
 
@@ -38,7 +37,7 @@ func runGemmbench(args []string, out io.Writer) error {
 	}
 
 	if *fig1 {
-		sizes, err := cliflags.ParseSizes(*accSizes)
+		sizes, err := parseSizes(*accSizes)
 		if err != nil {
 			return err
 		}
@@ -49,7 +48,7 @@ func runGemmbench(args []string, out io.Writer) error {
 		}
 		t.Write(out)
 
-		psizes, err := cliflags.ParseSizes(*perfSizes)
+		psizes, err := parseSizes(*perfSizes)
 		if err != nil {
 			return err
 		}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"geompc/internal/cholesky"
@@ -85,6 +86,20 @@ func allIfNone(selectors ...*bool) {
 	for _, s := range selectors {
 		*s = true
 	}
+}
+
+// parseSizes parses a comma-separated list of positive integers — the
+// shared grammar of the -sizes, -nodes, -acc-sizes and -perf-sizes flags.
+func parseSizes(s string) ([]int, error) {
+	var out []int
+	for _, p := range strings.Split(s, ",") {
+		val, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil || val <= 0 {
+			return nil, fmt.Errorf("bad size %q", p)
+		}
+		out = append(out, val)
+	}
+	return out, nil
 }
 
 // ureqLabel names an accuracy level in table rows: u_req 0 is exact FP64.

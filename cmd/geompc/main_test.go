@@ -38,6 +38,7 @@ func TestCommands(t *testing.T) {
 			want: []string{"generated 64 2D-Matern locations", "fit (adaptive MP @ u_req=1e-04)", "simulated cost"}},
 		{name: "fit/bad-kernel", args: "-kernel 5D-nope", fail: true},
 		{name: "fit/negative-n", args: "-n -3", fail: true, errWant: "need at least one location, got n=-3"}, // not a makeslice panic
+		{name: "fit/nan-ureq", args: "-n 50 -ureq NaN", fail: true},                                          // not run as "exact FP64"
 
 		{name: "trace/smoke", args: "-nt 4 -gpus 2",
 			want: []string{"simulated schedule, NT=4, 2 V100s", "makespan", "schedule digest"}},
@@ -87,14 +88,6 @@ func TestCommands(t *testing.T) {
 		{name: "ablation/chaos-flag-gone", args: "-chaos", fail: true, errWant: "flag provided but not defined: -chaos"},
 		{name: "ablation/lookahead-smoke", args: "-lookahead -n 16384",
 			want: []string{"lookahead"}},
-		{name: "ablation/sched-smoke", args: "-sched -n 16384 -sched-ranks 3",
-			want: []string{
-				"scheduling policy (FP64/FP16_32 Auto, N=16384, full Summit node)",
-				"policy    time(s)  Tflop/s  energy(J)  H2D",
-				"broadcast topology (FP64/FP16_32 Auto, N=16384, 3 ranks)",
-				"topology  time(s)  energy(J)  net",
-				"fifo", "locality", "cp", "binomial", "flat", "chain",
-			}},
 		{name: "ablation/plan-flag-gone", args: "-plan", fail: true, errWant: "flag provided but not defined: -plan"},
 		{name: "ablation/solvers-flag-gone", args: "-solvers", fail: true, errWant: "flag provided but not defined: -solvers"},
 	}
@@ -171,7 +164,6 @@ func TestSweepsIndependentOfGOMAXPROCS(t *testing.T) {
 	for _, args := range [][]string{
 		{"convbench", "-machine", "Summit", "-gpus", "1", "-sizes", "8192,16384"},
 		{"scale", "-nodes", "1,2", "-base-n", "8192", "-strong-n", "8192", "-mp-nodes", "2", "-sizes", "8192,16384"},
-		{"ablation", "-sched", "-n", "16384", "-sched-ranks", "3"},
 	} {
 		args := args
 		t.Run(args[0], func(t *testing.T) {
@@ -183,6 +175,27 @@ func TestSweepsIndependentOfGOMAXPROCS(t *testing.T) {
 				t.Errorf("output differs between GOMAXPROCS 1 and 4:\n%s\n---\n%s", one, four)
 			}
 		})
+	}
+}
+
+func TestParseSizes(t *testing.T) {
+	got, err := parseSizes("16384, 32768,49152")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{16384, 32768, 49152}
+	if len(got) != len(want) {
+		t.Fatalf("got %v", got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("got %v, want %v", got, want)
+		}
+	}
+	for _, bad := range []string{"", "12,abc", "12,,13", "0", "-4", "12;13"} {
+		if out, err := parseSizes(bad); err == nil {
+			t.Errorf("parseSizes(%q) = %v, want error", bad, out)
+		}
 	}
 }
 
@@ -247,7 +260,7 @@ func TestResultsGolden(t *testing.T) {
 		{"fig10_energy.txt", true},
 		{"fig11a_summitnode.txt", true},
 		{"fig11b_guyotnode.txt", true},
-		{"ablation.txt", true}, // the findings that keep sched.Locality/CriticalPath and comm.Flat/Chain
+		{"ablation.txt", true},
 	} {
 		c := c
 		t.Run(strings.TrimSuffix(c.file, ".txt"), func(t *testing.T) {

@@ -6,7 +6,7 @@ import (
 	"io"
 
 	"geompc/internal/bench"
-	"geompc/internal/cliflags"
+	"geompc/internal/sweep"
 )
 
 // runScale reproduces Fig 12's Summit evaluation: weak scalability (12a),
@@ -30,20 +30,19 @@ func runScale(args []string, out io.Writer) error {
 	strongN := fs.Int("strong-n", 798720, "strong-scaling matrix size (paper: 798720)")
 	sizesFlag := fs.String("sizes", "196608,399360,598016,798720", "matrix sizes for -mp")
 	ts := fs.Int("ts", 2048, "tile size")
-	v := cliflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	so := v.SchedOpts()
+	sw := bench.SweepOpts{Workers: sweep.PerCore}
 	allIfNone(weak, strong, mp)
 
-	nodes, err := cliflags.ParseSizes(*nodesFlag)
+	nodes, err := parseSizes(*nodesFlag)
 	if err != nil {
 		return err
 	}
 
 	if *weak {
-		rows, err := bench.WeakScaling(nodes, *baseN, *ts, so)
+		rows, err := bench.WeakScaling(nodes, *baseN, *ts, sw)
 		if err != nil {
 			return err
 		}
@@ -56,7 +55,7 @@ func runScale(args []string, out io.Writer) error {
 	}
 
 	if *strong {
-		rows, err := bench.StrongScaling(nodes, *strongN, *ts, so)
+		rows, err := bench.StrongScaling(nodes, *strongN, *ts, sw)
 		if err != nil {
 			return err
 		}
@@ -69,11 +68,11 @@ func runScale(args []string, out io.Writer) error {
 	}
 
 	if *mp {
-		sizes, err := cliflags.ParseSizes(*sizesFlag)
+		sizes, err := parseSizes(*sizesFlag)
 		if err != nil {
 			return err
 		}
-		rows, err := bench.MPEffect(*mpNodes, sizes, *ts, so.SweepOpts)
+		rows, err := bench.MPEffect(*mpNodes, sizes, *ts, sw)
 		if err != nil {
 			return err
 		}

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"geompc/internal/cholesky"
-	"geompc/internal/cliflags"
 	"geompc/internal/hw"
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
@@ -31,7 +30,6 @@ func runTrace(args []string, out io.Writer) error {
 	chrome := fs.String("chrome", "", "write the timeline as Chrome trace-event JSON to this file")
 	audit := fs.Bool("audit", false, "run the engine's invariant auditor; violations are fatal")
 	metrics := fs.Bool("metrics", false, "print the run's statistics (bytes per link × precision, LRU, per device) after the schedule")
-	v := cliflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -43,15 +41,10 @@ func runTrace(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg, err := v.SchedOpts().Config(cholesky.Config{
+	res, err := cholesky.Run(cholesky.Config{
 		Desc: d, Maps: precmap.New(precmap.Uniform(*nt, prec.FP16x32), 1e-4),
 		Platform: plat, Trace: true, Audit: *audit,
 	})
-	if err != nil {
-		return err
-	}
-
-	res, err := cholesky.Run(cfg)
 	if err != nil {
 		return err
 	}

@@ -88,28 +88,53 @@ func convGrid(sizes []int) []convPoint {
 	return pts
 }
 
-// ConvSweepOpts runs Fig 8 (single GPU) or Fig 11 (full node) for one
-// machine: every configuration × {STC, TTC} × matrix size, in phantom mode,
-// under the named policy and topology of so (zero SchedOpts = FIFO +
-// binomial).
-//
-// The name's Opts suffix and the unused string parameter stay only because
-// the frozen benchmark/ tree calls ConvSweepOpts by that name and passes ""
-// there (ROADMAP item 3).
-func ConvSweepOpts(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts int, _ string, so SchedOpts) ([]ConvRow, error) {
-	plat, err := runtime.NewPlatform(node, ranks, gpusPerRank)
+// SweepOpts configures how a sweep family executes its grid: the options
+// of the deterministic sweep executor (internal/sweep), i.e. the pool width
+// (the commands pass sweep.PerCore; 0, one worker, is the reference the
+// equivalence tests compare against). Rows are bit-identical at every
+// width.
+type SweepOpts = sweep.Options
+
+// SchedOpts wraps SweepOpts only because the frozen benchmark/ tree passes
+// one to ConvSweepOpts.
+type SchedOpts struct{ SweepOpts }
+
+// solvePoint is the body every phantom sweep point shares: lay an n×n
+// matrix of ts-sized tiles over the platform's squarest process grid, build
+// the precision maps from km at accuracy ureq and run one factorization.
+// cfg carries everything but Desc and Maps; label names the point in a
+// solve error.
+func solvePoint(cfg cholesky.Config, n, ts int,
+	km func(tile.Desc) [][]prec.Precision, ureq float64, label string) (*cholesky.Result, error) {
+	pg, qg := tile.SquarestGrid(cfg.Platform.Ranks)
+	desc, err := tile.NewDesc(n, ts, pg, qg)
 	if err != nil {
 		return nil, err
 	}
-	base, err := so.Config(cholesky.Config{Platform: plat})
+	cfg.Desc = desc
+	cfg.Maps = precmap.New(km(desc), ureq)
+	res, err := cholesky.Run(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("bench: %s: %w", label, err)
+	}
+	return res, nil
+}
+
+// ConvSweepOpts runs Fig 8 (single GPU) or Fig 11 (full node) for one
+// machine: every configuration × {STC, TTC} × matrix size, in phantom mode.
+//
+// The name's Opts suffix, the unused string parameter and the SchedOpts
+// wrapper stay only because the frozen benchmark/ tree calls ConvSweepOpts
+// that way (ROADMAP item 3).
+func ConvSweepOpts(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts int, _ string, so SchedOpts) ([]ConvRow, error) {
+	plat, err := runtime.NewPlatform(node, ranks, gpusPerRank)
 	if err != nil {
 		return nil, err
 	}
 	pts := convGrid(sizes)
 	return sweep.Run(len(pts), so.SweepOpts, func(i int) (ConvRow, error) {
 		p := pts[i]
-		cfg := base
-		cfg.Strategy = p.strat
+		cfg := cholesky.Config{Platform: plat, Strategy: p.strat}
 		res, err := solvePoint(cfg, p.n, ts,
 			func(d tile.Desc) [][]prec.Precision { return p.cfg.KernelMap(d.NT) }, 1e-2,
 			fmt.Sprintf("%s %v n=%d", p.cfg.Name, p.strat, p.n))

@@ -46,35 +46,21 @@ func TestConvSweepParallelMatchesSerial(t *testing.T) {
 		}
 		sameRows(t, "ConvSweep", w, got, want)
 	}
-
-	// Under a non-default policy/topology the grid must still be
-	// order-independent.
-	placed, err := ConvSweepOpts(hw.SummitNode, 1, 2, sizes, ts, "",
-		SchedOpts{Policy: "locality", Bcast: "flat"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotPlaced, err := ConvSweepOpts(hw.SummitNode, 1, 2, sizes, ts, "",
-		SchedOpts{Policy: "locality", Bcast: "flat", SweepOpts: SweepOpts{Workers: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, "ConvSweep/locality+flat", 4, gotPlaced, placed)
 }
 
 func TestScalingParallelMatchesSerial(t *testing.T) {
 	nodes := []int{1, 2, 4}
 	const baseN, ts = 8192, 2048
-	wantWeak, err := WeakScaling(nodes, baseN, ts, SchedOpts{})
+	wantWeak, err := WeakScaling(nodes, baseN, ts, SweepOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantStrong, err := StrongScaling(nodes, baseN, ts, SchedOpts{})
+	wantStrong, err := StrongScaling(nodes, baseN, ts, SweepOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range edgeWorkers() {
-		so := SchedOpts{SweepOpts: SweepOpts{Workers: w}}
+		so := SweepOpts{Workers: w}
 		gotWeak, err := WeakScaling(nodes, baseN, ts, so)
 		if err != nil {
 			t.Fatalf("weak workers=%d: %v", w, err)
@@ -104,37 +90,5 @@ func TestScalingParallelMatchesSerial(t *testing.T) {
 		if r.Speedup <= 0 {
 			t.Errorf("MPEffect row %+v has no speedup", r)
 		}
-	}
-}
-
-func TestSchedAblationParallelMatchesSerial(t *testing.T) {
-	sizes := []int{8192}
-	const ts = 2048
-	want, err := SchedAblation(hw.SummitNode, 1, 0, sizes, ts, SweepOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range edgeWorkers() {
-		got, err := SchedAblation(hw.SummitNode, 1, 0, sizes, ts, SweepOpts{Workers: w})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		sameRows(t, "SchedAblation", w, got, want)
-	}
-}
-
-func TestBcastAblationParallelMatchesSerial(t *testing.T) {
-	sizes := []int{8192}
-	const ts = 1024
-	want, err := BcastAblation(hw.SummitNode, 4, sizes, ts, SweepOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range edgeWorkers() {
-		got, err := BcastAblation(hw.SummitNode, 4, sizes, ts, SweepOpts{Workers: w})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		sameRows(t, "BcastAblation", w, got, want)
 	}
 }

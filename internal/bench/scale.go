@@ -50,14 +50,9 @@ func scaleConfigs(withFP32 bool) []scaleConfig {
 	return out
 }
 
-// runScale executes one phantom factorization on `nodes` Summit nodes
-// under the named policy / topology of so.
-func runScale(cfg scaleConfig, nodes, n, ts int, seed uint64, so SchedOpts) (ScaleRow, error) {
+// runScale executes one phantom factorization on `nodes` Summit nodes.
+func runScale(cfg scaleConfig, nodes, n, ts int, seed uint64) (ScaleRow, error) {
 	plat, err := runtime.NewPlatform(hw.SummitNode, nodes, 0)
-	if err != nil {
-		return ScaleRow{}, err
-	}
-	base, err := so.Config(cholesky.Config{Platform: plat})
 	if err != nil {
 		return ScaleRow{}, err
 	}
@@ -72,7 +67,7 @@ func runScale(cfg scaleConfig, nodes, n, ts int, seed uint64, so SchedOpts) (Sca
 		}
 		ureq = cfg.app.UReq
 	}
-	res, err := solvePoint(base, n, ts, km, ureq,
+	res, err := solvePoint(cholesky.Config{Platform: plat}, n, ts, km, ureq,
 		fmt.Sprintf("scale %s nodes=%d n=%d", cfg.name, nodes, n))
 	if err != nil {
 		return ScaleRow{}, err
@@ -90,9 +85,8 @@ func runScale(cfg scaleConfig, nodes, n, ts int, seed uint64, so SchedOpts) (Sca
 
 // WeakScaling runs Fig 12a: the matrix grows with the GPU count so
 // per-GPU memory stays constant (N ∝ √GPUs), FP64 configuration, one sweep
-// point per node count, under the named scheduling policy and broadcast
-// topology.
-func WeakScaling(nodeCounts []int, baseN, ts int, so SchedOpts) ([]ScaleRow, error) {
+// point per node count.
+func WeakScaling(nodeCounts []int, baseN, ts int, so SweepOpts) ([]ScaleRow, error) {
 	if len(nodeCounts) == 0 {
 		return nil, fmt.Errorf("bench: weak scaling needs at least one node count")
 	}
@@ -102,20 +96,20 @@ func WeakScaling(nodeCounts []int, baseN, ts int, so SchedOpts) ([]ScaleRow, err
 		return nil, err
 	}
 	base := float64(nodeCounts[0])
-	return sweep.Run(len(nodeCounts), so.SweepOpts, func(i int) (ScaleRow, error) {
+	return sweep.Run(len(nodeCounts), so, func(i int) (ScaleRow, error) {
 		nodes := nodeCounts[i]
 		n := int(float64(baseN) * math.Sqrt(float64(nodes)/base))
 		n = (n + ts - 1) / ts * ts
-		return runScale(scaleConfig{name: "FP64", uniform: prec.FP64}, nodes, n, ts, 1, so)
+		return runScale(scaleConfig{name: "FP64", uniform: prec.FP64}, nodes, n, ts, 1)
 	})
 }
 
 // StrongScaling runs Fig 12b: fixed matrix size (the paper uses
 // 798,720) over increasing node counts, FP64 configuration, one sweep point
-// per node count, with the same scheduling knobs as WeakScaling.
-func StrongScaling(nodeCounts []int, n, ts int, so SchedOpts) ([]ScaleRow, error) {
-	return sweep.Run(len(nodeCounts), so.SweepOpts, func(i int) (ScaleRow, error) {
-		return runScale(scaleConfig{name: "FP64", uniform: prec.FP64}, nodeCounts[i], n, ts, 1, so)
+// per node count.
+func StrongScaling(nodeCounts []int, n, ts int, so SweepOpts) ([]ScaleRow, error) {
+	return sweep.Run(len(nodeCounts), so, func(i int) (ScaleRow, error) {
+		return runScale(scaleConfig{name: "FP64", uniform: prec.FP64}, nodeCounts[i], n, ts, 1)
 	})
 }
 
@@ -136,7 +130,7 @@ func MPEffect(nodes int, sizes []int, ts int, so SweepOpts) ([]ScaleRow, error) 
 		}
 	}
 	rows, err := sweep.Run(len(pts), so, func(i int) (ScaleRow, error) {
-		return runScale(pts[i].cfg, nodes, pts[i].n, ts, 2, SchedOpts{})
+		return runScale(pts[i].cfg, nodes, pts[i].n, ts, 2)
 	})
 	if err != nil {
 		return nil, err

@@ -9,7 +9,7 @@ import "testing"
 func BenchmarkFig12WeakStep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := WeakScaling([]int{16}, 196608, 2048, SchedOpts{})
+		rows, err := WeakScaling([]int{16}, 196608, 2048, SweepOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,10 +1,8 @@
 package cholesky
 
 import (
-	"geompc/internal/comm"
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
-	"geompc/internal/sched"
 	"geompc/internal/tile"
 )
 
@@ -52,14 +50,6 @@ type Config struct {
 	Audit bool
 	// Lookahead overrides the engine's stream pipeline depth (default 2).
 	Lookahead int
-	// Sched selects the engine's scheduling policy (ready-queue order,
-	// placement). Nil means sched.FIFO{} — the historical
-	// schedule, bit for bit. Any policy produces the bit-identical result;
-	// only virtual time and data motion change.
-	Sched sched.Policy
-	// Bcast selects the inter-rank broadcast topology. Nil means
-	// comm.Binomial{}, the historical arithmetic.
-	Bcast comm.Topology
 	// Deprecated: has no effect, the engine is serial. Nothing reads it;
 	// the field remains only until the end-to-end benchmark stops assigning
 	// it.
@@ -72,8 +62,6 @@ func (cfg Config) Engine(g runtime.Graph) *runtime.Engine {
 	eng := runtime.New(cfg.Platform, g)
 	eng.Trace = cfg.Trace
 	eng.Audit = cfg.Audit
-	eng.Policy = cfg.Sched
-	eng.Bcast = cfg.Bcast
 	if cfg.Lookahead > 0 {
 		eng.Lookahead = cfg.Lookahead
 	}

@@ -11,9 +11,10 @@ import (
 )
 
 // goldenDigests pins the FNV-1a schedule digests of five deterministic
-// phantom scenarios under the default scheduling policy and broadcast
-// topology (FIFO + binomial tree). These digests were recorded from the
-// engine as of the observability/perf/chaos passes; any change to default
+// phantom scenarios under the engine's one schedule (priority-ordered ready
+// queues, binomial-tree broadcasts; the multi-rank 4x1 and 2x2 scenarios
+// pin the broadcast arithmetic). These digests were recorded from the
+// engine as of the observability/perf/chaos passes; any change to
 // scheduling, link timing, or broadcast arithmetic shows up here as a
 // mismatch. CI runs this test in a dedicated golden-digest guard job.
 var goldenDigests = map[string]uint64{
@@ -54,9 +55,8 @@ func goldenScenario(t *testing.T, name string) Config {
 	return Config{}
 }
 
-// TestGoldenScheduleDigests is the golden-digest guard: under the default
-// FIFO policy and binomial broadcast, every pinned scenario must reproduce
-// its recorded schedule digest bit-for-bit.
+// TestGoldenScheduleDigests is the golden-digest guard: every pinned
+// scenario must reproduce its recorded schedule digest bit-for-bit.
 func TestGoldenScheduleDigests(t *testing.T) {
 	for name, want := range goldenDigests {
 		name, want := name, want

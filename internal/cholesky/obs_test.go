@@ -102,6 +102,31 @@ func TestAuditedMultiRankRun(t *testing.T) {
 	}
 }
 
+// TestAuditedStrategiesTwoByTwo: on 2 ranks × 2 devices the graph of each
+// communication strategy (Auto/STC and ForceTTC) passes the structural
+// validator, and its numeric run passes the invariant auditor (pin balance,
+// per-link interval consistency, energy conservation).
+func TestAuditedStrategiesTwoByTwo(t *testing.T) {
+	const nt, ranks, devPerRank = 6, 2, 2
+	for _, strat := range []Strategy{Auto, ForceTTC} {
+		if err := runtime.Validate(buildTestGraph(t, nt, 1e-4, nil, strat, ranks, devPerRank)); err != nil {
+			t.Fatalf("%v: %v", strat, err)
+		}
+		cfg, _ := buildNumericConfig(t, nt, ranks, devPerRank)
+		cfg.Strategy, cfg.Audit = strat, true
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", strat, err)
+		}
+		if res.Err != nil {
+			t.Fatalf("%v: numeric failure %v", strat, res.Err)
+		}
+		if res.Stats.Energy <= 0 {
+			t.Errorf("%v: no energy accounted", strat)
+		}
+	}
+}
+
 // TestMetricsPopulated checks the Stats invariant behind `geompc trace
 // -metrics`: on every link the per-precision bytes sum to the link total,
 // over the pinned phantom scenarios (Auto and ForceTTC, one to four ranks,

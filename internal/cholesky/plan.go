@@ -8,10 +8,10 @@ import (
 
 // planShapeSig hashes everything that determines a factorization's schedule
 // except the precision maps and the numeric tile contents: tiling (NT is
-// derived from N and TS), process grid, platform, conversion strategy,
-// scheduling policy, broadcast topology and pipeline depth. Two configs
-// with equal shape signatures and equal map signatures produce
-// bit-identical schedules, so a plan compiled under one replays the other.
+// derived from N and TS), process grid, platform, conversion strategy and
+// pipeline depth. Two configs with equal shape signatures and equal map
+// signatures produce bit-identical schedules, so a plan compiled under one
+// replays the other.
 func planShapeSig(cfg Config) uint64 {
 	var d obs.Digest
 	d.WriteString("geompc/plan/v1")
@@ -24,16 +24,6 @@ func planShapeSig(cfg Config) uint64 {
 	d.WriteString(cfg.Platform.Node.Name)
 	d.WriteString(cfg.Platform.Node.GPU.Name)
 	d.WriteInt64(int64(cfg.Strategy))
-	pol := "fifo"
-	if cfg.Sched != nil {
-		pol = cfg.Sched.Name()
-	}
-	d.WriteString(pol)
-	topo := "binomial"
-	if cfg.Bcast != nil {
-		topo = cfg.Bcast.Name()
-	}
-	d.WriteString(topo)
 	la := 2
 	if cfg.Lookahead > 0 {
 		la = cfg.Lookahead

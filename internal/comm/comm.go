@@ -2,14 +2,12 @@
 // first-class resources: every host-link direction (PCIe/NVLink up and
 // down), every intra-node peer lane and every rank's NIC is a Link — a
 // serial resource with its own free time, cumulative busy time and
-// (optionally) a traced interval log — and collective data movement is
-// shaped by a pluggable broadcast Topology.
+// (optionally) a traced interval log.
 //
 // The runtime engine used to fold all of this into ad-hoc scalar fields
 // (h2dFree, nicFree, ...); extracting it here makes links auditable (the
 // invariant auditor proves per-link intervals never overlap and integrate
-// to the link's busy time) and lets experiments swap the network shape
-// (Fig 11/12) without touching the engine. The float arithmetic is kept
+// to the link's busy time). The float arithmetic is kept
 // bit-identical to the historical inline code: StartAfter is the same
 // math.Max chain, Time the same latency + bytes/bandwidth expression.
 package comm

@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"math"
 	"testing"
 
 	"geompc/internal/hw"
@@ -59,62 +58,5 @@ func TestLinkUntracedKeepsNoIntervals(t *testing.T) {
 	}
 	if l.Busy() != 1 {
 		t.Fatalf("Busy = %g, want 1", l.Busy())
-	}
-}
-
-func TestBinomialMatchesHistoricalBroadcast(t *testing.T) {
-	// The engine's historical inline broadcast: sender NIC held one hop,
-	// every receiver served after ceil(log2(n+1)) hops.
-	b := Binomial{}
-	for n := 1; n <= 400; n++ {
-		want := math.Ceil(math.Log2(float64(n) + 1))
-		for _, i := range []int{0, n / 2, n - 1} {
-			if got := b.ArrivalHops(i, n); got != want {
-				t.Fatalf("Binomial.ArrivalHops(%d, %d) = %g, want %g", i, n, got, want)
-			}
-		}
-		if got := b.SenderHops(n); got != 1 {
-			t.Fatalf("Binomial.SenderHops(%d) = %g, want 1", n, got)
-		}
-	}
-}
-
-func TestFlatAndChainShapes(t *testing.T) {
-	f, c := Flat{}, Chain{}
-	const n = 7
-	if f.SenderHops(n) != n {
-		t.Errorf("Flat.SenderHops(%d) = %g, want %d", n, f.SenderHops(n), n)
-	}
-	if c.SenderHops(n) != 1 {
-		t.Errorf("Chain.SenderHops(%d) = %g, want 1", n, c.SenderHops(n))
-	}
-	for i := 0; i < n; i++ {
-		if f.ArrivalHops(i, n) != float64(i)+1 {
-			t.Errorf("Flat.ArrivalHops(%d,%d) = %g", i, n, f.ArrivalHops(i, n))
-		}
-		if c.ArrivalHops(i, n) != float64(i)+1 {
-			t.Errorf("Chain.ArrivalHops(%d,%d) = %g", i, n, c.ArrivalHops(i, n))
-		}
-	}
-	// Every topology's last receiver is served no earlier than its first.
-	for _, topo := range Topologies() {
-		if topo.ArrivalHops(n-1, n) < topo.ArrivalHops(0, n) {
-			t.Errorf("%s: arrival hops not monotone", topo.Name())
-		}
-	}
-}
-
-func TestTopologyByName(t *testing.T) {
-	for _, want := range Topologies() {
-		got, err := TopologyByName(want.Name())
-		if err != nil || got.Name() != want.Name() {
-			t.Errorf("TopologyByName(%q) = %v, %v", want.Name(), got, err)
-		}
-	}
-	if def, err := TopologyByName(""); err != nil || def.Name() != "binomial" {
-		t.Errorf("TopologyByName(\"\") = %v, %v; want binomial", def, err)
-	}
-	if _, err := TopologyByName("hypercube"); err == nil {
-		t.Error("TopologyByName(hypercube) succeeded, want error")
 	}
 }

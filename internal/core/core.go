@@ -92,6 +92,15 @@ type Options struct {
 	MaxEvals int
 }
 
+// validate rejects a UReq the precision rule cannot use — NaN, ±Inf or
+// negative — rather than running it as exact FP64.
+func (o Options) validate() error {
+	if math.IsNaN(o.UReq) || math.IsInf(o.UReq, 0) || o.UReq < 0 {
+		return fmt.Errorf("core: u_req must be 0 (exact FP64) or finite and positive, got %g", o.UReq)
+	}
+	return nil
+}
+
 func (o Options) strategy() cholesky.Strategy {
 	if o.ForceTTC {
 		return cholesky.ForceTTC
@@ -169,6 +178,9 @@ var ErrNoFiniteEvaluation = errors.New("core: no likelihood evaluation was finit
 // Fit estimates the kernel parameters of ds by maximum likelihood using the
 // adaptive mixed-precision Cholesky.
 func Fit(ds *Dataset, opts Options) (*FitReport, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	plat, err := opts.Machine.Platform()
 	if err != nil {
 		return nil, err
@@ -235,6 +247,9 @@ type Projection struct {
 // an n×n covariance built from kernel/theta on the configured machine, with
 // sampled tile norms — the tool behind the paper's performance figures.
 func ProjectFactorization(n int, kernel geo.Kernel, theta []float64, opts Options, seed uint64) (*Projection, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	plat, err := opts.Machine.Platform()
 	if err != nil {
 		return nil, err

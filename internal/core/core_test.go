@@ -96,6 +96,24 @@ func TestFitWithNoFiniteEvaluationFails(t *testing.T) {
 	}
 }
 
+// TestRejectsUnusableUReq: a NaN, infinite or negative accuracy is an error
+// from both Fit and ProjectFactorization, not an exact FP64 run.
+func TestRejectsUnusableUReq(t *testing.T) {
+	ds, err := GenerateDataset(50, 2, SqExp2D(), []float64{1, 0.1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ureq := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e-4} {
+		opts := Options{UReq: ureq, TileSize: 16, MaxEvals: 2}
+		if rep, err := Fit(ds, opts); err == nil || !strings.Contains(err.Error(), "u_req") {
+			t.Errorf("Fit at u_req %g: report %+v, error %v; want a u_req error", ureq, rep, err)
+		}
+		if proj, err := ProjectFactorization(4096, SqExp2D(), []float64{1, 0.1}, opts, 1); err == nil || !strings.Contains(err.Error(), "u_req") {
+			t.Errorf("ProjectFactorization at u_req %g: %+v, error %v; want a u_req error", ureq, proj, err)
+		}
+	}
+}
+
 func TestPredictEndToEnd(t *testing.T) {
 	ds, err := GenerateDataset(100, 2, SqExp2D(), []float64{1, 0.2}, 5)
 	if err != nil {

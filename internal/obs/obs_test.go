@@ -5,46 +5,8 @@ import (
 	"encoding/json"
 	"hash/fnv"
 	"math"
-	"sync"
 	"testing"
 )
-
-// TestRegistryBasics: a name always resolves to the same counter, and
-// distinct names to distinct ones.
-func TestRegistryBasics(t *testing.T) {
-	r := NewRegistry()
-	for i := 0; i < 4; i++ {
-		r.Counter("b/count").Inc()
-	}
-	r.Counter("a/count").Inc()
-	if got := r.Counter("b/count").Value(); got != 4 {
-		t.Errorf("counter = %d, want 4", got)
-	}
-	if got := r.Counter("a/count").Value(); got != 1 {
-		t.Errorf("second counter = %d, want 1", got)
-	}
-	if got := r.Counter("never/touched").Value(); got != 0 {
-		t.Errorf("fresh counter = %d, want 0", got)
-	}
-}
-
-func TestRegistryConcurrentSafe(t *testing.T) {
-	r := NewRegistry()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				r.Counter("n").Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if r.Counter("n").Value() != 800 {
-		t.Errorf("concurrent counter = %d, want 800", r.Counter("n").Value())
-	}
-}
 
 func TestDigestMatchesStdlibFNV(t *testing.T) {
 	// Our incremental digest must agree with hash/fnv over the same bytes.

@@ -19,15 +19,15 @@ import (
 // dependent, but every returned result — digest and factor bits — must be
 // identical to the serial reference for its map.
 func TestRunCachedSharedAcrossGoroutines(t *testing.T) {
-	refTight, err := cholesky.Run(newConfig(t, 5, 1, 2, 1e-8, "", ""))
+	refTight, err := cholesky.Run(newConfig(t, 5, 1, 2, 1e-8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	refLoose, err := cholesky.Run(newConfig(t, 5, 1, 2, 1e-2, "", ""))
+	refLoose, err := cholesky.Run(newConfig(t, 5, 1, 2, 1e-2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTight := newConfig(t, 5, 1, 2, 1e-8, "", "")
+	wantTight := newConfig(t, 5, 1, 2, 1e-8)
 	if _, err := cholesky.Run(wantTight); err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestRunCachedSharedAcrossGoroutines(t *testing.T) {
 				if (w+i)%2 == 1 {
 					ureq, want = 1e-2, refLoose.Digest()
 				}
-				cfg := newConfig(t, 5, 1, 2, ureq, "", "")
+				cfg := newConfig(t, 5, 1, 2, ureq)
 				res, err := cholesky.RunCached(cfg, cache)
 				if err != nil {
 					errs <- err

@@ -11,17 +11,15 @@ import (
 
 	"geompc/internal/cholesky"
 	"geompc/internal/linalg"
-	"geompc/internal/obs"
 	"geompc/internal/plan"
 )
 
 func TestRunCachedFlow(t *testing.T) {
 	const nt, ranks, dev = 5, 2, 2
-	reg := obs.NewRegistry()
-	cache := plan.NewCache(reg)
+	cache := plan.NewCache(nil)
 
 	// Miss: first run of the shape compiles.
-	c1 := newConfig(t, nt, ranks, dev, 1e-8, "", "")
+	c1 := newConfig(t, nt, ranks, dev, 1e-8)
 	r1, err := cholesky.RunCached(c1, cache)
 	if err != nil {
 		t.Fatalf("miss run: %v", err)
@@ -32,7 +30,7 @@ func TestRunCachedFlow(t *testing.T) {
 	}
 
 	// Hit: same shape and map replays, bit-identically.
-	c2 := newConfig(t, nt, ranks, dev, 1e-8, "", "")
+	c2 := newConfig(t, nt, ranks, dev, 1e-8)
 	r2, err := cholesky.RunCached(c2, cache)
 	if err != nil {
 		t.Fatalf("hit run: %v", err)
@@ -47,7 +45,7 @@ func TestRunCachedFlow(t *testing.T) {
 
 	// Invalidation: a looser accuracy target re-derives the maps; the cache
 	// recompiles.
-	c3 := newConfig(t, nt, ranks, dev, 1e-2, "", "")
+	c3 := newConfig(t, nt, ranks, dev, 1e-2)
 	r3, err := cholesky.RunCached(c3, cache)
 	if err != nil {
 		t.Fatalf("invalidation run: %v", err)
@@ -55,7 +53,7 @@ func TestRunCachedFlow(t *testing.T) {
 	if s := cache.Stats(); s != (plan.Stats{Hits: 1, Misses: 1, Invalidations: 1}) {
 		t.Fatalf("after invalidation: %+v", s)
 	}
-	fresh := newConfig(t, nt, ranks, dev, 1e-2, "", "")
+	fresh := newConfig(t, nt, ranks, dev, 1e-2)
 	fref, err := cholesky.Run(fresh)
 	if err != nil {
 		t.Fatalf("fresh mutated run: %v", err)
@@ -75,7 +73,7 @@ func TestRunCachedFlow(t *testing.T) {
 
 	// The recompiled plan replaced the stale one: same shape now hits, and
 	// the replay fails and stops exactly as the live runs did.
-	c4 := newConfig(t, nt, ranks, dev, 1e-2, "", "")
+	c4 := newConfig(t, nt, ranks, dev, 1e-2)
 	r4, err := cholesky.RunCached(c4, cache)
 	if err != nil {
 		t.Fatalf("post-recompile hit: %v", err)
@@ -88,13 +86,8 @@ func TestRunCachedFlow(t *testing.T) {
 		t.Fatalf("after recompile hit: %+v", s)
 	}
 
-	// The counters surface through the registry under plan/cache/*.
-	if got := reg.Counter("plan/cache/hits").Value(); got != 2 {
-		t.Fatalf("registry hits counter = %d, want 2", got)
-	}
-
 	// A nil cache degrades to a live run.
-	n1 := newConfig(t, nt, ranks, dev, 1e-8, "", "")
+	n1 := newConfig(t, nt, ranks, dev, 1e-8)
 	nres, err := cholesky.RunCached(n1, nil)
 	if err != nil {
 		t.Fatalf("nil-cache run: %v", err)

@@ -136,15 +136,15 @@ func TestCacheConcurrentHammer(t *testing.T) {
 				switch (w + i) % 4 {
 				case 0:
 					cache.store(pa)
-					cache.misses.Inc()
+					cache.misses.Add(1)
 				case 1:
 					cache.store(pb)
-					cache.invalidations.Inc()
+					cache.invalidations.Add(1)
 				case 2:
 					if p := cache.lookup(pa.Sig); p != nil && p.Sig != pa.Sig {
 						t.Errorf("lookup returned plan with sig %016x under key %016x", p.Sig, pa.Sig)
 					}
-					cache.hits.Inc()
+					cache.hits.Add(1)
 				default:
 					_ = cache.Stats()
 				}

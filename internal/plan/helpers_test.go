@@ -9,13 +9,11 @@ import (
 	"testing"
 
 	"geompc/internal/cholesky"
-	"geompc/internal/comm"
 	"geompc/internal/geo"
 	"geompc/internal/hw"
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
-	"geompc/internal/sched"
 	"geompc/internal/stats"
 	"geompc/internal/tile"
 )
@@ -53,9 +51,8 @@ func newMaps(t testing.TB, mat *tile.Matrix, ureq float64) *precmap.Maps {
 }
 
 // newConfig assembles a numeric cholesky.Config: nt tiles, the given rank
-// grid and devices per rank, adaptive maps at ureq, and the chosen
-// scheduling policy / broadcast topology (empty strings mean defaults).
-func newConfig(t testing.TB, nt, ranks, devPerRank int, ureq float64, policy, topo string) cholesky.Config {
+// grid and devices per rank, adaptive maps at ureq.
+func newConfig(t testing.TB, nt, ranks, devPerRank int, ureq float64) cholesky.Config {
 	t.Helper()
 	p, q := tile.SquarestGrid(ranks)
 	mat, d := newSPDMatrix(t, nt*testTS, testTS, p, q)
@@ -64,28 +61,13 @@ func newConfig(t testing.TB, nt, ranks, devPerRank int, ureq float64, policy, to
 	if err != nil {
 		t.Fatalf("NewPlatform: %v", err)
 	}
-	cfg := cholesky.Config{
+	return cholesky.Config{
 		Desc:     d,
 		Maps:     maps,
 		Platform: plat,
 		Matrix:   mat,
 		Trace:    true,
 	}
-	if policy != "" {
-		pol, err := sched.ByName(policy)
-		if err != nil {
-			t.Fatalf("sched.ByName(%q): %v", policy, err)
-		}
-		cfg.Sched = pol
-	}
-	if topo != "" {
-		tp, err := comm.TopologyByName(topo)
-		if err != nil {
-			t.Fatalf("comm.TopologyByName(%q): %v", topo, err)
-		}
-		cfg.Bcast = tp
-	}
-	return cfg
 }
 
 // factorBits flattens the lower-triangular factor into raw float64 bit

@@ -12,13 +12,11 @@ import (
 	"testing"
 
 	"geompc/internal/cholesky"
-	"geompc/internal/comm"
 	"geompc/internal/hw"
 	"geompc/internal/plan"
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
-	"geompc/internal/sched"
 )
 
 // keyInputs is one factorization's schedule-shaping inputs.
@@ -26,7 +24,6 @@ type keyInputs struct {
 	n, ts, p, q, ranks, dev int
 	node                    hw.NodeSpec
 	strat                   cholesky.Strategy
-	policy, topo            string
 	lookahead               int
 	ureq                    float64
 	flipTile                bool // the last row's first tile, FP64 ↔ FP32
@@ -54,8 +51,6 @@ var keyRows = []struct {
 	{"node", func(in *keyInputs) { in.node = *hw.GuyotNode; in.node.GPU = hw.V100 }},
 	{"gpu", func(in *keyInputs) { in.node.GPU = hw.A100 }},
 	{"strategy", func(in *keyInputs) { in.strat = cholesky.ForceTTC }},
-	{"policy", func(in *keyInputs) { in.policy = "locality" }},
-	{"topology", func(in *keyInputs) { in.topo = "flat" }},
 	{"lookahead", func(in *keyInputs) { in.lookahead = 4 }},
 	{"precision-map", func(in *keyInputs) { in.ureq = 1e-4 }},
 	{"one-tile-precision", func(in *keyInputs) { in.flipTile = true }},
@@ -82,19 +77,8 @@ func (in keyInputs) config(t *testing.T) cholesky.Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := cholesky.Config{Desc: d, Maps: maps, Platform: plat, Matrix: mat,
+	return cholesky.Config{Desc: d, Maps: maps, Platform: plat, Matrix: mat,
 		Strategy: in.strat, Lookahead: in.lookahead, Trace: true}
-	if in.policy != "" {
-		if cfg.Sched, err = sched.ByName(in.policy); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if in.topo != "" {
-		if cfg.Bcast, err = comm.TopologyByName(in.topo); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return cfg
 }
 
 // TestInvalidateNoChange: the base config run twice through one cache

@@ -12,8 +12,8 @@ package plan
 
 import (
 	"sync"
+	"sync/atomic"
 
-	"geompc/internal/obs"
 	"geompc/internal/runtime"
 )
 
@@ -22,7 +22,7 @@ import (
 // serve any number of concurrent replays (each builds its own graph).
 type Plan struct {
 	// Sig is the caller-supplied shape signature (platform, tiling,
-	// strategy, policy, topology — everything except the precision map and
+	// strategy, pipeline depth — everything except the precision map and
 	// the numeric data).
 	Sig uint64
 	// PrecSig is the precision-map signature the plan was compiled under
@@ -34,8 +34,8 @@ type Plan struct {
 	Schedule []runtime.ScheduledTask
 }
 
-// compile runs eng — an engine already configured for its graph (policy,
-// topology, lookahead, audit) — once: a full simulation, numeric bodies and
+// compile runs eng — an engine already configured for its graph
+// (lookahead, audit) — once: a full simulation, numeric bodies and
 // all (eng.BodyErr() is that run's numeric failure).
 func compile(eng *runtime.Engine, sig, precSig uint64) (*Plan, error) {
 	eng.Trace = true // the plan freezes the traced timeline
@@ -50,7 +50,7 @@ func compile(eng *runtime.Engine, sig, precSig uint64) (*Plan, error) {
 }
 
 // Cache holds at most one compiled plan per shape signature and counts
-// hits, misses and invalidations under plan/cache/* in its registry.
+// hits, misses and invalidations (see Stats).
 //
 // A Cache is safe for concurrent use: the map is guarded by mu and the
 // counters are atomic. Which of several concurrent callers wins a compile
@@ -61,21 +61,13 @@ type Cache struct {
 	mu    sync.Mutex
 	plans map[uint64]*Plan
 
-	hits, misses, invalidations *obs.Counter
+	hits, misses, invalidations atomic.Int64
 }
 
-// NewCache returns an empty cache counting into reg; nil uses a private
-// registry.
-func NewCache(reg *obs.Registry) *Cache {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	return &Cache{
-		plans:         make(map[uint64]*Plan),
-		hits:          reg.Counter("plan/cache/hits"),
-		misses:        reg.Counter("plan/cache/misses"),
-		invalidations: reg.Counter("plan/cache/invalidations"),
-	}
+// NewCache returns an empty cache. Its argument is ignored: it stays only
+// because the frozen benchmark/ tree calls NewCache(nil).
+func NewCache(_ any) *Cache {
+	return &Cache{plans: make(map[uint64]*Plan)}
 }
 
 // lookup returns the plan stored for sig, nil if none.
@@ -139,11 +131,11 @@ func (c *Cache) Run(key func() (sig, precSig uint64), build func() (runtime.Grap
 	sig, precSig := key()
 	switch p := c.lookup(sig); {
 	case p == nil:
-		c.misses.Inc()
+		c.misses.Add(1)
 	case p.PrecSig != precSig:
-		c.invalidations.Inc()
+		c.invalidations.Add(1)
 	default:
-		c.hits.Inc()
+		c.hits.Add(1)
 		return Outcome{Stats: p.Stats, Plan: p, Err: runtime.RunBodies(g)}, nil
 	}
 	eng := engine(g)
@@ -162,5 +154,5 @@ type Stats struct {
 
 // Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
-	return Stats{Hits: c.hits.Value(), Misses: c.misses.Value(), Invalidations: c.invalidations.Value()}
+	return Stats{Hits: c.hits.Load(), Misses: c.misses.Load(), Invalidations: c.invalidations.Load()}
 }

@@ -1,10 +1,9 @@
 package plan_test
 
 // The replay property: a replayed run is indistinguishable from a fresh
-// simulation. For every combination of problem size, process grid, device
-// count, scheduling policy and broadcast topology, the schedule digest of
-// the replay equals the fresh run's digest and the numeric factor is
-// bit-identical. Run under -race in CI (test job): the body executor
+// simulation. For every combination of problem size, process grid and
+// device count, the schedule digest of the replay equals the fresh run's
+// digest and the numeric factor is bit-identical. Run under -race in CI (test job): the body executor
 // (runtime.RunBodies) is the only concurrency in the path, and this grid
 // exercises it across every graph shape.
 
@@ -19,37 +18,17 @@ import (
 
 type gridCase struct {
 	nt, ranks, devPerRank int
-	policy, topo          string
 }
 
 func replayGrid() []gridCase {
-	var cases []gridCase
-	// Platform sweep at the default policy and topology.
-	for _, pl := range [][3]int{{4, 1, 1}, {4, 1, 3}, {4, 4, 2}, {8, 4, 2}} {
-		cases = append(cases, gridCase{nt: pl[0], ranks: pl[1], devPerRank: pl[2]})
-	}
-	// Policy × topology sweep at a fixed multi-rank platform.
-	for _, pol := range []string{"", "locality", "cp"} {
-		for _, topo := range []string{"", "flat", "chain"} {
-			if pol == "" && topo == "" {
-				continue // covered above
-			}
-			cases = append(cases, gridCase{nt: 6, ranks: 4, devPerRank: 2, policy: pol, topo: topo})
-		}
-	}
-	return cases
+	return []gridCase{{4, 1, 1}, {4, 1, 3}, {4, 4, 2}, {8, 4, 2}}
 }
 
-// name labels the case ptg/nt<NT>-<ranks>x<GPUs>-<policy>-<topology>.
+// name labels the case ptg/nt<NT>-<ranks>x<GPUs>-fifo-binomial; the suffix
+// names the engine's one schedule (priority-ordered ready queues,
+// binomial-tree broadcasts).
 func (c gridCase) name() string {
-	pol, topo := c.policy, c.topo
-	if pol == "" {
-		pol = "fifo"
-	}
-	if topo == "" {
-		topo = "binomial"
-	}
-	return fmt.Sprintf("ptg/nt%d-%dx%d-%s-%s", c.nt, c.ranks, c.devPerRank, pol, topo)
+	return fmt.Sprintf("ptg/nt%d-%dx%d-fifo-binomial", c.nt, c.ranks, c.devPerRank)
 }
 
 // TestReplayMatchesFresh is the golden-replay property across the full
@@ -62,7 +41,7 @@ func TestReplayMatchesFresh(t *testing.T) {
 			const ureq = 1e-8
 
 			// Fresh simulation: the reference digest and factor.
-			fresh := newConfig(t, gc.nt, gc.ranks, gc.devPerRank, ureq, gc.policy, gc.topo)
+			fresh := newConfig(t, gc.nt, gc.ranks, gc.devPerRank, ureq)
 			freshRes, err := cholesky.Run(fresh)
 			if err != nil {
 				t.Fatalf("fresh run: %v", err)
@@ -78,7 +57,7 @@ func TestReplayMatchesFresh(t *testing.T) {
 			// bit-identical: replays do not consume the plan.
 			cache := plan.NewCache(nil)
 			for _, step := range []string{"compile", "replay", "second replay"} {
-				cfg := newConfig(t, gc.nt, gc.ranks, gc.devPerRank, ureq, gc.policy, gc.topo)
+				cfg := newConfig(t, gc.nt, gc.ranks, gc.devPerRank, ureq)
 				res, err := cholesky.RunCached(cfg, cache)
 				if err != nil {
 					t.Fatalf("%s: %v", step, err)
@@ -111,7 +90,7 @@ func TestPlanBackedResult(t *testing.T) {
 	var res *cholesky.Result
 	for i := 0; i < 2; i++ { // the second run replays
 		var err error
-		if res, err = cholesky.RunCached(newConfig(t, 4, 2, 2, 1e-8, "", ""), cache); err != nil {
+		if res, err = cholesky.RunCached(newConfig(t, 4, 2, 2, 1e-8), cache); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,30 +112,35 @@ func TestPlanBackedResult(t *testing.T) {
 }
 
 // TestReplayRejectsMismatch: a cached plan is never replayed under a
-// different shape or precision signature. A policy change misses, a looser
-// accuracy (different maps) invalidates, and both come out as fresh runs.
+// different shape or precision signature. A strategy change misses, a
+// looser accuracy (different maps) invalidates, and both come out as fresh
+// runs.
 func TestReplayRejectsMismatch(t *testing.T) {
 	cache := plan.NewCache(nil)
-	if _, err := cholesky.RunCached(newConfig(t, 4, 2, 2, 1e-8, "", ""), cache); err != nil {
+	if _, err := cholesky.RunCached(newConfig(t, 4, 2, 2, 1e-8), cache); err != nil {
 		t.Fatalf("prime: %v", err)
 	}
 	for _, c := range []struct {
-		label  string
-		ureq   float64
-		policy string
-		want   plan.Stats
+		label string
+		ureq  float64
+		strat cholesky.Strategy
+		want  plan.Stats
 	}{
-		{"policy", 1e-8, "locality", plan.Stats{Misses: 2}},
-		{"precision map", 1e-2, "", plan.Stats{Misses: 2, Invalidations: 1}},
+		{"strategy", 1e-8, cholesky.ForceTTC, plan.Stats{Misses: 2}},
+		{"precision map", 1e-2, cholesky.Auto, plan.Stats{Misses: 2, Invalidations: 1}},
 	} {
-		got, err := cholesky.RunCached(newConfig(t, 4, 2, 2, c.ureq, c.policy, ""), cache)
+		cfg := newConfig(t, 4, 2, 2, c.ureq)
+		cfg.Strategy = c.strat
+		got, err := cholesky.RunCached(cfg, cache)
 		if err != nil {
 			t.Fatalf("%s: %v", c.label, err)
 		}
 		if s := cache.Stats(); s != c.want {
 			t.Fatalf("%s change: counters %+v, want %+v", c.label, s, c.want)
 		}
-		ref, err := cholesky.Run(newConfig(t, 4, 2, 2, c.ureq, c.policy, ""))
+		fresh := newConfig(t, 4, 2, 2, c.ureq)
+		fresh.Strategy = c.strat
+		ref, err := cholesky.Run(fresh)
 		if err != nil {
 			t.Fatalf("%s fresh: %v", c.label, err)
 		}

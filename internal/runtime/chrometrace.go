@@ -21,8 +21,6 @@ func (e *Engine) WriteChromeTrace(w io.Writer, name func(id int) string) error {
 	tr.SetMeta("makespan_seconds", fmt.Sprintf("%g", e.stats.Makespan))
 	tr.SetMeta("energy_joules", fmt.Sprintf("%g", e.stats.Energy))
 	tr.SetMeta("schedule_digest", fmt.Sprintf("%016x", e.stats.ScheduleDigest))
-	tr.SetMeta("sched_policy", e.policy.Name())
-	tr.SetMeta("bcast_topology", e.topo.Name())
 
 	const (
 		tidCompute = 0

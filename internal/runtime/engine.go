@@ -7,14 +7,13 @@ import (
 	"geompc/internal/comm"
 	"geompc/internal/obs"
 	"geompc/internal/prec"
-	"geompc/internal/sched"
 )
 
 // Engine executes a Graph on a Platform, producing virtual-time statistics
 // and (when task bodies are present) real numeric results. The engine is
-// the orchestration core; the communication fabric (links, broadcast
-// topology) lives in internal/comm and the scheduling policy (queue order,
-// placement) in internal/sched.
+// the orchestration core; the communication links live in internal/comm.
+// The schedule is the paper's: owner-computes placement, ready queues
+// ordered by priority (readyBefore), binomial-tree broadcasts (publish).
 type Engine struct {
 	plat *Platform
 	g    Graph
@@ -35,25 +34,9 @@ type Engine struct {
 	// of execution (stream double-buffering). Default 2.
 	Lookahead int
 
-	// Policy selects the scheduling policy — ready-queue order and device
-	// placement. Nil means sched.FIFO{}, the engine's historical behavior
-	// (owner-computes placement, priority/id order).
-	Policy sched.Policy
-
-	// Bcast selects the inter-rank broadcast topology. Nil means
-	// comm.Binomial{}, the engine's historical behavior.
-	Bcast comm.Topology
-
 	devices []*device
 	// nics holds one comm.Link per rank: the send side of its broadcasts.
 	nics []*comm.Link
-	// Resolved policy/topology for the current run (defaults applied), the
-	// shared ready-queue ordering, and the placement scratch buffer.
-	policy  sched.Policy
-	topo    comm.Topology
-	ord     heapOrder
-	placing bool
-	refsBuf []sched.DataRef
 
 	// Host-availability index: when the graph implements DataBounder the
 	// dense per-(rank,data) table is used (one flat slice, -1 = absent);
@@ -109,7 +92,6 @@ func (e *Engine) Run() (Stats, error) {
 		e.Trace = true // the energy-conservation check needs the intervals
 	}
 	n := e.g.NumTasks()
-	e.resolveSched()
 	e.hostAvail, e.hostDense, e.hostBound = nil, nil, 0
 	if b, ok := e.g.(DataBounder); ok {
 		// Cap the dense tables' footprint; graphs with huge sparse id
@@ -132,7 +114,7 @@ func (e *Engine) Run() (Stats, error) {
 	}
 	e.devices = make([]*device, e.plat.NumDevices())
 	for i := range e.devices {
-		e.devices[i] = newDevice(i, e.plat.RankOfDevice(i), e.plat.Node.GPU, e.Trace, e.hostBound, &e.ord)
+		e.devices[i] = newDevice(i, e.plat.RankOfDevice(i), e.plat.Node.GPU, e.Trace, e.hostBound)
 	}
 	e.nics = make([]*comm.Link, e.plat.Ranks)
 	for r := range e.nics {
@@ -208,7 +190,7 @@ func (e *Engine) takeSpec() *TaskSpec {
 }
 
 // enqueueReady materializes task id's spec from the freelist and pushes it
-// onto its (possibly re-placed) device's ready queue.
+// onto its device's ready queue.
 func (e *Engine) enqueueReady(id int) int {
 	spec := e.takeSpec()
 	e.g.Spec(id, spec)
@@ -217,9 +199,6 @@ func (e *Engine) enqueueReady(id int) int {
 		e.fail(&GraphError{Task: id, Msg: fmt.Sprintf("assigned to invalid device %d", spec.Device)})
 		e.specFree = append(e.specFree, spec)
 		return 0
-	}
-	if e.placing {
-		spec.Device = e.placeTask(spec)
 	}
 	d := e.devices[spec.Device]
 	d.ready.push(spec)
@@ -475,17 +454,16 @@ func (e *Engine) publish(d *device, spec *TaskSpec, p *PublishSpec) {
 	}
 
 	if n := len(p.RemoteRanks); n > 0 {
-		// Broadcast over the run's topology: the sender's NIC is occupied
-		// for SenderHops hop-durations; receiver i has the data after
-		// ArrivalHops(i) hops. Under the default binomial tree this is the
-		// engine's historical arithmetic, bit for bit: one hop of NIC
-		// occupancy, every receiver served after ceil(log2(n+1)) hops.
+		// Binomial-tree broadcast: the root sends once, then every holder
+		// forwards in parallel — one hop of NIC occupancy at the sender,
+		// every receiver served after ceil(log2(n+1)) hops.
 		nic := e.nics[d.rank]
 		hop := nic.Time(p.WireBytes)
 		nstart := nic.StartAfter(hostAt)
-		nic.Occupy(nstart, hop*e.topo.SenderHops(n), p.WireBytes)
-		for i, rr := range p.RemoteRanks {
-			e.setHostAvail(rr, spec.Output.Data, nstart+hop*e.topo.ArrivalHops(i, n))
+		nic.Occupy(nstart, hop, p.WireBytes)
+		arrive := nstart + hop*math.Ceil(math.Log2(float64(n)+1))
+		for _, rr := range p.RemoteRanks {
+			e.setHostAvail(rr, spec.Output.Data, arrive)
 			e.stats.BytesNet += p.WireBytes
 			e.stats.NetByPrec[p.WirePrec] += p.WireBytes
 		}

@@ -417,6 +417,30 @@ func TestPriorityOrdering(t *testing.T) {
 	}
 }
 
+// TestReadyQueueOrder: a device's ready queue pops by descending priority,
+// ties by ascending task id. Ten tasks tie on priority, so a tie-break
+// that is not the id (a coin flip passes a single tied pair every other
+// run) cannot order them all by luck.
+func TestReadyQueueOrder(t *testing.T) {
+	var h taskHeap
+	push := func(id int, pri int64) { h.push(&TaskSpec{ID: id, Priority: pri}) }
+	push(3, 10)
+	push(1, 10)
+	push(0, 5)
+	push(2, 20)
+	for id := 11; id > 3; id-- {
+		push(id, 10)
+	}
+	want := []int{2, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0}
+	var got []int
+	for h.Len() > 0 {
+		got = append(got, h.pop().ID)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("pop order %v, want %v", got, want)
+	}
+}
+
 func TestEnergyAccounting(t *testing.T) {
 	g := newTestGraph(1)
 	flops := 7.8e12 * 0.97 // exactly one second of FP64 on V100 (minus launch)

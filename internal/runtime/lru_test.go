@@ -10,7 +10,7 @@ import (
 func newLRUDevice(capacity int64) *device {
 	spec := *hw.V100
 	spec.MemBytes = capacity
-	return newDevice(0, 0, &spec, false, 0, &heapOrder{fifo: true})
+	return newDevice(0, 0, &spec, false, 0)
 }
 
 func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {

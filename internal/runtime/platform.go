@@ -123,10 +123,10 @@ type DeviceStats struct {
 // streams and links share one trace currency.
 type Interval = comm.Interval
 
-func newDevice(id, rank int, spec *hw.GPUSpec, trace bool, dataBound int, ord *heapOrder) *device {
+func newDevice(id, rank int, spec *hw.GPUSpec, trace bool, dataBound int) *device {
 	d := &device{
 		id: id, rank: rank, spec: spec,
-		ready: &taskHeap{ord: ord},
+		ready: &taskHeap{},
 		trace: trace,
 		h2d:   comm.NewLink(fmt.Sprintf("dev%d/h2d", id), spec.H2DLink(), trace),
 		d2h:   comm.NewLink(fmt.Sprintf("dev%d/d2h", id), spec.D2HLink(), trace),

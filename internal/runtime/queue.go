@@ -1,7 +1,5 @@
 package runtime
 
-import "geompc/internal/sched"
-
 // This file holds the engine's two hand-rolled heaps: the global
 // completion-event heap and the per-device ready queue. Both avoid
 // container/heap so pushing never boxes through an interface — the seed
@@ -66,40 +64,18 @@ func siftDownEvent(h []event, i int) {
 	}
 }
 
-// heapOrder is the ready-queue comparator every device's taskHeap shares: it
-// routes comparisons through the run's sched.Policy. The FIFO fast path
-// inlines the historical descending-priority/ascending-id order so the
-// default policy pays no interface call per sift step.
-type heapOrder struct {
-	pol  sched.Policy
-	cp   []int64 // per-task critical-path lengths; nil unless requested
-	fifo bool
-}
-
-func (o *heapOrder) key(t *TaskSpec) sched.Key {
-	k := sched.Key{ID: t.ID, Priority: t.Priority}
-	if o.cp != nil && t.ID < len(o.cp) {
-		k.CP = o.cp[t.ID]
+// readyBefore is the ready-queue order: descending priority, ties broken by
+// ascending task id — a total order, which keeps the simulation
+// deterministic.
+func readyBefore(a, b *TaskSpec) bool {
+	if a.Priority != b.Priority {
+		return a.Priority > b.Priority
 	}
-	return k
+	return a.ID < b.ID
 }
 
-// before is the comparator every sift step routes through.
-func (o *heapOrder) before(a, b *TaskSpec) bool {
-	if o.fifo {
-		if a.Priority != b.Priority {
-			return a.Priority > b.Priority
-		}
-		return a.ID < b.ID
-	}
-	return o.pol.Before(o.key(a), o.key(b))
-}
-
-// taskHeap is one device's ready queue, ordered by the run's policy (a
-// total order — ties break by id — which keeps the simulation
-// deterministic).
+// taskHeap is one device's ready queue, ordered by readyBefore.
 type taskHeap struct {
-	ord   *heapOrder
 	items []*TaskSpec
 }
 
@@ -111,7 +87,7 @@ func (h *taskHeap) push(t *TaskSpec) {
 	s := h.items
 	for i := len(s) - 1; i > 0; {
 		p := (i - 1) / 2
-		if !h.ord.before(s[i], s[p]) {
+		if !readyBefore(s[i], s[p]) {
 			break
 		}
 		s[i], s[p] = s[p], s[i]
@@ -119,7 +95,7 @@ func (h *taskHeap) push(t *TaskSpec) {
 	}
 }
 
-// pop removes the policy-first ready task.
+// pop removes the first ready task.
 func (h *taskHeap) pop() *TaskSpec {
 	s := h.items
 	top := s[0]
@@ -130,10 +106,10 @@ func (h *taskHeap) pop() *TaskSpec {
 	for i := 0; ; {
 		l, r := 2*i+1, 2*i+2
 		m := i
-		if l < n && h.ord.before(s[l], s[m]) {
+		if l < n && readyBefore(s[l], s[m]) {
 			m = l
 		}
-		if r < n && h.ord.before(s[r], s[m]) {
+		if r < n && readyBefore(s[r], s[m]) {
 			m = r
 		}
 		if m == i {

@@ -1,10 +1,10 @@
 package sweep_test
 
 // The executor's reason to exist: a serial-vs-parallel golden-digest
-// property test over the full cross product of scheduling policy ×
-// broadcast topology. Every grid point runs a real numeric Cholesky
-// factorization; schedule digests, factor-bit digests and the run's Stats
-// must be identical for every worker count.
+// property test over the cross product of communication strategy ×
+// platform. Every grid point runs a real numeric Cholesky factorization;
+// schedule digests, factor-bit digests and the run's Stats must be
+// identical for every worker count.
 
 import (
 	"math"
@@ -12,14 +12,12 @@ import (
 	"testing"
 
 	"geompc/internal/cholesky"
-	"geompc/internal/comm"
 	"geompc/internal/geo"
 	"geompc/internal/hw"
 	"geompc/internal/obs"
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
-	"geompc/internal/sched"
 	"geompc/internal/stats"
 	"geompc/internal/sweep"
 	"geompc/internal/tile"
@@ -32,32 +30,33 @@ const (
 
 // goldenPoint is one cell of the property grid.
 type goldenPoint struct {
-	policy, topo string
+	strat             cholesky.Strategy
+	ranks, devPerRank int
 }
 
-// goldenGrid is the policy × topology cross product.
+// goldenGrid is the strategy × platform cross product: six points, so a
+// four-worker pool shares work.
 func goldenGrid() []goldenPoint {
-	policies := []string{"fifo", "locality", "cp"}
-	topos := []string{"binomial", "flat", "chain"}
 	var grid []goldenPoint
-	for _, p := range policies {
-		for _, tp := range topos {
-			grid = append(grid, goldenPoint{policy: p, topo: tp})
+	for _, strat := range []cholesky.Strategy{cholesky.Auto, cholesky.ForceTTC} {
+		for _, pl := range [][2]int{{1, 2}, {2, 1}, {2, 2}} {
+			grid = append(grid, goldenPoint{strat: strat, ranks: pl[0], devPerRank: pl[1]})
 		}
 	}
 	return grid
 }
 
 // goldenConfig builds the numeric problem for one grid point: 5×5 tiles of
-// 16, squared-exponential covariance, adaptive maps at 1e-8, one rank with
-// two GPUs. Every call builds fresh state — the matrix is factorized in
-// place, so points must never share it.
+// 16 on the point's squarest process grid, squared-exponential covariance,
+// adaptive maps at 1e-8. Every call builds fresh state — the matrix is
+// factorized in place, so points must never share it.
 func goldenConfig(t testing.TB, gp goldenPoint) cholesky.Config {
 	t.Helper()
 	n := goldenNT * goldenTS
 	rng := stats.NewRNG(42, 0)
 	locs := geo.GenerateLocations(n, 2, rng)
-	d, err := tile.NewDesc(n, goldenTS, 1, 1)
+	p, q := tile.SquarestGrid(gp.ranks)
+	d, err := tile.NewDesc(n, goldenTS, p, q)
 	if err != nil {
 		t.Fatalf("NewDesc: %v", err)
 	}
@@ -69,18 +68,11 @@ func goldenConfig(t testing.TB, gp goldenPoint) cholesky.Config {
 	maps := precmap.New(km, 1e-8)
 	mat.SetStorage(func(i, j int) prec.Precision { return maps.Storage[i][j] })
 
-	plat, err := runtime.NewPlatform(hw.SummitNode, 1, 2)
+	plat, err := runtime.NewPlatform(hw.SummitNode, gp.ranks, gp.devPerRank)
 	if err != nil {
 		t.Fatalf("NewPlatform: %v", err)
 	}
-	cfg := cholesky.Config{Desc: d, Maps: maps, Platform: plat, Matrix: mat}
-	if cfg.Sched, err = sched.ByName(gp.policy); err != nil {
-		t.Fatalf("sched.ByName(%q): %v", gp.policy, err)
-	}
-	if cfg.Bcast, err = comm.TopologyByName(gp.topo); err != nil {
-		t.Fatalf("TopologyByName(%q): %v", gp.topo, err)
-	}
-	return cfg
+	return cholesky.Config{Desc: d, Maps: maps, Platform: plat, Matrix: mat, Strategy: gp.strat}
 }
 
 // goldenDigests is what one grid point must reproduce exactly: the
@@ -123,8 +115,8 @@ func runGoldenPoint(t testing.TB, gp goldenPoint) (goldenResult, error) {
 	}, nil
 }
 
-// TestGoldenDigestSerialVsParallel: for every point of the policy ×
-// topology grid, the parallel executor reproduces the serial digests and
+// TestGoldenDigestSerialVsParallel: for every point of the strategy ×
+// platform grid, the parallel executor reproduces the serial digests and
 // the serial run's whole Stats bit for bit at every worker count.
 func TestGoldenDigestSerialVsParallel(t *testing.T) {
 	if testing.Short() {
