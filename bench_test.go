@@ -131,8 +131,8 @@ func BenchmarkFig8STCvsTTC(b *testing.B) {
 func BenchmarkFig9Occupancy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := bench.NewTable("Fig 9", "config", "time(s)", "mean occ %")
-		for _, cfg := range bench.OccupancyConfigs() {
-			run, err := bench.EnergyRunOne(hw.HaxaneNode, cfg, 32768, 2048, 20, 1)
+		for _, v := range bench.Baselines() {
+			run, err := bench.EnergyRunOne(hw.HaxaneNode, v, 32768, 2048, 20, 1, false)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -140,7 +140,7 @@ func BenchmarkFig9Occupancy(b *testing.B) {
 			for _, o := range run.Occupancy {
 				avg += o.V
 			}
-			t.Add(cfg.Label, run.Time, 100*avg/float64(len(run.Occupancy)))
+			t.Add(v.Name, run.Time, 100*avg/float64(len(run.Occupancy)))
 		}
 		if i == 0 {
 			b.Log("\n" + renderTable(t))
@@ -154,8 +154,8 @@ func BenchmarkFig10Energy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := bench.NewTable("Fig 10", "GPU", "config", "time(s)", "kJ", "Gflops/W")
 		for _, nd := range []*hw.NodeSpec{hw.SummitNode, hw.GuyotNode, hw.HaxaneNode} {
-			for _, cfg := range bench.EnergySweepConfigs() {
-				run, err := bench.EnergyRunOne(nd, cfg, 32768, 2048, 10, 1)
+			for _, v := range bench.EnergyVariants() {
+				run, err := bench.EnergyRunOne(nd, v, 32768, 2048, 10, 1, false)
 				if err != nil {
 					b.Fatal(err)
 				}

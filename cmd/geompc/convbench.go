@@ -87,12 +87,12 @@ func runConvbench(args []string, out io.Writer) error {
 		speed[r.Config][r.Strategy] = r.Tflops
 	}
 	st := bench.NewTable(fmt.Sprintf("STC/TTC speedup at N=%d", last), "Config", "Speedup")
-	for _, cfg := range bench.ConvConfigs() {
-		m := speed[cfg.Name]
+	for _, v := range bench.Baselines() {
+		m := speed[v.Name]
 		if m == nil || m["TTC"] == 0 {
 			continue
 		}
-		st.Add(cfg.Name, m["STC"]/m["TTC"])
+		st.Add(v.Name, m["STC"]/m["TTC"])
 	}
 	st.Write(out)
 	return nil

@@ -41,6 +41,13 @@ func runFit(args []string, out io.Writer) error {
 		return err
 	}
 	mach := core.Machine{Node: nd, Ranks: 1, GPUs: *gpus}
+	// Built before anything is printed, so a rejected -gpus leaves stdout
+	// empty; the run is labeled with what it simulates (-gpus 0 is the
+	// whole node).
+	plat, err := mach.Platform()
+	if err != nil {
+		return err
+	}
 
 	ds, err := core.GenerateDataset(*n, app.Kernel.Dim(), app.Kernel, app.Theta, *seed)
 	if err != nil {
@@ -60,7 +67,7 @@ func runFit(args []string, out io.Writer) error {
 	if *ureq > 0 {
 		label = fmt.Sprintf("adaptive MP @ u_req=%.0e", *ureq)
 	}
-	fmt.Fprintf(out, "\nfit (%s) on %d×%s:\n", label, *gpus, nd.GPU.Name)
+	fmt.Fprintf(out, "\nfit (%s) on %d×%s:\n", label, plat.DevPerRank, nd.GPU.Name)
 	for i, name := range rep.ParamNames {
 		fmt.Fprintf(out, "  %-8s = %.4f  (truth %.4f)\n", name, rep.Theta[i], app.Theta[i])
 	}

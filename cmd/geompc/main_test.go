@@ -39,6 +39,9 @@ func TestCommands(t *testing.T) {
 		{name: "fit/bad-kernel", args: "-kernel 5D-nope", fail: true},
 		{name: "fit/negative-n", args: "-n -3", fail: true, errWant: "need at least one location, got n=-3"}, // not a makeslice panic
 		{name: "fit/nan-ureq", args: "-n 50 -ureq NaN", fail: true},                                          // not run as "exact FP64"
+		{name: "fit/zero-gpus", args: "-n 36 -ts 18 -gpus 0",
+			want: []string{"on 6×V100:"}}, // the label names what was simulated
+		{name: "fit/negative-gpus", args: "-n 36 -ts 18 -gpus -2", fail: true, errWant: "negative GPUs per rank -2"},
 
 		{name: "trace/smoke", args: "-nt 4 -gpus 2",
 			want: []string{"simulated schedule, NT=4, 2 V100s", "makespan", "schedule digest"}},
@@ -75,6 +78,8 @@ func TestCommands(t *testing.T) {
 		{name: "precmap/smoke", args: "-demo -comm -demo-n 1024 -demo-ts 256",
 			want: []string{"Fig 2a: kernel-precision map", "Fig 2b: storage-precision map", "Fig 4b: communication-precision map"}},
 		{name: "precmap/bad-app", args: "-demo -app 4D-nope", fail: true},
+		{name: "precmap/zero-samples", args: "-fig7 -n 8192 -ts 1024 -samples 0", fail: true, errWant: "got 0"},       // not 0/0 norms read as 100% FP64
+		{name: "precmap/negative-samples", args: "-fig7 -n 8192 -ts 1024 -samples -1", fail: true, errWant: "got -1"}, // not a panic
 
 		{name: "gemmbench/smoke", args: "-table1 -table2",
 			want: []string{"Table I: peak performance", "Table II: time measurement on V100"}},
@@ -83,7 +88,9 @@ func TestCommands(t *testing.T) {
 		{name: "accuracy/smoke", args: "-dim 2 -replicas 2 -n 48 -ts 16 -levels 0,1e-2 -case sqexp -maxevals 4",
 			want: []string{"2D-sqexp weak", "2 replicas of n=48", "exact", "1e-02"}},
 		{name: "accuracy/bad-dim", args: "-dim 4", fail: true},
-		{name: "accuracy/negative-level", args: "-levels -1 -replicas 1 -n 48 -ts 16 -maxevals 2", fail: true}, // not run as "exact"
+		{name: "accuracy/negative-level", args: "-levels -1 -replicas 1 -n 48 -ts 16 -maxevals 2", fail: true},               // not run as "exact"
+		{name: "accuracy/nan-level", args: "-levels NaN -replicas 1 -n 48 -ts 16 -maxevals 2", fail: true, errWant: "u_req"}, // not run as "exact"
+		{name: "accuracy/inf-level", args: "-levels Inf -replicas 1 -n 48 -ts 16 -maxevals 2", fail: true, errWant: "u_req"}, // not a "+Inf" row
 
 		{name: "ablation/chaos-flag-gone", args: "-chaos", fail: true, errWant: "flag provided but not defined: -chaos"},
 		{name: "ablation/lookahead-smoke", args: "-lookahead -n 16384",
@@ -164,6 +171,7 @@ func TestSweepsIndependentOfGOMAXPROCS(t *testing.T) {
 	for _, args := range [][]string{
 		{"convbench", "-machine", "Summit", "-gpus", "1", "-sizes", "8192,16384"},
 		{"scale", "-nodes", "1,2", "-base-n", "8192", "-strong-n", "8192", "-mp-nodes", "2", "-sizes", "8192,16384"},
+		{"accuracy", "-replicas", "2", "-n", "48", "-ts", "16", "-levels", "0,1e-2", "-case", "sqexp weak", "-maxevals", "4"},
 	} {
 		args := args
 		t.Run(args[0], func(t *testing.T) {
@@ -175,6 +183,33 @@ func TestSweepsIndependentOfGOMAXPROCS(t *testing.T) {
 				t.Errorf("output differs between GOMAXPROCS 1 and 4:\n%s\n---\n%s", one, four)
 			}
 		})
+	}
+}
+
+// fig12cSmall is the stdout of `geompc scale -mp -mp-nodes 2 -sizes
+// 16384,32768`. Its application rows are the only precision maps drawn
+// from 64 tile-norm samples (every other figure draws 128), and no
+// results/ file the golden test regenerates covers Fig 12.
+const fig12cSmall = `## Fig 12c: MP effect on 2 nodes (12 GPUs)
+Config     N      Tflop/s  Speedup vs FP64  Time(s)
+---------  -----  -------  ---------------  -------
+FP64       16384  18.121   1                0.081
+FP64       32768  52.707   1                0.223
+FP32       16384  36.144   1.995            0.041
+FP32       32768  105.4    1.999            0.111
+2D-sqexp   16384  30.104   1.661            0.049
+2D-sqexp   32768  91.015   1.727            0.129
+2D-Matern  16384  18.41    1.016            0.08
+2D-Matern  32768  51.648   0.98             0.227
+3D-sqexp   16384  18.496   1.021            0.079
+3D-sqexp   32768  55.323   1.05             0.212
+
+`
+
+// TestScaleMPPinned pins a small Fig 12c table byte for byte.
+func TestScaleMPPinned(t *testing.T) {
+	if got := runOut(t, "scale", "-mp", "-mp-nodes", "2", "-sizes", "16384,32768"); got != fig12cSmall {
+		t.Errorf("Fig 12c output changed:\n%s", got)
 	}
 }
 

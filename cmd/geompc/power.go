@@ -42,9 +42,8 @@ func runPower(args []string, out io.Writer) error {
 			size = 81920
 		}
 		fmt.Fprintf(out, "## Fig 9: GPU occupancy of one H100 (N=%d)\n", size)
-		for _, cfg := range bench.OccupancyConfigs() {
-			cfg.Audit = *audit
-			run, err := bench.EnergyRunOne(hw.HaxaneNode, cfg, size, *ts, *bins, 1)
+		for _, v := range bench.Baselines() {
+			run, err := bench.EnergyRunOne(hw.HaxaneNode, v, size, *ts, *bins, 1, *audit)
 			if err != nil {
 				return err
 			}
@@ -53,7 +52,7 @@ func runPower(args []string, out io.Writer) error {
 				avg += o.V
 			}
 			avg /= float64(len(run.Occupancy))
-			fmt.Fprintf(out, "%-14s time %7.2fs  mean occupancy %5.1f%%  trace:", cfg.Label, run.Time, 100*avg)
+			fmt.Fprintf(out, "%-14s time %7.2fs  mean occupancy %5.1f%%  trace:", v.Name, run.Time, 100*avg)
 			for _, o := range run.Occupancy {
 				fmt.Fprintf(out, " %2.0f", 100*o.V)
 			}
@@ -85,9 +84,8 @@ func runPower(args []string, out io.Writer) error {
 			t := bench.NewTable(
 				fmt.Sprintf("Fig 10: power/energy on one %s (N=%d)", nd.GPU.Name, size),
 				"Config", "Time(s)", "Energy(kJ)", "AvgPower(W)", "Gflops/W")
-			for _, cfg := range bench.EnergySweepConfigs() {
-				cfg.Audit = *audit
-				run, err := bench.EnergyRunOne(nd, cfg, size, *ts, *bins, 1)
+			for _, v := range bench.EnergyVariants() {
+				run, err := bench.EnergyRunOne(nd, v, size, *ts, *bins, 1, *audit)
 				if err != nil {
 					return err
 				}

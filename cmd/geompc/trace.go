@@ -6,12 +6,11 @@ import (
 	"io"
 	"strings"
 
+	"geompc/internal/bench"
 	"geompc/internal/cholesky"
 	"geompc/internal/hw"
 	"geompc/internal/prec"
-	"geompc/internal/precmap"
 	"geompc/internal/runtime"
-	"geompc/internal/tile"
 )
 
 // runTrace prints the simulated execution timeline of a small mixed-
@@ -37,14 +36,8 @@ func runTrace(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	d, err := tile.NewDesc(*nt**ts, *ts, 1, 1)
-	if err != nil {
-		return err
-	}
-	res, err := cholesky.Run(cholesky.Config{
-		Desc: d, Maps: precmap.New(precmap.Uniform(*nt, prec.FP16x32), 1e-4),
-		Platform: plat, Trace: true, Audit: *audit,
-	})
+	res, err := bench.RunPhantom(cholesky.Config{Platform: plat, Trace: true, Audit: *audit},
+		*nt**ts, *ts, bench.Variant{OffDiag: prec.FP16x32}.Map(0, 0), "trace")
 	if err != nil {
 		return err
 	}

@@ -4,12 +4,10 @@ import (
 	"fmt"
 
 	"geompc/internal/cholesky"
-	"geompc/internal/geo"
 	"geompc/internal/hw"
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
-	"geompc/internal/stats"
 	"geompc/internal/tile"
 )
 
@@ -33,11 +31,7 @@ func AdaptiveVsBanded(app App, n, ts int, node *hw.NodeSpec, seed uint64) ([]Abl
 	if err != nil {
 		return nil, err
 	}
-	rng := stats.NewRNG(seed, 0)
-	locs := geo.GenerateLocations(n, app.Kernel.Dim(), rng)
-	normFn, global := precmap.EstimateTileNorms(locs, desc, app.Kernel, app.Theta, app.Nugget, 128, rng)
-	adaptive := precmap.NewKernelMap(desc.NT, normFn, global, app.UReq, prec.CholeskySet)
-
+	adaptive := Variant{App: &app}.Map(128, seed)(desc)
 	b64, b32 := precmap.MatchBandsToMap(adaptive)
 	banded, err := precmap.BandedKernelMap(desc.NT, b64, b32, prec.FP16)
 	if err != nil {
@@ -49,53 +43,43 @@ func AdaptiveVsBanded(app App, n, ts int, node *hw.NodeSpec, seed uint64) ([]Abl
 		return nil, err
 	}
 	run := func(name string, km [][]prec.Precision) (AblationRow, error) {
-		maps := precmap.New(km, app.UReq)
-		res, err := cholesky.Run(cholesky.Config{Desc: desc, Maps: maps, Platform: plat, Strategy: cholesky.Auto})
+		res, err := RunPhantom(cholesky.Config{Platform: plat}, n, ts,
+			func(tile.Desc) [][]prec.Precision { return km }, "ablation "+name)
 		if err != nil {
-			return AblationRow{}, fmt.Errorf("bench: ablation %s: %w", name, err)
+			return AblationRow{}, err
 		}
-		counts := maps.Counts()
-		total := desc.NT * (desc.NT + 1) / 2
+		counts := precmap.New(km, 0).Counts()
 		return AblationRow{
 			Variant:   name,
 			Tflops:    res.Stats.Flops / 1e12,
 			Time:      res.Stats.Makespan,
 			BytesH2D:  res.Stats.BytesH2D,
-			FP64Share: float64(counts[prec.FP64]) / float64(total),
+			FP64Share: float64(counts[prec.FP64]) / float64(desc.LowerTileCount()),
 		}, nil
 	}
-	var rows []AblationRow
 	a, err := run("adaptive (Higham-Mary)", adaptive)
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, a)
 	b, err := run(fmt.Sprintf("banded (b64=%d,b32=%d)", b64, b32), banded)
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, b)
-	return rows, nil
+	return []AblationRow{a, b}, nil
 }
 
 // LookaheadAblation measures how the engine's stream pipeline depth affects
 // the makespan of a transfer-bound factorization — the double-buffering
 // design choice called out in DESIGN.md.
 func LookaheadAblation(n, ts int, node *hw.NodeSpec, depths []int) ([]AblationRow, error) {
-	desc, err := tile.NewDesc(n, ts, 1, 1)
-	if err != nil {
-		return nil, err
-	}
-	maps := precmap.New(precmap.Uniform(desc.NT, prec.FP16), 1e-2)
 	plat, err := runtime.NewPlatform(node, 1, 1)
 	if err != nil {
 		return nil, err
 	}
+	km := Variant{OffDiag: prec.FP16}.Map(0, 0)
 	var rows []AblationRow
 	for _, d := range depths {
-		res, err := cholesky.Run(cholesky.Config{
-			Desc: desc, Maps: maps, Platform: plat, Strategy: cholesky.Auto, Lookahead: d,
-		})
+		res, err := RunPhantom(cholesky.Config{Platform: plat, Lookahead: d}, n, ts, km, fmt.Sprintf("lookahead=%d", d))
 		if err != nil {
 			return nil, err
 		}

@@ -186,8 +186,7 @@ func TestRenderMaps(t *testing.T) {
 }
 
 func TestEnergyRun(t *testing.T) {
-	run, err := EnergyRunOne(hw.SummitNode, EnergyConfig{Label: "FP64", OffDiag: prec.FP64, Uniform: true},
-		16384, 2048, 50, 1)
+	run, err := EnergyRunOne(hw.SummitNode, fp64, 16384, 2048, 50, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,21 +214,20 @@ func TestEnergyRun(t *testing.T) {
 }
 
 func TestEnergyMPSavesEnergy(t *testing.T) {
-	fp64, err := EnergyRunOne(hw.SummitNode, EnergyConfig{Label: "FP64", OffDiag: prec.FP64, Uniform: true},
-		16384, 2048, 10, 1)
+	base, err := EnergyRunOne(hw.SummitNode, fp64, 16384, 2048, 10, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	app := Apps()[0]
-	mp, err := EnergyRunOne(hw.SummitNode, EnergyConfig{Label: "MP", App: &app}, 16384, 2048, 10, 1)
+	mp, err := EnergyRunOne(hw.SummitNode, Variant{Name: "MP", App: &app}, 16384, 2048, 10, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mp.EnergyJ >= fp64.EnergyJ {
-		t.Errorf("MP energy %g J not below FP64 %g J", mp.EnergyJ, fp64.EnergyJ)
+	if mp.EnergyJ >= base.EnergyJ {
+		t.Errorf("MP energy %g J not below FP64 %g J", mp.EnergyJ, base.EnergyJ)
 	}
-	if mp.GflopsPerW <= fp64.GflopsPerW {
-		t.Errorf("MP %g Gflops/W not above FP64 %g", mp.GflopsPerW, fp64.GflopsPerW)
+	if mp.GflopsPerW <= base.GflopsPerW {
+		t.Errorf("MP %g Gflops/W not above FP64 %g", mp.GflopsPerW, base.GflopsPerW)
 	}
 }
 
@@ -376,9 +374,8 @@ func TestWeakScalingBadTileSize(t *testing.T) {
 // TestEnergyRunRejectsNoBins: zero or negative trace windows leave the
 // occupancy mean a 0/0, so the run is refused up front.
 func TestEnergyRunRejectsNoBins(t *testing.T) {
-	cfg := EnergyConfig{Label: "FP64", OffDiag: prec.FP64, Uniform: true}
 	for _, bins := range []int{0, -3} {
-		if _, err := EnergyRunOne(hw.SummitNode, cfg, 8192, 2048, bins, 1); err == nil {
+		if _, err := EnergyRunOne(hw.SummitNode, fp64, 8192, 2048, bins, 1, false); err == nil {
 			t.Errorf("bins=%d accepted", bins)
 		}
 	}

@@ -35,7 +35,7 @@ func TestConvSweepCachedMatchesFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 			res, err := cholesky.RunCached(cholesky.Config{
-				Desc: desc, Maps: precmap.New(p.cfg.KernelMap(desc.NT), 1e-2), Platform: plat, Strategy: p.strat,
+				Desc: desc, Maps: precmap.New(p.v.Map(0, 0)(desc), 0), Platform: plat, Strategy: p.strat,
 			}, cache)
 			if err != nil {
 				t.Fatal(err)

@@ -4,13 +4,8 @@ import (
 	"fmt"
 
 	"geompc/internal/cholesky"
-	"geompc/internal/geo"
 	"geompc/internal/hw"
-	"geompc/internal/prec"
-	"geompc/internal/precmap"
 	"geompc/internal/runtime"
-	"geompc/internal/stats"
-	"geompc/internal/tile"
 )
 
 // TracePoint is one sample of a power or occupancy trace.
@@ -35,45 +30,17 @@ type EnergyRun struct {
 	Res *cholesky.Result
 }
 
-// EnergyConfig selects what executes: a uniform FP64 baseline or one of the
-// paper's applications under its required accuracy.
-type EnergyConfig struct {
-	Label string
-	// App is nil for the FP64 baseline.
-	App *App
-	// OffDiag, when set with App nil and Label not FP64, builds a fixed
-	// two-precision extreme (used by the Fig 9 occupancy panels).
-	OffDiag prec.Precision
-	Uniform bool
-	// Audit turns on the runtime's invariant auditor for the run.
-	Audit bool
-}
-
-// EnergySweepConfigs returns Fig 10's per-GPU comparisons: FP64 vs the
+// EnergyVariants returns Fig 10's per-GPU comparisons: FP64 vs the
 // adaptive MP approach for each application.
-func EnergySweepConfigs() []EnergyConfig {
-	apps := Apps()
-	out := []EnergyConfig{{Label: "FP64", OffDiag: prec.FP64, Uniform: true}}
-	for i := range apps {
-		out = append(out, EnergyConfig{Label: "MP " + apps[i].Name, App: &apps[i]})
-	}
-	return out
+func EnergyVariants() []Variant {
+	return append([]Variant{fp64}, appVariants("MP ")...)
 }
 
-// OccupancyConfigs returns Fig 9's four panels: FP64, FP32,
-// FP64/FP16_32 and FP64/FP16 (all STC).
-func OccupancyConfigs() []EnergyConfig {
-	return []EnergyConfig{
-		{Label: "FP64", OffDiag: prec.FP64, Uniform: true},
-		{Label: "FP32", OffDiag: prec.FP32, Uniform: true},
-		{Label: "FP64/FP16_32", OffDiag: prec.FP16x32},
-		{Label: "FP64/FP16", OffDiag: prec.FP16},
-	}
-}
-
-// EnergyRunOne executes one traced single-GPU factorization and bins its
-// power and occupancy traces into `bins` windows.
-func EnergyRunOne(node *hw.NodeSpec, cfg EnergyConfig, n, ts, bins int, seed uint64) (*EnergyRun, error) {
+// EnergyRunOne executes one traced single-GPU factorization under v (an
+// application map samples 128 entries per tile from RNG stream 0 of seed)
+// and bins its power and occupancy traces into `bins` windows. audit turns
+// on the runtime's invariant auditor for the run.
+func EnergyRunOne(node *hw.NodeSpec, v Variant, n, ts, bins int, seed uint64, audit bool) (*EnergyRun, error) {
 	if bins <= 0 {
 		return nil, fmt.Errorf("bench: energy run needs at least one trace window, got bins=%d", bins)
 	}
@@ -81,36 +48,14 @@ func EnergyRunOne(node *hw.NodeSpec, cfg EnergyConfig, n, ts, bins int, seed uin
 	if err != nil {
 		return nil, err
 	}
-	desc, err := tile.NewDesc(n, ts, 1, 1)
+	res, err := RunPhantom(cholesky.Config{Platform: plat, Trace: true, Audit: audit}, n, ts, v.Map(128, seed),
+		fmt.Sprintf("energy run %s n=%d", v.Name, n))
 	if err != nil {
 		return nil, err
 	}
-	var km [][]prec.Precision
-	switch {
-	case cfg.App != nil:
-		rng := stats.NewRNG(seed, 0)
-		locs := geo.GenerateLocations(n, cfg.App.Kernel.Dim(), rng)
-		normFn, global := precmap.EstimateTileNorms(locs, desc, cfg.App.Kernel, cfg.App.Theta, cfg.App.Nugget, 128, rng)
-		km = precmap.NewKernelMap(desc.NT, normFn, global, cfg.App.UReq, prec.CholeskySet)
-	case cfg.Uniform:
-		km = precmap.UniformAll(desc.NT, cfg.OffDiag)
-	default:
-		km = precmap.Uniform(desc.NT, cfg.OffDiag)
-	}
-	ureq := 1e-2
-	if cfg.App != nil {
-		ureq = cfg.App.UReq
-	}
-	maps := precmap.New(km, ureq)
-	res, err := cholesky.Run(cholesky.Config{
-		Desc: desc, Maps: maps, Platform: plat, Strategy: cholesky.Auto, Trace: true, Audit: cfg.Audit,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("bench: energy run %s n=%d: %w", cfg.Label, n, err)
-	}
 	busy, xfer := res.DeviceTrace(0)
 	run := &EnergyRun{
-		Label:      cfg.Label,
+		Label:      v.Name,
 		N:          n,
 		Time:       res.Stats.Makespan,
 		EnergyJ:    res.Stats.Energy,

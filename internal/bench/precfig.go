@@ -1,12 +1,11 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 
-	"geompc/internal/geo"
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
-	"geompc/internal/stats"
 	"geompc/internal/tile"
 )
 
@@ -22,17 +21,16 @@ type PrecMapResult struct {
 
 // PrecisionMap computes the Fig 7 kernel-precision map for one application
 // at the given matrix and tile size, using the sampled tile-norm estimator
-// (exact below the sampling threshold).
+// (exact below the sampling threshold) with `samples` entries per tile.
 func PrecisionMap(app App, n, ts, samples int, seed uint64) (*PrecMapResult, error) {
+	if samples < 1 {
+		return nil, fmt.Errorf("bench: need at least one tile-norm sample per tile, got %d", samples)
+	}
 	desc, err := tile.NewDesc(n, ts, 1, 1)
 	if err != nil {
 		return nil, err
 	}
-	rng := stats.NewRNG(seed, 0)
-	locs := geo.GenerateLocations(n, app.Kernel.Dim(), rng)
-	normFn, global := precmap.EstimateTileNorms(locs, desc, app.Kernel, app.Theta, app.Nugget, samples, rng)
-	km := precmap.NewKernelMap(desc.NT, normFn, global, app.UReq, prec.CholeskySet)
-	maps := precmap.New(km, app.UReq)
+	maps := precmap.New(Variant{App: &app}.Map(samples, seed)(desc), 0)
 	stc, total := maps.STCCount()
 	share := 0.0
 	if total > 0 {

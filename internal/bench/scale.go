@@ -5,12 +5,9 @@ import (
 	"math"
 
 	"geompc/internal/cholesky"
-	"geompc/internal/geo"
 	"geompc/internal/hw"
 	"geompc/internal/prec"
-	"geompc/internal/precmap"
 	"geompc/internal/runtime"
-	"geompc/internal/stats"
 	"geompc/internal/sweep"
 	"geompc/internal/tile"
 )
@@ -31,51 +28,23 @@ type ScaleRow struct {
 	Digest uint64
 }
 
-// scaleConfig is either a uniform baseline or an application map.
-type scaleConfig struct {
-	name    string
-	app     *App
-	uniform prec.Precision
-}
-
-func scaleConfigs(withFP32 bool) []scaleConfig {
-	out := []scaleConfig{{name: "FP64", uniform: prec.FP64}}
-	if withFP32 {
-		out = append(out, scaleConfig{name: "FP32", uniform: prec.FP32})
-	}
-	apps := Apps()
-	for i := range apps {
-		out = append(out, scaleConfig{name: apps[i].Name, app: &apps[i]})
-	}
-	return out
-}
-
-// runScale executes one phantom factorization on `nodes` Summit nodes.
-func runScale(cfg scaleConfig, nodes, n, ts int, seed uint64) (ScaleRow, error) {
+// runScale executes one phantom factorization on `nodes` Summit nodes. An
+// application map samples 64 entries per tile (the figure's committed
+// results were drawn that way), from RNG stream 0 of seed.
+func runScale(v Variant, nodes, n, ts int, seed uint64) (ScaleRow, error) {
 	plat, err := runtime.NewPlatform(hw.SummitNode, nodes, 0)
 	if err != nil {
 		return ScaleRow{}, err
 	}
-	km := func(d tile.Desc) [][]prec.Precision { return precmap.UniformAll(d.NT, cfg.uniform) }
-	ureq := 1e-2
-	if cfg.app != nil {
-		km = func(d tile.Desc) [][]prec.Precision {
-			rng := stats.NewRNG(seed, 0)
-			locs := geo.GenerateLocations(n, cfg.app.Kernel.Dim(), rng)
-			normFn, global := precmap.EstimateTileNorms(locs, d, cfg.app.Kernel, cfg.app.Theta, cfg.app.Nugget, 64, rng)
-			return precmap.NewKernelMap(d.NT, normFn, global, cfg.app.UReq, prec.CholeskySet)
-		}
-		ureq = cfg.app.UReq
-	}
-	res, err := solvePoint(cholesky.Config{Platform: plat}, n, ts, km, ureq,
-		fmt.Sprintf("scale %s nodes=%d n=%d", cfg.name, nodes, n))
+	res, err := RunPhantom(cholesky.Config{Platform: plat}, n, ts, v.Map(64, seed),
+		fmt.Sprintf("scale %s nodes=%d n=%d", v.Name, nodes, n))
 	if err != nil {
 		return ScaleRow{}, err
 	}
 	gpus := plat.NumDevices()
 	peak := hw.V100.SupportedPeak(prec.FP64) * float64(gpus)
 	return ScaleRow{
-		Config: cfg.name, Nodes: nodes, GPUs: gpus, N: n,
+		Config: v.Name, Nodes: nodes, GPUs: gpus, N: n,
 		Tflops:  res.Stats.Flops / 1e12,
 		Time:    res.Stats.Makespan,
 		PctPeak: 100 * res.Stats.Flops / peak,
@@ -100,7 +69,7 @@ func WeakScaling(nodeCounts []int, baseN, ts int, so SweepOpts) ([]ScaleRow, err
 		nodes := nodeCounts[i]
 		n := int(float64(baseN) * math.Sqrt(float64(nodes)/base))
 		n = (n + ts - 1) / ts * ts
-		return runScale(scaleConfig{name: "FP64", uniform: prec.FP64}, nodes, n, ts, 1)
+		return runScale(fp64, nodes, n, ts, 1)
 	})
 }
 
@@ -109,7 +78,7 @@ func WeakScaling(nodeCounts []int, baseN, ts int, so SweepOpts) ([]ScaleRow, err
 // per node count.
 func StrongScaling(nodeCounts []int, n, ts int, so SweepOpts) ([]ScaleRow, error) {
 	return sweep.Run(len(nodeCounts), so, func(i int) (ScaleRow, error) {
-		return runScale(scaleConfig{name: "FP64", uniform: prec.FP64}, nodeCounts[i], n, ts, 1)
+		return runScale(fp64, nodeCounts[i], n, ts, 1)
 	})
 }
 
@@ -120,17 +89,17 @@ func StrongScaling(nodeCounts []int, n, ts int, so SweepOpts) ([]ScaleRow, error
 // sweep has returned every row.
 func MPEffect(nodes int, sizes []int, ts int, so SweepOpts) ([]ScaleRow, error) {
 	type point struct {
-		cfg scaleConfig
-		n   int
+		v Variant
+		n int
 	}
 	var pts []point
-	for _, cfg := range scaleConfigs(true) {
+	for _, v := range append(Baselines()[:2], appVariants("")...) { // FP64, FP32, the apps
 		for _, n := range sizes {
-			pts = append(pts, point{cfg: cfg, n: n})
+			pts = append(pts, point{v: v, n: n})
 		}
 	}
 	rows, err := sweep.Run(len(pts), so, func(i int) (ScaleRow, error) {
-		return runScale(pts[i].cfg, nodes, pts[i].n, ts, 2)
+		return runScale(pts[i].v, nodes, pts[i].n, ts, 2)
 	})
 	if err != nil {
 		return nil, err

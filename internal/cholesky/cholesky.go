@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 
-	"geompc/internal/plan"
 	"geompc/internal/prec"
 	"geompc/internal/runtime"
 )
@@ -22,15 +21,18 @@ type Result struct {
 	// success or in phantom mode.
 	Err error
 
-	// out holds the live engine, or the plan a cache served the run from
-	// (see RunCached); nt decodes its task ids into names.
-	out plan.Outcome
-	nt  int
+	// eng is the engine of a live run, nil when a plan cache served the
+	// run (see RunCached); sched is the run's task timeline in commit
+	// order and nt decodes its task ids into names.
+	eng   *runtime.Engine
+	sched []runtime.ScheduledTask
+	nt    int
 }
 
-// newResult wraps one finished run under cfg.
-func newResult(cfg Config, out plan.Outcome) *Result {
-	r := &Result{Stats: out.Stats, Strategy: cfg.Strategy, Err: out.Err, out: out, nt: cfg.Desc.NT}
+// newResult wraps one finished run under cfg: its stats, numeric failure
+// and timeline.
+func newResult(cfg Config, stats runtime.Stats, err error, sched []runtime.ScheduledTask) *Result {
+	r := &Result{Stats: stats, Strategy: cfg.Strategy, Err: err, sched: sched, nt: cfg.Desc.NT}
 	if cfg.Strategy == ForceTTC {
 		_, r.CommTasks = cfg.Maps.STCCount()
 	} else {
@@ -43,10 +45,10 @@ func newResult(cfg Config, out plan.Outcome) *Result {
 // recorded during a Trace-enabled run. Plan-backed results carry no
 // interval traces and return nil slices.
 func (r *Result) DeviceTrace(i int) (busy, xfer []runtime.Interval) {
-	if r.out.Engine == nil {
+	if r.eng == nil {
 		return nil, nil
 	}
-	return r.out.Engine.DeviceTrace(i)
+	return r.eng.DeviceTrace(i)
 }
 
 // Digest returns the run's schedule digest (see runtime.Stats.ScheduleDigest).
@@ -56,16 +58,30 @@ func (r *Result) Digest() uint64 { return r.Stats.ScheduleDigest }
 // kernel spans labeled in the paper's task notation. Plan-backed results
 // carry no interval traces and return an error.
 func (r *Result) WriteChromeTrace(w io.Writer) error {
-	if r.out.Engine == nil {
+	if r.eng == nil {
 		return fmt.Errorf("cholesky: chrome traces need a live run (plan-backed result)")
 	}
-	return r.out.Engine.WriteChromeTrace(w, newIDs(r.nt).name)
+	return r.eng.WriteChromeTrace(w, newIDs(r.nt).name)
 }
 
 // Run executes the adaptive mixed-precision tile Cholesky described by cfg
 // live and returns its simulated statistics (and, in numeric mode, leaves
 // the factor L in cfg.Matrix's lower tiles).
-func Run(cfg Config) (*Result, error) { return RunCached(cfg, nil) }
+func Run(cfg Config) (*Result, error) {
+	g, err := newGraph(cfg)
+	if err != nil {
+		return nil, err
+	}
+	eng := cfg.Engine(g)
+	stats, err := eng.Run()
+	if err != nil {
+		return nil, err
+	}
+	g.releaseOperands()
+	r := newResult(cfg, stats, eng.BodyErr(), eng.ScheduleTrace())
+	r.eng = eng
+	return r, nil
+}
 
 // newGraph validates cfg and builds the PTG task graph of one
 // factorization.
@@ -127,10 +143,9 @@ type ScheduledTask struct {
 // Schedule returns the simulated task timeline of a Trace-enabled run,
 // labeled in the paper's notation — the Fig 3 execution demonstration.
 func (r *Result) Schedule() []ScheduledTask {
-	raw := r.out.Schedule()
 	s := newIDs(r.nt)
-	out := make([]ScheduledTask, len(raw))
-	for i, t := range raw {
+	out := make([]ScheduledTask, len(r.sched))
+	for i, t := range r.sched {
 		out[i] = ScheduledTask{
 			Name:   s.name(t.ID),
 			Device: t.Device,

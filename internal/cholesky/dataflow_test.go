@@ -3,6 +3,7 @@ package cholesky
 import (
 	"errors"
 	"fmt"
+	"io"
 	gort "runtime"
 	"testing"
 
@@ -33,6 +34,30 @@ func factorOnce(t *testing.T, a, b Config, replayed bool) (uint64, error) {
 		t.Fatal(err)
 	}
 	return factorDigest(a.Matrix), res.Err
+}
+
+// TestRunCachedNilCacheRunsLive: RunCached without a cache is Run — the
+// same schedule digest, the same factor and a live, traceable result.
+func TestRunCachedNilCacheRunsLive(t *testing.T) {
+	a, b := buildNumericConfig(t, 5, 2, 2)
+	a.Trace, b.Trace = true, true
+	live, err := Run(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunCached(b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Digest() != live.Digest() {
+		t.Errorf("nil-cache digest %016x != Run's %016x", got.Digest(), live.Digest())
+	}
+	if factorDigest(b.Matrix) != factorDigest(a.Matrix) {
+		t.Error("nil-cache factor differs from Run's")
+	}
+	if err := got.WriteChromeTrace(io.Discard); err != nil {
+		t.Errorf("nil-cache result is not a live run: %v", err)
+	}
 }
 
 // TestFactorDigestAcrossGOMAXPROCSAndReplay: bodies run in dataflow order on

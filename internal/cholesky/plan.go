@@ -38,20 +38,21 @@ func PlanGraph(cfg Config) (runtime.Graph, error) {
 }
 
 // RunCached is Run through a plan cache (see plan.Cache.Run for the
-// miss/hit/invalidation flow). A nil cache runs live.
+// miss/hit/invalidation flow); a nil cache is Run. It is the only caller of
+// internal/plan, kept for the frozen benchmark/ tree: no fit, study or
+// figure passes a cache.
 func RunCached(cfg Config, c *plan.Cache) (*Result, error) {
-	var g *graph
-	out, err := c.Run(
-		func() (uint64, uint64) { return planShapeSig(cfg), cfg.Maps.Signature() },
-		func() (runtime.Graph, error) {
-			var err error
-			g, err = newGraph(cfg)
-			return g, err
-		},
-		cfg.Engine)
+	if c == nil {
+		return Run(cfg)
+	}
+	g, err := newGraph(cfg)
+	if err != nil {
+		return nil, err
+	}
+	p, bodyErr, err := c.Run(planShapeSig(cfg), cfg.Maps.Signature(), g, cfg.Engine)
 	if err != nil {
 		return nil, err
 	}
 	g.releaseOperands()
-	return newResult(cfg, out), nil
+	return newResult(cfg, p.Stats, bodyErr, p.Schedule), nil
 }

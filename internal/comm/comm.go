@@ -1,8 +1,7 @@
 // Package comm models the communication fabric of the simulated machine as
 // first-class resources: every host-link direction (PCIe/NVLink up and
-// down), every intra-node peer lane and every rank's NIC is a Link — a
-// serial resource with its own free time, cumulative busy time and
-// (optionally) a traced interval log.
+// down) and every rank's NIC is a Link — a serial resource with its own
+// free time, cumulative busy time and (optionally) a traced interval log.
 //
 // The runtime engine used to fold all of this into ad-hoc scalar fields
 // (h2dFree, nicFree, ...); extracting it here makes links auditable (the

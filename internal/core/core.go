@@ -263,16 +263,13 @@ func ProjectFactorization(n int, kernel geo.Kernel, theta []float64, opts Option
 	if err != nil {
 		return nil, err
 	}
-	rng := stats.NewRNG(seed, 1)
-	locs := geo.GenerateLocations(n, kernel.Dim(), rng)
 	var km [][]prec.Precision
 	if opts.UReq > 0 {
-		normFn, global := precmap.EstimateTileNorms(locs, desc, kernel, theta, opts.nugget(), 128, rng)
-		km = precmap.NewKernelMap(desc.NT, normFn, global, opts.UReq, prec.CholeskySet)
+		km = precmap.Sampled(desc, kernel, theta, opts.nugget(), opts.UReq, 128, stats.NewRNG(seed, 1))
 	} else {
 		km = precmap.UniformAll(desc.NT, prec.FP64)
 	}
-	maps := precmap.New(km, opts.UReq)
+	maps := precmap.New(km, 0)
 	res, err := cholesky.Run(cholesky.Config{
 		Desc: desc, Maps: maps, Platform: plat, Strategy: opts.strategy(),
 	})

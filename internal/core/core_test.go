@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -153,6 +154,30 @@ func TestProjectFactorization(t *testing.T) {
 	}
 	if proj.Energy >= fp64.Energy {
 		t.Errorf("MP energy %g not below FP64 %g", proj.Energy, fp64.Energy)
+	}
+}
+
+// TestProjectFactorizationPinned pins one mixed-precision projection on
+// two Summit nodes: the sampled precision map (drawn from RNG stream 1 of
+// the seed), the conversion decisions it implies, the data motion and the
+// bits of the simulated time.
+func TestProjectFactorizationPinned(t *testing.T) {
+	p, err := ProjectFactorization(16384, SqExp2D(), []float64{1, 0.03}, Options{UReq: 1e-4, Machine: Summit(2)}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTiles := map[prec.Precision]int{prec.FP64: 8, prec.FP32: 6, prec.FP16x32: 8, prec.FP16: 14}
+	if !reflect.DeepEqual(p.TilesByPrec, wantTiles) {
+		t.Errorf("tiles by precision %v, want %v", p.TilesByPrec, wantTiles)
+	}
+	if p.STCTasks != 7 || p.CommTasks != 35 {
+		t.Errorf("STC %d of %d communicating tasks, want 7 of 35", p.STCTasks, p.CommTasks)
+	}
+	if p.BytesH2D != 3472883712 || p.BytesNet != 469762048 {
+		t.Errorf("bytes h2d %d net %d, want 3472883712 and 469762048", p.BytesH2D, p.BytesNet)
+	}
+	if bits := math.Float64bits(p.Time); bits != 0x3fa8ef004a3e3332 {
+		t.Errorf("time bits %#x, want 0x3fa8ef004a3e3332", bits)
 	}
 }
 

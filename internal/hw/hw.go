@@ -64,9 +64,6 @@ type GPUSpec struct {
 	H2DBw, D2HBw float64
 	LinkLatency  float64
 
-	// PeerBw is the intra-node device-to-device bandwidth, bytes/s.
-	PeerBw float64
-
 	// MemBytes is device memory capacity; MemBw its bandwidth (bounds the
 	// datatype-conversion kernels, which are memory-bound).
 	MemBytes int64
@@ -146,9 +143,9 @@ func (g *GPUSpec) DynPower(p prec.Precision) float64 {
 }
 
 // LinkSpec is the timing/power model of one point-to-point transfer
-// resource: a host-link direction, an intra-node peer (NVLink/NVSwitch)
-// lane, or a rank's NIC. internal/comm turns a LinkSpec into a simulated
-// serial resource with occupancy and traced intervals.
+// resource: a host-link direction or a rank's NIC. internal/comm turns a
+// LinkSpec into a simulated serial resource with occupancy and traced
+// intervals.
 type LinkSpec struct {
 	Bw    float64 // bytes/s
 	Lat   float64 // fixed per-transfer latency, seconds
@@ -170,11 +167,6 @@ func (g *GPUSpec) H2DLink() LinkSpec {
 // it is identical to D2HTime.
 func (g *GPUSpec) D2HLink() LinkSpec {
 	return LinkSpec{Bw: g.D2HBw, Lat: g.LinkLatency, Power: g.TransferW}
-}
-
-// PeerLink is the intra-node device-to-device lane (NVLink/NVSwitch).
-func (g *GPUSpec) PeerLink() LinkSpec {
-	return LinkSpec{Bw: g.PeerBw, Lat: g.LinkLatency, Power: g.TransferW}
 }
 
 // NICLink is the rank's network injection port.
@@ -212,7 +204,6 @@ var (
 		},
 		LaunchOverhead: 5e-6,
 		H2DBw:          50e9, D2HBw: 50e9, LinkLatency: 10e-6,
-		PeerBw:   50e9,
 		MemBytes: 16 << 30, MemBw: 900e9,
 		IdleW: 52, TDP: 300,
 		PowerFactor: map[prec.Precision]float64{
@@ -240,7 +231,6 @@ var (
 		},
 		LaunchOverhead: 4e-6,
 		H2DBw:          24e9, D2HBw: 24e9, LinkLatency: 8e-6,
-		PeerBw:   300e9, // NVSwitch
 		MemBytes: 80 << 30, MemBw: 2.0e12,
 		IdleW: 62, TDP: 400,
 		PowerFactor: map[prec.Precision]float64{
@@ -269,7 +259,6 @@ var (
 		},
 		LaunchOverhead: 4e-6,
 		H2DBw:          45e9, D2HBw: 45e9, LinkLatency: 8e-6,
-		PeerBw:   45e9,
 		MemBytes: 80 << 30, MemBw: 2.0e12,
 		IdleW: 58, TDP: 350,
 		PowerFactor: map[prec.Precision]float64{

@@ -13,7 +13,6 @@ package mle
 import (
 	"fmt"
 	"math"
-	goruntime "runtime"
 	"sync"
 
 	"geompc/internal/cholesky"
@@ -25,6 +24,7 @@ import (
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
 	"geompc/internal/stats"
+	"geompc/internal/sweep"
 	"geompc/internal/tile"
 )
 
@@ -84,9 +84,21 @@ func (p *Problem) putBuf(b *evalBuf) {
 	p.mu.Unlock()
 }
 
+// checkUReq rejects an accuracy the precision rule cannot use — NaN, ±Inf
+// or negative — rather than running it as exact FP64 or all FP16.
+func checkUReq(u float64) error {
+	if math.IsNaN(u) || math.IsInf(u, 0) || u < 0 {
+		return fmt.Errorf("mle: u_req must be 0 (exact FP64) or finite and positive, got %g", u)
+	}
+	return nil
+}
+
 func (p *Problem) defaults() error {
 	if len(p.Locs) == 0 || len(p.Locs) != len(p.Z) {
 		return fmt.Errorf("mle: %d locations vs %d observations", len(p.Locs), len(p.Z))
+	}
+	if err := checkUReq(p.UReq); err != nil {
+		return err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -171,7 +183,7 @@ func (p *Problem) NegLogLik(theta []float64, rs *RunStats) (float64, error) {
 	} else {
 		km = precmap.UniformAll(desc.NT, prec.FP64)
 	}
-	maps := precmap.New(km, p.UReq)
+	maps := precmap.New(km, 0)
 	mat.SetStorage(func(i, j int) prec.Precision { return maps.Storage[i][j] })
 
 	res, err := cholesky.Run(cholesky.Config{
@@ -378,78 +390,57 @@ type MCResult struct {
 
 // MonteCarlo runs the full study. Replicas share true parameters but use
 // independent RNG streams, so results are reproducible and embarrassingly
-// parallel across replicas — the harness fans them out over GOMAXPROCS
-// workers, and the estimate vectors keep replica order regardless of
-// completion order.
+// parallel: the level × replica grid runs on the sweep executor, one
+// worker per GOMAXPROCS, and the estimate vectors keep replica order
+// regardless of completion order. A replica whose fit fails is counted in
+// Failed; one whose data cannot be generated fails the study (the
+// lowest-index such error).
 func MonteCarlo(cfg MCConfig) ([]MCResult, error) {
 	if cfg.Replicas <= 0 || cfg.N <= 0 {
 		return nil, fmt.Errorf("mle: bad Monte-Carlo config: replicas=%d n=%d", cfg.Replicas, cfg.N)
+	}
+	for _, u := range cfg.UReqs {
+		if err := checkUReq(u); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.MaxEvals <= 0 {
 		cfg.MaxEvals = 600
 	}
 	np := cfg.Kernel.NumParams()
-	results := make([]MCResult, 0, len(cfg.UReqs))
-	for _, ureq := range cfg.UReqs {
-		outcomes := make([]mcOutcome, cfg.Replicas)
-		workers := gomaxprocs()
-		if workers > cfg.Replicas {
-			workers = cfg.Replicas
-		}
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for r := range jobs {
-					outcomes[r] = runReplica(cfg, ureq, r, np)
-				}
-			}()
-		}
-		for r := 0; r < cfg.Replicas; r++ {
-			jobs <- r
-		}
-		close(jobs)
-		wg.Wait()
-
+	fits, err := sweep.Run(len(cfg.UReqs)*cfg.Replicas, sweep.Options{Workers: sweep.PerCore}, func(i int) (*FitResult, error) {
+		return runReplica(cfg, cfg.UReqs[i/cfg.Replicas], i%cfg.Replicas, np)
+	})
+	if err != nil {
+		return nil, err
+	}
+	results := make([]MCResult, len(cfg.UReqs))
+	for l, ureq := range cfg.UReqs {
 		mc := MCResult{UReq: ureq, Estimates: make([][]float64, np)}
-		for r := 0; r < cfg.Replicas; r++ {
-			o := outcomes[r]
-			if o.err != nil {
-				if o.fit == nil {
-					return nil, o.err
-				}
+		for _, fit := range fits[l*cfg.Replicas : (l+1)*cfg.Replicas] {
+			if fit == nil {
 				mc.Failed++
 				continue
 			}
-			fit := o.fit
 			for i := 0; i < np; i++ {
 				mc.Estimates[i] = append(mc.Estimates[i], fit.Theta[i])
 			}
 			mc.Stats.Merge(fit.Stats)
 		}
-		results = append(results, mc)
+		results[l] = mc
 	}
 	return results, nil
 }
 
-// mcOutcome is one replica's result: a fit, a counted fit failure
-// (fit non-nil zero value + err), or a fatal data-generation error
-// (fit nil + err).
-type mcOutcome struct {
-	fit *FitResult
-	err error
-}
-
-// runReplica generates one replica's dataset and fits it.
-func runReplica(cfg MCConfig, ureq float64, r, np int) (o mcOutcome) {
+// runReplica generates replica r's dataset and fits it at ureq. A failed
+// fit returns a nil result and no error; only a data-generation failure is
+// an error.
+func runReplica(cfg MCConfig, ureq float64, r, np int) (*FitResult, error) {
 	rng := stats.NewRNG(cfg.Seed, uint64(r))
 	locs := geo.GenerateLocations(cfg.N, cfg.Dim, rng)
 	z, err := geo.SimulateField(locs, cfg.Kernel, cfg.TrueTheta, cfg.Nugget, rng)
 	if err != nil {
-		o.err = fmt.Errorf("mle: replica %d data generation: %w", r, err)
-		return o
+		return nil, fmt.Errorf("mle: replica %d data generation: %w", r, err)
 	}
 	p := &Problem{
 		Locs: locs, Z: z, Kernel: cfg.Kernel, Nugget: cfg.Nugget,
@@ -458,12 +449,7 @@ func runReplica(cfg MCConfig, ureq float64, r, np int) (o mcOutcome) {
 	start, lo, hi := DefaultBounds(np)
 	fit, err := Fit(p, start, lo, hi, optimize.Options{Tol: 1e-9, MaxEvals: cfg.MaxEvals})
 	if err != nil {
-		o.fit = &FitResult{} // marks a counted (non-fatal) failure
-		o.err = err
-		return o
+		return nil, nil
 	}
-	o.fit = fit
-	return o
+	return fit, nil
 }
-
-func gomaxprocs() int { return goruntime.GOMAXPROCS(0) }

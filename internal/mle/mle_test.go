@@ -3,6 +3,7 @@ package mle
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"geompc/internal/geo"
@@ -321,11 +322,11 @@ func TestMonteCarloStatsSumReplicas(t *testing.T) {
 	}
 	var want RunStats
 	for r := 0; r < cfg.Replicas; r++ {
-		o := runReplica(cfg, cfg.UReqs[0], r, cfg.Kernel.NumParams())
-		if o.err != nil {
-			t.Fatal(o.err)
+		fit, err := runReplica(cfg, cfg.UReqs[0], r, cfg.Kernel.NumParams())
+		if err != nil || fit == nil {
+			t.Fatalf("replica %d: fit %v, error %v", r, fit, err)
 		}
-		fs := o.fit.Stats
+		fs := fit.Stats
 		want.Evaluations += fs.Evaluations
 		want.Time += fs.Time
 		want.Energy += fs.Energy
@@ -347,6 +348,33 @@ func TestMonteCarloStatsSumReplicas(t *testing.T) {
 func TestMonteCarloValidation(t *testing.T) {
 	if _, err := MonteCarlo(MCConfig{}); err == nil {
 		t.Error("empty config accepted")
+	}
+}
+
+// TestRejectsUnusableUReq: a NaN, infinite or negative u_req is an error
+// from every entry point — not an exact FP64 run (NaN) or an all-FP16 one
+// (+Inf) — and MonteCarlo refuses it before it fits any replica, rather
+// than counting each replica's failure.
+func TestRejectsUnusableUReq(t *testing.T) {
+	mc := MCConfig{
+		Replicas: 1, N: 32, Dim: 2,
+		Kernel:    geo.SqExp{Dimension: 2},
+		TrueTheta: []float64{1, 0.1},
+		Nugget:    1e-8, TileSize: 16, Seed: 1, MaxEvals: 2,
+	}
+	for _, u := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e-4} {
+		p, truth := testProblem(t, 32, u)
+		start, lo, hi := DefaultBounds(2)
+		_, nllErr := p.NegLogLik(truth, nil)
+		_, fitErr := Fit(p, start, lo, hi, optimize.Options{MaxEvals: 2})
+		_, impactErr := PrecisionImpact(p, truth, []float64{0}, 1, 1)
+		mc.UReqs = []float64{0, u}
+		_, mcErr := MonteCarlo(mc)
+		for name, err := range map[string]error{"NegLogLik": nllErr, "Fit": fitErr, "PrecisionImpact": impactErr, "MonteCarlo": mcErr} {
+			if err == nil || !strings.Contains(err.Error(), "u_req") {
+				t.Errorf("%s at u_req %g: error %v, want a u_req error", name, u, err)
+			}
+		}
 	}
 }
 

@@ -85,14 +85,4 @@ func TestRunCachedFlow(t *testing.T) {
 	if s := cache.Stats(); s != (plan.Stats{Hits: 2, Misses: 1, Invalidations: 1}) {
 		t.Fatalf("after recompile hit: %+v", s)
 	}
-
-	// A nil cache degrades to a live run.
-	n1 := newConfig(t, nt, ranks, dev, 1e-8)
-	nres, err := cholesky.RunCached(n1, nil)
-	if err != nil {
-		t.Fatalf("nil-cache run: %v", err)
-	}
-	if nres.Digest() != r1.Digest() {
-		t.Fatalf("nil-cache digest %016x != reference %016x", nres.Digest(), r1.Digest())
-	}
 }

@@ -1,9 +1,10 @@
 package plan
 
 // The cached-run flow driven directly, on a four-task graph, without the
-// factorization: nil-cache live runs, then miss → hit → changed-map
-// invalidation → hit, with all three counters pinned after every step. The
-// factorization suite (cache_test.go) covers the same sequence end to end.
+// factorization: miss → hit → changed-map invalidation → hit, with all
+// three counters pinned after every step and every digest checked against
+// an uncached engine run. The factorization suite (cache_test.go) covers
+// the same sequence end to end.
 
 import (
 	"sync"
@@ -49,28 +50,13 @@ func TestCacheRunFlow(t *testing.T) {
 	}
 	engine := func(g runtime.Graph) *runtime.Engine { return runtime.New(plat, g) }
 	const shape = 0x5a
-	run := func(c *Cache, wire prec.Precision) Outcome {
-		t.Helper()
-		out, err := c.Run(
-			func() (uint64, uint64) { return shape, uint64(wire) },
-			func() (runtime.Graph, error) { return diamond{wire}, nil },
-			engine)
+	fresh := map[prec.Precision]uint64{}
+	for _, wire := range []prec.Precision{prec.FP32, prec.FP16} {
+		stats, err := engine(diamond{wire}).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
-	}
-	fresh := map[prec.Precision]uint64{}
-	for _, wire := range []prec.Precision{prec.FP32, prec.FP16} {
-		out := run(nil, wire)
-		if out.Engine == nil || out.Plan != nil {
-			t.Fatalf("nil cache did not run live: %+v", out)
-		}
-		// This engine runs untraced: a live outcome has no timeline.
-		if len(out.Schedule()) != 0 {
-			t.Fatalf("live run: %d scheduled tasks, want 0", len(out.Schedule()))
-		}
-		fresh[wire] = out.Stats.ScheduleDigest
+		fresh[wire] = stats.ScheduleDigest
 	}
 	if fresh[prec.FP32] == fresh[prec.FP16] {
 		t.Fatal("the wire-format change does not move the schedule digest")
@@ -87,19 +73,19 @@ func TestCacheRunFlow(t *testing.T) {
 		{"changed map", prec.FP16, Stats{Hits: 1, Misses: 1, Invalidations: 1}},
 		{"hit after recompile", prec.FP16, Stats{Hits: 2, Misses: 1, Invalidations: 1}},
 	} {
-		out := run(c, step.wire)
+		p, bodyErr, err := c.Run(shape, uint64(step.wire), diamond{step.wire}, engine)
+		if err != nil || bodyErr != nil {
+			t.Fatalf("%s: error %v, body error %v", step.name, err, bodyErr)
+		}
 		if got := c.Stats(); got != step.want {
 			t.Fatalf("%s: counters %+v, want %+v", step.name, got, step.want)
 		}
-		if out.Engine != nil || out.Plan == nil {
-			t.Fatalf("%s: cached run has engine=%v plan=%v", step.name, out.Engine != nil, out.Plan != nil)
-		}
-		if out.Stats.ScheduleDigest != fresh[step.wire] {
-			t.Fatalf("%s: digest %016x != fresh run's %016x", step.name, out.Stats.ScheduleDigest, fresh[step.wire])
+		if p.Stats.ScheduleDigest != fresh[step.wire] {
+			t.Fatalf("%s: digest %016x != fresh run's %016x", step.name, p.Stats.ScheduleDigest, fresh[step.wire])
 		}
 		// A plan freezes the traced timeline.
-		if len(out.Schedule()) != 4 {
-			t.Fatalf("%s: %d scheduled tasks, want 4", step.name, len(out.Schedule()))
+		if len(p.Schedule) != 4 {
+			t.Fatalf("%s: %d scheduled tasks, want 4", step.name, len(p.Schedule))
 		}
 	}
 	if len(c.plans) != 1 {

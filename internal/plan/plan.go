@@ -85,66 +85,32 @@ func (c *Cache) store(p *Plan) {
 	c.plans[p.Sig] = p
 }
 
-// Outcome is what one Cache.Run produced. Exactly one of Plan and Engine is
-// set: Plan when the cache served the run (a replay, or the compile of a
-// miss or invalidation), Engine when the run went live (nil cache).
-type Outcome struct {
-	Stats  runtime.Stats
-	Plan   *Plan
-	Engine *runtime.Engine
-	// Err is the run's numeric failure (runtime.Engine.BodyErr), nil when
-	// every body succeeded or the graph had none.
-	Err error
-}
-
-// Schedule returns the run's task timeline in commit order: the plan's
-// frozen one, or whatever the live engine traced (empty without Trace).
-func (o Outcome) Schedule() []runtime.ScheduledTask {
-	if o.Plan != nil {
-		return o.Plan.Schedule
-	}
-	return o.Engine.ScheduleTrace()
-}
-
-// Run is the one cached-run flow. The first run of a shape compiles a plan
-// (miss); later runs under an unchanged precision map replay it (hit); a
-// changed map recompiles it (invalidation) — timing is coupled globally
+// Run is the one cached-run flow for graph g of shape signature sig under
+// a precision map of signature precSig. The first run of a shape compiles a
+// plan (miss); later runs under an unchanged precision map replay it (hit);
+// a changed map recompiles it (invalidation) — timing is coupled globally
 // through device and link contention, so a partial re-simulation would be
-// unsound. A nil cache runs everything live and counts nothing.
+// unsound. engine configures an engine for g.
 //
-// key returns the run's shape and precision-map signatures (consulted only
-// for a non-nil cache), build constructs its task graph, and engine
-// configures an engine for that graph.
-func (c *Cache) Run(key func() (sig, precSig uint64), build func() (runtime.Graph, error), engine func(runtime.Graph) *runtime.Engine) (Outcome, error) {
-	g, err := build()
-	if err != nil {
-		return Outcome{}, err
-	}
-	if c == nil {
-		eng := engine(g)
-		stats, err := eng.Run()
-		if err != nil {
-			return Outcome{}, err
-		}
-		return Outcome{Stats: stats, Engine: eng, Err: eng.BodyErr()}, nil
-	}
-	sig, precSig := key()
-	switch p := c.lookup(sig); {
+// It returns the plan that served the run and the run's numeric failure
+// (bodyErr: runtime.Engine.BodyErr of a compile, runtime.RunBodies of a
+// replay), nil when every body succeeded or the graph had none.
+func (c *Cache) Run(sig, precSig uint64, g runtime.Graph, engine func(runtime.Graph) *runtime.Engine) (p *Plan, bodyErr, err error) {
+	switch p = c.lookup(sig); {
 	case p == nil:
 		c.misses.Add(1)
 	case p.PrecSig != precSig:
 		c.invalidations.Add(1)
 	default:
 		c.hits.Add(1)
-		return Outcome{Stats: p.Stats, Plan: p, Err: runtime.RunBodies(g)}, nil
+		return p, runtime.RunBodies(g), nil
 	}
 	eng := engine(g)
-	p, err := compile(eng, sig, precSig)
-	if err != nil {
-		return Outcome{}, err
+	if p, err = compile(eng, sig, precSig); err != nil {
+		return nil, nil, err
 	}
 	c.store(p)
-	return Outcome{Stats: p.Stats, Plan: p, Err: eng.BodyErr()}, nil
+	return p, eng.BodyErr(), nil
 }
 
 // Stats is a point-in-time snapshot of the cache counters.

@@ -38,7 +38,6 @@ import (
 // maps cover the lower triangle: index [i][j] with j ≤ i.
 type Maps struct {
 	NT      int
-	UReq    float64            // application-required accuracy u_req
 	Kernel  [][]prec.Precision // precision of the numerical kernel on each tile
 	Storage [][]prec.Precision // precision each tile is generated/stored in
 	Comm    [][]prec.Precision // Algorithm 2: precision of communications issued by the task on each tile
@@ -91,12 +90,12 @@ func NewKernelMap(nt int, norm func(i, j int) float64, globalNorm, ureq float64,
 }
 
 // New derives the full Maps (storage map, Algorithm 2 comm map, STC flags)
-// from a kernel-precision map.
-func New(kernel [][]prec.Precision, ureq float64) *Maps {
+// from a kernel-precision map. Its float argument is ignored: it stays only
+// because the frozen benchmark/ tree passes one.
+func New(kernel [][]prec.Precision, _ float64) *Maps {
 	nt := len(kernel)
 	m := &Maps{
 		NT:      nt,
-		UReq:    ureq,
 		Kernel:  kernel,
 		Storage: lowerTri[prec.Precision](nt),
 		Comm:    lowerTri[prec.Precision](nt),
@@ -287,6 +286,16 @@ func EstimateTileNorms(locs []geo.Point, d tile.Desc, k geo.Kernel, theta []floa
 		}
 	}
 	return func(i, j int) float64 { return norms[i][j] }, sqrt64(ss)
+}
+
+// Sampled is the precision map of a factorization that has no matrix
+// (phantom mode): it draws d.N locations of kernel k from rng, estimates
+// every tile's norm from `samples` entries per tile (EstimateTileNorms,
+// same rng) and applies the Higham–Mary rule at ureq over prec.CholeskySet.
+func Sampled(d tile.Desc, k geo.Kernel, theta []float64, nugget, ureq float64, samples int, rng *stats.RNG) [][]prec.Precision {
+	locs := geo.GenerateLocations(d.N, k.Dim(), rng)
+	norm, global := EstimateTileNorms(locs, d, k, theta, nugget, samples, rng)
+	return NewKernelMap(d.NT, norm, global, ureq, prec.CholeskySet)
 }
 
 func covEntry(locs []geo.Point, gi, gj int, k geo.Kernel, theta []float64, nugget float64) float64 {

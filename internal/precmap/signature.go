@@ -7,8 +7,7 @@ import "geompc/internal/obs"
 // precision plus the STC flag of each lower-triangle tile. Two Maps with
 // equal signatures produce identical task systems (same kernel precisions,
 // wire formats, conversion counts), so a compiled plan keyed by this
-// signature replays bit-exactly. UReq is deliberately excluded — it only
-// influences how Kernel was chosen, not what the engine executes.
+// signature replays bit-exactly.
 func (m *Maps) Signature() uint64 {
 	var d obs.Digest
 	d.WriteInt64(int64(m.NT))

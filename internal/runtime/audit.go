@@ -135,7 +135,6 @@ func (e *Engine) auditLinks() {
 	for _, d := range e.devices {
 		e.auditLink(d.h2d)
 		e.auditLink(d.d2h)
-		e.auditLink(d.peer)
 		if !relClose(d.h2d.Busy()+d.d2h.Busy(), d.stats.TransferTime) {
 			e.violate("dev%d: host links busy %.12g s, DeviceStats.TransferTime %.12g s",
 				d.id, d.h2d.Busy()+d.d2h.Busy(), d.stats.TransferTime)

@@ -55,12 +55,11 @@ type device struct {
 
 	computeFree float64 // next instant the compute stream is free
 
-	// Host-link directions (and the intra-node peer lane) as first-class
-	// comm.Links: each carries its own free time, cumulative busy time and
-	// traced intervals. peer is constructed for symmetry — the Cholesky
-	// graph routes all tile exchange through host staging, so it stays
-	// idle until a D2D path exists.
-	h2d, d2h, peer *comm.Link
+	// Host-link directions as first-class comm.Links: each carries its own
+	// free time, cumulative busy time and traced intervals. The Cholesky
+	// graph routes all tile exchange through host staging, so a device has
+	// no peer (device-to-device) link.
+	h2d, d2h *comm.Link
 
 	committed int  // tasks accepted into the stream pipeline, not yet done
 	dirty     bool // queued for a pipeline refill in the current completion
@@ -130,7 +129,6 @@ func newDevice(id, rank int, spec *hw.GPUSpec, trace bool, dataBound int) *devic
 		trace: trace,
 		h2d:   comm.NewLink(fmt.Sprintf("dev%d/h2d", id), spec.H2DLink(), trace),
 		d2h:   comm.NewLink(fmt.Sprintf("dev%d/d2h", id), spec.D2HLink(), trace),
-		peer:  comm.NewLink(fmt.Sprintf("dev%d/peer", id), spec.PeerLink(), trace),
 	}
 	if dataBound > 0 {
 		d.residentArr = make([]*residentEntry, dataBound)

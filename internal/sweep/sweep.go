@@ -1,12 +1,13 @@
 // Package sweep is the deterministic sweep executor: it fans a grid of
-// independent phantom-run configurations over a bounded worker pool whose
-// every output is bit-identical at every pool width.
+// independent points — the phantom factorizations of the figure sweeps, the
+// level × replica fits of the Monte-Carlo accuracy study — over a bounded
+// worker pool whose every output is bit-identical at every pool width.
 //
 // The determinism argument has two legs:
 //
-//   - Each grid point builds its own engine state inside the point
-//     function, so no floating-point state is shared between concurrently
-//     executing points.
+//   - Each grid point builds its own state (engine, dataset, problem)
+//     inside the point function, so no floating-point state is shared
+//     between concurrently executing points.
 //   - Results are keyed by grid index and stored into a pre-sized slice,
 //     so the returned row order is the submission order regardless of
 //     which worker finished first.
