@@ -82,7 +82,7 @@ func RenderCommMap(m *precmap.Maps) string {
 	for i := 0; i < m.NT; i++ {
 		for j := 0; j <= i; j++ {
 			b.WriteByte(precGlyph(m.Comm[i][j]))
-			if m.STC[i][j] {
+			if m.STC(i, j) {
 				b.WriteByte('*')
 			} else {
 				b.WriteByte(' ')

@@ -39,7 +39,6 @@ func TestBytesPartialLastTile(t *testing.T) {
 			geo.CovTile(locs, r0, c0, tl.M, tl.N, geo.SqExp{Dimension: 2}, []float64{1, 0.05}, 1e-8, tl.Data, tl.N)
 		})
 		maps := precmap.New(precmap.FromMatrix(mat, 1e-6, prec.CholeskySet), 1e-6)
-		mat.SetStorage(func(i, j int) prec.Precision { return maps.Storage[i][j] })
 		plat, err := runtime.NewPlatform(hw.SummitNode, c.ranks, c.devPerRank)
 		if err != nil {
 			t.Fatal(err)
@@ -50,7 +49,7 @@ func TestBytesPartialLastTile(t *testing.T) {
 		want := map[string]int64{}
 		add := func(link string, i, j int, p prec.Precision, times int) {
 			if times > 0 {
-				want[link+"/"+wireFormat(p).String()] += int64(times) * dim(i, j) * int64(p.InputBytes())
+				want[link+"/"+p.Format().String()] += int64(times) * dim(i, j) * int64(p.InputBytes())
 			}
 		}
 		loaded := map[[3]int]bool{}

@@ -11,8 +11,7 @@ import (
 
 // Result reports a completed factorization.
 type Result struct {
-	Stats    runtime.Stats
-	Strategy Strategy
+	Stats runtime.Stats
 	// STCTasks/CommTasks count communication-issuing tasks using
 	// sender-side conversion vs the total (Algorithm 2's decision).
 	STCTasks, CommTasks int
@@ -29,15 +28,11 @@ type Result struct {
 	nt    int
 }
 
-// newResult wraps one finished run under cfg: its stats, numeric failure
-// and timeline.
-func newResult(cfg Config, stats runtime.Stats, err error, sched []runtime.ScheduledTask) *Result {
-	r := &Result{Stats: stats, Strategy: cfg.Strategy, Err: err, sched: sched, nt: cfg.Desc.NT}
-	if cfg.Strategy == ForceTTC {
-		_, r.CommTasks = cfg.Maps.STCCount()
-	} else {
-		r.STCTasks, r.CommTasks = cfg.Maps.STCCount()
-	}
+// newResult wraps one finished run of g: its stats, numeric failure and
+// timeline.
+func newResult(g *graph, stats runtime.Stats, err error, sched []runtime.ScheduledTask) *Result {
+	r := &Result{Stats: stats, Err: err, sched: sched, nt: g.nt}
+	r.STCTasks, r.CommTasks = g.maps.STCCount()
 	return r
 }
 
@@ -78,13 +73,16 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	g.releaseOperands()
-	r := newResult(cfg, stats, eng.BodyErr(), eng.ScheduleTrace())
+	r := newResult(g, stats, eng.BodyErr(), eng.ScheduleTrace())
 	r.eng = eng
 	return r, nil
 }
 
 // newGraph validates cfg and builds the PTG task graph of one
-// factorization.
+// factorization. It is the one place the strategy is applied (ForceTTC
+// runs Maps.TTC()), and it rounds a numeric matrix to the storage map, so
+// the bodies read every tile in the storage precision the engine charges
+// (§V: FP16-family tiles are generated in FP32).
 func newGraph(cfg Config) (*graph, error) {
 	if cfg.Platform == nil {
 		return nil, fmt.Errorf("cholesky: nil platform")
@@ -92,12 +90,15 @@ func newGraph(cfg Config) (*graph, error) {
 	if cfg.Maps == nil {
 		return nil, fmt.Errorf("cholesky: nil precision maps")
 	}
+	maps := cfg.Maps
+	if cfg.Strategy == ForceTTC {
+		maps = maps.TTC()
+	}
 	g := &graph{
 		ids:      newIDs(cfg.Desc.NT),
 		desc:     cfg.Desc,
-		maps:     cfg.Maps,
+		maps:     maps,
 		plat:     cfg.Platform,
-		strat:    cfg.Strategy,
 		mat:      cfg.Matrix,
 		rankSeen: make([]int64, cfg.Platform.Ranks),
 	}
@@ -105,6 +106,7 @@ func newGraph(cfg Config) (*graph, error) {
 		return nil, err
 	}
 	if g.mat != nil {
+		g.mat.SetStorage(func(i, j int) prec.Precision { return g.maps.Storage[i][j] })
 		g.wire = make([][]float64, cfg.Desc.LowerTileCount())
 		g.ops = make([]operandSlot, cfg.Desc.LowerTileCount()*2*prec.Count)
 	}

@@ -183,17 +183,15 @@ func buildTestGraph(t *testing.T, nt int, ureq float64, kernelOverride [][]prec.
 		kernel = precmap.FromMatrix(mat, ureq, prec.CholeskySet)
 	}
 	maps := precmap.New(kernel, ureq)
-	mat.SetStorage(func(i, j int) prec.Precision { return maps.Storage[i][j] })
 	plat, err := runtime.NewPlatform(hw.SummitNode, ranks, devPerRank)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &graph{
-		ids: newIDs(nt), desc: d, maps: maps, plat: plat, strat: strat,
-		mat: mat, wire: make([][]float64, nt*(nt+1)/2),
-		ops:      make([]operandSlot, nt*(nt+1)*prec.Count),
-		rankSeen: make([]int64, plat.Ranks),
+	g, err := newGraph(Config{Desc: d, Maps: maps, Platform: plat, Matrix: mat, Strategy: strat})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return g
 }
 
 // runConfig builds and runs a full numeric factorization, returning the
@@ -224,7 +222,6 @@ func runNumeric(t *testing.T, nt int, ureq float64, kernel [][]prec.Precision, s
 		km = precmap.FromMatrix(mat, ureq, prec.CholeskySet)
 	}
 	maps := precmap.New(km, ureq)
-	mat.SetStorage(func(i, j int) prec.Precision { return maps.Storage[i][j] })
 	plat, err := runtime.NewPlatform(hw.SummitNode, ranks, devPerRank)
 	if err != nil {
 		t.Fatal(err)
@@ -422,7 +419,6 @@ func TestPhantomMatchesNumericCosts(t *testing.T) {
 		geo.CovTile(locs, r0, c0, tl.M, tl.N, kfn, theta, 1e-8, tl.Data, tl.N)
 	})
 	maps := precmap.New(precmap.FromMatrix(mat, 1e-6, prec.CholeskySet), 1e-6)
-	mat.SetStorage(func(i, j int) prec.Precision { return maps.Storage[i][j] })
 	plat, _ := runtime.NewPlatform(hw.SummitNode, 1, 1)
 
 	num, err := Run(Config{Desc: d, Maps: maps, Platform: plat, Matrix: mat, Strategy: Auto})
@@ -580,14 +576,13 @@ func TestLoadBalanceAcrossDevices(t *testing.T) {
 func TestPTGValidates(t *testing.T) {
 	// The algebraic graph must pass the runtime's structural validator at
 	// several tilings (degree consistency + acyclicity).
+	plat, _ := runtime.NewPlatform(hw.SummitNode, 1, 1)
 	for _, nt := range []int{1, 2, 5, 12} {
-		g := &graph{ids: newIDs(nt)}
 		d, _ := tile.NewDesc(nt*16, 16, 1, 1)
-		g.desc = d
-		g.maps = precmap.New(precmap.UniformAll(nt, prec.FP64), 0)
-		plat, _ := runtime.NewPlatform(hw.SummitNode, 1, 1)
-		g.plat = plat
-		g.rankSeen = make([]int64, 1)
+		g, err := newGraph(Config{Desc: d, Maps: precmap.New(precmap.UniformAll(nt, prec.FP64), 0), Platform: plat})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := runtime.Validate(g); err != nil {
 			t.Errorf("nt=%d: %v", nt, err)
 		}

@@ -13,10 +13,9 @@ import (
 // graph is the runtime.Graph of one factorization.
 type graph struct {
 	ids
-	desc  tile.Desc
-	maps  *precmap.Maps
-	plat  *runtime.Platform
-	strat Strategy
+	desc tile.Desc
+	maps *precmap.Maps // the maps the run executes: Config.Maps, or Maps.TTC() under ForceTTC
+	plat *runtime.Platform
 
 	mat *tile.Matrix // nil in phantom mode
 	// wire holds the communicated representation of each published tile in
@@ -50,45 +49,17 @@ func (g *graph) deviceOf(i, j int) int {
 	return g.plat.DeviceOf(rank, local)
 }
 
-// wirePrec returns the precision tile (i,j) travels in when its producing
-// task communicates, per the active strategy.
-func (g *graph) wirePrec(i, j int) prec.Precision {
-	if g.strat == ForceTTC {
-		return g.maps.Storage[i][j]
-	}
-	return g.maps.Comm[i][j]
+// tileBytes is the size of tile (i,j) held in precision p.
+func (g *graph) tileBytes(i, j int, p prec.Precision) int64 {
+	return int64(g.desc.TileDim(i)) * int64(g.desc.TileDim(j)) * int64(p.InputBytes())
 }
 
-func (g *graph) wireBytes(i, j int) int64 {
-	return int64(g.desc.TileDim(i)) * int64(g.desc.TileDim(j)) * int64(g.wirePrec(i, j).InputBytes())
+// output is the OutputSpec of a task writing tile (i,j): the tile in its
+// storage precision.
+func (g *graph) output(i, j int) runtime.OutputSpec {
+	sp := g.maps.Storage[i][j]
+	return runtime.OutputSpec{Data: g.dataID(i, j), Bytes: g.tileBytes(i, j, sp), Prec: sp.Format()}
 }
-
-func (g *graph) storageBytes(i, j int) int64 {
-	return int64(g.desc.TileDim(i)) * int64(g.desc.TileDim(j)) * int64(g.maps.Storage[i][j].InputBytes())
-}
-
-// trsmExec returns the execution precision of TRSM on tile (m,k): the
-// kernel precision if FP64/FP32, otherwise FP32 (§V hardware constraint) —
-// which is by construction the tile's storage precision.
-func (g *graph) trsmExec(m, k int) prec.Precision { return g.maps.Storage[m][k] }
-
-// wireFormat maps a precision to the element format actually on the wire:
-// the half-input precisions (FP16, FP16x32) share the binary16
-// representation, and the truncated-FP32 formats (TF32, BF16x32) travel as
-// full FP32 words — the hardware packs their inputs from 32-bit registers.
-func wireFormat(p prec.Precision) prec.Precision {
-	switch p {
-	case prec.FP64:
-		return prec.FP64
-	case prec.FP32, prec.TF32:
-		return prec.FP32
-	default:
-		return prec.FP16
-	}
-}
-
-// execInputFormat is the element format a kernel consumes its inputs in.
-func execInputFormat(p prec.Precision) prec.Precision { return wireFormat(p) }
 
 // DataIDBound implements runtime.DataBounder: tile ids pack as i·nt+j, so
 // every DataID lies below nt², letting the engine index host availability
@@ -97,7 +68,7 @@ func (g *graph) DataIDBound() int64 { return int64(g.nt) * int64(g.nt) }
 
 // NumPredecessors implements runtime.Graph.
 func (g *graph) NumPredecessors(id int) int {
-	op, m, _, k := g.decode(id)
+	op, _, _, k := g.decode(id)
 	switch op {
 	case opPotrf:
 		if k == 0 {
@@ -120,7 +91,6 @@ func (g *graph) NumPredecessors(id int) int {
 		}
 		return 3 // + GEMM(m,n,k-1)
 	}
-	_ = m
 	panic("unreachable")
 }
 
@@ -221,7 +191,9 @@ func reusePublish(s *runtime.TaskSpec) *runtime.PublishSpec {
 // allocate on every call.
 func (g *graph) bd(x int) float64 { return float64(g.desc.TileDim(x)) }
 
-// Spec implements runtime.Graph.
+// Spec implements runtime.Graph. Each task's precision is read once from
+// the maps and is both what the engine charges (s.Prec, the input
+// conversions) and what the numeric body computes in.
 func (g *graph) Spec(id int, s *runtime.TaskSpec) {
 	op, m, n, k := g.decode(id)
 	nt := g.nt
@@ -230,45 +202,33 @@ func (g *graph) Spec(id int, s *runtime.TaskSpec) {
 	case opPotrf:
 		s.Kind = hw.KindPotrf
 		s.Device = g.deviceOf(k, k)
-		s.Prec = g.maps.Kernel[k][k]
+		s.Prec = g.maps.Potrf(k)
 		s.Flops = g.bd(k) * g.bd(k) * g.bd(k) / 3
 		s.Priority = g.priority(op, k, 0, k)
 		s.Inputs = s.Inputs[:0]
-		s.Output = runtime.OutputSpec{Data: g.dataID(k, k), Bytes: g.storageBytes(k, k), Prec: wireFormat(g.maps.Storage[k][k])}
+		s.Output = g.output(k, k)
 		if k < nt-1 {
 			pub := reusePublish(s)
-			remote := g.consumerSpread(pub.RemoteRanks[:0], s.Device, func(visit func(i, j int)) {
+			s.Publish = g.publish(pub, k, k, g.consumerSpread(pub.RemoteRanks[:0], s.Device, func(visit func(i, j int)) {
 				for i := k + 1; i < nt; i++ {
 					visit(i, k)
 				}
-			})
-			wp := g.wirePrec(k, k)
-			*pub = runtime.PublishSpec{
-				WireBytes:   g.wireBytes(k, k),
-				WirePrec:    wireFormat(wp),
-				RemoteRanks: remote,
-			}
-			if wireFormat(wp) != wireFormat(g.maps.Storage[k][k]) {
-				pub.ConvertElems = int(g.bd(k) * g.bd(k))
-				pub.ConvFrom, pub.ConvTo = g.maps.Storage[k][k], wp
-			}
-			s.Publish = pub
+			}))
 		} else {
 			s.Publish = nil
 		}
-		s.Body = g.potrfBody(k)
+		s.Body = g.potrfBody(k, s.Prec)
 
 	case opTrsm:
 		s.Kind = hw.KindTrsm
 		s.Device = g.deviceOf(m, k)
-		s.Prec = g.trsmExec(m, k)
+		s.Prec = g.maps.Trsm(m, k)
 		s.Flops = g.bd(m) * g.bd(k) * g.bd(k)
 		s.Priority = g.priority(op, m, 0, k)
-		s.Inputs = s.Inputs[:0]
-		s.Inputs = append(s.Inputs, g.inputSpec(k, k, s.Device, execInputFormat(s.Prec)))
-		s.Output = runtime.OutputSpec{Data: g.dataID(m, k), Bytes: g.storageBytes(m, k), Prec: wireFormat(g.maps.Storage[m][k])}
+		s.Inputs = append(s.Inputs[:0], g.inputSpec(k, k, s.Prec))
+		s.Output = g.output(m, k)
 		pub := reusePublish(s)
-		remote := g.consumerSpread(pub.RemoteRanks[:0], s.Device, func(visit func(i, j int)) {
+		s.Publish = g.publish(pub, m, k, g.consumerSpread(pub.RemoteRanks[:0], s.Device, func(visit func(i, j int)) {
 			visit(m, m) // SYRK
 			for j := k + 1; j < m; j++ {
 				visit(m, j)
@@ -276,67 +236,63 @@ func (g *graph) Spec(id int, s *runtime.TaskSpec) {
 			for i := m + 1; i < nt; i++ {
 				visit(i, m)
 			}
-		})
-		wp := g.wirePrec(m, k)
-		*pub = runtime.PublishSpec{
-			WireBytes:   g.wireBytes(m, k),
-			WirePrec:    wireFormat(wp),
-			RemoteRanks: remote,
-		}
-		if wireFormat(wp) != wireFormat(g.maps.Storage[m][k]) {
-			pub.ConvertElems = int(g.bd(m) * g.bd(k))
-			pub.ConvFrom, pub.ConvTo = g.maps.Storage[m][k], wp
-		}
-		s.Publish = pub
-		s.Body = g.trsmBody(m, k)
+		}))
+		s.Body = g.trsmBody(m, k, s.Prec)
 
 	case opSyrk:
 		s.Kind = hw.KindSyrk
 		s.Device = g.deviceOf(m, m)
-		s.Prec = g.maps.Kernel[m][m]
+		s.Prec = g.maps.Syrk(m, k)
 		s.Flops = g.bd(m) * g.bd(m) * g.bd(k)
 		s.Priority = g.priority(op, m, 0, k)
-		s.Inputs = s.Inputs[:0]
-		s.Inputs = append(s.Inputs, g.inputSpec(m, k, s.Device, execInputFormat(s.Prec)))
-		s.Output = runtime.OutputSpec{Data: g.dataID(m, m), Bytes: g.storageBytes(m, m), Prec: wireFormat(g.maps.Storage[m][m])}
+		s.Inputs = append(s.Inputs[:0], g.inputSpec(m, k, s.Prec))
+		s.Output = g.output(m, m)
 		s.Publish = nil
-		s.Body = g.syrkBody(m, k)
+		s.Body = g.syrkBody(m, k, s.Prec)
 
 	case opGemm:
 		s.Kind = hw.KindGemm
 		s.Device = g.deviceOf(m, n)
-		s.Prec = g.maps.Kernel[m][n]
+		s.Prec = g.maps.Gemm(m, n, k)
 		s.Flops = 2 * g.bd(m) * g.bd(n) * g.bd(k)
 		s.Priority = g.priority(op, m, n, k)
-		s.Inputs = s.Inputs[:0]
-		inFmt := execInputFormat(s.Prec)
-		s.Inputs = append(s.Inputs,
-			g.inputSpec(m, k, s.Device, inFmt),
-			g.inputSpec(n, k, s.Device, inFmt))
-		s.Output = runtime.OutputSpec{Data: g.dataID(m, n), Bytes: g.storageBytes(m, n), Prec: wireFormat(g.maps.Storage[m][n])}
+		s.Inputs = append(s.Inputs[:0], g.inputSpec(m, k, s.Prec), g.inputSpec(n, k, s.Prec))
+		s.Output = g.output(m, n)
 		s.Publish = nil
-		s.Body = g.gemmBody(m, n, k)
+		s.Body = g.gemmBody(m, n, k, s.Prec)
 	}
 }
 
-// inputSpec builds the InputSpec for reading tile (i,j) with the wire
-// format the automated conversion strategy chose for its producer: once a
-// tile is published, host memory holds the wire representation, so every
-// (re-)fetch — same device after eviction, another device of the rank, or a
-// remote rank — moves wire bytes. A receiver-side conversion is charged
-// when the wire format differs from the format the kernel consumes (the
-// per-consumer conversion STC saves and TTC pays, §VI).
-func (g *graph) inputSpec(i, j, dev int, needFmt prec.Precision) runtime.InputSpec {
-	in := runtime.InputSpec{
-		Data:      g.dataID(i, j),
-		WireBytes: g.wireBytes(i, j),
-		WirePrec:  wireFormat(g.wirePrec(i, j)),
+// publish fills pub, the recycled PublishSpec of the task producing tile
+// (i,j), for its broadcast to the remote ranks: the tile travels in its
+// communication precision's format, and a sender-side conversion is
+// charged when that differs from its storage format (STC, §VI).
+func (g *graph) publish(pub *runtime.PublishSpec, i, j int, remote []int) *runtime.PublishSpec {
+	wp, sp := g.maps.Comm[i][j], g.maps.Storage[i][j]
+	*pub = runtime.PublishSpec{WireBytes: g.tileBytes(i, j, wp), WirePrec: wp.Format(), RemoteRanks: remote}
+	if wp.Format() != sp.Format() {
+		pub.ConvertElems = g.desc.TileDim(i) * g.desc.TileDim(j)
+		pub.ConvFrom, pub.ConvTo = sp, wp
 	}
-	if wf := wireFormat(g.wirePrec(i, j)); wf != needFmt {
+	return pub
+}
+
+// inputSpec builds the InputSpec for a task running in precision p that
+// reads tile (i,j) in the format the automated conversion strategy chose
+// for its producer: once a tile is published, host memory holds the wire
+// representation, so every (re-)fetch — same device after eviction,
+// another device of the rank, or a remote rank — moves wire bytes. A
+// receiver-side conversion is charged when the wire format differs from
+// the format p consumes (the per-consumer conversion STC saves and TTC
+// pays, §VI).
+func (g *graph) inputSpec(i, j int, p prec.Precision) runtime.InputSpec {
+	wp := g.maps.Comm[i][j]
+	wf := wp.Format()
+	in := runtime.InputSpec{Data: g.dataID(i, j), WireBytes: g.tileBytes(i, j, wp), WirePrec: wf}
+	if need := p.Format(); wf != need {
 		in.ConvertElems = g.desc.TileDim(i) * g.desc.TileDim(j)
-		in.ConvFrom, in.ConvTo = wf, needFmt
+		in.ConvFrom, in.ConvTo = wf, need
 	}
-	_ = dev
 	return in
 }
 

@@ -26,10 +26,9 @@ import (
 // after its producing task body ran.
 func (g *graph) publishWire(i, j int) {
 	t := g.mat.At(i, j)
-	wp := wireFormat(g.wirePrec(i, j))
-	sp := wireFormat(g.maps.Storage[i][j])
+	wp := g.maps.Comm[i][j].Format()
 	idx := i*(i+1)/2 + j
-	if wp == sp {
+	if wp == g.maps.Storage[i][j].Format() {
 		g.wire[idx] = t.Data // TTC: what is sent is what is stored
 		return
 	}
@@ -89,14 +88,13 @@ func (g *graph) releaseOperands() {
 
 // potrfBody, like the three builders below, returns a closure by design;
 // phantom (pure-DES) graphs carry no matrix, get nil and stay
-// allocation-free.
-func (g *graph) potrfBody(k int) func() error {
+// allocation-free. Each body computes in p, the precision Spec charged.
+func (g *graph) potrfBody(k int, p prec.Precision) func() error {
 	if g.mat == nil {
 		return nil
 	}
 	return func() error {
 		t := g.mat.At(k, k)
-		p := g.maps.Kernel[k][k]
 		var err error
 		switch p {
 		case prec.FP64:
@@ -116,39 +114,37 @@ func (g *graph) potrfBody(k int) func() error {
 	}
 }
 
-func (g *graph) trsmBody(m, k int) func() error {
+func (g *graph) trsmBody(m, k int, p prec.Precision) func() error {
 	if g.mat == nil {
 		return nil
 	}
 	return func() error {
-		dev := g.deviceOf(m, k)
-		a := g.view(k, k, dev)
+		a := g.view(k, k, g.deviceOf(m, k))
 		t := g.mat.At(m, k)
 		bk := g.desc.TileDim(k)
-		linalg.TrsmRLTPrec(g.trsmExec(m, k), t.M, bk, a, bk, t.Data, t.N)
+		linalg.TrsmRLTPrec(p, t.M, bk, a, bk, t.Data, t.N)
 		g.publishWire(m, k)
 		return nil
 	}
 }
 
-func (g *graph) syrkBody(m, k int) func() error {
+func (g *graph) syrkBody(m, k int, p prec.Precision) func() error {
 	if g.mat == nil {
 		return nil
 	}
 	return func() error {
 		c := g.mat.At(m, m)
-		linalg.SyrkLNPacked(-1, g.operand(m, k, g.deviceOf(m, m), g.maps.Kernel[m][m]), 1, c.Data, c.N)
+		linalg.SyrkLNPacked(-1, g.operand(m, k, g.deviceOf(m, m), p), 1, c.Data, c.N)
 		return nil
 	}
 }
 
-func (g *graph) gemmBody(m, n, k int) func() error {
+func (g *graph) gemmBody(m, n, k int, p prec.Precision) func() error {
 	if g.mat == nil {
 		return nil
 	}
 	return func() error {
 		dev := g.deviceOf(m, n)
-		p := g.maps.Kernel[m][n]
 		c := g.mat.At(m, n)
 		linalg.GemmNTPacked(-1, g.operand(m, k, dev, p), g.operand(n, k, dev, p), 1, c.Data, c.N)
 		return nil

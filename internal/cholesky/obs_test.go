@@ -39,7 +39,6 @@ func buildNumericConfig(t *testing.T, nt int, ranks, devPerRank int) (Config, Co
 			geo.CovTile(locs, r0, c0, tl.M, tl.N, kfn, theta, 1e-8, tl.Data, tl.N)
 		})
 		maps := precmap.New(precmap.FromMatrix(mat, 1e-6, prec.CholeskySet), 1e-6)
-		mat.SetStorage(func(i, j int) prec.Precision { return maps.Storage[i][j] })
 		plat, err := runtime.NewPlatform(hw.SummitNode, ranks, devPerRank)
 		if err != nil {
 			t.Fatal(err)

@@ -29,7 +29,6 @@ func stcScenario(t *testing.T, nt int) *graph {
 		geo.CovTile(locs, r0, c0, tl.M, tl.N, geo.SqExp{Dimension: 2}, []float64{1, 0.05}, 1, tl.Data, tl.N)
 	})
 	maps := precmap.New(precmap.Uniform(nt, prec.FP16x32), 1e-3)
-	mat.SetStorage(func(i, j int) prec.Precision { return maps.Storage[i][j] })
 	plat, err := runtime.NewPlatform(hw.SummitNode, 2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +85,7 @@ func TestOperandCacheSTC(t *testing.T) {
 	// reads notes that a kernel of precision p on device dev reads tile (i,k).
 	reads := func(i, k, dev int, p prec.Precision) {
 		wire := 0
-		if g.deviceOf(i, k) != dev && wireFormat(g.wirePrec(i, k)) != wireFormat(g.maps.Storage[i][k]) {
+		if g.deviceOf(i, k) != dev && g.maps.Comm[i][k].Format() != g.maps.Storage[i][k].Format() {
 			wire = 1
 		}
 		if !want[key{i, k, wire, p}] {
@@ -96,12 +95,12 @@ func TestOperandCacheSTC(t *testing.T) {
 	}
 	for m := 1; m < nt; m++ {
 		for k := 0; k < m; k++ {
-			reads(m, k, g.deviceOf(m, m), g.maps.Kernel[m][m]) // SYRK(m,k)
+			reads(m, k, g.deviceOf(m, m), g.maps.Syrk(m, k)) // SYRK(m,k)
 		}
 		for n := 1; n < m; n++ {
 			for k := 0; k < n; k++ { // GEMM(m,n,k)
-				reads(m, k, g.deviceOf(m, n), g.maps.Kernel[m][n])
-				reads(n, k, g.deviceOf(m, n), g.maps.Kernel[m][n])
+				reads(m, k, g.deviceOf(m, n), g.maps.Gemm(m, n, k))
+				reads(n, k, g.deviceOf(m, n), g.maps.Gemm(m, n, k))
 			}
 		}
 	}

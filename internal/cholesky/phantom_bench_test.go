@@ -39,8 +39,10 @@ func BenchmarkPhantomNT64(b *testing.B) {
 // TestPhantomAllocsPerTask is the allocation guard on the engine's hot path
 // (event push/pop, ready queues, TaskSpec freelist, residency tables, graph
 // emit): a whole phantom run may allocate its per-run tables and warm its
-// freelists, which comes to half an allocation per task at this size, but
-// nothing per event — one allocation per push alone would add 1–2 per task.
+// freelists, which comes to 0.493 allocations per task at this size, but
+// nothing per event or per publishing task — one allocation per push alone
+// would add 1–2 per task, and a consumer visitor that escapes to the heap on
+// every POTRF and TRSM emit reads 0.584.
 func TestPhantomAllocsPerTask(t *testing.T) {
 	cfg, tasks := phantomNT64()
 	allocs := testing.AllocsPerRun(2, func() {
@@ -50,8 +52,8 @@ func TestPhantomAllocsPerTask(t *testing.T) {
 	})
 	perTask := allocs / float64(tasks)
 	t.Logf("%.0f allocs per run, %.3f per task", allocs, perTask)
-	if perTask > 1.0 {
-		t.Errorf("phantom NT=64 run allocates %.3f per task (%.0f per run), want <= 1.0", perTask, allocs)
+	if perTask > 0.55 {
+		t.Errorf("phantom NT=64 run allocates %.3f per task (%.0f per run), want <= 0.55", perTask, allocs)
 	}
 }
 

@@ -54,5 +54,5 @@ func RunCached(cfg Config, c *plan.Cache) (*Result, error) {
 		return nil, err
 	}
 	g.releaseOperands()
-	return newResult(cfg, p.Stats, bodyErr, p.Schedule), nil
+	return newResult(g, p.Stats, bodyErr, p.Schedule), nil
 }

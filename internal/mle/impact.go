@@ -74,7 +74,7 @@ func PrecisionImpact(p *Problem, theta []float64, ureqs []float64, replicas int,
 			for i := 0; i < desc.NT; i++ {
 				for j := 0; j <= i; j++ {
 					t := m.At(i, j)
-					prec.QuantizeStochastic(t.Data, inputFormat(km[i][j]), rng.Float64)
+					prec.QuantizeStochastic(t.Data, km[i][j].Format(), rng.Float64)
 				}
 			}
 			v := denseNLLFromTiles(p, m)
@@ -95,19 +95,6 @@ func PrecisionImpact(p *Problem, theta []float64, ureqs []float64, replicas int,
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// inputFormat maps a kernel precision to the element format its data is
-// consumed in (half-input formats share binary16).
-func inputFormat(p prec.Precision) prec.Precision {
-	switch p {
-	case prec.FP64:
-		return prec.FP64
-	case prec.FP32, prec.TF32:
-		return prec.FP32
-	default:
-		return prec.FP16
-	}
 }
 
 // denseNLL evaluates −ℓ(θ) exactly (FP64 dense path).

@@ -13,6 +13,7 @@ package mle
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"geompc/internal/cholesky"
@@ -108,6 +109,16 @@ func (p *Problem) defaults() error {
 	if p.Ladder == nil {
 		p.Ladder = prec.CholeskySet
 	}
+	// The factorization runs only the §IV ladder: TF32 and BF16_32 have no
+	// element format of their own, and an empty ladder has no map.
+	if len(p.Ladder) == 0 {
+		return fmt.Errorf("mle: empty precision ladder")
+	}
+	for _, q := range p.Ladder {
+		if !slices.Contains(prec.CholeskySet, q) {
+			return fmt.Errorf("mle: ladder precision %v is not one of %v", q, prec.CholeskySet)
+		}
+	}
 	if p.Platform == nil {
 		plat, err := runtime.NewPlatform(hw.SummitNode, 1, 1)
 		if err != nil {
@@ -183,11 +194,8 @@ func (p *Problem) NegLogLik(theta []float64, rs *RunStats) (float64, error) {
 	} else {
 		km = precmap.UniformAll(desc.NT, prec.FP64)
 	}
-	maps := precmap.New(km, 0)
-	mat.SetStorage(func(i, j int) prec.Precision { return maps.Storage[i][j] })
-
 	res, err := cholesky.Run(cholesky.Config{
-		Desc: desc, Maps: maps, Platform: p.Platform, Matrix: mat, Strategy: p.Strategy,
+		Desc: desc, Maps: precmap.New(km, 0), Platform: p.Platform, Matrix: mat, Strategy: p.Strategy,
 	})
 	if err != nil {
 		return 0, err

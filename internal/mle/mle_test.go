@@ -9,6 +9,7 @@ import (
 	"geompc/internal/geo"
 	"geompc/internal/linalg"
 	"geompc/internal/optimize"
+	"geompc/internal/prec"
 	"geompc/internal/stats"
 	"geompc/internal/tile"
 )
@@ -373,6 +374,44 @@ func TestRejectsUnusableUReq(t *testing.T) {
 		for name, err := range map[string]error{"NegLogLik": nllErr, "Fit": fitErr, "PrecisionImpact": impactErr, "MonteCarlo": mcErr} {
 			if err == nil || !strings.Contains(err.Error(), "u_req") {
 				t.Errorf("%s at u_req %g: error %v, want a u_req error", name, u, err)
+			}
+		}
+	}
+}
+
+// TestRejectsUnusableLadder: a precision ladder the factorization cannot
+// run — empty, or holding a format outside prec.CholeskySet — is an error
+// from every entry point, not a panic in the precision map or a run that
+// sends BF16_32 tiles as binary16.
+func TestRejectsUnusableLadder(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		ladder []prec.Precision
+	}{
+		{"empty", []prec.Precision{}},
+		{"BF16_32", []prec.Precision{prec.FP64, prec.FP32, prec.BF16x32}},
+		{"TF32", []prec.Precision{prec.FP64, prec.TF32, prec.FP16}},
+	} {
+		entries := map[string]func(p *Problem, truth []float64) error{
+			"NegLogLik": func(p *Problem, truth []float64) error {
+				_, err := p.NegLogLik(truth, nil)
+				return err
+			},
+			"Fit": func(p *Problem, _ []float64) error {
+				start, lo, hi := DefaultBounds(2)
+				_, err := Fit(p, start, lo, hi, optimize.Options{MaxEvals: 2})
+				return err
+			},
+			"PrecisionImpact": func(p *Problem, truth []float64) error {
+				_, err := PrecisionImpact(p, truth, []float64{1e-4}, 1, 1)
+				return err
+			},
+		}
+		for name, run := range entries {
+			p, truth := testProblem(t, 32, 1e-4)
+			p.Ladder = c.ladder
+			if err := run(p, truth); err == nil || !strings.Contains(err.Error(), "ladder") {
+				t.Errorf("%s with the %s ladder: error %v, want a ladder error", name, c.name, err)
 			}
 		}
 	}

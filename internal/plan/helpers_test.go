@@ -40,13 +40,12 @@ func newSPDMatrix(t testing.TB, n, ts, p, q int) (*tile.Matrix, tile.Desc) {
 	return mat, d
 }
 
-// newMaps derives the adaptive precision maps for mat at accuracy ureq and
-// applies the storage assignment to the matrix tiles.
+// newMaps derives the adaptive precision maps for mat at accuracy ureq; the
+// run rounds the tiles to the storage map.
 func newMaps(t testing.TB, mat *tile.Matrix, ureq float64) *precmap.Maps {
 	t.Helper()
 	km := precmap.FromMatrix(mat, ureq, prec.CholeskySet)
 	maps := precmap.New(km, ureq)
-	mat.SetStorage(func(i, j int) prec.Precision { return maps.Storage[i][j] })
 	return maps
 }
 

@@ -72,7 +72,6 @@ func (in keyInputs) config(t *testing.T) cholesky.Config {
 	}
 	maps := precmap.New(km, in.ureq)
 	mat, d := newSPDMatrix(t, in.n, in.ts, in.p, in.q)
-	mat.SetStorage(func(i, j int) prec.Precision { return maps.Storage[i][j] })
 	plat, err := runtime.NewPlatform(&in.node, in.ranks, in.dev)
 	if err != nil {
 		t.Fatal(err)

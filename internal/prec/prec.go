@@ -127,6 +127,21 @@ func (p Precision) StoragePrecision() Precision {
 	}
 }
 
+// Format returns the element format p's data takes on the wire and in a
+// packed kernel operand: FP64 and FP32 as themselves, TF32 as a full FP32
+// word, and every half-input format — FP16_32, FP16 and also BF16_32 — as
+// binary16. No format is bfloat16, so a BF16_32 tile would travel and be
+// probed as binary16; the Cholesky ladder excludes BF16_32 (§IV).
+func (p Precision) Format() Precision {
+	switch p {
+	case FP64, FP32:
+		return p
+	case TF32:
+		return FP32
+	}
+	return FP16
+}
+
 // Lower reports whether p is a lower precision (larger unit roundoff) than q.
 func (p Precision) Lower(q Precision) bool { return p.Eps() > q.Eps() }
 

@@ -51,6 +51,23 @@ func TestStoragePrecision(t *testing.T) {
 	}
 }
 
+// TestFormat: the element format of every precision on the wire and in a
+// packed operand — BF16_32 included, which has no bfloat16 format and goes
+// as binary16.
+func TestFormat(t *testing.T) {
+	want := map[Precision]Precision{
+		FP64: FP64, FP32: FP32, TF32: FP32, BF16x32: FP16, FP16x32: FP16, FP16: FP16,
+	}
+	for _, p := range All {
+		if got := p.Format(); got != want[p] {
+			t.Errorf("%v.Format() = %v, want %v", p, got, want[p])
+		}
+		if p.Format().InputBytes() != p.InputBytes() {
+			t.Errorf("%v: format %v is %d bytes, the input representation %d", p, p.Format(), p.Format().InputBytes(), p.InputBytes())
+		}
+	}
+}
+
 func TestString(t *testing.T) {
 	names := map[Precision]string{
 		FP64: "FP64", FP32: "FP32", TF32: "TF32",

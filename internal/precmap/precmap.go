@@ -35,13 +35,45 @@ import (
 )
 
 // Maps bundles the three per-tile precision maps of a factorization. All
-// maps cover the lower triangle: index [i][j] with j ≤ i.
+// maps cover the lower triangle: index [i][j] with j ≤ i. The methods
+// Potrf, Trsm, Syrk and Gemm are the only definitions of the precision a
+// task runs in; the simulator charges it and the numeric bodies compute in
+// it.
 type Maps struct {
 	NT      int
 	Kernel  [][]prec.Precision // precision of the numerical kernel on each tile
 	Storage [][]prec.Precision // precision each tile is generated/stored in
 	Comm    [][]prec.Precision // Algorithm 2: precision of communications issued by the task on each tile
-	STC     [][]bool           // true where sender-side conversion applies (comm < storage)
+}
+
+// Potrf returns the precision POTRF(k) runs in: the diagonal tile's kernel
+// precision.
+func (m *Maps) Potrf(k int) prec.Precision { return m.Kernel[k][k] }
+
+// Trsm returns the precision TRSM(i,k) runs in: the tile's storage
+// precision, which is its kernel precision when that is FP64 or FP32 and
+// FP32 otherwise (§V: the half-input formats have no TRSM).
+func (m *Maps) Trsm(i, k int) prec.Precision { return m.Storage[i][k] }
+
+// Syrk returns the precision SYRK(i,k) runs in: the kernel precision of
+// its target, the diagonal tile (i,i).
+func (m *Maps) Syrk(i, k int) prec.Precision { return m.Kernel[i][i] }
+
+// Gemm returns the precision GEMM(i,j,k) runs in: the kernel precision of
+// its output tile (i,j).
+func (m *Maps) Gemm(i, j, k int) prec.Precision { return m.Kernel[i][j] }
+
+// STC reports whether the task on tile (i,j) converts at the sender: its
+// communication precision is below its storage precision.
+func (m *Maps) STC(i, j int) bool { return m.Comm[i][j].Lower(m.Storage[i][j]) }
+
+// TTC returns a shallow copy of m in which every tile communicates at its
+// storage precision: receiver-side conversion everywhere, the lower bound
+// of Fig 8.
+func (m *Maps) TTC() *Maps {
+	c := *m
+	c.Comm = c.Storage
+	return &c
 }
 
 // lowerTri allocates a lower-triangular [][]T.
@@ -89,8 +121,8 @@ func NewKernelMap(nt int, norm func(i, j int) float64, globalNorm, ureq float64,
 	return k
 }
 
-// New derives the full Maps (storage map, Algorithm 2 comm map, STC flags)
-// from a kernel-precision map. Its float argument is ignored: it stays only
+// New derives the full Maps (storage map, Algorithm 2 comm map) from a
+// kernel-precision map. Its float argument is ignored: it stays only
 // because the frozen benchmark/ tree passes one.
 func New(kernel [][]prec.Precision, _ float64) *Maps {
 	nt := len(kernel)
@@ -99,7 +131,6 @@ func New(kernel [][]prec.Precision, _ float64) *Maps {
 		Kernel:  kernel,
 		Storage: lowerTri[prec.Precision](nt),
 		Comm:    lowerTri[prec.Precision](nt),
-		STC:     lowerTri[bool](nt),
 	}
 	for i := 0; i < nt; i++ {
 		for j := 0; j <= i; j++ {
@@ -115,17 +146,18 @@ func New(kernel [][]prec.Precision, _ float64) *Maps {
 // raised to FP64 if any successor TRSM in column k runs in FP64. For each
 // off-diagonal tile (m,k), the TRSM broadcast precision starts at the
 // tile's own kernel precision (covering the SYRK successor's consumption;
-// see package comment) and is raised by the kernel precisions of the
-// row-broadcast GEMMs (m,n), n = k+1..m−1 and the column-broadcast GEMMs
-// (n,m), n = m+1..NT−1, clamped at the tile's storage precision (TTC) as
-// soon as it is reached.
+// see package comment) and is raised by the precisions of the
+// row-broadcast GEMMs (m,n,k), n = k+1..m−1 and the column-broadcast GEMMs
+// (n,m,k), n = m+1..NT−1, clamped at the tile's storage precision (TTC) as
+// soon as it is reached. Successor precisions come from Trsm and Gemm, so
+// the map follows any change to what those tasks run in.
 func (m *Maps) buildCommMap() {
 	nt := m.NT
 	// Diagonal tiles: POTRF(k,k) broadcasts to TRSMs in column k.
 	for k := 0; k < nt; k++ {
 		c := prec.FP32
 		for i := k + 1; i < nt; i++ {
-			if m.Kernel[i][k] == prec.FP64 {
+			if m.Trsm(i, k) == prec.FP64 {
 				c = prec.FP64
 				break
 			}
@@ -136,35 +168,25 @@ func (m *Maps) buildCommMap() {
 			c = prec.FP64
 		}
 		m.Comm[k][k] = c
-		m.STC[k][k] = c.Lower(m.Storage[k][k])
 	}
 	// Off-diagonal tiles: TRSM(m,k) broadcasts to GEMMs in row m and
 	// column m. The floor is the tile's own kernel precision, which bounds
 	// the SYRK consumer's error (see package comment).
 	for k := 0; k <= nt-2; k++ {
 		for i := k + 1; i < nt; i++ {
-			storage := m.Storage[i][k]
-			c := prec.Higher(m.Kernel[i][k], prec.FP16)
-			done := !c.Lower(storage)
-			if done {
+			c, storage := prec.Higher(m.Kernel[i][k], prec.FP16), m.Storage[i][k]
+			for n := k + 1; n < nt && c.Lower(storage); n++ {
+				switch {
+				case n < i: // row broadcast
+					c = prec.Higher(c, m.Gemm(i, n, k))
+				case n > i: // column broadcast
+					c = prec.Higher(c, m.Gemm(n, i, k))
+				}
+			}
+			if !c.Lower(storage) {
 				c = storage
 			}
-			for n := k + 1; n < i && !done; n++ { // row broadcast
-				c = prec.Higher(c, m.Kernel[i][n])
-				if !c.Lower(storage) {
-					c = storage
-					done = true
-				}
-			}
-			for n := i + 1; n < nt && !done; n++ { // column broadcast
-				c = prec.Higher(c, m.Kernel[n][i])
-				if !c.Lower(storage) {
-					c = storage
-					done = true
-				}
-			}
 			m.Comm[i][k] = c
-			m.STC[i][k] = c.Lower(storage)
 		}
 	}
 }
@@ -200,7 +222,7 @@ func (m *Maps) STCCount() (stc, total int) {
 				continue // final POTRF issues no communication
 			}
 			total++
-			if m.STC[i][j] {
+			if m.STC(i, j) {
 				stc++
 			}
 		}

@@ -93,16 +93,16 @@ func TestCommMapDiagonalRule(t *testing.T) {
 	kernel := Uniform(nt, prec.FP16x32) // off-diagonal all FP16_32
 	kernel[1][0] = prec.FP64            // one FP64 TRSM below POTRF(0,0)
 	m := New(kernel, 1e-9)
-	if m.Comm[0][0] != prec.FP64 || m.STC[0][0] {
-		t.Errorf("POTRF(0,0): comm %v stc %v, want FP64/TTC", m.Comm[0][0], m.STC[0][0])
+	if m.Comm[0][0] != prec.FP64 || m.STC(0, 0) {
+		t.Errorf("POTRF(0,0): comm %v stc %v, want FP64/TTC", m.Comm[0][0], m.STC(0, 0))
 	}
 	// Column 1 has only FP16_32 TRSMs → comm FP32, STC.
-	if m.Comm[1][1] != prec.FP32 || !m.STC[1][1] {
-		t.Errorf("POTRF(1,1): comm %v stc %v, want FP32/STC", m.Comm[1][1], m.STC[1][1])
+	if m.Comm[1][1] != prec.FP32 || !m.STC(1, 1) {
+		t.Errorf("POTRF(1,1): comm %v stc %v, want FP32/STC", m.Comm[1][1], m.STC(1, 1))
 	}
 	// Last diagonal has no successors.
-	if m.Comm[nt-1][nt-1] != prec.FP64 || m.STC[nt-1][nt-1] {
-		t.Errorf("final POTRF comm/STC wrong: %v %v", m.Comm[nt-1][nt-1], m.STC[nt-1][nt-1])
+	if m.Comm[nt-1][nt-1] != prec.FP64 || m.STC(nt-1, nt-1) {
+		t.Errorf("final POTRF comm/STC wrong: %v %v", m.Comm[nt-1][nt-1], m.STC(nt-1, nt-1))
 	}
 }
 
@@ -116,7 +116,7 @@ func TestCommMapTrsmSTC(t *testing.T) {
 			if m.Comm[i][k] != prec.FP16 {
 				t.Errorf("comm(%d,%d) = %v, want FP16", i, k, m.Comm[i][k])
 			}
-			if !m.STC[i][k] {
+			if !m.STC(i, k) {
 				t.Errorf("STC(%d,%d) = false, want true", i, k)
 			}
 		}
@@ -131,13 +131,13 @@ func TestCommMapTrsmTTCWhenSuccessorHigher(t *testing.T) {
 	kernel[2][1] = prec.FP64
 	m := New(kernel, 1e-2)
 	// storage of (2,0) is FP32 (FP16-family kernel).
-	if m.Comm[2][0] != prec.FP32 || m.STC[2][0] {
-		t.Errorf("comm(2,0) = %v stc=%v, want FP32/TTC", m.Comm[2][0], m.STC[2][0])
+	if m.Comm[2][0] != prec.FP32 || m.STC(2, 0) {
+		t.Errorf("comm(2,0) = %v stc=%v, want FP32/TTC", m.Comm[2][0], m.STC(2, 0))
 	}
 	// Tile (1,0): row targets: none (n from 1 to 0); column targets (2,1)=FP64,
 	// (3,1)=FP16. First column check hits FP64 → clamp to storage FP32, TTC.
-	if m.Comm[1][0] != prec.FP32 || m.STC[1][0] {
-		t.Errorf("comm(1,0) = %v stc=%v, want FP32/TTC", m.Comm[1][0], m.STC[1][0])
+	if m.Comm[1][0] != prec.FP32 || m.STC(1, 0) {
+		t.Errorf("comm(1,0) = %v stc=%v, want FP32/TTC", m.Comm[1][0], m.STC(1, 0))
 	}
 }
 
@@ -172,7 +172,7 @@ func TestCommNeverAboveStorage(t *testing.T) {
 			if m.Comm[i][j].Eps() < m.Storage[i][j].Eps() {
 				t.Errorf("comm(%d,%d) = %v exceeds storage %v", i, j, m.Comm[i][j], m.Storage[i][j])
 			}
-			if m.STC[i][j] != m.Comm[i][j].Lower(m.Storage[i][j]) {
+			if m.STC(i, j) != m.Comm[i][j].Lower(m.Storage[i][j]) {
 				t.Errorf("STC flag inconsistent at (%d,%d)", i, j)
 			}
 		}
@@ -275,5 +275,27 @@ func TestEstimateTileNormsGlobalAccuracy(t *testing.T) {
 	_, sampGlobal := EstimateTileNorms(locs, d, k, theta, 0, 32, stats.NewRNG(5, 0))
 	if math.Abs(sampGlobal-exactGlobal) > 0.25*exactGlobal {
 		t.Errorf("sampled global %g too far from exact %g", sampGlobal, exactGlobal)
+	}
+}
+
+// TestTTCSendsStorage: TTC() is a copy whose tiles all travel at their
+// storage precision, so no task converts at the sender; the maps it was
+// taken from are untouched.
+func TestTTCSendsStorage(t *testing.T) {
+	m := New(Uniform(6, prec.FP16), 1e-2)
+	ttc := m.TTC()
+	if stc, total := ttc.STCCount(); stc != 0 || total == 0 {
+		t.Errorf("TTC maps: %d of %d tasks convert at the sender, want 0", stc, total)
+	}
+	for i := 0; i < m.NT; i++ {
+		for j := 0; j <= i; j++ {
+			if ttc.Comm[i][j] != m.Storage[i][j] || ttc.Kernel[i][j] != m.Kernel[i][j] {
+				t.Fatalf("TTC tile (%d,%d): comm %v kernel %v, want storage %v and kernel %v",
+					i, j, ttc.Comm[i][j], ttc.Kernel[i][j], m.Storage[i][j], m.Kernel[i][j])
+			}
+		}
+	}
+	if stc, _ := m.STCCount(); stc == 0 {
+		t.Error("TTC() changed the maps it copied")
 	}
 }

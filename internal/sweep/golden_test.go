@@ -66,7 +66,6 @@ func goldenConfig(t testing.TB, gp goldenPoint) cholesky.Config {
 	})
 	km := precmap.FromMatrix(mat, 1e-8, prec.CholeskySet)
 	maps := precmap.New(km, 1e-8)
-	mat.SetStorage(func(i, j int) prec.Precision { return maps.Storage[i][j] })
 
 	plat, err := runtime.NewPlatform(hw.SummitNode, gp.ranks, gp.devPerRank)
 	if err != nil {

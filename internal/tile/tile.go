@@ -94,10 +94,9 @@ func (d Desc) LowerTileCount() int { return d.NT * (d.NT + 1) / 2 }
 // row-major (stride n); in phantom mode Data is nil and only the metadata
 // participates in the simulation.
 type Tile struct {
-	I, J    int            // tile coordinates (I ≥ J: lower triangle)
-	M, N    int            // block dimensions
-	Data    []float64      // nil in phantom mode
-	Storage prec.Precision // precision this tile is generated/stored in (§V)
+	I, J int       // tile coordinates (I ≥ J: lower triangle)
+	M, N int       // block dimensions
+	Data []float64 // nil in phantom mode
 }
 
 // Norm returns the Frobenius norm of the tile's data. Phantom tiles panic;
@@ -109,13 +108,6 @@ func (t *Tile) Norm() float64 {
 	return linalg.FrobeniusNormMat(t.M, t.N, t.Data, t.N)
 }
 
-// Quantize rounds the tile's data through its storage precision.
-func (t *Tile) Quantize() {
-	if t.Data != nil {
-		prec.Quantize(t.Data, t.Storage)
-	}
-}
-
 // Matrix is a symmetric matrix stored as its lower triangle of tiles.
 type Matrix struct {
 	Desc
@@ -124,12 +116,12 @@ type Matrix struct {
 }
 
 // NewMatrix allocates the tile structure. If phantom is true no data slices
-// are allocated. Storage precisions default to FP64 until SetStorage.
+// are allocated.
 func NewMatrix(d Desc, phantom bool) *Matrix {
 	m := &Matrix{Desc: d, Phantom: phantom, tiles: make([]*Tile, d.LowerTileCount())}
 	for i := 0; i < d.NT; i++ {
 		for j := 0; j <= i; j++ {
-			t := &Tile{I: i, J: j, M: d.TileDim(i), N: d.TileDim(j), Storage: prec.FP64}
+			t := &Tile{I: i, J: j, M: d.TileDim(i), N: d.TileDim(j)}
 			if !phantom {
 				t.Data = make([]float64, t.M*t.N)
 			}
@@ -181,14 +173,14 @@ func (m *Matrix) FillParallel(gen func(t *Tile, rowStart, colStart int)) {
 	wg.Wait()
 }
 
-// SetStorage applies a storage-precision map (indexed [i][j], lower
-// triangle) to all tiles and quantizes numeric data accordingly, modeling
-// the matrix-generation phase of §V where FP16-family tiles are generated
-// directly in FP32.
+// SetStorage rounds every tile's data through its precision under a
+// storage-precision map (indexed [i][j], lower triangle), modeling the
+// matrix-generation phase of §V where FP16-family tiles are generated
+// directly in FP32. Rounding is idempotent, so applying the same map twice
+// leaves the same bits; phantom tiles are untouched.
 func (m *Matrix) SetStorage(storage func(i, j int) prec.Precision) {
 	for _, t := range m.tiles {
-		t.Storage = storage(t.I, t.J)
-		t.Quantize()
+		prec.Quantize(t.Data, storage(t.I, t.J))
 	}
 }
 

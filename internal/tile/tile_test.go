@@ -198,20 +198,22 @@ func TestSetStorageQuantizes(t *testing.T) {
 			t.Data[i] = math.Pi
 		}
 	})
-	m.SetStorage(func(i, j int) prec.Precision {
+	storage := func(i, j int) prec.Precision {
 		if i == j {
 			return prec.FP64
 		}
 		return prec.FP32
-	})
+	}
+	m.SetStorage(storage)
 	if got := m.At(0, 0).Data[0]; got != math.Pi {
 		t.Errorf("diagonal tile quantized: %v", got)
 	}
 	if got := m.At(1, 0).Data[0]; got != float64(float32(math.Pi)) {
 		t.Errorf("off-diagonal tile not FP32-quantized: %v", got)
 	}
-	if m.At(1, 0).Storage != prec.FP32 {
-		t.Error("storage precision not recorded")
+	m.SetStorage(storage)
+	if got := m.At(1, 0).Data[0]; got != float64(float32(math.Pi)) {
+		t.Errorf("second SetStorage changed the rounded tile: %v", got)
 	}
 }
 
