@@ -34,11 +34,12 @@ race:
 # pool) and the event loop on a multi-rank phantom run (EngineMultiRank);
 # the last two run at -cpu 4 — benchjson records GOMAXPROCS per line, so they stay honest
 # even on smaller hosts.
-# The covariance-generation pair (CovTileMatern / MaternBound, root
-# bench_test.go) times, at four θ of the end-to-end benchmark's fit_matern
-# trajectory, what a fit pays for generation — bind once per θ, fill every
-# tile through FillTile (row path in vector lanes, panel builds included) —
-# and the scalar bound kernel alone, entry by entry through Cov.
+# The covariance-generation benchmarks (root bench_test.go) time, at four θ
+# of the end-to-end benchmark's fit_matern and fit_sqexp trajectories, what
+# a fit pays for generation — bind once per θ, fill every tile through
+# FillTile (row path in vector lanes, Matérn panel builds included):
+# CovTileMatern and CovTileSqExp; MaternBound is the scalar bound Matérn
+# kernel alone, entry by entry through Cov.
 # BENCHTIME=1x gives a CI smoke run; the committed
 # artifact uses 5x against the seed baseline in results/bench_seed.txt.
 BENCHTIME ?= 5x
@@ -48,7 +49,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'PhantomNT64$$' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/cholesky/ >> results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'Fig12WeakStep' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/bench/ >> results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'SweepParallel|EngineMultiRank' -benchmem -benchtime $(BENCHTIME) -cpu 4 ./internal/bench/ >> results/bench_after.txt
-	$(GO) test -run '^$$' -bench 'CovTileMatern|MaternBound' -benchmem -benchtime $(BENCHTIME) -cpu 1 . >> results/bench_after.txt
+	$(GO) test -run '^$$' -bench 'CovTileMatern|CovTileSqExp|MaternBound' -benchmem -benchtime $(BENCHTIME) -cpu 1 . >> results/bench_after.txt
 	$(GO) run ./cmd/benchjson -seed results/bench_seed.txt < results/bench_after.txt > BENCH_kernels.json
 
 bench-all:

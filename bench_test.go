@@ -250,18 +250,24 @@ var maternTrajectory = [][]float64{
 // fill every lower tile of the 400-point, ts = 64 matrix through
 // geo.FillTile (the row path, panel builds included), one θ after the other.
 func BenchmarkCovTileMatern(b *testing.B) {
-	locs := geo.GenerateLocations(400, 2, stats.NewRNG(101, 0))
+	benchCovTile(b, geo.Matern{Dimension: 2}, maternTrajectory, 400, 101)
+}
+
+// benchCovTile fills the lower tiles of Σ(θ) over n locations (drawn from
+// seed) at ts = 64, binding k once per θ of trajectory, and reports the
+// time per entry.
+func benchCovTile(b *testing.B, k geo.Kernel, trajectory [][]float64, n int, seed uint64) {
+	locs := geo.GenerateLocations(n, 2, stats.NewRNG(seed, 0))
 	desc, err := tile.NewDesc(len(locs), 64, 1, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	mat := tile.NewMatrix(desc, false)
-	k := geo.Matern{Dimension: 2}
 	entries := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, theta := range maternTrajectory {
-			bk := geo.Bind(k, theta)
+		for _, theta := range trajectory {
+			bk := k.Bind(theta)
 			mat.Fill(func(t *tile.Tile, r0, c0 int) {
 				geo.FillTile(bk, locs, r0, c0, t.M, t.N, 1e-8, t.Data, t.N)
 				entries += t.M * t.N
@@ -269,6 +275,24 @@ func BenchmarkCovTileMatern(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(entries), "ns/entry")
+}
+
+// sqexpTrajectory is four θ = (σ², β) the optimizer asks for on the
+// end-to-end benchmark's fit_sqexp workload (-seed 11: the first dataset,
+// evaluations 1, 7, 14 and 20): the lower-bound start, two points on the
+// way and one near the budget's end.
+var sqexpTrajectory = [][]float64{
+	{0.01, 0.01},
+	{0.07293, 0.01142},
+	{0.03761, 0.03761},
+	{0.2402, 0.08326},
+}
+
+// BenchmarkCovTileSqExp is BenchmarkCovTileMatern for the
+// squared-exponential kernel, on fit_sqexp's 1,600 locations at ts = 64:
+// bind each θ once, fill every lower tile through geo.FillTile.
+func BenchmarkCovTileSqExp(b *testing.B) {
+	benchCovTile(b, geo.SqExp{Dimension: 2}, sqexpTrajectory, 1600, 176)
 }
 
 var maternBoundSink float64

@@ -41,11 +41,15 @@ func runFit(args []string, out io.Writer) error {
 		return err
 	}
 	mach := core.Machine{Node: nd, Ranks: 1, GPUs: *gpus}
-	// Built before anything is printed, so a rejected -gpus leaves stdout
-	// empty; the run is labeled with what it simulates (-gpus 0 is the
-	// whole node).
+	// Built and checked before anything is printed, so a rejected -gpus,
+	// -ts or -ureq leaves stdout empty; the run is labeled with what it
+	// simulates (-gpus 0 is the whole node).
 	plat, err := mach.Platform()
 	if err != nil {
+		return err
+	}
+	opts := core.Options{UReq: *ureq, TileSize: *ts, Machine: mach}
+	if err := opts.Validate(); err != nil {
 		return err
 	}
 
@@ -55,11 +59,7 @@ func runFit(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "generated %d %s locations from θ=%v (seed %d)\n", *n, app.Name, app.Theta, *seed)
 
-	fit := func(u float64) (*core.FitReport, error) {
-		return core.Fit(ds, core.Options{UReq: u, TileSize: *ts, Machine: mach})
-	}
-
-	rep, err := fit(*ureq)
+	rep, err := core.Fit(ds, opts)
 	if err != nil {
 		return err
 	}
@@ -81,7 +81,8 @@ func runFit(args []string, out io.Writer) error {
 	}
 
 	if *compare && *ureq > 0 {
-		ex, err := fit(0)
+		opts.UReq = 0
+		ex, err := core.Fit(ds, opts)
 		if err != nil {
 			return err
 		}

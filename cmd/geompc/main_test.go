@@ -38,7 +38,9 @@ func TestCommands(t *testing.T) {
 			want: []string{"generated 64 2D-Matern locations", "fit (adaptive MP @ u_req=1e-04)", "simulated cost"}},
 		{name: "fit/bad-kernel", args: "-kernel 5D-nope", fail: true},
 		{name: "fit/negative-n", args: "-n -3", fail: true, errWant: "need at least one location, got n=-3"}, // not a makeslice panic
-		{name: "fit/nan-ureq", args: "-n 50 -ureq NaN", fail: true},                                          // not run as "exact FP64"
+		{name: "fit/nan-ureq", args: "-n 50 -ureq NaN", fail: true, errWant: "u_req"},                        // not run as "exact FP64"
+		{name: "fit/negative-ureq", args: "-n 36 -ureq -1", fail: true, errWant: "u_req"},                    // nothing printed first
+		{name: "fit/negative-ts", args: "-n 100 -ts -5", fail: true, errWant: "tile size must be positive"},  // not run at the default
 		{name: "fit/zero-gpus", args: "-n 36 -ts 18 -gpus 0",
 			want: []string{"on 6×V100:"}}, // the label names what was simulated
 		{name: "fit/negative-gpus", args: "-n 36 -ts 18 -gpus -2", fail: true, errWant: "negative GPUs per rank -2"},

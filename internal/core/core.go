@@ -92,11 +92,15 @@ type Options struct {
 	MaxEvals int
 }
 
-// validate rejects a UReq the precision rule cannot use — NaN, ±Inf or
-// negative — rather than running it as exact FP64.
-func (o Options) validate() error {
+// Validate rejects a UReq the precision rule cannot use (NaN, ±Inf or
+// negative) and a negative TileSize, rather than running them as exact FP64
+// and at the default. Fit and ProjectFactorization call it first.
+func (o Options) Validate() error {
 	if math.IsNaN(o.UReq) || math.IsInf(o.UReq, 0) || o.UReq < 0 {
 		return fmt.Errorf("core: u_req must be 0 (exact FP64) or finite and positive, got %g", o.UReq)
+	}
+	if o.TileSize < 0 {
+		return fmt.Errorf("core: tile size must be positive (0 for the default), got %d", o.TileSize)
 	}
 	return nil
 }
@@ -178,7 +182,7 @@ var ErrNoFiniteEvaluation = errors.New("core: no likelihood evaluation was finit
 // Fit estimates the kernel parameters of ds by maximum likelihood using the
 // adaptive mixed-precision Cholesky.
 func Fit(ds *Dataset, opts Options) (*FitReport, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	plat, err := opts.Machine.Platform()
@@ -247,7 +251,7 @@ type Projection struct {
 // an n×n covariance built from kernel/theta on the configured machine, with
 // sampled tile norms — the tool behind the paper's performance figures.
 func ProjectFactorization(n int, kernel geo.Kernel, theta []float64, opts Options, seed uint64) (*Projection, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	plat, err := opts.Machine.Platform()

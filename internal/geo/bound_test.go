@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"geompc/internal/obs"
@@ -142,14 +143,14 @@ func TestBoundFillBitsIndependentOfOrder(t *testing.T) {
 		CovTile(locs, r0, c0, m, nn, k, theta, 1e-8, dst, nn)
 	})
 	// One bound kernel for every tile: what mle.Problem.NegLogLik does.
-	bk := Bind(k, theta)
+	bk := k.Bind(theta)
 	once := lowerTiles(n, ts, func(r0, c0, m, nn int, dst []float64) {
 		FillTile(bk, locs, r0, c0, m, nn, 1e-8, dst, nn)
 	})
 	// One bound kernel visiting the entries in a shuffled order, so that
 	// every panel is first touched by a different entry.
 	dense := make([]float64, n*n)
-	sbk := Bind(k, theta)
+	sbk := k.Bind(theta)
 	for _, e := range stats.NewRNG(23, 0).Perm(n * n) {
 		i, j := e/n, e%n
 		dense[e] = sbk.Cov(locs[i].Dist(locs[j]))
@@ -206,7 +207,7 @@ func TestBindInvalidTheta(t *testing.T) {
 		{1, 0, 1}, {1, -0.1, 1}, {1, nan, 1}, {1, inf, 1}, {1, 5e-324, 1},
 		{nan, 0.1, 1}, {inf, 0.1, 1}, {-1, 0.1, 1}, {0, 0.1, 1},
 	} {
-		bk := Bind(k, theta)
+		bk := k.Bind(theta)
 		for _, h := range []float64{0, 1e-300, 1e-3, 0.1, 0.2, 1.41, 70, inf} {
 			got, want := bk.Cov(h), k.Cov(h, theta)
 			if math.Float64bits(got) != math.Float64bits(want) {
@@ -259,7 +260,34 @@ func FuzzMaternBound(f *testing.F) {
 		for pass := 0; pass < 2; pass++ {
 			got := append([]float64(nil), row...)
 			bk.covRow(got)
-			sameCovBits(t, "row path", bk, row, got)
+			sameCovBits(t, "row path", bk.Cov, row, got)
+		}
+	})
+}
+
+// FuzzSqExpRow holds the squared-exponential row path to the per-entry
+// SqExp.Cov, bit for bit, at any (σ², β, h): on 19 distances around h, in
+// both orders, so that at a vector width the entries at either end are
+// once in a lane and once in the tail that goes through Cov.
+func FuzzSqExpRow(f *testing.F) {
+	f.Add(1.0, 0.03, 0.2)
+	f.Add(0.2402, 0.02214, 1.3)
+	f.Add(1.7e308, 1e-4, 0.3)
+	f.Add(5e-324, 708.0, 708.0)
+	f.Add(1.0, -0.5, 0.1)
+	f.Add(math.NaN(), 0.1, math.Inf(1))
+	f.Fuzz(func(t *testing.T, sigma2, beta, h float64) {
+		k := SqExp{Dimension: 2}
+		theta := []float64{sigma2, beta}
+		row := make([]float64, 19)
+		for j := range row {
+			row[j] = h * (1 + 0.05*float64(j-9))
+		}
+		for pass := 0; pass < 2; pass++ {
+			got := append([]float64(nil), row...)
+			k.Bind(theta).covRow(got)
+			sameCovBits(t, "row path", func(h float64) float64 { return k.Cov(h, theta) }, row, got)
+			slices.Reverse(row)
 		}
 	})
 }

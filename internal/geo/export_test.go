@@ -6,8 +6,8 @@ import "testing"
 // forces another.
 var hostLaneWidth = laneWidth
 
-// forEachLaneWidth runs f once per row-path kernel of the tabulated Matérn
-// kernel — Go (every entry through Cov), AVX2, AVX-512 — with the package
+// forEachLaneWidth runs f once per row-path width of the bound kernels —
+// Go (every entry through Cov), AVX2, AVX-512 — with the package
 // forced to it, and skips by name the widths this host cannot run (including
 // both vector widths where the init-time exp probe refused the lanes). This
 // hook is the only way to choose a kernel, and it exists only in the

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"geompc/internal/bessel"
+	"geompc/internal/linalg"
 	"geompc/internal/stats"
 )
 
@@ -16,35 +17,35 @@ import (
 type BoundKernel interface {
 	// Cov returns C(h) at the bound parameters.
 	Cov(h float64) float64
+	// covRow sets h[j] = Cov(h[j]) for every j, bit for bit, in vector
+	// lanes where the host has them.
+	covRow(h []float64)
 }
 
-// Binder is implemented by kernels that can pre-bind a parameter vector.
-type Binder interface {
-	// Bind returns a single-θ evaluator, safe for concurrent use.
-	Bind(theta []float64) BoundKernel
-}
-
-// Bind returns k bound to θ: k's own evaluator when it is a Binder,
-// otherwise an adapter that calls k.Cov(h, θ).
-func Bind(k Kernel, theta []float64) BoundKernel {
-	if b, ok := k.(Binder); ok {
-		return b.Bind(theta)
+// lanesThenCov is covRow's loop: lanes(w, h) does whole vectors of width w
+// from the start of h and returns how many entries it did; the vector it
+// stopped before, or a tail shorter than one, goes through cov.
+func lanesThenCov(h []float64, lanes func(w int, h []float64) int, cov func(float64) float64) {
+	for len(h) > 0 {
+		n := len(h)
+		if w := laneWidth; w > 0 {
+			h = h[lanes(w, h):]
+			n = min(w, len(h))
+		}
+		for j := range h[:n] {
+			h[j] = cov(h[j])
+		}
+		h = h[n:]
 	}
-	return unbound{k, theta}
 }
-
-type unbound struct {
-	k     Kernel
-	theta []float64
-}
-
-func (u unbound) Cov(h float64) float64 { return u.k.Cov(h, u.theta) }
 
 // Kernel is an isotropic, stationary covariance function C(h; θ) of the
 // distance h between two locations (§III-A).
 type Kernel interface {
 	// Cov returns C(h; θ). It must return the variance θ[0] at h = 0.
 	Cov(h float64, theta []float64) float64
+	// Bind returns the kernel at one θ, safe for concurrent use.
+	Bind(theta []float64) BoundKernel
 	// NumParams is the length of θ.
 	NumParams() int
 	// ParamNames names the entries of θ in order.
@@ -63,9 +64,19 @@ type SqExp struct {
 }
 
 // Cov implements Kernel.
-func (k SqExp) Cov(h float64, theta []float64) float64 {
-	sigma2, beta := theta[0], theta[1]
-	return sigma2 * math.Exp(-h*h/beta)
+func (SqExp) Cov(h float64, theta []float64) float64 { return sqexpBound{theta[0], theta[1]}.Cov(h) }
+
+// Bind implements Kernel. Its rows run in vector lanes (sqexpRow) wherever
+// a whole vector has every r = h²/β in [0, 708], through Cov elsewhere.
+func (SqExp) Bind(theta []float64) BoundKernel { return sqexpBound{theta[0], theta[1]} }
+
+// sqexpBound is SqExp at θ = (σ², β).
+type sqexpBound struct{ sigma2, beta float64 }
+
+func (b sqexpBound) Cov(h float64) float64 { return b.sigma2 * math.Exp(-h*h/b.beta) }
+
+func (b sqexpBound) covRow(h []float64) {
+	lanesThenCov(h, func(w int, h []float64) int { return sqexpRow(w, h, b.sigma2, b.beta) }, b.Cov)
 }
 
 // NumParams implements Kernel.
@@ -204,21 +215,15 @@ func (b *maternBound) Cov(h float64) float64 {
 	return v
 }
 
-// covRow sets h[j] = b.Cov(h[j]) for every j: a vector of entries at a time
-// in lanes (maternRow) where the host has them and every entry of the
-// vector lies in a built panel, through Cov otherwise.
+// covRow runs in lanes (maternRow) where every entry of a vector lies in a
+// built panel, through Cov otherwise.
 func (b *maternBound) covRow(h []float64) {
-	for len(h) > 0 {
-		n := len(h)
-		if w := laneWidth; b.tab != nil && w > 0 {
-			h = h[maternRow(w, h, b.beta, b.tab.ready[0].Load(), b.tab.ready[1].Load(), &b.tab.coef):]
-			n = min(w, len(h)) // a vector the lanes left to Cov, or a shorter tail
+	lanesThenCov(h, func(w int, h []float64) int {
+		if b.tab == nil {
+			return 0
 		}
-		for j := range h[:n] {
-			h[j] = b.Cov(h[j])
-		}
-		h = h[n:]
-	}
+		return maternRow(w, h, b.beta, b.tab.ready[0].Load(), b.tab.ready[1].Load(), &b.tab.coef)
+	}, b.Cov)
 }
 
 // direct is Matern.Cov for ν ≠ 0.5 at r = h/β > 0, with the normalization
@@ -265,9 +270,9 @@ func (b *maternBound) build(p uint64) bool {
 	return true
 }
 
-// Bind returns a single-θ evaluator with precomputed constants, safe for
-// concurrent use; see maternBound. At a θ outside the model (ν ≤ 0, β ≤ 0,
-// anything NaN) it returns what Cov returns.
+// Bind implements Kernel with precomputed constants; see maternBound. At a
+// θ outside the model (ν ≤ 0, β ≤ 0, anything NaN) it returns what Cov
+// returns.
 func (k Matern) Bind(theta []float64) BoundKernel {
 	sigma2, beta, nu := theta[0], theta[1], theta[2]
 	b := &maternBound{
@@ -317,13 +322,12 @@ func CovMatrix(locs []Point, k Kernel, theta []float64, nugget float64) []float6
 // independently, on demand. A caller filling many tiles at one θ should
 // Bind once and call FillTile; the entries are the same bits either way.
 func CovTile(locs []Point, rowStart, colStart, m, n int, k Kernel, theta []float64, nugget float64, dst []float64, ldd int) {
-	FillTile(Bind(k, theta), locs, rowStart, colStart, m, n, nugget, dst, ldd)
+	FillTile(k.Bind(theta), locs, rowStart, colStart, m, n, nugget, dst, ldd)
 }
 
 // FillTile is CovTile for an already bound kernel.
 func FillTile(bk BoundKernel, locs []Point, rowStart, colStart, m, n int, nugget float64, dst []float64, ldd int) {
 	diag := bk.Cov(0) + nugget
-	mb, _ := bk.(*maternBound)
 	// A tile on the diagonal holds (i,j) and (j,i) for all i, j < sq.
 	// Dist is symmetric to the bit, so only the lower one is evaluated.
 	sq := 0
@@ -345,15 +349,8 @@ func FillTile(bk BoundKernel, locs []Point, rowStart, colStart, m, n int, nugget
 			lo, hi = d, max(d+1, sq)
 			row[d] = diag
 		}
-		for _, run := range [2][]float64{row[:lo], row[hi:]} {
-			if mb != nil {
-				mb.covRow(run)
-				continue
-			}
-			for j, h := range run {
-				run[j] = bk.Cov(h)
-			}
-		}
+		bk.covRow(row[:lo])
+		bk.covRow(row[hi:])
 	}
 	for i := 0; i < sq; i++ {
 		for j := i + 1; j < sq; j++ {
@@ -369,7 +366,7 @@ func FillTile(bk BoundKernel, locs []Point, rowStart, colStart, m, n int, nugget
 func SimulateField(locs []Point, k Kernel, theta []float64, nugget float64, rng *stats.RNG) ([]float64, error) {
 	n := len(locs)
 	a := CovMatrix(locs, k, theta, nugget)
-	if err := potrfForSim(n, a); err != nil {
+	if err := linalg.PotrfLower(n, a, n); err != nil {
 		return nil, fmt.Errorf("geo: covariance not SPD under θ=%v: %w", theta, err)
 	}
 	e := rng.NormVec(make([]float64, n))

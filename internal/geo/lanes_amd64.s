@@ -1,23 +1,24 @@
 #include "textflag.h"
 #include "go_asm.h"
 
-// The tabulated Matérn kernel a vector of entries at a time (lanes_amd64.go).
-// Lane i of every vector is one entry, and it performs maternBound.Cov's
-// scalar operations on that entry in Cov's order, one rounding each. Written
-// once against the width macros below and instantiated, in the one entry
-// point maternRow, at AVX2 (4 lanes) and AVX-512F (8 lanes); each loop
-// iteration carries two vectors, chains A and B, whose gathers and
-// recurrences overlap.
+// The tabulated Matérn and the squared-exponential kernels a vector of
+// entries at a time (lanes_amd64.go). Lane i of every vector is one entry,
+// and it performs the bound kernel's scalar Cov operations on that entry in
+// Cov's order, one rounding each. Written once against the width macros
+// below and instantiated, in the entry points maternRow and sqexpRow, at
+// AVX2 (4 lanes) and AVX-512F (8 lanes). Each maternRow iteration carries
+// two vectors, chains A and B, whose gathers and recurrences overlap.
 //
 //	VB               bytes per vector
 //	VOR/VAND/VXOR    bitwise or, and, xor (VEX or EVEX encoding)
 //	GATHER(d, i, g, m, k)  g = lane-wise coef[d/8 + i] (m or k is the mask it consumes)
 //	ALLREADY(ok, l)  jump to l unless bit 0 of every lane of ok is set
 //	CLAMP(v, z, m)   v = 0 in lanes where v is NaN or negative (clobbers z, m)
+//	OUTSIDE(r, z, m, l)  jump to l if a lane of r is NaN or outside [0, 708] (clobbers z, m)
 //
-// Registers: SI the current entry, DX the end of h, DI its start, CX the
-// coefficient table; V15 β, V14 and V13 the ready words; V0–V5 chain A,
-// V6–V11 chain B.
+// Registers: SI the current entry, DX the end of h, DI its start. In
+// maternRow CX is the coefficient table, V15 β, V14 and V13 the ready
+// words, V0–V5 chain A and V6–V11 chain B; in sqexpRow V15 is β and V14 σ².
 
 // CONST8 is a 64-byte constant of eight equal quadwords, read whole as a
 // memory operand at either width.
@@ -58,6 +59,7 @@ CONST8(lnP3, $1.6666666666666666667e-1)
 CONST8(lnHalf, $0.5)
 CONST8(lnOneF, $1.0)
 CONST8(lnTwo, $2.0)
+CONST8(ln708, $708.0)
 
 // PROLOGUE loads the vector at off(SI) and leaves r = h/β in c2,
 // u = Float64bits(r)−1 in c3, the panel p = u>>50 − tabFirst in c1, and in
@@ -86,10 +88,10 @@ CONST8(lnTwo, $2.0)
 	VSUBPD   lnOneF<>(SB), c3, c3       \
 	VADDPD   c3, c3, c0
 
-// EXPNEG stores exp(−r) of the r in c2 at off(SI): math.Exp's FMA path,
-// whose CVTSD2SL (round to nearest) is the add and subtract of 1.5·2⁵², and
-// whose final ldexp cannot leave the normal range for r ≤ 2⁹.
-#define EXPNEG(off, c2, c3, c4) \
+// EXPNEG turns the r in c2 into exp(−r): math.Exp's FMA path, whose
+// CVTSD2SL (round to nearest) is the add and subtract of 1.5·2⁵², and whose
+// final ldexp cannot leave the normal range for 0 ≤ r ≤ 708.
+#define EXPNEG(c2, c3, c4) \
 	VXOR(lnSign<>(SB), c2, c2)            \
 	VMULPD lnLog2e<>(SB), c2, c3          \
 	VADDPD lnShift<>(SB), c3, c3          \
@@ -116,8 +118,7 @@ CONST8(lnTwo, $2.0)
 	VFMADD213PD lnOneF<>(SB), c4, c2      \
 	VPADDQ lnBias<>(SB), c3, c3           \
 	VPSLLQ $52, c3, c3                    \
-	VMULPD c3, c2, c2                     \
-	VMOVUPD c2, off(SI)
+	VMULPD c3, c2, c2
 
 // STEP is one Clenshaw step on coefficient d/8: y = t2·x − y + c, after
 // which y holds b1 and x b2.
@@ -187,6 +188,14 @@ CONST8(lnTwo, $2.0)
 	CLAMP(c1, c3, c5)                   \
 	VMOVUPD c1, off(SI)
 
+// RETDONE returns the number of entries done, (SI − DI)/8, in ret.
+#define RETDONE(ret) \
+	SUBQ DI, SI \
+	SHRQ $3, SI \
+	MOVQ SI, ret \
+	VZEROUPPER  \
+	RET
+
 // ROW_BODY is the kernel at one width; its labels are parameters, as both
 // widths share one TEXT block.
 #define ROW_BODY(pair, single, done) \
@@ -208,8 +217,10 @@ pair:                                           \
 	ALLREADY(V5, single)                        \
 	PREP(V0, V1, V3)                            \
 	PREP(V6, V7, V9)                            \
-	EXPNEG(0, V2, V3, V4)                       \
-	EXPNEG(VB, V8, V9, V10)                     \
+	EXPNEG(V2, V3, V4)                          \
+	EXPNEG(V8, V9, V10)                         \
+	VMOVUPD V2, 0(SI)                           \
+	VMOVUPD V8, VB(SI)                          \
 	CLENSHAW2                                   \
 	FINISH(0, V0, V1, V2, V3, V4, V5, K1)       \
 	FINISH(VB, V6, V7, V8, V9, V10, V11, K2)    \
@@ -222,17 +233,39 @@ single:                                         \
 	PROLOGUE(0, V0, V1, V2, V3, V4, V5)         \
 	ALLREADY(V5, done)                          \
 	PREP(V0, V1, V3)                            \
-	EXPNEG(0, V2, V3, V4)                       \
+	EXPNEG(V2, V3, V4)                          \
+	VMOVUPD V2, 0(SI)                           \
 	CLENSHAW(V0, V1, V2, V3, V4, V5, K1)        \
 	FINISH(0, V0, V1, V2, V3, V4, V5, K1)       \
 	ADDQ $VB, SI                                \
 	JMP  pair                                   \
 done:                                           \
-	SUBQ DI, SI                                 \
-	SHRQ $3, SI                                 \
-	MOVQ SI, ret+64(FP)                         \
-	VZEROUPPER                                  \
-	RET
+	RETDONE(ret+64(FP))
+
+// SQEXP_BODY is sqexpRow at one width: r = h·h/β, exp(−r), ×σ², a vector
+// at a time until a tail shorter than a vector or a vector OUTSIDE rejects.
+#define SQEXP_BODY(loop, done) \
+	MOVQ h_base+8(FP), SI          \
+	MOVQ h_len+16(FP), DX          \
+	LEAQ (SI)(DX*8), DX            \
+	MOVQ SI, DI                    \
+	VBROADCASTSD sigma2+32(FP), V14 \
+	VBROADCASTSD beta+40(FP), V15  \
+loop:                              \
+	LEAQ VB(SI), AX                \
+	CMPQ AX, DX                    \
+	JHI  done                      \
+	VMOVUPD (SI), V2               \
+	VMULPD  V2, V2, V2             \
+	VDIVPD  V15, V2, V2            \
+	OUTSIDE(V2, V3, V4, done)      \
+	EXPNEG(V2, V3, V4)             \
+	VMULPD  V14, V2, V2            \
+	VMOVUPD V2, (SI)               \
+	ADDQ $VB, SI                   \
+	JMP  loop                      \
+done:                              \
+	RETDONE(ret+48(FP))
 
 // ---- AVX2: 4 lanes ----
 
@@ -327,6 +360,46 @@ TEXT ·maternRow(SB), NOSPLIT, $0-72
 	VPXORQ z, z, z          \
 	VCMPPD $0x1d, z, v, K3  \
 	VMOVUPD.Z v, K3, v
+#define OUTSIDE(r, z, m, l) \
+	VCMPPD $0x16, ln708<>(SB), r, K3 \
+	VPXORQ z, z, z                   \
+	VCMPPD $0x11, z, r, K4           \
+	KORTESTW K3, K4                  \
+	JNE      l
 
 wide:
 	ROW_BODY(pair8, single8, done8)
+
+// func sqexpRow(w int, h []float64, sigma2, beta float64) int
+TEXT ·sqexpRow(SB), NOSPLIT, $0-56
+	CMPQ w+0(FP), $8
+	JNE  narrow
+	SQEXP_BODY(loop8, done8)
+
+// Back to AVX2 for the narrow half, redefining only what SQEXP_BODY uses.
+
+#undef V2
+#undef V3
+#undef V4
+#undef V14
+#undef V15
+#undef VB
+#undef VXOR
+#undef OUTSIDE
+#define V2 Y2
+#define V3 Y3
+#define V4 Y4
+#define V14 Y14
+#define V15 Y15
+#define VB 32
+#define VXOR(a, b, d) VPXOR a, b, d
+#define OUTSIDE(r, z, m, l) \
+	VCMPPD $0x16, ln708<>(SB), r, m \
+	VXORPD z, z, z                  \
+	VCMPPD $0x11, z, r, z           \
+	VPOR   z, m, m                  \
+	VPTEST m, m                     \
+	JNE    l
+
+narrow:
+	SQEXP_BODY(loop4, done4)

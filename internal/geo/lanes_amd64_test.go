@@ -8,7 +8,7 @@ import (
 )
 
 // expAMD64 replays math.Exp's amd64 sequence (math/exp_amd64.s) in Go for
-// arguments in [−2⁹, 0): its FMA path when fma is set, the SSE2 one
+// arguments in [−708, 0]: its FMA path when fma is set, the SSE2 one
 // otherwise. CVTSD2SL rounds to nearest, ties to even.
 func expAMD64(x float64, fma bool) float64 {
 	const (
@@ -39,14 +39,20 @@ func expAMD64(x float64, fma bool) float64 {
 	return x * math.Float64frombits(uint64(k+1023)<<52)
 }
 
-// TestExpProbe: the probe set holds arguments where math.Exp's FMA and SSE2
-// sequences differ, so the init probe can tell which one math.Exp runs; and
-// where math.Exp runs the FMA one on a host with AVX2 and FMA, the lanes'
-// exp passes the probe at every vector width the host has and the lanes
-// are on.
+// TestExpProbe: the probe's exp arguments r = h·h span [2⁻⁴⁰, 708], the
+// lanes' range but for r below 2⁻⁴⁰, and hold arguments where
+// math.Exp's FMA and SSE2 sequences differ, so the init probe can tell
+// which one math.Exp runs; and where math.Exp runs the FMA one on a host
+// with AVX2 and FMA, the lanes' exp passes the probe at every vector width
+// the host has and the lanes are on.
 func TestExpProbe(t *testing.T) {
+	first, last := expProbeArgs[0], expProbeArgs[len(expProbeArgs)-1]
+	if first*first != 0x1p-40 || last*last != 708 {
+		t.Fatalf("probe arguments r run from %g to %g, not from 2⁻⁴⁰ to 708", first*first, last*last)
+	}
 	differ := 0
-	for _, r := range expProbeArgs {
+	for _, h := range expProbeArgs {
+		r := h * h
 		fma, sse := expAMD64(-r, true), expAMD64(-r, false)
 		if got := math.Exp(-r); got != fma && got != sse {
 			t.Fatalf("math.Exp(−%g) = %#x is neither replayed sequence (%#x FMA, %#x SSE2)", r,
@@ -61,8 +67,8 @@ func TestExpProbe(t *testing.T) {
 	}
 	t.Logf("%d of %d probe arguments separate the two sequences", differ, len(expProbeArgs))
 	usesFMA := true
-	for _, r := range expProbeArgs {
-		usesFMA = usesFMA && math.Exp(-r) == expAMD64(-r, true)
+	for _, h := range expProbeArgs {
+		usesFMA = usesFMA && math.Exp(-h*h) == expAMD64(-h*h, true)
 	}
 	if !usesFMA || !hostcpu.AVX2 || !hostcpu.FMA {
 		t.Skip("math.Exp does not run its FMA sequence here: no lanes")

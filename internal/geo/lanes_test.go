@@ -26,11 +26,11 @@ func laneRadii(rng *stats.RNG) []float64 {
 }
 
 // sameCovBits fails the test at the first entry of got whose bits are not
-// bk.Cov's at the distance in hs.
-func sameCovBits(t *testing.T, what string, bk BoundKernel, hs, got []float64) {
+// cov's at the distance in hs.
+func sameCovBits(t *testing.T, what string, cov func(h float64) float64, hs, got []float64) {
 	t.Helper()
 	for j, h := range hs {
-		if want := bk.Cov(h); math.Float64bits(got[j]) != math.Float64bits(want) {
+		if want := cov(h); math.Float64bits(got[j]) != math.Float64bits(want) {
 			t.Fatalf("%s: h=%.17g: row path %.17g (%#x), Cov %.17g (%#x)", what, h, got[j], math.Float64bits(got[j]), want, math.Float64bits(want))
 		}
 	}
@@ -66,7 +66,89 @@ func TestLanesMatchCov(t *testing.T) {
 			for _, bk := range []*maternBound{warm, k.Bind(theta).(*maternBound)} {
 				got := append([]float64(nil), hs...)
 				bk.covRow(got)
-				sameCovBits(t, fmt.Sprint("θ=", theta), warm, hs, got)
+				sameCovBits(t, fmt.Sprint("θ=", theta), warm.Cov, hs, got)
+			}
+		}
+	})
+}
+
+// TestSqExpLanesMatchCov: at every row-path width, the squared-exponential
+// row path gives each entry the bits of a per-entry SqExp.Cov — at 60
+// random θ (σ² over twelve decades, β over ten), at β ≤ 0, β = +Inf and NaN
+// θ, on shuffled rows of odd length whose r = h²/β run from 0 past 745
+// (where exp(−r) is 0), with subnormal, infinite and NaN distances; at r =
+// 708 and one ulp either side, where the lanes do every whole vector up to
+// 708 and none above it; and in every tile (diagonal, off-diagonal, ragged
+// edge) of Σ filled through Bind.
+func TestSqExpLanesMatchCov(t *testing.T) {
+	forEachLaneWidth(t, func(t *testing.T) {
+		rng := stats.NewRNG(37, 0)
+		k := SqExp{Dimension: 2}
+		nan, inf := math.NaN(), math.Inf(1)
+		thetas := [][]float64{{1, 0}, {1, math.Copysign(0, -1)}, {1, -0.3}, {1, inf}, {nan, 0.1}, {1, nan}, {1.7e308, 0.2}, {5e-324, 0.2}}
+		for i := 0; i < 60; i++ {
+			thetas = append(thetas, []float64{math.Pow(10, -6+12*rng.Float64()), math.Pow(10, -4+10*rng.Float64())})
+		}
+		for _, theta := range thetas {
+			cov := func(h float64) float64 { return k.Cov(h, theta) }
+			beta := math.Abs(theta[1])
+			if !(beta > 0 && beta < inf) {
+				beta = 0.1
+			}
+			rs := []float64{0, 1e-300, 708, 745, 746, 1e4, inf, nan}
+			for len(rs) < 8*18 {
+				rs = append(rs, math.Pow(10, -12+14.8*rng.Float64())) // up to 631
+			}
+			hs := make([]float64, len(rs)|1)
+			for j, e := range rng.Perm(len(rs)) {
+				hs[j] = math.Sqrt(rs[e] * beta)
+			}
+			hs = append(hs, 5e-324, 1e-170)
+			got := append([]float64(nil), hs...)
+			k.Bind(theta).covRow(got)
+			sameCovBits(t, fmt.Sprint("θ=", theta), cov, hs, got)
+		}
+		// At h = β = r, h·h/β is r exactly.
+		for _, r := range []float64{math.Nextafter(708, 0), 708, math.Nextafter(708, inf)} {
+			theta := []float64{1.3, r}
+			hs := make([]float64, 4*8+3)
+			for j := range hs {
+				hs[j] = r
+			}
+			if w := laneWidth; w > 0 {
+				want := len(hs) / w * w
+				if r > 708 {
+					want = 0
+				}
+				if n := sqexpRow(w, append([]float64(nil), hs...), theta[0], r); n != want {
+					t.Errorf("r = %.17g: lanes did %d of %d entries, want %d", r, n, len(hs), want)
+				}
+			}
+			got := append([]float64(nil), hs...)
+			k.Bind(theta).covRow(got)
+			sameCovBits(t, fmt.Sprint("r=", r), func(h float64) float64 { return k.Cov(h, theta) }, hs, got)
+		}
+		locs := GenerateLocations(75, 2, stats.NewRNG(38, 0))
+		n, ts := len(locs), 16
+		for _, theta := range [][]float64{{1, 0.03}, {0.2402, 0.02214}, {2.5, 1e-3}} {
+			bk := k.Bind(theta)
+			for r0 := 0; r0 < n; r0 += ts {
+				for c0 := 0; c0 < n; c0 += ts {
+					m, nn := min(ts, n-r0), min(ts, n-c0)
+					got := make([]float64, m*nn)
+					FillTile(bk, locs, r0, c0, m, nn, 1e-8, got, nn)
+					for i := 0; i < m; i++ {
+						for j := 0; j < nn; j++ {
+							want := k.Cov(locs[r0+i].Dist(locs[c0+j]), theta)
+							if r0+i == c0+j {
+								want = k.Cov(0, theta) + 1e-8
+							}
+							if math.Float64bits(got[i*nn+j]) != math.Float64bits(want) {
+								t.Fatalf("θ=%v tile (%d,%d) entry (%d,%d): FillTile %.17g, Cov %.17g", theta, r0, c0, i, j, got[i*nn+j], want)
+							}
+						}
+					}
+				}
 			}
 		}
 	})
@@ -108,14 +190,14 @@ func TestSharedKernelConcurrentFill(t *testing.T) {
 	n, ts := len(locs), 24
 	k := Matern{Dimension: 2}
 	for _, theta := range [][]float64{{1, 0.03, 1}, {0.7, 0.2, 1.7}, {1.3, 0.05, 0.31}} {
-		serial := Bind(k, theta)
+		serial := k.Bind(theta)
 		want := bitsDigest(lowerTiles(n, ts, func(r0, c0, m, nn int, dst []float64) {
 			FillTile(serial, locs, r0, c0, m, nn, 1e-8, dst, nn)
 		}))
 		var starts [][4]int
 		lowerTiles(n, ts, func(r0, c0, m, nn int, dst []float64) { starts = append(starts, [4]int{r0, c0, m, nn}) })
 		tiles := make([][]float64, len(starts))
-		shared := Bind(k, theta)
+		shared := k.Bind(theta)
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)

@@ -252,7 +252,7 @@ func (p *Problem) NegLogLik(theta []float64, rs *RunStats) (float64, error) {
 // depend on which goroutine, or what order of calls, produced it (geo's
 // maternBound contract), so the matrix is that of a serial Fill.
 func (p *Problem) fill(mat *tile.Matrix, theta []float64) {
-	bk := geo.Bind(p.Kernel, theta)
+	bk := p.Kernel.Bind(theta)
 	mat.FillParallel(func(t *tile.Tile, r0, c0 int) {
 		geo.FillTile(bk, p.Locs, r0, c0, t.M, t.N, p.Nugget, t.Data, t.N)
 	})

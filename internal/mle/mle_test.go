@@ -180,7 +180,7 @@ func TestFillMatchesSerialFill(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := tile.NewMatrix(desc, false)
-		bk := geo.Bind(c.k, c.theta)
+		bk := c.k.Bind(c.theta)
 		want.Fill(func(tl *tile.Tile, r0, c0 int) {
 			geo.FillTile(bk, locs, r0, c0, tl.M, tl.N, p.Nugget, tl.Data, tl.N)
 		})

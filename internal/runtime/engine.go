@@ -235,7 +235,7 @@ func (e *Engine) commit(d *device, spec *TaskSpec) {
 		if !ok {
 			if isOutput {
 				// Fresh output with no prior contents: allocate only.
-				d.insert(data, bytes, wp, false, e.now, &sink)
+				d.insert(data, bytes, wp, false, &sink)
 				d.pin(data)
 				return
 			}
@@ -252,7 +252,7 @@ func (e *Engine) commit(d *device, spec *TaskSpec) {
 		if end > stagingEnd {
 			stagingEnd = end
 		}
-		d.insert(data, bytes, wp, !isOutput, e.now, &sink)
+		d.insert(data, bytes, wp, !isOutput, &sink)
 		d.pin(data)
 	}
 

@@ -16,11 +16,11 @@ func newLRUDevice(capacity int64) *device {
 func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	d := newLRUDevice(30)
 	var sink evictSink
-	d.insert(1, 10, prec.FP64, true, 0, &sink)
-	d.insert(2, 10, prec.FP64, true, 0, &sink)
-	d.insert(3, 10, prec.FP64, true, 0, &sink)
+	d.insert(1, 10, prec.FP64, true, &sink)
+	d.insert(2, 10, prec.FP64, true, &sink)
+	d.insert(3, 10, prec.FP64, true, &sink)
 	d.touch(1) // 2 becomes LRU
-	d.insert(4, 10, prec.FP64, true, 0, &sink)
+	d.insert(4, 10, prec.FP64, true, &sink)
 	if d.resident[2] != nil {
 		t.Error("LRU entry 2 not evicted")
 	}
@@ -40,9 +40,9 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 func TestLRUDirtyEvictionWritesBack(t *testing.T) {
 	d := newLRUDevice(20)
 	var sink evictSink
-	d.insert(1, 10, prec.FP64, false, 0, &sink) // no host copy: dirty
-	d.insert(2, 10, prec.FP64, true, 0, &sink)
-	d.insert(3, 10, prec.FP64, true, 0, &sink) // evicts 1
+	d.insert(1, 10, prec.FP64, false, &sink) // no host copy: dirty
+	d.insert(2, 10, prec.FP64, true, &sink)
+	d.insert(3, 10, prec.FP64, true, &sink) // evicts 1
 	if len(sink.writebacks) != 1 || sink.writebacks[0].data != 1 {
 		t.Fatalf("expected writeback of 1, got %+v", sink.writebacks)
 	}
@@ -54,10 +54,10 @@ func TestLRUDirtyEvictionWritesBack(t *testing.T) {
 func TestLRUPinnedEntriesSurvive(t *testing.T) {
 	d := newLRUDevice(20)
 	var sink evictSink
-	d.insert(1, 10, prec.FP64, true, 0, &sink)
+	d.insert(1, 10, prec.FP64, true, &sink)
 	d.pin(1)
-	d.insert(2, 10, prec.FP64, true, 0, &sink)
-	d.insert(3, 10, prec.FP64, true, 0, &sink) // must evict 2, not pinned 1
+	d.insert(2, 10, prec.FP64, true, &sink)
+	d.insert(3, 10, prec.FP64, true, &sink) // must evict 2, not pinned 1
 	if d.resident[1] == nil {
 		t.Fatal("pinned entry evicted")
 	}
@@ -65,7 +65,7 @@ func TestLRUPinnedEntriesSurvive(t *testing.T) {
 		t.Error("unpinned LRU entry 2 survived over-capacity")
 	}
 	d.unpin(1)
-	d.insert(4, 10, prec.FP64, true, 0, &sink)
+	d.insert(4, 10, prec.FP64, true, &sink)
 	if d.resident[1] != nil {
 		t.Error("entry 1 not evictable after unpin")
 	}
@@ -74,9 +74,9 @@ func TestLRUPinnedEntriesSurvive(t *testing.T) {
 func TestLRUAllPinnedOvercommits(t *testing.T) {
 	d := newLRUDevice(15)
 	var sink evictSink
-	d.insert(1, 10, prec.FP64, true, 0, &sink)
+	d.insert(1, 10, prec.FP64, true, &sink)
 	d.pin(1)
-	d.insert(2, 10, prec.FP64, true, 0, &sink)
+	d.insert(2, 10, prec.FP64, true, &sink)
 	d.pin(2)
 	// Over capacity with everything pinned: no eviction, no panic.
 	if d.resident[1] == nil || d.resident[2] == nil {
@@ -90,8 +90,8 @@ func TestLRUAllPinnedOvercommits(t *testing.T) {
 func TestLRUReinsertUpdatesSize(t *testing.T) {
 	d := newLRUDevice(100)
 	var sink evictSink
-	d.insert(1, 10, prec.FP64, false, 0, &sink)
-	d.insert(1, 25, prec.FP64, true, 0, &sink) // growth + host copy upgrade
+	d.insert(1, 10, prec.FP64, false, &sink)
+	d.insert(1, 25, prec.FP64, true, &sink) // growth + host copy upgrade
 	if d.used != 25 {
 		t.Errorf("used = %d, want 25", d.used)
 	}
@@ -99,7 +99,7 @@ func TestLRUReinsertUpdatesSize(t *testing.T) {
 	if !e.hostCopy {
 		t.Error("host copy flag not upgraded")
 	}
-	d.insert(1, 5, prec.FP64, false, 0, &sink) // shrink must not reduce accounting
+	d.insert(1, 5, prec.FP64, false, &sink) // shrink must not reduce accounting
 	if d.used != 25 {
 		t.Errorf("used = %d after smaller reinsert, want 25", d.used)
 	}
@@ -111,7 +111,7 @@ func TestLRUListIntegrity(t *testing.T) {
 	d := newLRUDevice(1 << 40)
 	var sink evictSink
 	for i := 0; i < 100; i++ {
-		d.insert(DataID(i%17), int64(i%7+1), prec.FP64, i%2 == 0, 0, &sink)
+		d.insert(DataID(i%17), int64(i%7+1), prec.FP64, i%2 == 0, &sink)
 		d.touch(DataID((i * 5) % 17))
 	}
 	seen := map[DataID]bool{}

@@ -199,10 +199,9 @@ func (d *device) touch(id DataID) *residentEntry {
 	return e
 }
 
-// insert adds a resident copy, evicting LRU entries as needed. It returns
-// the time at which required writebacks complete (0 when none), so callers
-// can order dependent transfers, and records eviction statistics.
-func (d *device) insert(id DataID, bytes int64, p prec.Precision, hostCopy bool, now float64, ev *evictSink) {
+// insert adds a resident copy, evicting LRU entries as needed: the dirty
+// ones go to ev as writebacks, and the device's statistics count them.
+func (d *device) insert(id DataID, bytes int64, p prec.Precision, hostCopy bool, ev *evictSink) {
 	if e := d.entry(id); e != nil {
 		d.lruUnlink(e)
 		d.lruFront(e)
@@ -216,7 +215,7 @@ func (d *device) insert(id DataID, bytes int64, p prec.Precision, hostCopy bool,
 	}
 	// Make room first so the new entry can never evict itself; if every
 	// resident tile is pinned the device over-commits instead.
-	d.evictTo(d.spec.MemBytes-bytes, now, ev)
+	d.evictTo(d.spec.MemBytes-bytes, ev)
 	var e *residentEntry
 	if n := len(d.entryFree); n > 0 {
 		e = d.entryFree[n-1]
@@ -246,8 +245,7 @@ type evicted struct {
 	prec  prec.Precision
 }
 
-func (d *device) evictTo(capacity int64, now float64, ev *evictSink) {
-	_ = now
+func (d *device) evictTo(capacity int64, ev *evictSink) {
 	e := d.lruTail
 	for d.used > capacity && e != nil {
 		prev := e.prev
