@@ -31,7 +31,7 @@ func GemmAccuracy(sizes []int, seed uint64) []GemmAccRow {
 			b[i] = rng.Float64()*2 - 1
 		}
 		ref := make([]float64, n*n)
-		linalg.GemmNT(n, n, n, 1, a, n, b, n, 0, ref, n)
+		linalg.GemmNTPrec(prec.FP64, n, n, n, 1, a, n, b, n, 0, ref, n)
 		for _, p := range []prec.Precision{prec.FP32, prec.TF32, prec.BF16x32, prec.FP16x32, prec.FP16} {
 			c := make([]float64, n*n)
 			linalg.GemmNTPrec(p, n, n, n, 1, a, n, b, n, 0, c, n)

@@ -69,10 +69,10 @@ func Run(cfg Config) (*Result, error) {
 	}
 	eng := cfg.Engine(g)
 	stats, err := eng.Run()
+	g.releaseOperands()
 	if err != nil {
 		return nil, err
 	}
-	g.releaseOperands()
 	r := newResult(g, stats, eng.BodyErr(), eng.ScheduleTrace())
 	r.eng = eng
 	return r, nil
@@ -80,9 +80,10 @@ func Run(cfg Config) (*Result, error) {
 
 // newGraph validates cfg and builds the PTG task graph of one
 // factorization. It is the one place the strategy is applied (ForceTTC
-// runs Maps.TTC()), and it rounds a numeric matrix to the storage map, so
-// the bodies read every tile in the storage precision the engine charges
-// (§V: FP16-family tiles are generated in FP32).
+// runs Maps.TTC()) and a numeric run is checked (see validate), and it
+// rounds a numeric matrix to the storage map, so the bodies read every tile
+// in the storage precision the engine charges (§V: FP16-family tiles are
+// generated in FP32).
 func newGraph(cfg Config) (*graph, error) {
 	if cfg.Platform == nil {
 		return nil, fmt.Errorf("cholesky: nil platform")

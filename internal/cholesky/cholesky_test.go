@@ -508,6 +508,52 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestNumericRunRejectsUnexecutable: a numeric run whose maps or matrix the
+// bodies cannot execute fails in Run before anything runs — the matrix keeps
+// its bits, so no body started and no tile was rounded — while the same
+// maps still run in phantom mode.
+func TestNumericRunRejectsUnexecutable(t *testing.T) {
+	const nt, ts = 4, 16
+	d, _ := tile.NewDesc(nt*ts, ts, 1, 1)
+	other, _ := tile.NewDesc(nt*(ts-1), ts-1, 1, 1) // same NT, narrower tiles
+	plat, _ := runtime.NewPlatform(hw.SummitNode, 1, 1)
+	locs := geo.GenerateLocations(nt*ts, 2, stats.NewRNG(7, 0))
+	covariance := func(d tile.Desc) *tile.Matrix {
+		mat := tile.NewMatrix(d, false)
+		mat.Fill(func(tl *tile.Tile, r0, c0 int) {
+			geo.CovTile(locs, r0, c0, tl.M, tl.N, geo.SqExp{Dimension: 2}, []float64{1, 0.05}, 1, tl.Data, tl.N)
+		})
+		return mat
+	}
+	fp16At11 := precmap.UniformAll(nt, prec.FP64)
+	fp16At11[1][1] = prec.FP16
+	for _, c := range []struct {
+		name   string
+		kernel [][]prec.Precision
+		mat    *tile.Matrix
+	}{
+		{"fp32-diagonal", precmap.UniformAll(nt, prec.FP32), covariance(d)},
+		{"fp16-tile-1-1", fp16At11, covariance(d)},
+		{"phantom-matrix", precmap.UniformAll(nt, prec.FP64), tile.NewMatrix(d, true)},
+		{"other-tile-size", precmap.UniformAll(nt, prec.FP64), covariance(other)},
+	} {
+		maps := precmap.New(c.kernel, 0)
+		var before []float64
+		if !c.mat.Phantom {
+			before = c.mat.LowerToDense()
+		}
+		if _, err := Run(Config{Desc: d, Maps: maps, Platform: plat, Matrix: c.mat}); err == nil {
+			t.Errorf("%s: numeric run accepted", c.name)
+		}
+		if before != nil && !slices.Equal(before, c.mat.LowerToDense()) {
+			t.Errorf("%s: the rejected run changed the matrix", c.name)
+		}
+		if _, err := Run(Config{Desc: d, Maps: maps, Platform: plat}); err != nil {
+			t.Errorf("%s: phantom run: %v", c.name, err)
+		}
+	}
+}
+
 func TestScheduleTrace(t *testing.T) {
 	nt := 4
 	d, _ := tile.NewDesc(nt*16, 16, 1, 1)

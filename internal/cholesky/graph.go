@@ -217,7 +217,7 @@ func (g *graph) Spec(id int, s *runtime.TaskSpec) {
 		} else {
 			s.Publish = nil
 		}
-		s.Body = g.potrfBody(k, s.Prec)
+		s.Body = g.potrfBody(k)
 
 	case opTrsm:
 		s.Kind = hw.KindTrsm
@@ -298,12 +298,27 @@ func (g *graph) inputSpec(i, j int, p prec.Precision) runtime.InputSpec {
 
 var _ runtime.Graph = (*graph)(nil)
 
+// validate checks that the maps fit the tiling and, for a numeric run, that
+// the bodies can execute what the maps assign: real tile data laid out as
+// cfg.Desc, and the diagonal in FP64 (§V) — POTRF(k) and every SYRK(·,k)
+// target tile (k,k), and linalg has no other POTRF or SYRK.
 func (g *graph) validate() error {
 	if g.maps.NT != g.desc.NT {
 		return fmt.Errorf("cholesky: precision map NT=%d does not match descriptor NT=%d", g.maps.NT, g.desc.NT)
 	}
-	if g.mat != nil && g.mat.NT != g.desc.NT {
-		return fmt.Errorf("cholesky: matrix NT=%d does not match descriptor NT=%d", g.mat.NT, g.desc.NT)
+	if g.mat == nil {
+		return nil
+	}
+	if g.mat.Phantom {
+		return fmt.Errorf("cholesky: numeric run on a phantom matrix")
+	}
+	if g.mat.Desc != g.desc {
+		return fmt.Errorf("cholesky: matrix layout %+v does not match descriptor %+v", g.mat.Desc, g.desc)
+	}
+	for k := 0; k < g.desc.NT; k++ {
+		if p := g.maps.Potrf(k); p != prec.FP64 {
+			return fmt.Errorf("cholesky: diagonal tile (%d,%d) runs in %v; a numeric run needs FP64", k, k, p)
+		}
 	}
 	return nil
 }

@@ -88,23 +88,15 @@ func (g *graph) releaseOperands() {
 
 // potrfBody, like the three builders below, returns a closure by design;
 // phantom (pure-DES) graphs carry no matrix, get nil and stay
-// allocation-free. Each body computes in p, the precision Spec charged.
-func (g *graph) potrfBody(k int, p prec.Precision) func() error {
+// allocation-free. Each body computes in the precision Spec charged; for
+// POTRF that is FP64, which newGraph requires of a numeric run's diagonal.
+func (g *graph) potrfBody(k int) func() error {
 	if g.mat == nil {
 		return nil
 	}
 	return func() error {
 		t := g.mat.At(k, k)
-		var err error
-		switch p {
-		case prec.FP64:
-			err = linalg.PotrfLower(t.M, t.Data, t.N)
-		case prec.FP32:
-			err = linalg.PotrfLower32(t.M, t.Data, t.N)
-		default:
-			err = fmt.Errorf("cholesky: POTRF cannot run in %v", p)
-		}
-		if err != nil {
+		if err := linalg.PotrfLower(t.M, t.Data, t.N); err != nil {
 			return fmt.Errorf("POTRF(%d): %w", k, err)
 		}
 		if k < g.nt-1 {

@@ -68,12 +68,11 @@ func TestBodiesComputeInChargedPrecision(t *testing.T) {
 		switch op {
 		case opPotrf:
 			c := ref.At(k, k)
-			potrf := linalg.PotrfLower
-			if p == prec.FP32 {
-				potrf = linalg.PotrfLower32
+			if p != prec.FP64 {
+				t.Fatalf("POTRF(%d) charged in %v: a numeric run keeps the diagonal in FP64", k, p)
 			}
-			if err := potrf(c.M, c.Data, c.N); err != nil {
-				t.Fatalf("replayed POTRF(%d) in %v: %v", k, p, err)
+			if err := linalg.PotrfLower(c.M, c.Data, c.N); err != nil {
+				t.Fatalf("replayed POTRF(%d): %v", k, err)
 			}
 		case opTrsm:
 			a, b := ref.At(k, k), ref.At(m, k)

@@ -50,9 +50,9 @@ func RunCached(cfg Config, c *plan.Cache) (*Result, error) {
 		return nil, err
 	}
 	p, bodyErr, err := c.Run(planShapeSig(cfg), cfg.Maps.Signature(), g, cfg.Engine)
+	g.releaseOperands()
 	if err != nil {
 		return nil, err
 	}
-	g.releaseOperands()
 	return newResult(g, p.Stats, bodyErr, p.Schedule), nil
 }

@@ -63,18 +63,3 @@ func init() {
 		quantMagic[e] = exp + 13<<23
 	}
 }
-
-// halfToF32 tabulates ToFloat32 for every binary16 bit pattern, replacing
-// the branchy (and, for subnormals, looping) conversion with one load in the
-// kernel pack loops.
-var halfToF32 [1 << 16]float32
-
-func init() {
-	for i := range halfToF32 {
-		halfToF32[i] = Half(i).ToFloat32()
-	}
-}
-
-// ToFloat32Fast converts a binary16 value to float32 via table lookup,
-// bit-identical to ToFloat32.
-func ToFloat32Fast(h Half) float32 { return halfToF32[h] }

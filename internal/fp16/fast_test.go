@@ -92,7 +92,7 @@ func TestHalfFMAEquivalence(t *testing.T) {
 		0x1000, 0x5000, 0x9000, 0xd000,
 	}
 	check := func(a, b Half) {
-		af, bf := halfToF32[a], halfToF32[b]
+		af, bf := a.ToFloat32(), b.ToFloat32()
 		// Multiply step.
 		fast := QuantF32(af * bf)
 		want := MulHalf(a, b)
@@ -128,19 +128,6 @@ func TestHalfFMAEquivalence(t *testing.T) {
 	for i := 0; i < 1<<16; i += 97 {
 		for j := 0; j < 1<<16; j += 89 {
 			check(Half(i), Half(j))
-		}
-	}
-}
-
-// TestToFloat32FastTable pins the lookup table against the reference
-// conversion for every binary16 pattern.
-func TestToFloat32FastTable(t *testing.T) {
-	for i := 0; i < 1<<16; i++ {
-		h := Half(i)
-		got, want := ToFloat32Fast(h), h.ToFloat32()
-		if math.Float32bits(got) != math.Float32bits(want) {
-			t.Fatalf("ToFloat32Fast(%#04x) = %#08x, want %#08x", i,
-				math.Float32bits(got), math.Float32bits(want))
 		}
 	}
 }

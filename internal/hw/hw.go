@@ -289,19 +289,6 @@ var (
 	}
 )
 
-// ByName returns the GPU spec for "V100", "A100" or "H100".
-func ByName(name string) (*GPUSpec, error) {
-	switch name {
-	case "V100":
-		return V100, nil
-	case "A100":
-		return A100, nil
-	case "H100":
-		return H100, nil
-	}
-	return nil, fmt.Errorf("hw: unknown GPU %q", name)
-}
-
 // NodeByName returns the node spec for "Summit", "Guyot" or "Haxane".
 func NodeByName(name string) (*NodeSpec, error) {
 	switch name {

@@ -1,7 +1,8 @@
 // Package linalg implements the dense numerical kernels of the tile
-// Cholesky factorization — POTRF, TRSM, SYRK and GEMM — in native float64
-// and float32 arithmetic and in software-emulated GPU formats (TF32,
-// BF16_32, FP16_32, FP16).
+// Cholesky factorization: POTRF and SYRK in float64 (they update the
+// diagonal tiles, which stay in FP64), TRSM in float64 and float32, and GEMM
+// in float64, float32 and the software-emulated GPU formats (TF32, BF16_32,
+// FP16_32, FP16).
 //
 // All matrices are dense row-major with an explicit leading dimension (row
 // stride), and triangular/symmetric kernels operate on the lower triangle,
@@ -28,10 +29,10 @@
 // setting. The float32-accumulate GEMMs use a 4×4 SSE2 kernel.
 //
 // Underflow contract of the binary32 carrier: inside every float32-accumulate
-// kernel (the FP32/TF32/BF16_32/FP16_32/FP16 GEMMs, TrsmRLT32, the FP32 SYRK,
-// PotrfLower32) a binary32-subnormal operand reads as zero and a
-// binary32-subnormal result flushes to zero — a perturbation of at most
-// 2⁻¹²⁶ per operation, on tiles of a matrix with an O(1) diagonal. The
+// kernel (the FP32/TF32/BF16_32/FP16_32/FP16 GEMMs and TrsmRLT32) a
+// binary32-subnormal operand reads as zero and a binary32-subnormal result
+// flushes to zero — a perturbation of at most 2⁻¹²⁶ per operation, on tiles
+// of a matrix with an O(1) diagonal. The
 // float64 kernels keep IEEE gradual underflow. On amd64 the contract is
 // enforced (and the ~150-cycle microcode assist each subnormal SSE operation
 // costs is avoided) by a scoped MXCSR region, see enterFlush32; other

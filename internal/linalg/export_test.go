@@ -1,6 +1,10 @@
 package linalg
 
-import "testing"
+import (
+	"testing"
+
+	"geompc/internal/prec"
+)
 
 // hostW and hostF16C are the micro-kernels chosen at init, before any test
 // forces others.
@@ -29,4 +33,14 @@ func forEachWidth(t *testing.T, f func(t *testing.T)) {
 			f(t)
 		})
 	}
+}
+
+// syrkLN is the FP64 SYRK on unpacked A: it packs A for this one call and
+// runs SyrkLNPacked.
+func syrkLN(n, k int, alpha float64, a []float64, lda int, beta float64, c []float64, ldc int) {
+	var ao Operand
+	// Only the micro-kernel reads a B side, and only from four rows up.
+	ao.Pack(prec.FP64, n, k, a, lda, n >= 4)
+	SyrkLNPacked(alpha, &ao, beta, c, ldc)
+	ao.Release()
 }

@@ -52,7 +52,7 @@ func (r *flushRef) pack(src []float64, quant func(float32) float32) []float32 {
 	return out
 }
 
-// store is the alpha/beta combine of the float32 GEMM and SYRK kernels.
+// store is the alpha/beta combine of the float32 GEMM kernels.
 func (r *flushRef) store(al, s float32, beta float64, cij float64) float64 {
 	if beta == 0 {
 		return float64(r.mul(al, s))
@@ -94,19 +94,6 @@ func (r *flushRef) gemmFP16(m, n, k int, alpha float64, a, b []float64, beta flo
 	}
 }
 
-func (r *flushRef) syrk(n, k int, alpha float64, a []float64, beta float64, c []float64) {
-	af, al := r.pack(a, nil), r.rnd(alpha)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			var s float32
-			for l := 0; l < k; l++ {
-				s = r.add(s, r.mul(af[i*k+l], af[j*k+l]))
-			}
-			c[i*n+j] = r.store(al, s, beta, c[i*n+j])
-		}
-	}
-}
-
 func (r *flushRef) trsm(m, n int, a, b []float64) {
 	af, bf := r.pack(a, nil), r.pack(b, nil)
 	for i := 0; i < m; i++ {
@@ -121,31 +108,6 @@ func (r *flushRef) trsm(m, n int, a, b []float64) {
 	}
 	for i, v := range bf {
 		b[i] = float64(v)
-	}
-}
-
-func (r *flushRef) potrf(n int, a []float64) {
-	w := r.pack(a, nil)
-	for j := 0; j < n; j++ {
-		d := w[j*n+j]
-		for l := 0; l < j; l++ {
-			d = r.sub(d, r.mul(w[j*n+l], w[j*n+l]))
-		}
-		d = float32(math.Sqrt(float64(d)))
-		w[j*n+j] = d
-		inv := r.div(1, d)
-		for i := j + 1; i < n; i++ {
-			s := w[i*n+j]
-			for l := 0; l < j; l++ {
-				s = r.sub(s, r.mul(w[i*n+l], w[j*n+l]))
-			}
-			w[i*n+j] = r.mul(s, inv)
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			a[i*n+j] = float64(w[i*n+j])
-		}
 	}
 }
 
@@ -185,12 +147,6 @@ func TestFloat32KernelsFlushSubnormals(t *testing.T) {
 			GemmNTPrec(prec.FP16, d.m, d.n, d.k, -1, a, d.k, b, d.k, beta, got, d.n)
 			ref.gemmFP16(d.m, d.n, d.k, -1, a, b, beta, want)
 			sameBits(t, "GemmNTFP16", got, want)
-
-			cs := underflowMatrix(&rng, d.n, d.n, underflowScales...)
-			got, want = clone(cs), clone(cs)
-			SyrkLNPrec(prec.FP32, d.n, d.k, -1, b, d.k, beta, got, d.n)
-			ref.syrk(d.n, d.k, -1, b, beta, want)
-			sameBits(t, "SyrkLN32", got, want)
 		}
 
 		// Unit-scale diagonals keep the solves well posed; the triangle's
@@ -203,13 +159,6 @@ func TestFloat32KernelsFlushSubnormals(t *testing.T) {
 		TrsmRLT32(d.m, d.n, tri, d.n, got, d.n)
 		ref.trsm(d.m, d.n, tri, want)
 		sameBits(t, "TrsmRLT32", got, want)
-
-		got, want = clone(tri), clone(tri)
-		if err := PotrfLower32(d.n, got, d.n); err != nil {
-			t.Fatal(err)
-		}
-		ref.potrf(d.n, want)
-		sameBits(t, "PotrfLower32", got, want)
 	}
 	if ref.flushed == 0 {
 		t.Fatal("the inputs never reached the binary32 subnormal range")
@@ -239,13 +188,7 @@ func TestMXCSRDefaultOutsideKernels(t *testing.T) {
 		"GemmNTBF16x32": func() { GemmNTPrec(prec.BF16x32, n, n, n, -1, a, n, a, n, 1, c, n) },
 		"GemmNTFP16x32": func() { GemmNTPrec(prec.FP16x32, n, n, n, -1, a, n, a, n, 1, c, n) },
 		"GemmNTFP16":    func() { GemmNTPrec(prec.FP16, n, n, n, -1, a, n, a, n, 1, c, n) },
-		"SyrkLN32":      func() { SyrkLNPrec(prec.FP32, n, n, -1, a, n, 1, c, n) },
 		"TrsmRLT32":     func() { TrsmRLT32(n, n, spd, n, c, n) },
-		"PotrfLower32": func() {
-			if err := PotrfLower32(n, spd, n); err != nil {
-				t.Error(err)
-			}
-		},
 		// An index panic from inside the region: C is one row short.
 		"GemmNT32 panic": func() {
 			defer func() {
@@ -297,7 +240,7 @@ func TestFloat64KeepsGradualUnderflow(t *testing.T) {
 		}
 		c := make([]float64, n*n)
 		for iter := 0; iter < 50 || calls.Load() < 2000; iter++ {
-			GemmNT(n, n, n, 1, a, n, a, n, 0, c, n)
+			GemmNTPrec(prec.FP64, n, n, n, 1, a, n, a, n, 0, c, n)
 			// Judged on the bits: a float comparison would itself read the
 			// subnormal as zero on a thread the mode had leaked to.
 			if bits := math.Float64bits(c[0]); bits == 0 || bits>>52 != 0 {

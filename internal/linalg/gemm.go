@@ -145,11 +145,6 @@ func GemmNTPrec(p prec.Precision, m, n, k int, alpha float64, a []float64, lda i
 	bo.Release()
 }
 
-// GemmNT is GemmNTPrec in float64.
-func GemmNT(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	GemmNTPrec(prec.FP64, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-}
-
 // gemmNT64 runs the FP64 micro-kernel over every whole group of four rows —
 // bp is B in packB64 blocks, empty when there is no dot-product work (k = 0)
 // or B was not packed — and the seed scalar loop over the remainder rows,

@@ -129,7 +129,7 @@ func syrkGolden(p prec.Precision, shapes []dims) uint64 {
 	for _, d := range shapes {
 		a := goldenMatrix(&rng, d.n, d.k)
 		c := goldenMatrix(&rng, d.n, d.n)
-		SyrkLNPrec(p, d.n, d.k, -1, a, d.k, 1, c, d.n)
+		syrkLN(d.n, d.k, -1, a, d.k, 1, c, d.n)
 		h ^= fnv1a64(c)
 		h *= 1099511628211
 	}
@@ -138,12 +138,10 @@ func syrkGolden(p prec.Precision, shapes []dims) uint64 {
 
 var syrkGoldenWant = map[prec.Precision]uint64{
 	prec.FP64: 0x21f42e2b0af04a18,
-	prec.FP32: 0x7bcd3b494cd2fa37,
 }
 
 var syrkRemainderWant = map[prec.Precision]uint64{
 	prec.FP64: 0x34b6b382d54da9dd,
-	prec.FP32: 0x844a0c480396084b,
 }
 
 func TestSyrkGoldenDigests(t *testing.T) {
@@ -192,7 +190,7 @@ func TestTrsmGoldenDigests(t *testing.T) {
 func goldenSPD(rng *splitmix64, n int) []float64 {
 	b := goldenMatrix(rng, n, n)
 	a := make([]float64, n*n)
-	GemmNT(n, n, n, 1, b, n, b, n, 0, a, n)
+	GemmNTPrec(prec.FP64, n, n, n, 1, b, n, b, n, 0, a, n)
 	for i := 0; i < n; i++ {
 		a[i*n+i] += float64(n)
 	}
@@ -204,14 +202,7 @@ func potrfGolden(p prec.Precision, shapes []dims, t *testing.T) uint64 {
 	h := uint64(14695981039346656037)
 	for _, d := range shapes {
 		a := goldenSPD(&rng, d.n)
-		var err error
-		switch p {
-		case prec.FP64:
-			err = PotrfLower(d.n, a, d.n)
-		case prec.FP32:
-			err = PotrfLower32(d.n, a, d.n)
-		}
-		if err != nil {
+		if err := PotrfLower(d.n, a, d.n); err != nil {
 			t.Fatalf("POTRF %s n=%d: %v", p, d.n, err)
 		}
 		h ^= fnv1a64(a)
@@ -222,12 +213,10 @@ func potrfGolden(p prec.Precision, shapes []dims, t *testing.T) uint64 {
 
 var potrfGoldenWant = map[prec.Precision]uint64{
 	prec.FP64: 0x0b0bfcdd8a371286,
-	prec.FP32: 0x002d47882f6d8e90,
 }
 
 var potrfRemainderWant = map[prec.Precision]uint64{
 	prec.FP64: 0x3ec6ae7b53b3381b,
-	prec.FP32: 0x0142af1ee8b7111e,
 }
 
 // potrfBlockedWant pins PotrfLower over n ∈ {1, 61, 64, 200} — one block,

@@ -20,7 +20,7 @@ func randMat(rng *rand.Rand, m, n int) []float64 {
 func spdMat(rng *rand.Rand, n int) []float64 {
 	m := randMat(rng, n, n)
 	a := make([]float64, n*n)
-	GemmNT(n, n, n, 1, m, n, m, n, 0, a, n)
+	GemmNTPrec(prec.FP64, n, n, n, 1, m, n, m, n, 0, a, n)
 	for i := 0; i < n; i++ {
 		a[i*n+i] += float64(n)
 	}
@@ -46,7 +46,7 @@ func TestGemmNTAgainstReference(t *testing.T) {
 		a, b := randMat(rng, m, k), randMat(rng, n, k)
 		c1, c2 := randMat(rng, m, n), make([]float64, m*n)
 		copy(c2, c1)
-		GemmNT(m, n, k, -1, a, k, b, k, 1, c1, n)
+		GemmNTPrec(prec.FP64, m, n, k, -1, a, k, b, k, 1, c1, n)
 		gemmNTRef(m, n, k, -1, a, k, b, k, 1, c2, n)
 		if d := MaxAbsDiff(c1, c2); d > 1e-13 {
 			t.Errorf("GemmNT (%d,%d,%d) differs from reference by %g", m, n, k, d)
@@ -62,7 +62,7 @@ func TestGemmNTBetaHandling(t *testing.T) {
 	for _, beta := range []float64{0, 1, -2.5} {
 		c1 := append([]float64(nil), cInit...)
 		c2 := append([]float64(nil), cInit...)
-		GemmNT(m, n, k, 1.5, a, k, b, k, beta, c1, n)
+		GemmNTPrec(prec.FP64, m, n, k, 1.5, a, k, b, k, beta, c1, n)
 		gemmNTRef(m, n, k, 1.5, a, k, b, k, beta, c2, n)
 		if d := MaxAbsDiff(c1, c2); d > 1e-12 {
 			t.Errorf("beta=%v: GemmNT differs by %g", beta, d)
@@ -77,7 +77,7 @@ func TestGemmPrecisionErrorLadder(t *testing.T) {
 	m := 48
 	a, b := randMat(rng, m, m), randMat(rng, m, m)
 	ref := make([]float64, m*m)
-	GemmNT(m, m, m, 1, a, m, b, m, 0, ref, m)
+	GemmNTPrec(prec.FP64, m, m, m, 1, a, m, b, m, 0, ref, m)
 
 	errFor := func(p prec.Precision) float64 {
 		c := make([]float64, m*m)
@@ -130,7 +130,7 @@ func TestPotrfReconstruction(t *testing.T) {
 			}
 		}
 		r := make([]float64, n*n)
-		GemmNT(n, n, n, 1, l, n, l, n, 0, r, n)
+		GemmNTPrec(prec.FP64, n, n, n, 1, l, n, l, n, 0, r, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j <= i; j++ {
 				if d := math.Abs(r[i*n+j] - a[i*n+j]); d > 1e-10*float64(n) {
@@ -146,34 +146,9 @@ func TestPotrfNotSPD(t *testing.T) {
 	if err := PotrfLower(2, a, 2); err == nil {
 		t.Error("PotrfLower accepted an indefinite matrix")
 	}
-	b := []float64{4, 0, 2, 1} // second pivot: 1 - 0.25... ok. make singular:
-	b = []float64{4, 0, 2, 1}
-	_ = b
 	c := []float64{1, 0, 1, 1} // pivot2 = 1-1 = 0
-	if err := PotrfLower32(2, c, 2); err == nil {
-		t.Error("PotrfLower32 accepted a singular matrix")
-	}
-}
-
-func TestPotrf32MatchesPotrf64Loosely(t *testing.T) {
-	rng := rand.New(rand.NewPCG(13, 14))
-	n := 24
-	a := spdMat(rng, n)
-	l64 := append([]float64(nil), a...)
-	l32 := append([]float64(nil), a...)
-	if err := PotrfLower(n, l64, n); err != nil {
-		t.Fatal(err)
-	}
-	if err := PotrfLower32(n, l32, n); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			d := math.Abs(l64[i*n+j] - l32[i*n+j])
-			if d > 1e-4*math.Abs(l64[i*n+j])+1e-4 {
-				t.Fatalf("fp32 potrf far from fp64 at (%d,%d): %g vs %g", i, j, l32[i*n+j], l64[i*n+j])
-			}
-		}
+	if err := PotrfLower(2, c, 2); err == nil {
+		t.Error("PotrfLower accepted a singular matrix")
 	}
 }
 
@@ -193,7 +168,7 @@ func TestTrsmRLTSolves(t *testing.T) {
 		copy(l[i*n:i*n+i+1], a[i*n:])
 	}
 	r := make([]float64, m*n)
-	GemmNT(m, n, n, 1, x, n, l, n, 0, r, n)
+	GemmNTPrec(prec.FP64, m, n, n, 1, x, n, l, n, 0, r, n)
 	if d := MaxAbsDiff(r, b); d > 1e-10 {
 		t.Errorf("TrsmRLT residual %g", d)
 	}
@@ -235,29 +210,12 @@ func TestSyrkAgainstGemm(t *testing.T) {
 	a := randMat(rng, n, k)
 	c := spdMat(rng, n)
 	c2 := append([]float64(nil), c...)
-	SyrkLNPrec(prec.FP64, n, k, -1, a, k, 1, c, n)
-	GemmNT(n, n, k, -1, a, k, a, k, 1, c2, n)
+	syrkLN(n, k, -1, a, k, 1, c, n)
+	GemmNTPrec(prec.FP64, n, n, k, -1, a, k, a, k, 1, c2, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			if d := math.Abs(c[i*n+j] - c2[i*n+j]); d > 1e-12 {
 				t.Fatalf("SYRK lower (%d,%d) differs from GEMM by %g", i, j, d)
-			}
-		}
-	}
-}
-
-func TestSyrk32CloseToFP64(t *testing.T) {
-	rng := rand.New(rand.NewPCG(21, 22))
-	n, k := 8, 6
-	a := randMat(rng, n, k)
-	c1 := spdMat(rng, n)
-	c2 := append([]float64(nil), c1...)
-	SyrkLNPrec(prec.FP64, n, k, -1, a, k, 1, c1, n)
-	SyrkLNPrec(prec.FP32, n, k, -1, a, k, 1, c2, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			if d := math.Abs(c1[i*n+j] - c2[i*n+j]); d > 1e-4 {
-				t.Fatalf("fp32 SYRK far at (%d,%d): %g", i, j, d)
 			}
 		}
 	}

@@ -17,8 +17,8 @@ func TestGemmLinearityProperty(t *testing.T) {
 		a, b := randMat(rng, m, k), randMat(rng, n, k)
 		c1 := make([]float64, m*n)
 		c2 := make([]float64, m*n)
-		GemmNT(m, n, k, 1.5, a, k, b, k, 0, c1, n)
-		GemmNT(m, n, k, 3.0, a, k, b, k, 0, c2, n)
+		GemmNTPrec(prec.FP64, m, n, k, 1.5, a, k, b, k, 0, c1, n)
+		GemmNTPrec(prec.FP64, m, n, k, 3.0, a, k, b, k, 0, c2, n)
 		for i := range c1 {
 			if math.Abs(2*c1[i]-c2[i]) > 1e-12*(math.Abs(c2[i])+1) {
 				return false
@@ -106,8 +106,8 @@ func TestSyrkPreservesSymmetryOfUpdate(t *testing.T) {
 	a := randMat(rng, n, k)
 	c := spdMat(rng, n)
 	ref := append([]float64(nil), c...)
-	SyrkLNPrec(prec.FP64, n, k, -0.5, a, k, 1, c, n)
-	GemmNT(n, n, k, -0.5, a, k, a, k, 1, ref, n)
+	syrkLN(n, k, -0.5, a, k, 1, c, n)
+	GemmNTPrec(prec.FP64, n, n, k, -0.5, a, k, a, k, 1, ref, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			if math.Abs(c[i*n+j]-ref[i*n+j]) > 1e-12 {

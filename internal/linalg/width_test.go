@@ -89,14 +89,14 @@ func TestWidthKernelsMatchNaiveLoops(t *testing.T) {
 			a, b, c := randMat(rng, m, lda), randMat(rng, n, ldb), randMat(rng, m, ldc)
 			for _, ab := range [][2]float64{{-1, 1}, {0.5, 0}, {1.25, -0.75}} {
 				got, want := append([]float64(nil), c...), append([]float64(nil), c...)
-				GemmNT(m, n, k, ab[0], a, lda, b, ldb, ab[1], got, ldc)
+				GemmNTPrec(prec.FP64, m, n, k, ab[0], a, lda, b, ldb, ab[1], got, ldc)
 				naiveGemmNT(m, n, k, ab[0], a, lda, b, ldb, ab[1], want, ldc)
 				sameBits(t, "GemmNT", got, want)
 			}
 
 			cs := randMat(rng, n, ldc)
 			got, want := append([]float64(nil), cs...), append([]float64(nil), cs...)
-			SyrkLNPrec(prec.FP64, n, k, -1, b, ldb, 1, got, ldc)
+			syrkLN(n, k, -1, b, ldb, 1, got, ldc)
 			naiveSyrkLN(n, k, -1, b, ldb, 1, want, ldc)
 			sameBits(t, "SyrkLN", got, want)
 
@@ -145,7 +145,7 @@ func tileCholesky(t *testing.T, p prec.Precision, nt, ts int, tiles [][]float64,
 		ops := make([]Operand, nt)
 		for m := k + 1; m < nt; m++ {
 			TrsmRLTPrec(prec.FP64, ts, ts, at(k, k), ts, at(m, k), ts)
-			SyrkLNPrec(prec.FP64, ts, ts, -1, at(m, k), ts, 1, at(m, m), ts)
+			syrkLN(ts, ts, -1, at(m, k), ts, 1, at(m, m), ts)
 			ops[m].Pack(p, ts, ts, at(m, k), ts, true)
 		}
 		for m := k + 2; m < nt; m++ {

@@ -103,7 +103,10 @@ func (c *Cache) Run(sig, precSig uint64, g runtime.Graph, engine func(runtime.Gr
 		c.invalidations.Add(1)
 	default:
 		c.hits.Add(1)
-		return p, runtime.RunBodies(g), nil
+		if bodyErr, err = runtime.RunBodies(g); err != nil {
+			return nil, nil, err
+		}
+		return p, bodyErr, nil
 	}
 	eng := engine(g)
 	if p, err = compile(eng, sig, precSig); err != nil {

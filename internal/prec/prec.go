@@ -154,14 +154,6 @@ func Higher(p, q Precision) Precision {
 	return q
 }
 
-// Lowest returns the lower-precision of p and q.
-func Lowest(p, q Precision) Precision {
-	if p.Eps() >= q.Eps() {
-		return p
-	}
-	return q
-}
-
 // CholeskySet is the precision ladder the adaptive Cholesky framework
 // selects from, ordered highest to lowest (§IV's conclusion: FP64, FP32,
 // FP16_32, FP16; BF16_32 dropped for performance parity with FP16_32, TF32

@@ -21,9 +21,6 @@ func TestOrdering(t *testing.T) {
 	if Higher(FP16, FP32) != FP32 || Higher(FP64, FP16x32) != FP64 {
 		t.Error("Higher selection wrong")
 	}
-	if Lowest(FP16, FP32) != FP16 || Lowest(FP64, FP64) != FP64 {
-		t.Error("Lowest selection wrong")
-	}
 }
 
 func TestInputBytes(t *testing.T) {

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"cmp"
+	"fmt"
 	gort "runtime"
 	"slices"
 	"sync"
@@ -17,7 +18,9 @@ import (
 // A body that returns an error poisons its graph descendants: they are
 // skipped, everything else still runs. Which bodies run is then a property
 // of the graph alone, so a failed run leaves the same data and reports the
-// same failure at any GOMAXPROCS.
+// same failure at any GOMAXPROCS. A body that panics poisons them the same
+// way, and the panic becomes the run's error (a defect, not a numeric
+// failure).
 type bodyExec struct {
 	g Graph
 
@@ -35,8 +38,8 @@ type bodyExec struct {
 	open    int     // committed tasks whose body has neither returned nor been skipped
 	closing bool    // finish was called: no more commits
 
-	failed int // lowest id among the bodies that failed, and its error
-	err    error
+	failed, crashed int   // lowest ids among the bodies that failed, that panicked,
+	err, crash      error // and their errors
 
 	workers sync.WaitGroup
 }
@@ -67,14 +70,15 @@ func (x *bodyExec) commit(id int, prio int64, body func() error) {
 }
 
 // finish returns, once every committed body has returned or been skipped
-// and the goroutines have exited, the failure of the lowest-numbered task.
-func (x *bodyExec) finish() error {
+// and the goroutines have exited, the failure and the panic of the
+// lowest-numbered tasks that had one.
+func (x *bodyExec) finish() (bodyErr, crash error) {
 	x.mu.Lock()
 	x.closing = true
 	x.wake.Broadcast()
 	x.mu.Unlock()
 	x.workers.Wait()
-	return x.err
+	return x.err, x.crash
 }
 
 // arrive clears one of the conditions task s waits on and queues it at the
@@ -105,18 +109,19 @@ func (x *bodyExec) work() {
 		x.ready = x.ready[:len(x.ready)-1]
 		body, failed := x.body[id], x.poison[id]
 		x.mu.Unlock()
-		var err error
+		var err, crash error
 		if body != nil && !failed {
-			err = body()
+			err, crash = call(id, body)
 		}
 		succ = x.g.Successors(id, succ[:0])
 		x.mu.Lock()
-		if err != nil {
-			failed = true
-			if x.err == nil || id < x.failed {
-				x.failed, x.err = id, err
-			}
+		if err != nil && (x.err == nil || id < x.failed) {
+			x.failed, x.err = id, err
 		}
+		if crash != nil && (x.crash == nil || id < x.crashed) {
+			x.crashed, x.crash = id, crash
+		}
+		failed = failed || err != nil || crash != nil
 		for _, s := range succ {
 			x.poison[s] = x.poison[s] || failed
 			x.arrive(s)
@@ -125,6 +130,17 @@ func (x *bodyExec) work() {
 			x.wake.Broadcast()
 		}
 	}
+}
+
+// call runs task id's body, turning a panic into crash: the worker goes on,
+// and the run fails instead of the process.
+func call(id int, body func() error) (err, crash error) {
+	defer func() {
+		if r := recover(); r != nil {
+			crash = fmt.Errorf("runtime: body of task %d panicked: %v", id, r)
+		}
+	}()
+	return body(), nil
 }
 
 // push files a ready task so that the next to run — highest Priority, then
@@ -141,8 +157,9 @@ func (x *bodyExec) push(id int32) {
 
 // RunBodies runs the numeric bodies of g in dataflow order with no
 // simulation around them (a compiled plan's replay) and returns what
-// Engine.BodyErr would. Without bodies it only calls Spec once per task.
-func RunBodies(g Graph) error {
+// Engine.BodyErr would and, as err, what Engine.Run would for a body that
+// panicked. Without bodies it only calls Spec once per task.
+func RunBodies(g Graph) (bodyErr, err error) {
 	var x *bodyExec
 	var spec TaskSpec
 	n := g.NumTasks()
@@ -163,7 +180,7 @@ func RunBodies(g Graph) error {
 		x.commit(id, spec.Priority, spec.Body)
 	}
 	if x == nil {
-		return nil
+		return nil, nil
 	}
 	return x.finish()
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	gort "runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -138,7 +139,10 @@ func TestFailedBodyPoisonsExactlyItsDescendants(t *testing.T) {
 			g := poisonGraph(ran)
 			var bodyErr error
 			if replay {
-				bodyErr = RunBodies(g)
+				var err error
+				if bodyErr, err = RunBodies(g); err != nil {
+					t.Fatal(err)
+				}
 			} else {
 				eng := New(onePlat(t), g)
 				if _, err := eng.Run(); err != nil {
@@ -154,6 +158,54 @@ func TestFailedBodyPoisonsExactlyItsDescendants(t *testing.T) {
 					t.Fatalf("replay=%v: body %d ran %d times, want %d", replay, i, got, want[i])
 				}
 			}
+		}
+	}
+}
+
+// TestPanickingBodyFailsTheRun, through the engine and through RunBodies:
+// the middle body of the chain 0 → 1 → 2 panics beside an independent task
+// 3. The run returns an error naming task 1 and the panic value, not a body
+// error; task 2 is skipped, 0 and 3 run; and no goroutine outlives the run.
+func TestPanickingBodyFailsTheRun(t *testing.T) {
+	defer gort.GOMAXPROCS(gort.GOMAXPROCS(4))
+	for _, replay := range []bool{false, true} {
+		ran := make([]atomic.Int32, 4)
+		g := bodyGraph(4, func(i int) func() error {
+			return func() error {
+				ran[i].Add(1)
+				if i == 1 {
+					panic("planted defect")
+				}
+				return nil
+			}
+		})
+		g.edge(0, 1)
+		g.edge(1, 2)
+		before := gort.NumGoroutine()
+		var bodyErr, err error
+		if replay {
+			bodyErr, err = RunBodies(g)
+		} else {
+			eng := New(onePlat(t), g)
+			_, err = eng.Run()
+			bodyErr = eng.BodyErr()
+		}
+		if err == nil || !strings.Contains(err.Error(), "task 1 ") || !strings.Contains(err.Error(), "planted defect") {
+			t.Fatalf("replay=%v: run error %v, want task 1's panic", replay, err)
+		}
+		if bodyErr != nil {
+			t.Errorf("replay=%v: a panic reported as body error %v", replay, bodyErr)
+		}
+		for i, want := range []int32{1, 1, 0, 1} {
+			if got := ran[i].Load(); got != want {
+				t.Errorf("replay=%v: body %d ran %d times, want %d", replay, i, got, want)
+			}
+		}
+		for i := 0; gort.NumGoroutine() > before && i < 1000; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		if n := gort.NumGoroutine(); n > before {
+			t.Errorf("replay=%v: %d goroutines after the run, %d before it", replay, n, before)
 		}
 	}
 }
@@ -187,8 +239,8 @@ func TestBodilessTasksKeepDataflowOrder(t *testing.T) {
 		}
 		wrote.Store(false)
 		saw.Store(false)
-		if err := RunBodies(g); err != nil || !saw.Load() {
-			t.Fatalf("RunBodies: err %v, body 4 saw body 2's write: %v", err, saw.Load())
+		if bodyErr, err := RunBodies(g); bodyErr != nil || err != nil || !saw.Load() {
+			t.Fatalf("RunBodies: errors %v, %v, body 4 saw body 2's write: %v", bodyErr, err, saw.Load())
 		}
 	}
 }
@@ -201,8 +253,8 @@ func TestRunBodiesWithoutBodies(t *testing.T) {
 		g.edge(i-1, i)
 	}
 	if a := testing.AllocsPerRun(10, func() {
-		if err := RunBodies(g); err != nil {
-			t.Error(err)
+		if bodyErr, err := RunBodies(g); bodyErr != nil || err != nil {
+			t.Error(bodyErr, err)
 		}
 	}); a > 1 {
 		t.Errorf("RunBodies on a graph without bodies: %v allocs, want at most 1", a)

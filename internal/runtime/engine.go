@@ -81,13 +81,13 @@ func (e *Engine) Graph() Graph { return e.g }
 
 // Run executes the task system to completion and returns the run's
 // statistics — on every path only once each numeric body it started has
-// returned; a body's failure is not a run error (see BodyErr). Malformed
-// graphs (invalid device assignments, inputs with no host copy, broken
-// in-degree accounting) abort the run with a *GraphError;
-// dependency cycles leave tasks unexecuted and are reported as a plain
-// error. With Audit enabled, invariant violations are reported as an error
-// after the run.
-func (e *Engine) Run() (Stats, error) {
+// returned; a body's failure is not a run error (see BodyErr), a body's
+// panic is (the lowest-numbered task's, naming it). Malformed graphs
+// (invalid device assignments, inputs with no host copy, broken in-degree
+// accounting) abort the run with a *GraphError; dependency cycles leave
+// tasks unexecuted and are reported as a plain error. With Audit enabled,
+// invariant violations are reported as an error after the run.
+func (e *Engine) Run() (st Stats, err error) {
 	if e.Audit {
 		e.Trace = true // the energy-conservation check needs the intervals
 	}
@@ -134,8 +134,12 @@ func (e *Engine) Run() (Stats, error) {
 	e.fatalErr, e.bodyErr = nil, nil
 	defer func() {
 		if e.bodies != nil {
-			e.bodyErr = e.bodies.finish()
+			var crash error
+			e.bodyErr, crash = e.bodies.finish()
 			e.bodies = nil
+			if err == nil && crash != nil {
+				st, err = Stats{}, crash
+			}
 		}
 	}()
 
