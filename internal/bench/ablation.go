@@ -79,7 +79,7 @@ func LookaheadAblation(n, ts int, node *hw.NodeSpec, depths []int) ([]AblationRo
 	km := Variant{OffDiag: prec.FP16}.Map(0, 0)
 	var rows []AblationRow
 	for _, d := range depths {
-		res, err := RunPhantom(cholesky.Config{Platform: plat, Lookahead: d}, n, ts, km, fmt.Sprintf("lookahead=%d", d))
+		res, err := RunPhantom(cholesky.Config{Platform: plat, Options: runtime.Options{Lookahead: d}}, n, ts, km, fmt.Sprintf("lookahead=%d", d))
 		if err != nil {
 			return nil, err
 		}

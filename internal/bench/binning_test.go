@@ -7,6 +7,13 @@ import (
 	"geompc/internal/runtime"
 )
 
+// Fig 10's power trace and Fig 9's occupancy trace, as EnergyRunOne bins
+// them.
+var (
+	watts = func(iv runtime.Interval) float64 { return iv.Power }
+	one   = func(runtime.Interval) float64 { return 1 }
+)
+
 func TestBinPowerConservesEnergy(t *testing.T) {
 	// Integrating the binned power over the makespan must reproduce the
 	// intervals' energy plus the idle floor.
@@ -17,7 +24,7 @@ func TestBinPowerConservesEnergy(t *testing.T) {
 	xfer := []runtime.Interval{{Start: 0.5, End: 1.5, Power: 20}}
 	const idle, makespan = 40.0, 5.0
 	for _, bins := range []int{5, 50, 333} {
-		pts := binPower(busy, xfer, idle, makespan, bins)
+		pts := binTrace([][]runtime.Interval{busy, xfer}, watts, idle, math.Inf(1), makespan, bins)
 		if len(pts) != bins {
 			t.Fatalf("got %d bins", len(pts))
 		}
@@ -34,13 +41,13 @@ func TestBinPowerConservesEnergy(t *testing.T) {
 }
 
 func TestBinPowerEmptyInputs(t *testing.T) {
-	if pts := binPower(nil, nil, 50, 0, 10); pts != nil {
+	if pts := binTrace(nil, watts, 50, math.Inf(1), 0, 10); pts != nil {
 		t.Error("zero makespan should yield nil")
 	}
-	if pts := binPower(nil, nil, 50, 1, 0); pts != nil {
+	if pts := binTrace(nil, watts, 50, math.Inf(1), 1, 0); pts != nil {
 		t.Error("zero bins should yield nil")
 	}
-	pts := binPower(nil, nil, 50, 2, 4)
+	pts := binTrace(nil, watts, 50, math.Inf(1), 2, 4)
 	for _, p := range pts {
 		if p.V != 50 {
 			t.Errorf("idle-only trace shows %g W, want 50", p.V)
@@ -54,7 +61,7 @@ func TestBinOccupancyConservesBusyTime(t *testing.T) {
 		{Start: 3, End: 3.5},
 	}
 	const makespan = 4.0
-	pts := binOccupancy(busy, makespan, 16)
+	pts := binTrace([][]runtime.Interval{busy}, one, 0, 1, makespan, 16)
 	dt := makespan / 16
 	var total float64
 	for _, p := range pts {
@@ -71,7 +78,7 @@ func TestBinOccupancyConservesBusyTime(t *testing.T) {
 func TestBinOccupancyIntervalPastMakespan(t *testing.T) {
 	// Intervals extending past the trace window must be clipped, not panic.
 	busy := []runtime.Interval{{Start: 0.5, End: 99}}
-	pts := binOccupancy(busy, 1.0, 4)
+	pts := binTrace([][]runtime.Interval{busy}, one, 0, 1, 1.0, 4)
 	if len(pts) != 4 {
 		t.Fatal("bin count")
 	}

@@ -124,7 +124,7 @@ func Table2(sizes []int) []Table2Row {
 		r := Table2Row{Label: "Move one tile/matrix in " + p.String()}
 		for _, n := range sizes {
 			bytes := int64(n) * int64(n) * int64(p.InputBytes())
-			r.TimeMs = append(r.TimeMs, hw.V100.H2DTime(bytes)*1e3)
+			r.TimeMs = append(r.TimeMs, hw.V100.H2DLink().Time(bytes)*1e3)
 		}
 		return r
 	}

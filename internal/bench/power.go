@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 
 	"geompc/internal/cholesky"
 	"geompc/internal/hw"
@@ -48,35 +49,40 @@ func EnergyRunOne(node *hw.NodeSpec, v Variant, n, ts, bins int, seed uint64, au
 	if err != nil {
 		return nil, err
 	}
-	res, err := RunPhantom(cholesky.Config{Platform: plat, Trace: true, Audit: audit}, n, ts, v.Map(128, seed),
-		fmt.Sprintf("energy run %s n=%d", v.Name, n))
+	cfg := cholesky.Config{Platform: plat, Options: runtime.Options{Trace: true, Audit: audit}}
+	res, err := RunPhantom(cfg, n, ts, v.Map(128, seed), fmt.Sprintf("energy run %s n=%d", v.Name, n))
 	if err != nil {
 		return nil, err
 	}
-	busy, xfer := res.DeviceTrace(0)
-	run := &EnergyRun{
+	st, d := res.Stats, res.Stats.Trace.Devices[0]
+	watts := func(iv runtime.Interval) float64 { return iv.Power }
+	busy := func(runtime.Interval) float64 { return 1 }
+	return &EnergyRun{
 		Label:      v.Name,
 		N:          n,
-		Time:       res.Stats.Makespan,
-		EnergyJ:    res.Stats.Energy,
-		AvgPower:   res.Stats.AvgPower,
-		GflopsPerW: res.Stats.TotalFlops / 1e9 / res.Stats.Energy,
-		Res:        res,
-	}
-	run.Power = binPower(busy, xfer, node.GPU.IdleW, res.Stats.Makespan, bins)
-	run.Occupancy = binOccupancy(busy, res.Stats.Makespan, bins)
-	return run, nil
+		Time:       st.Makespan,
+		EnergyJ:    st.Energy,
+		AvgPower:   st.AvgPower,
+		GflopsPerW: st.TotalFlops / 1e9 / st.Energy,
+		// Power: idle draw plus the dynamic power of compute and transfer
+		// activity. Occupancy: the compute stream's busy fraction.
+		Power:     binTrace([][]runtime.Interval{d.Kernel, d.Convert, d.H2D, d.D2H}, watts, node.GPU.IdleW, math.Inf(1), st.Makespan, bins),
+		Occupancy: binTrace([][]runtime.Interval{d.Kernel, d.Convert}, busy, 0, 1, st.Makespan, bins),
+		Res:       res,
+	}, nil
 }
 
-// binPower integrates the traced intervals into average watts per window:
-// idle draw plus the dynamic power of compute and transfer activity.
-func binPower(busy, xfer []runtime.Interval, idleW, makespan float64, bins int) []TracePoint {
+// binTrace averages traced activity over `bins` equal windows of
+// [0, makespan): window b reads floor plus the weight-per-second of every
+// interval overlapping it, capped at ceil. The lists are summed in order;
+// nil when there is no window.
+func binTrace(lists [][]runtime.Interval, weight func(runtime.Interval) float64, floor, ceil, makespan float64, bins int) []TracePoint {
 	if bins <= 0 || makespan <= 0 {
 		return nil
 	}
 	dt := makespan / float64(bins)
 	acc := make([]float64, bins)
-	addIntervals := func(ivs []runtime.Interval) {
+	for _, ivs := range lists {
 		for _, iv := range ivs {
 			lo := int(iv.Start / dt)
 			hi := int(iv.End / dt)
@@ -89,49 +95,16 @@ func binPower(busy, xfer []runtime.Interval, idleW, makespan float64, bins int) 
 					e = iv.End
 				}
 				if e > s {
-					acc[b] += iv.Power * (e - s)
+					acc[b] += weight(iv) * (e - s)
 				}
 			}
 		}
 	}
-	addIntervals(busy)
-	addIntervals(xfer)
 	out := make([]TracePoint, bins)
 	for b := range out {
-		out[b] = TracePoint{T: float64(b) * dt, V: idleW + acc[b]/dt}
-	}
-	return out
-}
-
-// binOccupancy returns the compute-stream busy fraction per window
-// (Fig 9's occupancy trace).
-func binOccupancy(busy []runtime.Interval, makespan float64, bins int) []TracePoint {
-	if bins <= 0 || makespan <= 0 {
-		return nil
-	}
-	dt := makespan / float64(bins)
-	acc := make([]float64, bins)
-	for _, iv := range busy {
-		lo := int(iv.Start / dt)
-		hi := int(iv.End / dt)
-		for b := lo; b <= hi && b < bins; b++ {
-			s, e := float64(b)*dt, float64(b+1)*dt
-			if iv.Start > s {
-				s = iv.Start
-			}
-			if iv.End < e {
-				e = iv.End
-			}
-			if e > s {
-				acc[b] += e - s
-			}
-		}
-	}
-	out := make([]TracePoint, bins)
-	for b := range out {
-		v := acc[b] / dt
-		if v > 1 {
-			v = 1
+		v := floor + acc[b]/dt
+		if v > ceil {
+			v = ceil
 		}
 		out[b] = TracePoint{T: float64(b) * dt, V: v}
 	}

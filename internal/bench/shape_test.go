@@ -29,7 +29,7 @@ func phantomRun(t *testing.T, node *hw.NodeSpec, ranks, n, ts int, offdiag prec.
 	}
 	maps := precmap.New(precmap.Uniform(desc.NT, offdiag), 1e-4)
 	res, err := cholesky.Run(cholesky.Config{
-		Desc: desc, Maps: maps, Platform: plat, Strategy: strat, Audit: true,
+		Desc: desc, Maps: maps, Platform: plat, Strategy: strat, Options: runtime.Options{Audit: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestWireByteRatioTable2(t *testing.T) {
 		// their FP32 storage precision instead).
 		maps := precmap.New(precmap.UniformAll(desc.NT, p), 1e-2)
 		res, err := cholesky.Run(cholesky.Config{
-			Desc: desc, Maps: maps, Platform: plat, Strategy: cholesky.Auto, Audit: true,
+			Desc: desc, Maps: maps, Platform: plat, Strategy: cholesky.Auto, Options: runtime.Options{Audit: true},
 		})
 		if err != nil {
 			t.Fatal(err)

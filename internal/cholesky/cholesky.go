@@ -20,43 +20,24 @@ type Result struct {
 	// success or in phantom mode.
 	Err error
 
-	// eng is the engine of a live run, nil when a plan cache served the
-	// run (see RunCached); sched is the run's task timeline in commit
-	// order and nt decodes its task ids into names.
-	eng   *runtime.Engine
-	sched []runtime.ScheduledTask
-	nt    int
+	nt int // decodes the task ids of Stats.Trace into names
 }
 
-// newResult wraps one finished run of g: its stats, numeric failure and
-// timeline.
-func newResult(g *graph, stats runtime.Stats, err error, sched []runtime.ScheduledTask) *Result {
-	r := &Result{Stats: stats, Err: err, sched: sched, nt: g.nt}
+// newResult wraps one finished run of g: its record and numeric failure.
+func newResult(g *graph, stats runtime.Stats, err error) *Result {
+	r := &Result{Stats: stats, Err: err, nt: g.nt}
 	r.STCTasks, r.CommTasks = g.maps.STCCount()
 	return r
-}
-
-// DeviceTrace exposes the busy/transfer interval traces of device i
-// recorded during a Trace-enabled run. Plan-backed results carry no
-// interval traces and return nil slices.
-func (r *Result) DeviceTrace(i int) (busy, xfer []runtime.Interval) {
-	if r.eng == nil {
-		return nil, nil
-	}
-	return r.eng.DeviceTrace(i)
 }
 
 // Digest returns the run's schedule digest (see runtime.Stats.ScheduleDigest).
 func (r *Result) Digest() uint64 { return r.Stats.ScheduleDigest }
 
 // WriteChromeTrace renders the run's timeline as Chrome trace-event JSON,
-// kernel spans labeled in the paper's task notation. Plan-backed results
-// carry no interval traces and return an error.
+// kernel spans labeled in the paper's task notation. An untraced run has
+// no timeline and returns an error.
 func (r *Result) WriteChromeTrace(w io.Writer) error {
-	if r.eng == nil {
-		return fmt.Errorf("cholesky: chrome traces need a live run (plan-backed result)")
-	}
-	return r.eng.WriteChromeTrace(w, newIDs(r.nt).name)
+	return runtime.WriteChromeTrace(w, r.Stats, newIDs(r.nt).name)
 }
 
 // Run executes the adaptive mixed-precision tile Cholesky described by cfg
@@ -67,15 +48,12 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := cfg.Engine(g)
-	stats, err := eng.Run()
+	stats, bodyErr, err := runtime.Run(cfg.Platform, g, cfg.Options)
 	g.releaseOperands()
 	if err != nil {
 		return nil, err
 	}
-	r := newResult(g, stats, eng.BodyErr(), eng.ScheduleTrace())
-	r.eng = eng
-	return r, nil
+	return newResult(g, stats, bodyErr), nil
 }
 
 // newGraph validates cfg and builds the PTG task graph of one
@@ -145,10 +123,14 @@ type ScheduledTask struct {
 
 // Schedule returns the simulated task timeline of a Trace-enabled run,
 // labeled in the paper's notation — the Fig 3 execution demonstration.
+// An untraced run has none.
 func (r *Result) Schedule() []ScheduledTask {
+	if r.Stats.Trace == nil {
+		return nil
+	}
 	s := newIDs(r.nt)
-	out := make([]ScheduledTask, len(r.sched))
-	for i, t := range r.sched {
+	out := make([]ScheduledTask, len(r.Stats.Trace.Tasks))
+	for i, t := range r.Stats.Trace.Tasks {
 		out[i] = ScheduledTask{
 			Name:   s.name(t.ID),
 			Device: t.Device,

@@ -554,12 +554,12 @@ func TestNumericRunRejectsUnexecutable(t *testing.T) {
 	}
 }
 
-func TestScheduleTrace(t *testing.T) {
+func TestLabeledSchedule(t *testing.T) {
 	nt := 4
 	d, _ := tile.NewDesc(nt*16, 16, 1, 1)
 	maps := precmap.New(precmap.UniformAll(nt, prec.FP64), 0)
 	plat, _ := runtime.NewPlatform(hw.SummitNode, 1, 2)
-	res, err := Run(Config{Desc: d, Maps: maps, Platform: plat, Trace: true})
+	res, err := Run(Config{Desc: d, Maps: maps, Platform: plat, Options: runtime.Options{Trace: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,29 +41,13 @@ type Config struct {
 	Matrix *tile.Matrix
 	// Strategy selects Auto (Algorithm 2) or ForceTTC communication.
 	Strategy Strategy
-	// Trace enables per-interval occupancy/power recording and the
-	// labeled Result.Schedule timeline.
-	Trace bool
-	// Audit enables the runtime's invariant auditor (pin balance, LRU
-	// residency, energy conservation); violations fail the run. Implies
-	// Trace.
-	Audit bool
-	// Lookahead overrides the engine's stream pipeline depth (default 2).
-	Lookahead int
+	// Options are the engine knobs: Trace records the timeline in
+	// Result.Stats.Trace (and the labeled Result.Schedule), Audit fails
+	// the run on a broken engine invariant, Lookahead sets the stream
+	// pipeline depth.
+	runtime.Options
 	// Deprecated: has no effect, the engine is serial. Nothing reads it;
 	// the field remains only until the end-to-end benchmark stops assigning
 	// it.
 	EngineWorkers int
-}
-
-// Engine returns an engine for one run of g configured from cfg — the one
-// place the run config's engine knobs are applied.
-func (cfg Config) Engine(g runtime.Graph) *runtime.Engine {
-	eng := runtime.New(cfg.Platform, g)
-	eng.Trace = cfg.Trace
-	eng.Audit = cfg.Audit
-	if cfg.Lookahead > 0 {
-		eng.Lookahead = cfg.Lookahead
-	}
-	return eng
 }

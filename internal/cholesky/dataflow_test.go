@@ -37,7 +37,7 @@ func factorOnce(t *testing.T, a, b Config, replayed bool) (uint64, error) {
 }
 
 // TestRunCachedNilCacheRunsLive: RunCached without a cache is Run — the
-// same schedule digest, the same factor and a live, traceable result.
+// same schedule digest, the same factor and a traceable result.
 func TestRunCachedNilCacheRunsLive(t *testing.T) {
 	a, b := buildNumericConfig(t, 5, 2, 2)
 	a.Trace, b.Trace = true, true
@@ -56,7 +56,7 @@ func TestRunCachedNilCacheRunsLive(t *testing.T) {
 		t.Error("nil-cache factor differs from Run's")
 	}
 	if err := got.WriteChromeTrace(io.Discard); err != nil {
-		t.Errorf("nil-cache result is not a live run: %v", err)
+		t.Errorf("nil-cache result exports no trace: %v", err)
 	}
 }
 

@@ -254,6 +254,9 @@ func TestWriteChromeTraceRequiresTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Stats.Trace != nil {
+		t.Error("an untraced run recorded a trace")
+	}
 	var buf bytes.Buffer
 	if err := res.WriteChromeTrace(&buf); err == nil {
 		t.Error("WriteChromeTrace succeeded on an untraced run")

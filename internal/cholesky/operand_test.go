@@ -68,12 +68,9 @@ func TestOperandCacheSTC(t *testing.T) {
 		t.Fatal("scenario has no STC edge: local and wire views would coincide")
 	}
 	cfg := Config{Desc: g.desc, Maps: g.maps, Platform: g.plat, Matrix: g.mat, Strategy: Auto}
-	eng := cfg.Engine(g)
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.BodyErr(); err != nil {
-		t.Fatal(err)
+	_, bodyErr, err := runtime.Run(cfg.Platform, g, cfg.Options)
+	if err != nil || bodyErr != nil {
+		t.Fatal(err, bodyErr)
 	}
 
 	type key struct {

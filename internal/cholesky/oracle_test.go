@@ -50,19 +50,20 @@ func TestBodiesComputeInChargedPrecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	mat := covariance()
-	res, err := Run(Config{Desc: d, Maps: maps, Platform: plat, Matrix: mat, Trace: true})
+	res, err := Run(Config{Desc: d, Maps: maps, Platform: plat, Matrix: mat, Options: runtime.Options{Trace: true}})
 	if err != nil || res.Err != nil {
 		t.Fatal(err, res.Err)
 	}
-	if len(res.sched) != newIDs(nt).numTasks {
-		t.Fatalf("schedule records %d tasks, the graph has %d", len(res.sched), newIDs(nt).numTasks)
+	sched := res.Stats.Trace.Tasks
+	if len(sched) != newIDs(nt).numTasks {
+		t.Fatalf("schedule records %d tasks, the graph has %d", len(sched), newIDs(nt).numTasks)
 	}
 
 	ref := covariance()
 	ref.SetStorage(func(i, j int) prec.Precision { return maps.Storage[i][j] })
 	ids := newIDs(nt)
 	gemms := map[prec.Precision]int{}
-	for _, st := range res.sched {
+	for _, st := range sched {
 		op, m, n, k := ids.decode(st.ID)
 		p := st.Prec
 		switch op {

@@ -8,10 +8,10 @@ import (
 
 // planShapeSig hashes everything that determines a factorization's schedule
 // except the precision maps and the numeric tile contents: tiling (NT is
-// derived from N and TS), process grid, platform, conversion strategy and
-// pipeline depth. Two configs with equal shape signatures and equal map
-// signatures produce bit-identical schedules, so a plan compiled under one
-// replays the other.
+// derived from N and TS), process grid, platform, conversion strategy,
+// pipeline depth and whether the run is traced. Two configs with equal
+// shape signatures and equal map signatures produce equal Stats, timeline
+// included, so a plan compiled under one replays the other.
 func planShapeSig(cfg Config) uint64 {
 	var d obs.Digest
 	d.WriteString("geompc/plan/v1")
@@ -29,6 +29,9 @@ func planShapeSig(cfg Config) uint64 {
 		la = cfg.Lookahead
 	}
 	d.WriteInt64(int64(la))
+	if cfg.Trace || cfg.Audit {
+		d.WriteString("trace")
+	}
 	return d.Sum()
 }
 
@@ -49,10 +52,10 @@ func RunCached(cfg Config, c *plan.Cache) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, bodyErr, err := c.Run(planShapeSig(cfg), cfg.Maps.Signature(), g, cfg.Engine)
+	p, bodyErr, err := c.Run(planShapeSig(cfg), cfg.Maps.Signature(), g, cfg.Platform, cfg.Options)
 	g.releaseOperands()
 	if err != nil {
 		return nil, err
 	}
-	return newResult(g, p.Stats, bodyErr, p.Schedule), nil
+	return newResult(g, p.Stats, bodyErr), nil
 }

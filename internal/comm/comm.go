@@ -72,9 +72,6 @@ func (l *Link) Occupy(start, dur float64, nbytes int64) float64 {
 	return end
 }
 
-// Free returns the next instant the link is idle.
-func (l *Link) Free() float64 { return l.free }
-
 // Busy returns the cumulative time the link has been occupied.
 func (l *Link) Busy() float64 { return l.busy }
 

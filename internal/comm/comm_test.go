@@ -19,8 +19,8 @@ func TestLinkBookkeeping(t *testing.T) {
 		t.Fatalf("StartAfter on idle link = %g, want 3", s1)
 	}
 	end1 := l.Occupy(s1, 2.0, 1024)
-	if end1 != 5.0 || l.Free() != 5.0 {
-		t.Fatalf("Occupy end = %g free = %g, want 5", end1, l.Free())
+	if end1 != 5.0 || l.StartAfter(0) != 5.0 {
+		t.Fatalf("Occupy end = %g free = %g, want 5", end1, l.StartAfter(0))
 	}
 	// Second booking serializes behind the first even if its data was ready
 	// earlier.

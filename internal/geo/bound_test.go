@@ -126,7 +126,7 @@ func denseTiles(dense []float64, n, ts int) []float64 {
 }
 
 func bitsDigest(v []float64) uint64 {
-	d := obs.NewDigest()
+	var d obs.Digest
 	for _, x := range v {
 		d.WriteFloat64(x)
 	}

@@ -122,16 +122,6 @@ func (g *GPUSpec) ConvertTime(n int, from, to prec.Precision) float64 {
 	return bytes/g.MemBw + g.LaunchOverhead
 }
 
-// H2DTime returns the host-to-device transfer time for nbytes.
-func (g *GPUSpec) H2DTime(nbytes int64) float64 {
-	return g.LinkLatency + float64(nbytes)/g.H2DBw
-}
-
-// D2HTime returns the device-to-host transfer time for nbytes.
-func (g *GPUSpec) D2HTime(nbytes int64) float64 {
-	return g.LinkLatency + float64(nbytes)/g.D2HBw
-}
-
 // DynPower returns the dynamic power (W above idle) drawn while a kernel of
 // precision p runs.
 func (g *GPUSpec) DynPower(p prec.Precision) float64 {
@@ -157,14 +147,12 @@ func (l LinkSpec) Time(nbytes int64) float64 {
 	return l.Lat + float64(nbytes)/l.Bw
 }
 
-// H2DLink is the host-to-device direction of the GPU's host link. Time over
-// it is identical to H2DTime.
+// H2DLink is the host-to-device direction of the GPU's host link.
 func (g *GPUSpec) H2DLink() LinkSpec {
 	return LinkSpec{Bw: g.H2DBw, Lat: g.LinkLatency, Power: g.TransferW}
 }
 
-// D2HLink is the device-to-host direction of the GPU's host link. Time over
-// it is identical to D2HTime.
+// D2HLink is the device-to-host direction of the GPU's host link.
 func (g *GPUSpec) D2HLink() LinkSpec {
 	return LinkSpec{Bw: g.D2HBw, Lat: g.LinkLatency, Power: g.TransferW}
 }

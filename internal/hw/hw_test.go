@@ -57,7 +57,7 @@ func TestTableIITransferTimes(t *testing.T) {
 		{prec.FP64, 0.67}, {prec.FP32, 0.34}, {prec.FP16, 0.17},
 	}
 	for _, c := range cases {
-		got := V100.H2DTime(elems*int64(c.p.InputBytes())) * 1e3
+		got := V100.H2DLink().Time(elems*int64(c.p.InputBytes())) * 1e3
 		if math.Abs(got-c.wantMs) > 0.05*c.wantMs {
 			t.Errorf("H2D %v: %.3f ms, want %.2f ms (Table II)", c.p, got, c.wantMs)
 		}
@@ -107,7 +107,7 @@ func TestConvertTimeMemoryBound(t *testing.T) {
 		t.Errorf("ConvertTime = %g, want %g", ct, want)
 	}
 	// Conversion must be far cheaper than the FP64 transfer it saves.
-	if ct > V100.H2DTime(int64(n)*8)/5 {
+	if ct > V100.H2DLink().Time(int64(n)*8)/5 {
 		t.Error("conversion not clearly cheaper than the transfer it optimizes")
 	}
 }

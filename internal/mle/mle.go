@@ -285,7 +285,7 @@ func Fit(p *Problem, start, lo, hi []float64, opt optimize.Options) (*FitResult,
 			len(start), p.Kernel.Name(), p.Kernel.NumParams())
 	}
 	for i := range lo {
-		if lo[i] <= 0 {
+		if !(lo[i] > 0) { // NaN fails too
 			return nil, fmt.Errorf("mle: parameter %d lower bound %g must be positive", i, lo[i])
 		}
 	}

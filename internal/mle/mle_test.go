@@ -417,6 +417,28 @@ func TestRejectsUnusableLadder(t *testing.T) {
 	}
 }
 
+// TestFitRejectsNaNBounds: a NaN lower bound, upper bound or start is an
+// error, not a fit that reports its start point as θ̂.
+func TestFitRejectsNaNBounds(t *testing.T) {
+	p, _ := testProblem(t, 16, 0)
+	nan := math.NaN()
+	for _, r := range []struct {
+		name          string
+		dim           int
+		start, lo, hi float64
+	}{
+		{"lo", 0, 0.01, nan, 2},
+		{"hi", 1, 0.01, 0.01, nan},
+		{"start", 0, nan, 0.01, 2},
+	} {
+		start, lo, hi := DefaultBounds(2)
+		start[r.dim], lo[r.dim], hi[r.dim] = r.start, r.lo, r.hi
+		if fit, err := Fit(p, start, lo, hi, optimize.Options{MaxEvals: 20}); err == nil {
+			t.Errorf("NaN %s accepted: θ̂ = %v", r.name, fit.Theta)
+		}
+	}
+}
+
 func TestProblemValidation(t *testing.T) {
 	p := &Problem{Locs: make([]geo.Point, 3), Z: make([]float64, 2), Kernel: geo.SqExp{Dimension: 2}}
 	if _, err := p.NegLogLik([]float64{1, 1}, nil); err == nil {

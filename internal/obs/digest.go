@@ -17,13 +17,10 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// NewDigest returns a digest at the FNV-1a offset basis.
-func NewDigest() *Digest { return &Digest{h: fnvOffset64} }
-
 // Sum returns the current hash value.
 func (d *Digest) Sum() uint64 {
 	if d.h == 0 {
-		return fnvOffset64 // zero value behaves like NewDigest()
+		return fnvOffset64 // the zero value is at the FNV-1a offset basis
 	}
 	return d.h
 }

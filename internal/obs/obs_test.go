@@ -9,8 +9,9 @@ import (
 )
 
 func TestDigestMatchesStdlibFNV(t *testing.T) {
-	// Our incremental digest must agree with hash/fnv over the same bytes.
-	d := NewDigest()
+	// Our incremental digest, from its zero value, must agree with hash/fnv
+	// over the same bytes.
+	var d Digest
 	d.WriteString("schedule")
 	ref := fnv.New64a()
 	ref.Write([]byte("schedule"))
@@ -18,7 +19,7 @@ func TestDigestMatchesStdlibFNV(t *testing.T) {
 		t.Errorf("digest %x != stdlib fnv %x", d.Sum(), ref.Sum64())
 	}
 
-	d2 := NewDigest()
+	var d2 Digest
 	d2.WriteUint64(0x0123456789abcdef)
 	ref2 := fnv.New64a()
 	ref2.Write([]byte{0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01})
@@ -28,18 +29,11 @@ func TestDigestMatchesStdlibFNV(t *testing.T) {
 }
 
 func TestDigestSensitivity(t *testing.T) {
-	a, b := NewDigest(), NewDigest()
+	var a, b Digest
 	a.WriteFloat64(1.0)
 	b.WriteFloat64(math.Nextafter(1.0, 2.0))
 	if a.Sum() == b.Sum() {
 		t.Error("one-ULP difference not detected")
-	}
-	var zero Digest // zero value must behave like NewDigest
-	zero.WriteInt64(7)
-	fresh := NewDigest()
-	fresh.WriteInt64(7)
-	if zero.Sum() != fresh.Sum() {
-		t.Error("zero-value digest differs from NewDigest")
 	}
 }
 

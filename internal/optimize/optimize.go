@@ -44,16 +44,18 @@ type Result struct {
 	Converged bool
 }
 
-// ErrBadBounds reports inconsistent box constraints.
-var ErrBadBounds = errors.New("optimize: lower bound exceeds upper bound")
+// ErrBadBounds reports an unusable start or box: a lower bound above its
+// upper bound, or a NaN anywhere in x0, lo or hi. Infinite bounds are
+// legal.
+var ErrBadBounds = errors.New("optimize: bad start or bounds")
 
 func checkBounds(x0, lo, hi []float64) error {
 	if len(lo) != len(x0) || len(hi) != len(x0) {
 		return fmt.Errorf("optimize: dimension mismatch: x0=%d lo=%d hi=%d", len(x0), len(lo), len(hi))
 	}
 	for i := range lo {
-		if lo[i] > hi[i] {
-			return fmt.Errorf("%w: dim %d: [%g, %g]", ErrBadBounds, i, lo[i], hi[i])
+		if lo[i] > hi[i] || math.IsNaN(x0[i]) || math.IsNaN(lo[i]) || math.IsNaN(hi[i]) {
+			return fmt.Errorf("%w: dim %d: x0 %g in [%g, %g]", ErrBadBounds, i, x0[i], lo[i], hi[i])
 		}
 	}
 	return nil

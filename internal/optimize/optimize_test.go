@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -118,6 +119,37 @@ func TestBadBounds(t *testing.T) {
 	}
 	if _, err := CompassSearch(sphere, []float64{0}, []float64{0}, []float64{1, 2}, Options{}); err == nil {
 		t.Error("dimension mismatch accepted")
+	}
+}
+
+// TestNaNStartOrBoundRejected: a NaN in the start or the box is an error
+// from every method, not a silently wrong answer.
+func TestNaNStartOrBoundRejected(t *testing.T) {
+	nan := math.NaN()
+	methods := []struct {
+		name string
+		run  func(f Objective, x0, lo, hi []float64, opt Options) (Result, error)
+	}{{"Minimize", Minimize}, {"NelderMead", NelderMead}, {"CompassSearch", CompassSearch}}
+	rows := []struct {
+		name       string
+		x0, lo, hi float64
+	}{
+		{"lo", 0, nan, 2},
+		{"hi", 0, -2, nan},
+		{"x0", nan, -2, 2},
+		{"x0 with infinite box", nan, math.Inf(-1), math.Inf(1)},
+	}
+	for _, m := range methods {
+		for _, r := range rows {
+			res, err := m.run(sphere, []float64{r.x0}, []float64{r.lo}, []float64{r.hi}, Options{MaxEvals: 50})
+			if !errors.Is(err, ErrBadBounds) {
+				t.Errorf("%s, NaN %s: X=%v err=%v, want ErrBadBounds", m.name, r.name, res.X, err)
+			}
+		}
+	}
+	// Infinite bounds stay legal.
+	if _, err := Minimize(sphere, []float64{1}, []float64{math.Inf(-1)}, []float64{math.Inf(1)}, Options{MaxEvals: 50}); err != nil {
+		t.Errorf("infinite box rejected: %v", err)
 	}
 }
 

@@ -2,11 +2,12 @@ package plan
 
 // The cached-run flow driven directly, on a four-task graph, without the
 // factorization: miss → hit → changed-map invalidation → hit, with all
-// three counters pinned after every step and every digest checked against
-// an uncached engine run. The factorization suite (cache_test.go) covers
+// three counters pinned after every step and every plan's Stats checked
+// against an uncached run's. The factorization suite (cache_test.go) covers
 // the same sequence end to end.
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -48,17 +49,17 @@ func TestCacheRunFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := func(g runtime.Graph) *runtime.Engine { return runtime.New(plat, g) }
+	opt := runtime.Options{Trace: true}
 	const shape = 0x5a
-	fresh := map[prec.Precision]uint64{}
+	fresh := map[prec.Precision]runtime.Stats{}
 	for _, wire := range []prec.Precision{prec.FP32, prec.FP16} {
-		stats, err := engine(diamond{wire}).Run()
+		stats, _, err := runtime.Run(plat, diamond{wire}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh[wire] = stats.ScheduleDigest
+		fresh[wire] = stats
 	}
-	if fresh[prec.FP32] == fresh[prec.FP16] {
+	if fresh[prec.FP32].ScheduleDigest == fresh[prec.FP16].ScheduleDigest {
 		t.Fatal("the wire-format change does not move the schedule digest")
 	}
 
@@ -73,19 +74,16 @@ func TestCacheRunFlow(t *testing.T) {
 		{"changed map", prec.FP16, Stats{Hits: 1, Misses: 1, Invalidations: 1}},
 		{"hit after recompile", prec.FP16, Stats{Hits: 2, Misses: 1, Invalidations: 1}},
 	} {
-		p, bodyErr, err := c.Run(shape, uint64(step.wire), diamond{step.wire}, engine)
+		p, bodyErr, err := c.Run(shape, uint64(step.wire), diamond{step.wire}, plat, opt)
 		if err != nil || bodyErr != nil {
 			t.Fatalf("%s: error %v, body error %v", step.name, err, bodyErr)
 		}
 		if got := c.Stats(); got != step.want {
 			t.Fatalf("%s: counters %+v, want %+v", step.name, got, step.want)
 		}
-		if p.Stats.ScheduleDigest != fresh[step.wire] {
-			t.Fatalf("%s: digest %016x != fresh run's %016x", step.name, p.Stats.ScheduleDigest, fresh[step.wire])
-		}
-		// A plan freezes the traced timeline.
-		if len(p.Schedule) != 4 {
-			t.Fatalf("%s: %d scheduled tasks, want 4", step.name, len(p.Schedule))
+		// A plan freezes the run's record, traced timeline included.
+		if !reflect.DeepEqual(p.Stats, fresh[step.wire]) {
+			t.Fatalf("%s: plan stats %+v != fresh run's %+v", step.name, p.Stats, fresh[step.wire])
 		}
 	}
 	if len(c.plans) != 1 {
@@ -102,14 +100,15 @@ func TestCacheConcurrentHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, err := compile(runtime.New(plat, diamond{prec.FP32}), 0xa, 1)
+	sa, _, err := runtime.Run(plat, diamond{prec.FP32}, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := compile(runtime.New(plat, diamond{prec.FP16}), 0xb, 1)
+	sb, _, err := runtime.Run(plat, diamond{prec.FP16}, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pa, pb := &Plan{Sig: 0xa, PrecSig: 1, Stats: sa}, &Plan{Sig: 0xb, PrecSig: 1, Stats: sb}
 	cache := NewCache(nil)
 
 	const workers, iters = 8, 200

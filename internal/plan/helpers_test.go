@@ -65,7 +65,7 @@ func newConfig(t testing.TB, nt, ranks, devPerRank int, ureq float64) cholesky.C
 		Maps:     maps,
 		Platform: plat,
 		Matrix:   mat,
-		Trace:    true,
+		Options:  runtime.Options{Trace: true},
 	}
 }
 

@@ -25,13 +25,15 @@ type keyInputs struct {
 	node                    hw.NodeSpec
 	strat                   cholesky.Strategy
 	lookahead               int
+	untraced                bool
 	ureq                    float64
 	flipTile                bool // the last row's first tile, FP64 ↔ FP32
 }
 
 // keyBase is the primed config: 96×96 in 16×16 tiles (NT 6) on a 1×2 grid
 // of a 4-rank Summit platform with 2 GPUs per rank. Each of keyRows moves
-// exactly one input the key hashes: the matrix-size and tile-size rows keep
+// exactly one input the key hashes (the trace row turns off the timeline a
+// replay hands back): the matrix-size and tile-size rows keep
 // NT at 6, each grid row moves one of P and Q, and the node and GPU rows
 // swap one name, so dropping any one input from the key turns its row into
 // a hit.
@@ -52,6 +54,7 @@ var keyRows = []struct {
 	{"gpu", func(in *keyInputs) { in.node.GPU = hw.A100 }},
 	{"strategy", func(in *keyInputs) { in.strat = cholesky.ForceTTC }},
 	{"lookahead", func(in *keyInputs) { in.lookahead = 4 }},
+	{"trace", func(in *keyInputs) { in.untraced = true }},
 	{"precision-map", func(in *keyInputs) { in.ureq = 1e-4 }},
 	{"one-tile-precision", func(in *keyInputs) { in.flipTile = true }},
 }
@@ -77,7 +80,7 @@ func (in keyInputs) config(t *testing.T) cholesky.Config {
 		t.Fatal(err)
 	}
 	return cholesky.Config{Desc: d, Maps: maps, Platform: plat, Matrix: mat,
-		Strategy: in.strat, Lookahead: in.lookahead, Trace: true}
+		Strategy: in.strat, Options: runtime.Options{Lookahead: in.lookahead, Trace: !in.untraced}}
 }
 
 // TestInvalidateNoChange: the base config run twice through one cache

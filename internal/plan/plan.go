@@ -1,11 +1,11 @@
-// Package plan memoizes a factorization's simulated schedule. Cache.Run
+// Package plan memoizes a factorization's simulated run. Cache.Run
 // compiles a plan on the first run of a shape (miss), replays it while the
 // precision map is unchanged (hit), and recompiles it when the map changed
 // (invalidation). A replay runs the numeric bodies of a fresh graph in
 // dataflow order (runtime.RunBodies — a live run's executor without the
 // event loop) and hands back the frozen Stats, so it produces the
 // bit-identical factor — on a non-SPD matrix the same failure and partial
-// factor — and the same schedule digest as a live run.
+// factor — and exactly the Stats, timeline included, of a live run.
 //
 // No fit, study or figure passes a cache; the frozen benchmark/ probes it.
 package plan
@@ -17,36 +17,21 @@ import (
 	"geompc/internal/runtime"
 )
 
-// Plan is one compiled schedule, valid for any graph with the same shape
-// and precision signatures. It is immutable once compiled, so one Plan may
-// serve any number of concurrent replays (each builds its own graph).
+// Plan is one compiled run, valid for any graph with the same shape and
+// precision signatures. It is immutable once compiled, so one Plan may
+// serve any number of concurrent replays (each builds its own graph, and
+// all of them share the read-only Stats).
 type Plan struct {
 	// Sig is the caller-supplied shape signature (platform, tiling,
-	// strategy, pipeline depth — everything except the precision map and
-	// the numeric data).
+	// strategy, run options — everything except the precision map and the
+	// numeric data).
 	Sig uint64
 	// PrecSig is the precision-map signature the plan was compiled under
 	// (precmap.Maps.Signature).
 	PrecSig uint64
-	// Stats is the frozen virtual-time outcome, including ScheduleDigest.
+	// Stats is the frozen record of the compiling run: ScheduleDigest, and
+	// Trace when the run was traced.
 	Stats runtime.Stats
-	// Schedule is the traced task timeline (commit order).
-	Schedule []runtime.ScheduledTask
-}
-
-// compile runs eng — an engine already configured for its graph
-// (lookahead, audit) — once: a full simulation, numeric bodies and
-// all (eng.BodyErr() is that run's numeric failure).
-func compile(eng *runtime.Engine, sig, precSig uint64) (*Plan, error) {
-	eng.Trace = true // the plan freezes the traced timeline
-	stats, err := eng.Run()
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{
-		Sig: sig, PrecSig: precSig, Stats: stats,
-		Schedule: append([]runtime.ScheduledTask(nil), eng.ScheduleTrace()...),
-	}, nil
 }
 
 // Cache holds at most one compiled plan per shape signature and counts
@@ -86,16 +71,17 @@ func (c *Cache) store(p *Plan) {
 }
 
 // Run is the one cached-run flow for graph g of shape signature sig under
-// a precision map of signature precSig. The first run of a shape compiles a
-// plan (miss); later runs under an unchanged precision map replay it (hit);
-// a changed map recompiles it (invalidation) — timing is coupled globally
-// through device and link contention, so a partial re-simulation would be
-// unsound. engine configures an engine for g.
+// a precision map of signature precSig, on plat with the options opt (sig
+// must cover both). The first run of a shape compiles a plan (miss): a
+// live runtime.Run, numeric bodies and all. Later runs under an unchanged
+// precision map replay it (hit); a changed map recompiles it
+// (invalidation) — timing is coupled globally through device and link
+// contention, so a partial re-simulation would be unsound.
 //
 // It returns the plan that served the run and the run's numeric failure
-// (bodyErr: runtime.Engine.BodyErr of a compile, runtime.RunBodies of a
-// replay), nil when every body succeeded or the graph had none.
-func (c *Cache) Run(sig, precSig uint64, g runtime.Graph, engine func(runtime.Graph) *runtime.Engine) (p *Plan, bodyErr, err error) {
+// (bodyErr: runtime.Run's of a compile, runtime.RunBodies' of a replay),
+// nil when every body succeeded or the graph had none.
+func (c *Cache) Run(sig, precSig uint64, g runtime.Graph, plat *runtime.Platform, opt runtime.Options) (p *Plan, bodyErr, err error) {
 	switch p = c.lookup(sig); {
 	case p == nil:
 		c.misses.Add(1)
@@ -108,12 +94,12 @@ func (c *Cache) Run(sig, precSig uint64, g runtime.Graph, engine func(runtime.Gr
 		}
 		return p, bodyErr, nil
 	}
-	eng := engine(g)
-	if p, err = compile(eng, sig, precSig); err != nil {
+	p = &Plan{Sig: sig, PrecSig: precSig}
+	if p.Stats, bodyErr, err = runtime.Run(plat, g, opt); err != nil {
 		return nil, nil, err
 	}
 	c.store(p)
-	return p, eng.BodyErr(), nil
+	return p, bodyErr, nil
 }
 
 // Stats is a point-in-time snapshot of the cache counters.

@@ -8,12 +8,13 @@ package plan_test
 // exercises it across every graph shape.
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"geompc/internal/cholesky"
 	"geompc/internal/plan"
-	"geompc/internal/prec"
 )
 
 type gridCase struct {
@@ -83,13 +84,17 @@ func TestReplayMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestPlanBackedResult: results served from a plan still answer the Result
-// API sensibly — frozen schedule, frozen metrics, no interval traces.
+// TestPlanBackedResult: a traced result served from a plan is the live
+// run's record — Stats, timeline included, deeply equal — and exports the
+// same Chrome trace.
 func TestPlanBackedResult(t *testing.T) {
+	live, err := cholesky.Run(newConfig(t, 4, 2, 2, 1e-8))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cache := plan.NewCache(nil)
 	var res *cholesky.Result
 	for i := 0; i < 2; i++ { // the second run replays
-		var err error
 		if res, err = cholesky.RunCached(newConfig(t, 4, 2, 2, 1e-8), cache); err != nil {
 			t.Fatal(err)
 		}
@@ -97,17 +102,24 @@ func TestPlanBackedResult(t *testing.T) {
 	if s := cache.Stats(); s.Hits != 1 {
 		t.Fatalf("second run did not replay: %+v", s)
 	}
+	if res.Stats.Trace == nil || len(res.Stats.Trace.Devices) != 4 {
+		t.Fatal("plan-backed result carries no device timelines")
+	}
+	if !reflect.DeepEqual(res.Stats, live.Stats) {
+		t.Fatalf("plan-backed stats diverge from the live run's:\n%+v\n%+v", res.Stats, live.Stats)
+	}
 	if got := len(res.Schedule()); got != res.Stats.Tasks {
 		t.Fatalf("plan-backed schedule has %d entries, want %d", got, res.Stats.Tasks)
 	}
-	if res.Stats.H2DByPrec == ([prec.Count]int64{}) {
-		t.Fatal("plan-backed result lost the per-precision bytes")
+	var got, want bytes.Buffer
+	if err := res.WriteChromeTrace(&got); err != nil {
+		t.Fatalf("plan-backed chrome trace: %v", err)
 	}
-	if busy, xfer := res.DeviceTrace(0); busy != nil || xfer != nil {
-		t.Fatal("plan-backed result should carry no interval traces")
+	if err := live.WriteChromeTrace(&want); err != nil {
+		t.Fatal(err)
 	}
-	if err := res.WriteChromeTrace(nil); err == nil {
-		t.Fatal("plan-backed result should refuse chrome traces")
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("plan-backed chrome trace differs from the live run's")
 	}
 }
 

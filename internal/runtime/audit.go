@@ -7,7 +7,7 @@ import (
 	"geompc/internal/comm"
 )
 
-// This file implements the run-invariant auditor (Engine.Audit). It checks
+// This file implements the run-invariant auditor (Options.Audit). It checks
 // properties that should hold by construction in every run:
 //
 //   - accounting: a device's `used` counter always equals the sum of its
@@ -24,19 +24,19 @@ import (
 // Violations are collected (capped) rather than panicking, so a single run
 // reports every broken invariant at once.
 
-// maxAuditViolations bounds the collected report; past this the auditor
+// maxViolations bounds the collected report; past this the auditor
 // only counts.
-const maxAuditViolations = 16
+const maxViolations = 16
 
-func (e *Engine) violate(format string, args ...any) {
-	if len(e.auditViol) < maxAuditViolations {
+func (e *engine) violate(format string, args ...any) {
+	if len(e.auditViol) < maxViolations {
 		e.auditViol = append(e.auditViol, fmt.Sprintf(format, args...))
 	}
 }
 
 // auditResidency validates device d's LRU state right after task taskID
 // staged its tiles (the moment of maximal pressure).
-func (e *Engine) auditResidency(d *device, taskID int) {
+func (e *engine) auditResidency(d *device, taskID int) {
 	var sum int64
 	unpinned, n := 0, 0
 	// The LRU list must contain exactly the index's entries, each reachable
@@ -66,7 +66,7 @@ func (e *Engine) auditResidency(d *device, taskID int) {
 
 // auditFinal runs the end-of-run checks: pin balance and energy
 // conservation. Called after finalizeStats.
-func (e *Engine) auditFinal() {
+func (e *engine) auditFinal() {
 	for _, d := range e.devices {
 		for entry := d.lruHead; entry != nil; entry = entry.next {
 			if entry.pins != 0 {
@@ -109,7 +109,7 @@ func relClose(a, b float64) bool {
 // auditLink checks one serial link's trace: no two occupancy intervals
 // overlap (a serial resource carries one transfer at a time), and the
 // intervals integrate to the link's cumulative busy time.
-func (e *Engine) auditLink(l *comm.Link) {
+func (e *engine) auditLink(l *comm.Link) {
 	var sum, prevEnd float64
 	for i, iv := range l.Intervals() {
 		if iv.End < iv.Start {
@@ -131,7 +131,7 @@ func (e *Engine) auditLink(l *comm.Link) {
 // auditLinks validates every link's serial-occupancy invariants, and that
 // each device's TransferTime equals its two host-link busy times — the
 // traced transfer time and the accounted one must agree.
-func (e *Engine) auditLinks() {
+func (e *engine) auditLinks() {
 	for _, d := range e.devices {
 		e.auditLink(d.h2d)
 		e.auditLink(d.d2h)

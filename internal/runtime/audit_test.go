@@ -33,10 +33,7 @@ func TestAuditCleanUnderEviction(t *testing.T) {
 		Output: OutputSpec{Data: -1}}
 	g.edge(0, 1)
 	g.edge(1, 2)
-	eng := New(p, g)
-	eng.Lookahead = 1
-	eng.Audit = true
-	st, err := eng.Run()
+	st, _, err := Run(p, g, Options{Audit: true, Lookahead: 1})
 	if err != nil {
 		t.Fatalf("audited eviction run failed: %v", err)
 	}
@@ -76,14 +73,9 @@ func TestAuditCleanOnPublishAndConversions(t *testing.T) {
 		Output: OutputSpec{Data: -1},
 	}
 	g.edge(0, 1)
-	eng := New(p, g)
-	eng.Audit = true
-	st, err := eng.Run()
+	st, _, err := Run(p, g, Options{Audit: true})
 	if err != nil {
 		t.Fatalf("audited publish run failed: %v", err)
-	}
-	if eng.AuditViolations() != nil {
-		t.Fatalf("violations on a clean run: %v", eng.AuditViolations())
 	}
 	if st.SenderConversions != 1 || st.ReceiverConversions != 1 {
 		t.Fatal("scenario did not exercise both conversion directions")
@@ -92,18 +84,17 @@ func TestAuditCleanOnPublishAndConversions(t *testing.T) {
 	if v := st.NetByPrec[prec.FP16]; v != 2<<20 {
 		t.Errorf("NetByPrec[FP16] = %d, want %d", v, 2<<20)
 	}
-	// Stream traces must be visible individually and integrate to the same
-	// totals DeviceTrace merges.
-	kernel, conv, h2d, d2h := eng.StreamIntervals(0)
-	if len(kernel) != 1 || len(conv) != 1 || len(d2h) != 1 || len(h2d) != 0 {
+	// The trace keeps every stream apart: dev0 converts, runs its kernel
+	// and publishes; rank 0's NIC sends once.
+	d := st.Trace.Devices[0]
+	if len(d.Kernel) != 1 || len(d.Convert) != 1 || len(d.D2H) != 1 || len(d.H2D) != 0 {
 		t.Errorf("dev0 stream counts kernel=%d conv=%d h2d=%d d2h=%d",
-			len(kernel), len(conv), len(h2d), len(d2h))
+			len(d.Kernel), len(d.Convert), len(d.H2D), len(d.D2H))
 	}
-	busy, xfer := eng.DeviceTrace(0)
-	if len(busy) != len(kernel)+len(conv) || len(xfer) != len(h2d)+len(d2h) {
-		t.Error("DeviceTrace does not merge the per-stream slices")
+	if d.GPU != hw.V100.Name || d.Rank != 0 || st.Trace.Devices[1].Rank != 1 {
+		t.Errorf("device identity %q rank %d / rank %d", d.GPU, d.Rank, st.Trace.Devices[1].Rank)
 	}
-	if nic := eng.NICIntervals(0); len(nic) != 1 || nic[0].Bytes != 2<<20 {
+	if nic := st.Trace.NICs[0]; len(nic) != 1 || nic[0].Bytes != 2<<20 {
 		t.Errorf("NIC intervals %+v, want one 2 MiB send", nic)
 	}
 }
@@ -112,12 +103,14 @@ func TestAuditForcesTrace(t *testing.T) {
 	g := newTestGraph(1)
 	g.specs[0] = TaskSpec{Kind: hw.KindGemm, Device: 0, Prec: prec.FP64, Flops: 1e8,
 		Output: OutputSpec{Data: 1, Bytes: 1 << 20}}
-	eng := New(onePlat(t), g)
-	eng.Audit = true
-	if _, err := eng.Run(); err != nil {
+	st, _, err := Run(onePlat(t), g, Options{Audit: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(eng.ScheduleTrace()) != 1 {
+	if st.Trace == nil || len(st.Trace.Tasks) != 1 {
 		t.Error("Audit did not force Trace on")
+	}
+	if st, _, err = Run(onePlat(t), g, Options{}); err != nil || st.Trace != nil {
+		t.Errorf("untraced run: trace %v, err %v; want no trace", st.Trace, err)
 	}
 }

@@ -156,9 +156,9 @@ func (x *bodyExec) push(id int32) {
 }
 
 // RunBodies runs the numeric bodies of g in dataflow order with no
-// simulation around them (a compiled plan's replay) and returns what
-// Engine.BodyErr would and, as err, what Engine.Run would for a body that
-// panicked. Without bodies it only calls Spec once per task.
+// simulation around them (a compiled plan's replay) and returns what Run
+// would as bodyErr and, as err, what Run would for a body that panicked.
+// Without bodies it only calls Spec once per task.
 func RunBodies(g Graph) (bodyErr, err error) {
 	var x *bodyExec
 	var spec TaskSpec

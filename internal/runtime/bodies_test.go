@@ -41,11 +41,10 @@ func TestBodiesMeetAtBarrier(t *testing.T) {
 			return nil
 		}
 	})
-	eng := New(onePlat(t), g)
-	eng.Lookahead = 2
+	plat := onePlat(t)
 	done := make(chan error, 1)
 	go func() {
-		_, err := eng.Run()
+		_, _, err := Run(plat, g, Options{Lookahead: 2})
 		done <- err
 	}()
 	select {
@@ -78,7 +77,7 @@ func TestNoGoroutineOutlivesFailedRun(t *testing.T) {
 	g.edge(0, 5)
 	g.specs[5].Inputs = []InputSpec{{Data: 99, WireBytes: 8}} // no host copy anywhere
 	before := gort.NumGoroutine()
-	_, err := New(onePlat(t), g).Run()
+	_, _, err := Run(onePlat(t), g, Options{})
 	var ge *GraphError
 	if !errors.As(err, &ge) || ge.Task != 5 {
 		t.Fatalf("Run error %v, want a GraphError on task 5", err)
@@ -144,11 +143,10 @@ func TestFailedBodyPoisonsExactlyItsDescendants(t *testing.T) {
 					t.Fatal(err)
 				}
 			} else {
-				eng := New(onePlat(t), g)
-				if _, err := eng.Run(); err != nil {
+				var err error
+				if _, bodyErr, err = Run(onePlat(t), g, Options{}); err != nil {
 					t.Fatal(err)
 				}
-				bodyErr = eng.BodyErr()
 			}
 			if bodyErr == nil || bodyErr.Error() != "task 1 failed" {
 				t.Fatalf("replay=%v: body error %v, want task 1's", replay, bodyErr)
@@ -186,9 +184,7 @@ func TestPanickingBodyFailsTheRun(t *testing.T) {
 		if replay {
 			bodyErr, err = RunBodies(g)
 		} else {
-			eng := New(onePlat(t), g)
-			_, err = eng.Run()
-			bodyErr = eng.BodyErr()
+			_, bodyErr, err = Run(onePlat(t), g, Options{})
 		}
 		if err == nil || !strings.Contains(err.Error(), "task 1 ") || !strings.Contains(err.Error(), "planted defect") {
 			t.Fatalf("replay=%v: run error %v, want task 1's panic", replay, err)
@@ -230,8 +226,7 @@ func TestBodilessTasksKeepDataflowOrder(t *testing.T) {
 		g.edge(1, 2)
 		g.edge(2, 3)
 		g.edge(3, 4)
-		eng := New(onePlat(t), g)
-		if _, err := eng.Run(); err != nil {
+		if _, _, err := Run(onePlat(t), g, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		if !saw.Load() {

@@ -9,30 +9,34 @@ import (
 	"geompc/internal/prec"
 )
 
-// Engine executes a Graph on a Platform, producing virtual-time statistics
-// and (when task bodies are present) real numeric results. The engine is
-// the orchestration core; the communication links live in internal/comm.
-// The schedule is the paper's: owner-computes placement, ready queues
-// ordered by priority (readyBefore), binomial-tree broadcasts (publish).
-type Engine struct {
-	plat *Platform
-	g    Graph
-
-	// Trace enables per-interval power/occupancy recording on all devices
-	// and links (used by the Fig 9/10 experiments; costs memory on large
-	// runs).
+// Options are the knobs of one simulated run.
+type Options struct {
+	// Trace records the run's timeline in Stats.Trace: every committed
+	// task and the activity intervals of every device stream and NIC (the
+	// Fig 3/9/10 experiments; costs memory on large runs).
 	Trace bool
 
 	// Audit enables the run-invariant auditor: pin-count balance at
 	// completion, LRU residency within device memory whenever evictable
 	// tiles exist, per-link interval consistency, and exact energy
 	// conservation between the interval traces and Stats.Energy. Auditing
-	// forces Trace on; Run returns an error listing the violations, if any.
+	// implies Trace; Run returns an error listing the violations, if any.
 	Audit bool
 
 	// Lookahead is the number of tasks each device pipeline accepts ahead
-	// of execution (stream double-buffering). Default 2.
+	// of execution (stream double-buffering); 0 means 2.
 	Lookahead int
+}
+
+// engine is the state of one run of a Graph on a Platform (see Run). It
+// is the orchestration core; the communication links live in
+// internal/comm. The schedule is the paper's: owner-computes placement,
+// ready queues ordered by priority (readyBefore), binomial-tree broadcasts
+// (publish).
+type engine struct {
+	plat *Platform
+	g    Graph
+	opt  Options
 
 	devices []*device
 	// nics holds one comm.Link per rank: the send side of its broadcasts.
@@ -42,25 +46,22 @@ type Engine struct {
 	// dense per-(rank,data) table is used (one flat slice, -1 = absent);
 	// otherwise the map fallback. The dense form removes a map lookup per
 	// staged input — the hottest read on the phantom scale path.
-	hostAvail    map[hostKey]float64
-	hostDense    []float64
-	hostDenseBuf []float64 // retained across runs to avoid regrowth
-	hostBound    int
-	pending      []int32
-	events       []event
-	specFree     []*TaskSpec
-	seq          int64
-	now          float64
-	succBuf      []int
-	done         int
-	dirtyDevs    []int
-	// fatalErr is the first malformed-graph error (see fail); Run stops on it.
+	hostAvail map[hostKey]float64
+	hostDense []float64
+	hostBound int
+	pending   []int32
+	events    []event
+	specFree  []*TaskSpec
+	seq       int64
+	now       float64
+	succBuf   []int
+	done      int
+	dirtyDevs []int
+	// fatalErr is the first malformed-graph error (see fail); run stops on it.
 	fatalErr error
 
-	// bodies runs the current run's numeric bodies (nil until one commits);
-	// bodyErr is what the last run's reported.
-	bodies  *bodyExec
-	bodyErr error
+	// bodies runs the numeric bodies (nil until one commits).
+	bodies *bodyExec
 
 	schedule []ScheduledTask
 
@@ -71,39 +72,32 @@ type Engine struct {
 	stats Stats
 }
 
-// New prepares an engine for one run of g on plat.
-func New(plat *Platform, g Graph) *Engine {
-	return &Engine{plat: plat, g: g, Lookahead: 2}
-}
-
-// Graph returns the task system the engine was built for.
-func (e *Engine) Graph() Graph { return e.g }
-
-// Run executes the task system to completion and returns the run's
-// statistics — on every path only once each numeric body it started has
-// returned; a body's failure is not a run error (see BodyErr), a body's
+// Run executes g on plat once, to completion, and returns the run's
+// record: its statistics and, with opt.Trace, its timeline in Stats.Trace.
+// It returns only once each numeric body it started has returned. bodyErr
+// is the numeric failure: the error of the lowest-numbered task whose body
+// failed (its descendants were skipped); it is not a run error. A body's
 // panic is (the lowest-numbered task's, naming it). Malformed graphs
 // (invalid device assignments, inputs with no host copy, broken in-degree
 // accounting) abort the run with a *GraphError; dependency cycles leave
-// tasks unexecuted and are reported as a plain error. With Audit enabled,
+// tasks unexecuted and are reported as a plain error. With opt.Audit,
 // invariant violations are reported as an error after the run.
-func (e *Engine) Run() (st Stats, err error) {
-	if e.Audit {
-		e.Trace = true // the energy-conservation check needs the intervals
+func Run(plat *Platform, g Graph, opt Options) (st Stats, bodyErr, err error) {
+	if opt.Audit {
+		opt.Trace = true // the energy-conservation check needs the intervals
 	}
-	n := e.g.NumTasks()
-	e.hostAvail, e.hostDense, e.hostBound = nil, nil, 0
+	if opt.Lookahead <= 0 {
+		opt.Lookahead = 2
+	}
+	e := &engine{plat: plat, g: g, opt: opt}
+	n := g.NumTasks()
 	if b, ok := e.g.(DataBounder); ok {
 		// Cap the dense tables' footprint; graphs with huge sparse id
 		// spaces fall back to the maps.
 		if bound := b.DataIDBound(); bound >= 0 &&
 			bound*int64(e.plat.Ranks) <= 1<<28 && bound*int64(e.plat.NumDevices()) <= 1<<28 {
 			e.hostBound = int(bound)
-			need := e.hostBound * e.plat.Ranks
-			if cap(e.hostDenseBuf) < need {
-				e.hostDenseBuf = make([]float64, need)
-			}
-			e.hostDense = e.hostDenseBuf[:need]
+			e.hostDense = make([]float64, e.hostBound*e.plat.Ranks)
 			for i := range e.hostDense {
 				e.hostDense[i] = hostAbsent
 			}
@@ -114,29 +108,17 @@ func (e *Engine) Run() (st Stats, err error) {
 	}
 	e.devices = make([]*device, e.plat.NumDevices())
 	for i := range e.devices {
-		e.devices[i] = newDevice(i, e.plat.RankOfDevice(i), e.plat.Node.GPU, e.Trace, e.hostBound)
+		e.devices[i] = newDevice(i, e.plat.RankOfDevice(i), e.plat.Node.GPU, e.opt.Trace, e.hostBound)
 	}
 	e.nics = make([]*comm.Link, e.plat.Ranks)
 	for r := range e.nics {
-		e.nics[r] = comm.NewLink(fmt.Sprintf("rank%d/nic", r), e.plat.Node.NICLink(), e.Trace)
+		e.nics[r] = comm.NewLink(fmt.Sprintf("rank%d/nic", r), e.plat.Node.NICLink(), e.opt.Trace)
 	}
-	if cap(e.pending) >= n {
-		e.pending = e.pending[:n]
-	} else {
-		e.pending = make([]int32, n)
-	}
-	e.events = e.events[:0]
-	e.now, e.seq, e.done = 0, 0, 0
-	e.stats = Stats{}
-	e.schedule = e.schedule[:0]
-	e.digest = obs.Digest{}
-	e.auditViol = e.auditViol[:0]
-	e.fatalErr, e.bodyErr = nil, nil
+	e.pending = make([]int32, n)
 	defer func() {
 		if e.bodies != nil {
 			var crash error
-			e.bodyErr, crash = e.bodies.finish()
-			e.bodies = nil
+			bodyErr, crash = e.bodies.finish()
 			if err == nil && crash != nil {
 				st, err = Stats{}, crash
 			}
@@ -157,7 +139,7 @@ func (e *Engine) Run() (st Stats, err error) {
 		e.tryCommit(e.devices[i])
 	}
 	if e.fatalErr != nil {
-		return Stats{}, e.fatalErr
+		return Stats{}, nil, e.fatalErr
 	}
 
 	for len(e.events) > 0 {
@@ -165,25 +147,25 @@ func (e *Engine) Run() (st Stats, err error) {
 		e.now = ev.at
 		e.complete(&ev)
 		if e.fatalErr != nil {
-			return Stats{}, e.fatalErr
+			return Stats{}, nil, e.fatalErr
 		}
 	}
 
 	if e.done != n {
-		return Stats{}, fmt.Errorf("runtime: %d of %d tasks never became ready (dependency cycle or missing data)", n-e.done, n)
+		return Stats{}, nil, fmt.Errorf("runtime: %d of %d tasks never became ready (dependency cycle or missing data)", n-e.done, n)
 	}
 	e.finalizeStats()
-	if e.Audit {
+	if e.opt.Audit {
 		e.auditFinal()
 		if len(e.auditViol) > 0 {
-			return e.stats, fmt.Errorf("runtime: audit found %d invariant violation(s): %v", len(e.auditViol), e.auditViol)
+			return e.stats, nil, fmt.Errorf("runtime: audit found %d invariant violation(s): %v", len(e.auditViol), e.auditViol)
 		}
 	}
-	return e.stats, nil
+	return e.stats, nil, nil
 }
 
 // takeSpec fetches a TaskSpec from the freelist (or allocates one).
-func (e *Engine) takeSpec() *TaskSpec {
+func (e *engine) takeSpec() *TaskSpec {
 	if n := len(e.specFree); n > 0 {
 		spec := e.specFree[n-1]
 		e.specFree = e.specFree[:n-1]
@@ -195,7 +177,7 @@ func (e *Engine) takeSpec() *TaskSpec {
 
 // enqueueReady materializes task id's spec from the freelist and pushes it
 // onto its device's ready queue.
-func (e *Engine) enqueueReady(id int) int {
+func (e *engine) enqueueReady(id int) int {
 	spec := e.takeSpec()
 	e.g.Spec(id, spec)
 	spec.ID = id
@@ -210,14 +192,14 @@ func (e *Engine) enqueueReady(id int) int {
 }
 
 // tryCommit feeds the device's stream pipeline up to the lookahead depth.
-func (e *Engine) tryCommit(d *device) {
-	for e.fatalErr == nil && d.committed < e.Lookahead && d.ready.Len() > 0 {
+func (e *engine) tryCommit(d *device) {
+	for e.fatalErr == nil && d.committed < e.opt.Lookahead && d.ready.Len() > 0 {
 		e.commit(d, d.ready.pop())
 	}
 }
 
 // commit stages a task's data onto the device and schedules its execution.
-func (e *Engine) commit(d *device, spec *TaskSpec) {
+func (e *engine) commit(d *device, spec *TaskSpec) {
 	stagingEnd := e.now
 	var sink evictSink
 	var stagedBytes int64
@@ -274,7 +256,7 @@ func (e *Engine) commit(d *device, spec *TaskSpec) {
 		return
 	}
 	e.drainWritebacks(d, &sink)
-	if e.Audit {
+	if e.opt.Audit {
 		e.auditResidency(d, spec.ID)
 	}
 
@@ -335,7 +317,7 @@ func (e *Engine) commit(d *device, spec *TaskSpec) {
 // body, so phantom runs never pay for it. The tasks committed before had
 // none, which counts as returned: any other task waits for its pending
 // predecessors less those in flight, and for its own commit.
-func (e *Engine) startBodies() {
+func (e *engine) startBodies() {
 	x := newBodyExec(e.g, len(e.pending))
 	for id, p := range e.pending {
 		x.wait[id] = p + 1
@@ -349,17 +331,13 @@ func (e *Engine) startBodies() {
 	e.bodies = x
 }
 
-// BodyErr returns the numeric failure of the last Run: the error of the
-// lowest-numbered task whose body failed (its descendants were skipped).
-func (e *Engine) BodyErr() error { return e.bodyErr }
-
 // convPowerFrac is the fraction of the dynamic power range a datatype
 // conversion kernel draws (memory-bound, low arithmetic intensity).
 const convPowerFrac = 0.25
 
 // drainWritebacks turns evicted dirty tiles into D2H transfers and restores
 // their host copies.
-func (e *Engine) drainWritebacks(d *device, sink *evictSink) {
+func (e *engine) drainWritebacks(d *device, sink *evictSink) {
 	for _, wb := range sink.writebacks {
 		start := d.d2h.StartAfter(e.now)
 		dur := d.d2h.Time(wb.bytes)
@@ -376,7 +354,7 @@ func (e *Engine) drainWritebacks(d *device, sink *evictSink) {
 // complete processes a task's completion event in virtual time: publishes
 // the output and releases successors. It does not wait for the numeric
 // body — the body executor orders real execution, by dataflow.
-func (e *Engine) complete(ev *event) {
+func (e *engine) complete(ev *event) {
 	spec := ev.spec
 	d := e.devices[spec.Device]
 
@@ -428,7 +406,7 @@ func (e *Engine) complete(ev *event) {
 
 // publish performs STC conversion, D2H, and the network broadcast of a
 // task's output, making it available in host memory at consumer ranks.
-func (e *Engine) publish(d *device, spec *TaskSpec, p *PublishSpec) {
+func (e *engine) publish(d *device, spec *TaskSpec, p *PublishSpec) {
 	t := e.now
 	if p.ConvertElems > 0 {
 		// Sender-side conversion on the producer's compute stream.

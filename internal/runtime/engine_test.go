@@ -112,14 +112,13 @@ func TestSingleTask(t *testing.T) {
 		Inputs: []InputSpec{{Data: 1, WireBytes: 8 << 20}},
 		Output: OutputSpec{Data: 1, Bytes: 8 << 20},
 	}
-	eng := New(onePlat(t), g)
-	st, err := eng.Run()
+	st, _, err := Run(onePlat(t), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Makespan = H2D(8MiB) + kernel time (input and output are the same
 	// tile, staged once).
-	wantXfer := hw.V100.H2DTime(8 << 20)
+	wantXfer := hw.V100.H2DLink().Time(8 << 20)
 	wantKernel := hw.V100.KernelTime(hw.KindGemm, prec.FP64, flops)
 	want := wantXfer + wantKernel
 	if math.Abs(st.Makespan-want) > 1e-12 {
@@ -144,8 +143,7 @@ func TestChainRespectsDependencies(t *testing.T) {
 	}
 	g.edge(0, 1)
 	g.edge(1, 2)
-	eng := New(onePlat(t), g)
-	st, err := eng.Run()
+	st, _, err := Run(onePlat(t), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +165,7 @@ func TestParallelTasksOnTwoDevices(t *testing.T) {
 			Output: OutputSpec{Data: -1},
 		}
 	}
-	eng := New(p, g)
-	st, err := eng.Run()
+	st, _, err := Run(p, g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +185,7 @@ func TestComputeStreamSerializes(t *testing.T) {
 			Output: OutputSpec{Data: -1},
 		}
 	}
-	eng := New(onePlat(t), g)
-	st, err := eng.Run()
+	st, _, err := Run(onePlat(t), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,13 +206,12 @@ func TestTransferOverlapsCompute(t *testing.T) {
 		Inputs: []InputSpec{{Data: 7, WireBytes: 32 << 20}},
 		Output: OutputSpec{Data: -1},
 	}
-	eng := New(onePlat(t), g)
-	st, err := eng.Run()
+	st, _, err := Run(onePlat(t), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	kernel := hw.V100.KernelTime(hw.KindGemm, prec.FP64, 1e10)
-	xfer := hw.V100.H2DTime(32 << 20)
+	xfer := hw.V100.H2DLink().Time(32 << 20)
 	if xfer > kernel {
 		t.Fatalf("test setup wrong: transfer %g should be shorter than kernel %g", xfer, kernel)
 	}
@@ -237,8 +232,7 @@ func TestResidencyAvoidsRetransfer(t *testing.T) {
 			Output: OutputSpec{Data: -1},
 		}
 	}
-	eng := New(onePlat(t), g)
-	st, err := eng.Run()
+	st, _, err := Run(onePlat(t), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +261,7 @@ func TestPublishAndRemoteConsumption(t *testing.T) {
 		Output: OutputSpec{Data: -1},
 	}
 	g.edge(0, 1)
-	eng := New(p, g)
-	st, err := eng.Run()
+	st, _, err := Run(p, g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +277,7 @@ func TestPublishAndRemoteConsumption(t *testing.T) {
 	// Makespan must include kernel + D2H + net hop + H2D + kernel.
 	k := hw.V100.KernelTime(hw.KindTrsm, prec.FP64, 1e9)
 	k2 := hw.V100.KernelTime(hw.KindGemm, prec.FP64, 1e9)
-	min := k + hw.V100.D2HTime(wire) + hw.SummitNode.NetLat + float64(wire)/hw.SummitNode.NetBw + hw.V100.H2DTime(wire) + k2
+	min := k + hw.V100.D2HLink().Time(wire) + hw.SummitNode.NetLat + float64(wire)/hw.SummitNode.NetBw + hw.V100.H2DLink().Time(wire) + k2
 	if st.Makespan < min-1e-12 {
 		t.Errorf("makespan %g below physical minimum %g", st.Makespan, min)
 	}
@@ -306,8 +299,7 @@ func TestSenderAndReceiverConversions(t *testing.T) {
 		Output: OutputSpec{Data: -1},
 	}
 	g.edge(0, 1)
-	eng := New(onePlat(t), g)
-	st, err := eng.Run()
+	st, _, err := Run(onePlat(t), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,9 +337,8 @@ func TestLRUEvictionAndWriteback(t *testing.T) {
 		Output: OutputSpec{Data: -1}}
 	g.edge(0, 1)
 	g.edge(1, 2)
-	eng := New(p, g)
-	eng.Lookahead = 1 // keep pins tight so eviction can happen between tasks
-	st, err := eng.Run()
+	// Lookahead 1 keeps pins tight so eviction can happen between tasks.
+	st, _, err := Run(p, g, Options{Lookahead: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,8 +372,7 @@ func TestNumericBodiesRunInDependencyOrder(t *testing.T) {
 	g.edge(0, 2)
 	g.edge(1, 3)
 	g.edge(2, 3)
-	eng := New(onePlat(t), g)
-	if _, err := eng.Run(); err != nil {
+	if _, _, err := Run(onePlat(t), g, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if !(order[0] < order[1] && order[0] < order[2] && order[3] > order[1] && order[3] > order[2]) {
@@ -403,16 +393,14 @@ func TestPriorityOrdering(t *testing.T) {
 	g.specs[1] = TaskSpec{Kind: hw.KindGemm, Device: 0, Prec: prec.FP64, Flops: 1e6,
 		Priority: 100, Output: OutputSpec{Data: -1},
 		Body: func() error { first.CompareAndSwap(0, 2); return nil }}
-	eng := New(onePlat(t), g)
-	eng.Lookahead = 1
-	eng.Trace = true
-	if _, err := eng.Run(); err != nil {
+	st, _, err := Run(onePlat(t), g, Options{Trace: true, Lookahead: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Load() != 2 {
 		t.Errorf("high-priority body did not run first (winner %d)", first.Load())
 	}
-	if sch := eng.ScheduleTrace(); len(sch) != 2 || sch[0].ID != 1 {
+	if sch := st.Trace.Tasks; len(sch) != 2 || sch[0].ID != 1 {
 		t.Errorf("simulated schedule %+v: want the high-priority task first", sch)
 	}
 }
@@ -446,8 +434,7 @@ func TestEnergyAccounting(t *testing.T) {
 	flops := 7.8e12 * 0.97 // exactly one second of FP64 on V100 (minus launch)
 	g.specs[0] = TaskSpec{Kind: hw.KindGemm, Device: 0, Prec: prec.FP64, Flops: flops,
 		Output: OutputSpec{Data: -1}}
-	eng := New(onePlat(t), g)
-	st, err := eng.Run()
+	st, _, err := Run(onePlat(t), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +463,7 @@ func TestDeterminism(t *testing.T) {
 			}
 		}
 		p, _ := NewPlatform(hw.SummitNode, 1, 2)
-		st, err := New(p, g).Run()
+		st, _, err := Run(p, g, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -493,7 +480,7 @@ func TestMissingInputIsGraphError(t *testing.T) {
 	g.specs[0] = TaskSpec{Kind: hw.KindGemm, Device: 0, Prec: prec.FP64, Flops: 1,
 		Inputs: []InputSpec{{Data: 42, WireBytes: 1}},
 		Output: OutputSpec{Data: -1}}
-	_, err := New(onePlat(t), g).Run()
+	_, _, err := Run(onePlat(t), g, Options{})
 	var ge *GraphError
 	if !errors.As(err, &ge) {
 		t.Fatalf("missing input: err = %v, want a *GraphError", err)
@@ -507,7 +494,7 @@ func TestInvalidDeviceIsGraphError(t *testing.T) {
 	g := newTestGraph(1)
 	g.specs[0] = TaskSpec{Kind: hw.KindGemm, Device: 7, Prec: prec.FP64, Flops: 1,
 		Output: OutputSpec{Data: -1}}
-	_, err := New(onePlat(t), g).Run()
+	_, _, err := Run(onePlat(t), g, Options{})
 	var ge *GraphError
 	if !errors.As(err, &ge) {
 		t.Fatalf("invalid device: err = %v, want a *GraphError", err)
@@ -521,12 +508,11 @@ func TestTraceIntervals(t *testing.T) {
 			Output: OutputSpec{Data: -1}}
 	}
 	g.edge(0, 1)
-	eng := New(onePlat(t), g)
-	eng.Trace = true
-	if _, err := eng.Run(); err != nil {
+	st, _, err := Run(onePlat(t), g, Options{Trace: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	busy, _ := eng.DeviceTrace(0)
+	busy := st.Trace.Devices[0].Kernel
 	if len(busy) != 2 {
 		t.Fatalf("expected 2 busy intervals, got %d", len(busy))
 	}
@@ -625,8 +611,7 @@ func TestEngineInvariants(t *testing.T) {
 		}
 	}
 	p, _ := NewPlatform(hw.SummitNode, 1, 2)
-	eng := New(p, g)
-	st, err := eng.Run()
+	st, _, err := Run(p, g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func (g *GraphError) Error() string {
 // fail records the run's first fatal error; the event loop (and the commit
 // path) stop at the next check. Later errors are dropped — the first one is
 // the cause, anything after it is fallout.
-func (e *Engine) fail(err error) {
+func (e *engine) fail(err error) {
 	if e.fatalErr == nil {
 		e.fatalErr = err
 	}

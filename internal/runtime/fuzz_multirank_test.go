@@ -123,13 +123,11 @@ func FuzzMultiRank(f *testing.F) {
 		}
 		run := func() (Stats, []ScheduledTask, *testGraph) {
 			g := build()
-			eng := New(plat, g)
-			eng.Audit = true // implies Trace
-			st, err := eng.Run()
+			st, _, err := Run(plat, g, Options{Audit: true}) // implies Trace
 			if err != nil {
 				t.Fatal(err)
 			}
-			return st, eng.ScheduleTrace(), g
+			return st, st.Trace.Tasks, g
 		}
 
 		st, trace, g := run()

@@ -72,9 +72,7 @@ func FuzzValidate(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := New(plat, g)
-		eng.Audit = true
-		st, err := eng.Run()
+		st, _, err := Run(plat, g, Options{Audit: true})
 		if err != nil {
 			t.Fatalf("audited run failed: %v", err)
 		}

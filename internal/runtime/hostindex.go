@@ -15,7 +15,7 @@ const hostAbsent = -1.0
 
 // The dense index is addressed as rank*hostBound + data: one bound-sized
 // segment per rank.
-func (e *Engine) setHostAvail(rank int, d DataID, at float64) {
+func (e *engine) setHostAvail(rank int, d DataID, at float64) {
 	if e.hostDense != nil {
 		e.hostDense[rank*e.hostBound+int(d)] = at
 		return
@@ -23,7 +23,7 @@ func (e *Engine) setHostAvail(rank int, d DataID, at float64) {
 	e.hostAvail[hostKey{rank, d}] = at
 }
 
-func (e *Engine) lookupHostAvail(rank int, d DataID) (float64, bool) {
+func (e *engine) lookupHostAvail(rank int, d DataID) (float64, bool) {
 	if e.hostDense != nil {
 		v := e.hostDense[rank*e.hostBound+int(d)]
 		return v, v != hostAbsent

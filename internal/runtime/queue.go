@@ -20,7 +20,7 @@ func eventBefore(a, b *event) bool {
 }
 
 // pushEvent sifts a completion event into the heap.
-func (e *Engine) pushEvent(ev event) {
+func (e *engine) pushEvent(ev event) {
 	e.events = append(e.events, ev)
 	h := e.events
 	for i := len(h) - 1; i > 0; {
@@ -34,7 +34,7 @@ func (e *Engine) pushEvent(ev event) {
 }
 
 // popEvent removes the earliest completion event.
-func (e *Engine) popEvent() event {
+func (e *engine) popEvent() event {
 	h := e.events
 	top := h[0]
 	n := len(h) - 1

@@ -5,8 +5,7 @@ import (
 	"geompc/internal/prec"
 )
 
-// ScheduledTask records one task's placement in the simulated schedule
-// (recorded only when Trace is enabled).
+// ScheduledTask records one task's placement in the simulated schedule.
 type ScheduledTask struct {
 	ID         int
 	Kind       hw.KernelKind
@@ -46,9 +45,35 @@ type Stats struct {
 	ScheduleDigest uint64
 	// Per-device aggregates.
 	Devices []DeviceStats
+	// Trace is the run's timeline, nil unless Options.Trace (or Audit) was
+	// set.
+	Trace *Trace
 }
 
-func (e *Engine) finalizeStats() {
+// Trace is the timeline of one traced run.
+type Trace struct {
+	// Tasks holds every task's placement, in commit order (sort by Start
+	// for a timeline).
+	Tasks []ScheduledTask
+	// Devices holds each device's activity, indexed by global device.
+	Devices []DeviceTrace
+	// NICs holds each rank's send-side NIC occupancy: the first hop of
+	// every broadcast it issued.
+	NICs [][]Interval
+}
+
+// DeviceTrace is one device's traced activity. Kernel and Convert are the
+// compute stream's kernel executions and datatype conversions, H2D and D2H
+// the host-link transfers (staging, publishes and writebacks). Each
+// interval carries its dynamic power draw: summed as power·duration with
+// idle·makespan, the intervals of every device reproduce Stats.Energy.
+type DeviceTrace struct {
+	GPU                       string // the device's GPU model
+	Rank                      int    // the rank owning it
+	Kernel, Convert, H2D, D2H []Interval
+}
+
+func (e *engine) finalizeStats() {
 	var makespan float64
 	for _, d := range e.devices {
 		if d.computeFree > makespan {
@@ -71,44 +96,15 @@ func (e *Engine) finalizeStats() {
 		e.stats.AvgPower = energy / makespan
 	}
 	e.stats.ScheduleDigest = e.digest.Sum()
-}
-
-// AuditViolations returns the invariant violations collected during an
-// audited run (nil when clean or when Audit was off).
-func (e *Engine) AuditViolations() []string { return e.auditViol }
-
-// DeviceTrace returns device i's traced compute-stream intervals (kernels
-// and datatype conversions, each carrying its dynamic power draw) and
-// host-link transfer intervals (H2D staging, D2H publishes and writebacks),
-// recorded during a Trace-enabled run. Slices are rebuilt views; the
-// underlying intervals stay valid until the next Run.
-func (e *Engine) DeviceTrace(i int) (busy, xfer []Interval) {
-	d := e.devices[i]
-	busy = make([]Interval, 0, len(d.busyIntervals)+len(d.convIntervals))
-	busy = append(append(busy, d.busyIntervals...), d.convIntervals...)
-	h2d, d2h := d.h2d.Intervals(), d.d2h.Intervals()
-	xfer = make([]Interval, 0, len(h2d)+len(d2h))
-	xfer = append(append(xfer, h2d...), d2h...)
-	return busy, xfer
-}
-
-// StreamIntervals exposes device i's per-stream traces individually:
-// kernel execution, datatype conversions (both on the compute stream), and
-// the H2D/D2H host-link directions. Valid until the next Run.
-func (e *Engine) StreamIntervals(i int) (kernel, conv, h2d, d2h []Interval) {
-	d := e.devices[i]
-	return d.busyIntervals, d.convIntervals, d.h2d.Intervals(), d.d2h.Intervals()
-}
-
-// NICIntervals returns the traced send-side NIC occupancy of a rank's
-// broadcasts (first hop per publish). Nil when tracing was off.
-func (e *Engine) NICIntervals(rank int) []Interval {
-	if !e.Trace || e.nics == nil {
-		return nil
+	if e.opt.Trace {
+		tr := &Trace{Tasks: e.schedule, Devices: make([]DeviceTrace, len(e.devices)), NICs: make([][]Interval, len(e.nics))}
+		for i, d := range e.devices {
+			tr.Devices[i] = DeviceTrace{GPU: d.spec.Name, Rank: d.rank,
+				Kernel: d.busyIntervals, Convert: d.convIntervals, H2D: d.h2d.Intervals(), D2H: d.d2h.Intervals()}
+		}
+		for r, nic := range e.nics {
+			tr.NICs[r] = nic.Intervals()
+		}
+		e.stats.Trace = tr
 	}
-	return e.nics[rank].Intervals()
 }
-
-// ScheduleTrace returns the ordered task placements recorded during a
-// Trace-enabled run (commit order; sort by Start for a timeline).
-func (e *Engine) ScheduleTrace() []ScheduledTask { return e.schedule }

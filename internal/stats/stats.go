@@ -133,13 +133,6 @@ func quantileSorted(s []float64, q float64) float64 {
 	return s[i]*(1-frac) + s[i+1]*frac
 }
 
-// Quantile returns the q-quantile of an unsorted sample.
-func Quantile(x []float64, q float64) float64 {
-	s := append([]float64(nil), x...)
-	sort.Float64s(s)
-	return quantileSorted(s, q)
-}
-
 // RMSE returns the root-mean-square error of estimates against truth.
 func RMSE(estimates []float64, truth float64) float64 {
 	if len(estimates) == 0 {
