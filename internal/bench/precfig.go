@@ -61,30 +61,19 @@ func precGlyph(p prec.Precision) byte {
 	}
 }
 
-// RenderKernelMap draws the lower-triangular kernel-precision map (Fig 2a /
-// Fig 7 heat map) as ASCII: D=FP64, S=FP32, h=FP16_32, H=FP16.
-func RenderKernelMap(m *precmap.Maps) string {
+// renderMap draws a lower-triangular precision map as ASCII rows, one
+// glyph and a space per tile; with star, each glyph is followed by '*'
+// where star holds and by a space elsewhere.
+func renderMap(p [][]prec.Precision, star func(i, j int) bool) string {
 	var b strings.Builder
-	for i := 0; i < m.NT; i++ {
+	for i := range p {
 		for j := 0; j <= i; j++ {
-			b.WriteByte(precGlyph(m.Kernel[i][j]))
-			b.WriteByte(' ')
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// RenderCommMap draws the communication-precision map of Algorithm 2
-// (Fig 4b); tasks applying STC are marked with '*' after the glyph.
-func RenderCommMap(m *precmap.Maps) string {
-	var b strings.Builder
-	for i := 0; i < m.NT; i++ {
-		for j := 0; j <= i; j++ {
-			b.WriteByte(precGlyph(m.Comm[i][j]))
-			if m.STC(i, j) {
+			b.WriteByte(precGlyph(p[i][j]))
+			switch {
+			case star == nil:
+			case star(i, j):
 				b.WriteByte('*')
-			} else {
+			default:
 				b.WriteByte(' ')
 			}
 			b.WriteByte(' ')
@@ -94,15 +83,13 @@ func RenderCommMap(m *precmap.Maps) string {
 	return b.String()
 }
 
+// RenderKernelMap draws the lower-triangular kernel-precision map (Fig 2a /
+// Fig 7 heat map) as ASCII: D=FP64, S=FP32, h=FP16_32, H=FP16.
+func RenderKernelMap(m *precmap.Maps) string { return renderMap(m.Kernel, nil) }
+
+// RenderCommMap draws the communication-precision map of Algorithm 2
+// (Fig 4b); tasks applying STC are marked with '*' after the glyph.
+func RenderCommMap(m *precmap.Maps) string { return renderMap(m.Comm, m.STC) }
+
 // RenderStorageMap draws the storage-precision map (Fig 2b).
-func RenderStorageMap(m *precmap.Maps) string {
-	var b strings.Builder
-	for i := 0; i < m.NT; i++ {
-		for j := 0; j <= i; j++ {
-			b.WriteByte(precGlyph(m.Storage[i][j]))
-			b.WriteByte(' ')
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
+func RenderStorageMap(m *precmap.Maps) string { return renderMap(m.Storage, nil) }

@@ -77,6 +77,66 @@ func TestGraphEdgesConsistent(t *testing.T) {
 	}
 }
 
+// TestDataIDsAreTileIndices: every DataID the graph names — in InitialData
+// and in each Spec's inputs and output — is desc.Index of its tile and lies
+// below NumData() == LowerTileCount().
+func TestDataIDsAreTileIndices(t *testing.T) {
+	for _, nt := range []int{1, 2, 5} {
+		g := buildTestGraph(t, nt, 1e-4, nil, Auto, 2, 2)
+		if g.NumData() != g.desc.LowerTileCount() {
+			t.Fatalf("nt %d: NumData() = %d, want LowerTileCount() = %d", nt, g.NumData(), g.desc.LowerTileCount())
+		}
+		want := func(what string, got runtime.DataID, i, j int) {
+			t.Helper()
+			if int(got) != g.desc.Index(i, j) || int(got) >= g.NumData() {
+				t.Errorf("nt %d: %s names datum %d for tile (%d,%d), want %d < %d", nt, what, got, i, j, g.desc.Index(i, j), g.NumData())
+			}
+		}
+		var tiles [][2]int
+		for i := 0; i < nt; i++ {
+			for j := 0; j <= i; j++ {
+				tiles = append(tiles, [2]int{i, j})
+			}
+		}
+		visits := 0
+		g.InitialData(func(d runtime.DataID, rank int) {
+			if visits < len(tiles) {
+				ij := tiles[visits]
+				want("InitialData", d, ij[0], ij[1])
+			}
+			visits++
+		})
+		if visits != len(tiles) {
+			t.Errorf("nt %d: InitialData visits %d data, want %d", nt, visits, len(tiles))
+		}
+		var s runtime.TaskSpec
+		for id := 0; id < g.numTasks; id++ {
+			g.Spec(id, &s)
+			op, m, n, k := g.decode(id)
+			var ins [][2]int
+			out := [2]int{m, k}
+			switch op {
+			case opPotrf:
+				out = [2]int{k, k}
+			case opTrsm:
+				ins = [][2]int{{k, k}}
+			case opSyrk:
+				ins, out = [][2]int{{m, k}}, [2]int{m, m}
+			case opGemm:
+				ins, out = [][2]int{{m, k}, {n, k}}, [2]int{m, n}
+			}
+			name := g.name(id)
+			if len(s.Inputs) != len(ins) {
+				t.Fatalf("nt %d: %s has %d inputs, want %d", nt, name, len(s.Inputs), len(ins))
+			}
+			for x, ij := range ins {
+				want(name+" input", s.Inputs[x].Data, ij[0], ij[1])
+			}
+			want(name+" output", s.Output.Data, out[0], out[1])
+		}
+	}
+}
+
 // TestGraphEdgesMatchDataflow derives the PTG's edges a second, independent
 // way: walking the tasks in Algorithm 1's sequential order, each task's
 // predecessors follow from the tiles its Spec reads and writes —
@@ -534,18 +594,14 @@ func TestNumericRunRejectsUnexecutable(t *testing.T) {
 	}{
 		{"fp32-diagonal", precmap.UniformAll(nt, prec.FP32), covariance(d)},
 		{"fp16-tile-1-1", fp16At11, covariance(d)},
-		{"phantom-matrix", precmap.UniformAll(nt, prec.FP64), tile.NewMatrix(d, true)},
 		{"other-tile-size", precmap.UniformAll(nt, prec.FP64), covariance(other)},
 	} {
 		maps := precmap.New(c.kernel, 0)
-		var before []float64
-		if !c.mat.Phantom {
-			before = c.mat.LowerToDense()
-		}
+		before := c.mat.LowerToDense()
 		if _, err := Run(Config{Desc: d, Maps: maps, Platform: plat, Matrix: c.mat}); err == nil {
 			t.Errorf("%s: numeric run accepted", c.name)
 		}
-		if before != nil && !slices.Equal(before, c.mat.LowerToDense()) {
+		if !slices.Equal(before, c.mat.LowerToDense()) {
 			t.Errorf("%s: the rejected run changed the matrix", c.name)
 		}
 		if _, err := Run(Config{Desc: d, Maps: maps, Platform: plat}); err != nil {

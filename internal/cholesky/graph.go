@@ -20,7 +20,7 @@ type graph struct {
 	mat *tile.Matrix // nil in phantom mode
 	// wire holds the communicated representation of each published tile in
 	// numeric mode (the STC down-cast copy, or the tile data itself under
-	// TTC). Indexed like the packed lower triangle.
+	// TTC), indexed by desc.Index.
 	wire [][]float64
 	// ops caches the GEMM operand forms of the panel tiles in numeric mode,
 	// one slot per (tile, view, kernel precision) — see operand.
@@ -32,10 +32,8 @@ type graph struct {
 
 func (g *graph) NumTasks() int { return g.numTasks }
 
-// dataID packs tile coordinates.
-func (g *graph) dataID(i, j int) runtime.DataID {
-	return runtime.DataID(int64(i)*int64(g.nt) + int64(j))
-}
+// dataID is tile (i,j)'s datum: its packed index, desc.Index.
+func (g *graph) dataID(i, j int) runtime.DataID { return runtime.DataID(g.desc.Index(i, j)) }
 
 // deviceOf implements owner-computes task placement: every task runs on the
 // device owning its output tile. Tiles distribute 2D block-cyclically over
@@ -61,10 +59,8 @@ func (g *graph) output(i, j int) runtime.OutputSpec {
 	return runtime.OutputSpec{Data: g.dataID(i, j), Bytes: g.tileBytes(i, j, sp), Prec: sp.Format()}
 }
 
-// DataIDBound implements runtime.DataBounder: tile ids pack as i·nt+j, so
-// every DataID lies below nt², letting the engine index host availability
-// densely instead of through a map.
-func (g *graph) DataIDBound() int64 { return int64(g.nt) * int64(g.nt) }
+// NumData implements runtime.Graph: one datum per lower tile.
+func (g *graph) NumData() int { return g.desc.LowerTileCount() }
 
 // NumPredecessors implements runtime.Graph.
 func (g *graph) NumPredecessors(id int) int {
@@ -299,7 +295,7 @@ func (g *graph) inputSpec(i, j int, p prec.Precision) runtime.InputSpec {
 var _ runtime.Graph = (*graph)(nil)
 
 // validate checks that the maps fit the tiling and, for a numeric run, that
-// the bodies can execute what the maps assign: real tile data laid out as
+// the bodies can execute what the maps assign: tile data laid out as
 // cfg.Desc, and the diagonal in FP64 (§V) — POTRF(k) and every SYRK(·,k)
 // target tile (k,k), and linalg has no other POTRF or SYRK.
 func (g *graph) validate() error {
@@ -308,9 +304,6 @@ func (g *graph) validate() error {
 	}
 	if g.mat == nil {
 		return nil
-	}
-	if g.mat.Phantom {
-		return fmt.Errorf("cholesky: numeric run on a phantom matrix")
 	}
 	if g.mat.Desc != g.desc {
 		return fmt.Errorf("cholesky: matrix layout %+v does not match descriptor %+v", g.mat.Desc, g.desc)

@@ -27,7 +27,7 @@ import (
 func (g *graph) publishWire(i, j int) {
 	t := g.mat.At(i, j)
 	wp := g.maps.Comm[i][j].Format()
-	idx := i*(i+1)/2 + j
+	idx := g.desc.Index(i, j)
 	if wp == g.maps.Storage[i][j].Format() {
 		g.wire[idx] = t.Data // TTC: what is sent is what is stored
 		return
@@ -40,7 +40,7 @@ func (g *graph) view(i, j, dev int) []float64 {
 	if g.deviceOf(i, j) == dev {
 		return g.mat.At(i, j).Data
 	}
-	w := g.wire[i*(i+1)/2+j]
+	w := g.wire[g.desc.Index(i, j)]
 	if w == nil {
 		panic(fmt.Sprintf("cholesky: wire copy of tile (%d,%d) read before publish", i, j))
 	}
@@ -67,7 +67,7 @@ func (g *graph) operand(i, j, dev int, p prec.Precision) *linalg.Operand {
 	if &data[0] != &t.Data[0] {
 		wire = 1
 	}
-	s := &g.ops[((i*(i+1)/2+j)*2+wire)*prec.Count+int(p)]
+	s := &g.ops[(g.desc.Index(i, j)*2+wire)*prec.Count+int(p)]
 	s.once.Do(func() {
 		s.op = new(linalg.Operand)
 		s.op.Pack(p, t.M, t.N, data, t.N, true)

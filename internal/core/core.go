@@ -84,7 +84,8 @@ type Options struct {
 	// ForceTTC disables the automated sender-side conversion, always
 	// converting at the receiver — the baseline of Fig 8.
 	ForceTTC bool
-	// Machine to simulate on (default one V100).
+	// Machine to simulate on (default: the zero Machine, one Summit node
+	// with all six of its V100s).
 	Machine Machine
 	// Nugget regularizes the covariance diagonal (default 1e-8).
 	Nugget float64

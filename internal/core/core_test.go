@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"geompc/internal/geo"
+	"geompc/internal/hw"
 	"geompc/internal/prec"
 )
 
@@ -194,10 +195,15 @@ func TestMachines(t *testing.T) {
 	if p, _ := Summit(64).Platform(); p.NumDevices() != 384 {
 		t.Error("Summit(64) is not 384 GPUs")
 	}
-	// Zero-value machine defaults to one Summit node's worth of GPUs.
+	// The zero Machine, Options' default, is one Summit node with all six
+	// of its V100s.
 	var m Machine
-	if _, err := m.Platform(); err != nil {
-		t.Errorf("zero machine rejected: %v", err)
+	p, err := m.Platform()
+	if err != nil {
+		t.Fatalf("zero machine rejected: %v", err)
+	}
+	if p.Ranks != 1 || p.DevPerRank != 6 || p.Node.GPU != hw.V100 {
+		t.Errorf("zero machine is %d rank(s) × %d %s, want 1 × 6 V100", p.Ranks, p.DevPerRank, p.Node.GPU.Name)
 	}
 }
 

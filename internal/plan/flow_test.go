@@ -26,6 +26,7 @@ var diamondSuccs = [][]int{{1, 2}, {3}, {3}, nil}
 func (diamond) NumTasks() int                               { return 4 }
 func (diamond) NumPredecessors(id int) int                  { return [...]int{0, 1, 1, 2}[id] }
 func (diamond) Successors(id int, buf []int) []int          { return append(buf, diamondSuccs[id]...) }
+func (diamond) NumData() int                                { return 4 }
 func (diamond) InitialData(visit func(runtime.DataID, int)) { visit(0, 0) }
 
 func (g diamond) Spec(id int, s *runtime.TaskSpec) {

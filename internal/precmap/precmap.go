@@ -262,7 +262,7 @@ func UniformAll(nt int, p prec.Precision) [][]prec.Precision {
 func FromMatrix(m *tile.Matrix, ureq float64, ladder []prec.Precision) [][]prec.Precision {
 	norms, global := m.TileNorms()
 	return NewKernelMap(m.NT, func(i, j int) float64 {
-		return norms[i*(i+1)/2+j]
+		return norms[m.Index(i, j)]
 	}, global, ureq, ladder)
 }
 

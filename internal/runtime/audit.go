@@ -47,7 +47,7 @@ func (e *engine) auditResidency(d *device, taskID int) {
 		if entry.pins == 0 {
 			unpinned++
 		}
-		if d.entry(entry.data) != entry {
+		if d.resident[entry.data] != entry {
 			e.violate("dev%d after task %d: LRU list entry %d not in resident index", d.id, taskID, entry.data)
 			break
 		}
@@ -87,7 +87,7 @@ func (e *engine) auditFinal() {
 				traced += (iv.End - iv.Start) * iv.Power
 			}
 		}
-		// A failed device stops drawing idle power at its death time
+		// Every device draws idle power for the whole makespan
 		// (finalizeStats accounts it identically).
 		traced += d.spec.IdleW * e.stats.Makespan
 	}

@@ -88,13 +88,71 @@ func TestNoGoroutineOutlivesFailedRun(t *testing.T) {
 	if ran.Load() == 0 {
 		t.Error("no body ran before the malformed task committed: scenario too weak")
 	}
-	// A goroutine that has returned from its function may take a moment to
-	// leave the count.
+	checkGoroutines(t, before)
+}
+
+// checkGoroutines fails t if more goroutines than before remain. A
+// goroutine that has returned from its function may take a moment to leave
+// the count.
+func checkGoroutines(t *testing.T, before int) {
+	t.Helper()
 	for i := 0; gort.NumGoroutine() > before && i < 1000; i++ {
 		time.Sleep(time.Millisecond)
 	}
 	if n := gort.NumGoroutine(); n > before {
 		t.Errorf("%d goroutines after the failed run, %d before it", n, before)
+	}
+}
+
+// TestDataOutsideRangeIsGraphError: a DataID outside [0, NumData()), named
+// by InitialData, an input or an output, fails the run with a *GraphError
+// that names the range; so do an initial datum or a broadcast target on a
+// rank outside the platform, and a publish of no datum. A run that fails after its first
+// bodies started returns only once they have, leaving no goroutine behind.
+func TestDataOutsideRangeIsGraphError(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		task int    // the GraphError's task; -1: the initial data
+		msg  string // in its message
+		edit func(g *testGraph)
+	}{
+		{"initial", -1, "outside [0,4)", func(g *testGraph) { g.initial[4] = 0 }},
+		{"negative-initial", -1, "outside [0,4)", func(g *testGraph) { g.initial[-1] = 0 }},
+		{"initial-rank", -1, "invalid rank 5", func(g *testGraph) { g.initial[1] = 5 }},
+		{"input", 3, "outside [0,4)", func(g *testGraph) { g.specs[3].Inputs = []InputSpec{{Data: 4, WireBytes: 8}} }},
+		{"negative-input", 3, "outside [0,4)", func(g *testGraph) { g.specs[3].Inputs = []InputSpec{{Data: -2, WireBytes: 8}} }},
+		{"output", 3, "outside [0,4)", func(g *testGraph) { g.specs[3].Output = OutputSpec{Data: 9, Bytes: 8} }},
+		{"publish-without-output", 3, "publishes without an output", func(g *testGraph) { g.specs[3].Publish = &PublishSpec{WireBytes: 8} }},
+		{"publish-to-invalid-rank", 3, "invalid rank 1", func(g *testGraph) {
+			g.specs[3].Output = OutputSpec{Data: 3, Bytes: 8}
+			g.specs[3].Publish = &PublishSpec{WireBytes: 8, RemoteRanks: []int{1}}
+		}},
+	} {
+		var running atomic.Int32
+		g := bodyGraph(4, func(int) func() error {
+			return func() error {
+				running.Add(1)
+				time.Sleep(time.Millisecond)
+				running.Add(-1)
+				return nil
+			}
+		})
+		for i := 1; i < 4; i++ {
+			g.edge(i-1, i)
+		}
+		g.initial[0] = 0
+		g.numData = 4
+		c.edit(g)
+		before := gort.NumGoroutine()
+		_, _, err := Run(onePlat(t), g, Options{})
+		var ge *GraphError
+		if !errors.As(err, &ge) || ge.Task != c.task || !strings.Contains(err.Error(), c.msg) {
+			t.Errorf("%s: Run error %v, want a GraphError on task %d: %s", c.name, err, c.task, c.msg)
+		}
+		if running.Load() != 0 {
+			t.Errorf("%s: %d bodies still running when Run returned", c.name, running.Load())
+		}
+		checkGoroutines(t, before)
 	}
 }
 

@@ -42,13 +42,11 @@ type engine struct {
 	// nics holds one comm.Link per rank: the send side of its broadcasts.
 	nics []*comm.Link
 
-	// Host-availability index: when the graph implements DataBounder the
-	// dense per-(rank,data) table is used (one flat slice, -1 = absent);
-	// otherwise the map fallback. The dense form removes a map lookup per
-	// staged input — the hottest read on the phantom scale path.
-	hostAvail map[hostKey]float64
-	hostDense []float64
-	hostBound int
+	// nData is g.NumData(). hostAvail[rank*nData+d] is the virtual time
+	// datum d's host copy becomes readable at rank, hostAbsent if it has
+	// none there.
+	nData     int
+	hostAvail []float64
 	pending   []int32
 	events    []event
 	specFree  []*TaskSpec
@@ -91,24 +89,14 @@ func Run(plat *Platform, g Graph, opt Options) (st Stats, bodyErr, err error) {
 	}
 	e := &engine{plat: plat, g: g, opt: opt}
 	n := g.NumTasks()
-	if b, ok := e.g.(DataBounder); ok {
-		// Cap the dense tables' footprint; graphs with huge sparse id
-		// spaces fall back to the maps.
-		if bound := b.DataIDBound(); bound >= 0 &&
-			bound*int64(e.plat.Ranks) <= 1<<28 && bound*int64(e.plat.NumDevices()) <= 1<<28 {
-			e.hostBound = int(bound)
-			e.hostDense = make([]float64, e.hostBound*e.plat.Ranks)
-			for i := range e.hostDense {
-				e.hostDense[i] = hostAbsent
-			}
-		}
-	}
-	if e.hostDense == nil {
-		e.hostAvail = make(map[hostKey]float64)
+	e.nData = g.NumData()
+	e.hostAvail = make([]float64, e.nData*e.plat.Ranks)
+	for i := range e.hostAvail {
+		e.hostAvail[i] = hostAbsent
 	}
 	e.devices = make([]*device, e.plat.NumDevices())
 	for i := range e.devices {
-		e.devices[i] = newDevice(i, e.plat.RankOfDevice(i), e.plat.Node.GPU, e.opt.Trace, e.hostBound)
+		e.devices[i] = newDevice(i, e.plat.RankOfDevice(i), e.plat.Node.GPU, e.opt.Trace, e.nData)
 	}
 	e.nics = make([]*comm.Link, e.plat.Ranks)
 	for r := range e.nics {
@@ -126,8 +114,18 @@ func Run(plat *Platform, g Graph, opt Options) (st Stats, bodyErr, err error) {
 	}()
 
 	e.g.InitialData(func(d DataID, rank int) {
-		e.setHostAvail(rank, d, 0)
+		switch {
+		case !e.isData(d):
+			e.fail(&GraphError{Task: -1, Msg: fmt.Sprintf("initial datum %d outside [0,%d)", d, e.nData)})
+		case rank < 0 || rank >= e.plat.Ranks:
+			e.fail(&GraphError{Task: -1, Msg: fmt.Sprintf("initial datum %d at invalid rank %d", d, rank)})
+		default:
+			*e.host(rank, d) = 0
+		}
 	})
+	if e.fatalErr != nil {
+		return Stats{}, nil, e.fatalErr
+	}
 
 	for id := 0; id < n; id++ {
 		e.pending[id] = int32(e.g.NumPredecessors(id))
@@ -164,6 +162,16 @@ func Run(plat *Platform, g Graph, opt Options) (st Stats, bodyErr, err error) {
 	return e.stats, nil, nil
 }
 
+// hostAbsent marks a hostAvail slot with no host copy; availability times
+// are always ≥ 0.
+const hostAbsent = -1.0
+
+// host returns the hostAvail slot of datum d at rank.
+func (e *engine) host(rank int, d DataID) *float64 { return &e.hostAvail[rank*e.nData+int(d)] }
+
+// isData reports whether d lies in the graph's data range.
+func (e *engine) isData(d DataID) bool { return d >= 0 && d < DataID(e.nData) }
+
 // takeSpec fetches a TaskSpec from the freelist (or allocates one).
 func (e *engine) takeSpec() *TaskSpec {
 	if n := len(e.specFree); n > 0 {
@@ -176,19 +184,47 @@ func (e *engine) takeSpec() *TaskSpec {
 }
 
 // enqueueReady materializes task id's spec from the freelist and pushes it
-// onto its device's ready queue.
+// onto its device's ready queue; a spec the engine cannot run fails the run.
 func (e *engine) enqueueReady(id int) int {
 	spec := e.takeSpec()
 	e.g.Spec(id, spec)
 	spec.ID = id
-	if spec.Device < 0 || spec.Device >= len(e.devices) {
-		e.fail(&GraphError{Task: id, Msg: fmt.Sprintf("assigned to invalid device %d", spec.Device)})
+	if msg := e.malformed(spec); msg != "" {
+		e.fail(&GraphError{Task: id, Msg: msg})
 		e.specFree = append(e.specFree, spec)
 		return 0
 	}
 	d := e.devices[spec.Device]
 	d.ready.push(spec)
 	return d.id
+}
+
+// malformed says what makes spec unrunnable — a device or rank outside
+// the platform, a datum outside the graph's range, a publish with no
+// output — or returns "".
+func (e *engine) malformed(spec *TaskSpec) string {
+	if spec.Device < 0 || spec.Device >= len(e.devices) {
+		return fmt.Sprintf("assigned to invalid device %d", spec.Device)
+	}
+	for i := range spec.Inputs {
+		if d := spec.Inputs[i].Data; !e.isData(d) {
+			return fmt.Sprintf("reads datum %d outside [0,%d)", d, e.nData)
+		}
+	}
+	if d := spec.Output.Data; d >= 0 && !e.isData(d) {
+		return fmt.Sprintf("writes datum %d outside [0,%d)", d, e.nData)
+	}
+	if p := spec.Publish; p != nil {
+		if spec.Output.Data < 0 {
+			return "publishes without an output"
+		}
+		for _, r := range p.RemoteRanks {
+			if r < 0 || r >= e.plat.Ranks {
+				return fmt.Sprintf("publishes to invalid rank %d", r)
+			}
+		}
+	}
+	return ""
 }
 
 // tryCommit feeds the device's stream pipeline up to the lookahead depth.
@@ -217,8 +253,8 @@ func (e *engine) commit(d *device, spec *TaskSpec) {
 			return
 		}
 		d.stats.LRUMisses++
-		avail, ok := e.lookupHostAvail(d.rank, data)
-		if !ok {
+		avail := *e.host(d.rank, data)
+		if avail == hostAbsent {
 			if isOutput {
 				// Fresh output with no prior contents: allocate only.
 				d.insert(data, bytes, wp, false, &sink)
@@ -346,7 +382,7 @@ func (e *engine) drainWritebacks(d *device, sink *evictSink) {
 		e.stats.D2HByPrec[wb.prec] += wb.bytes
 		d.stats.TransferTime += dur
 		d.stats.DynEnergy += d.spec.TransferW * dur
-		e.setHostAvail(d.rank, wb.data, end)
+		*e.host(d.rank, wb.data) = end
 	}
 	sink.writebacks = sink.writebacks[:0]
 }
@@ -430,8 +466,8 @@ func (e *engine) publish(d *device, spec *TaskSpec, p *PublishSpec) {
 	e.stats.D2HByPrec[p.WirePrec] += p.WireBytes
 	d.stats.TransferTime += dur
 	d.stats.DynEnergy += d.spec.TransferW * dur
-	e.setHostAvail(d.rank, spec.Output.Data, hostAt)
-	if entry := d.entry(spec.Output.Data); entry != nil {
+	*e.host(d.rank, spec.Output.Data) = hostAt
+	if entry := d.resident[spec.Output.Data]; entry != nil {
 		entry.hostCopy = true
 	}
 
@@ -445,7 +481,7 @@ func (e *engine) publish(d *device, spec *TaskSpec, p *PublishSpec) {
 		nic.Occupy(nstart, hop, p.WireBytes)
 		arrive := nstart + hop*math.Ceil(math.Log2(float64(n)+1))
 		for _, rr := range p.RemoteRanks {
-			e.setHostAvail(rr, spec.Output.Data, arrive)
+			*e.host(rr, spec.Output.Data) = arrive
 			e.stats.BytesNet += p.WireBytes
 			e.stats.NetByPrec[p.WirePrec] += p.WireBytes
 		}

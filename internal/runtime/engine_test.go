@@ -19,6 +19,9 @@ type testGraph struct {
 	preds   [][]int
 	succs   [][]int
 	initial map[DataID]int // data -> rank
+	// numData is NumData's answer; 0 means one past the largest DataID
+	// the graph names.
+	numData int
 }
 
 func (g *testGraph) NumTasks() int { return len(g.specs) }
@@ -29,6 +32,22 @@ func (g *testGraph) Spec(id int, s *TaskSpec) {
 func (g *testGraph) NumPredecessors(id int) int { return len(g.preds[id]) }
 func (g *testGraph) Successors(id int, buf []int) []int {
 	return append(buf, g.succs[id]...)
+}
+func (g *testGraph) NumData() int {
+	if g.numData > 0 {
+		return g.numData
+	}
+	n := DataID(0)
+	for d := range g.initial {
+		n = max(n, d+1)
+	}
+	for _, s := range g.specs {
+		for _, in := range s.Inputs {
+			n = max(n, in.Data+1)
+		}
+		n = max(n, s.Output.Data+1)
+	}
+	return int(n)
 }
 func (g *testGraph) InitialData(visit func(d DataID, rank int)) {
 	ids := make([]DataID, 0, len(g.initial))

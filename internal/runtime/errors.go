@@ -3,16 +3,19 @@ package runtime
 import "fmt"
 
 // GraphError reports a malformed task graph: a task assigned to a device
-// that doesn't exist, an input with no host copy at the task's rank, or
-// broken in-degree accounting. The engine used to panic on these; now they
+// that doesn't exist, a DataID outside [0, NumData()), an input with no
+// host copy at the task's rank, or broken in-degree accounting. The engine used to panic on these; now they
 // abort the run and surface from Run, so a bad graph is a test failure
 // rather than a process crash.
 type GraphError struct {
-	Task int    // the offending task id
+	Task int    // the offending task id; -1 for the graph's initial data
 	Msg  string // what is malformed about it
 }
 
 func (g *GraphError) Error() string {
+	if g.Task < 0 {
+		return "runtime: malformed graph: " + g.Msg
+	}
 	return fmt.Sprintf("runtime: malformed graph: task %d %s", g.Task, g.Msg)
 }
 

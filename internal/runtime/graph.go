@@ -42,7 +42,8 @@ type InputSpec struct {
 	ConvFrom, ConvTo prec.Precision
 }
 
-// OutputSpec declares the tile a task writes. Bytes is the device-resident
+// OutputSpec declares the tile a task writes; a negative Data means the
+// task writes none. Bytes is the device-resident
 // footprint (the tile's storage precision); Prec labels that footprint's
 // element format for Stats.H2DByPrec and D2HByPrec (zero value FP64).
 type OutputSpec struct {
@@ -104,6 +105,10 @@ type Graph interface {
 	// returns it. In a graph with bodies it is also called from the
 	// goroutines that run them, concurrently with itself and the others.
 	Successors(id int, buf []int) []int
+	// NumData bounds the data: every DataID the graph names, in
+	// InitialData or in a spec's inputs and output, lies in
+	// [0, NumData()). The engine indexes its per-datum tables by DataID.
+	NumData() int
 	// InitialData enumerates every DataID resident in host memory before
 	// execution starts, with its owning rank (matrix generation phase).
 	InitialData(visit func(d DataID, rank int))

@@ -7,10 +7,11 @@ import (
 	"geompc/internal/prec"
 )
 
+// newLRUDevice is a device of the given memory for data 0 … 31.
 func newLRUDevice(capacity int64) *device {
 	spec := *hw.V100
 	spec.MemBytes = capacity
-	return newDevice(0, 0, &spec, false, 0)
+	return newDevice(0, 0, &spec, false, 32)
 }
 
 func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
@@ -107,7 +108,7 @@ func TestLRUReinsertUpdatesSize(t *testing.T) {
 
 func TestLRUListIntegrity(t *testing.T) {
 	// Stress the intrusive list with a mixed op sequence, then verify the
-	// list matches the map exactly.
+	// list matches the index exactly.
 	d := newLRUDevice(1 << 40)
 	var sink evictSink
 	for i := 0; i < 100; i++ {
@@ -126,12 +127,12 @@ func TestLRUListIntegrity(t *testing.T) {
 			t.Fatal("broken back-link")
 		}
 	}
-	if count != len(d.resident) {
-		t.Fatalf("list has %d entries, map has %d", count, len(d.resident))
+	if count != d.nResident {
+		t.Fatalf("list has %d entries, index counts %d", count, d.nResident)
 	}
-	for id := range d.resident {
-		if !seen[id] {
-			t.Fatalf("map entry %d missing from list", id)
+	for id, e := range d.resident {
+		if e != nil && !seen[DataID(id)] {
+			t.Fatalf("index entry %d missing from list", id)
 		}
 	}
 }

@@ -64,12 +64,9 @@ type device struct {
 	committed int  // tasks accepted into the stream pipeline, not yet done
 	dirty     bool // queued for a pipeline refill in the current completion
 
-	// Residency index: residentArr (dense, bound from DataBounder) or
-	// resident (map fallback). The dense form turns every touch/pin/unpin
-	// into an array index — the phantom scale path does several per task.
-	resident    map[DataID]*residentEntry
-	residentArr []*residentEntry
-	nResident   int
+	// resident[d] is datum d's copy on the device, nil if it has none.
+	resident  []*residentEntry
+	nResident int
 	// lruHead/lruTail form an intrusive recency list: head = most recently
 	// used, tail = eviction candidate. All operations are O(1).
 	lruHead, lruTail *residentEntry
@@ -122,45 +119,15 @@ type DeviceStats struct {
 // streams and links share one trace currency.
 type Interval = comm.Interval
 
-func newDevice(id, rank int, spec *hw.GPUSpec, trace bool, dataBound int) *device {
-	d := &device{
+func newDevice(id, rank int, spec *hw.GPUSpec, trace bool, nData int) *device {
+	return &device{
 		id: id, rank: rank, spec: spec,
-		ready: &taskHeap{},
-		trace: trace,
-		h2d:   comm.NewLink(fmt.Sprintf("dev%d/h2d", id), spec.H2DLink(), trace),
-		d2h:   comm.NewLink(fmt.Sprintf("dev%d/d2h", id), spec.D2HLink(), trace),
+		ready:    &taskHeap{},
+		trace:    trace,
+		h2d:      comm.NewLink(fmt.Sprintf("dev%d/h2d", id), spec.H2DLink(), trace),
+		d2h:      comm.NewLink(fmt.Sprintf("dev%d/d2h", id), spec.D2HLink(), trace),
+		resident: make([]*residentEntry, nData),
 	}
-	if dataBound > 0 {
-		d.residentArr = make([]*residentEntry, dataBound)
-	} else {
-		d.resident = make(map[DataID]*residentEntry)
-	}
-	return d
-}
-
-func (d *device) entry(id DataID) *residentEntry {
-	if d.residentArr != nil {
-		return d.residentArr[id]
-	}
-	return d.resident[id]
-}
-
-func (d *device) setEntry(id DataID, e *residentEntry) {
-	if d.residentArr != nil {
-		d.residentArr[id] = e
-	} else {
-		d.resident[id] = e
-	}
-	d.nResident++
-}
-
-func (d *device) delEntry(id DataID) {
-	if d.residentArr != nil {
-		d.residentArr[id] = nil
-	} else {
-		delete(d.resident, id)
-	}
-	d.nResident--
 }
 
 // lruUnlink removes e from the recency list.
@@ -191,7 +158,7 @@ func (d *device) lruFront(e *residentEntry) {
 }
 
 func (d *device) touch(id DataID) *residentEntry {
-	e := d.entry(id)
+	e := d.resident[id]
 	if e != nil {
 		d.lruUnlink(e)
 		d.lruFront(e)
@@ -202,7 +169,7 @@ func (d *device) touch(id DataID) *residentEntry {
 // insert adds a resident copy, evicting LRU entries as needed: the dirty
 // ones go to ev as writebacks, and the device's statistics count them.
 func (d *device) insert(id DataID, bytes int64, p prec.Precision, hostCopy bool, ev *evictSink) {
-	if e := d.entry(id); e != nil {
+	if e := d.resident[id]; e != nil {
 		d.lruUnlink(e)
 		d.lruFront(e)
 		if bytes > e.bytes {
@@ -225,7 +192,8 @@ func (d *device) insert(id DataID, bytes int64, p prec.Precision, hostCopy bool,
 		// Freelist miss: one entry per distinct resident tile, recycled on eviction.
 		e = &residentEntry{data: id, bytes: bytes, prec: p, hostCopy: hostCopy}
 	}
-	d.setEntry(id, e)
+	d.resident[id] = e
+	d.nResident++
 	d.lruFront(e)
 	d.used += bytes
 	if d.used > d.stats.PeakResident {
@@ -262,7 +230,8 @@ func (d *device) evictTo(capacity int64, ev *evictSink) {
 		}
 		d.used -= e.bytes
 		d.lruUnlink(e)
-		d.delEntry(e.data)
+		d.resident[e.data] = nil
+		d.nResident--
 		d.entryFree = append(d.entryFree, e)
 		d.stats.Evictions++
 		e = prev
@@ -270,13 +239,13 @@ func (d *device) evictTo(capacity int64, ev *evictSink) {
 }
 
 func (d *device) pin(id DataID) {
-	if e := d.entry(id); e != nil {
+	if e := d.resident[id]; e != nil {
 		e.pins++
 	}
 }
 
 func (d *device) unpin(id DataID) {
-	if e := d.entry(id); e != nil && e.pins > 0 {
+	if e := d.resident[id]; e != nil && e.pins > 0 {
 		e.pins--
 	}
 }

@@ -90,42 +90,39 @@ func (d Desc) Ranks() int { return d.P * d.Q }
 // LowerTileCount returns the number of stored tiles NT·(NT+1)/2.
 func (d Desc) LowerTileCount() int { return d.NT * (d.NT + 1) / 2 }
 
-// Tile is one block of the matrix. In numeric mode Data holds the m×n block
-// row-major (stride n); in phantom mode Data is nil and only the metadata
-// participates in the simulation.
+// Index numbers lower tile (i, j), j ≤ i, in the packed row-major lower
+// triangle: (0,0), (1,0), (1,1), (2,0), … It is the one tile numbering —
+// of the matrix's tiles, the factorization's data and every per-tile table
+// — and ranges over [0, LowerTileCount()).
+func (d Desc) Index(i, j int) int { return i*(i+1)/2 + j }
+
+// Tile is one block of the matrix: Data holds the M×N block row-major
+// (stride N).
 type Tile struct {
-	I, J int       // tile coordinates (I ≥ J: lower triangle)
-	M, N int       // block dimensions
-	Data []float64 // nil in phantom mode
+	I, J int // tile coordinates (I ≥ J: lower triangle)
+	M, N int // block dimensions
+	Data []float64
 }
 
-// Norm returns the Frobenius norm of the tile's data. Phantom tiles panic;
-// use the precmap sampled estimator for phantom norms.
+// Norm returns the Frobenius norm of the tile's data.
 func (t *Tile) Norm() float64 {
-	if t.Data == nil {
-		panic("tile: Norm on phantom tile")
-	}
 	return linalg.FrobeniusNormMat(t.M, t.N, t.Data, t.N)
 }
 
 // Matrix is a symmetric matrix stored as its lower triangle of tiles.
 type Matrix struct {
 	Desc
-	Phantom bool
-	tiles   []*Tile // packed lower triangle, row-major: (i,j) at i(i+1)/2+j
+	tiles []*Tile // indexed by Desc.Index
 }
 
-// NewMatrix allocates the tile structure. If phantom is true no data slices
-// are allocated.
-func NewMatrix(d Desc, phantom bool) *Matrix {
-	m := &Matrix{Desc: d, Phantom: phantom, tiles: make([]*Tile, d.LowerTileCount())}
+// NewMatrix allocates the tiles and their data. The bool is ignored: a
+// Matrix always holds data (a cost-only factorization has no Matrix).
+func NewMatrix(d Desc, _ bool) *Matrix {
+	m := &Matrix{Desc: d, tiles: make([]*Tile, d.LowerTileCount())}
 	for i := 0; i < d.NT; i++ {
 		for j := 0; j <= i; j++ {
-			t := &Tile{I: i, J: j, M: d.TileDim(i), N: d.TileDim(j)}
-			if !phantom {
-				t.Data = make([]float64, t.M*t.N)
-			}
-			m.tiles[i*(i+1)/2+j] = t
+			mi, nj := d.TileDim(i), d.TileDim(j)
+			m.tiles[d.Index(i, j)] = &Tile{I: i, J: j, M: mi, N: nj, Data: make([]float64, mi*nj)}
 		}
 	}
 	return m
@@ -136,15 +133,12 @@ func (m *Matrix) At(i, j int) *Tile {
 	if j > i || i >= m.NT || j < 0 {
 		panic(fmt.Sprintf("tile: At(%d,%d) outside lower triangle NT=%d", i, j, m.NT))
 	}
-	return m.tiles[i*(i+1)/2+j]
+	return m.tiles[m.Index(i, j)]
 }
 
 // Fill populates every tile by calling gen with the tile and its global
-// offsets; no-op in phantom mode.
+// offsets.
 func (m *Matrix) Fill(gen func(t *Tile, rowStart, colStart int)) {
-	if m.Phantom {
-		return
-	}
 	for _, t := range m.tiles {
 		gen(t, t.I*m.TS, t.J*m.TS)
 	}
@@ -155,9 +149,6 @@ func (m *Matrix) Fill(gen func(t *Tile, rowStart, colStart int)) {
 // are filled. gen is called from all of them at once and must be safe for
 // that.
 func (m *Matrix) FillParallel(gen func(t *Tile, rowStart, colStart int)) {
-	if m.Phantom {
-		return
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := min(runtime.GOMAXPROCS(0), len(m.tiles)); w > 0; w-- {
@@ -177,20 +168,17 @@ func (m *Matrix) FillParallel(gen func(t *Tile, rowStart, colStart int)) {
 // storage-precision map (indexed [i][j], lower triangle), modeling the
 // matrix-generation phase of §V where FP16-family tiles are generated
 // directly in FP32. Rounding is idempotent, so applying the same map twice
-// leaves the same bits; phantom tiles are untouched.
+// leaves the same bits.
 func (m *Matrix) SetStorage(storage func(i, j int) prec.Precision) {
 	for _, t := range m.tiles {
 		prec.Quantize(t.Data, storage(t.I, t.J))
 	}
 }
 
-// TileNorms returns the Frobenius norm of every lower tile, indexed like
-// the packed triangle, plus the global Frobenius norm of the full symmetric
+// TileNorms returns the Frobenius norm of every lower tile, indexed by
+// Desc.Index, plus the global Frobenius norm of the full symmetric
 // matrix (off-diagonal tiles counted twice).
 func (m *Matrix) TileNorms() (norms []float64, global float64) {
-	if m.Phantom {
-		panic("tile: TileNorms on phantom matrix")
-	}
 	norms = make([]float64, len(m.tiles))
 	var ss float64
 	for idx, t := range m.tiles {
@@ -208,9 +196,6 @@ func (m *Matrix) TileNorms() (norms []float64, global float64) {
 // ToDense reconstructs the full symmetric matrix (both triangles) into a
 // fresh row-major slice — for tests and small-scale verification only.
 func (m *Matrix) ToDense() []float64 {
-	if m.Phantom {
-		panic("tile: ToDense on phantom matrix")
-	}
 	n := m.N
 	out := make([]float64, n*n)
 	for _, t := range m.tiles {
@@ -229,9 +214,6 @@ func (m *Matrix) ToDense() []float64 {
 // LowerToDense reconstructs only the lower triangle (upper left zero),
 // as produced by the Cholesky factorization.
 func (m *Matrix) LowerToDense() []float64 {
-	if m.Phantom {
-		panic("tile: LowerToDense on phantom matrix")
-	}
 	n := m.N
 	out := make([]float64, n*n)
 	for _, t := range m.tiles {
@@ -254,9 +236,6 @@ func (m *Matrix) LowerToDense() []float64 {
 // up to the pivot — so the result is bit-identical to linalg.TrsvLNN on
 // LowerToDense without assembling the n² dense copy.
 func (m *Matrix) ForwardSolve(y []float64) {
-	if m.Phantom {
-		panic("tile: ForwardSolve on phantom matrix")
-	}
 	for ti := 0; ti < m.NT; ti++ {
 		d := m.At(ti, ti)
 		yi := y[ti*m.TS:][:d.M]

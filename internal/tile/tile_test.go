@@ -131,7 +131,7 @@ func TestFillAndToDense(t *testing.T) {
 
 // FillParallel hands every tile to the generator exactly once with Fill's
 // offsets, never runs it on more goroutines at once than GOMAXPROCS or than
-// tiles, and leaves a phantom matrix alone.
+// tiles.
 func TestFillParallel(t *testing.T) {
 	d, _ := NewDesc(100, 16, 1, 1) // NT = 7, ragged last tile
 	for _, procs := range []int{1, 2, 8, 64} {
@@ -161,10 +161,6 @@ func TestFillParallel(t *testing.T) {
 			}
 		}
 	}
-	ph := NewMatrix(d, true)
-	ph.FillParallel(func(*Tile, int, int) {
-		t.Error("FillParallel called the generator on a phantom matrix")
-	})
 }
 
 func TestTileNormsMatchGlobal(t *testing.T) {
@@ -217,22 +213,29 @@ func TestSetStorageQuantizes(t *testing.T) {
 	}
 }
 
-func TestPhantomMatrix(t *testing.T) {
+// Index numbers the lower triangle row by row, densely from 0 to
+// LowerTileCount()−1, and NewMatrix places every tile, with its data, at
+// its index whatever its ignored bool says.
+func TestIndexPacksLowerTriangle(t *testing.T) {
 	d, _ := NewDesc(1024, 128, 2, 2)
-	m := NewMatrix(d, true)
-	if m.At(3, 1).Data != nil {
-		t.Error("phantom tile has data")
-	}
-	m.Fill(func(t *Tile, r0, c0 int) { t.Data = make([]float64, 1) }) // must be a no-op
-	if m.At(0, 0).Data != nil {
-		t.Error("Fill touched phantom matrix")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("TileNorms on phantom did not panic")
+	for _, flag := range []bool{false, true} {
+		m := NewMatrix(d, flag)
+		next := 0
+		for i := 0; i < d.NT; i++ {
+			for j := 0; j <= i; j++ {
+				if got := d.Index(i, j); got != next {
+					t.Fatalf("Index(%d,%d) = %d, want %d", i, j, got, next)
+				}
+				if tl := m.tiles[next]; tl.I != i || tl.J != j || len(tl.Data) != tl.M*tl.N {
+					t.Fatalf("NewMatrix(_, %v): slot %d holds tile (%d,%d) with %d values", flag, next, tl.I, tl.J, len(tl.Data))
+				}
+				next++
+			}
 		}
-	}()
-	m.TileNorms()
+		if next != d.LowerTileCount() {
+			t.Fatalf("%d tiles, LowerTileCount() = %d", next, d.LowerTileCount())
+		}
+	}
 }
 
 func TestDescProperties(t *testing.T) {
