@@ -25,7 +25,7 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' -not -path './examples/*' | xargs cat | wc -l
 
 race:
-	$(GO) test -race ./internal/runtime/ ./internal/cholesky/ ./internal/plan/ ./internal/sweep/ ./internal/linalg/ ./internal/mle/ ./internal/geo/
+	$(GO) test -race ./internal/runtime/ ./internal/cholesky/ ./internal/plan/ ./internal/sweep/ ./internal/linalg/ ./internal/mle/ ./internal/geo/ ./internal/precmap/
 
 # Focused benchmark trajectory (see BENCH_kernels.json): per-precision
 # 256x256 GEMM + SYRK/TRSM kernels, the 64-tile GEMM/TRSM legs on normal

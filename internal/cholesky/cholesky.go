@@ -69,6 +69,9 @@ func newGraph(cfg Config) (*graph, error) {
 	if cfg.Maps == nil {
 		return nil, fmt.Errorf("cholesky: nil precision maps")
 	}
+	if cfg.Desc.NT > maxNT {
+		return nil, fmt.Errorf("cholesky: %d tile rows exceed the task table's %d", cfg.Desc.NT, maxNT)
+	}
 	maps := cfg.Maps
 	if cfg.Strategy == ForceTTC {
 		maps = maps.TTC()
@@ -84,6 +87,7 @@ func newGraph(cfg Config) (*graph, error) {
 	if err := g.validate(); err != nil {
 		return nil, err
 	}
+	g.tiles = newTileCosts(g.desc, maps)
 	if g.mat != nil {
 		g.mat.SetStorage(func(i, j int) prec.Precision { return g.maps.Storage[i][j] })
 		g.wire = make([][]float64, cfg.Desc.LowerTileCount())

@@ -26,14 +26,37 @@ type graph struct {
 	// one slot per (tile, view, kernel precision) — see operand.
 	ops []operandSlot
 
+	// tiles holds each tile's wire and storage footprint, indexed by
+	// desc.Index (see newTileCosts).
+	tiles []tileCost
+
 	rankSeen []int64 // scratch: per-rank visit stamps for RemoteRanks dedupe
 	stamp    int64
 }
 
-func (g *graph) NumTasks() int { return g.numTasks }
+// tileCost is what moving or converting one tile costs under the maps:
+// its bytes in the communication and storage precisions, the elements a
+// conversion touches, and the two precisions.
+type tileCost struct {
+	wireBytes, storeBytes int64
+	elems                 int
+	comm, store           prec.Precision
+}
 
-// dataID is tile (i,j)'s datum: its packed index, desc.Index.
-func (g *graph) dataID(i, j int) runtime.DataID { return runtime.DataID(g.desc.Index(i, j)) }
+// newTileCosts tabulates every lower tile's tileCost once per graph, so
+// building a task's inputs, output and publish reads one record per tile.
+func newTileCosts(d tile.Desc, maps *precmap.Maps) []tileCost {
+	tiles := make([]tileCost, d.LowerTileCount())
+	for i := 0; i < d.NT; i++ {
+		for j := 0; j <= i; j++ {
+			n, wp, sp := d.TileDim(i)*d.TileDim(j), maps.Comm[i][j], maps.Storage[i][j]
+			tiles[d.Index(i, j)] = tileCost{prec.Bytes(n, wp), prec.Bytes(n, sp), n, wp, sp}
+		}
+	}
+	return tiles
+}
+
+func (g *graph) NumTasks() int { return g.numTasks }
 
 // deviceOf implements owner-computes task placement: every task runs on the
 // device owning its output tile. Tiles distribute 2D block-cyclically over
@@ -47,47 +70,24 @@ func (g *graph) deviceOf(i, j int) int {
 	return g.plat.DeviceOf(rank, local)
 }
 
-// tileBytes is the size of tile (i,j) held in precision p.
-func (g *graph) tileBytes(i, j int, p prec.Precision) int64 {
-	return int64(g.desc.TileDim(i)) * int64(g.desc.TileDim(j)) * int64(p.InputBytes())
-}
-
 // output is the OutputSpec of a task writing tile (i,j): the tile in its
 // storage precision.
 func (g *graph) output(i, j int) runtime.OutputSpec {
-	sp := g.maps.Storage[i][j]
-	return runtime.OutputSpec{Data: g.dataID(i, j), Bytes: g.tileBytes(i, j, sp), Prec: sp.Format()}
+	idx := g.desc.Index(i, j)
+	t := &g.tiles[idx]
+	return runtime.OutputSpec{Data: runtime.DataID(idx), Bytes: t.storeBytes, Prec: t.store.Format()}
 }
 
 // NumData implements runtime.Graph: one datum per lower tile.
 func (g *graph) NumData() int { return g.desc.LowerTileCount() }
 
-// NumPredecessors implements runtime.Graph.
+// NumPredecessors implements runtime.Graph: POTRF(k) waits for
+// SYRK(k,k-1); TRSM(m,k) for POTRF(k) and GEMM(m,k,k-1); SYRK(m,k) for
+// TRSM(m,k) and SYRK(m,k-1); GEMM(m,n,k) for TRSM(m,k), TRSM(n,k) and
+// GEMM(m,n,k-1) — each list's last entry only when k > 0.
 func (g *graph) NumPredecessors(id int) int {
 	op, _, _, k := g.decode(id)
-	switch op {
-	case opPotrf:
-		if k == 0 {
-			return 0
-		}
-		return 1 // SYRK(k, k-1)
-	case opTrsm:
-		if k == 0 {
-			return 1 // POTRF(0)
-		}
-		return 2 // POTRF(k) + GEMM(m,k,k-1)
-	case opSyrk:
-		if k == 0 {
-			return 1 // TRSM(m,0)
-		}
-		return 2 // TRSM(m,k) + SYRK(m,k-1)
-	case opGemm:
-		if k == 0 {
-			return 2 // TRSM(m,0), TRSM(n,0)
-		}
-		return 3 // + GEMM(m,n,k-1)
-	}
-	panic("unreachable")
+	return [...]int{opPotrf: 0, opTrsm: 1, opSyrk: 1, opGemm: 2}[op] + min(k, 1)
 }
 
 // Successors implements runtime.Graph.
@@ -127,7 +127,7 @@ func (g *graph) Successors(id int, buf []int) []int {
 func (g *graph) InitialData(visit func(d runtime.DataID, rank int)) {
 	for i := 0; i < g.nt; i++ {
 		for j := 0; j <= i; j++ {
-			visit(g.dataID(i, j), g.desc.RankOf(i, j))
+			visit(runtime.DataID(g.desc.Index(i, j)), g.desc.RankOf(i, j))
 		}
 	}
 }
@@ -152,15 +152,20 @@ func (g *graph) priority(op, m, n, k int) int64 {
 }
 
 // consumerSpread collects the distinct ranks (≠ producer's) among the
-// consumer tiles listed by visit — the network broadcast targets. Results
-// append to buf (pass a recycled slice to stay allocation-free). Neither
-// tiles nor the visitor it is handed escapes, so both closures stay off the
-// heap.
+// consumer tiles listed by visit — the network broadcast targets — in
+// order of first occurrence. Results append to buf (pass a recycled slice
+// to stay allocation-free). Neither tiles nor the visitor it is handed
+// escapes, so both closures stay off the heap.
+//
+// A tile's rank cycles with period P down a column and Q along a row
+// (tile.Desc.RankOf), so every rank of a column run first occurs within its
+// first P tiles and every rank of a row run within its first Q: callers
+// list only those, which gives the same ranks in the same order.
 func (g *graph) consumerSpread(buf []int, prodDev int, tiles func(visit func(i, j int))) []int {
 	g.stamp++
 	prodRank := g.plat.RankOfDevice(prodDev)
 	tiles(func(i, j int) {
-		r := g.plat.RankOfDevice(g.deviceOf(i, j))
+		r := g.desc.RankOf(i, j)
 		if r == prodRank {
 			return
 		}
@@ -206,7 +211,7 @@ func (g *graph) Spec(id int, s *runtime.TaskSpec) {
 		if k < nt-1 {
 			pub := reusePublish(s)
 			s.Publish = g.publish(pub, k, k, g.consumerSpread(pub.RemoteRanks[:0], s.Device, func(visit func(i, j int)) {
-				for i := k + 1; i < nt; i++ {
+				for i := k + 1; i < min(nt, k+1+g.desc.P); i++ {
 					visit(i, k)
 				}
 			}))
@@ -226,10 +231,10 @@ func (g *graph) Spec(id int, s *runtime.TaskSpec) {
 		pub := reusePublish(s)
 		s.Publish = g.publish(pub, m, k, g.consumerSpread(pub.RemoteRanks[:0], s.Device, func(visit func(i, j int)) {
 			visit(m, m) // SYRK
-			for j := k + 1; j < m; j++ {
+			for j := k + 1; j < min(m, k+1+g.desc.Q); j++ {
 				visit(m, j)
 			}
-			for i := m + 1; i < nt; i++ {
+			for i := m + 1; i < min(nt, m+1+g.desc.P); i++ {
 				visit(i, m)
 			}
 		}))
@@ -264,11 +269,11 @@ func (g *graph) Spec(id int, s *runtime.TaskSpec) {
 // communication precision's format, and a sender-side conversion is
 // charged when that differs from its storage format (STC, §VI).
 func (g *graph) publish(pub *runtime.PublishSpec, i, j int, remote []int) *runtime.PublishSpec {
-	wp, sp := g.maps.Comm[i][j], g.maps.Storage[i][j]
-	*pub = runtime.PublishSpec{WireBytes: g.tileBytes(i, j, wp), WirePrec: wp.Format(), RemoteRanks: remote}
-	if wp.Format() != sp.Format() {
-		pub.ConvertElems = g.desc.TileDim(i) * g.desc.TileDim(j)
-		pub.ConvFrom, pub.ConvTo = sp, wp
+	t := &g.tiles[g.desc.Index(i, j)]
+	*pub = runtime.PublishSpec{WireBytes: t.wireBytes, WirePrec: t.comm.Format(), RemoteRanks: remote}
+	if t.comm.Format() != t.store.Format() {
+		pub.ConvertElems = t.elems
+		pub.ConvFrom, pub.ConvTo = t.store, t.comm
 	}
 	return pub
 }
@@ -282,11 +287,12 @@ func (g *graph) publish(pub *runtime.PublishSpec, i, j int, remote []int) *runti
 // the format p consumes (the per-consumer conversion STC saves and TTC
 // pays, §VI).
 func (g *graph) inputSpec(i, j int, p prec.Precision) runtime.InputSpec {
-	wp := g.maps.Comm[i][j]
-	wf := wp.Format()
-	in := runtime.InputSpec{Data: g.dataID(i, j), WireBytes: g.tileBytes(i, j, wp), WirePrec: wf}
+	idx := g.desc.Index(i, j)
+	t := &g.tiles[idx]
+	wf := t.comm.Format()
+	in := runtime.InputSpec{Data: runtime.DataID(idx), WireBytes: t.wireBytes, WirePrec: wf}
 	if need := p.Format(); wf != need {
-		in.ConvertElems = g.desc.TileDim(i) * g.desc.TileDim(j)
+		in.ConvertElems = t.elems
 		in.ConvFrom, in.ConvTo = wf, need
 	}
 	return in

@@ -39,7 +39,7 @@ func BenchmarkPhantomNT64(b *testing.B) {
 // TestPhantomAllocsPerTask is the allocation guard on the engine's hot path
 // (event push/pop, ready queues, TaskSpec freelist, residency tables, graph
 // emit): a whole phantom run may allocate its per-run tables and warm its
-// freelists, which comes to 0.493 allocations per task at this size, but
+// freelists, which comes to 0.230 allocations per task at this size, but
 // nothing per event or per publishing task — one allocation per push alone
 // would add 1–2 per task, and a consumer visitor that escapes to the heap on
 // every POTRF and TRSM emit reads 0.584.

@@ -141,12 +141,8 @@ func GenerateDataset(n, dim int, kernel geo.Kernel, theta []float64, seed uint64
 	if n < 1 {
 		return nil, fmt.Errorf("core: need at least one location, got n=%d", n)
 	}
-	if dim != 2 && dim != 3 {
-		return nil, fmt.Errorf("core: unsupported dimension %d (want 2 or 3)", dim)
-	}
-	if len(theta) != kernel.NumParams() {
-		return nil, fmt.Errorf("core: kernel %s needs %d parameters, got %d",
-			kernel.Name(), kernel.NumParams(), len(theta))
+	if err := checkKernel(kernel, dim, theta); err != nil {
+		return nil, err
 	}
 	rng := stats.NewRNG(seed, 0)
 	locs := geo.GenerateLocations(n, dim, rng)
@@ -155,6 +151,21 @@ func GenerateDataset(n, dim int, kernel geo.Kernel, theta []float64, seed uint64
 		return nil, err
 	}
 	return &Dataset{Locs: locs, Z: z, Kernel: kernel}, nil
+}
+
+// checkKernel rejects what geo cannot evaluate: a nil kernel, locations in
+// other than 2 or 3 dimensions, a θ of the wrong length.
+func checkKernel(kernel geo.Kernel, dim int, theta []float64) error {
+	if kernel == nil {
+		return errors.New("core: nil kernel")
+	}
+	if dim != 2 && dim != 3 {
+		return fmt.Errorf("core: unsupported dimension %d (want 2 or 3)", dim)
+	}
+	if len(theta) != kernel.NumParams() {
+		return fmt.Errorf("core: kernel %s needs %d parameters, got %d", kernel.Name(), kernel.NumParams(), len(theta))
+	}
+	return nil
 }
 
 // FitReport is the outcome of Fit: the estimates plus the simulated cost of
@@ -253,6 +264,12 @@ type Projection struct {
 // sampled tile norms — the tool behind the paper's performance figures.
 func ProjectFactorization(n int, kernel geo.Kernel, theta []float64, opts Options, seed uint64) (*Projection, error) {
 	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	if kernel == nil {
+		return nil, errors.New("core: nil kernel")
+	}
+	if err := checkKernel(kernel, kernel.Dim(), theta); err != nil {
 		return nil, err
 	}
 	plat, err := opts.Machine.Platform()

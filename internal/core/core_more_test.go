@@ -36,6 +36,27 @@ func TestProjectFactorizationValidation(t *testing.T) {
 	}
 }
 
+// TestProjectFactorizationRejectsBadKernel: a kernel input geo cannot
+// evaluate is an error, not a panic inside the sampled precision map.
+func TestProjectFactorizationRejectsBadKernel(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		kernel geo.Kernel
+		theta  []float64
+	}{
+		{"matern-short-theta", Matern2D(), []float64{1, 0.1}},
+		{"sqexp-4d", geo.SqExp{Dimension: 4}, []float64{1, 0.1}},
+		{"nil-kernel", nil, []float64{1, 0.1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p, err := ProjectFactorization(1024, c.kernel, c.theta, Options{UReq: 1e-4, TileSize: 64}, 1)
+			if err == nil {
+				t.Fatalf("accepted, projected %+v", p)
+			}
+		})
+	}
+}
+
 func TestProjectFactorizationSTCCounting(t *testing.T) {
 	// A strongly-decaying kernel at loose accuracy yields STC somewhere.
 	proj, err := ProjectFactorization(65536, SqExp2D(), []float64{1, 0.01},

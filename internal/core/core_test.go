@@ -7,9 +7,13 @@ import (
 	"strings"
 	"testing"
 
+	"geompc/internal/cholesky"
 	"geompc/internal/geo"
 	"geompc/internal/hw"
 	"geompc/internal/prec"
+	"geompc/internal/precmap"
+	"geompc/internal/stats"
+	"geompc/internal/tile"
 )
 
 func TestGenerateDataset(t *testing.T) {
@@ -179,6 +183,71 @@ func TestProjectFactorizationPinned(t *testing.T) {
 	}
 	if bits := math.Float64bits(p.Time); bits != 0x3fa8ef004a3e3332 {
 		t.Errorf("time bits %#x, want 0x3fa8ef004a3e3332", bits)
+	}
+}
+
+// TestProjectScalePinned pins one projection at the benchmark's scale:
+// the 2D-Matérn application at u_req 1e-9, N = 262,144 in 2048-tiles
+// (NT 128, 357,760 tasks) on 16 Summit nodes. Unlike the NT-8 pins it runs
+// broadcast scans longer than the 4×4 process grid, evicts from the
+// V100s' 16 GB (with writebacks) and samples its map over Morton-tied
+// locations. The same run through cholesky.Run pins the schedule digest
+// and the eviction counts ProjectFactorization does not report.
+func TestProjectScalePinned(t *testing.T) {
+	theta := []float64{1, 0.1, 0.5}
+	opts := Options{UReq: 1e-9, TileSize: 2048, Machine: Summit(16), Nugget: 1e-8}
+	p, err := ProjectFactorization(262144, Matern2D(), theta, opts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTiles := map[prec.Precision]int{prec.FP64: 5804, prec.FP32: 2452}
+	if !reflect.DeepEqual(p.TilesByPrec, wantTiles) {
+		t.Errorf("tiles by precision %v, want %v", p.TilesByPrec, wantTiles)
+	}
+	if p.STCTasks != 0 || p.CommTasks != 8255 {
+		t.Errorf("STC %d of %d communicating tasks, want 0 of 8255", p.STCTasks, p.CommTasks)
+	}
+	if p.BytesH2D != 13292739231744 || p.BytesNet != 1371403190272 {
+		t.Errorf("bytes h2d %d net %d, want 13292739231744 and 1371403190272", p.BytesH2D, p.BytesNet)
+	}
+	if bits := math.Float64bits(p.Time); bits != 0x40225f0ef34f0c0a {
+		t.Errorf("time bits %#x, want 0x40225f0ef34f0c0a", bits)
+	}
+	if bits := math.Float64bits(p.Energy); bits != 0x410be51d7552ef15 {
+		t.Errorf("energy bits %#x, want 0x410be51d7552ef15", bits)
+	}
+
+	plat, err := opts.Machine.Platform()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, qg := tile.SquarestGrid(plat.Ranks)
+	desc, err := tile.NewDesc(262144, 2048, pg, qg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	km := precmap.Sampled(desc, Matern2D(), theta, 1e-8, 1e-9, 128, stats.NewRNG(1, 1))
+	res, err := cholesky.Run(cholesky.Config{Desc: desc, Maps: precmap.New(km, 0), Platform: plat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evictions, writebacks := 0, 0
+	for _, d := range res.Stats.Devices {
+		evictions += d.Evictions
+		writebacks += d.Writebacks
+	}
+	if evictions != 435197 || writebacks != 6 {
+		t.Errorf("%d evictions, %d writebacks, want 435197 and 6", evictions, writebacks)
+	}
+	if res.Stats.Tasks != 357760 || res.Stats.BytesD2H != 236055429120 || res.Stats.ReceiverConversions != 255763 {
+		t.Errorf("%d tasks, %d bytes d2h, %d receiver conversions, want 357760, 236055429120 and 255763",
+			res.Stats.Tasks, res.Stats.BytesD2H, res.Stats.ReceiverConversions)
+	}
+	if math.Float64bits(res.Stats.Makespan) != math.Float64bits(p.Time) {
+		t.Errorf("cholesky.Run makespan %g, ProjectFactorization %g", res.Stats.Makespan, p.Time)
+	}
+	if d := res.Digest(); d != 0xe001682a474a8d1f {
+		t.Errorf("schedule digest %#x, want 0xe001682a474a8d1f", d)
 	}
 }
 

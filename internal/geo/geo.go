@@ -32,31 +32,22 @@ func GenerateLocations(n, dim int, rng *stats.RNG) []Point {
 	if dim != 2 && dim != 3 {
 		panic(fmt.Sprintf("geo: unsupported dimension %d", dim))
 	}
-	pts := make([]Point, 0, n)
-	if dim == 2 {
-		side := int(math.Ceil(math.Sqrt(float64(n))))
-		jitter := 0.4 / float64(side)
-		for i := 0; i < side && len(pts) < n; i++ {
-			for j := 0; j < side && len(pts) < n; j++ {
-				pts = append(pts, Point{
-					X: (float64(i) + 0.5 + (rng.Float64()*2-1)*jitter*float64(side)) / float64(side),
-					Y: (float64(j) + 0.5 + (rng.Float64()*2-1)*jitter*float64(side)) / float64(side),
-				})
-			}
-		}
-	} else {
-		side := int(math.Ceil(math.Cbrt(float64(n))))
-		jitter := 0.4 / float64(side)
-		for i := 0; i < side && len(pts) < n; i++ {
-			for j := 0; j < side && len(pts) < n; j++ {
-				for k := 0; k < side && len(pts) < n; k++ {
-					pts = append(pts, Point{
-						X: (float64(i) + 0.5 + (rng.Float64()*2-1)*jitter*float64(side)) / float64(side),
-						Y: (float64(j) + 0.5 + (rng.Float64()*2-1)*jitter*float64(side)) / float64(side),
-						Z: (float64(k) + 0.5 + (rng.Float64()*2-1)*jitter*float64(side)) / float64(side),
-					})
-				}
-			}
+	side := int(math.Ceil(math.Sqrt(float64(n))))
+	if dim == 3 {
+		side = int(math.Ceil(math.Cbrt(float64(n))))
+	}
+	jitter := 0.4 / float64(side)
+	coord := func(c int) float64 {
+		return (float64(c) + 0.5 + (rng.Float64()*2-1)*jitter*float64(side)) / float64(side)
+	}
+	// The lattice in row-major order (the last coordinate fastest), each
+	// point's coordinates drawn x first.
+	pts := make([]Point, n)
+	for t := range pts {
+		if dim == 2 {
+			pts[t] = Point{X: coord(t / side), Y: coord(t % side)}
+		} else {
+			pts[t] = Point{X: coord(t / side / side), Y: coord(t / side % side), Z: coord(t % side)}
 		}
 	}
 	// Morton-order the points so that nearby indices are nearby in space;
@@ -67,67 +58,73 @@ func GenerateLocations(n, dim int, rng *stats.RNG) []Point {
 }
 
 // sortMorton sorts points by Morton (Z-order) code of their quantized
-// coordinates, preserving spatial locality in index order.
+// coordinates, preserving spatial locality in index order. Each point's
+// key and index travel packed in one word (key high, index low), and the
+// sort compares keys alone: the order it leaves tied keys in is part of
+// every sampled precision map, so the sort must stay this one.
 func sortMorton(pts []Point) {
-	const bits = 10
-	keys := make([]uint64, len(pts))
+	pairs := make([]uint64, len(pts))
 	for i, p := range pts {
-		x := uint64(min(max(p.X, 0), 1) * float64((1<<bits)-1))
-		y := uint64(min(max(p.Y, 0), 1) * float64((1<<bits)-1))
-		z := uint64(min(max(p.Z, 0), 1) * float64((1<<bits)-1))
-		keys[i] = interleave3(x, y, z)
+		pairs[i] = mortonKey(p)<<32 | uint64(i)
 	}
-	// Simple index sort (n is at most a few hundred thousand).
-	idx := make([]int, len(pts))
-	for i := range idx {
-		idx[i] = i
-	}
-	quicksortIdx(idx, keys, 0, len(idx)-1)
+	quicksortKeyed(pairs, 0, len(pairs)-1)
 	out := make([]Point, len(pts))
-	for i, j := range idx {
-		out[i] = pts[j]
+	for i, kv := range pairs {
+		out[i] = pts[uint32(kv)]
 	}
 	copy(pts, out)
 }
 
-func interleave3(x, y, z uint64) uint64 {
-	var out uint64
-	for b := uint(0); b < 10; b++ {
-		out |= (x>>b&1)<<(3*b) | (y>>b&1)<<(3*b+1) | (z>>b&1)<<(3*b+2)
-	}
-	return out
+// mortonKey is p's Morton code: its coordinates clamped to [0,1],
+// quantized to 10 bits each and interleaved (x in bit 3b, y in 3b+1, z in
+// 3b+2).
+func mortonKey(p Point) uint64 {
+	const bits = 10
+	x := uint64(min(max(p.X, 0), 1) * float64((1<<bits)-1))
+	y := uint64(min(max(p.Y, 0), 1) * float64((1<<bits)-1))
+	z := uint64(min(max(p.Z, 0), 1) * float64((1<<bits)-1))
+	return spread3(x) | spread3(y)<<1 | spread3(z)<<2
 }
 
-func quicksortIdx(idx []int, keys []uint64, lo, hi int) {
+// spread3 moves bit b of a 10-bit v to bit 3b.
+func spread3(v uint64) uint64 {
+	v = (v | v<<16) & 0x030000ff
+	v = (v | v<<8) & 0x0300f00f
+	v = (v | v<<4) & 0x030c30c3
+	return (v | v<<2) & 0x09249249
+}
+
+// quicksortKeyed sorts packed (key, index) words by key (the high 32 bits).
+func quicksortKeyed(kv []uint64, lo, hi int) {
 	for lo < hi {
 		if hi-lo < 12 {
 			for i := lo + 1; i <= hi; i++ {
-				for j := i; j > lo && keys[idx[j]] < keys[idx[j-1]]; j-- {
-					idx[j], idx[j-1] = idx[j-1], idx[j]
+				for j := i; j > lo && kv[j]>>32 < kv[j-1]>>32; j-- {
+					kv[j], kv[j-1] = kv[j-1], kv[j]
 				}
 			}
 			return
 		}
-		p := keys[idx[(lo+hi)/2]]
+		p := kv[(lo+hi)/2] >> 32
 		i, j := lo, hi
 		for i <= j {
-			for keys[idx[i]] < p {
+			for kv[i]>>32 < p {
 				i++
 			}
-			for keys[idx[j]] > p {
+			for kv[j]>>32 > p {
 				j--
 			}
 			if i <= j {
-				idx[i], idx[j] = idx[j], idx[i]
+				kv[i], kv[j] = kv[j], kv[i]
 				i++
 				j--
 			}
 		}
 		if j-lo < hi-i {
-			quicksortIdx(idx, keys, lo, j)
+			quicksortKeyed(kv, lo, j)
 			lo = i
 		} else {
-			quicksortIdx(idx, keys, i, hi)
+			quicksortKeyed(kv, i, hi)
 			hi = j
 		}
 	}

@@ -1,6 +1,8 @@
 package geo
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -72,6 +74,44 @@ func TestMortonLocality(t *testing.T) {
 	far /= float64(cnt)
 	if adj >= far/2 {
 		t.Errorf("Morton order not local: adjacent mean %g vs distant mean %g", adj, far)
+	}
+}
+
+// TestMortonOrderPinned pins the points GenerateLocations returns, in
+// order: at the benchmark's 2D sizes, where thousands of points share a
+// Morton key, the sort must break those ties as it always has, or every
+// sampled precision map drawn over the points moves; the small sizes end
+// the lattice early.
+func TestMortonOrderPinned(t *testing.T) {
+	for _, c := range []struct {
+		n, dim, ties int
+		digest       uint64
+	}{
+		{262144, 2, 3809, 0x3366d06968f3ca43},
+		{409600, 2, 15799, 0xc3ad96028fb9993a},
+		{262144, 3, 0, 0x5b6631655bd7e19f},
+		{999, 2, 0, 0x5a23c8ba1460b1cb},
+		{1001, 3, 0, 0x9e29cc2af4a1b6dd},
+	} {
+		pts := GenerateLocations(c.n, c.dim, stats.NewRNG(3, 1))
+		h := fnv.New64a()
+		var b [8]byte
+		ties := 0
+		for i, p := range pts {
+			for _, v := range [3]float64{p.X, p.Y, p.Z} {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+			if i > 0 && mortonKey(p) == mortonKey(pts[i-1]) {
+				ties++
+			}
+		}
+		if ties != c.ties {
+			t.Errorf("n=%d dim=%d: %d adjacent Morton ties, want %d", c.n, c.dim, ties, c.ties)
+		}
+		if got := h.Sum64(); got != c.digest {
+			t.Errorf("n=%d dim=%d: order digest %#x, want %#x", c.n, c.dim, got, c.digest)
+		}
 	}
 }
 

@@ -25,24 +25,29 @@ import (
 )
 
 // KernelKind identifies a tile kernel class for efficiency modeling.
-type KernelKind string
+type KernelKind uint8
 
-// Tile kernel classes of Algorithm 1, plus data-movement helpers.
+// Tile kernel classes of Algorithm 1; NumKinds counts them.
 const (
-	KindPotrf   KernelKind = "POTRF"
-	KindTrsm    KernelKind = "TRSM"
-	KindSyrk    KernelKind = "SYRK"
-	KindGemm    KernelKind = "GEMM"
-	KindConvert KernelKind = "CONVERT"
+	KindPotrf KernelKind = iota
+	KindTrsm
+	KindSyrk
+	KindGemm
+	NumKinds
 )
+
+var kindNames = [NumKinds]string{"POTRF", "TRSM", "SYRK", "GEMM"}
+
+// String returns the class's name in the paper's notation ("GEMM", …).
+func (k KernelKind) String() string { return kindNames[k] }
 
 // GPUSpec describes one GPU generation.
 type GPUSpec struct {
 	Name string
 
-	// peak dense throughput per precision, flop/s. Missing entries mean the
+	// peak dense throughput per precision, flop/s. Zero entries mean the
 	// format is not supported (e.g. TF32 on V100).
-	Peak map[prec.Precision]float64
+	Peak [prec.Count]float64
 
 	// FP64NonTensor is the classical FP64 pipeline peak (Table I's "FP64"
 	// row); Peak[FP64] holds the effective rate, which uses tensor cores
@@ -55,7 +60,7 @@ type GPUSpec struct {
 
 	// KernelEff is the efficiency of each kernel class relative to GEMM;
 	// panel kernels (POTRF) achieve a smaller fraction of peak.
-	KernelEff map[KernelKind]float64
+	KernelEff [NumKinds]float64
 
 	// LaunchOverhead is the fixed per-kernel launch latency, seconds.
 	LaunchOverhead float64
@@ -70,9 +75,10 @@ type GPUSpec struct {
 	MemBw    float64
 
 	// Power model: idle draw, thermal design power, and the fraction of the
-	// dynamic range (TDP − idle) each precision's compute draws.
+	// dynamic range (TDP − idle) each precision's compute draws (a zero
+	// entry draws all of it).
 	IdleW, TDP  float64
-	PowerFactor map[prec.Precision]float64
+	PowerFactor [prec.Count]float64
 	// TransferW is the extra power drawn while a host-link transfer is
 	// in flight.
 	TransferW float64
@@ -87,24 +93,19 @@ type GPUSpec struct {
 var fallbackLadder = [3]prec.Precision{prec.FP16x32, prec.FP32, prec.FP64}
 
 func (g *GPUSpec) SupportedPeak(p prec.Precision) float64 {
-	if v, ok := g.Peak[p]; ok {
+	if v := g.Peak[p]; v != 0 {
 		return v
 	}
 	for _, q := range fallbackLadder {
-		if q.Eps() < p.Eps() {
-			if v, ok := g.Peak[q]; ok {
-				return v
-			}
+		if v := g.Peak[q]; v != 0 && q.Eps() < p.Eps() {
+			return v
 		}
 	}
 	return g.Peak[prec.FP64]
 }
 
 // Supports reports whether the GPU natively supports precision p.
-func (g *GPUSpec) Supports(p prec.Precision) bool {
-	_, ok := g.Peak[p]
-	return ok
-}
+func (g *GPUSpec) Supports(p prec.Precision) bool { return g.Peak[p] != 0 }
 
 // KernelTime returns the simulated execution time of a tile kernel of the
 // given class, precision and flop count, resident on the device.
@@ -125,8 +126,8 @@ func (g *GPUSpec) ConvertTime(n int, from, to prec.Precision) float64 {
 // DynPower returns the dynamic power (W above idle) drawn while a kernel of
 // precision p runs.
 func (g *GPUSpec) DynPower(p prec.Precision) float64 {
-	f, ok := g.PowerFactor[p]
-	if !ok {
+	f := g.PowerFactor[p]
+	if f == 0 {
 		f = 1
 	}
 	return (g.TDP - g.IdleW) * f
@@ -173,6 +174,9 @@ type NodeSpec struct {
 	HostMem int64   // host memory, bytes (bounds matrix size, §VII-E)
 }
 
+// kernelEff is every predefined GPU's KernelEff.
+var kernelEff = [NumKinds]float64{KindGemm: 1.0, KindSyrk: 0.88, KindTrsm: 0.72, KindPotrf: 0.35}
+
 // Predefined GPU generations (§VII-A, Table I).
 var (
 	// V100: Summit's Tesla V100 (NVLink host link at 50 GB/s — the rate
@@ -180,21 +184,19 @@ var (
 	V100 = &GPUSpec{
 		Name:          "V100",
 		FP64NonTensor: 7.8e12,
-		Peak: map[prec.Precision]float64{
+		Peak: [prec.Count]float64{
 			prec.FP64:    7.8e12,
 			prec.FP32:    15.7e12,
 			prec.FP16x32: 125e12,
 			prec.FP16:    125e12,
 		},
-		GemmEff: 0.97,
-		KernelEff: map[KernelKind]float64{
-			KindGemm: 1.0, KindSyrk: 0.88, KindTrsm: 0.72, KindPotrf: 0.35,
-		},
+		GemmEff:        0.97,
+		KernelEff:      kernelEff,
 		LaunchOverhead: 5e-6,
 		H2DBw:          50e9, D2HBw: 50e9, LinkLatency: 10e-6,
 		MemBytes: 16 << 30, MemBw: 900e9,
 		IdleW: 52, TDP: 300,
-		PowerFactor: map[prec.Precision]float64{
+		PowerFactor: [prec.Count]float64{
 			prec.FP64: 1.0, prec.FP32: 0.90, prec.FP16x32: 0.80, prec.FP16: 0.74,
 		},
 		TransferW: 25,
@@ -205,7 +207,7 @@ var (
 	A100 = &GPUSpec{
 		Name:          "A100",
 		FP64NonTensor: 9.7e12,
-		Peak: map[prec.Precision]float64{
+		Peak: [prec.Count]float64{
 			prec.FP64:    19.5e12,
 			prec.FP32:    19.5e12,
 			prec.TF32:    156e12,
@@ -213,15 +215,13 @@ var (
 			prec.FP16x32: 312e12,
 			prec.FP16:    312e12,
 		},
-		GemmEff: 0.95,
-		KernelEff: map[KernelKind]float64{
-			KindGemm: 1.0, KindSyrk: 0.88, KindTrsm: 0.72, KindPotrf: 0.35,
-		},
+		GemmEff:        0.95,
+		KernelEff:      kernelEff,
 		LaunchOverhead: 4e-6,
 		H2DBw:          24e9, D2HBw: 24e9, LinkLatency: 8e-6,
 		MemBytes: 80 << 30, MemBw: 2.0e12,
 		IdleW: 62, TDP: 400,
-		PowerFactor: map[prec.Precision]float64{
+		PowerFactor: [prec.Count]float64{
 			prec.FP64: 1.0, prec.FP32: 0.97, prec.TF32: 0.85,
 			prec.BF16x32: 0.80, prec.FP16x32: 0.80, prec.FP16: 0.74,
 		},
@@ -233,7 +233,7 @@ var (
 	H100 = &GPUSpec{
 		Name:          "H100",
 		FP64NonTensor: 25.6e12,
-		Peak: map[prec.Precision]float64{
+		Peak: [prec.Count]float64{
 			prec.FP64:    51.2e12,
 			prec.FP32:    51.2e12,
 			prec.TF32:    378e12,
@@ -241,15 +241,13 @@ var (
 			prec.FP16x32: 756e12,
 			prec.FP16:    756e12,
 		},
-		GemmEff: 0.76,
-		KernelEff: map[KernelKind]float64{
-			KindGemm: 1.0, KindSyrk: 0.88, KindTrsm: 0.72, KindPotrf: 0.35,
-		},
+		GemmEff:        0.76,
+		KernelEff:      kernelEff,
 		LaunchOverhead: 4e-6,
 		H2DBw:          45e9, D2HBw: 45e9, LinkLatency: 8e-6,
 		MemBytes: 80 << 30, MemBw: 2.0e12,
 		IdleW: 58, TDP: 350,
-		PowerFactor: map[prec.Precision]float64{
+		PowerFactor: [prec.Count]float64{
 			prec.FP64: 0.88, prec.FP32: 0.85, prec.TF32: 0.75,
 			prec.BF16x32: 0.70, prec.FP16x32: 0.70, prec.FP16: 0.65,
 		},

@@ -58,9 +58,6 @@ func (p Precision) String() string {
 	}
 }
 
-// Valid reports whether p is a defined format.
-func (p Precision) Valid() bool { return p < numPrecisions }
-
 // Unit roundoffs. FP16_32 and BF16_32 do not have a classical machine
 // epsilon: their error bound is dominated by input quantization but improved
 // by exact float32 accumulation (Blanchard et al. 2020). Following §VII-A,

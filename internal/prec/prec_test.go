@@ -74,12 +74,6 @@ func TestString(t *testing.T) {
 		if p.String() != w {
 			t.Errorf("%d.String() = %q, want %q", p, p.String(), w)
 		}
-		if !p.Valid() {
-			t.Errorf("%v not Valid()", p)
-		}
-	}
-	if Precision(99).Valid() {
-		t.Error("Precision(99) reported Valid")
 	}
 }
 

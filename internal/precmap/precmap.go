@@ -31,6 +31,7 @@ import (
 	"geompc/internal/geo"
 	"geompc/internal/prec"
 	"geompc/internal/stats"
+	"geompc/internal/sweep"
 	"geompc/internal/tile"
 )
 
@@ -272,42 +273,71 @@ func FromMatrix(m *tile.Matrix, ureq float64, ladder []prec.Precision) [][]prec.
 // returns a norm oracle and the implied global norm. This powers precision
 // maps at Summit scale (Fig 7's 409,600² matrix has 84·10⁹ entries; 256
 // samples per tile need only ~5·10⁶ kernel evaluations).
+//
+// The sampled positions are drawn from rng one tile row at a time, tile by
+// tile in row-major order; the row's tiles are then evaluated on GOMAXPROCS
+// goroutines, each tile's sum of squares in sample order, and the global
+// sum is taken in tile order afterwards — so the result does not depend on
+// GOMAXPROCS. k must be safe for concurrent Cov calls.
 func EstimateTileNorms(locs []geo.Point, d tile.Desc, k geo.Kernel, theta []float64, nugget float64, samples int, rng *stats.RNG) (norm func(i, j int) float64, global float64) {
 	nt := d.NT
-	norms := lowerTri[float64](nt)
-	var ss float64
+	est := make([][]float64, nt)
+	// draws holds the current row's sampled (a, b) offsets, tile j's from
+	// start[j]; a tile no larger than samples is summed exactly instead.
+	var draws []int32
+	start := make([]int, nt)
 	for i := 0; i < nt; i++ {
+		m := d.TileDim(i)
+		draws = draws[:0]
 		for j := 0; j <= i; j++ {
-			m, n := d.TileDim(i), d.TileDim(j)
-			r0, c0 := i*d.TS, j*d.TS
-			var sumsq float64
-			cnt := samples
-			if m*n <= samples {
-				// Small tile: exact.
-				cnt = m * n
-				for a := 0; a < m; a++ {
-					for b := 0; b < n; b++ {
-						v := covEntry(locs, r0+a, c0+b, k, theta, nugget)
-						sumsq += v * v
-					}
-				}
-			} else {
+			start[j] = len(draws)
+			if n := d.TileDim(j); m*n > samples {
 				for s := 0; s < samples; s++ {
-					a, b := rng.IntN(m), rng.IntN(n)
-					v := covEntry(locs, r0+a, c0+b, k, theta, nugget)
-					sumsq += v * v
+					draws = append(draws, int32(rng.IntN(m)), int32(rng.IntN(n)))
 				}
-			}
-			est := sumsq / float64(cnt) * float64(m*n)
-			norms[i][j] = sqrt64(est)
-			if i == j {
-				ss += est
-			} else {
-				ss += 2 * est
 			}
 		}
+		est[i], _ = sweep.Run(i+1, sweep.Options{Workers: sweep.PerCore}, func(j int) (float64, error) {
+			return tileSumSq(locs, d, i, j, draws[start[j]:], k, theta, nugget, samples), nil
+		})
 	}
-	return func(i, j int) float64 { return norms[i][j] }, sqrt64(ss)
+	var ss float64
+	for i, row := range est {
+		for j, v := range row {
+			if i == j {
+				ss += v
+			} else {
+				ss += 2 * v
+			}
+			row[j] = math.Sqrt(v)
+		}
+	}
+	return func(i, j int) float64 { return est[i][j] }, math.Sqrt(ss)
+}
+
+// tileSumSq estimates tile (i,j)'s squared Frobenius norm: exactly when it
+// has at most `samples` entries, else from the (a, b) offsets leading ab,
+// scaled by the tile area.
+func tileSumSq(locs []geo.Point, d tile.Desc, i, j int, ab []int32, k geo.Kernel, theta []float64, nugget float64, samples int) float64 {
+	m, n := d.TileDim(i), d.TileDim(j)
+	r0, c0 := i*d.TS, j*d.TS
+	var sumsq float64
+	cnt := samples
+	if m*n <= samples {
+		cnt = m * n
+		for a := 0; a < m; a++ {
+			for b := 0; b < n; b++ {
+				v := covEntry(locs, r0+a, c0+b, k, theta, nugget)
+				sumsq += v * v
+			}
+		}
+	} else {
+		for s := 0; s < 2*samples; s += 2 {
+			v := covEntry(locs, r0+int(ab[s]), c0+int(ab[s+1]), k, theta, nugget)
+			sumsq += v * v
+		}
+	}
+	return sumsq / float64(cnt) * float64(m*n)
 }
 
 // Sampled is the precision map of a factorization that has no matrix
@@ -325,11 +355,4 @@ func covEntry(locs []geo.Point, gi, gj int, k geo.Kernel, theta []float64, nugge
 		return k.Cov(0, theta) + nugget
 	}
 	return k.Cov(locs[gi].Dist(locs[gj]), theta)
-}
-
-func sqrt64(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Sqrt(x)
 }

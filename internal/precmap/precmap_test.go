@@ -1,7 +1,10 @@
 package precmap
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"geompc/internal/geo"
@@ -275,6 +278,32 @@ func TestEstimateTileNormsGlobalAccuracy(t *testing.T) {
 	_, sampGlobal := EstimateTileNorms(locs, d, k, theta, 0, 32, stats.NewRNG(5, 0))
 	if math.Abs(sampGlobal-exactGlobal) > 0.25*exactGlobal {
 		t.Errorf("sampled global %g too far from exact %g", sampGlobal, exactGlobal)
+	}
+}
+
+// TestEstimateTileNormsPinned: the estimator draws its sample positions in
+// one fixed order and sums each tile in sample order, so its norms carry
+// the same bits at any GOMAXPROCS — these, the serial estimator's. Tiles
+// of 64×64 and 64×40 entries are sampled, the 40×40 corner summed exactly.
+func TestEstimateTileNormsPinned(t *testing.T) {
+	locs := geo.GenerateLocations(1000, 2, stats.NewRNG(7, 0))
+	d, _ := tile.NewDesc(1000, 64, 1, 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		norm, global := EstimateTileNorms(locs, d, geo.Matern{Dimension: 2}, []float64{1, 0.1, 0.5}, 1e-8, 2000, stats.NewRNG(8, 0))
+		h := fnv.New64a()
+		var b [8]byte
+		for i := 0; i < d.NT; i++ {
+			for j := 0; j <= i; j++ {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(norm(i, j)))
+				h.Write(b[:])
+			}
+		}
+		if got := h.Sum64(); got != 0x2f1a9f8258c3d4c0 || math.Float64bits(global) != 0x405ddfc0db173831 {
+			t.Errorf("GOMAXPROCS %d: norms digest %#x, global bits %#x; want 0x2f1a9f8258c3d4c0 and 0x405ddfc0db173831",
+				procs, got, math.Float64bits(global))
+		}
 	}
 }
 

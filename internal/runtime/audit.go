@@ -15,8 +15,8 @@ import (
 //   - residency: the LRU never holds more than the device memory while an
 //     evictable (unpinned) tile exists — over-commit is legal only when
 //     every resident tile is pinned by in-flight tasks;
-//   - pin balance: when the run completes, every pin taken at commit has
-//     been released, on every device;
+//   - pin balance: when the run completes, every device has completed
+//     every task it committed, so no tile is still pinned;
 //   - energy conservation: the traced activity intervals, integrated as
 //     power·duration and added to idle·makespan, reproduce Stats.Energy to
 //     within floating-point reassociation error (relative 1e-9).
@@ -41,13 +41,14 @@ func (e *engine) auditResidency(d *device, taskID int) {
 	unpinned, n := 0, 0
 	// The LRU list must contain exactly the index's entries, each reachable
 	// by lookup under its own id.
-	for entry := d.lruHead; entry != nil; entry = entry.next {
+	for s := d.lruHead; s != 0; s = d.slab[s].next {
+		entry := &d.slab[s]
 		n++
 		sum += entry.bytes
-		if entry.pins == 0 {
+		if entry.use <= d.done {
 			unpinned++
 		}
-		if d.resident[entry.data] != entry {
+		if d.resident[entry.data] != s {
 			e.violate("dev%d after task %d: LRU list entry %d not in resident index", d.id, taskID, entry.data)
 			break
 		}
@@ -68,10 +69,8 @@ func (e *engine) auditResidency(d *device, taskID int) {
 // conservation. Called after finalizeStats.
 func (e *engine) auditFinal() {
 	for _, d := range e.devices {
-		for entry := d.lruHead; entry != nil; entry = entry.next {
-			if entry.pins != 0 {
-				e.violate("dev%d at completion: tile %d still holds %d pin(s)", d.id, entry.data, entry.pins)
-			}
+		if d.done != d.committed {
+			e.violate("dev%d at completion: %d of %d committed tasks completed", d.id, d.done, d.committed)
 		}
 	}
 

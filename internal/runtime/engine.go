@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"geompc/internal/comm"
+	"geompc/internal/hw"
 	"geompc/internal/obs"
 	"geompc/internal/prec"
 )
@@ -172,21 +173,15 @@ func (e *engine) host(rank int, d DataID) *float64 { return &e.hostAvail[rank*e.
 // isData reports whether d lies in the graph's data range.
 func (e *engine) isData(d DataID) bool { return d >= 0 && d < DataID(e.nData) }
 
-// takeSpec fetches a TaskSpec from the freelist (or allocates one).
-func (e *engine) takeSpec() *TaskSpec {
-	if n := len(e.specFree); n > 0 {
-		spec := e.specFree[n-1]
-		e.specFree = e.specFree[:n-1]
-		return spec
-	}
-	// Freelist warm-up: allocates only until the steady-state population exists.
-	return &TaskSpec{}
-}
-
 // enqueueReady materializes task id's spec from the freelist and pushes it
 // onto its device's ready queue; a spec the engine cannot run fails the run.
 func (e *engine) enqueueReady(id int) int {
-	spec := e.takeSpec()
+	var spec *TaskSpec
+	if n := len(e.specFree); n > 0 {
+		spec, e.specFree = e.specFree[n-1], e.specFree[:n-1]
+	} else {
+		spec = &TaskSpec{} // freelist warm-up: allocates only until the steady-state population exists
+	}
 	e.g.Spec(id, spec)
 	spec.ID = id
 	if msg := e.malformed(spec); msg != "" {
@@ -205,6 +200,9 @@ func (e *engine) enqueueReady(id int) int {
 func (e *engine) malformed(spec *TaskSpec) string {
 	if spec.Device < 0 || spec.Device >= len(e.devices) {
 		return fmt.Sprintf("assigned to invalid device %d", spec.Device)
+	}
+	if spec.Kind >= hw.NumKinds || int(spec.Prec) >= prec.Count || !(spec.Flops >= 0) {
+		return fmt.Sprintf("runs kernel %d in precision %d over %g flops", spec.Kind, spec.Prec, spec.Flops)
 	}
 	for i := range spec.Inputs {
 		if d := spec.Inputs[i].Data; !e.isData(d) {
@@ -229,7 +227,7 @@ func (e *engine) malformed(spec *TaskSpec) string {
 
 // tryCommit feeds the device's stream pipeline up to the lookahead depth.
 func (e *engine) tryCommit(d *device) {
-	for e.fatalErr == nil && d.committed < e.opt.Lookahead && d.ready.Len() > 0 {
+	for e.fatalErr == nil && int(d.committed-d.done) < e.opt.Lookahead && d.ready.Len() > 0 {
 		e.commit(d, d.ready.pop())
 	}
 }
@@ -237,45 +235,41 @@ func (e *engine) tryCommit(d *device) {
 // commit stages a task's data onto the device and schedules its execution.
 func (e *engine) commit(d *device, spec *TaskSpec) {
 	stagingEnd := e.now
-	var sink evictSink
 	var stagedBytes int64
 
-	// stage captures commit-local tallies and never escapes commit, so the
-	// closure stays off the heap.
+	// stage pins the datum's copy on the device until this task completes,
+	// transferring it first if it is absent. It captures commit-local
+	// tallies and never escapes commit, so the closure stays off the heap.
 	stage := func(data DataID, bytes int64, wp prec.Precision, isOutput bool) {
 		stagedBytes += bytes
-		if entry := d.touch(data); entry != nil {
-			d.pin(data)
+		s := d.touch(data)
+		if s != 0 {
 			d.stats.LRUHits++
 			if isOutput {
-				entry.hostCopy = false // it is about to be overwritten
+				d.slab[s].hostCopy = false // it is about to be overwritten
 			}
-			return
-		}
-		d.stats.LRUMisses++
-		avail := *e.host(d.rank, data)
-		if avail == hostAbsent {
-			if isOutput {
-				// Fresh output with no prior contents: allocate only.
-				d.insert(data, bytes, wp, false, &sink)
-				d.pin(data)
+		} else {
+			d.stats.LRUMisses++
+			switch avail := *e.host(d.rank, data); {
+			case avail != hostAbsent:
+				start := d.h2d.StartAfter(math.Max(avail, e.now))
+				dur := d.h2d.Time(bytes)
+				end := d.h2d.Occupy(start, dur, bytes)
+				d.stats.BytesH2D += bytes
+				e.stats.H2DByPrec[wp] += bytes
+				d.stats.TransferTime += dur
+				d.stats.DynEnergy += d.spec.TransferW * dur
+				if end > stagingEnd {
+					stagingEnd = end
+				}
+			case !isOutput:
+				e.fail(&GraphError{Task: spec.ID, Msg: fmt.Sprintf("input %d not available at rank %d", data, d.rank)})
 				return
 			}
-			e.fail(&GraphError{Task: spec.ID, Msg: fmt.Sprintf("input %d not available at rank %d", data, d.rank)})
-			return
+			// A fresh output with no prior contents is allocated only.
+			s = d.insert(data, bytes, wp, !isOutput)
 		}
-		start := d.h2d.StartAfter(math.Max(avail, e.now))
-		dur := d.h2d.Time(bytes)
-		end := d.h2d.Occupy(start, dur, bytes)
-		d.stats.BytesH2D += bytes
-		e.stats.H2DByPrec[wp] += bytes
-		d.stats.TransferTime += dur
-		d.stats.DynEnergy += d.spec.TransferW * dur
-		if end > stagingEnd {
-			stagingEnd = end
-		}
-		d.insert(data, bytes, wp, !isOutput, &sink)
-		d.pin(data)
+		d.slab[s].use = d.committed + 1
 	}
 
 	for i := range spec.Inputs {
@@ -291,7 +285,7 @@ func (e *engine) commit(d *device, spec *TaskSpec) {
 		e.specFree = append(e.specFree, spec)
 		return
 	}
-	e.drainWritebacks(d, &sink)
+	e.drainWritebacks(d)
 	if e.opt.Audit {
 		e.auditResidency(d, spec.ID)
 	}
@@ -333,7 +327,7 @@ func (e *engine) commit(d *device, spec *TaskSpec) {
 			ID: spec.ID, Kind: spec.Kind, Device: spec.Device, Prec: spec.Prec, Start: start, End: end,
 		})
 	}
-	e.digest.WriteString(string(spec.Kind))
+	e.digest.WriteString(spec.Kind.String())
 	e.digest.WriteInt64(int64(spec.Device))
 	e.digest.WriteFloat64(start)
 	e.digest.WriteFloat64(end)
@@ -373,8 +367,8 @@ const convPowerFrac = 0.25
 
 // drainWritebacks turns evicted dirty tiles into D2H transfers and restores
 // their host copies.
-func (e *engine) drainWritebacks(d *device, sink *evictSink) {
-	for _, wb := range sink.writebacks {
+func (e *engine) drainWritebacks(d *device) {
+	for _, wb := range d.writebacks {
 		start := d.d2h.StartAfter(e.now)
 		dur := d.d2h.Time(wb.bytes)
 		end := d.d2h.Occupy(start, dur, wb.bytes)
@@ -384,7 +378,7 @@ func (e *engine) drainWritebacks(d *device, sink *evictSink) {
 		d.stats.DynEnergy += d.spec.TransferW * dur
 		*e.host(d.rank, wb.data) = end
 	}
-	sink.writebacks = sink.writebacks[:0]
+	d.writebacks = d.writebacks[:0]
 }
 
 // complete processes a task's completion event in virtual time: publishes
@@ -394,19 +388,12 @@ func (e *engine) complete(ev *event) {
 	spec := ev.spec
 	d := e.devices[spec.Device]
 
-	for i := range spec.Inputs {
-		d.unpin(spec.Inputs[i].Data)
-	}
-	if spec.Output.Data >= 0 {
-		d.unpin(spec.Output.Data)
-	}
-
 	if p := spec.Publish; p != nil {
 		e.publish(d, spec, p)
 	}
 
 	e.done++
-	d.committed--
+	d.done++ // unpins every copy this task was the last to stage
 	e.stats.Tasks++
 	e.stats.TotalFlops += spec.Flops
 
@@ -467,7 +454,7 @@ func (e *engine) publish(d *device, spec *TaskSpec, p *PublishSpec) {
 	d.stats.TransferTime += dur
 	d.stats.DynEnergy += d.spec.TransferW * dur
 	*e.host(d.rank, spec.Output.Data) = hostAt
-	if entry := d.resident[spec.Output.Data]; entry != nil {
+	if entry := d.entry(spec.Output.Data); entry != nil {
 		entry.hostCopy = true
 	}
 

@@ -374,6 +374,32 @@ func TestLRUEvictionAndWriteback(t *testing.T) {
 	}
 }
 
+// TestStagedTilesPinnedDuringCommit: with nothing else in flight, a
+// task's inputs stay pinned while its own later inputs and output are
+// staged — the device over-commits instead of evicting them.
+func TestStagedTilesPinnedDuringCommit(t *testing.T) {
+	node := *hw.SummitNode
+	gpu := *hw.V100
+	gpu.MemBytes = 20 << 20 // two 8 MiB tiles, not three
+	node.GPU = &gpu
+	p, err := NewPlatform(&node, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newTestGraph(1)
+	g.initial[1], g.initial[2] = 0, 0
+	g.specs[0] = TaskSpec{Kind: hw.KindGemm, Device: 0, Prec: prec.FP64, Flops: 1e8,
+		Inputs: []InputSpec{{Data: 1, WireBytes: 8 << 20}, {Data: 2, WireBytes: 8 << 20}},
+		Output: OutputSpec{Data: 3, Bytes: 8 << 20}}
+	st, _, err := Run(p, g, Options{Audit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := st.Devices[0]; d.Evictions != 0 || d.PeakResident != 24<<20 {
+		t.Errorf("%d evictions, peak residency %d B; want 0 and %d (over-committed)", d.Evictions, d.PeakResident, 24<<20)
+	}
+}
+
 func TestNumericBodiesRunInDependencyOrder(t *testing.T) {
 	var order [4]int32
 	var ctr atomic.Int32
@@ -517,6 +543,29 @@ func TestInvalidDeviceIsGraphError(t *testing.T) {
 	var ge *GraphError
 	if !errors.As(err, &ge) {
 		t.Fatalf("invalid device: err = %v, want a *GraphError", err)
+	}
+}
+
+// TestUnrunnableKernelIsGraphError: a kernel class or precision the cost
+// model has no entry for, and a negative or NaN flop count (which would let
+// a device finish a task before the one committed ahead of it), fail the
+// run with a *GraphError instead of indexing past the model or reordering
+// a device's completions.
+func TestUnrunnableKernelIsGraphError(t *testing.T) {
+	for name, spec := range map[string]TaskSpec{
+		"kind":           {Kind: hw.NumKinds, Prec: prec.FP64, Flops: 1},
+		"precision":      {Kind: hw.KindGemm, Prec: prec.Precision(prec.Count), Flops: 1},
+		"negative-flops": {Kind: hw.KindGemm, Prec: prec.FP64, Flops: -1},
+		"nan-flops":      {Kind: hw.KindGemm, Prec: prec.FP64, Flops: math.NaN()},
+	} {
+		g := newTestGraph(1)
+		spec.Output.Data = -1
+		g.specs[0] = spec
+		_, _, err := Run(onePlat(t), g, Options{})
+		var ge *GraphError
+		if !errors.As(err, &ge) {
+			t.Errorf("%s: err = %v, want a *GraphError", name, err)
+		}
 	}
 }
 

@@ -61,22 +61,29 @@ type device struct {
 	// no peer (device-to-device) link.
 	h2d, d2h *comm.Link
 
-	committed int  // tasks accepted into the stream pipeline, not yet done
-	dirty     bool // queued for a pipeline refill in the current completion
+	// committed and done count the tasks committed to the stream pipeline
+	// and the tasks completed. A device completes its tasks in commit order
+	// (each starts after the one before it ends), so tasks 1…done are the
+	// completed ones and committed−done are in flight.
+	committed, done int32
 
-	// resident[d] is datum d's copy on the device, nil if it has none.
-	resident  []*residentEntry
+	dirty bool // queued for a pipeline refill in the current completion
+
+	// resident[d] is the slab slot of datum d's copy on the device, 0 if
+	// it has none. slab[0] is a sentinel: slot 0 is "no entry" in the
+	// index and in the LRU links.
+	resident  []int32
+	slab      []residentEntry
+	freeSlots []int32 // slab slots released by eviction, reused by insert
 	nResident int
-	// lruHead/lruTail form an intrusive recency list: head = most recently
-	// used, tail = eviction candidate. All operations are O(1).
-	lruHead, lruTail *residentEntry
+	// lruHead/lruTail form an intrusive recency list over slab slots:
+	// head = most recently used, tail = eviction candidate. All operations
+	// are O(1).
+	lruHead, lruTail int32
 	used             int64
+	writebacks       []evicted // evicted dirty copies, until the engine drains them
 
 	ready *taskHeap
-
-	// entryFree recycles residentEntry records across evict/insert cycles;
-	// LRU churn on the scale path otherwise allocates one entry per miss.
-	entryFree []*residentEntry
 
 	stats DeviceStats
 
@@ -93,10 +100,10 @@ type device struct {
 type residentEntry struct {
 	data       DataID
 	bytes      int64
+	use        int32          // commit ordinal of the last task that staged it: pinned while use > done
+	prev, next int32          // LRU neighbours' slots, 0 at the ends
 	prec       prec.Precision // wire/storage format of the resident copy
-	pins       int
-	hostCopy   bool // a host copy exists; eviction needs no writeback
-	prev, next *residentEntry
+	hostCopy   bool           // a host copy exists; eviction needs no writeback
 }
 
 // DeviceStats aggregates one device's activity over a run.
@@ -126,126 +133,119 @@ func newDevice(id, rank int, spec *hw.GPUSpec, trace bool, nData int) *device {
 		trace:    trace,
 		h2d:      comm.NewLink(fmt.Sprintf("dev%d/h2d", id), spec.H2DLink(), trace),
 		d2h:      comm.NewLink(fmt.Sprintf("dev%d/d2h", id), spec.D2HLink(), trace),
-		resident: make([]*residentEntry, nData),
+		resident: make([]int32, nData),
+		slab:     make([]residentEntry, 1),
 	}
 }
 
-// lruUnlink removes e from the recency list.
-func (d *device) lruUnlink(e *residentEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+// entry returns datum id's resident copy, nil if the device has none. The
+// pointer is valid until the next insert.
+func (d *device) entry(id DataID) *residentEntry {
+	if s := d.resident[id]; s != 0 {
+		return &d.slab[s]
+	}
+	return nil
+}
+
+// lruUnlink removes slot s from the recency list.
+func (d *device) lruUnlink(s int32) {
+	e := &d.slab[s]
+	if e.prev != 0 {
+		d.slab[e.prev].next = e.next
 	} else {
 		d.lruHead = e.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if e.next != 0 {
+		d.slab[e.next].prev = e.prev
 	} else {
 		d.lruTail = e.prev
 	}
-	e.prev, e.next = nil, nil
+	e.prev, e.next = 0, 0
 }
 
-// lruFront pushes e to the most-recently-used end.
-func (d *device) lruFront(e *residentEntry) {
-	e.prev, e.next = nil, d.lruHead
-	if d.lruHead != nil {
-		d.lruHead.prev = e
+// lruFront pushes slot s to the most-recently-used end.
+func (d *device) lruFront(s int32) {
+	e := &d.slab[s]
+	e.prev, e.next = 0, d.lruHead
+	if d.lruHead != 0 {
+		d.slab[d.lruHead].prev = s
 	}
-	d.lruHead = e
-	if d.lruTail == nil {
-		d.lruTail = e
+	d.lruHead = s
+	if d.lruTail == 0 {
+		d.lruTail = s
 	}
 }
 
-func (d *device) touch(id DataID) *residentEntry {
-	e := d.resident[id]
-	if e != nil {
-		d.lruUnlink(e)
-		d.lruFront(e)
+// touch marks datum id's copy most recently used and returns its slot, 0
+// if the device has none.
+func (d *device) touch(id DataID) int32 {
+	s := d.resident[id]
+	if s != 0 && s != d.lruHead {
+		d.lruUnlink(s)
+		d.lruFront(s)
 	}
-	return e
+	return s
 }
 
-// insert adds a resident copy, evicting LRU entries as needed: the dirty
-// ones go to ev as writebacks, and the device's statistics count them.
-func (d *device) insert(id DataID, bytes int64, p prec.Precision, hostCopy bool, ev *evictSink) {
-	if e := d.resident[id]; e != nil {
-		d.lruUnlink(e)
-		d.lruFront(e)
-		if bytes > e.bytes {
-			d.used += bytes - e.bytes
-			e.bytes = bytes
-		}
-		e.prec = p
-		e.hostCopy = e.hostCopy || hostCopy
-		return
-	}
+// insert adds a copy of datum id, which the device must not hold (the
+// engine inserts only after touch misses), evicting LRU entries as needed:
+// the dirty ones join d.writebacks, and the device's statistics count them.
+// It returns the copy's slot.
+func (d *device) insert(id DataID, bytes int64, p prec.Precision, hostCopy bool) int32 {
 	// Make room first so the new entry can never evict itself; if every
 	// resident tile is pinned the device over-commits instead.
-	d.evictTo(d.spec.MemBytes-bytes, ev)
-	var e *residentEntry
-	if n := len(d.entryFree); n > 0 {
-		e = d.entryFree[n-1]
-		d.entryFree = d.entryFree[:n-1]
-		*e = residentEntry{data: id, bytes: bytes, prec: p, hostCopy: hostCopy}
+	d.evictTo(d.spec.MemBytes - bytes)
+	var s int32
+	if n := len(d.freeSlots); n > 0 {
+		s = d.freeSlots[n-1]
+		d.freeSlots = d.freeSlots[:n-1]
 	} else {
-		// Freelist miss: one entry per distinct resident tile, recycled on eviction.
-		e = &residentEntry{data: id, bytes: bytes, prec: p, hostCopy: hostCopy}
+		// Slab growth: one slot per concurrently resident tile, recycled on
+		// eviction.
+		s = int32(len(d.slab))
+		d.slab = append(d.slab, residentEntry{})
 	}
-	d.resident[id] = e
+	d.slab[s] = residentEntry{data: id, bytes: bytes, prec: p, hostCopy: hostCopy}
+	d.resident[id] = s
 	d.nResident++
-	d.lruFront(e)
+	d.lruFront(s)
 	d.used += bytes
 	if d.used > d.stats.PeakResident {
 		d.stats.PeakResident = d.used
 	}
+	return s
 }
 
-// evictSink receives the tiles that must be written back to host during
-// eviction; the engine turns them into D2H transfers and host copies.
-type evictSink struct {
-	writebacks []evicted
-}
-
+// evicted is a dirty copy evicted from a device: the engine turns it into
+// a D2H transfer that restores the host copy.
 type evicted struct {
 	data  DataID
 	bytes int64
 	prec  prec.Precision
 }
 
-func (d *device) evictTo(capacity int64, ev *evictSink) {
-	e := d.lruTail
-	for d.used > capacity && e != nil {
+func (d *device) evictTo(capacity int64) {
+	s := d.lruTail
+	for d.used > capacity && s != 0 {
+		e := &d.slab[s]
 		prev := e.prev
-		if e.pins > 0 {
+		if e.use > d.done {
 			// Pinned entries stay; if everything reachable is pinned the
 			// device over-commits rather than deadlocking (bounded
 			// lookahead keeps the pinned set to a handful of tiles).
-			e = prev
+			s = prev
 			continue
 		}
-		if !e.hostCopy && ev != nil {
-			ev.writebacks = append(ev.writebacks, evicted{e.data, e.bytes, e.prec})
+		if !e.hostCopy {
+			d.writebacks = append(d.writebacks, evicted{e.data, e.bytes, e.prec})
 			d.stats.Writebacks++
 		}
 		d.used -= e.bytes
-		d.lruUnlink(e)
-		d.resident[e.data] = nil
+		d.resident[e.data] = 0
+		d.lruUnlink(s)
 		d.nResident--
-		d.entryFree = append(d.entryFree, e)
+		d.freeSlots = append(d.freeSlots, s)
 		d.stats.Evictions++
-		e = prev
-	}
-}
-
-func (d *device) pin(id DataID) {
-	if e := d.resident[id]; e != nil {
-		e.pins++
-	}
-}
-
-func (d *device) unpin(id DataID) {
-	if e := d.resident[id]; e != nil && e.pins > 0 {
-		e.pins--
+		s = prev
 	}
 }

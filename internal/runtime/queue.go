@@ -64,30 +64,38 @@ func siftDownEvent(h []event, i int) {
 	}
 }
 
+// readyTask is one entry of a ready queue: the ordering key inline, so a
+// sift compares without dereferencing a spec.
+type readyTask struct {
+	priority int64
+	id       int
+	spec     *TaskSpec
+}
+
 // readyBefore is the ready-queue order: descending priority, ties broken by
 // ascending task id — a total order, which keeps the simulation
 // deterministic.
-func readyBefore(a, b *TaskSpec) bool {
-	if a.Priority != b.Priority {
-		return a.Priority > b.Priority
+func readyBefore(a, b *readyTask) bool {
+	if a.priority != b.priority {
+		return a.priority > b.priority
 	}
-	return a.ID < b.ID
+	return a.id < b.id
 }
 
 // taskHeap is one device's ready queue, ordered by readyBefore.
 type taskHeap struct {
-	items []*TaskSpec
+	items []readyTask
 }
 
 func (h *taskHeap) Len() int { return len(h.items) }
 
 // push sifts a ready task into the device's queue.
 func (h *taskHeap) push(t *TaskSpec) {
-	h.items = append(h.items, t)
+	h.items = append(h.items, readyTask{t.Priority, t.ID, t})
 	s := h.items
 	for i := len(s) - 1; i > 0; {
 		p := (i - 1) / 2
-		if !readyBefore(s[i], s[p]) {
+		if !readyBefore(&s[i], &s[p]) {
 			break
 		}
 		s[i], s[p] = s[p], s[i]
@@ -98,18 +106,18 @@ func (h *taskHeap) push(t *TaskSpec) {
 // pop removes the first ready task.
 func (h *taskHeap) pop() *TaskSpec {
 	s := h.items
-	top := s[0]
+	top := s[0].spec
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = nil
+	s[n] = readyTask{}
 	s = s[:n]
 	for i := 0; ; {
 		l, r := 2*i+1, 2*i+2
 		m := i
-		if l < n && readyBefore(s[l], s[m]) {
+		if l < n && readyBefore(&s[l], &s[m]) {
 			m = l
 		}
-		if r < n && readyBefore(s[r], s[m]) {
+		if r < n && readyBefore(&s[r], &s[m]) {
 			m = r
 		}
 		if m == i {

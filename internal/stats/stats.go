@@ -132,16 +132,3 @@ func quantileSorted(s []float64, q float64) float64 {
 	frac := h - float64(i)
 	return s[i]*(1-frac) + s[i+1]*frac
 }
-
-// RMSE returns the root-mean-square error of estimates against truth.
-func RMSE(estimates []float64, truth float64) float64 {
-	if len(estimates) == 0 {
-		return math.NaN()
-	}
-	var ss float64
-	for _, v := range estimates {
-		d := v - truth
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(estimates)))
-}

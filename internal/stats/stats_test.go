@@ -129,18 +129,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	if got := RMSE([]float64{1, 3}, 2); math.Abs(got-1) > 1e-15 {
-		t.Errorf("RMSE = %g, want 1", got)
-	}
-	if got := RMSE([]float64{2, 2}, 2); got != 0 {
-		t.Errorf("RMSE = %g, want 0", got)
-	}
-	if !math.IsNaN(RMSE(nil, 0)) {
-		t.Error("RMSE(nil) should be NaN")
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	g := NewRNG(11, 0)
 	p := g.Perm(20)
