@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 
 	"geompc/internal/bench"
 	"geompc/internal/core"
@@ -19,8 +20,9 @@ import (
 //
 //   - the engine's stream-pipeline depth (double buffering);
 //
-//   - the Monte-Carlo arithmetic probe (§V) that justifies each
-//     application's required accuracy u_req.
+//   - the u_req probe (§V) that justifies each application's required
+//     accuracy: how far the mixed-precision factorization moves −ℓ(θ) from
+//     exact FP64, over independent datasets.
 //
 //     geompc ablation -banded
 //     geompc ablation -lookahead
@@ -29,7 +31,7 @@ func runAblation(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("geompc ablation", flag.ContinueOnError)
 	banded := fs.Bool("banded", false, "adaptive vs banded precision maps")
 	lookahead := fs.Bool("lookahead", false, "stream pipeline depth sweep")
-	probe := fs.Bool("probe", false, "Monte-Carlo arithmetic u_req probe")
+	probe := fs.Bool("probe", false, "u_req probe: mixed-precision vs exact FP64 likelihood")
 	n := fs.Int("n", 65536, "matrix size for -banded/-lookahead")
 	probeN := fs.Int("probe-n", 400, "locations for -probe")
 	ts := fs.Int("ts", 2048, "tile size")
@@ -69,24 +71,46 @@ func runAblation(args []string, out io.Writer) error {
 	}
 
 	if *probe {
+		levels := []float64{0, 1e-9, 1e-6, 1e-4, 1e-2}
+		const replicas = 8
 		for _, appName := range []string{"2D-sqexp", "2D-Matern"} {
 			app, _ := bench.AppByName(appName)
-			ds, err := core.GenerateDataset(*probeN, app.Kernel.Dim(), app.Kernel, app.Theta, 5)
-			if err != nil {
-				return err
-			}
-			p := &mle.Problem{Locs: ds.Locs, Z: ds.Z, Kernel: ds.Kernel, Nugget: 1e-7, TileSize: 64}
-			rows, err := mle.PrecisionImpact(p, app.Theta, []float64{0, 1e-9, 1e-6, 1e-4, 1e-2}, 8, 3)
-			if err != nil {
-				return err
+			// nll[r][l] is −ℓ(θ_true) of dataset r factorized at levels[l].
+			nll := make([][]float64, replicas)
+			for r := range nll {
+				ds, err := core.GenerateDataset(*probeN, app.Kernel.Dim(), app.Kernel, app.Theta, uint64(5+r))
+				if err != nil {
+					return err
+				}
+				p := &mle.Problem{Locs: ds.Locs, Z: ds.Z, Kernel: ds.Kernel, Nugget: 1e-7, TileSize: 64}
+				nll[r] = make([]float64, len(levels))
+				for l, u := range levels {
+					p.UReq = u
+					if nll[r][l], err = p.NegLogLik(app.Theta, nil); err != nil {
+						return err
+					}
+				}
 			}
 			t := bench.NewTable(
-				fmt.Sprintf("Monte-Carlo arithmetic probe: %s, n=%d (−ℓ reference %.4f)",
-					app.Name, *probeN, rows[0].Reference),
-				"u_req", "mean |Δ(-loglik)|", "max", "SPD broken")
-			for _, r := range rows {
-				t.Add(ureqLabel(r.UReq), fmt.Sprintf("%.3g", r.MeanAbsDev), fmt.Sprintf("%.3g", r.MaxAbsDev),
-					fmt.Sprintf("%d/%d", r.Broken, r.Replicas))
+				fmt.Sprintf("u_req probe: %s, n=%d, %d datasets (mixed-precision −ℓ(θ) vs exact FP64)", app.Name, *probeN, replicas),
+				"u_req", "mean |Δ(-loglik)|", "max", "rejected")
+			for l, u := range levels {
+				var sum, worst float64
+				rejected := 0
+				for r := range nll {
+					if math.IsInf(nll[r][l], 1) {
+						rejected++
+						continue
+					}
+					d := math.Abs(nll[r][l] - nll[r][0])
+					sum += d
+					worst = math.Max(worst, d)
+				}
+				mean, maxDev := "-", "-" // no dataset factorized
+				if rejected < replicas {
+					mean, maxDev = fmt.Sprintf("%.3g", sum/float64(replicas-rejected)), fmt.Sprintf("%.3g", worst)
+				}
+				t.Add(ureqLabel(u), mean, maxDev, fmt.Sprintf("%d/%d", rejected, replicas))
 			}
 			t.Write(out)
 		}

@@ -97,6 +97,9 @@ func TestCommands(t *testing.T) {
 		{name: "ablation/chaos-flag-gone", args: "-chaos", fail: true, errWant: "flag provided but not defined: -chaos"},
 		{name: "ablation/lookahead-smoke", args: "-lookahead -n 16384",
 			want: []string{"lookahead"}},
+		{name: "ablation/probe-smoke", args: "-probe -probe-n 64",
+			want: []string{"u_req probe: 2D-sqexp, n=64, 8 datasets", "u_req probe: 2D-Matern, n=64, 8 datasets",
+				"u_req  mean |Δ(-loglik)|", "exact  0", "1e-02  0"}},
 		{name: "ablation/plan-flag-gone", args: "-plan", fail: true, errWant: "flag provided but not defined: -plan"},
 		{name: "ablation/solvers-flag-gone", args: "-solvers", fail: true, errWant: "flag provided but not defined: -solvers"},
 	}

@@ -153,11 +153,14 @@ func GenerateDataset(n, dim int, kernel geo.Kernel, theta []float64, seed uint64
 	return &Dataset{Locs: locs, Z: z, Kernel: kernel}, nil
 }
 
+// errNilKernel is every entry point's error for a nil kernel.
+var errNilKernel = errors.New("core: nil kernel")
+
 // checkKernel rejects what geo cannot evaluate: a nil kernel, locations in
 // other than 2 or 3 dimensions, a θ of the wrong length.
 func checkKernel(kernel geo.Kernel, dim int, theta []float64) error {
 	if kernel == nil {
-		return errors.New("core: nil kernel")
+		return errNilKernel
 	}
 	if dim != 2 && dim != 3 {
 		return fmt.Errorf("core: unsupported dimension %d (want 2 or 3)", dim)
@@ -196,6 +199,9 @@ var ErrNoFiniteEvaluation = errors.New("core: no likelihood evaluation was finit
 func Fit(ds *Dataset, opts Options) (*FitReport, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
+	}
+	if ds.Kernel == nil {
+		return nil, errNilKernel
 	}
 	plat, err := opts.Machine.Platform()
 	if err != nil {
@@ -240,6 +246,12 @@ func Fit(ds *Dataset, opts Options) (*FitReport, error) {
 
 // Predict computes the conditional mean of the fitted field at targets.
 func Predict(ds *Dataset, theta []float64, targets []geo.Point, opts Options) ([]float64, error) {
+	if ds.Kernel == nil {
+		return nil, errNilKernel
+	}
+	if err := checkKernel(ds.Kernel, ds.Kernel.Dim(), theta); err != nil {
+		return nil, err
+	}
 	p := &mle.Problem{Locs: ds.Locs, Z: ds.Z, Kernel: ds.Kernel, Nugget: opts.nugget()}
 	return mle.Predict(p, theta, targets)
 }
@@ -267,7 +279,7 @@ func ProjectFactorization(n int, kernel geo.Kernel, theta []float64, opts Option
 		return nil, err
 	}
 	if kernel == nil {
-		return nil, errors.New("core: nil kernel")
+		return nil, errNilKernel
 	}
 	if err := checkKernel(kernel, kernel.Dim(), theta); err != nil {
 		return nil, err

@@ -120,6 +120,26 @@ func TestRejectsUnusableUReq(t *testing.T) {
 	}
 }
 
+// TestFitAndPredictRejectBadKernel: a dataset without a kernel, or a θ
+// shorter than the kernel's parameter list, is an error, not a nil
+// dereference in the bounds or an index panic inside the covariance.
+func TestFitAndPredictRejectBadKernel(t *testing.T) {
+	ds, err := GenerateDataset(64, 2, SqExp2D(), []float64{1, 0.1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noKernel := &Dataset{Locs: ds.Locs, Z: ds.Z}
+	if rep, err := Fit(noKernel, Options{MaxEvals: 5}); err == nil || !strings.Contains(err.Error(), "nil kernel") {
+		t.Errorf("Fit without a kernel: report %+v, error %v; want a nil-kernel error", rep, err)
+	}
+	if got, err := Predict(noKernel, []float64{1, 0.1}, ds.Locs[:1], Options{}); err == nil || !strings.Contains(err.Error(), "nil kernel") {
+		t.Errorf("Predict without a kernel: %v, error %v; want a nil-kernel error", got, err)
+	}
+	if got, err := Predict(ds, []float64{1}, ds.Locs[:1], Options{}); err == nil || !strings.Contains(err.Error(), "needs 2 parameters, got 1") {
+		t.Errorf("Predict with a short θ: %v, error %v; want a parameter-count error", got, err)
+	}
+}
+
 func TestPredictEndToEnd(t *testing.T) {
 	ds, err := GenerateDataset(100, 2, SqExp2D(), []float64{1, 0.2}, 5)
 	if err != nil {

@@ -42,27 +42,3 @@ func FuzzFromFloat32(f *testing.F) {
 		}
 	})
 }
-
-func FuzzStochasticRounding(f *testing.F) {
-	f.Add(float32(1.0001), 0.3)
-	f.Add(float32(-7.77), 0.9)
-	f.Add(float32(0), 0.0)
-	f.Fuzz(func(t *testing.T, x float32, u float64) {
-		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
-			return
-		}
-		if math.Abs(float64(x)) > 65000 {
-			return
-		}
-		u = math.Abs(math.Mod(u, 1))
-		r := RoundStochastic(x, u)
-		if RoundF32(r) != r {
-			t.Fatalf("result %g not representable (input %g)", r, x)
-		}
-		// Result within one half ulp span of the input.
-		span := math.Abs(float64(x))*0x1p-10 + HalfSmallestSubnormal
-		if d := math.Abs(float64(r) - float64(x)); d > span*(1+1e-9) {
-			t.Fatalf("result %g too far from %g", r, x)
-		}
-	})
-}

@@ -368,10 +368,9 @@ func TestRejectsUnusableUReq(t *testing.T) {
 		start, lo, hi := DefaultBounds(2)
 		_, nllErr := p.NegLogLik(truth, nil)
 		_, fitErr := Fit(p, start, lo, hi, optimize.Options{MaxEvals: 2})
-		_, impactErr := PrecisionImpact(p, truth, []float64{0}, 1, 1)
 		mc.UReqs = []float64{0, u}
 		_, mcErr := MonteCarlo(mc)
-		for name, err := range map[string]error{"NegLogLik": nllErr, "Fit": fitErr, "PrecisionImpact": impactErr, "MonteCarlo": mcErr} {
+		for name, err := range map[string]error{"NegLogLik": nllErr, "Fit": fitErr, "MonteCarlo": mcErr} {
 			if err == nil || !strings.Contains(err.Error(), "u_req") {
 				t.Errorf("%s at u_req %g: error %v, want a u_req error", name, u, err)
 			}
@@ -400,10 +399,6 @@ func TestRejectsUnusableLadder(t *testing.T) {
 			"Fit": func(p *Problem, _ []float64) error {
 				start, lo, hi := DefaultBounds(2)
 				_, err := Fit(p, start, lo, hi, optimize.Options{MaxEvals: 2})
-				return err
-			},
-			"PrecisionImpact": func(p *Problem, truth []float64) error {
-				_, err := PrecisionImpact(p, truth, []float64{1e-4}, 1, 1)
 				return err
 			},
 		}

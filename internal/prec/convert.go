@@ -43,26 +43,3 @@ func QuantizeCopy(x []float64, p Precision) []float64 {
 // Bytes returns the number of bytes n elements occupy in precision p's
 // input representation.
 func Bytes(n int, p Precision) int64 { return int64(n) * int64(p.InputBytes()) }
-
-// QuantizeStochastic rounds every element of x to a neighbouring value of
-// precision p's input representation using stochastic rounding driven by
-// uniform — the Monte-Carlo arithmetic mode (§V) used to probe how much a
-// precision level perturbs an application. uniform must yield independent
-// U[0,1) variates. FP64 is an identity.
-func QuantizeStochastic(x []float64, p Precision, uniform func() float64) []float64 {
-	switch p {
-	case FP64:
-		return x
-	case FP32, TF32:
-		for i, v := range x {
-			x[i] = fp16.RoundStochasticF32(v, uniform())
-		}
-	case BF16x32, FP16x32, FP16:
-		for i, v := range x {
-			x[i] = fp16.RoundStochastic64(v, uniform())
-		}
-	default:
-		panic("prec: invalid precision " + p.String())
-	}
-	return x
-}

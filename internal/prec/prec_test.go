@@ -141,48 +141,3 @@ func TestQuantizeMonotonePrecision(t *testing.T) {
 		}
 	}
 }
-
-func TestQuantizeStochastic(t *testing.T) {
-	// The upper neighbour is chosen when u < p (p = fractional position),
-	// so u=0 forces up for any interior point and u≈1 forces down.
-	g := func() float64 { return 0.999999 }
-	x := []float64{1 + 0x1p-13}
-	QuantizeStochastic(x, FP16, g)
-	if x[0] != 1 {
-		t.Errorf("forced round-down gave %v, want 1", x[0])
-	}
-	y := []float64{1 + 0x1p-13}
-	QuantizeStochastic(y, FP16, func() float64 { return 0 })
-	if y[0] != 1+0x1p-10 {
-		t.Errorf("forced round-up gave %v, want %v", y[0], 1+0x1p-10)
-	}
-	// FP64 identity.
-	z := []float64{math.Pi}
-	QuantizeStochastic(z, FP64, g)
-	if z[0] != math.Pi {
-		t.Error("FP64 stochastic quantize not identity")
-	}
-	// Results are representable in the target format.
-	rng := stats0()
-	w := make([]float64, 100)
-	for i := range w {
-		w[i] = rng()
-	}
-	QuantizeStochastic(w, FP32, rng)
-	for _, v := range w {
-		if float64(float32(v)) != v {
-			t.Fatal("FP32 stochastic result not a float32")
-		}
-	}
-}
-
-// stats0 returns a tiny deterministic uniform generator for tests.
-func stats0() func() float64 {
-	s := uint64(88172645463325252)
-	return func() float64 {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		return float64(s%1000000) / 1000000
-	}
-}
