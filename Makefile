@@ -29,7 +29,8 @@ race:
 
 # Focused benchmark trajectory (see BENCH_kernels.json): per-precision
 # 256x256 GEMM + SYRK/TRSM kernels, the 64-tile GEMM/TRSM legs on normal
-# and on binary32-underflowing operands, the phantom NT=64 Cholesky, the
+# and on binary32-underflowing operands (TRSM also FP64 at 64 and 49), the
+# FP64 POTRF at n = 49, 64 and 1600, the phantom NT=64 Cholesky, the
 # Fig 12 weak-scaling step, the sweep pair (one-worker pool vs 4-worker
 # pool) and the event loop on a multi-rank phantom run (EngineMultiRank);
 # the last two run at -cpu 4 — benchjson records GOMAXPROCS per line, so they stay honest
@@ -45,7 +46,7 @@ race:
 BENCHTIME ?= 5x
 
 bench:
-	$(GO) test -run '^$$' -bench 'GemmNT256|SyrkTrsm256|GemmNT64|Trsm64' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/linalg/ > results/bench_after.txt
+	$(GO) test -run '^$$' -bench 'GemmNT256|SyrkTrsm256|GemmNT64|Trsm64|Potrf' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/linalg/ > results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'PhantomNT64$$' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/cholesky/ >> results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'Fig12WeakStep' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/bench/ >> results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'SweepParallel|EngineMultiRank' -benchmem -benchtime $(BENCHTIME) -cpu 4 ./internal/bench/ >> results/bench_after.txt

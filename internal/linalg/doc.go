@@ -19,13 +19,13 @@
 // binary16 with per-operation rounding (FP16), so the numerical error of a
 // kernel matches what the corresponding tensor-core kernel would commit.
 //
-// Micro-kernels (DESIGN.md §3.3). The FP64 kernels run on one shape — four
-// A rows × two vectors of packed B columns, k innermost, one accumulator
-// lane per output element, separate multiply and add — at the host's vector
-// width (SSE2, AVX2 or AVX-512 on amd64, picked at init; portable Go
-// elsewhere), with two entry points: dot64 (GEMM, SYRK) and the
-// fused-subtract sub64 (TRSM, POTRF). Every width gives the bits of the
-// naive triple loop, so results do not depend on it and it is not a
+// Micro-kernels (DESIGN.md §3.3). The FP64 GEMM and SYRK run four A rows ×
+// two vectors of packed B columns (dot64), one accumulator lane per output
+// element, separate multiply and add; TRSM and POTRF put independent rows
+// in lanes, the products with finished columns through the same shape
+// (sub64) and the in-block recurrence in the lane kernel. All run at the
+// host's vector width (SSE2, AVX2 or AVX-512 on amd64, picked at init;
+// portable Go elsewhere) with the naive loops' bits, so the width is not a
 // setting. The float32-accumulate GEMMs use a 4×4 SSE2 kernel.
 //
 // Underflow contract of the binary32 carrier: inside every float32-accumulate

@@ -14,7 +14,7 @@ import (
 // accumulator sums its products in exactly the order the naive triple loop
 // would — the blocked kernels are bit-identical to the seed kernels for every
 // input and at every width (pinned by the golden digest tests). B is repacked
-// into interleaved column blocks (packB64 / interleaveF32) so one vector load
+// into interleaved column blocks (packLanes) so one vector load
 // pulls the operand for all lanes; lanes never mix elements of one
 // accumulation.
 //
@@ -35,7 +35,7 @@ type Operand struct {
 	rows, k int
 
 	// FP64: the A side (and the B side of fewer than four remainder rows)
-	// is the tile itself — no copy; bp is the B side in packB64 blocks.
+	// is the tile itself — no copy; bp is the B side in packLanes blocks.
 	src []float64
 	ld  int
 	bp  []float64
@@ -60,7 +60,9 @@ func (o *Operand) Pack(p prec.Precision, rows, k int, src []float64, ld int, bSi
 	if p == prec.FP64 {
 		o.src, o.ld = src, ld
 		if bSide {
-			o.bp, o.bpp = packB64Scratch(src, rows, k, ld)
+			nb := vecWidth.nb()
+			o.bp, o.bpp = f64Scratch((rows + nb - 1) / nb * nb * k)
+			packLanes(o.bp, src, rows, k, ld, nb)
 		}
 		return
 	}
@@ -78,7 +80,7 @@ func (o *Operand) Pack(p prec.Precision, rows, k int, src []float64, ld int, bSi
 	}
 	if bSide {
 		o.bq, o.bqp = f32Scratch((rows + nb - 1) / nb * nb * k)
-		interleaveF32(o.bq, o.f32, rows, k, nb)
+		packLanes(o.bq, o.f32, rows, k, k, nb)
 	}
 }
 
@@ -146,7 +148,7 @@ func GemmNTPrec(p prec.Precision, m, n, k int, alpha float64, a []float64, lda i
 }
 
 // gemmNT64 runs the FP64 micro-kernel over every whole group of four rows —
-// bp is B in packB64 blocks, empty when there is no dot-product work (k = 0)
+// bp is B in packLanes blocks, empty when there is no dot-product work (k = 0)
 // or B was not packed — and the seed scalar loop over the remainder rows,
 // which read b row-major.
 func gemmNT64(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, bp []float64, beta float64, c []float64, ldc int) {
@@ -193,25 +195,6 @@ func dotPartial64(k int, a []float64, lda int, bp []float64, alpha, beta float64
 	}
 }
 
-// subPartial64 is sub64 for a block that is not stored whole, with the
-// column limits of dotPartial64: the kept entries are staged through a
-// stack block whose other lanes are zero, and only they are written back.
-func subPartial64(k int, a []float64, lda int, bp []float64, c []float64, ldc, lim, step int) {
-	var t [4 * maxNB]float64
-	nb := vecWidth.nb()
-	for r := 0; r < 4; r++ {
-		if w := min(nb, lim+r*step); w > 0 {
-			copy(t[r*nb:], c[r*ldc:][:w])
-		}
-	}
-	sub64(k, a, lda, bp, t[:], nb)
-	for r := 0; r < 4; r++ {
-		if w := min(nb, lim+r*step); w > 0 {
-			copy(c[r*ldc:][:w], t[r*nb:])
-		}
-	}
-}
-
 // gemmNT64Tail is the seed scalar loop over rows [i0,i1) — the remainder
 // rows of a panel (fewer than four) read B directly in row-major form.
 func gemmNT64Tail(i0, i1, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
@@ -233,34 +216,27 @@ func gemmNT64Tail(i0, i1, n, k int, alpha float64, a []float64, lda int, b []flo
 	}
 }
 
-// packB64 packs the n×k row-major matrix (stride ld) into column blocks of
-// nb: dst[jb·nb·k + l·nb + jj] = src[(jb·nb+jj)·ld + l], the B operand of
-// dot64 / sub64. Rows past n in the last block are zero padding (their
-// lanes are computed and discarded — zero products never perturb the other
-// lanes because packed operations are per-lane).
-func packB64(dst, src []float64, n, k, ld, nb int) {
+// packLanes packs the n×k row-major matrix (stride ld) into blocks of nb
+// rows, a row per vector lane: dst[jb·nb·k + l·nb + jj] = src[(jb·nb+jj)·ld
+// + l] — the B operand of the GEMM micro-kernels and the lane kernel's
+// layout. Rows past n are zero padding: their lanes are computed and
+// discarded, and packed operations never mix lanes.
+func packLanes[T float32 | float64](dst, src []T, n, k, ld, nb int) {
 	for j0 := 0; j0 < n; j0 += nb {
 		out := dst[j0*k:][:nb*k]
-		for jj := 0; jj < nb; jj++ {
-			if j0+jj < n {
-				for l, v := range src[(j0+jj)*ld:][:k] {
-					out[l*nb+jj] = v
-				}
-			} else {
-				for l := 0; l < k; l++ {
-					out[l*nb+jj] = 0
-				}
-			}
+		if n-j0 < nb {
+			clear(out)
 		}
+		transpose(min(nb, n-j0), k, src[j0*ld:], ld, out, nb)
 	}
 }
 
-// packB64Scratch packs src at the active width into a pooled buffer.
-func packB64Scratch(src []float64, n, k, ld int) ([]float64, *[]float64) {
-	nb := vecWidth.nb()
-	bp, bpp := f64Scratch((n + nb - 1) / nb * nb * k)
-	packB64(bp, src, n, k, ld, nb)
-	return bp, bpp
+// unpackLanes is the inverse of packLanes: it stores the n rows held in
+// src's blocks of nb lanes into the n×k row-major dst (stride ld).
+func unpackLanes(dst, src []float64, n, k, ld, nb int) {
+	for j0 := 0; j0 < n; j0 += nb {
+		transpose(k, min(nb, n-j0), src[j0*k:], nb, dst[j0*ld:], ld)
+	}
 }
 
 // gemmNT32Panel is the shared float32-accumulation micro-kernel body for
@@ -338,29 +314,6 @@ func gemmNT32Panel(i0, i1, n, k int, al float32, betaZero bool, be float32, af, 
 					s += ai[l] * bj[l]
 				}
 				ci[j] = float64(al*s + be*float32(ci[j]))
-			}
-		}
-	}
-}
-
-// interleaveF32 packs the already-quantized row-major n×k matrix (stride k)
-// into column blocks of nb: dst[jb·nb·k + nb·l + jj] = src[(nb·jb+jj)·k + l],
-// the operand layout of dotNT4x4f32 (nb = 4) and dotNT4x8f16 (nb = 8). Rows
-// past n are zero padding; their lanes are computed and discarded at the
-// store.
-func interleaveF32(dst, src []float32, n, k, nb int) {
-	for j0 := 0; j0 < n; j0 += nb {
-		out := dst[j0*k:][:nb*k]
-		for jj := 0; jj < nb; jj++ {
-			if j0+jj < n {
-				row := src[(j0+jj)*k:][:k]
-				for l := 0; l < k; l++ {
-					out[nb*l+jj] = row[l]
-				}
-			} else {
-				for l := 0; l < k; l++ {
-					out[nb*l+jj] = 0
-				}
 			}
 		}
 	}

@@ -1,5 +1,7 @@
 package linalg
 
+import "math"
+
 // width is the number of float64 lanes per vector the FP64 micro-kernel
 // runs at; widthGo is the portable pure-Go instantiation (the only one off
 // amd64, and the reference the assembled widths are tested against).
@@ -85,5 +87,57 @@ func subKernGo(k int, a []float64, lda int, bp []float64, c []float64, ldc int) 
 	accGo(k, a, lda, bp, -1, &s)
 	for r := 0; r < 4; r++ {
 		copy(c[r*ldc:][:4], s[4*r:])
+	}
+}
+
+// How the lane kernel finishes a column (lanesGo).
+const (
+	laneDiv   = iota // s / a(j, j): the triangular solve
+	laneScale        // s·(1/a(j, j)): a Cholesky column below its pivot
+	lanePivot        // the Cholesky's pivot group, a(j, j) = lane j−j0 of x[j]
+)
+
+// lanesGo is the lane kernel in portable Go, the assembled widths'
+// reference. x holds nl rows, one per lane (x[l·nl+r] is element l of row
+// r); for j in [j0, j1) every lane of column j runs s −= x[l]·a(j, l) over
+// l = l0..j−1, with a(j, l) = a[(j−j0)·rs + (l−l0)·cs], and mode finishes
+// it. A lanePivot d must be positive and becomes √d. It returns the columns
+// finished; fewer than j1−j0 when a pivot is not (left in x[j] unscaled).
+func lanesGo[T float32 | float64](nl int, x, a []T, l0, j0, j1, rs, cs, mode int) int {
+	for j := j0; j < j1; j++ {
+		aj, xj := a[(j-j0)*rs:], x[j*nl:][:nl]
+		for l := l0; l < j; l++ {
+			for r, v := range x[l*nl:][:nl] {
+				xj[r] -= v * aj[(l-l0)*cs]
+			}
+		}
+		d := aj[(j-l0)*cs]
+		if mode == lanePivot {
+			if !(d > 0) {
+				return j - j0
+			}
+			d = T(math.Sqrt(float64(d)))
+		}
+		inv := 1 / d
+		for r := range xj {
+			if mode == laneDiv {
+				xj[r] /= d
+			} else {
+				xj[r] *= inv
+			}
+		}
+		if mode == lanePivot {
+			xj[j-j0] = d
+		}
+	}
+	return j1 - j0
+}
+
+// transposeGo is transpose in portable Go.
+func transposeGo[T float32 | float64](rows, cols int, src []T, lds int, dst []T, ldd int) {
+	for r := 0; r < rows; r++ {
+		for c, v := range src[r*lds:][:cols] {
+			dst[c*ldd+r] = v
+		}
 	}
 }

@@ -72,6 +72,73 @@ func sub64(k int, a []float64, lda int, bp []float64, c []float64, ldc int) {
 	}
 }
 
+// lanes64 runs the lane kernel (lanesGo) at the active width on a group of
+// vecWidth.nb() rows; lanes32 on a group of twice as many binary32 rows.
+func lanes64(x, a []float64, l0, j0, j1, rs, cs, mode int) int {
+	if j1 > j0 {
+		_, _ = x[j1*vecWidth.nb()-1], a[(j1-1-j0)*rs+(j1-1-l0)*cs]
+	}
+	switch vecWidth {
+	case widthAVX512:
+		return lanesKernAVX512(x, a, l0, j0, j1, rs, cs, mode)
+	case widthAVX2:
+		return lanesKernAVX2(x, a, l0, j0, j1, rs, cs, mode)
+	case widthSSE2:
+		return lanesKernSSE2(x, a, l0, j0, j1, rs, cs, mode)
+	}
+	return lanesGo(vecWidth.nb(), x, a, l0, j0, j1, rs, cs, mode)
+}
+
+func lanes32(x, a []float32, l0, j0, j1, rs, cs, mode int) int {
+	if j1 > j0 {
+		_, _ = x[j1*2*vecWidth.nb()-1], a[(j1-1-j0)*rs+(j1-1-l0)*cs]
+	}
+	switch vecWidth {
+	case widthAVX512:
+		return lanesKern32AVX512(x, a, l0, j0, j1, rs, cs, mode)
+	case widthAVX2:
+		return lanesKern32AVX2(x, a, l0, j0, j1, rs, cs, mode)
+	case widthSSE2:
+		return lanesKern32SSE2(x, a, l0, j0, j1, rs, cs, mode)
+	}
+	return lanesGo(2*vecWidth.nb(), x, a, l0, j0, j1, rs, cs, mode)
+}
+
+// transpose stores the rows×cols matrix src (stride lds) transposed into
+// dst (stride ldd), dst[c·ldd+r] = src[r·lds+c], for the lane layouts. It
+// moves data only: float64 takes one SSE2 form at every width but Go's.
+func transpose[T float32 | float64](rows, cols int, src []T, lds int, dst []T, ldd int) {
+	s, ok := any(src).([]float64)
+	if !ok || vecWidth == widthGo || rows <= 0 || cols <= 0 {
+		transposeGo(rows, cols, src, lds, dst, ldd)
+		return
+	}
+	d := any(dst).([]float64)
+	_, _ = s[(rows-1)*lds+cols-1], d[(cols-1)*ldd+rows-1]
+	transposeSSE2(rows, cols, s, lds, d, ldd)
+}
+
+//go:noescape
+func transposeSSE2(rows, cols int, src []float64, lds int, dst []float64, ldd int)
+
+//go:noescape
+func lanesKernSSE2(x, a []float64, l0, j0, j1, rs, cs, mode int) int
+
+//go:noescape
+func lanesKern32SSE2(x, a []float32, l0, j0, j1, rs, cs, mode int) int
+
+//go:noescape
+func lanesKernAVX2(x, a []float64, l0, j0, j1, rs, cs, mode int) int
+
+//go:noescape
+func lanesKern32AVX2(x, a []float32, l0, j0, j1, rs, cs, mode int) int
+
+//go:noescape
+func lanesKernAVX512(x, a []float64, l0, j0, j1, rs, cs, mode int) int
+
+//go:noescape
+func lanesKern32AVX512(x, a []float32, l0, j0, j1, rs, cs, mode int) int
+
 //go:noescape
 func dotKernSSE2(k int, a []float64, lda int, bp []float64, alpha, beta float64, c []float64, ldc int)
 

@@ -1,5 +1,6 @@
 //go:build amd64
 
+#include "go_asm.h"
 #include "textflag.h"
 
 // The FP64 micro-kernel: four A rows × two vectors of B columns, k
@@ -145,6 +146,100 @@ substore:                    \
 	KERN_STORE               \
 	KRET
 
+// LANE_BODY: the lane kernel (lanesGo in kernel.go). x holds one group of
+// rows transposed, a row per lane, so a column of the group is two vectors;
+// for each column j in [j0, j1) every lane runs s −= x[l]·a(j, l) over
+// l = l0..j−1 (separate multiply and subtract), then finishes by mode:
+// laneDiv divides by a(j, j); laneScale multiplies by 1/a(j, j), the
+// reciprocal taken on one element and broadcast; lanePivot first stores s
+// and reads back the pivot, the lane of x[j] that a(j, j) names, returns
+// unless it compares above zero (JLS also takes NaN, which compares
+// unordered), and scales by the reciprocal of its square root, which then
+// replaces the pivot lane. The same body runs on float64 and on float32
+// lanes — ESH, the L* (vector) and S* (one element) macros are defined per
+// precision beside each instantiation — and on float32 a column holds
+// twice the rows.
+//
+// Registers: DI x[l0]; SI x[j]; R8 a(j, l0), R9 a(j, l) walking l by DX
+// (cs in bytes) and ending on a(j, j); BX rs in bytes; R12 the length
+// j − l0 of column j's recurrence; R13 x[l]; CX the l count; R10 the number
+// of columns j1 − j0; AX the columns finished; R11 mode.
+#define LANE_BODY \
+	SHLQ $ESH, BX            \
+	SHLQ $ESH, DX            \
+	MOVQ AX, R12             \
+	SUBQ CX, R12             \
+	SUBQ AX, R10             \
+	IMULQ $(2*VB), CX        \
+	IMULQ $(2*VB), AX        \
+	LEAQ (DI)(AX*1), SI      \
+	ADDQ CX, DI              \
+	XORQ AX, AX              \
+	TESTQ R10, R10           \
+	JLE  lanedone            \
+lanecol:                     \
+	VLOAD(0(SI), V0)         \
+	VLOAD(VB(SI), V1)        \
+	MOVQ R8, R9              \
+	MOVQ DI, R13             \
+	MOVQ R12, CX             \
+	TESTQ CX, CX             \
+	JZ   lanefin             \
+laneloop:                    \
+	LBCAST((R9), V10)        \
+	LMUL(0(R13), V10, V11)   \
+	LSUB(V11, V0)            \
+	LMUL(VB(R13), V10, V12)  \
+	LSUB(V12, V1)            \
+	ADDQ DX, R9              \
+	ADDQ $(2*VB), R13        \
+	DECQ CX                  \
+	JNZ  laneloop            \
+lanefin:                     \
+	CMPQ R11, $const_laneScale \
+	JLT  lanediv             \
+	JEQ  lanescale           \
+	VSTORE(V0, 0(SI))        \
+	VSTORE(V1, VB(SI))       \
+	SLOAD((R9), X10)         \
+	VZERO(V11)               \
+	SUCOM X11, X10           \
+	JLS  lanedone            \
+	SSQRT(X10)               \
+	JMP  laneinv             \
+lanescale:                   \
+	SLOAD((R9), X10)         \
+laneinv:                     \
+	SRECIP(X10, X11)         \
+	RBCAST(X11, V11)         \
+	LSCALE(V11, V0)          \
+	LSCALE(V11, V1)          \
+	VSTORE(V0, 0(SI))        \
+	VSTORE(V1, VB(SI))       \
+	CMPQ R11, $const_lanePivot \
+	JNE  lanenext            \
+	SSTORE(X10, (R9))        \
+	JMP  lanenext            \
+lanediv:                     \
+	LBCAST((R9), V10)        \
+	LDIV(V10, V0)            \
+	LDIV(V10, V1)            \
+	VSTORE(V0, 0(SI))        \
+	VSTORE(V1, VB(SI))       \
+lanenext:                    \
+	ADDQ $(2*VB), SI         \
+	ADDQ BX, R8              \
+	INCQ R12                 \
+	INCQ AX                  \
+	CMPQ AX, R10             \
+	JLT  lanecol             \
+lanedone:
+
+DATA one64<>+0(SB)/8, $0x3ff0000000000000
+GLOBL one64<>(SB), RODATA|NOPTR, $8
+DATA one32<>+0(SB)/4, $0x3f800000
+GLOBL one32<>(SB), RODATA|NOPTR, $4
+
 // ---- SSE2: 2 lanes, legacy encoding (the amd64 baseline) ----
 
 #define V0 X0
@@ -159,6 +254,7 @@ substore:                    \
 #define V9 X9
 #define V10 X10
 #define V11 X11
+#define V12 X12
 #define VB 16
 #define VZERO(r) XORPS r, r
 #define VLOAD(m, r) MOVUPD m, r
@@ -206,6 +302,84 @@ TEXT ·subKernSSE2(SB), NOSPLIT, $0-96
 	MOVQ ldc+88(FP), DX
 	SUB_BODY
 
+#define ESH 3
+#define LBCAST(m, r) MOVSD m, r; UNPCKLPD r, r
+#define LMUL(m, b, t) MOVUPD m, t; MULPD b, t
+#define LSUB(t, r) SUBPD t, r
+#define LDIV(d, r) DIVPD d, r
+#define LSCALE(s, r) MULPD s, r
+#define RBCAST(x, r) UNPCKLPD r, r
+#define SLOAD(m, x) MOVSD m, x
+#define SSTORE(x, m) MOVSD x, m
+#define SSQRT(x) SQRTSD x, x
+#define SRECIP(d, x) MOVSD one64<>(SB), x; DIVSD d, x
+#define SUCOM UCOMISD
+
+// func lanesKernSSE2(x, a []float64, l0, j0, j1, rs, cs, mode int) int
+TEXT ·lanesKernSSE2(SB), NOSPLIT, $0-104
+	MOVQ x_base+0(FP), DI
+	MOVQ a_base+24(FP), R8
+	MOVQ l0+48(FP), CX
+	MOVQ j0+56(FP), AX
+	MOVQ j1+64(FP), R10
+	MOVQ rs+72(FP), BX
+	MOVQ cs+80(FP), DX
+	MOVQ mode+88(FP), R11
+	LANE_BODY
+	MOVQ AX, ret+96(FP)
+	KRET
+
+#undef ESH
+#undef LBCAST
+#undef LMUL
+#undef LSUB
+#undef LDIV
+#undef LSCALE
+#undef RBCAST
+#undef SLOAD
+#undef SSTORE
+#undef SSQRT
+#undef SRECIP
+#undef SUCOM
+#define ESH 2
+#define LBCAST(m, r) MOVSS m, r; SHUFPS $0, r, r
+#define LMUL(m, b, t) MOVUPS m, t; MULPS b, t
+#define LSUB(t, r) SUBPS t, r
+#define LDIV(d, r) DIVPS d, r
+#define LSCALE(s, r) MULPS s, r
+#define RBCAST(x, r) SHUFPS $0, r, r
+#define SLOAD(m, x) MOVSS m, x
+#define SSTORE(x, m) MOVSS x, m
+#define SSQRT(x) SQRTSS x, x
+#define SRECIP(d, x) MOVSS one32<>(SB), x; DIVSS d, x
+#define SUCOM UCOMISS
+
+// func lanesKern32SSE2(x, a []float32, l0, j0, j1, rs, cs, mode int) int
+TEXT ·lanesKern32SSE2(SB), NOSPLIT, $0-104
+	MOVQ x_base+0(FP), DI
+	MOVQ a_base+24(FP), R8
+	MOVQ l0+48(FP), CX
+	MOVQ j0+56(FP), AX
+	MOVQ j1+64(FP), R10
+	MOVQ rs+72(FP), BX
+	MOVQ cs+80(FP), DX
+	MOVQ mode+88(FP), R11
+	LANE_BODY
+	MOVQ AX, ret+96(FP)
+	KRET
+
+#undef ESH
+#undef LBCAST
+#undef LMUL
+#undef LSUB
+#undef LDIV
+#undef LSCALE
+#undef RBCAST
+#undef SLOAD
+#undef SSTORE
+#undef SSQRT
+#undef SRECIP
+#undef SUCOM
 #undef V0
 #undef V1
 #undef V2
@@ -218,6 +392,7 @@ TEXT ·subKernSSE2(SB), NOSPLIT, $0-96
 #undef V9
 #undef V10
 #undef V11
+#undef V12
 #undef VB
 #undef VZERO
 #undef VLOAD
@@ -290,6 +465,72 @@ TEXT ·subKernAVX2(SB), NOSPLIT, $0-96
 	MOVQ ldc+88(FP), DX
 	SUB_BODY
 
+#define ESH 3
+#define LBCAST(m, r) VBROADCASTSD m, r
+#define LMUL(m, b, t) VMULPD m, b, t
+#define LSUB(t, r) VSUBPD t, r, r
+#define LDIV(d, r) VDIVPD d, r, r
+#define LSCALE(s, r) VMULPD s, r, r
+#define RBCAST(x, r) VBROADCASTSD x, r
+#define SLOAD(m, x) VMOVSD m, x
+#define SSTORE(x, m) VMOVSD x, m
+#define SSQRT(x) VSQRTSD x, x, x
+#define SRECIP(d, x) VMOVSD one64<>(SB), x; VDIVSD d, x, x
+#define SUCOM VUCOMISD
+
+// func lanesKernAVX2(x, a []float64, l0, j0, j1, rs, cs, mode int) int
+TEXT ·lanesKernAVX2(SB), NOSPLIT, $0-104
+	MOVQ x_base+0(FP), DI
+	MOVQ a_base+24(FP), R8
+	MOVQ l0+48(FP), CX
+	MOVQ j0+56(FP), AX
+	MOVQ j1+64(FP), R10
+	MOVQ rs+72(FP), BX
+	MOVQ cs+80(FP), DX
+	MOVQ mode+88(FP), R11
+	LANE_BODY
+	MOVQ AX, ret+96(FP)
+	KRET
+
+#undef ESH
+#undef LBCAST
+#undef LMUL
+#undef LSUB
+#undef LDIV
+#undef LSCALE
+#undef RBCAST
+#undef SLOAD
+#undef SSTORE
+#undef SSQRT
+#undef SRECIP
+#undef SUCOM
+#define ESH 2
+#define LBCAST(m, r) VBROADCASTSS m, r
+#define LMUL(m, b, t) VMULPS m, b, t
+#define LSUB(t, r) VSUBPS t, r, r
+#define LDIV(d, r) VDIVPS d, r, r
+#define LSCALE(s, r) VMULPS s, r, r
+#define RBCAST(x, r) VBROADCASTSS x, r
+#define SLOAD(m, x) VMOVSS m, x
+#define SSTORE(x, m) VMOVSS x, m
+#define SSQRT(x) VSQRTSS x, x, x
+#define SRECIP(d, x) VMOVSS one32<>(SB), x; VDIVSS d, x, x
+#define SUCOM VUCOMISS
+
+// func lanesKern32AVX2(x, a []float32, l0, j0, j1, rs, cs, mode int) int
+TEXT ·lanesKern32AVX2(SB), NOSPLIT, $0-104
+	MOVQ x_base+0(FP), DI
+	MOVQ a_base+24(FP), R8
+	MOVQ l0+48(FP), CX
+	MOVQ j0+56(FP), AX
+	MOVQ j1+64(FP), R10
+	MOVQ rs+72(FP), BX
+	MOVQ cs+80(FP), DX
+	MOVQ mode+88(FP), R11
+	LANE_BODY
+	MOVQ AX, ret+96(FP)
+	KRET
+
 #undef V0
 #undef V1
 #undef V2
@@ -345,6 +586,59 @@ TEXT ·subKernAVX512(SB), NOSPLIT, $0-96
 	MOVQ c_base+64(FP), DI
 	MOVQ ldc+88(FP), DX
 	SUB_BODY
+
+// func lanesKern32AVX512(x, a []float32, l0, j0, j1, rs, cs, mode int) int
+TEXT ·lanesKern32AVX512(SB), NOSPLIT, $0-104
+	MOVQ x_base+0(FP), DI
+	MOVQ a_base+24(FP), R8
+	MOVQ l0+48(FP), CX
+	MOVQ j0+56(FP), AX
+	MOVQ j1+64(FP), R10
+	MOVQ rs+72(FP), BX
+	MOVQ cs+80(FP), DX
+	MOVQ mode+88(FP), R11
+	LANE_BODY
+	MOVQ AX, ret+96(FP)
+	KRET
+
+#undef ESH
+#undef LBCAST
+#undef LMUL
+#undef LSUB
+#undef LDIV
+#undef LSCALE
+#undef RBCAST
+#undef SLOAD
+#undef SSTORE
+#undef SSQRT
+#undef SRECIP
+#undef SUCOM
+#define ESH 3
+#define LBCAST(m, r) VBROADCASTSD m, r
+#define LMUL(m, b, t) VMULPD m, b, t
+#define LSUB(t, r) VSUBPD t, r, r
+#define LDIV(d, r) VDIVPD d, r, r
+#define LSCALE(s, r) VMULPD s, r, r
+#define RBCAST(x, r) VBROADCASTSD x, r
+#define SLOAD(m, x) VMOVSD m, x
+#define SSTORE(x, m) VMOVSD x, m
+#define SSQRT(x) VSQRTSD x, x, x
+#define SRECIP(d, x) VMOVSD one64<>(SB), x; VDIVSD d, x, x
+#define SUCOM VUCOMISD
+
+// func lanesKernAVX512(x, a []float64, l0, j0, j1, rs, cs, mode int) int
+TEXT ·lanesKernAVX512(SB), NOSPLIT, $0-104
+	MOVQ x_base+0(FP), DI
+	MOVQ a_base+24(FP), R8
+	MOVQ l0+48(FP), CX
+	MOVQ j0+56(FP), AX
+	MOVQ j1+64(FP), R10
+	MOVQ rs+72(FP), BX
+	MOVQ cs+80(FP), DX
+	MOVQ mode+88(FP), R11
+	LANE_BODY
+	MOVQ AX, ret+96(FP)
+	KRET
 
 // func dotNT4x4f32(k int, a0, a1, a2, a3, bq []float32, s *[16]float32)
 //
@@ -454,6 +748,76 @@ loop16:
 	VMOVUPS Y2, 64(DI)
 	VMOVUPS Y3, 96(DI)
 	VZEROUPPER
+	RET
+
+// func transposeSSE2(rows, cols int, src []float64, lds int, dst []float64, ldd int)
+//
+// dst[c·ldd+r] = src[r·lds+c], two rows at a time: a 2×2 block is two
+// loads, UNPCKLPD/UNPCKHPD, and two stores. An odd last column or row goes
+// element by element. SI and R8/R9 walk the source rows, DI and R10 the
+// destination; CX, DX are the strides in bytes.
+TEXT ·transposeSSE2(SB), NOSPLIT, $0-80
+	MOVQ rows+0(FP), AX
+	MOVQ cols+8(FP), BX
+	MOVQ src_base+16(FP), SI
+	MOVQ lds+40(FP), CX
+	MOVQ dst_base+48(FP), DI
+	MOVQ ldd+72(FP), DX
+	SHLQ $3, CX
+	SHLQ $3, DX
+	SUBQ $2, AX
+	JL   tlast
+
+tpair:
+	MOVQ SI, R8
+	LEAQ (SI)(CX*1), R9
+	MOVQ DI, R10
+	MOVQ BX, R12
+	SUBQ $2, R12
+	JL   tpaircol
+
+tpairloop:
+	MOVUPD (R8), X0
+	MOVUPD (R9), X1
+	MOVAPD X0, X2
+	UNPCKLPD X1, X0
+	UNPCKHPD X1, X2
+	MOVUPD X0, (R10)
+	MOVUPD X2, (R10)(DX*1)
+	ADDQ $16, R8
+	ADDQ $16, R9
+	LEAQ (R10)(DX*2), R10
+	SUBQ $2, R12
+	JGE  tpairloop
+
+tpaircol:
+	CMPQ R12, $-1
+	JNE  tpairnext
+	MOVSD (R8), X0
+	MOVSD (R9), X1
+	UNPCKLPD X1, X0
+	MOVUPD X0, (R10)
+
+tpairnext:
+	LEAQ (SI)(CX*2), SI
+	ADDQ $16, DI
+	SUBQ $2, AX
+	JGE  tpair
+
+tlast:
+	CMPQ AX, $-1
+	JNE  tdone
+	MOVQ BX, R12
+
+tlastloop:
+	MOVSD (SI), X0
+	MOVSD X0, (DI)
+	ADDQ $8, SI
+	ADDQ DX, DI
+	DECQ R12
+	JNZ  tlastloop
+
+tdone:
 	RET
 
 // func getMXCSR() uint32

@@ -14,6 +14,18 @@ func sub64(k int, a []float64, lda int, bp []float64, c []float64, ldc int) {
 	subKernGo(k, a, lda, bp, c, ldc)
 }
 
+func lanes64(x, a []float64, l0, j0, j1, rs, cs, mode int) int {
+	return lanesGo(4, x, a, l0, j0, j1, rs, cs, mode)
+}
+
+func lanes32(x, a []float32, l0, j0, j1, rs, cs, mode int) int {
+	return lanesGo(8, x, a, l0, j0, j1, rs, cs, mode)
+}
+
+func transpose[T float32 | float64](rows, cols int, src []T, lds int, dst []T, ldd int) {
+	transposeGo(rows, cols, src, lds, dst, ldd)
+}
+
 // Off amd64 there is no hardware binary16 kernel: gemmNT16Panel does all
 // rows and no operand carries the B side dotNT4x8f16 would read.
 var useF16C = false

@@ -107,20 +107,56 @@ func BenchmarkGemmNT64(b *testing.B) {
 	}
 }
 
+// BenchmarkTrsm64 also has an FP64 leg at the Monte-Carlo study's tile
+// size, 49.
 func BenchmarkTrsm64(b *testing.B) {
-	const n = 64
-	x := make([]float64, n*n)
 	for _, leg := range []struct {
 		name  string
+		n     int
+		p     prec.Precision
 		scale float64
-	}{{"FP32", 1}, {"FP32-underflow", 1e-21}} {
+	}{
+		{"FP64", 64, prec.FP64, 1}, {"FP64-n49", 49, prec.FP64, 1},
+		{"FP32", 64, prec.FP32, 1}, {"FP32-underflow", 64, prec.FP32, 1e-21},
+	} {
+		n := leg.n
+		x := make([]float64, n*n)
 		rhs := scaled(benchMatrix(n, n), leg.scale)
 		tri := benchTriangle(rhs, n)
 		b.Run(leg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(x, rhs)
-				TrsmRLT32(n, n, tri, n, x, n)
+				TrsmRLTPrec(leg.p, n, n, tri, n, x, n)
 			}
 		})
 	}
+}
+
+// BenchmarkPotrf times the FP64 Cholesky at the Monte-Carlo study's tile
+// size (49), at fit_matern's (64), and at the dense factor n = 1600 that
+// geo.SimulateField runs when a 1600-point dataset is drawn.
+func BenchmarkPotrf(b *testing.B) {
+	for _, n := range []int{49, 64, 1600} {
+		spd := benchTriangle(benchSPD(n), n)
+		a := make([]float64, n*n)
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(a, spd)
+				if err := PotrfLower(n, a, n); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(n)*float64(n)*float64(n)/3*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
+		})
+	}
+}
+
+// benchSPD returns the n×n Gram matrix of an n×n benchMatrix divided by n:
+// symmetric positive semi-definite with entries of order 1, so benchTriangle
+// of it is well-conditioned.
+func benchSPD(n int) []float64 {
+	m := benchMatrix(n, n)
+	g := make([]float64, n*n)
+	GemmNTPrec(prec.FP64, n, n, n, 1/float64(n), m, n, m, n, 0, g, n)
+	return g
 }

@@ -3,7 +3,6 @@ package linalg
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrNotPositiveDefinite is returned by the POTRF kernels when a pivot is
@@ -16,59 +15,35 @@ var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite
 // leaving L in the lower triangle. The strict upper triangle is not
 // referenced.
 //
-// Left-looking by column block J = [j0, j0+nb): first A[j0:, J] loses its
-// products with the factored columns, A[j0:, J] −= A[j0:, 0:j0]·A[J, 0:j0]ᵀ,
-// through the fused-subtract micro-kernel (l ascending; the rows of the
-// diagonal block store only j ≤ i), then the columns of J are factored and
-// scaled in scalar over l in [j0, j). Every element keeps the subtraction
-// order of the unblocked loop: bit-identical.
+// The rows below a column are independent chains: they run in vector
+// lanes, group g holding rows [g·nb, g·nb+nb) over columns [0, g·nb+nb),
+// left-looking by column block (laneBlock); the group of a block's pivots
+// runs first, the groups below read L from A. Every element keeps the
+// subtraction order of the unblocked loop: bit-identical.
 func PotrfLower(n int, a []float64, lda int) error {
 	nb := vecWidth.nb()
-	bp, bpp := f64Scratch(nb * n)
-	defer putF64(bpp)
-	for j0 := 0; j0 < n; j0 += nb {
-		jn := min(nb, n-j0)
-		i4 := j0 // rows [j0, i4) were updated through the kernel
-		if j0 > 0 {
-			packB64(bp, a[j0*lda:], jn, j0, lda, nb)
-			for ; i4+4 <= n; i4 += 4 {
-				ai := a[i4*lda:]
-				if i4 >= j0+nb {
-					sub64(j0, ai, lda, bp, ai[j0:], lda)
-				} else {
-					subPartial64(j0, ai, lda, bp, ai[j0:], lda, i4-j0+1, 1)
-				}
-			}
+	groups := (n + nb - 1) / nb
+	p, pp := f64Scratch(nb * nb * groups * (groups + 1) / 2)
+	defer putF64(pp)
+	group := func(g int) []float64 { return p[nb*nb*g*(g+1)/2:][:nb*nb*(g+1)] }
+	clear(p)
+	for i := 0; i < n; i++ { // row i's lower triangle into lane i mod nb
+		xg := group(i / nb)
+		transpose(1, i+1, a[i*lda:], lda, xg[i%nb:], nb)
+	}
+	for gd := 0; gd < groups; gd++ {
+		xd, j0 := group(gd), gd*nb
+		jn := min(j0+nb, n)
+		if j := laneBlock(xd, nb, j0, jn, a, lda, xd, -j0, 1, nb, lanePivot); j < jn {
+			return fmt.Errorf("%w: pivot %d is %g", ErrNotPositiveDefinite, j, xd[j*nb+j-j0])
 		}
-		for j := j0; j < j0+jn; j++ {
-			aj := a[j*lda:][:j+1]
-			l0 := j0
-			if j >= i4 {
-				l0 = 0 // a remainder row: nothing subtracted yet
-			}
-			d := aj[j]
-			for _, v := range aj[l0:j] {
-				d -= v * v
-			}
-			if d <= 0 || math.IsNaN(d) {
-				return fmt.Errorf("%w: pivot %d is %g", ErrNotPositiveDefinite, j, d)
-			}
-			d = math.Sqrt(d)
-			aj[j] = d
-			inv := 1 / d
-			for i := j + 1; i < n; i++ {
-				l0 := j0
-				if i >= i4 {
-					l0 = 0
-				}
-				ai := a[i*lda:][:j+1]
-				ajl := aj[l0:j]
-				s := ai[j]
-				for l, v := range ai[l0:j] {
-					s -= v * ajl[l]
-				}
-				ai[j] = s * inv
-			}
+		for i := j0; i < jn; i++ {
+			transpose(i-j0+1, 1, xd[j0*nb+i-j0:], nb, a[i*lda+j0:], 1)
+		}
+		for g := gd + 1; g < groups; g++ {
+			xg, i0 := group(g), g*nb
+			laneBlock(xg, nb, j0, jn, a, lda, a, 0, lda, 1, laneScale)
+			unpackLanes(a[i0*lda+j0:], xg[j0*nb:], min(nb, n-i0), jn-j0, lda, nb)
 		}
 	}
 	return nil

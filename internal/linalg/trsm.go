@@ -8,132 +8,71 @@ import "geompc/internal/prec"
 // Right, uplo Lower, transA Trans, diag NonUnit, alpha 1 — the tile update
 // A[m][k] = A[m][k]·A[k][k]^{-T} of Algorithm 1.
 //
-// Element (i,j) is b[i][j] minus its products b[i][l]·a[j][l] in increasing
-// l, divided by the pivot. Whole groups of four rows take the products
-// through the fused-subtract micro-kernel: column block J = [j0, j0+nb)
-// first loses those with the solved columns l < j0 (the strictly lower
-// block rows of A are packed once), then, four columns at a time, the short
-// rest of each recurrence runs in scalar and the block's later columns lose
-// the products with the four just solved. Every element is subtracted from
-// in the order of the scalar loop: bit-identical.
+// The rows of B are independent chains: they run in vector lanes, nb at a
+// time, by column block (laneBlock). Every element subtracts its products
+// b[i][l]·a[j][l] in increasing l: bit-identical to the scalar loop.
 func TrsmRLT(m, n int, a []float64, lda int, b []float64, ldb int) {
-	const leaf = 4 // columns finished in scalar at a time; divides every nb
 	nb := vecWidth.nb()
-	m4 := m &^ 3 // rows updated through the kernel
-	if m4 > 0 {
-		blocks := (n + nb - 1) / nb
-		ap, app := f64Scratch(nb * nb * blocks * (blocks - 1) / 2) // Σ nb·j0 over j0 = nb, 2nb, …
-		for j0, off := nb, 0; j0 < n; j0, off = j0+nb, off+nb*j0 {
-			packB64(ap[off:], a[j0*lda:], min(nb, n-j0), j0, lda, nb)
+	x, xp := f64Scratch((m + nb - 1) / nb * nb * n)
+	packLanes(x, b, m, n, ldb, nb)
+	for g := 0; g < m; g += nb {
+		for j0 := 0; j0 < n; j0 += nb {
+			laneBlock(x[g*n:][:nb*n], nb, j0, min(j0+nb, n), a, lda, a, 0, lda, 1, laneDiv)
 		}
-		for j0, off := 0, 0; j0 < n; j0, off = j0+nb, off+nb*j0 {
-			j1 := min(j0+nb, n)
-			for i := 0; i < m4 && j0 > 0; i += 4 {
-				bi := b[i*ldb:]
-				if j1-j0 == nb {
-					sub64(j0, bi, ldb, ap[off:], bi[j0:], ldb)
-				} else {
-					subPartial64(j0, bi, ldb, ap[off:], bi[j0:], ldb, j1-j0, 0)
-				}
-			}
-			for q0 := j0; q0 < j1; q0 += leaf {
-				q1 := min(q0+leaf, j1)
-				trsmCols(0, m4, q0, q0, q1, a, lda, b, ldb)
-				if q1 == j1 {
-					break
-				}
-				var tp [leaf * maxNB]float64
-				packB64(tp[:], a[q1*lda+q0:], j1-q1, leaf, lda, nb)
-				for i := 0; i < m4; i += 4 {
-					bi := b[i*ldb:]
-					subPartial64(leaf, bi[q0:], ldb, tp[:], bi[q1:], ldb, j1-q1, 0)
-				}
-			}
-		}
-		putF64(app)
 	}
-	trsmCols(m4, m, 0, 0, n, a, lda, b, ldb)
+	unpackLanes(b, x, m, n, ldb, nb)
+	putF64(xp)
 }
 
-// trsmCols finishes columns [j0, j1) of rows [i0, i1) of a TrsmRLT whose
-// products with the columns l < l0 are already subtracted: the rest of each
-// recurrence and the division. Rows are innermost because they are
-// independent chains.
-func trsmCols(i0, i1, l0, j0, j1 int, a []float64, lda int, b []float64, ldb int) {
-	for j := j0; j < j1; j++ {
-		aj, d := a[j*lda:][l0:j], a[j*lda+j]
-		for i := i0; i < i1; i++ {
-			bi := b[i*ldb:][l0 : j+1]
-			s := bi[len(aj)]
-			for l, v := range aj {
-				s -= bi[l] * v
-			}
-			bi[len(aj)] = s / d
-		}
+// laneBlock finishes columns [j0, jn) of the lane group x (nb lanes) whose
+// columns l < j0 are final (DESIGN.md §3.3): their products go through
+// sub64, rows j..j+3 of a as the A side, and the rest of each recurrence
+// through the lane kernel, with a(j, l) = c[off + j·rs + l·cs]; the last
+// n mod 4 columns run whole in lanes. It returns jn or the failed pivot.
+func laneBlock(x []float64, nb, j0, jn int, a []float64, lda int, c []float64, off, rs, cs, mode int) int {
+	j1 := jn &^ 3
+	for j := j0; j < j1 && j0 > 0; j += 4 {
+		sub64(j0, a[j*lda:], lda, x, x[j*nb:], nb)
 	}
+	if k := lanes64(x, c[off+j0*rs+j0*cs:], j0, j0, j1, rs, cs, mode); k < j1-j0 {
+		return j0 + k
+	}
+	if j1 < jn {
+		return j1 + lanes64(x, c[off+j1*rs:], 0, j1, jn, rs, cs, mode)
+	}
+	return jn
 }
 
 // TrsmRLT32 is TrsmRLT computed in genuine float32 arithmetic over float64
 // storage. §V: tiles selected for FP16_32/FP16 GEMMs still run their TRSM in
-// FP32, because the considered GPUs only provide half-precision GEMM.
+// FP32, because the considered GPUs only provide half-precision GEMM. Its
+// rows run whole in binary32 lanes, twice as many as TrsmRLT's.
 func TrsmRLT32(m, n int, a []float64, lda int, b []float64, ldb int) {
 	defer leaveFlush32(enterFlush32())
+	nl := 2 * vecWidth.nb()
 	af, afp := f32Scratch(n * n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			af[i*n+j] = float32(a[i*lda+j])
 		}
 	}
-	// The whole of B is packed once (the seed packed one row at a time,
-	// re-reading the float64 row per output row); rows then solve
-	// independently with 4-row blocking over the shared triangle.
-	bf, bfp := f32Scratch(m * n)
-	pack32(bf, b, m, n, ldb)
-	trsmRLT32Panel(0, m, n, af, bf)
-	for i := 0; i < m; i++ {
-		bi := b[i*ldb:][:n]
-		for j, v := range bf[i*n:][:n] {
-			bi[j] = float64(v)
-		}
+	mn := (m + nl - 1) / nl * nl * n
+	x64, x64p := f64Scratch(mn)
+	x, xp := f32Scratch(mn)
+	packLanes(x64, b, m, n, ldb, nl)
+	for i, v := range x64 {
+		x[i] = float32(v)
 	}
+	for g := 0; g < m; g += nl {
+		lanes32(x[g*n:][:nl*n], af, 0, 0, n, n, 1, laneDiv)
+	}
+	for i, v := range x {
+		x64[i] = float64(v)
+	}
+	unpackLanes(b, x64, m, n, ldb, nl)
+	putF64(x64p)
 	putF32(afp)
-	putF32(bfp)
-}
-
-func trsmRLT32Panel(i0, i1, n int, af, bf []float32) {
-	i := i0
-	for ; i+4 <= i1; i += 4 {
-		b0 := bf[(i+0)*n:][:n]
-		b1 := bf[(i+1)*n:][:n]
-		b2 := bf[(i+2)*n:][:n]
-		b3 := bf[(i+3)*n:][:n]
-		for j := 0; j < n; j++ {
-			aj := af[j*n:][:j]
-			s0, s1, s2, s3 := b0[j], b1[j], b2[j], b3[j]
-			for l := range aj {
-				alv := aj[l]
-				s0 -= b0[l] * alv
-				s1 -= b1[l] * alv
-				s2 -= b2[l] * alv
-				s3 -= b3[l] * alv
-			}
-			d := af[j*n+j]
-			b0[j] = s0 / d
-			b1[j] = s1 / d
-			b2[j] = s2 / d
-			b3[j] = s3 / d
-		}
-	}
-	for ; i < i1; i++ {
-		bi := bf[i*n:][:n]
-		for j := 0; j < n; j++ {
-			s := bi[j]
-			for l := 0; l < j; l++ {
-				s -= bi[l] * af[j*n+l]
-			}
-			bi[j] = s / af[j*n+j]
-		}
-	}
+	putF32(xp)
 }
 
 // TrsmRLTPrec dispatches the TRSM tile kernel for execution precision p.

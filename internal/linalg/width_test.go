@@ -1,6 +1,8 @@
 package linalg
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -58,11 +60,16 @@ func naiveTrsmRLT(m, n int, a []float64, lda int, b []float64, ldb int) {
 	}
 }
 
-func naivePotrfLower(n int, a []float64, lda int) {
+// naivePotrfLower returns the first pivot that is not positive, and its
+// value, or −1 once the whole matrix is factored.
+func naivePotrfLower(n int, a []float64, lda int) (int, float64) {
 	for j := 0; j < n; j++ {
 		d := a[j*lda+j]
 		for l := 0; l < j; l++ {
 			d -= a[j*lda+l] * a[j*lda+l]
+		}
+		if !(d > 0) {
+			return j, d
 		}
 		d = math.Sqrt(d)
 		a[j*lda+j] = d
@@ -75,11 +82,35 @@ func naivePotrfLower(n int, a []float64, lda int) {
 			a[i*lda+j] = s * inv
 		}
 	}
+	return -1, 0
+}
+
+// naiveTrsmRLT32 is the float32 triangular solve: operands rounded to
+// binary32 once, every operation in binary32.
+func naiveTrsmRLT32(m, n int, a []float64, lda int, b []float64, ldb int) {
+	for i := 0; i < m; i++ {
+		bi := make([]float32, n)
+		for j := range bi {
+			bi[j] = float32(b[i*ldb+j])
+		}
+		for j := range bi {
+			s := bi[j]
+			for l := 0; l < j; l++ {
+				s -= bi[l] * float32(a[j*lda+l])
+			}
+			bi[j] = s / float32(a[j*lda+j])
+		}
+		for j, v := range bi {
+			b[i*ldb+j] = float64(v)
+		}
+	}
 }
 
 // TestWidthKernelsMatchNaiveLoops: the FP64 GEMM (both beta paths), SYRK,
-// TRSM and POTRF equal the naive loops bit for bit on 200 random shapes
-// with m, n, k in [1, 80] and padded leading dimensions, at every width.
+// TRSM (and the float32 TRSM) and POTRF equal the naive loops bit for bit
+// on 200 random shapes with m, n, k in [1, 80] — sizes that are not a
+// multiple of any lane count among them — and padded leading dimensions,
+// at every width.
 func TestWidthKernelsMatchNaiveLoops(t *testing.T) {
 	forEachWidth(t, func(t *testing.T) {
 		rng := rand.New(rand.NewPCG(0x77, 0x1d))
@@ -113,6 +144,10 @@ func TestWidthKernelsMatchNaiveLoops(t *testing.T) {
 			TrsmRLT(m, n, tri, ldc, got, ldc)
 			naiveTrsmRLT(m, n, tri, ldc, want, ldc)
 			sameBits(t, "TrsmRLT", got, want)
+			got, want = append([]float64(nil), c...), append([]float64(nil), c...)
+			TrsmRLT32(m, n, tri, ldc, got, ldc)
+			naiveTrsmRLT32(m, n, tri, ldc, want, ldc)
+			sameBits(t, "TrsmRLT32", got, want)
 
 			spd := make([]float64, n*ldc)
 			naiveGemmNT(n, n, k, 1, b, ldb, b, ldb, 0, spd, ldc)
@@ -123,13 +158,134 @@ func TestWidthKernelsMatchNaiveLoops(t *testing.T) {
 			if err := PotrfLower(n, got, ldc); err != nil {
 				t.Fatalf("PotrfLower n=%d: %v", n, err)
 			}
-			naivePotrfLower(n, want, ldc)
+			if j, _ := naivePotrfLower(n, want, ldc); j >= 0 {
+				t.Fatalf("naive POTRF n=%d: pivot %d not positive", n, j)
+			}
 			sameBits(t, "PotrfLower", got, want)
 			if t.Failed() {
 				t.Fatalf("first failure at trial %d: m=%d n=%d k=%d", trial, m, n, k)
 			}
 		}
 	})
+}
+
+// TestWidthPotrfPivot: on a matrix whose pivot p is not positive, PotrfLower
+// reports the pivot and the value the naive loop stops at, at every width —
+// p at the first column, inside a lane block, in the last n mod 4 columns
+// that run the whole recurrence in lanes, and past the first blocks at
+// n = 200; negative, NaN and an exactly zero pivot.
+func TestWidthPotrfPivot(t *testing.T) {
+	forEachWidth(t, func(t *testing.T) {
+		for _, c := range []struct {
+			n, p int
+			how  string
+		}{
+			{61, 0, "negative"}, {61, 37, "negative"}, {61, 37, "NaN"}, {51, 49, "negative"},
+			{51, 50, "zero"}, {200, 123, "negative"}, {200, 199, "NaN"}, {200, 130, "zero"},
+		} {
+			rng := rand.New(rand.NewPCG(uint64(c.n), uint64(c.p)))
+			a := spdMat(rng, c.n)
+			ref := append([]float64(nil), a...)
+			naivePotrfLower(c.p+1, ref, c.n) // row p's L[p][l], l < p
+			d := a[c.p*c.n+c.p]
+			for l := 0; l < c.p; l++ {
+				d -= ref[c.p*c.n+l] * ref[c.p*c.n+l]
+			}
+			switch c.how {
+			case "negative":
+				a[c.p*c.n+c.p] -= d + 1
+			case "NaN":
+				a[c.p*c.n+c.p] = math.NaN()
+			case "zero": // row p zero up to the diagonal: every subtraction is of 0
+				clear(a[c.p*c.n:][:c.p+1])
+			}
+			want := append([]float64(nil), a...)
+			j, v := naivePotrfLower(c.n, want, c.n)
+			if j != c.p || (c.how == "zero" && v != 0) {
+				t.Fatalf("n=%d %s pivot %d: the naive loop stops at %d (%g)", c.n, c.how, c.p, j, v)
+			}
+			err := PotrfLower(c.n, a, c.n)
+			if wantErr := fmt.Sprintf("%v: pivot %d is %g", ErrNotPositiveDefinite, j, v); err == nil || err.Error() != wantErr || !errors.Is(err, ErrNotPositiveDefinite) {
+				t.Errorf("n=%d %s pivot %d: err = %v, want %q", c.n, c.how, c.p, err, wantErr)
+			}
+		}
+	})
+}
+
+// TestWidthLaneKernel: the assembled lane kernels equal lanesGo bit for bit, on
+// float64 and on float32 lanes (twice as many), in every mode, at every
+// width — lanePivot with the coefficients read from the lanes themselves,
+// as PotrfLower reads them, and with a pivot that stops it.
+func TestWidthLaneKernel(t *testing.T) {
+	forEachWidth(t, func(t *testing.T) {
+		rng := rand.New(rand.NewPCG(0x1a, 0x9e))
+		for trial := 0; trial < 150; trial++ {
+			n := 1 + rng.IntN(40)
+			l0 := rng.IntN(n)
+			j0 := l0 + rng.IntN(n-l0)
+			mode := trial % 3
+			for _, nl := range []int{vecWidth.nb(), 2 * vecWidth.nb()} {
+				if mode == lanePivot && n-j0 > nl {
+					continue // the pivots of a group are its own lanes
+				}
+				x, a := randMat(rng, n, nl), randMat(rng, n, n)
+				rs, cs := n, 1
+				for i := 0; i < n; i++ {
+					a[i*n+i] = 2 + math.Abs(a[i*n+i])
+				}
+				if mode == lanePivot {
+					rs, cs = 1, nl
+					for j := j0; j < n; j++ {
+						x[j*nl+j-j0] += 1000
+					}
+					if trial%4 == 2 {
+						x[(n-1)*nl+n-1-j0] = -1
+					}
+				}
+				what := fmt.Sprintf("mode %d, %d lanes, n=%d l0=%d j0=%d", mode, nl, n, l0, j0)
+				if nl == vecWidth.nb() {
+					laneCase(t, what, lanes64, nl, x, a, l0, j0, n, rs, cs, mode)
+				} else {
+					laneCase(t, what, lanes32, nl, x, a, l0, j0, n, rs, cs, mode)
+				}
+			}
+		}
+	})
+}
+
+// laneCase runs kern and lanesGo on the same lanes x and coefficients a
+// (a(j, l) = a[j·rs + l·cs]; for lanePivot x itself), converted to T, and
+// fails the test unless both finish as many columns with the same bits.
+func laneCase[T float32 | float64](t *testing.T, what string, kern func(x, a []T, l0, j0, j1, rs, cs, mode int) int,
+	nl int, x64, a64 []float64, l0, j0, j1, rs, cs, mode int) {
+	t.Helper()
+	run := func(f func(x, a []T, l0, j0, j1, rs, cs, mode int) int) ([]float64, int) {
+		x, a := make([]T, len(x64)), make([]T, len(a64))
+		for i, v := range x64 {
+			x[i] = T(v)
+		}
+		for i, v := range a64 {
+			a[i] = T(v)
+		}
+		coef := x[l0*nl:]
+		if mode != lanePivot {
+			coef = a[j0*rs+l0*cs:]
+		}
+		k := f(x, coef, l0, j0, j1, rs, cs, mode)
+		out := make([]float64, len(x))
+		for i, v := range x {
+			out[i] = float64(v)
+		}
+		return out, k
+	}
+	want, wk := run(func(x, a []T, l0, j0, j1, rs, cs, mode int) int {
+		return lanesGo(nl, x, a, l0, j0, j1, rs, cs, mode)
+	})
+	got, gk := run(kern)
+	if gk != wk {
+		t.Fatalf("%s: %d columns finished, lanesGo %d", what, gk, wk)
+	}
+	sameBits(t, what, got, want)
 }
 
 // tileCholesky factors the NT×NT lower tile matrix in place with the
