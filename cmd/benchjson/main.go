@@ -123,8 +123,12 @@ func run(args []string, in io.Reader, out io.Writer) error {
 // parseBench extracts benchmark lines and header metadata (goos/goarch/cpu)
 // from go test -bench output. Benchmark names are normalized by stripping
 // the trailing -GOMAXPROCS suffix so -cpu settings don't break the join.
+// Two lines that map to one name are an error, not a silent merge: a
+// repeated line, the same benchmark at two -cpu values, or a sub-benchmark
+// whose own name ends in -<digits> beside one without it.
 func parseBench(r io.Reader) (map[string]measurement, map[string]string, error) {
 	out := make(map[string]measurement)
+	line0 := make(map[string]string) // the line each name was read from
 	meta := make(map[string]string)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -161,7 +165,11 @@ func parseBench(r io.Reader) (map[string]measurement, map[string]string, error) 
 			}
 		}
 		if m.NsOp > 0 {
-			out[name] = m
+			if first, dup := line0[name]; dup {
+				return nil, nil, fmt.Errorf("benchmarks %s and %s both map to %s (GOMAXPROCS %d and %d)",
+					first, fields[0], name, out[name].Gomaxprocs, procs)
+			}
+			out[name], line0[name] = m, fields[0]
 		}
 	}
 	return out, meta, sc.Err()

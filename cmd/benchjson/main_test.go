@@ -136,3 +136,28 @@ func TestNewBenchmarkStartsSeries(t *testing.T) {
 		t.Fatal("new benchmark missing from the report")
 	}
 }
+
+// TestNameCollisionFails: two lines that map to one record — a sub-benchmark
+// named like a GOMAXPROCS suffix beside its namesake, or the same benchmark
+// twice — fail the run instead of one silently replacing the other, in the
+// current run and in the seed.
+func TestNameCollisionFails(t *testing.T) {
+	for _, lines := range []string{
+		"BenchmarkTrsm64/FP64  10  900 ns/op\nBenchmarkTrsm64/FP64-49  10  500 ns/op\n",
+		"BenchmarkTrsm64/FP64-4  10  900 ns/op\nBenchmarkTrsm64/FP64-4  10  500 ns/op\n",
+	} {
+		var out bytes.Buffer
+		err := run(nil, strings.NewReader(lines), &out)
+		if err == nil || !strings.Contains(err.Error(), "both map to BenchmarkTrsm64/FP64") {
+			t.Errorf("input %q: err = %v, want a name collision", lines, err)
+		}
+		seed := t.TempDir() + "/seed.txt"
+		if err := writeFile(seed, lines); err != nil {
+			t.Fatal(err)
+		}
+		err = run([]string{"-seed", seed}, strings.NewReader(benchOutput), &out)
+		if err == nil || !strings.Contains(err.Error(), "both map to BenchmarkTrsm64/FP64") {
+			t.Errorf("seed %q: err = %v, want a name collision", lines, err)
+		}
+	}
+}

@@ -9,7 +9,8 @@ import (
 )
 
 // TestKernelsSteadyStateAllocFree pins the heap allocations of one tile-kernel
-// call on a 64-tile once the scratch pools are warm (AllocsPerRun makes one
+// call on a 64-tile (and a 49-tile, whose last rows and columns fill no
+// whole block at any width) once the scratch pools are warm (AllocsPerRun makes one
 // warm-up call before it counts). The kernels are called millions of times
 // per fit; one slice header per scratch buffer is the regression this
 // catches. Not built under -race, where sync.Pool drops a quarter of its
@@ -28,14 +29,21 @@ func TestKernelsSteadyStateAllocFree(t *testing.T) {
 			}
 		}
 	}
+	gemm := func(p prec.Precision, m int) func() {
+		return func() { GemmNTPrec(p, m, m, m, -1, a, n, a, n, 0, c, n) }
+	}
 	for _, k := range []struct {
 		name string
 		call func()
 	}{
 		{"GemmNT64", func() { GemmNTPrec(prec.FP64, n, n, n, -1, a, n, a, n, 0, c, n) }},
-		{"GemmNT32", func() { GemmNTPrec(prec.FP32, n, n, n, -1, a, n, a, n, 0, c, n) }},
-		{"GemmNTFP16", func() { GemmNTPrec(prec.FP16, n, n, n, -1, a, n, a, n, 0, c, n) }},
-		{"TrsmRLT32", func() { TrsmRLT32(n, n, tri, n, c, n) }},
+		{"GemmNT32/64", gemm(prec.FP32, 64)},
+		{"GemmNT32/49", gemm(prec.FP32, 49)},
+		{"GemmNTFP16x32/49", gemm(prec.FP16x32, 49)},
+		{"GemmNTFP16/64", gemm(prec.FP16, 64)},
+		{"GemmNTFP16/49", gemm(prec.FP16, 49)},
+		{"TrsmRLT32/64", func() { TrsmRLT32(n, n, tri, n, c, n) }},
+		{"TrsmRLT32/49", func() { TrsmRLT32(49, 49, tri, n, c, n) }},
 		{"TrsmRLT/64", func() { TrsmRLT(n, n, tri, n, c, n) }},
 		{"TrsmRLT/49", func() { TrsmRLT(49, 49, tri, n, c, n) }},
 		{"PotrfLower/64", potrf(64, spd64)},

@@ -19,14 +19,17 @@
 // binary16 with per-operation rounding (FP16), so the numerical error of a
 // kernel matches what the corresponding tensor-core kernel would commit.
 //
-// Micro-kernels (DESIGN.md §3.3). The FP64 GEMM and SYRK run four A rows ×
-// two vectors of packed B columns (dot64), one accumulator lane per output
-// element, separate multiply and add; TRSM and POTRF put independent rows
-// in lanes, the products with finished columns through the same shape
-// (sub64) and the in-block recurrence in the lane kernel. All run at the
-// host's vector width (SSE2, AVX2 or AVX-512 on amd64, picked at init;
-// portable Go elsewhere) with the naive loops' bits, so the width is not a
-// setting. The float32-accumulate GEMMs use a 4×4 SSE2 kernel.
+// Micro-kernels (DESIGN.md §3.3). Every GEMM and the SYRK run one block loop
+// over four A rows × two vectors of packed B columns, one accumulator lane
+// per output element, separate multiply and add: in float64 (dot64), in
+// float32 with twice the columns (dot32: FP32, TF32, BF16_32, FP16_32), or
+// the binary16 kernel (FP16). The A side is padded to whole groups of four
+// rows, so no element runs outside a micro-kernel. TRSM (both precisions)
+// and POTRF put independent rows in lanes, the products with finished
+// columns through the same shape (sub) and the in-block recurrence
+// in the lane kernel. All run at the host's vector width (SSE2, AVX2 or
+// AVX-512 on amd64, picked at init; portable Go elsewhere) with the naive
+// loops' bits, so the width is not a setting.
 //
 // Underflow contract of the binary32 carrier: inside every float32-accumulate
 // kernel (the FP32/TF32/BF16_32/FP16_32/FP16 GEMMs and TrsmRLT32) a

@@ -39,8 +39,7 @@ func forEachWidth(t *testing.T, f func(t *testing.T)) {
 // runs SyrkLNPacked.
 func syrkLN(n, k int, alpha float64, a []float64, lda int, beta float64, c []float64, ldc int) {
 	var ao Operand
-	// Only the micro-kernel reads a B side, and only from four rows up.
-	ao.Pack(prec.FP64, n, k, a, lda, n >= 4)
+	ao.Pack(prec.FP64, n, k, a, lda, true)
 	SyrkLNPacked(alpha, &ao, beta, c, ldc)
 	ao.Release()
 }

@@ -137,9 +137,9 @@ func TestF16CRoundTripExhaustive(t *testing.T) {
 	}
 }
 
-// TestF16COperandLayout: an FP16 operand carries the eight-interleaved B
-// side exactly when the F16C kernel will read it, in the slot the other
-// formats keep their four-interleaved one in.
+// TestF16COperandLayout: an FP16 operand carries the B side interleaved by
+// eight whether or not the F16C kernel will run it — dot16Go reads the same
+// blocks — and the other formats carry theirs at nbOf[float32]().
 func TestF16COperandLayout(t *testing.T) {
 	if !hostF16C {
 		t.Skip("this host has no F16C")
@@ -149,26 +149,28 @@ func TestF16COperandLayout(t *testing.T) {
 	for i := range src {
 		src[i] = float64(i + 1)
 	}
-	var o Operand
-	withF16C(false, func() { o.Pack(prec.FP16, rows, k, src, k, true) })
-	if o.bq != nil {
-		t.Errorf("FP16 operand without F16C carries a %d-element B side no kernel reads", len(o.bq))
-	}
-	o.Release()
-	withF16C(true, func() { o.Pack(prec.FP16, rows, k, src, k, true) })
-	defer o.Release()
-	if len(o.bq) != 16*k {
-		t.Fatalf("FP16 B side has %d elements, want %d (two blocks of eight columns)", len(o.bq), 16*k)
-	}
-	for j := 0; j < 16; j++ {
-		for l := 0; l < k; l++ {
-			want := float32(0)
-			if j < rows {
-				want = float32(src[j*k+l])
-			}
-			if got := o.bq[j/8*8*k+8*l+j%8]; got != want {
-				t.Fatalf("b8 column %d depth %d = %g, want %g", j, l, got, want)
+	check := func(p prec.Precision, nb int) {
+		var o Operand
+		o.Pack(p, rows, k, src, k, true)
+		defer o.Release()
+		blocks := (rows + nb - 1) / nb
+		if len(o.f32.bp) != blocks*nb*k {
+			t.Fatalf("%s B side has %d elements, want %d (%d blocks of %d columns)", p, len(o.f32.bp), blocks*nb*k, blocks, nb)
+		}
+		for j := 0; j < blocks*nb; j++ {
+			for l := 0; l < k; l++ {
+				want := float32(0)
+				if j < rows {
+					want = float32(src[j*k+l])
+				}
+				if got := o.f32.bp[j/nb*nb*k+nb*l+j%nb]; got != want {
+					t.Fatalf("%s: B column %d depth %d = %g, want %g", p, j, l, got, want)
+				}
 			}
 		}
 	}
+	for _, on := range []bool{false, true} {
+		withF16C(on, func() { check(prec.FP16, 8) })
+	}
+	check(prec.FP32, nbOf[float32]())
 }

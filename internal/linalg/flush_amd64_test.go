@@ -129,15 +129,12 @@ func TestFloat32KernelsFlushSubnormals(t *testing.T) {
 	var ref flushRef
 	rng := splitmix64(0xf1a5)
 	clone := func(v []float64) []float64 { return append([]float64(nil), v...) }
-	quants := map[prec.Precision]func(float32) float32{
-		prec.FP32: nil, prec.TF32: fp16.TF32Round, prec.BF16x32: fp16.BF16Round, prec.FP16x32: fp16.QuantF32,
-	}
 	for _, d := range goldenDims {
 		a := underflowMatrix(&rng, d.m, d.k, underflowScales...)
 		b := underflowMatrix(&rng, d.n, d.k, underflowScales...)
 		c := underflowMatrix(&rng, d.m, d.n, underflowScales...)
 		for _, beta := range []float64{1, 0} {
-			for p, quant := range quants {
+			for p, quant := range quant32 {
 				got, want := clone(c), clone(c)
 				GemmNTPrec(p, d.m, d.n, d.k, -1, a, d.k, b, d.k, beta, got, d.n)
 				ref.gemm(d.m, d.n, d.k, -1, a, b, beta, want, quant)

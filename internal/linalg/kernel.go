@@ -1,9 +1,12 @@
 package linalg
 
-import "math"
+import (
+	"math"
+	"unsafe"
+)
 
-// width is the number of float64 lanes per vector the FP64 micro-kernel
-// runs at; widthGo is the portable pure-Go instantiation (the only one off
+// width is the number of float64 lanes per vector the micro-kernels run
+// at; widthGo is the portable pure-Go instantiation (the only one off
 // amd64, and the reference the assembled widths are tested against).
 type width int
 
@@ -14,8 +17,8 @@ const (
 	widthAVX512 width = 8
 )
 
-// nb is the number of B columns in one packed block: two vectors (the
-// pure-Go kernel keeps the SSE2 shape).
+// nb is the number of float64 B columns in one packed block: two vectors
+// (the pure-Go kernel keeps the SSE2 shape).
 func (w width) nb() int {
 	if w == widthGo {
 		return 4
@@ -23,55 +26,59 @@ func (w width) nb() int {
 	return 2 * int(w)
 }
 
-// maxNB bounds nb() over all widths; 4·maxNB sizes the stack block partial
-// results are staged in.
-const maxNB = 16
+// nbOf is the number of B columns in one packed block of T, and of lanes in
+// a lane group, at the active width: twice as many float32 as float64.
+func nbOf[T float32 | float64]() int {
+	if is64[T]() {
+		return vecWidth.nb()
+	}
+	return 2 * vecWidth.nb()
+}
 
-// accGo is the micro-kernel's k-loop in portable Go at nb = 4: lane jj of
-// each logical vector is one output element's accumulator, and each takes
-// s += (sign·a[l])·b[l] in strictly increasing l — the arithmetic the
-// assembled widths perform per lane (sign·a is exact, and s + (−a)·b is
-// IEEE-754's definition of s − a·b).
-func accGo(k int, a []float64, lda int, bp []float64, sign float64, s *[16]float64) {
+// is64 reports whether T is float64, and as views a []T as the []E it is:
+// the generic kernels dispatch on is64, a constant per instantiation, and
+// call as only where E is T.
+func is64[T float32 | float64]() bool { return unsafe.Sizeof(T(0)) == 8 }
+
+func as[E, T float32 | float64](s []T) []E { return *(*[]E)(unsafe.Pointer(&s)) }
+
+// maxNB bounds nbOf over all widths; 4·maxNB sizes the portable kernels'
+// accumulator blocks.
+const maxNB = 32
+
+// accGo is the micro-kernel's k-loop in portable Go: s holds four rows of
+// nb = len(s)/4 accumulators, lane jj of row r one output element's, and
+// each takes s += (sign·a[l])·b[l] in strictly increasing l — the
+// arithmetic the assembled widths perform per lane (sign·a is exact, and
+// s + (−a)·b is IEEE-754's definition of s − a·b).
+func accGo[T float32 | float64](k int, a []T, lda int, bp []T, sign T, s []T) {
+	nb := len(s) / 4
 	a0, a1, a2, a3 := a[:k], a[lda:][:k], a[2*lda:][:k], a[3*lda:][:k]
-	bp = bp[:4*k]
-	for l := 0; l < k; l++ {
-		b0, b1, b2, b3 := bp[4*l], bp[4*l+1], bp[4*l+2], bp[4*l+3]
-		a := sign * a0[l]
-		s[0] += a * b0
-		s[1] += a * b1
-		s[2] += a * b2
-		s[3] += a * b3
-		a = sign * a1[l]
-		s[4] += a * b0
-		s[5] += a * b1
-		s[6] += a * b2
-		s[7] += a * b3
-		a = sign * a2[l]
-		s[8] += a * b0
-		s[9] += a * b1
-		s[10] += a * b2
-		s[11] += a * b3
-		a = sign * a3[l]
-		s[12] += a * b0
-		s[13] += a * b1
-		s[14] += a * b2
-		s[15] += a * b3
+	s0, s1, s2, s3 := s[:nb], s[nb:][:nb], s[2*nb:][:nb], s[3*nb:][:nb]
+	for l := range a0 {
+		x0, x1, x2, x3 := sign*a0[l], sign*a1[l], sign*a2[l], sign*a3[l]
+		for jj, b := range bp[l*nb:][:nb] {
+			s0[jj] += x0 * b
+			s1[jj] += x1 * b
+			s2[jj] += x2 * b
+			s3[jj] += x3 * b
+		}
 	}
 }
 
 // dotKernGo is the dot entry point in portable Go: sums from zero, then
 // C = alpha·s + beta·C.
-func dotKernGo(k int, a []float64, lda int, bp []float64, alpha, beta float64, c []float64, ldc int) {
-	var s [16]float64
-	accGo(k, a, lda, bp, 1, &s)
+func dotKernGo[T float32 | float64](k int, a []T, lda int, bp []T, alpha, beta T, c []T, ldc int) {
+	var s [4 * maxNB]T
+	nb := nbOf[T]()
+	accGo(k, a, lda, bp, 1, s[:4*nb])
 	for r := 0; r < 4; r++ {
-		cr := c[r*ldc:][:4]
-		for jj := range cr {
+		cr := c[r*ldc:][:nb]
+		for jj, v := range s[r*nb:][:nb] {
 			if beta == 0 { // BLAS: C is not read when beta == 0
-				cr[jj] = alpha * s[4*r+jj]
+				cr[jj] = alpha * v
 			} else {
-				cr[jj] = alpha*s[4*r+jj] + beta*cr[jj]
+				cr[jj] = alpha*v + beta*cr[jj]
 			}
 		}
 	}
@@ -79,14 +86,15 @@ func dotKernGo(k int, a []float64, lda int, bp []float64, alpha, beta float64, c
 
 // subKernGo is the fused-subtract entry point in portable Go: the block of
 // C is the accumulators' starting value and each product is subtracted.
-func subKernGo(k int, a []float64, lda int, bp []float64, c []float64, ldc int) {
-	var s [16]float64
+func subKernGo[T float32 | float64](k int, a []T, lda int, bp []T, c []T, ldc int) {
+	var s [4 * maxNB]T
+	nb := nbOf[T]()
 	for r := 0; r < 4; r++ {
-		copy(s[4*r:4*r+4], c[r*ldc:])
+		copy(s[r*nb:][:nb], c[r*ldc:])
 	}
-	accGo(k, a, lda, bp, -1, &s)
+	accGo(k, a, lda, bp, -1, s[:4*nb])
 	for r := 0; r < 4; r++ {
-		copy(c[r*ldc:][:4], s[4*r:])
+		copy(c[r*ldc:][:nb], s[r*nb:])
 	}
 }
 

@@ -3,36 +3,44 @@
 #include "go_asm.h"
 #include "textflag.h"
 
-// The FP64 micro-kernel: four A rows × two vectors of B columns, k
+// The NT micro-kernel: four A rows × two vectors of B columns, k
 // innermost. Lane jj of an accumulator is ONE output element, so every
 // element sums its products in strictly increasing l with one rounding per
 // multiply and one per add (no FMA) — the arithmetic of the naive triple
-// loop at every vector width.
+// loop at every vector width and in both precisions.
 //
-// One body per entry point, written against the width macros below and
-// instantiated three times (SSE2 4×4, AVX2 4×8, AVX-512 4×16):
+// One body per entry point, written against the width macros and the
+// element macros below and instantiated six times: float64 and float32 at
+// SSE2 (4×4 and 4×8), AVX2 (4×8 and 4×16) and AVX-512 (4×16 and 4×32). The
+// width macros move bits and do not care about the element type:
 //
 //	V0..V12      vector registers of the width (X, Y or Z)
 //	VB           bytes per vector
 //	VZERO(r)     r = 0
 //	VLOAD(m, r)  r = [m]        VSTORE(r, m)  [m] = r
-//	VBCAST(m, r) r = every lane [m]
-//	VSCALE(s, r) r = r·s        VACC(t, r)    r = r + t
-//	ROWADD(m, p, q)  p += [m]·V8, q += [m]·V9   (separate multiply and add)
-//	ROWSUB(m, p, q)  p −= [m]·V8, q −= [m]·V9
 //	KRET         return (VZEROUPPER first on the VEX/EVEX widths)
 //
-// Registers: CX k, then the running index −k..0; R8..R11 the four A rows
-// (advanced by k so the index counts up to zero); SI the packed B block
-// (two vectors per l); DI C; DX, BX the row strides of C and A in bytes;
-// R12 the third row of C; R13, R14 the addresses of alpha and beta.
+// The element macros are defined per precision beside each instantiation:
+//
+//	ESH            log2 of the element size
+//	LBCAST(m, r)   r = every lane [m]
+//	LMUL(m, b, t)  t = [m]·b    LADD(t, r)  r = r + t    LSUB(t, r)  r = r − t
+//	LDIV(d, r)     r = r / d    LSCALE(s, r)  r = r·s
+//	RBCAST, SLOAD, SSTORE, SSQRT, SRECIP, SUCOM: the one-element operations
+//	of the lane kernel's finish (LANE_BODY)
+//
+// Registers: CX k in bytes, then the running offset −k..0; R8..R11 the four
+// A rows (advanced by k so the offset counts up to zero); SI the packed B
+// block (two vectors per l); DI C; DX, BX the row strides of C and A in
+// bytes; R12 the third row of C; R13, R14 the addresses of alpha and beta.
 
-// KERN_ROWS turns the element strides into bytes and derives the row
+// KERN_ROWS turns k and the element strides into bytes and derives the row
 // pointers.
 #define KERN_ROWS \
-	SHLQ $3, BX              \
-	SHLQ $3, DX              \
-	LEAQ (R8)(CX*8), R8      \
+	SHLQ $ESH, BX            \
+	SHLQ $ESH, DX            \
+	SHLQ $ESH, CX            \
+	ADDQ CX, R8              \
 	LEAQ (R8)(BX*1), R9      \
 	LEAQ (R9)(BX*1), R10     \
 	LEAQ (R10)(BX*1), R11    \
@@ -50,9 +58,27 @@
 	VSTORE(V6, 0(R12)(DX*1)) \
 	VSTORE(V7, VB(R12)(DX*1))
 
+// ROWADD(m, p, q): p += [m]·V8, q += [m]·V9 (separate multiply and add);
+// ROWSUB subtracts.
+#define ROWADD(m, p, q) \
+	LBCAST(m, V10)           \
+	LMUL(V8, V10, V11)       \
+	LADD(V11, p)             \
+	LMUL(V9, V10, V12)       \
+	LADD(V12, q)
+
+#define ROWSUB(m, p, q) \
+	LBCAST(m, V10)           \
+	LMUL(V8, V10, V11)       \
+	LSUB(V11, p)             \
+	LMUL(V9, V10, V12)       \
+	LSUB(V12, q)
+
 // DOT_BODY: s = Σ_l a[l]·b[l] from zero, then C = alpha·s + beta·C, or
-// C = alpha·s without reading C when beta is ±0 (tested on the bits: a NaN
-// beta takes the read-C path, as `beta == 0` in Go does).
+// C = alpha·s without reading C when beta is ±0 (tested on the bits of a
+// float64: a NaN beta takes the read-C path, as `beta == 0` in Go does).
+// The float32 entry points pass alpha = 1 and beta = 0 from read-only data:
+// they store the bare sums, and the float32 combine runs in Go.
 #define DOT_BODY \
 	KERN_ROWS                \
 	VZERO(V0)                \
@@ -68,51 +94,51 @@
 dotloop:                     \
 	VLOAD(0(SI), V8)         \
 	VLOAD(VB(SI), V9)        \
-	ROWADD((R8)(CX*8), V0, V1)  \
-	ROWADD((R9)(CX*8), V2, V3)  \
-	ROWADD((R10)(CX*8), V4, V5) \
-	ROWADD((R11)(CX*8), V6, V7) \
+	ROWADD((R8)(CX*1), V0, V1)  \
+	ROWADD((R9)(CX*1), V2, V3)  \
+	ROWADD((R10)(CX*1), V4, V5) \
+	ROWADD((R11)(CX*1), V6, V7) \
 	ADDQ $(2*VB), SI         \
-	INCQ CX                  \
+	ADDQ $(1<<ESH), CX       \
 	JNZ  dotloop             \
 dotscale:                    \
-	VBCAST((R13), V10)       \
-	VSCALE(V10, V0)          \
-	VSCALE(V10, V1)          \
-	VSCALE(V10, V2)          \
-	VSCALE(V10, V3)          \
-	VSCALE(V10, V4)          \
-	VSCALE(V10, V5)          \
-	VSCALE(V10, V6)          \
-	VSCALE(V10, V7)          \
+	LBCAST((R13), V10)       \
+	LSCALE(V10, V0)          \
+	LSCALE(V10, V1)          \
+	LSCALE(V10, V2)          \
+	LSCALE(V10, V3)          \
+	LSCALE(V10, V4)          \
+	LSCALE(V10, V5)          \
+	LSCALE(V10, V6)          \
+	LSCALE(V10, V7)          \
 	MOVQ (R14), AX           \
 	SHLQ $1, AX              \
 	JZ   dotstore            \
-	VBCAST((R14), V10)       \
+	LBCAST((R14), V10)       \
 	VLOAD(0(DI), V8)         \
 	VLOAD(VB(DI), V9)        \
-	VSCALE(V10, V8)          \
-	VSCALE(V10, V9)          \
-	VACC(V8, V0)             \
-	VACC(V9, V1)             \
+	LSCALE(V10, V8)          \
+	LSCALE(V10, V9)          \
+	LADD(V8, V0)             \
+	LADD(V9, V1)             \
 	VLOAD(0(DI)(DX*1), V8)   \
 	VLOAD(VB(DI)(DX*1), V9)  \
-	VSCALE(V10, V8)          \
-	VSCALE(V10, V9)          \
-	VACC(V8, V2)             \
-	VACC(V9, V3)             \
+	LSCALE(V10, V8)          \
+	LSCALE(V10, V9)          \
+	LADD(V8, V2)             \
+	LADD(V9, V3)             \
 	VLOAD(0(R12), V8)        \
 	VLOAD(VB(R12), V9)       \
-	VSCALE(V10, V8)          \
-	VSCALE(V10, V9)          \
-	VACC(V8, V4)             \
-	VACC(V9, V5)             \
+	LSCALE(V10, V8)          \
+	LSCALE(V10, V9)          \
+	LADD(V8, V4)             \
+	LADD(V9, V5)             \
 	VLOAD(0(R12)(DX*1), V8)  \
 	VLOAD(VB(R12)(DX*1), V9) \
-	VSCALE(V10, V8)          \
-	VSCALE(V10, V9)          \
-	VACC(V8, V6)             \
-	VACC(V9, V7)             \
+	LSCALE(V10, V8)          \
+	LSCALE(V10, V9)          \
+	LADD(V8, V6)             \
+	LADD(V9, V7)             \
 dotstore:                    \
 	KERN_STORE               \
 	KRET
@@ -135,12 +161,12 @@ dotstore:                    \
 subloop:                     \
 	VLOAD(0(SI), V8)         \
 	VLOAD(VB(SI), V9)        \
-	ROWSUB((R8)(CX*8), V0, V1)  \
-	ROWSUB((R9)(CX*8), V2, V3)  \
-	ROWSUB((R10)(CX*8), V4, V5) \
-	ROWSUB((R11)(CX*8), V6, V7) \
+	ROWSUB((R8)(CX*1), V0, V1)  \
+	ROWSUB((R9)(CX*1), V2, V3)  \
+	ROWSUB((R10)(CX*1), V4, V5) \
+	ROWSUB((R11)(CX*1), V6, V7) \
 	ADDQ $(2*VB), SI         \
-	INCQ CX                  \
+	ADDQ $(1<<ESH), CX       \
 	JNZ  subloop             \
 substore:                    \
 	KERN_STORE               \
@@ -239,8 +265,10 @@ DATA one64<>+0(SB)/8, $0x3ff0000000000000
 GLOBL one64<>(SB), RODATA|NOPTR, $8
 DATA one32<>+0(SB)/4, $0x3f800000
 GLOBL one32<>(SB), RODATA|NOPTR, $4
+DATA zero64<>+0(SB)/8, $0
+GLOBL zero64<>(SB), RODATA|NOPTR, $8
 
-// ---- SSE2: 2 lanes, legacy encoding (the amd64 baseline) ----
+// ---- SSE2: 2 float64 lanes, legacy encoding (the amd64 baseline) ----
 
 #define V0 X0
 #define V1 X1
@@ -259,26 +287,21 @@ GLOBL one32<>(SB), RODATA|NOPTR, $4
 #define VZERO(r) XORPS r, r
 #define VLOAD(m, r) MOVUPD m, r
 #define VSTORE(r, m) MOVUPD r, m
-#define VBCAST(m, r) MOVSD m, r; UNPCKLPD r, r
-#define VSCALE(s, r) MULPD s, r
-#define VACC(t, r) ADDPD t, r
-#define ROWADD(m, p, q) \
-	MOVSD m, V10     \
-	UNPCKLPD V10, V10 \
-	MOVAPD V10, V11  \
-	MULPD V8, V10    \
-	ADDPD V10, p     \
-	MULPD V9, V11    \
-	ADDPD V11, q
-#define ROWSUB(m, p, q) \
-	MOVSD m, V10     \
-	UNPCKLPD V10, V10 \
-	MOVAPD V10, V11  \
-	MULPD V8, V10    \
-	SUBPD V10, p     \
-	MULPD V9, V11    \
-	SUBPD V11, q
 #define KRET RET
+
+#define ESH 3
+#define LBCAST(m, r) MOVSD m, r; UNPCKLPD r, r
+#define LMUL(m, b, t) MOVUPD m, t; MULPD b, t
+#define LADD(t, r) ADDPD t, r
+#define LSUB(t, r) SUBPD t, r
+#define LDIV(d, r) DIVPD d, r
+#define LSCALE(s, r) MULPD s, r
+#define RBCAST(x, r) UNPCKLPD r, r
+#define SLOAD(m, x) MOVSD m, x
+#define SSTORE(x, m) MOVSD x, m
+#define SSQRT(x) SQRTSD x, x
+#define SRECIP(d, x) MOVSD one64<>(SB), x; DIVSD d, x
+#define SUCOM UCOMISD
 
 // func dotKernSSE2(k int, a []float64, lda int, bp []float64, alpha, beta float64, c []float64, ldc int)
 TEXT ·dotKernSSE2(SB), NOSPLIT, $0-112
@@ -302,19 +325,6 @@ TEXT ·subKernSSE2(SB), NOSPLIT, $0-96
 	MOVQ ldc+88(FP), DX
 	SUB_BODY
 
-#define ESH 3
-#define LBCAST(m, r) MOVSD m, r; UNPCKLPD r, r
-#define LMUL(m, b, t) MOVUPD m, t; MULPD b, t
-#define LSUB(t, r) SUBPD t, r
-#define LDIV(d, r) DIVPD d, r
-#define LSCALE(s, r) MULPD s, r
-#define RBCAST(x, r) UNPCKLPD r, r
-#define SLOAD(m, x) MOVSD m, x
-#define SSTORE(x, m) MOVSD x, m
-#define SSQRT(x) SQRTSD x, x
-#define SRECIP(d, x) MOVSD one64<>(SB), x; DIVSD d, x
-#define SUCOM UCOMISD
-
 // func lanesKernSSE2(x, a []float64, l0, j0, j1, rs, cs, mode int) int
 TEXT ·lanesKernSSE2(SB), NOSPLIT, $0-104
 	MOVQ x_base+0(FP), DI
@@ -332,6 +342,7 @@ TEXT ·lanesKernSSE2(SB), NOSPLIT, $0-104
 #undef ESH
 #undef LBCAST
 #undef LMUL
+#undef LADD
 #undef LSUB
 #undef LDIV
 #undef LSCALE
@@ -344,6 +355,7 @@ TEXT ·lanesKernSSE2(SB), NOSPLIT, $0-104
 #define ESH 2
 #define LBCAST(m, r) MOVSS m, r; SHUFPS $0, r, r
 #define LMUL(m, b, t) MOVUPS m, t; MULPS b, t
+#define LADD(t, r) ADDPS t, r
 #define LSUB(t, r) SUBPS t, r
 #define LDIV(d, r) DIVPS d, r
 #define LSCALE(s, r) MULPS s, r
@@ -353,6 +365,28 @@ TEXT ·lanesKernSSE2(SB), NOSPLIT, $0-104
 #define SSQRT(x) SQRTSS x, x
 #define SRECIP(d, x) MOVSS one32<>(SB), x; DIVSS d, x
 #define SUCOM UCOMISS
+
+// func dotKern32SSE2(k int, a []float32, lda int, bp []float32, c []float32, ldc int)
+TEXT ·dotKern32SSE2(SB), NOSPLIT, $0-96
+	MOVQ k+0(FP), CX
+	MOVQ a_base+8(FP), R8
+	MOVQ lda+32(FP), BX
+	MOVQ bp_base+40(FP), SI
+	LEAQ one32<>(SB), R13
+	LEAQ zero64<>(SB), R14
+	MOVQ c_base+64(FP), DI
+	MOVQ ldc+88(FP), DX
+	DOT_BODY
+
+// func subKern32SSE2(k int, a []float32, lda int, bp []float32, c []float32, ldc int)
+TEXT ·subKern32SSE2(SB), NOSPLIT, $0-96
+	MOVQ k+0(FP), CX
+	MOVQ a_base+8(FP), R8
+	MOVQ lda+32(FP), BX
+	MOVQ bp_base+40(FP), SI
+	MOVQ c_base+64(FP), DI
+	MOVQ ldc+88(FP), DX
+	SUB_BODY
 
 // func lanesKern32SSE2(x, a []float32, l0, j0, j1, rs, cs, mode int) int
 TEXT ·lanesKern32SSE2(SB), NOSPLIT, $0-104
@@ -371,6 +405,7 @@ TEXT ·lanesKern32SSE2(SB), NOSPLIT, $0-104
 #undef ESH
 #undef LBCAST
 #undef LMUL
+#undef LADD
 #undef LSUB
 #undef LDIV
 #undef LSCALE
@@ -397,35 +432,15 @@ TEXT ·lanesKern32SSE2(SB), NOSPLIT, $0-104
 #undef VZERO
 #undef VLOAD
 #undef VSTORE
-#undef VBCAST
-#undef VSCALE
-#undef VACC
-#undef ROWADD
-#undef ROWSUB
 #undef KRET
 
 // ---- AVX2 and AVX-512: three-operand VEX / EVEX forms, shared ----
 
 #define VLOAD(m, r) VMOVUPD m, r
 #define VSTORE(r, m) VMOVUPD r, m
-#define VBCAST(m, r) VBROADCASTSD m, r
-#define VSCALE(s, r) VMULPD s, r, r
-#define VACC(t, r) VADDPD t, r, r
-#define ROWADD(m, p, q) \
-	VBROADCASTSD m, V10  \
-	VMULPD V8, V10, V11  \
-	VADDPD V11, p, p     \
-	VMULPD V9, V10, V12  \
-	VADDPD V12, q, q
-#define ROWSUB(m, p, q) \
-	VBROADCASTSD m, V10  \
-	VMULPD V8, V10, V11  \
-	VSUBPD V11, p, p     \
-	VMULPD V9, V10, V12  \
-	VSUBPD V12, q, q
 #define KRET VZEROUPPER; RET
 
-// ---- AVX2: 4 lanes ----
+// ---- AVX2: 4 float64 lanes ----
 
 #define V0 Y0
 #define V1 Y1
@@ -442,6 +457,20 @@ TEXT ·lanesKern32SSE2(SB), NOSPLIT, $0-104
 #define V12 Y12
 #define VB 32
 #define VZERO(r) VXORPD r, r, r
+
+#define ESH 3
+#define LBCAST(m, r) VBROADCASTSD m, r
+#define LMUL(m, b, t) VMULPD m, b, t
+#define LADD(t, r) VADDPD t, r, r
+#define LSUB(t, r) VSUBPD t, r, r
+#define LDIV(d, r) VDIVPD d, r, r
+#define LSCALE(s, r) VMULPD s, r, r
+#define RBCAST(x, r) VBROADCASTSD x, r
+#define SLOAD(m, x) VMOVSD m, x
+#define SSTORE(x, m) VMOVSD x, m
+#define SSQRT(x) VSQRTSD x, x, x
+#define SRECIP(d, x) VMOVSD one64<>(SB), x; VDIVSD d, x, x
+#define SUCOM VUCOMISD
 
 // func dotKernAVX2(k int, a []float64, lda int, bp []float64, alpha, beta float64, c []float64, ldc int)
 TEXT ·dotKernAVX2(SB), NOSPLIT, $0-112
@@ -465,19 +494,6 @@ TEXT ·subKernAVX2(SB), NOSPLIT, $0-96
 	MOVQ ldc+88(FP), DX
 	SUB_BODY
 
-#define ESH 3
-#define LBCAST(m, r) VBROADCASTSD m, r
-#define LMUL(m, b, t) VMULPD m, b, t
-#define LSUB(t, r) VSUBPD t, r, r
-#define LDIV(d, r) VDIVPD d, r, r
-#define LSCALE(s, r) VMULPD s, r, r
-#define RBCAST(x, r) VBROADCASTSD x, r
-#define SLOAD(m, x) VMOVSD m, x
-#define SSTORE(x, m) VMOVSD x, m
-#define SSQRT(x) VSQRTSD x, x, x
-#define SRECIP(d, x) VMOVSD one64<>(SB), x; VDIVSD d, x, x
-#define SUCOM VUCOMISD
-
 // func lanesKernAVX2(x, a []float64, l0, j0, j1, rs, cs, mode int) int
 TEXT ·lanesKernAVX2(SB), NOSPLIT, $0-104
 	MOVQ x_base+0(FP), DI
@@ -495,6 +511,7 @@ TEXT ·lanesKernAVX2(SB), NOSPLIT, $0-104
 #undef ESH
 #undef LBCAST
 #undef LMUL
+#undef LADD
 #undef LSUB
 #undef LDIV
 #undef LSCALE
@@ -507,6 +524,7 @@ TEXT ·lanesKernAVX2(SB), NOSPLIT, $0-104
 #define ESH 2
 #define LBCAST(m, r) VBROADCASTSS m, r
 #define LMUL(m, b, t) VMULPS m, b, t
+#define LADD(t, r) VADDPS t, r, r
 #define LSUB(t, r) VSUBPS t, r, r
 #define LDIV(d, r) VDIVPS d, r, r
 #define LSCALE(s, r) VMULPS s, r, r
@@ -516,6 +534,28 @@ TEXT ·lanesKernAVX2(SB), NOSPLIT, $0-104
 #define SSQRT(x) VSQRTSS x, x, x
 #define SRECIP(d, x) VMOVSS one32<>(SB), x; VDIVSS d, x, x
 #define SUCOM VUCOMISS
+
+// func dotKern32AVX2(k int, a []float32, lda int, bp []float32, c []float32, ldc int)
+TEXT ·dotKern32AVX2(SB), NOSPLIT, $0-96
+	MOVQ k+0(FP), CX
+	MOVQ a_base+8(FP), R8
+	MOVQ lda+32(FP), BX
+	MOVQ bp_base+40(FP), SI
+	LEAQ one32<>(SB), R13
+	LEAQ zero64<>(SB), R14
+	MOVQ c_base+64(FP), DI
+	MOVQ ldc+88(FP), DX
+	DOT_BODY
+
+// func subKern32AVX2(k int, a []float32, lda int, bp []float32, c []float32, ldc int)
+TEXT ·subKern32AVX2(SB), NOSPLIT, $0-96
+	MOVQ k+0(FP), CX
+	MOVQ a_base+8(FP), R8
+	MOVQ lda+32(FP), BX
+	MOVQ bp_base+40(FP), SI
+	MOVQ c_base+64(FP), DI
+	MOVQ ldc+88(FP), DX
+	SUB_BODY
 
 // func lanesKern32AVX2(x, a []float32, l0, j0, j1, rs, cs, mode int) int
 TEXT ·lanesKern32AVX2(SB), NOSPLIT, $0-104
@@ -547,7 +587,7 @@ TEXT ·lanesKern32AVX2(SB), NOSPLIT, $0-104
 #undef VB
 #undef VZERO
 
-// ---- AVX-512F: 8 lanes ----
+// ---- AVX-512F: 8 float64 lanes ----
 
 #define V0 Z0
 #define V1 Z1
@@ -565,20 +605,20 @@ TEXT ·lanesKern32AVX2(SB), NOSPLIT, $0-104
 #define VB 64
 #define VZERO(r) VPXORQ r, r, r
 
-// func dotKernAVX512(k int, a []float64, lda int, bp []float64, alpha, beta float64, c []float64, ldc int)
-TEXT ·dotKernAVX512(SB), NOSPLIT, $0-112
+// func dotKern32AVX512(k int, a []float32, lda int, bp []float32, c []float32, ldc int)
+TEXT ·dotKern32AVX512(SB), NOSPLIT, $0-96
 	MOVQ k+0(FP), CX
 	MOVQ a_base+8(FP), R8
 	MOVQ lda+32(FP), BX
 	MOVQ bp_base+40(FP), SI
-	LEAQ alpha+64(FP), R13
-	LEAQ beta+72(FP), R14
-	MOVQ c_base+80(FP), DI
-	MOVQ ldc+104(FP), DX
+	LEAQ one32<>(SB), R13
+	LEAQ zero64<>(SB), R14
+	MOVQ c_base+64(FP), DI
+	MOVQ ldc+88(FP), DX
 	DOT_BODY
 
-// func subKernAVX512(k int, a []float64, lda int, bp []float64, c []float64, ldc int)
-TEXT ·subKernAVX512(SB), NOSPLIT, $0-96
+// func subKern32AVX512(k int, a []float32, lda int, bp []float32, c []float32, ldc int)
+TEXT ·subKern32AVX512(SB), NOSPLIT, $0-96
 	MOVQ k+0(FP), CX
 	MOVQ a_base+8(FP), R8
 	MOVQ lda+32(FP), BX
@@ -604,6 +644,7 @@ TEXT ·lanesKern32AVX512(SB), NOSPLIT, $0-104
 #undef ESH
 #undef LBCAST
 #undef LMUL
+#undef LADD
 #undef LSUB
 #undef LDIV
 #undef LSCALE
@@ -616,6 +657,7 @@ TEXT ·lanesKern32AVX512(SB), NOSPLIT, $0-104
 #define ESH 3
 #define LBCAST(m, r) VBROADCASTSD m, r
 #define LMUL(m, b, t) VMULPD m, b, t
+#define LADD(t, r) VADDPD t, r, r
 #define LSUB(t, r) VSUBPD t, r, r
 #define LDIV(d, r) VDIVPD d, r, r
 #define LSCALE(s, r) VMULPD s, r, r
@@ -625,6 +667,28 @@ TEXT ·lanesKern32AVX512(SB), NOSPLIT, $0-104
 #define SSQRT(x) VSQRTSD x, x, x
 #define SRECIP(d, x) VMOVSD one64<>(SB), x; VDIVSD d, x, x
 #define SUCOM VUCOMISD
+
+// func dotKernAVX512(k int, a []float64, lda int, bp []float64, alpha, beta float64, c []float64, ldc int)
+TEXT ·dotKernAVX512(SB), NOSPLIT, $0-112
+	MOVQ k+0(FP), CX
+	MOVQ a_base+8(FP), R8
+	MOVQ lda+32(FP), BX
+	MOVQ bp_base+40(FP), SI
+	LEAQ alpha+64(FP), R13
+	LEAQ beta+72(FP), R14
+	MOVQ c_base+80(FP), DI
+	MOVQ ldc+104(FP), DX
+	DOT_BODY
+
+// func subKernAVX512(k int, a []float64, lda int, bp []float64, c []float64, ldc int)
+TEXT ·subKernAVX512(SB), NOSPLIT, $0-96
+	MOVQ k+0(FP), CX
+	MOVQ a_base+8(FP), R8
+	MOVQ lda+32(FP), BX
+	MOVQ bp_base+40(FP), SI
+	MOVQ c_base+64(FP), DI
+	MOVQ ldc+88(FP), DX
+	SUB_BODY
 
 // func lanesKernAVX512(x, a []float64, l0, j0, j1, rs, cs, mode int) int
 TEXT ·lanesKernAVX512(SB), NOSPLIT, $0-104
@@ -639,63 +703,6 @@ TEXT ·lanesKernAVX512(SB), NOSPLIT, $0-104
 	LANE_BODY
 	MOVQ AX, ret+96(FP)
 	KRET
-
-// func dotNT4x4f32(k int, a0, a1, a2, a3, bq []float32, s *[16]float32)
-//
-// X4..X7 accumulate a 4×4 block: Xi = [s(i,0)..s(i,3)]. One MOVUPS pulls
-// the interleaved quad [b0[l]..b3[l]]; A elements broadcast with SHUFPS.
-TEXT ·dotNT4x4f32(SB), NOSPLIT, $0-136
-	MOVQ k+0(FP), CX
-	MOVQ a0_base+8(FP), R8
-	MOVQ a1_base+32(FP), R9
-	MOVQ a2_base+56(FP), R10
-	MOVQ a3_base+80(FP), R11
-	MOVQ bq_base+104(FP), SI
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
-	TESTQ CX, CX
-	JZ   done32
-
-loop32:
-	MOVUPS (SI), X0
-
-	MOVSS  (R8), X1
-	SHUFPS $0x00, X1, X1
-	MULPS  X0, X1
-	ADDPS  X1, X4
-
-	MOVSS  (R9), X2
-	SHUFPS $0x00, X2, X2
-	MULPS  X0, X2
-	ADDPS  X2, X5
-
-	MOVSS  (R10), X3
-	SHUFPS $0x00, X3, X3
-	MULPS  X0, X3
-	ADDPS  X3, X6
-
-	MOVSS  (R11), X1
-	SHUFPS $0x00, X1, X1
-	MULPS  X0, X1
-	ADDPS  X1, X7
-
-	ADDQ $16, SI
-	ADDQ $4, R8
-	ADDQ $4, R9
-	ADDQ $4, R10
-	ADDQ $4, R11
-	DECQ CX
-	JNZ  loop32
-
-done32:
-	MOVQ   s+128(FP), DI
-	MOVUPS X4, (DI)
-	MOVUPS X5, 16(DI)
-	MOVUPS X6, 32(DI)
-	MOVUPS X7, 48(DI)
-	RET
 
 // func dotNT4x8f16(k int, a, b8 []float32, s *[32]float32)
 //

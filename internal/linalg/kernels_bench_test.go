@@ -94,8 +94,8 @@ func BenchmarkGemmNT64(b *testing.B) {
 		p     prec.Precision
 		scale float64
 	}{
-		{"FP64", prec.FP64, 1}, {"FP32", prec.FP32, 1}, {"FP16_32", prec.FP16x32, 1}, {"FP16", prec.FP16, 1},
-		{"FP32-underflow", prec.FP32, 1e-21},
+		{"FP64", prec.FP64, 1}, {"FP32", prec.FP32, 1}, {"TF32", prec.TF32, 1}, {"BF16_32", prec.BF16x32, 1},
+		{"FP16_32", prec.FP16x32, 1}, {"FP16", prec.FP16, 1}, {"FP32-underflow", prec.FP32, 1e-21},
 	} {
 		a := scaled(benchMatrix(n, n), leg.scale)
 		b.Run(leg.name, func(b *testing.B) {

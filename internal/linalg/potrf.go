@@ -21,10 +21,10 @@ var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite
 // runs first, the groups below read L from A. Every element keeps the
 // subtraction order of the unblocked loop: bit-identical.
 func PotrfLower(n int, a []float64, lda int) error {
-	nb := vecWidth.nb()
+	nb := nbOf[float64]()
 	groups := (n + nb - 1) / nb
-	p, pp := f64Scratch(nb * nb * groups * (groups + 1) / 2)
-	defer putF64(pp)
+	p, pp := getScratch[float64](nb * nb * groups * (groups + 1) / 2)
+	defer putScratch(pp)
 	group := func(g int) []float64 { return p[nb*nb*g*(g+1)/2:][:nb*nb*(g+1)] }
 	clear(p)
 	for i := 0; i < n; i++ { // row i's lower triangle into lane i mod nb

@@ -23,26 +23,24 @@ func scratchCap(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-var f32Pool = sync.Pool{New: func() any { s := make([]float32, 0, 4096); return &s }}
+var (
+	f32Pool = sync.Pool{New: func() any { s := make([]float32, 0, 4096); return &s }}
+	f64Pool = sync.Pool{New: func() any { s := make([]float64, 0, 4096); return &s }}
+)
 
-func f32Scratch(n int) ([]float32, *[]float32) {
-	p := f32Pool.Get().(*[]float32)
+func poolOf[T float32 | float64]() *sync.Pool {
+	if is64[T]() {
+		return &f64Pool
+	}
+	return &f32Pool
+}
+
+func getScratch[T float32 | float64](n int) ([]T, *[]T) {
+	p := poolOf[T]().Get().(*[]T)
 	if cap(*p) < n {
-		*p = make([]float32, n, scratchCap(n))
+		*p = make([]T, n, scratchCap(n))
 	}
 	return (*p)[:n], p
 }
 
-func putF32(p *[]float32) { f32Pool.Put(p) }
-
-var f64Pool = sync.Pool{New: func() any { s := make([]float64, 0, 4096); return &s }}
-
-func f64Scratch(n int) ([]float64, *[]float64) {
-	p := f64Pool.Get().(*[]float64)
-	if cap(*p) < n {
-		*p = make([]float64, n, scratchCap(n))
-	}
-	return (*p)[:n], p
-}
-
-func putF64(p *[]float64) { f64Pool.Put(p) }
+func putScratch[T float32 | float64](p *[]T) { poolOf[T]().Put(p) }

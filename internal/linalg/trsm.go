@@ -12,67 +12,72 @@ import "geompc/internal/prec"
 // time, by column block (laneBlock). Every element subtracts its products
 // b[i][l]·a[j][l] in increasing l: bit-identical to the scalar loop.
 func TrsmRLT(m, n int, a []float64, lda int, b []float64, ldb int) {
-	nb := vecWidth.nb()
-	x, xp := f64Scratch((m + nb - 1) / nb * nb * n)
+	nb := nbOf[float64]()
+	x, xp := getScratch[float64]((m + nb - 1) / nb * nb * n)
 	packLanes(x, b, m, n, ldb, nb)
+	trsmLanes(m, n, a, lda, x)
+	unpackLanes(b, x, m, n, ldb, nb)
+	putScratch(xp)
+}
+
+// trsmLanes runs the solve on x, the m rows of B packed in lane groups of
+// nbOf[T]() rows, by column block.
+func trsmLanes[T float32 | float64](m, n int, a []T, lda int, x []T) {
+	nb := nbOf[T]()
 	for g := 0; g < m; g += nb {
 		for j0 := 0; j0 < n; j0 += nb {
 			laneBlock(x[g*n:][:nb*n], nb, j0, min(j0+nb, n), a, lda, a, 0, lda, 1, laneDiv)
 		}
 	}
-	unpackLanes(b, x, m, n, ldb, nb)
-	putF64(xp)
 }
 
 // laneBlock finishes columns [j0, jn) of the lane group x (nb lanes) whose
 // columns l < j0 are final (DESIGN.md §3.3): their products go through
-// sub64, rows j..j+3 of a as the A side, and the rest of each recurrence
+// sub, rows j..j+3 of a as the A side, and the rest of each recurrence
 // through the lane kernel, with a(j, l) = c[off + j·rs + l·cs]; the last
 // n mod 4 columns run whole in lanes. It returns jn or the failed pivot.
-func laneBlock(x []float64, nb, j0, jn int, a []float64, lda int, c []float64, off, rs, cs, mode int) int {
+func laneBlock[T float32 | float64](x []T, nb, j0, jn int, a []T, lda int, c []T, off, rs, cs, mode int) int {
 	j1 := jn &^ 3
 	for j := j0; j < j1 && j0 > 0; j += 4 {
-		sub64(j0, a[j*lda:], lda, x, x[j*nb:], nb)
+		sub(j0, a[j*lda:], lda, x, x[j*nb:], nb)
 	}
-	if k := lanes64(x, c[off+j0*rs+j0*cs:], j0, j0, j1, rs, cs, mode); k < j1-j0 {
+	if k := lanes(x, c[off+j0*rs+j0*cs:], j0, j0, j1, rs, cs, mode); k < j1-j0 {
 		return j0 + k
 	}
 	if j1 < jn {
-		return j1 + lanes64(x, c[off+j1*rs:], 0, j1, jn, rs, cs, mode)
+		return j1 + lanes(x, c[off+j1*rs:], 0, j1, jn, rs, cs, mode)
 	}
 	return jn
 }
 
 // TrsmRLT32 is TrsmRLT computed in genuine float32 arithmetic over float64
 // storage. §V: tiles selected for FP16_32/FP16 GEMMs still run their TRSM in
-// FP32, because the considered GPUs only provide half-precision GEMM. Its
-// rows run whole in binary32 lanes, twice as many as TrsmRLT's.
+// FP32, because the considered GPUs only provide half-precision GEMM. It
+// runs TrsmRLT's code path on binary32 lanes, twice as many per group.
 func TrsmRLT32(m, n int, a []float64, lda int, b []float64, ldb int) {
 	defer leaveFlush32(enterFlush32())
-	nl := 2 * vecWidth.nb()
-	af, afp := f32Scratch(n * n)
+	nl := nbOf[float32]()
+	af, afp := getScratch[float32](n * n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			af[i*n+j] = float32(a[i*lda+j])
 		}
 	}
 	mn := (m + nl - 1) / nl * nl * n
-	x64, x64p := f64Scratch(mn)
-	x, xp := f32Scratch(mn)
+	x64, x64p := getScratch[float64](mn)
+	x, xp := getScratch[float32](mn)
 	packLanes(x64, b, m, n, ldb, nl)
 	for i, v := range x64 {
 		x[i] = float32(v)
 	}
-	for g := 0; g < m; g += nl {
-		lanes32(x[g*n:][:nl*n], af, 0, 0, n, n, 1, laneDiv)
-	}
+	trsmLanes(m, n, af, n, x)
 	for i, v := range x {
 		x64[i] = float64(v)
 	}
 	unpackLanes(b, x64, m, n, ldb, nl)
-	putF64(x64p)
-	putF32(afp)
-	putF32(xp)
+	putScratch(x64p)
+	putScratch(afp)
+	putScratch(xp)
 }
 
 // TrsmRLTPrec dispatches the TRSM tile kernel for execution precision p.

@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"geompc/internal/fp16"
 	"geompc/internal/prec"
 )
 
@@ -60,6 +61,58 @@ func naiveTrsmRLT(m, n int, a []float64, lda int, b []float64, ldb int) {
 	}
 }
 
+// naiveGemmNT32 is the float32-accumulate GEMM: every operand rounded to
+// binary32 and through quant (none for FP32) once, every operation in
+// binary32, C combined as alpha·s + beta·C (C not read when beta == 0).
+func naiveGemmNT32(quant func(float32) float32, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
+	q := func(v float64) float32 {
+		if quant == nil {
+			return float32(v)
+		}
+		return quant(float32(v))
+	}
+	al, be := float32(alpha), float32(beta)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s float32
+			for l := 0; l < k; l++ {
+				s += q(a[i*lda+l]) * q(b[j*ldb+l])
+			}
+			if beta == 0 {
+				c[i*ldc+j] = float64(al * s)
+			} else {
+				c[i*ldc+j] = float64(al*s + be*float32(c[i*ldc+j]))
+			}
+		}
+	}
+}
+
+// naiveGemmNT16 is the pure-FP16 GEMM: operands, alpha and beta rounded to
+// binary16, and every product and sum rounded to binary16 after its binary32
+// operation.
+func naiveGemmNT16(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
+	h := fp16.QuantF32
+	alf, bef := h(float32(alpha)), h(float32(beta))
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s float32
+			for l := 0; l < k; l++ {
+				s = h(s + h(h(float32(a[i*lda+l]))*h(float32(b[j*ldb+l]))))
+			}
+			t := h(alf * s)
+			if beta != 0 {
+				t = h(t + h(bef*h(float32(c[i*ldc+j]))))
+			}
+			c[i*ldc+j] = float64(t)
+		}
+	}
+}
+
+// quant32 is the input quantizer of each float32-accumulate format.
+var quant32 = map[prec.Precision]func(float32) float32{
+	prec.FP32: nil, prec.TF32: fp16.TF32Round, prec.BF16x32: fp16.BF16Round, prec.FP16x32: fp16.QuantF32,
+}
+
 // naivePotrfLower returns the first pivot that is not positive, and its
 // value, or −1 once the whole matrix is factored.
 func naivePotrfLower(n int, a []float64, lda int) (int, float64) {
@@ -106,11 +159,12 @@ func naiveTrsmRLT32(m, n int, a []float64, lda int, b []float64, ldb int) {
 	}
 }
 
-// TestWidthKernelsMatchNaiveLoops: the FP64 GEMM (both beta paths), SYRK,
-// TRSM (and the float32 TRSM) and POTRF equal the naive loops bit for bit
-// on 200 random shapes with m, n, k in [1, 80] — sizes that are not a
-// multiple of any lane count among them — and padded leading dimensions,
-// at every width.
+// TestWidthKernelsMatchNaiveLoops: the GEMM in every format (FP64 on both
+// beta paths per shape, the others on one, in turn), SYRK, TRSM (and the
+// float32 TRSM) and POTRF equal the naive loops bit for bit on 200 random
+// shapes with m, n, k in [1, 80] — sizes that are not a multiple of any
+// lane count among them, m mod 4 taking every value — and padded leading
+// dimensions, at every width.
 func TestWidthKernelsMatchNaiveLoops(t *testing.T) {
 	forEachWidth(t, func(t *testing.T) {
 		rng := rand.New(rand.NewPCG(0x77, 0x1d))
@@ -123,6 +177,17 @@ func TestWidthKernelsMatchNaiveLoops(t *testing.T) {
 				GemmNTPrec(prec.FP64, m, n, k, ab[0], a, lda, b, ldb, ab[1], got, ldc)
 				naiveGemmNT(m, n, k, ab[0], a, lda, b, ldb, ab[1], want, ldc)
 				sameBits(t, "GemmNT", got, want)
+			}
+			ab := [][2]float64{{-1, 1}, {0.5, 0}, {1.25, -0.75}}[trial%3]
+			for _, p := range []prec.Precision{prec.FP32, prec.TF32, prec.BF16x32, prec.FP16x32, prec.FP16} {
+				got, want := append([]float64(nil), c...), append([]float64(nil), c...)
+				GemmNTPrec(p, m, n, k, ab[0], a, lda, b, ldb, ab[1], got, ldc)
+				if p == prec.FP16 {
+					naiveGemmNT16(m, n, k, ab[0], a, lda, b, ldb, ab[1], want, ldc)
+				} else {
+					naiveGemmNT32(quant32[p], m, n, k, ab[0], a, lda, b, ldb, ab[1], want, ldc)
+				}
+				sameBits(t, "GemmNT "+p.String(), got, want)
 			}
 
 			cs := randMat(rng, n, ldc)
@@ -244,9 +309,9 @@ func TestWidthLaneKernel(t *testing.T) {
 				}
 				what := fmt.Sprintf("mode %d, %d lanes, n=%d l0=%d j0=%d", mode, nl, n, l0, j0)
 				if nl == vecWidth.nb() {
-					laneCase(t, what, lanes64, nl, x, a, l0, j0, n, rs, cs, mode)
+					laneCase(t, what, lanes[float64], nl, x, a, l0, j0, n, rs, cs, mode)
 				} else {
-					laneCase(t, what, lanes32, nl, x, a, l0, j0, n, rs, cs, mode)
+					laneCase(t, what, lanes[float32], nl, x, a, l0, j0, n, rs, cs, mode)
 				}
 			}
 		}

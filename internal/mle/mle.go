@@ -171,11 +171,25 @@ func (s *RunStats) add(r *cholesky.Result) {
 }
 
 // NegLogLik evaluates −ℓ(θ). It returns +Inf (with no error) when Σ(θ) is
-// not numerically SPD — the optimizer treats such θ as infeasible, the
-// standard practice for Gaussian likelihoods.
+// not numerically SPD, or θ has an entry that is not finite and positive —
+// the optimizer treats such θ as infeasible, the standard practice for
+// Gaussian likelihoods. A θ of the wrong length is an error.
 func (p *Problem) NegLogLik(theta []float64, rs *RunStats) (float64, error) {
 	if err := p.defaults(); err != nil {
 		return 0, err
+	}
+	if len(theta) != p.Kernel.NumParams() {
+		return 0, fmt.Errorf("mle: θ has %d params, kernel %s needs %d", len(theta), p.Kernel.Name(), p.Kernel.NumParams())
+	}
+	for _, v := range theta {
+		// Every parameter is a scale: σ² = 0 with no nugget is the zero
+		// matrix, which has no precision map (its global norm is 0).
+		if !(v > 0) || math.IsInf(v, 1) {
+			if rs != nil {
+				rs.Rejected++
+			}
+			return math.Inf(1), nil
+		}
 	}
 	n := len(p.Locs)
 	pg, qg := tile.SquarestGrid(p.Platform.Ranks)
@@ -406,6 +420,18 @@ type MCResult struct {
 func MonteCarlo(cfg MCConfig) ([]MCResult, error) {
 	if cfg.Replicas <= 0 || cfg.N <= 0 {
 		return nil, fmt.Errorf("mle: bad Monte-Carlo config: replicas=%d n=%d", cfg.Replicas, cfg.N)
+	}
+	// Checked here: a replica that panics inside the sweep takes the
+	// process down with it.
+	if cfg.Dim != 2 && cfg.Dim != 3 {
+		return nil, fmt.Errorf("mle: Monte-Carlo dimension %d, want 2 or 3", cfg.Dim)
+	}
+	if cfg.Kernel == nil {
+		return nil, fmt.Errorf("mle: Monte-Carlo config has no kernel")
+	}
+	if len(cfg.TrueTheta) != cfg.Kernel.NumParams() {
+		return nil, fmt.Errorf("mle: Monte-Carlo true θ has %d params, kernel %s needs %d",
+			len(cfg.TrueTheta), cfg.Kernel.Name(), cfg.Kernel.NumParams())
 	}
 	for _, u := range cfg.UReqs {
 		if err := checkUReq(u); err != nil {

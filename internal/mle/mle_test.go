@@ -105,6 +105,25 @@ func TestNegLogLikRejectsBadTheta(t *testing.T) {
 	}
 }
 
+// TestNegLogLikRejectsNonPositiveTheta: θ entries that are zero, NaN or
+// infinite are infeasible points, rejected before Σ(θ) is built — σ² = 0
+// with no nugget is the zero matrix, which has no precision map — and a θ
+// of the wrong length is an error.
+func TestNegLogLikRejectsNonPositiveTheta(t *testing.T) {
+	p, _ := testProblem(t, 64, 1e-6)
+	p.Nugget, p.TileSize = 0, 16
+	for _, theta := range [][]float64{{0, 0.1}, {1, 0}, {math.NaN(), 0.1}, {1, math.Inf(1)}} {
+		var rs RunStats
+		v, err := p.NegLogLik(theta, &rs)
+		if err != nil || !math.IsInf(v, 1) || rs.Rejected != 1 || rs.Evaluations != 0 {
+			t.Errorf("θ = %v: NLL %g, err %v, %+v; want +Inf, no error, one rejection and no factorization", theta, v, err, rs)
+		}
+	}
+	if _, err := p.NegLogLik([]float64{1}, nil); err == nil {
+		t.Error("a one-entry θ for a two-parameter kernel was accepted")
+	}
+}
+
 func TestNegLogLikCountsNaNRejection(t *testing.T) {
 	// A NaN observation leaves Σ(θ) SPD and every pivot positive, so only
 	// the likelihood's own NaN exit can reject the evaluation.
@@ -349,6 +368,32 @@ func TestMonteCarloStatsSumReplicas(t *testing.T) {
 func TestMonteCarloValidation(t *testing.T) {
 	if _, err := MonteCarlo(MCConfig{}); err == nil {
 		t.Error("empty config accepted")
+	}
+}
+
+// TestMonteCarloRejectsBadConfig: a dimension the location generator has
+// no lattice for, a missing kernel or a true θ of the wrong length is an
+// error before the sweep starts — not a panic inside a sweep goroutine,
+// which no caller can recover.
+func TestMonteCarloRejectsBadConfig(t *testing.T) {
+	good := func() MCConfig {
+		return MCConfig{
+			Replicas: 1, N: 32, Dim: 2, Kernel: geo.SqExp{Dimension: 2}, TrueTheta: []float64{1, 0.1},
+			UReqs: []float64{0}, Nugget: 1e-8, TileSize: 16, Seed: 1, MaxEvals: 2,
+		}
+	}
+	for name, edit := range map[string]func(*MCConfig){
+		"Dim 4":      func(c *MCConfig) { c.Dim = 4 },
+		"Dim 1":      func(c *MCConfig) { c.Dim = 1 },
+		"nil Kernel": func(c *MCConfig) { c.Kernel = nil },
+		"short θ":    func(c *MCConfig) { c.TrueTheta = []float64{1} },
+		"long θ":     func(c *MCConfig) { c.TrueTheta = []float64{1, 0.1, 0.5} },
+	} {
+		cfg := good()
+		edit(&cfg)
+		if _, err := MonteCarlo(cfg); err == nil {
+			t.Errorf("%s: config accepted", name)
+		}
 	}
 }
 
