@@ -46,6 +46,10 @@ race:
 # The µs-scale legs (the 64-tile GEMM and TRSM, POTRF at 49 and 64) run a
 # fixed 2,000 calls on their own line whatever BENCHTIME says: five calls
 # of a 10 µs kernel read anything from 1× to 4× on a shared host.
+# NegLogLikLevels (internal/mle) is the host cost of mixed precision: one
+# likelihood evaluation per accuracy level (exact, 1e-9, 1e-6, 1e-4) at
+# fit_matern's configuration (n400) and at n 1,600, tile 160 (n1600), a
+# fixed 20 calls per leg.
 BENCHTIME ?= 5x
 
 bench:
@@ -55,6 +59,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'Fig12WeakStep' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/bench/ >> results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'SweepParallel|EngineMultiRank' -benchmem -benchtime $(BENCHTIME) -cpu 4 ./internal/bench/ >> results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'CovTileMatern|CovTileSqExp|MaternBound' -benchmem -benchtime $(BENCHTIME) -cpu 1 . >> results/bench_after.txt
+	$(GO) test -run '^$$' -bench 'NegLogLikLevels' -benchmem -benchtime 20x -cpu 1 ./internal/mle/ >> results/bench_after.txt
 	$(GO) run ./cmd/benchjson -seed results/bench_seed.txt < results/bench_after.txt > BENCH_kernels.json
 
 bench-all:

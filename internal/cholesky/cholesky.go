@@ -90,7 +90,9 @@ func newGraph(cfg Config) (*graph, error) {
 	g.tiles = newTileCosts(g.desc, maps)
 	if g.mat != nil {
 		g.mat.SetStorage(func(i, j int) prec.Precision { return g.maps.Storage[i][j] })
-		g.wire = make([][]float64, cfg.Desc.LowerTileCount())
+		if cfg.Platform.NumDevices() > 1 {
+			g.wire = make([][]float64, cfg.Desc.LowerTileCount())
+		}
 		g.ops = make([]operandSlot, cfg.Desc.LowerTileCount()*2*prec.Count)
 	}
 	return g, nil

@@ -23,8 +23,12 @@ import (
 // the same process, broadcast for the others").
 
 // publishWire materializes the communicated representation of tile (i,j)
-// after its producing task body ran.
+// after its producing task body ran. On one device there is none: every
+// consumer is local (view), and newGraph leaves g.wire nil.
 func (g *graph) publishWire(i, j int) {
+	if g.wire == nil {
+		return
+	}
 	t := g.mat.At(i, j)
 	wp := g.maps.Comm[i][j].Format()
 	idx := g.desc.Index(i, j)
@@ -32,7 +36,7 @@ func (g *graph) publishWire(i, j int) {
 		g.wire[idx] = t.Data // TTC: what is sent is what is stored
 		return
 	}
-	g.wire[idx] = prec.QuantizeCopy(t.Data, wp)
+	g.wire[idx] = linalg.Quantize(append([]float64(nil), t.Data...), wp)
 }
 
 // view returns tile (i,j)'s data as seen by a consumer on device dev.

@@ -13,14 +13,15 @@ import (
 	"geompc/internal/tile"
 )
 
-// stcScenario is a two-rank numeric graph whose off-diagonal tiles run
-// their GEMMs in FP16_32 and travel in binary16 (STC): a covariance with a
-// unit nugget, so the factorization survives the half-precision wire.
-func stcScenario(t *testing.T, nt int) *graph {
+// stcScenario is a numeric graph on one device per rank (two ranks in a
+// 1×2 grid, or one) whose off-diagonal tiles run their GEMMs in FP16_32 and
+// travel in binary16 (STC): a covariance with a unit nugget, so the
+// factorization survives the half-precision wire.
+func stcScenario(t *testing.T, nt, ranks int) *graph {
 	t.Helper()
 	const ts = 16
 	locs := geo.GenerateLocations(nt*ts, 2, stats.NewRNG(42, 0))
-	d, err := tile.NewDesc(nt*ts, ts, 1, 2)
+	d, err := tile.NewDesc(nt*ts, ts, 1, ranks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func stcScenario(t *testing.T, nt int) *graph {
 		geo.CovTile(locs, r0, c0, tl.M, tl.N, geo.SqExp{Dimension: 2}, []float64{1, 0.05}, 1, tl.Data, tl.N)
 	})
 	maps := precmap.New(precmap.Uniform(nt, prec.FP16x32), 1e-3)
-	plat, err := runtime.NewPlatform(hw.SummitNode, 2, 1)
+	plat, err := runtime.NewPlatform(hw.SummitNode, ranks, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ const stcFactorDigest = 0x7f73db9204836dd1
 // -race this is also the check that concurrent bodies share a slot safely.
 func TestOperandCacheSTC(t *testing.T) {
 	const nt = 6
-	g := stcScenario(t, nt)
+	g := stcScenario(t, nt, 2)
 	if stc, _ := g.maps.STCCount(); stc == 0 {
 		t.Fatal("scenario has no STC edge: local and wire views would coincide")
 	}
@@ -130,7 +131,7 @@ func TestOperandCacheSTC(t *testing.T) {
 	}
 
 	// The public entry: same factor, through Run.
-	g2 := stcScenario(t, nt)
+	g2 := stcScenario(t, nt, 2)
 	cfg.Matrix = g2.mat
 	res, err := Run(cfg)
 	if err != nil || res.Err != nil {
@@ -138,5 +139,30 @@ func TestOperandCacheSTC(t *testing.T) {
 	}
 	if got := factorDigest(g2.mat); got != stcFactorDigest {
 		t.Errorf("Run: factor digest %#x, want %#x", got, stcFactorDigest)
+	}
+}
+
+// oneDeviceFactorDigest is the factor of stcScenario(6, 1) as Run left it
+// at commit 81e796c, which still rounded a wire copy of every STC tile.
+const oneDeviceFactorDigest = 0x4ae5c57788460fd3
+
+// TestOneDeviceNoWireCopy: on one device every consumer is local and reads
+// the storage copy (view), so a run publishes no wire copy — g.wire stays
+// empty — and leaves the factor it left when it rounded one per STC tile.
+func TestOneDeviceNoWireCopy(t *testing.T) {
+	g := stcScenario(t, 6, 1)
+	if stc, _ := g.maps.STCCount(); stc == 0 {
+		t.Fatal("scenario has no STC edge: there would be no wire copy to skip")
+	}
+	if _, bodyErr, err := runtime.Run(g.plat, g, runtime.Options{}); err != nil || bodyErr != nil {
+		t.Fatal(err, bodyErr)
+	}
+	for idx, w := range g.wire {
+		if w != nil {
+			t.Fatalf("tile %d has a wire copy on a one-device platform", idx)
+		}
+	}
+	if got := factorDigest(g.mat); got != oneDeviceFactorDigest {
+		t.Errorf("factor digest %#x, want %#x", got, oneDeviceFactorDigest)
 	}
 }

@@ -32,6 +32,10 @@ func TestKernelsSteadyStateAllocFree(t *testing.T) {
 	gemm := func(p prec.Precision, m int) func() {
 		return func() { GemmNTPrec(p, m, m, m, -1, a, n, a, n, 0, c, n) }
 	}
+	var ao, bo Operand
+	pack := func(p prec.Precision, m int) func() {
+		return func() { ao.Pack(p, m, m, a, n, true); ao.Release() }
+	}
 	for _, k := range []struct {
 		name string
 		call func()
@@ -51,6 +55,22 @@ func TestKernelsSteadyStateAllocFree(t *testing.T) {
 	} {
 		if got := testing.AllocsPerRun(20, k.call); got != 0 {
 			t.Errorf("%s: %v allocs per call in steady state, want 0", k.name, got)
+		}
+	}
+	// Pack and GemmNTPacked in every float32-accumulate format the
+	// factorization runs, at both tile sizes.
+	for _, p := range []prec.Precision{prec.FP32, prec.FP16x32, prec.FP16} {
+		for _, m := range []int{49, 64} {
+			if got := testing.AllocsPerRun(20, pack(p, m)); got != 0 {
+				t.Errorf("Pack %s/%d: %v allocs per call in steady state, want 0", p, m, got)
+			}
+			ao.Pack(p, m, m, a, n, false)
+			bo.Pack(p, m, m, a, n, true)
+			if got := testing.AllocsPerRun(20, func() { GemmNTPacked(-1, &ao, &bo, 1, c, n) }); got != 0 {
+				t.Errorf("GemmNTPacked %s/%d: %v allocs per call in steady state, want 0", p, m, got)
+			}
+			ao.Release()
+			bo.Release()
 		}
 	}
 }

@@ -23,13 +23,16 @@
 // over four A rows × two vectors of packed B columns, one accumulator lane
 // per output element, separate multiply and add: in float64 (dot64), in
 // float32 with twice the columns (dot32: FP32, TF32, BF16_32, FP16_32), or
-// the binary16 kernel (FP16). The A side is padded to whole groups of four
-// rows, so no element runs outside a micro-kernel. TRSM (both precisions)
-// and POTRF put independent rows in lanes, the products with finished
-// columns through the same shape (sub) and the in-block recurrence
-// in the lane kernel. All run at the host's vector width (SSE2, AVX2 or
-// AVX-512 on amd64, picked at init; portable Go elsewhere) with the naive
-// loops' bits, so the width is not a setting.
+// the same binary32 shape rounding to binary16 after every operation
+// (FP16). The A side is padded to whole groups of four rows, so no element
+// runs outside a micro-kernel. TRSM (both precisions) and POTRF put
+// independent rows in lanes, the products with finished columns through the
+// same shape (sub) and the in-block recurrence in the lane kernel. The
+// conversions into binary32 and binary16, the float32 and binary16 combines
+// with C and the lane transposes are vector row kernels. All run at the
+// host's vector width (SSE2, AVX2 or AVX-512 on amd64, picked at init;
+// portable Go elsewhere) with the scalar loops' bits, so the width is not a
+// setting.
 //
 // Underflow contract of the binary32 carrier: inside every float32-accumulate
 // kernel (the FP32/TF32/BF16_32/FP16_32/FP16 GEMMs and TrsmRLT32) a

@@ -31,9 +31,10 @@ var f16cSpecials = []float64{
 }
 
 // TestF16CGemmMatchesGoKernel: the pure-FP16 GEMM through the F16C
-// micro-kernel equals the portable kernel bit for bit on 320 random shapes
-// with m, n, k in [1, 70], padded leading dimensions, both beta paths, and
-// operands salted with f16cSpecials. Where both results are NaN their signs
+// micro-kernel, conversion and combine of each width equals the portable
+// kernel bit for bit on 320 random shapes per width with m, n, k in
+// [1, 70], padded leading dimensions, both beta paths, and operands salted
+// with f16cSpecials. Where both results are NaN their signs
 // are not compared: which NaN an add of two propagates depends on operand
 // order, the compiler's choice in the Go kernel.
 func TestF16CGemmMatchesGoKernel(t *testing.T) {
@@ -51,29 +52,34 @@ func TestF16CGemmMatchesGoKernel(t *testing.T) {
 		}
 		return m
 	}
-	for trial := 0; trial < 320; trial++ {
-		m, n, k := 1+rng.IntN(70), 1+rng.IntN(70), 1+rng.IntN(70)
-		lda, ldb, ldc := k+rng.IntN(3), k+rng.IntN(3), n+rng.IntN(3)
-		// The magnitudes cycle through ordinary, overflowing and
-		// underflowing products; the salt through none, sparse and dense.
-		scale := []float64{1, 300, 0x1p-9}[trial%3]
-		density := []int{1 << 30, 40, 7}[trial/3%3]
-		a, b, c := salted(m, lda, scale, density), salted(n, ldb, scale, density), salted(m, ldc, 1, density)
-		for _, ab := range [][2]float64{{-1, 1}, {0.5, 0}, {1.25, -0.75}} {
-			got, want := append([]float64(nil), c...), append([]float64(nil), c...)
-			withF16C(true, func() { GemmNTPrec(prec.FP16, m, n, k, ab[0], a, lda, b, ldb, ab[1], got, ldc) })
-			withF16C(false, func() { GemmNTPrec(prec.FP16, m, n, k, ab[0], a, lda, b, ldb, ab[1], want, ldc) })
-			for i := range want {
-				if math.IsNaN(got[i]) && math.IsNaN(want[i]) {
-					continue
-				}
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("trial %d m=%d n=%d k=%d alpha=%g beta=%g: element %d = %g (%#x) with F16C, %g (%#x) in Go",
-						trial, m, n, k, ab[0], ab[1], i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+	forEachWidth(t, func(t *testing.T) {
+		if vecWidth == widthGo {
+			t.Skip("the Go instantiation has no F16C kernel")
+		}
+		for trial := 0; trial < 320; trial++ {
+			m, n, k := 1+rng.IntN(70), 1+rng.IntN(70), 1+rng.IntN(70)
+			lda, ldb, ldc := k+rng.IntN(3), k+rng.IntN(3), n+rng.IntN(3)
+			// The magnitudes cycle through ordinary, overflowing and
+			// underflowing products; the salt through none, sparse and dense.
+			scale := []float64{1, 300, 0x1p-9}[trial%3]
+			density := []int{1 << 30, 40, 7}[trial/3%3]
+			a, b, c := salted(m, lda, scale, density), salted(n, ldb, scale, density), salted(m, ldc, 1, density)
+			for _, ab := range [][2]float64{{-1, 1}, {0.5, 0}, {1.25, -0.75}} {
+				got, want := append([]float64(nil), c...), append([]float64(nil), c...)
+				withF16C(true, func() { GemmNTPrec(prec.FP16, m, n, k, ab[0], a, lda, b, ldb, ab[1], got, ldc) })
+				withF16C(false, func() { GemmNTPrec(prec.FP16, m, n, k, ab[0], a, lda, b, ldb, ab[1], want, ldc) })
+				for i := range want {
+					if math.IsNaN(got[i]) && math.IsNaN(want[i]) {
+						continue
+					}
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("trial %d m=%d n=%d k=%d alpha=%g beta=%g: element %d = %g (%#x) with F16C, %g (%#x) in Go",
+							trial, m, n, k, ab[0], ab[1], i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // f16cRoundTrip checks the kernel's rounding of the eight products 1·x[jj]
@@ -86,12 +92,14 @@ func TestF16CGemmMatchesGoKernel(t *testing.T) {
 // have none.
 func f16cRoundTrip(x *[8]float32) string {
 	one := [4]float32{1, -1, 1, -1}
-	var s [32]float32
-	dotNT4x8f16(1, one[:], x[:], &s)
+	nb := nbOf[float32]()
+	var bp, s [4 * maxNB]float32
+	copy(bp[:], x[:])
+	dot16(1, one[:], 1, bp[:nb], s[:4*nb])
 	for r := 0; r < 2; r++ {
 		for jj, v := range x {
 			want := fp16.QuantF32(0 + fp16.QuantF32(one[r]*v))
-			if got := s[8*r+jj]; math.Float32bits(got) != math.Float32bits(want) && !(got != got && want != want) {
+			if got := s[nb*r+jj]; math.Float32bits(got) != math.Float32bits(want) && !(got != got && want != want) {
 				return fmt.Sprintf("F16C round trip of %g (%#08x): %#08x, QuantF32 gives %#08x",
 					one[r]*v, math.Float32bits(one[r]*v), math.Float32bits(got), math.Float32bits(want))
 			}
@@ -137,19 +145,20 @@ func TestF16CRoundTripExhaustive(t *testing.T) {
 	}
 }
 
-// TestF16COperandLayout: an FP16 operand carries the B side interleaved by
-// eight whether or not the F16C kernel will run it — dot16Go reads the same
-// blocks — and the other formats carry theirs at nbOf[float32]().
+// TestF16COperandLayout: at every width an FP16 operand carries its B side
+// interleaved by nbOf[float32](), like every float32-accumulate format,
+// whether or not the F16C kernel will run it — dot16Go reads the same
+// blocks. 37 rows fill a partial last block at every width.
 func TestF16COperandLayout(t *testing.T) {
 	if !hostF16C {
 		t.Skip("this host has no F16C")
 	}
-	const rows, k = 11, 5
+	const rows, k = 37, 5
 	src := make([]float64, rows*k)
 	for i := range src {
 		src[i] = float64(i + 1)
 	}
-	check := func(p prec.Precision, nb int) {
+	check := func(t *testing.T, p prec.Precision, nb int) {
 		var o Operand
 		o.Pack(p, rows, k, src, k, true)
 		defer o.Release()
@@ -169,8 +178,10 @@ func TestF16COperandLayout(t *testing.T) {
 			}
 		}
 	}
-	for _, on := range []bool{false, true} {
-		withF16C(on, func() { check(prec.FP16, 8) })
-	}
-	check(prec.FP32, nbOf[float32]())
+	forEachWidth(t, func(t *testing.T) {
+		for _, on := range []bool{false, true} {
+			withF16C(on, func() { check(t, prec.FP16, nbOf[float32]()) })
+		}
+		check(t, prec.FP32, nbOf[float32]())
+	})
 }

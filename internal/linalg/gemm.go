@@ -5,25 +5,20 @@ import (
 	"geompc/internal/prec"
 )
 
-// Every NT GEMM and the SYRK run one block loop (gemmNT) over one micro-kernel
-// shape: four A rows × two vectors of packed B columns, at the host's
-// vector width, in float64 (dot64) or float32 (dot32, twice the columns),
-// and — where the processor converts binary16 in hardware — the 4×8
-// pure-FP16 kernel (dotNT4x8f16), each with a portable Go form. A block of
-// independent accumulators covers a tile of C with the k-loop innermost, so
-// each accumulator sums its products in exactly the order the naive triple
-// loop would — the blocked kernels are bit-identical to the seed kernels
-// for every input and at every width (pinned by the golden digests). B is
-// repacked into interleaved column blocks (packLanes) so one vector load
-// pulls the operand for all lanes, and the A side is padded to whole groups
-// of four rows, so a tile of any shape runs in the kernel only; lanes never
-// mix elements of one accumulation.
+// Every NT GEMM and the SYRK run one block loop (gemmNT) over the one
+// micro-kernel shape of doc.go — dot64, dot32, or dot16 for pure FP16 — each
+// with a portable Go form. Each accumulator sums its products in the naive
+// triple loop's order, bit-identical to the seed kernels for every input and
+// at every width (pinned by the golden digests). B is repacked into
+// interleaved column blocks (packLanes) so one vector load pulls the operand
+// for all lanes; the A side is padded to whole groups of four rows, so a tile
+// of any shape runs in the kernel only. The conversions into a format
+// (convert) and the binary32 and binary16 combines with C (combine) run in
+// vector lanes too.
 //
-// The pure-FP16 kernel rounds every product and partial sum to binary16:
-// fp16.QuantF32 in Go (dot16Go), a VCVTPS2PH/VCVTPH2PS round trip on eight
-// lanes with F16C — the same rounding, subnormals included. CPUID decides
-// at init (useF16C); no bit of a result that is not a NaN depends on it (a
-// NaN's sign follows the add's operand order).
+// The binary16 round trip is fp16.QuantF32, subnormals included; CPUID
+// decides at init (useF16C), and no bit of a result that is not a NaN
+// depends on it (a NaN's sign follows the add's operand order).
 
 // Operand is a rows×k tile converted once for the NT GEMM kernels of one
 // precision: quantized through the format's input representation, row-major
@@ -89,19 +84,36 @@ func (o *Operand) Pack(p prec.Precision, rows, k int, src []float64, ld int, bSi
 		o.f64.pack(src, rows, k, ld, nbOf[float64](), bSide)
 		return
 	}
-	pk := pack32For[p]
-	if pk == nil {
-		panic("linalg: invalid precision " + p.String())
-	}
 	defer leaveFlush32(enterFlush32())
 	q, qp := getScratch[float32](rows * k)
-	pk(q, src, rows, k, ld)
-	nb := nbOf[float32]()
-	if p == prec.FP16 {
-		nb = 8 // the F16C kernel's block, and its Go form's
+	convert(rows, k, src, ld, q, k, p == prec.FP16x32 || p == prec.FP16)
+	switch p { // TF32 and BF16 round the binary32 values on
+	case prec.TF32:
+		for i, v := range q {
+			q[i] = fp16.TF32Round(v)
+		}
+	case prec.BF16x32:
+		for i, v := range q {
+			q[i] = fp16.BF16Round(v)
+		}
+	case prec.FP32, prec.FP16x32, prec.FP16:
+	default:
+		panic("linalg: invalid precision " + p.String())
 	}
-	o.f32.pack(q, rows, k, k, nb, bSide)
+	o.f32.pack(q, rows, k, k, nbOf[float32](), bSide)
 	o.f32.ap = qp
+}
+
+// Quantize rounds x through precision p's input representation in place
+// and returns x: prec.Quantize, with the binary32 and binary16 roundings in
+// vector lanes (convert). It obeys the caller's MXCSR, as prec.Quantize's
+// float32(v) does.
+func Quantize(x []float64, p prec.Precision) []float64 {
+	if p != prec.FP32 && p != prec.FP16x32 && p != prec.FP16 {
+		return prec.Quantize(x, p)
+	}
+	convert(1, len(x), x, len(x), x, len(x), p != prec.FP32)
+	return x
 }
 
 // Release returns the operand's buffers to the scratch pools and empties it.
@@ -223,30 +235,16 @@ func store[T float32 | float64](p prec.Precision, alpha, beta float64, al, be fl
 			}
 			continue
 		}
-		sr := as[float32](s[r*nb:][:w])
-		switch {
-		case p == prec.FP16:
-			for jj, v := range sr {
-				cr[jj] = fp16Store(al, v, beta == 0, be, cr[jj])
-			}
-		case beta == 0:
-			for jj, v := range sr {
-				cr[jj] = float64(al * v)
-			}
-		default:
-			for jj, v := range sr {
-				cr[jj] = float64(al*v + be*float32(cr[jj]))
-			}
-		}
+		combine(cr, as[float32](s[r*nb:][:w]), al, be, beta != 0, p == prec.FP16)
 	}
 }
 
 // packLanes packs the n×k row-major matrix (stride ld) into blocks of nb
 // rows, a row per vector lane: dst[jb·nb·k + l·nb + jj] = src[(jb·nb+jj)·ld
 // + l] — the B operand of the GEMM micro-kernels and the lane kernel's
-// layout. Rows past n are zero padding: their lanes are computed and
-// discarded, and packed operations never mix lanes.
-func packLanes[T float32 | float64](dst, src []T, n, k, ld, nb int) {
+// layout, converted to D on the way. Rows past n are zero padding: their
+// lanes are computed and discarded, and packed operations never mix lanes.
+func packLanes[S, D float32 | float64](dst []D, src []S, n, k, ld, nb int) {
 	for j0 := 0; j0 < n; j0 += nb {
 		out := dst[j0*k:][:nb*k]
 		if n-j0 < nb {
@@ -258,105 +256,30 @@ func packLanes[T float32 | float64](dst, src []T, n, k, ld, nb int) {
 
 // unpackLanes is the inverse of packLanes: it stores the n rows held in
 // src's blocks of nb lanes into the n×k row-major dst (stride ld).
-func unpackLanes(dst, src []float64, n, k, ld, nb int) {
+func unpackLanes[S, D float32 | float64](dst []D, src []S, n, k, ld, nb int) {
 	for j0 := 0; j0 < n; j0 += nb {
 		transpose(k, min(nb, n-j0), src[j0*k:], nb, dst[j0*ld:], ld)
 	}
 }
 
-// dot16 writes the pure-FP16 sums of four A rows (stride lda = k) against
-// one block of eight B columns (b8[8l+jj] = b(jj)[l]) into s (4×8):
-// s = fl16(s + fl16(a(r)[l]·b(jj)[l])) over increasing l, every value a
-// binary16 number held in a float32. With F16C it runs dotNT4x8f16.
-func dot16(k int, a []float32, lda int, b8, s []float32) {
-	if useF16C && k > 0 {
-		dotNT4x8f16(k, a[:4*k], b8[:8*k], (*[32]float32)(s))
-		return
-	}
-	dot16Go(k, a, lda, b8, s)
-}
-
 // dot16Go is dot16 in portable Go: the only form off amd64 and without
-// F16C, and the reference the F16C kernel is tested against. fp16.QuantF32
-// (round-to-nearest-even at binary16 precision) is applied after each
-// multiply and each add — proven bit-equivalent to the Half-typed
-// AddHalf/MulHalf chain by the exhaustive fp16 tests, and pinned against the
-// seed kernel by the golden digests.
-func dot16Go(k int, a []float32, lda int, b8, s []float32) {
-	q := fp16.QuantF32
-	for r := 0; r < 4; r++ {
+// F16C, and the reference the F16C kernels are tested against.
+// fp16.QuantF32 (round-to-nearest-even at binary16 precision) is applied
+// after each multiply and each add — proven bit-equivalent to the
+// Half-typed AddHalf/MulHalf chain by the exhaustive fp16 tests, and pinned
+// against the seed kernel by the golden digests.
+func dot16Go(k int, a []float32, lda int, bp, s []float32) {
+	q, nb := fp16.QuantF32, len(s)/4
+	for i := 0; i < 4*nb; i += 8 { // eight columns of row i/nb at a time
 		var s0, s1, s2, s3, s4, s5, s6, s7 float32
-		for l, x := range a[r*lda:][:k] {
-			b := b8[8*l:][:8]
+		for l, x := range a[i/nb*lda:][:k] {
+			b := bp[l*nb+i%nb:][:8]
 			s0, s1 = q(s0+q(x*b[0])), q(s1+q(x*b[1]))
 			s2, s3 = q(s2+q(x*b[2])), q(s3+q(x*b[3]))
 			s4, s5 = q(s4+q(x*b[4])), q(s5+q(x*b[5]))
 			s6, s7 = q(s6+q(x*b[6])), q(s7+q(x*b[7]))
 		}
-		sr := s[8*r:][:8]
+		sr := s[i:][:8]
 		sr[0], sr[1], sr[2], sr[3], sr[4], sr[5], sr[6], sr[7] = s0, s1, s2, s3, s4, s5, s6, s7
-	}
-}
-
-// fp16Store applies the binary16 alpha/beta combine: t = alpha⊗s and, when
-// beta is nonzero, t ⊕ beta⊗fl16(cij) — each ⊗/⊕ a float32 op rounded to
-// binary16, matching the seed kernel's MulHalf/AddHalf chain bit-for-bit.
-func fp16Store(alf, s float32, betaZero bool, bef float32, cij float64) float64 {
-	t := fp16.QuantF32(alf * s)
-	if betaZero {
-		return float64(t)
-	}
-	u := fp16.QuantF32(bef * fp16.QuantF32(float32(cij)))
-	return float64(fp16.QuantF32(t + u))
-}
-
-// The pack loops below are specialized per format — the seed's
-// rq func(float32) float32 closure cost an indirect call per element;
-// each loop body here inlines its quantizer. pack32For is the loop of each
-// float32-accumulate kernel precision.
-var pack32For = [prec.Count]func(dst []float32, src []float64, rows, cols, ld int){
-	prec.FP32: pack32, prec.TF32: packTF32, prec.BF16x32: packBF16, prec.FP16x32: packFP16, prec.FP16: packFP16,
-}
-
-func pack32(dst []float32, src []float64, rows, cols, ld int) {
-	for i := 0; i < rows; i++ {
-		row := src[i*ld:][:cols]
-		out := dst[i*cols:][:cols]
-		for j, v := range row {
-			out[j] = float32(v)
-		}
-	}
-}
-
-// packTF32 quantizes to TF32 (11-bit significand, float32 exponent range).
-func packTF32(dst []float32, src []float64, rows, cols, ld int) {
-	for i := 0; i < rows; i++ {
-		row := src[i*ld:][:cols]
-		out := dst[i*cols:][:cols]
-		for j, v := range row {
-			out[j] = fp16.TF32Round(float32(v))
-		}
-	}
-}
-
-// packBF16 quantizes to bfloat16 (8-bit significand).
-func packBF16(dst []float32, src []float64, rows, cols, ld int) {
-	for i := 0; i < rows; i++ {
-		row := src[i*ld:][:cols]
-		out := dst[i*cols:][:cols]
-		for j, v := range row {
-			out[j] = fp16.BF16Round(float32(v))
-		}
-	}
-}
-
-// packFP16 quantizes to binary16, held as exact float32 values.
-func packFP16(dst []float32, src []float64, rows, cols, ld int) {
-	for i := 0; i < rows; i++ {
-		row := src[i*ld:][:cols]
-		out := dst[i*cols:][:cols]
-		for j, v := range row {
-			out[j] = fp16.QuantF32(float32(v))
-		}
 	}
 }

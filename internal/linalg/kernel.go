@@ -3,6 +3,8 @@ package linalg
 import (
 	"math"
 	"unsafe"
+
+	"geompc/internal/fp16"
 )
 
 // width is the number of float64 lanes per vector the micro-kernels run
@@ -142,10 +144,44 @@ func lanesGo[T float32 | float64](nl int, x, a []T, l0, j0, j1, rs, cs, mode int
 }
 
 // transposeGo is transpose in portable Go.
-func transposeGo[T float32 | float64](rows, cols int, src []T, lds int, dst []T, ldd int) {
+func transposeGo[S, D float32 | float64](rows, cols int, src []S, lds int, dst []D, ldd int) {
 	for r := 0; r < rows; r++ {
 		for c, v := range src[r*lds:][:cols] {
-			dst[c*ldd+r] = v
+			dst[c*ldd+r] = D(v)
 		}
+	}
+}
+
+// convertGo is convert in portable Go: float32(v), fp16.QuantF32 of it when
+// h16, and D of that — prec.Quantize's rounding for D float64.
+func convertGo[D float32 | float64](rows, cols int, src []float64, lds int, dst []D, ldd int, h16 bool) {
+	for r := 0; r < rows; r++ {
+		d := dst[r*ldd:][:cols]
+		for c, v := range src[r*lds:][:cols] {
+			f := float32(v)
+			if h16 {
+				f = fp16.QuantF32(f)
+			}
+			d[c] = D(f)
+		}
+	}
+}
+
+// combineGo is combine in portable Go: t = al·s, and t + be·float32(c) when
+// readC, every operation and the binary32 image of c rounded to binary16
+// when h16 — the seed kernels' MulHalf/AddHalf chain bit for bit.
+func combineGo(c []float64, s []float32, al, be float32, readC, h16 bool) {
+	q := func(f float32) float32 {
+		if h16 {
+			return fp16.QuantF32(f)
+		}
+		return f
+	}
+	for j, v := range s {
+		t := q(al * v)
+		if readC {
+			t = q(t + q(be*q(float32(c[j]))))
+		}
+		c[j] = float64(t)
 	}
 }

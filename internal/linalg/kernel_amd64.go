@@ -4,6 +4,7 @@ package linalg
 
 import (
 	"runtime"
+	"unsafe"
 
 	"geompc/internal/hostcpu"
 )
@@ -22,9 +23,8 @@ import (
 //
 // The width is the widest the processor implements and the OS saves the
 // registers of (hostcpu, read once at init); useF16C says whether the
-// pure-FP16 GEMM rounds to binary16 with F16C (dotNT4x8f16, an AVX kernel)
-// or in Go. Neither is a setting: results do not depend on them, only speed
-// does.
+// pure-FP16 GEMM and the binary16 row kernels round with F16C or in Go.
+// Neither is a setting: results do not depend on them, only speed does.
 var vecWidth, useF16C = hostKernels()
 
 func hostKernels() (width, bool) {
@@ -56,8 +56,8 @@ func dot64(k int, a []float64, lda int, bp []float64, alpha, beta float64, c []f
 }
 
 // dot32 is dot64 on binary32 lanes, nb = nbOf[float32]() columns per
-// block, storing the bare sums: the float32 GEMMs combine them with C in
-// Go.
+// block, storing the bare sums: the float32 GEMMs combine them with C
+// (combine).
 func dot32(k int, a []float32, lda int, bp []float32, c []float32, ldc int) {
 	nb := nbOf[float32]()
 	_, _, _ = a[:3*lda+k], bp[:nb*k], c[3*ldc+nb-1]
@@ -140,21 +140,92 @@ func lanes[T float32 | float64](x, a []T, l0, j0, j1, rs, cs, mode int) int {
 	return lanesGo(nbOf[T](), x, a, l0, j0, j1, rs, cs, mode)
 }
 
+// dot16 writes the pure-FP16 sums of four A rows (stride lda) against one
+// packed block bp of nb = len(s)/4 columns into s (4×nb): s = fl16(s +
+// fl16(a(r)[l]·b(jj)[l])) over increasing l — DOT_BODY with a binary16
+// round trip after every operation where the host has F16C, else dot16Go.
+func dot16(k int, a []float32, lda int, bp, s []float32) {
+	nb := len(s) / 4
+	_, _, _ = a[:3*lda+k], bp[:nb*k], s[4*nb-1]
+	switch {
+	case goRows(true):
+		dot16Go(k, a, lda, bp, s)
+	case vecWidth == widthAVX512:
+		dotKern16AVX512(k, a, lda, bp, s, nb)
+	case vecWidth == widthAVX2:
+		dotKern16AVX2(k, a, lda, bp, s, nb)
+	default:
+		dotKern16SSE2(k, a, lda, bp, s, nb)
+	}
+}
+
 // transpose stores the rows×cols matrix src (stride lds) transposed into
-// dst (stride ldd), dst[c·ldd+r] = src[r·lds+c], for the lane layouts. It
-// moves data only: float64 takes one SSE2 form at every width but Go's.
-func transpose[T float32 | float64](rows, cols int, src []T, lds int, dst []T, ldd int) {
-	if !is64[T]() || vecWidth == widthGo || rows <= 0 || cols <= 0 {
+// dst (stride ldd), dst[c·ldd+r] = D(src[r·lds+c]), for the lane layouts:
+// float64 in one SSE2 form, binary32 — from float64 narrowed on the way in,
+// or to float64 widened on the way out — in another, at every width but Go's.
+func transpose[S, D float32 | float64](rows, cols int, src []S, lds int, dst []D, ldd int) {
+	if vecWidth == widthGo || rows <= 0 || cols <= 0 {
 		transposeGo(rows, cols, src, lds, dst, ldd)
 		return
 	}
-	s, d := as[float64](src), as[float64](dst)
-	_, _ = s[(rows-1)*lds+cols-1], d[(cols-1)*ldd+rows-1]
-	transposeSSE2(rows, cols, s, lds, d, ldd)
+	_, _ = src[(rows-1)*lds+cols-1], dst[(cols-1)*ldd+rows-1]
+	if is64[S]() && is64[D]() {
+		transposeSSE2(rows, cols, as[float64](src), lds, as[float64](dst), ldd)
+		return
+	}
+	transpose32SSE2(rows, cols, ptr(src), lds, ptr(dst), ldd, is64[S](), is64[D]())
+}
+
+// goRows reports whether the row kernels run in Go: at Go's width, and for
+// binary16 (h16) without F16C.
+func goRows(h16 bool) bool { return vecWidth == widthGo || h16 && !useF16C }
+
+// ptr is the address of s's first element (of its array if s is empty).
+func ptr[T float32 | float64](s []T) unsafe.Pointer { return unsafe.Pointer(unsafe.SliceData(s)) }
+
+// convert writes the rows×cols block src (stride lds) rounded to binary32,
+// and on to binary16 when h16, into dst (stride ldd) as float32 or widened
+// back to float64 (CVT_BODY; convertGo is its portable form).
+func convert[D float32 | float64](rows, cols int, src []float64, lds int, dst []D, ldd int, h16 bool) {
+	if goRows(h16) || rows <= 0 || cols <= 0 {
+		convertGo(rows, cols, src, lds, dst, ldd, h16)
+		return
+	}
+	_, _ = src[(rows-1)*lds+cols-1], dst[(rows-1)*ldd+cols-1]
+	switch vecWidth {
+	case widthAVX512:
+		cvtKernAVX512(rows, cols, src, lds, ptr(dst), ldd, is64[D](), h16)
+	case widthAVX2:
+		cvtKernAVX2(rows, cols, src, lds, ptr(dst), ldd, is64[D](), h16)
+	default:
+		cvtKernSSE2(rows, cols, src, lds, ptr(dst), ldd, is64[D](), h16)
+	}
+}
+
+// combine stores the bare binary32 sums s of a row into c, c = al⊗s ⊕
+// be⊗c (c read only when readC), in binary32 or, h16, binary16 arithmetic
+// (COMB_BODY; combineGo is its portable form).
+func combine(c []float64, s []float32, al, be float32, readC, h16 bool) {
+	if goRows(h16) || len(s) == 0 {
+		combineGo(c, s, al, be, readC, h16)
+		return
+	}
+	c = c[:len(s)]
+	switch vecWidth {
+	case widthAVX512:
+		combKernAVX512(c, s, al, be, readC, h16)
+	case widthAVX2:
+		combKernAVX2(c, s, al, be, readC, h16)
+	default:
+		combKernSSE2(c, s, al, be, readC, h16)
+	}
 }
 
 //go:noescape
 func transposeSSE2(rows, cols int, src []float64, lds int, dst []float64, ldd int)
+
+//go:noescape
+func transpose32SSE2(rows, cols int, src unsafe.Pointer, lds int, dst unsafe.Pointer, ldd int, narrow, widen bool)
 
 //go:noescape
 func lanesKernSSE2(x, a []float64, l0, j0, j1, rs, cs, mode int) int
@@ -210,13 +281,32 @@ func dotKern32AVX512(k int, a []float32, lda int, bp []float32, c []float32, ldc
 //go:noescape
 func subKern32AVX512(k int, a []float32, lda int, bp []float32, c []float32, ldc int)
 
-// dotNT4x8f16 computes the pure-FP16 sums of four A rows (a, row stride k)
-// against one block of eight B columns (b8[8l+jj] = b(jj)[l]):
-// s[8r+jj] = fl16(s + fl16(a(r)[l]·b(jj)[l])) over increasing l, every value
-// a binary16 number held in a float32 lane. k > 0; needs useF16C.
-//
 //go:noescape
-func dotNT4x8f16(k int, a, b8 []float32, s *[32]float32)
+func dotKern16SSE2(k int, a []float32, lda int, bp []float32, c []float32, ldc int)
+
+//go:noescape
+func cvtKernSSE2(rows, cols int, src []float64, lds int, dst unsafe.Pointer, ldd int, wide, h16 bool)
+
+//go:noescape
+func combKernSSE2(c []float64, s []float32, al, be float32, readC, h16 bool)
+
+//go:noescape
+func dotKern16AVX2(k int, a []float32, lda int, bp []float32, c []float32, ldc int)
+
+//go:noescape
+func cvtKernAVX2(rows, cols int, src []float64, lds int, dst unsafe.Pointer, ldd int, wide, h16 bool)
+
+//go:noescape
+func combKernAVX2(c []float64, s []float32, al, be float32, readC, h16 bool)
+
+//go:noescape
+func dotKern16AVX512(k int, a []float32, lda int, bp []float32, c []float32, ldc int)
+
+//go:noescape
+func cvtKernAVX512(rows, cols int, src []float64, lds int, dst unsafe.Pointer, ldd int, wide, h16 bool)
+
+//go:noescape
+func combKernAVX512(c []float64, s []float32, al, be float32, readC, h16 bool)
 
 // The binary32 underflow contract (doc.go) on amd64: MXCSR flush-to-zero
 // (bit 15) and denormals-are-zero (bit 6) govern every SSE instruction, so

@@ -11,14 +11,17 @@
 //
 // One body per entry point, written against the width macros and the
 // element macros below and instantiated six times: float64 and float32 at
-// SSE2 (4×4 and 4×8), AVX2 (4×8 and 4×16) and AVX-512 (4×16 and 4×32). The
-// width macros move bits and do not care about the element type:
+// SSE2 (4×4 and 4×8), AVX2 (4×8 and 4×16) and AVX-512 (4×16 and 4×32).
+// DOT_BODY is instantiated once more per width on binary32 lanes for the
+// pure-FP16 kernel, its LMUL and LADD followed by VRT. The width macros
+// move bits and do not care about the element type:
 //
 //	V0..V12      vector registers of the width (X, Y or Z)
 //	VB           bytes per vector
 //	VZERO(r)     r = 0
 //	VLOAD(m, r)  r = [m]        VSTORE(r, m)  [m] = r
 //	KRET         return (VZEROUPPER first on the VEX/EVEX widths)
+//	VRT(r)       round the binary32 lanes of r to binary16 and back (F16C)
 //
 // The element macros are defined per precision beside each instantiation:
 //
@@ -77,8 +80,8 @@
 // DOT_BODY: s = Σ_l a[l]·b[l] from zero, then C = alpha·s + beta·C, or
 // C = alpha·s without reading C when beta is ±0 (tested on the bits of a
 // float64: a NaN beta takes the read-C path, as `beta == 0` in Go does).
-// The float32 entry points pass alpha = 1 and beta = 0 from read-only data:
-// they store the bare sums, and the float32 combine runs in Go.
+// The binary32 and binary16 bodies take alpha = 1 and beta = 0 from
+// read-only data: they store the bare sums, and COMB_BODY combines them.
 #define DOT_BODY \
 	KERN_ROWS                \
 	VZERO(V0)                \
@@ -261,6 +264,150 @@ lanenext:                    \
 	JLT  lanecol             \
 lanedone:
 
+// The row kernels: conversion and combine, one vector of VL float64 lanes
+// at a time — the float64 vector V and its binary32 half H (the low half of
+// X at SSE2, X at AVX2, Y at AVX-512) — and the last n mod VL elements once
+// more under a tail mask, so no element runs outside a vector. Every element
+// takes the scalar Go loop's operations in its order: CVTPD2PS and CVTPS2PD
+// round and flag as CVTSD2SS and CVTSS2SD do under the caller's MXCSR, and
+// HRT, a VCVTPS2PH $0 / VCVTPH2PS round trip, is fp16.QuantF32 (NaN
+// payloads aside). The width section defines, beside V*, VB and KRET:
+//
+//	VL              float64 lanes per vector
+//	H0..H3          the binary32 halves of V0..V3
+//	HLOAD, HSTORE   move a half      NARROW(v, h), WIDEN(h, v)  convert
+//	HMUL(s, h)      h = h·s          HADD(s, h)  h = h + s     HBCAST(m, h)
+//	MSET(r)         the tail mask of r < VL elements (at SSE2, r is 1)
+//	MLOAD64, MSTORE64, MLOADH, MSTOREH  the masked moves; MLOADH and
+//	                MSTOREH take H0 only
+
+// CVT_LOOP converts AX rows of BX elements, stride CX bytes, from SI to DI
+// (stride DX bytes): U one vector from (R8) to (R9), T the masked tail.
+// DSTEP is the bytes a vector's output takes.
+#define CVT_LOOP(row, unit, tail, next, U, T, DSTEP) \
+row:                         \
+	MOVQ SI, R8              \
+	MOVQ DI, R9              \
+	MOVQ BX, R10             \
+	SUBQ $VL, R10            \
+	JL   tail                \
+unit:                        \
+	U                        \
+	ADDQ $VB, R8             \
+	ADDQ $DSTEP, R9          \
+	SUBQ $VL, R10            \
+	JGE  unit                \
+tail:                        \
+	ADDQ $VL, R10            \
+	JZ   next                \
+	T                        \
+next:                        \
+	ADDQ CX, SI              \
+	ADDQ DX, DI              \
+	DECQ AX                  \
+	JNZ  row                 \
+	KRET
+
+// CVT_N(LD, ST, RT) narrows one vector to binary32 (RT rounds on to
+// binary16, or is empty); CVT_R rounds it and widens it back to float64.
+#define CVT_N(LD, ST, RT) LD(0(R8), V0); NARROW(V0, H0); RT(H0); ST(H0, 0(R9))
+#define CVT_R(LD, ST, RT) LD(0(R8), V0); NARROW(V0, H0); RT(H0); WIDEN(H0, V0); ST(V0, 0(R9))
+// HRT(h) rounds the binary32 half h to binary16 and back (F16C, at every
+// width); NORT is no rounding.
+#define NORT(h)
+#define HRT(h) VCVTPS2PH $0, h, X15; VCVTPH2PS X15, h
+#define CVT_N32 CVT_N(VLOAD, HSTORE, NORT)
+#define CVT_N32T CVT_N(MLOAD64, MSTOREH, NORT)
+#define CVT_N16 CVT_N(VLOAD, HSTORE, HRT)
+#define CVT_N16T CVT_N(MLOAD64, MSTOREH, HRT)
+#define CVT_R32 CVT_R(VLOAD, VSTORE, NORT)
+#define CVT_R32T CVT_R(MLOAD64, MSTORE64, NORT)
+#define CVT_R16 CVT_R(VLOAD, VSTORE, HRT)
+#define CVT_R16T CVT_R(MLOAD64, MSTORE64, HRT)
+
+// CVT_BODY: dst = src rounded to binary32 — R11 bit 0 (wide): widened back
+// to float64, bit 1 (h16): rounded on to binary16 — for rows, cols ≥ 1. CX
+// is lds in elements, DX ldd.
+#define CVT_BODY \
+	SHLQ $3, CX              \
+	MOVQ BX, R10             \
+	ANDQ $(VL-1), R10        \
+	MSET(R10)                \
+	TESTQ $1, R11            \
+	JNZ  cvtround            \
+	SHLQ $2, DX              \
+	TESTQ $2, R11            \
+	JNZ  cvtn16              \
+	CVT_LOOP(n32row, n32unit, n32tail, n32next, CVT_N32, CVT_N32T, (VB/2)) \
+cvtn16:                      \
+	CVT_LOOP(n16row, n16unit, n16tail, n16next, CVT_N16, CVT_N16T, (VB/2)) \
+cvtround:                    \
+	SHLQ $3, DX              \
+	TESTQ $2, R11            \
+	JNZ  cvtr16              \
+	CVT_LOOP(r32row, r32unit, r32tail, r32next, CVT_R32, CVT_R32T, VB) \
+cvtr16:                      \
+	CVT_LOOP(r16row, r16unit, r16tail, r16next, CVT_R16, CVT_R16T, VB)
+
+// COMB(LH, L64, S64, RT) combines one vector of bare binary32 sums s (R9)
+// into C (R8), c = alpha⊗s ⊕ beta⊗c with alpha in H2 and beta in H3: RT
+// after every operation and on the converted c (binary16), or never
+// (binary32). COMB0 is the beta = 0 form, which does not read C.
+#define COMB(LH, L64, S64, RT) LH(0(R9), H0); HMUL(H2, H0); RT(H0); L64(0(R8), V1); NARROW(V1, H1); RT(H1); HMUL(H3, H1); RT(H1); HADD(H1, H0); RT(H0); WIDEN(H0, V0); S64(V0, 0(R8))
+#define COMB0(LH, S64, RT) LH(0(R9), H0); HMUL(H2, H0); RT(H0); WIDEN(H0, V0); S64(V0, 0(R8))
+#define COMB_32 COMB(HLOAD, VLOAD, VSTORE, NORT)
+#define COMB_32T COMB(MLOADH, MLOAD64, MSTORE64, NORT)
+#define COMB_16 COMB(HLOAD, VLOAD, VSTORE, HRT)
+#define COMB_16T COMB(MLOADH, MLOAD64, MSTORE64, HRT)
+#define COMB0_32 COMB0(HLOAD, VSTORE, NORT)
+#define COMB0_32T COMB0(MLOADH, MSTORE64, NORT)
+#define COMB0_16 COMB0(HLOAD, VSTORE, HRT)
+#define COMB0_16T COMB0(MLOADH, MSTORE64, HRT)
+
+// COMB_LOOP runs U over the R10 elements of the row, then T on the tail.
+#define COMB_LOOP(unit, tail, done, U, T) \
+	SUBQ $VL, R10            \
+	JL   tail                \
+unit:                        \
+	U                        \
+	ADDQ $VB, R8             \
+	ADDQ $(VB/2), R9         \
+	SUBQ $VL, R10            \
+	JGE  unit                \
+tail:                        \
+	ADDQ $VL, R10            \
+	JZ   done                \
+	MSET(R10)                \
+	T                        \
+done:                        \
+	KRET
+
+// COMB_BODY: R11 bit 0 (readC) reads C (beta ≠ 0), bit 1 (h16) is binary16.
+#define COMB_BODY \
+	TESTQ $2, R11            \
+	JNZ  comb16              \
+	TESTQ $1, R11            \
+	JZ   comb032             \
+	COMB_LOOP(c32unit, c32tail, c32done, COMB_32, COMB_32T) \
+comb032:                     \
+	COMB_LOOP(z32unit, z32tail, z32done, COMB0_32, COMB0_32T) \
+comb16:                      \
+	TESTQ $1, R11            \
+	JZ   comb016             \
+	COMB_LOOP(c16unit, c16tail, c16done, COMB_16, COMB_16T) \
+comb016:                     \
+	COMB_LOOP(z16unit, z16tail, z16done, COMB0_16, COMB0_16T)
+
+DATA tailmask<>+0(SB)/4, $-1
+DATA tailmask<>+4(SB)/4, $-1
+DATA tailmask<>+8(SB)/4, $-1
+DATA tailmask<>+12(SB)/4, $-1
+DATA tailmask<>+16(SB)/4, $0
+DATA tailmask<>+20(SB)/4, $0
+DATA tailmask<>+24(SB)/4, $0
+DATA tailmask<>+28(SB)/4, $0
+GLOBL tailmask<>(SB), RODATA|NOPTR, $32
+
 DATA one64<>+0(SB)/8, $0x3ff0000000000000
 GLOBL one64<>(SB), RODATA|NOPTR, $8
 DATA one32<>+0(SB)/4, $0x3f800000
@@ -288,6 +435,24 @@ GLOBL zero64<>(SB), RODATA|NOPTR, $8
 #define VLOAD(m, r) MOVUPD m, r
 #define VSTORE(r, m) MOVUPD r, m
 #define KRET RET
+#define VL 2
+#define H0 X0
+#define H1 X1
+#define H2 X2
+#define H3 X3
+#define HLOAD(m, h) MOVSD m, h
+#define HSTORE(h, m) MOVSD h, m
+#define NARROW(v, h) CVTPD2PS v, h
+#define WIDEN(h, v) CVTPS2PD h, v
+#define HMUL(s, h) MULPS s, h
+#define HADD(s, h) ADDPS s, h
+#define HBCAST(m, h) MOVSS m, h; SHUFPS $0, h, h
+#define VRT(r) VCVTPS2PH $0, r, X13; VCVTPH2PS X13, r
+#define MSET(r)
+#define MLOAD64(m, v) MOVSD m, v
+#define MSTORE64(v, m) MOVSD v, m
+#define MLOADH(m, h) MOVSS m, h
+#define MSTOREH(h, m) MOVSS h, m
 
 #define ESH 3
 #define LBCAST(m, r) MOVSD m, r; UNPCKLPD r, r
@@ -402,6 +567,50 @@ TEXT ·lanesKern32SSE2(SB), NOSPLIT, $0-104
 	MOVQ AX, ret+96(FP)
 	KRET
 
+// The pure-FP16 kernel: DOT_BODY on binary32 lanes with VRT, a binary16
+// round trip (F16C), after every multiply and every add.
+#undef LMUL
+#undef LADD
+#define LMUL(m, b, t) MOVUPS m, t; MULPS b, t; VRT(t)
+#define LADD(t, r) ADDPS t, r; VRT(r)
+
+// func dotKern16SSE2(k int, a []float32, lda int, bp []float32, c []float32, ldc int)
+TEXT ·dotKern16SSE2(SB), NOSPLIT, $0-96
+	MOVQ k+0(FP), CX
+	MOVQ a_base+8(FP), R8
+	MOVQ lda+32(FP), BX
+	MOVQ bp_base+40(FP), SI
+	LEAQ one32<>(SB), R13
+	LEAQ zero64<>(SB), R14
+	MOVQ c_base+64(FP), DI
+	MOVQ ldc+88(FP), DX
+	DOT_BODY
+
+// func cvtKernSSE2(rows, cols int, src []float64, lds int, dst unsafe.Pointer, ldd int, wide, h16 bool)
+TEXT ·cvtKernSSE2(SB), NOSPLIT, $0-66
+	MOVQ rows+0(FP), AX
+	MOVQ cols+8(FP), BX
+	MOVQ src_base+16(FP), SI
+	MOVQ lds+40(FP), CX
+	MOVQ dst+48(FP), DI
+	MOVQ ldd+56(FP), DX
+	MOVBQZX wide+64(FP), R11
+	MOVBQZX h16+65(FP), R12
+	LEAQ (R11)(R12*2), R11
+	CVT_BODY
+
+// func combKernSSE2(c []float64, s []float32, al, be float32, readC, h16 bool)
+TEXT ·combKernSSE2(SB), NOSPLIT, $0-58
+	MOVQ c_base+0(FP), R8
+	MOVQ s_base+24(FP), R9
+	MOVQ s_len+32(FP), R10
+	MOVBQZX readC+56(FP), R11
+	MOVBQZX h16+57(FP), R12
+	LEAQ (R11)(R12*2), R11
+	HBCAST(al+48(FP), H2)
+	HBCAST(be+52(FP), H3)
+	COMB_BODY
+
 #undef ESH
 #undef LBCAST
 #undef LMUL
@@ -433,12 +642,36 @@ TEXT ·lanesKern32SSE2(SB), NOSPLIT, $0-104
 #undef VLOAD
 #undef VSTORE
 #undef KRET
+#undef VL
+#undef H0
+#undef H1
+#undef H2
+#undef H3
+#undef HLOAD
+#undef HSTORE
+#undef NARROW
+#undef WIDEN
+#undef HMUL
+#undef HADD
+#undef HBCAST
+#undef VRT
+#undef MSET
+#undef MLOAD64
+#undef MSTORE64
+#undef MLOADH
+#undef MSTOREH
 
 // ---- AVX2 and AVX-512: three-operand VEX / EVEX forms, shared ----
 
 #define VLOAD(m, r) VMOVUPD m, r
 #define VSTORE(r, m) VMOVUPD r, m
 #define KRET VZEROUPPER; RET
+#define HLOAD(m, h) VMOVUPS m, h
+#define HSTORE(h, m) VMOVUPS h, m
+#define WIDEN(h, v) VCVTPS2PD h, v
+#define HMUL(s, h) VMULPS s, h, h
+#define HADD(s, h) VADDPS s, h, h
+#define HBCAST(m, h) VBROADCASTSS m, h
 
 // ---- AVX2: 4 float64 lanes ----
 
@@ -457,6 +690,18 @@ TEXT ·lanesKern32SSE2(SB), NOSPLIT, $0-104
 #define V12 Y12
 #define VB 32
 #define VZERO(r) VXORPD r, r, r
+#define VL 4
+#define H0 X0
+#define H1 X1
+#define H2 X2
+#define H3 X3
+#define NARROW(v, h) VCVTPD2PSY v, h
+#define VRT(r) VCVTPS2PH $0, r, X13; VCVTPH2PS X13, r
+#define MSET(r) MOVQ $4, R12; SUBQ r, R12; LEAQ tailmask<>(SB), R13; VMOVDQU (R13)(R12*4), X13; VPMOVSXDQ X13, Y14
+#define MLOAD64(m, v) VMASKMOVPD m, Y14, v
+#define MSTORE64(v, m) VMASKMOVPD v, Y14, m
+#define MLOADH(m, h) VMASKMOVPS m, X13, h
+#define MSTOREH(h, m) VMASKMOVPS h, X13, m
 
 #define ESH 3
 #define LBCAST(m, r) VBROADCASTSD m, r
@@ -571,6 +816,55 @@ TEXT ·lanesKern32AVX2(SB), NOSPLIT, $0-104
 	MOVQ AX, ret+96(FP)
 	KRET
 
+// The pure-FP16 kernel: DOT_BODY on binary32 lanes with VRT, a binary16
+// round trip (F16C), after every multiply and every add.
+#undef LMUL
+#undef LADD
+#define LMUL(m, b, t) VMULPS m, b, t; VRT(t)
+#define LADD(t, r) VADDPS t, r, r; VRT(r)
+
+// func dotKern16AVX2(k int, a []float32, lda int, bp []float32, c []float32, ldc int)
+TEXT ·dotKern16AVX2(SB), NOSPLIT, $0-96
+	MOVQ k+0(FP), CX
+	MOVQ a_base+8(FP), R8
+	MOVQ lda+32(FP), BX
+	MOVQ bp_base+40(FP), SI
+	LEAQ one32<>(SB), R13
+	LEAQ zero64<>(SB), R14
+	MOVQ c_base+64(FP), DI
+	MOVQ ldc+88(FP), DX
+	DOT_BODY
+
+// func cvtKernAVX2(rows, cols int, src []float64, lds int, dst unsafe.Pointer, ldd int, wide, h16 bool)
+TEXT ·cvtKernAVX2(SB), NOSPLIT, $0-66
+	MOVQ rows+0(FP), AX
+	MOVQ cols+8(FP), BX
+	MOVQ src_base+16(FP), SI
+	MOVQ lds+40(FP), CX
+	MOVQ dst+48(FP), DI
+	MOVQ ldd+56(FP), DX
+	MOVBQZX wide+64(FP), R11
+	MOVBQZX h16+65(FP), R12
+	LEAQ (R11)(R12*2), R11
+	CVT_BODY
+
+// func combKernAVX2(c []float64, s []float32, al, be float32, readC, h16 bool)
+TEXT ·combKernAVX2(SB), NOSPLIT, $0-58
+	MOVQ c_base+0(FP), R8
+	MOVQ s_base+24(FP), R9
+	MOVQ s_len+32(FP), R10
+	MOVBQZX readC+56(FP), R11
+	MOVBQZX h16+57(FP), R12
+	LEAQ (R11)(R12*2), R11
+	HBCAST(al+48(FP), H2)
+	HBCAST(be+52(FP), H3)
+	COMB_BODY
+
+#undef LMUL
+#undef LADD
+#define LMUL(m, b, t) VMULPS m, b, t
+#define LADD(t, r) VADDPS t, r, r
+
 #undef V0
 #undef V1
 #undef V2
@@ -586,6 +880,18 @@ TEXT ·lanesKern32AVX2(SB), NOSPLIT, $0-104
 #undef V12
 #undef VB
 #undef VZERO
+#undef VL
+#undef H0
+#undef H1
+#undef H2
+#undef H3
+#undef NARROW
+#undef VRT
+#undef MSET
+#undef MLOAD64
+#undef MSTORE64
+#undef MLOADH
+#undef MSTOREH
 
 // ---- AVX-512F: 8 float64 lanes ----
 
@@ -604,6 +910,18 @@ TEXT ·lanesKern32AVX2(SB), NOSPLIT, $0-104
 #define V12 Z12
 #define VB 64
 #define VZERO(r) VPXORQ r, r, r
+#define VL 8
+#define H0 Y0
+#define H1 Y1
+#define H2 Y2
+#define H3 Y3
+#define NARROW(v, h) VCVTPD2PS v, h
+#define VRT(r) VCVTPS2PH $0, r, Y13; VCVTPH2PS Y13, r
+#define MSET(r) XORL R12, R12; BTSL r, R12; DECL R12; KMOVW R12, K1
+#define MLOAD64(m, v) VMOVUPD.Z m, K1, v
+#define MSTORE64(v, m) VMOVUPD v, K1, m
+#define MLOADH(m, h) VMOVUPS.Z m, K1, Z0
+#define MSTOREH(h, m) VMOVUPS Z0, K1, m
 
 // func dotKern32AVX512(k int, a []float32, lda int, bp []float32, c []float32, ldc int)
 TEXT ·dotKern32AVX512(SB), NOSPLIT, $0-96
@@ -640,6 +958,50 @@ TEXT ·lanesKern32AVX512(SB), NOSPLIT, $0-104
 	LANE_BODY
 	MOVQ AX, ret+96(FP)
 	KRET
+
+// The pure-FP16 kernel: DOT_BODY on binary32 lanes with VRT, a binary16
+// round trip (F16C), after every multiply and every add.
+#undef LMUL
+#undef LADD
+#define LMUL(m, b, t) VMULPS m, b, t; VRT(t)
+#define LADD(t, r) VADDPS t, r, r; VRT(r)
+
+// func dotKern16AVX512(k int, a []float32, lda int, bp []float32, c []float32, ldc int)
+TEXT ·dotKern16AVX512(SB), NOSPLIT, $0-96
+	MOVQ k+0(FP), CX
+	MOVQ a_base+8(FP), R8
+	MOVQ lda+32(FP), BX
+	MOVQ bp_base+40(FP), SI
+	LEAQ one32<>(SB), R13
+	LEAQ zero64<>(SB), R14
+	MOVQ c_base+64(FP), DI
+	MOVQ ldc+88(FP), DX
+	DOT_BODY
+
+// func cvtKernAVX512(rows, cols int, src []float64, lds int, dst unsafe.Pointer, ldd int, wide, h16 bool)
+TEXT ·cvtKernAVX512(SB), NOSPLIT, $0-66
+	MOVQ rows+0(FP), AX
+	MOVQ cols+8(FP), BX
+	MOVQ src_base+16(FP), SI
+	MOVQ lds+40(FP), CX
+	MOVQ dst+48(FP), DI
+	MOVQ ldd+56(FP), DX
+	MOVBQZX wide+64(FP), R11
+	MOVBQZX h16+65(FP), R12
+	LEAQ (R11)(R12*2), R11
+	CVT_BODY
+
+// func combKernAVX512(c []float64, s []float32, al, be float32, readC, h16 bool)
+TEXT ·combKernAVX512(SB), NOSPLIT, $0-58
+	MOVQ c_base+0(FP), R8
+	MOVQ s_base+24(FP), R9
+	MOVQ s_len+32(FP), R10
+	MOVBQZX readC+56(FP), R11
+	MOVBQZX h16+57(FP), R12
+	LEAQ (R11)(R12*2), R11
+	HBCAST(al+48(FP), H2)
+	HBCAST(be+52(FP), H3)
+	COMB_BODY
 
 #undef ESH
 #undef LBCAST
@@ -704,58 +1066,137 @@ TEXT ·lanesKernAVX512(SB), NOSPLIT, $0-104
 	MOVQ AX, ret+96(FP)
 	KRET
 
-// func dotNT4x8f16(k int, a, b8 []float32, s *[32]float32)
-//
-// The pure-FP16 kernel (AVX + F16C): Y0..Y3 accumulate a 4×8 block, lane jj
-// of Yr one output element held as the float32 image of a binary16 value.
-// Per l and row: the product in binary32 (VMULPS), rounded to binary16 and
-// widened back (VCVTPS2PH $0 = round to nearest even, VCVTPH2PS), added to
-// the accumulator (VADDPS), and the same round trip on the sum — the two
-// fp16.QuantF32 of the Go kernel, on eight lanes. The conversions produce
-// and accept binary16 subnormals whatever MXCSR.FTZ/DAZ say; the multiply
-// and the add obey them, as the scalar ones in the Go kernel do.
-#define ROW16(m, t, h, acc, hacc) \
-	VBROADCASTSS m, t        \
-	VMULPS Y4, t, t          \
-	VCVTPS2PH $0, t, h       \
-	VCVTPH2PS h, t           \
-	VADDPS t, acc, acc       \
-	VCVTPS2PH $0, acc, hacc  \
-	VCVTPH2PS hacc, acc
-
-TEXT ·dotNT4x8f16(SB), NOSPLIT, $0-64
-	MOVQ k+0(FP), CX
-	MOVQ a_base+8(FP), R8
-	MOVQ b8_base+32(FP), SI
-	MOVQ s+56(FP), DI
-	LEAQ (R8)(CX*4), R9
-	LEAQ (R9)(CX*4), R10
-	LEAQ (R10)(CX*4), R11
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-
-loop16:
-	VMOVUPS (SI), Y4
-	ROW16((R8), Y5, X5, Y0, X0)
-	ROW16((R9), Y6, X6, Y1, X1)
-	ROW16((R10), Y7, X7, Y2, X2)
-	ROW16((R11), Y8, X8, Y3, X3)
-	ADDQ $32, SI
-	ADDQ $4, R8
-	ADDQ $4, R9
-	ADDQ $4, R10
-	ADDQ $4, R11
-	DECQ CX
-	JNZ  loop16
-
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
-	VZEROUPPER
+// T32 is the float32 transpose behind transpose32SSE2: dst[c·ldd + r] =
+// src[r·lds + c] (CX, DX the strides in bytes) for a rows×cols block, bands
+// of four rows in 4×4 blocks (four row loads, UNPCKLPS/UNPCKHPS and
+// MOVLHPS/MOVHLPS, four column stores), the last cols mod 4 columns of a
+// band and the last rows mod 4 rows element by element. LDROW/STCOL move
+// four elements, LDE/STE one, converting on the way; S1 and D1 are the
+// source and destination element sizes, D2, D3 two and three of them.
+#define T32(band, block, bcols, bcol, bnext, lrows, lrow, lcol, done, LDROW, STCOL, LDE, STE, S1, D1, D2, D3) \
+	SUBQ $4, AX              \
+	JL   lrows               \
+band:                        \
+	MOVQ SI, R8              \
+	MOVQ DI, R10             \
+	MOVQ BX, R12             \
+	SUBQ $4, R12             \
+	JL   bcols               \
+block:                       \
+	LEAQ (R8)(CX*1), R9      \
+	LEAQ (R8)(CX*2), R13     \
+	LEAQ (R9)(CX*2), R14     \
+	LDROW(R8, X0)            \
+	LDROW(R9, X1)            \
+	LDROW(R13, X2)           \
+	LDROW(R14, X3)           \
+	MOVAPS X0, X4            \
+	UNPCKLPS X1, X0          \
+	UNPCKHPS X1, X4          \
+	MOVAPS X2, X5            \
+	UNPCKLPS X3, X2          \
+	UNPCKHPS X3, X5          \
+	MOVAPS X0, X1            \
+	MOVLHPS X2, X0           \
+	MOVHLPS X1, X2           \
+	MOVAPS X4, X3            \
+	MOVLHPS X5, X4           \
+	MOVHLPS X3, X5           \
+	LEAQ (R10)(DX*1), R9     \
+	LEAQ (R10)(DX*2), R13    \
+	LEAQ (R9)(DX*2), R14     \
+	STCOL(X0, R10)           \
+	STCOL(X2, R9)            \
+	STCOL(X4, R13)           \
+	STCOL(X5, R14)           \
+	ADDQ $(4*S1), R8         \
+	LEAQ (R10)(DX*4), R10    \
+	SUBQ $4, R12             \
+	JGE  block               \
+bcols:                       \
+	ADDQ $4, R12             \
+	JZ   bnext               \
+bcol:                        \
+	LEAQ (R8)(CX*1), R9      \
+	LEAQ (R8)(CX*2), R13     \
+	LEAQ (R9)(CX*2), R14     \
+	LDE(R8, X0)              \
+	STE(X0, 0, R10)          \
+	LDE(R9, X0)              \
+	STE(X0, D1, R10)         \
+	LDE(R13, X0)             \
+	STE(X0, D2, R10)         \
+	LDE(R14, X0)             \
+	STE(X0, D3, R10)         \
+	ADDQ $S1, R8             \
+	ADDQ DX, R10             \
+	DECQ R12                 \
+	JNZ  bcol                \
+bnext:                       \
+	LEAQ (SI)(CX*4), SI      \
+	ADDQ $(4*D1), DI         \
+	SUBQ $4, AX              \
+	JGE  band                \
+lrows:                       \
+	ADDQ $4, AX              \
+	JZ   done                \
+lrow:                        \
+	MOVQ SI, R8              \
+	MOVQ DI, R10             \
+	MOVQ BX, R12             \
+lcol:                        \
+	LDE(R8, X0)              \
+	STE(X0, 0, R10)          \
+	ADDQ $S1, R8             \
+	ADDQ DX, R10             \
+	DECQ R12                 \
+	JNZ  lcol                \
+	ADDQ CX, SI              \
+	ADDQ $D1, DI             \
+	DECQ AX                  \
+	JNZ  lrow                \
+done:                        \
 	RET
+
+#define T_LDROW32(b, r) MOVUPS (b), r
+#define T_LDROW64(b, r) MOVUPD (b), r; MOVUPD 16(b), X8; CVTPD2PS r, r; CVTPD2PS X8, X8; MOVLHPS X8, r
+#define T_STCOL32(r, b) MOVUPS r, (b)
+#define T_STCOL64(r, b) CVTPS2PD r, X8; MOVHLPS r, r; CVTPS2PD r, X9; MOVUPD X8, (b); MOVUPD X9, 16(b)
+#define T_LDE32(b, r) MOVSS (b), r
+#define T_LDE64(b, r) MOVSD (b), r; CVTSD2SS r, r
+#define T_STE32(r, o, b) MOVSS r, o(b)
+#define T_STE64(r, o, b) CVTSS2SD r, r; MOVSD r, o(b)
+
+// func transpose32SSE2(rows, cols int, src unsafe.Pointer, lds int, dst unsafe.Pointer, ldd int, narrow, widen bool)
+//
+// The binary32 transpose of the lane layouts (T32), SSE2 at every width but
+// Go's: from float32, from float64 narrowed on the way in (narrow: the
+// packing of TrsmRLT32's lanes) or to float64 widened on the way out
+// (widen: their unpacking). rows, cols ≥ 1.
+TEXT ·transpose32SSE2(SB), NOSPLIT, $0-50
+	MOVQ rows+0(FP), AX
+	MOVQ cols+8(FP), BX
+	MOVQ src+16(FP), SI
+	MOVQ lds+24(FP), CX
+	MOVQ dst+32(FP), DI
+	MOVQ ldd+40(FP), DX
+	CMPB narrow+48(FP), $0
+	JNE  tnarrow
+	CMPB widen+49(FP), $0
+	JNE  twiden
+	SHLQ $2, CX
+	SHLQ $2, DX
+	T32(sband, sblock, sbcols, sbcol, sbnext, slrows, slrow, slcol, sdone, T_LDROW32, T_STCOL32, T_LDE32, T_STE32, 4, 4, 8, 12)
+
+tnarrow:
+	SHLQ $3, CX
+	SHLQ $2, DX
+	T32(nband, nblock, nbcols, nbcol, nbnext, nlrows, nlrow, nlcol, ndone, T_LDROW64, T_STCOL32, T_LDE64, T_STE32, 8, 4, 8, 12)
+
+twiden:
+	SHLQ $2, CX
+	SHLQ $3, DX
+	T32(wband, wblock, wbcols, wbcol, wbnext, wlrows, wlrow, wlcol, wdone, T_LDROW32, T_STCOL64, T_LDE32, T_STE64, 4, 8, 16, 24)
 
 // func transposeSSE2(rows, cols int, src []float64, lds int, dst []float64, ldd int)
 //

@@ -22,17 +22,23 @@ func lanes[T float32 | float64](x, a []T, l0, j0, j1, rs, cs, mode int) int {
 	return lanesGo(nbOf[T](), x, a, l0, j0, j1, rs, cs, mode)
 }
 
-func transpose[T float32 | float64](rows, cols int, src []T, lds int, dst []T, ldd int) {
+func transpose[S, D float32 | float64](rows, cols int, src []S, lds int, dst []D, ldd int) {
 	transposeGo(rows, cols, src, lds, dst, ldd)
+}
+
+func convert[D float32 | float64](rows, cols int, src []float64, lds int, dst []D, ldd int, h16 bool) {
+	convertGo(rows, cols, src, lds, dst, ldd, h16)
+}
+
+func combine(c []float64, s []float32, al, be float32, readC, h16 bool) {
+	combineGo(c, s, al, be, readC, h16)
 }
 
 // Off amd64 there is no hardware binary16 kernel: the pure-FP16 GEMM runs
 // dot16Go.
 var useF16C = false
 
-func dotNT4x8f16(k int, a, b8 []float32, s *[32]float32) {
-	panic("linalg: the F16C kernel exists on amd64 only")
-}
+func dot16(k int, a []float32, lda int, bp, s []float32) { dot16Go(k, a, lda, bp, s) }
 
 // The binary32 underflow contract (doc.go) is not enforced off amd64: these
 // architectures handle subnormals at full speed, and results agree with

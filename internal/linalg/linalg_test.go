@@ -109,7 +109,7 @@ func TestGemmFP16ValuesAreHalfRepresentable(t *testing.T) {
 	c := make([]float64, m*m)
 	GemmNTPrec(prec.FP16, m, m, m, 1, a, m, b, m, 0, c, m)
 	for i, v := range c {
-		if q := prec.QuantizeCopy([]float64{v}, prec.FP16)[0]; q != v {
+		if q := prec.Quantize([]float64{v}, prec.FP16)[0]; q != v {
 			t.Fatalf("c[%d]=%v is not a binary16 value", i, v)
 		}
 	}

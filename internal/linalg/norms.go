@@ -15,6 +15,21 @@ func FrobeniusNormMat(m, n int, a []float64, ld int) float64 {
 	return math.Sqrt(sum)
 }
 
+// FrobeniusNorms4 returns the Frobenius norms of four matrices of one size,
+// each stored contiguously, in one loop of four independent chains: each is
+// FrobeniusNormMat's sum, in its element order.
+func FrobeniusNorms4(a, b, c, d []float64) [4]float64 {
+	b, c, d = b[:len(a)], c[:len(a)], d[:len(a)]
+	var s0, s1, s2, s3 float64
+	for i, v := range a {
+		s0 += v * v
+		s1 += b[i] * b[i]
+		s2 += c[i] * c[i]
+		s3 += d[i] * d[i]
+	}
+	return [4]float64{math.Sqrt(s0), math.Sqrt(s1), math.Sqrt(s2), math.Sqrt(s3)}
+}
+
 // MaxAbsDiff returns max_i |a_i - b_i|; panics if lengths differ.
 func MaxAbsDiff(a, b []float64) float64 {
 	if len(a) != len(b) {

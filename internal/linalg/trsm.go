@@ -53,29 +53,20 @@ func laneBlock[T float32 | float64](x []T, nb, j0, jn int, a []T, lda int, c []T
 // TrsmRLT32 is TrsmRLT computed in genuine float32 arithmetic over float64
 // storage. §V: tiles selected for FP16_32/FP16 GEMMs still run their TRSM in
 // FP32, because the considered GPUs only provide half-precision GEMM. It
-// runs TrsmRLT's code path on binary32 lanes, twice as many per group.
+// runs TrsmRLT's code path on binary32 lanes, twice as many per group; B is
+// rounded to binary32 while it is packed into lanes and widened back while
+// it is unpacked, the triangle row by row (convert).
 func TrsmRLT32(m, n int, a []float64, lda int, b []float64, ldb int) {
 	defer leaveFlush32(enterFlush32())
 	nl := nbOf[float32]()
 	af, afp := getScratch[float32](n * n)
 	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			af[i*n+j] = float32(a[i*lda+j])
-		}
+		convert(1, i+1, a[i*lda:], lda, af[i*n:], n, false)
 	}
-	mn := (m + nl - 1) / nl * nl * n
-	x64, x64p := getScratch[float64](mn)
-	x, xp := getScratch[float32](mn)
-	packLanes(x64, b, m, n, ldb, nl)
-	for i, v := range x64 {
-		x[i] = float32(v)
-	}
+	x, xp := getScratch[float32]((m + nl - 1) / nl * nl * n)
+	packLanes(x, b, m, n, ldb, nl)
 	trsmLanes(m, n, af, n, x)
-	for i, v := range x {
-		x64[i] = float64(v)
-	}
-	unpackLanes(b, x64, m, n, ldb, nl)
-	putScratch(x64p)
+	unpackLanes(b, x, m, n, ldb, nl)
 	putScratch(afp)
 	putScratch(xp)
 }

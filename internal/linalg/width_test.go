@@ -430,3 +430,120 @@ func TestWidthTileCholesky(t *testing.T) {
 		})
 	}
 }
+
+// rowSpecials are the inputs a vector conversion or combine could treat
+// differently from its scalar Go form if it differed at all: signed zeros,
+// infinities, NaN, float64 subnormals, values that are binary32 subnormals
+// (flushed inside the flush region, kept outside it), binary32 overflow,
+// binary16 overflow, subnormals and the smallest values that round to zero,
+// and ties of both roundings.
+var rowSpecials = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+	5e-324, -1e-310, 1e-40, -0x1p-140, 0x1p-149, 0x1p-127,
+	3.5e38, -1e39, 65504, 65520, -65519.99, 1e5,
+	0x1p-24, -0x1p-25, 0x1p-26, 3 * 0x1p-25, 0x1p-14, 1023 * 0x1p-24,
+	1 + 0x1p-24, 1 + 3*0x1p-24, 1 + 0x1p-11, -(1 + 3*0x1p-11), 2049, 4097,
+}
+
+// rowInput returns n values of mixed magnitude, every third one a special.
+func rowInput(rng *rand.Rand, n int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = (rng.Float64()*2 - 1) * math.Ldexp(1, rng.IntN(40)-20)
+		if rng.IntN(3) == 0 {
+			x[i] = rowSpecials[rng.IntN(len(rowSpecials))]
+		}
+	}
+	return x
+}
+
+// sameBitsOrNaN is sameBits on values of either precision, with any NaN
+// matching any NaN: a binary16 round trip keeps a payload fp16.QuantF32
+// clears, and which of two NaN operands an add returns is operand order.
+func sameBitsOrNaN[T float32 | float64](t *testing.T, what string, got, want []T) {
+	t.Helper()
+	for i := range want {
+		g, w := float64(got[i]), float64(want[i])
+		if math.Float64bits(g) != math.Float64bits(w) && !(g != g && w != w) {
+			t.Fatalf("%s: element %d = %g (%#x), Go form %g (%#x)", what, i, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
+}
+
+// TestWidthRowKernels: the row kernels — conversion to binary32 and to
+// binary16 (as float32, or widened back to float64; Quantize against
+// prec.Quantize), the binary32 transposes (float32, float64 narrowed in,
+// widened out) and the binary32 and binary16 combines, with and without C
+// — equal their Go forms bit for bit at every width, inside the flush
+// region and outside it, on shapes 1, 7, 16, 49 and 64 with padded strides
+// and rowSpecials among the inputs.
+func TestWidthRowKernels(t *testing.T) {
+	shapes := []int{1, 7, 16, 49, 64}
+	forEachWidth(t, func(t *testing.T) {
+		rng := rand.New(rand.NewPCG(0x20, 0x46))
+		for _, flush := range []bool{false, true} {
+			func() {
+				if flush {
+					defer leaveFlush32(enterFlush32())
+				}
+				for _, rows := range shapes {
+					for _, cols := range shapes {
+						what := fmt.Sprintf("flush=%v %d×%d", flush, rows, cols)
+						rowKernelCase(t, rng, what, rows, cols)
+					}
+				}
+			}()
+		}
+	})
+}
+
+func rowKernelCase(t *testing.T, rng *rand.Rand, what string, rows, cols int) {
+	t.Helper()
+	lds, ldd := cols+rng.IntN(3), cols+rng.IntN(3)
+	src := rowInput(rng, rows*lds)
+	for _, h16 := range []bool{false, true} {
+		got32, want32 := make([]float32, rows*ldd), make([]float32, rows*ldd)
+		convert(rows, cols, src, lds, got32, ldd, h16)
+		convertGo(rows, cols, src, lds, want32, ldd, h16)
+		sameBitsOrNaN(t, fmt.Sprintf("%s convert to float32 h16=%v", what, h16), got32, want32)
+		got64, want64 := make([]float64, rows*ldd), make([]float64, rows*ldd)
+		convert(rows, cols, src, lds, got64, ldd, h16)
+		convertGo(rows, cols, src, lds, want64, ldd, h16)
+		sameBitsOrNaN(t, fmt.Sprintf("%s convert to float64 h16=%v", what, h16), got64, want64)
+	}
+
+	for _, p := range []prec.Precision{prec.FP32, prec.FP16x32, prec.FP16} {
+		got := Quantize(append([]float64(nil), src...), p)
+		sameBitsOrNaN(t, what+" Quantize "+p.String(), got, prec.Quantize(append([]float64(nil), src...), p))
+	}
+
+	// The transposes: dst is cols×rows with stride ldt.
+	ldt := rows + rng.IntN(3)
+	src32 := make([]float32, rows*lds)
+	convertGo(rows, lds, src, lds, src32, lds, false)
+	gotT, wantT := make([]float32, cols*ldt), make([]float32, cols*ldt)
+	transpose(rows, cols, src32, lds, gotT, ldt)
+	transposeGo(rows, cols, src32, lds, wantT, ldt)
+	sameBitsOrNaN(t, what+" transpose float32", gotT, wantT)
+	transpose(rows, cols, src, lds, gotT, ldt)
+	transposeGo(rows, cols, src, lds, wantT, ldt)
+	sameBitsOrNaN(t, what+" transpose float64 → float32", gotT, wantT)
+	gotW, wantW := make([]float64, cols*ldt), make([]float64, cols*ldt)
+	transpose(rows, cols, src32, lds, gotW, ldt)
+	transposeGo(rows, cols, src32, lds, wantW, ldt)
+	sameBitsOrNaN(t, what+" transpose float32 → float64", gotW, wantW)
+
+	// The combines, on a row of cols sums.
+	s := src32[:cols]
+	c := rowInput(rng, cols)
+	for _, ab := range [][2]float32{{-1, 1}, {0.5, 0}, {1.25, -0.75}, {0x1p-120, 0x1p-10}} {
+		for _, h16 := range []bool{false, true} {
+			for _, readC := range []bool{false, true} {
+				got, want := append([]float64(nil), c...), append([]float64(nil), c...)
+				combine(got, s, ab[0], ab[1], readC, h16)
+				combineGo(want, s, ab[0], ab[1], readC, h16)
+				sameBitsOrNaN(t, fmt.Sprintf("%s combine al=%g be=%g readC=%v h16=%v", what, ab[0], ab[1], readC, h16), got, want)
+			}
+		}
+	}
+}

@@ -442,8 +442,16 @@ func MonteCarlo(cfg MCConfig) ([]MCResult, error) {
 		cfg.MaxEvals = 600
 	}
 	np := cfg.Kernel.NumParams()
+	// A replica's dataset is a function of (Seed, r) alone: each is drawn
+	// once (if there is a level to fit), before the level × replica fits.
+	sets, err := sweep.Run(min(len(cfg.UReqs), 1)*cfg.Replicas, sweep.Options{Workers: sweep.PerCore}, func(r int) (replica, error) {
+		return drawReplica(cfg, r)
+	})
+	if err != nil {
+		return nil, err
+	}
 	fits, err := sweep.Run(len(cfg.UReqs)*cfg.Replicas, sweep.Options{Workers: sweep.PerCore}, func(i int) (*FitResult, error) {
-		return runReplica(cfg, cfg.UReqs[i/cfg.Replicas], i%cfg.Replicas, np)
+		return fitReplica(cfg, cfg.UReqs[i/cfg.Replicas], sets[i%cfg.Replicas], np), nil
 	})
 	if err != nil {
 		return nil, err
@@ -466,24 +474,34 @@ func MonteCarlo(cfg MCConfig) ([]MCResult, error) {
 	return results, nil
 }
 
-// runReplica generates replica r's dataset and fits it at ureq. A failed
-// fit returns a nil result and no error; only a data-generation failure is
-// an error.
-func runReplica(cfg MCConfig, ureq float64, r, np int) (*FitResult, error) {
+// replica is one synthetic dataset of a Monte-Carlo study.
+type replica struct {
+	locs []geo.Point
+	z    []float64
+}
+
+// drawReplica generates replica r's dataset from its own RNG stream.
+func drawReplica(cfg MCConfig, r int) (replica, error) {
 	rng := stats.NewRNG(cfg.Seed, uint64(r))
 	locs := geo.GenerateLocations(cfg.N, cfg.Dim, rng)
 	z, err := geo.SimulateField(locs, cfg.Kernel, cfg.TrueTheta, cfg.Nugget, rng)
 	if err != nil {
-		return nil, fmt.Errorf("mle: replica %d data generation: %w", r, err)
+		return replica{}, fmt.Errorf("mle: replica %d data generation: %w", r, err)
 	}
+	return replica{locs, z}, nil
+}
+
+// fitReplica fits dataset d at ureq; a failed fit returns nil. The fits of
+// one replica at different levels may run concurrently: they only read d.
+func fitReplica(cfg MCConfig, ureq float64, d replica, np int) *FitResult {
 	p := &Problem{
-		Locs: locs, Z: z, Kernel: cfg.Kernel, Nugget: cfg.Nugget,
+		Locs: d.locs, Z: d.z, Kernel: cfg.Kernel, Nugget: cfg.Nugget,
 		TileSize: cfg.TileSize, UReq: ureq, Platform: cfg.Platform,
 	}
 	start, lo, hi := DefaultBounds(np)
 	fit, err := Fit(p, start, lo, hi, optimize.Options{Tol: 1e-9, MaxEvals: cfg.MaxEvals})
 	if err != nil {
-		return nil, nil
+		return nil
 	}
-	return fit, nil
+	return fit
 }

@@ -326,6 +326,17 @@ func TestMonteCarloSmall(t *testing.T) {
 	}
 }
 
+// runReplica draws replica r's dataset and fits it at ureq on its own: the
+// reference MonteCarlo, which draws each replica once for all levels, must
+// reproduce.
+func runReplica(cfg MCConfig, ureq float64, r, np int) (*FitResult, error) {
+	d, err := drawReplica(cfg, r)
+	if err != nil {
+		return nil, err
+	}
+	return fitReplica(cfg, ureq, d, np), nil
+}
+
 // TestMonteCarloStatsSumReplicas pins MCResult.Stats as the field-wise sum
 // of its replicas' fit statistics, data motion included.
 func TestMonteCarloStatsSumReplicas(t *testing.T) {
@@ -362,6 +373,36 @@ func TestMonteCarloStatsSumReplicas(t *testing.T) {
 	}
 	if got.BytesH2D <= 0 {
 		t.Errorf("BytesH2D = %d, want > 0", got.BytesH2D)
+	}
+}
+
+// TestMonteCarloDrawsOnce: the study draws each replica once and fits it
+// at every level; every estimate is the bits of drawing and fitting that
+// replica on its own at that level.
+func TestMonteCarloDrawsOnce(t *testing.T) {
+	cfg := MCConfig{
+		Replicas: 3, N: 48, Dim: 2,
+		Kernel:    geo.SqExp{Dimension: 2},
+		TrueTheta: []float64{1, 0.1},
+		UReqs:     []float64{0, 1e-9},
+		Nugget:    1e-6, TileSize: 16, Seed: 9, MaxEvals: 12,
+	}
+	res, err := MonteCarlo(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l, u := range cfg.UReqs {
+		for r := 0; r < cfg.Replicas; r++ {
+			fit, err := runReplica(cfg, u, r, 2)
+			if err != nil || fit == nil {
+				t.Fatalf("level %g replica %d: fit %v, error %v", u, r, fit, err)
+			}
+			for i, v := range fit.Theta {
+				if got := res[l].Estimates[i][r]; math.Float64bits(got) != math.Float64bits(v) {
+					t.Errorf("level %g replica %d θ[%d] = %v, alone %v", u, r, i, got, v)
+				}
+			}
+		}
 	}
 }
 

@@ -33,13 +33,6 @@ func Quantize(x []float64, p Precision) []float64 {
 	return x
 }
 
-// QuantizeCopy returns a fresh slice holding x quantized to p.
-func QuantizeCopy(x []float64, p Precision) []float64 {
-	out := make([]float64, len(x))
-	copy(out, x)
-	return Quantize(out, p)
-}
-
 // Bytes returns the number of bytes n elements occupy in precision p's
 // input representation.
 func Bytes(n int, p Precision) int64 { return int64(n) * int64(p.InputBytes()) }

@@ -141,3 +141,8 @@ func TestQuantizeMonotonePrecision(t *testing.T) {
 		}
 	}
 }
+
+// QuantizeCopy returns a fresh slice holding x quantized to p.
+func QuantizeCopy(x []float64, p Precision) []float64 {
+	return Quantize(append([]float64(nil), x...), p)
+}

@@ -171,20 +171,30 @@ func (m *Matrix) FillParallel(gen func(t *Tile, rowStart, colStart int)) {
 // leaves the same bits.
 func (m *Matrix) SetStorage(storage func(i, j int) prec.Precision) {
 	for _, t := range m.tiles {
-		prec.Quantize(t.Data, storage(t.I, t.J))
+		linalg.Quantize(t.Data, storage(t.I, t.J))
 	}
 }
 
 // TileNorms returns the Frobenius norm of every lower tile, indexed by
 // Desc.Index, plus the global Frobenius norm of the full symmetric
-// matrix (off-diagonal tiles counted twice).
+// matrix (off-diagonal tiles counted twice). Four consecutive tiles of one
+// size — tiles of one shape are consecutive in Index order — are summed in
+// one loop (linalg.FrobeniusNorms4), each with Norm's bits.
 func (m *Matrix) TileNorms() (norms []float64, global float64) {
 	norms = make([]float64, len(m.tiles))
+	for idx := 0; idx < len(m.tiles); idx++ {
+		q := m.tiles[idx:min(idx+4, len(m.tiles))]
+		if n := len(q[0].Data); len(q) == 4 && len(q[1].Data) == n && len(q[2].Data) == n && len(q[3].Data) == n {
+			n4 := linalg.FrobeniusNorms4(q[0].Data, q[1].Data, q[2].Data, q[3].Data)
+			copy(norms[idx:], n4[:])
+			idx += 3
+			continue
+		}
+		norms[idx] = m.tiles[idx].Norm()
+	}
 	var ss float64
 	for idx, t := range m.tiles {
-		nm := t.Norm()
-		norms[idx] = nm
-		if t.I == t.J {
+		if nm := norms[idx]; t.I == t.J {
 			ss += nm * nm
 		} else {
 			ss += 2 * nm * nm

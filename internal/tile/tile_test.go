@@ -184,6 +184,25 @@ func TestTileNormsMatchGlobal(t *testing.T) {
 	if math.Abs(global-want) > 1e-10*want {
 		t.Errorf("global norm %g, want %g", global, want)
 	}
+
+	// Bit for bit against the per-tile norm on a ragged matrix (n 400, tile
+	// 64: 21 full tiles, six 16×64 and a 16×16 corner), where TileNorms sums
+	// four tiles of one size per loop.
+	locs = geo.GenerateLocations(400, 2, rng)
+	d, _ = NewDesc(400, 64, 1, 1)
+	m = NewMatrix(d, false)
+	m.Fill(func(t *Tile, r0, c0 int) {
+		geo.CovTile(locs, r0, c0, t.M, t.N, k, theta, 1e-8, t.Data, t.N)
+	})
+	norms, _ := m.TileNorms()
+	for i := 0; i < d.NT; i++ {
+		for j := 0; j <= i; j++ {
+			tl := m.At(i, j)
+			if got, want := norms[d.Index(i, j)], linalg.FrobeniusNormMat(tl.M, tl.N, tl.Data, tl.N); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("tile (%d,%d): norm %v, FrobeniusNormMat %v", i, j, got, want)
+			}
+		}
+	}
 }
 
 func TestSetStorageQuantizes(t *testing.T) {
