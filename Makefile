@@ -37,10 +37,13 @@ race:
 # even on smaller hosts.
 # The covariance-generation benchmarks (root bench_test.go) time, at four θ
 # of the end-to-end benchmark's fit_matern and fit_sqexp trajectories, what
-# a fit pays for generation — bind once per θ, fill every tile through
-# FillTile (row path in vector lanes, Matérn panel builds included):
-# CovTileMatern and CovTileSqExp; MaternBound is the scalar bound Matérn
-# kernel alone, entry by entry through Cov.
+# a fit pays for generation — bind once per θ over the locations' span
+# (Matérn panel builds included), fill every tile through FillTile (row path
+# in vector lanes): CovTileMatern and CovTileSqExp; MaternBound is the
+# scalar bound Matérn kernel alone, entry by entry through Cov; MaternBind
+# the bind alone (every panel of the span, in Bessel lanes);
+# CovMatrixMatern the dense Σ(θ) behind fit_matern's synthetic field, every
+# entry with Matern.Cov's bits (direct rows, Bessel lanes).
 # BENCHTIME=1x gives a CI smoke run; the committed
 # artifact uses 5x against the seed baseline in results/bench_seed.txt.
 # The µs-scale legs (the 64-tile GEMM and TRSM, POTRF at 49 and 64) run a
@@ -58,7 +61,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'PhantomNT64$$' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/cholesky/ >> results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'Fig12WeakStep' -benchmem -benchtime $(BENCHTIME) -cpu 1 ./internal/bench/ >> results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'SweepParallel|EngineMultiRank' -benchmem -benchtime $(BENCHTIME) -cpu 4 ./internal/bench/ >> results/bench_after.txt
-	$(GO) test -run '^$$' -bench 'CovTileMatern|CovTileSqExp|MaternBound' -benchmem -benchtime $(BENCHTIME) -cpu 1 . >> results/bench_after.txt
+	$(GO) test -run '^$$' -bench 'CovTileMatern|CovTileSqExp|MaternBound|MaternBind|CovMatrixMatern' -benchmem -benchtime $(BENCHTIME) -cpu 1 . >> results/bench_after.txt
 	$(GO) test -run '^$$' -bench 'NegLogLikLevels' -benchmem -benchtime 20x -cpu 1 ./internal/mle/ >> results/bench_after.txt
 	$(GO) run ./cmd/benchjson -seed results/bench_seed.txt < results/bench_after.txt > BENCH_kernels.json
 

@@ -246,18 +246,20 @@ var maternTrajectory = [][]float64{
 }
 
 // BenchmarkCovTileMatern is the covariance generation of four likelihood
-// evaluations as a fit pays for it, on one core: bind each θ once, then
-// fill every lower tile of the 400-point, ts = 64 matrix through
-// geo.FillTile (the row path, panel builds included), one θ after the other.
+// evaluations as a fit pays for it, on one core: bind each θ once over the
+// locations' span (panel builds included), then fill every lower tile of
+// the 400-point, ts = 64 matrix through geo.FillTile (the row path), one θ
+// after the other.
 func BenchmarkCovTileMatern(b *testing.B) {
 	benchCovTile(b, geo.Matern{Dimension: 2}, maternTrajectory, 400, 101)
 }
 
 // benchCovTile fills the lower tiles of Σ(θ) over n locations (drawn from
-// seed) at ts = 64, binding k once per θ of trajectory, and reports the
-// time per entry.
+// seed) at ts = 64, binding k once per θ of trajectory over the locations'
+// span (computed once, as mle.Problem does), and reports the time per entry.
 func benchCovTile(b *testing.B, k geo.Kernel, trajectory [][]float64, n int, seed uint64) {
 	locs := geo.GenerateLocations(n, 2, stats.NewRNG(seed, 0))
+	span := locSpan(locs)
 	desc, err := tile.NewDesc(len(locs), 64, 1, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -267,7 +269,7 @@ func benchCovTile(b *testing.B, k geo.Kernel, trajectory [][]float64, n int, see
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, theta := range trajectory {
-			bk := k.Bind(theta)
+			bk := k.Bind(theta, span)
 			mat.Fill(func(t *tile.Tile, r0, c0 int) {
 				geo.FillTile(bk, locs, r0, c0, t.M, t.N, 1e-8, t.Data, t.N)
 				entries += t.M * t.N
@@ -295,6 +297,12 @@ func BenchmarkCovTileSqExp(b *testing.B) {
 	benchCovTile(b, geo.SqExp{Dimension: 2}, sqexpTrajectory, 1600, 176)
 }
 
+// locSpan is geo.Span(locs), computed once, as a span for Kernel.Bind.
+func locSpan(locs []geo.Point) func() (lo, hi float64) {
+	lo, hi := geo.Span(locs, locs)
+	return func() (float64, float64) { return lo, hi }
+}
+
 var maternBoundSink float64
 
 // BenchmarkMaternBound is the bound Matérn kernel alone: bind each θ once
@@ -302,6 +310,7 @@ var maternBoundSink float64
 // — no distance computation, no tile stores.
 func BenchmarkMaternBound(b *testing.B) {
 	locs := geo.GenerateLocations(400, 2, stats.NewRNG(101, 0))
+	span := locSpan(locs)
 	var hs []float64
 	for i := range locs {
 		for j := 0; j < i; j++ {
@@ -312,13 +321,50 @@ func BenchmarkMaternBound(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, theta := range maternTrajectory {
-			bk := k.Bind(theta)
+			bk := k.Bind(theta, span)
 			for _, h := range hs {
 				maternBoundSink += bk.Cov(h)
 			}
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(maternTrajectory)*len(hs)), "ns/entry")
+}
+
+var (
+	maternBindSink geo.BoundKernel
+	covMatrixSink  []float64
+)
+
+// BenchmarkMaternBind is what a likelihood evaluation pays before its fill
+// on fit_matern's 400 locations: bind each θ of maternTrajectory over the
+// locations' span, which builds every panel the fill will read in one
+// batch of Bessel lanes. It reports the time per bind.
+func BenchmarkMaternBind(b *testing.B) {
+	span := locSpan(geo.GenerateLocations(400, 2, stats.NewRNG(101, 0)))
+	k := geo.Matern{Dimension: 2}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, theta := range maternTrajectory {
+			maternBindSink = k.Bind(theta, span)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(maternTrajectory)), "ns/bind")
+}
+
+// BenchmarkCovMatrixMatern is the dense Σ(θ) that geo.SimulateField
+// factorizes to draw fit_matern's dataset: 400 locations (seed 101), θ = (1,
+// 0.03, 1), every entry with the bits of Matern.Cov, through the direct
+// row path and its Bessel lanes. It reports the time per entry of the
+// lower triangle.
+func BenchmarkCovMatrixMatern(b *testing.B) {
+	locs := geo.GenerateLocations(400, 2, stats.NewRNG(101, 0))
+	k := geo.Matern{Dimension: 2}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		covMatrixSink = geo.CovMatrix(locs, k, []float64{1, 0.03, 1}, 0)
+	}
+	n := len(locs)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*(n-1)/2), "ns/entry")
 }
 
 // --- rendering helpers ---

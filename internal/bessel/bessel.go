@@ -3,7 +3,8 @@
 // family (§III-A). The implementation follows Temme's series for small
 // arguments and Steed's continued fraction CF2 for large arguments, with
 // stable upward recurrence in the order — the classical scheme used by
-// numerical libraries for fractional-order K.
+// numerical libraries for fractional-order K. An Order evaluates many
+// arguments at one ν, the loops of both series in vector lanes.
 package bessel
 
 import (
@@ -19,8 +20,8 @@ const (
 
 // K returns K_ν(x), the modified Bessel function of the second kind of
 // order ν ≥ 0, for x > 0. It returns +Inf for x == 0 (K diverges at the
-// origin), NaN for x < 0 or ν < 0 outside the reflection K_{-ν} = K_ν
-// (negative ν is mapped through that symmetry).
+// origin), 0 for x == +Inf, NaN for x < 0 or ν < 0 outside the reflection
+// K_{-ν} = K_ν (negative ν is mapped through that symmetry).
 func K(nu, x float64) float64 { return besselK(nu, x, false) }
 
 // KScaled returns e^x · K_ν(x), which stays finite and accurate where K
@@ -39,68 +40,82 @@ func besselK(nu, x float64, scaled bool) float64 {
 	if nu < 0 {
 		nu = -nu // K_{-ν}(x) = K_ν(x)
 	}
-	if x < 0 {
+	switch {
+	case x < 0:
 		return math.NaN()
-	}
-	if x == 0 {
+	case x == 0:
 		return math.Inf(1)
-	}
-	// Half-integer orders have closed forms; handle the common Matérn
-	// smoothness ν = 0.5 (exponential kernel) exactly and cheaply.
-	if nu == 0.5 {
+	case math.IsInf(x, 1): // K_ν(x) and e^x·K_ν(x) both tend to 0
+		return 0
+	case nu == 0.5:
+		// Half-integer orders have closed forms; handle the common Matérn
+		// smoothness ν = 0.5 (exponential kernel) exactly and cheaply.
 		if scaled {
 			return math.Sqrt(math.Pi / (2 * x))
 		}
 		return math.Sqrt(math.Pi/(2*x)) * math.Exp(-x)
 	}
-
-	// Reduce order: ν = μ + nl with |μ| ≤ 1/2.
-	nl := int(nu + 0.5)
-	mu := nu - float64(nl)
-
-	var kmu, knu1 float64 // K_μ(x), K_{μ+1}(x)
-	if x <= xCrossover {
-		kmu, knu1 = temmeSeries(mu, x)
-		if scaled {
-			ex := math.Exp(x)
-			kmu, knu1 = kmu*ex, knu1*ex
-		}
-	} else {
-		kmu, knu1 = steedCF2(mu, x, scaled)
+	o := reduce(nu)
+	if x > xCrossover {
+		h, s := steedCF2(o.a1, x)
+		return o.cf2Finish(x, h, s, scaled)
 	}
-
-	// Upward recurrence K_{ν+1} = K_{ν-1} + (2ν/x)·K_ν, forward-stable for K.
-	for i := 1; i <= nl; i++ {
-		kmu, knu1 = knu1, (mu+float64(i))*(2/x)*knu1+kmu
-	}
-	return kmu
+	o.temmeGammas()
+	ff, p, q, dd := o.temmeStart(x)
+	sum, sum1 := temmeSeries(o.mu, ff, p, q, dd)
+	return o.temmeFinish(x, sum, sum1, scaled)
 }
 
-// temmeSeries evaluates K_μ(x) and K_{μ+1}(x) for |μ| ≤ 1/2 and 0 < x ≤ 2
-// using Temme's power series (Temme 1975; cf. Numerical Recipes §6.7).
-func temmeSeries(mu, x float64) (kmu, kmu1 float64) {
-	x1 := 0.5 * x
-	pimu := math.Pi * mu
-	fact := 1.0
+// reduce returns what K_ν needs of ν ≥ 0 alone but Temme's constants:
+// ν = μ + nl with |μ| ≤ 1/2, and CF2's a1 = ¼ − μ².
+func reduce(nu float64) Order {
+	nl := int(nu + 0.5)
+	mu := nu - float64(nl)
+	return Order{mu: mu, a1: 0.25 - mu*mu, nl: nl}
+}
+
+// temmeGammas sets πμ/sin πμ, Temme's Γ1, Γ2 and the reciprocal gammas
+// 1/Γ(1+μ), 1/Γ(1-μ).
+func (o *Order) temmeGammas() {
+	pimu := math.Pi * o.mu
+	o.fact = 1.0
 	if math.Abs(pimu) > 1e-15 {
-		fact = pimu / math.Sin(pimu)
+		o.fact = pimu / math.Sin(pimu)
 	}
+	o.gampl = 1 / math.Gamma(1+o.mu)
+	o.gammi = 1 / math.Gamma(1-o.mu)
+	if math.Abs(o.mu) < 1e-8 {
+		// gam1 = (1/Γ(1-μ) - 1/Γ(1+μ))/(2μ) → -γ as μ→0.
+		o.gam1 = -eulerGamma
+	} else {
+		o.gam1 = (o.gammi - o.gampl) / (2 * o.mu)
+	}
+	o.gam2 = 0.5 * (o.gammi + o.gampl)
+}
+
+// temmeStart is the first term of Temme's power series for K_μ(x) and
+// K_{μ+1}(x), 0 < x ≤ 2 (Temme 1975; cf. Numerical Recipes §6.7), and
+// (x/2)².
+func (o *Order) temmeStart(x float64) (ff, p, q, dd float64) {
+	x1 := 0.5 * x
 	d := -math.Log(x1)
-	e := mu * d
+	e := o.mu * d
 	fact2 := 1.0
 	if math.Abs(e) > 1e-15 {
 		fact2 = math.Sinh(e) / e
 	}
-	gam1, gam2, gampl, gammi := temmeGammas(mu)
-
-	ff := fact * (gam1*math.Cosh(e) + gam2*fact2*d)
-	sum := ff
+	ff = o.fact * (o.gam1*math.Cosh(e) + o.gam2*fact2*d)
 	ee := math.Exp(e)
-	p := 0.5 * ee / gampl
-	q := 0.5 / (ee * gammi)
+	p = 0.5 * ee / o.gampl
+	q = 0.5 / (ee * o.gammi)
+	return ff, p, q, x1 * x1
+}
+
+// temmeSeries sums the series from its first term; temmeLanes repeats it
+// operation for operation.
+func temmeSeries(mu, ff, p, q, dd float64) (sum, sum1 float64) {
 	c := 1.0
-	dd := x1 * x1
-	sum1 := p
+	sum, sum1 = ff, p
 	for i := 1; i <= maxIter; i++ {
 		fi := float64(i)
 		ff = (fi*ff + p + q) / (fi*fi - mu*mu)
@@ -111,44 +126,36 @@ func temmeSeries(mu, x float64) (kmu, kmu1 float64) {
 		sum += del
 		sum1 += c * (p - fi*ff)
 		if math.Abs(del) < math.Abs(sum)*epsK {
-			return sum, sum1 * (2 / x)
+			break
 		}
 	}
-	// The series converges in a handful of terms for x ≤ 2; reaching here
-	// indicates pathological input, so return the best estimate.
-	return sum, sum1 * (2 / x)
+	// The series converges in a handful of terms for x ≤ 2; running out of
+	// iterations indicates pathological input, so return the best estimate.
+	return sum, sum1
 }
 
-// temmeGammas returns Temme's Γ1, Γ2 and the reciprocal gammas
-// 1/Γ(1+μ), 1/Γ(1-μ) for |μ| ≤ 1/2.
-func temmeGammas(mu float64) (gam1, gam2, gampl, gammi float64) {
-	gampl = 1 / math.Gamma(1+mu)
-	gammi = 1 / math.Gamma(1-mu)
-	if math.Abs(mu) < 1e-8 {
-		// gam1 = (1/Γ(1-μ) - 1/Γ(1+μ))/(2μ) → -γ as μ→0.
-		gam1 = -eulerGamma
-	} else {
-		gam1 = (gammi - gampl) / (2 * mu)
+func (o *Order) temmeFinish(x, sum, sum1 float64, scaled bool) float64 {
+	kmu, knu1 := sum, sum1*(2/x)
+	if scaled {
+		ex := math.Exp(x)
+		kmu, knu1 = kmu*ex, knu1*ex
 	}
-	gam2 = 0.5 * (gammi + gampl)
-	return gam1, gam2, gampl, gammi
+	return o.up(kmu, knu1, x)
 }
 
-// steedCF2 evaluates K_μ(x) and K_{μ+1}(x) for |μ| ≤ 1/2 and x > 2 via
-// Steed's continued fraction CF2 (Thompson–Barnett; cf. Numerical Recipes).
-// The fraction itself yields e^x·K; scaled asks for that, otherwise the
-// e^{−x} factor is applied.
-func steedCF2(mu, x float64, scaled bool) (kmu, kmu1 float64) {
+// steedCF2 runs Steed's continued fraction CF2 (Thompson–Barnett; cf.
+// Numerical Recipes) for K_μ and K_{μ+1} at x > 2 and returns its h and s;
+// cf2Lanes repeats it operation for operation.
+func steedCF2(a1, x float64) (h, s float64) {
 	b := 2 * (1 + x)
 	d := 1 / b
-	h := d
+	h = d
 	delh := d
 	q1, q2 := 0.0, 1.0
-	a1 := 0.25 - mu*mu
 	q := a1
 	c := a1
 	a := -a1
-	s := 1 + q*delh
+	s = 1 + q*delh
 	for i := 2; i <= maxIter; i++ {
 		a -= 2 * float64(i-1)
 		c = -a * c / float64(i)
@@ -165,12 +172,27 @@ func steedCF2(mu, x float64, scaled bool) (kmu, kmu1 float64) {
 			break
 		}
 	}
-	h = a1 * h
-	kmu = math.Sqrt(math.Pi / (2 * x))
+	return h, s
+}
+
+// cf2Finish turns CF2's h and s into K_ν(x). The fraction itself yields
+// e^x·K; scaled asks for that, otherwise the e^{−x} factor is applied.
+func (o *Order) cf2Finish(x, h, s float64, scaled bool) float64 {
+	h = o.a1 * h
+	kmu := math.Sqrt(math.Pi / (2 * x))
 	if !scaled {
 		kmu *= math.Exp(-x)
 	}
 	kmu /= s
-	kmu1 = kmu * (mu + x + 0.5 - h) / x
-	return kmu, kmu1
+	kmu1 := kmu * (o.mu + x + 0.5 - h) / x
+	return o.up(kmu, kmu1, x)
+}
+
+// up takes K_μ(x), K_{μ+1}(x) to K_ν(x) by the upward recurrence
+// K_{ν+1} = K_{ν-1} + (2ν/x)·K_ν, forward-stable for K.
+func (o *Order) up(kmu, knu1, x float64) float64 {
+	for i := 1; i <= o.nl; i++ {
+		kmu, knu1 = knu1, (o.mu+float64(i))*(2/x)*knu1+kmu
+	}
+	return kmu
 }

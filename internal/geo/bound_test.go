@@ -36,7 +36,7 @@ func TestMaternTableMatchesDirect(t *testing.T) {
 	for _, nu := range nus {
 		// r log-spaced over [1e-3, 700], reached through β ≠ 1.
 		theta := []float64{1.3, 0.17, nu}
-		bk := Matern{Dimension: 2}.Bind(theta)
+		bk := Matern{Dimension: 2}.Bind(theta, everywhere)
 		const steps = 3000
 		for i := 0; i <= steps; i++ {
 			r := 1e-3 * math.Pow(700/1e-3, float64(i)/steps)
@@ -45,7 +45,7 @@ func TestMaternTableMatchesDirect(t *testing.T) {
 		// Every panel edge (each fourth is a binade boundary), one ulp to
 		// either side, β = 1 so that r = h.
 		theta = []float64{0.8, 1, nu}
-		bk = Matern{Dimension: 2}.Bind(theta)
+		bk = Matern{Dimension: 2}.Bind(theta, everywhere)
 		for p := uint64(0); p <= tabPanels; p++ {
 			edge := math.Float64frombits((tabFirst + p) << 50)
 			for _, r := range []float64{math.Nextafter(edge, 0), edge, math.Nextafter(edge, math.Inf(1))} {
@@ -60,42 +60,66 @@ func TestMaternTableMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestMaternTableRange: Bind builds the panels that hold an r = h/β of
+// its span and no others — none for a span outside (2⁻²⁰, 2⁹], the first
+// and the last panel for spans one ulp inside either end, the panel ending
+// at r = 2 for r = 2 — and entries outside the built panels take the
+// direct path, with Cov's bits; so does a panel where g overflows, and ν
+// above tabMaxNu and ν = 0.5 carry no table.
 func TestMaternTableRange(t *testing.T) {
 	// The first and last panels are the ones the constants say.
 	if math.Float64bits(math.Ldexp(1, tabMinExp))>>50 != tabFirst {
 		t.Error("tabFirst is not the panel of 2^tabMinExp")
 	}
-	b := Matern{Dimension: 2}.Bind([]float64{1, 1, 1.2}).(*maternBound)
-	b.Cov(0x1p-20)
-	b.Cov(math.Nextafter(0x1p9, 2000))
-	for p := uint64(0); p < tabPanels; p++ {
-		if s := b.tab.state(p); s != panelUnbuilt {
-			t.Errorf("out-of-range r built panel %d", p)
+	k := Matern{Dimension: 2}
+	theta := []float64{1, 1, 1.2}
+	built := func(lo, hi float64) (ps []uint64) {
+		b := k.Bind(theta, spanOf(lo, hi)).(*maternBound)
+		for p := uint64(0); b.tab != nil && p < tabPanels; p++ {
+			if b.tab.isReady(p) {
+				ps = append(ps, p)
+			}
+		}
+		return ps
+	}
+	for _, c := range []struct {
+		lo, hi float64
+		want   []uint64
+	}{
+		{0x1p-20, 0x1p-20, nil},
+		{math.Nextafter(0x1p9, 2000), 1e300, nil},
+		{2, 1, nil},
+		{math.Nextafter(0x1p-20, 1), math.Nextafter(0x1p-20, 1), []uint64{0}},
+		{0x1p9, 0x1p9, []uint64{tabPanels - 1}},
+		{2, 2, []uint64{4*(1-tabMinExp) - 1}}, // r = 2 ends its panel, where the direct routine changes series
+		{math.Nextafter(0.5, 1), 0.75, []uint64{4 * (-1 - tabMinExp), 4*(-1-tabMinExp) + 1}},
+	} {
+		if got := built(c.lo, c.hi); !slices.Equal(got, c.want) {
+			t.Errorf("span [%g, %g] built panels %v, want %v", c.lo, c.hi, got, c.want)
 		}
 	}
-	b.Cov(math.Nextafter(0x1p-20, 1))
-	b.Cov(0x1p9)
-	if b.tab.state(0) != panelReady || b.tab.state(tabPanels-1) != panelReady {
-		t.Error("edge-of-range r did not build the first and last panels")
+	if got := built(0, math.Inf(1)); len(got) != tabPanels {
+		t.Errorf("span [0, +Inf] built %d panels, want all %d", len(got), tabPanels)
 	}
-	// r = 2, where the direct routine changes series, is the last point of
-	// the panel below it.
-	b.Cov(2)
-	if p := uint64(4 * (1 - tabMinExp)); b.tab.state(p-1) != panelReady || b.tab.state(p) != panelUnbuilt {
-		t.Error("r = 2 is not in the panel that ends there")
+	// Outside the built panels an entry is direct.
+	b := k.Bind(theta, spanOf(math.Nextafter(0.5, 1), 0.75))
+	for _, h := range []float64{0.3, 0.5, 0.76, 3, 100} {
+		if got, want := b.Cov(h), k.Cov(h, theta); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("h=%g outside the span: bound %g, direct %g", h, got, want)
+		}
 	}
 	// A panel where g overflows is left to the direct routine.
-	theta := []float64{1.7e308, 1, 2.5}
-	b = Matern{Dimension: 2}.Bind(theta).(*maternBound)
-	if got, want := b.Cov(100), (Matern{Dimension: 2}).Cov(100, theta); got != want {
+	theta = []float64{1.7e308, 1, 2.5}
+	ob := k.Bind(theta, everywhere).(*maternBound)
+	if got, want := ob.Cov(100), k.Cov(100, theta); got != want {
 		t.Errorf("overflowing panel: bound %g, direct %g", got, want)
 	}
-	if b.tab.state(4*(6-tabMinExp)+2) != panelDirect {
+	if ob.tab.isReady(4*(6-tabMinExp) + 2) {
 		t.Error("overflowing panel was tabulated")
 	}
 	// ν above tabMaxNu and ν = 0.5 carry no table.
 	for _, nu := range []float64{0.5, math.Nextafter(tabMaxNu, 100), 20} {
-		if (Matern{Dimension: 2}).Bind([]float64{1, 1, nu}).(*maternBound).tab != nil {
+		if k.Bind([]float64{1, 1, nu}, everywhere).(*maternBound).tab != nil {
 			t.Errorf("ν=%g has a table", nu)
 		}
 	}
@@ -142,15 +166,21 @@ func TestBoundFillBitsIndependentOfOrder(t *testing.T) {
 	perTile := lowerTiles(n, ts, func(r0, c0, m, nn int, dst []float64) {
 		CovTile(locs, r0, c0, m, nn, k, theta, 1e-8, dst, nn)
 	})
-	// One bound kernel for every tile: what mle.Problem.NegLogLik does.
-	bk := k.Bind(theta)
+	// One bound kernel for every tile, over the locations' span: what
+	// mle.Problem.NegLogLik does.
+	lo, hi := Span(locs, locs)
+	bk := k.Bind(theta, spanOf(lo, hi))
 	once := lowerTiles(n, ts, func(r0, c0, m, nn int, dst []float64) {
 		FillTile(bk, locs, r0, c0, m, nn, 1e-8, dst, nn)
 	})
-	// One bound kernel visiting the entries in a shuffled order, so that
-	// every panel is first touched by a different entry.
+	// The same over every panel of the table.
+	all := k.Bind(theta, everywhere)
+	wide := lowerTiles(n, ts, func(r0, c0, m, nn int, dst []float64) {
+		FillTile(all, locs, r0, c0, m, nn, 1e-8, dst, nn)
+	})
+	// One bound kernel visiting the entries one by one, in a shuffled order.
 	dense := make([]float64, n*n)
-	sbk := k.Bind(theta)
+	sbk := k.Bind(theta, spanOf(lo, hi))
 	for _, e := range stats.NewRNG(23, 0).Perm(n * n) {
 		i, j := e/n, e%n
 		dense[e] = sbk.Cov(locs[i].Dist(locs[j]))
@@ -162,6 +192,9 @@ func TestBoundFillBitsIndependentOfOrder(t *testing.T) {
 	want := bitsDigest(perTile)
 	if got := bitsDigest(once); got != want {
 		t.Errorf("bind-once fill digest %#x, tile-by-tile CovTile %#x", got, want)
+	}
+	if got := bitsDigest(wide); got != want {
+		t.Errorf("fill bound over every panel digest %#x, tile-by-tile CovTile %#x", got, want)
 	}
 	if got := bitsDigest(shuffled); got != want {
 		t.Errorf("shuffled-order digest %#x, tile-by-tile CovTile %#x", got, want)
@@ -207,7 +240,7 @@ func TestBindInvalidTheta(t *testing.T) {
 		{1, 0, 1}, {1, -0.1, 1}, {1, nan, 1}, {1, inf, 1}, {1, 5e-324, 1},
 		{nan, 0.1, 1}, {inf, 0.1, 1}, {-1, 0.1, 1}, {0, 0.1, 1},
 	} {
-		bk := k.Bind(theta)
+		bk := k.Bind(theta, everywhere)
 		for _, h := range []float64{0, 1e-300, 1e-3, 0.1, 0.2, 1.41, 70, inf} {
 			got, want := bk.Cov(h), k.Cov(h, theta)
 			if math.Float64bits(got) != math.Float64bits(want) {
@@ -222,7 +255,8 @@ func TestBindInvalidTheta(t *testing.T) {
 // wherever the table does not apply; and inside the model's domain a
 // relative distance that leaves room, over the grid's 1e-14, for the direct
 // routine's own rounding near r → 2⁻ (6e6 random draws peaked at 1.5e-14).
-// It also holds the row path to the bound kernel's own Cov, bit for bit.
+// It also holds the row path to the bound kernel's own Cov, bit for bit,
+// bound over every panel, over part of the row and over nothing.
 func FuzzMaternBound(f *testing.F) {
 	f.Add(1.0, 0.1, 0.05)
 	f.Add(0.5, 0.3, 0.2)
@@ -236,7 +270,7 @@ func FuzzMaternBound(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nu, beta, h float64) {
 		k := Matern{Dimension: 2}
 		theta := []float64{1.7, beta, nu}
-		got, want := k.Bind(theta).Cov(h), k.Cov(h, theta)
+		got, want := k.Bind(theta, everywhere).Cov(h), k.Cov(h, theta)
 		if math.IsNaN(got) || got < 0 {
 			t.Fatalf("ν=%g β=%g h=%g: bound kernel returned %g", nu, beta, h, got)
 		}
@@ -249,15 +283,14 @@ func FuzzMaternBound(f *testing.F) {
 		if math.Abs(got-want) > tol*want+8*math.SmallestNonzeroFloat64 || math.IsNaN(want) != math.IsNaN(got) {
 			t.Fatalf("ν=%g β=%g h=%g: bound %.17g, direct %.17g", nu, beta, h, got, want)
 		}
-		// The row path on 19 distances around h, first through a fresh
-		// kernel (the row builds its panels), then again (lanes where the
-		// host has them): Cov's bits entry by entry.
-		bk := k.Bind(theta).(*maternBound)
+		// The row path on 19 distances around h (lanes where the host has
+		// them): Cov's bits entry by entry.
 		row := make([]float64, 19)
 		for j := range row {
 			row[j] = h * (1 + 0.05*float64(j-9))
 		}
-		for pass := 0; pass < 2; pass++ {
+		for _, span := range []func() (float64, float64){everywhere, spanOf(h, 1.2*h), noSpan} {
+			bk := k.Bind(theta, span).(*maternBound)
 			got := append([]float64(nil), row...)
 			bk.covRow(got)
 			sameCovBits(t, "row path", bk.Cov, row, got)
@@ -285,7 +318,7 @@ func FuzzSqExpRow(f *testing.F) {
 		}
 		for pass := 0; pass < 2; pass++ {
 			got := append([]float64(nil), row...)
-			k.Bind(theta).covRow(got)
+			k.Bind(theta, noSpan).covRow(got)
 			sameCovBits(t, "row path", func(h float64) float64 { return k.Cov(h, theta) }, row, got)
 			slices.Reverse(row)
 		}

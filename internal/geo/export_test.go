@@ -1,6 +1,9 @@
 package geo
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // hostLaneWidth is the row-path width chosen at init, before any test
 // forces another.
@@ -27,21 +30,11 @@ func forEachLaneWidth(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-const (
-	panelUnbuilt = iota
-	panelReady
-	panelDirect // g is not finite at some node: no table for this panel
-)
+// everywhere is the span [0, +Inf]: a Matérn kernel bound over it builds
+// every panel of its table.
+func everywhere() (lo, hi float64) { return 0, math.Inf(1) }
 
-// state reports panel p's build state.
-func (t *maternTable) state(p uint64) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	switch {
-	case t.isReady(p):
-		return panelReady
-	case t.direct[p]:
-		return panelDirect
-	}
-	return panelUnbuilt
+// spanOf is the span [lo, hi].
+func spanOf(lo, hi float64) func() (float64, float64) {
+	return func() (float64, float64) { return lo, hi }
 }

@@ -242,6 +242,40 @@ func TestCovTileMatchesFull(t *testing.T) {
 	}
 }
 
+// TestCovMatrixMatchesCov: at every row-path width, every entry of
+// CovMatrix has the bits of a per-entry Kernel.Cov (the nugget added on the
+// diagonal) — the squared exponential, and the Matérn at ν = 0.5 (closed
+// form), 1 and 2.7 (Bessel values in bessel.Order's lanes) and 9.5 (above
+// the table's ν), each at a β that puts r = h/β on both sides of Temme's
+// and CF2's crossover, in 2D and 3D.
+func TestCovMatrixMatchesCov(t *testing.T) {
+	forEachLaneWidth(t, func(t *testing.T) {
+		for _, dim := range []int{2, 3} {
+			locs := GenerateLocations(150, dim, stats.NewRNG(uint64(40+dim), 0))
+			n := len(locs)
+			for _, theta := range [][]float64{{1.3, 0.03}, {1.3, 0.07, 0.5}, {1.3, 0.07, 1}, {1.3, 0.07, 2.7}, {1.3, 0.07, 9.5}} {
+				var k Kernel = Matern{Dimension: dim}
+				if len(theta) == 2 {
+					k = SqExp{Dimension: dim}
+				}
+				a := CovMatrix(locs, k, theta, 1e-8)
+				for i := 0; i < n; i++ {
+					for j := 0; j < n; j++ {
+						want := k.Cov(locs[i].Dist(locs[j]), theta)
+						if i == j {
+							want = k.Cov(0, theta) + 1e-8
+						}
+						if got := a[i*n+j]; math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s θ=%v entry (%d,%d): CovMatrix %.17g (%#x), Cov %.17g (%#x)",
+								k.Name(), theta, i, j, got, math.Float64bits(got), want, math.Float64bits(want))
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 func TestSimulateFieldMoments(t *testing.T) {
 	// Empirical variance of simulated fields must match σ², and nearby
 	// points must be positively correlated under a strong-range kernel.

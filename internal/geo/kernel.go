@@ -3,8 +3,6 @@ package geo
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"geompc/internal/bessel"
 	"geompc/internal/linalg"
@@ -13,7 +11,7 @@ import (
 
 // BoundKernel is a covariance function bound to a fixed θ, allowing
 // per-θ constants and tables to be hoisted out of matrix assembly. A bound
-// kernel is safe for concurrent use.
+// kernel is immutable once Bind returns, and so safe for concurrent use.
 type BoundKernel interface {
 	// Cov returns C(h) at the bound parameters.
 	Cov(h float64) float64
@@ -44,8 +42,13 @@ func lanesThenCov(h []float64, lanes func(w int, h []float64) int, cov func(floa
 type Kernel interface {
 	// Cov returns C(h; θ). It must return the variance θ[0] at h = 0.
 	Cov(h float64, theta []float64) float64
-	// Bind returns the kernel at one θ, safe for concurrent use.
-	Bind(theta []float64) BoundKernel
+	// Bind returns the kernel at one θ, safe for concurrent use. span gives
+	// the least and the greatest distance the caller will evaluate it at: a
+	// kernel that tabulates (the Matérn's) calls it once and builds its table
+	// over that range, any other does not call it. At a distance outside
+	// span the bound kernel returns Cov's bits; an empty span (lo > hi)
+	// makes it Cov at every distance.
+	Bind(theta []float64, span func() (lo, hi float64)) BoundKernel
 	// NumParams is the length of θ.
 	NumParams() int
 	// ParamNames names the entries of θ in order.
@@ -68,7 +71,9 @@ func (SqExp) Cov(h float64, theta []float64) float64 { return sqexpBound{theta[0
 
 // Bind implements Kernel. Its rows run in vector lanes (sqexpRow) wherever
 // a whole vector has every r = h²/β in [0, 708], through Cov elsewhere.
-func (SqExp) Bind(theta []float64) BoundKernel { return sqexpBound{theta[0], theta[1]} }
+func (SqExp) Bind(theta []float64, _ func() (lo, hi float64)) BoundKernel {
+	return sqexpBound{theta[0], theta[1]}
+}
 
 // sqexpBound is SqExp at θ = (σ², β).
 type sqexpBound struct{ sigma2, beta float64 }
@@ -98,45 +103,42 @@ type Matern struct {
 	Dimension int
 }
 
-// Cov implements Kernel.
+// Cov implements Kernel: the bound kernel's direct path, without a table.
 func (k Matern) Cov(h float64, theta []float64) float64 {
-	sigma2, beta, nu := theta[0], theta[1], theta[2]
-	if h == 0 {
-		return sigma2
-	}
-	r := h / beta
-	// σ²·2^{1-ν}/Γ(ν)·r^ν·K_ν(r); for ν = 0.5 this is σ²·e^{−r}.
-	if nu == 0.5 {
-		return sigma2 * math.Exp(-r)
-	}
-	c := sigma2 * math.Exp2(1-nu) / math.Gamma(nu)
-	v := c * math.Pow(r, nu) * bessel.K(nu, r)
+	return (&maternBound{sigma2: theta[0], beta: theta[1], nu: theta[2]}).Cov(h)
+}
+
+// nonneg maps the deep tail's underflow (NaN or negative) to 0.
+func nonneg(v float64) float64 {
 	if math.IsNaN(v) || v < 0 {
-		return 0 // deep tail underflow
+		return 0
 	}
 	return v
 }
 
 // maternBound is a Matérn evaluation bound to one θ. It hoists the
-// normalization 2^{1-ν}/Γ(ν) out of the per-entry path and, for ν ≠ 0.5,
-// replaces the per-entry Bessel evaluation by a lazily built table of
+// normalization 2^{1-ν}/Γ(ν) and the order's Bessel constants out of its
+// rows and, for ν ≠ 0.5, replaces the per-entry Bessel evaluation over the
+// bound span by a table of
 //
 //	g(r) = norm·r^ν·e^r·K_ν(r),   C(h) = g(r)·e^{−r},   r = h/β,
 //
 // which is smooth in r, where K_ν itself spans hundreds of decades. Matrix
 // assembly evaluates the kernel n²/2 times per likelihood evaluation at
-// one θ; the table costs a few hundred Bessel evaluations instead.
+// one θ; the table costs a few hundred Bessel evaluations instead, all made
+// by Bind in one batch of vector lanes (bessel.Order).
 //
 // Contract: within 1e-14 relative of the direct evaluator (Matern.Cov) on
 // the grid of TestMaternTableMatchesDirect, the residue being the direct
 // routine's own rounding (DESIGN.md §3.1). A panel's coefficients depend
-// only on (θ, panel index), so the bits returned for an h do not depend on
-// which entries, tiles, goroutines or bound kernels came before it.
-//
-// The table is filled on use and shared: a panel is built once, under the
-// table's lock, and published through its ready bit.
+// only on (θ, panel index), so the bits returned for an h inside the bound
+// span do not depend on the span, nor on which entries, tiles, goroutines
+// or bound kernels came before it. Outside the built panels — r outside
+// the table, outside the span, or in a panel where g is not finite at a
+// node — an entry takes the direct path, and has Cov's bits.
 type maternBound struct {
 	sigma2, beta, nu, norm float64
+	order                  *bessel.Order
 	tab                    *maternTable // nil: every h takes the direct path
 }
 
@@ -154,17 +156,14 @@ const (
 	tabFirst  = (1023 + tabMinExp) << 2 // Float64bits(2^tabMinExp) >> 50
 )
 
-// maternTable is one θ's panels. Bit p of ready (word p>>6) is set, under
-// mu, once panel p's coefficients are final; direct[p] marks a panel whose g
-// is not finite at some node.
+// maternTable is one θ's panels. Bit p of ready (word p>>6) is set once
+// panel p's coefficients are built; Bind builds them all before it returns.
 type maternTable struct {
-	mu     sync.Mutex
-	ready  [2]atomic.Uint64
-	direct [tabPanels]bool // guarded by mu
-	coef   [tabPanels][tabCoefs]float64
+	ready [2]uint64
+	coef  [tabPanels][tabCoefs]float64
 }
 
-func (t *maternTable) isReady(p uint64) bool { return t.ready[p>>6].Load()>>(p&63)&1 != 0 }
+func (t *maternTable) isReady(p uint64) bool { return t.ready[p>>6]>>(p&63)&1 != 0 }
 
 // chebNodes are the roots of T_N on [−1, 1]; chebWeights[k][j] takes the
 // values at those roots to the k-th Chebyshev coefficient (c_0 already
@@ -188,14 +187,11 @@ func (b *maternBound) Cov(h float64) float64 {
 	if b.nu == 0.5 {
 		return b.sigma2 * math.Exp(-r)
 	}
-	if b.tab == nil {
-		return b.direct(r)
-	}
 	// Panels are right-closed, (lo, hi], as the direct routine's switch of
 	// series is (Temme up to and including r = 2): hence the −1.
 	u := math.Float64bits(r) - 1
 	p := u>>50 - tabFirst
-	if p >= tabPanels || !b.tab.isReady(p) && !b.build(p) { // p: also r ≤ 0, ±Inf and NaN
+	if b.tab == nil || p >= tabPanels || !b.tab.isReady(p) { // p: also r ≤ 0, ±Inf and NaN
 		return b.direct(r)
 	}
 	// The low 50 mantissa bits are r's position within the panel.
@@ -208,79 +204,111 @@ func (b *maternBound) Cov(h float64) float64 {
 	for k := tabCoefs - 1; k > 0; k-- {
 		b1, b2 = float64(t2*b1)-b2+c[k], b1
 	}
-	v := (float64(t*b1) - b2 + c[0]) * math.Exp(-r)
-	if math.IsNaN(v) || v < 0 {
-		return 0
-	}
-	return v
+	return nonneg((float64(t*b1) - b2 + c[0]) * math.Exp(-r))
 }
 
 // covRow runs in lanes (maternRow) where every entry of a vector lies in a
-// built panel, through Cov otherwise.
+// built panel, through Cov otherwise. Without a table (an empty span, ν
+// above tabMaxNu, a θ outside the model) the row is direct, its Bessel
+// values taken a row at a time through the bound order.
 func (b *maternBound) covRow(h []float64) {
+	if b.tab == nil && b.nu != 0.5 {
+		b.directRow(h)
+		return
+	}
 	lanesThenCov(h, func(w int, h []float64) int {
 		if b.tab == nil {
 			return 0
 		}
-		return maternRow(w, h, b.beta, b.tab.ready[0].Load(), b.tab.ready[1].Load(), &b.tab.coef)
+		return maternRow(w, h, b.beta, b.tab.ready[0], b.tab.ready[1], &b.tab.coef)
 	}, b.Cov)
 }
 
-// direct is Matern.Cov for ν ≠ 0.5 at r = h/β > 0, with the normalization
-// hoisted.
+// direct is σ²·2^{1-ν}/Γ(ν)·r^ν·K_ν(r), C(h) at r = h/β > 0 for ν ≠ 0.5
+// (Cov takes ν = 0.5 as σ²·e^{−r}).
 func (b *maternBound) direct(r float64) float64 {
-	v := b.norm * math.Pow(r, b.nu) * bessel.K(b.nu, r)
-	if math.IsNaN(v) || v < 0 {
-		return 0 // deep tail underflow
-	}
-	return v
+	c := b.sigma2 * math.Exp2(1-b.nu) / math.Gamma(b.nu)
+	return nonneg(c * math.Pow(r, b.nu) * bessel.K(b.nu, r))
 }
 
-// build samples g at panel p's Chebyshev nodes with the direct routines
-// and stores its coefficients, unless another goroutine has. It reports
-// whether the panel is ready; a panel where g is not finite goes direct.
-func (b *maternBound) build(p uint64) bool {
-	b.tab.mu.Lock()
-	defer b.tab.mu.Unlock()
-	if b.tab.direct[p] || b.tab.isReady(p) {
-		return !b.tab.direct[p]
+// directRow sets h[j] = Cov(h[j]) on the direct path, for ν ≠ 0.5, K_ν
+// evaluated for a stretch of the row at a time.
+func (b *maternBound) directRow(h []float64) {
+	var r, k [64]float64
+	for len(h) > 0 {
+		n := min(len(h), len(r))
+		for j, hj := range h[:n] {
+			r[j] = hj / b.beta
+		}
+		b.order.K(k[:n], r[:n])
+		for j, hj := range h[:n] {
+			if hj == 0 {
+				h[j] = b.sigma2
+			} else {
+				h[j] = nonneg(b.norm * math.Pow(r[j], b.nu) * k[j])
+			}
+		}
+		h = h[n:]
 	}
-	lo := math.Float64frombits((p + tabFirst) << 50)
-	hi := math.Float64frombits((p + tabFirst + 1) << 50)
-	mid, half := 0.5*(lo+hi), 0.5*(hi-lo)
-	var g [tabCoefs]float64
-	for j, x := range chebNodes {
-		r := mid + half*x
-		g[j] = b.norm * math.Pow(r, b.nu) * bessel.KScaled(b.nu, r)
-		if math.IsNaN(g[j]) || math.IsInf(g[j], 0) {
-			b.tab.direct[p] = true
-			return false
+}
+
+// build returns the table over r ∈ [rlo, rhi], or nil if no panel holds
+// such an r: g at the Chebyshev nodes of every such panel in one call of
+// the bound order, and the coefficients of each panel finite at its nodes.
+func (b *maternBound) build(rlo, rhi float64) *maternTable {
+	// The panel of r as in Cov, r ≤ 0 taken as the least subnormal: below
+	// the table, like any r ≤ 2⁻²⁰.
+	q := func(r float64) int { return int((math.Float64bits(max(r, 5e-324))-1)>>50) - tabFirst }
+	p0, p1 := max(q(rlo), 0), min(q(rhi)+1, tabPanels)
+	if p0 >= p1 {
+		return nil
+	}
+	rs := make([]float64, 2*tabCoefs*(p1-p0))
+	rs, g := rs[:len(rs)/2], rs[len(rs)/2:]
+	for p := p0; p < p1; p++ {
+		lo := math.Float64frombits(uint64(p+tabFirst) << 50)
+		hi := math.Float64frombits(uint64(p+tabFirst+1) << 50)
+		mid, half := 0.5*(lo+hi), 0.5*(hi-lo)
+		for j, x := range chebNodes {
+			rs[(p-p0)*tabCoefs+j] = mid + half*x
 		}
 	}
-	c := &b.tab.coef[p]
-	for k := range c {
-		var s float64
-		for j, gj := range g {
-			s += chebWeights[k][j] * gj
+	b.order.KScaled(g, rs)
+	t := new(maternTable)
+panels:
+	for p := p0; p < p1; p++ {
+		gp := g[(p-p0)*tabCoefs : (p-p0+1)*tabCoefs]
+		for j, r := range rs[(p-p0)*tabCoefs : (p-p0+1)*tabCoefs] {
+			gp[j] = b.norm * math.Pow(r, b.nu) * gp[j]
+			if math.IsNaN(gp[j]) || math.IsInf(gp[j], 0) {
+				continue panels // g is not finite here: the panel stays direct
+			}
 		}
-		c[k] = s
+		for k := range t.coef[p] {
+			var s float64
+			for j, gj := range gp {
+				s += chebWeights[k][j] * gj
+			}
+			t.coef[p][k] = s
+		}
+		t.ready[p>>6] |= 1 << (p & 63)
 	}
-	w := &b.tab.ready[p>>6]
-	w.Store(w.Load() | 1<<(p&63))
-	return true
+	return t
 }
 
 // Bind implements Kernel with precomputed constants; see maternBound. At a
 // θ outside the model (ν ≤ 0, β ≤ 0, anything NaN) it returns what Cov
 // returns.
-func (k Matern) Bind(theta []float64) BoundKernel {
+func (k Matern) Bind(theta []float64, span func() (lo, hi float64)) BoundKernel {
 	sigma2, beta, nu := theta[0], theta[1], theta[2]
 	b := &maternBound{
 		sigma2: sigma2, beta: beta, nu: nu,
-		norm: sigma2 * math.Exp2(1-nu) / math.Gamma(nu),
+		norm:  sigma2 * math.Exp2(1-nu) / math.Gamma(nu),
+		order: bessel.NewOrder(nu),
 	}
 	if nu > 0 && nu <= tabMaxNu && nu != 0.5 && beta > 0 {
-		b.tab = new(maternTable)
+		lo, hi := span()
+		b.tab = b.build(lo/beta, hi/beta)
 	}
 	return b
 }
@@ -300,29 +328,43 @@ func (k Matern) Dim() int { return k.Dimension }
 // CovMatrix assembles the full n×n covariance matrix Σ(θ) over locs into a
 // freshly allocated row-major slice. A tiny diagonal regularization `nugget`
 // (0 for none) guards POTRF against indefiniteness when correlations are
-// near-singular.
+// near-singular. Every entry has k.Cov's bits: k is bound over an empty span.
 func CovMatrix(locs []Point, k Kernel, theta []float64, nugget float64) []float64 {
 	n := len(locs)
 	a := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		a[i*n+i] = k.Cov(0, theta) + nugget
-		for j := 0; j < i; j++ {
-			v := k.Cov(locs[i].Dist(locs[j]), theta)
-			a[i*n+j] = v
-			a[j*n+i] = v
+	FillTile(k.Bind(theta, noSpan), locs, 0, 0, n, n, nugget, a, n)
+	return a
+}
+
+func noSpan() (lo, hi float64) { return math.Inf(1), math.Inf(-1) }
+
+// Span returns the least nonzero and the greatest distance between a point
+// of ps and one of qs, the span of the Σ(θ) entries between them (an empty
+// one if there are none).
+func Span(ps, qs []Point) (lo, hi float64) {
+	lo, hi = noSpan()
+	for _, p := range ps {
+		for _, q := range qs {
+			if h := p.Dist(q); h > 0 {
+				lo, hi = min(lo, h), max(hi, h)
+			}
 		}
 	}
-	return a
+	return lo, hi
 }
 
 // CovTile fills the m×n tile dst (stride ldd) with Σ entries for the block
 // whose rows are locs[rowStart:rowStart+m] and columns
 // locs[colStart:colStart+n]. Diagonal entries receive the nugget. This is
 // the tile-generation kernel of the tiled framework: each tile is built
-// independently, on demand. A caller filling many tiles at one θ should
-// Bind once and call FillTile; the entries are the same bits either way.
+// independently, on demand, with k bound over the tile's own span. A caller
+// filling many tiles at one θ should Bind once, over the span of all of
+// them, and call FillTile; the entries are the same bits either way.
 func CovTile(locs []Point, rowStart, colStart, m, n int, k Kernel, theta []float64, nugget float64, dst []float64, ldd int) {
-	FillTile(k.Bind(theta), locs, rowStart, colStart, m, n, nugget, dst, ldd)
+	bk := k.Bind(theta, func() (float64, float64) {
+		return Span(locs[rowStart:rowStart+m], locs[colStart:colStart+n])
+	})
+	FillTile(bk, locs, rowStart, colStart, m, n, nugget, dst, ldd)
 }
 
 // FillTile is CovTile for an already bound kernel.

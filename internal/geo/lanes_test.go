@@ -40,9 +40,11 @@ func sameCovBits(t *testing.T, what string, cov func(h float64) float64, hs, got
 // Matérn kernel gives each entry the bits of a per-entry Cov — at 40 random
 // θ (ν ∈ (0, 8], β over nine decades) on distances across all panels in a
 // shuffled row of odd length, through a kernel whose panels are all built
-// (lanes wherever the width has them) and through a fresh one (panels built
-// on the way, by the scalar fallback); and at a θ whose overflowing panels
-// take the direct path. ν = 0.5 and ν > 8 carry no table and go through Cov.
+// (lanes wherever the width has them), through one bound over a third of
+// the table (entries outside it direct, the vectors holding them through
+// Cov) and through one bound over nothing (the direct row, Bessel values
+// through bessel.Order); and at a θ whose overflowing panels take the
+// direct path. ν = 0.5 and ν > 8 carry no table.
 func TestLanesMatchCov(t *testing.T) {
 	forEachLaneWidth(t, func(t *testing.T) {
 		rng := stats.NewRNG(27, 0)
@@ -59,14 +61,11 @@ func TestLanesMatchCov(t *testing.T) {
 			for j, e := range rng.Perm(len(rs)) {
 				hs[j] = rs[e] * theta[1]
 			}
-			warm := k.Bind(theta).(*maternBound)
-			for _, h := range hs {
-				warm.Cov(h)
-			}
-			for _, bk := range []*maternBound{warm, k.Bind(theta).(*maternBound)} {
+			for _, span := range []func() (float64, float64){everywhere, spanOf(1e-3*theta[1], 0.5*theta[1]), noSpan} {
+				bk := k.Bind(theta, span).(*maternBound)
 				got := append([]float64(nil), hs...)
 				bk.covRow(got)
-				sameCovBits(t, fmt.Sprint("θ=", theta), warm.Cov, hs, got)
+				sameCovBits(t, fmt.Sprint("θ=", theta), bk.Cov, hs, got)
 			}
 		}
 	})
@@ -105,7 +104,7 @@ func TestSqExpLanesMatchCov(t *testing.T) {
 			}
 			hs = append(hs, 5e-324, 1e-170)
 			got := append([]float64(nil), hs...)
-			k.Bind(theta).covRow(got)
+			k.Bind(theta, noSpan).covRow(got)
 			sameCovBits(t, fmt.Sprint("θ=", theta), cov, hs, got)
 		}
 		// At h = β = r, h·h/β is r exactly.
@@ -125,13 +124,13 @@ func TestSqExpLanesMatchCov(t *testing.T) {
 				}
 			}
 			got := append([]float64(nil), hs...)
-			k.Bind(theta).covRow(got)
+			k.Bind(theta, noSpan).covRow(got)
 			sameCovBits(t, fmt.Sprint("r=", r), func(h float64) float64 { return k.Cov(h, theta) }, hs, got)
 		}
 		locs := GenerateLocations(75, 2, stats.NewRNG(38, 0))
 		n, ts := len(locs), 16
 		for _, theta := range [][]float64{{1, 0.03}, {0.2402, 0.02214}, {2.5, 1e-3}} {
-			bk := k.Bind(theta)
+			bk := k.Bind(theta, noSpan)
 			for r0 := 0; r0 < n; r0 += ts {
 				for c0 := 0; c0 < n; c0 += ts {
 					m, nn := min(ts, n-r0), min(ts, n-c0)
@@ -156,25 +155,25 @@ func TestSqExpLanesMatchCov(t *testing.T) {
 
 // TestLanesRunWhereReady: at a vector width, a row whose entries all lie in
 // built panels is done in lanes to its last whole vector, and the lanes stop
-// at the first vector holding an unbuilt panel's entry.
+// at the first vector holding an entry outside the bound span, whose panel
+// is not built.
 func TestLanesRunWhereReady(t *testing.T) {
 	forEachLaneWidth(t, func(t *testing.T) {
 		if laneWidth == 0 {
 			t.Skip("the Go kernel has no lanes")
 		}
-		b := Matern{Dimension: 2}.Bind([]float64{1, 1, 1.3}).(*maternBound)
 		hs := make([]float64, 4*laneWidth+3)
 		for j := range hs {
 			hs[j] = 0.5 + 0.01*float64(j)
-			b.Cov(hs[j])
 		}
+		b := Matern{Dimension: 2}.Bind([]float64{1, 1, 1.3}, spanOf(hs[0], hs[len(hs)-1])).(*maternBound)
 		ready := func() int {
-			return maternRow(laneWidth, append([]float64(nil), hs...), b.beta, b.tab.ready[0].Load(), b.tab.ready[1].Load(), &b.tab.coef)
+			return maternRow(laneWidth, append([]float64(nil), hs...), b.beta, b.tab.ready[0], b.tab.ready[1], &b.tab.coef)
 		}
 		if n := ready(); n != 4*laneWidth {
 			t.Errorf("all panels built: lanes did %d of %d entries, want %d", n, len(hs), 4*laneWidth)
 		}
-		hs[2*laneWidth+1] = 100 // unbuilt panel
+		hs[2*laneWidth+1] = 100 // outside the span: not built
 		if n := ready(); n != 2*laneWidth {
 			t.Errorf("unbuilt panel in the third vector: lanes did %d entries, want %d", n, 2*laneWidth)
 		}
@@ -182,22 +181,23 @@ func TestLanesRunWhereReady(t *testing.T) {
 }
 
 // TestSharedKernelConcurrentFill: eight goroutines filling the tiles of one
-// Σ(θ) through one cold bound kernel, so they race to build its panels,
-// write the matrix a serial fill through its own kernel writes, bit for bit.
+// Σ(θ) through one bound kernel write the matrix a serial fill through its
+// own kernel writes, bit for bit: the kernel is read-only once Bind returns.
 // Run it under -race.
 func TestSharedKernelConcurrentFill(t *testing.T) {
 	locs := GenerateLocations(200, 2, stats.NewRNG(28, 0))
 	n, ts := len(locs), 24
 	k := Matern{Dimension: 2}
 	for _, theta := range [][]float64{{1, 0.03, 1}, {0.7, 0.2, 1.7}, {1.3, 0.05, 0.31}} {
-		serial := k.Bind(theta)
+		lo, hi := Span(locs, locs)
+		serial := k.Bind(theta, spanOf(lo, hi))
 		want := bitsDigest(lowerTiles(n, ts, func(r0, c0, m, nn int, dst []float64) {
 			FillTile(serial, locs, r0, c0, m, nn, 1e-8, dst, nn)
 		}))
 		var starts [][4]int
 		lowerTiles(n, ts, func(r0, c0, m, nn int, dst []float64) { starts = append(starts, [4]int{r0, c0, m, nn}) })
 		tiles := make([][]float64, len(starts))
-		shared := k.Bind(theta)
+		shared := k.Bind(theta, spanOf(lo, hi))
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)

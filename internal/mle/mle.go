@@ -56,6 +56,9 @@ type Problem struct {
 	// allocates Σ(θ) once, not per θ. Overlapping evaluations each hold one.
 	mu   sync.Mutex
 	free []*evalBuf
+	// span is geo.Span(Locs, Locs), computed when a kernel first asks.
+	spanOnce sync.Once
+	span     [2]float64
 }
 
 // evalBuf is what one evaluation computes in: the tiles of Σ(θ), then of
@@ -262,11 +265,15 @@ func (p *Problem) NegLogLik(theta []float64, rs *RunStats) (float64, error) {
 }
 
 // fill generates Σ(θ) into mat's tiles on every core, through one bound
-// kernel shared by the filling goroutines. The bits of an entry do not
+// kernel, bound over the locations' span, shared by the filling
+// goroutines. The bits of an entry do not
 // depend on which goroutine, or what order of calls, produced it (geo's
 // maternBound contract), so the matrix is that of a serial Fill.
 func (p *Problem) fill(mat *tile.Matrix, theta []float64) {
-	bk := p.Kernel.Bind(theta)
+	bk := p.Kernel.Bind(theta, func() (float64, float64) {
+		p.spanOnce.Do(func() { p.span[0], p.span[1] = geo.Span(p.Locs, p.Locs) })
+		return p.span[0], p.span[1]
+	})
 	mat.FillParallel(func(t *tile.Tile, r0, c0 int) {
 		geo.FillTile(bk, p.Locs, r0, c0, t.M, t.N, p.Nugget, t.Data, t.N)
 	})

@@ -199,7 +199,7 @@ func TestFillMatchesSerialFill(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := tile.NewMatrix(desc, false)
-		bk := c.k.Bind(c.theta)
+		bk := c.k.Bind(c.theta, func() (float64, float64) { return geo.Span(locs, locs) })
 		want.Fill(func(tl *tile.Tile, r0, c0 int) {
 			geo.FillTile(bk, locs, r0, c0, tl.M, tl.N, p.Nugget, tl.Data, tl.N)
 		})
