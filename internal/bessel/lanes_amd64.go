@@ -9,12 +9,10 @@ import "geompc/internal/hostcpu"
 var laneWidth = hostLanes()
 
 func hostLanes() int {
-	if !hostcpu.AVX2 || !hostcpu.FMA {
+	if hostcpu.Lanes < 4 || !hostcpu.FMA {
 		return 0
-	} else if hostcpu.AVX512F {
-		return 8
 	}
-	return 4
+	return hostcpu.Lanes
 }
 
 // temmeLanes sets t.sum[k], t.sum1[k] = temmeSeries(mu, t.ff[k], t.p[k],

@@ -379,18 +379,17 @@ func FillTile(bk BoundKernel, locs []Point, rowStart, colStart, m, n int, nugget
 	for i := 0; i < m; i++ {
 		pi := locs[rowStart+i]
 		row := dst[i*ldd : i*ldd+n]
-		// Distances first, kernel second. Fused, each SQRTSD merges into
-		// the register holding the previous kernel value, which chains the
-		// entries one behind the other (3× slower on sqexp).
-		for j := range row {
-			row[j] = pi.Dist(locs[colStart+j])
-		}
 		// Entries [lo, hi) are the diagonal one and those mirrored below.
 		lo, hi := n, n
 		if d := rowStart + i - colStart; d >= 0 && d < n {
 			lo, hi = d, max(d+1, sq)
 			row[d] = diag
 		}
+		// Distances first, kernel second. Fused, each SQRTSD merges into
+		// the register holding the previous kernel value, which chains the
+		// entries one behind the other (3× slower on sqexp).
+		dists(row[:lo], pi, locs[colStart:])
+		dists(row[hi:], pi, locs[colStart+hi:])
 		bk.covRow(row[:lo])
 		bk.covRow(row[hi:])
 	}
@@ -398,6 +397,14 @@ func FillTile(bk BoundKernel, locs []Point, rowStart, colStart, m, n int, nugget
 		for j := i + 1; j < sq; j++ {
 			dst[i*ldd+j] = dst[j*ldd+i]
 		}
+	}
+}
+
+// dists sets dst[j] = p.Dist(qs[j]) for every j of dst.
+func dists(dst []float64, p Point, qs []Point) {
+	qs = qs[:len(dst)]
+	for j, q := range qs {
+		dst[j] = p.Dist(q)
 	}
 }
 

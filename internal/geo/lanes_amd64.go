@@ -15,9 +15,9 @@ var laneWidth = hostLanes()
 
 func hostLanes() int {
 	switch {
-	case !hostcpu.AVX2 || !hostcpu.FMA:
+	case hostcpu.Lanes < 4 || !hostcpu.FMA:
 		return 0
-	case hostcpu.AVX512F && lanesMatchExp(8):
+	case hostcpu.Lanes == 8 && lanesMatchExp(8):
 		return 8
 	case lanesMatchExp(4):
 		return 4

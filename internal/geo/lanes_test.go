@@ -78,7 +78,8 @@ func TestLanesMatchCov(t *testing.T) {
 // (where exp(−r) is 0), with subnormal, infinite and NaN distances; at r =
 // 708 and one ulp either side, where the lanes do every whole vector up to
 // 708 and none above it; and in every tile (diagonal, off-diagonal, ragged
-// edge) of Σ filled through Bind.
+// edge) of Σ filled through Bind, and in two diagonal tiles with m ≠ n
+// (16×11, 11×16).
 func TestSqExpLanesMatchCov(t *testing.T) {
 	forEachLaneWidth(t, func(t *testing.T) {
 		rng := stats.NewRNG(37, 0)
@@ -129,22 +130,28 @@ func TestSqExpLanesMatchCov(t *testing.T) {
 		}
 		locs := GenerateLocations(75, 2, stats.NewRNG(38, 0))
 		n, ts := len(locs), 16
+		// The tile grid, and two diagonal tiles with m ≠ n, where the
+		// mirrored block meets the computed one.
+		tiles := [][4]int{{16, 16, 16, 11}, {16, 16, 11, 16}}
+		for r0 := 0; r0 < n; r0 += ts {
+			for c0 := 0; c0 < n; c0 += ts {
+				tiles = append(tiles, [4]int{r0, c0, min(ts, n-r0), min(ts, n-c0)})
+			}
+		}
 		for _, theta := range [][]float64{{1, 0.03}, {0.2402, 0.02214}, {2.5, 1e-3}} {
 			bk := k.Bind(theta, noSpan)
-			for r0 := 0; r0 < n; r0 += ts {
-				for c0 := 0; c0 < n; c0 += ts {
-					m, nn := min(ts, n-r0), min(ts, n-c0)
-					got := make([]float64, m*nn)
-					FillTile(bk, locs, r0, c0, m, nn, 1e-8, got, nn)
-					for i := 0; i < m; i++ {
-						for j := 0; j < nn; j++ {
-							want := k.Cov(locs[r0+i].Dist(locs[c0+j]), theta)
-							if r0+i == c0+j {
-								want = k.Cov(0, theta) + 1e-8
-							}
-							if math.Float64bits(got[i*nn+j]) != math.Float64bits(want) {
-								t.Fatalf("θ=%v tile (%d,%d) entry (%d,%d): FillTile %.17g, Cov %.17g", theta, r0, c0, i, j, got[i*nn+j], want)
-							}
+			for _, tl := range tiles {
+				r0, c0, m, nn := tl[0], tl[1], tl[2], tl[3]
+				got := make([]float64, m*nn)
+				FillTile(bk, locs, r0, c0, m, nn, 1e-8, got, nn)
+				for i := 0; i < m; i++ {
+					for j := 0; j < nn; j++ {
+						want := k.Cov(locs[r0+i].Dist(locs[c0+j]), theta)
+						if r0+i == c0+j {
+							want = k.Cov(0, theta) + 1e-8
+						}
+						if math.Float64bits(got[i*nn+j]) != math.Float64bits(want) {
+							t.Fatalf("θ=%v tile (%d,%d) entry (%d,%d): FillTile %.17g, Cov %.17g", theta, r0, c0, i, j, got[i*nn+j], want)
 						}
 					}
 				}

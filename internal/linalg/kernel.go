@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"geompc/internal/fp16"
+	"geompc/internal/hostcpu"
 )
 
 // width is the number of float64 lanes per vector the micro-kernels run
@@ -18,6 +19,12 @@ const (
 	widthAVX2   width = 4
 	widthAVX512 width = 8
 )
+
+// vecWidth is the widest vector the processor implements and the OS saves
+// the registers of (hostcpu.Lanes: widthGo off amd64); useF16C says whether
+// the pure-FP16 GEMM and the binary16 row kernels round with F16C or in Go.
+// Neither is a setting: results do not depend on them, only speed does.
+var vecWidth, useF16C = width(hostcpu.Lanes), hostcpu.F16C
 
 // nb is the number of float64 B columns in one packed block: two vectors
 // (the pure-Go kernel keeps the SSE2 shape).
@@ -43,6 +50,125 @@ func nbOf[T float32 | float64]() int {
 func is64[T float32 | float64]() bool { return unsafe.Sizeof(T(0)) == 8 }
 
 func as[E, T float32 | float64](s []T) []E { return *(*[]E)(unsafe.Pointer(&s)) }
+
+// dot64 computes the 4×nb block C = alpha·A·Bᵀ + beta·C (C not read when
+// beta == 0) at the active width: a holds four rows of stride lda, bp one
+// packed block of nb = nbOf[float64]() B columns (bp[l·nb+jj] = b(jj)[l]).
+func dot64(k int, a []float64, lda int, bp []float64, alpha, beta float64, c []float64, ldc int) {
+	nb := vecWidth.nb()
+	_, _, _ = a[:3*lda+k], bp[:nb*k], c[3*ldc+nb-1]
+	if vecWidth == widthGo {
+		dotKernGo(k, a, lda, bp, alpha, beta, c, ldc)
+		return
+	}
+	dotKern(vecWidth, k, a, lda, bp, alpha, beta, c, ldc)
+}
+
+// dot32 is dot64 on binary32 lanes, nb = nbOf[float32]() columns per
+// block, storing the bare sums: the float32 GEMMs combine them with C
+// (combine).
+func dot32(k int, a []float32, lda int, bp []float32, c []float32, ldc int) {
+	nb := nbOf[float32]()
+	_, _, _ = a[:3*lda+k], bp[:nb*k], c[3*ldc+nb-1]
+	if vecWidth == widthGo {
+		dotKernGo(k, a, lda, bp, 1, 0, c, ldc)
+		return
+	}
+	dotKern32(vecWidth, k, a, lda, bp, c, ldc)
+}
+
+// sub is the fused-subtract entry point of the same shape, on float64 or
+// binary32 lanes: the 4×nb block of C (nb = nbOf[T]()) is the starting
+// value of the accumulators and every product is subtracted from it,
+// c −= a[l]·b[l] in increasing l.
+func sub[T float32 | float64](k int, a []T, lda int, bp, c []T, ldc int) {
+	nb := nbOf[T]()
+	_, _, _ = a[:3*lda+k], bp[:nb*k], c[3*ldc+nb-1]
+	switch {
+	case vecWidth == widthGo:
+		subKernGo(k, a, lda, bp, c, ldc)
+	case is64[T]():
+		subKern(vecWidth, k, as[float64](a), lda, as[float64](bp), as[float64](c), ldc)
+	default:
+		subKern32(vecWidth, k, as[float32](a), lda, as[float32](bp), as[float32](c), ldc)
+	}
+}
+
+// lanes runs the lane kernel (lanesGo) at the active width on a group of
+// nbOf[T]() rows, float64 or binary32.
+func lanes[T float32 | float64](x, a []T, l0, j0, j1, rs, cs, mode int) int {
+	if j1 > j0 {
+		_, _ = x[j1*nbOf[T]()-1], a[(j1-1-j0)*rs+(j1-1-l0)*cs]
+	}
+	switch {
+	case vecWidth == widthGo:
+		return lanesGo(nbOf[T](), x, a, l0, j0, j1, rs, cs, mode)
+	case is64[T]():
+		return lanesKern(vecWidth, as[float64](x), as[float64](a), l0, j0, j1, rs, cs, mode)
+	}
+	return lanesKern32(vecWidth, as[float32](x), as[float32](a), l0, j0, j1, rs, cs, mode)
+}
+
+// dot16 writes the pure-FP16 sums of four A rows (stride lda) against one
+// packed block bp of nb = len(s)/4 columns into s (4×nb): s = fl16(s +
+// fl16(a(r)[l]·b(jj)[l])) over increasing l — DOT_BODY with a binary16
+// round trip after every operation where the host has F16C, else dot16Go.
+func dot16(k int, a []float32, lda int, bp, s []float32) {
+	nb := len(s) / 4
+	_, _, _ = a[:3*lda+k], bp[:nb*k], s[4*nb-1]
+	if goRows(true) {
+		dot16Go(k, a, lda, bp, s)
+		return
+	}
+	dotKern16(vecWidth, k, a, lda, bp, s, nb)
+}
+
+// transpose stores the rows×cols matrix src (stride lds) transposed into
+// dst (stride ldd), dst[c·ldd+r] = D(src[r·lds+c]), for the lane layouts:
+// float64 in one SSE2 form, binary32 — from float64 narrowed on the way in,
+// or to float64 widened on the way out — in another, at every width but Go's.
+func transpose[S, D float32 | float64](rows, cols int, src []S, lds int, dst []D, ldd int) {
+	if vecWidth == widthGo || rows <= 0 || cols <= 0 {
+		transposeGo(rows, cols, src, lds, dst, ldd)
+		return
+	}
+	_, _ = src[(rows-1)*lds+cols-1], dst[(cols-1)*ldd+rows-1]
+	if is64[S]() && is64[D]() {
+		transposeSSE2(rows, cols, as[float64](src), lds, as[float64](dst), ldd)
+		return
+	}
+	transpose32SSE2(rows, cols, ptr(src), lds, ptr(dst), ldd, is64[S](), is64[D]())
+}
+
+// goRows reports whether the row kernels run in Go: at Go's width, and for
+// binary16 (h16) without F16C.
+func goRows(h16 bool) bool { return vecWidth == widthGo || h16 && !useF16C }
+
+// ptr is the address of s's first element (of its array if s is empty).
+func ptr[T float32 | float64](s []T) unsafe.Pointer { return unsafe.Pointer(unsafe.SliceData(s)) }
+
+// convert writes the rows×cols block src (stride lds) rounded to binary32,
+// and on to binary16 when h16, into dst (stride ldd) as float32 or widened
+// back to float64 (CVT_BODY; convertGo is its portable form).
+func convert[D float32 | float64](rows, cols int, src []float64, lds int, dst []D, ldd int, h16 bool) {
+	if goRows(h16) || rows <= 0 || cols <= 0 {
+		convertGo(rows, cols, src, lds, dst, ldd, h16)
+		return
+	}
+	_, _ = src[(rows-1)*lds+cols-1], dst[(rows-1)*ldd+cols-1]
+	cvtKern(vecWidth, rows, cols, src, lds, ptr(dst), ldd, is64[D](), h16)
+}
+
+// combine stores the bare binary32 sums s of a row into c, c = al⊗s ⊕
+// be⊗c (c read only when readC), in binary32 or, h16, binary16 arithmetic
+// (COMB_BODY; combineGo is its portable form).
+func combine(c []float64, s []float32, al, be float32, readC, h16 bool) {
+	if goRows(h16) || len(s) == 0 {
+		combineGo(c, s, al, be, readC, h16)
+		return
+	}
+	combKern(vecWidth, c[:len(s)], s, al, be, readC, h16)
+}
 
 // maxNB bounds nbOf over all widths; 4·maxNB sizes the portable kernels'
 // accumulator blocks.

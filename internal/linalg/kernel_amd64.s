@@ -415,6 +415,196 @@ GLOBL one32<>(SB), RODATA|NOPTR, $4
 DATA zero64<>+0(SB)/8, $0
 GLOBL zero64<>(SB), RODATA|NOPTR, $8
 
+// ---- The entry points ----
+//
+// One TEXT per kernel, declared once in kernel_amd64.go with the vector
+// width w as its first argument. It loads every argument from its own frame
+// into the registers its body expects — so asmdecl checks each frame
+// reference — and jumps to the body of width w: the file-local TEXTs of the
+// width sections below (dotKernAVX2<> …), which return to the entry's
+// caller. Any w other than 4 or 8 takes the SSE2 body, the amd64 baseline.
+// The lane kernels' bodies store their result through R14; the combine's
+// read alpha and beta through R12 and R13.
+
+// func dotKern(w width, k int, a []float64, lda int, bp []float64, alpha, beta float64, c []float64, ldc int)
+TEXT ·dotKern(SB), NOSPLIT, $0-120
+	MOVQ k+8(FP), CX
+	MOVQ a_base+16(FP), R8
+	MOVQ lda+40(FP), BX
+	MOVQ bp_base+48(FP), SI
+	LEAQ alpha+72(FP), R13
+	LEAQ beta+80(FP), R14
+	MOVQ c_base+88(FP), DI
+	MOVQ ldc+112(FP), DX
+	CMPQ w+0(FP), $8
+	JEQ  w8
+	CMPQ w+0(FP), $4
+	JEQ  w4
+	JMP  dotKernSSE2<>(SB)
+w8:
+	JMP  dotKernAVX512<>(SB)
+w4:
+	JMP  dotKernAVX2<>(SB)
+
+// func dotKern32(w width, k int, a []float32, lda int, bp []float32, c []float32, ldc int)
+TEXT ·dotKern32(SB), NOSPLIT, $0-104
+	MOVQ k+8(FP), CX
+	MOVQ a_base+16(FP), R8
+	MOVQ lda+40(FP), BX
+	MOVQ bp_base+48(FP), SI
+	LEAQ one32<>(SB), R13
+	LEAQ zero64<>(SB), R14
+	MOVQ c_base+72(FP), DI
+	MOVQ ldc+96(FP), DX
+	CMPQ w+0(FP), $8
+	JEQ  w8
+	CMPQ w+0(FP), $4
+	JEQ  w4
+	JMP  dotKern32SSE2<>(SB)
+w8:
+	JMP  dotKern32AVX512<>(SB)
+w4:
+	JMP  dotKern32AVX2<>(SB)
+
+// func dotKern16(w width, k int, a []float32, lda int, bp []float32, c []float32, ldc int)
+TEXT ·dotKern16(SB), NOSPLIT, $0-104
+	MOVQ k+8(FP), CX
+	MOVQ a_base+16(FP), R8
+	MOVQ lda+40(FP), BX
+	MOVQ bp_base+48(FP), SI
+	LEAQ one32<>(SB), R13
+	LEAQ zero64<>(SB), R14
+	MOVQ c_base+72(FP), DI
+	MOVQ ldc+96(FP), DX
+	CMPQ w+0(FP), $8
+	JEQ  w8
+	CMPQ w+0(FP), $4
+	JEQ  w4
+	JMP  dotKern16SSE2<>(SB)
+w8:
+	JMP  dotKern16AVX512<>(SB)
+w4:
+	JMP  dotKern16AVX2<>(SB)
+
+// func subKern(w width, k int, a []float64, lda int, bp []float64, c []float64, ldc int)
+TEXT ·subKern(SB), NOSPLIT, $0-104
+	MOVQ k+8(FP), CX
+	MOVQ a_base+16(FP), R8
+	MOVQ lda+40(FP), BX
+	MOVQ bp_base+48(FP), SI
+	MOVQ c_base+72(FP), DI
+	MOVQ ldc+96(FP), DX
+	CMPQ w+0(FP), $8
+	JEQ  w8
+	CMPQ w+0(FP), $4
+	JEQ  w4
+	JMP  subKernSSE2<>(SB)
+w8:
+	JMP  subKernAVX512<>(SB)
+w4:
+	JMP  subKernAVX2<>(SB)
+
+// func subKern32(w width, k int, a []float32, lda int, bp []float32, c []float32, ldc int)
+TEXT ·subKern32(SB), NOSPLIT, $0-104
+	MOVQ k+8(FP), CX
+	MOVQ a_base+16(FP), R8
+	MOVQ lda+40(FP), BX
+	MOVQ bp_base+48(FP), SI
+	MOVQ c_base+72(FP), DI
+	MOVQ ldc+96(FP), DX
+	CMPQ w+0(FP), $8
+	JEQ  w8
+	CMPQ w+0(FP), $4
+	JEQ  w4
+	JMP  subKern32SSE2<>(SB)
+w8:
+	JMP  subKern32AVX512<>(SB)
+w4:
+	JMP  subKern32AVX2<>(SB)
+
+// func lanesKern(w width, x, a []float64, l0, j0, j1, rs, cs, mode int) int
+TEXT ·lanesKern(SB), NOSPLIT, $0-112
+	MOVQ x_base+8(FP), DI
+	MOVQ a_base+32(FP), R8
+	MOVQ l0+56(FP), CX
+	MOVQ j0+64(FP), AX
+	MOVQ j1+72(FP), R10
+	MOVQ rs+80(FP), BX
+	MOVQ cs+88(FP), DX
+	MOVQ mode+96(FP), R11
+	LEAQ ret+104(FP), R14
+	CMPQ w+0(FP), $8
+	JEQ  w8
+	CMPQ w+0(FP), $4
+	JEQ  w4
+	JMP  lanesKernSSE2<>(SB)
+w8:
+	JMP  lanesKernAVX512<>(SB)
+w4:
+	JMP  lanesKernAVX2<>(SB)
+
+// func lanesKern32(w width, x, a []float32, l0, j0, j1, rs, cs, mode int) int
+TEXT ·lanesKern32(SB), NOSPLIT, $0-112
+	MOVQ x_base+8(FP), DI
+	MOVQ a_base+32(FP), R8
+	MOVQ l0+56(FP), CX
+	MOVQ j0+64(FP), AX
+	MOVQ j1+72(FP), R10
+	MOVQ rs+80(FP), BX
+	MOVQ cs+88(FP), DX
+	MOVQ mode+96(FP), R11
+	LEAQ ret+104(FP), R14
+	CMPQ w+0(FP), $8
+	JEQ  w8
+	CMPQ w+0(FP), $4
+	JEQ  w4
+	JMP  lanesKern32SSE2<>(SB)
+w8:
+	JMP  lanesKern32AVX512<>(SB)
+w4:
+	JMP  lanesKern32AVX2<>(SB)
+
+// func cvtKern(w width, rows, cols int, src []float64, lds int, dst unsafe.Pointer, ldd int, wide, h16 bool)
+TEXT ·cvtKern(SB), NOSPLIT, $0-74
+	MOVQ rows+8(FP), AX
+	MOVQ cols+16(FP), BX
+	MOVQ src_base+24(FP), SI
+	MOVQ lds+48(FP), CX
+	MOVQ dst+56(FP), DI
+	MOVQ ldd+64(FP), DX
+	MOVBQZX wide+72(FP), R11
+	MOVBQZX h16+73(FP), R12
+	LEAQ (R11)(R12*2), R11
+	CMPQ w+0(FP), $8
+	JEQ  w8
+	CMPQ w+0(FP), $4
+	JEQ  w4
+	JMP  cvtKernSSE2<>(SB)
+w8:
+	JMP  cvtKernAVX512<>(SB)
+w4:
+	JMP  cvtKernAVX2<>(SB)
+
+// func combKern(w width, c []float64, s []float32, al, be float32, readC, h16 bool)
+TEXT ·combKern(SB), NOSPLIT, $0-66
+	MOVQ c_base+8(FP), R8
+	MOVQ s_base+32(FP), R9
+	MOVQ s_len+40(FP), R10
+	MOVBQZX readC+64(FP), R11
+	MOVBQZX h16+65(FP), R12
+	LEAQ (R11)(R12*2), R11
+	LEAQ al+56(FP), R12
+	LEAQ be+60(FP), R13
+	CMPQ w+0(FP), $8
+	JEQ  w8
+	CMPQ w+0(FP), $4
+	JEQ  w4
+	JMP  combKernSSE2<>(SB)
+w8:
+	JMP  combKernAVX512<>(SB)
+w4:
+	JMP  combKernAVX2<>(SB)
+
 // ---- SSE2: 2 float64 lanes, legacy encoding (the amd64 baseline) ----
 
 #define V0 X0
@@ -468,40 +658,15 @@ GLOBL zero64<>(SB), RODATA|NOPTR, $8
 #define SRECIP(d, x) MOVSD one64<>(SB), x; DIVSD d, x
 #define SUCOM UCOMISD
 
-// func dotKernSSE2(k int, a []float64, lda int, bp []float64, alpha, beta float64, c []float64, ldc int)
-TEXT ·dotKernSSE2(SB), NOSPLIT, $0-112
-	MOVQ k+0(FP), CX
-	MOVQ a_base+8(FP), R8
-	MOVQ lda+32(FP), BX
-	MOVQ bp_base+40(FP), SI
-	LEAQ alpha+64(FP), R13
-	LEAQ beta+72(FP), R14
-	MOVQ c_base+80(FP), DI
-	MOVQ ldc+104(FP), DX
+TEXT dotKernSSE2<>(SB), NOSPLIT, $0
 	DOT_BODY
 
-// func subKernSSE2(k int, a []float64, lda int, bp []float64, c []float64, ldc int)
-TEXT ·subKernSSE2(SB), NOSPLIT, $0-96
-	MOVQ k+0(FP), CX
-	MOVQ a_base+8(FP), R8
-	MOVQ lda+32(FP), BX
-	MOVQ bp_base+40(FP), SI
-	MOVQ c_base+64(FP), DI
-	MOVQ ldc+88(FP), DX
+TEXT subKernSSE2<>(SB), NOSPLIT, $0
 	SUB_BODY
 
-// func lanesKernSSE2(x, a []float64, l0, j0, j1, rs, cs, mode int) int
-TEXT ·lanesKernSSE2(SB), NOSPLIT, $0-104
-	MOVQ x_base+0(FP), DI
-	MOVQ a_base+24(FP), R8
-	MOVQ l0+48(FP), CX
-	MOVQ j0+56(FP), AX
-	MOVQ j1+64(FP), R10
-	MOVQ rs+72(FP), BX
-	MOVQ cs+80(FP), DX
-	MOVQ mode+88(FP), R11
+TEXT lanesKernSSE2<>(SB), NOSPLIT, $0
 	LANE_BODY
-	MOVQ AX, ret+96(FP)
+	MOVQ AX, (R14)
 	KRET
 
 #undef ESH
@@ -531,40 +696,15 @@ TEXT ·lanesKernSSE2(SB), NOSPLIT, $0-104
 #define SRECIP(d, x) MOVSS one32<>(SB), x; DIVSS d, x
 #define SUCOM UCOMISS
 
-// func dotKern32SSE2(k int, a []float32, lda int, bp []float32, c []float32, ldc int)
-TEXT ·dotKern32SSE2(SB), NOSPLIT, $0-96
-	MOVQ k+0(FP), CX
-	MOVQ a_base+8(FP), R8
-	MOVQ lda+32(FP), BX
-	MOVQ bp_base+40(FP), SI
-	LEAQ one32<>(SB), R13
-	LEAQ zero64<>(SB), R14
-	MOVQ c_base+64(FP), DI
-	MOVQ ldc+88(FP), DX
+TEXT dotKern32SSE2<>(SB), NOSPLIT, $0
 	DOT_BODY
 
-// func subKern32SSE2(k int, a []float32, lda int, bp []float32, c []float32, ldc int)
-TEXT ·subKern32SSE2(SB), NOSPLIT, $0-96
-	MOVQ k+0(FP), CX
-	MOVQ a_base+8(FP), R8
-	MOVQ lda+32(FP), BX
-	MOVQ bp_base+40(FP), SI
-	MOVQ c_base+64(FP), DI
-	MOVQ ldc+88(FP), DX
+TEXT subKern32SSE2<>(SB), NOSPLIT, $0
 	SUB_BODY
 
-// func lanesKern32SSE2(x, a []float32, l0, j0, j1, rs, cs, mode int) int
-TEXT ·lanesKern32SSE2(SB), NOSPLIT, $0-104
-	MOVQ x_base+0(FP), DI
-	MOVQ a_base+24(FP), R8
-	MOVQ l0+48(FP), CX
-	MOVQ j0+56(FP), AX
-	MOVQ j1+64(FP), R10
-	MOVQ rs+72(FP), BX
-	MOVQ cs+80(FP), DX
-	MOVQ mode+88(FP), R11
+TEXT lanesKern32SSE2<>(SB), NOSPLIT, $0
 	LANE_BODY
-	MOVQ AX, ret+96(FP)
+	MOVQ AX, (R14)
 	KRET
 
 // The pure-FP16 kernel: DOT_BODY on binary32 lanes with VRT, a binary16
@@ -574,41 +714,15 @@ TEXT ·lanesKern32SSE2(SB), NOSPLIT, $0-104
 #define LMUL(m, b, t) MOVUPS m, t; MULPS b, t; VRT(t)
 #define LADD(t, r) ADDPS t, r; VRT(r)
 
-// func dotKern16SSE2(k int, a []float32, lda int, bp []float32, c []float32, ldc int)
-TEXT ·dotKern16SSE2(SB), NOSPLIT, $0-96
-	MOVQ k+0(FP), CX
-	MOVQ a_base+8(FP), R8
-	MOVQ lda+32(FP), BX
-	MOVQ bp_base+40(FP), SI
-	LEAQ one32<>(SB), R13
-	LEAQ zero64<>(SB), R14
-	MOVQ c_base+64(FP), DI
-	MOVQ ldc+88(FP), DX
+TEXT dotKern16SSE2<>(SB), NOSPLIT, $0
 	DOT_BODY
 
-// func cvtKernSSE2(rows, cols int, src []float64, lds int, dst unsafe.Pointer, ldd int, wide, h16 bool)
-TEXT ·cvtKernSSE2(SB), NOSPLIT, $0-66
-	MOVQ rows+0(FP), AX
-	MOVQ cols+8(FP), BX
-	MOVQ src_base+16(FP), SI
-	MOVQ lds+40(FP), CX
-	MOVQ dst+48(FP), DI
-	MOVQ ldd+56(FP), DX
-	MOVBQZX wide+64(FP), R11
-	MOVBQZX h16+65(FP), R12
-	LEAQ (R11)(R12*2), R11
+TEXT cvtKernSSE2<>(SB), NOSPLIT, $0
 	CVT_BODY
 
-// func combKernSSE2(c []float64, s []float32, al, be float32, readC, h16 bool)
-TEXT ·combKernSSE2(SB), NOSPLIT, $0-58
-	MOVQ c_base+0(FP), R8
-	MOVQ s_base+24(FP), R9
-	MOVQ s_len+32(FP), R10
-	MOVBQZX readC+56(FP), R11
-	MOVBQZX h16+57(FP), R12
-	LEAQ (R11)(R12*2), R11
-	HBCAST(al+48(FP), H2)
-	HBCAST(be+52(FP), H3)
+TEXT combKernSSE2<>(SB), NOSPLIT, $0
+	HBCAST((R12), H2)
+	HBCAST((R13), H3)
 	COMB_BODY
 
 #undef ESH
@@ -717,40 +831,15 @@ TEXT ·combKernSSE2(SB), NOSPLIT, $0-58
 #define SRECIP(d, x) VMOVSD one64<>(SB), x; VDIVSD d, x, x
 #define SUCOM VUCOMISD
 
-// func dotKernAVX2(k int, a []float64, lda int, bp []float64, alpha, beta float64, c []float64, ldc int)
-TEXT ·dotKernAVX2(SB), NOSPLIT, $0-112
-	MOVQ k+0(FP), CX
-	MOVQ a_base+8(FP), R8
-	MOVQ lda+32(FP), BX
-	MOVQ bp_base+40(FP), SI
-	LEAQ alpha+64(FP), R13
-	LEAQ beta+72(FP), R14
-	MOVQ c_base+80(FP), DI
-	MOVQ ldc+104(FP), DX
+TEXT dotKernAVX2<>(SB), NOSPLIT, $0
 	DOT_BODY
 
-// func subKernAVX2(k int, a []float64, lda int, bp []float64, c []float64, ldc int)
-TEXT ·subKernAVX2(SB), NOSPLIT, $0-96
-	MOVQ k+0(FP), CX
-	MOVQ a_base+8(FP), R8
-	MOVQ lda+32(FP), BX
-	MOVQ bp_base+40(FP), SI
-	MOVQ c_base+64(FP), DI
-	MOVQ ldc+88(FP), DX
+TEXT subKernAVX2<>(SB), NOSPLIT, $0
 	SUB_BODY
 
-// func lanesKernAVX2(x, a []float64, l0, j0, j1, rs, cs, mode int) int
-TEXT ·lanesKernAVX2(SB), NOSPLIT, $0-104
-	MOVQ x_base+0(FP), DI
-	MOVQ a_base+24(FP), R8
-	MOVQ l0+48(FP), CX
-	MOVQ j0+56(FP), AX
-	MOVQ j1+64(FP), R10
-	MOVQ rs+72(FP), BX
-	MOVQ cs+80(FP), DX
-	MOVQ mode+88(FP), R11
+TEXT lanesKernAVX2<>(SB), NOSPLIT, $0
 	LANE_BODY
-	MOVQ AX, ret+96(FP)
+	MOVQ AX, (R14)
 	KRET
 
 #undef ESH
@@ -780,40 +869,15 @@ TEXT ·lanesKernAVX2(SB), NOSPLIT, $0-104
 #define SRECIP(d, x) VMOVSS one32<>(SB), x; VDIVSS d, x, x
 #define SUCOM VUCOMISS
 
-// func dotKern32AVX2(k int, a []float32, lda int, bp []float32, c []float32, ldc int)
-TEXT ·dotKern32AVX2(SB), NOSPLIT, $0-96
-	MOVQ k+0(FP), CX
-	MOVQ a_base+8(FP), R8
-	MOVQ lda+32(FP), BX
-	MOVQ bp_base+40(FP), SI
-	LEAQ one32<>(SB), R13
-	LEAQ zero64<>(SB), R14
-	MOVQ c_base+64(FP), DI
-	MOVQ ldc+88(FP), DX
+TEXT dotKern32AVX2<>(SB), NOSPLIT, $0
 	DOT_BODY
 
-// func subKern32AVX2(k int, a []float32, lda int, bp []float32, c []float32, ldc int)
-TEXT ·subKern32AVX2(SB), NOSPLIT, $0-96
-	MOVQ k+0(FP), CX
-	MOVQ a_base+8(FP), R8
-	MOVQ lda+32(FP), BX
-	MOVQ bp_base+40(FP), SI
-	MOVQ c_base+64(FP), DI
-	MOVQ ldc+88(FP), DX
+TEXT subKern32AVX2<>(SB), NOSPLIT, $0
 	SUB_BODY
 
-// func lanesKern32AVX2(x, a []float32, l0, j0, j1, rs, cs, mode int) int
-TEXT ·lanesKern32AVX2(SB), NOSPLIT, $0-104
-	MOVQ x_base+0(FP), DI
-	MOVQ a_base+24(FP), R8
-	MOVQ l0+48(FP), CX
-	MOVQ j0+56(FP), AX
-	MOVQ j1+64(FP), R10
-	MOVQ rs+72(FP), BX
-	MOVQ cs+80(FP), DX
-	MOVQ mode+88(FP), R11
+TEXT lanesKern32AVX2<>(SB), NOSPLIT, $0
 	LANE_BODY
-	MOVQ AX, ret+96(FP)
+	MOVQ AX, (R14)
 	KRET
 
 // The pure-FP16 kernel: DOT_BODY on binary32 lanes with VRT, a binary16
@@ -823,41 +887,15 @@ TEXT ·lanesKern32AVX2(SB), NOSPLIT, $0-104
 #define LMUL(m, b, t) VMULPS m, b, t; VRT(t)
 #define LADD(t, r) VADDPS t, r, r; VRT(r)
 
-// func dotKern16AVX2(k int, a []float32, lda int, bp []float32, c []float32, ldc int)
-TEXT ·dotKern16AVX2(SB), NOSPLIT, $0-96
-	MOVQ k+0(FP), CX
-	MOVQ a_base+8(FP), R8
-	MOVQ lda+32(FP), BX
-	MOVQ bp_base+40(FP), SI
-	LEAQ one32<>(SB), R13
-	LEAQ zero64<>(SB), R14
-	MOVQ c_base+64(FP), DI
-	MOVQ ldc+88(FP), DX
+TEXT dotKern16AVX2<>(SB), NOSPLIT, $0
 	DOT_BODY
 
-// func cvtKernAVX2(rows, cols int, src []float64, lds int, dst unsafe.Pointer, ldd int, wide, h16 bool)
-TEXT ·cvtKernAVX2(SB), NOSPLIT, $0-66
-	MOVQ rows+0(FP), AX
-	MOVQ cols+8(FP), BX
-	MOVQ src_base+16(FP), SI
-	MOVQ lds+40(FP), CX
-	MOVQ dst+48(FP), DI
-	MOVQ ldd+56(FP), DX
-	MOVBQZX wide+64(FP), R11
-	MOVBQZX h16+65(FP), R12
-	LEAQ (R11)(R12*2), R11
+TEXT cvtKernAVX2<>(SB), NOSPLIT, $0
 	CVT_BODY
 
-// func combKernAVX2(c []float64, s []float32, al, be float32, readC, h16 bool)
-TEXT ·combKernAVX2(SB), NOSPLIT, $0-58
-	MOVQ c_base+0(FP), R8
-	MOVQ s_base+24(FP), R9
-	MOVQ s_len+32(FP), R10
-	MOVBQZX readC+56(FP), R11
-	MOVBQZX h16+57(FP), R12
-	LEAQ (R11)(R12*2), R11
-	HBCAST(al+48(FP), H2)
-	HBCAST(be+52(FP), H3)
+TEXT combKernAVX2<>(SB), NOSPLIT, $0
+	HBCAST((R12), H2)
+	HBCAST((R13), H3)
 	COMB_BODY
 
 #undef LMUL
@@ -923,40 +961,15 @@ TEXT ·combKernAVX2(SB), NOSPLIT, $0-58
 #define MLOADH(m, h) VMOVUPS.Z m, K1, Z0
 #define MSTOREH(h, m) VMOVUPS Z0, K1, m
 
-// func dotKern32AVX512(k int, a []float32, lda int, bp []float32, c []float32, ldc int)
-TEXT ·dotKern32AVX512(SB), NOSPLIT, $0-96
-	MOVQ k+0(FP), CX
-	MOVQ a_base+8(FP), R8
-	MOVQ lda+32(FP), BX
-	MOVQ bp_base+40(FP), SI
-	LEAQ one32<>(SB), R13
-	LEAQ zero64<>(SB), R14
-	MOVQ c_base+64(FP), DI
-	MOVQ ldc+88(FP), DX
+TEXT dotKern32AVX512<>(SB), NOSPLIT, $0
 	DOT_BODY
 
-// func subKern32AVX512(k int, a []float32, lda int, bp []float32, c []float32, ldc int)
-TEXT ·subKern32AVX512(SB), NOSPLIT, $0-96
-	MOVQ k+0(FP), CX
-	MOVQ a_base+8(FP), R8
-	MOVQ lda+32(FP), BX
-	MOVQ bp_base+40(FP), SI
-	MOVQ c_base+64(FP), DI
-	MOVQ ldc+88(FP), DX
+TEXT subKern32AVX512<>(SB), NOSPLIT, $0
 	SUB_BODY
 
-// func lanesKern32AVX512(x, a []float32, l0, j0, j1, rs, cs, mode int) int
-TEXT ·lanesKern32AVX512(SB), NOSPLIT, $0-104
-	MOVQ x_base+0(FP), DI
-	MOVQ a_base+24(FP), R8
-	MOVQ l0+48(FP), CX
-	MOVQ j0+56(FP), AX
-	MOVQ j1+64(FP), R10
-	MOVQ rs+72(FP), BX
-	MOVQ cs+80(FP), DX
-	MOVQ mode+88(FP), R11
+TEXT lanesKern32AVX512<>(SB), NOSPLIT, $0
 	LANE_BODY
-	MOVQ AX, ret+96(FP)
+	MOVQ AX, (R14)
 	KRET
 
 // The pure-FP16 kernel: DOT_BODY on binary32 lanes with VRT, a binary16
@@ -966,41 +979,15 @@ TEXT ·lanesKern32AVX512(SB), NOSPLIT, $0-104
 #define LMUL(m, b, t) VMULPS m, b, t; VRT(t)
 #define LADD(t, r) VADDPS t, r, r; VRT(r)
 
-// func dotKern16AVX512(k int, a []float32, lda int, bp []float32, c []float32, ldc int)
-TEXT ·dotKern16AVX512(SB), NOSPLIT, $0-96
-	MOVQ k+0(FP), CX
-	MOVQ a_base+8(FP), R8
-	MOVQ lda+32(FP), BX
-	MOVQ bp_base+40(FP), SI
-	LEAQ one32<>(SB), R13
-	LEAQ zero64<>(SB), R14
-	MOVQ c_base+64(FP), DI
-	MOVQ ldc+88(FP), DX
+TEXT dotKern16AVX512<>(SB), NOSPLIT, $0
 	DOT_BODY
 
-// func cvtKernAVX512(rows, cols int, src []float64, lds int, dst unsafe.Pointer, ldd int, wide, h16 bool)
-TEXT ·cvtKernAVX512(SB), NOSPLIT, $0-66
-	MOVQ rows+0(FP), AX
-	MOVQ cols+8(FP), BX
-	MOVQ src_base+16(FP), SI
-	MOVQ lds+40(FP), CX
-	MOVQ dst+48(FP), DI
-	MOVQ ldd+56(FP), DX
-	MOVBQZX wide+64(FP), R11
-	MOVBQZX h16+65(FP), R12
-	LEAQ (R11)(R12*2), R11
+TEXT cvtKernAVX512<>(SB), NOSPLIT, $0
 	CVT_BODY
 
-// func combKernAVX512(c []float64, s []float32, al, be float32, readC, h16 bool)
-TEXT ·combKernAVX512(SB), NOSPLIT, $0-58
-	MOVQ c_base+0(FP), R8
-	MOVQ s_base+24(FP), R9
-	MOVQ s_len+32(FP), R10
-	MOVBQZX readC+56(FP), R11
-	MOVBQZX h16+57(FP), R12
-	LEAQ (R11)(R12*2), R11
-	HBCAST(al+48(FP), H2)
-	HBCAST(be+52(FP), H3)
+TEXT combKernAVX512<>(SB), NOSPLIT, $0
+	HBCAST((R12), H2)
+	HBCAST((R13), H3)
 	COMB_BODY
 
 #undef ESH
@@ -1030,40 +1017,15 @@ TEXT ·combKernAVX512(SB), NOSPLIT, $0-58
 #define SRECIP(d, x) VMOVSD one64<>(SB), x; VDIVSD d, x, x
 #define SUCOM VUCOMISD
 
-// func dotKernAVX512(k int, a []float64, lda int, bp []float64, alpha, beta float64, c []float64, ldc int)
-TEXT ·dotKernAVX512(SB), NOSPLIT, $0-112
-	MOVQ k+0(FP), CX
-	MOVQ a_base+8(FP), R8
-	MOVQ lda+32(FP), BX
-	MOVQ bp_base+40(FP), SI
-	LEAQ alpha+64(FP), R13
-	LEAQ beta+72(FP), R14
-	MOVQ c_base+80(FP), DI
-	MOVQ ldc+104(FP), DX
+TEXT dotKernAVX512<>(SB), NOSPLIT, $0
 	DOT_BODY
 
-// func subKernAVX512(k int, a []float64, lda int, bp []float64, c []float64, ldc int)
-TEXT ·subKernAVX512(SB), NOSPLIT, $0-96
-	MOVQ k+0(FP), CX
-	MOVQ a_base+8(FP), R8
-	MOVQ lda+32(FP), BX
-	MOVQ bp_base+40(FP), SI
-	MOVQ c_base+64(FP), DI
-	MOVQ ldc+88(FP), DX
+TEXT subKernAVX512<>(SB), NOSPLIT, $0
 	SUB_BODY
 
-// func lanesKernAVX512(x, a []float64, l0, j0, j1, rs, cs, mode int) int
-TEXT ·lanesKernAVX512(SB), NOSPLIT, $0-104
-	MOVQ x_base+0(FP), DI
-	MOVQ a_base+24(FP), R8
-	MOVQ l0+48(FP), CX
-	MOVQ j0+56(FP), AX
-	MOVQ j1+64(FP), R10
-	MOVQ rs+72(FP), BX
-	MOVQ cs+80(FP), DX
-	MOVQ mode+88(FP), R11
+TEXT lanesKernAVX512<>(SB), NOSPLIT, $0
 	LANE_BODY
-	MOVQ AX, ret+96(FP)
+	MOVQ AX, (R14)
 	KRET
 
 // T32 is the float32 transpose behind transpose32SSE2: dst[c·ldd + r] =

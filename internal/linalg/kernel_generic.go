@@ -2,43 +2,36 @@
 
 package linalg
 
-// Off amd64 the micro-kernels run in portable Go (kernel.go); the results
-// are bit-identical to every assembled width.
-var vecWidth = widthGo
+import "unsafe"
 
-func dot64(k int, a []float64, lda int, bp []float64, alpha, beta float64, c []float64, ldc int) {
-	dotKernGo(k, a, lda, bp, alpha, beta, c, ldc)
+// Off amd64 vecWidth is widthGo and the dispatchers in kernel.go run the
+// portable kernels, bit-identical to every assembled width; these stubs for
+// the assembled ones are never called.
+
+func dotKern(w width, k int, a []float64, lda int, bp []float64, alpha, beta float64, c []float64, ldc int) {
 }
 
-func dot32(k int, a []float32, lda int, bp []float32, c []float32, ldc int) {
-	dotKernGo(k, a, lda, bp, 1, 0, c, ldc)
+func dotKern32(w width, k int, a []float32, lda int, bp []float32, c []float32, ldc int) {}
+
+func dotKern16(w width, k int, a []float32, lda int, bp []float32, c []float32, ldc int) {}
+
+func subKern(w width, k int, a []float64, lda int, bp []float64, c []float64, ldc int) {}
+
+func subKern32(w width, k int, a []float32, lda int, bp []float32, c []float32, ldc int) {}
+
+func lanesKern(w width, x, a []float64, l0, j0, j1, rs, cs, mode int) int { return 0 }
+
+func lanesKern32(w width, x, a []float32, l0, j0, j1, rs, cs, mode int) int { return 0 }
+
+func cvtKern(w width, rows, cols int, src []float64, lds int, dst unsafe.Pointer, ldd int, wide, h16 bool) {
 }
 
-func sub[T float32 | float64](k int, a []T, lda int, bp, c []T, ldc int) {
-	subKernGo(k, a, lda, bp, c, ldc)
+func combKern(w width, c []float64, s []float32, al, be float32, readC, h16 bool) {}
+
+func transposeSSE2(rows, cols int, src []float64, lds int, dst []float64, ldd int) {}
+
+func transpose32SSE2(rows, cols int, src unsafe.Pointer, lds int, dst unsafe.Pointer, ldd int, narrow, widen bool) {
 }
-
-func lanes[T float32 | float64](x, a []T, l0, j0, j1, rs, cs, mode int) int {
-	return lanesGo(nbOf[T](), x, a, l0, j0, j1, rs, cs, mode)
-}
-
-func transpose[S, D float32 | float64](rows, cols int, src []S, lds int, dst []D, ldd int) {
-	transposeGo(rows, cols, src, lds, dst, ldd)
-}
-
-func convert[D float32 | float64](rows, cols int, src []float64, lds int, dst []D, ldd int, h16 bool) {
-	convertGo(rows, cols, src, lds, dst, ldd, h16)
-}
-
-func combine(c []float64, s []float32, al, be float32, readC, h16 bool) {
-	combineGo(c, s, al, be, readC, h16)
-}
-
-// Off amd64 there is no hardware binary16 kernel: the pure-FP16 GEMM runs
-// dot16Go.
-var useF16C = false
-
-func dot16(k int, a []float32, lda int, bp, s []float32) { dot16Go(k, a, lda, bp, s) }
 
 // The binary32 underflow contract (doc.go) is not enforced off amd64: these
 // architectures handle subnormals at full speed, and results agree with
