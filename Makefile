@@ -43,7 +43,8 @@ race:
 # scalar bound Matérn kernel alone, entry by entry through Cov; MaternBind
 # the bind alone (every panel of the span, in Bessel lanes);
 # CovMatrixMatern the dense Σ(θ) behind fit_matern's synthetic field, every
-# entry with Matern.Cov's bits (direct rows, Bessel lanes).
+# entry with the direct evaluator's bits (bound over geo.NoSpan: direct
+# rows, Bessel lanes).
 # BENCHTIME=1x gives a CI smoke run; the committed
 # artifact uses 5x against the seed baseline in results/bench_seed.txt.
 # The µs-scale legs (the 64-tile GEMM and TRSM, POTRF at 49 and 64) run a

@@ -353,9 +353,9 @@ func BenchmarkMaternBind(b *testing.B) {
 
 // BenchmarkCovMatrixMatern is the dense Σ(θ) that geo.SimulateField
 // factorizes to draw fit_matern's dataset: 400 locations (seed 101), θ = (1,
-// 0.03, 1), every entry with the bits of Matern.Cov, through the direct
-// row path and its Bessel lanes. It reports the time per entry of the
-// lower triangle.
+// 0.03, 1), every entry with the direct evaluator's bits (the kernel bound
+// over geo.NoSpan), through the direct row path and its Bessel lanes. It
+// reports the time per entry of the lower triangle.
 func BenchmarkCovMatrixMatern(b *testing.B) {
 	locs := geo.GenerateLocations(400, 2, stats.NewRNG(101, 0))
 	k := geo.Matern{Dimension: 2}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 
+	"geompc/internal/hw"
 	"geompc/internal/prec"
 	"geompc/internal/runtime"
 )
@@ -109,15 +110,12 @@ func TheoreticalFlops(n int) float64 {
 func (s ids) name(id int) string {
 	op, m, n, k := s.decode(id)
 	switch op {
-	case opPotrf:
-		return fmt.Sprintf("POTRF(%d)", k)
-	case opTrsm:
-		return fmt.Sprintf("TRSM(%d,%d)", m, k)
-	case opSyrk:
-		return fmt.Sprintf("SYRK(%d,%d)", m, k)
-	default:
-		return fmt.Sprintf("GEMM(%d,%d,%d)", m, n, k)
+	case hw.KindPotrf:
+		return fmt.Sprintf("%v(%d)", op, k)
+	case hw.KindGemm:
+		return fmt.Sprintf("%v(%d,%d,%d)", op, m, n, k)
 	}
+	return fmt.Sprintf("%v(%d,%d)", op, m, k)
 }
 
 // ScheduledTask is one labeled entry of a Trace-enabled run's timeline.

@@ -21,31 +21,31 @@ func TestIDRoundTrip(t *testing.T) {
 	for _, nt := range []int{1, 2, 3, 5, 8, 13} {
 		s := newIDs(nt)
 		seen := make(map[int]bool, s.numTasks)
-		check := func(id, op, m, n, k int) {
+		check := func(id int, op hw.KernelKind, m, n, k int) {
 			t.Helper()
 			if seen[id] {
 				t.Fatalf("nt=%d: duplicate id %d", nt, id)
 			}
 			seen[id] = true
 			gop, gm, gn, gk := s.decode(id)
-			if gop != op || gk != k || (op != opPotrf && gm != m) || (op == opGemm && gn != n) {
+			if gop != op || gk != k || (op != hw.KindPotrf && gm != m) || (op == hw.KindGemm && gn != n) {
 				t.Fatalf("nt=%d id=%d: decode = (%d,%d,%d,%d), want (%d,%d,%d,%d)",
 					nt, id, gop, gm, gn, gk, op, m, n, k)
 			}
 		}
 		for k := 0; k < nt; k++ {
-			check(s.potrf(k), opPotrf, k, 0, k)
+			check(s.potrf(k), hw.KindPotrf, k, 0, k)
 		}
 		for m := 1; m < nt; m++ {
 			for k := 0; k < m; k++ {
-				check(s.trsm(m, k), opTrsm, m, 0, k)
-				check(s.syrk(m, k), opSyrk, m, 0, k)
+				check(s.trsm(m, k), hw.KindTrsm, m, 0, k)
+				check(s.syrk(m, k), hw.KindSyrk, m, 0, k)
 			}
 		}
 		for m := 2; m < nt; m++ {
 			for n := 1; n < m; n++ {
 				for k := 0; k < n; k++ {
-					check(s.gemm(m, n, k), opGemm, m, n, k)
+					check(s.gemm(m, n, k), hw.KindGemm, m, n, k)
 				}
 			}
 		}
@@ -116,13 +116,13 @@ func TestDataIDsAreTileIndices(t *testing.T) {
 			var ins [][2]int
 			out := [2]int{m, k}
 			switch op {
-			case opPotrf:
+			case hw.KindPotrf:
 				out = [2]int{k, k}
-			case opTrsm:
+			case hw.KindTrsm:
 				ins = [][2]int{{k, k}}
-			case opSyrk:
+			case hw.KindSyrk:
 				ins, out = [][2]int{{m, k}}, [2]int{m, m}
-			case opGemm:
+			case hw.KindGemm:
 				ins, out = [][2]int{{m, k}, {n, k}}, [2]int{m, n}
 			}
 			name := g.name(id)

@@ -87,18 +87,18 @@ func (g *graph) NumData() int { return g.desc.LowerTileCount() }
 // GEMM(m,n,k-1) — each list's last entry only when k > 0.
 func (g *graph) NumPredecessors(id int) int {
 	op, _, _, k := g.decode(id)
-	return [...]int{opPotrf: 0, opTrsm: 1, opSyrk: 1, opGemm: 2}[op] + min(k, 1)
+	return [...]int{hw.KindPotrf: 0, hw.KindTrsm: 1, hw.KindSyrk: 1, hw.KindGemm: 2}[op] + min(k, 1)
 }
 
 // Successors implements runtime.Graph.
 func (g *graph) Successors(id int, buf []int) []int {
 	op, m, n, k := g.decode(id)
 	switch op {
-	case opPotrf:
+	case hw.KindPotrf:
 		for i := k + 1; i < g.nt; i++ {
 			buf = append(buf, g.trsm(i, k))
 		}
-	case opTrsm:
+	case hw.KindTrsm:
 		buf = append(buf, g.syrk(m, k))
 		for j := k + 1; j < m; j++ {
 			buf = append(buf, g.gemm(m, j, k))
@@ -106,13 +106,13 @@ func (g *graph) Successors(id int, buf []int) []int {
 		for i := m + 1; i < g.nt; i++ {
 			buf = append(buf, g.gemm(i, m, k))
 		}
-	case opSyrk:
+	case hw.KindSyrk:
 		if k == m-1 {
 			buf = append(buf, g.potrf(m))
 		} else {
 			buf = append(buf, g.syrk(m, k+1))
 		}
-	case opGemm:
+	case hw.KindGemm:
 		if k == n-1 {
 			buf = append(buf, g.trsm(m, n))
 		} else {
@@ -135,16 +135,16 @@ func (g *graph) InitialData(visit func(d runtime.DataID, rank int)) {
 // priority approximates the tile Cholesky critical path: panel k tasks
 // outrank panel k+1 tasks; within a panel POTRF > TRSM > SYRK > GEMM, with
 // GEMMs urgent in proportion to the panel they unblock.
-func (g *graph) priority(op, m, n, k int) int64 {
+func (g *graph) priority(op hw.KernelKind, m, n, k int) int64 {
 	nt := int64(g.nt)
 	switch op {
-	case opPotrf:
+	case hw.KindPotrf:
 		return (nt - int64(k)) * 4096 * 4
-	case opTrsm:
+	case hw.KindTrsm:
 		return (nt-int64(k))*4096*4 - 1024 - int64(m-k)
-	case opSyrk:
+	case hw.KindSyrk:
 		return (nt-int64(k))*4096*3 - int64(m)
-	case opGemm:
+	case hw.KindGemm:
 		// GEMM(m,n,k) unblocks TRSM(m,n) at panel n.
 		return (nt-int64(n))*4096*2 - int64(m)
 	}
@@ -198,10 +198,10 @@ func (g *graph) bd(x int) float64 { return float64(g.desc.TileDim(x)) }
 func (g *graph) Spec(id int, s *runtime.TaskSpec) {
 	op, m, n, k := g.decode(id)
 	nt := g.nt
+	s.Kind = op
 
 	switch op {
-	case opPotrf:
-		s.Kind = hw.KindPotrf
+	case hw.KindPotrf:
 		s.Device = g.deviceOf(k, k)
 		s.Prec = g.maps.Potrf(k)
 		s.Flops = g.bd(k) * g.bd(k) * g.bd(k) / 3
@@ -220,8 +220,7 @@ func (g *graph) Spec(id int, s *runtime.TaskSpec) {
 		}
 		s.Body = g.potrfBody(k)
 
-	case opTrsm:
-		s.Kind = hw.KindTrsm
+	case hw.KindTrsm:
 		s.Device = g.deviceOf(m, k)
 		s.Prec = g.maps.Trsm(m, k)
 		s.Flops = g.bd(m) * g.bd(k) * g.bd(k)
@@ -240,8 +239,7 @@ func (g *graph) Spec(id int, s *runtime.TaskSpec) {
 		}))
 		s.Body = g.trsmBody(m, k, s.Prec)
 
-	case opSyrk:
-		s.Kind = hw.KindSyrk
+	case hw.KindSyrk:
 		s.Device = g.deviceOf(m, m)
 		s.Prec = g.maps.Syrk(m, k)
 		s.Flops = g.bd(m) * g.bd(m) * g.bd(k)
@@ -251,8 +249,7 @@ func (g *graph) Spec(id int, s *runtime.TaskSpec) {
 		s.Publish = nil
 		s.Body = g.syrkBody(m, k, s.Prec)
 
-	case opGemm:
-		s.Kind = hw.KindGemm
+	case hw.KindGemm:
 		s.Device = g.deviceOf(m, n)
 		s.Prec = g.maps.Gemm(m, n, k)
 		s.Flops = 2 * g.bd(m) * g.bd(n) * g.bd(k)

@@ -6,14 +6,10 @@
 // every communication (STC at the sender or TTC at the receiver).
 package cholesky
 
-import "fmt"
+import (
+	"fmt"
 
-// Task kinds, in id-segment order.
-const (
-	opPotrf = iota
-	opTrsm
-	opSyrk
-	opGemm
+	"geompc/internal/hw"
 )
 
 // ids maps between task coordinates and dense integer ids:
@@ -53,25 +49,25 @@ func newIDs(nt int) ids {
 	}
 	s.task = make([]uint32, s.numTasks)
 	for k := 0; k < nt; k++ {
-		s.task[s.potrf(k)] = pack(opPotrf, k, 0, k)
+		s.task[s.potrf(k)] = pack(hw.KindPotrf, k, 0, k)
 	}
 	for m := 1; m < nt; m++ {
 		for k := 0; k < m; k++ {
-			s.task[s.trsm(m, k)] = pack(opTrsm, m, 0, k)
-			s.task[s.syrk(m, k)] = pack(opSyrk, m, 0, k)
+			s.task[s.trsm(m, k)] = pack(hw.KindTrsm, m, 0, k)
+			s.task[s.syrk(m, k)] = pack(hw.KindSyrk, m, 0, k)
 		}
 	}
 	for m := 2; m < nt; m++ {
 		for n := 1; n < m; n++ {
 			for k := 0; k < n; k++ {
-				s.task[s.gemm(m, n, k)] = pack(opGemm, m, n, k)
+				s.task[s.gemm(m, n, k)] = pack(hw.KindGemm, m, n, k)
 			}
 		}
 	}
 	return s
 }
 
-func pack(op, m, n, k int) uint32 { return uint32(op<<30 | m<<20 | n<<10 | k) }
+func pack(op hw.KernelKind, m, n, k int) uint32 { return uint32(int(op)<<30 | m<<20 | n<<10 | k) }
 
 func pairIdx(m, k int) int { return m*(m-1)/2 + k }
 
@@ -86,10 +82,10 @@ func (s *ids) gemm(m, n, k int) int { return s.gemmBase + tripleIdx(m, n, k) }
 
 // decode returns the kind and coordinates of a task id. For POTRF only k is
 // meaningful (m = k); for TRSM/SYRK, (m, k); for GEMM, (m, n, k).
-func (s *ids) decode(id int) (op, m, n, k int) {
+func (s *ids) decode(id int) (op hw.KernelKind, m, n, k int) {
 	if uint(id) >= uint(len(s.task)) {
 		panic(fmt.Sprintf("cholesky: task id %d out of range [0,%d)", id, s.numTasks))
 	}
 	w := s.task[id]
-	return int(w >> 30), int(w >> 20 & 1023), int(w >> 10 & 1023), int(w & 1023)
+	return hw.KernelKind(w >> 30), int(w >> 20 & 1023), int(w >> 10 & 1023), int(w & 1023)
 }

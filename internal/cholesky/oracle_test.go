@@ -67,7 +67,7 @@ func TestBodiesComputeInChargedPrecision(t *testing.T) {
 		op, m, n, k := ids.decode(st.ID)
 		p := st.Prec
 		switch op {
-		case opPotrf:
+		case hw.KindPotrf:
 			c := ref.At(k, k)
 			if p != prec.FP64 {
 				t.Fatalf("POTRF(%d) charged in %v: a numeric run keeps the diagonal in FP64", k, p)
@@ -75,16 +75,16 @@ func TestBodiesComputeInChargedPrecision(t *testing.T) {
 			if err := linalg.PotrfLower(c.M, c.Data, c.N); err != nil {
 				t.Fatalf("replayed POTRF(%d): %v", k, err)
 			}
-		case opTrsm:
+		case hw.KindTrsm:
 			a, b := ref.At(k, k), ref.At(m, k)
 			linalg.TrsmRLTPrec(p, b.M, a.N, a.Data, a.N, b.Data, b.N)
-		case opSyrk:
+		case hw.KindSyrk:
 			a, c := ref.At(m, k), ref.At(m, m)
 			var opA linalg.Operand
 			opA.Pack(p, a.M, a.N, a.Data, a.N, true)
 			linalg.SyrkLNPacked(-1, &opA, 1, c.Data, c.N)
 			opA.Release()
-		case opGemm:
+		case hw.KindGemm:
 			a, b, c := ref.At(m, k), ref.At(n, k), ref.At(m, n)
 			var opA, opB linalg.Operand
 			opA.Pack(p, a.M, a.N, a.Data, a.N, true)

@@ -113,9 +113,6 @@ func (h Half) IsInf() bool { return h&0x7fff == 0x7c00 }
 // data "stored in FP16".
 func RoundF32(f float32) float32 { return FromFloat32(f).ToFloat32() }
 
-// Round rounds a float64 through binary16 and back.
-func Round(f float64) float64 { return float64(FromFloat32(float32(f)).ToFloat32()) }
-
 // BF16Round rounds a float32 to the nearest bfloat16 value (8 exponent bits,
 // 7 significand bits) with round-to-nearest-even. NaNs are preserved.
 func BF16Round(f float32) float32 {

@@ -60,17 +60,17 @@ func TestFromFloat32Cases(t *testing.T) {
 func TestRoundToNearestEven(t *testing.T) {
 	// 1 + 2^-11 is exactly halfway between 1 and 1+2^-10; RNE keeps the even
 	// significand, i.e. rounds down to 1.
-	if got := Round(1 + 0x1p-11); got != 1 {
-		t.Errorf("Round(1+2^-11) = %v, want 1 (ties-to-even)", got)
+	if got := RoundF32(1 + 0x1p-11); got != 1 {
+		t.Errorf("RoundF32(1+2^-11) = %v, want 1 (ties-to-even)", got)
 	}
 	// 1 + 3*2^-11 is halfway between 1+2^-10 and 1+2^-9; RNE rounds up to the
 	// even significand 1+2^-9.
-	if got := Round(1 + 3*0x1p-11); got != 1+0x1p-9 {
-		t.Errorf("Round(1+3*2^-11) = %v, want %v", got, 1+0x1p-9)
+	if got := RoundF32(1 + 3*0x1p-11); got != 1+0x1p-9 {
+		t.Errorf("RoundF32(1+3*2^-11) = %v, want %v", got, 1+0x1p-9)
 	}
 	// Just above the tie must round up.
-	if got := Round(1 + 0x1p-11 + 0x1p-20); got != 1+0x1p-10 {
-		t.Errorf("Round(1+2^-11+eps) = %v, want %v", got, 1+0x1p-10)
+	if got := RoundF32(1 + 0x1p-11 + 0x1p-20); got != 1+0x1p-10 {
+		t.Errorf("RoundF32(1+2^-11+eps) = %v, want %v", got, 1+0x1p-10)
 	}
 }
 
@@ -81,7 +81,7 @@ func TestRoundErrorBound(t *testing.T) {
 		if math.Abs(x) < HalfMin {
 			return true
 		}
-		r := Round(x)
+		r := float64(RoundF32(float32(x)))
 		return math.Abs(r-x) <= 0x1p-11*math.Abs(x)*(1+1e-12)
 	}, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

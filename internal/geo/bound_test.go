@@ -19,7 +19,7 @@ const maternTableTol = 1e-14
 // checkBound compares the bound and the direct evaluator at distance h.
 func checkBound(t *testing.T, bk BoundKernel, theta []float64, h, tol float64) {
 	t.Helper()
-	want := Matern{Dimension: 2}.Cov(h, theta)
+	want := Matern{Dimension: 2}.Bind(theta, NoSpan).Cov(h)
 	got := bk.Cov(h)
 	// The absolute term is for values so small that an ulp is a subnormal step.
 	if math.Abs(got-want) > tol*want+8*math.SmallestNonzeroFloat64 {
@@ -104,14 +104,14 @@ func TestMaternTableRange(t *testing.T) {
 	// Outside the built panels an entry is direct.
 	b := k.Bind(theta, spanOf(math.Nextafter(0.5, 1), 0.75))
 	for _, h := range []float64{0.3, 0.5, 0.76, 3, 100} {
-		if got, want := b.Cov(h), k.Cov(h, theta); math.Float64bits(got) != math.Float64bits(want) {
+		if got, want := b.Cov(h), k.Bind(theta, NoSpan).Cov(h); math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("h=%g outside the span: bound %g, direct %g", h, got, want)
 		}
 	}
 	// A panel where g overflows is left to the direct routine.
 	theta = []float64{1.7e308, 1, 2.5}
 	ob := k.Bind(theta, everywhere).(*maternBound)
-	if got, want := ob.Cov(100), k.Cov(100, theta); got != want {
+	if got, want := ob.Cov(100), k.Bind(theta, NoSpan).Cov(100); got != want {
 		t.Errorf("overflowing panel: bound %g, direct %g", got, want)
 	}
 	if ob.tab.isReady(4*(6-tabMinExp) + 2) {
@@ -204,7 +204,7 @@ func TestBoundFillBitsIndependentOfOrder(t *testing.T) {
 // TestDirectPathsPinned pins CovTile's bits on the paths the table does not
 // touch, as digests taken at the commit before the table. For ν = 0.5 at
 // β = 0.17 the pin is that commit's CovMatrix: its CovTile computed r as
-// h·(1/β), one rounding away from Matern.Cov's h/β, and digested to
+// h·(1/β), one rounding away from the direct evaluator's h/β, and digested to
 // 0x92d70632a0a69b5. At β = 0.15 the two happened to agree on these
 // locations, and for sqexp they were always the same code.
 func TestDirectPathsPinned(t *testing.T) {
@@ -242,7 +242,7 @@ func TestBindInvalidTheta(t *testing.T) {
 	} {
 		bk := k.Bind(theta, everywhere)
 		for _, h := range []float64{0, 1e-300, 1e-3, 0.1, 0.2, 1.41, 70, inf} {
-			got, want := bk.Cov(h), k.Cov(h, theta)
+			got, want := bk.Cov(h), k.Bind(theta, NoSpan).Cov(h)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("θ=%v h=%g: bound %g, Cov %g", theta, h, got, want)
 			}
@@ -270,7 +270,7 @@ func FuzzMaternBound(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nu, beta, h float64) {
 		k := Matern{Dimension: 2}
 		theta := []float64{1.7, beta, nu}
-		got, want := k.Bind(theta, everywhere).Cov(h), k.Cov(h, theta)
+		got, want := k.Bind(theta, everywhere).Cov(h), k.Bind(theta, NoSpan).Cov(h)
 		if math.IsNaN(got) || got < 0 {
 			t.Fatalf("ν=%g β=%g h=%g: bound kernel returned %g", nu, beta, h, got)
 		}
@@ -289,7 +289,7 @@ func FuzzMaternBound(f *testing.F) {
 		for j := range row {
 			row[j] = h * (1 + 0.05*float64(j-9))
 		}
-		for _, span := range []func() (float64, float64){everywhere, spanOf(h, 1.2*h), noSpan} {
+		for _, span := range []func() (float64, float64){everywhere, spanOf(h, 1.2*h), NoSpan} {
 			bk := k.Bind(theta, span).(*maternBound)
 			got := append([]float64(nil), row...)
 			bk.covRow(got)
@@ -298,10 +298,10 @@ func FuzzMaternBound(f *testing.F) {
 	})
 }
 
-// FuzzSqExpRow holds the squared-exponential row path to the per-entry
-// SqExp.Cov, bit for bit, at any (σ², β, h): on 19 distances around h, in
-// both orders, so that at a vector width the entries at either end are
-// once in a lane and once in the tail that goes through Cov.
+// FuzzSqExpRow holds the squared-exponential row path to the per-entry Cov,
+// bit for bit, at any (σ², β, h): on 19 distances around h, in both orders,
+// so that at a vector width the entries at either end are once in a lane
+// and once in the tail that goes through Cov.
 func FuzzSqExpRow(f *testing.F) {
 	f.Add(1.0, 0.03, 0.2)
 	f.Add(0.2402, 0.02214, 1.3)
@@ -316,10 +316,11 @@ func FuzzSqExpRow(f *testing.F) {
 		for j := range row {
 			row[j] = h * (1 + 0.05*float64(j-9))
 		}
+		bk := k.Bind(theta, NoSpan)
 		for pass := 0; pass < 2; pass++ {
 			got := append([]float64(nil), row...)
-			k.Bind(theta, noSpan).covRow(got)
-			sameCovBits(t, "row path", func(h float64) float64 { return k.Cov(h, theta) }, row, got)
+			bk.covRow(got)
+			sameCovBits(t, "row path", bk.Cov, row, got)
 			slices.Reverse(row)
 		}
 	})

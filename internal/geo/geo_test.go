@@ -118,7 +118,7 @@ func TestMortonOrderPinned(t *testing.T) {
 func TestSqExpProperties(t *testing.T) {
 	k := SqExp{Dimension: 2}
 	theta := []float64{1.5, 0.1}
-	if got := k.Cov(0, theta); got != 1.5 {
+	if got := k.Bind(theta, NoSpan).Cov(0); got != 1.5 {
 		t.Errorf("C(0) = %g, want σ² = 1.5", got)
 	}
 	if k.NumParams() != 2 || k.Name() != "2D-sqexp" || k.Dim() != 2 {
@@ -127,7 +127,7 @@ func TestSqExpProperties(t *testing.T) {
 	// Monotone decreasing in h, positive.
 	prev := math.Inf(1)
 	for h := 0.0; h < 2; h += 0.05 {
-		v := k.Cov(h, theta)
+		v := k.Bind(theta, NoSpan).Cov(h)
 		if v < 0 || v > prev {
 			t.Fatalf("sqexp not monotone/positive at h=%g", h)
 		}
@@ -135,7 +135,7 @@ func TestSqExpProperties(t *testing.T) {
 	}
 	// Exact value.
 	want := 1.5 * math.Exp(-0.04/0.1)
-	if got := k.Cov(0.2, theta); math.Abs(got-want) > 1e-15 {
+	if got := k.Bind(theta, NoSpan).Cov(0.2); math.Abs(got-want) > 1e-15 {
 		t.Errorf("C(0.2) = %g, want %g", got, want)
 	}
 	if (SqExp{Dimension: 3}).Name() != "3D-sqexp" {
@@ -148,7 +148,7 @@ func TestMaternHalfIsExponential(t *testing.T) {
 	theta := []float64{2.0, 0.3, 0.5}
 	for _, h := range []float64{0, 0.01, 0.1, 0.5, 1, 3} {
 		want := 2.0 * math.Exp(-h/0.3)
-		if got := k.Cov(h, theta); math.Abs(got-want) > 1e-12*want {
+		if got := k.Bind(theta, NoSpan).Cov(h); math.Abs(got-want) > 1e-12*want {
 			t.Errorf("Matern(ν=1/2) at h=%g: %g, want %g", h, got, want)
 		}
 	}
@@ -158,8 +158,8 @@ func TestMaternSmoothnessOrdering(t *testing.T) {
 	// At short range, higher ν (smoother field) keeps correlation higher.
 	k := Matern{Dimension: 2}
 	h := 0.05
-	rough := k.Cov(h, []float64{1, 0.1, 0.5})
-	smooth := k.Cov(h, []float64{1, 0.1, 1.0})
+	rough := k.Bind([]float64{1, 0.1, 0.5}, NoSpan).Cov(h)
+	smooth := k.Bind([]float64{1, 0.1, 1.0}, NoSpan).Cov(h)
 	if !(smooth > rough) {
 		t.Errorf("smooth (ν=1) correlation %g not above rough (ν=0.5) %g at h=%g", smooth, rough, h)
 	}
@@ -169,7 +169,7 @@ func TestMaternContinuityAtZero(t *testing.T) {
 	k := Matern{Dimension: 2}
 	for _, nu := range []float64{0.5, 1, 1.5, 2.3} {
 		theta := []float64{1, 0.2, nu}
-		v := k.Cov(1e-12, theta)
+		v := k.Bind(theta, NoSpan).Cov(1e-12)
 		if math.Abs(v-1) > 1e-6 {
 			t.Errorf("ν=%g: C(h→0) = %g, want → σ² = 1", nu, v)
 		}
@@ -178,7 +178,7 @@ func TestMaternContinuityAtZero(t *testing.T) {
 
 func TestMaternTailUnderflow(t *testing.T) {
 	k := Matern{Dimension: 2}
-	v := k.Cov(1000, []float64{1, 0.01, 1})
+	v := k.Bind([]float64{1, 0.01, 1}, NoSpan).Cov(1000)
 	if math.IsNaN(v) || v < 0 {
 		t.Errorf("deep tail returned %g", v)
 	}
@@ -243,8 +243,8 @@ func TestCovTileMatchesFull(t *testing.T) {
 }
 
 // TestCovMatrixMatchesCov: at every row-path width, every entry of
-// CovMatrix has the bits of a per-entry Kernel.Cov (the nugget added on the
-// diagonal) — the squared exponential, and the Matérn at ν = 0.5 (closed
+// CovMatrix has the bits of a per-entry Cov bound over NoSpan (the nugget
+// added on the diagonal) — the squared exponential, and the Matérn at ν = 0.5 (closed
 // form), 1 and 2.7 (Bessel values in bessel.Order's lanes) and 9.5 (above
 // the table's ν), each at a β that puts r = h/β on both sides of Temme's
 // and CF2's crossover, in 2D and 3D.
@@ -259,11 +259,12 @@ func TestCovMatrixMatchesCov(t *testing.T) {
 					k = SqExp{Dimension: dim}
 				}
 				a := CovMatrix(locs, k, theta, 1e-8)
+				ref := k.Bind(theta, NoSpan)
 				for i := 0; i < n; i++ {
 					for j := 0; j < n; j++ {
-						want := k.Cov(locs[i].Dist(locs[j]), theta)
+						want := ref.Cov(locs[i].Dist(locs[j]))
 						if i == j {
-							want = k.Cov(0, theta) + 1e-8
+							want = ref.Cov(0) + 1e-8
 						}
 						if got := a[i*n+j]; math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("%s θ=%v entry (%d,%d): CovMatrix %.17g (%#x), Cov %.17g (%#x)",
@@ -300,7 +301,7 @@ func TestSimulateFieldMoments(t *testing.T) {
 		t.Errorf("empirical variance %g, want ~1", varEmp)
 	}
 	corr := cross / float64(reps)
-	wantCorr := k.Cov(locs[0].Dist(locs[1]), theta)
+	wantCorr := k.Bind(theta, NoSpan).Cov(locs[0].Dist(locs[1]))
 	if corr < wantCorr-0.5 {
 		t.Errorf("adjacent empirical covariance %g far below theoretical %g", corr, wantCorr)
 	}

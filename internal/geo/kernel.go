@@ -13,7 +13,7 @@ import (
 // per-θ constants and tables to be hoisted out of matrix assembly. A bound
 // kernel is immutable once Bind returns, and so safe for concurrent use.
 type BoundKernel interface {
-	// Cov returns C(h) at the bound parameters.
+	// Cov returns C(h) at the bound parameters: the variance θ[0] at h = 0.
 	Cov(h float64) float64
 	// covRow sets h[j] = Cov(h[j]) for every j, bit for bit, in vector
 	// lanes where the host has them.
@@ -40,14 +40,12 @@ func lanesThenCov(h []float64, lanes func(w int, h []float64) int, cov func(floa
 // Kernel is an isotropic, stationary covariance function C(h; θ) of the
 // distance h between two locations (§III-A).
 type Kernel interface {
-	// Cov returns C(h; θ). It must return the variance θ[0] at h = 0.
-	Cov(h float64, theta []float64) float64
 	// Bind returns the kernel at one θ, safe for concurrent use. span gives
 	// the least and the greatest distance the caller will evaluate it at: a
 	// kernel that tabulates (the Matérn's) calls it once and builds its table
 	// over that range, any other does not call it. At a distance outside
-	// span the bound kernel returns Cov's bits; an empty span (lo > hi)
-	// makes it Cov at every distance.
+	// span the bound kernel returns the direct evaluator's bits; bound over
+	// NoSpan it is the direct evaluator at every distance.
 	Bind(theta []float64, span func() (lo, hi float64)) BoundKernel
 	// NumParams is the length of θ.
 	NumParams() int
@@ -65,9 +63,6 @@ type Kernel interface {
 type SqExp struct {
 	Dimension int // 2 or 3
 }
-
-// Cov implements Kernel.
-func (SqExp) Cov(h float64, theta []float64) float64 { return sqexpBound{theta[0], theta[1]}.Cov(h) }
 
 // Bind implements Kernel. Its rows run in vector lanes (sqexpRow) wherever
 // a whole vector has every r = h²/β in [0, 708], through Cov elsewhere.
@@ -103,11 +98,6 @@ type Matern struct {
 	Dimension int
 }
 
-// Cov implements Kernel: the bound kernel's direct path, without a table.
-func (k Matern) Cov(h float64, theta []float64) float64 {
-	return (&maternBound{sigma2: theta[0], beta: theta[1], nu: theta[2]}).Cov(h)
-}
-
 // nonneg maps the deep tail's underflow (NaN or negative) to 0.
 func nonneg(v float64) float64 {
 	if math.IsNaN(v) || v < 0 {
@@ -128,14 +118,14 @@ func nonneg(v float64) float64 {
 // one θ; the table costs a few hundred Bessel evaluations instead, all made
 // by Bind in one batch of vector lanes (bessel.Order).
 //
-// Contract: within 1e-14 relative of the direct evaluator (Matern.Cov) on
-// the grid of TestMaternTableMatchesDirect, the residue being the direct
-// routine's own rounding (DESIGN.md §3.1). A panel's coefficients depend
+// Contract: within 1e-14 relative of the direct evaluator (a kernel bound
+// over NoSpan) on the grid of TestMaternTableMatchesDirect, the residue
+// being the direct routine's own rounding (DESIGN.md §3.1). A panel's coefficients depend
 // only on (θ, panel index), so the bits returned for an h inside the bound
 // span do not depend on the span, nor on which entries, tiles, goroutines
 // or bound kernels came before it. Outside the built panels — r outside
 // the table, outside the span, or in a panel where g is not finite at a
-// node — an entry takes the direct path, and has Cov's bits.
+// node — an entry takes the direct path, and has the direct evaluator's bits.
 type maternBound struct {
 	sigma2, beta, nu, norm float64
 	order                  *bessel.Order
@@ -227,8 +217,7 @@ func (b *maternBound) covRow(h []float64) {
 // direct is σ²·2^{1-ν}/Γ(ν)·r^ν·K_ν(r), C(h) at r = h/β > 0 for ν ≠ 0.5
 // (Cov takes ν = 0.5 as σ²·e^{−r}).
 func (b *maternBound) direct(r float64) float64 {
-	c := b.sigma2 * math.Exp2(1-b.nu) / math.Gamma(b.nu)
-	return nonneg(c * math.Pow(r, b.nu) * bessel.K(b.nu, r))
+	return nonneg(b.norm * math.Pow(r, b.nu) * bessel.K(b.nu, r))
 }
 
 // directRow sets h[j] = Cov(h[j]) on the direct path, for ν ≠ 0.5, K_ν
@@ -297,8 +286,8 @@ panels:
 }
 
 // Bind implements Kernel with precomputed constants; see maternBound. At a
-// θ outside the model (ν ≤ 0, β ≤ 0, anything NaN) it returns what Cov
-// returns.
+// θ outside the model (ν ≤ 0, β ≤ 0, anything NaN) it tabulates nothing,
+// as over NoSpan.
 func (k Matern) Bind(theta []float64, span func() (lo, hi float64)) BoundKernel {
 	sigma2, beta, nu := theta[0], theta[1], theta[2]
 	b := &maternBound{
@@ -328,21 +317,24 @@ func (k Matern) Dim() int { return k.Dimension }
 // CovMatrix assembles the full n×n covariance matrix Σ(θ) over locs into a
 // freshly allocated row-major slice. A tiny diagonal regularization `nugget`
 // (0 for none) guards POTRF against indefiniteness when correlations are
-// near-singular. Every entry has k.Cov's bits: k is bound over an empty span.
+// near-singular. Every entry has the direct evaluator's bits: k is bound
+// over NoSpan.
 func CovMatrix(locs []Point, k Kernel, theta []float64, nugget float64) []float64 {
 	n := len(locs)
 	a := make([]float64, n*n)
-	FillTile(k.Bind(theta, noSpan), locs, 0, 0, n, n, nugget, a, n)
+	FillTile(k.Bind(theta, NoSpan), locs, 0, 0, n, n, nugget, a, n)
 	return a
 }
 
-func noSpan() (lo, hi float64) { return math.Inf(1), math.Inf(-1) }
+// NoSpan is the empty span (lo > hi): a kernel bound over it tabulates
+// nothing and evaluates every distance directly.
+func NoSpan() (lo, hi float64) { return math.Inf(1), math.Inf(-1) }
 
 // Span returns the least nonzero and the greatest distance between a point
 // of ps and one of qs, the span of the Σ(θ) entries between them (an empty
 // one if there are none).
 func Span(ps, qs []Point) (lo, hi float64) {
-	lo, hi = noSpan()
+	lo, hi = NoSpan()
 	for _, p := range ps {
 		for _, q := range qs {
 			if h := p.Dist(q); h > 0 {

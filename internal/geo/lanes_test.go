@@ -61,7 +61,7 @@ func TestLanesMatchCov(t *testing.T) {
 			for j, e := range rng.Perm(len(rs)) {
 				hs[j] = rs[e] * theta[1]
 			}
-			for _, span := range []func() (float64, float64){everywhere, spanOf(1e-3*theta[1], 0.5*theta[1]), noSpan} {
+			for _, span := range []func() (float64, float64){everywhere, spanOf(1e-3*theta[1], 0.5*theta[1]), NoSpan} {
 				bk := k.Bind(theta, span).(*maternBound)
 				got := append([]float64(nil), hs...)
 				bk.covRow(got)
@@ -72,7 +72,7 @@ func TestLanesMatchCov(t *testing.T) {
 }
 
 // TestSqExpLanesMatchCov: at every row-path width, the squared-exponential
-// row path gives each entry the bits of a per-entry SqExp.Cov — at 60
+// row path gives each entry the bits of a per-entry Cov — at 60
 // random θ (σ² over twelve decades, β over ten), at β ≤ 0, β = +Inf and NaN
 // θ, on shuffled rows of odd length whose r = h²/β run from 0 past 745
 // (where exp(−r) is 0), with subnormal, infinite and NaN distances; at r =
@@ -90,7 +90,7 @@ func TestSqExpLanesMatchCov(t *testing.T) {
 			thetas = append(thetas, []float64{math.Pow(10, -6+12*rng.Float64()), math.Pow(10, -4+10*rng.Float64())})
 		}
 		for _, theta := range thetas {
-			cov := func(h float64) float64 { return k.Cov(h, theta) }
+			cov := k.Bind(theta, NoSpan).Cov
 			beta := math.Abs(theta[1])
 			if !(beta > 0 && beta < inf) {
 				beta = 0.1
@@ -105,7 +105,7 @@ func TestSqExpLanesMatchCov(t *testing.T) {
 			}
 			hs = append(hs, 5e-324, 1e-170)
 			got := append([]float64(nil), hs...)
-			k.Bind(theta, noSpan).covRow(got)
+			k.Bind(theta, NoSpan).covRow(got)
 			sameCovBits(t, fmt.Sprint("θ=", theta), cov, hs, got)
 		}
 		// At h = β = r, h·h/β is r exactly.
@@ -125,8 +125,8 @@ func TestSqExpLanesMatchCov(t *testing.T) {
 				}
 			}
 			got := append([]float64(nil), hs...)
-			k.Bind(theta, noSpan).covRow(got)
-			sameCovBits(t, fmt.Sprint("r=", r), func(h float64) float64 { return k.Cov(h, theta) }, hs, got)
+			k.Bind(theta, NoSpan).covRow(got)
+			sameCovBits(t, fmt.Sprint("r=", r), k.Bind(theta, NoSpan).Cov, hs, got)
 		}
 		locs := GenerateLocations(75, 2, stats.NewRNG(38, 0))
 		n, ts := len(locs), 16
@@ -139,16 +139,16 @@ func TestSqExpLanesMatchCov(t *testing.T) {
 			}
 		}
 		for _, theta := range [][]float64{{1, 0.03}, {0.2402, 0.02214}, {2.5, 1e-3}} {
-			bk := k.Bind(theta, noSpan)
+			bk := k.Bind(theta, NoSpan)
 			for _, tl := range tiles {
 				r0, c0, m, nn := tl[0], tl[1], tl[2], tl[3]
 				got := make([]float64, m*nn)
 				FillTile(bk, locs, r0, c0, m, nn, 1e-8, got, nn)
 				for i := 0; i < m; i++ {
 					for j := 0; j < nn; j++ {
-						want := k.Cov(locs[r0+i].Dist(locs[c0+j]), theta)
+						want := bk.Cov(locs[r0+i].Dist(locs[c0+j]))
 						if r0+i == c0+j {
-							want = k.Cov(0, theta) + 1e-8
+							want = bk.Cov(0) + 1e-8
 						}
 						if math.Float64bits(got[i*nn+j]) != math.Float64bits(want) {
 							t.Fatalf("θ=%v tile (%d,%d) entry (%d,%d): FillTile %.17g, Cov %.17g", theta, r0, c0, i, j, got[i*nn+j], want)

@@ -380,10 +380,11 @@ func Predict(p *Problem, theta []float64, targets []geo.Point) ([]float64, error
 	linalg.TrsvLNN(n, a, n, w)
 	linalg.TrsvLTN(n, a, n, w)
 	out := make([]float64, len(targets))
+	bk := p.Kernel.Bind(theta, geo.NoSpan)
 	for t, pt := range targets {
 		var s float64
 		for i, li := range p.Locs {
-			s += p.Kernel.Cov(pt.Dist(li), theta) * w[i]
+			s += bk.Cov(pt.Dist(li)) * w[i]
 		}
 		out[t] = s
 	}

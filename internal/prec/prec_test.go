@@ -4,7 +4,68 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"geompc/internal/fp16"
 )
+
+// TestFormatRows pins every format's row to the paper: u_low (§IV, with
+// §VII-A's effective FP16_32 roundoff), input bytes, storage precision (§V)
+// and wire format (Algorithm 2). TestOrdering checks only the order of the
+// roundoffs, which a wrong value can keep.
+func TestFormatRows(t *testing.T) {
+	want := []struct {
+		p             Precision
+		eps           float64
+		bytes         int
+		storage, wire Precision
+	}{
+		{FP64, 0x1p-53, 8, FP64, FP64},
+		{FP32, 0x1p-24, 4, FP32, FP32},
+		{TF32, 0x1p-11, 4, FP32, FP32},
+		{BF16x32, 0x1p-9, 2, FP32, FP16},
+		{FP16x32, 0x1p-13, 2, FP32, FP16},
+		{FP16, 0x1p-11, 2, FP32, FP16},
+	}
+	if len(want) != Count {
+		t.Fatalf("%d rows pinned, %d formats defined", len(want), Count)
+	}
+	for _, w := range want {
+		if got := w.p.Eps(); got != w.eps {
+			t.Errorf("%v.Eps() = %g, want %g", w.p, got, w.eps)
+		}
+		if got := w.p.InputBytes(); got != w.bytes {
+			t.Errorf("%v.InputBytes() = %d, want %d", w.p, got, w.bytes)
+		}
+		if got := w.p.StoragePrecision(); got != w.storage {
+			t.Errorf("%v.StoragePrecision() = %v, want %v", w.p, got, w.storage)
+		}
+		if got := w.p.Format(); got != w.wire {
+			t.Errorf("%v.Format() = %v, want %v", w.p, got, w.wire)
+		}
+	}
+}
+
+// TestQuantizeHalfIsReference: the half-input formats round through the
+// reference binary16 conversion, bit for bit, on a grid through the
+// subnormals, the largest finite half (±65504), the overflow boundary
+// (±65520), the infinities and NaN.
+func TestQuantizeHalfIsReference(t *testing.T) {
+	xs := []float64{0, math.Copysign(0, -1), 0x1p-24, 0x1p-25, 0x1.8p-25, 0x1p-14, 0x1.ff8p-15,
+		6.1e-5, 1, 1 + 0x1p-11, 1 + 0x1p-10, math.Pi, 0.1, 1e-7, 3e-8, 2.9e-8,
+		65504, -65504, 65519.99, 65520, -65520, 1e6, math.Inf(1), math.Inf(-1), math.NaN()}
+	for i := -30; i <= 17; i++ {
+		xs = append(xs, math.Ldexp(1.2345678, i), -math.Ldexp(0.987654321, i))
+	}
+	for _, p := range []Precision{FP16x32, FP16} {
+		q := QuantizeCopy(xs, p)
+		for i, x := range xs {
+			want := float64(fp16.FromFloat32(float32(x)).ToFloat32())
+			if math.Float64bits(q[i]) != math.Float64bits(want) {
+				t.Errorf("%v: Quantize(%g) = %g, reference %g", p, x, q[i], want)
+			}
+		}
+	}
+}
 
 func TestOrdering(t *testing.T) {
 	// The ladder must be strictly ordered by unit roundoff.

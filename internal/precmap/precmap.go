@@ -278,7 +278,7 @@ func FromMatrix(m *tile.Matrix, ureq float64, ladder []prec.Precision) [][]prec.
 // tile in row-major order; the row's tiles are then evaluated on GOMAXPROCS
 // goroutines, each tile's sum of squares in sample order, and the global
 // sum is taken in tile order afterwards — so the result does not depend on
-// GOMAXPROCS. k must be safe for concurrent Cov calls.
+// GOMAXPROCS. k is bound once, over geo.NoSpan, and shared by the goroutines.
 func EstimateTileNorms(locs []geo.Point, d tile.Desc, k geo.Kernel, theta []float64, nugget float64, samples int, rng *stats.RNG) (norm func(i, j int) float64, global float64) {
 	nt := d.NT
 	est := make([][]float64, nt)
@@ -286,6 +286,7 @@ func EstimateTileNorms(locs []geo.Point, d tile.Desc, k geo.Kernel, theta []floa
 	// start[j]; a tile no larger than samples is summed exactly instead.
 	var draws []int32
 	start := make([]int, nt)
+	bk := k.Bind(theta, geo.NoSpan)
 	for i := 0; i < nt; i++ {
 		m := d.TileDim(i)
 		draws = draws[:0]
@@ -298,7 +299,7 @@ func EstimateTileNorms(locs []geo.Point, d tile.Desc, k geo.Kernel, theta []floa
 			}
 		}
 		est[i], _ = sweep.Run(i+1, sweep.Options{Workers: sweep.PerCore}, func(j int) (float64, error) {
-			return tileSumSq(locs, d, i, j, draws[start[j]:], k, theta, nugget, samples), nil
+			return tileSumSq(locs, d, i, j, draws[start[j]:], bk, nugget, samples), nil
 		})
 	}
 	var ss float64
@@ -318,7 +319,7 @@ func EstimateTileNorms(locs []geo.Point, d tile.Desc, k geo.Kernel, theta []floa
 // tileSumSq estimates tile (i,j)'s squared Frobenius norm: exactly when it
 // has at most `samples` entries, else from the (a, b) offsets leading ab,
 // scaled by the tile area.
-func tileSumSq(locs []geo.Point, d tile.Desc, i, j int, ab []int32, k geo.Kernel, theta []float64, nugget float64, samples int) float64 {
+func tileSumSq(locs []geo.Point, d tile.Desc, i, j int, ab []int32, bk geo.BoundKernel, nugget float64, samples int) float64 {
 	m, n := d.TileDim(i), d.TileDim(j)
 	r0, c0 := i*d.TS, j*d.TS
 	var sumsq float64
@@ -327,13 +328,13 @@ func tileSumSq(locs []geo.Point, d tile.Desc, i, j int, ab []int32, k geo.Kernel
 		cnt = m * n
 		for a := 0; a < m; a++ {
 			for b := 0; b < n; b++ {
-				v := covEntry(locs, r0+a, c0+b, k, theta, nugget)
+				v := covEntry(locs, r0+a, c0+b, bk, nugget)
 				sumsq += v * v
 			}
 		}
 	} else {
 		for s := 0; s < 2*samples; s += 2 {
-			v := covEntry(locs, r0+int(ab[s]), c0+int(ab[s+1]), k, theta, nugget)
+			v := covEntry(locs, r0+int(ab[s]), c0+int(ab[s+1]), bk, nugget)
 			sumsq += v * v
 		}
 	}
@@ -350,9 +351,9 @@ func Sampled(d tile.Desc, k geo.Kernel, theta []float64, nugget, ureq float64, s
 	return NewKernelMap(d.NT, norm, global, ureq, prec.CholeskySet)
 }
 
-func covEntry(locs []geo.Point, gi, gj int, k geo.Kernel, theta []float64, nugget float64) float64 {
+func covEntry(locs []geo.Point, gi, gj int, bk geo.BoundKernel, nugget float64) float64 {
 	if gi == gj {
-		return k.Cov(0, theta) + nugget
+		return bk.Cov(0) + nugget
 	}
-	return k.Cov(locs[gi].Dist(locs[gj]), theta)
+	return bk.Cov(locs[gi].Dist(locs[gj]))
 }
