@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 
 	"geompc/internal/bench"
@@ -43,8 +44,11 @@ func runTrace(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "simulated schedule, NT=%d, %d V100s (FP64 diagonal / FP16_32 off-diagonal):\n\n", *nt, plat.DevPerRank)
 	makespan := res.Stats.Makespan
-	for _, t := range res.Schedule() {
-		if *iters > 0 && !inFirstIters(t.Name, *iters) {
+	tasks := append([]runtime.ScheduledTask(nil), res.Stats.Trace.Tasks...) // a copy: -chrome reads the commit order
+	sort.Slice(tasks, func(i, j int) bool { return tasks[i].Start < tasks[j].Start })
+	for _, t := range tasks {
+		name := res.TaskName(t.ID)
+		if *iters > 0 && !inFirstIters(name, *iters) {
 			continue
 		}
 		barLen := 48
@@ -54,7 +58,7 @@ func runTrace(args []string, out io.Writer) error {
 			e = s + 1
 		}
 		bar := strings.Repeat(" ", s) + strings.Repeat("#", e-s) + strings.Repeat(" ", barLen-e)
-		fmt.Fprintf(out, "dev%-2d |%s| %8.3f→%-8.3f ms  %s\n", t.Device, bar, t.Start*1e3, t.End*1e3, t.Name)
+		fmt.Fprintf(out, "dev%-2d |%s| %8.3f→%-8.3f ms  %s\n", t.Device, bar, t.Start*1e3, t.End*1e3, name)
 	}
 	fmt.Fprintf(out, "\nmakespan %.3f ms, %d tasks, %.1f Tflop/s, schedule digest %016x\n",
 		makespan*1e3, res.Stats.Tasks, res.Stats.Flops/1e12, res.Stats.ScheduleDigest)

@@ -3,7 +3,6 @@ package cholesky
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"geompc/internal/hw"
 	"geompc/internal/prec"
@@ -21,12 +20,12 @@ type Result struct {
 	// success or in phantom mode.
 	Err error
 
-	nt int // decodes the task ids of Stats.Trace into names
+	ids ids // decodes the task ids of Stats.Trace into names
 }
 
 // newResult wraps one finished run of g: its record and numeric failure.
 func newResult(g *graph, stats runtime.Stats, err error) *Result {
-	r := &Result{Stats: stats, Err: err, nt: g.nt}
+	r := &Result{Stats: stats, Err: err, ids: g.ids}
 	r.STCTasks, r.CommTasks = g.maps.STCCount()
 	return r
 }
@@ -38,8 +37,12 @@ func (r *Result) Digest() uint64 { return r.Stats.ScheduleDigest }
 // kernel spans labeled in the paper's task notation. An untraced run has
 // no timeline and returns an error.
 func (r *Result) WriteChromeTrace(w io.Writer) error {
-	return runtime.WriteChromeTrace(w, r.Stats, newIDs(r.nt).name)
+	return runtime.WriteChromeTrace(w, r.Stats, r.TaskName)
 }
+
+// TaskName labels task id of the run (a runtime.ScheduledTask.ID) in the
+// paper's notation: POTRF(k), TRSM(m,k), SYRK(m,k) or GEMM(m,n,k).
+func (r *Result) TaskName(id int) string { return r.ids.name(id) }
 
 // Run executes the adaptive mixed-precision tile Cholesky described by cfg
 // live and returns its simulated statistics (and, in numeric mode, leaves
@@ -116,32 +119,4 @@ func (s ids) name(id int) string {
 		return fmt.Sprintf("%v(%d,%d,%d)", op, m, n, k)
 	}
 	return fmt.Sprintf("%v(%d,%d)", op, m, k)
-}
-
-// ScheduledTask is one labeled entry of a Trace-enabled run's timeline.
-type ScheduledTask struct {
-	Name       string
-	Device     int
-	Start, End float64
-}
-
-// Schedule returns the simulated task timeline of a Trace-enabled run,
-// labeled in the paper's notation — the Fig 3 execution demonstration.
-// An untraced run has none.
-func (r *Result) Schedule() []ScheduledTask {
-	if r.Stats.Trace == nil {
-		return nil
-	}
-	s := newIDs(r.nt)
-	out := make([]ScheduledTask, len(r.Stats.Trace.Tasks))
-	for i, t := range r.Stats.Trace.Tasks {
-		out[i] = ScheduledTask{
-			Name:   s.name(t.ID),
-			Device: t.Device,
-			Start:  t.Start,
-			End:    t.End,
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
 }

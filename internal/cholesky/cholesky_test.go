@@ -619,28 +619,22 @@ func TestLabeledSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := res.Schedule()
+	sched := res.Stats.Trace.Tasks
 	want := nt + nt*(nt-1) + nt*(nt-1)*(nt-2)/6
 	if len(sched) != want {
 		t.Fatalf("schedule has %d entries, want %d tasks", len(sched), want)
 	}
-	if sched[0].Name != "POTRF(0)" {
-		t.Errorf("first scheduled task %s, want POTRF(0)", sched[0].Name)
+	if name := res.TaskName(sched[0].ID); name != "POTRF(0)" {
+		t.Errorf("first committed task %s, want POTRF(0)", name)
 	}
-	last := sched[len(sched)-1]
-	if last.Name != fmt.Sprintf("POTRF(%d)", nt-1) {
-		t.Errorf("last scheduled task %s, want POTRF(%d)", last.Name, nt-1)
-	}
-	for i := 1; i < len(sched); i++ {
-		if sched[i].Start < sched[i-1].Start {
-			t.Fatal("schedule not sorted by start time")
-		}
+	if name := res.TaskName(sched[len(sched)-1].ID); name != fmt.Sprintf("POTRF(%d)", nt-1) {
+		t.Errorf("last committed task %s, want POTRF(%d)", name, nt-1)
 	}
 	// Dependency sanity in the timeline: TRSM(1,0) cannot start before
 	// POTRF(0) ends.
 	times := map[string][2]float64{}
 	for _, s := range sched {
-		times[s.Name] = [2]float64{s.Start, s.End}
+		times[res.TaskName(s.ID)] = [2]float64{s.Start, s.End}
 	}
 	if times["TRSM(1,0)"][0] < times["POTRF(0)"][1] {
 		t.Error("TRSM(1,0) started before POTRF(0) finished")
@@ -676,17 +670,23 @@ func TestLoadBalanceAcrossDevices(t *testing.T) {
 }
 
 func TestPTGValidates(t *testing.T) {
-	// The algebraic graph must pass the runtime's structural validator at
-	// several tilings (degree consistency + acyclicity).
+	// The algebraic graph must pass the engine's structural checks at
+	// several tilings: a phantom run completes every task, so in-degrees
+	// match the successor lists and there is no cycle.
 	plat, _ := runtime.NewPlatform(hw.SummitNode, 1, 1)
 	for _, nt := range []int{1, 2, 5, 12} {
 		d, _ := tile.NewDesc(nt*16, 16, 1, 1)
-		g, err := newGraph(Config{Desc: d, Maps: precmap.New(precmap.UniformAll(nt, prec.FP64), 0), Platform: plat})
+		cfg := Config{Desc: d, Maps: precmap.New(precmap.UniformAll(nt, prec.FP64), 0), Platform: plat}
+		g, err := newGraph(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := runtime.Validate(g); err != nil {
-			t.Errorf("nt=%d: %v", nt, err)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("nt=%d: %v", nt, err)
+		}
+		if res.Stats.Tasks != g.NumTasks() {
+			t.Errorf("nt=%d: ran %d of %d tasks", nt, res.Stats.Tasks, g.NumTasks())
 		}
 	}
 }

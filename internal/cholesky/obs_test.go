@@ -101,16 +101,13 @@ func TestAuditedMultiRankRun(t *testing.T) {
 	}
 }
 
-// TestAuditedStrategiesTwoByTwo: on 2 ranks × 2 devices the graph of each
-// communication strategy (Auto/STC and ForceTTC) passes the structural
-// validator, and its numeric run passes the invariant auditor (pin balance,
-// per-link interval consistency, energy conservation).
+// TestAuditedStrategiesTwoByTwo: on 2 ranks × 2 devices the numeric run of
+// each communication strategy (Auto/STC and ForceTTC) passes the engine's
+// structural checks and the invariant auditor (pin balance, per-link
+// interval consistency, energy conservation).
 func TestAuditedStrategiesTwoByTwo(t *testing.T) {
 	const nt, ranks, devPerRank = 6, 2, 2
 	for _, strat := range []Strategy{Auto, ForceTTC} {
-		if err := runtime.Validate(buildTestGraph(t, nt, 1e-4, nil, strat, ranks, devPerRank)); err != nil {
-			t.Fatalf("%v: %v", strat, err)
-		}
 		cfg, _ := buildNumericConfig(t, nt, ranks, devPerRank)
 		cfg.Strategy, cfg.Audit = strat, true
 		res, err := Run(cfg)

@@ -84,14 +84,15 @@ type GPUSpec struct {
 	TransferW float64
 }
 
-// SupportedPeak returns the effective peak flop/s for precision p, falling
-// back to the closest supported higher-precision path when the GPU lacks
-// the format (e.g. TF32 GEMMs on V100 execute as FP32).
 // fallbackLadder orders the substitute formats tried when the GPU lacks a
-// requested one: TF32/BF16_32 → FP16_32 → FP32 → FP64. Package-level so the
-// hot KernelTime path ranges over it without materializing a slice.
+// requested one: FP16_32 → FP32 → FP64. Package-level so the hot
+// KernelTime path ranges over it without materializing a slice.
 var fallbackLadder = [3]prec.Precision{prec.FP16x32, prec.FP32, prec.FP64}
 
+// SupportedPeak returns the effective peak flop/s for precision p. A format
+// the GPU lacks runs at the peak of the first supported format on
+// fallbackLadder with a smaller unit roundoff (FP64's if none): TF32 and
+// BF16_32 GEMMs on V100 run at FP16_32's 125 Tflop/s.
 func (g *GPUSpec) SupportedPeak(p prec.Precision) float64 {
 	if v := g.Peak[p]; v != 0 {
 		return v
@@ -134,8 +135,8 @@ func (g *GPUSpec) DynPower(p prec.Precision) float64 {
 }
 
 // LinkSpec is the timing/power model of one point-to-point transfer
-// resource: a host-link direction or a rank's NIC. internal/comm turns a
-// LinkSpec into a simulated serial resource with occupancy and traced
+// resource: a host-link direction or a rank's NIC. The runtime engine turns
+// a LinkSpec into a simulated serial resource with occupancy and traced
 // intervals.
 type LinkSpec struct {
 	Bw    float64 // bytes/s

@@ -39,10 +39,12 @@ func TestV100FallbackForTF32(t *testing.T) {
 	if V100.Supports(prec.TF32) {
 		t.Error("V100 must not support TF32")
 	}
-	// TF32 on V100 falls back to a supported higher-precision path.
-	got := V100.SupportedPeak(prec.TF32)
-	if got != V100.Peak[prec.FP32] && got != V100.Peak[prec.FP16x32] {
-		t.Errorf("V100 TF32 fallback peak = %g", got)
+	// TF32 and BF16_32 on V100 run at the first supported format on the
+	// ladder with a smaller unit roundoff: FP16_32, 125 Tflop/s.
+	for _, p := range []prec.Precision{prec.TF32, prec.BF16x32} {
+		if got := V100.SupportedPeak(p); got != 125e12 || got != V100.Peak[prec.FP16x32] {
+			t.Errorf("V100 %v fallback peak = %g, want FP16_32's 125e12", p, got)
+		}
 	}
 }
 

@@ -108,7 +108,7 @@ func TestPlanBackedResult(t *testing.T) {
 	if !reflect.DeepEqual(res.Stats, live.Stats) {
 		t.Fatalf("plan-backed stats diverge from the live run's:\n%+v\n%+v", res.Stats, live.Stats)
 	}
-	if got := len(res.Schedule()); got != res.Stats.Tasks {
+	if got := len(res.Stats.Trace.Tasks); got != res.Stats.Tasks {
 		t.Fatalf("plan-backed schedule has %d entries, want %d", got, res.Stats.Tasks)
 	}
 	var got, want bytes.Buffer

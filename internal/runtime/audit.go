@@ -3,8 +3,6 @@ package runtime
 import (
 	"fmt"
 	"math"
-
-	"geompc/internal/comm"
 )
 
 // This file implements the run-invariant auditor (Options.Audit). It checks
@@ -78,7 +76,7 @@ func (e *engine) auditFinal() {
 	// energy accrued during the run.
 	var traced float64
 	for _, d := range e.devices {
-		for _, ivs := range [][]Interval{d.busyIntervals, d.convIntervals, d.h2d.Intervals(), d.d2h.Intervals()} {
+		for _, ivs := range [][]Interval{d.busyIntervals, d.convIntervals, d.h2d.ivs, d.d2h.ivs} {
 			for _, iv := range ivs {
 				if iv.End < iv.Start {
 					e.violate("dev%d: interval ends (%g) before it starts (%g)", d.id, iv.End, iv.Start)
@@ -108,22 +106,22 @@ func relClose(a, b float64) bool {
 // auditLink checks one serial link's trace: no two occupancy intervals
 // overlap (a serial resource carries one transfer at a time), and the
 // intervals integrate to the link's cumulative busy time.
-func (e *engine) auditLink(l *comm.Link) {
+func (e *engine) auditLink(l *link) {
 	var sum, prevEnd float64
-	for i, iv := range l.Intervals() {
+	for i, iv := range l.ivs {
 		if iv.End < iv.Start {
-			e.violate("link %s: interval %d ends (%g) before it starts (%g)", l.Name(), i, iv.End, iv.Start)
+			e.violate("link %s: interval %d ends (%g) before it starts (%g)", l.name, i, iv.End, iv.Start)
 		}
 		if iv.Start < prevEnd && !relClose(iv.Start, prevEnd) {
 			e.violate("link %s: interval %d starts at %g, overlapping the previous end %g",
-				l.Name(), i, iv.Start, prevEnd)
+				l.name, i, iv.Start, prevEnd)
 		}
 		prevEnd = iv.End
 		sum += iv.End - iv.Start
 	}
-	if !relClose(sum, l.Busy()) {
+	if !relClose(sum, l.busy) {
 		e.violate("link %s: traced intervals sum to %.12g s of occupancy, busy counter says %.12g s",
-			l.Name(), sum, l.Busy())
+			l.name, sum, l.busy)
 	}
 }
 
@@ -134,9 +132,9 @@ func (e *engine) auditLinks() {
 	for _, d := range e.devices {
 		e.auditLink(d.h2d)
 		e.auditLink(d.d2h)
-		if !relClose(d.h2d.Busy()+d.d2h.Busy(), d.stats.TransferTime) {
+		if !relClose(d.h2d.busy+d.d2h.busy, d.stats.TransferTime) {
 			e.violate("dev%d: host links busy %.12g s, DeviceStats.TransferTime %.12g s",
-				d.id, d.h2d.Busy()+d.d2h.Busy(), d.stats.TransferTime)
+				d.id, d.h2d.busy+d.d2h.busy, d.stats.TransferTime)
 		}
 	}
 	for _, nic := range e.nics {

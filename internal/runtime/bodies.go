@@ -123,6 +123,9 @@ func (x *bodyExec) work() {
 		}
 		failed = failed || err != nil || crash != nil
 		for _, s := range succ {
+			if uint(s) >= uint(len(x.wait)) {
+				continue // out of range: the event loop fails the run
+			}
 			x.poison[s] = x.poison[s] || failed
 			x.arrive(s)
 		}

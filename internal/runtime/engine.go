@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"geompc/internal/comm"
 	"geompc/internal/hw"
 	"geompc/internal/obs"
 	"geompc/internal/prec"
@@ -29,19 +28,17 @@ type Options struct {
 	Lookahead int
 }
 
-// engine is the state of one run of a Graph on a Platform (see Run). It
-// is the orchestration core; the communication links live in
-// internal/comm. The schedule is the paper's: owner-computes placement,
-// ready queues ordered by priority (readyBefore), binomial-tree broadcasts
-// (publish).
+// engine is the state of one run of a Graph on a Platform (see Run). The
+// schedule is the paper's: owner-computes placement, ready queues ordered
+// by priority (readyBefore), binomial-tree broadcasts (publish).
 type engine struct {
 	plat *Platform
 	g    Graph
 	opt  Options
 
 	devices []*device
-	// nics holds one comm.Link per rank: the send side of its broadcasts.
-	nics []*comm.Link
+	// nics holds one link per rank: the send side of its broadcasts.
+	nics []*link
 
 	// nData is g.NumData(). hostAvail[rank*nData+d] is the virtual time
 	// datum d's host copy becomes readable at rank, hostAbsent if it has
@@ -76,11 +73,11 @@ type engine struct {
 // It returns only once each numeric body it started has returned. bodyErr
 // is the numeric failure: the error of the lowest-numbered task whose body
 // failed (its descendants were skipped); it is not a run error. A body's
-// panic is (the lowest-numbered task's, naming it). Malformed graphs
-// (invalid device assignments, inputs with no host copy, broken in-degree
-// accounting) abort the run with a *GraphError; dependency cycles leave
-// tasks unexecuted and are reported as a plain error. With opt.Audit,
-// invariant violations are reported as an error after the run.
+// panic is (the lowest-numbered task's, naming it). Run is the one check of
+// a graph: a malformed one (see GraphError) aborts the run with a
+// *GraphError; cycles and tasks declaring more predecessors than edges
+// leave tasks unexecuted, a plain error. With opt.Audit, invariant
+// violations are reported as an error after the run.
 func Run(plat *Platform, g Graph, opt Options) (st Stats, bodyErr, err error) {
 	if opt.Audit {
 		opt.Trace = true // the energy-conservation check needs the intervals
@@ -99,9 +96,9 @@ func Run(plat *Platform, g Graph, opt Options) (st Stats, bodyErr, err error) {
 	for i := range e.devices {
 		e.devices[i] = newDevice(i, e.plat.RankOfDevice(i), e.plat.Node.GPU, e.opt.Trace, e.nData)
 	}
-	e.nics = make([]*comm.Link, e.plat.Ranks)
+	e.nics = make([]*link, e.plat.Ranks)
 	for r := range e.nics {
-		e.nics[r] = comm.NewLink(fmt.Sprintf("rank%d/nic", r), e.plat.Node.NICLink(), e.opt.Trace)
+		e.nics[r] = &link{name: fmt.Sprintf("rank%d/nic", r), spec: e.plat.Node.NICLink(), trace: e.opt.Trace}
 	}
 	e.pending = make([]int32, n)
 	defer func() {
@@ -252,9 +249,9 @@ func (e *engine) commit(d *device, spec *TaskSpec) {
 			d.stats.LRUMisses++
 			switch avail := *e.host(d.rank, data); {
 			case avail != hostAbsent:
-				start := d.h2d.StartAfter(math.Max(avail, e.now))
-				dur := d.h2d.Time(bytes)
-				end := d.h2d.Occupy(start, dur, bytes)
+				start := d.h2d.startAfter(math.Max(avail, e.now))
+				dur := d.h2d.spec.Time(bytes)
+				end := d.h2d.occupy(start, dur, bytes)
 				d.stats.BytesH2D += bytes
 				e.stats.H2DByPrec[wp] += bytes
 				d.stats.TransferTime += dur
@@ -355,7 +352,9 @@ func (e *engine) startBodies() {
 	for i := range e.events {
 		e.succBuf = e.g.Successors(e.events[i].spec.ID, e.succBuf[:0])
 		for _, s := range e.succBuf {
-			x.wait[s]--
+			if uint(s) < uint(len(x.wait)) { // else complete fails the run
+				x.wait[s]--
+			}
 		}
 	}
 	e.bodies = x
@@ -369,9 +368,9 @@ const convPowerFrac = 0.25
 // their host copies.
 func (e *engine) drainWritebacks(d *device) {
 	for _, wb := range d.writebacks {
-		start := d.d2h.StartAfter(e.now)
-		dur := d.d2h.Time(wb.bytes)
-		end := d.d2h.Occupy(start, dur, wb.bytes)
+		start := d.d2h.startAfter(e.now)
+		dur := d.d2h.spec.Time(wb.bytes)
+		end := d.d2h.occupy(start, dur, wb.bytes)
 		d.stats.BytesD2H += wb.bytes
 		e.stats.D2HByPrec[wb.prec] += wb.bytes
 		d.stats.TransferTime += dur
@@ -402,6 +401,10 @@ func (e *engine) complete(ev *event) {
 	e.dirtyDevs = append(e.dirtyDevs, d.id)
 	d.dirty = true
 	for _, s := range e.succBuf {
+		if uint(s) >= uint(len(e.pending)) {
+			e.fail(&GraphError{Task: spec.ID, Msg: fmt.Sprintf("lists successor %d outside [0,%d)", s, len(e.pending))})
+			return
+		}
 		e.pending[s]--
 		switch {
 		case e.pending[s] == 0:
@@ -446,9 +449,9 @@ func (e *engine) publish(d *device, spec *TaskSpec, p *PublishSpec) {
 		}
 	}
 	// D2H of the wire representation.
-	start := d.d2h.StartAfter(t)
-	dur := d.d2h.Time(p.WireBytes)
-	hostAt := d.d2h.Occupy(start, dur, p.WireBytes)
+	start := d.d2h.startAfter(t)
+	dur := d.d2h.spec.Time(p.WireBytes)
+	hostAt := d.d2h.occupy(start, dur, p.WireBytes)
 	d.stats.BytesD2H += p.WireBytes
 	e.stats.D2HByPrec[p.WirePrec] += p.WireBytes
 	d.stats.TransferTime += dur
@@ -463,9 +466,9 @@ func (e *engine) publish(d *device, spec *TaskSpec, p *PublishSpec) {
 		// forwards in parallel — one hop of NIC occupancy at the sender,
 		// every receiver served after ceil(log2(n+1)) hops.
 		nic := e.nics[d.rank]
-		hop := nic.Time(p.WireBytes)
-		nstart := nic.StartAfter(hostAt)
-		nic.Occupy(nstart, hop, p.WireBytes)
+		hop := nic.spec.Time(p.WireBytes)
+		nstart := nic.startAfter(hostAt)
+		nic.occupy(nstart, hop, p.WireBytes)
 		arrive := nstart + hop*math.Ceil(math.Log2(float64(n)+1))
 		for _, rr := range p.RemoteRanks {
 			*e.host(rr, spec.Output.Data) = arrive

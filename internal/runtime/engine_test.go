@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	gort "runtime"
 	"slices"
@@ -614,55 +615,85 @@ func TestPlatformValidation(t *testing.T) {
 	}
 }
 
+// Run is the one structural check of a graph: a malformed one either fails
+// the run with a *GraphError naming the task or leaves tasks unexecuted,
+// and never panics.
+
+func noBody(int) func() error { return nil }
+
 func TestValidateAcceptsGoodGraph(t *testing.T) {
-	g := newTestGraph(4)
-	for i := range g.specs {
-		g.specs[i] = TaskSpec{Kind: hw.KindGemm, Device: 0, Prec: prec.FP64, Flops: 1, Output: OutputSpec{Data: -1}}
-	}
+	g := bodyGraph(4, noBody)
 	g.edge(0, 1)
 	g.edge(0, 2)
 	g.edge(1, 3)
 	g.edge(2, 3)
-	if err := Validate(g); err != nil {
-		t.Errorf("valid diamond rejected: %v", err)
+	if st, _, err := Run(onePlat(t), g, Options{Audit: true}); err != nil || st.Tasks != 4 {
+		t.Errorf("valid diamond ran %d of 4 tasks: %v", st.Tasks, err)
+	}
+}
+
+// wantNeverReady checks that g's run ends with tasks that never became
+// ready — a plain error, not a *GraphError.
+func wantNeverReady(t *testing.T, what string, g *testGraph) {
+	t.Helper()
+	_, _, err := Run(onePlat(t), g, Options{})
+	var ge *GraphError
+	if err == nil || errors.As(err, &ge) || !strings.Contains(err.Error(), "never became ready") {
+		t.Errorf("%s: err = %v, want tasks that never became ready", what, err)
+	}
+}
+
+// wantGraphError checks that g's run fails with a *GraphError naming task.
+func wantGraphError(t *testing.T, what string, g *testGraph, task int) {
+	t.Helper()
+	_, _, err := Run(onePlat(t), g, Options{})
+	var ge *GraphError
+	if !errors.As(err, &ge) || ge.Task != task {
+		t.Errorf("%s: err = %v, want a *GraphError naming task %d", what, err, task)
 	}
 }
 
 func TestValidateDetectsCycle(t *testing.T) {
-	g := newTestGraph(3)
-	for i := range g.specs {
-		g.specs[i] = TaskSpec{Kind: hw.KindGemm, Device: 0, Prec: prec.FP64, Flops: 1, Output: OutputSpec{Data: -1}}
-	}
+	g := bodyGraph(3, noBody)
 	g.edge(0, 1)
 	g.edge(1, 2)
 	g.edge(2, 0)
-	if err := Validate(g); err == nil {
-		t.Error("cycle not detected")
-	}
+	wantNeverReady(t, "cycle", g)
 }
 
 func TestValidateDetectsDegreeMismatch(t *testing.T) {
-	g := newTestGraph(2)
-	for i := range g.specs {
-		g.specs[i] = TaskSpec{Kind: hw.KindGemm, Device: 0, Prec: prec.FP64, Flops: 1, Output: OutputSpec{Data: -1}}
-	}
-	g.succs[0] = append(g.succs[0], 1) // edge without matching pred entry
-	if err := Validate(g); err == nil {
-		t.Error("in-degree mismatch not detected")
-	}
+	// Over-release: an edge task 1 does not count among its predecessors.
+	g := bodyGraph(2, noBody)
+	g.succs[0] = append(g.succs[0], 1)
+	wantGraphError(t, "over-release", g, 1)
+	// Under-release: a predecessor no edge stands for.
+	g = bodyGraph(2, noBody)
+	g.edge(0, 1)
+	g.preds[1] = append(g.preds[1], 0)
+	wantNeverReady(t, "under-release", g)
 }
 
 func TestValidateDetectsSelfLoopAndRange(t *testing.T) {
-	g := newTestGraph(1)
-	g.specs[0] = TaskSpec{Kind: hw.KindGemm, Device: 0, Prec: prec.FP64, Flops: 1, Output: OutputSpec{Data: -1}}
+	g := bodyGraph(1, noBody)
 	g.succs[0] = []int{0}
-	if err := Validate(g); err == nil {
-		t.Error("self loop not detected")
+	wantGraphError(t, "self-loop", g, 0)
+	// An out-of-range successor is reported by the task listing it, with
+	// and without numeric bodies (whose executor releases successors too).
+	withBody := func(int) func() error { return func() error { return nil } }
+	for _, body := range []func(int) func() error{noBody, withBody} {
+		for _, s := range []int{2, -1} {
+			g := bodyGraph(2, body)
+			g.edge(0, 1)
+			g.succs[1] = []int{s}
+			wantGraphError(t, fmt.Sprintf("successor %d (bodies %t)", s, body(0) != nil), g, 1)
+		}
 	}
-	g.succs[0] = []int{5}
-	if err := Validate(g); err == nil {
-		t.Error("out-of-range successor not detected")
-	}
+	// Bodiless task 0 is still in flight when task 1's body starts the
+	// executor, which counts the successors of tasks in flight.
+	g = bodyGraph(2, withBody)
+	g.specs[0].Body = nil
+	g.succs[0] = []int{2}
+	wantGraphError(t, "successor of a task in flight at the first body", g, 0)
 }
 
 func TestEngineInvariants(t *testing.T) {

@@ -4,9 +4,10 @@ import "fmt"
 
 // GraphError reports a malformed task graph: a task assigned to a device
 // that doesn't exist, a DataID outside [0, NumData()), an input with no
-// host copy at the task's rank, or broken in-degree accounting. The engine used to panic on these; now they
-// abort the run and surface from Run, so a bad graph is a test failure
-// rather than a process crash.
+// host copy at the task's rank, a successor outside [0, NumTasks()), or a
+// task released more often than its declared in-degree (a self-loop among
+// them). Run stops on the first, so a bad graph fails its run, not the
+// process.
 type GraphError struct {
 	Task int    // the offending task id; -1 for the graph's initial data
 	Msg  string // what is malformed about it

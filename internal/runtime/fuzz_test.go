@@ -8,10 +8,11 @@ import (
 )
 
 // FuzzValidate builds graphs from arbitrary read/write sequences, with edges
-// inferred in program order, and checks that (a) they pass Validate —
-// in-degrees match successor lists, and program order admits no cycle —
-// and (b) the engine executes them to completion under the invariant
-// auditor without panicking.
+// inferred in program order, and checks that (a) every successor is a later
+// task, so program order admits no cycle, and (b) the engine — the one
+// structural check of a graph — executes them to completion under the
+// invariant auditor: in-degrees that disagreed with the successor lists
+// would leave a task unexecuted or fail the run with a *GraphError.
 func FuzzValidate(f *testing.F) {
 	f.Add([]byte{0x00})
 	f.Add([]byte{0x12, 0x34, 0x56})
@@ -52,10 +53,6 @@ func FuzzValidate(f *testing.F) {
 		}
 		g := newDataflowGraph(specs, initial)
 
-		if err := Validate(g); err != nil {
-			t.Fatalf("inferred graph fails validation: %v", err)
-		}
-		// In-degree / successor round trip, beyond what Validate reports.
 		var buf []int
 		for id := 0; id < g.NumTasks(); id++ {
 			buf = g.Successors(id, buf[:0])

@@ -2,8 +2,8 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 
-	"geompc/internal/comm"
 	"geompc/internal/hw"
 	"geompc/internal/prec"
 )
@@ -55,11 +55,11 @@ type device struct {
 
 	computeFree float64 // next instant the compute stream is free
 
-	// Host-link directions as first-class comm.Links: each carries its own
-	// free time, cumulative busy time and traced intervals. The Cholesky
-	// graph routes all tile exchange through host staging, so a device has
-	// no peer (device-to-device) link.
-	h2d, d2h *comm.Link
+	// Host-link directions as serial links: each carries its own free
+	// time, cumulative busy time and traced intervals. The Cholesky graph
+	// routes all tile exchange through host staging, so a device has no
+	// peer (device-to-device) link.
+	h2d, d2h *link
 
 	// committed and done count the tasks committed to the stream pipeline
 	// and the tasks completed. A device completes its tasks in commit order
@@ -88,7 +88,7 @@ type device struct {
 	stats DeviceStats
 
 	// tracing (optional): one interval slice per compute stream; the
-	// host-link streams trace inside their comm.Links. The power carried
+	// host-link streams trace inside their links. The power carried
 	// by each interval times its duration is exactly the dynamic energy the
 	// engine accrued for that activity, so ∑ interval·watts + idle·makespan
 	// reconstructs Stats.Energy bit-for-bit (the auditor checks this).
@@ -109,7 +109,7 @@ type residentEntry struct {
 // DeviceStats aggregates one device's activity over a run.
 type DeviceStats struct {
 	BusyTime       float64 // compute-stream occupancy, seconds
-	TransferTime   float64 // host-link busy time (max of H2D/D2H), seconds
+	TransferTime   float64 // host-link busy time (H2D plus D2H), seconds
 	Flops          float64
 	BytesH2D       int64
 	BytesD2H       int64
@@ -122,17 +122,50 @@ type DeviceStats struct {
 	ConvertKernels int
 }
 
-// Interval is a traced activity window. It is comm's Interval type: device
-// streams and links share one trace currency.
-type Interval = comm.Interval
+// Interval is a traced activity window on a device stream or a link.
+type Interval struct {
+	Start, End float64
+	Power      float64 // dynamic watts during the window
+	Bytes      int64   // bytes moved, for transfer streams (0 for compute)
+}
+
+// link is one serial transfer resource: a host-link direction or a rank's
+// NIC. A transfer is booked in two steps, startAfter then occupy, so a
+// broadcast can hold the NIC for one hop of several. With trace set, ivs
+// logs every occupancy (the auditor checks they never overlap and sum to
+// busy).
+type link struct {
+	name  string
+	spec  hw.LinkSpec
+	free  float64 // next instant the link is idle
+	busy  float64 // cumulative occupied time
+	trace bool
+	ivs   []Interval
+}
+
+// startAfter returns the earliest instant a transfer may begin: when the
+// link is free and the data is available.
+func (l *link) startAfter(earliest float64) float64 { return math.Max(l.free, earliest) }
+
+// occupy books the link for [start, start+dur) and returns the end time;
+// start must not precede startAfter(…) of the same booking.
+func (l *link) occupy(start, dur float64, nbytes int64) float64 {
+	end := start + dur
+	l.free = end
+	l.busy += dur
+	if l.trace {
+		l.ivs = append(l.ivs, Interval{Start: start, End: end, Power: l.spec.Power, Bytes: nbytes})
+	}
+	return end
+}
 
 func newDevice(id, rank int, spec *hw.GPUSpec, trace bool, nData int) *device {
 	return &device{
 		id: id, rank: rank, spec: spec,
 		ready:    &taskHeap{},
 		trace:    trace,
-		h2d:      comm.NewLink(fmt.Sprintf("dev%d/h2d", id), spec.H2DLink(), trace),
-		d2h:      comm.NewLink(fmt.Sprintf("dev%d/d2h", id), spec.D2HLink(), trace),
+		h2d:      &link{name: fmt.Sprintf("dev%d/h2d", id), spec: spec.H2DLink(), trace: trace},
+		d2h:      &link{name: fmt.Sprintf("dev%d/d2h", id), spec: spec.D2HLink(), trace: trace},
 		resident: make([]int32, nData),
 		slab:     make([]residentEntry, 1),
 	}

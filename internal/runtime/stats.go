@@ -100,10 +100,10 @@ func (e *engine) finalizeStats() {
 		tr := &Trace{Tasks: e.schedule, Devices: make([]DeviceTrace, len(e.devices)), NICs: make([][]Interval, len(e.nics))}
 		for i, d := range e.devices {
 			tr.Devices[i] = DeviceTrace{GPU: d.spec.Name, Rank: d.rank,
-				Kernel: d.busyIntervals, Convert: d.convIntervals, H2D: d.h2d.Intervals(), D2H: d.d2h.Intervals()}
+				Kernel: d.busyIntervals, Convert: d.convIntervals, H2D: d.h2d.ivs, D2H: d.d2h.ivs}
 		}
 		for r, nic := range e.nics {
-			tr.NICs[r] = nic.Intervals()
+			tr.NICs[r] = nic.ivs
 		}
 		e.stats.Trace = tr
 	}
