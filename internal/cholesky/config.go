@@ -42,7 +42,7 @@ type Config struct {
 	// Strategy selects Auto (Algorithm 2) or ForceTTC communication.
 	Strategy Strategy
 	// Options are the engine knobs: Trace records the timeline in
-	// Result.Stats.Trace (and the labeled Result.Schedule), Audit fails
+	// Result.Stats.Trace (Result.TaskName labels its tasks), Audit fails
 	// the run on a broken engine invariant, Lookahead sets the stream
 	// pipeline depth.
 	runtime.Options

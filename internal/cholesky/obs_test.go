@@ -2,6 +2,7 @@ package cholesky
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -257,5 +258,58 @@ func TestWriteChromeTraceRequiresTrace(t *testing.T) {
 	var buf bytes.Buffer
 	if err := res.WriteChromeTrace(&buf); err == nil {
 		t.Error("WriteChromeTrace succeeded on an untraced run")
+	}
+}
+
+// chromePinned pins the SHA-256 of WriteChromeTrace's bytes for two traced
+// phantom runs, so a change in event order, formatting or coloring shows
+// up even where the JSON still parses: a 2×2 rank grid under a banded map
+// (NIC, H2D, D2H and convert rows; FP64, FP32 and FP16 spans) and the
+// one-rank, two-GPU shape of `geompc trace -nt 8 -gpus 2 -audit`.
+var chromePinned = map[string]string{
+	"banded-2x2": "4997cd8186062a5be49344c391f4e1290f5b491e2448851f4784b04a8e2148c5",
+	"trace-1x2":  "33ad52a3d2e80998d4ffdbf1bce11481e7603213679670276aa5fe6470df3fd6",
+}
+
+func TestChromeTracePinned(t *testing.T) {
+	build := func(ranks, gpr, nt int, km [][]prec.Precision) Config {
+		pg, qg := tile.SquarestGrid(ranks)
+		d, err := tile.NewDesc(nt*2048, 2048, pg, qg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plat, err := runtime.NewPlatform(hw.SummitNode, ranks, gpr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Config{Desc: d, Maps: precmap.New(km, 0), Platform: plat, Strategy: Auto,
+			Options: runtime.Options{Trace: true, Audit: true}}
+	}
+	banded, err := precmap.BandedKernelMap(6, 0, 2, prec.FP16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := map[string]Config{
+		"banded-2x2": build(4, 1, 6, banded),
+		"trace-1x2":  build(1, 2, 8, precmap.Uniform(8, prec.FP16x32)),
+	}
+	for name, want := range chromePinned {
+		res, err := Run(cfgs[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := res.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range []string{`"name":"convert","ph":"X"`, `"name":"H2D `, `"name":"D2H `, `"name":"bcast `,
+			`"cname":"thread_state_uninterruptible"`, `"cname":"thread_state_iowait"`, `"cname":"light_memory_dump"`} {
+			if name == "banded-2x2" && !bytes.Contains(buf.Bytes(), []byte(row)) {
+				t.Errorf("%s: no %s event", name, row)
+			}
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+			t.Errorf("%s: chrome trace sha256 %s, want pinned %s", name, got, want)
+		}
 	}
 }

@@ -1,11 +1,12 @@
 package cholesky
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"geompc/internal/geo"
 	"geompc/internal/hw"
-	"geompc/internal/obs"
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
@@ -42,11 +43,9 @@ func stcScenario(t *testing.T, nt, ranks int) *graph {
 }
 
 func factorDigest(m *tile.Matrix) uint64 {
-	var d obs.Digest
-	for _, v := range m.LowerToDense() {
-		d.WriteFloat64(v)
-	}
-	return d.Sum()
+	h := fnv.New64a()
+	binary.Write(h, binary.LittleEndian, m.LowerToDense())
+	return h.Sum64()
 }
 
 // stcFactorDigest is the factor of the scenario below as Run left it at

@@ -1,7 +1,9 @@
 package cholesky
 
 import (
-	"geompc/internal/obs"
+	"encoding/binary"
+	"hash/fnv"
+
 	"geompc/internal/plan"
 	"geompc/internal/runtime"
 )
@@ -13,26 +15,23 @@ import (
 // shape signatures and equal map signatures produce equal Stats, timeline
 // included, so a plan compiled under one replays the other.
 func planShapeSig(cfg Config) uint64 {
-	var d obs.Digest
-	d.WriteString("geompc/plan/v1")
-	d.WriteInt64(int64(cfg.Desc.N))
-	d.WriteInt64(int64(cfg.Desc.TS))
-	d.WriteInt64(int64(cfg.Desc.P))
-	d.WriteInt64(int64(cfg.Desc.Q))
-	d.WriteInt64(int64(cfg.Platform.Ranks))
-	d.WriteInt64(int64(cfg.Platform.DevPerRank))
-	d.WriteString(cfg.Platform.Node.Name)
-	d.WriteString(cfg.Platform.Node.GPU.Name)
-	d.WriteInt64(int64(cfg.Strategy))
 	la := 2
 	if cfg.Lookahead > 0 {
 		la = cfg.Lookahead
 	}
-	d.WriteInt64(int64(la))
-	if cfg.Trace || cfg.Audit {
-		d.WriteString("trace")
+	b := []byte("geompc/plan/v1")
+	for _, v := range []int{cfg.Desc.N, cfg.Desc.TS, cfg.Desc.P, cfg.Desc.Q, cfg.Platform.Ranks, cfg.Platform.DevPerRank} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
-	return d.Sum()
+	b = append(append(b, cfg.Platform.Node.Name...), cfg.Platform.Node.GPU.Name...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(cfg.Strategy))
+	b = binary.LittleEndian.AppendUint64(b, uint64(la))
+	if cfg.Trace || cfg.Audit {
+		b = append(b, "trace"...)
+	}
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
 
 // PlanGraph builds the task system cfg compiles to, without running it.

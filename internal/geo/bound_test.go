@@ -1,11 +1,12 @@
 package geo
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"slices"
 	"testing"
 
-	"geompc/internal/obs"
 	"geompc/internal/stats"
 )
 
@@ -150,11 +151,9 @@ func denseTiles(dense []float64, n, ts int) []float64 {
 }
 
 func bitsDigest(v []float64) uint64 {
-	var d obs.Digest
-	for _, x := range v {
-		d.WriteFloat64(x)
-	}
-	return d.Sum()
+	h := fnv.New64a()
+	binary.Write(h, binary.LittleEndian, v)
+	return h.Sum64()
 }
 
 func TestBoundFillBitsIndependentOfOrder(t *testing.T) {

@@ -8,6 +8,19 @@ import (
 	"geompc/internal/prec"
 )
 
+// maxAbsDiff returns max_i |a_i - b_i| over equal-length a and b.
+func maxAbsDiff(t *testing.T, a, b []float64) float64 {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("length mismatch: %d vs %d", len(a), len(b))
+	}
+	var m float64
+	for i := range a {
+		m = max(m, math.Abs(a[i]-b[i]))
+	}
+	return m
+}
+
 func randMat(rng *rand.Rand, m, n int) []float64 {
 	a := make([]float64, m*n)
 	for i := range a {
@@ -48,7 +61,7 @@ func TestGemmNTAgainstReference(t *testing.T) {
 		copy(c2, c1)
 		GemmNTPrec(prec.FP64, m, n, k, -1, a, k, b, k, 1, c1, n)
 		gemmNTRef(m, n, k, -1, a, k, b, k, 1, c2, n)
-		if d := MaxAbsDiff(c1, c2); d > 1e-13 {
+		if d := maxAbsDiff(t, c1, c2); d > 1e-13 {
 			t.Errorf("GemmNT (%d,%d,%d) differs from reference by %g", m, n, k, d)
 		}
 	}
@@ -64,7 +77,7 @@ func TestGemmNTBetaHandling(t *testing.T) {
 		c2 := append([]float64(nil), cInit...)
 		GemmNTPrec(prec.FP64, m, n, k, 1.5, a, k, b, k, beta, c1, n)
 		gemmNTRef(m, n, k, 1.5, a, k, b, k, beta, c2, n)
-		if d := MaxAbsDiff(c1, c2); d > 1e-12 {
+		if d := maxAbsDiff(t, c1, c2); d > 1e-12 {
 			t.Errorf("beta=%v: GemmNT differs by %g", beta, d)
 		}
 	}
@@ -169,7 +182,7 @@ func TestTrsmRLTSolves(t *testing.T) {
 	}
 	r := make([]float64, m*n)
 	GemmNTPrec(prec.FP64, m, n, n, 1, x, n, l, n, 0, r, n)
-	if d := MaxAbsDiff(r, b); d > 1e-10 {
+	if d := maxAbsDiff(t, r, b); d > 1e-10 {
 		t.Errorf("TrsmRLT residual %g", d)
 	}
 }
@@ -248,7 +261,7 @@ func TestTrsvRoundTrip(t *testing.T) {
 	}
 	TrsvLNN(n, a, n, b)
 	TrsvLTN(n, a, n, b)
-	if d := MaxAbsDiff(b, x0); d > 1e-9 {
+	if d := maxAbsDiff(t, b, x0); d > 1e-9 {
 		t.Errorf("Trsv round-trip error %g", d)
 	}
 }

@@ -30,21 +30,6 @@ func FrobeniusNorms4(a, b, c, d []float64) [4]float64 {
 	return [4]float64{math.Sqrt(s0), math.Sqrt(s1), math.Sqrt(s2), math.Sqrt(s3)}
 }
 
-// MaxAbsDiff returns max_i |a_i - b_i|; panics if lengths differ.
-func MaxAbsDiff(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: length mismatch")
-	}
-	var m float64
-	for i := range a {
-		d := math.Abs(a[i] - b[i])
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // RelFrobeniusError returns ‖a-b‖_F / ‖b‖_F, the accuracy metric of the
 // GEMM benchmark (Fig 1): the error of a reduced-precision result a against
 // the FP64 reference b.

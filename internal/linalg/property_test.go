@@ -80,7 +80,7 @@ func TestTrsmIdentityIsNoOp(t *testing.T) {
 	b := randMat(rng, m, n)
 	x := append([]float64(nil), b...)
 	TrsmRLT(m, n, a, n, x, n)
-	if d := MaxAbsDiff(x, b); d != 0 {
+	if d := maxAbsDiff(t, x, b); d != 0 {
 		t.Errorf("solve against identity changed B by %g", d)
 	}
 }

@@ -1,6 +1,9 @@
 package precmap
 
-import "geompc/internal/obs"
+import (
+	"encoding/binary"
+	"hash/fnv"
+)
 
 // Signature returns an FNV-1a hash over every decision the maps feed into a
 // factorization's task specs: the kernel, storage and communication
@@ -9,14 +12,15 @@ import "geompc/internal/obs"
 // precisions, wire formats, conversion counts), so a compiled plan keyed by
 // this signature replays bit-exactly.
 func (m *Maps) Signature() uint64 {
-	var d obs.Digest
-	d.WriteInt64(int64(m.NT))
+	b := binary.LittleEndian.AppendUint64(nil, uint64(m.NT))
 	for i := 0; i < m.NT; i++ {
 		for j := 0; j <= i; j++ {
-			d.WriteUint64(m.tileBits(i, j))
+			b = binary.LittleEndian.AppendUint64(b, m.tileBits(i, j))
 		}
 	}
-	return d.Sum()
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
 
 // tileBits packs one tile's derived decisions into a comparable word.

@@ -1,11 +1,13 @@
 package runtime
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math"
 
 	"geompc/internal/hw"
-	"geompc/internal/obs"
 	"geompc/internal/prec"
 )
 
@@ -61,8 +63,10 @@ type engine struct {
 
 	schedule []ScheduledTask
 
-	// observability: the schedule digest and audit violations.
-	digest    obs.Digest
+	// digest is the FNV-1a schedule digest (see Stats.ScheduleDigest), fed
+	// one record per committed task through the reused buffer digestRec.
+	digest    hash.Hash64
+	digestRec []byte
 	auditViol []string
 
 	stats Stats
@@ -85,7 +89,7 @@ func Run(plat *Platform, g Graph, opt Options) (st Stats, bodyErr, err error) {
 	if opt.Lookahead <= 0 {
 		opt.Lookahead = 2
 	}
-	e := &engine{plat: plat, g: g, opt: opt}
+	e := &engine{plat: plat, g: g, opt: opt, digest: fnv.New64a()}
 	n := g.NumTasks()
 	e.nData = g.NumData()
 	e.hostAvail = make([]float64, e.nData*e.plat.Ranks)
@@ -324,11 +328,13 @@ func (e *engine) commit(d *device, spec *TaskSpec) {
 			ID: spec.ID, Kind: spec.Kind, Device: spec.Device, Prec: spec.Prec, Start: start, End: end,
 		})
 	}
-	e.digest.WriteString(spec.Kind.String())
-	e.digest.WriteInt64(int64(spec.Device))
-	e.digest.WriteFloat64(start)
-	e.digest.WriteFloat64(end)
-	e.digest.WriteInt64(stagedBytes)
+	rec := append(e.digestRec[:0], spec.Kind.String()...)
+	rec = binary.LittleEndian.AppendUint64(rec, uint64(spec.Device))
+	rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(start))
+	rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(end))
+	rec = binary.LittleEndian.AppendUint64(rec, uint64(stagedBytes))
+	e.digest.Write(rec)
+	e.digestRec = rec
 
 	if spec.Body != nil || e.bodies != nil {
 		if e.bodies == nil {

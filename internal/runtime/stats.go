@@ -38,7 +38,8 @@ type Stats struct {
 	// Tasks executed.
 	Tasks int
 	// ScheduleDigest is an FNV-1a hash over every committed task's
-	// (kind, device, start, end, bytes) record. Equal digests prove two
+	// (kind name, device, start, end, staged bytes) record, the numbers as
+	// little-endian 64-bit words (floats bit for bit). Equal digests prove two
 	// runs produced bit-identical schedules — across GOMAXPROCS settings
 	// and plan replays (task ids are not hashed: they are the graph's own
 	// numbering, not part of the simulated timeline).
@@ -95,7 +96,7 @@ func (e *engine) finalizeStats() {
 	if makespan > 0 {
 		e.stats.AvgPower = energy / makespan
 	}
-	e.stats.ScheduleDigest = e.digest.Sum()
+	e.stats.ScheduleDigest = e.digest.Sum64()
 	if e.opt.Trace {
 		tr := &Trace{Tasks: e.schedule, Devices: make([]DeviceTrace, len(e.devices)), NICs: make([][]Interval, len(e.nics))}
 		for i, d := range e.devices {

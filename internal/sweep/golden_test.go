@@ -7,6 +7,8 @@ package sweep_test
 // identical for every worker count.
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"testing"
@@ -14,7 +16,6 @@ import (
 	"geompc/internal/cholesky"
 	"geompc/internal/geo"
 	"geompc/internal/hw"
-	"geompc/internal/obs"
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/runtime"
@@ -96,19 +97,17 @@ func runGoldenPoint(t testing.TB, gp goldenPoint) (goldenResult, error) {
 	if err != nil {
 		return goldenResult{}, err
 	}
-	var d obs.Digest
+	h := fnv.New64a()
 	for i := 0; i < cfg.Desc.NT; i++ {
 		for j := 0; j <= i; j++ {
-			for _, v := range cfg.Matrix.At(i, j).Data {
-				d.WriteUint64(math.Float64bits(v))
-			}
+			binary.Write(h, binary.LittleEndian, cfg.Matrix.At(i, j).Data)
 		}
 	}
 	return goldenResult{
 		digests: goldenDigests{
 			Schedule: res.Stats.ScheduleDigest,
 			Makespan: math.Float64bits(res.Stats.Makespan),
-			Factor:   d.Sum(),
+			Factor:   h.Sum64(),
 		},
 		stats: res.Stats,
 	}, nil

@@ -7,12 +7,10 @@ package tile
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"geompc/internal/linalg"
 	"geompc/internal/prec"
+	"geompc/internal/sweep"
 )
 
 // Desc describes the tiling and distribution of a symmetric N×N matrix.
@@ -144,24 +142,14 @@ func (m *Matrix) Fill(gen func(t *Tile, rowStart, colStart int)) {
 	}
 }
 
-// FillParallel populates every tile like Fill, on min(GOMAXPROCS, tiles)
-// goroutines that claim tiles from a shared counter, and returns when all
-// are filled. gen is called from all of them at once and must be safe for
-// that.
+// FillParallel populates every tile like Fill, on a sweep.PerCore pool
+// (min(GOMAXPROCS, tiles) workers), and returns when all are filled. gen is
+// called from all of them at once and must be safe for that.
 func (m *Matrix) FillParallel(gen func(t *Tile, rowStart, colStart int)) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(m.tiles)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := next.Add(1) - 1; i < int64(len(m.tiles)); i = next.Add(1) - 1 {
-				t := m.tiles[i]
-				gen(t, t.I*m.TS, t.J*m.TS)
-			}
-		}()
-	}
-	wg.Wait()
+	sweep.Run(len(m.tiles), sweep.Options{Workers: sweep.PerCore}, func(i int) (struct{}, error) {
+		gen(m.tiles[i], m.tiles[i].I*m.TS, m.tiles[i].J*m.TS)
+		return struct{}{}, nil
+	})
 }
 
 // SetStorage rounds every tile's data through its precision under a
