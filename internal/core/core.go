@@ -157,13 +157,17 @@ func GenerateDataset(n, dim int, kernel geo.Kernel, theta []float64, seed uint64
 var errNilKernel = errors.New("core: nil kernel")
 
 // checkKernel rejects what geo cannot evaluate: a nil kernel, locations in
-// other than 2 or 3 dimensions, a θ of the wrong length.
+// other than 2 or 3 dimensions or in other than the kernel's, a θ of the
+// wrong length.
 func checkKernel(kernel geo.Kernel, dim int, theta []float64) error {
 	if kernel == nil {
 		return errNilKernel
 	}
 	if dim != 2 && dim != 3 {
 		return fmt.Errorf("core: unsupported dimension %d (want 2 or 3)", dim)
+	}
+	if dim != kernel.Dim() {
+		return fmt.Errorf("core: dimension %d does not match kernel %s's dimension %d", dim, kernel.Name(), kernel.Dim())
 	}
 	if len(theta) != kernel.NumParams() {
 		return fmt.Errorf("core: kernel %s needs %d parameters, got %d", kernel.Name(), kernel.NumParams(), len(theta))

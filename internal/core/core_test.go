@@ -42,7 +42,7 @@ func TestGenerateDataset(t *testing.T) {
 
 // TestGenerateDatasetRejectsBadShape: a location count below one or a
 // dimension other than 2 or 3 is an error, not a panic inside the location
-// generator.
+// generator; so is a dimension other than the kernel's.
 func TestGenerateDatasetRejectsBadShape(t *testing.T) {
 	for _, c := range []struct {
 		n, dim  int
@@ -54,6 +54,7 @@ func TestGenerateDatasetRejectsBadShape(t *testing.T) {
 		{10, 1, "dimension 1"},
 		{10, 4, "dimension 4"},
 		{10, 0, "dimension 0"},
+		{10, 3, "dimension 3 does not match kernel 2D-sqexp's dimension 2"},
 	} {
 		ds, err := GenerateDataset(c.n, c.dim, SqExp2D(), []float64{1, 0.1}, 1)
 		if err == nil || !strings.Contains(err.Error(), c.errWant) {

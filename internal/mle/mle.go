@@ -437,6 +437,9 @@ func MonteCarlo(cfg MCConfig) ([]MCResult, error) {
 	if cfg.Kernel == nil {
 		return nil, fmt.Errorf("mle: Monte-Carlo config has no kernel")
 	}
+	if cfg.Dim != cfg.Kernel.Dim() {
+		return nil, fmt.Errorf("mle: Monte-Carlo dimension %d, kernel %s's is %d", cfg.Dim, cfg.Kernel.Name(), cfg.Kernel.Dim())
+	}
 	if len(cfg.TrueTheta) != cfg.Kernel.NumParams() {
 		return nil, fmt.Errorf("mle: Monte-Carlo true θ has %d params, kernel %s needs %d",
 			len(cfg.TrueTheta), cfg.Kernel.Name(), cfg.Kernel.NumParams())

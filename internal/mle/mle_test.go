@@ -413,9 +413,9 @@ func TestMonteCarloValidation(t *testing.T) {
 }
 
 // TestMonteCarloRejectsBadConfig: a dimension the location generator has
-// no lattice for, a missing kernel or a true θ of the wrong length is an
-// error before the sweep starts — not a panic inside a sweep goroutine,
-// which no caller can recover.
+// no lattice for, one other than the kernel's, a missing kernel or a true θ
+// of the wrong length is an error before the sweep starts — not a panic
+// inside a sweep goroutine, which no caller can recover.
 func TestMonteCarloRejectsBadConfig(t *testing.T) {
 	good := func() MCConfig {
 		return MCConfig{
@@ -424,11 +424,12 @@ func TestMonteCarloRejectsBadConfig(t *testing.T) {
 		}
 	}
 	for name, edit := range map[string]func(*MCConfig){
-		"Dim 4":      func(c *MCConfig) { c.Dim = 4 },
-		"Dim 1":      func(c *MCConfig) { c.Dim = 1 },
-		"nil Kernel": func(c *MCConfig) { c.Kernel = nil },
-		"short θ":    func(c *MCConfig) { c.TrueTheta = []float64{1} },
-		"long θ":     func(c *MCConfig) { c.TrueTheta = []float64{1, 0.1, 0.5} },
+		"Dim 4":             func(c *MCConfig) { c.Dim = 4 },
+		"Dim 1":             func(c *MCConfig) { c.Dim = 1 },
+		"Dim 3, 2-D kernel": func(c *MCConfig) { c.Dim = 3 },
+		"nil Kernel":        func(c *MCConfig) { c.Kernel = nil },
+		"short θ":           func(c *MCConfig) { c.TrueTheta = []float64{1} },
+		"long θ":            func(c *MCConfig) { c.TrueTheta = []float64{1, 0.1, 0.5} },
 	} {
 		cfg := good()
 		edit(&cfg)

@@ -63,13 +63,18 @@ func (e *engine) auditResidency(d *device, taskID int) {
 	}
 }
 
-// auditFinal runs the end-of-run checks: pin balance and energy
-// conservation. Called after finalizeStats.
+// auditFinal runs the end-of-run checks: pin balance, every link's serial
+// occupancy and energy conservation. Called after finalizeStats.
 func (e *engine) auditFinal() {
 	for _, d := range e.devices {
 		if d.done != d.committed {
 			e.violate("dev%d at completion: %d of %d committed tasks completed", d.id, d.done, d.committed)
 		}
+		e.auditLink(d.h2d)
+		e.auditLink(d.d2h)
+	}
+	for _, nic := range e.nics {
+		e.auditLink(nic)
 	}
 
 	// Integrate the traced intervals and compare against the closed-form
@@ -92,8 +97,6 @@ func (e *engine) auditFinal() {
 		e.violate("energy conservation: traced intervals integrate to %.12g J, Stats.Energy is %.12g J (diff %g)",
 			traced, e.stats.Energy, diff)
 	}
-
-	e.auditLinks()
 }
 
 // relClose reports a ≈ b to within floating-point reassociation error: a
@@ -122,22 +125,5 @@ func (e *engine) auditLink(l *link) {
 	if !relClose(sum, l.busy) {
 		e.violate("link %s: traced intervals sum to %.12g s of occupancy, busy counter says %.12g s",
 			l.name, sum, l.busy)
-	}
-}
-
-// auditLinks validates every link's serial-occupancy invariants, and that
-// each device's TransferTime equals its two host-link busy times — the
-// traced transfer time and the accounted one must agree.
-func (e *engine) auditLinks() {
-	for _, d := range e.devices {
-		e.auditLink(d.h2d)
-		e.auditLink(d.d2h)
-		if !relClose(d.h2d.busy+d.d2h.busy, d.stats.TransferTime) {
-			e.violate("dev%d: host links busy %.12g s, DeviceStats.TransferTime %.12g s",
-				d.id, d.h2d.busy+d.d2h.busy, d.stats.TransferTime)
-		}
-	}
-	for _, nic := range e.nics {
-		e.auditLink(nic)
 	}
 }

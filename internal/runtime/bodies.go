@@ -1,10 +1,8 @@
 package runtime
 
 import (
-	"cmp"
 	"fmt"
 	gort "runtime"
-	"slices"
 	"sync"
 )
 
@@ -25,7 +23,7 @@ type bodyExec struct {
 	g Graph
 
 	mu   sync.Mutex
-	wake sync.Cond // a task became ready, or finish was called and nothing is open
+	wake sync.Cond // a task became ready, or finish was called and nothing runs
 
 	// Per task. wait counts the graph predecessors whose body has not
 	// returned or been skipped, plus one until the task is committed.
@@ -34,9 +32,10 @@ type bodyExec struct {
 	prio   []int64
 	poison []bool
 
-	ready   []int32 // sorted, next to run last (see push)
-	open    int     // committed tasks whose body has neither returned nor been skipped
-	closing bool    // finish was called: no more commits
+	ready   queue[int64] // ^priority, ties by task id: the critical path first
+	open    int          // committed tasks whose body has neither returned nor been skipped
+	running int          // tasks a worker has taken from ready and not yet released
+	closing bool         // finish was called: no more commits
 
 	failed, crashed int   // lowest ids among the bodies that failed, that panicked,
 	err, crash      error // and their errors
@@ -69,9 +68,10 @@ func (x *bodyExec) commit(id int, prio int64, body func() error) {
 	x.mu.Unlock()
 }
 
-// finish returns, once every committed body has returned or been skipped
-// and the goroutines have exited, the failure and the panic of the
-// lowest-numbered tasks that had one.
+// finish returns, once no body runs or is ready and the goroutines have
+// exited, the failure and the panic of the lowest-numbered tasks that had
+// one. If tasks were left open (a cycle, an under-released task) and none
+// panicked, the second is the run's "never became ready" error.
 func (x *bodyExec) finish() (bodyErr, crash error) {
 	x.mu.Lock()
 	x.closing = true
@@ -86,27 +86,30 @@ func (x *bodyExec) finish() (bodyErr, crash error) {
 // in-degree — the event loop reports it — starts nothing twice.)
 func (x *bodyExec) arrive(s int) {
 	if x.wait[s]--; x.wait[s] == 0 {
-		x.push(int32(s))
+		x.ready.push(^x.prio[s], int64(s), nil)
 		x.wake.Signal()
 	}
 }
 
 // work runs ready bodies — skips the poisoned ones — and releases their
-// successors, until finish has been called and nothing is open.
+// successors, until finish has been called and nothing runs or is ready.
 func (x *bodyExec) work() {
 	defer x.workers.Done()
 	var succ []int
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	for {
-		for len(x.ready) == 0 {
-			if x.closing && x.open == 0 {
+		for x.ready.Len() == 0 {
+			if x.closing && x.running == 0 {
+				if x.open > 0 && x.crash == nil {
+					x.crash = neverReady(x.open, len(x.wait))
+				}
 				return
 			}
 			x.wake.Wait()
 		}
-		id := int(x.ready[len(x.ready)-1])
-		x.ready = x.ready[:len(x.ready)-1]
+		id := int(x.ready.pop().tie)
+		x.running++
 		body, failed := x.body[id], x.poison[id]
 		x.mu.Unlock()
 		var err, crash error
@@ -129,7 +132,8 @@ func (x *bodyExec) work() {
 			x.poison[s] = x.poison[s] || failed
 			x.arrive(s)
 		}
-		if x.open--; x.open == 0 && x.closing {
+		x.open--
+		if x.running--; x.running == 0 && x.ready.Len() == 0 && x.closing {
 			x.wake.Broadcast()
 		}
 	}
@@ -146,21 +150,10 @@ func call(id int, body func() error) (err, crash error) {
 	return body(), nil
 }
 
-// push files a ready task so that the next to run — highest Priority, then
-// lowest id: the critical path first — is the last of ready.
-func (x *bodyExec) push(id int32) {
-	i, _ := slices.BinarySearchFunc(x.ready, id, func(a, b int32) int {
-		if c := cmp.Compare(x.prio[a], x.prio[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(b, a)
-	})
-	x.ready = slices.Insert(x.ready, i, id)
-}
-
 // RunBodies runs the numeric bodies of g in dataflow order with no
 // simulation around them (a compiled plan's replay) and returns what Run
-// would as bodyErr and, as err, what Run would for a body that panicked.
+// would as bodyErr and, as err, what Run would for a body that panicked or
+// for tasks that never became ready.
 // Without bodies it only calls Spec once per task.
 func RunBodies(g Graph) (bodyErr, err error) {
 	var x *bodyExec

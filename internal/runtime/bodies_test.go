@@ -298,6 +298,50 @@ func TestBodilessTasksKeepDataflowOrder(t *testing.T) {
 	}
 }
 
+// TestRunBodiesEndsOnMalformedGraph: on the cycle 1 ↔ 2 beside task 0, and
+// on a task declaring a predecessor no edge stands for, RunBodies ends as
+// Run does — with tasks that never became ready — after running the bodies
+// that could run, and leaves no goroutine behind.
+func TestRunBodiesEndsOnMalformedGraph(t *testing.T) {
+	defer gort.GOMAXPROCS(gort.GOMAXPROCS(4))
+	for _, c := range []struct {
+		name string
+		edit func(g *testGraph)
+		left string   // in the error
+		ran  [3]int32 // times each body ran
+	}{
+		{"cycle", func(g *testGraph) { g.edge(1, 2); g.edge(2, 1) }, "2 of 3 tasks never became ready", [3]int32{1, 0, 0}},
+		{"under-release", func(g *testGraph) { g.edge(0, 1); g.preds[1] = append(g.preds[1], 0) }, "1 of 3 tasks never became ready", [3]int32{1, 0, 1}},
+	} {
+		ran := make([]atomic.Int32, 3)
+		g := bodyGraph(3, func(i int) func() error {
+			return func() error { ran[i].Add(1); return nil }
+		})
+		c.edit(g)
+		before := gort.NumGoroutine()
+		type result struct{ bodyErr, err error }
+		done := make(chan result, 1)
+		go func() {
+			bodyErr, err := RunBodies(g)
+			done <- result{bodyErr, err}
+		}()
+		select {
+		case r := <-done:
+			if r.bodyErr != nil || r.err == nil || !strings.Contains(r.err.Error(), c.left) {
+				t.Errorf("%s: RunBodies = %v, %v; want no body error and %q", c.name, r.bodyErr, r.err, c.left)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: RunBodies did not return", c.name)
+		}
+		for i := range ran {
+			if got := ran[i].Load(); got != c.ran[i] {
+				t.Errorf("%s: body %d ran %d times, want %d", c.name, i, got, c.ran[i])
+			}
+		}
+		checkGoroutines(t, before)
+	}
+}
+
 // TestRunBodiesWithoutBodies: replaying a phantom graph starts no goroutine
 // and allocates nothing beyond the one spec record it reads tasks into.
 func TestRunBodiesWithoutBodies(t *testing.T) {

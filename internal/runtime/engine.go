@@ -32,7 +32,7 @@ type Options struct {
 
 // engine is the state of one run of a Graph on a Platform (see Run). The
 // schedule is the paper's: owner-computes placement, ready queues ordered
-// by priority (readyBefore), binomial-tree broadcasts (publish).
+// by priority (see queue), binomial-tree broadcasts (publish).
 type engine struct {
 	plat *Platform
 	g    Graph
@@ -48,7 +48,7 @@ type engine struct {
 	nData     int
 	hostAvail []float64
 	pending   []int32
-	events    []event
+	events    queue[float64] // completion times, ties by commit sequence
 	specFree  []*TaskSpec
 	seq       int64
 	now       float64
@@ -142,17 +142,17 @@ func Run(plat *Platform, g Graph, opt Options) (st Stats, bodyErr, err error) {
 		return Stats{}, nil, e.fatalErr
 	}
 
-	for len(e.events) > 0 {
-		ev := e.popEvent()
-		e.now = ev.at
-		e.complete(&ev)
+	for e.events.Len() > 0 {
+		ev := e.events.pop()
+		e.now = ev.key
+		e.complete(ev.spec)
 		if e.fatalErr != nil {
 			return Stats{}, nil, e.fatalErr
 		}
 	}
 
 	if e.done != n {
-		return Stats{}, nil, fmt.Errorf("runtime: %d of %d tasks never became ready (dependency cycle or missing data)", n-e.done, n)
+		return Stats{}, nil, neverReady(n-e.done, n)
 	}
 	e.finalizeStats()
 	if e.opt.Audit {
@@ -191,7 +191,7 @@ func (e *engine) enqueueReady(id int) int {
 		return 0
 	}
 	d := e.devices[spec.Device]
-	d.ready.push(spec)
+	d.ready.push(^spec.Priority, int64(id), spec)
 	return d.id
 }
 
@@ -229,7 +229,7 @@ func (e *engine) malformed(spec *TaskSpec) string {
 // tryCommit feeds the device's stream pipeline up to the lookahead depth.
 func (e *engine) tryCommit(d *device) {
 	for e.fatalErr == nil && int(d.committed-d.done) < e.opt.Lookahead && d.ready.Len() > 0 {
-		e.commit(d, d.ready.pop())
+		e.commit(d, d.ready.pop().spec)
 	}
 }
 
@@ -253,14 +253,7 @@ func (e *engine) commit(d *device, spec *TaskSpec) {
 			d.stats.LRUMisses++
 			switch avail := *e.host(d.rank, data); {
 			case avail != hostAbsent:
-				start := d.h2d.startAfter(math.Max(avail, e.now))
-				dur := d.h2d.spec.Time(bytes)
-				end := d.h2d.occupy(start, dur, bytes)
-				d.stats.BytesH2D += bytes
-				e.stats.H2DByPrec[wp] += bytes
-				d.stats.TransferTime += dur
-				d.stats.DynEnergy += d.spec.TransferW * dur
-				if end > stagingEnd {
+				if end := e.hostCopy(d, d.h2d, math.Max(avail, e.now), bytes, wp); end > stagingEnd {
 					stagingEnd = end
 				}
 			case !isOutput:
@@ -313,13 +306,13 @@ func (e *engine) commit(d *device, spec *TaskSpec) {
 
 	d.stats.BusyTime += convDur + kernelDur
 	d.stats.Flops += spec.Flops
-	dynW := d.spec.DynPower(spec.Prec)
-	d.stats.DynEnergy += dynW*kernelDur + convPowerFrac*(d.spec.TDP-d.spec.IdleW)*convDur
+	dynW, convW := d.spec.DynPower(spec.Prec), convPower(d.spec)
+	d.stats.DynEnergy += dynW*kernelDur + convW*convDur
 	if d.trace {
 		// Conversion and kernel windows carry their own power levels so the
 		// traced intervals integrate exactly to the energy accrued above.
 		if convDur > 0 {
-			d.convIntervals = append(d.convIntervals, Interval{Start: start, End: start + convDur, Power: convPowerFrac * (d.spec.TDP - d.spec.IdleW)})
+			d.convIntervals = append(d.convIntervals, Interval{Start: start, End: start + convDur, Power: convW})
 		}
 		if end > start+convDur {
 			d.busyIntervals = append(d.busyIntervals, Interval{Start: start + convDur, End: end, Power: dynW})
@@ -343,7 +336,7 @@ func (e *engine) commit(d *device, spec *TaskSpec) {
 		e.bodies.commit(spec.ID, spec.Priority, spec.Body)
 	}
 	e.seq++
-	e.pushEvent(event{at: end, seq: e.seq, spec: spec})
+	e.events.push(end, e.seq, spec)
 }
 
 // startBodies creates the body executor at the first commit that carries a
@@ -355,8 +348,8 @@ func (e *engine) startBodies() {
 	for id, p := range e.pending {
 		x.wait[id] = p + 1
 	}
-	for i := range e.events {
-		e.succBuf = e.g.Successors(e.events[i].spec.ID, e.succBuf[:0])
+	for i := range e.events.items {
+		e.succBuf = e.g.Successors(e.events.items[i].spec.ID, e.succBuf[:0])
 		for _, s := range e.succBuf {
 			if uint(s) < uint(len(x.wait)) { // else complete fails the run
 				x.wait[s]--
@@ -370,18 +363,30 @@ func (e *engine) startBodies() {
 // conversion kernel draws (memory-bound, low arithmetic intensity).
 const convPowerFrac = 0.25
 
+// convPower is the dynamic power of a conversion kernel on gpu.
+func convPower(gpu *hw.GPUSpec) float64 { return convPowerFrac * (gpu.TDP - gpu.IdleW) }
+
+// hostCopy books nbytes in format p over l, one of d's host links, once l
+// is free after earliest, counts the bytes and energy, and returns the end.
+func (e *engine) hostCopy(d *device, l *link, earliest float64, nbytes int64, p prec.Precision) float64 {
+	dur := l.spec.Time(nbytes)
+	end := l.occupy(l.startAfter(earliest), dur, nbytes)
+	if l == d.h2d {
+		d.stats.BytesH2D += nbytes
+		e.stats.H2DByPrec[p] += nbytes
+	} else {
+		d.stats.BytesD2H += nbytes
+		e.stats.D2HByPrec[p] += nbytes
+	}
+	d.stats.DynEnergy += d.spec.TransferW * dur
+	return end
+}
+
 // drainWritebacks turns evicted dirty tiles into D2H transfers and restores
 // their host copies.
 func (e *engine) drainWritebacks(d *device) {
 	for _, wb := range d.writebacks {
-		start := d.d2h.startAfter(e.now)
-		dur := d.d2h.spec.Time(wb.bytes)
-		end := d.d2h.occupy(start, dur, wb.bytes)
-		d.stats.BytesD2H += wb.bytes
-		e.stats.D2HByPrec[wb.prec] += wb.bytes
-		d.stats.TransferTime += dur
-		d.stats.DynEnergy += d.spec.TransferW * dur
-		*e.host(d.rank, wb.data) = end
+		*e.host(d.rank, wb.data) = e.hostCopy(d, d.d2h, e.now, wb.bytes, wb.prec)
 	}
 	d.writebacks = d.writebacks[:0]
 }
@@ -389,8 +394,7 @@ func (e *engine) drainWritebacks(d *device) {
 // complete processes a task's completion event in virtual time: publishes
 // the output and releases successors. It does not wait for the numeric
 // body — the body executor orders real execution, by dataflow.
-func (e *engine) complete(ev *event) {
-	spec := ev.spec
+func (e *engine) complete(spec *TaskSpec) {
 	d := e.devices[spec.Device]
 
 	if p := spec.Publish; p != nil {
@@ -403,8 +407,7 @@ func (e *engine) complete(ev *event) {
 	e.stats.TotalFlops += spec.Flops
 
 	e.succBuf = e.g.Successors(spec.ID, e.succBuf[:0])
-	e.dirtyDevs = e.dirtyDevs[:0]
-	e.dirtyDevs = append(e.dirtyDevs, d.id)
+	e.dirtyDevs = append(e.dirtyDevs[:0], d.id)
 	d.dirty = true
 	for _, s := range e.succBuf {
 		if uint(s) >= uint(len(e.pending)) {
@@ -446,22 +449,17 @@ func (e *engine) publish(d *device, spec *TaskSpec, p *PublishSpec) {
 		start := math.Max(d.computeFree, t)
 		d.computeFree = start + dur
 		t = start + dur
+		convW := convPower(d.spec)
 		d.stats.BusyTime += dur
-		d.stats.DynEnergy += convPowerFrac * (d.spec.TDP - d.spec.IdleW) * dur
+		d.stats.DynEnergy += convW * dur
 		d.stats.ConvertKernels++
 		e.stats.SenderConversions++
 		if d.trace {
-			d.convIntervals = append(d.convIntervals, Interval{Start: start, End: t, Power: convPowerFrac * (d.spec.TDP - d.spec.IdleW)})
+			d.convIntervals = append(d.convIntervals, Interval{Start: start, End: t, Power: convW})
 		}
 	}
 	// D2H of the wire representation.
-	start := d.d2h.startAfter(t)
-	dur := d.d2h.spec.Time(p.WireBytes)
-	hostAt := d.d2h.occupy(start, dur, p.WireBytes)
-	d.stats.BytesD2H += p.WireBytes
-	e.stats.D2HByPrec[p.WirePrec] += p.WireBytes
-	d.stats.TransferTime += dur
-	d.stats.DynEnergy += d.spec.TransferW * dur
+	hostAt := e.hostCopy(d, d.d2h, t, p.WireBytes, p.WirePrec)
 	*e.host(d.rank, spec.Output.Data) = hostAt
 	if entry := d.entry(spec.Output.Data); entry != nil {
 		entry.hostCopy = true

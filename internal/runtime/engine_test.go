@@ -451,13 +451,15 @@ func TestPriorityOrdering(t *testing.T) {
 	}
 }
 
-// TestReadyQueueOrder: a device's ready queue pops by descending priority,
-// ties by ascending task id. Ten tasks tie on priority, so a tie-break
-// that is not the id (a coin flip passes a single tied pair every other
-// run) cannot order them all by luck.
+// TestReadyQueueOrder: a ready queue pops by descending priority, ties by
+// ascending task id. Ten tasks tie on priority, so a tie-break that is not
+// the id (a coin flip passes a single tied pair every other run) cannot
+// order them all by luck; the extreme priorities, each tied between two
+// ids, pop in order (^p does not overflow where -p would). An event queue
+// pops by ascending time, equal times by sequence, +Inf last.
 func TestReadyQueueOrder(t *testing.T) {
-	var h taskHeap
-	push := func(id int, pri int64) { h.push(&TaskSpec{ID: id, Priority: pri}) }
+	var h queue[int64]
+	push := func(id int, pri int64) { h.push(^pri, int64(id), &TaskSpec{ID: id, Priority: pri}) }
 	push(3, 10)
 	push(1, 10)
 	push(0, 5)
@@ -468,10 +470,42 @@ func TestReadyQueueOrder(t *testing.T) {
 	want := []int{2, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0}
 	var got []int
 	for h.Len() > 0 {
-		got = append(got, h.pop().ID)
+		got = append(got, h.pop().spec.ID)
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("pop order %v, want %v", got, want)
+	}
+
+	for i, pri := range []int64{0, math.MaxInt64, -1, math.MinInt64, math.MaxInt64, 0, math.MinInt64, -1} {
+		push(20-i, pri)
+	}
+	want = []int{16, 19, 15, 20, 13, 18, 14, 17}
+	got = got[:0]
+	for h.Len() > 0 {
+		got = append(got, h.pop().spec.ID)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("extreme priorities pop order %v, want %v", got, want)
+	}
+
+	var ev queue[float64]
+	inf := math.Inf(1)
+	for _, e := range []struct {
+		at  float64
+		seq int64
+	}{{2, 5}, {inf, 1}, {1, 9}, {2, 3}, {1, 2}, {2, 4}, {0.5, 8}} {
+		ev.push(e.at, e.seq, nil)
+	}
+	var seqs []int64
+	for ev.Len() > 0 {
+		e := ev.pop()
+		seqs = append(seqs, e.tie)
+		if ev.Len() == 0 && e.key != inf {
+			t.Errorf("last event at %g, want +Inf", e.key)
+		}
+	}
+	if want := []int64{8, 2, 9, 3, 4, 5, 1}; !slices.Equal(seqs, want) {
+		t.Fatalf("event pop order (sequences) %v, want %v", seqs, want)
 	}
 }
 

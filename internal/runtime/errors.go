@@ -20,6 +20,12 @@ func (g *GraphError) Error() string {
 	return fmt.Sprintf("runtime: malformed graph: task %d %s", g.Task, g.Msg)
 }
 
+// neverReady is the error of a run in which left of its n tasks never
+// became ready.
+func neverReady(left, n int) error {
+	return fmt.Errorf("runtime: %d of %d tasks never became ready (dependency cycle or missing data)", left, n)
+}
+
 // fail records the run's first fatal error; the event loop (and the commit
 // path) stop at the next check. Later errors are dropped — the first one is
 // the cause, anything after it is fallout.

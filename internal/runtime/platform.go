@@ -83,7 +83,7 @@ type device struct {
 	used             int64
 	writebacks       []evicted // evicted dirty copies, until the engine drains them
 
-	ready *taskHeap
+	ready queue[int64] // ^Priority, ties by task id
 
 	stats DeviceStats
 
@@ -162,7 +162,6 @@ func (l *link) occupy(start, dur float64, nbytes int64) float64 {
 func newDevice(id, rank int, spec *hw.GPUSpec, trace bool, nData int) *device {
 	return &device{
 		id: id, rank: rank, spec: spec,
-		ready:    &taskHeap{},
 		trace:    trace,
 		h2d:      &link{name: fmt.Sprintf("dev%d/h2d", id), spec: spec.H2DLink(), trace: trace},
 		d2h:      &link{name: fmt.Sprintf("dev%d/d2h", id), spec: spec.D2HLink(), trace: trace},

@@ -1,101 +1,36 @@
 package runtime
 
-// This file holds the engine's two hand-rolled heaps: the global
-// completion-event heap and the per-device ready queue. Both avoid
-// container/heap so pushing never boxes through an interface — the seed
-// allocated one escape per event push and one per flight record.
+// queue is the engine's one priority queue: a binary min-heap ordered by
+// (key, tie), compared inline with no comparator call in the sift loops and
+// no container/heap boxing. Completion events are keyed by (virtual time,
+// commit sequence); ready tasks — a device's and the body executor's — by
+// (^Priority, task id): highest priority first, then lowest id (^p reverses
+// int64's order without overflowing at math.MinInt64, which -p would). Both
+// orders are total, so the pop order does not depend on the heap's layout.
+type queue[K float64 | int64] struct {
+	items []queued[K]
+}
 
-// event is a committed task's completion notice in virtual time.
-type event struct {
-	at   float64
-	seq  int64
+// queued is one entry; spec is nil in the body executor's queue.
+type queued[K float64 | int64] struct {
+	key  K
+	tie  int64
 	spec *TaskSpec
 }
 
-func eventBefore(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+func before[K float64 | int64](a, b *queued[K]) bool {
+	return a.key < b.key || a.key == b.key && a.tie < b.tie
 }
 
-// pushEvent sifts a completion event into the heap.
-func (e *engine) pushEvent(ev event) {
-	e.events = append(e.events, ev)
-	h := e.events
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !eventBefore(&h[i], &h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
+func (q *queue[K]) Len() int { return len(q.items) }
 
-// popEvent removes the earliest completion event.
-func (e *engine) popEvent() event {
-	h := e.events
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	siftDownEvent(h, 0)
-	e.events = h
-	return top
-}
-
-func siftDownEvent(h []event, i int) {
-	n := len(h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && eventBefore(&h[l], &h[m]) {
-			m = l
-		}
-		if r < n && eventBefore(&h[r], &h[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-// readyTask is one entry of a ready queue: the ordering key inline, so a
-// sift compares without dereferencing a spec.
-type readyTask struct {
-	priority int64
-	id       int
-	spec     *TaskSpec
-}
-
-// readyBefore is the ready-queue order: descending priority, ties broken by
-// ascending task id — a total order, which keeps the simulation
-// deterministic.
-func readyBefore(a, b *readyTask) bool {
-	if a.priority != b.priority {
-		return a.priority > b.priority
-	}
-	return a.id < b.id
-}
-
-// taskHeap is one device's ready queue, ordered by readyBefore.
-type taskHeap struct {
-	items []readyTask
-}
-
-func (h *taskHeap) Len() int { return len(h.items) }
-
-// push sifts a ready task into the device's queue.
-func (h *taskHeap) push(t *TaskSpec) {
-	h.items = append(h.items, readyTask{t.Priority, t.ID, t})
-	s := h.items
+// push sifts an entry into the queue.
+func (q *queue[K]) push(key K, tie int64, spec *TaskSpec) {
+	q.items = append(q.items, queued[K]{key, tie, spec})
+	s := q.items
 	for i := len(s) - 1; i > 0; {
 		p := (i - 1) / 2
-		if !readyBefore(&s[i], &s[p]) {
+		if !before(&s[i], &s[p]) {
 			break
 		}
 		s[i], s[p] = s[p], s[i]
@@ -103,21 +38,20 @@ func (h *taskHeap) push(t *TaskSpec) {
 	}
 }
 
-// pop removes the first ready task.
-func (h *taskHeap) pop() *TaskSpec {
-	s := h.items
-	top := s[0].spec
+// pop removes the first entry.
+func (q *queue[K]) pop() queued[K] {
+	s := q.items
+	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = readyTask{}
+	s[n] = queued[K]{} // drop the spec pointer
 	s = s[:n]
 	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && readyBefore(&s[l], &s[m]) {
+		m, l, r := i, 2*i+1, 2*i+2
+		if l < n && before(&s[l], &s[m]) {
 			m = l
 		}
-		if r < n && readyBefore(&s[r], &s[m]) {
+		if r < n && before(&s[r], &s[m]) {
 			m = r
 		}
 		if m == i {
@@ -126,6 +60,6 @@ func (h *taskHeap) pop() *TaskSpec {
 		s[i], s[m] = s[m], s[i]
 		i = m
 	}
-	h.items = s
+	q.items = s
 	return top
 }

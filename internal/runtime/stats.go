@@ -90,6 +90,7 @@ func (e *engine) finalizeStats() {
 		energy += d.stats.DynEnergy + d.spec.IdleW*makespan
 		e.stats.BytesH2D += d.stats.BytesH2D
 		e.stats.BytesD2H += d.stats.BytesD2H
+		d.stats.TransferTime = d.h2d.busy + d.d2h.busy
 		e.stats.Devices = append(e.stats.Devices, d.stats)
 	}
 	e.stats.Energy = energy
