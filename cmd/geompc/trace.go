@@ -37,8 +37,8 @@ func runTrace(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := bench.RunPhantom(cholesky.Config{Platform: plat, Options: runtime.Options{Trace: true, Audit: *audit}},
-		*nt**ts, *ts, bench.Variant{OffDiag: prec.FP16x32}.Map(0, 0), "trace")
+	res, err := cholesky.RunPhantom(cholesky.Config{Platform: plat, Options: runtime.Options{Trace: true, Audit: *audit}},
+		*nt**ts, *ts, bench.Variant{OffDiag: prec.FP16x32}.Map(0, 0))
 	if err != nil {
 		return err
 	}

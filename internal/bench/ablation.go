@@ -27,45 +27,33 @@ type AblationRow struct {
 // narrowest that dominate the adaptive map tile-wise), so any performance
 // difference is pure precision-spend efficiency.
 func AdaptiveVsBanded(app App, n, ts int, node *hw.NodeSpec, seed uint64) ([]AblationRow, error) {
-	desc, err := tile.NewDesc(n, ts, 1, 1)
-	if err != nil {
-		return nil, err
-	}
-	adaptive := Variant{App: &app}.Map(128, seed)(desc)
-	b64, b32 := precmap.MatchBandsToMap(adaptive)
-	banded, err := precmap.BandedKernelMap(desc.NT, b64, b32, prec.FP16)
-	if err != nil {
-		return nil, err
-	}
-
 	plat, err := runtime.NewPlatform(node, 1, 1)
 	if err != nil {
 		return nil, err
 	}
-	run := func(name string, km [][]prec.Precision) (AblationRow, error) {
-		res, err := RunPhantom(cholesky.Config{Platform: plat}, n, ts,
-			func(tile.Desc) [][]prec.Precision { return km }, "ablation "+name)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		counts := precmap.New(km, 0).Counts()
+	row := func(name string, res *cholesky.Result) AblationRow {
 		return AblationRow{
 			Variant:   name,
 			Tflops:    res.Stats.Flops / 1e12,
 			Time:      res.Stats.Makespan,
 			BytesH2D:  res.Stats.BytesH2D,
-			FP64Share: float64(counts[prec.FP64]) / float64(desc.LowerTileCount()),
-		}, nil
+			FP64Share: res.Maps.Fractions()[prec.FP64],
+		}
 	}
-	a, err := run("adaptive (Higham-Mary)", adaptive)
+	adaptive, err := cholesky.RunPhantom(cholesky.Config{Platform: plat}, n, ts, Variant{App: &app}.Map(128, seed))
 	if err != nil {
 		return nil, err
 	}
-	b, err := run(fmt.Sprintf("banded (b64=%d,b32=%d)", b64, b32), banded)
+	b64, b32 := precmap.MatchBandsToMap(adaptive.Maps.Kernel)
+	km, err := precmap.BandedKernelMap(adaptive.Maps.NT, b64, b32, prec.FP16)
 	if err != nil {
 		return nil, err
 	}
-	return []AblationRow{a, b}, nil
+	banded, err := cholesky.RunPhantom(cholesky.Config{Platform: plat}, n, ts, func(tile.Desc) [][]prec.Precision { return km })
+	if err != nil {
+		return nil, err
+	}
+	return []AblationRow{row("adaptive (Higham-Mary)", adaptive), row(fmt.Sprintf("banded (b64=%d,b32=%d)", b64, b32), banded)}, nil
 }
 
 // LookaheadAblation measures how the engine's stream pipeline depth affects
@@ -79,7 +67,7 @@ func LookaheadAblation(n, ts int, node *hw.NodeSpec, depths []int) ([]AblationRo
 	km := Variant{OffDiag: prec.FP16}.Map(0, 0)
 	var rows []AblationRow
 	for _, d := range depths {
-		res, err := RunPhantom(cholesky.Config{Platform: plat, Options: runtime.Options{Lookahead: d}}, n, ts, km, fmt.Sprintf("lookahead=%d", d))
+		res, err := cholesky.RunPhantom(cholesky.Config{Platform: plat, Options: runtime.Options{Lookahead: d}}, n, ts, km)
 		if err != nil {
 			return nil, err
 		}

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"geompc/internal/cholesky"
 	"geompc/internal/hw"
 	"geompc/internal/runtime"
@@ -79,8 +77,7 @@ func ConvSweepOpts(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts in
 	pts := convGrid(sizes)
 	return sweep.Run(len(pts), so.SweepOpts, func(i int) (ConvRow, error) {
 		p := pts[i]
-		res, err := RunPhantom(cholesky.Config{Platform: plat, Strategy: p.strat}, p.n, ts, p.v.Map(0, 0),
-			fmt.Sprintf("%s %v n=%d", p.v.Name, p.strat, p.n))
+		res, err := cholesky.RunPhantom(cholesky.Config{Platform: plat, Strategy: p.strat}, p.n, ts, p.v.Map(0, 0))
 		if err != nil {
 			return ConvRow{}, err
 		}

@@ -50,7 +50,7 @@ func EnergyRunOne(node *hw.NodeSpec, v Variant, n, ts, bins int, seed uint64, au
 		return nil, err
 	}
 	cfg := cholesky.Config{Platform: plat, Options: runtime.Options{Trace: true, Audit: audit}}
-	res, err := RunPhantom(cfg, n, ts, v.Map(128, seed), fmt.Sprintf("energy run %s n=%d", v.Name, n))
+	res, err := cholesky.RunPhantom(cfg, n, ts, v.Map(128, seed))
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
-	"geompc/internal/cholesky"
 	"geompc/internal/prec"
 	"geompc/internal/precmap"
 	"geompc/internal/stats"
@@ -64,24 +61,4 @@ func (v Variant) Map(samples int, seed uint64) func(tile.Desc) [][]prec.Precisio
 		}
 		return precmap.Uniform(d.NT, v.OffDiag)
 	}
-}
-
-// RunPhantom is the one phantom factorization every figure line runs: an
-// n×n matrix of ts-sized tiles laid over base.Platform's squarest process
-// grid, under the kernel map km builds for that tiling. base carries
-// everything but Desc and Maps; label names the run in a solve error (a
-// bad n or ts comes back as the descriptor's own error).
-func RunPhantom(base cholesky.Config, n, ts int, km func(tile.Desc) [][]prec.Precision, label string) (*cholesky.Result, error) {
-	pg, qg := tile.SquarestGrid(base.Platform.Ranks)
-	desc, err := tile.NewDesc(n, ts, pg, qg)
-	if err != nil {
-		return nil, err
-	}
-	base.Desc = desc
-	base.Maps = precmap.New(km(desc), 0)
-	res, err := cholesky.Run(base)
-	if err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", label, err)
-	}
-	return res, nil
 }

@@ -36,8 +36,7 @@ func runScale(v Variant, nodes, n, ts int, seed uint64) (ScaleRow, error) {
 	if err != nil {
 		return ScaleRow{}, err
 	}
-	res, err := RunPhantom(cholesky.Config{Platform: plat}, n, ts, v.Map(64, seed),
-		fmt.Sprintf("scale %s nodes=%d n=%d", v.Name, nodes, n))
+	res, err := cholesky.RunPhantom(cholesky.Config{Platform: plat}, n, ts, v.Map(64, seed))
 	if err != nil {
 		return ScaleRow{}, err
 	}

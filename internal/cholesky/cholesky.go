@@ -1,12 +1,15 @@
 package cholesky
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
 	"geompc/internal/hw"
 	"geompc/internal/prec"
+	"geompc/internal/precmap"
 	"geompc/internal/runtime"
+	"geompc/internal/tile"
 )
 
 // Result reports a completed factorization.
@@ -19,13 +22,16 @@ type Result struct {
 	// met one — every later panel descends from it and was skipped), nil on
 	// success or in phantom mode.
 	Err error
+	// Maps are the precision maps the run charged (Config.Maps, or their
+	// TTC copy under ForceTTC).
+	Maps *precmap.Maps
 
 	ids ids // decodes the task ids of Stats.Trace into names
 }
 
 // newResult wraps one finished run of g: its record and numeric failure.
 func newResult(g *graph, stats runtime.Stats, err error) *Result {
-	r := &Result{Stats: stats, Err: err, ids: g.ids}
+	r := &Result{Stats: stats, Err: err, Maps: g.maps, ids: g.ids}
 	r.STCTasks, r.CommTasks = g.maps.STCCount()
 	return r
 }
@@ -60,6 +66,26 @@ func Run(cfg Config) (*Result, error) {
 	return newResult(g, stats, bodyErr), nil
 }
 
+// RunPhantom is the one phantom factorization (no Matrix): an n×n matrix
+// of ts-sized tiles laid over cfg.Platform's squarest process grid, under
+// the kernel map km builds for that tiling, from which precmap.New derives
+// the storage map and Algorithm 2's comm map. cfg carries everything but
+// Desc and Maps.
+func RunPhantom(cfg Config, n, ts int, km func(tile.Desc) [][]prec.Precision) (*Result, error) {
+	if cfg.Platform == nil {
+		return nil, errNilPlatform
+	}
+	pg, qg := tile.SquarestGrid(cfg.Platform.Ranks)
+	desc, err := tile.NewDesc(n, ts, pg, qg)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Desc, cfg.Maps = desc, precmap.New(km(desc), 0)
+	return Run(cfg)
+}
+
+var errNilPlatform = errors.New("cholesky: nil platform")
+
 // newGraph validates cfg and builds the PTG task graph of one
 // factorization. It is the one place the strategy is applied (ForceTTC
 // runs Maps.TTC()) and a numeric run is checked (see validate), and it
@@ -68,7 +94,7 @@ func Run(cfg Config) (*Result, error) {
 // generated in FP32).
 func newGraph(cfg Config) (*graph, error) {
 	if cfg.Platform == nil {
-		return nil, fmt.Errorf("cholesky: nil platform")
+		return nil, errNilPlatform
 	}
 	if cfg.Maps == nil {
 		return nil, fmt.Errorf("cholesky: nil precision maps")

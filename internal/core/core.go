@@ -14,6 +14,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -93,12 +94,12 @@ type Options struct {
 	MaxEvals int
 }
 
-// Validate rejects a UReq the precision rule cannot use (NaN, ±Inf or
-// negative) and a negative TileSize, rather than running them as exact FP64
-// and at the default. Fit and ProjectFactorization call it first.
+// Validate rejects a UReq the precision rule cannot use (precmap.CheckUReq)
+// and a negative TileSize, rather than running them as exact FP64 and at
+// the default. Fit, Predict and ProjectFactorization call it first.
 func (o Options) Validate() error {
-	if math.IsNaN(o.UReq) || math.IsInf(o.UReq, 0) || o.UReq < 0 {
-		return fmt.Errorf("core: u_req must be 0 (exact FP64) or finite and positive, got %g", o.UReq)
+	if err := precmap.CheckUReq(o.UReq); err != nil {
+		return err
 	}
 	if o.TileSize < 0 {
 		return fmt.Errorf("core: tile size must be positive (0 for the default), got %d", o.TileSize)
@@ -120,13 +121,6 @@ func (o Options) nugget() float64 {
 	return o.Nugget
 }
 
-func (o Options) tileSize() int {
-	if o.TileSize <= 0 {
-		return 64
-	}
-	return o.TileSize
-}
-
 // Dataset is a set of observed locations and values.
 type Dataset struct {
 	Locs   []geo.Point
@@ -141,7 +135,7 @@ func GenerateDataset(n, dim int, kernel geo.Kernel, theta []float64, seed uint64
 	if n < 1 {
 		return nil, fmt.Errorf("core: need at least one location, got n=%d", n)
 	}
-	if err := checkKernel(kernel, dim, theta); err != nil {
+	if err := errors.Join(geo.CheckKernel(kernel, theta, dim)); err != nil {
 		return nil, err
 	}
 	rng := stats.NewRNG(seed, 0)
@@ -151,28 +145,6 @@ func GenerateDataset(n, dim int, kernel geo.Kernel, theta []float64, seed uint64
 		return nil, err
 	}
 	return &Dataset{Locs: locs, Z: z, Kernel: kernel}, nil
-}
-
-// errNilKernel is every entry point's error for a nil kernel.
-var errNilKernel = errors.New("core: nil kernel")
-
-// checkKernel rejects what geo cannot evaluate: a nil kernel, locations in
-// other than 2 or 3 dimensions or in other than the kernel's, a θ of the
-// wrong length.
-func checkKernel(kernel geo.Kernel, dim int, theta []float64) error {
-	if kernel == nil {
-		return errNilKernel
-	}
-	if dim != 2 && dim != 3 {
-		return fmt.Errorf("core: unsupported dimension %d (want 2 or 3)", dim)
-	}
-	if dim != kernel.Dim() {
-		return fmt.Errorf("core: dimension %d does not match kernel %s's dimension %d", dim, kernel.Name(), kernel.Dim())
-	}
-	if len(theta) != kernel.NumParams() {
-		return fmt.Errorf("core: kernel %s needs %d parameters, got %d", kernel.Name(), kernel.NumParams(), len(theta))
-	}
-	return nil
 }
 
 // FitReport is the outcome of Fit: the estimates plus the simulated cost of
@@ -199,13 +171,11 @@ type FitReport struct {
 var ErrNoFiniteEvaluation = errors.New("core: no likelihood evaluation was finite")
 
 // Fit estimates the kernel parameters of ds by maximum likelihood using the
-// adaptive mixed-precision Cholesky.
+// adaptive mixed-precision Cholesky: the paper's fit (mle.Fit with nil
+// bounds) at opts.MaxEvals.
 func Fit(ds *Dataset, opts Options) (*FitReport, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
-	}
-	if ds.Kernel == nil {
-		return nil, errNilKernel
 	}
 	plat, err := opts.Machine.Platform()
 	if err != nil {
@@ -214,17 +184,12 @@ func Fit(ds *Dataset, opts Options) (*FitReport, error) {
 	p := &mle.Problem{
 		Locs: ds.Locs, Z: ds.Z, Kernel: ds.Kernel,
 		Nugget:   opts.nugget(),
-		TileSize: opts.tileSize(),
+		TileSize: opts.TileSize,
 		UReq:     opts.UReq,
 		Platform: plat,
 		Strategy: opts.strategy(),
 	}
-	start, lo, hi := mle.DefaultBounds(ds.Kernel.NumParams())
-	maxEvals := opts.MaxEvals
-	if maxEvals <= 0 {
-		maxEvals = 600
-	}
-	fit, err := mle.Fit(p, start, lo, hi, optimize.Options{Tol: 1e-9, MaxEvals: maxEvals})
+	fit, err := mle.Fit(p, nil, nil, nil, optimize.Options{MaxEvals: opts.MaxEvals})
 	if err != nil {
 		return nil, err
 	}
@@ -250,10 +215,7 @@ func Fit(ds *Dataset, opts Options) (*FitReport, error) {
 
 // Predict computes the conditional mean of the fitted field at targets.
 func Predict(ds *Dataset, theta []float64, targets []geo.Point, opts Options) ([]float64, error) {
-	if ds.Kernel == nil {
-		return nil, errNilKernel
-	}
-	if err := checkKernel(ds.Kernel, ds.Kernel.Dim(), theta); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	p := &mle.Problem{Locs: ds.Locs, Z: ds.Z, Kernel: ds.Kernel, Nugget: opts.nugget()}
@@ -282,34 +244,16 @@ func ProjectFactorization(n int, kernel geo.Kernel, theta []float64, opts Option
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if kernel == nil {
-		return nil, errNilKernel
-	}
-	if err := checkKernel(kernel, kernel.Dim(), theta); err != nil {
+	if err := errors.Join(geo.CheckKernel(kernel, theta)); err != nil {
 		return nil, err
 	}
 	plat, err := opts.Machine.Platform()
 	if err != nil {
 		return nil, err
 	}
-	ts := opts.TileSize
-	if ts <= 0 {
-		ts = 2048
-	}
-	pg, qg := tile.SquarestGrid(plat.Ranks)
-	desc, err := tile.NewDesc(n, ts, pg, qg)
-	if err != nil {
-		return nil, err
-	}
-	var km [][]prec.Precision
-	if opts.UReq > 0 {
-		km = precmap.Sampled(desc, kernel, theta, opts.nugget(), opts.UReq, 128, stats.NewRNG(seed, 1))
-	} else {
-		km = precmap.UniformAll(desc.NT, prec.FP64)
-	}
-	maps := precmap.New(km, 0)
-	res, err := cholesky.Run(cholesky.Config{
-		Desc: desc, Maps: maps, Platform: plat, Strategy: opts.strategy(),
+	cfg := cholesky.Config{Platform: plat, Strategy: opts.strategy()}
+	res, err := cholesky.RunPhantom(cfg, n, cmp.Or(opts.TileSize, 2048), func(d tile.Desc) [][]prec.Precision {
+		return precmap.Sampled(d, kernel, theta, opts.nugget(), opts.UReq, 128, stats.NewRNG(seed, 1))
 	})
 	if err != nil {
 		return nil, err
@@ -325,6 +269,6 @@ func ProjectFactorization(n int, kernel geo.Kernel, theta []float64, opts Option
 		BytesNet:    res.Stats.BytesNet,
 		STCTasks:    res.STCTasks,
 		CommTasks:   res.CommTasks,
-		TilesByPrec: maps.Counts(),
+		TilesByPrec: res.Maps.Counts(),
 	}, nil
 }

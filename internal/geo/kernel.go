@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -55,6 +56,37 @@ type Kernel interface {
 	Name() string
 	// Dim is the spatial dimension the kernel is evaluated in (2 or 3).
 	Dim() int
+}
+
+// CheckKernel is the one check of a covariance model before geo evaluates
+// it. bad is what no θ mends: a nil kernel, one in other than 2 or 3
+// dimensions, a dim other than the kernel's (dim is given by callers that
+// draw locations of their own) or a θ of the wrong length. infeasible,
+// checked only once bad is nil, names the first θ entry that is not finite
+// and positive: every parameter is a scale. A caller that refuses both
+// returns errors.Join(CheckKernel(…)); the likelihood rejects an infeasible
+// θ as a point outside the model.
+func CheckKernel(k Kernel, theta []float64, dim ...int) (bad, infeasible error) {
+	if k == nil {
+		return errors.New("geo: nil kernel"), nil
+	}
+	if d := k.Dim(); d != 2 && d != 3 {
+		return fmt.Errorf("geo: kernel %s: unsupported dimension %d (want 2 or 3)", k.Name(), d), nil
+	}
+	for _, d := range dim {
+		if d != k.Dim() {
+			return fmt.Errorf("geo: dimension %d does not match kernel %s's dimension %d", d, k.Name(), k.Dim()), nil
+		}
+	}
+	if len(theta) != k.NumParams() {
+		return fmt.Errorf("geo: kernel %s needs %d parameters, got %d", k.Name(), k.NumParams(), len(theta)), nil
+	}
+	for i, v := range theta {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("geo: kernel %s: %s = %g must be finite and positive", k.Name(), k.ParamNames()[i], v)
+		}
+	}
+	return nil, nil
 }
 
 // SqExp is the squared-exponential covariance

@@ -11,6 +11,7 @@
 package mle
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -88,20 +89,11 @@ func (p *Problem) putBuf(b *evalBuf) {
 	p.mu.Unlock()
 }
 
-// checkUReq rejects an accuracy the precision rule cannot use — NaN, ±Inf
-// or negative — rather than running it as exact FP64 or all FP16.
-func checkUReq(u float64) error {
-	if math.IsNaN(u) || math.IsInf(u, 0) || u < 0 {
-		return fmt.Errorf("mle: u_req must be 0 (exact FP64) or finite and positive, got %g", u)
-	}
-	return nil
-}
-
 func (p *Problem) defaults() error {
 	if len(p.Locs) == 0 || len(p.Locs) != len(p.Z) {
 		return fmt.Errorf("mle: %d locations vs %d observations", len(p.Locs), len(p.Z))
 	}
-	if err := checkUReq(p.UReq); err != nil {
+	if err := precmap.CheckUReq(p.UReq); err != nil {
 		return err
 	}
 	p.mu.Lock()
@@ -173,58 +165,61 @@ func (s *RunStats) add(r *cholesky.Result) {
 	s.BytesNet += r.Stats.BytesNet
 }
 
-// NegLogLik evaluates −ℓ(θ). It returns +Inf (with no error) when Σ(θ) is
-// not numerically SPD, or θ has an entry that is not finite and positive —
-// the optimizer treats such θ as infeasible, the standard practice for
-// Gaussian likelihoods. A θ of the wrong length is an error.
+// NegLogLik evaluates −ℓ(θ). It returns +Inf (with no error) and counts a
+// rejection when θ has an entry that is not finite and positive, Σ(θ) is
+// not numerically SPD or −ℓ is NaN — the optimizer treats such θ as
+// infeasible, the standard practice for Gaussian likelihoods. A θ of the
+// wrong length is an error.
 func (p *Problem) NegLogLik(theta []float64, rs *RunStats) (float64, error) {
 	if err := p.defaults(); err != nil {
 		return 0, err
 	}
-	if len(theta) != p.Kernel.NumParams() {
-		return 0, fmt.Errorf("mle: θ has %d params, kernel %s needs %d", len(theta), p.Kernel.Name(), p.Kernel.NumParams())
+	bad, infeasible := geo.CheckKernel(p.Kernel, theta)
+	if bad != nil {
+		return 0, bad
 	}
-	for _, v := range theta {
-		// Every parameter is a scale: σ² = 0 with no nugget is the zero
-		// matrix, which has no precision map (its global norm is 0).
-		if !(v > 0) || math.IsInf(v, 1) {
-			if rs != nil {
-				rs.Rejected++
-			}
-			return math.Inf(1), nil
+	nll, ok := 0.0, infeasible == nil
+	if ok {
+		var err error
+		if nll, ok, err = p.negLogLik(theta, rs); err != nil {
+			return 0, err
 		}
 	}
+	if !ok || math.IsNaN(nll) { // the one rejection exit
+		if rs != nil {
+			rs.Rejected++
+		}
+		return math.Inf(1), nil
+	}
+	return nll, nil
+}
+
+// negLogLik fills and factorizes Σ(θ) and returns −ℓ(θ); spd is false when
+// the factorization met a non-positive pivot.
+func (p *Problem) negLogLik(theta []float64, rs *RunStats) (nll float64, spd bool, err error) {
 	n := len(p.Locs)
 	pg, qg := tile.SquarestGrid(p.Platform.Ranks)
 	desc, err := tile.NewDesc(n, p.TileSize, pg, qg)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	buf := p.takeBuf(desc)
 	defer p.putBuf(buf)
 	mat := buf.mat
 	p.fill(mat, theta)
 
-	var km [][]prec.Precision
-	if p.UReq > 0 {
-		km = precmap.FromMatrix(mat, p.UReq, p.Ladder)
-	} else {
-		km = precmap.UniformAll(desc.NT, prec.FP64)
-	}
 	res, err := cholesky.Run(cholesky.Config{
-		Desc: desc, Maps: precmap.New(km, 0), Platform: p.Platform, Matrix: mat, Strategy: p.Strategy,
+		Desc: desc, Maps: precmap.New(precmap.FromMatrix(mat, p.UReq, p.Ladder), 0),
+		Platform: p.Platform, Matrix: mat, Strategy: p.Strategy,
 	})
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	if rs != nil {
 		rs.add(res)
 	}
 	if res.Err != nil {
-		if rs != nil {
-			rs.Rejected++
-		}
-		return math.Inf(1), nil
+		return 0, false, nil
 	}
 
 	// log|Σ| = 2·Σ log L_ii from the diagonal tiles.
@@ -234,10 +229,7 @@ func (p *Problem) NegLogLik(theta []float64, rs *RunStats) (float64, error) {
 		for i := 0; i < t.M; i++ {
 			d := t.Data[i*t.N+i]
 			if d <= 0 || math.IsNaN(d) {
-				if rs != nil {
-					rs.Rejected++
-				}
-				return math.Inf(1), nil
+				return 0, false, nil
 			}
 			logdet += math.Log(d)
 		}
@@ -254,14 +246,7 @@ func (p *Problem) NegLogLik(theta []float64, rs *RunStats) (float64, error) {
 		quad += v * v
 	}
 
-	nll := 0.5 * (float64(n)*math.Log(2*math.Pi) + logdet + quad)
-	if math.IsNaN(nll) {
-		if rs != nil {
-			rs.Rejected++
-		}
-		return math.Inf(1), nil
-	}
-	return nll, nil
+	return 0.5 * (float64(n)*math.Log(2*math.Pi) + logdet + quad), true, nil
 }
 
 // fill generates Σ(θ) into mat's tiles on every core, through one bound
@@ -287,8 +272,10 @@ type FitResult struct {
 	Stats     RunStats
 }
 
-// Fit maximizes the likelihood over the box [lo, hi], starting from start
-// (the paper starts from the lower bounds with tolerance 1e-9).
+// Fit maximizes the likelihood over the box [lo, hi], starting from start.
+// With start, lo and hi all nil it is the paper's fit (§VII-B): the box
+// and start of DefaultBounds, optimize's default tolerance 1e-9 and, where
+// opt.MaxEvals is not positive, at most 600 evaluations.
 //
 // The search runs in log-parameter space: the Gaussian likelihood of the
 // paper's kernels forms an extremely narrow curved valley in (σ², β) — a
@@ -301,9 +288,15 @@ func Fit(p *Problem, start, lo, hi []float64, opt optimize.Options) (*FitResult,
 	if err := p.defaults(); err != nil {
 		return nil, err
 	}
-	if len(start) != p.Kernel.NumParams() {
-		return nil, fmt.Errorf("mle: start has %d params, kernel %s needs %d",
-			len(start), p.Kernel.Name(), p.Kernel.NumParams())
+	if start == nil && lo == nil && hi == nil && p.Kernel != nil {
+		start, lo, hi = DefaultBounds(p.Kernel.NumParams())
+		if opt.MaxEvals <= 0 {
+			opt.MaxEvals = 600
+		}
+	}
+	// Only the start's length is checked: the optimizer clamps it into the box.
+	if bad, _ := geo.CheckKernel(p.Kernel, start); bad != nil {
+		return nil, bad
 	}
 	for i := range lo {
 		if !(lo[i] > 0) { // NaN fails too
@@ -370,6 +363,9 @@ func Predict(p *Problem, theta []float64, targets []geo.Point) ([]float64, error
 	if err := p.defaults(); err != nil {
 		return nil, err
 	}
+	if err := errors.Join(geo.CheckKernel(p.Kernel, theta)); err != nil {
+		return nil, err
+	}
 	n := len(p.Locs)
 	a := geo.CovMatrix(p.Locs, p.Kernel, theta, p.Nugget)
 	if err := linalg.PotrfLower(n, a, n); err != nil {
@@ -431,26 +427,13 @@ func MonteCarlo(cfg MCConfig) ([]MCResult, error) {
 	}
 	// Checked here: a replica that panics inside the sweep takes the
 	// process down with it.
-	if cfg.Dim != 2 && cfg.Dim != 3 {
-		return nil, fmt.Errorf("mle: Monte-Carlo dimension %d, want 2 or 3", cfg.Dim)
-	}
-	if cfg.Kernel == nil {
-		return nil, fmt.Errorf("mle: Monte-Carlo config has no kernel")
-	}
-	if cfg.Dim != cfg.Kernel.Dim() {
-		return nil, fmt.Errorf("mle: Monte-Carlo dimension %d, kernel %s's is %d", cfg.Dim, cfg.Kernel.Name(), cfg.Kernel.Dim())
-	}
-	if len(cfg.TrueTheta) != cfg.Kernel.NumParams() {
-		return nil, fmt.Errorf("mle: Monte-Carlo true θ has %d params, kernel %s needs %d",
-			len(cfg.TrueTheta), cfg.Kernel.Name(), cfg.Kernel.NumParams())
+	if err := errors.Join(geo.CheckKernel(cfg.Kernel, cfg.TrueTheta, cfg.Dim)); err != nil {
+		return nil, err
 	}
 	for _, u := range cfg.UReqs {
-		if err := checkUReq(u); err != nil {
+		if err := precmap.CheckUReq(u); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.MaxEvals <= 0 {
-		cfg.MaxEvals = 600
 	}
 	np := cfg.Kernel.NumParams()
 	// A replica's dataset is a function of (Seed, r) alone: each is drawn
@@ -462,7 +445,7 @@ func MonteCarlo(cfg MCConfig) ([]MCResult, error) {
 		return nil, err
 	}
 	fits, err := sweep.Run(len(cfg.UReqs)*cfg.Replicas, sweep.Options{Workers: sweep.PerCore}, func(i int) (*FitResult, error) {
-		return fitReplica(cfg, cfg.UReqs[i/cfg.Replicas], sets[i%cfg.Replicas], np), nil
+		return fitReplica(cfg, cfg.UReqs[i/cfg.Replicas], sets[i%cfg.Replicas]), nil
 	})
 	if err != nil {
 		return nil, err
@@ -504,13 +487,12 @@ func drawReplica(cfg MCConfig, r int) (replica, error) {
 
 // fitReplica fits dataset d at ureq; a failed fit returns nil. The fits of
 // one replica at different levels may run concurrently: they only read d.
-func fitReplica(cfg MCConfig, ureq float64, d replica, np int) *FitResult {
+func fitReplica(cfg MCConfig, ureq float64, d replica) *FitResult {
 	p := &Problem{
 		Locs: d.locs, Z: d.z, Kernel: cfg.Kernel, Nugget: cfg.Nugget,
 		TileSize: cfg.TileSize, UReq: ureq, Platform: cfg.Platform,
 	}
-	start, lo, hi := DefaultBounds(np)
-	fit, err := Fit(p, start, lo, hi, optimize.Options{Tol: 1e-9, MaxEvals: cfg.MaxEvals})
+	fit, err := Fit(p, nil, nil, nil, optimize.Options{MaxEvals: cfg.MaxEvals})
 	if err != nil {
 		return nil
 	}

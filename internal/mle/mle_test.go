@@ -124,6 +124,26 @@ func TestNegLogLikRejectsNonPositiveTheta(t *testing.T) {
 	}
 }
 
+// TestNegLogLikUnderflowingVariance: at σ² = 1e-170 or 1e-310 with no
+// nugget every entry's square underflows, so Σ(θ)'s global Frobenius norm
+// is 0. That is a value of the likelihood (finite or +Inf), not a panic in
+// the precision map: every ratio against a zero norm is NaN or +Inf, which
+// no precision admits, so every tile stays FP64.
+func TestNegLogLikUnderflowingVariance(t *testing.T) {
+	rng := stats.NewRNG(1, 0)
+	locs := geo.GenerateLocations(100, 2, rng)
+	p := &Problem{
+		Locs: locs, Z: rng.NormVec(make([]float64, len(locs))), Kernel: geo.SqExp{Dimension: 2},
+		TileSize: 32, UReq: 1e-9,
+	}
+	for _, s2 := range []float64{1e-100, 1e-170, 1e-310} {
+		v, err := p.NegLogLik([]float64{s2, 0.1}, nil)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, -1) {
+			t.Errorf("σ² = %g: −ℓ %g, error %v; want a finite value or +Inf", s2, v, err)
+		}
+	}
+}
+
 func TestNegLogLikCountsNaNRejection(t *testing.T) {
 	// A NaN observation leaves Σ(θ) SPD and every pivot positive, so only
 	// the likelihood's own NaN exit can reject the evaluation.
@@ -329,12 +349,12 @@ func TestMonteCarloSmall(t *testing.T) {
 // runReplica draws replica r's dataset and fits it at ureq on its own: the
 // reference MonteCarlo, which draws each replica once for all levels, must
 // reproduce.
-func runReplica(cfg MCConfig, ureq float64, r, np int) (*FitResult, error) {
+func runReplica(cfg MCConfig, ureq float64, r int) (*FitResult, error) {
 	d, err := drawReplica(cfg, r)
 	if err != nil {
 		return nil, err
 	}
-	return fitReplica(cfg, ureq, d, np), nil
+	return fitReplica(cfg, ureq, d), nil
 }
 
 // TestMonteCarloStatsSumReplicas pins MCResult.Stats as the field-wise sum
@@ -353,7 +373,7 @@ func TestMonteCarloStatsSumReplicas(t *testing.T) {
 	}
 	var want RunStats
 	for r := 0; r < cfg.Replicas; r++ {
-		fit, err := runReplica(cfg, cfg.UReqs[0], r, cfg.Kernel.NumParams())
+		fit, err := runReplica(cfg, cfg.UReqs[0], r)
 		if err != nil || fit == nil {
 			t.Fatalf("replica %d: fit %v, error %v", r, fit, err)
 		}
@@ -393,7 +413,7 @@ func TestMonteCarloDrawsOnce(t *testing.T) {
 	}
 	for l, u := range cfg.UReqs {
 		for r := 0; r < cfg.Replicas; r++ {
-			fit, err := runReplica(cfg, u, r, 2)
+			fit, err := runReplica(cfg, u, r)
 			if err != nil || fit == nil {
 				t.Fatalf("level %g replica %d: fit %v, error %v", u, r, fit, err)
 			}

@@ -103,14 +103,23 @@ func SelectPrecision(ratio, ureq float64, ladder []prec.Precision) prec.Precisio
 	return best
 }
 
+// CheckUReq is the one check of a required accuracy: u_req is 0 (exact
+// FP64) or finite and positive. NaN, ±Inf and negative values are errors,
+// not an exact FP64 run (NaN) or an all-FP16 one (+Inf).
+func CheckUReq(ureq float64) error {
+	if math.IsNaN(ureq) || math.IsInf(ureq, 0) || ureq < 0 {
+		return fmt.Errorf("precmap: u_req must be 0 (exact FP64) or finite and positive, got %g", ureq)
+	}
+	return nil
+}
+
 // NewKernelMap builds the kernel-precision map for an NT×NT tiling from a
 // per-tile Frobenius-norm oracle and the global norm. Diagonal tiles are
 // pinned to FP64 (strongest correlations, §V); off-diagonal tiles take the
-// lowest admissible precision from ladder.
+// lowest admissible precision from ladder. At a global norm of 0 (every
+// entry's square underflows) each ratio is NaN or +Inf, which no precision
+// admits, so every tile falls back to ladder[0].
 func NewKernelMap(nt int, norm func(i, j int) float64, globalNorm, ureq float64, ladder []prec.Precision) [][]prec.Precision {
-	if globalNorm <= 0 {
-		panic(fmt.Sprintf("precmap: non-positive global norm %g", globalNorm))
-	}
 	k := lowerTri[prec.Precision](nt)
 	for i := 0; i < nt; i++ {
 		k[i][i] = prec.FP64
@@ -259,8 +268,12 @@ func UniformAll(nt int, p prec.Precision) [][]prec.Precision {
 }
 
 // FromMatrix computes exact tile norms from a numeric tiled matrix and
-// returns the kernel map for the given required accuracy.
+// returns the kernel map for the given required accuracy; at u_req 0 it is
+// every tile FP64, and no norm is computed.
 func FromMatrix(m *tile.Matrix, ureq float64, ladder []prec.Precision) [][]prec.Precision {
+	if ureq == 0 {
+		return UniformAll(m.NT, prec.FP64)
+	}
 	norms, global := m.TileNorms()
 	return NewKernelMap(m.NT, func(i, j int) float64 {
 		return norms[m.Index(i, j)]
@@ -345,7 +358,11 @@ func tileSumSq(locs []geo.Point, d tile.Desc, i, j int, ab []int32, bk geo.Bound
 // (phantom mode): it draws d.N locations of kernel k from rng, estimates
 // every tile's norm from `samples` entries per tile (EstimateTileNorms,
 // same rng) and applies the Higham–Mary rule at ureq over prec.CholeskySet.
+// At u_req 0 it is every tile FP64, and nothing is drawn from rng.
 func Sampled(d tile.Desc, k geo.Kernel, theta []float64, nugget, ureq float64, samples int, rng *stats.RNG) [][]prec.Precision {
+	if ureq == 0 {
+		return UniformAll(d.NT, prec.FP64)
+	}
 	locs := geo.GenerateLocations(d.N, k.Dim(), rng)
 	norm, global := EstimateTileNorms(locs, d, k, theta, nugget, samples, rng)
 	return NewKernelMap(d.NT, norm, global, ureq, prec.CholeskySet)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -221,6 +222,44 @@ func TestUniformAll(t *testing.T) {
 			if k[i][j] != prec.FP32 {
 				t.Errorf("(%d,%d) = %v", i, j, k[i][j])
 			}
+		}
+	}
+}
+
+// TestUReqZeroAndZeroNorm: u_req 0 is every tile FP64 from both map
+// builders, and Sampled draws nothing from its RNG for it; a zero global
+// norm (every entry's square underflowed) leaves every tile at the ladder's
+// first entry, FP64.
+func TestUReqZeroAndZeroNorm(t *testing.T) {
+	fp64 := UniformAll(4, prec.FP64)
+	d, _ := tile.NewDesc(64, 16, 1, 1)
+	rng := stats.NewRNG(3, 0)
+	if got := Sampled(d, geo.SqExp{Dimension: 2}, []float64{1, 0.1}, 0, 0, 8, rng); !reflect.DeepEqual(got, fp64) {
+		t.Errorf("Sampled at u_req 0 = %v", got)
+	}
+	if got, want := rng.Float64(), stats.NewRNG(3, 0).Float64(); got != want {
+		t.Errorf("Sampled at u_req 0 drew from its RNG: next value %v, want %v", got, want)
+	}
+	m := tile.NewMatrix(d, false)
+	m.Fill(func(tl *tile.Tile, _, _ int) {
+		for i := range tl.Data {
+			tl.Data[i] = 1e-170 // squares to 0
+		}
+	})
+	if got := FromMatrix(m, 0, prec.CholeskySet); !reflect.DeepEqual(got, fp64) {
+		t.Errorf("FromMatrix at u_req 0 = %v", got)
+	}
+	if got := FromMatrix(m, 1e-4, prec.CholeskySet); !reflect.DeepEqual(got, fp64) {
+		t.Errorf("FromMatrix at a zero global norm = %v", got)
+	}
+	for _, u := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e-9} {
+		if CheckUReq(u) == nil {
+			t.Errorf("CheckUReq(%g) accepted", u)
+		}
+	}
+	for _, u := range []float64{0, 1e-9, 1} {
+		if err := CheckUReq(u); err != nil {
+			t.Errorf("CheckUReq(%g): %v", u, err)
 		}
 	}
 }
